@@ -20,9 +20,13 @@
 //	                (single-statistic vs 4-statistic shared pass,
 //	                scalar vs grouped, with records-read measurements),
 //	                the query-plan family (σ pushdown vs post-hoc
-//	                filtering, π overhead, grouped-with-filter) and the
+//	                filtering, π overhead, grouped-with-filter), the
 //	                commit-journal family (journaled commit, recovery
-//	                replay, snapshot vs live reads) — and
+//	                replay, snapshot vs live reads) and the ingest
+//	                family (a 77 KB Append onto 0.2 M / 1 M / 4 M-record
+//	                files, a 400-append Recover; self-checked: the 4 M
+//	                append may cost at most 2x the time and 1.5x the
+//	                allocation of the 0.2 M one) — and
 //	                emit the results as JSON instead of figure tables;
 //	                CI publishes this as the benchmark trajectory
 //	                artifact (BENCH_<pr>.json)

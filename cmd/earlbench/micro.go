@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -28,7 +29,7 @@ import (
 // microResult is one micro-benchmark measurement in the benchmark
 // trajectory file (BENCH_<pr>.json) CI publishes per run.
 type microResult struct {
-	Family      string  `json:"family"` // bootstrap | delta | sampling | scan_decode | colseg | engine | plan | journal
+	Family      string  `json:"family"` // bootstrap | delta | sampling | scan_decode | colseg | engine | plan | journal | ingest
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	Iterations  int     `json:"iterations"`
@@ -133,9 +134,11 @@ func regressions(baseline, current microReport) []string {
 // (per-record vs columnar split ingestion), the end-to-end engine
 // family (single-statistic vs shared-pass multi-statistic, scalar vs
 // grouped), the query-plan family (σ pushdown vs user-level
-// post-hoc filtering, π overhead, grouped-with-filter), and the
+// post-hoc filtering, π overhead, grouped-with-filter), the
 // commit-journal family (journaled commit, crash-recovery replay,
-// snapshot-pinned vs live reads) — with testing.Benchmark. The
+// snapshot-pinned vs live reads) and the ingest family (append cost
+// against file size, recovery of a long append history) — with
+// testing.Benchmark, or measureFixed where an op cannot repeat. The
 // substrate families mirror the micro-benchmarks in bench_test.go; the
 // figure-level benchmarks stay in `go test -bench` where their runtime
 // is at home.
@@ -780,6 +783,55 @@ func runMicro() (microReport, error) {
 		})
 	}
 
+	// --- Family 8: ingest scaling (append cost against file size). ----
+	// Append/77KB prices one commit of the end-to-end benchmark's batch —
+	// 4096 fixed-width records, just over dfs's 64 KB threshold for
+	// extending the sidecar — onto files of 0.2 M, 1 M and 4 M records:
+	// journal frame, block placement, sidecar tail, chain prune. The
+	// iteration count is fixed because an append is not repeatable (every
+	// op grows the file), and the first few appends stay untimed: the
+	// journal's buffer regrows on the first one past its initial write.
+	// Recover replays a 0.2 M-record write and 400 such appends. The
+	// acceptance criterion — cost independent of file size — is enforced
+	// below.
+	const ingestAppends, ingestWarmup, recoverAppends = 200, 8, 400
+	ingestBatch := benchRaw[:4096*19]
+	ingestCfg := dfs.Config{Seed: 6}
+	appendResult := map[int]microResult{}
+	for _, mult := range []int{1, 5, 20} {
+		recs := mult * scanRecs
+		ifs := dfs.New(ingestCfg)
+		if err := ifs.WriteFile("/bench/ingest", bytes.Repeat(benchRaw, mult)); err != nil {
+			return microReport{}, err
+		}
+		res, err := measureFixed(ingestWarmup, ingestAppends, func() error {
+			return ifs.Append("/bench/ingest", ingestBatch)
+		})
+		if err != nil {
+			return microReport{}, err
+		}
+		res.Family, res.Name = "ingest", fmt.Sprintf("Append/77KB/n=%d", recs)
+		appendResult[recs] = res
+		out = append(out, res)
+		if mult == 1 {
+			// Top the smallest file up to recoverAppends and replay it.
+			for i := ingestWarmup + ingestAppends; i < recoverAppends; i++ {
+				if err := ifs.Append("/bench/ingest", ingestBatch); err != nil {
+					return microReport{}, err
+				}
+			}
+			image := ifs.JournalBytes()
+			add("ingest", fmt.Sprintf("Recover/appends=%d/n=%d", recoverAppends, recs), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := dfs.Recover(ingestCfg, image); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+
 	// Shared-pass IO: records read by each statistic alone vs all four
 	// in one pass. The multi run must stay within 1.1× of the most
 	// demanding single — the criterion a regression here would break.
@@ -882,6 +934,15 @@ func runMicro() (microReport, error) {
 			coldSide/1e6, coldText/1e6)
 	}
 
+	// The O(batch)-append criterion: the same batch onto a 20× larger
+	// file may not cost more than 2× the time or 1.5× the allocation.
+	small, large := appendResult[scanRecs], appendResult[20*scanRecs]
+	if large.NsPerOp > 2*small.NsPerOp || float64(large.BytesPerOp) > 1.5*float64(small.BytesPerOp) {
+		return microReport{}, fmt.Errorf(
+			"append-scaling criterion violated: %s costs %.0f ns/op, %d B/op vs %.0f ns/op, %d B/op for %s (limits 2x, 1.5x)",
+			large.Name, large.NsPerOp, large.BytesPerOp, small.NsPerOp, small.BytesPerOp, small.Name)
+	}
+
 	if len(failed) > 0 {
 		return microReport{}, fmt.Errorf("micro-benchmarks failed (ran zero iterations): %s", strings.Join(failed, ", "))
 	}
@@ -892,6 +953,34 @@ func runMicro() (microReport, error) {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Benchmarks: out,
 		EngineIO:   engineIO,
+	}, nil
+}
+
+// measureFixed times n calls of op after warmup untimed ones, for
+// operations testing.Benchmark cannot repeat at will; ns, bytes and
+// allocations per op are accounted the way testing.B does.
+func measureFixed(warmup, n int, op func() error) (microResult, error) {
+	for i := 0; i < warmup; i++ {
+		if err := op(); err != nil {
+			return microResult{}, err
+		}
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		if err := op(); err != nil {
+			return microResult{}, err
+		}
+	}
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	return microResult{
+		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(n),
+		Iterations:  n,
+		BytesPerOp:  int64(after.TotalAlloc-before.TotalAlloc) / int64(n),
+		AllocsPerOp: int64(after.Mallocs-before.Mallocs) / int64(n),
 	}, nil
 }
 

@@ -41,6 +41,20 @@
 // surfaces as ErrCorrupt and the reader falls back to text decode —
 // a damaged sidecar can cost speed, never correctness.
 //
+// # Appends
+//
+// An append changes three things in a sidecar and nothing else: the
+// header's cover field, the new segment's chunk payloads — written
+// where the old footer began — and the footer. ExtendTail encodes
+// exactly those (a Tail) from the old header and footer alone, so an
+// append costs the batch plus one footer entry per chunk, whatever the
+// file's size; Build, ExtendTail and Extend share one chunk and footer
+// encoder. The format is the byte sequence, not its container: dfs
+// holds each file version's sidecar as a header, runs of chunk payloads
+// shared with the versions before it, and a footer, and serves their
+// concatenation through Store; Extend is the same splice for a caller
+// that holds one contiguous slice.
+//
 // Values are parsed at encode time with the same colscan validation the
 // text decoder uses (NaN/±Inf rejected, identical rounding), so a
 // sidecar-backed block is bit-identical to the text-decoded block for
@@ -57,8 +71,8 @@ import (
 	"repro/internal/colscan"
 )
 
-// Magic strings bracket every sidecar; the trailing magic lets Extend
-// find and strip the footer without trusting interior lengths.
+// Magic strings bracket every sidecar; the trailing magic lets Split
+// find the footer without trusting interior lengths.
 const (
 	headMagic = "EARLCSG1"
 	tailMagic = "EARLCSGF"

@@ -14,7 +14,9 @@ import (
 // 0 — what dfs.Segments returns) and chunkSize the split size the
 // reader's geometry will use (the dfs block size): each segment is
 // tiled independently, exactly like dfs.Splits, so pre-append chunks
-// stay byte-stable when the sidecar is later Extended.
+// stay byte-stable when the sidecar is later extended. The returned
+// slice is exactly as large as the sidecar (cap == len): dfs keeps it
+// for the life of the file version, so growth slack would be retained.
 //
 // Any record the colscan validators reject (malformed line, NaN/±Inf
 // value) fails the whole Build: such files keep no sidecar, and the
@@ -26,14 +28,15 @@ func Build(f colscan.Format, version int64, data []byte, segments []int64, chunk
 	if len(segments) == 0 || segments[0] != 0 {
 		return nil, fmt.Errorf("colseg: segment list must start at 0")
 	}
-	buf := appendHeader(nil, header{format: f, version: version, cover: int64(len(data))})
-	var entries []entry
-	for si, segStart := range segments {
-		segEnd := int64(len(data))
+	segEnd := func(si int) int64 {
 		if si+1 < len(segments) {
-			segEnd = segments[si+1]
+			return segments[si+1]
 		}
-		if segStart > segEnd {
+		return int64(len(data))
+	}
+	size := headerSize + tailSize
+	for si, segStart := range segments {
+		if segStart > segEnd(si) {
 			return nil, fmt.Errorf("colseg: segment %d starts past its end", si)
 		}
 		if segStart > 0 && data[segStart-1] != '\n' {
@@ -41,63 +44,148 @@ func Build(f colscan.Format, version int64, data []byte, segments []int64, chunk
 			// would desynchronize chunk record ownership from Decode's.
 			return nil, fmt.Errorf("colseg: segment %d not record-aligned", si)
 		}
+		payload, chunks := chunkSizeHint(f, data[segStart:segEnd(si)], chunkSize)
+		size += payload + chunks*entrySize
+	}
+	buf := appendHeader(make([]byte, 0, size), header{format: f, version: version, cover: int64(len(data))})
+	var entries []entry
+	for si, segStart := range segments {
 		var err error
-		buf, entries, err = appendSegmentChunks(buf, entries, f, data[segStart:segEnd], segStart, chunkSize)
+		buf, entries, err = appendSegmentChunks(buf, 0, entries, f, data[segStart:segEnd(si)], segStart, chunkSize)
 		if err != nil {
 			return nil, err
 		}
 	}
-	return appendFooter(buf, entries), nil
+	buf = appendFooter(buf, entries)
+	if cap(buf) > len(buf) {
+		// KV dictionaries outgrew the hint: drop append's growth slack.
+		buf = append(make([]byte, 0, len(buf)), buf...)
+	}
+	return buf, nil
 }
 
-// Extend grows an existing sidecar with one freshly appended segment.
-// The sidecar must have been built for the same write generation and
-// must cover the file exactly up to segStart (dfs skips extension for
+// Tail is what appending one segment changes in a sidecar: everything
+// between the old header and the old footer — the pre-append chunk
+// payloads — stays where it is, byte for byte.
+type Tail struct {
+	Header []byte // the successor's header (cover advanced)
+	Chunks []byte // the new segment's chunk payloads; they start where the old footer did
+	Footer []byte // the successor's footer: old entries, new entries, trailer
+}
+
+// ExtendTail encodes the Tail for one freshly appended segment given
+// only the predecessor sidecar's header and footer (the footer starts
+// at sidecar offset footerStart) — the cost is the batch plus one
+// footer entry per chunk, whatever the size of the file. The sidecar
+// must have been built for the same write generation and must cover
+// the file exactly up to segStart (dfs skips extension for
 // sub-threshold appends, so cover can legitimately lag — those files
-// wait for Compact). The pre-append chunk payloads are preserved
-// byte-for-byte: only the header's cover field and the footer move.
-func Extend(sidecar []byte, version int64, segData []byte, segStart, chunkSize int64) ([]byte, error) {
+// wait for Compact).
+func ExtendTail(oldHeader, oldFooter []byte, footerStart, version int64, segData []byte, segStart, chunkSize int64) (Tail, error) {
 	if chunkSize <= 0 {
-		return nil, fmt.Errorf("colseg: chunk size %d", chunkSize)
+		return Tail{}, fmt.Errorf("colseg: chunk size %d", chunkSize)
 	}
-	h, err := parseHeader(sidecar)
+	if len(oldHeader) != headerSize {
+		return Tail{}, fmt.Errorf("%w: header of %d bytes", ErrCorrupt, len(oldHeader))
+	}
+	h, err := parseHeader(oldHeader)
 	if err != nil {
-		return nil, err
+		return Tail{}, err
 	}
 	if h.version != version {
-		return nil, fmt.Errorf("colseg: sidecar at generation %d, file at %d", h.version, version)
+		return Tail{}, fmt.Errorf("colseg: sidecar at generation %d, file at %d", h.version, version)
 	}
 	if h.cover != segStart {
-		return nil, fmt.Errorf("colseg: sidecar covers %d bytes, append starts at %d", h.cover, segStart)
+		return Tail{}, fmt.Errorf("colseg: sidecar covers %d bytes, append starts at %d", h.cover, segStart)
 	}
+	if len(oldFooter) < tailSize {
+		return Tail{}, fmt.Errorf("%w: truncated", ErrCorrupt)
+	}
+	table := oldFooter[:len(oldFooter)-tailSize]
+	count, start, err := parseTail(oldFooter[len(table):], footerStart+int64(len(oldFooter)))
+	if err != nil {
+		return Tail{}, err
+	}
+	if start != footerStart {
+		return Tail{}, fmt.Errorf("%w: footer of %d bytes for %d entries", ErrCorrupt, len(oldFooter), count)
+	}
+	entries, err := parseEntries(table, count, footerStart)
+	if err != nil {
+		return Tail{}, err
+	}
+	payload, chunks := chunkSizeHint(h.format, segData, chunkSize)
+	buf, entries, err := appendSegmentChunks(make([]byte, 0, payload), footerStart, entries, h.format, segData, segStart, chunkSize)
+	if err != nil {
+		return Tail{}, err
+	}
+	h.cover = segStart + int64(len(segData))
+	return Tail{
+		Header: appendHeader(make([]byte, 0, headerSize), h),
+		Chunks: buf,
+		Footer: appendFooter(make([]byte, 0, len(oldFooter)+chunks*entrySize), entries),
+	}, nil
+}
+
+// Split cuts a whole in-memory sidecar into its three sections —
+// header, chunk payloads, footer — trusting only the trailing count and
+// magic for where the footer starts.
+func Split(sidecar []byte) (header, chunks, footer []byte, err error) {
 	if len(sidecar) < headerSize+tailSize {
-		return nil, fmt.Errorf("%w: truncated", ErrCorrupt)
+		return nil, nil, nil, fmt.Errorf("%w: truncated", ErrCorrupt)
 	}
-	count, footerStart, err := parseTail(sidecar[len(sidecar)-tailSize:], int64(len(sidecar)))
+	_, footerStart, err := parseTail(sidecar[len(sidecar)-tailSize:], int64(len(sidecar)))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return sidecar[:headerSize], sidecar[headerSize:footerStart], sidecar[footerStart:], nil
+}
+
+// Extend grows an existing whole sidecar with one freshly appended
+// segment: ExtendTail's output spliced around the old chunk payloads,
+// which are preserved byte-for-byte (only the header's cover field and
+// the footer move). dfs holds sidecars in pieces and splices the Tail
+// itself; this form is for callers that hold one contiguous sidecar.
+func Extend(sidecar []byte, version int64, segData []byte, segStart, chunkSize int64) ([]byte, error) {
+	header, chunks, footer, err := Split(sidecar)
 	if err != nil {
 		return nil, err
 	}
-	entries, err := parseEntries(sidecar[footerStart:int64(len(sidecar))-tailSize], count, footerStart)
+	t, err := ExtendTail(header, footer, int64(len(header)+len(chunks)), version, segData, segStart, chunkSize)
 	if err != nil {
 		return nil, err
 	}
-	buf := appendHeader(make([]byte, 0, len(sidecar)+len(segData)), // chunks dominate; rough pre-size
-		header{format: h.format, version: h.version, cover: segStart + int64(len(segData))})
-	buf = append(buf, sidecar[headerSize:footerStart]...)
-	buf, entries, err = appendSegmentChunks(buf, entries, h.format, segData, segStart, chunkSize)
-	if err != nil {
-		return nil, err
+	buf := make([]byte, 0, len(header)+len(chunks)+len(t.Chunks)+len(t.Footer))
+	buf = append(buf, t.Header...)
+	buf = append(buf, chunks...)
+	buf = append(buf, t.Chunks...)
+	return append(buf, t.Footer...), nil
+}
+
+// chunkSizeHint sizes one segment's encoding before any record is
+// parsed: the bytes its chunk payloads take and how many chunks tile
+// it. The payload figure is exact for numeric data and leaves out the
+// key dictionaries of KV data, which only the encode pass can size.
+func chunkSizeHint(f colscan.Format, segData []byte, chunkSize int64) (payload, chunks int) {
+	recs := bytes.Count(segData, []byte{'\n'})
+	if n := len(segData); n > 0 && segData[n-1] != '\n' {
+		recs++
 	}
-	return appendFooter(buf, entries), nil
+	chunks = int((int64(len(segData)) + chunkSize - 1) / chunkSize)
+	payload = chunks*(4+8) + recs*(4+8)
+	if f == colscan.FormatKV {
+		payload += chunks*4 + recs*4
+	}
+	return payload, chunks
 }
 
 // appendSegmentChunks encodes one append segment's chunks onto buf,
 // tiled at chunkSize from segBase — the same geometry dfs.Splits emits
-// for that segment. segData's first byte must be a record start (dfs's
-// record-aligned append invariant).
+// for that segment — and indexes them in entries; buf[0] sits at
+// sidecar offset bufPos. segData's first byte must be a record start
+// (dfs's record-aligned append invariant).
 //
 //earl:hotpath
-func appendSegmentChunks(buf []byte, entries []entry, f colscan.Format, segData []byte, segBase, chunkSize int64) ([]byte, []entry, error) {
+func appendSegmentChunks(buf []byte, bufPos int64, entries []entry, f colscan.Format, segData []byte, segBase, chunkSize int64) ([]byte, []entry, error) {
 	// One pass over the segment finds every record's start and content
 	// end (absolute file offsets). The Hadoop split rules then reduce to
 	// slicing this list: a chunk owns the records starting inside it.
@@ -124,7 +212,7 @@ func appendSegmentChunks(buf []byte, entries []entry, f colscan.Format, segData 
 		for rec < len(starts) && starts[rec] < end {
 			rec++
 		}
-		pos := int64(len(buf))
+		pos := len(buf)
 		var err error
 		buf, err = appendChunk(buf, f, off, segBase, segData, starts[lo:rec], ends[lo:rec])
 		if err != nil {
@@ -134,7 +222,7 @@ func appendSegmentChunks(buf []byte, entries []entry, f colscan.Format, segData 
 		entries = append(entries, entry{
 			offset: off,
 			length: end - off,
-			pos:    pos,
+			pos:    bufPos + int64(pos),
 			size:   int64(len(payload)),
 			crc:    checksum(payload),
 		})

@@ -18,7 +18,9 @@ import (
 //     the same split.
 //   - Splitting the file at any record boundary and Extending the prefix
 //     sidecar with the rest reproduces the two-segment Build byte for
-//     byte — the dfs append path can never drift from a fresh ingest.
+//     byte — and so does splicing ExtendTail's three sections around the
+//     prefix's chunk payloads, which is what dfs does on an append: the
+//     ingest path can never drift from a fresh ingest.
 func FuzzColSegRoundTrip(f *testing.F) {
 	f.Add([]byte("1\n2.5\n-3e2\n"), false, uint16(4))
 	f.Add([]byte("a\t1\nbb\t2\na\t3.5\n"), true, uint16(4))
@@ -88,6 +90,22 @@ func FuzzColSegRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(ext, whole) {
 			t.Fatalf("Extend diverged from two-segment Build (%d vs %d bytes)", len(ext), len(whole))
+		}
+		header, chunks, footer, err := colseg.Split(part)
+		if err != nil {
+			t.Fatalf("Split failed on a fresh Build: %v", err)
+		}
+		tail, err := colseg.ExtendTail(header, footer, int64(len(header)+len(chunks)), version, data[cut:], cut, cs)
+		if err != nil {
+			t.Fatalf("ExtendTail failed on accepted data: %v", err)
+		}
+		if spliced := bytes.Join([][]byte{tail.Header, chunks, tail.Chunks, tail.Footer}, nil); !bytes.Equal(spliced, whole) {
+			t.Fatalf("ExtendTail's sections diverged from two-segment Build (%d vs %d bytes)", len(spliced), len(whole))
+		}
+		for _, sc := range [][]byte{sc, whole, part, ext} {
+			if cap(sc) != len(sc) {
+				t.Fatalf("a %d-byte sidecar came in a %d-byte slice", len(sc), cap(sc))
+			}
 		}
 	})
 }

@@ -39,6 +39,20 @@
 // analyzer), so no code path can mutate the namespace without a journal
 // record.
 //
+// # Columnar sidecars
+//
+// Each file version also carries a view of its columnar sidecar
+// (internal/colseg) — derived state, built at ingest and never
+// journaled; sidecar.go has the policy. The byte layout is colseg's,
+// but a view holds it in pieces: a header, runs of chunk payloads, a
+// footer. An Append's successor shares every run with its predecessor
+// and adds only a new header, the new segment's chunk bytes and a new
+// footer, so an append costs the batch plus per-segment metadata
+// however large the file, and a pinned Snapshot keeps its own header,
+// footer and size. New chunk bytes are packed into append-only extents
+// under a tip-ownership rule (the sidecar type states it) that never
+// writes a byte another version can read.
+//
 // Block payloads live in memory; the simcost.Metrics hooks account for
 // the I/O that a disk-backed deployment would perform.
 package dfs
@@ -179,10 +193,11 @@ type fileMeta struct {
 	// bytes behind an existing offset). Decoded-block caches key on it,
 	// and maintained queries detect rewrites by it changing.
 	version int64
-	// sidecar holds the file's persistent columnar segment encoding
-	// (internal/colseg). Derived state — rebuildable at any time, never
-	// replicated or journaled: losing one costs a text decode, not data.
-	sidecar []byte
+	// sidecar is this version's view of the file's persistent columnar
+	// segment encoding (internal/colseg), nil when it has none. Derived
+	// state — rebuildable at any time, never replicated or journaled:
+	// losing one costs a text decode, not data.
+	sidecar *sidecar
 }
 
 type blockMeta struct {
@@ -458,6 +473,21 @@ func (fs *FileSystem) applyChainPrune(path string, ch *fileChain) {
 		kept = append(kept, v)
 	}
 	ch.versions = kept
+	// An append's successor lists its predecessor's blocks first, so a
+	// pruned state the live state extends drops no block: leave it out
+	// of the sweep, which visits every block of every surviving state.
+	// One pointer decides it — block lists only ever grow by cloning a
+	// predecessor's, so two states that share the block at an index
+	// share every block before it.
+	if live := kept[len(kept)-1].meta; live != nil {
+		swept := pruned[:0]
+		for _, meta := range pruned {
+			if n := len(meta.blocks); n > len(live.blocks) || (n > 0 && meta.blocks[n-1] != live.blocks[n-1]) {
+				swept = append(swept, meta)
+			}
+		}
+		pruned = swept
+	}
 	if len(pruned) > 0 {
 		surviving := make(map[int64]struct{})
 		for _, v := range ch.versions {

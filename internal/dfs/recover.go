@@ -65,7 +65,7 @@ func Recover(cfg Config, image []byte) (*FileSystem, RecoverStats, error) {
 			continue
 		}
 		st.Files++
-		if len(v.meta.sidecar) > 0 {
+		if sc := v.meta.sidecar; sc != nil && sc.size() > 0 {
 			st.Sidecars++
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 
 	"repro/internal/colscan"
@@ -39,7 +41,158 @@ const (
 	sidecarMinBytes       = 4 << 10
 	sidecarAppendMinBytes = 64 << 10
 	sidecarSkipPrefix     = "/earl/"
+	// sidecarExtentBytes is the capacity of one extent. Half of it, on
+	// average, is the only memory an appended file holds beyond its
+	// sidecar bytes, and a version lists one piece per extent.
+	sidecarExtentBytes = 256 << 10
 )
+
+// sidecar is one file version's view of its columnar sidecar. The
+// byte layout is colseg's, unchanged — SidecarStat and ReadSidecarAt
+// serve the concatenation of pieces — but the bytes are not held
+// contiguously: a view a Build or an append produced is
+//
+//	pieces[0]      the 25-byte header
+//	pieces[1:n-1]  runs of chunk payloads
+//	pieces[n-1]    the footer
+//
+// and an append shares every run with its predecessor, adding only a
+// new header, the new segment's chunk bytes and a new footer. A view is
+// immutable once a version holds it (the fault hooks and Compact
+// replace the live version's view, they never edit one), so pinned
+// snapshots keep reading exactly the bytes they pinned.
+//
+// New chunk bytes are packed into fixed-size append-only extents so a
+// 50 KB run costs 50 KB, not a page-rounded allocation of its own. A
+// view sees a prefix of its last extent. Tip ownership: only a view
+// that sees every byte used in that extent may have its successor
+// written behind it in place — nothing another version can read is
+// touched. A view that sees less (a fork: its piece was cut by
+// TruncateSidecar), whose last run is not an extent (a Build output, a
+// CorruptSidecarByte copy), or whose extent is full, starts a new one.
+type sidecar struct {
+	pieces []sidecarPiece
+}
+
+// size is the sidecar's length in bytes.
+func (v *sidecar) size() int64 {
+	if len(v.pieces) == 0 {
+		return 0
+	}
+	last := v.pieces[len(v.pieces)-1]
+	return last.off + int64(len(last.b))
+}
+
+// sidecarPiece is b at sidecar offset off; ext is the extent b is a
+// prefix of, nil for a slice nothing may be written behind.
+type sidecarPiece struct {
+	off int64
+	b   []byte
+	ext *sidecarExtent
+}
+
+// sidecarExtent is an append-only buffer of chunk bytes shared by
+// successive versions: len(buf) bytes are in use, the capacity never
+// changes, and bytes once written never do.
+type sidecarExtent struct {
+	buf []byte
+}
+
+// newSidecar wraps the bytes of one whole sidecar, cut at colseg's
+// section boundaries when they can be found so that an append can
+// share the chunk region.
+func newSidecar(sc []byte) *sidecar {
+	sections := [][]byte{sc}
+	if header, chunks, footer, err := colseg.Split(sc); err == nil {
+		sections = [][]byte{header, chunks, footer}
+	}
+	v := &sidecar{}
+	off := int64(0)
+	for _, b := range sections {
+		v.pieces = append(v.pieces, sidecarPiece{off: off, b: b[:len(b):len(b)]})
+		off += int64(len(b))
+	}
+	return v
+}
+
+// pieceAt returns the index of the piece holding sidecar offset off,
+// len(v.pieces) when off is at or past the end.
+func (v *sidecar) pieceAt(off int64) int {
+	return sort.Search(len(v.pieces), func(i int) bool {
+		return v.pieces[i].off+int64(len(v.pieces[i].b)) > off
+	})
+}
+
+// readAt copies the view's bytes from off into p, like io.ReaderAt
+// without the EOF error.
+func (v *sidecar) readAt(off int64, p []byte) int {
+	n := 0
+	for i := v.pieceAt(off); i < len(v.pieces) && n < len(p); i++ {
+		pc := v.pieces[i]
+		n += copy(p[n:], pc.b[off+int64(n)-pc.off:])
+	}
+	return n
+}
+
+// bytes returns the whole sidecar as one fresh slice.
+func (v *sidecar) bytes() []byte {
+	buf := make([]byte, v.size())
+	v.readAt(0, buf)
+	return buf
+}
+
+// prefix returns the view of the first n bytes. It shares every piece,
+// cutting the last.
+func (v *sidecar) prefix(n int64) *sidecar {
+	out := &sidecar{}
+	for _, pc := range v.pieces {
+		if pc.off >= n {
+			break
+		}
+		if end := n - pc.off; end < int64(len(pc.b)) {
+			pc.b = pc.b[:end:end]
+		}
+		out.pieces = append(out.pieces, pc)
+	}
+	return out
+}
+
+// flipped returns the view with the byte at off inverted, in a private
+// copy of the one piece that holds it.
+func (v *sidecar) flipped(off int64) *sidecar {
+	out := &sidecar{pieces: slices.Clone(v.pieces)}
+	pc := &out.pieces[v.pieceAt(off)]
+	pc.b, pc.ext = bytes.Clone(pc.b), nil
+	pc.b[off-pc.off] ^= 0xFF
+	return out
+}
+
+// extended returns the successor view an append produces: v's chunk
+// runs shared, t's header and footer in place of v's, and t's chunk
+// bytes where v's footer began — written behind the last run in place
+// while the view owns a tip extent with room, in new extents otherwise.
+func (v *sidecar) extended(t colseg.Tail) *sidecar {
+	last := len(v.pieces) - 1
+	off := v.pieces[last].off
+	pieces := make([]sidecarPiece, 0, len(v.pieces)+1+len(t.Chunks)/sidecarExtentBytes)
+	pieces = append(pieces, sidecarPiece{b: t.Header})
+	pieces = append(pieces, v.pieces[1:last]...)
+	for chunks := t.Chunks; len(chunks) > 0; {
+		tip := &pieces[len(pieces)-1]
+		if tip.ext == nil || len(tip.b) != len(tip.ext.buf) || len(tip.b) == cap(tip.ext.buf) {
+			ext := &sidecarExtent{buf: make([]byte, 0, sidecarExtentBytes)}
+			pieces = append(pieces, sidecarPiece{off: off, ext: ext})
+			continue
+		}
+		ext := tip.ext
+		n := min(cap(ext.buf)-len(ext.buf), len(chunks))
+		ext.buf = append(ext.buf, chunks[:n]...)
+		tip.b = ext.buf[:len(ext.buf):len(ext.buf)]
+		off += int64(n)
+		chunks = chunks[n:]
+	}
+	return &sidecar{pieces: append(pieces, sidecarPiece{off: off, b: t.Footer})}
+}
 
 // sniffFormat guesses a file's record shape from its first line; the
 // full Build pass then validates every record against the guess.
@@ -57,7 +210,7 @@ func sniffFormat(data []byte) colscan.Format {
 // buildSidecar encodes a fresh file state's sidecar, or returns nil
 // when the gates say no. Encode failures are silent: the file simply
 // stays text-only.
-func (fs *FileSystem) buildSidecar(path string, meta *fileMeta, data []byte) []byte {
+func (fs *FileSystem) buildSidecar(path string, meta *fileMeta, data []byte) *sidecar {
 	if fs.cfg.DisableSidecars || int64(len(data)) < sidecarMinBytes ||
 		strings.HasPrefix(path, sidecarSkipPrefix) {
 		return nil
@@ -69,27 +222,31 @@ func (fs *FileSystem) buildSidecar(path string, meta *fileMeta, data []byte) []b
 	if fs.metrics != nil {
 		fs.metrics.BytesWritten.Add(int64(len(sc)))
 	}
-	return sc
+	return newSidecar(sc)
 }
 
-// extendSidecar grows a predecessor state's sidecar with one appended
-// segment, returning the bytes for the successor state. Extension
-// requires an existing sidecar whose coverage reaches exactly the
-// append point; anything else (small initial write, earlier
-// sub-threshold appends) keeps the old bytes and leaves full coverage
-// for Compact. Only the footer and the new segment's chunks are
-// written — pre-append chunks stay byte-stable, so pinned snapshots
-// sharing the predecessor's bytes are unaffected.
-func (fs *FileSystem) extendSidecar(prev []byte, meta *fileMeta, segData []byte, segStart int64) []byte {
-	if fs.cfg.DisableSidecars || int64(len(segData)) < sidecarAppendMinBytes || prev == nil {
+// extendSidecar returns the successor state's sidecar for one appended
+// segment. Extension requires an existing sidecar whose coverage
+// reaches exactly the append point; anything else (small initial write,
+// earlier sub-threshold appends, a sidecar the fault hooks damaged)
+// keeps the old view and leaves full coverage for Compact. Only the
+// header, the new segment's chunks and the footer are encoded and
+// written: colseg.ExtendTail sees nothing else of the old sidecar and
+// the successor shares the pre-append chunk runs (see sidecar), so the
+// cost is the batch plus one footer entry per chunk whatever the
+// file's size.
+func (fs *FileSystem) extendSidecar(prev *sidecar, meta *fileMeta, segData []byte, segStart int64) *sidecar {
+	if fs.cfg.DisableSidecars || int64(len(segData)) < sidecarAppendMinBytes || prev == nil || len(prev.pieces) < 2 {
 		return prev
 	}
-	ext, err := colseg.Extend(prev, meta.version, segData, segStart, fs.cfg.BlockSize)
+	footer := prev.pieces[len(prev.pieces)-1]
+	tail, err := colseg.ExtendTail(prev.pieces[0].b, footer.b, footer.off, meta.version, segData, segStart, fs.cfg.BlockSize)
 	if err != nil {
 		return prev
 	}
+	ext := prev.extended(tail)
 	if fs.metrics != nil {
-		fs.metrics.BytesWritten.Add(int64(len(ext) - len(prev)))
+		fs.metrics.BytesWritten.Add(ext.size() - prev.size())
 	}
 	return ext
 }
@@ -107,7 +264,7 @@ func (fs *FileSystem) sidecarStatAt(path string, at int64) (int64, bool) {
 	if !ok || meta.sidecar == nil {
 		return 0, false
 	}
-	return int64(len(meta.sidecar)), true
+	return meta.sidecar.size(), true
 }
 
 // ReadSidecarAt fills p from path's sidecar starting at off, charging
@@ -125,14 +282,13 @@ func (fs *FileSystem) readSidecarAt(path string, at, off int64, p []byte) (int, 
 	if !ok || meta.sidecar == nil {
 		return 0, fmt.Errorf("%w: sidecar for %s", ErrNotFound, path)
 	}
-	sc := meta.sidecar
 	if off < 0 {
 		return 0, errors.New("dfs: negative offset")
 	}
-	if off >= int64(len(sc)) {
+	if off >= meta.sidecar.size() {
 		return 0, nil
 	}
-	n := copy(p, sc[off:])
+	n := meta.sidecar.readAt(off, p)
 	if fs.metrics != nil {
 		fs.metrics.DiskSeeks.Add(1)
 		fs.metrics.BytesRead.Add(int64(n))
@@ -173,10 +329,10 @@ func (fs *FileSystem) Compact(path string) (CompactStats, error) {
 		return st, nil
 	}
 	if sc := meta.sidecar; sc != nil {
-		if info, err := colseg.Inspect(sc); err == nil &&
+		if info, err := colseg.Inspect(sc.bytes()); err == nil &&
 			info.Version == meta.version && info.Cover == meta.size {
 			st.Chunks = info.Chunks
-			st.SidecarBytes = int64(len(sc))
+			st.SidecarBytes = sc.size()
 			st.CoveredBytes = info.Cover
 			return st, nil
 		}
@@ -197,7 +353,7 @@ func (fs *FileSystem) Compact(path string) (CompactStats, error) {
 	if err != nil {
 		return st, fmt.Errorf("dfs: compact %s: %w", path, err)
 	}
-	meta.sidecar = sc
+	meta.sidecar = newSidecar(sc)
 	if fs.metrics != nil {
 		fs.metrics.BytesWritten.Add(int64(len(sc)))
 	}
@@ -220,13 +376,11 @@ func (fs *FileSystem) CorruptSidecarByte(path string, off int64) bool {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	meta, ok := fs.metaLocked(path, -1)
-	if !ok || meta.sidecar == nil || off < 0 || off >= int64(len(meta.sidecar)) {
+	if !ok || meta.sidecar == nil || off < 0 || off >= meta.sidecar.size() {
 		return false
 	}
-	// Copy-on-write: concurrent readers may hold the old slice.
-	dup := append([]byte(nil), meta.sidecar...)
-	dup[off] ^= 0xFF
-	meta.sidecar = dup
+	// Copy-on-write: older versions share the piece that holds off.
+	meta.sidecar = meta.sidecar.flipped(off)
 	return true
 }
 
@@ -237,9 +391,9 @@ func (fs *FileSystem) TruncateSidecar(path string, n int64) bool {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	meta, ok := fs.metaLocked(path, -1)
-	if !ok || meta.sidecar == nil || n < 0 || n > int64(len(meta.sidecar)) {
+	if !ok || meta.sidecar == nil || n < 0 || n > meta.sidecar.size() {
 		return false
 	}
-	meta.sidecar = meta.sidecar[:n:n]
+	meta.sidecar = meta.sidecar.prefix(n)
 	return true
 }

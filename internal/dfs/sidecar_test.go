@@ -23,18 +23,10 @@ func numericLines(n, base int) []byte {
 	return buf.Bytes()
 }
 
-// readSidecar fetches path's whole sidecar through the Store surface.
+// readSidecar fetches path's whole live sidecar through the Store surface.
 func readSidecar(t *testing.T, fs *FileSystem, path string) []byte {
 	t.Helper()
-	size, ok := fs.SidecarStat(path)
-	if !ok {
-		t.Fatalf("no sidecar for %s", path)
-	}
-	buf := make([]byte, size)
-	if n, err := fs.ReadSidecarAt(path, 0, buf); err != nil || int64(n) != size {
-		t.Fatalf("read sidecar %s: %d bytes, %v", path, n, err)
-	}
-	return buf
+	return viewBytes(t, fs, path)
 }
 
 func TestWriteFileBuildsSidecar(t *testing.T) {
