@@ -696,6 +696,68 @@ func runMicro() (microReport, error) {
 	add("plan", fmt.Sprintf("GroupedFilter/mean/groups=4/n=%d", planN),
 		planBench(plan.Spec{Path: "/bench/plan", Stats: []string{"mean"}, Filter: "v < 50", GroupBy: "floor(v / 12.5)"}))
 
+	// KeepBlock prices the σ kernel alone over one decoded block the size
+	// of the end-to-end benchmark's (1 MiB of "g<i%16>\t<value>" text is
+	// ~43 k records): query_scan's filter, whose string predicate runs on
+	// the dictionary-coded key column, and a numeric-only conjunction.
+	// EvalRecordLoop is the per-record reference walk over the same block
+	// — what the vectorized-σ criterion below is held against.
+	const keepN = 43_000
+	keepStarts, keepIDs := make([]int64, keepN), make([]uint32, keepN)
+	for i := range keepStarts {
+		keepStarts[i], keepIDs[i] = int64(i)*24, uint32(i%16)
+	}
+	var keepDict []string
+	for i := 0; i < 16; i++ {
+		keepDict = append(keepDict, "g"+strconv.Itoa(i))
+	}
+	for _, kc := range []struct {
+		label, filter string
+		format        colscan.Format
+		ids           []uint32
+		dict          []string
+	}{
+		{"numeric", "v > 20 && v < 90", colscan.FormatNumeric, nil, nil},
+		{"kv-dict", `v > 20 && key != "g7"`, colscan.FormatKV, keepIDs, keepDict},
+	} {
+		blk, err := colscan.NewBlock(kc.format, keepStarts, keepN*24, planData[:keepN], kc.ids, kc.dict)
+		if err != nil {
+			return microReport{}, err
+		}
+		spec, err := plan.Spec{Path: "/bench/plan", Filter: kc.filter}.Normalize()
+		if err != nil {
+			return microReport{}, err
+		}
+		prog, err := spec.Compile()
+		if err != nil {
+			return microReport{}, err
+		}
+		addRate("plan", fmt.Sprintf("KeepBlock/%s/n=%d", kc.label, keepN), keepN, func(b *testing.B) {
+			sc := plan.NewScratch()
+			var keep []int32
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				keep = prog.KeepBlock(sc, blk, keep[:0])
+			}
+		})
+		addRate("plan", fmt.Sprintf("EvalRecordLoop/%s/n=%d", kc.label, keepN), keepN, func(b *testing.B) {
+			var keep []int32
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				keep = keep[:0]
+				for r := 0; r < keepN; r++ {
+					ok, _, _, err := prog.EvalRecord(blk.Key(r), blk.Value(r))
+					if err != nil {
+						b.Fatal(err)
+					}
+					if ok {
+						keep = append(keep, int32(r))
+					}
+				}
+			}
+		})
+	}
+
 	// --- Family 7: the commit journal (durability substrate). --------
 	// CommitWrite/CommitAppend price the journaled mutation path: frame
 	// the record (CRC-32C over the header+payload), append it to the
@@ -941,6 +1003,17 @@ func runMicro() (microReport, error) {
 		return microReport{}, fmt.Errorf(
 			"append-scaling criterion violated: %s costs %.0f ns/op, %d B/op vs %.0f ns/op, %d B/op for %s (limits 2x, 1.5x)",
 			large.Name, large.NsPerOp, large.BytesPerOp, small.NsPerOp, small.BytesPerOp, small.Name)
+	}
+
+	// The vectorized-σ criterion: KeepBlock must filter a block at least
+	// 3× faster than a per-record EvalRecord loop over the same block.
+	for _, label := range []string{"numeric", "kv-dict"} {
+		vec, ref := rateOf("plan", "KeepBlock/"+label+"/"), rateOf("plan", "EvalRecordLoop/"+label+"/")
+		if ref <= 0 || vec < 3*ref {
+			return microReport{}, fmt.Errorf(
+				"vectorized-σ criterion violated (%s): KeepBlock %.3gM rec/s < 3x the EvalRecord loop's %.3gM rec/s",
+				label, vec/1e6, ref/1e6)
+		}
 	}
 
 	if len(failed) > 0 {

@@ -74,18 +74,14 @@ func (b *Block) SizeBytes() int64 {
 // every concurrent watch on the file.
 func (b *Block) Values() []float64 { return b.vals }
 
-// AppendKeys appends every record's interned key string to dst in file
-// order (nothing under FormatNumeric). The appended strings are shared
-// with the block's dictionary — no per-record allocation.
-func (b *Block) AppendKeys(dst []string) []string {
-	if b.format != FormatKV {
-		return dst
-	}
-	for _, ki := range b.keys {
-		dst = append(dst, b.dict[ki])
-	}
-	return dst
-}
+// KeyIDs returns the block's dictionary-coded key column: record i's
+// key is Dict()[KeyIDs()[i]] (nil under FormatNumeric). Shared with the
+// block and read-only, like Values.
+func (b *Block) KeyIDs() []uint32 { return b.keys }
+
+// Dict returns the block's key dictionary, in first-occurrence order
+// (nil under FormatNumeric). Shared with the block and read-only.
+func (b *Block) Dict() []string { return b.dict }
 
 // AppendCols appends record i to out (value, plus key under FormatKV).
 // The key string is shared with the block's dictionary — no allocation.

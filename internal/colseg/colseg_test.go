@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/colscan"
@@ -315,4 +316,54 @@ func TestInspectRejectsGarbage(t *testing.T) {
 			t.Errorf("Inspect(%d garbage bytes) err = %v, want ErrCorrupt", len(b), err)
 		}
 	}
+}
+
+// TestReaderReusesPayloadBuffers shares one Reader — and so its spare
+// payload buffers — between concurrent loaders of chunks of different
+// sizes, clean and corrupt: every clean load must still equal the text
+// decode of its split, every corrupt one must still fail its checksum.
+func TestReaderReusesPayloadBuffers(t *testing.T) {
+	const version, chunkSize = 4, 512
+	data := kvData(400)
+	sc, err := colseg.Build(colscan.FormatKV, version, data, []int64{0}, chunkSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), sc...)
+	bad[30] ^= 0x40 // inside the first chunk payload
+	geom := chunkGeom([]int64{0}, int64(len(data)), chunkSize)
+	want := make([]*colscan.Block, len(geom))
+	for i, g := range geom {
+		if want[i], err = colscan.Decode(byteFile(data), "/f", int64(len(data)), g[0], g[1], colscan.FormatKV); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rd := colseg.NewReader(memStore{"/f": sc, "/bad": bad})
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				for i, g := range geom {
+					key := colscan.BlockKey{Path: "/f", Version: version, Offset: g[0], Length: g[1], Format: colscan.FormatKV}
+					blk, ok, err := rd.LoadColumns(key)
+					if err != nil || !ok {
+						t.Errorf("LoadColumns [%d,+%d): ok=%v err=%v", g[0], g[1], ok, err)
+						return
+					}
+					if d := diffBlocks(blk, want[i]); d != "" {
+						t.Errorf("chunk [%d,+%d): %s", g[0], g[1], d)
+						return
+					}
+				}
+				key := colscan.BlockKey{Path: "/bad", Version: version, Offset: geom[0][0], Length: geom[0][1], Format: colscan.FormatKV}
+				if _, ok, err := rd.LoadColumns(key); ok || !errors.Is(err, colseg.ErrCorrupt) {
+					t.Errorf("corrupt chunk: ok=%v err=%v, want ErrCorrupt", ok, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

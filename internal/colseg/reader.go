@@ -30,6 +30,8 @@ type Reader struct {
 
 	mu  sync.Mutex
 	idx map[string]*fileIndex
+
+	spare chan []byte // payload buffers between loads; see takePayload
 }
 
 // readerIndexCap bounds the parsed-index cache. When it fills, the
@@ -52,7 +54,47 @@ type chunkKey struct{ offset, length int64 }
 
 // NewReader builds a Reader over store.
 func NewReader(store Store) *Reader {
-	return &Reader{store: store, idx: make(map[string]*fileIndex)}
+	return &Reader{store: store, idx: make(map[string]*fileIndex), spare: make(chan []byte, sparePayloads)}
+}
+
+// sparePayloads and spareMaxBytes bound the chunk payload buffers a
+// Reader keeps for reuse, and with them the memory an idle Reader pins:
+// 2 MiB. Reuse pays where chunks are small and many — a scan cycling
+// blocks through a cache smaller than the file; a chunk above the limit
+// is loaded once and then lives in the cache, so keeping its payload
+// would only hold memory.
+const (
+	sparePayloads = 2
+	spareMaxBytes = 1 << 20
+)
+
+// takePayload returns a size-byte buffer for one chunk's payload: a
+// spare one when it is large enough, a fresh one otherwise. A payload is
+// read, checksummed and decoded — decodeChunk copies every column and
+// dictionary string out of it — so it is dead when LoadColumns returns,
+// and a scan that misses the cache on every block reuses its buffers
+// instead of allocating and zeroing a chunk's worth of bytes per block.
+func (r *Reader) takePayload(size int64) []byte {
+	select {
+	case buf := <-r.spare:
+		if int64(cap(buf)) >= size {
+			return buf[:size]
+		}
+	default:
+	}
+	return make([]byte, size)
+}
+
+// releasePayload keeps buf for the next load if it is small enough and
+// there is room.
+func (r *Reader) releasePayload(buf []byte) {
+	if cap(buf) > spareMaxBytes {
+		return
+	}
+	select {
+	case r.spare <- buf:
+	default:
+	}
 }
 
 // LoadColumns implements colscan.ColumnStore: it returns the sidecar-
@@ -81,7 +123,8 @@ func (r *Reader) LoadColumns(key colscan.BlockKey) (*colscan.Block, bool, error)
 	if !ok {
 		return nil, false, nil
 	}
-	payload := make([]byte, e.size)
+	payload := r.takePayload(e.size)
+	defer r.releasePayload(payload)
 	if n, err := r.store.ReadSidecarAt(key.Path, e.pos, payload); err != nil {
 		return nil, false, fmt.Errorf("%w: read payload: %v", ErrCorrupt, err)
 	} else if int64(n) != e.size {

@@ -1,12 +1,13 @@
 package plan
 
 // This file is the reference evaluator: a per-record tree walk with
-// semantics the vectorized VM (vm.go) must match bit for bit (the fuzz
-// target compares the two). Booleans are 0/1; && and || evaluate BOTH
-// operands (no short circuit — the vector path evaluates whole columns,
-// so the scalar path must agree on NaN propagation and evaluation
-// order); NaN behaves per IEEE 754 (comparisons involving NaN are
-// false, arithmetic propagates it).
+// semantics the vectorized evaluator (vm.go) must match bit for bit
+// (the fuzz target compares the two). Booleans are 0/1; && and ||
+// evaluate BOTH operands — there is nothing a short circuit could
+// skip: no side effects, and a non-finite operand is a value, not a
+// failure, which is also why the vectorized side may narrow its
+// selection instead; NaN behaves per IEEE 754 (comparisons involving
+// NaN are false, arithmetic propagates it).
 
 // evalNode evaluates a type-checked non-string subexpression for one
 // record. String subexpressions only occur under ==/!= and are handled

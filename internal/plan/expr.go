@@ -539,23 +539,25 @@ func checkKind(src string, n node) (kind, error) {
 	}
 }
 
-// usesKey reports whether any subexpression references the key column.
-func usesKey(n node) bool {
+// refs reports which columns n's subexpressions read: v and/or key. A
+// subtree that reads neither is a constant.
+func refs(n node) (v, key bool) {
 	switch n := n.(type) {
 	case *varRef:
-		return n.name == "key"
+		return n.name != "key", n.name == "key"
 	case *unaryOp:
-		return usesKey(n.x)
+		return refs(n.x)
 	case *binOp:
-		return usesKey(n.x) || usesKey(n.y)
+		xv, xk := refs(n.x)
+		yv, yk := refs(n.y)
+		return xv || yv, xk || yk
 	case *callOp:
 		for _, a := range n.args {
-			if usesKey(a) {
-				return true
-			}
+			av, ak := refs(a)
+			v, key = v || av, key || ak
 		}
 	}
-	return false
+	return v, key
 }
 
 // printNode renders n canonically: single spaces around binary

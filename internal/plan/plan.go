@@ -8,10 +8,10 @@
 // verbatim by the public earl builder, earlctl's flags and earld's HTTP
 // API; Normalize is the one shared validation/canonicalization path, so
 // the front ends cannot drift. Compile turns a normalized Spec into a
-// Program: vectorized kernels (vm.go) that filter, derive and label
-// whole decoded column batches, plus a per-record reference evaluator
-// (eval.go) for the exact fall-back paths — the two are fuzz-checked
-// bit-identical.
+// Program: vectorized kernels (vm.go: a tiled selection-vector
+// evaluator) that filter, derive and label decoded column batches, plus
+// a per-record reference evaluator (eval.go) for the exact fall-back
+// paths — the two are fuzz-checked bit-identical.
 //
 // Execution semantics, chosen once here for every front end:
 //
@@ -39,6 +39,8 @@ package plan
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -225,120 +227,130 @@ func (p *Program) Keyed() bool { return p.groupKey || p.group != nil }
 // HasFilter reports whether the plan filters records (σ present).
 func (p *Program) HasFilter() bool { return p.filter != nil }
 
-// Scratch is the per-source mutable evaluation state of a Program:
-// vector registers, the kept-index list, and the group-label intern
-// table. One Scratch serves one drawing goroutine at a time.
+// Scratch is the per-source mutable evaluation state of a Program: the
+// tile-sized registers, selection vectors and mask of the vectorized
+// evaluator (vm.go), one truth table per string predicate (a byte per
+// entry of the largest key dictionary seen), and the group-label intern
+// table. Nothing in it grows with the length of the batches it filters.
+// One Scratch serves one drawing goroutine at a time.
 type Scratch struct {
 	regs   [][]float64
-	keep   []int32
-	keyCol []string
-	labels map[float64]string
+	sels   [][]int32
+	mask   []uint8
+	truth  [][]uint8
+	labels map[uint64]string // by value bits: 0 and -0 label differently, as in EvalRecord
 }
 
 // NewScratch builds evaluation state for one source.
 func NewScratch() *Scratch {
-	return &Scratch{labels: make(map[float64]string)}
+	return &Scratch{labels: make(map[uint64]string)}
 }
 
-// grab returns nregs registers of length n, reusing capacity.
-func (sc *Scratch) grab(nregs, n int) [][]float64 {
-	for len(sc.regs) < nregs {
-		sc.regs = append(sc.regs, nil)
-	}
-	for i := 0; i < nregs; i++ {
-		if cap(sc.regs[i]) < n {
-			sc.regs[i] = make([]float64, n)
-		} else {
-			sc.regs[i] = sc.regs[i][:n]
-		}
-	}
-	return sc.regs[:nregs]
-}
-
-// Apply evaluates the plan over one raw batch, appending the surviving
-// records — derived value, plus group label when the plan is keyed —
-// to out, and reports how many survived. prefiltered marks batches
-// whose σ was already applied upstream (a pool filled through
-// KeepBlock), so only π/γ run. Non-finite derive or group results fail
-// with colscan.ErrBadRecord wrapped.
+// Apply evaluates the plan over one raw batch, a tile at a time,
+// appending the surviving records — derived value, plus group label
+// when the plan is keyed — to out, and reports how many survived.
+// prefiltered marks batches whose σ was already applied upstream (a
+// pool filled through KeepBlock), so only π/γ run. Non-finite derive or
+// group results fail with colscan.ErrBadRecord wrapped; out then holds
+// the tiles before the failing one.
 //
 //earl:hotpath
 func (p *Program) Apply(sc *Scratch, in *colscan.Cols, out *colscan.Cols, prefiltered bool) (int, error) {
-	n := in.Len()
-	if n == 0 {
-		return 0, nil
+	filter := p.filter
+	if prefiltered {
+		filter = nil
 	}
-	keep := sc.keep[:0]
-	if p.filter != nil && !prefiltered {
-		fv := p.filter.exec(sc, in.Vals, in.Keys)
-		for i, x := range fv {
-			if x != 0 {
-				keep = append(keep, int32(i))
+	sc.fit(filter)
+	sc.fit(p.derive)
+	sc.fit(p.group)
+	kept := 0
+	for base := 0; base < in.Len(); base += tile {
+		n := min(tile, in.Len()-base)
+		f := frame{sc: sc, vals: in.Vals[base : base+n]}
+		if len(in.Keys) != 0 {
+			f.keys = in.Keys[base : base+n]
+		}
+		sel := ident[:n]
+		if filter != nil {
+			sel = sc.sels[0][:f.narrow(filter.pred, sel, sc.sels[0])]
+		}
+		at := len(out.Vals)
+		out.Vals = slices.Grow(out.Vals, len(sel))[:at+len(sel)]
+		dst := out.Vals[at:]
+		if p.derive == nil {
+			for j, s := range sel {
+				dst[j] = f.vals[s]
+			}
+		} else {
+			dv := f.eval(p.derive, sel)
+			for j, s := range sel {
+				x := dv[s]
+				if !finite(x) {
+					out.Vals = out.Vals[:at]
+					return 0, badResultErr("derive", p.derive.src, in, base+int(s), x)
+				}
+				dst[j] = x
 			}
 		}
-	} else {
-		for i := 0; i < n; i++ {
-			keep = append(keep, int32(i))
-		}
-	}
-	sc.keep = keep
-	if len(keep) == 0 {
-		return 0, nil
-	}
-	if p.derive != nil {
-		dv := p.derive.exec(sc, in.Vals, in.Keys)
-		for _, i := range keep {
-			x := dv[i]
-			if !finite(x) {
-				return 0, badResultErr("derive", p.derive.src, in, int(i), x)
+		switch {
+		case p.groupKey:
+			ka := len(out.Keys)
+			out.Keys = slices.Grow(out.Keys, len(sel))[:ka+len(sel)]
+			for j, s := range sel {
+				out.Keys[ka+j] = f.keys[s]
 			}
-			out.Vals = append(out.Vals, x)
-		}
-	} else {
-		for _, i := range keep {
-			out.Vals = append(out.Vals, in.Vals[i])
-		}
-	}
-	switch {
-	case p.groupKey:
-		for _, i := range keep {
-			out.Keys = append(out.Keys, in.Keys[i])
-		}
-	case p.group != nil:
-		gv := p.group.exec(sc, in.Vals, in.Keys)
-		for _, i := range keep {
-			x := gv[i]
-			if !finite(x) {
-				return 0, badResultErr("group-by", p.group.src, in, int(i), x)
+		case p.group != nil:
+			gv := f.eval(p.group, sel)
+			for j, s := range sel {
+				x := gv[s]
+				if !finite(x) {
+					out.Vals, out.Keys = out.Vals[:at], out.Keys[:len(out.Keys)-j]
+					return 0, badResultErr("group-by", p.group.src, in, base+int(s), x)
+				}
+				lbl, ok := sc.labels[math.Float64bits(x)]
+				if !ok {
+					lbl = strconv.FormatFloat(x, 'g', -1, 64)
+					sc.labels[math.Float64bits(x)] = lbl
+				}
+				out.Keys = append(out.Keys, lbl)
 			}
-			lbl, ok := sc.labels[x]
-			if !ok {
-				lbl = strconv.FormatFloat(x, 'g', -1, 64)
-				sc.labels[x] = lbl
-			}
-			out.Keys = append(out.Keys, lbl)
 		}
+		kept += len(sel)
 	}
-	return len(keep), nil
+	return kept, nil
 }
 
-// KeepBlock evaluates σ over one decoded block's raw columns and
-// appends the indices of surviving records to dst — the pushdown hook
-// the post-map pool fill uses so a cached decoded block is filtered
-// without re-decode (and without ever mutating the shared block).
+// KeepBlock evaluates σ over one decoded block's raw columns, a tile at
+// a time, and appends the indices of surviving records to dst — the
+// pushdown hook the post-map pool fill uses so a cached decoded block
+// is filtered without re-decode (and without ever mutating the shared
+// block). String predicates run once per dictionary entry, not per
+// record. A program without a filter keeps every record.
 //
 //earl:hotpath
 func (p *Program) KeepBlock(sc *Scratch, b *colscan.Block, dst []int32) []int32 {
-	vals := b.Values()
-	var keys []string
-	if p.filter.usesKey {
-		sc.keyCol = b.AppendKeys(sc.keyCol[:0])
-		keys = sc.keyCol
-	}
-	fv := p.filter.exec(sc, vals, keys)
-	for i, x := range fv {
-		if x != 0 {
+	vals, ids := b.Values(), b.KeyIDs()
+	dst = slices.Grow(dst, len(vals))
+	if p.filter == nil {
+		for i := range vals {
 			dst = append(dst, int32(i))
+		}
+		return dst
+	}
+	sc.fit(p.filter)
+	sc.bindDict(p.filter, b.Dict())
+	sel := sc.sels[0]
+	for base := 0; base < len(vals); base += tile {
+		n := min(tile, len(vals)-base)
+		f := frame{sc: sc, vals: vals[base : base+n]}
+		if ids != nil {
+			f.ids = ids[base : base+n]
+		}
+		k := f.narrow(p.filter.pred, ident[:n], sel)
+		at := len(dst)
+		dst = dst[:at+k]
+		for j, s := range sel[:k] {
+			dst[at+j] = int32(base) + s
 		}
 	}
 	return dst

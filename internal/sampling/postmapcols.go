@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"math/rand/v2"
+	"slices"
 
 	"repro/internal/colscan"
 )
@@ -39,8 +40,9 @@ func NewPostMapCols(seed uint64) *PostMapCols {
 func (s *PostMapCols) AddBlock(b *colscan.Block) {
 	bi := int32(len(s.blocks))
 	s.blocks = append(s.blocks, b)
-	for r := 0; r < b.NumRecords(); r++ {
-		s.refs = append(s.refs, colRef{blk: bi, rec: int32(r)})
+	refs := s.reserve(b.NumRecords())
+	for r := range refs {
+		refs[r] = colRef{blk: bi, rec: int32(r)}
 	}
 }
 
@@ -52,9 +54,18 @@ func (s *PostMapCols) AddBlock(b *colscan.Block) {
 func (s *PostMapCols) AddBlockKept(b *colscan.Block, kept []int32) {
 	bi := int32(len(s.blocks))
 	s.blocks = append(s.blocks, b)
-	for _, r := range kept {
-		s.refs = append(s.refs, colRef{blk: bi, rec: r})
+	refs := s.reserve(len(kept))
+	for i, r := range kept {
+		refs[i] = colRef{blk: bi, rec: r}
 	}
+}
+
+// reserve extends refs by n entries for the caller to fill: capacity is
+// taken once per block, not checked once per record.
+func (s *PostMapCols) reserve(n int) []colRef {
+	at := len(s.refs)
+	s.refs = slices.Grow(s.refs, n)[:at+n]
+	return s.refs[at:]
 }
 
 // Total returns the number of records pooled.
