@@ -18,7 +18,9 @@
 //	                (bootstrap resampling, delta maintenance, pre-map
 //	                sampling), scan decode, the end-to-end engine family
 //	                (single-statistic vs 4-statistic shared pass,
-//	                scalar vs grouped, with records-read measurements),
+//	                scalar vs grouped, with records-read measurements;
+//	                self-checked: read-only runs add 0 commits and 0
+//	                bytes to the DFS journal),
 //	                the query-plan family (σ pushdown vs post-hoc
 //	                filtering, π overhead, grouped-with-filter), the
 //	                commit-journal family (journaled commit, recovery

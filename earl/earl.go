@@ -105,9 +105,9 @@ type ClusterConfig = core.EnvConfig
 // Append, WriteFile and
 // metrics calls may proceed from multiple goroutines against the same
 // Cluster — the DFS and engine are internally synchronized, and every
-// run namespaces its reducer→mapper feedback files by a unique run id,
-// so concurrent runs (even of the same job over the same path) never
-// observe each other's expansion state. Each Watch/GroupedWatch handle
+// run owns its reducer→mapper feedback state (an in-memory round
+// barrier), so concurrent runs (even of the same job over the same
+// path) never observe each other's expansion state. Each Watch/GroupedWatch handle
 // additionally serialises its own Refresh calls, so a handle may be
 // shared between goroutines; an Append concurrent with a Refresh is
 // ordered by the DFS — the refresh either sees the appended blocks now

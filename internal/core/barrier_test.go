@@ -1,0 +1,231 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/aes"
+	"repro/internal/colscan"
+	"repro/internal/jobs"
+	"repro/internal/plan"
+	"repro/internal/simcost"
+	"repro/internal/workload"
+)
+
+// These tests pin what the in-memory round barrier guarantees and the
+// §3.3 error-file mailbox it replaced could not: a stop decision that
+// cannot race, a modelled cost that repeats, and liveness without a
+// polling watchdog.
+
+// TestGroupedPlanStopDecisionRepeats repeats one fixed-seed grouped plan
+// of the shape that exposed the mailbox's races — two reduce partitions,
+// 16 keys of which one is filtered out, a derived value, post-map
+// sampling — and requires every report to be bit-identical. At the
+// default σ the first round sits on the stop boundary (the mailbox mixed
+// rounds across partitions there, about once in 150 runs); at σ = 0.01
+// the run reaches the expansion cap (where a mapper that met its share
+// early could end the run before its peers delivered theirs).
+func TestGroupedPlanStopDecisionRepeats(t *testing.T) {
+	xs, err := workload.NumericSpec{Dist: workload.Uniform, N: 30_000, Seed: 12}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kv strings.Builder
+	for i, v := range xs {
+		fmt.Fprintf(&kv, "g%d\t%012.6f\n", i%16, v)
+	}
+	env, err := NewEnv(EnvConfig{BlockSize: 256 << 10, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := env.FS.WriteFile("/kv", []byte(kv.String())); err != nil {
+		t.Fatal(err)
+	}
+	spec := plan.Spec{Path: "/kv", Stats: []string{"mean"}, Filter: `v > 20 && key != "g7"`,
+		Derive: "v * 2 + 1", GroupBy: "key", Sampler: "post-map"}
+	for _, sigma := range []float64{0.05, 0.01} {
+		var golden *PlanResult
+		for _, par := range []int{1, 4} {
+			for i := 0; i < 150; i++ {
+				got, err := RunPlan(env, spec, Options{Sigma: sigma, Seed: 12, Parallelism: par})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if golden == nil {
+					golden = got
+				} else if !reflect.DeepEqual(golden, got) {
+					t.Fatalf("σ=%g Parallelism=%d repeat %d differs:\n first: %+v\n   got: %+v",
+						sigma, par, i, *golden.Groups, *got.Groups)
+				}
+			}
+		}
+	}
+}
+
+// TestModelledCostRepeats: with the feedback exchange charged once per
+// round instead of once per poll, a fixed-seed run's modelled cost is a
+// function of the run, not of how often its mappers happened to wake.
+func TestModelledCostRepeats(t *testing.T) {
+	xs, err := workload.NumericSpec{Dist: workload.Gaussian, N: 400_000, Seed: 61}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := workload.EncodeLinesFixed(xs)
+	for _, sampler := range []SamplerKind{PreMapSampling, PostMapSampling} {
+		var golden simcost.Snapshot
+		for i := 0; i < 20; i++ {
+			env, err := NewEnv(EnvConfig{BlockSize: 256 << 10, Seed: 62})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := env.FS.WriteFile("/data", data); err != nil {
+				t.Fatal(err)
+			}
+			env.Metrics.Reset()
+			rep, err := Run(env, jobs.Mean(), "/data", Options{Sigma: 0.004, Seed: 63, Sampler: sampler})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.UsedFull || rep.Iterations < 2 {
+				t.Fatalf("%s: want a multi-round sampled run, got %+v", sampler, rep)
+			}
+			got := env.Metrics.Snapshot()
+			if i == 0 {
+				golden = got
+			} else if got != golden {
+				t.Fatalf("%s: repeat %d modelled cost differs:\n first: %v\n   got: %v", sampler, i, golden, got)
+			}
+		}
+	}
+}
+
+// gateSink holds its partition's first fold open until released, so a
+// test can act while the round is complete and every mapper is parked
+// on the barrier.
+type gateSink struct {
+	ResultSink
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gateSink) Grow(key string, vals []float64) error {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	return g.ResultSink.Grow(key, vals)
+}
+
+// TestKillNodeWhileMappersParked: machines lost between rounds — every
+// mapper parked on the barrier, nothing polling — must wake the mappers
+// that ran there; the run finishes on the survivors with the accuracy it
+// achieved (§3.4).
+func TestKillNodeWhileMappersParked(t *testing.T) {
+	env, _ := testEnv(t, 200_000, workload.Uniform, 71)
+	opts := Options{Seed: 72}.withDefaults()
+	job := jobs.Mean()
+	sink, err := newStatSink(env, []jobs.Numeric{job}, []aes.Plan{{B: 30, N: 400}}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &gateSink{ResultSink: sink, entered: make(chan struct{}), release: make(chan struct{})}
+	spec := engineSpec{
+		Name: "earl-parked", Sinks: []ResultSink{gate},
+		InitialN: 400, MaxN: 50_000,
+		Format: colscan.FormatNumeric, Key: job.Name,
+	}
+	type outcome struct {
+		res engineResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := runEngine(env, "/data", opts, spec)
+		done <- outcome{res, err}
+	}()
+	select {
+	case <-gate.entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("round 1 never folded")
+	}
+	// The fold began because the target was met: every mapper has sent
+	// its share and is parked (or about to). Give them a moment to reach
+	// the select, then take two machines away.
+	time.Sleep(5 * time.Millisecond)
+	for _, id := range []int{1, 2} {
+		if err := env.KillNode(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(gate.release)
+	var out outcome
+	select {
+	case out = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("run hung after KillNode: parked mappers were not woken")
+	}
+	if out.err != nil {
+		t.Fatalf("run with node loss should still answer: %v", out.err)
+	}
+	if out.res.FailedMaps == 0 {
+		t.Fatal("no mapper noticed its node die")
+	}
+	n := sink.stats[0].maint.N()
+	if n < 400 || n >= 50_000 {
+		t.Fatalf("sample size %d: want the survivors' achieved sample (≥ round 1, below the cap)", n)
+	}
+	if vals, err := sink.stats[0].maint.Results(); err != nil || len(vals) != 30 {
+		t.Fatalf("no result distribution after node loss: %v (%d values)", err, len(vals))
+	}
+}
+
+// TestDrySourcesBelowTargetTerminate: when every source runs out below
+// the target the round can never complete; the barrier ends the run on
+// what arrived instead of waiting for the missing share.
+func TestDrySourcesBelowTargetTerminate(t *testing.T) {
+	env, xs := testEnv(t, 3_000, workload.Uniform, 73)
+	done := make(chan struct{})
+	var rep Report
+	var err error
+	go func() {
+		defer close(done)
+		rep, err = Run(env, jobs.Mean(), "/data", Options{Seed: 74, ForceB: 20, ForceN: 10_000})
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("run hung with all sources dry below the target")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.SampleSize == 0 || rep.SampleSize > len(xs) {
+		t.Fatalf("sample size %d of %d records", rep.SampleSize, len(xs))
+	}
+}
+
+// TestRunsLeaveNoGoroutines: a run owns no background goroutine (there
+// is no watchdog and no timer), so the count is back at its baseline the
+// moment the 200th run returns.
+func TestRunsLeaveNoGoroutines(t *testing.T) {
+	env, _ := testEnv(t, 50_000, workload.Gaussian, 75)
+	opts := Options{Sigma: 0.02, Seed: 76}
+	if _, err := Run(env, jobs.Mean(), "/data", opts); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		if _, err := Run(env, jobs.Mean(), "/data", opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines: %d before, %d after 200 runs", before, after)
+	}
+}

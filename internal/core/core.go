@@ -16,11 +16,16 @@
 //     parsed records (post-map, Algorithm 1) and push them to the
 //     reducer while running.
 //  3. The reducer maintains B bootstrap resamples and their incremental
-//     states (delta maintenance, §4.1), and after each growth writes the
-//     current error and a timestamp to an error file on the DFS.
-//  4. Mappers poll the error files (the reducer→mapper feedback layer of
-//     §2.1/§3.3), and either terminate the job — accuracy reached — or
-//     actively expand the sample and keep feeding.
+//     states (delta maintenance, §4.1), and after each growth round
+//     publishes the round's error to the run's barrier (mr.Controller).
+//  4. The barrier is the reducer→mapper feedback layer of §2.1/§3.3: the
+//     publication that completes a round decides once — terminate, or
+//     double the target — and the mappers, parked on the barrier between
+//     rounds, wake and keep feeding. The paper runs this exchange through
+//     error files on the DFS that the mappers poll; here only the files'
+//     cost is kept, charged to simcost per round (a small replicated
+//     write per partition, a seek and read per mapper per partition), so
+//     a sampled run writes nothing to the DFS or its journal.
 //  5. The final result is corrected for the sampling fraction p via the
 //     user job's correct() and reported with its cv and a percentile
 //     confidence interval.
@@ -32,8 +37,9 @@
 //
 // Every sampled run — scalar, multi-statistic and grouped — executes on
 // ONE generic pipeline (engine.go): the long-lived sampling mappers,
-// the error-file feedback loop, the doubling expansion schedule and the
-// watchdog are written once, parameterized over two small abstractions.
+// the round-barrier feedback loop, the doubling expansion schedule and
+// the §3.4 finish are written once, parameterized over two small
+// abstractions.
 // A ParseKV routes each input line to a (reduce key, value) pair, and a
 // ResultSink per reduce partition folds canonically-ordered growth
 // deltas and answers the current error estimate (sinks.go). The scalar
@@ -48,10 +54,7 @@
 package core
 
 import (
-	"fmt"
 	"log"
-	"math"
-	"sync/atomic"
 
 	"repro/internal/colscan"
 	"repro/internal/colseg"
@@ -63,10 +66,9 @@ import (
 // Env bundles the simulated deployment a driver runs against.
 //
 // An Env is safe for concurrent use: the DFS, the MR engine and the
-// metrics sink are internally synchronized, and every sampled run
-// claims a unique id (NextRunID) that namespaces its reducer error
-// files, so concurrent Run/RunGrouped/Watch/Append callers never read
-// each other's feedback state.
+// metrics sink are internally synchronized, and every sampled run owns
+// its feedback state (a private mr.Controller), so concurrent
+// Run/RunGrouped/Watch/Append callers share nothing but data.
 type Env struct {
 	FS      *dfs.FileSystem
 	Engine  *mr.Engine
@@ -79,14 +81,8 @@ type Env struct {
 	// Data, when non-nil, is the view every DATA read of a run goes
 	// through — typically a pinned dfs.Snapshot, so a run (or a watch
 	// refresh) observes one commit point of the filesystem no matter
-	// what lands concurrently. Mutations and the §3.3 error-file
-	// protocol always use the live FS: feedback files are per-run
-	// scratch that must be visible the moment the reducer writes them.
+	// what lands concurrently. Mutations always use the live FS.
 	Data dfs.View
-
-	// runSeq is shared (by pointer) across WithData-derived Envs: two
-	// views of one deployment must never hand out colliding run ids.
-	runSeq *atomic.Int64
 }
 
 // View returns the data-read view: the pinned Data view when set, else
@@ -99,18 +95,10 @@ func (e *Env) View() dfs.View {
 }
 
 // WithData derives an Env whose data reads go through v (usually a
-// pinned snapshot), sharing everything else — including the run-id
-// sequence — with the receiver.
+// pinned snapshot), sharing everything else with the receiver.
 func (e *Env) WithData(v dfs.View) *Env {
-	return &Env{FS: e.FS, Engine: e.Engine, Metrics: e.Metrics, Scan: e.Scan, Data: v, runSeq: e.runSeq}
+	return &Env{FS: e.FS, Engine: e.Engine, Metrics: e.Metrics, Scan: e.Scan, Data: v}
 }
-
-// NextRunID returns a process-unique id for one driver run. Every
-// sampled run embeds it in its DFS error-file prefix: the §3.3
-// reducer→mapper feedback files are per-run state, and two concurrent
-// runs of the same job name sharing a prefix would read each other's
-// cv/generation values (and delete each other's files).
-func (e *Env) NextRunID() int64 { return e.runSeq.Add(1) }
 
 // EnvConfig shapes a simulated deployment.
 type EnvConfig struct {
@@ -200,7 +188,7 @@ func envAround(cfg EnvConfig, fsys *dfs.FileSystem, metrics *simcost.Metrics) (*
 				key.Path, key.Offset, key.Length, err)
 		})
 	}
-	return &Env{FS: fsys, Engine: eng, Metrics: metrics, Scan: scan, runSeq: new(atomic.Int64)}, nil
+	return &Env{FS: fsys, Engine: eng, Metrics: metrics, Scan: scan}, nil
 }
 
 // KillNode kills both the DataNode and the compute node with the given
@@ -218,84 +206,4 @@ func (e *Env) ReviveNode(id int) error {
 		return err
 	}
 	return e.Engine.Cluster.ReviveNode(id)
-}
-
-// errorFile is the payload of one reducer error file: the current cv and
-// a logical timestamp (the reducer's growth generation), §3.3.
-type errorFile struct {
-	CV  float64
-	Gen int64
-}
-
-func formatErrorFile(e errorFile) []byte {
-	return []byte(fmt.Sprintf("%g\t%d\n", e.CV, e.Gen))
-}
-
-func parseErrorFile(b []byte) (errorFile, error) {
-	var e errorFile
-	if _, err := fmt.Sscanf(string(b), "%g\t%d", &e.CV, &e.Gen); err != nil {
-		return errorFile{}, fmt.Errorf("core: bad error file %q: %w", b, err)
-	}
-	return e, nil
-}
-
-// cleanupErrorFiles removes a finished run's error files so the /earl
-// namespace does not grow without bound under a long-lived server
-// issuing many runs. Best-effort: a file whose every replica died stays
-// behind and is harmless (the prefix is never reused).
-func cleanupErrorFiles(fsys *dfs.FileSystem, prefix string) {
-	for _, p := range fsys.List(prefix) {
-		_ = fsys.Delete(p)
-	}
-}
-
-// readErrors lists and parses the error files under prefix, returning
-// the average cv across reducers and the *minimum* round all parts of
-// them have published. Mappers act once per new minimum: a round's
-// feedback is only a consistent snapshot when every partition has
-// folded and published that round — acting earlier would average fresh
-// cvs with stale ones and make the expansion schedule (and hence the
-// final sample) depend on error-file write timing. Every partition
-// folds each round (the reducers poll for round completion instead of
-// waiting on an arrival of their own), so the minimum advances whenever
-// the run does; if a partition's file is lost to failures the mappers
-// simply stop acting and the §3.4 watchdog ends the run with achieved
-// accuracy. NaN cvs — partitions no group key routes to, which have no
-// opinion — are excluded from the average, while +Inf ones (data
-// present but not yet trustworthy) propagate and keep the expansion
-// going.
-func readErrors(fsys *dfs.FileSystem, prefix string, parts int) (avgCV float64, minRound int64, ok bool) {
-	paths := fsys.List(prefix)
-	if len(paths) < parts {
-		return 0, 0, false
-	}
-	var sum float64
-	n, read := 0, 0
-	minRound = -1
-	for _, p := range paths {
-		b, err := fsys.ReadFile(p)
-		if err != nil {
-			continue // a replica-less file during failures: skip
-		}
-		e, err := parseErrorFile(b)
-		if err != nil {
-			continue
-		}
-		read++
-		if minRound < 0 || e.Gen < minRound {
-			minRound = e.Gen
-		}
-		if math.IsNaN(e.CV) {
-			continue
-		}
-		sum += e.CV
-		n++
-	}
-	if read < parts || minRound < 0 {
-		return 0, 0, false
-	}
-	if n == 0 {
-		return math.Inf(1), minRound, true
-	}
-	return sum / float64(n), minRound, true
 }

@@ -213,8 +213,8 @@ func RunMultiLiveDeferExact(env *Env, jset []jobs.Numeric, path string, opts Opt
 	return runMultiLive(env, jset, path, opts, nil, true)
 }
 
-// jobsetTag names a statistic set for error-file namespaces and MR job
-// names ("mean", "mean+p95+count").
+// jobsetTag names a statistic set for MR job names ("mean",
+// "mean+p95+count").
 func jobsetTag(jset []jobs.Numeric) string {
 	names := make([]string, len(jset))
 	for i, j := range jset {
@@ -523,7 +523,6 @@ func runSampledJob(env *Env, jset []jobs.Numeric, path string, opts Options, pla
 	if err != nil {
 		return nil, nil, err
 	}
-	tag := jobsetTag(jset)
 	primary := jset[0]
 	format := primary.ScanFormat
 	route := func(line string) (string, float64, error) {
@@ -542,8 +541,7 @@ func runSampledJob(env *Env, jset []jobs.Numeric, path string, opts Options, pla
 		}
 	}
 	res, err := runEngine(env, path, opts, engineSpec{
-		Name:     "earl-" + tag,
-		ErrTag:   tag,
+		Name:     "earl-" + jobsetTag(jset),
 		Route:    route,
 		Sinks:    []ResultSink{sink},
 		InitialN: initialN,

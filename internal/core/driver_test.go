@@ -305,20 +305,6 @@ func TestEnvKillRevive(t *testing.T) {
 	}
 }
 
-func TestErrorFileRoundTrip(t *testing.T) {
-	e := errorFile{CV: 0.0425, Gen: 7}
-	got, err := parseErrorFile(formatErrorFile(e))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != e {
-		t.Fatalf("roundtrip %+v != %+v", got, e)
-	}
-	if _, err := parseErrorFile([]byte("garbage")); err == nil {
-		t.Fatal("garbage should error")
-	}
-}
-
 func TestRunVarianceJob(t *testing.T) {
 	env, xs := testEnv(t, 120_000, workload.Gaussian, 27)
 	truth, _ := stats.Variance(xs)
@@ -389,39 +375,5 @@ func TestRunCustomMeasure(t *testing.T) {
 	}
 	if !rep.Converged {
 		t.Fatalf("stderr-measure run did not converge: %+v", rep)
-	}
-}
-
-func TestReadErrorsMultiFile(t *testing.T) {
-	env, _ := testEnv(t, 100, workload.Uniform, 35)
-	if _, _, ok := readErrors(env.FS, "/none/", 1); ok {
-		t.Fatal("no files should give ok=false")
-	}
-	env.FS.WriteFile("/errs/part-0", formatErrorFile(errorFile{CV: 0.10, Gen: 3}))
-	env.FS.WriteFile("/errs/part-1", formatErrorFile(errorFile{CV: 0.20, Gen: 5}))
-	avg, gen, ok := readErrors(env.FS, "/errs/", 2)
-	if !ok {
-		t.Fatal("should read both part files")
-	}
-	if gen != 3 {
-		t.Fatalf("gen = %d, want min 3", gen)
-	}
-	if math.Abs(avg-0.15) > 1e-12 {
-		t.Fatalf("avg = %v, want 0.15 over the two files", avg)
-	}
-
-	// A partition still missing its round-3 file holds the barrier: a
-	// garbage (unparseable) file is not a published round.
-	env.FS.WriteFile("/errs/garbage", []byte("not parseable"))
-	if _, _, ok := readErrors(env.FS, "/errs/", 3); ok {
-		t.Fatal("unparseable file must not satisfy the per-partition barrier")
-	}
-
-	// NaN cvs (partitions with no routed groups) hold their place in the
-	// round barrier but stay out of the average.
-	env.FS.WriteFile("/errs/part-2", formatErrorFile(errorFile{CV: math.NaN(), Gen: 7}))
-	avg, gen, ok = readErrors(env.FS, "/errs/", 2)
-	if !ok || gen != 3 || math.Abs(avg-0.15) > 1e-12 {
-		t.Fatalf("avg/gen with NaN part = %v/%d ok=%v, want 0.15/3 true", avg, gen, ok)
 	}
 }

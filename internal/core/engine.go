@@ -4,10 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/colscan"
 	"repro/internal/dfs"
@@ -18,10 +15,13 @@ import (
 
 // This file is the generic execution engine every sampled EARL run goes
 // through — scalar, multi-statistic and grouped alike. The paper's
-// pipeline (long-lived sampling mappers, a growing reducer publishing
-// §3.3 error files, the deterministic doubling expansion schedule, the
-// §3.4 watchdog) is implemented exactly once here, parameterized over
-// two small abstractions:
+// pipeline (long-lived sampling mappers, growing reducers reporting each
+// round's error, the deterministic doubling expansion schedule, the §3.4
+// finish on achieved accuracy) is implemented exactly once here, with
+// the §3.3 reducer→mapper feedback as mr.Controller's in-memory round
+// barrier: no error files are written and nothing polls; what the
+// paper's files would cost is charged to simcost by the barrier. The
+// engine is parameterized over two small abstractions:
 //
 //   - ParseKV routes one input line to a (reduce key, value) pair. The
 //     scalar driver routes every record to a single synthetic key — the
@@ -50,7 +50,7 @@ var ErrBadRecord = colscan.ErrBadRecord
 // TabKV parses the "key\tvalue" records produced by workload.KVSpec.
 // NaN/±Inf values and tab-less lines are rejected wrapping ErrBadRecord
 // (with bounded quoting — a malformed multi-MB line must not balloon
-// the §3.3 error files).
+// the run's error).
 func TabKV(line string) (string, float64, error) {
 	k, v, err := colscan.ParseKVString(line)
 	if err != nil {
@@ -78,7 +78,7 @@ func TabRoute() Route { return Route{Parse: TabKV, Format: colscan.FormatKV} }
 // in canonical order — keys sorted, values sorted ascending — which is
 // what keeps fixed-seed runs bit-identical at any parallelism; after a
 // generation's keys are folded the engine asks ErrorEstimate once and
-// publishes it to the §3.3 error file. A sink is only ever called from
+// publishes it to the §3.3 round barrier. A sink is only ever called from
 // its partition's reducer goroutine during the run; reads after the run
 // are ordered by the engine's completion.
 type ResultSink interface {
@@ -94,7 +94,6 @@ type ResultSink interface {
 // engineSpec parameterizes one run of the generic engine.
 type engineSpec struct {
 	Name     string       // MR job name (cosmetic/metrics)
-	ErrTag   string       // error-file namespace tag, unique per job shape
 	Route    ParseKV      // line → (reduce key, value)
 	Sinks    []ResultSink // one per reduce partition
 	InitialN int64        // SSABE's initial sample target
@@ -148,12 +147,13 @@ func mapperShards(env *Env, path string, opts Options) ([][]dfs.Split, error) {
 }
 
 // runEngine executes the pipelined sampling job of §2.1: long-lived
-// mappers draw from their retained samplers toward the controller's
-// expansion target, the per-partition reducers fold routed deltas into
-// their sinks and publish error files, and the mappers react to those
-// files by terminating the job or doubling the target (§3.3). The §3.4
-// watchdog ends jobs that can no longer make progress, so the run
-// finishes with achieved accuracy through node failures and dry regions.
+// mappers draw from their retained samplers toward their share of the
+// barrier's target and park on it between rounds; the per-partition
+// reducers fold each round's routed deltas into their sinks and publish
+// the partition's error to the barrier, which terminates the job or
+// doubles the target once per round (§3.3) and ends jobs that can make
+// no more progress (§3.4): node failures and dry regions cost accuracy,
+// never the answer.
 func runEngine(env *Env, path string, opts Options, spec engineSpec) (engineResult, error) {
 	owned, err := mapperShards(env, path, opts)
 	if err != nil {
@@ -165,25 +165,16 @@ func runEngine(env *Env, path string, opts Options, spec engineSpec) (engineResu
 		return engineResult{}, err
 	}
 
-	ctrl := &mr.Controller{}
-	ctrl.RequestExpansion(spec.InitialN)
-
-	// The error-file prefix is namespaced by a per-run id: the feedback
-	// files are this run's private mailbox, and concurrent runs of the
-	// same job must not read (or delete) each other's cv/generation.
-	errPrefix := fmt.Sprintf("/earl/run-%d/%s/errors/", env.NextRunID(), spec.ErrTag)
-	defer cleanupErrorFiles(env.FS, errPrefix)
-
-	// Shared progress counters (the coordination state that in Hadoop
-	// lives in task heartbeats and the shared JobID file space).
-	var emitted, received atomic.Int64
-	var exhausted atomic.Int32 // count of dry mappers
-	sent := make([]atomic.Int64, m)
-	dry := make([]atomic.Bool, m)
-	var gen atomic.Int64
+	ctrl := mr.NewController(mr.Feedback{
+		Mappers:    m,
+		Partitions: len(spec.Sinks),
+		Sigma:      opts.Sigma,
+		InitialN:   spec.InitialN,
+		MaxN:       spec.MaxN,
+		Metrics:    env.Metrics,
+	})
 
 	mapLoop := func(ctx *mr.MapStream, idx int) error {
-		var lastGen int64
 		const batch = 128
 		// The vectorized scan path: a columnar-capable source under a
 		// concrete format delivers parsed columns, and the mapper emits
@@ -198,92 +189,52 @@ func runEngine(env *Env, path string, opts Options, spec engineSpec) (engineResu
 			buckets = map[string][]float64{}
 		}
 		for {
-			if ctx.Terminated() {
+			k, ok := ctx.AwaitQuota(idx)
+			if !ok {
 				if !ctx.NodeAlive() {
 					return fmt.Errorf("core: node died under mapper %d", idx)
 				}
 				return nil
 			}
-			target := ctrl.ExpansionTarget()
-			share := shareOf(target, m, idx)
-			if !dry[idx].Load() && sent[idx].Load() < share {
-				k := share - sent[idx].Load()
-				if k > batch {
-					k = batch
-				}
-				if useCols {
-					// Fresh columns per batch: the emitted slices cross
-					// the shuffle channel and are retained by the
-					// reducer until its next fold.
-					cols := &colscan.Cols{}
-					n, err := cs.DrawCols(int(k), cols)
-					if n > 0 {
-						if spec.Keyed {
-							emitKeyed(ctx, cols, buckets)
-						} else {
-							ctx.Emit(spec.Key, cols.Vals)
-						}
-						sent[idx].Add(int64(n))
-						emitted.Add(int64(n))
+			if k > batch {
+				k = batch
+			}
+			n := 0
+			var err error
+			if useCols {
+				// Fresh columns per batch: the emitted slices cross the
+				// shuffle channel and are retained by the reducer until
+				// its next fold.
+				cols := &colscan.Cols{}
+				n, err = cs.DrawCols(int(k), cols)
+				if n > 0 {
+					if spec.Keyed {
+						emitKeyed(ctx, cols, buckets)
+					} else {
+						ctx.Emit(spec.Key, cols.Vals)
 					}
-					if errors.Is(err, sampling.ErrExhausted) {
-						dry[idx].Store(true)
-						exhausted.Add(1)
-					} else if err != nil {
-						return err
-					}
-					continue
 				}
-				lines, err := sources[idx].Draw(int(k))
+			} else {
+				var lines []string
+				lines, err = sources[idx].Draw(int(k))
 				for _, line := range lines {
 					key, v, perr := spec.Route(line)
 					if perr != nil {
-						return fmt.Errorf("core: mapper %d parse: %w", idx, perr)
+						err = fmt.Errorf("core: mapper %d parse: %w", idx, perr)
+						break
 					}
 					ctx.Emit(key, v)
-					sent[idx].Add(1)
-					emitted.Add(1)
+					n++
 				}
-				if errors.Is(err, sampling.ErrExhausted) {
-					dry[idx].Store(true)
-					exhausted.Add(1)
-				} else if err != nil {
-					return err
-				}
-				continue
 			}
-			// Feedback poll: average the reducers' error files (§3.3),
-			// acting only on rounds every partition has published.
-			avg, g, ok := readErrors(env.FS, errPrefix, len(spec.Sinks))
-			if ok && g > lastGen {
-				lastGen = g
-				if avg <= opts.Sigma {
-					ctrl.Terminate()
-					return nil
-				}
-				// Deterministic doubling schedule keyed on the reducer
-				// generation, so every mapper reacting to the same error
-				// file requests the same expansion regardless of timing.
-				next := doubledTarget(spec.InitialN, g)
-				if next > spec.MaxN {
-					next = spec.MaxN
-				}
-				if next > target {
-					ctrl.RequestExpansion(next)
-					continue
-				}
-				if target >= spec.MaxN {
-					// Cap reached and still above σ: stop expanding; the
-					// job finishes with the accuracy actually achieved.
-					ctrl.Terminate()
-					return nil
-				}
-				// Another mapper already requested this generation's
-				// expansion; fall through and keep feeding.
-				continue
+			// Accounted after the emits return, errors included: the
+			// barrier's "shuffle drained" compares emitted with received.
+			ctrl.Sent(idx, n)
+			if errors.Is(err, sampling.ErrExhausted) {
+				ctrl.Dry(idx)
+			} else if err != nil {
+				return err
 			}
-			runtime.Gosched()
-			time.Sleep(100 * time.Microsecond)
 		}
 	}
 
@@ -292,24 +243,11 @@ func runEngine(env *Env, path string, opts Options, spec engineSpec) (engineResu
 		NumMappers:  m,
 		NumReducers: len(spec.Sinks),
 		Control:     ctrl,
-		MapTask: func(ctx *mr.MapStream, idx int) error {
-			err := mapLoop(ctx, idx)
-			if err != nil && !dry[idx].Swap(true) {
-				// A failed mapper (node death, unreadable blocks) will
-				// deliver nothing more: account it like a dry one so the
-				// surviving pipeline can settle and finish with achieved
-				// accuracy (§3.4) instead of waiting for its share forever.
-				exhausted.Add(1)
-			}
-			return err
-		},
+		MapTask:     mapLoop,
 		ReduceTask: func(part int, in <-chan mr.KV) error {
 			sink := spec.Sinks[part]
 			buf := map[string][]float64{}
-			bufN := 0
-			foldedEver := false     // any record ever folded into this sink
-			var round int64         // this partition's completed growth rounds
-			lastFolded := int64(-1) // last expansion target folded for
+			foldedEver := false // any record ever folded into this sink
 			growAll := func() error {
 				// Fold keys in sorted order with sorted deltas: the
 				// per-generation multiset is deterministic, but map
@@ -334,120 +272,70 @@ func runEngine(env *Env, path string, opts Options, spec engineSpec) (engineResu
 					foldedEver = true
 				}
 				buf = map[string][]float64{}
-				bufN = 0
-				round++
-				// gen tracks the run's round count: the max over the
-				// partitions' local rounds (they advance in lockstep —
-				// the feedback barrier below holds every round open
-				// until all partitions publish it).
-				for {
-					cur := gen.Load()
-					if round <= cur || gen.CompareAndSwap(cur, round) {
-						break
-					}
-				}
 				cv := sink.ErrorEstimate()
 				if !foldedEver {
 					// A partition no group key routes to has no opinion:
-					// NaN is skipped by the mappers' cv average (unlike
+					// NaN is skipped by the round's cv average (unlike
 					// +Inf, which means "has data, needs more" and must
 					// keep the expansion going).
 					cv = math.NaN()
 				}
-				ctrl.PublishError(cv)
-				return env.FS.WriteFile(
-					fmt.Sprintf("%spart-%d", errPrefix, part),
-					formatErrorFile(errorFile{CV: cv, Gen: round}))
+				ctrl.Publish(part, cv)
+				return nil
 			}
-			// The receive loop polls as well as consumes: a round can
-			// complete globally (received == target) without this
-			// partition seeing another arrival, and the feedback barrier
-			// needs every partition's error file for the round. Each
-			// partition folds exactly once per expansion target — the
-			// round's full routed multiset, whatever the arrival
-			// interleaving — which is what keeps multi-partition runs
-			// deterministic.
-			tick := time.NewTicker(100 * time.Microsecond)
-			defer tick.Stop()
-			for open := true; open; {
+			// Each partition folds exactly once per expansion target —
+			// the round's full routed multiset, whatever the arrival
+			// interleaving — which keeps multi-partition runs
+			// deterministic. The barrier's Ready token says when: a round
+			// can complete without this partition seeing another arrival.
+			for {
 				select {
 				case kv, ok := <-in:
 					if !ok {
-						open = false
-						break
+						// Terminated with deltas still buffered (the §3.4
+						// exit): fold them in, the answer keeps every
+						// record that arrived.
+						if len(buf) > 0 {
+							return growAll()
+						}
+						return nil
 					}
 					switch v := kv.Value.(type) {
 					case float64:
 						buf[kv.Key] = append(buf[kv.Key], v)
-						bufN++
-						received.Add(1)
+						ctrl.Received(part, 1)
 					case []float64:
-						// One batch from the vectorized scan path: count
-						// every record toward the growth trigger, exactly
-						// like the per-record arrivals.
+						// One batch from the vectorized scan path, counted
+						// per record like the per-record arrivals.
 						buf[kv.Key] = append(buf[kv.Key], v...)
-						bufN += len(v)
-						received.Add(int64(len(v)))
+						ctrl.Received(part, len(v))
 					default:
 						return fmt.Errorf("core: reducer got %T", kv.Value)
 					}
-				case <-tick.C:
-				}
-				// Grow (and publish the round's error file) once the
-				// mappers have delivered everything they will deliver for
-				// the current target: either the target itself is met
-				// (every routed record of the round has been buffered by
-				// its partition), or every mapper has settled (met its
-				// share or run dry) and the channel has drained — the
-				// latter only with deltas in hand, so a dry pipeline
-				// cannot mint empty rounds.
-				target := ctrl.ExpansionTarget()
-				if target == lastFolded {
-					continue
-				}
-				if received.Load() >= target ||
-					(bufN > 0 && received.Load() == emitted.Load() && allSettled(sent, dry, target, m)) {
-					lastFolded = target
+				case <-ctrl.Ready(part):
 					if err := growAll(); err != nil {
 						return err
 					}
 				}
 			}
-			if bufN > 0 {
-				if err := growAll(); err != nil {
-					return err
-				}
-			}
-			return nil
 		},
 	}
 
-	// Watchdog: terminate when no further progress is possible, so the
-	// pipeline drains and the job finishes with achieved accuracy (§3.4).
-	// Records still buffered at the reducers are folded in by their
-	// post-drain flush.
-	stopWatch := make(chan struct{})
-	go func() {
-		watchdog(stopWatch, ctrl, &exhausted, &received, &emitted, &gen, m,
-			func(target int64) bool { return allSettled(sent, dry, target, m) })
-	}()
 	sres, err := env.Engine.RunPipelined(sjob)
-	close(stopWatch)
 	if err != nil {
 		return engineResult{}, err
 	}
 	// Data corruption is not a lost node: a mapper that died on a bad
 	// record (NaN/±Inf or a malformed line) must fail the run so the
-	// poisoned record surfaces through the §3.3 error path, instead of
-	// being tolerated as §3.4 node loss and silently reporting an
-	// estimate over partial data.
+	// poisoned record surfaces, instead of being tolerated as §3.4 node
+	// loss and silently reporting an estimate over partial data.
 	for _, merr := range sres.MapperErrs {
 		if errors.Is(merr, ErrBadRecord) {
 			return engineResult{}, merr
 		}
 	}
 	return engineResult{
-		Generations: int(gen.Load()),
+		Generations: ctrl.Rounds(),
 		FailedMaps:  len(sres.FailedMappers),
 		Sources:     sources,
 	}, nil
@@ -470,90 +358,5 @@ func emitKeyed(ctx *mr.MapStream, cols *colscan.Cols, scratch map[string][]float
 		}
 		ctx.Emit(key, append([]float64(nil), vs...))
 		scratch[key] = vs[:0]
-	}
-}
-
-// shareOf splits a total target across m mappers.
-func shareOf(target int64, m, idx int) int64 {
-	base := target / int64(m)
-	if int64(idx) < target%int64(m) {
-		base++
-	}
-	return base
-}
-
-// doubledTarget is the deterministic expansion schedule: after the
-// reducer's g-th error report the total target is initialN·2^g.
-func doubledTarget(initialN, g int64) int64 {
-	if g > 40 {
-		g = 40 // avoid overflow; the fraction cap clamps long before this
-	}
-	return initialN << uint(g)
-}
-
-// allSettled reports whether every mapper has either met its share of
-// the target or run dry.
-func allSettled(sent []atomic.Int64, dry []atomic.Bool, target int64, m int) bool {
-	for i := 0; i < m; i++ {
-		if dry[i].Load() {
-			continue
-		}
-		if sent[i].Load() < shareOf(target, m, i) {
-			return false
-		}
-	}
-	return true
-}
-
-// watchdog terminates a pipelined sampling job once no further progress
-// is possible. Two conditions end a job:
-//
-//  1. Every mapper has run dry (or failed) and everything emitted has
-//     been consumed — nothing further can change.
-//  2. The current growth generation can never complete: all surviving
-//     mappers have settled (met their share or gone dry/dead), every
-//     emitted record has been consumed, and the target is still unmet —
-//     the share of a dead or dry mapper is simply missing. The reducers'
-//     growth triggers only fire on arriving records, so without this the
-//     job would wait for that share forever.
-//
-// Condition 2 must not fire during the instant between a completed
-// generation and the mappers reacting to its error file (they look
-// momentarily settled), so it requires the state to hold stably — no new
-// generation, no new target — for several polling rounds, ample time for
-// a live mapper's ~100µs feedback poll to raise the target.
-func watchdog(stop <-chan struct{}, ctrl *mr.Controller,
-	exhausted *atomic.Int32, received, emitted, gen *atomic.Int64, m int,
-	settled func(target int64) bool) {
-	var stable int
-	lastGen, lastTarget := int64(-1), int64(-1)
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		if int(exhausted.Load()) == m && received.Load() == emitted.Load() {
-			ctrl.Terminate()
-			return
-		}
-		target := ctrl.ExpansionTarget()
-		g := gen.Load()
-		if received.Load() == emitted.Load() && received.Load() < target && settled(target) {
-			if g == lastGen && target == lastTarget {
-				stable++
-				if stable >= 10 {
-					ctrl.Terminate()
-					return
-				}
-			} else {
-				stable = 0
-				lastGen, lastTarget = g, target
-			}
-		} else {
-			stable = 0
-			lastGen, lastTarget = -1, -1
-		}
-		time.Sleep(200 * time.Microsecond)
 	}
 }

@@ -20,8 +20,8 @@ import (
 // workload the paper's driver treats as a single global statistic. Each
 // reduce partition maintains one resample set per group key; the job
 // terminates when every group's error is at or below σ. Expansion uses
-// the same error-file feedback protocol as Run, with each reducer
-// publishing the worst (largest) cv across its groups.
+// the same round barrier as Run, with each reducer publishing the worst
+// (largest) cv across its groups.
 //
 // Planning note: SSABE assumes one statistic, so grouped mode sizes its
 // initial sample from the pilot's distinct-key count (≈64 records per
@@ -187,7 +187,6 @@ func runGroupedLive(env *Env, job jobs.Numeric, route Route, path string, opts O
 
 	res, err := runEngine(env, path, opts, engineSpec{
 		Name:     "earl-grouped-" + job.Name,
-		ErrTag:   job.Name + "-grouped",
 		Route:    routeParse,
 		Sinks:    sinks,
 		InitialN: int64(initialN),

@@ -373,7 +373,7 @@ func (fs *FileSystem) applyWrite(seq int64, path string, data []byte) {
 	fs.nextID++
 	meta := &fileMeta{size: int64(len(data)), segments: []int64{0}, version: fs.nextID}
 	fs.applyBlocks(meta, data, 0, live)
-	meta.sidecar = fs.buildSidecar(path, meta, data)
+	meta.sidecar = fs.buildSidecar(meta, data)
 	fs.applyChainPush(path, seq, meta)
 }
 
@@ -604,8 +604,7 @@ func (fs *FileSystem) existsAt(path string, at int64) bool {
 	return ok
 }
 
-// List returns all paths with the given prefix, sorted. EARL's feedback
-// protocol (§3.3) lists the per-reducer error files sharing a job prefix.
+// List returns all paths with the given prefix, sorted.
 func (fs *FileSystem) List(prefix string) []string {
 	return fs.listAt(prefix, -1)
 }

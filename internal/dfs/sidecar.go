@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/colscan"
 	"repro/internal/colseg"
@@ -18,9 +17,9 @@ import (
 // sidecar is derived state — never the source of truth — which sets the
 // gating rules:
 //
-//   - files under the engine's internal namespace (error files, scratch)
-//     and files below sidecarMinBytes are skipped: churn-heavy or too
-//     small to ever repay the encode;
+//   - files below sidecarMinBytes are skipped: too small to ever repay
+//     the encode (there is no engine-internal namespace to exempt — a
+//     query writes nothing to the filesystem);
 //   - appends extend the sidecar only for batches of at least
 //     sidecarAppendMinBytes; smaller batches leave coverage behind
 //     (reads of the uncovered tail fall back to text decode) until an
@@ -40,7 +39,6 @@ import (
 const (
 	sidecarMinBytes       = 4 << 10
 	sidecarAppendMinBytes = 64 << 10
-	sidecarSkipPrefix     = "/earl/"
 	// sidecarExtentBytes is the capacity of one extent. Half of it, on
 	// average, is the only memory an appended file holds beyond its
 	// sidecar bytes, and a version lists one piece per extent.
@@ -210,9 +208,8 @@ func sniffFormat(data []byte) colscan.Format {
 // buildSidecar encodes a fresh file state's sidecar, or returns nil
 // when the gates say no. Encode failures are silent: the file simply
 // stays text-only.
-func (fs *FileSystem) buildSidecar(path string, meta *fileMeta, data []byte) *sidecar {
-	if fs.cfg.DisableSidecars || int64(len(data)) < sidecarMinBytes ||
-		strings.HasPrefix(path, sidecarSkipPrefix) {
+func (fs *FileSystem) buildSidecar(meta *fileMeta, data []byte) *sidecar {
+	if fs.cfg.DisableSidecars || int64(len(data)) < sidecarMinBytes {
 		return nil
 	}
 	sc, err := colseg.Build(sniffFormat(data), meta.version, data, meta.segments, fs.cfg.BlockSize)

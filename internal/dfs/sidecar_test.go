@@ -65,13 +65,6 @@ func TestSidecarIngestGates(t *testing.T) {
 	if _, ok := fs.SidecarStat("/small"); ok {
 		t.Fatal("sub-threshold file got a sidecar")
 	}
-	// The engine's churn-heavy internal namespace.
-	if err := fs.WriteFile("/earl/run-1/err-0", numericLines(1000, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := fs.SidecarStat("/earl/run-1/err-0"); ok {
-		t.Fatal("/earl/ file got a sidecar")
-	}
 	// A record the columnar validators reject: file stays text-only.
 	bad := append(numericLines(1000, 0), []byte("NaN\n")...)
 	bad = append(bad, numericLines(1000, 1000)...)

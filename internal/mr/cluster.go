@@ -16,6 +16,9 @@ type Cluster struct {
 	mu    sync.Mutex
 	nodes []*node
 	next  int // round-robin scheduling cursor
+	// killed is closed (and replaced) by the next KillNode, waking map
+	// tasks parked between rounds to re-check their node.
+	killed chan struct{}
 }
 
 type node struct {
@@ -41,7 +44,7 @@ func NewCluster(n, slotsPerNode int) (*Cluster, error) {
 	if slotsPerNode <= 0 {
 		return nil, fmt.Errorf("mr: need at least one slot per node, got %d", slotsPerNode)
 	}
-	c := &Cluster{}
+	c := &Cluster{killed: make(chan struct{})}
 	for i := 0; i < n; i++ {
 		c.nodes = append(c.nodes, &node{
 			id:          i,
@@ -70,7 +73,8 @@ func (c *Cluster) LiveNodes() []int {
 }
 
 // KillNode marks a node dead. Tasks already running there observe the
-// death at their next liveness check and fail; new tasks avoid it.
+// death at their next liveness check (parked ones are woken for it) and
+// fail; new tasks avoid it.
 func (c *Cluster) KillNode(id int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -78,6 +82,8 @@ func (c *Cluster) KillNode(id int) error {
 		return fmt.Errorf("mr: no node %d", id)
 	}
 	c.nodes[id].alive = false
+	close(c.killed)
+	c.killed = make(chan struct{})
 	return nil
 }
 
@@ -94,12 +100,16 @@ func (c *Cluster) ReviveNode(id int) error {
 
 // NodeAlive reports whether node id is alive (false for unknown ids).
 func (c *Cluster) NodeAlive(id int) bool {
+	alive, _ := c.watchNode(id)
+	return alive
+}
+
+// watchNode reports whether node id is alive and returns a channel the
+// next KillNode (of any node) closes.
+func (c *Cluster) watchNode(id int) (alive bool, killed <-chan struct{}) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if id < 0 || id >= len(c.nodes) {
-		return false
-	}
-	return c.nodes[id].alive
+	return id >= 0 && id < len(c.nodes) && c.nodes[id].alive, c.killed
 }
 
 // acquireSlot picks a live node round-robin and claims one of its slots

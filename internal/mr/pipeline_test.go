@@ -133,18 +133,6 @@ func TestControllerExpansionMonotonic(t *testing.T) {
 	}
 }
 
-func TestControllerErrorPublishing(t *testing.T) {
-	var c Controller
-	if _, ok := c.LastError(); ok {
-		t.Fatal("no error published yet")
-	}
-	c.PublishError(0.042)
-	cv, ok := c.LastError()
-	if !ok || cv != 0.042 {
-		t.Fatalf("LastError = %v, %v", cv, ok)
-	}
-}
-
 func TestControllerConcurrentUse(t *testing.T) {
 	var c Controller
 	var wg sync.WaitGroup
@@ -154,7 +142,6 @@ func TestControllerConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
 				c.RequestExpansion(int64(i*100 + j))
-				c.PublishError(float64(j))
 			}
 		}(i)
 	}
