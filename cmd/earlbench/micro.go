@@ -273,21 +273,10 @@ func runMicro() (microReport, error) {
 	})
 
 	// --- Family 4: scan decode (split ingestion substrate). ----------
-	// Three ways to ingest the same records, all walking the same file:
-	//
-	//   PerRecordSeek   one positioned ReadLineAt per record plus a
-	//                   strconv parse — the substrate the pre-map
-	//                   sampler and the maintained refresh path used
-	//                   before the vectorized scan.
-	//   PerRecordStream LineReader streaming plus a strconv parse per
-	//                   line — the substrate the full-scan (post-map)
-	//                   mappers used.
-	//   Columnar        colscan.Decode: the whole split decoded once
-	//                   into column batches — the new substrate behind
-	//                   both routes.
-	//
-	// Every variant must agree on the record count, so records_per_sec
-	// is directly comparable across the three.
+	// Columnar is colscan.Decode: the whole split decoded once into
+	// column batches — the cold text decode behind both samplers.
+	// records_per_sec is directly comparable with family 4b's cold
+	// sidecar and warm cache reads of the same records.
 	const scanRecs = 200_000
 	scanSize, err := fsys.Stat("/bench")
 	if err != nil {
@@ -312,70 +301,6 @@ func runMicro() (microReport, error) {
 	if err != nil {
 		return microReport{}, err
 	}
-	// The per-record variants parse with strconv exactly as the
-	// pre-columnar record decoders did; colscan's fast path replaces
-	// them on the new route.
-	parseNumericOld := func(line string) error {
-		_, err := strconv.ParseFloat(strings.TrimSpace(line), 64)
-		return err
-	}
-	parseKVOld := func(line string) error {
-		_, v, ok := strings.Cut(line, "\t")
-		if !ok {
-			return fmt.Errorf("no tab in %q", line)
-		}
-		_, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-		return err
-	}
-	seekScan := func(path string, size int64, parse func(string) error) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				n := 0
-				var pos int64
-				for pos < size {
-					line, start, err := fsys.ReadLineAt(path, pos, 0)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := parse(line); err != nil {
-						b.Fatal(err)
-					}
-					n++
-					pos = start + int64(len(line)) + 1
-				}
-				if n != scanRecs {
-					b.Fatalf("seek scan saw %d records, want %d", n, scanRecs)
-				}
-			}
-		}
-	}
-	streamScan := func(splits []dfs.Split, parse func(string) error) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				n := 0
-				for _, sp := range splits {
-					rd, err := fsys.NewLineReader(sp, 0)
-					if err != nil {
-						b.Fatal(err)
-					}
-					for rd.Next() {
-						if err := parse(rd.Text()); err != nil {
-							b.Fatal(err)
-						}
-						n++
-					}
-					if err := rd.Err(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if n != scanRecs {
-					b.Fatalf("stream scan saw %d records, want %d", n, scanRecs)
-				}
-			}
-		}
-	}
 	columnarScan := func(path string, size int64, splits []dfs.Split, format colscan.Format) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
@@ -394,16 +319,8 @@ func runMicro() (microReport, error) {
 			}
 		}
 	}
-	addRate("scan_decode", fmt.Sprintf("PerRecordSeek/numeric/n=%d", scanRecs), scanRecs,
-		seekScan("/bench", scanSize, parseNumericOld))
-	addRate("scan_decode", fmt.Sprintf("PerRecordStream/numeric/n=%d", scanRecs), scanRecs,
-		streamScan(scanSplits, parseNumericOld))
 	addRate("scan_decode", fmt.Sprintf("Columnar/numeric/n=%d", scanRecs), scanRecs,
 		columnarScan("/bench", scanSize, scanSplits, colscan.FormatNumeric))
-	addRate("scan_decode", fmt.Sprintf("PerRecordSeek/kv/n=%d", scanRecs), scanRecs,
-		seekScan("/bench.kv", kvScanSize, parseKVOld))
-	addRate("scan_decode", fmt.Sprintf("PerRecordStream/kv/n=%d", scanRecs), scanRecs,
-		streamScan(kvScanSplits, parseKVOld))
 	addRate("scan_decode", fmt.Sprintf("Columnar/kv/n=%d", scanRecs), scanRecs,
 		columnarScan("/bench.kv", kvScanSize, kvScanSplits, colscan.FormatKV))
 

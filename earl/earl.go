@@ -275,17 +275,19 @@ func (c *Cluster) ResetMetrics() { c.env.Metrics.Reset() }
 // benchmark harness reaches through this).
 func (c *Cluster) Env() *core.Env { return c.env }
 
-// ParseKV decodes one line into a (group key, value) pair for grouped
-// runs.
+// ParseKV is a custom record parser for grouped runs: one line to a
+// (group key, value) pair. A line it rejects, and a NaN/±Inf value it
+// lets through, fail the run as a bad record.
 type ParseKV = core.ParseKV
 
-// Route tells a grouped run how to decode records: a ParseKV for the
-// per-record path plus an optional columnar format that puts the run on
-// the vectorized scan path. Custom parsers use Route{Parse: fn}.
+// Route tells a grouped run how to decode records. Exactly one field is
+// set: use TabKV (which sets Format) for "key\tvalue" lines, and
+// Route{Parse: fn} for any other layout; a Route with both fields or
+// neither is rejected when the run starts.
 type Route = core.Route
 
-// TabKV routes "key\tvalue" lines — on the vectorized scan path, since
-// the columnar decoder mirrors this format natively.
+// TabKV routes "key\tvalue" lines, the format the columnar decoder
+// reads natively (decoded blocks are cached and shared between runs).
 var TabKV Route = core.TabRoute()
 
 // GroupedReport holds per-key early estimates.
@@ -313,7 +315,7 @@ type Watch struct{ q *live.Query }
 //	_ = cluster.AppendValues("/data", newBatch)
 //	rep, _ := w.Refresh() // samples only the appended blocks
 func (c *Cluster) Watch(job Job, path string, opts Options) (*Watch, error) {
-	q, err := live.Watch(c.env, job, path, opts)
+	q, err := live.WatchMulti(c.env, []Job{job}, path, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -25,8 +25,10 @@ import (
 type Format uint8
 
 const (
-	// FormatNone means "no columnar decode": the caller stays on the
-	// per-record path (custom user parsers the decoder cannot mirror).
+	// FormatNone means no built-in format describes the records: a
+	// custom user parser decodes them, applied by the samplers where
+	// they read each line (sampling.Parser). Such records reach the
+	// same Cols batches, but never this package's decoder or its cache.
 	FormatNone Format = iota
 	// FormatNumeric is one float64 per line (workload.DecodeLine).
 	FormatNumeric

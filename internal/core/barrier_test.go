@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/aes"
-	"repro/internal/colscan"
 	"repro/internal/jobs"
 	"repro/internal/plan"
 	"repro/internal/simcost"
@@ -138,7 +137,7 @@ func TestKillNodeWhileMappersParked(t *testing.T) {
 	spec := engineSpec{
 		Name: "earl-parked", Sinks: []ResultSink{gate},
 		InitialN: 400, MaxN: 50_000,
-		Format: colscan.FormatNumeric, Key: job.Name,
+		Decode: numericDecode(job), Key: job.Name,
 	}
 	type outcome struct {
 		res engineResult

@@ -38,19 +38,26 @@
 // Every sampled run — scalar, multi-statistic and grouped — executes on
 // ONE generic pipeline (engine.go): the long-lived sampling mappers,
 // the round-barrier feedback loop, the doubling expansion schedule and
-// the §3.4 finish are written once, parameterized over two small
-// abstractions.
-// A ParseKV routes each input line to a (reduce key, value) pair, and a
-// ResultSink per reduce partition folds canonically-ordered growth
-// deltas and answers the current error estimate (sinks.go). The scalar
-// driver is the one-key degenerate case (statSink: one resample set per
-// statistic, all fed the shared sample); grouped runs route records by
-// their own keys into per-group resample sets (groupSink). RunMulti
-// rides the same engine to answer several statistics from one pilot,
-// one sample and one pass over the records — per-statistic SSABE plans
-// (the sample runs at the largest planned n, every statistic's B is its
-// own) with per-statistic reports, at the IO cost of the single most
-// demanding statistic.
+// the §3.4 finish are written once. Records travel one way through it:
+// the samplers are the only code that ever sees a record as a line, and
+// everything from a RecordSource out handles parsed columns
+// (colscan.Cols) — decoded by a built-in columnar format or, where the
+// samplers read, by the user's own parser (Decode, source.go); nothing
+// downstream can tell which. The engine is parameterized over one small
+// abstraction: a ResultSink per reduce partition folds
+// canonically-ordered growth deltas and answers the current error
+// estimate (sinks.go). The scalar driver is the one-key degenerate case
+// (statSink: one resample set per statistic, all fed the shared
+// sample); grouped runs route records by their own keys into per-group
+// resample sets (groupSink). RunMulti rides the same engine to answer
+// several statistics from one pilot, one sample and one pass over the
+// records — per-statistic SSABE plans (the sample runs at the largest
+// planned n, every statistic's B is its own) with per-statistic
+// reports, at the IO cost of the single most demanding statistic.
+//
+// The exact fall-back (exact.go) is deliberately not on this pipeline:
+// it is the stock-Hadoop batch job, line by line, and the reference the
+// sampled path is tested against.
 package core
 
 import (

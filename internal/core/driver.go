@@ -133,13 +133,14 @@ type StatState struct {
 // per-statistic SSABE plans and delta-maintained resample sets (one
 // entry per statistic; a single-statistic run has exactly one), plus the
 // per-mapper sampling streams the statistics share. Run discards it;
-// RunLive hands it to the caller so a maintained query can keep the
-// early answer fresh as data is appended, paying only for the delta.
+// RunScalarLive hands it to the caller so a maintained query can keep
+// the early answer fresh as data is appended, paying only for the delta.
 type LiveState struct {
 	Stats       []StatState
 	EstTotal    int64          // estimated records covered so far
 	SyncedBytes int64          // file bytes covered (the ingest high-water mark)
 	Sources     []RecordSource // retained per-mapper samplers (without-replacement across refreshes)
+	Decode      Decode         // how Sources parse records; streams over appended data must match
 	Opts        Options        // with defaults applied
 	Generations int            // Grow generations applied so far
 	SelSE       float64        // relative std. error of the filtered-subpopulation size estimate (0 = exact)
@@ -148,34 +149,11 @@ type LiveState struct {
 // Run executes job over the line-encoded numeric file at path with early
 // approximate results per the paper's full workflow.
 func Run(env *Env, job jobs.Numeric, path string, opts Options) (Report, error) {
-	rep, _, err := RunLive(env, job, path, opts)
-	return rep, err
-}
-
-// RunLive is Run, but it additionally returns the run's retained working
-// state so the caller can maintain the result under appended data
-// (internal/live builds on this). The state's Stats[0].Maint is nil when
-// the run fell back to the exact full-data job.
-func RunLive(env *Env, job jobs.Numeric, path string, opts Options) (Report, *LiveState, error) {
-	reps, st, err := runMultiLive(env, []jobs.Numeric{job}, path, opts, nil, false)
+	reps, err := RunMulti(env, []jobs.Numeric{job}, path, opts)
 	if err != nil {
-		return Report{}, nil, err
+		return Report{}, err
 	}
-	return reps[0], st, nil
-}
-
-// RunLiveDeferExact is RunLive, except that a fall-back to the exact
-// path does NOT execute the exact MR job: the returned Report carries
-// only UsedFull/EstTotalN and the LiveState has no maintainers. The
-// caller is expected to produce the exact answer itself — internal/live
-// builds an incremental exact state with a single scan instead of
-// running a whole-file job whose output it would throw away.
-func RunLiveDeferExact(env *Env, job jobs.Numeric, path string, opts Options) (Report, *LiveState, error) {
-	reps, st, err := runMultiLive(env, []jobs.Numeric{job}, path, opts, nil, true)
-	if err != nil {
-		return Report{}, nil, err
-	}
-	return reps[0], st, nil
+	return reps[0], nil
 }
 
 // RunMulti executes a set of statistics over the same records as ONE
@@ -189,28 +167,17 @@ func RunLiveDeferExact(env *Env, job jobs.Numeric, path string, opts Options) (R
 // expansion cap is hit).
 //
 // The statistics must share the input record format: records are parsed
-// once with the first job's Parse and the value feeds every statistic
-// (true of all built-in numeric jobs, which read one number per line).
+// once, as the first job says (its ScanFormat, else its Parse), and the
+// value feeds every statistic (true of all built-in numeric jobs, which
+// read one number per line).
 //
 // Every statistic's resample set is maintained over the full shared
 // sample (not capped at its own planned n_i) — see statSink for why the
 // maintained-query path requires the per-statistic samples to stay at
 // one common sampling fraction.
 func RunMulti(env *Env, jset []jobs.Numeric, path string, opts Options) ([]Report, error) {
-	reps, _, err := RunMultiLive(env, jset, path, opts)
+	reps, _, err := RunScalarLive(env, jset, path, opts, nil, false)
 	return reps, err
-}
-
-// RunMultiLive is RunMulti, additionally returning the retained working
-// state (one StatState per statistic) for maintained queries.
-func RunMultiLive(env *Env, jset []jobs.Numeric, path string, opts Options) ([]Report, *LiveState, error) {
-	return runMultiLive(env, jset, path, opts, nil, false)
-}
-
-// RunMultiLiveDeferExact is RunMultiLive with the deferred-exact
-// fall-back contract of RunLiveDeferExact.
-func RunMultiLiveDeferExact(env *Env, jset []jobs.Numeric, path string, opts Options) ([]Report, *LiveState, error) {
-	return runMultiLive(env, jset, path, opts, nil, true)
 }
 
 // jobsetTag names a statistic set for MR job names ("mean",
@@ -223,7 +190,23 @@ func jobsetTag(jset []jobs.Numeric) string {
 	return strings.Join(names, "+")
 }
 
-func runMultiLive(env *Env, jset []jobs.Numeric, path string, opts Options, prog *plan.Program, deferExact bool) ([]Report, *LiveState, error) {
+// RunScalarLive is the scalar driver — one statistic or several over one
+// shared sample — additionally returning the run's retained working
+// state (one StatState per statistic) so the caller can maintain the
+// result under appended data (internal/live builds on this).
+//
+// A non-nil prog is a compiled query plan pushed into the pilot and the
+// sampling sources; opts must then already carry the spec's knobs
+// (PreparePlan's Opts).
+//
+// deferExact changes the fall-back to the exact path: the exact MR job
+// is NOT executed, the returned Reports carry only UsedFull/EstTotalN
+// and the LiveState has no maintainers. The caller is expected to
+// produce the exact answer itself — internal/live builds an incremental
+// exact state with a single scan instead of running a whole-file job
+// whose output it would throw away. Without deferExact the state's
+// Stats[i].Maint is nil when the run fell back to the exact job.
+func RunScalarLive(env *Env, jset []jobs.Numeric, path string, opts Options, prog *plan.Program, deferExact bool) ([]Report, *LiveState, error) {
 	opts = opts.withDefaults()
 	if env == nil || env.FS == nil || env.Engine == nil {
 		return nil, nil, errors.New("core: incomplete Env")
@@ -246,76 +229,18 @@ func runMultiLive(env *Env, jset []jobs.Numeric, path string, opts Options, prog
 	if err != nil {
 		return nil, nil, err
 	}
-	// Built-in jobs carry a columnar format: the pilot rides the
-	// vectorized scan path too (it shares env.Scan's decoded blocks with
-	// the sampled job that follows, and with every other run over the
-	// file). Custom parsers (FormatNone) stay on the per-record path.
-	// A plan run scans under the plan's own input format: the filter may
-	// read the key column even though the statistics only see numbers.
-	format := jset[0].ScanFormat
+	// The pilot decodes records exactly as the sampled job that follows
+	// will (under a built-in format it shares env.Scan's decoded blocks
+	// with that job, and with every other run over the file). A plan run
+	// scans under the plan's own input format: the filter may read the
+	// key column even though the statistics only see numbers.
+	dec := numericDecode(jset[0])
 	if prog != nil {
-		format = prog.InputFormat()
+		dec = Decode{Format: prog.InputFormat()}
 	}
-	if format != colscan.FormatNone {
-		if err := pilotSampler.EnableColumnar(env.Scan, format); err != nil {
-			return nil, nil, err
-		}
-	}
-	parsePilot := func(recs []sampling.Record, into []float64) ([]float64, error) {
-		for _, r := range recs {
-			v, err := jset[0].Parse(r.Line)
-			if err != nil {
-				return nil, fmt.Errorf("core: pilot parse: %w", err)
-			}
-			into = append(into, v)
-		}
-		return into, nil
-	}
-	var pilotSc *plan.Scratch
-	if prog != nil {
-		pilotSc = plan.NewScratch()
-	}
-	// drawPilot extends the pilot by up to n values on whichever path is
-	// active, passing sampling.ErrExhausted through to the caller. Under
-	// a plan, n counts POST-FILTER records: the pilot keeps drawing raw
-	// records through σ/π until n survivors arrive (or the file is dry),
-	// so SSABE sizes the sample against the filtered subpopulation — the
-	// population the statistics and their confidence intervals are about.
-	drawPilot := func(n int, into []float64) ([]float64, error) {
-		if prog != nil {
-			var raw, kept colscan.Cols
-			for n > 0 {
-				raw.Reset()
-				got, serr := pilotSampler.SampleCols(n, &raw)
-				if got > 0 {
-					kept.Reset()
-					k, aerr := prog.Apply(pilotSc, &raw, &kept, false)
-					if aerr != nil {
-						return into, aerr
-					}
-					into = append(into, kept.Vals...)
-					n -= k
-				}
-				if serr != nil {
-					return into, serr
-				}
-			}
-			return into, nil
-		}
-		if format != colscan.FormatNone {
-			var cols colscan.Cols
-			_, err := pilotSampler.SampleCols(n, &cols)
-			return append(into, cols.Vals...), err
-		}
-		recs, err := pilotSampler.Sample(n)
-		if err != nil && !errors.Is(err, sampling.ErrExhausted) {
-			return into, err
-		}
-		out, perr := parsePilot(recs, into)
-		if perr != nil {
-			return into, perr
-		}
-		return out, err
+	pilotSc := plan.NewScratch()
+	if err := dec.enable(pilotSampler, env.Scan); err != nil {
+		return nil, nil, err
 	}
 	// Pilot records are real input reads (the sampler backtracks lines out
 	// of DFS blocks), so they are charged to RecordsRead like every other
@@ -323,7 +248,8 @@ func runMultiLive(env *Env, jset []jobs.Numeric, path string, opts Options, prog
 	// statistics ride it — charging it is what makes the shared-pilot
 	// saving of RunMulti visible in the counters.
 	defer func() { env.Metrics.RecordsRead.Add(int64(pilotSampler.Taken())) }()
-	pilot, err := drawPilot(256, make([]float64, 0, 256))
+	var pilot colscan.Cols
+	err = drawPilot(pilotSampler, prog, pilotSc, 256, &pilot)
 	if errors.Is(err, sampling.ErrExhausted) {
 		// Tiny data set: just run it exactly.
 		fullPlans := make([]aes.Plan, len(jset))
@@ -353,7 +279,7 @@ func runMultiLive(env *Env, jset []jobs.Numeric, path string, opts Options, prog
 		if taken == 0 {
 			return raw
 		}
-		est := int64(float64(raw) * float64(len(pilot)) / float64(taken))
+		est := int64(float64(raw) * float64(pilot.Len()) / float64(taken))
 		if est < 1 {
 			est = 1
 		}
@@ -369,7 +295,7 @@ func runMultiLive(env *Env, jset []jobs.Numeric, path string, opts Options, prog
 	}
 	forced := opts.ForceB > 1 && opts.ForceN > 0
 	if forced {
-		pilotN = len(pilot) // plan is forced: the probe alone suffices for estTotal
+		pilotN = pilot.Len() // plan is forced: the probe alone suffices for estTotal
 		if prog != nil && prog.HasFilter() && pilotN < opts.MinPilot {
 			// Under a filter the pilot doubles as the selectivity
 			// estimator; the probe alone makes the effective-N denominator
@@ -377,8 +303,9 @@ func runMultiLive(env *Env, jset []jobs.Numeric, path string, opts Options, prog
 			pilotN = opts.MinPilot
 		}
 	}
-	if pilotN > len(pilot) {
-		if pilot, err = drawPilot(pilotN-len(pilot), pilot); err != nil && !errors.Is(err, sampling.ErrExhausted) {
+	if pilotN > pilot.Len() {
+		err = drawPilot(pilotSampler, prog, pilotSc, pilotN-pilot.Len(), &pilot)
+		if err != nil && !errors.Is(err, sampling.ErrExhausted) {
 			return nil, nil, err
 		}
 	}
@@ -390,8 +317,8 @@ func runMultiLive(env *Env, jset []jobs.Numeric, path string, opts Options, prog
 	// it is 0 (no widening, bit-identical reports) without a filter.
 	var selSE float64
 	if prog != nil && prog.HasFilter() {
-		if taken := pilotSampler.Taken(); taken > 0 && len(pilot) > 0 {
-			sel := float64(len(pilot)) / float64(taken)
+		if taken := pilotSampler.Taken(); taken > 0 && pilot.Len() > 0 {
+			sel := float64(pilot.Len()) / float64(taken)
 			if sel < 1 {
 				selSE = math.Sqrt((1 - sel) / (sel * float64(taken)))
 			}
@@ -405,7 +332,7 @@ func runMultiLive(env *Env, jset []jobs.Numeric, path string, opts Options, prog
 			plans[i] = aes.Plan{B: opts.ForceB, N: opts.ForceN}
 			continue
 		}
-		plans[i], err = aes.SSABE(pilot, estTotal, aes.Config{
+		plans[i], err = aes.SSABE(pilot.Vals, estTotal, aes.Config{
 			Reducer:     job.Reducer,
 			Sigma:       opts.Sigma,
 			Tau:         opts.Tau,
@@ -437,11 +364,40 @@ func runMultiLive(env *Env, jset []jobs.Numeric, path string, opts Options, prog
 	}
 
 	// ---- Pipelined sampling job (§2.1's modified Hadoop flow). --------
-	reps, st, err := runSampledJob(env, jset, path, opts, plans, prog, estTotal, size, selSE)
+	reps, st, err := runSampledJob(env, jset, path, opts, plans, dec, prog, estTotal, size, selSE)
 	for i := range reps {
 		reps[i].EstTotalN = estTotal
 	}
 	return reps, st, err
+}
+
+// drawPilot extends a pilot by n records, appended to out, passing
+// sampling.ErrExhausted through to the caller. Under a plan, n counts
+// POST-FILTER records: the pilot keeps drawing raw records through σ/π
+// until n survivors arrive (or the file is dry), so sample sizes are
+// planned against the filtered subpopulation — the population the
+// statistics and their confidence intervals are about.
+func drawPilot(s *sampling.PreMap, prog *plan.Program, sc *plan.Scratch, n int, out *colscan.Cols) error {
+	if prog == nil {
+		_, err := s.SampleCols(n, out)
+		return err
+	}
+	var raw colscan.Cols
+	for n > 0 {
+		raw.Reset()
+		got, serr := s.SampleCols(n, &raw)
+		if got > 0 {
+			kept, err := prog.Apply(sc, &raw, out, false)
+			if err != nil {
+				return err
+			}
+			n -= kept
+		}
+		if serr != nil {
+			return serr
+		}
+	}
+	return nil
 }
 
 // exactReports renders the deferred-exact placeholder reports.
@@ -507,7 +463,7 @@ func exactLiveState(opts Options, plans []aes.Plan, estTotal, syncedBytes int64)
 
 // runSampledJob drives the generic engine with a statSink: one reduce
 // partition whose sink feeds every statistic from the shared sample.
-func runSampledJob(env *Env, jset []jobs.Numeric, path string, opts Options, plans []aes.Plan, prog *plan.Program, estTotal, syncedBytes int64, selSE float64) ([]Report, *LiveState, error) {
+func runSampledJob(env *Env, jset []jobs.Numeric, path string, opts Options, plans []aes.Plan, dec Decode, prog *plan.Program, estTotal, syncedBytes int64, selSE float64) ([]Report, *LiveState, error) {
 	var initialN int64
 	for _, p := range plans {
 		if int64(p.N) > initialN {
@@ -523,36 +479,16 @@ func runSampledJob(env *Env, jset []jobs.Numeric, path string, opts Options, pla
 	if err != nil {
 		return nil, nil, err
 	}
-	primary := jset[0]
-	format := primary.ScanFormat
-	route := func(line string) (string, float64, error) {
-		// The one-key degenerate case: every record routes to the
-		// single reduce partition under the job-set's own name.
-		v, err := primary.Parse(line)
-		return primary.Name, v, err
-	}
-	if prog != nil {
-		// Plan runs draw transformed columns straight from the pushed-
-		// down sources; the per-record route must never fire (a filter
-		// cannot be expressed as ParseKV — it would have to drop lines).
-		format = prog.InputFormat()
-		route = func(string) (string, float64, error) {
-			return "", 0, errors.New("core: plan runs use the columnar path")
-		}
-	}
 	res, err := runEngine(env, path, opts, engineSpec{
 		Name:     "earl-" + jobsetTag(jset),
-		Route:    route,
 		Sinks:    []ResultSink{sink},
 		InitialN: initialN,
 		MaxN:     maxSample,
-		Format:   format,
-		Key:      primary.Name,
-		// A scalar plan may scan keyed input (a filter over the key
-		// column) while still routing every survivor to the one
-		// synthetic reduce key.
-		Keyed: prog == nil && format == colscan.FormatKV,
-		Prog:  prog,
+		Decode:   dec,
+		// The one-key degenerate case: every record routes to the single
+		// reduce partition under the job-set's own name.
+		Key:  jset[0].Name,
+		Prog: prog,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -562,6 +498,7 @@ func runSampledJob(env *Env, jset []jobs.Numeric, path string, opts Options, pla
 		EstTotal:    estTotal,
 		SyncedBytes: syncedBytes,
 		Sources:     res.Sources,
+		Decode:      dec,
 		Opts:        opts,
 		Generations: res.Generations,
 		SelSE:       selSE,

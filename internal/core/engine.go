@@ -20,57 +20,21 @@ import (
 // finish on achieved accuracy) is implemented exactly once here, with
 // the §3.3 reducer→mapper feedback as mr.Controller's in-memory round
 // barrier: no error files are written and nothing polls; what the
-// paper's files would cost is charged to simcost by the barrier. The
-// engine is parameterized over two small abstractions:
+// paper's files would cost is charged to simcost by the barrier.
 //
-//   - ParseKV routes one input line to a (reduce key, value) pair. The
-//     scalar driver routes every record to a single synthetic key — the
-//     one-key degenerate case — while grouped runs route by the record's
-//     own group key.
-//   - ResultSink consumes one growth generation of routed, canonically
-//     ordered values per reduce partition and reports the partition's
-//     current error estimate. The scalar sink maintains one resample set
-//     per statistic (all fed the same shared sample); the grouped sink
-//     maintains one per group key.
+// Records reach the engine already parsed: every RecordSource delivers
+// column batches (source.go), whatever decoded them, and the mappers
+// emit whole []float64 batches — under the run's one synthetic key for
+// scalar runs (the one-key degenerate case), bucketed by the records'
+// own keys for grouped runs. The engine is parameterized over one small
+// abstraction, ResultSink: it consumes one growth generation of
+// canonically ordered values per reduce key and reports the partition's
+// current error estimate. The scalar sink maintains one resample set
+// per statistic (all fed the same shared sample); the grouped sink
+// maintains one per group key.
 //
 // Everything upstream (pilot, SSABE planning) and downstream (reports,
 // retained live state) stays in the thin per-mode drivers.
-
-// ParseKV decodes one input line into a (group key, value) pair — the
-// native shape of MapReduce data ("key\tvalue" lines by default). It is
-// also the engine's routing abstraction: the key selects the reduce
-// partition and the ResultSink entry the value is folded into.
-type ParseKV func(line string) (key string, value float64, err error)
-
-// ErrBadRecord re-exports the decode layer's errors.Is-able sentinel:
-// malformed lines and non-finite (NaN/±Inf) values. A run that samples
-// a poisoned record fails with it instead of corrupting the estimate.
-var ErrBadRecord = colscan.ErrBadRecord
-
-// TabKV parses the "key\tvalue" records produced by workload.KVSpec.
-// NaN/±Inf values and tab-less lines are rejected wrapping ErrBadRecord
-// (with bounded quoting — a malformed multi-MB line must not balloon
-// the run's error).
-func TabKV(line string) (string, float64, error) {
-	k, v, err := colscan.ParseKVString(line)
-	if err != nil {
-		return "", 0, fmt.Errorf("core: %w", err)
-	}
-	return k, v, nil
-}
-
-// Route bundles the engine's record-decoding choices: the per-record
-// parser (always required — the reference semantics) and the columnar
-// format the vectorized scan path may decode the same records with.
-// FormatNone keeps a custom parser on the per-record path.
-type Route struct {
-	Parse  ParseKV
-	Format colscan.Format
-}
-
-// TabRoute is the grouped default: TabKV with the columnar "key\tvalue"
-// decoder behind it.
-func TabRoute() Route { return Route{Parse: TabKV, Format: colscan.FormatKV} }
 
 // ResultSink is the engine's result-maintenance abstraction: one sink
 // per reduce partition consumes routed growth deltas and answers the
@@ -94,22 +58,18 @@ type ResultSink interface {
 // engineSpec parameterizes one run of the generic engine.
 type engineSpec struct {
 	Name     string       // MR job name (cosmetic/metrics)
-	Route    ParseKV      // line → (reduce key, value)
 	Sinks    []ResultSink // one per reduce partition
 	InitialN int64        // SSABE's initial sample target
 	MaxN     int64        // expansion cap (records)
-	// Format puts the mappers on the vectorized scan path: draws arrive
-	// as parsed columns and whole batches are emitted as []float64.
-	// FormatNone (custom parsers) keeps the per-record Route path.
-	Format colscan.Format
-	// Key is the reduce key every record routes to under FormatNumeric
-	// (the scalar one-key degenerate case); keyed records carry their
-	// own keys.
+	// Decode is how the run's sampling sources parse records.
+	Decode Decode
+	// Key is the reduce key every record of a scalar run routes to (the
+	// one-key degenerate case).
 	Key string
-	// Keyed marks runs whose emitted records carry per-record reduce
-	// keys (grouped runs). Legacy runs derive it from Format, but a
-	// scalar plan can scan FormatKV input (a key-filter over "k\tv"
-	// lines) while still routing everything to the one synthetic Key.
+	// Keyed marks runs whose records route by their own keys (grouped
+	// runs). A scalar run may still scan keyed input — a plan filtering
+	// on the key column of "k\tv" lines — and routes every survivor to
+	// the one synthetic Key.
 	Keyed bool
 	// Prog, when non-nil, is the compiled query plan pushed into the
 	// sampling sources: σ runs at pool fill / draw time, so every record
@@ -160,7 +120,7 @@ func runEngine(env *Env, path string, opts Options, spec engineSpec) (engineResu
 		return engineResult{}, err
 	}
 	m := len(owned)
-	sources, err := NewRecordSources(env, path, owned, opts, 0, spec.Format, spec.Prog)
+	sources, err := NewRecordSources(env, path, owned, opts, 0, spec.Decode, spec.Prog)
 	if err != nil {
 		return engineResult{}, err
 	}
@@ -176,16 +136,8 @@ func runEngine(env *Env, path string, opts Options, spec engineSpec) (engineResu
 
 	mapLoop := func(ctx *mr.MapStream, idx int) error {
 		const batch = 128
-		// The vectorized scan path: a columnar-capable source under a
-		// concrete format delivers parsed columns, and the mapper emits
-		// whole batches ([]float64 per reduce key) instead of one boxed
-		// float64 per record. Record sequences and generation contents
-		// are bit-identical to the per-record path — emission stays
-		// share-gated, and a batch never exceeds the remaining share.
-		cs, _ := sources[idx].(ColSource)
-		useCols := spec.Format != colscan.FormatNone && cs != nil
 		var buckets map[string][]float64
-		if useCols && spec.Keyed {
+		if spec.Keyed {
 			buckets = map[string][]float64{}
 		}
 		for {
@@ -199,32 +151,17 @@ func runEngine(env *Env, path string, opts Options, spec engineSpec) (engineResu
 			if k > batch {
 				k = batch
 			}
-			n := 0
-			var err error
-			if useCols {
-				// Fresh columns per batch: the emitted slices cross the
-				// shuffle channel and are retained by the reducer until
-				// its next fold.
-				cols := &colscan.Cols{}
-				n, err = cs.DrawCols(int(k), cols)
-				if n > 0 {
-					if spec.Keyed {
-						emitKeyed(ctx, cols, buckets)
-					} else {
-						ctx.Emit(spec.Key, cols.Vals)
-					}
-				}
-			} else {
-				var lines []string
-				lines, err = sources[idx].Draw(int(k))
-				for _, line := range lines {
-					key, v, perr := spec.Route(line)
-					if perr != nil {
-						err = fmt.Errorf("core: mapper %d parse: %w", idx, perr)
-						break
-					}
-					ctx.Emit(key, v)
-					n++
+			// Emission is share-gated: a batch never exceeds the mapper's
+			// remaining share. Fresh columns per batch — the emitted
+			// slices cross the shuffle channel and are retained by the
+			// reducer until its next fold.
+			cols := &colscan.Cols{}
+			n, err := sources[idx].DrawCols(int(k), cols)
+			if n > 0 {
+				if spec.Keyed {
+					emitKeyed(ctx, cols, buckets)
+				} else {
+					ctx.Emit(spec.Key, cols.Vals)
 				}
 			}
 			// Accounted after the emits return, errors included: the
@@ -300,18 +237,13 @@ func runEngine(env *Env, path string, opts Options, spec engineSpec) (engineResu
 						}
 						return nil
 					}
-					switch v := kv.Value.(type) {
-					case float64:
-						buf[kv.Key] = append(buf[kv.Key], v)
-						ctrl.Received(part, 1)
-					case []float64:
-						// One batch from the vectorized scan path, counted
-						// per record like the per-record arrivals.
-						buf[kv.Key] = append(buf[kv.Key], v...)
-						ctrl.Received(part, len(v))
-					default:
+					vals, ok := kv.Value.([]float64)
+					if !ok {
 						return fmt.Errorf("core: reducer got %T", kv.Value)
 					}
+					// One mapper batch, counted per record.
+					buf[kv.Key] = append(buf[kv.Key], vals...)
+					ctrl.Received(part, len(vals))
 				case <-ctrl.Ready(part):
 					if err := growAll(); err != nil {
 						return err

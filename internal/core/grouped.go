@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/colscan"
 	"repro/internal/delta"
@@ -28,7 +27,7 @@ import (
 // group, floored at MinPilot) and relies on the expansion loop — a
 // documented extension beyond the paper.
 func RunGrouped(env *Env, job jobs.Numeric, route Route, path string, opts Options) (GroupedReport, error) {
-	rep, _, err := RunGroupedLive(env, job, route, path, opts)
+	rep, _, err := RunGroupedLive(env, job, route, path, opts, nil)
 	return rep, err
 }
 
@@ -39,23 +38,21 @@ func RunGrouped(env *Env, job jobs.Numeric, route Route, path string, opts Optio
 type GroupedLiveState struct {
 	Maints      map[string]*delta.Maintainer
 	Sources     []RecordSource
+	Decode      Decode // how Sources parse records; streams over appended data must match
 	EstTotal    int64
 	SyncedBytes int64
 	B           int
 	Opts        Options // with defaults applied
 }
 
-// RunGroupedLive is RunGrouped, additionally returning the run's retained
-// state for maintained (continuous-ingest) queries.
-func RunGroupedLive(env *Env, job jobs.Numeric, route Route, path string, opts Options) (GroupedReport, *GroupedLiveState, error) {
-	return runGroupedLive(env, job, route, path, opts, nil)
-}
-
-// runGroupedLive is the grouped driver. A non-nil prog replaces the
+// RunGroupedLive is the grouped driver: RunGrouped, additionally
+// returning the run's retained state for maintained (continuous-ingest)
+// queries. A non-nil prog is a compiled query plan and replaces the
 // route entirely: records decode under the plan's input format, the
 // pushed-down σ/π/γ kernels transform them, and the emitted group keys
-// are the plan's labels — route may be zero in that case.
-func runGroupedLive(env *Env, job jobs.Numeric, route Route, path string, opts Options, prog *plan.Program) (GroupedReport, *GroupedLiveState, error) {
+// are the plan's labels (opts must then already carry the spec's knobs —
+// PreparePlan's Opts).
+func RunGroupedLive(env *Env, job jobs.Numeric, route Route, path string, opts Options, prog *plan.Program) (GroupedReport, *GroupedLiveState, error) {
 	opts = opts.withDefaults()
 	if env == nil || env.FS == nil || env.Engine == nil {
 		return GroupedReport{}, nil, errors.New("core: incomplete Env")
@@ -63,15 +60,13 @@ func runGroupedLive(env *Env, job jobs.Numeric, route Route, path string, opts O
 	if job.Reducer == nil {
 		return GroupedReport{}, nil, errors.New("core: job needs a Reducer")
 	}
-	if route.Parse == nil && prog == nil {
-		return GroupedReport{}, nil, errors.New("core: RunGrouped needs a Route")
-	}
-	format := route.Format
-	routeParse := route.Parse
+	var dec Decode
 	if prog != nil {
-		format = prog.InputFormat()
-		routeParse = func(string) (string, float64, error) {
-			return "", 0, errors.New("core: plan runs use the columnar path")
+		dec = Decode{Format: prog.InputFormat()}
+	} else {
+		var err error
+		if dec, err = route.decode(); err != nil {
+			return GroupedReport{}, nil, err
 		}
 	}
 	size, err := env.View().Stat(path)
@@ -84,60 +79,20 @@ func runGroupedLive(env *Env, job jobs.Numeric, route Route, path string, opts O
 	if err != nil {
 		return GroupedReport{}, nil, err
 	}
-	if format != colscan.FormatNone {
-		if err := pilotSampler.EnableColumnar(env.Scan, format); err != nil {
-			return GroupedReport{}, nil, err
-		}
+	if err := dec.enable(pilotSampler, env.Scan); err != nil {
+		return GroupedReport{}, nil, err
 	}
+	// Draw until 512 records survive the plan (or the file is dry): the
+	// distinct keys — and the selectivity — both come from the
+	// post-filter stream the run is actually about.
+	var pilot colscan.Cols
+	if err := drawPilot(pilotSampler, prog, plan.NewScratch(), 512, &pilot); err != nil && !errors.Is(err, sampling.ErrExhausted) {
+		return GroupedReport{}, nil, err
+	}
+	kept := pilot.Len()
 	keys := map[string]struct{}{}
-	kept := 0
-	switch {
-	case prog != nil:
-		// Draw raw records through the plan until 512 survive (or the
-		// file is dry): the distinct labels — and the selectivity — both
-		// come from the post-filter stream the run is actually about.
-		sc := plan.NewScratch()
-		var raw, out colscan.Cols
-		for need := 512; need > 0; {
-			raw.Reset()
-			got, serr := pilotSampler.SampleCols(need, &raw)
-			if got > 0 {
-				k, aerr := prog.Apply(sc, &raw, &out, false)
-				if aerr != nil {
-					return GroupedReport{}, nil, aerr
-				}
-				need -= k
-			}
-			if errors.Is(serr, sampling.ErrExhausted) {
-				break
-			} else if serr != nil {
-				return GroupedReport{}, nil, serr
-			}
-		}
-		kept = out.Len()
-		for _, k := range out.Keys {
-			keys[k] = struct{}{}
-		}
-	case format != colscan.FormatNone:
-		var cols colscan.Cols
-		if _, err := pilotSampler.SampleCols(512, &cols); err != nil && !errors.Is(err, sampling.ErrExhausted) {
-			return GroupedReport{}, nil, err
-		}
-		for _, k := range cols.Keys {
-			keys[k] = struct{}{}
-		}
-	default:
-		probe, err := pilotSampler.Sample(512)
-		if err != nil && !errors.Is(err, sampling.ErrExhausted) {
-			return GroupedReport{}, nil, err
-		}
-		for _, r := range probe {
-			k, _, perr := route.Parse(r.Line)
-			if perr != nil {
-				return GroupedReport{}, nil, fmt.Errorf("core: pilot parse: %w", perr)
-			}
-			keys[k] = struct{}{}
-		}
+	for _, k := range pilot.Keys {
+		keys[k] = struct{}{}
 	}
 	// Pilot reads are charged like any other mapper delivery (see the
 	// scalar driver) so grouped runs account their planning cost too.
@@ -187,11 +142,10 @@ func runGroupedLive(env *Env, job jobs.Numeric, route Route, path string, opts O
 
 	res, err := runEngine(env, path, opts, engineSpec{
 		Name:     "earl-grouped-" + job.Name,
-		Route:    routeParse,
 		Sinks:    sinks,
 		InitialN: int64(initialN),
 		MaxN:     maxSample,
-		Format:   format,
+		Decode:   dec,
 		Keyed:    true,
 		Prog:     prog,
 	})
@@ -214,6 +168,7 @@ func runGroupedLive(env *Env, job jobs.Numeric, route Route, path string, opts O
 	st := &GroupedLiveState{
 		Maints:      maints,
 		Sources:     res.Sources,
+		Decode:      dec,
 		EstTotal:    estTotal,
 		SyncedBytes: size,
 		B:           b,

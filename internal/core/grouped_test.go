@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/colscan"
 	"repro/internal/jobs"
 	"repro/internal/stats"
 )
@@ -84,8 +85,11 @@ func TestRunGroupedValidation(t *testing.T) {
 	if _, err := RunGrouped(env, jobs.Numeric{}, TabRoute(), "/kv", Options{}); err == nil {
 		t.Fatal("empty job should error")
 	}
-	if _, err := RunGrouped(env, jobs.Mean(), Route{}, "/kv", Options{}); err == nil {
-		t.Fatal("nil parser should error")
+	// Route is a sum: neither field set and both set are rejected alike.
+	_, neither := RunGrouped(env, jobs.Mean(), Route{}, "/kv", Options{})
+	_, both := RunGrouped(env, jobs.Mean(), Route{Parse: TabKV, Format: colscan.FormatKV}, "/kv", Options{})
+	if neither == nil || both == nil || neither.Error() != both.Error() {
+		t.Fatalf("Route with neither field (%v) and with both (%v) should fail with one message", neither, both)
 	}
 	if _, err := RunGrouped(env, jobs.Mean(), TabRoute(), "/missing", Options{}); err == nil {
 		t.Fatal("missing path should error")

@@ -7,8 +7,8 @@ import (
 
 // This file is the driver's front door for the query-plan layer
 // (internal/plan): it binds a plan.Spec to run Options, compiles the
-// σ/π/γ program, and dispatches onto the scalar or grouped live driver
-// with the program pushed into the sampling sources. Every front end —
+// σ/π/γ program, and dispatches onto the scalar or grouped driver with
+// the program pushed into the sampling sources. Every front end —
 // the public earl builder, earlctl, earld — funnels through PreparePlan,
 // so normalization, defaulting and compilation cannot drift between
 // them.
@@ -69,43 +69,24 @@ type PlanResult struct {
 
 // RunPlan executes one plan end to end: normalize, compile, and run on
 // the sampled driver with the program pushed into the sources.
-// Degenerate plans (no σ/π, group-by "" or "key") take the historical
-// code paths and are bit-identical to Run/RunMulti/RunGrouped.
+// Degenerate plans (no σ/π, group-by "" or "key") compile to a nil
+// program and are bit-identical to Run/RunMulti/RunGrouped — a
+// degenerate grouped plan runs the tab route.
 func RunPlan(env *Env, spec plan.Spec, opts Options) (*PlanResult, error) {
 	pq, err := PreparePlan(spec, opts)
 	if err != nil {
 		return nil, err
 	}
 	if pq.Grouped() {
-		rep, _, err := RunPlanGroupedLive(env, pq.Jobs[0], pq.Spec.Path, pq.Opts, pq.Prog)
+		rep, _, err := RunGroupedLive(env, pq.Jobs[0], TabRoute(), pq.Spec.Path, pq.Opts, pq.Prog)
 		if err != nil {
 			return nil, err
 		}
 		return &PlanResult{Groups: &rep}, nil
 	}
-	reps, _, err := runMultiLive(env, pq.Jobs, pq.Spec.Path, pq.Opts, pq.Prog, false)
+	reps, _, err := RunScalarLive(env, pq.Jobs, pq.Spec.Path, pq.Opts, pq.Prog, false)
 	if err != nil {
 		return nil, err
 	}
 	return &PlanResult{Reports: reps}, nil
-}
-
-// RunPlanMultiLiveDeferExact is the scalar plan driver with retained
-// live state and the exact fall-back deferred — what a maintained plan
-// watch (internal/live) starts from. opts must already carry the spec's
-// knobs (PreparePlan's Opts); prog nil is the legacy path, bit-identical
-// to RunMultiLiveDeferExact.
-func RunPlanMultiLiveDeferExact(env *Env, jset []jobs.Numeric, path string, opts Options, prog *plan.Program) ([]Report, *LiveState, error) {
-	return runMultiLive(env, jset, path, opts, prog, true)
-}
-
-// RunPlanGroupedLive is the grouped plan driver with retained live
-// state. A degenerate grouped plan (group-by "key", no σ/π — prog nil)
-// runs the legacy tab route, bit-identical to RunGroupedLive.
-func RunPlanGroupedLive(env *Env, job jobs.Numeric, path string, opts Options, prog *plan.Program) (GroupedReport, *GroupedLiveState, error) {
-	route := Route{}
-	if prog == nil {
-		route = TabRoute()
-	}
-	return runGroupedLive(env, job, route, path, opts, prog)
 }

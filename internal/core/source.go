@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/colscan"
 	"repro/internal/dfs"
+	"repro/internal/jobs"
 	"repro/internal/plan"
 	"repro/internal/pool"
 	"repro/internal/sampling"
@@ -12,27 +14,97 @@ import (
 )
 
 // RecordSource is one mapper's retained sampling stream over its owned
-// splits. Draw extends the without-replacement sample by up to k lines
-// (returning the lines drawn plus sampling.ErrExhausted once the owned
-// region is dry) and Weight is proportional to the number of records the
-// source covers, so a uniform draw across several sources can be
-// apportioned by weight. Sources outlive the job that created them: a
-// maintained query (internal/live) keeps drawing from them across ingest
-// batches, which is what preserves the without-replacement guarantee
-// between the initial answer and later refreshes.
+// splits. DrawCols extends the without-replacement sample by up to k
+// records, appended to out as parsed columns (it reports how many, plus
+// sampling.ErrExhausted once the owned region is dry), and Weight is
+// proportional to the number of records the source covers, so a uniform
+// draw across several sources can be apportioned by weight. Sources
+// outlive the job that created them: a maintained query (internal/live)
+// keeps drawing from them across ingest batches, which is what preserves
+// the without-replacement guarantee between the initial answer and later
+// refreshes.
 type RecordSource interface {
-	Draw(k int) ([]string, error)
+	DrawCols(k int, out *colscan.Cols) (int, error)
 	Weight() int64
 }
 
-// ColSource is a RecordSource that can additionally deliver draws as
-// parsed columns — the vectorized scan path. DrawCols appends up to k
-// records to out and reports how many; the record sequence under a
-// fixed seed is identical to Draw's (either entry point may consume the
-// stream at any point).
-type ColSource interface {
-	RecordSource
-	DrawCols(k int, out *colscan.Cols) (int, error)
+// ParseKV is a custom record parser: one input line to a (group key,
+// value) pair — the native shape of MapReduce data. The samplers apply
+// it where they read the line (sampling.Parser); the engine never sees
+// it.
+type ParseKV func(line string) (key string, value float64, err error)
+
+// ErrBadRecord re-exports the decode layer's errors.Is-able sentinel:
+// malformed lines and non-finite (NaN/±Inf) values, whether a built-in
+// format or a custom parser met them. A run that samples a poisoned
+// record fails with it instead of corrupting the estimate.
+var ErrBadRecord = colscan.ErrBadRecord
+
+// TabKV parses the "key\tvalue" records produced by workload.KVSpec.
+// NaN/±Inf values and tab-less lines are rejected wrapping ErrBadRecord
+// (with bounded quoting — a malformed multi-MB line must not balloon
+// the run's error).
+func TabKV(line string) (string, float64, error) {
+	k, v, err := colscan.ParseKVString(line)
+	if err != nil {
+		return "", 0, fmt.Errorf("core: %w", err)
+	}
+	return k, v, nil
+}
+
+// Route says how a grouped run decodes its records — a sum, exactly one
+// field set: Format for records a built-in columnar format describes
+// (TabRoute), or Parse for anything else.
+type Route struct {
+	Parse  ParseKV
+	Format colscan.Format
+}
+
+// TabRoute is the grouped default: "key\tvalue" records under the
+// built-in columnar decoder.
+func TabRoute() Route { return Route{Format: colscan.FormatKV} }
+
+// Decode is how a run's samplers turn record lines into columns — a
+// sum, exactly one side set: a built-in Format (decoded by colscan,
+// shared through env.Scan) or a custom Parser (applied by the samplers
+// wherever they read a line). Nothing downstream of the samplers can
+// tell which it was.
+type Decode struct {
+	Format colscan.Format
+	Parser *sampling.Parser
+}
+
+// decode resolves the route, rejecting one that sets both fields or
+// neither.
+func (r Route) decode() (Decode, error) {
+	if (r.Parse != nil) == (r.Format != colscan.FormatNone) {
+		return Decode{}, errors.New("core: Route needs exactly one of Parse (a custom parser) or Format (a built-in format)")
+	}
+	if r.Parse != nil {
+		return Decode{Parser: &sampling.Parser{Parse: r.Parse, Keyed: true}}, nil
+	}
+	return Decode{Format: r.Format}, nil
+}
+
+// numericDecode resolves a scalar job's decode: its ScanFormat, or —
+// for a job without one — its own Parse, adapted as a custom parser.
+func numericDecode(job jobs.Numeric) Decode {
+	if job.ScanFormat != colscan.FormatNone {
+		return Decode{Format: job.ScanFormat}
+	}
+	return Decode{Parser: &sampling.Parser{Parse: func(line string) (string, float64, error) {
+		v, err := job.Parse(line)
+		return "", v, err
+	}}}
+}
+
+// enable puts a pre-map sampler's SampleCols on this decode.
+func (d Decode) enable(s *sampling.PreMap, cache *colscan.Cache) error {
+	if d.Parser != nil {
+		s.EnableParser(d.Parser)
+		return nil
+	}
+	return s.EnableColumnar(cache, d.Format)
 }
 
 // preMapSource wraps the Algorithm 2 sampler. Draws are charged as
@@ -40,18 +112,6 @@ type ColSource interface {
 type preMapSource struct {
 	s       *sampling.PreMap
 	metrics *simcost.Metrics
-}
-
-func (p preMapSource) Draw(k int) ([]string, error) {
-	recs, err := p.s.Sample(k)
-	lines := make([]string, len(recs))
-	for i, r := range recs {
-		lines[i] = r.Line
-	}
-	if p.metrics != nil {
-		p.metrics.RecordsRead.Add(int64(len(lines)))
-	}
-	return lines, err
 }
 
 func (p preMapSource) DrawCols(k int, out *colscan.Cols) (int, error) {
@@ -65,41 +125,19 @@ func (p preMapSource) DrawCols(k int, out *colscan.Cols) (int, error) {
 func (p preMapSource) Weight() int64 { return p.s.OwnedBytes() }
 
 // errSource is a source whose region could not be scanned (e.g. a block
-// with no live replica during post-map pool filling). Every Draw returns
+// with no live replica during post-map pool filling). Every draw returns
 // the scan error, so the owning mapper task fails and is tolerated as a
 // lost mapper (§3.4) — exactly as if the scan had failed inside the map
 // task — instead of the whole run aborting.
 type errSource struct{ err error }
 
-func (e errSource) Draw(int) ([]string, error)               { return nil, e.err }
 func (e errSource) DrawCols(int, *colscan.Cols) (int, error) { return 0, e.err }
 func (e errSource) Weight() int64                            { return 0 }
 
-// postMapSource wraps the Algorithm 1 pooled sampler. The pool-filling
-// scan already charged every record as mapper input; draws come from
-// memory.
-type postMapSource struct{ s *sampling.PostMap }
-
-func (p postMapSource) Draw(k int) ([]string, error) {
-	recs, err := p.s.Draw(k)
-	lines := make([]string, len(recs))
-	for i, r := range recs {
-		lines[i] = r.Value
-	}
-	return lines, err
-}
-
-func (p postMapSource) Weight() int64 { return int64(p.s.Total()) }
-
-// postMapColsSource wraps the columnar post-map pool: decoded split
-// blocks instead of per-record string pairs. Built only when the run's
-// route has a columnar format; its Draw degrades to an error because
-// the engine always takes DrawCols on such runs.
+// postMapColsSource wraps the Algorithm 1 pooled sampler. The
+// pool-filling scan already charged every record as mapper input; draws
+// come from memory.
 type postMapColsSource struct{ s *sampling.PostMapCols }
-
-func (p postMapColsSource) Draw(int) ([]string, error) {
-	return nil, fmt.Errorf("core: columnar post-map source has no line path")
-}
 
 func (p postMapColsSource) DrawCols(k int, out *colscan.Cols) (int, error) {
 	return p.s.DrawCols(k, out)
@@ -115,20 +153,12 @@ func (p postMapColsSource) Weight() int64 { return int64(p.s.Total()) }
 // (subpopulation) records. prefiltered marks inner streams whose σ
 // already ran at pool-fill time (AddBlockKept), where the rejection
 // loop degenerates to a single transform pass.
-//
-// Plans are columnar by construction (a Program always has a concrete
-// input format), so the per-record Draw path degrades to an error like
-// postMapColsSource's.
 type xformColSource struct {
-	inner       ColSource
+	inner       RecordSource
 	prog        *plan.Program
 	prefiltered bool
 	sc          *plan.Scratch
 	raw         colscan.Cols
-}
-
-func (x *xformColSource) Draw(int) ([]string, error) {
-	return nil, fmt.Errorf("core: plan sources have no line path")
 }
 
 func (x *xformColSource) DrawCols(k int, out *colscan.Cols) (int, error) {
@@ -166,11 +196,10 @@ func (x *xformColSource) Weight() int64 { return x.inner.Weight() }
 // run (0 for the initial run); determinism follows the engine-wide
 // contract — streams depend only on (Seed, seedSalt, mapper index).
 //
-// A non-None format puts the sources on the vectorized scan path:
-// pre-map samplers resolve hot splits against decoded blocks (shared
-// through env.Scan) and post-map pools hold block references instead of
-// parsed string pairs. FormatNone (a custom parser the decoder cannot
-// mirror) keeps the per-record path.
+// Under a built-in format, pre-map samplers resolve hot splits against
+// decoded blocks shared through env.Scan and post-map pools reference
+// those same cached blocks; under a custom parser the samplers parse
+// what they read themselves and share nothing.
 //
 // For post-map sampling this performs the full scan of the owned splits
 // (Algorithm 1 pools every record before drawing), with the per-mapper
@@ -184,10 +213,10 @@ func (x *xformColSource) Weight() int64 { return x.inner.Weight() }
 // records of each cached decoded block are pooled — the block itself is
 // shared and never re-decoded or mutated), and every stream is wrapped
 // so draws deliver transformed post-filter records.
-func NewRecordSources(env *Env, path string, owned [][]dfs.Split, opts Options, seedSalt uint64, format colscan.Format, prog *plan.Program) ([]RecordSource, error) {
+func NewRecordSources(env *Env, path string, owned [][]dfs.Split, opts Options, seedSalt uint64, dec Decode, prog *plan.Program) ([]RecordSource, error) {
 	view := env.View()
 	var version, size int64
-	if format != colscan.FormatNone && opts.Sampler == PostMapSampling {
+	if opts.Sampler == PostMapSampling {
 		var err error
 		if version, err = view.Version(path); err != nil {
 			return nil, err
@@ -198,14 +227,13 @@ func NewRecordSources(env *Env, path string, owned [][]dfs.Split, opts Options, 
 	}
 	sources := make([]RecordSource, len(owned))
 	err := pool.ForEach(len(owned), len(owned), func(idx int) error {
-		wrap := func(inner ColSource, prefiltered bool) RecordSource {
+		wrap := func(inner RecordSource, prefiltered bool) RecordSource {
 			if prog == nil {
 				return inner
 			}
 			return &xformColSource{inner: inner, prog: prog, prefiltered: prefiltered, sc: plan.NewScratch()}
 		}
-		switch {
-		case opts.Sampler == PostMapSampling && format != colscan.FormatNone:
+		if opts.Sampler == PostMapSampling {
 			pmap := sampling.NewPostMapCols(opts.Seed + seedSalt + uint64(idx)*7919)
 			var keepScratch []int32
 			var keepSc *plan.Scratch
@@ -213,13 +241,19 @@ func NewRecordSources(env *Env, path string, owned [][]dfs.Split, opts Options, 
 				keepSc = plan.NewScratch()
 			}
 			for _, sp := range owned[idx] {
-				blk, err := colscan.LoadSplit(env.Scan, view, path, version, size, sp.Offset, sp.Length, format)
+				var blk *colscan.Block
+				var err error
+				if dec.Parser != nil {
+					blk, err = dec.Parser.ParseSplit(view, sp)
+				} else {
+					blk, err = colscan.LoadSplit(env.Scan, view, path, version, size, sp.Offset, sp.Length, dec.Format)
+				}
 				if err != nil {
 					sources[idx] = errSource{err: err}
 					return nil
 				}
-				// The pool conceptually delivered every decoded record
-				// to this mapper, exactly like the line-pool scan.
+				// The pool-filling scan delivered every record of the
+				// split to this mapper.
 				env.Metrics.RecordsRead.Add(int64(blk.NumRecords()))
 				if keepSc != nil {
 					keepScratch = prog.KeepBlock(keepSc, blk, keepScratch[:0])
@@ -229,36 +263,16 @@ func NewRecordSources(env *Env, path string, owned [][]dfs.Split, opts Options, 
 				}
 			}
 			sources[idx] = wrap(postMapColsSource{s: pmap}, keepSc != nil)
-		case opts.Sampler == PostMapSampling:
-			pmap := sampling.NewPostMap(opts.Seed + seedSalt + uint64(idx)*7919)
-			for _, sp := range owned[idx] {
-				rd, err := view.NewLineReader(sp, 0)
-				if err != nil {
-					sources[idx] = errSource{err: err}
-					return nil
-				}
-				for rd.Next() {
-					pmap.Add(fmt.Sprintf("%d", rd.RecordOffset()), rd.Text())
-					env.Metrics.RecordsRead.Add(1)
-				}
-				if rd.Err() != nil {
-					sources[idx] = errSource{err: rd.Err()}
-					return nil
-				}
-			}
-			sources[idx] = postMapSource{s: pmap}
-		default: // pre-map
-			sampler, err := sampling.NewPreMapOwned(view, path, owned[idx], opts.Seed+seedSalt+uint64(idx)*104729)
-			if err != nil {
-				return err
-			}
-			if format != colscan.FormatNone {
-				if err := sampler.EnableColumnar(env.Scan, format); err != nil {
-					return err
-				}
-			}
-			sources[idx] = wrap(preMapSource{s: sampler, metrics: env.Metrics}, false)
+			return nil
 		}
+		sampler, err := sampling.NewPreMapOwned(view, path, owned[idx], opts.Seed+seedSalt+uint64(idx)*104729)
+		if err != nil {
+			return err
+		}
+		if err := dec.enable(sampler, env.Scan); err != nil {
+			return err
+		}
+		sources[idx] = wrap(preMapSource{s: sampler, metrics: env.Metrics}, false)
 		return nil
 	})
 	if err != nil {

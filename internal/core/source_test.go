@@ -6,12 +6,22 @@ import (
 
 	"repro/internal/colscan"
 	"repro/internal/dfs"
+	"repro/internal/jobs"
 	"repro/internal/sampling"
 	"repro/internal/workload"
 )
 
+// customDecode is a scalar job's decode with its ScanFormat stripped:
+// the job's own Parse, applied by the samplers.
+func customDecode() Decode {
+	job := jobs.Mean()
+	job.ScanFormat = colscan.FormatNone
+	return numericDecode(job)
+}
+
 // TestNewRecordSourcesDraws covers both sampler kinds over a healthy
-// cluster: construction succeeds and every source yields records.
+// cluster, on a custom-parser decode: construction succeeds and every
+// source yields parsed records.
 func TestNewRecordSourcesDraws(t *testing.T) {
 	env, _ := testEnv(t, 10_000, workload.Uniform, 101)
 	splits, err := env.FS.Splits("/data", 0)
@@ -20,14 +30,15 @@ func TestNewRecordSourcesDraws(t *testing.T) {
 	}
 	owned := [][]dfs.Split{splits[:len(splits)/2], splits[len(splits)/2:]}
 	for _, sampler := range []SamplerKind{PreMapSampling, PostMapSampling} {
-		sources, err := NewRecordSources(env, "/data", owned, Options{Sampler: sampler, Seed: 7}, 0, colscan.FormatNone, nil)
+		sources, err := NewRecordSources(env, "/data", owned, Options{Sampler: sampler, Seed: 7}, 0, customDecode(), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", sampler, err)
 		}
 		for i, s := range sources {
-			lines, err := s.Draw(5)
-			if err != nil || len(lines) != 5 {
-				t.Fatalf("%s source %d: %d lines, err %v", sampler, i, len(lines), err)
+			var cols colscan.Cols
+			n, err := s.DrawCols(5, &cols)
+			if err != nil || n != 5 || len(cols.Vals) != 5 || len(cols.Keys) != 0 {
+				t.Fatalf("%s source %d: drew %d (%d vals, %d keys), err %v", sampler, i, n, len(cols.Vals), len(cols.Keys), err)
 			}
 			if s.Weight() <= 0 {
 				t.Fatalf("%s source %d: weight %d", sampler, i, s.Weight())
@@ -64,13 +75,13 @@ func TestNewRecordSourcesToleratesDeadScan(t *testing.T) {
 	for i, sp := range splits {
 		owned[i] = []dfs.Split{sp}
 	}
-	sources, err := NewRecordSources(env, "/data", owned, Options{Sampler: PostMapSampling, Seed: 8}, 0, colscan.FormatNone, nil)
+	sources, err := NewRecordSources(env, "/data", owned, Options{Sampler: PostMapSampling, Seed: 8}, 0, customDecode(), nil)
 	if err != nil {
 		t.Fatalf("construction must tolerate dead blocks, got %v", err)
 	}
 	var failed, ok int
 	for _, s := range sources {
-		_, err := s.Draw(1)
+		_, err := s.DrawCols(1, &colscan.Cols{})
 		switch {
 		case err == nil || errors.Is(err, sampling.ErrExhausted):
 			ok++

@@ -29,11 +29,16 @@ type Numeric struct {
 	Name      string
 	Reducer   mr.IncrementalReducer
 	Statistic bootstrap.Statistic
-	// Parse decodes one input line into the job's value.
+	// Parse decodes one input line into the job's value. The exact
+	// (full-scan) path always parses with it; sampled runs do only when
+	// ScanFormat is unset.
 	Parse func(line string) (float64, error)
-	// ScanFormat is the columnar format the vectorized scan path may
-	// decode this job's records with; the zero value (FormatNone) keeps
-	// a custom Parse on the per-record path. Every built-in job reads
+	// ScanFormat is the built-in columnar format that describes this
+	// job's records: sampled runs then decode through colscan, sharing
+	// decoded blocks between runs. The zero value (FormatNone) means
+	// only Parse can read them — the samplers apply it to each line
+	// they read, and its output is validated like a built-in decode
+	// (NaN/±Inf is a bad record). Every built-in job reads
 	// one-float-per-line records and sets FormatNumeric.
 	ScanFormat colscan.Format
 }

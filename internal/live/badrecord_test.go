@@ -21,7 +21,7 @@ func TestRefreshRejectsNaNRecord(t *testing.T) {
 	if err := env.FS.WriteFile("/data", workload.EncodeLinesFixed(base)); err != nil {
 		t.Fatal(err)
 	}
-	q, err := live.Watch(env, jobs.Mean(), "/data", core.Options{
+	q, err := live.WatchMulti(env, []jobs.Numeric{jobs.Mean()}, "/data", core.Options{
 		Seed: 53, ForceB: 8, ForceN: 4000,
 	})
 	if err != nil {

@@ -40,9 +40,9 @@ func WatchGrouped(env *core.Env, job jobs.Numeric, route core.Route, path string
 }
 
 // watchGrouped is the shared grouped watch constructor; a non-nil prog
-// is a compiled query plan whose γ labels the groups (route may be zero
-// then — records decode under the plan's input format). prog nil is the
-// legacy path, bit-identical to the historical WatchGrouped.
+// is a compiled query plan whose γ labels the groups (the route is then
+// unused — records decode under the plan's input format). prog nil is
+// the legacy path, bit-identical to the historical WatchGrouped.
 func watchGrouped(env *core.Env, job jobs.Numeric, route core.Route, path string, opts core.Options, prog *plan.Program) (*GroupedQuery, error) {
 	// Pin the creation run to one commit point, exactly like the scalar
 	// watch constructor; the recorded write generation is the rewrite
@@ -50,16 +50,7 @@ func watchGrouped(env *core.Env, job jobs.Numeric, route core.Route, path string
 	snap := env.FS.Snapshot()
 	defer snap.Release()
 	penv := env.WithData(snap)
-	var rep core.GroupedReport
-	var st *core.GroupedLiveState
-	var err error
-	format := route.Format
-	if prog != nil {
-		rep, st, err = core.RunPlanGroupedLive(penv, job, path, opts, prog)
-		format = prog.InputFormat()
-	} else {
-		rep, st, err = core.RunGroupedLive(penv, job, route, path, opts)
-	}
+	rep, st, err := core.RunGroupedLive(penv, job, route, path, opts, prog)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +64,7 @@ func watchGrouped(env *core.Env, job jobs.Numeric, route core.Route, path string
 			path:     path,
 			opts:     st.Opts,
 			origOpts: opts,
-			format:   format,
+			decode:   st.Decode,
 			prog:     prog,
 			sources:  st.Sources,
 			dry:      make([]bool, len(st.Sources)),
@@ -161,14 +152,7 @@ func (q *GroupedQuery) Refresh() (core.GroupedReport, error) {
 // rewritten file, so identical reports.
 func (q *GroupedQuery) rebuild(snap *dfs.Snapshot) error {
 	penv := q.env.WithData(snap)
-	var rep core.GroupedReport
-	var st *core.GroupedLiveState
-	var err error
-	if q.prog != nil {
-		rep, st, err = core.RunPlanGroupedLive(penv, q.job, q.path, q.origOpts, q.prog)
-	} else {
-		rep, st, err = core.RunGroupedLive(penv, q.job, q.route, q.path, q.origOpts)
-	}
+	rep, st, err := core.RunGroupedLive(penv, q.job, q.route, q.path, q.origOpts, q.prog)
 	if err != nil {
 		return err
 	}

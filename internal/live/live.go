@@ -8,13 +8,17 @@
 // the ingest high-water mark, and the draw/expansion machinery, and is
 // parameterized over a small maintSink abstraction that says how drawn
 // records fold into maintained state and what the current error is.
-// Query folds every record into one resample set per statistic (the
-// scalar case is the one-statistic degenerate form; a multi-statistic
-// watch shares the one sample across all of them); GroupedQuery routes
-// records by key into one resample set per group — grouped is just many
-// sinks' worth of state behind the same refresh loop.
+// Drawn records are parsed column batches (colscan.Cols) whatever
+// decoded them — the retained sources apply a custom parser where they
+// read, exactly as in the initial run — so there is one draw path and
+// one fold per sink. Query folds every record into one resample set per
+// statistic (the scalar case is the one-statistic degenerate form; a
+// multi-statistic watch shares the one sample across all of them);
+// GroupedQuery routes records by key into one resample set per group —
+// grouped is just many sinks' worth of state behind the same refresh
+// loop.
 //
-// A Query is created by Watch (or WatchMulti): it runs the normal
+// A Query is created by WatchMulti (or WatchPlan): it runs the normal
 // early-accurate workflow once, then keeps the run's working state
 // alive — the SSABE plans, the delta-maintained bootstrap resample sets
 // (with every per-resample sketch state), and the per-mapper samplers.
@@ -72,12 +76,8 @@ const refreshSalt = 0x51_7cc1b7_2722_0a95
 // GroupedQuery routes them by key into per-group sets. The shared
 // refresh loop in watchBase is written against this interface alone.
 type maintSink interface {
-	// fold parses the drawn lines and grows the maintained state in
+	// foldCols grows the maintained state by one drawn batch in
 	// canonical order (the determinism contract of the in-run engine).
-	fold(lines []string) error
-	// foldCols is fold for records drawn already decoded (the vectorized
-	// scan path); the grown state is identical to fold's on the same
-	// record sequence.
 	foldCols(cols *colscan.Cols) error
 	// size returns the records currently held in the maintained sample.
 	size() int64
@@ -100,9 +100,9 @@ type watchBase struct {
 	// exactly these, so the rebuilt watch is bit-identical to a fresh
 	// watch opened over the rewritten file.
 	origOpts core.Options
-	// format is the columnar decode format of the watched records;
-	// FormatNone keeps every refresh on the per-record path.
-	format colscan.Format
+	// decode is how the retained sources parse the watched records;
+	// every refresh's new sampler streams are built on the same one.
+	decode core.Decode
 	// prog is the compiled query plan pushed into every refresh's new
 	// sampler streams; nil for legacy (plan-free) watches.
 	prog *plan.Program
@@ -174,7 +174,7 @@ func (b *watchBase) refreshSampled(penv *core.Env, size int64, sk maintSink) err
 	defer func() { core.RepinSources(b.sources, b.env.FS) }()
 	if size > b.synced {
 		newSources, estNew, err := buildRefreshSources(
-			penv, b.path, b.opts, b.format, b.prog, b.synced, size, b.estTotal, b.refreshGen)
+			penv, b.path, b.opts, b.decode, b.prog, b.synced, size, b.estTotal, b.refreshGen)
 		if err != nil {
 			return err
 		}
@@ -226,32 +226,20 @@ func (b *watchBase) refreshSampled(penv *core.Env, size int64, sk maintSink) err
 	return nil
 }
 
-// drawAndFold draws up to total records across sources[from:to] on the
-// query's active path (decoded columns when the watch has a columnar
-// format, parsed lines otherwise) and folds them into the sink,
-// returning how many records were drawn. foldEmpty preserves the delta
-// branch's behaviour of folding even an empty draw (the fold counts a
-// generation); the expansion loop instead checks the count first so an
-// exhausted file terminates it.
+// drawAndFold draws up to total records across sources[from:to] and
+// folds them into the sink, returning how many records were drawn.
+// foldEmpty preserves the delta branch's behaviour of folding even an
+// empty draw (the fold counts a generation); the expansion loop instead
+// checks the count first so an exhausted file terminates it.
 func (b *watchBase) drawAndFold(from, to, total int, sk maintSink, foldEmpty bool) (int, error) {
-	if b.format != colscan.FormatNone {
-		cols, err := b.drawColsAcross(from, to, total)
-		if err != nil {
-			return 0, err
-		}
-		if cols.Len() == 0 && !foldEmpty {
-			return 0, nil
-		}
-		return cols.Len(), sk.foldCols(cols)
-	}
-	lines, err := b.drawAcross(from, to, total)
+	cols, err := b.drawColsAcross(from, to, total)
 	if err != nil {
 		return 0, err
 	}
-	if len(lines) == 0 && !foldEmpty {
+	if cols.Len() == 0 && !foldEmpty {
 		return 0, nil
 	}
-	return len(lines), sk.fold(lines)
+	return cols.Len(), sk.foldCols(cols)
 }
 
 // closeBase releases the retained samplers; the last report stays
@@ -262,108 +250,13 @@ func (b *watchBase) closeBase() {
 	b.dry = nil
 }
 
-// drawAcross draws total records from sources[from:to], apportioned by
-// source weight and drawn concurrently across Options.Parallelism
-// workers. Each source owns a deterministic rng stream and results are
-// concatenated in source order, so the returned lines are identical at
-// any parallelism. Sources that run dry contribute what they have; a
-// second, sequential pass redistributes any shortfall to the remaining
-// live sources.
-func (b *watchBase) drawAcross(from, to, total int) ([]string, error) {
-	type slot struct {
-		idx   int
-		share int
-	}
-	var slots []slot
-	var weightSum int64
-	for i := from; i < to; i++ {
-		if b.dry[i] {
-			continue
-		}
-		w := b.sources[i].Weight()
-		if w <= 0 {
-			continue
-		}
-		slots = append(slots, slot{idx: i})
-		weightSum += w
-	}
-	if len(slots) == 0 || weightSum == 0 {
-		return nil, nil
-	}
-	// Largest-remainder apportionment of total across the live sources.
-	assigned := 0
-	for si := range slots {
-		w := b.sources[slots[si].idx].Weight()
-		slots[si].share = int(int64(total) * w / weightSum)
-		assigned += slots[si].share
-	}
-	for si := 0; assigned < total; si = (si + 1) % len(slots) {
-		slots[si].share++
-		assigned++
-	}
-
-	out := make([][]string, len(slots))
-	workers := pool.Workers(b.opts.Parallelism)
-	err := pool.ForEach(len(slots), workers, func(si int) error {
-		s := slots[si]
-		if s.share == 0 {
-			return nil
-		}
-		lines, dry, err := b.drawOne(s.idx, s.share)
-		if err != nil {
-			return err
-		}
-		if dry {
-			b.dry[s.idx] = true // distinct index per worker: no race
-		}
-		out[si] = lines
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var flat []string
-	for _, ls := range out {
-		flat = append(flat, ls...)
-	}
-	// Redistribute any dry-source shortfall sequentially (deterministic
-	// source order) so expansions still reach their target when possible.
-	for si := range slots {
-		if len(flat) >= total {
-			break
-		}
-		if b.dry[slots[si].idx] {
-			continue
-		}
-		lines, dry, err := b.drawOne(slots[si].idx, total-len(flat))
-		if err != nil {
-			return nil, err
-		}
-		if dry {
-			b.dry[slots[si].idx] = true
-		}
-		flat = append(flat, lines...)
-	}
-	return flat, nil
-}
-
-// drawOne draws up to k lines from source i.
-func (b *watchBase) drawOne(i, k int) (lines []string, dry bool, err error) {
-	lines, err = b.sources[i].Draw(k)
-	if errors.Is(err, sampling.ErrExhausted) {
-		return lines, true, nil
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	return lines, false, nil
-}
-
-// drawColsAcross is drawAcross on the vectorized scan path: the same
-// largest-remainder apportionment over the same per-source rng streams
-// (DrawCols consumes a source's stream exactly as Draw does), with the
-// per-slot column batches concatenated in source order — the record
-// sequence is identical to drawAcross's at any parallelism.
+// drawColsAcross draws total records from sources[from:to], apportioned
+// by source weight and drawn concurrently across Options.Parallelism
+// workers. Each source owns a deterministic rng stream and the per-slot
+// column batches are concatenated in source order, so the returned
+// records are identical at any parallelism. Sources that run dry
+// contribute what they have; a second, sequential pass redistributes
+// any shortfall to the remaining live sources.
 func (b *watchBase) drawColsAcross(from, to, total int) (*colscan.Cols, error) {
 	type slot struct {
 		idx   int
@@ -386,6 +279,7 @@ func (b *watchBase) drawColsAcross(from, to, total int) (*colscan.Cols, error) {
 	if len(slots) == 0 || weightSum == 0 {
 		return flat, nil
 	}
+	// Largest-remainder apportionment of total across the live sources.
 	assigned := 0
 	for si := range slots {
 		w := b.sources[slots[si].idx].Weight()
@@ -416,14 +310,12 @@ func (b *watchBase) drawColsAcross(from, to, total int) (*colscan.Cols, error) {
 	if err != nil {
 		return nil, err
 	}
-	got := 0
 	for i := range out {
 		flat.Keys = append(flat.Keys, out[i].Keys...)
 		flat.Vals = append(flat.Vals, out[i].Vals...)
-		got += out[i].Len()
 	}
 	// Redistribute any dry-source shortfall sequentially (deterministic
-	// source order), exactly like drawAcross.
+	// source order) so expansions still reach their target when possible.
 	for si := range slots {
 		if flat.Len() >= total {
 			break
@@ -444,18 +336,11 @@ func (b *watchBase) drawColsAcross(from, to, total int) (*colscan.Cols, error) {
 
 // drawOneCols draws up to k decoded records from source i into out.
 func (b *watchBase) drawOneCols(i, k int, out *colscan.Cols) (dry bool, err error) {
-	cs, ok := b.sources[i].(core.ColSource)
-	if !ok {
-		return false, fmt.Errorf("live: source %d has no columnar path", i)
-	}
-	_, err = cs.DrawCols(k, out)
+	_, err = b.sources[i].DrawCols(k, out)
 	if errors.Is(err, sampling.ErrExhausted) {
 		return true, nil
 	}
-	if err != nil {
-		return false, err
-	}
-	return false, nil
+	return false, err
 }
 
 // compactSources drops permanently-dry sources so a long-lived watch
@@ -506,7 +391,7 @@ func splitsSince(v dfs.View, path string, splitSize, synced int64) ([]dfs.Split,
 // kept records, and the pre-map mean-record-length estimator divides
 // raw bytes by bytes-per-EFFECTIVE-record (estTotal is effective under
 // a plan), embedding the selectivity without an extra correction.
-func buildRefreshSources(env *core.Env, path string, opts core.Options, format colscan.Format, prog *plan.Program, synced, size, estTotal int64, refreshGen int) ([]core.RecordSource, int64, error) {
+func buildRefreshSources(env *core.Env, path string, opts core.Options, dec core.Decode, prog *plan.Program, synced, size, estTotal int64, refreshGen int) ([]core.RecordSource, int64, error) {
 	splits, err := splitsSince(env.View(), path, opts.SplitSize, synced)
 	if err != nil {
 		return nil, 0, err
@@ -522,7 +407,7 @@ func buildRefreshSources(env *core.Env, path string, opts core.Options, format c
 	for i, sp := range splits {
 		owned[i%m] = append(owned[i%m], sp)
 	}
-	sources, err := core.NewRecordSources(env, path, owned, opts, uint64(refreshGen)*refreshSalt, format, prog)
+	sources, err := core.NewRecordSources(env, path, owned, opts, uint64(refreshGen)*refreshSalt, dec, prog)
 	if err != nil {
 		return nil, 0, err
 	}

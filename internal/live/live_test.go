@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/colscan"
 	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/live"
@@ -51,7 +52,7 @@ func TestWatchAppendRefreshCheaperThanRerun(t *testing.T) {
 	if err := env.FS.WriteFile("/data", workload.EncodeLinesFixed(base)); err != nil {
 		t.Fatal(err)
 	}
-	q, err := live.Watch(env, jobs.Mean(), "/data", core.Options{Sigma: sigma, Seed: 4})
+	q, err := live.WatchMulti(env, []jobs.Numeric{jobs.Mean()}, "/data", core.Options{Sigma: sigma, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestRefreshDeterministicAcrossParallelism(t *testing.T) {
 		if err := env.FS.WriteFile("/data", workload.EncodeLinesFixed(base)); err != nil {
 			t.Fatal(err)
 		}
-		q, err := live.Watch(env, jobs.Mean(), "/data", core.Options{
+		q, err := live.WatchMulti(env, []jobs.Numeric{jobs.Mean()}, "/data", core.Options{
 			Sigma: 0.05, Seed: 6, Parallelism: par,
 		})
 		if err != nil {
@@ -157,7 +158,7 @@ func TestRefreshNoAppendIsNoop(t *testing.T) {
 	if err := env.FS.WriteFile("/data", workload.EncodeLinesFixed(genValues(t, 80_000, 12))); err != nil {
 		t.Fatal(err)
 	}
-	q, err := live.Watch(env, jobs.Mean(), "/data", core.Options{Sigma: 0.05, Seed: 13})
+	q, err := live.WatchMulti(env, []jobs.Numeric{jobs.Mean()}, "/data", core.Options{Sigma: 0.05, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestRefreshReExpandsOnSigmaViolation(t *testing.T) {
 	if err := env.FS.WriteFile("/data", workload.EncodeLinesFixed(base)); err != nil {
 		t.Fatal(err)
 	}
-	q, err := live.Watch(env, jobs.Mean(), "/data", core.Options{Sigma: 0.05, Seed: 23})
+	q, err := live.WatchMulti(env, []jobs.Numeric{jobs.Mean()}, "/data", core.Options{Sigma: 0.05, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestWatchExactFallbackMaintained(t *testing.T) {
 	if err := env.FS.WriteFile("/data", workload.EncodeLinesFixed(base)); err != nil {
 		t.Fatal(err)
 	}
-	q, err := live.Watch(env, jobs.Mean(), "/data", core.Options{Sigma: 0.05, Seed: 33})
+	q, err := live.WatchMulti(env, []jobs.Numeric{jobs.Mean()}, "/data", core.Options{Sigma: 0.05, Seed: 33})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func TestRefreshPostMapSampler(t *testing.T) {
 	if err := env.FS.WriteFile("/data", workload.EncodeLinesFixed(base)); err != nil {
 		t.Fatal(err)
 	}
-	q, err := live.Watch(env, jobs.Mean(), "/data", core.Options{
+	q, err := live.WatchMulti(env, []jobs.Numeric{jobs.Mean()}, "/data", core.Options{
 		Sigma: 0.05, Seed: 43, Sampler: core.PostMapSampling,
 	})
 	if err != nil {
@@ -302,7 +303,7 @@ func TestRefreshAfterRewriteAndClose(t *testing.T) {
 	if err := env.FS.WriteFile("/data", workload.EncodeLinesFixed(genValues(t, 50_000, 52))); err != nil {
 		t.Fatal(err)
 	}
-	q, err := live.Watch(env, jobs.Mean(), "/data", opts)
+	q, err := live.WatchMulti(env, []jobs.Numeric{jobs.Mean()}, "/data", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +322,7 @@ func TestRefreshAfterRewriteAndClose(t *testing.T) {
 	if err := env2.FS.WriteFile("/data", rewritten); err != nil {
 		t.Fatal(err)
 	}
-	q2, err := live.Watch(env2, jobs.Mean(), "/data", opts)
+	q2, err := live.WatchMulti(env2, []jobs.Numeric{jobs.Mean()}, "/data", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,6 +531,83 @@ func TestWatchMultiRefreshSharedSample(t *testing.T) {
 	for _, rep := range reps {
 		if rep.SampleSize != reps[0].SampleSize {
 			t.Fatalf("statistics diverged in maintained sample size")
+		}
+	}
+}
+
+// TestCustomParserWatchMatchesBuiltinFormat pins the maintained side of
+// "nothing behind the samplers can tell how a record was decoded": a
+// watch opened through a custom parser (a job with its ScanFormat
+// stripped; Route{Parse: TabKV}), then appended to and refreshed, reports
+// exactly what the built-in format's watch does — initial answer and
+// refreshed answer, scalar/multi and grouped, under both samplers, at
+// any Parallelism.
+func TestCustomParserWatchMatchesBuiltinFormat(t *testing.T) {
+	kv := func(xs []float64) []byte {
+		var buf []byte
+		for i, x := range xs {
+			buf = append(buf, fmt.Sprintf("%s\t%012.6f\n", []string{"api", "db", "web"}[i%3], x)...)
+		}
+		return buf
+	}
+	type result struct {
+		first, refreshed   []core.Report
+		gFirst, gRefreshed core.GroupedReport
+	}
+	for _, sampler := range []core.SamplerKind{core.PreMapSampling, core.PostMapSampling} {
+		for _, par := range []int{1, 4} {
+			run := func(custom bool) result {
+				env := newEnv(t, 81)
+				base, delta := genValues(t, 60_000, 82), genValues(t, 20_000, 83)
+				if err := env.FS.WriteFile("/data", workload.EncodeLinesFixed(base)); err != nil {
+					t.Fatal(err)
+				}
+				if err := env.FS.WriteFile("/kv", kv(base)); err != nil {
+					t.Fatal(err)
+				}
+				jset := []jobs.Numeric{jobs.Mean(), jobs.Median()}
+				route := core.TabRoute()
+				if custom {
+					for i := range jset {
+						jset[i].ScanFormat = colscan.FormatNone
+					}
+					route = core.Route{Parse: core.TabKV}
+				}
+				opts := core.Options{Sigma: 0.03, Seed: 84, Sampler: sampler, Parallelism: par}
+				q, err := live.WatchMulti(env, jset, "/data", opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer q.Close()
+				gq, err := live.WatchGrouped(env, jobs.Mean(), route, "/kv", opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer gq.Close()
+				res := result{first: q.Reports(), gFirst: gq.Report()}
+				if res.first[0].UsedFull {
+					t.Fatalf("want a sampled watch, got %+v", res.first[0])
+				}
+				if err := env.FS.Append("/data", workload.EncodeLinesFixed(delta)); err != nil {
+					t.Fatal(err)
+				}
+				if err := env.FS.Append("/kv", kv(delta)); err != nil {
+					t.Fatal(err)
+				}
+				if res.refreshed, err = q.RefreshAll(); err != nil {
+					t.Fatal(err)
+				}
+				if res.gRefreshed, err = gq.Refresh(); err != nil {
+					t.Fatal(err)
+				}
+				if res.refreshed[0].SampleSize <= res.first[0].SampleSize {
+					t.Fatalf("refresh folded nothing: %d → %d records", res.first[0].SampleSize, res.refreshed[0].SampleSize)
+				}
+				return res
+			}
+			if builtin, custom := run(false), run(true); !reflect.DeepEqual(builtin, custom) {
+				t.Fatalf("%s par=%d: custom-parser watch diverged:\n%+v\n%+v", sampler, par, builtin, custom)
+			}
 		}
 	}
 }

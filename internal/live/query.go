@@ -29,17 +29,12 @@ type Query struct {
 	last        []core.Report // aligned with jobs
 }
 
-// Watch runs job over path once (exactly like core.Run) and returns a
-// handle that keeps the answer maintainable under appended data.
-func Watch(env *core.Env, job jobs.Numeric, path string, opts core.Options) (*Query, error) {
-	return WatchMulti(env, []jobs.Numeric{job}, path, opts)
-}
-
-// WatchMulti runs a multi-statistic shared-pass query once (exactly
-// like core.RunMulti: one pilot, one sample, one pass) and keeps every
-// statistic's resample set maintainable under appended data. The
-// statistics share the maintained sample, so a refresh costs one delta
-// scan regardless of how many statistics ride the watch.
+// WatchMulti runs a shared-pass query over one or more statistics once
+// (exactly like core.RunMulti: one pilot, one sample, one pass) and
+// returns a handle that keeps every statistic's resample set
+// maintainable under appended data. The statistics share the maintained
+// sample, so a refresh costs one delta scan regardless of how many
+// statistics ride the watch.
 func WatchMulti(env *core.Env, jset []jobs.Numeric, path string, opts core.Options) (*Query, error) {
 	return watchMulti(env, jset, path, opts, nil)
 }
@@ -57,10 +52,10 @@ func watchMulti(env *core.Env, jset []jobs.Numeric, path string, opts core.Optio
 	snap := env.FS.Snapshot()
 	defer snap.Release()
 	penv := env.WithData(snap)
-	// RunPlanMultiLiveDeferExact skips the exact MR jobs on the fall-back
-	// path: the incremental scan below produces the same answers in one
-	// pass and leaves a maintainable state behind.
-	reps, st, err := core.RunPlanMultiLiveDeferExact(penv, jset, path, opts, prog)
+	// deferExact skips the exact MR jobs on the fall-back path: the
+	// incremental scan below produces the same answers in one pass and
+	// leaves a maintainable state behind.
+	reps, st, err := core.RunScalarLive(penv, jset, path, opts, prog, true)
 	if err != nil {
 		return nil, err
 	}
@@ -68,17 +63,13 @@ func watchMulti(env *core.Env, jset []jobs.Numeric, path string, opts core.Optio
 	if err != nil {
 		return nil, err
 	}
-	format := jset[0].ScanFormat
-	if prog != nil {
-		format = prog.InputFormat()
-	}
 	q := &Query{
 		watchBase: watchBase{
 			env:      env,
 			path:     path,
 			opts:     st.Opts,
 			origOpts: opts,
-			format:   format,
+			decode:   st.Decode,
 			prog:     prog,
 			sources:  st.Sources,
 			dry:      make([]bool, len(st.Sources)),
@@ -216,7 +207,7 @@ func (q *Query) RefreshAll() ([]core.Report, error) {
 // Watch over the rewritten file, so the rebuilt reports are too.
 func (q *Query) rebuild(snap *dfs.Snapshot) error {
 	penv := q.env.WithData(snap)
-	reps, st, err := core.RunPlanMultiLiveDeferExact(penv, q.jobs, q.path, q.origOpts, q.prog)
+	reps, st, err := core.RunScalarLive(penv, q.jobs, q.path, q.origOpts, q.prog, true)
 	if err != nil {
 		return err
 	}

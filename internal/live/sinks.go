@@ -1,7 +1,6 @@
 package live
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -19,35 +18,10 @@ import (
 // in-run statSink.
 type statFold Query
 
-// fold parses one delta batch into pooled scratch and batch-grows every
-// statistic's resample set.
-//
-//earl:hotpath
-func (s *statFold) fold(lines []string) error {
-	q := (*Query)(s)
-	// Parse into the query's reusable scratch (mu is held): refreshes on
-	// a long-lived watch fold many small deltas, and the maintainers
-	// batch-apply the slice without retaining it.
-	vals := q.scratch.Take(len(lines))
-	for _, line := range lines {
-		v, err := q.jobs[0].Parse(line)
-		if err != nil {
-			return fmt.Errorf("live: parse: %w", err)
-		}
-		vals = append(vals, v)
-	}
-	sort.Float64s(vals)
-	for _, st := range q.stats {
-		if err := st.Maint.Grow(vals); err != nil {
-			return err
-		}
-	}
-	q.generations++
-	return nil
-}
-
-// foldCols is fold for an already-decoded delta batch — the vectorized
-// scan path skips the per-record parse entirely.
+// foldCols copies one delta batch into pooled scratch (mu is held:
+// refreshes on a long-lived watch fold many small deltas, and the
+// maintainers batch-apply the slice without retaining it) and
+// batch-grows every statistic's resample set.
 //
 //earl:hotpath
 func (s *statFold) foldCols(cols *colscan.Cols) error {
@@ -99,24 +73,9 @@ func measureOf(opts core.Options, maint core.Resampler) float64 {
 // contract), with brand-new keys opened under their key-derived seeds.
 type groupFold GroupedQuery
 
-func (g *groupFold) fold(lines []string) error {
-	q := (*GroupedQuery)(g)
-	// Route into the query's reusable scratch (mu is held): buffers of
-	// keys seen in earlier folds are emptied and refilled, mirroring the
-	// scalar path's scratch reuse.
-	groups := q.takeGroupScratch()
-	for _, line := range lines {
-		key, v, perr := q.route.Parse(line)
-		if perr != nil {
-			return fmt.Errorf("live: parse: %w", perr)
-		}
-		groups[key] = append(groups[key], v)
-	}
-	return g.growGroups(groups)
-}
-
-// foldCols is fold for an already-decoded delta batch: the keys arrive
-// interned from the columnar decoder, so routing is map inserts only.
+// foldCols routes one delta batch into the query's reusable scratch (mu
+// is held): buffers of keys seen in earlier folds are emptied and
+// refilled, mirroring the scalar path's scratch reuse.
 //
 //earl:hotpath
 func (g *groupFold) foldCols(cols *colscan.Cols) error {

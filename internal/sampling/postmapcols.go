@@ -7,14 +7,16 @@ import (
 	"repro/internal/colscan"
 )
 
-// PostMapCols is the post-map sampler (Algorithm 1) over decoded
-// columnar blocks: instead of pooling one parsed string pair per record
-// (the PostMap shape — two allocations and ~50 bytes of header per
-// record), the map-side scan decodes each split into one shared block
-// and the pool is a flat slice of 8-byte (block, record) references.
-// Draws are the same incremental Fisher–Yates shuffle as PostMap —
-// without replacement, ErrExhausted when dry — and deliver parsed
-// columns straight to the engine's batch route.
+// PostMapCols implements the paper's Algorithm 1: the map side reads and
+// parses *all* input, pools the records, and then repeatedly sends
+// uniform without-replacement subsets downstream until the error is low
+// enough. Compared to PreMap it pays the full load cost but knows the
+// exact record count, so result correction is exact (§3.3, §6.5). The
+// map-side scan decodes each split into one shared columnar block and
+// the pool is a flat slice of 8-byte (block, record) references; draws
+// are an incremental Fisher–Yates shuffle ("the key, value pairs already
+// sent are removed from the hashmap") that delivers parsed columns
+// straight to the engine's batch route.
 type PostMapCols struct {
 	blocks []*colscan.Block
 	refs   []colRef
@@ -27,16 +29,13 @@ type colRef struct {
 	rec int32
 }
 
-// NewPostMapCols builds an empty columnar pool with its own seeded rng
-// stream (the same stream constant as PostMap: a fixed seed draws the
-// same record permutation on either representation of the pool).
+// NewPostMapCols builds an empty pool with its own seeded rng stream.
 func NewPostMapCols(seed uint64) *PostMapCols {
 	return &PostMapCols{rng: rand.New(rand.NewPCG(seed, 0x3c6ef372fe94f82b))}
 }
 
 // AddBlock pools every record of one decoded split. Blocks are added
-// in split order before the first draw, mirroring PostMap's scan-order
-// Add calls.
+// in split order before the first draw.
 func (s *PostMapCols) AddBlock(b *colscan.Block) {
 	bi := int32(len(s.blocks))
 	s.blocks = append(s.blocks, b)

@@ -64,6 +64,11 @@ type PreMap struct {
 	version   int64
 	blocks    []*colscan.Block // per owned split, lazily resolved
 	hits      []int            // per owned split: seek-path resolutions so far
+
+	// parser (EnableParser) decodes SampleCols draws with a custom parser
+	// instead of a built-in format: every draw stays a positioned read,
+	// and no split is ever promoted to a cached block.
+	parser *Parser
 }
 
 // decodeAfterHits is the floor of the per-split hot threshold: below
@@ -158,6 +163,12 @@ func (s *PreMap) EnableColumnar(cache *colscan.Cache, format colscan.Format) err
 	return nil
 }
 
+// EnableParser is EnableColumnar for records only a custom parser can
+// decode: SampleCols parses each drawn line through p. The record
+// sequence a fixed seed produces is the Sample path's, as under
+// EnableColumnar.
+func (s *PreMap) EnableParser(p *Parser) { s.parser = p }
+
 // Sample draws n additional distinct lines uniformly at random, extending
 // the sample drawn so far (sampling without replacement across calls). It
 // returns fewer than n records only with ErrExhausted.
@@ -171,10 +182,10 @@ func (s *PreMap) Sample(n int) ([]Record, error) {
 // appended to out as parsed columns (values, plus keys under FormatKV),
 // validated by the colscan decoder (NaN/±Inf reject). It returns the
 // number of records appended; fewer than n only with ErrExhausted.
-// EnableColumnar must have been called.
+// EnableColumnar or EnableParser must have been called.
 func (s *PreMap) SampleCols(n int, out *colscan.Cols) (int, error) {
-	if s.colFormat == colscan.FormatNone {
-		return 0, errors.New("sampling: SampleCols before EnableColumnar")
+	if s.colFormat == colscan.FormatNone && s.parser == nil {
+		return 0, errors.New("sampling: SampleCols before EnableColumnar or EnableParser")
 	}
 	before := out.Len()
 	err := s.sampleLoop(n, nil, out)
@@ -204,7 +215,7 @@ func (s *PreMap) sampleLoop(n int, recs *[]Record, cols *colscan.Cols) error {
 		// (a random split weighted by its length, then a random position
 		// inside it — the paper's per-split bookkeeping).
 		pos, si := s.ownedPos(s.rng.Int64N(s.owned))
-		if cols != nil {
+		if cols != nil && s.parser == nil {
 			blk, err := s.blockFor(si)
 			if err != nil {
 				return err
@@ -246,7 +257,12 @@ func (s *PreMap) sampleLoop(n int, recs *[]Record, cols *colscan.Cols) error {
 			continue
 		}
 		if cols != nil {
-			if err := colscan.AppendParsedLine(cols, s.colFormat, line); err != nil {
+			if s.parser != nil {
+				err = s.parser.appendLine(cols, line)
+			} else {
+				err = colscan.AppendParsedLine(cols, s.colFormat, line)
+			}
+			if err != nil {
 				return err
 			}
 		} else {

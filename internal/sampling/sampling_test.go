@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strconv"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/colscan"
 	"repro/internal/dfs"
 	"repro/internal/simcost"
 	"repro/internal/workload"
@@ -189,35 +191,51 @@ func TestPreMapEmptyFile(t *testing.T) {
 	}
 }
 
-func TestPostMapDrawWithoutReplacement(t *testing.T) {
-	s := NewPostMap(3)
-	for i := 0; i < 100; i++ {
-		s.Add(fmt.Sprintf("k%d", i), strconv.Itoa(i))
-	}
-	if s.Total() != 100 {
-		t.Fatalf("total = %d", s.Total())
-	}
-	seen := map[string]bool{}
-	for round := 0; round < 4; round++ {
-		recs, err := s.Draw(25)
+// indexPool pools n records whose values are their own indices, cut into
+// blocks of perBlock records.
+func indexPool(t testing.TB, seed uint64, n, perBlock int) *PostMapCols {
+	t.Helper()
+	s := NewPostMapCols(seed)
+	for lo := 0; lo < n; lo += perBlock {
+		hi := min(lo+perBlock, n)
+		starts := make([]int64, hi-lo)
+		vals := make([]float64, hi-lo)
+		for i := range vals {
+			starts[i] = int64(2 * (lo + i))
+			vals[i] = float64(lo + i)
+		}
+		blk, err := colscan.NewBlock(colscan.FormatNumeric, starts, int64(2*hi-1), vals, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range recs {
-			if seen[r.Key] {
-				t.Fatalf("key %s drawn twice", r.Key)
+		s.AddBlock(blk)
+	}
+	return s
+}
+
+func TestPostMapDrawWithoutReplacement(t *testing.T) {
+	s := indexPool(t, 3, 100, 30)
+	if s.Total() != 100 {
+		t.Fatalf("total = %d", s.Total())
+	}
+	seen := map[float64]bool{}
+	for round := 0; round < 4; round++ {
+		var cols colscan.Cols
+		if n, err := s.DrawCols(25, &cols); err != nil || n != 25 {
+			t.Fatalf("drew %d, err %v", n, err)
+		}
+		for _, v := range cols.Vals {
+			if seen[v] {
+				t.Fatalf("record %v drawn twice", v)
 			}
-			seen[r.Key] = true
+			seen[v] = true
 		}
 	}
 	if len(seen) != 100 {
 		t.Fatalf("drew %d distinct, want 100", len(seen))
 	}
-	if _, err := s.Draw(1); !errors.Is(err, ErrExhausted) {
+	if _, err := s.DrawCols(1, &colscan.Cols{}); !errors.Is(err, ErrExhausted) {
 		t.Fatalf("err = %v, want ErrExhausted", err)
-	}
-	if s.Fraction() != 1.0 {
-		t.Fatalf("fraction = %v", s.Fraction())
 	}
 	s.Reset()
 	if s.Remaining() != 100 {
@@ -231,17 +249,13 @@ func TestPostMapUniformity(t *testing.T) {
 	const n, k, trials = 200, 20, 3000
 	counts := make([]int, n)
 	for trial := 0; trial < trials; trial++ {
-		s := NewPostMap(uint64(trial))
-		for i := 0; i < n; i++ {
-			s.Add(strconv.Itoa(i), "")
-		}
-		recs, err := s.Draw(k)
-		if err != nil {
+		s := indexPool(t, uint64(trial), n, 64)
+		var cols colscan.Cols
+		if _, err := s.DrawCols(k, &cols); err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range recs {
-			i, _ := strconv.Atoi(r.Key)
-			counts[i]++
+		for _, v := range cols.Vals {
+			counts[int(v)]++
 		}
 	}
 	want := float64(trials) * float64(k) / float64(n)
@@ -253,11 +267,62 @@ func TestPostMapUniformity(t *testing.T) {
 }
 
 func TestPostMapNegativeDraw(t *testing.T) {
-	s := NewPostMap(1)
-	s.Add("k", "v")
-	recs, err := s.Draw(-5)
-	if err != nil || len(recs) != 0 {
-		t.Fatalf("negative draw = %v, %v", recs, err)
+	s := indexPool(t, 1, 1, 1)
+	var cols colscan.Cols
+	if n, err := s.DrawCols(-5, &cols); err != nil || n != 0 || cols.Len() != 0 {
+		t.Fatalf("negative draw = %d (%d records), %v", n, cols.Len(), err)
+	}
+}
+
+// TestParserMatchesBuiltinDecode pins the custom-parser read sites
+// against the built-in decoder on the same bytes: a fixed seed draws the
+// same pre-map record sequence through EnableParser as through
+// EnableColumnar, and ParseSplit builds the block colscan.Decode does.
+func TestParserMatchesBuiltinDecode(t *testing.T) {
+	fsys, _, _ := fixtureFS(t, 3000, false)
+	p := &Parser{Parse: func(line string) (string, float64, error) {
+		v, err := strconv.ParseFloat(line, 64)
+		return "", v, err
+	}}
+	draw := func(enable func(*PreMap) error) []float64 {
+		s, err := NewPreMap(fsys, "/data", 0, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := enable(s); err != nil {
+			t.Fatal(err)
+		}
+		var cols colscan.Cols
+		for i := 0; i < 3; i++ {
+			if _, err := s.SampleCols(400, &cols); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return cols.Vals
+	}
+	builtin := draw(func(s *PreMap) error { return s.EnableColumnar(nil, colscan.FormatNumeric) })
+	custom := draw(func(s *PreMap) error { s.EnableParser(p); return nil })
+	if !reflect.DeepEqual(builtin, custom) {
+		t.Fatal("pre-map draws through a custom parser diverged from the built-in format")
+	}
+
+	size, _ := fsys.Stat("/data")
+	splits, err := fsys.Splits("/data", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range splits {
+		want, err := colscan.Decode(fsys, "/data", size, sp.Offset, sp.Length, colscan.FormatNumeric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.ParseSplit(fsys, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("split %v: ParseSplit block differs from Decode", sp)
+		}
 	}
 }
 
