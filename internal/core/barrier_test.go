@@ -137,7 +137,7 @@ func TestKillNodeWhileMappersParked(t *testing.T) {
 	spec := engineSpec{
 		Name: "earl-parked", Sinks: []ResultSink{gate},
 		InitialN: 400, MaxN: 50_000,
-		Decode: numericDecode(job), Key: job.Name,
+		Decode: ScalarDecode(job, nil), Key: job.Name,
 	}
 	type outcome struct {
 		res engineResult

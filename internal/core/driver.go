@@ -140,7 +140,6 @@ type LiveState struct {
 	EstTotal    int64          // estimated records covered so far
 	SyncedBytes int64          // file bytes covered (the ingest high-water mark)
 	Sources     []RecordSource // retained per-mapper samplers (without-replacement across refreshes)
-	Decode      Decode         // how Sources parse records; streams over appended data must match
 	Opts        Options        // with defaults applied
 	Generations int            // Grow generations applied so far
 	SelSE       float64        // relative std. error of the filtered-subpopulation size estimate (0 = exact)
@@ -231,13 +230,8 @@ func RunScalarLive(env *Env, jset []jobs.Numeric, path string, opts Options, pro
 	}
 	// The pilot decodes records exactly as the sampled job that follows
 	// will (under a built-in format it shares env.Scan's decoded blocks
-	// with that job, and with every other run over the file). A plan run
-	// scans under the plan's own input format: the filter may read the
-	// key column even though the statistics only see numbers.
-	dec := numericDecode(jset[0])
-	if prog != nil {
-		dec = Decode{Format: prog.InputFormat()}
-	}
+	// with that job, and with every other run over the file).
+	dec := ScalarDecode(jset[0], prog)
 	pilotSc := plan.NewScratch()
 	if err := dec.enable(pilotSampler, env.Scan); err != nil {
 		return nil, nil, err
@@ -498,7 +492,6 @@ func runSampledJob(env *Env, jset []jobs.Numeric, path string, opts Options, pla
 		EstTotal:    estTotal,
 		SyncedBytes: syncedBytes,
 		Sources:     res.Sources,
-		Decode:      dec,
 		Opts:        opts,
 		Generations: res.Generations,
 		SelSE:       selSE,

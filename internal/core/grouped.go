@@ -38,7 +38,6 @@ func RunGrouped(env *Env, job jobs.Numeric, route Route, path string, opts Optio
 type GroupedLiveState struct {
 	Maints      map[string]*delta.Maintainer
 	Sources     []RecordSource
-	Decode      Decode // how Sources parse records; streams over appended data must match
 	EstTotal    int64
 	SyncedBytes int64
 	B           int
@@ -60,14 +59,9 @@ func RunGroupedLive(env *Env, job jobs.Numeric, route Route, path string, opts O
 	if job.Reducer == nil {
 		return GroupedReport{}, nil, errors.New("core: job needs a Reducer")
 	}
-	var dec Decode
-	if prog != nil {
-		dec = Decode{Format: prog.InputFormat()}
-	} else {
-		var err error
-		if dec, err = route.decode(); err != nil {
-			return GroupedReport{}, nil, err
-		}
+	dec, err := GroupedDecode(route, prog)
+	if err != nil {
+		return GroupedReport{}, nil, err
 	}
 	size, err := env.View().Stat(path)
 	if err != nil {
@@ -168,7 +162,6 @@ func RunGroupedLive(env *Env, job jobs.Numeric, route Route, path string, opts O
 	st := &GroupedLiveState{
 		Maints:      maints,
 		Sources:     res.Sources,
-		Decode:      dec,
 		EstTotal:    estTotal,
 		SyncedBytes: size,
 		B:           b,

@@ -74,21 +74,34 @@ type Decode struct {
 	Parser *sampling.Parser
 }
 
-// decode resolves the route, rejecting one that sets both fields or
-// neither.
-func (r Route) decode() (Decode, error) {
-	if (r.Parse != nil) == (r.Format != colscan.FormatNone) {
+// GroupedDecode resolves how a grouped run over route (and an optional
+// plan) decodes records: the plan's input format when there is a plan,
+// else the route's one set field. A route that sets both fields or
+// neither is rejected.
+func GroupedDecode(route Route, prog *plan.Program) (Decode, error) {
+	if prog != nil {
+		return Decode{Format: prog.InputFormat()}, nil
+	}
+	if (route.Parse != nil) == (route.Format != colscan.FormatNone) {
 		return Decode{}, errors.New("core: Route needs exactly one of Parse (a custom parser) or Format (a built-in format)")
 	}
-	if r.Parse != nil {
-		return Decode{Parser: &sampling.Parser{Parse: r.Parse, Keyed: true}}, nil
+	if route.Parse != nil {
+		return Decode{Parser: &sampling.Parser{Parse: route.Parse, Keyed: true}}, nil
 	}
-	return Decode{Format: r.Format}, nil
+	return Decode{Format: route.Format}, nil
 }
 
-// numericDecode resolves a scalar job's decode: its ScanFormat, or —
-// for a job without one — its own Parse, adapted as a custom parser.
-func numericDecode(job jobs.Numeric) Decode {
+// ScalarDecode resolves how a scalar run of job (and an optional plan)
+// decodes records: the plan's input format when there is a plan (the
+// filter may read the key column even though the statistics only see
+// numbers), else the job's ScanFormat, or — for a job without one — its
+// own Parse, adapted as a custom parser. It is a pure function of its
+// arguments, so a maintained query re-derives it rather than carrying a
+// copy out of the run.
+func ScalarDecode(job jobs.Numeric, prog *plan.Program) Decode {
+	if prog != nil {
+		return Decode{Format: prog.InputFormat()}
+	}
 	if job.ScanFormat != colscan.FormatNone {
 		return Decode{Format: job.ScanFormat}
 	}

@@ -16,7 +16,7 @@ import (
 func customDecode() Decode {
 	job := jobs.Mean()
 	job.ScanFormat = colscan.FormatNone
-	return numericDecode(job)
+	return ScalarDecode(job, nil)
 }
 
 // TestNewRecordSourcesDraws covers both sampler kinds over a healthy

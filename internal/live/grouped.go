@@ -58,13 +58,17 @@ func watchGrouped(env *core.Env, job jobs.Numeric, route core.Route, path string
 	if err != nil {
 		return nil, err
 	}
+	dec, err := core.GroupedDecode(route, prog)
+	if err != nil {
+		return nil, err
+	}
 	q := &GroupedQuery{
 		watchBase: watchBase{
 			env:      env,
 			path:     path,
 			opts:     st.Opts,
 			origOpts: opts,
-			decode:   st.Decode,
+			decode:   dec,
 			prog:     prog,
 			sources:  st.Sources,
 			dry:      make([]bool, len(st.Sources)),

@@ -100,8 +100,10 @@ type watchBase struct {
 	// exactly these, so the rebuilt watch is bit-identical to a fresh
 	// watch opened over the rewritten file.
 	origOpts core.Options
-	// decode is how the retained sources parse the watched records;
-	// every refresh's new sampler streams are built on the same one.
+	// decode is how the watched records are parsed, derived once from
+	// the watch's fixed inputs (job or route, prog) — so it holds
+	// whichever path the creation run or a rebuild takes, and every
+	// refresh's new sampler streams are built on the same one.
 	decode core.Decode
 	// prog is the compiled query plan pushed into every refresh's new
 	// sampler streams; nil for legacy (plan-free) watches.

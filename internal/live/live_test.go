@@ -611,3 +611,61 @@ func TestCustomParserWatchMatchesBuiltinFormat(t *testing.T) {
 		}
 	}
 }
+
+// TestExactWatchRewrittenLargeThenRefreshed: a watch that opens on the
+// exact fall-back (tiny file) and is rebuilt sampled by a rewrite still
+// knows how to decode data appended after that — under both samplers,
+// and through a custom parser exactly as through the built-in format.
+func TestExactWatchRewrittenLargeThenRefreshed(t *testing.T) {
+	tiny, big, delta := genValues(t, 50, 95), genValues(t, 80_000, 92), genValues(t, 20_000, 93)
+	truth, _ := stats.Mean(append(append([]float64(nil), big...), delta...))
+	for _, sampler := range []core.SamplerKind{core.PreMapSampling, core.PostMapSampling} {
+		run := func(custom bool) []core.Report {
+			jset := []jobs.Numeric{jobs.Mean(), jobs.Median()}
+			if custom {
+				for i := range jset {
+					jset[i].ScanFormat = colscan.FormatNone
+				}
+			}
+			env := newEnv(t, 91)
+			if err := env.FS.WriteFile("/data", workload.EncodeLinesFixed(tiny)); err != nil {
+				t.Fatal(err)
+			}
+			q, err := live.WatchMulti(env, jset, "/data", core.Options{Sigma: 0.03, Seed: 94, Sampler: sampler})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer q.Close()
+			if !q.Report().UsedFull {
+				t.Fatalf("tiny data should use the exact path: %+v", q.Report())
+			}
+			if err := env.FS.WriteFile("/data", workload.EncodeLinesFixed(big)); err != nil {
+				t.Fatal(err)
+			}
+			rebuilt, err := q.RefreshAll()
+			if err != nil {
+				t.Fatalf("refresh after rewrite: %v", err)
+			}
+			if rebuilt[0].UsedFull {
+				t.Fatalf("want a sampled watch over the rewritten file, got %+v", rebuilt[0])
+			}
+			if err := env.FS.Append("/data", workload.EncodeLinesFixed(delta)); err != nil {
+				t.Fatal(err)
+			}
+			reps, err := q.RefreshAll()
+			if err != nil {
+				t.Fatalf("%s custom=%v: refresh after rewrite + append: %v", sampler, custom, err)
+			}
+			if reps[0].SampleSize <= rebuilt[0].SampleSize {
+				t.Fatalf("refresh folded nothing: %d → %d records", rebuilt[0].SampleSize, reps[0].SampleSize)
+			}
+			if rel := math.Abs(reps[0].Estimate-truth) / truth; rel > 0.1 {
+				t.Fatalf("refreshed mean %v vs truth %v", reps[0].Estimate, truth)
+			}
+			return reps
+		}
+		if builtin, custom := run(false), run(true); !reflect.DeepEqual(builtin, custom) {
+			t.Fatalf("%s: custom-parser watch diverged:\n%+v\n%+v", sampler, builtin, custom)
+		}
+	}
+}

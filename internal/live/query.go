@@ -69,7 +69,7 @@ func watchMulti(env *core.Env, jset []jobs.Numeric, path string, opts core.Optio
 			path:     path,
 			opts:     st.Opts,
 			origOpts: opts,
-			decode:   st.Decode,
+			decode:   core.ScalarDecode(jset[0], prog),
 			prog:     prog,
 			sources:  st.Sources,
 			dry:      make([]bool, len(st.Sources)),
