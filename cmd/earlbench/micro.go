@@ -14,6 +14,7 @@ import (
 
 	"math/rand/v2"
 
+	"repro/internal/aes"
 	"repro/internal/bootstrap"
 	"repro/internal/colscan"
 	"repro/internal/colseg"
@@ -29,7 +30,7 @@ import (
 // microResult is one micro-benchmark measurement in the benchmark
 // trajectory file (BENCH_<pr>.json) CI publishes per run.
 type microResult struct {
-	Family      string  `json:"family"` // bootstrap | delta | sampling | scan_decode | colseg | engine | plan | journal | ingest
+	Family      string  `json:"family"` // bootstrap | delta | aes | sampling | dfs | scan_decode | colseg | engine | plan | journal | ingest
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	Iterations  int     `json:"iterations"`
@@ -250,6 +251,23 @@ func runMicro() (microReport, error) {
 	// the structure the allocation-free rework targets hardest.
 	add("delta", "MaintainerGrowMedian/n=4096/B=30/gens=4", growBench(false, jobs.Median()))
 
+	// --- Family 2b: planning (SSABE over a pilot, §3.2). --------------
+	// What a sampled query pays before it reads its first sample record:
+	// phase 1's B search plus phase 2's three delta-maintained replicates
+	// over the pilot — mean for the Welford lane kernels, median for the
+	// reducers that take the generic per-state loop.
+	for _, job := range []jobs.Numeric{jobs.Mean(), jobs.Median()} {
+		job := job
+		add("aes", fmt.Sprintf("SSABE/%s/pilot=%d", job.Name, len(xs)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := aes.SSABE(xs, 1_000_000, aes.Config{Reducer: job.Reducer, Sigma: 0.05, Seed: uint64(i), Key: "b"}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+
 	// --- Family 3: pre-map sampling (Algorithm 2 seek path). ---------
 	fsys := dfs.New(dfs.Config{BlockSize: 1 << 16, Replication: 2, DataNodes: 5, Seed: 1})
 	sv, err := workload.NumericSpec{Dist: workload.Uniform, N: 200_000, Seed: 1}.Generate()
@@ -271,6 +289,30 @@ func runMicro() (microReport, error) {
 			}
 		}
 	})
+
+	// The pilot's unit of work: one positioned read of one 19-byte record
+	// out of 1 M. Its only allocation is the record it returns — the
+	// window around the record is searched in the replica's bytes.
+	{
+		const lineRecs = 1_000_000
+		lineFS := dfs.New(dfs.Config{Replication: 2, DataNodes: 5, Seed: 1, DisableSidecars: true})
+		lv, err := workload.NumericSpec{Dist: workload.Gaussian, N: lineRecs, Seed: 1}.Generate()
+		if err != nil {
+			return microReport{}, err
+		}
+		if err := lineFS.WriteFile("/bench/lines", workload.EncodeLinesFixed(lv)); err != nil {
+			return microReport{}, err
+		}
+		add("dfs", fmt.Sprintf("ReadLineAt/fixed19/n=%d", lineRecs), func(b *testing.B) {
+			rng := rand.New(rand.NewPCG(1, 2))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := lineFS.ReadLineAt("/bench/lines", rng.Int64N(19*lineRecs), 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 
 	// --- Family 4: scan decode (split ingestion substrate). ----------
 	// Columnar is colscan.Decode: the whole split decoded once into
@@ -952,6 +994,23 @@ func runMicro() (microReport, error) {
 
 	if len(failed) > 0 {
 		return microReport{}, fmt.Errorf("micro-benchmarks failed (ran zero iterations): %s", strings.Join(failed, ", "))
+	}
+
+	// The in-place read criterion: a positioned line read allocates the
+	// record it returns and nothing else, a block read nothing at all —
+	// a window buffer or a per-attempt replica list coming back shows
+	// here long before it shows in ns/op.
+	for _, lim := range []struct {
+		family, prefix string
+		allocs         int64
+	}{{"dfs", "ReadLineAt/", 1}, {"journal", "LiveRead/", 0}, {"journal", "SnapshotRead/", 0}} {
+		for _, r := range out {
+			if r.Family == lim.family && strings.HasPrefix(r.Name, lim.prefix) && r.AllocsPerOp > lim.allocs {
+				return microReport{}, fmt.Errorf(
+					"in-place read criterion violated: %s/%s makes %d allocs/op (limit %d)",
+					r.Family, r.Name, r.AllocsPerOp, lim.allocs)
+			}
+		}
 	}
 	return microReport{
 		Suite:      "earl-micro",

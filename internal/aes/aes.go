@@ -267,7 +267,13 @@ func estimateNReplicate(pilot []float64, b int, cfg Config, r int) ([]CurvePoint
 		if end <= prevEnd {
 			continue
 		}
-		if err := maint.Grow(pilot[prevEnd:end]); err != nil {
+		// The maintainer is read once more after its last point and then
+		// dropped, so that point need not prepare a next generation.
+		grow := maint.Grow
+		if i == cfg.L {
+			grow = maint.GrowFinal
+		}
+		if err := grow(pilot[prevEnd:end]); err != nil {
 			return nil, err
 		}
 		prevEnd = end

@@ -24,6 +24,10 @@
 // batched interface call each (mr.RemoveValues / mr.UpdateAll), and the
 // weighted part/generation picks run on Fenwick trees instead of linear
 // cumulative scans — same rng-for-rng pick, O(log) instead of O(parts).
+// A worker takes resamples a few at a time (growLanes) and folds the
+// group's draws from the new generation — the bulk of a Grow — in one
+// mr.UpdateLanes call, so reducers whose update is a latency-bound
+// arithmetic chain step the group's states side by side.
 package delta
 
 import (
@@ -41,6 +45,11 @@ import (
 
 // seed2Base is the second PCG seed word for per-resample streams.
 const seed2Base = 0x1f83d9abfb41bd6b
+
+// growLanes is how many resamples one worker grows as a group: the
+// width the lane kernels step, so a full group is one kernel pass.
+// Grouping is scheduling only — results are the same for any group size.
+const growLanes = stats.WelfordLanes
 
 // RetainedSize draws |b′_s| — how many of a resample's n′ items come
 // from the old sample s of size n rather than from Δs — from
@@ -80,6 +89,7 @@ type Maintainer struct {
 	updates   atomic.Int64 // state add/remove operations performed (work measure)
 
 	generation int
+	final      bool // GrowFinal has run: the sketches are a generation behind
 }
 
 // resample is one of the B maintained resamples. Each owns its rng
@@ -97,10 +107,16 @@ type resample struct {
 
 // growScratch is the per-worker scratch state of a Grow pass: reusable
 // buffers for a generation's collected deletes and adds, so the
-// per-resample-per-generation `make` churn disappears.
+// per-resample-per-generation `make` churn disappears. A resample's
+// draws from the new generation get a buffer per lane of the group:
+// they are folded only once the whole group has drawn, and read again
+// after that to build the resample's new part.
 type growScratch struct {
-	dels pool.Floats
-	adds pool.Floats
+	dels   pool.Floats
+	adds   pool.Floats
+	fills  [growLanes]pool.Floats
+	draws  [growLanes][]float64
+	states [growLanes]mr.State
 }
 
 // Config configures a Maintainer.
@@ -173,8 +189,23 @@ func (m *Maintainer) charge(n int64) {
 
 // Grow applies one iteration: the sample becomes s ∪ deltaSample and all
 // B resamples (and their states) are updated in place per §4.1, sharded
-// across the configured worker pool.
-func (m *Maintainer) Grow(deltaSample []float64) error {
+// across the configured worker pool in groups of up to growLanes.
+func (m *Maintainer) Grow(deltaSample []float64) error { return m.grow(deltaSample, false) }
+
+// GrowFinal is Grow for a maintainer that will not grow again — SSABE's
+// throwaway ones, read once at their last curve point. The states take
+// the iteration exactly as under Grow (same draws, same arithmetic, same
+// charge), but the new generation's part and cache and the
+// end-of-iteration reshuffles, which only prepare the next Grow, are
+// not built. Afterwards Results, CV and Updates stand; Grow and
+// GrowFinal return an error and ResampleSizes no longer counts the last
+// generation.
+func (m *Maintainer) GrowFinal(deltaSample []float64) error { return m.grow(deltaSample, true) }
+
+func (m *Maintainer) grow(deltaSample []float64, final bool) error {
+	if m.final {
+		return errors.New("delta: Grow after GrowFinal")
+	}
 	if len(deltaSample) == 0 {
 		return errors.New("delta: empty delta sample")
 	}
@@ -188,34 +219,28 @@ func (m *Maintainer) Grow(deltaSample []float64) error {
 			m.resamples[i] = &resample{rng: stats.SplitRNG(m.seed, seed2Base, i)}
 		}
 	}
-	err := m.forEachResample(func(r *resample, scratch *growScratch) error {
-		if first {
-			// First iteration: the resample is n′ items drawn with
-			// replacement from Δs₁, which is memory-resident right now —
-			// no disk charge (sketches are kept for *future* iterations,
-			// when Δs₁ has been spilled).
-			if err := m.initResample(r, nPrime, ds, scratch); err != nil {
-				return err
+	// Full groups feed the lane kernels, but never at the price of a
+	// longer pass: a group is no larger than the ceil(B/workers) resamples
+	// the busiest worker carries anyway (B = 19 at Parallelism 8: groups
+	// of 3, not 4).
+	group := min(growLanes, (m.b+m.par-1)/m.par)
+	groups := (m.b + group - 1) / group
+	err := pool.ForEachWorker(groups, m.par, func() func(int) error {
+		scratch := &growScratch{}
+		return func(g int) error {
+			lo := g * group
+			hi := min(lo+group, m.b)
+			var err error
+			if first {
+				err = m.initGroup(m.resamples[lo:hi], ds, scratch, final)
+			} else {
+				err = m.growGroup(m.resamples[lo:hi], nPrime, ds, scratch, final)
 			}
-		} else if err := m.growResample(r, nPrime, ds, scratch); err != nil {
-			return err
+			if err != nil {
+				return fmt.Errorf("delta: resamples %d-%d: %w", lo, hi-1, err)
+			}
+			return nil
 		}
-		// End-of-iteration sketch bookkeeping, and this resample's cache
-		// over the new delta generation for future random adds. Note the
-		// cost-model consequence of per-resample caches: each gets its
-		// initial c·√|Δs| prefetch free (Δs is memory-resident this
-		// iteration for every resample alike), so the charged refills of
-		// the old one-shared-cache layout largely disappear — the modeled
-		// disk cost of the optimized path drops accordingly.
-		cache, err := sketch.NewCache(ds, m.c, r.rng, m.metrics)
-		if err != nil {
-			return err
-		}
-		r.caches = append(r.caches, cache)
-		for _, p := range r.parts {
-			p.EndIteration()
-		}
-		return nil
 	})
 	if err != nil {
 		return err
@@ -223,54 +248,111 @@ func (m *Maintainer) Grow(deltaSample []float64) error {
 	m.genTree.Append(int64(len(ds)))
 	m.n = nPrime
 	m.generation++
+	m.final = final
 	return nil
 }
 
-// forEachResample runs fn over every resample, sharded across the
-// configured worker pool with per-worker scratch buffers. The first
-// error in resample order is returned.
-func (m *Maintainer) forEachResample(fn func(*resample, *growScratch) error) error {
-	return pool.ForEachWorker(len(m.resamples), m.par, func() func(int) error {
-		scratch := &growScratch{}
-		return func(i int) error {
-			if err := fn(m.resamples[i], scratch); err != nil {
-				return fmt.Errorf("delta: resample %d: %w", i, err)
-			}
-			return nil
+// initGroup builds a group's resamples for the first iteration: each is
+// n′ items drawn with replacement from Δs₁, which is memory-resident
+// right now — no disk charge (sketches are kept for *future*
+// iterations, when Δs₁ has been spilled). Initialize takes a resample's
+// items whole, so there is nothing to fold across the group.
+//
+//earl:hotpath
+func (m *Maintainer) initGroup(rs []*resample, ds []float64, scratch *growScratch, final bool) error {
+	for _, r := range rs {
+		items := scratch.adds.Take(len(ds))
+		for j := 0; j < len(ds); j++ {
+			items = append(items, ds[r.rng.IntN(len(ds))])
 		}
-	})
-}
-
-// initResample builds one resample for the first iteration.
-//
-//earl:hotpath
-func (m *Maintainer) initResample(r *resample, nPrime int, ds []float64, scratch *growScratch) error {
-	items := scratch.adds.Take(nPrime)
-	for j := 0; j < nPrime; j++ {
-		items = append(items, ds[r.rng.IntN(len(ds))])
+		st, err := m.red.Initialize(m.key, items)
+		if err != nil {
+			return fmt.Errorf("initialize: %w", err)
+		}
+		m.charge(int64(len(items)))
+		r.state = st
+		if final {
+			continue
+		}
+		if err := m.endIteration(r, items, ds); err != nil {
+			return err
+		}
 	}
-	st, err := m.red.Initialize(m.key, items)
-	if err != nil {
-		return fmt.Errorf("initialize: %w", err)
-	}
-	m.charge(int64(len(items)))
-	r.state = st
-	r.parts = []*sketch.Part{sketch.NewPart(items, m.c, r.rng, m.metrics)}
-	r.partTree.Append(int64(len(items)))
 	return nil
 }
 
-// growResample applies one §4.1 maintenance step to one resample. The
-// rng draw sequence is identical item for item to the historical
-// one-Update-per-item implementation — only the *state* application is
-// batched (deletes and adds collected into scratch, one interface call
-// per phase) — so fixed-seed results stay bit-identical.
+// growGroup applies one §4.1 maintenance step to a group of resamples.
+// Per resample the rng draw sequence is identical item for item to the
+// historical one-Update-per-item implementation — the binomial resize,
+// its deletes or adds, the draws from Δs, then the new part and cache —
+// and so is the order its state sees values in; only the *state*
+// application is batched: deletes and adds in one interface call each,
+// and the Δs draws of the whole group in one mr.UpdateLanes between the
+// two per-resample passes. Fixed-seed results stay bit-identical.
 //
 //earl:hotpath
-func (m *Maintainer) growResample(r *resample, nPrime int, ds []float64, scratch *growScratch) error {
-	keep, err := RetainedSize(r.rng, m.n, nPrime)
+func (m *Maintainer) growGroup(rs []*resample, nPrime int, ds []float64, scratch *growScratch, final bool) error {
+	draws, states := scratch.draws[:len(rs)], scratch.states[:len(rs)]
+	for k, r := range rs {
+		keep, err := m.resizeResample(r, nPrime, scratch)
+		if err != nil {
+			return err
+		}
+		// Fill to n′ with draws from Δs (the new generation) — memory-
+		// resident this iteration, so drawn directly.
+		items := scratch.fills[k].Take(nPrime - keep)
+		for j := 0; j < nPrime-keep; j++ {
+			items = append(items, ds[r.rng.IntN(len(ds))])
+		}
+		draws[k], states[k] = items, r.state
+	}
+	if err := mr.UpdateLanes(m.red, states, draws); err != nil {
+		return err
+	}
+	for k, r := range rs {
+		r.state = states[k]
+		m.charge(int64(len(draws[k])))
+		if final {
+			continue
+		}
+		if err := m.endIteration(r, draws[k], ds); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// endIteration closes a resample's generation: its new part over the
+// items it drew from Δs, its cache over Δs for future random adds, and
+// the end-of-iteration sketch bookkeeping. Note the cost-model
+// consequence of per-resample caches: each gets its initial c·√|Δs|
+// prefetch free (Δs is memory-resident this iteration for every
+// resample alike), so the charged refills of the old one-shared-cache
+// layout largely disappear — the modeled disk cost of the optimized
+// path drops accordingly.
+func (m *Maintainer) endIteration(r *resample, items, ds []float64) error {
+	r.parts = append(r.parts, sketch.NewPart(items, m.c, r.rng, m.metrics))
+	r.partTree.Append(int64(len(items)))
+	cache, err := sketch.NewCache(ds, m.c, r.rng, m.metrics)
 	if err != nil {
 		return err
+	}
+	r.caches = append(r.caches, cache)
+	for _, p := range r.parts {
+		p.EndIteration()
+	}
+	return nil
+}
+
+// resizeResample draws how many of the resample's n′ items are retained
+// from the old sample (Eq. 2) and deletes or adds old items to match,
+// applying them to the state as it goes. It returns the retained count.
+//
+//earl:hotpath
+func (m *Maintainer) resizeResample(r *resample, nPrime int, scratch *growScratch) (int, error) {
+	keep, err := RetainedSize(r.rng, m.n, nPrime)
+	if err != nil {
+		return 0, err
 	}
 	switch {
 	case keep < m.n:
@@ -286,13 +368,13 @@ func (m *Maintainer) growResample(r *resample, nPrime int, ds []float64, scratch
 			}
 			v, err := p.DeleteRandom()
 			if err != nil {
-				return err
+				return 0, err
 			}
 			r.partTree.Add(pi, -1)
 			dels = append(dels, v)
 		}
 		if err := m.removeFromState(r, dels); err != nil {
-			return err
+			return 0, err
 		}
 		m.charge(int64(len(dels)))
 	case keep > m.n:
@@ -310,26 +392,12 @@ func (m *Maintainer) growResample(r *resample, nPrime int, ds []float64, scratch
 		}
 		st, err := mr.UpdateAll(m.red, r.state, adds)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		r.state = st
 		m.charge(int64(len(adds)))
 	}
-	// Fill to n′ with draws from Δs (the new generation) — memory-
-	// resident this iteration, so drawn directly and folded in one batch.
-	items := scratch.adds.Take(nPrime - keep)
-	for j := 0; j < nPrime-keep; j++ {
-		items = append(items, ds[r.rng.IntN(len(ds))])
-	}
-	st, err := mr.UpdateAll(m.red, r.state, items)
-	if err != nil {
-		return err
-	}
-	r.state = st
-	m.charge(int64(len(items)))
-	r.parts = append(r.parts, sketch.NewPart(items, m.c, r.rng, m.metrics))
-	r.partTree.Append(int64(len(items)))
-	return nil
+	return keep, nil
 }
 
 // pickPartWeighted picks one of r's non-empty parts with probability

@@ -661,6 +661,11 @@ func (fs *FileSystem) readAt(path string, at, off int64, p []byte, seeks int64) 
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
+	return fs.readMetaLocked(meta, off, p, seeks)
+}
+
+// readMetaLocked is readAt against one resolved file state.
+func (fs *FileSystem) readMetaLocked(meta *fileMeta, off int64, p []byte, seeks int64) (int, error) {
 	if off < 0 {
 		return 0, errors.New("dfs: negative offset")
 	}
@@ -677,12 +682,7 @@ func (fs *FileSystem) readAt(path string, at, off int64, p []byte, seeks int64) 
 	var n int64
 	for n < want {
 		pos := off + n
-		// Blocks are contiguous and sorted by offset but not uniformly
-		// sized (appends cut a fresh block at the old end-of-file), so the
-		// owning block is found by search, not division.
-		bi := sort.Search(len(meta.blocks), func(i int) bool {
-			return meta.blocks[i].offset+meta.blocks[i].size > pos
-		})
+		bi := meta.blockAt(pos)
 		if bi >= len(meta.blocks) {
 			break
 		}
@@ -699,6 +699,16 @@ func (fs *FileSystem) readAt(path string, at, off int64, p []byte, seeks int64) 
 		}
 	}
 	return int(n), nil
+}
+
+// blockAt returns the index of the block owning file offset pos
+// (len(blocks) past the end). Blocks are contiguous and sorted by offset
+// but not uniformly sized (appends cut a fresh block at the old
+// end-of-file), so the owner is found by search, not division.
+func (m *fileMeta) blockAt(pos int64) int {
+	return sort.Search(len(m.blocks), func(i int) bool {
+		return m.blocks[i].offset+m.blocks[i].size > pos
+	})
 }
 
 // replicaPayloadLocked returns a replica's bytes for blk, retrying with
@@ -728,16 +738,28 @@ func (fs *FileSystem) replicaAttemptLocked(blk *blockMeta, attempt int) ([]byte,
 	if fp := fs.faults; fp != nil && fp.readErrorFires(blk.id, attempt) {
 		return nil, fmt.Errorf("%w: injected read fault on block %d", ErrUnavailable, blk.id)
 	}
-	liveIdx := make([]int, 0, len(blk.replicas))
-	for _, nid := range blk.replicas {
-		if fs.nodes[nid].alive {
-			liveIdx = append(liveIdx, nid)
+	// The tick picks among the live replicas in replica order, found by
+	// counting rather than by building the list: this runs per block read.
+	live := 0
+	for _, id := range blk.replicas {
+		if fs.nodes[id].alive {
+			live++
 		}
 	}
-	if len(liveIdx) == 0 {
+	if live == 0 {
 		return nil, fmt.Errorf("%w: block %d", ErrUnavailable, blk.id)
 	}
-	nid := liveIdx[int(fs.readTick.Add(1))%len(liveIdx)]
+	nid, pick := -1, int(fs.readTick.Add(1))%live
+	for _, id := range blk.replicas {
+		if !fs.nodes[id].alive {
+			continue
+		}
+		if pick == 0 {
+			nid = id
+			break
+		}
+		pick--
+	}
 	if fp := fs.faults; fp != nil && fp.slowNode(nid) {
 		time.Sleep(fp.SlowDelay)
 	}

@@ -1,0 +1,239 @@
+package dfs
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"math/rand/v2"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/simcost"
+)
+
+// copyingReadLineAt is the reference ReadLineAt: the window-copying loop
+// as it stood before readLineAt learned to resolve a record inside the
+// replica's bytes, written against the public View surface (Stat +
+// positioned ReadAt, one charged seek per window). The differential
+// tests below hold the production path to it byte position by byte
+// position — record, start offset, error and modelled cost.
+func copyingReadLineAt(v View, path string, pos int64, chunkSize int) (string, int64, error) {
+	size, err := v.Stat(path)
+	if err != nil {
+		return "", 0, err
+	}
+	if size == 0 {
+		return "", 0, io.EOF
+	}
+	if pos < 0 {
+		pos = 0
+	}
+	if pos >= size {
+		pos = size - 1
+	}
+	if chunkSize <= 0 {
+		chunkSize = 256
+	}
+	back, fwd := int64(chunkSize), int64(chunkSize)
+	for {
+		lo := max(pos-back, 0)
+		hi := min(pos+fwd, size)
+		buf := make([]byte, hi-lo)
+		if _, err := v.ReadAt(path, lo, buf); err != nil {
+			return "", 0, err
+		}
+		rel := pos - lo
+		start := int64(0)
+		if i := bytes.LastIndexByte(buf[:rel], '\n'); i >= 0 {
+			start = int64(i) + 1
+		} else if lo > 0 {
+			back *= 4
+			continue
+		}
+		end := int64(len(buf))
+		terminated := false
+		if i := bytes.IndexByte(buf[rel:], '\n'); i >= 0 {
+			end = rel + int64(i)
+			terminated = true
+		}
+		if !terminated && hi < size {
+			fwd *= 4
+			continue
+		}
+		return string(buf[start:end]), lo + start, nil
+	}
+}
+
+// linesOfMixedLength builds about n bytes of newline-terminated records
+// whose lengths range from empty to several times the widest window the
+// tests read with.
+func linesOfMixedLength(n int, seed uint64) []byte {
+	rng := rand.New(rand.NewPCG(seed, 0x5eed))
+	var out []byte
+	for len(out) < n {
+		l := rng.IntN(24)
+		switch rng.IntN(12) {
+		case 0:
+			l = 0
+		case 1:
+			l = 200 + rng.IntN(1400) // longer than any window below
+		}
+		for i := 0; i < l; i++ {
+			out = append(out, byte('a'+rng.IntN(26)))
+		}
+		out = append(out, '\n')
+	}
+	return out
+}
+
+// readLineTwin is two filesystems built by the same calls from the same
+// seed, each with its own cost sink: the reference runs on one, the
+// production path on the other, so read ticks, replica choices and
+// injected faults line up call for call.
+type readLineTwin struct {
+	ref, got   *FileSystem
+	refM, gotM *simcost.Metrics
+}
+
+func newReadLineTwin(cfg Config) *readLineTwin {
+	tw := &readLineTwin{refM: &simcost.Metrics{}, gotM: &simcost.Metrics{}}
+	cfg.Metrics = tw.refM
+	tw.ref = New(cfg)
+	cfg.Metrics = tw.gotM
+	tw.got = New(cfg)
+	return tw
+}
+
+func (tw *readLineTwin) each(t *testing.T, fn func(fs *FileSystem) error) {
+	t.Helper()
+	for _, fs := range []*FileSystem{tw.ref, tw.got} {
+		if err := fn(fs); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// compare reads the record at every byte position of path (and one
+// position either side of the file) through both paths and requires the
+// same line, start, error, cost counters and read tick after each call.
+// view maps a filesystem to the View read through (itself or a snapshot).
+func (tw *readLineTwin) compare(t *testing.T, label, path string, chunks []int, view func(*FileSystem) View) {
+	t.Helper()
+	refV, gotV := view(tw.ref), view(tw.got)
+	size, err := refV.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, chunk := range chunks {
+		for pos := int64(-1); pos <= size; pos++ {
+			wl, ws, werr := copyingReadLineAt(refV, path, pos, chunk)
+			gl, gs, gerr := gotV.ReadLineAt(path, pos, chunk)
+			where := fmt.Sprintf("%s chunk=%d pos=%d", label, chunk, pos)
+			if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+				t.Fatalf("%s: err %v, reference %v", where, gerr, werr)
+			}
+			if gl != wl || gs != ws {
+				t.Fatalf("%s: (%q, %d), reference (%q, %d)", where, gl, gs, wl, ws)
+			}
+			if g, w := tw.gotM.Snapshot(), tw.refM.Snapshot(); g != w {
+				t.Fatalf("%s: modelled cost %+v, reference %+v", where, g, w)
+			}
+			if g, w := tw.got.readTick.Load(), tw.ref.readTick.Load(); g != w {
+				t.Fatalf("%s: read tick %d, reference %d", where, g, w)
+			}
+		}
+	}
+}
+
+func liveView(fs *FileSystem) View { return fs }
+
+// TestReadLineAtMatchesCopyingLoop is the differential test of the
+// in-place positioned read: every byte position of multi-block files at
+// block sizes 64…4096 — variable-length records, records longer than
+// the window, no trailing newline, after an Append, and through a
+// Snapshot that a later rewrite must not reach.
+func TestReadLineAtMatchesCopyingLoop(t *testing.T) {
+	for _, bs := range []int64{64, 100, 256, 1024, 4096} {
+		t.Run(fmt.Sprintf("block=%d", bs), func(t *testing.T) {
+			tw := newReadLineTwin(Config{BlockSize: bs, Replication: 2, DataNodes: 4, Seed: 5})
+			chunks := []int{0, 5, 48}
+			body := linesOfMixedLength(int(3*bs)+37, uint64(bs))
+			tw.each(t, func(fs *FileSystem) error { return fs.WriteFile("/f", body) })
+			tw.compare(t, "written", "/f", chunks, liveView)
+
+			// An append cuts a fresh block at the old end of file, so
+			// block boundaries stop being multiples of the block size;
+			// its last record has no trailing newline.
+			tail := append(linesOfMixedLength(int(bs)+11, uint64(bs)+1), "unterminated tail"...)
+			tw.each(t, func(fs *FileSystem) error { return fs.Append("/f", tail) })
+			tw.compare(t, "appended", "/f", chunks, liveView)
+
+			// A snapshot keeps reading the appended file while the path
+			// is rewritten behind it.
+			snaps := map[*FileSystem]*Snapshot{tw.ref: tw.ref.Snapshot(), tw.got: tw.got.Snapshot()}
+			defer snaps[tw.ref].Release()
+			defer snaps[tw.got].Release()
+			tw.each(t, func(fs *FileSystem) error { return fs.WriteFile("/f", []byte("7\n8\n9")) })
+			tw.compare(t, "snapshot", "/f", chunks, func(fs *FileSystem) View { return snaps[fs] })
+			tw.compare(t, "rewritten", "/f", chunks, liveView)
+		})
+	}
+}
+
+// TestReadLineAtMatchesCopyingLoopUnderFaults repeats the comparison
+// with a dead node, a slow node and injected read errors: the in-place
+// path must take its replica through the same attempts as readAt — same
+// tick, same backoff outcome, same error text when a block exhausts its
+// budget — and still charge the same seek and window bytes.
+func TestReadLineAtMatchesCopyingLoopUnderFaults(t *testing.T) {
+	tw := newReadLineTwin(Config{BlockSize: 64, Replication: 2, DataNodes: 4, Seed: 11})
+	// Every failed attempt sleeps its backoff, so this file is small:
+	// short records, one of 90 bytes that outgrows the 7-byte window
+	// several times over, and a last one without a newline.
+	body := []byte("12\n\n345.5\n" + strings.Repeat("x", 90) + "\n6\n77.25\n-8e3\n" + strings.Repeat("9.5\n", 20) + "tail")
+	tw.each(t, func(fs *FileSystem) error { return fs.WriteFile("/f", body) })
+	tw.each(t, func(fs *FileSystem) error { return fs.KillDataNode(1) })
+	plan := &FaultPlan{Seed: 3, ReadErrorRate: 0.45, SlowNodes: []int{2}, SlowDelay: 5 * time.Microsecond}
+	tw.ref.SetFaultPlan(plan)
+	tw.got.SetFaultPlan(plan)
+	tw.compare(t, "faults", "/f", []int{7}, liveView)
+
+	failed := 0
+	for pos := int64(0); pos < int64(len(body)); pos += 16 {
+		if _, _, err := tw.got.ReadLineAt("/f", pos, 7); err != nil {
+			failed++
+		}
+	}
+	if failed == 0 || failed == (len(body)+15)/16 {
+		t.Fatalf("fault plan made %d of %d probes fail; the test wants both outcomes", failed, (len(body)+15)/16)
+	}
+}
+
+// TestReadLineAtAllocatesOnlyTheRecord pins what the in-place path is
+// for: a positioned line read whose window sits in one block allocates
+// the string it returns and nothing else — no window buffer, no replica
+// list — and a plain positioned block read allocates nothing.
+func TestReadLineAtAllocatesOnlyTheRecord(t *testing.T) {
+	fs := New(Config{BlockSize: 1 << 20, Replication: 2, DataNodes: 4, Seed: 5, Metrics: &simcost.Metrics{}})
+	if err := fs.WriteFile("/f", bytes.Repeat([]byte("+1.234567890e+01\n"), 4096)); err != nil {
+		t.Fatal(err)
+	}
+	pos := int64(0)
+	if allocs := testing.AllocsPerRun(200, func() {
+		pos = (pos + 7919) % (17 * 4096)
+		if _, _, err := fs.ReadLineAt("/f", pos, 0); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Fatalf("ReadLineAt made %.1f allocs/op, want ≤ 1 (the returned record)", allocs)
+	}
+	buf := make([]byte, 512)
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, err := fs.ReadAt("/f", 1000, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("ReadAt made %.1f allocs/op, want 0", allocs)
+	}
+}

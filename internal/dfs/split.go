@@ -251,19 +251,6 @@ func (fs *FileSystem) ReadLineAt(path string, pos int64, chunkSize int) (line st
 }
 
 func (fs *FileSystem) readLineAt(path string, at, pos int64, chunkSize int) (line string, lineStart int64, err error) {
-	size, err := fs.statAt(path, at)
-	if err != nil {
-		return "", 0, err
-	}
-	if size == 0 {
-		return "", 0, io.EOF
-	}
-	if pos < 0 {
-		pos = 0
-	}
-	if pos >= size {
-		pos = size - 1
-	}
 	if chunkSize <= 0 {
 		chunkSize = 256
 	}
@@ -274,40 +261,86 @@ func (fs *FileSystem) readLineAt(path string, at, pos int64, chunkSize int) (lin
 	// makes pre-map sampling a sub-scan operation.
 	back, fwd := int64(chunkSize), int64(chunkSize)
 	for {
-		lo := pos - back
-		if lo < 0 {
-			lo = 0
-		}
-		hi := pos + fwd
-		if hi > size {
-			hi = size
-		}
-		buf := make([]byte, hi-lo)
-		if _, err := fs.readAt(path, at, lo, buf, 1); err != nil {
-			return "", 0, err
-		}
-		// The record containing pos starts after the last '\n' strictly
-		// before pos (a '\n' at pos belongs to the record it terminates).
-		rel := pos - lo
-		start := int64(0)
-		if i := bytes.LastIndexByte(buf[:rel], '\n'); i >= 0 {
-			start = int64(i) + 1
-		} else if lo > 0 {
+		line, lineStart, grow, err := fs.lineInWindow(path, at, pos, back, fwd)
+		switch grow {
+		case growBack:
 			back *= 4
-			continue
-		}
-		end := int64(len(buf))
-		terminated := false
-		if i := bytes.IndexByte(buf[rel:], '\n'); i >= 0 {
-			end = rel + int64(i)
-			terminated = true
-		}
-		if !terminated && hi < size {
+		case growFwd:
 			fwd *= 4
-			continue
+		default:
+			return line, lineStart, err
 		}
-		return string(buf[start:end]), lo + start, nil
 	}
+}
+
+// windowGrow says which side of a window must widen before the record
+// around pos fits in it.
+type windowGrow int
+
+const (
+	growNone windowGrow = iota
+	growBack
+	growFwd
+)
+
+// lineInWindow resolves the record containing pos within the window
+// [pos−back, pos+fwd) under one read lock: file state, block search,
+// newline search and the copy-out of the record alone. A window that
+// lies in one block — every window but those straddling a block
+// boundary — is searched in the replica's bytes where they are; only a
+// straddling window is assembled by the copying read. Either way the
+// window is charged as one positioned read (a seek and its bytes) and
+// each block reaches its replica through replicaPayloadLocked, so
+// modelled cost, read ticks and injected faults do not depend on which
+// way the bytes were reached.
+func (fs *FileSystem) lineInWindow(path string, at, pos, back, fwd int64) (line string, lineStart int64, grow windowGrow, err error) {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	meta, ok := fs.metaLocked(path, at)
+	if !ok {
+		return "", 0, growNone, fmt.Errorf("%w: %s", ErrNotFound, path)
+	}
+	size := meta.size
+	if size == 0 {
+		return "", 0, growNone, io.EOF
+	}
+	pos = min(max(pos, 0), size-1)
+	lo, hi := max(pos-back, 0), min(pos+fwd, size)
+	var win []byte
+	if blk := meta.blocks[meta.blockAt(lo)]; hi <= blk.offset+blk.size {
+		if fs.metrics != nil {
+			fs.metrics.DiskSeeks.Add(1)
+		}
+		payload, err := fs.replicaPayloadLocked(blk)
+		if err != nil {
+			return "", 0, growNone, err
+		}
+		win = payload[lo-blk.offset : hi-blk.offset]
+		if fs.metrics != nil {
+			fs.metrics.BytesRead.Add(hi - lo)
+		}
+	} else {
+		win = make([]byte, hi-lo)
+		if _, err := fs.readMetaLocked(meta, lo, win, 1); err != nil {
+			return "", 0, growNone, err
+		}
+	}
+	// The record containing pos starts after the last '\n' strictly
+	// before pos (a '\n' at pos belongs to the record it terminates).
+	rel := pos - lo
+	start := int64(0)
+	if i := bytes.LastIndexByte(win[:rel], '\n'); i >= 0 {
+		start = int64(i) + 1
+	} else if lo > 0 {
+		return "", 0, growBack, nil
+	}
+	end := int64(len(win))
+	if i := bytes.IndexByte(win[rel:], '\n'); i >= 0 {
+		end = rel + int64(i)
+	} else if hi < size {
+		return "", 0, growFwd, nil
+	}
+	return string(win[start:end]), lo + start, growNone, nil
 }
 
 // CountLines returns the number of records in the file (used by tests and

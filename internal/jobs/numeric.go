@@ -215,6 +215,27 @@ func (meanReducer) Update(state mr.State, input any) (mr.State, error) {
 	return updateWelford(state, input)
 }
 
+// UpdateLanes implements mr.LaneUpdater for every moment reducer (they
+// all embed meanReducer): the states' Welford accumulators go through
+// the stats lane kernel stats.WelfordLanes at a time.
+//
+//earl:hotpath
+func (meanReducer) UpdateLanes(states []mr.State, batches [][]float64) error {
+	var ws [stats.WelfordLanes]*stats.Welford
+	for lo := 0; lo < len(states); lo += len(ws) {
+		hi := min(lo+len(ws), len(states))
+		for k, state := range states[lo:hi] {
+			st, ok := state.(*welfordState)
+			if !ok {
+				return mr.ErrBadState
+			}
+			ws[k] = &st.w
+		}
+		stats.AddLanes(ws[:hi-lo], batches[lo:hi])
+	}
+	return nil
+}
+
 // Finalize implements mr.IncrementalReducer.
 func (meanReducer) Finalize(state mr.State) (float64, error) {
 	st, ok := state.(*welfordState)

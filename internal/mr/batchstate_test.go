@@ -142,3 +142,58 @@ func TestRemoveValuesPrefersBatch(t *testing.T) {
 		t.Fatalf("unsupported state: handled=%v err=%v, want false/nil (caller rebuilds)", handled, err)
 	}
 }
+
+// laneSumReducer records that a whole group reached UpdateLanes.
+type laneSumReducer struct {
+	sumReducer
+	groups *int
+}
+
+func (r laneSumReducer) UpdateLanes(states []State, batches [][]float64) error {
+	*r.groups++
+	for k, st := range states {
+		for _, v := range batches[k] {
+			st.(*sumState).sum += v
+		}
+	}
+	return nil
+}
+
+func TestUpdateLanesRouting(t *testing.T) {
+	batches := [][]float64{{1, 2}, nil, {3}}
+	sums := func(states []State) [3]float64 {
+		return [3]float64{states[0].(*sumState).sum, states[1].(*sumState).sum, states[2].(*sumState).sum}
+	}
+	want := [3]float64{13, 20, 33}
+
+	// A reducer with the capability takes the group in one call.
+	groups := 0
+	states := []State{&sumState{sum: 10}, &sumState{sum: 20}, &sumState{sum: 30}}
+	if err := UpdateLanes(laneSumReducer{sumReducer{batched: true}, &groups}, states, batches); err != nil {
+		t.Fatal(err)
+	}
+	if groups != 1 || sums(states) != want {
+		t.Fatalf("lane path: %d group calls, sums %v", groups, sums(states))
+	}
+
+	// One without it gets UpdateAll per state — batch or per-value as
+	// the reducer allows — and an empty lane is left alone.
+	for _, batched := range []bool{true, false} {
+		states = []State{&sumState{sum: 10}, &sumState{sum: 20}, &sumState{sum: 30}}
+		if err := UpdateLanes(sumReducer{batched: batched}, states, batches); err != nil {
+			t.Fatal(err)
+		}
+		if sums(states) != want {
+			t.Fatalf("generic path (batched=%v): sums %v", batched, sums(states))
+		}
+		if st := states[1].(*sumState); st.batchAdds != 0 || st.itemOps != 0 {
+			t.Fatalf("empty lane was touched: %+v", st)
+		}
+	}
+
+	// The first failing state's error surfaces; states before it are folded.
+	states = []State{&sumState{}, &sumState{}}
+	if err := UpdateLanes(failingReducer{}, states, [][]float64{nil, {1}}); !errors.Is(err, errBoom) {
+		t.Fatalf("err = %v, want errBoom", err)
+	}
+}

@@ -32,7 +32,9 @@ type IncrementalReducer interface {
 	// A batch must be folded exactly as the per-value loop would fold it
 	// (same order, same arithmetic); reducers that do not recognise
 	// batches return ErrBadInput and UpdateAll falls back to the loop.
-	// Batch slices are not retained.
+	// Batch slices are not retained. A reducer that also implements
+	// LaneUpdater extends the same clause across states: however many
+	// it steps side by side, each state sees exactly this fold.
 	Update(state State, input any) (State, error)
 	// Finalize extracts the current result from a state.
 	Finalize(state State) (float64, error)
@@ -111,6 +113,39 @@ func UpdateAll(r IncrementalReducer, state State, values []float64) (State, erro
 		}
 	}
 	return state, nil
+}
+
+// LaneUpdater is implemented by reducers that can fold several
+// independent (state, batch) pairs side by side — the cross-state twin
+// of Update's []float64 batches. A moment update is a short chain of
+// dependent arithmetic, so one state alone is bound by that chain's
+// latency; a few distinct states stepped in the same loop are not.
+// UpdateLanes must leave states[k] exactly as Update(states[k],
+// batches[k]) would — same slice order, same arithmetic, bit for bit —
+// for any number of states, batches of unequal length and empty ones;
+// only the interleaving across states is the implementation's to choose.
+type LaneUpdater interface {
+	UpdateLanes(states []State, batches [][]float64) error
+}
+
+// UpdateLanes folds batches[k] into states[k] for every k, replacing
+// states[k] with the state Update returns. The states must be pairwise
+// distinct. Reducers implementing LaneUpdater take the whole group in one
+// call; every other reducer gets the loop over UpdateAll, which is what
+// the capability is defined to equal. On error the group is abandoned:
+// states before the failing one have been folded, later ones not.
+func UpdateLanes(r IncrementalReducer, states []State, batches [][]float64) error {
+	if lu, ok := r.(LaneUpdater); ok {
+		return lu.UpdateLanes(states, batches)
+	}
+	for k := range states {
+		next, err := UpdateAll(r, states[k], batches[k])
+		if err != nil {
+			return err
+		}
+		states[k] = next
+	}
+	return nil
 }
 
 // InitializeOrUpdate folds values into state, creating a fresh state via

@@ -204,6 +204,86 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
+// WelfordLanes is how many accumulators AddLanes steps side by side.
+// One Add is a chain of dependent operations — subtract, divide, add —
+// that the next Add on the same accumulator must wait for, so a lone
+// accumulator runs at the divider's latency; four independent chains
+// interleaved keep it busy and cost about what one does.
+const WelfordLanes = 4
+
+// AddLanes folds batches[k] into ws[k] for distinct accumulators,
+// WelfordLanes of them at a time. Each accumulator ends bit for bit
+// where `for _, x := range batches[k] { ws[k].Add(x) }` would leave it:
+// the lanes share a loop, never an operand. Batches may differ in length
+// (the common prefix is interleaved, each tail finished on its own) or
+// be empty.
+//
+//earl:hotpath
+func AddLanes(ws []*Welford, batches [][]float64) {
+	if len(ws) > WelfordLanes {
+		AddLanes(ws[:WelfordLanes], batches[:WelfordLanes])
+		AddLanes(ws[WelfordLanes:], batches[WelfordLanes:])
+		return
+	}
+	common := 0
+	if len(ws) > 1 {
+		common = len(batches[0])
+		for _, b := range batches[1:] {
+			common = min(common, len(b))
+		}
+		// Lanes the caller did not fill replay lane 0 into accumulators
+		// that are thrown away: an iteration is as long as its slowest
+		// chain, so they cost nothing, and there is one kernel to keep
+		// exact rather than one per lane count.
+		var spare [WelfordLanes]Welford
+		var w [WelfordLanes]*Welford
+		var b [WelfordLanes][]float64
+		for k := range w {
+			w[k], b[k] = &spare[k], batches[0][:common]
+			if k < len(ws) {
+				w[k], b[k] = ws[k], batches[k][:common]
+			}
+		}
+		addLanes4(w[0], w[1], w[2], w[3], b[0], b[1], b[2], b[3])
+	}
+	for k, w := range ws {
+		for _, x := range batches[k][common:] {
+			w.Add(x)
+		}
+	}
+}
+
+// addLanes4 is Add, four accumulators abreast over equal-length
+// batches: the same three statements per lane, in the same order, on
+// locals the compiler keeps in registers.
+//
+//earl:hotpath
+func addLanes4(w0, w1, w2, w3 *Welford, b0, b1, b2, b3 []float64) {
+	b1, b2, b3 = b1[:len(b0)], b2[:len(b0)], b3[:len(b0)]
+	n0, n1, n2, n3 := w0.n, w1.n, w2.n, w3.n
+	mean0, mean1, mean2, mean3 := w0.mean, w1.mean, w2.mean, w3.mean
+	s0, s1, s2, s3 := w0.m2, w1.m2, w2.m2, w3.m2
+	for i, x0 := range b0 {
+		x1, x2, x3 := b1[i], b2[i], b3[i]
+		n0++
+		n1++
+		n2++
+		n3++
+		d0, d1, d2, d3 := x0-mean0, x1-mean1, x2-mean2, x3-mean3
+		mean0 += d0 / float64(n0)
+		mean1 += d1 / float64(n1)
+		mean2 += d2 / float64(n2)
+		mean3 += d3 / float64(n3)
+		s0 += d0 * (x0 - mean0)
+		s1 += d1 * (x1 - mean1)
+		s2 += d2 * (x2 - mean2)
+		s3 += d3 * (x3 - mean3)
+	}
+	w0.n, w1.n, w2.n, w3.n = n0, n1, n2, n3
+	w0.mean, w1.mean, w2.mean, w3.mean = mean0, mean1, mean2, mean3
+	w0.m2, w1.m2, w2.m2, w3.m2 = s0, s1, s2, s3
+}
+
 // AddN folds n copies of x into the accumulator. Bootstrap resamples drawn
 // with replacement contain repeated items; counting multiplicities lets the
 // caller fold them in O(distinct) time.

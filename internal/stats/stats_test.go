@@ -259,3 +259,39 @@ func TestWelfordMergeEmpty(t *testing.T) {
 		t.Fatalf("merge into empty did not copy")
 	}
 }
+
+// TestAddLanesEqualsAdd: for any lane count — below, at and above the
+// kernel width — and ragged or empty batches, every accumulator ends
+// exactly where sequential Adds leave it.
+func TestAddLanesEqualsAdd(t *testing.T) {
+	rng := rand.New(rand.NewPCG(8, 9))
+	for lanes := 1; lanes <= 2*WelfordLanes+1; lanes++ {
+		for _, ragged := range []bool{false, true} {
+			got := make([]*Welford, lanes)
+			want := make([]Welford, lanes)
+			batches := make([][]float64, lanes)
+			for k := range got {
+				n := 100
+				if ragged {
+					n = rng.IntN(120) // 0 included
+				}
+				batches[k] = make([]float64, n)
+				for i := range batches[k] {
+					batches[k][i] = rng.NormFloat64()*15 + 50
+				}
+				want[k].Add(float64(k))
+				got[k] = &Welford{}
+				got[k].Add(float64(k))
+				for _, x := range batches[k] {
+					want[k].Add(x)
+				}
+			}
+			AddLanes(got, batches)
+			for k := range got {
+				if *got[k] != want[k] {
+					t.Fatalf("lanes=%d ragged=%v lane %d: %+v, sequential Add gives %+v", lanes, ragged, k, *got[k], want[k])
+				}
+			}
+		}
+	}
+}
