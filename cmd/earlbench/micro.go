@@ -131,7 +131,8 @@ func regressions(baseline, current microReport) []string {
 }
 
 // runMicro measures the benchmark families — bootstrap resampling,
-// delta maintenance, pre-map sampling (the hot substrates), scan decode
+// delta maintenance, pre-map sampling and the post-map pool fill (the
+// hot substrates), scan decode
 // (per-record vs columnar split ingestion), the end-to-end engine
 // family (single-statistic vs shared-pass multi-statistic, scalar vs
 // grouped), the query-plan family (σ pushdown vs user-level
@@ -290,6 +291,67 @@ func runMicro() (microReport, error) {
 		}
 	})
 
+	// Algorithm 1's load-and-pool, after the blocks are decoded: the
+	// post-map fill of one mapper over the end-to-end benchmark's
+	// query_scan shape — 23 blocks of 1 MiB of "g<i%16>\t<value>" text,
+	// its σ keeping three records in four — through NewRecordSources
+	// itself, every block a scan-cache hit. What is left is the σ kernel
+	// and the (block, record) reference pool, which the criterion below
+	// holds to one reservation (a second if the estimate fell short).
+	var fillPooled int64
+	{
+		const fillBlocks = 23
+		fillEnv, err := core.NewEnv(core.EnvConfig{BlockSize: 1 << 20, Seed: 7})
+		if err != nil {
+			return microReport{}, err
+		}
+		fv, err := workload.NumericSpec{Dist: workload.Uniform, N: fillBlocks << 16, Seed: 7}.Generate()
+		if err != nil {
+			return microReport{}, err
+		}
+		fillData := make([]byte, 0, fillBlocks<<20)
+		for i := 0; len(fillData) < fillBlocks<<20-(1<<19); i++ {
+			fillData = fmt.Appendf(fillData, "g%d\t%012.6f\n", i%16, fv[i])
+		}
+		if err := fillEnv.FS.WriteFile("/bench/fill", fillData); err != nil {
+			return microReport{}, err
+		}
+		pq, err := core.PreparePlan(plan.Spec{Path: "/bench/fill", Stats: []string{"mean"},
+			Filter: `v > 20 && key != "g7"`, GroupBy: "key", Sampler: "post-map"}, core.Options{Seed: 1})
+		if err != nil {
+			return microReport{}, err
+		}
+		dec, err := core.GroupedDecode(core.TabRoute(), pq.Prog)
+		if err != nil {
+			return microReport{}, err
+		}
+		fillSplits, err := fillEnv.FS.Splits("/bench/fill", 0)
+		if err != nil {
+			return microReport{}, err
+		}
+		fill := func() (int64, error) {
+			sources, err := core.NewRecordSources(fillEnv, "/bench/fill", [][]dfs.Split{fillSplits}, pq.Opts, 0, dec, pq.Prog)
+			if err != nil {
+				return 0, err
+			}
+			return sources[0].Weight(), nil
+		}
+		if fillPooled, err = fill(); err != nil { // decodes the blocks into the scan cache
+			return microReport{}, err
+		}
+		if len(fillSplits) != fillBlocks || fillPooled == 0 {
+			return microReport{}, fmt.Errorf("PostMapFill fixture: %d blocks (want %d), %d records pooled", len(fillSplits), fillBlocks, fillPooled)
+		}
+		addRate("sampling", "PostMapFill/kv/sel=75%", fillPooled, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if n, err := fill(); err != nil || n != fillPooled {
+					b.Fatalf("pooled %d records, want %d: %v", n, fillPooled, err)
+				}
+			}
+		})
+	}
+
 	// The pilot's unit of work: one positioned read of one 19-byte record
 	// out of 1 M. Its only allocation is the record it returns — the
 	// window around the record is searched in the replica's bytes.
@@ -371,16 +433,20 @@ func runMicro() (microReport, error) {
 	// The cold-read ladder the sidecar PR is about:
 	//
 	//   Columnar (family 4)  cold TEXT decode: parse every record
-	//   ColdSidecar          cold SIDECAR read: CRC + conversion copy,
-	//                        zero parsing (the new cold path)
+	//   ColdSidecar          cold SIDECAR read: a CRC pass over the
+	//                        stored payload, viewed where dfs holds it,
+	//                        then one converting + validating pass per
+	//                        column into the block — zero parsing
 	//   WarmCache            decoded-block cache hit: no I/O at all
 	//
 	// plus the write-side costs: Encode (ingest-time sidecar build) and
 	// CompactBackfill (full rebuild of a sidecar-less file). The
-	// acceptance criterion — cold sidecar ≥ 3× cold text — is enforced
-	// below next to the shared-pass check.
+	// acceptance criteria — cold sidecar ≥ 3× cold text, and a cold load
+	// allocating the block it returns and nothing else of its size — are
+	// enforced below next to the shared-pass check.
 	sidecarReader := colseg.NewReader(fsys)
-	coldSidecar := func(path string, splits []dfs.Split, format colscan.Format) func(b *testing.B) {
+	coldBlockBytes := map[string]int64{} // per ColdSidecar entry name: SizeBytes of the blocks one op decodes
+	coldSidecar := func(name, path string, splits []dfs.Split, format colscan.Format) func(b *testing.B) {
 		version, err := fsys.Version(path)
 		if err != nil {
 			version = -1 // surfaces as a guaranteed miss inside the loop
@@ -388,7 +454,7 @@ func runMicro() (microReport, error) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				n := 0
+				n, size := 0, int64(0)
 				for _, sp := range splits {
 					blk, ok, err := sidecarReader.LoadColumns(colscan.BlockKey{
 						Path: path, Version: version, Offset: sp.Offset, Length: sp.Length, Format: format,
@@ -397,10 +463,12 @@ func runMicro() (microReport, error) {
 						b.Fatalf("sidecar read %s [%d,+%d): ok=%v err=%v", path, sp.Offset, sp.Length, ok, err)
 					}
 					n += blk.NumRecords()
+					size += blk.SizeBytes()
 				}
 				if n != scanRecs {
 					b.Fatalf("sidecar scan saw %d records, want %d", n, scanRecs)
 				}
+				coldBlockBytes[name] = size
 			}
 		}
 	}
@@ -427,10 +495,9 @@ func runMicro() (microReport, error) {
 			}
 		}
 	}
-	addRate("colseg", fmt.Sprintf("ColdSidecar/numeric/n=%d", scanRecs), scanRecs,
-		coldSidecar("/bench", scanSplits, colscan.FormatNumeric))
-	addRate("colseg", fmt.Sprintf("ColdSidecar/kv/n=%d", scanRecs), scanRecs,
-		coldSidecar("/bench.kv", kvScanSplits, colscan.FormatKV))
+	coldNumeric, coldKV := fmt.Sprintf("ColdSidecar/numeric/n=%d", scanRecs), fmt.Sprintf("ColdSidecar/kv/n=%d", scanRecs)
+	addRate("colseg", coldNumeric, scanRecs, coldSidecar(coldNumeric, "/bench", scanSplits, colscan.FormatNumeric))
+	addRate("colseg", coldKV, scanRecs, coldSidecar(coldKV, "/bench.kv", kvScanSplits, colscan.FormatKV))
 	addRate("colseg", fmt.Sprintf("WarmCache/numeric/n=%d", scanRecs), scanRecs,
 		warmCache("/bench", scanSize, scanSplits, colscan.FormatNumeric))
 	benchRaw, err := fsys.ReadFile("/bench")
@@ -970,6 +1037,27 @@ func runMicro() (microReport, error) {
 		return microReport{}, fmt.Errorf(
 			"cold-read criterion violated: sidecar %.3gM rec/s < 3x text decode %.3gM rec/s",
 			coldSide/1e6, coldText/1e6)
+	}
+
+	// The touched-once criteria. A cold sidecar load allocates the block
+	// it returns: at most 1.1× the decoded blocks' own SizeBytes per op —
+	// a payload-sized read buffer or a second copy of a column would be
+	// 1.4× and up. A post-map fill takes its reference pool (8 bytes a
+	// pooled record) once, twice if the first block under-estimated the
+	// rest; the megabyte on top is the mapper's keep vector and scratch.
+	for _, r := range out {
+		if blocks, ok := coldBlockBytes[r.Name]; ok && r.Family == "colseg" && r.BytesPerOp > blocks*11/10 {
+			return microReport{}, fmt.Errorf(
+				"touched-once criterion violated: %s/%s allocates %d B/op for blocks of %d bytes (limit 1.1x)",
+				r.Family, r.Name, r.BytesPerOp, blocks)
+		}
+		if r.Family == "sampling" && strings.HasPrefix(r.Name, "PostMapFill/") {
+			if limit := 2*8*fillPooled + 1<<20; r.BytesPerOp > limit {
+				return microReport{}, fmt.Errorf(
+					"touched-once criterion violated: %s/%s allocates %d B/op to pool %d records (limit: two pools of 8 bytes a record, + 1 MiB)",
+					r.Family, r.Name, r.BytesPerOp, fillPooled)
+			}
+		}
 	}
 
 	// The O(batch)-append criterion: the same batch onto a 20× larger

@@ -2,6 +2,7 @@ package colscan
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -19,13 +20,23 @@ type ReaderAt interface {
 // positioned read per 64 KiB, charged like any other read.
 const extendChunk = 64 << 10
 
-// Block is one split, decoded once: absolute record-start offsets, a
-// parsed value column, and (for FormatKV) dictionary-interned keys. A
-// Block is immutable after Decode and safe for concurrent readers —
-// the cache hands the same Block to every watch on the file.
+// Block is one split, decoded once: record-start offsets, a parsed
+// value column, and (for FormatKV) dictionary-interned keys. A Block is
+// immutable once built and safe for concurrent readers — the cache
+// hands the same Block to every watch on the file. Decode and
+// NewBlockLE copy everything out of the bytes they read, so a Block
+// never pins a read buffer or a view of stored sidecar bytes (NewBlock
+// keeps the columns its caller built for it).
+//
+// Record starts are held as 32-bit offsets from the first record's
+// start — the one representation, whichever path built the block, so
+// blocks holding the same records are equal field for field. A block
+// therefore spans at most 4 GiB between its first and last record
+// start; the builders return an error rather than wrap.
 type Block struct {
 	format Format
-	starts []int64 // absolute file offset of each record's first byte
+	base   int64    // absolute file offset of record 0's first byte (0 when empty)
+	offs   []uint32 // record i starts at base + offs[i]; offs[0] == 0
 	// lastEnd is the offset one past the final record's last content
 	// byte (its newline, if terminated, sits at lastEnd).
 	lastEnd int64
@@ -35,10 +46,10 @@ type Block struct {
 }
 
 // NumRecords returns the number of records decoded from the split.
-func (b *Block) NumRecords() int { return len(b.starts) }
+func (b *Block) NumRecords() int { return len(b.offs) }
 
 // Start returns the absolute file offset of record i.
-func (b *Block) Start(i int) int64 { return b.starts[i] }
+func (b *Block) Start(i int) int64 { return b.base + int64(b.offs[i]) }
 
 // Value returns record i's parsed value.
 func (b *Block) Value(i int) float64 { return b.vals[i] }
@@ -54,15 +65,17 @@ func (b *Block) Key(i int) string {
 // RecLen returns the content length (excluding the newline) of record i
 // — what the sampler's bytes-per-record estimate charges.
 func (b *Block) RecLen(i int) int {
-	if i+1 < len(b.starts) {
-		return int(b.starts[i+1] - b.starts[i] - 1)
+	if i+1 < len(b.offs) {
+		return int(b.offs[i+1] - b.offs[i] - 1)
 	}
-	return int(b.lastEnd - b.starts[i])
+	return int(b.lastEnd - b.Start(i))
 }
 
-// SizeBytes estimates the block's retained memory for cache accounting.
+// SizeBytes estimates the block's retained memory for cache accounting:
+// 12 bytes a record (a 4-byte start offset, an 8-byte value), 4 more
+// under FormatKV (the key id), plus the dictionary's strings.
 func (b *Block) SizeBytes() int64 {
-	n := int64(len(b.starts))*16 + int64(len(b.keys))*4
+	n := int64(len(b.offs))*12 + int64(len(b.keys))*4
 	for _, k := range b.dict {
 		n += int64(len(k)) + 16
 	}
@@ -102,25 +115,37 @@ func (b *Block) AppendAll(out *Cols) {
 	}
 }
 
-// NewBlock builds a Block from pre-decoded columns — the entry point of
-// the persistent columnar sidecar path (internal/colseg), where the
-// columns were parsed and validated once at encode time and a cold read
-// is a bounds-checked copy. The constructor re-checks every structural
-// invariant Decode guarantees (column lengths agree, starts strictly
-// ascending, dictionary indices in range, values finite), so a corrupt
-// or hand-rolled sidecar can never smuggle a NaN or a misshapen block
-// past the decode boundary. The slices are retained, not copied.
+// maxSpan is the farthest a record may start past its block's first
+// record: what a 32-bit start offset can hold.
+const maxSpan = math.MaxUint32
+
+// NewBlock builds a Block from columns a caller decoded itself — the
+// entry point for records no built-in format describes (a custom
+// parser's split scan, sampling.Parser) and for hand-built blocks. It
+// checks every structural invariant Decode guarantees (column lengths
+// agree, starts ascending strictly, non-negative and within 4 GiB of
+// the first, lastEnd not before the last start, values finite,
+// dictionary indices in range, no key columns on a numeric block), so a
+// misshapen block or a NaN can never get past the decode boundary.
+// starts holds absolute file offsets and is converted, not kept; vals,
+// keys and dict are retained, not copied.
 func NewBlock(f Format, starts []int64, lastEnd int64, vals []float64, keys []uint32, dict []string) (*Block, error) {
-	if f != FormatNumeric && f != FormatKV {
-		return nil, fmt.Errorf("colscan: no block format %d", f)
+	if err := checkShape(f, len(starts), len(vals), len(keys), len(dict)); err != nil {
+		return nil, err
 	}
-	if len(vals) != len(starts) {
-		return nil, fmt.Errorf("colscan: %d values for %d record starts", len(vals), len(starts))
+	blk := &Block{format: f, lastEnd: lastEnd, vals: vals, keys: keys, dict: dict}
+	if len(starts) > 0 {
+		blk.base = starts[0]
+		blk.offs = make([]uint32, len(starts))
 	}
 	for i, s := range starts {
 		if s < 0 || (i > 0 && s <= starts[i-1]) {
 			return nil, fmt.Errorf("colscan: record starts not ascending at %d", i)
 		}
+		if s-blk.base > maxSpan {
+			return nil, fmt.Errorf("colscan: record %d starts more than 4 GiB past the block's first", i)
+		}
+		blk.offs[i] = uint32(s - blk.base)
 	}
 	if n := len(starts); n > 0 && lastEnd < starts[n-1] {
 		return nil, fmt.Errorf("colscan: lastEnd %d before final record start %d", lastEnd, starts[n-1])
@@ -130,19 +155,130 @@ func NewBlock(f Format, starts []int64, lastEnd int64, vals []float64, keys []ui
 			return nil, fmt.Errorf("colscan: non-finite value at record %d", i)
 		}
 	}
-	if f == FormatKV {
-		if len(keys) != len(vals) {
-			return nil, fmt.Errorf("colscan: %d keys for %d values", len(keys), len(vals))
+	for i, ki := range keys {
+		if int(ki) >= len(dict) {
+			return nil, fmt.Errorf("colscan: key index %d out of dictionary (%d) at record %d", ki, len(dict), i)
 		}
-		for i, ki := range keys {
-			if int(ki) >= len(dict) {
-				return nil, fmt.Errorf("colscan: key index %d out of dictionary (%d) at record %d", ki, len(dict), i)
-			}
-		}
-	} else if len(keys) != 0 || len(dict) != 0 {
-		return nil, fmt.Errorf("colscan: key columns on a numeric block")
 	}
-	return &Block{format: f, starts: starts, lastEnd: lastEnd, vals: vals, keys: keys, dict: dict}, nil
+	return blk, nil
+}
+
+// checkShape is the part of the block invariants that needs no column
+// walk: a known format, one value (and under FormatKV one key) per
+// record start, and no key columns on a numeric block.
+func checkShape(f Format, starts, vals, keys, dict int) error {
+	switch {
+	case f != FormatNumeric && f != FormatKV:
+		return fmt.Errorf("colscan: no block format %d", f)
+	case vals != starts:
+		return fmt.Errorf("colscan: %d values for %d record starts", vals, starts)
+	case f == FormatKV && keys != vals:
+		return fmt.Errorf("colscan: %d keys for %d values", keys, vals)
+	case f == FormatNumeric && (keys != 0 || dict != 0):
+		return fmt.Errorf("colscan: key columns on a numeric block")
+	}
+	return nil
+}
+
+// NewBlockLE builds a Block from little-endian column images — the
+// persistent sidecar's wire form (internal/colseg frames and checksums
+// it, and decodes the dictionary): starts is one uint32 per record, its
+// start's distance from splitOff; vals one float64 bit pattern per
+// record; keys, under FormatKV, one uint32 dictionary index per record.
+// Each column is converted into the block's own storage and checked
+// against NewBlock's invariants in the same single pass, so a cold load
+// walks its bytes once and nothing unchecked becomes a Block. The images
+// are only read: the block keeps no reference to them (dict it keeps).
+func NewBlockLE(f Format, splitOff, lastEnd int64, starts, vals, keys []byte, dict []string) (*Block, error) {
+	n := len(starts) / 4
+	if len(starts)%4 != 0 || len(vals)%8 != 0 || len(keys)%4 != 0 {
+		return nil, fmt.Errorf("colscan: ragged column images (%d, %d, %d bytes)", len(starts), len(vals), len(keys))
+	}
+	if err := checkShape(f, n, len(vals)/8, len(keys)/4, len(dict)); err != nil {
+		return nil, err
+	}
+	blk := &Block{format: f, lastEnd: lastEnd, dict: dict}
+	if n == 0 {
+		return blk, nil
+	}
+	if splitOff < 0 || splitOff > math.MaxInt64-2*maxSpan {
+		return nil, fmt.Errorf("colscan: split offset %d out of range", splitOff)
+	}
+	blk.base = splitOff + int64(binary.LittleEndian.Uint32(starts))
+	blk.offs = make([]uint32, n)
+	if i := startsLE(blk.offs, starts); i >= 0 {
+		return nil, fmt.Errorf("colscan: record starts not ascending at %d", i)
+	}
+	if last := blk.Start(n - 1); lastEnd < last {
+		return nil, fmt.Errorf("colscan: lastEnd %d before final record start %d", lastEnd, last)
+	}
+	blk.vals = make([]float64, n)
+	if i := valuesLE(blk.vals, vals); i >= 0 {
+		return nil, fmt.Errorf("colscan: non-finite value at record %d", i)
+	}
+	if f == FormatKV {
+		blk.keys = make([]uint32, n)
+		if i := keysLE(blk.keys, keys, len(dict)); i >= 0 {
+			return nil, fmt.Errorf("colscan: key index %d out of dictionary (%d) at record %d", blk.keys[i], len(dict), i)
+		}
+	}
+	return blk, nil
+}
+
+// startsLE converts the start column: dst[i] is record i's distance
+// from record 0 (dst[0] stays 0), which must grow strictly. It returns
+// the first record that breaks the order, -1 if none does.
+// len(src) == 4*len(dst) > 0.
+//
+//earl:hotpath
+func startsLE(dst []uint32, src []byte) int {
+	src = src[:len(dst)*4]
+	first := binary.LittleEndian.Uint32(src)
+	prev := first
+	for i := 1; i < len(dst); i++ {
+		d := binary.LittleEndian.Uint32(src[i*4 : i*4+4 : i*4+4])
+		if d <= prev {
+			return i
+		}
+		dst[i] = d - first
+		prev = d
+	}
+	return -1
+}
+
+// valuesLE converts the value column and returns the first record whose
+// value is NaN or ±Inf (an all-ones exponent), -1 if all are finite.
+// len(src) == 8*len(dst).
+//
+//earl:hotpath
+func valuesLE(dst []float64, src []byte) int {
+	const exponent = 0x7FF << 52
+	src = src[:len(dst)*8]
+	for i := range dst {
+		bits := binary.LittleEndian.Uint64(src[i*8 : i*8+8 : i*8+8])
+		if bits&exponent == exponent {
+			return i
+		}
+		dst[i] = math.Float64frombits(bits)
+	}
+	return -1
+}
+
+// keysLE converts the key-id column and returns the first record whose
+// id is not below dict (leaving the id in dst for the error), -1 if all
+// are. len(src) == 4*len(dst).
+//
+//earl:hotpath
+func keysLE(dst []uint32, src []byte, dict int) int {
+	src = src[:len(dst)*4]
+	for i := range dst {
+		ki := binary.LittleEndian.Uint32(src[i*4 : i*4+4 : i*4+4])
+		dst[i] = ki
+		if int(ki) >= dict {
+			return i
+		}
+	}
+	return -1
 }
 
 // FindRecord returns the index of the record containing absolute file
@@ -152,10 +288,17 @@ func NewBlock(f Format, starts []int64, lastEnd int64, vals []float64, keys []ui
 // a record owned by the previous split); the caller falls back to the
 // seek path for that draw.
 func (b *Block) FindRecord(pos int64) int {
-	lo, hi := 0, len(b.starts) // invariant: starts[lo-1] <= pos < starts[hi]
+	if pos < b.base {
+		return -1
+	}
+	if pos-b.base > maxSpan {
+		return len(b.offs) - 1
+	}
+	rel := uint32(pos - b.base)
+	lo, hi := 0, len(b.offs) // invariant: offs[lo-1] <= rel < offs[hi]
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if b.starts[mid] <= pos {
+		if b.offs[mid] <= rel {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -187,6 +330,11 @@ func Decode(r ReaderAt, path string, fileSize, off, length int64, format Format)
 	end := off + length
 	if end > fileSize {
 		end = fileSize
+	}
+	if end-off > maxSpan {
+		// Before the body is read: a record start this far in would not
+		// fit a 32-bit offset.
+		return nil, fmt.Errorf("colscan: split [%d,+%d) spans more than 4 GiB", off, end-off)
 	}
 	blk := &Block{format: format}
 	// Read the split body in one call, starting one byte early so a
@@ -265,7 +413,10 @@ func Decode(r ReaderAt, path string, fileSize, off, length int64, format Format)
 			line = buf[cur:]
 			cur = len(buf)
 		}
-		blk.starts = append(blk.starts, start)
+		if len(blk.offs) == 0 {
+			blk.base = start
+		}
+		blk.offs = append(blk.offs, uint32(start-blk.base)) // < end-off <= maxSpan
 		blk.lastEnd = start + int64(len(line))
 		if format == FormatKV {
 			tab := bytes.IndexByte(line, '\t')

@@ -2,11 +2,12 @@
 // binary sidecar per dfs file that stores each split's decoded columns
 // — record-start offsets, raw little-endian float64 values and, for the
 // grouped route, an interned key dictionary — so a cold read loads a
-// colscan block with one bounds-checked copy instead of re-parsing
-// row-oriented text. It is the zst side of the zng/zst row/column split
-// (see SNIPPETS.md §1–2): the text file stays the durable row store and
-// source of truth, the sidecar is a derived columnar cache that dfs
-// builds at ingest and can always drop or rebuild.
+// colscan block with one converting, validating pass per column over
+// the stored bytes instead of re-parsing row-oriented text. It is the
+// zst side of the zng/zst row/column split (see SNIPPETS.md §1–2): the
+// text file stays the durable row store and source of truth, the
+// sidecar is a derived columnar cache that dfs builds at ingest and can
+// always drop or rebuild.
 //
 // # Layout
 //

@@ -20,15 +20,16 @@ func (m memStore) SidecarStat(path string) (int64, bool) {
 	return int64(len(sc)), ok
 }
 
-func (m memStore) ReadSidecarAt(path string, off int64, p []byte) (int, error) {
+func (m memStore) ViewSidecarAt(path string, off, size int64) ([]byte, error) {
 	sc, ok := m[path]
 	if !ok {
-		return 0, errors.New("memStore: no sidecar")
+		return nil, errors.New("memStore: no sidecar")
 	}
 	if off < 0 || off >= int64(len(sc)) {
-		return 0, nil
+		return nil, nil
 	}
-	return copy(p, sc[off:]), nil
+	end := min(off+size, int64(len(sc)))
+	return sc[off:end:end], nil
 }
 
 // byteFile adapts a byte slice to colscan.ReaderAt for the text-decode
@@ -318,11 +319,12 @@ func TestInspectRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestReaderReusesPayloadBuffers shares one Reader — and so its spare
-// payload buffers — between concurrent loaders of chunks of different
-// sizes, clean and corrupt: every clean load must still equal the text
-// decode of its split, every corrupt one must still fail its checksum.
-func TestReaderReusesPayloadBuffers(t *testing.T) {
+// TestReaderConcurrentLoads shares one Reader — its index cache, and
+// the stored bytes every load now views in place — between concurrent
+// loaders of chunks of different sizes, clean and corrupt: every clean
+// load must equal the text decode of its split, every corrupt one must
+// fail its checksum, and under -race none may write what another reads.
+func TestReaderConcurrentLoads(t *testing.T) {
 	const version, chunkSize = 4, 512
 	data := kvData(400)
 	sc, err := colseg.Build(colscan.FormatKV, version, data, []int64{0}, chunkSize)

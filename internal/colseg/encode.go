@@ -298,73 +298,59 @@ func appendChunk(buf []byte, f colscan.Format, chunkOff, segBase int64, segData 
 	return buf, nil
 }
 
-// decodeChunk loads one verified chunk payload into a colscan block:
-// bounds-checked slice reads and one conversion copy per column, no
-// parsing. chunkOff is the split offset the starts were delta-encoded
-// against.
+// decodeChunk loads one checksummed chunk payload into a colscan block.
+// This side owns the framing — the counts, the column boundaries, the
+// dictionary — and every length it reads is bounded by the bytes left
+// before anything is sized from it (a matching CRC proves the bytes are
+// the ones written, not that a writer was honest). The columns go to
+// colscan.NewBlockLE as sub-slices of payload, which converts and
+// validates each in one pass into storage the block owns; dictionary
+// strings are copied out here. The block keeps nothing of payload.
+// chunkOff is the split offset the starts were delta-encoded against.
 //
 //earl:hotpath
 func decodeChunk(payload []byte, f colscan.Format, chunkOff int64) (*colscan.Block, error) {
 	p := payload
-	if len(p) < 4 {
-		return nil, fmt.Errorf("%w: chunk shorter than its count", ErrCorrupt)
+	if len(p) < 4+8 {
+		return nil, fmt.Errorf("%w: chunk shorter than its count and lastEnd", ErrCorrupt)
 	}
-	n := int(binary.LittleEndian.Uint32(p))
-	p = p[4:]
-	if len(p) < 8 {
-		return nil, fmt.Errorf("%w: chunk missing lastEnd", ErrCorrupt)
-	}
-	lastEnd := int64(binary.LittleEndian.Uint64(p))
-	p = p[8:]
-	if n == 0 {
-		blk, err := colscan.NewBlock(f, nil, lastEnd, nil, nil, nil)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		return blk, nil
-	}
-	need := int64(n) * 12 // starts + vals
-	if f == colscan.FormatKV {
-		need += int64(n)*4 + 4
+	n := int64(binary.LittleEndian.Uint32(p))
+	lastEnd := int64(binary.LittleEndian.Uint64(p[4:]))
+	p = p[4+8:]
+	keyed := f == colscan.FormatKV && n > 0 // an empty chunk ends at lastEnd under either format
+	need := n * 12                          // starts + vals
+	if keyed {
+		need += n*4 + 4
 	}
 	if int64(len(p)) < need {
 		return nil, fmt.Errorf("%w: chunk truncated (%d of %d column bytes)", ErrCorrupt, len(p), need)
 	}
-	starts := make([]int64, n)
-	for i := range starts {
-		starts[i] = chunkOff + int64(binary.LittleEndian.Uint32(p[i*4:]))
-	}
-	p = p[n*4:]
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[i*8:]))
-	}
-	p = p[n*8:]
-	var keys []uint32
+	starts, vals := p[:n*4], p[n*4:n*12]
+	p = p[n*12:]
+	var keys []byte
 	var dict []string
-	if f == colscan.FormatKV {
-		keys = make([]uint32, n)
-		for i := range keys {
-			keys[i] = binary.LittleEndian.Uint32(p[i*4:])
+	if keyed {
+		keys = p[:n*4]
+		nd := int64(binary.LittleEndian.Uint32(p[n*4:]))
+		p = p[n*4+4:]
+		if nd*4 > int64(len(p)) {
+			return nil, fmt.Errorf("%w: dictionary of %d entries in %d bytes", ErrCorrupt, nd, len(p))
 		}
-		p = p[n*4:]
-		nd := int(binary.LittleEndian.Uint32(p))
-		p = p[4:]
 		dict = make([]string, 0, nd)
-		for i := 0; i < nd; i++ {
+		for i := int64(0); i < nd; i++ {
 			if len(p) < 4 {
 				return nil, fmt.Errorf("%w: dictionary truncated", ErrCorrupt)
 			}
-			kl := int(binary.LittleEndian.Uint32(p))
+			kl := int64(binary.LittleEndian.Uint32(p))
 			p = p[4:]
-			if kl < 0 || len(p) < kl {
+			if int64(len(p)) < kl {
 				return nil, fmt.Errorf("%w: dictionary entry truncated", ErrCorrupt)
 			}
 			dict = append(dict, string(p[:kl]))
 			p = p[kl:]
 		}
 	}
-	blk, err := colscan.NewBlock(f, starts, lastEnd, vals, keys, dict)
+	blk, err := colscan.NewBlockLE(f, chunkOff, lastEnd, starts, vals, keys, dict)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}

@@ -14,24 +14,27 @@ type Store interface {
 	// SidecarStat reports the sidecar's size for path, false if the
 	// path has none.
 	SidecarStat(path string) (int64, bool)
-	// ReadSidecarAt fills p from the sidecar at off; n < len(p) with a
-	// nil error means the sidecar ended.
-	ReadSidecarAt(path string, off int64, p []byte) (int, error)
+	// ViewSidecarAt returns the size bytes of the sidecar at off, fewer
+	// with a nil error where the sidecar ended. The bytes belong to the
+	// store and may be the stored bytes themselves: the reader must not
+	// write to them, and the store must never change them afterwards.
+	ViewSidecarAt(path string, off, size int64) ([]byte, error)
 }
 
 // Reader serves decoded blocks out of persistent sidecars: it is the
 // colscan.ColumnStore the scan cache consults before falling back to
 // text decode. Footer indexes are parsed once per (path, generation)
-// and cached; chunk loads are then one stat, one positioned payload
-// read, a CRC verify and a conversion copy. A Reader is safe for
-// concurrent use.
+// and cached; a chunk load is then one stat, one positioned view of the
+// payload where the store holds it, a CRC pass over it and one
+// converting, validating pass per column into the block. The Reader
+// holds a view only inside the call that asked for it and no Block it
+// returns aliases one, so a stored byte is never reachable from
+// anything that outlives a load. A Reader is safe for concurrent use.
 type Reader struct {
 	store Store
 
 	mu  sync.Mutex
 	idx map[string]*fileIndex
-
-	spare chan []byte // payload buffers between loads; see takePayload
 }
 
 // readerIndexCap bounds the parsed-index cache. When it fills, the
@@ -54,47 +57,7 @@ type chunkKey struct{ offset, length int64 }
 
 // NewReader builds a Reader over store.
 func NewReader(store Store) *Reader {
-	return &Reader{store: store, idx: make(map[string]*fileIndex), spare: make(chan []byte, sparePayloads)}
-}
-
-// sparePayloads and spareMaxBytes bound the chunk payload buffers a
-// Reader keeps for reuse, and with them the memory an idle Reader pins:
-// 2 MiB. Reuse pays where chunks are small and many — a scan cycling
-// blocks through a cache smaller than the file; a chunk above the limit
-// is loaded once and then lives in the cache, so keeping its payload
-// would only hold memory.
-const (
-	sparePayloads = 2
-	spareMaxBytes = 1 << 20
-)
-
-// takePayload returns a size-byte buffer for one chunk's payload: a
-// spare one when it is large enough, a fresh one otherwise. A payload is
-// read, checksummed and decoded — decodeChunk copies every column and
-// dictionary string out of it — so it is dead when LoadColumns returns,
-// and a scan that misses the cache on every block reuses its buffers
-// instead of allocating and zeroing a chunk's worth of bytes per block.
-func (r *Reader) takePayload(size int64) []byte {
-	select {
-	case buf := <-r.spare:
-		if int64(cap(buf)) >= size {
-			return buf[:size]
-		}
-	default:
-	}
-	return make([]byte, size)
-}
-
-// releasePayload keeps buf for the next load if it is small enough and
-// there is room.
-func (r *Reader) releasePayload(buf []byte) {
-	if cap(buf) > spareMaxBytes {
-		return
-	}
-	select {
-	case r.spare <- buf:
-	default:
-	}
+	return &Reader{store: store, idx: make(map[string]*fileIndex)}
 }
 
 // LoadColumns implements colscan.ColumnStore: it returns the sidecar-
@@ -123,12 +86,11 @@ func (r *Reader) LoadColumns(key colscan.BlockKey) (*colscan.Block, bool, error)
 	if !ok {
 		return nil, false, nil
 	}
-	payload := r.takePayload(e.size)
-	defer r.releasePayload(payload)
-	if n, err := r.store.ReadSidecarAt(key.Path, e.pos, payload); err != nil {
+	payload, err := r.store.ViewSidecarAt(key.Path, e.pos, e.size)
+	if err != nil {
 		return nil, false, fmt.Errorf("%w: read payload: %v", ErrCorrupt, err)
-	} else if int64(n) != e.size {
-		return nil, false, fmt.Errorf("%w: short payload read (%d of %d)", ErrCorrupt, n, e.size)
+	} else if int64(len(payload)) != e.size {
+		return nil, false, fmt.Errorf("%w: short payload read (%d of %d)", ErrCorrupt, len(payload), e.size)
 	}
 	if crc := checksum(payload); crc != e.crc {
 		return nil, false, fmt.Errorf("%w: chunk %d+%d checksum %08x != %08x",
@@ -170,25 +132,25 @@ func (r *Reader) parseIndex(path string, size int64) (*fileIndex, error) {
 	if size < headerSize+tailSize {
 		return nil, fmt.Errorf("%w: sidecar smaller than header+trailer", ErrCorrupt)
 	}
-	head := make([]byte, headerSize)
-	if n, err := r.store.ReadSidecarAt(path, 0, head); err != nil || n < headerSize {
-		return nil, fmt.Errorf("%w: read header (%d bytes, %v)", ErrCorrupt, n, err)
+	head, err := r.store.ViewSidecarAt(path, 0, headerSize)
+	if err != nil || len(head) < headerSize {
+		return nil, fmt.Errorf("%w: read header (%d bytes, %v)", ErrCorrupt, len(head), err)
 	}
 	h, err := parseHeader(head)
 	if err != nil {
 		return nil, err
 	}
-	tail := make([]byte, tailSize)
-	if n, err := r.store.ReadSidecarAt(path, size-tailSize, tail); err != nil || n < tailSize {
-		return nil, fmt.Errorf("%w: read trailer (%d bytes, %v)", ErrCorrupt, n, err)
+	tail, err := r.store.ViewSidecarAt(path, size-tailSize, tailSize)
+	if err != nil || len(tail) < tailSize {
+		return nil, fmt.Errorf("%w: read trailer (%d bytes, %v)", ErrCorrupt, len(tail), err)
 	}
 	count, footerStart, err := parseTail(tail, size)
 	if err != nil {
 		return nil, err
 	}
-	table := make([]byte, int64(count)*entrySize)
-	if n, err := r.store.ReadSidecarAt(path, footerStart, table); err != nil || int64(n) < int64(len(table)) {
-		return nil, fmt.Errorf("%w: read footer (%d bytes, %v)", ErrCorrupt, n, err)
+	table, err := r.store.ViewSidecarAt(path, footerStart, int64(count)*entrySize)
+	if err != nil || int64(len(table)) < int64(count)*entrySize {
+		return nil, fmt.Errorf("%w: read footer (%d bytes, %v)", ErrCorrupt, len(table), err)
 	}
 	entries, err := parseEntries(table, count, footerStart)
 	if err != nil {

@@ -248,6 +248,7 @@ func NewRecordSources(env *Env, path string, owned [][]dfs.Split, opts Options, 
 		}
 		if opts.Sampler == PostMapSampling {
 			pmap := sampling.NewPostMapCols(opts.Seed + seedSalt + uint64(idx)*7919)
+			pmap.ExpectBlocks(len(owned[idx]))
 			var keepScratch []int32
 			var keepSc *plan.Scratch
 			if prog != nil && prog.HasFilter() {

@@ -46,9 +46,9 @@ const (
 )
 
 // sidecar is one file version's view of its columnar sidecar. The
-// byte layout is colseg's, unchanged — SidecarStat and ReadSidecarAt
-// serve the concatenation of pieces — but the bytes are not held
-// contiguously: a view a Build or an append produced is
+// byte layout is colseg's, unchanged — SidecarStat, ViewSidecarAt and
+// ReadSidecarAt serve the concatenation of pieces — but the bytes are
+// not held contiguously: a view a Build or an append produced is
 //
 //	pieces[0]      the 25-byte header
 //	pieces[1:n-1]  runs of chunk payloads
@@ -59,6 +59,15 @@ const (
 // immutable once a version holds it (the fault hooks and Compact
 // replace the live version's view, they never edit one), so pinned
 // snapshots keep reading exactly the bytes they pinned.
+//
+// That immutability is also what lets ViewSidecarAt hand a reader a
+// sub-slice of a piece instead of a copy, and lets the reader keep it
+// after the lock is dropped, for as long as it likes: nothing ever
+// writes to a byte a piece covers — an append writes behind the last
+// piece, in capacity no piece's slice reaches — and a version that is
+// replaced or pruned only stops referring to its pieces. The holder's
+// side of the contract is to treat the bytes as read-only, and to know
+// that it keeps the whole run or extent alive while it holds them.
 //
 // New chunk bytes are packed into fixed-size append-only extents so a
 // 50 KB run costs 50 KB, not a page-rounded allocation of its own. A
@@ -130,6 +139,25 @@ func (v *sidecar) readAt(off int64, p []byte) int {
 		n += copy(p[n:], pc.b[off+int64(n)-pc.off:])
 	}
 	return n
+}
+
+// view returns the up to size bytes at off without copying them when
+// one piece holds them all — capacity clipped, so nothing can be
+// appended behind them — and as a fresh buffer of exactly that many
+// bytes when they straddle pieces (an appended file's chunk cut by an
+// extent boundary).
+func (v *sidecar) view(off, size int64) []byte {
+	size = min(size, v.size()-off)
+	if size <= 0 {
+		return nil
+	}
+	pc := v.pieces[v.pieceAt(off)]
+	if lo := off - pc.off; lo+size <= int64(len(pc.b)) {
+		return pc.b[lo : lo+size : lo+size]
+	}
+	buf := make([]byte, size)
+	v.readAt(off, buf)
+	return buf
 }
 
 // bytes returns the whole sidecar as one fresh slice.
@@ -264,10 +292,32 @@ func (fs *FileSystem) sidecarStatAt(path string, at int64) (int64, bool) {
 	return meta.sidecar.size(), true
 }
 
-// ReadSidecarAt fills p from path's sidecar starting at off, charging
-// one disk seek and the bytes read like any positioned read. n < len(p)
-// with a nil error means the sidecar ended. It implements the other
-// half of colseg.Store.
+// ViewSidecarAt returns the up to size bytes of path's sidecar at off —
+// fewer only where the sidecar ends — charging one disk seek and the
+// bytes like any positioned read. The result is read-only and usually
+// aliases stored bytes (see sidecar for why that is safe to hold); it
+// is a private copy only when the range straddles two pieces. It
+// implements the other half of colseg.Store.
+func (fs *FileSystem) ViewSidecarAt(path string, off, size int64) ([]byte, error) {
+	return fs.viewSidecarAt(path, -1, off, size)
+}
+
+func (fs *FileSystem) viewSidecarAt(path string, at, off, size int64) ([]byte, error) {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	sc, err := fs.sidecarLocked(path, at, off)
+	if err != nil || off >= sc.size() {
+		return nil, err
+	}
+	b := sc.view(off, size)
+	fs.chargeSidecarRead(len(b))
+	return b, nil
+}
+
+// ReadSidecarAt is the copying form of ViewSidecarAt, for a caller that
+// owns the destination: it fills p from path's sidecar starting at off,
+// with the same charge. n < len(p) with a nil error means the sidecar
+// ended.
 func (fs *FileSystem) ReadSidecarAt(path string, off int64, p []byte) (int, error) {
 	return fs.readSidecarAt(path, -1, off, p)
 }
@@ -275,22 +325,33 @@ func (fs *FileSystem) ReadSidecarAt(path string, off int64, p []byte) (int, erro
 func (fs *FileSystem) readSidecarAt(path string, at, off int64, p []byte) (int, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
+	sc, err := fs.sidecarLocked(path, at, off)
+	if err != nil || off >= sc.size() {
+		return 0, err
+	}
+	n := sc.readAt(off, p)
+	fs.chargeSidecarRead(n)
+	return n, nil
+}
+
+// sidecarLocked resolves the sidecar a positioned read at off addresses.
+func (fs *FileSystem) sidecarLocked(path string, at, off int64) (*sidecar, error) {
 	meta, ok := fs.metaLocked(path, at)
 	if !ok || meta.sidecar == nil {
-		return 0, fmt.Errorf("%w: sidecar for %s", ErrNotFound, path)
+		return nil, fmt.Errorf("%w: sidecar for %s", ErrNotFound, path)
 	}
 	if off < 0 {
-		return 0, errors.New("dfs: negative offset")
+		return nil, errors.New("dfs: negative offset")
 	}
-	if off >= meta.sidecar.size() {
-		return 0, nil
-	}
-	n := meta.sidecar.readAt(off, p)
+	return meta.sidecar, nil
+}
+
+// chargeSidecarRead charges one positioned sidecar read of n bytes.
+func (fs *FileSystem) chargeSidecarRead(n int) {
 	if fs.metrics != nil {
 		fs.metrics.DiskSeeks.Add(1)
 		fs.metrics.BytesRead.Add(int64(n))
 	}
-	return n, nil
 }
 
 // CompactStats reports what Compact found and did.

@@ -23,6 +23,7 @@ type View interface {
 	ReadLineAt(path string, pos int64, chunkSize int) (line string, lineStart int64, err error)
 	CountLines(path string) (int64, error)
 	SidecarStat(path string) (int64, bool)
+	ViewSidecarAt(path string, off, size int64) ([]byte, error)
 	ReadSidecarAt(path string, off int64, p []byte) (int, error)
 }
 
@@ -122,6 +123,10 @@ func (s *Snapshot) CountLines(path string) (int64, error) {
 
 func (s *Snapshot) SidecarStat(path string) (int64, bool) {
 	return s.fs.sidecarStatAt(path, s.seq)
+}
+
+func (s *Snapshot) ViewSidecarAt(path string, off, size int64) ([]byte, error) {
+	return s.fs.viewSidecarAt(path, s.seq, off, size)
 }
 
 func (s *Snapshot) ReadSidecarAt(path string, off int64, p []byte) (int, error) {

@@ -20,6 +20,7 @@ import (
 type PostMapCols struct {
 	blocks []*colscan.Block
 	refs   []colRef
+	expect int // blocks the fill will add, 0 if it did not say
 	drawn  int
 	rng    *rand.Rand
 }
@@ -33,6 +34,14 @@ type colRef struct {
 func NewPostMapCols(seed uint64) *PostMapCols {
 	return &PostMapCols{rng: rand.New(rand.NewPCG(seed, 0x3c6ef372fe94f82b))}
 }
+
+// ExpectBlocks tells an empty pool how many blocks its fill is about to
+// add. The first of them then sizes the whole pool — the splits a
+// mapper owns are equal tiles of their segment, so blocks × the first
+// block's pooled count is what the fill ends near — and refs is
+// allocated once instead of regrown and re-copied as each block
+// arrives. An estimate that falls short grows like any append.
+func (s *PostMapCols) ExpectBlocks(n int) { s.expect = n }
 
 // AddBlock pools every record of one decoded split. Blocks are added
 // in split order before the first draw.
@@ -59,11 +68,15 @@ func (s *PostMapCols) AddBlockKept(b *colscan.Block, kept []int32) {
 	}
 }
 
-// reserve extends refs by n entries for the caller to fill: capacity is
-// taken once per block, not checked once per record.
+// reserve extends refs by the n entries of the block just added, for
+// the caller to fill: capacity is taken once per block, not checked
+// once per record — and for every expected block at once on the first.
 func (s *PostMapCols) reserve(n int) []colRef {
-	at := len(s.refs)
-	s.refs = slices.Grow(s.refs, n)[:at+n]
+	at, room := len(s.refs), n
+	if len(s.blocks) == 1 {
+		room = n * max(s.expect, 1)
+	}
+	s.refs = slices.Grow(s.refs, room)[:at+n]
 	return s.refs[at:]
 }
 

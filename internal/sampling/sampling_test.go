@@ -196,7 +196,14 @@ func TestPreMapEmptyFile(t *testing.T) {
 func indexPool(t testing.TB, seed uint64, n, perBlock int) *PostMapCols {
 	t.Helper()
 	s := NewPostMapCols(seed)
-	for lo := 0; lo < n; lo += perBlock {
+	addIndexBlocks(t, s, 0, n, perBlock)
+	return s
+}
+
+// addIndexBlocks pools records from..n-1 in blocks of perBlock.
+func addIndexBlocks(t testing.TB, s *PostMapCols, from, n, perBlock int) {
+	t.Helper()
+	for lo := from; lo < n; lo += perBlock {
 		hi := min(lo+perBlock, n)
 		starts := make([]int64, hi-lo)
 		vals := make([]float64, hi-lo)
@@ -210,7 +217,6 @@ func indexPool(t testing.TB, seed uint64, n, perBlock int) *PostMapCols {
 		}
 		s.AddBlock(blk)
 	}
-	return s
 }
 
 func TestPostMapDrawWithoutReplacement(t *testing.T) {
@@ -240,6 +246,39 @@ func TestPostMapDrawWithoutReplacement(t *testing.T) {
 	s.Reset()
 	if s.Remaining() != 100 {
 		t.Fatal("reset did not restore pool")
+	}
+}
+
+// TestPostMapExpectBlocksReservesOnce: a pool told how many blocks are
+// coming takes its whole capacity at the first and never moves again,
+// an estimate that falls short still pools every record, and either way
+// the draws are those of a pool that was told nothing.
+func TestPostMapExpectBlocksReservesOnce(t *testing.T) {
+	const n, perBlock = 1000, 128 // 7 full blocks and a short one
+	told := NewPostMapCols(5)
+	told.ExpectBlocks(8)
+	addIndexBlocks(t, told, 0, perBlock, perBlock)
+	if cap(told.refs) < 8*perBlock {
+		t.Fatalf("capacity %d after the first of 8 blocks of %d", cap(told.refs), perBlock)
+	}
+	first := &told.refs[0]
+	addIndexBlocks(t, told, perBlock, n, perBlock)
+	if first != &told.refs[0] {
+		t.Fatal("the reserved pool was reallocated")
+	}
+	short := NewPostMapCols(5)
+	short.ExpectBlocks(2) // 8 arrive
+	addIndexBlocks(t, short, 0, n, perBlock)
+
+	var want colscan.Cols
+	if got, err := indexPool(t, 5, n, perBlock).DrawCols(n, &want); err != nil || got != n {
+		t.Fatalf("drew %d of %d: %v", got, n, err)
+	}
+	for name, s := range map[string]*PostMapCols{"told 8 of 8": told, "told 2 of 8": short} {
+		var cols colscan.Cols
+		if got, err := s.DrawCols(n, &cols); err != nil || got != n || !reflect.DeepEqual(cols, want) {
+			t.Fatalf("%s: drew %d of %d (%v), same sequence as an untold pool: %v", name, got, n, err, reflect.DeepEqual(cols, want))
+		}
 	}
 }
 
