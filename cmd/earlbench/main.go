@@ -15,8 +15,11 @@
 //	                1 = sequential engine); tables are identical for a
 //	                fixed seed at any value
 //	-json           run the benchmark families — the hot substrates
-//	                (bootstrap resampling, delta maintenance, pre-map
-//	                sampling), scan decode, the end-to-end engine family
+//	                (bootstrap resampling, delta maintenance and SSABE
+//	                at one worker and at all, the order-statistic
+//	                multiset, pre-map sampling; self-checked: the
+//	                resampling allocation budgets), scan decode, the
+//	                end-to-end engine family
 //	                (single-statistic vs 4-statistic shared pass,
 //	                scalar vs grouped, with records-read measurements;
 //	                self-checked: read-only runs add 0 commits and 0

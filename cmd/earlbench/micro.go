@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -22,8 +23,10 @@ import (
 	"repro/internal/delta"
 	"repro/internal/dfs"
 	"repro/internal/jobs"
+	"repro/internal/mr"
 	"repro/internal/plan"
 	"repro/internal/sampling"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -131,8 +134,8 @@ func regressions(baseline, current microReport) []string {
 }
 
 // runMicro measures the benchmark families — bootstrap resampling,
-// delta maintenance, pre-map sampling and the post-map pool fill (the
-// hot substrates), scan decode
+// delta maintenance, the order-statistic multiset, pre-map sampling and
+// the post-map pool fill (the hot substrates), scan decode
 // (per-record vs columnar split ingestion), the end-to-end engine
 // family (single-statistic vs shared-pass multi-statistic, scalar vs
 // grouped), the query-plan family (σ pushdown vs user-level
@@ -222,11 +225,11 @@ func runMicro() (microReport, error) {
 	if err != nil {
 		return microReport{}, err
 	}
-	growBench := func(naive bool, red jobs.Numeric) func(b *testing.B) {
+	growBench := func(naive bool, red jobs.Numeric, par int) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				cfg := delta.Config{Reducer: red.Reducer, B: 30, Seed: uint64(i), Key: "b"}
+				cfg := delta.Config{Reducer: red.Reducer, B: 30, Seed: uint64(i), Key: "b", Parallelism: par}
 				var m interface{ Grow([]float64) error }
 				var err error
 				if naive {
@@ -245,28 +248,86 @@ func runMicro() (microReport, error) {
 			}
 		}
 	}
-	add("delta", "MaintainerGrow/n=4096/B=30/gens=4", growBench(false, jobs.Mean()))
-	add("delta", "NaiveMaintainerGrow/n=4096/B=30/gens=4", growBench(true, jobs.Mean()))
+	add("delta", "MaintainerGrow/n=4096/B=30/gens=4", growBench(false, jobs.Mean(), 0))
+	add("delta", "NaiveMaintainerGrow/n=4096/B=30/gens=4", growBench(true, jobs.Mean(), 0))
 	// The order-statistic flavour: every add/remove mutates the
 	// Fenwick-indexed multiset and every generation finalizes B medians —
 	// the structure the allocation-free rework targets hardest.
-	add("delta", "MaintainerGrowMedian/n=4096/B=30/gens=4", growBench(false, jobs.Median()))
+	add("delta", "MaintainerGrowMedian/n=4096/B=30/gens=4", growBench(false, jobs.Median(), 0))
+	// The same at one worker and at all of them: what the worker pool
+	// buys where a resample is a counted merge rather than a sort.
+	for _, par := range []int{1, 0} {
+		add("delta", "MaintainerGrowMedian/n=4096/B=30/gens=4/"+benchParLabel(par), growBench(false, jobs.Median(), par))
+	}
+
+	// --- Family 2a: the order-statistic multiset behind the quantile
+	// reducers. One op builds a fresh multiset from two bootstrap
+	// resamples of a 10 k sample: as slices in draw order (sorted per
+	// batch), as slices already ascending, and sorted-and-counted — the
+	// form the engine hands over since it ranks a sample once for all
+	// the resamples drawn from it.
+	{
+		rk := mr.Rank(jobs.Median().Reducer, xs)
+		rng := rand.New(rand.NewPCG(3, 4))
+		var unsorted, sorted [2][]float64
+		var counts [2][]uint32
+		for k := range unsorted {
+			counts[k] = make([]uint32, len(rk.Distinct))
+			for range xs {
+				p := rng.IntN(len(xs))
+				unsorted[k] = append(unsorted[k], xs[p])
+				counts[k][rk.Of[p]]++
+			}
+			sorted[k] = append([]float64(nil), unsorted[k]...)
+			sort.Float64s(sorted[k])
+		}
+		addBatches := func(batches [2][]float64) func(b *testing.B) {
+			return func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					var o stats.OrderStat
+					for _, batch := range batches {
+						if err := o.AddBatch(batch); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			}
+		}
+		add("stats", fmt.Sprintf("OrderStat/AddBatch/unsorted/n=%d", len(xs)), addBatches(unsorted))
+		add("stats", fmt.Sprintf("OrderStat/AddBatch/sorted/n=%d", len(xs)), addBatches(sorted))
+		add("stats", fmt.Sprintf("OrderStat/AddCounted/n=%d", len(xs)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var o stats.OrderStat
+				for _, c := range counts {
+					o.AddCounted(rk.Distinct, c)
+				}
+			}
+		})
+	}
 
 	// --- Family 2b: planning (SSABE over a pilot, §3.2). --------------
 	// What a sampled query pays before it reads its first sample record:
 	// phase 1's B search plus phase 2's three delta-maintained replicates
 	// over the pilot — mean for the Welford lane kernels, median for the
 	// reducers that take the generic per-state loop.
-	for _, job := range []jobs.Numeric{jobs.Mean(), jobs.Median()} {
-		job := job
-		add("aes", fmt.Sprintf("SSABE/%s/pilot=%d", job.Name, len(xs)), func(b *testing.B) {
+	ssabeBench := func(job jobs.Numeric, par int) func(b *testing.B) {
+		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := aes.SSABE(xs, 1_000_000, aes.Config{Reducer: job.Reducer, Sigma: 0.05, Seed: uint64(i), Key: "b"}); err != nil {
+				if _, err := aes.SSABE(xs, 1_000_000, aes.Config{Reducer: job.Reducer, Sigma: 0.05, Seed: uint64(i), Key: "b", Parallelism: par}); err != nil {
 					b.Fatal(err)
 				}
 			}
-		})
+		}
+	}
+	for _, job := range []jobs.Numeric{jobs.Mean(), jobs.Median()} {
+		add("aes", fmt.Sprintf("SSABE/%s/pilot=%d", job.Name, len(xs)), ssabeBench(job, 0))
+	}
+	// Phase 1 is sequential whatever the pool size; phase 2 is not.
+	for _, par := range []int{1, 0} {
+		add("aes", fmt.Sprintf("SSABE/median/pilot=%d/%s", len(xs), benchParLabel(par)), ssabeBench(jobs.Median(), par))
 	}
 
 	// --- Family 3: pre-map sampling (Algorithm 2 seek path). ---------
@@ -1096,6 +1157,23 @@ func runMicro() (microReport, error) {
 			if r.Family == lim.family && strings.HasPrefix(r.Name, lim.prefix) && r.AllocsPerOp > lim.allocs {
 				return microReport{}, fmt.Errorf(
 					"in-place read criterion violated: %s/%s makes %d allocs/op (limit %d)",
+					r.Family, r.Name, r.AllocsPerOp, lim.allocs)
+			}
+		}
+	}
+	// The resampling allocation budgets: a mean Grow schedule stays at
+	// its ~1 k allocations (parts, caches and per-worker scratch), and
+	// the median one — whose resamples now arrive counted instead of
+	// being sorted in each state's own buffer — at no more than it made
+	// before that (BENCH_pr18.json).
+	for _, lim := range []struct {
+		prefix string
+		allocs int64
+	}{{"MaintainerGrow/", 1100}, {"MaintainerGrowMedian/", 1453}} {
+		for _, r := range out {
+			if r.Family == "delta" && strings.HasPrefix(r.Name, lim.prefix) && r.AllocsPerOp > lim.allocs {
+				return microReport{}, fmt.Errorf(
+					"resampling allocation budget exceeded: %s/%s makes %d allocs/op (limit %d)",
 					r.Family, r.Name, r.AllocsPerOp, lim.allocs)
 			}
 		}

@@ -69,7 +69,8 @@ type Config struct {
 	// resampling: 0 (or negative) means runtime.GOMAXPROCS, 1 forces the
 	// sequential path. Plan output is identical at any value for a fixed
 	// Seed. (Phase 1 is inherently sequential: it adds one resample at a
-	// time and early-stops on τ-stability.)
+	// time and early-stops on τ-stability. What runs beside it is another
+	// statistic's SSABE: core plans a query's statistics concurrently.)
 	Parallelism int
 	// Replicates is how many independent delta-maintained runs phase 2
 	// averages each curve point over (default 3). A single run measures
@@ -115,15 +116,6 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// statistic computes the reducer's value on one item slice.
-func statistic(red mr.IncrementalReducer, key string, items []float64) (float64, error) {
-	st, err := red.Initialize(key, items)
-	if err != nil {
-		return 0, err
-	}
-	return red.Finalize(st)
-}
-
 // EstimateB runs phase 1 on the pilot sample: resamples are added one at
 // a time (each new candidate B reuses all previous resamples, the
 // incremental-processing observation of §4), and the loop stops once the
@@ -139,12 +131,34 @@ func EstimateB(pilot []float64, cfg Config) (int, []float64, error) {
 	}
 	rng := newRNG(cfg.Seed)
 	values := make([]float64, 0, cfg.MaxB)
-	buf := make([]float64, len(pilot))
-	drawValue := func() error {
-		for i := range buf {
-			buf[i] = pilot[rng.IntN(len(pilot))]
+	// Every candidate B draws from the same pilot by position, so a
+	// reducer that takes a batch in any order has the pilot sorted once
+	// and each resample counted into place: the rng sequence, and so B
+	// and the trace, are the same either way.
+	var resample func() (mr.State, error)
+	if rk := mr.Rank(cfg.Reducer, pilot); rk != nil {
+		counts := make([]uint32, len(rk.Distinct))
+		resample = func() (mr.State, error) {
+			for range pilot {
+				counts[rk.Of[rng.IntN(len(pilot))]]++
+			}
+			return rk.Initialize(cfg.Key, counts)
 		}
-		v, err := statistic(cfg.Reducer, cfg.Key, buf)
+	} else {
+		buf := make([]float64, len(pilot))
+		resample = func() (mr.State, error) {
+			for i := range buf {
+				buf[i] = pilot[rng.IntN(len(pilot))]
+			}
+			return cfg.Reducer.Initialize(cfg.Key, buf)
+		}
+	}
+	drawValue := func() error {
+		st, err := resample()
+		if err != nil {
+			return err
+		}
+		v, err := cfg.Reducer.Finalize(st)
 		if err != nil {
 			return err
 		}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/colscan"
 	"repro/internal/jobs"
 	"repro/internal/plan"
+	"repro/internal/pool"
 	"repro/internal/sampling"
 )
 
@@ -50,7 +51,10 @@ type Options struct {
 	// Parallelism is the worker-pool size of the parallel resampling
 	// engine (SSABE's pilot bootstraps and the reducer's delta-update
 	// loop); runtime.GOMAXPROCS(0) if 0, 1 forces the sequential path.
-	// Results are reproducible for a fixed Seed at any parallelism.
+	// A multi-statistic query also plans its statistics concurrently, up
+	// to this many SSABEs at a time (so Measure may be called from
+	// several goroutines). Results are reproducible for a fixed Seed at
+	// any parallelism.
 	Parallelism int
 }
 
@@ -319,27 +323,34 @@ func RunScalarLive(env *Env, jset []jobs.Numeric, path string, opts Options, pro
 		}
 	}
 
+	// Each statistic's plan is a function of the pilot, its reducer and
+	// the seed alone, so the statistics are planned side by side — phase 1
+	// cannot use a second core within one SSABE, but three SSABEs can.
 	plans := make([]aes.Plan, len(jset))
-	useFull := false
-	for i, job := range jset {
+	err = pool.ForEach(len(jset), pool.Workers(opts.Parallelism), func(i int) error {
 		if forced {
 			plans[i] = aes.Plan{B: opts.ForceB, N: opts.ForceN}
-			continue
+			return nil
 		}
+		var err error
 		plans[i], err = aes.SSABE(pilot.Vals, estTotal, aes.Config{
-			Reducer:     job.Reducer,
+			Reducer:     jset[i].Reducer,
 			Sigma:       opts.Sigma,
 			Tau:         opts.Tau,
 			Seed:        opts.Seed + 17,
 			Metrics:     env.Metrics,
 			Measure:     opts.Measure,
-			Key:         job.Name,
+			Key:         jset[i].Name,
 			Parallelism: opts.Parallelism,
 		})
-		if err != nil {
-			return nil, nil, err
-		}
-		useFull = useFull || plans[i].UseFull
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	useFull := false
+	for _, p := range plans {
+		useFull = useFull || p.UseFull
 	}
 	if useFull {
 		// "EARL informs the user that an early estimation with the

@@ -27,7 +27,12 @@
 // A worker takes resamples a few at a time (growLanes) and folds the
 // group's draws from the new generation — the bulk of a Grow — in one
 // mr.UpdateLanes call, so reducers whose update is a latency-bound
-// arithmetic chain step the group's states side by side.
+// arithmetic chain step the group's states side by side. For reducers
+// whose state is a function of a batch's multiset (mr.MultisetReducer:
+// the quantiles) Grow sorts Δs once instead — mr.Rank — and every
+// resample, which draws from Δs by position, counts its draws by rank
+// and hands its state the counts: one increment per item where each
+// state used to sort its own batch.
 package delta
 
 import (
@@ -110,13 +115,16 @@ type resample struct {
 // per-resample-per-generation `make` churn disappears. A resample's
 // draws from the new generation get a buffer per lane of the group:
 // they are folded only once the whole group has drawn, and read again
-// after that to build the resample's new part.
+// after that to build the resample's new part. Under a ranking the
+// draws are also counted by rank, and a resample's counts are folded
+// before the next one draws.
 type growScratch struct {
 	dels   pool.Floats
 	adds   pool.Floats
 	fills  [growLanes]pool.Floats
 	draws  [growLanes][]float64
 	states [growLanes]mr.State
+	counts []uint32 // per distinct value of Δs; zero between resamples
 }
 
 // Config configures a Maintainer.
@@ -209,8 +217,16 @@ func (m *Maintainer) grow(deltaSample []float64, final bool) error {
 	if len(deltaSample) == 0 {
 		return errors.New("delta: empty delta sample")
 	}
-	ds := append([]float64(nil), deltaSample...)
+	// Parts and sketch caches retain Δs; a final generation builds neither.
+	ds := deltaSample
+	if !final {
+		ds = append([]float64(nil), deltaSample...)
+	}
 	nPrime := m.n + len(ds)
+	// One sort of Δs serves every resample of a reducer that takes its
+	// batches in any order; nil for every other reducer. It lives for
+	// this call only.
+	rk := mr.Rank(m.red, ds)
 
 	first := m.n == 0
 	if first {
@@ -227,14 +243,17 @@ func (m *Maintainer) grow(deltaSample []float64, final bool) error {
 	groups := (m.b + group - 1) / group
 	err := pool.ForEachWorker(groups, m.par, func() func(int) error {
 		scratch := &growScratch{}
+		if rk != nil {
+			scratch.counts = make([]uint32, len(rk.Distinct))
+		}
 		return func(g int) error {
 			lo := g * group
 			hi := min(lo+group, m.b)
 			var err error
 			if first {
-				err = m.initGroup(m.resamples[lo:hi], ds, scratch, final)
+				err = m.initGroup(m.resamples[lo:hi], ds, rk, scratch, final)
 			} else {
-				err = m.growGroup(m.resamples[lo:hi], nPrime, ds, scratch, final)
+				err = m.growGroup(m.resamples[lo:hi], nPrime, ds, rk, scratch, final)
 			}
 			if err != nil {
 				return fmt.Errorf("delta: resamples %d-%d: %w", lo, hi-1, err)
@@ -259,13 +278,16 @@ func (m *Maintainer) grow(deltaSample []float64, final bool) error {
 // items whole, so there is nothing to fold across the group.
 //
 //earl:hotpath
-func (m *Maintainer) initGroup(rs []*resample, ds []float64, scratch *growScratch, final bool) error {
+func (m *Maintainer) initGroup(rs []*resample, ds []float64, rk *mr.Ranking, scratch *growScratch, final bool) error {
 	for _, r := range rs {
-		items := scratch.adds.Take(len(ds))
-		for j := 0; j < len(ds); j++ {
-			items = append(items, ds[r.rng.IntN(len(ds))])
+		items := drawDelta(r.rng, ds, rk, scratch.counts, scratch.adds.Take(len(ds)), len(ds))
+		var st mr.State
+		var err error
+		if rk != nil {
+			st, err = rk.Initialize(m.key, scratch.counts)
+		} else {
+			st, err = m.red.Initialize(m.key, items)
 		}
-		st, err := m.red.Initialize(m.key, items)
 		if err != nil {
 			return fmt.Errorf("initialize: %w", err)
 		}
@@ -288,10 +310,12 @@ func (m *Maintainer) initGroup(rs []*resample, ds []float64, scratch *growScratc
 // and so is the order its state sees values in; only the *state*
 // application is batched: deletes and adds in one interface call each,
 // and the Δs draws of the whole group in one mr.UpdateLanes between the
-// two per-resample passes. Fixed-seed results stay bit-identical.
+// two per-resample passes. Fixed-seed results stay bit-identical. Under
+// a ranking a resample's draws reach its state at once and ascending —
+// the reducer has declared that order leaves no trace.
 //
 //earl:hotpath
-func (m *Maintainer) growGroup(rs []*resample, nPrime int, ds []float64, scratch *growScratch, final bool) error {
+func (m *Maintainer) growGroup(rs []*resample, nPrime int, ds []float64, rk *mr.Ranking, scratch *growScratch, final bool) error {
 	draws, states := scratch.draws[:len(rs)], scratch.states[:len(rs)]
 	for k, r := range rs {
 		keep, err := m.resizeResample(r, nPrime, scratch)
@@ -300,14 +324,19 @@ func (m *Maintainer) growGroup(rs []*resample, nPrime int, ds []float64, scratch
 		}
 		// Fill to n′ with draws from Δs (the new generation) — memory-
 		// resident this iteration, so drawn directly.
-		items := scratch.fills[k].Take(nPrime - keep)
-		for j := 0; j < nPrime-keep; j++ {
-			items = append(items, ds[r.rng.IntN(len(ds))])
+		fill := nPrime - keep
+		draws[k] = drawDelta(r.rng, ds, rk, scratch.counts, scratch.fills[k].Take(fill), fill)
+		states[k] = r.state
+		if rk != nil {
+			if states[k], err = rk.Update(r.state, scratch.counts); err != nil {
+				return err
+			}
 		}
-		draws[k], states[k] = items, r.state
 	}
-	if err := mr.UpdateLanes(m.red, states, draws); err != nil {
-		return err
+	if rk == nil {
+		if err := mr.UpdateLanes(m.red, states, draws); err != nil {
+			return err
+		}
 	}
 	for k, r := range rs {
 		r.state = states[k]
@@ -320,6 +349,27 @@ func (m *Maintainer) growGroup(rs []*resample, nPrime int, ds []float64, scratch
 		}
 	}
 	return nil
+}
+
+// drawDelta appends n draws from Δs, with replacement and in draw
+// order, to items; under a ranking it also counts each draw by rank, for
+// the reducer to take as the same multiset, sorted. The rng is advanced
+// identically either way.
+//
+//earl:hotpath
+func drawDelta(rng *rand.Rand, ds []float64, rk *mr.Ranking, counts []uint32, items []float64, n int) []float64 {
+	if rk == nil {
+		for j := 0; j < n; j++ {
+			items = append(items, ds[rng.IntN(len(ds))])
+		}
+		return items
+	}
+	for j := 0; j < n; j++ {
+		p := rng.IntN(len(ds))
+		items = append(items, ds[p])
+		counts[rk.Of[p]]++
+	}
+	return items
 }
 
 // endIteration closes a resample's generation: its new part over the

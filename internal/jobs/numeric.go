@@ -371,5 +371,22 @@ func (r quantileReducer) Finalize(state mr.State) (float64, error) {
 	return st.ms.Quantile(r.q)
 }
 
+// InitializeCounted implements mr.MultisetReducer: the state is a
+// counted multiset, and stats.OrderStat sorts and counts a batch before
+// it looks at it, so the order values arrive in leaves no trace.
+func (r quantileReducer) InitializeCounted(key string, distinct []float64, counts []uint32) (mr.State, error) {
+	return r.UpdateCounted(&multisetState{}, distinct, counts)
+}
+
+// UpdateCounted implements mr.MultisetReducer.
+func (r quantileReducer) UpdateCounted(state mr.State, distinct []float64, counts []uint32) (mr.State, error) {
+	st, ok := state.(*multisetState)
+	if !ok {
+		return nil, mr.ErrBadState
+	}
+	st.ms.AddCounted(distinct, counts)
+	return st, nil
+}
+
 // Correct implements mr.IncrementalReducer: quantiles are p-invariant.
 func (r quantileReducer) Correct(result, p float64) float64 { return mr.IdentityCorrect(result, p) }

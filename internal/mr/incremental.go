@@ -3,6 +3,8 @@ package mr
 import (
 	"errors"
 	"fmt"
+	"math"
+	"sort"
 )
 
 // State is an opaque summary of a user function f after processing some
@@ -34,7 +36,11 @@ type IncrementalReducer interface {
 	// batches return ErrBadInput and UpdateAll falls back to the loop.
 	// Batch slices are not retained. A reducer that also implements
 	// LaneUpdater extends the same clause across states: however many
-	// it steps side by side, each state sees exactly this fold.
+	// it steps side by side, each state sees exactly this fold. A
+	// reducer that is also a MultisetReducer promises more — any
+	// permutation of a batch leaves its state bit-identical, here and
+	// in Initialize — and in return may be handed a batch sorted and
+	// counted instead of in draw order.
 	Update(state State, input any) (State, error)
 	// Finalize extracts the current result from a state.
 	Finalize(state State) (float64, error)
@@ -146,6 +152,94 @@ func UpdateLanes(r IncrementalReducer, states []State, batches [][]float64) erro
 		states[k] = next
 	}
 	return nil
+}
+
+// MultisetReducer is implemented by reducers whose state depends only on
+// the multiset of a batch: Initialize over any permutation of values,
+// and Update with any permutation of a []float64 batch, leave a state
+// bit-identical — every later Finalize, Remove and Update included. An
+// order-statistic multiset qualifies; a floating-point accumulator does
+// not (its rounding follows the fold order), so the moment reducers must
+// not implement it. The engine may then present a batch sorted and
+// counted — strictly ascending distinct values, counts[i] copies of
+// distinct[i], zero counts allowed — instead of in the order it was
+// drawn, and the counted methods must leave exactly the state Initialize
+// and Update would leave given the same multiset as a slice. Neither
+// argument is retained or modified. The promise covers the batches Rank
+// agrees to sort: no NaN, and not +0 beside −0.
+type MultisetReducer interface {
+	InitializeCounted(key string, distinct []float64, counts []uint32) (State, error)
+	UpdateCounted(state State, distinct []float64, counts []uint32) (State, error)
+}
+
+// Ranking is a batch source — a Δs, SSABE's pilot — sorted once, so that
+// each bootstrap resample drawn from it by position reaches a
+// MultisetReducer for one counter increment per draw (counts[Of[p]]++)
+// instead of one sort per resample. It is read-only after Rank and safe
+// to share between workers; the counters — one per distinct value, zero
+// between resamples — are the caller's per-worker scratch.
+type Ranking struct {
+	red      MultisetReducer
+	Distinct []float64 // the source's distinct values, ascending
+	Of       []uint32  // Of[j] is the index in Distinct of source[j]
+}
+
+// Rank ranks source for r. It returns nil — and the caller keeps folding
+// batches in draw order — unless r is a MultisetReducer and sorting
+// cannot change a bit of r's state: a source holding a NaN is left for
+// the reducer to reject as it always has, and one holding both +0 and
+// −0, which compare equal, would otherwise reach the state in an order
+// other than the reducer's own sort would have produced.
+func Rank(r IncrementalReducer, source []float64) *Ranking {
+	red, ok := r.(MultisetReducer)
+	if !ok || len(source) == 0 {
+		return nil
+	}
+	var posZero, negZero bool
+	for _, v := range source {
+		if v != v {
+			return nil
+		}
+		if v == 0 {
+			if math.Signbit(v) {
+				negZero = true
+			} else {
+				posZero = true
+			}
+		}
+	}
+	if posZero && negZero {
+		return nil
+	}
+	sorted := append([]float64(nil), source...)
+	sort.Float64s(sorted)
+	distinct := sorted[:1]
+	for _, v := range sorted[1:] {
+		if v != distinct[len(distinct)-1] {
+			distinct = append(distinct, v)
+		}
+	}
+	of := make([]uint32, len(source))
+	for j, v := range source {
+		of[j] = uint32(sort.SearchFloat64s(distinct, v))
+	}
+	return &Ranking{red: red, Distinct: distinct, Of: of}
+}
+
+// Initialize reduces the resample counts describes into a fresh state
+// and zeroes counts for the next resample.
+func (rk *Ranking) Initialize(key string, counts []uint32) (State, error) {
+	st, err := rk.red.InitializeCounted(key, rk.Distinct, counts)
+	clear(counts)
+	return st, err
+}
+
+// Update folds the resample counts describes into state and zeroes
+// counts for the next resample.
+func (rk *Ranking) Update(state State, counts []uint32) (State, error) {
+	st, err := rk.red.UpdateCounted(state, rk.Distinct, counts)
+	clear(counts)
+	return st, err
 }
 
 // InitializeOrUpdate folds values into state, creating a fresh state via

@@ -11,8 +11,9 @@ import (
 // over their multiplicities. Add/Remove of a value already in the
 // dictionary and Kth/Quantile are O(log k) in the number of distinct
 // values and allocation-free; new distinct values are admitted in
-// batches (AddBatch) with one O(k + m log m) merge + rebuild per batch
-// rather than one O(k) insertion per value.
+// batches (AddBatch, or AddCounted for a batch already sorted and
+// counted) with one O(k + m log m) merge + rebuild per batch rather than
+// one O(k) insertion per value.
 //
 // This is the state representation behind EARL's quantile/median
 // resample maintenance (§4.1): a maintained resample performs ~√n
@@ -37,7 +38,10 @@ type OrderStat struct {
 	n      int64     // total count
 	zeros  int       // slots whose count has dropped to zero
 
-	scratch []float64 // reused sort buffer for unsorted AddBatch input
+	// AddBatch's reused buffers: the sorted copy of an unsorted batch,
+	// then the batch's distinct values, and their multiplicities.
+	scratch []float64
+	runs    []uint32
 }
 
 // Len returns the total number of items (with multiplicity).
@@ -78,15 +82,15 @@ func (o *OrderStat) Add(v float64) error {
 		o.bump(slot, 1)
 		return nil
 	}
-	o.mergeRebuild([]float64{v}, 1)
+	o.mergeRebuild([]float64{v}, []uint32{1}, 1)
 	return nil
 }
 
 // AddBatch inserts every value of vs (with multiplicity). vs is not
-// retained; when it is already ascending — the engine's canonical
-// generation order — no copy is made, otherwise it is sorted into an
-// internal scratch buffer. A batch containing NaN is rejected whole,
-// before any mutation.
+// retained or modified: it is sorted in an internal scratch buffer
+// unless it is already ascending — the engine's canonical generation
+// order — and handed to AddCounted as runs of equal values. A batch
+// containing NaN is rejected whole, before any mutation.
 //
 //earl:hotpath
 func (o *OrderStat) AddBatch(vs []float64) error {
@@ -98,44 +102,100 @@ func (o *OrderStat) AddBatch(vs []float64) error {
 			return ErrNaN
 		}
 	}
+	// Either buffer may have to hold one entry per value.
+	if cap(o.scratch) < len(vs) {
+		o.scratch = make([]float64, len(vs))
+		o.runs = make([]uint32, len(vs))
+	}
 	if !sort.Float64sAreSorted(vs) {
-		if cap(o.scratch) < len(vs) {
-			o.scratch = make([]float64, len(vs))
-		}
 		o.scratch = o.scratch[:len(vs)]
 		copy(o.scratch, vs)
 		sort.Float64s(o.scratch)
 		vs = o.scratch
 	}
-	// First pass over the runs of equal values: count the ones needing a
-	// slot the merged dictionary must keep — brand-new values and revived
-	// tombstones (which the merge then cannot compact).
-	kept := 0
+	// Run-length encode, in place when vs is the scratch copy. A run is
+	// named by its last value: +0 and −0 compare equal, and that is the
+	// one the back-to-front merge has always stored.
+	distinct, runs := o.scratch[:0], o.runs[:0]
 	for i := 0; i < len(vs); {
 		j := i + 1
 		for j < len(vs) && vs[j] == vs[i] {
 			j++
 		}
-		if slot, ok := o.find(vs[i]); !ok || o.counts[slot] == 0 {
-			kept++
-		}
+		distinct = append(distinct, vs[j-1])
+		runs = append(runs, uint32(j-i))
 		i = j
 	}
-	if kept == 0 && o.zeros*2 <= len(o.vals) {
-		// Pure count bumps: O(m log k), no rebuild.
-		for i := 0; i < len(vs); {
-			j := i + 1
-			for j < len(vs) && vs[j] == vs[i] {
-				j++
-			}
-			slot, _ := o.find(vs[i])
-			o.bump(slot, int64(j-i))
-			i = j
-		}
-		return nil
-	}
-	o.mergeRebuild(vs, kept)
+	o.AddCounted(distinct, runs)
 	return nil
+}
+
+// AddCounted inserts distinct[i] counts[i] times, for every i: a batch
+// whose sorting and counting the caller has already done — AddBatch, or
+// the engine, which ranks a sample once for all the resamples drawn from
+// it. distinct must be strictly ascending and free of NaN (not checked:
+// a ranking is validated once, not once per resample); zero counts are
+// skipped. Neither slice is retained or modified. O(m log(k/m)) for m
+// runs against k slots when every value is already in the dictionary,
+// O(k + m) plus the Fenwick rebuild otherwise.
+//
+//earl:hotpath
+func (o *OrderStat) AddCounted(distinct []float64, counts []uint32) {
+	// First pass: count the runs needing a slot the merged dictionary
+	// must keep — brand-new values and revived tombstones (which the
+	// merge then cannot compact).
+	runs, kept, slot := 0, 0, 0
+	for i, c := range counts {
+		if c == 0 {
+			continue
+		}
+		runs++
+		slot = o.seek(slot, distinct[i])
+		if slot == len(o.vals) || o.vals[slot] != distinct[i] || o.counts[slot] == 0 {
+			kept++
+		}
+	}
+	if runs == 0 {
+		return
+	}
+	if kept > 0 || o.zeros*2 > len(o.vals) {
+		o.mergeRebuild(distinct, counts, kept)
+		return
+	}
+	// Pure count bumps: no rebuild.
+	slot = 0
+	for i, c := range counts {
+		if c == 0 {
+			continue
+		}
+		slot = o.seek(slot, distinct[i])
+		o.bump(slot, int64(c))
+	}
+}
+
+// seek returns the first slot at or after from whose value is ≥ v
+// (len(o.vals) if none), galloping: a step costs O(log gap), so a walk
+// over ascending values is linear when they are dense in the dictionary
+// and logarithmic per value when they are sparse.
+func (o *OrderStat) seek(from int, v float64) int {
+	vals := o.vals
+	if from >= len(vals) || !(vals[from] < v) {
+		return from
+	}
+	lo, step := from, 1 // vals[lo] < v throughout
+	for lo+step < len(vals) && vals[lo+step] < v {
+		lo += step
+		step <<= 1
+	}
+	hi := min(lo+step, len(vals)) // vals[hi] ≥ v, or hi is the end
+	for lo+1 < hi {
+		if mid := int(uint(lo+hi) >> 1); vals[mid] < v {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
 }
 
 // compact drops zero-count tombstone slots in one forward pass.
@@ -157,12 +217,12 @@ func (o *OrderStat) compact() {
 	o.zeros = 0
 }
 
-// mergeRebuild compacts tombstones, merges the sorted batch vs into the
-// dictionary in one backward in-place pass, and rebuilds the Fenwick
-// index. kept is the number of distinct batch values absent from the
-// compacted dictionary (new values + revived tombstones). O(k + m) plus
-// the rebuild.
-func (o *OrderStat) mergeRebuild(vs []float64, kept int) {
+// mergeRebuild compacts tombstones, merges the counted batch — strictly
+// ascending distinct values, zero counts skipped — into the dictionary
+// in one backward in-place pass, and rebuilds the Fenwick index. kept is
+// the number of batch values absent from the compacted dictionary (new
+// values + revived tombstones). O(k + m) plus the rebuild.
+func (o *OrderStat) mergeRebuild(distinct []float64, counts []uint32, kept int) {
 	o.compact()
 	oldLen := len(o.vals)
 	newLen := oldLen + kept
@@ -179,21 +239,22 @@ func (o *OrderStat) mergeRebuild(vs []float64, kept int) {
 	// Merge from the back: with tombstones gone every old slot survives,
 	// so the write cursor never catches the unread region (w ≥ i).
 	w := newLen - 1
-	i, j := oldLen-1, len(vs)-1
+	i, j := oldLen-1, len(distinct)-1
 	for j >= 0 || i >= 0 {
-		if j < 0 || (i >= 0 && o.vals[i] > vs[j]) {
+		if j >= 0 && counts[j] == 0 {
+			j--
+			continue
+		}
+		if j < 0 || (i >= 0 && o.vals[i] > distinct[j]) {
 			o.vals[w] = o.vals[i]
 			o.counts[w] = o.counts[i]
 			i--
 			w--
 			continue
 		}
-		v := vs[j]
-		var c int64
-		for j >= 0 && vs[j] == v {
-			c++
-			j--
-		}
+		v, c := distinct[j], int64(counts[j])
+		j--
+		o.n += c
 		if i >= 0 && o.vals[i] == v {
 			c += o.counts[i]
 			i--
@@ -202,7 +263,6 @@ func (o *OrderStat) mergeRebuild(vs []float64, kept int) {
 		o.counts[w] = c
 		w--
 	}
-	o.n += int64(len(vs))
 	o.tree.Rebuild(o.counts)
 }
 

@@ -26,11 +26,15 @@ func (r *fuzzRef) remove(i int) {
 // FuzzOrderStat drives an op sequence decoded from the fuzz input
 // against both OrderStat (Fenwick-indexed dictionary) and the sorted
 // slice reference, and requires every order statistic and quantile to
-// agree.
+// agree. The counted add shares the alphabet with Add, Remove and
+// AddBatch, so tombstones, revived slots and compaction are crossed
+// with it.
 func FuzzOrderStat(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17})
 	f.Add([]byte("\x00AAAAAAAA\x00BBBBBBBB\x01CCCCCCCC\x02DDDDDDDD"))
 	f.Add([]byte("\x04\x00\x00\x00\x00\x00\x00\x00\x00\x04\x00\x00\x00\x00\x00\x00\xf0\x3f"))
+	// Counted adds around a removal: new values, a tombstone, a revival.
+	f.Add([]byte("\x35AAAAAAAABBBBBBBBCCCCCCCC\x02\x00\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x00\x25BBBBBBBBAAAAAAAA\x04\x01\x00\x00\x00\x00\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ms OrderStat
 		var ref fuzzRef
@@ -38,7 +42,7 @@ func FuzzOrderStat(f *testing.F) {
 			op, bits := data[0], binary.LittleEndian.Uint64(data[1:9])
 			data = data[9:]
 			v := math.Float64frombits(bits)
-			switch op % 5 {
+			switch op % 6 {
 			case 0, 1: // weight Add double
 				if math.IsNaN(v) {
 					if err := ms.Add(v); !errors.Is(err, ErrNaN) {
@@ -82,6 +86,33 @@ func FuzzOrderStat(f *testing.F) {
 				}
 				for _, b := range batch {
 					ref.add(b)
+				}
+			case 5: // counted add: up to 4 more values, sorted and deduplicated, with counts 0…3
+				vals := []float64{v}
+				for len(vals) < 5 && len(data) >= 8 {
+					vals = append(vals, math.Float64frombits(binary.LittleEndian.Uint64(data[:8])))
+					data = data[8:]
+				}
+				sort.Float64s(vals) // NaNs first
+				var distinct []float64
+				var counts []uint32
+				for i, b := range vals {
+					if math.IsNaN(b) || (len(distinct) > 0 && b == distinct[len(distinct)-1]) {
+						continue
+					}
+					c := uint32(op>>4+byte(i)) % 4
+					distinct = append(distinct, b)
+					counts = append(counts, c)
+					for ; c > 0; c-- {
+						ref.add(b)
+					}
+				}
+				keep := append([]uint32(nil), counts...)
+				ms.AddCounted(distinct, counts)
+				for i := range counts {
+					if counts[i] != keep[i] {
+						t.Fatalf("AddCounted modified counts: %v, were %v", counts, keep)
+					}
 				}
 			case 4: // point query while mutating
 				if len(ref.vs) == 0 {

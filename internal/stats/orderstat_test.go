@@ -278,3 +278,70 @@ func TestOrderStatRejectsNaN(t *testing.T) {
 		t.Fatalf("quantile = %v, %v; want 2", v, err)
 	}
 }
+
+// TestOrderStatAddCountedEqualsAddBatch: a batch handed over sorted and
+// counted leaves the multiset slot for slot where the same batch as an
+// unsorted slice leaves it — dictionary bits, multiplicities, tombstones
+// and index — through growth, removals, revivals and compaction, for
+// dense and sparse batches and zero counts.
+func TestOrderStatAddCountedEqualsAddBatch(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 19))
+	var viaBatch, viaCounted OrderStat
+	var live []float64
+	for step := 0; step < 400; step++ {
+		// A source of a few distinct values, or many; a batch drawn from it.
+		source := make([]float64, 1+rng.IntN(60))
+		spread := []float64{3, 40, 4000}[rng.IntN(3)]
+		for i := range source {
+			source[i] = math.Round(rng.Float64() * spread)
+		}
+		distinct := append([]float64(nil), source...)
+		sort.Float64s(distinct)
+		w := 1
+		for _, v := range distinct[1:] {
+			if v != distinct[w-1] {
+				distinct[w] = v
+				w++
+			}
+		}
+		distinct = distinct[:w]
+		counts := make([]uint32, len(distinct))
+		var batch []float64
+		for n := rng.IntN(2 * len(source)); n > 0; n-- {
+			v := source[rng.IntN(len(source))]
+			batch = append(batch, v)
+			counts[sort.SearchFloat64s(distinct, v)]++
+		}
+		if err := viaBatch.AddBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		viaCounted.AddCounted(distinct, counts)
+		live = append(live, batch...)
+		// Remove a random share, sometimes nearly everything, so slots
+		// die, outnumber the live ones and are revived by later batches.
+		rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+		cut := rng.IntN(len(live) + 1)
+		if rng.IntN(4) == 0 {
+			cut = len(live) - rng.IntN(min(3, len(live)+1))
+		}
+		for _, o := range []*OrderStat{&viaBatch, &viaCounted} {
+			if err := o.RemoveBatch(live[:cut]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		live = live[cut:]
+
+		a, b := &viaBatch, &viaCounted
+		if a.n != b.n || a.zeros != b.zeros || len(a.vals) != len(b.vals) {
+			t.Fatalf("step %d: n %d/%d zeros %d/%d slots %d/%d", step, a.n, b.n, a.zeros, b.zeros, len(a.vals), len(b.vals))
+		}
+		for i := range a.vals {
+			if math.Float64bits(a.vals[i]) != math.Float64bits(b.vals[i]) || a.counts[i] != b.counts[i] || a.tree.tree[i] != b.tree.tree[i] {
+				t.Fatalf("step %d slot %d: %v×%d vs %v×%d", step, i, a.vals[i], a.counts[i], b.vals[i], b.counts[i])
+			}
+		}
+	}
+	if viaBatch.zeros == 0 && viaBatch.Distinct() == len(viaBatch.vals) && viaBatch.n == 0 {
+		t.Fatal("schedule never left the trivial state")
+	}
+}

@@ -15,6 +15,13 @@ import "sync"
 // concurrent per-shard statistic evaluations of the parallel bootstrap.
 var scratchPool = sync.Pool{New: func() any { return new([]float64) }}
 
+// maxPooledScratch is the largest buffer, in values, Quantile leaves in
+// scratchPool. The pool is for the per-resample evaluations, whose
+// inputs are samples; an exact quantile over a whole file — a million
+// records, 8 MB — is a one-off whose copy would otherwise sit in the
+// pool (and in the live heap) until two collections have passed.
+const maxPooledScratch = 1 << 18
+
 // selectCutoff is the partition size below which Select finishes with
 // insertion sort — sorting a handful of items beats further recursion.
 const selectCutoff = 12

@@ -158,6 +158,9 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	buf := (*bufp)[:len(xs)]
 	copy(buf, xs)
 	v, err := SelectQuantile(buf, q)
+	if cap(*bufp) > maxPooledScratch {
+		*bufp = nil
+	}
 	scratchPool.Put(bufp)
 	return v, err
 }
