@@ -423,16 +423,49 @@ func runMicro() (microReport, error) {
 		if err != nil {
 			return microReport{}, err
 		}
-		if err := lineFS.WriteFile("/bench/lines", workload.EncodeLinesFixed(lv)); err != nil {
+		lineRaw := workload.EncodeLinesFixed(lv)
+		if err := lineFS.WriteFile("/bench/lines", lineRaw); err != nil {
 			return microReport{}, err
 		}
-		add("dfs", fmt.Sprintf("ReadLineAt/fixed19/n=%d", lineRecs), func(b *testing.B) {
+		readLines := func(b *testing.B) {
 			rng := rand.New(rand.NewPCG(1, 2))
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := lineFS.ReadLineAt("/bench/lines", rng.Int64N(19*lineRecs), 0); err != nil {
 					b.Fatal(err)
 				}
+			}
+		}
+		add("dfs", fmt.Sprintf("ReadLineAt/fixed19/n=%d", lineRecs), readLines)
+		// The same read with a writer on the file: one goroutine appending
+		// the end-to-end benchmark's 77 KB batch in a loop. Reads take no
+		// lock, so what separates this entry from the one above is the CPU
+		// the appender takes, not time spent waiting for it. The appender
+		// pauses between batches because nothing truncates the journal: a
+		// free-running one would grow it by a gigabyte a second.
+		add("dfs", "ReadLineAt/beside-appender", func(b *testing.B) {
+			stop, done := make(chan struct{}), make(chan error, 1)
+			go func() {
+				for {
+					select {
+					case <-stop:
+						done <- nil
+						return
+					default:
+					}
+					if err := lineFS.Append("/bench/lines", lineRaw[:4096*19]); err != nil {
+						done <- err
+						return
+					}
+					time.Sleep(2 * time.Millisecond)
+				}
+			}()
+			readLines(b)
+			b.StopTimer()
+			close(stop)
+			if err := <-done; err != nil {
+				b.Fatal(err)
 			}
 		})
 	}
@@ -936,13 +969,12 @@ func runMicro() (microReport, error) {
 	// Append/77KB prices one commit of the end-to-end benchmark's batch —
 	// 4096 fixed-width records, just over dfs's 64 KB threshold for
 	// extending the sidecar — onto files of 0.2 M, 1 M and 4 M records:
-	// journal frame, block placement, sidecar tail, chain prune. The
-	// iteration count is fixed because an append is not repeatable (every
-	// op grows the file), and the first few appends stay untimed: the
-	// journal's buffer regrows on the first one past its initial write.
-	// Recover replays a 0.2 M-record write and 400 such appends. The
-	// acceptance criterion — cost independent of file size — is enforced
-	// below.
+	// journal frame (which is the block), block placement, sidecar tail,
+	// chain prune. The iteration count is fixed because an append is not
+	// repeatable (every op grows the file); the first few appends stay
+	// untimed. Recover replays a 0.2 M-record write and 400 such appends.
+	// The acceptance criteria — cost independent of file size, and a few
+	// times the batch in allocation — are enforced below.
 	const ingestAppends, ingestWarmup, recoverAppends = 200, 8, 400
 	ingestBatch := benchRaw[:4096*19]
 	ingestCfg := dfs.Config{Seed: 6}
@@ -1122,12 +1154,23 @@ func runMicro() (microReport, error) {
 	}
 
 	// The O(batch)-append criterion: the same batch onto a 20× larger
-	// file may not cost more than 2× the time or 1.5× the allocation.
+	// file may not cost more than 2× the time or 1.1× the allocation, and
+	// no append allocates more than 4× the batch's bytes — the journal
+	// frame (the one copy of the data, which the blocks are cut from), the
+	// sidecar tail and its share of an extent; a second copy of the data
+	// or a regrown journal image shows here.
 	small, large := appendResult[scanRecs], appendResult[20*scanRecs]
-	if large.NsPerOp > 2*small.NsPerOp || float64(large.BytesPerOp) > 1.5*float64(small.BytesPerOp) {
+	if large.NsPerOp > 2*small.NsPerOp || float64(large.BytesPerOp) > 1.1*float64(small.BytesPerOp) {
 		return microReport{}, fmt.Errorf(
-			"append-scaling criterion violated: %s costs %.0f ns/op, %d B/op vs %.0f ns/op, %d B/op for %s (limits 2x, 1.5x)",
+			"append-scaling criterion violated: %s costs %.0f ns/op, %d B/op vs %.0f ns/op, %d B/op for %s (limits 2x, 1.1x)",
 			large.Name, large.NsPerOp, large.BytesPerOp, small.NsPerOp, small.BytesPerOp, small.Name)
+	}
+	for _, r := range appendResult {
+		if limit := int64(4 * len(ingestBatch)); r.BytesPerOp > limit {
+			return microReport{}, fmt.Errorf(
+				"append-allocation criterion violated: %s allocates %d B/op for a batch of %d bytes (limit 4x)",
+				r.Name, r.BytesPerOp, len(ingestBatch))
+		}
 	}
 
 	// The vectorized-σ criterion: KeepBlock must filter a block at least

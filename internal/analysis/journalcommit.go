@@ -23,12 +23,16 @@ import (
 //   - a field of fileMeta, chainVersion or fileChain, or
 //   - the FileSystem.files version-chain map,
 //
-// outside a function whose name starts with "apply". The fileMeta
-// sidecar field is exempt: it is derived columnar state, rebuildable
-// from the file bytes and deliberately never journaled (Compact
-// rewrites it in place). Constructing a fresh fileMeta literal is
-// likewise fine anywhere — only mutation of installed state is the
-// hazard.
+// outside a function whose name starts with "apply". Committed state is
+// published through atomic pointers (FileSystem.files, the path map,
+// and fileChain.versions, a path's version list), so a publish — a
+// Store, Swap or CompareAndSwap on either — is the same mutation and
+// reported the same way, as is writing through the map or list a Load
+// returned. The fileMeta sidecar field is exempt: it is derived
+// columnar state, rebuildable from the file bytes and deliberately
+// never journaled (Compact replaces it). Constructing a fresh fileMeta
+// literal is likewise fine anywhere — only mutation of installed state
+// is the hazard.
 //
 // //earl:commit-ok <reason> on the offending line suppresses a finding.
 var JournalCommit = &Analyzer{
@@ -84,6 +88,12 @@ func checkCommitMutations(pass *Pass, fd *ast.FuncDecl) {
 					reportCommitFinding(pass, fd, stmt.Pos(), "the FileSystem.files chain map")
 				}
 			}
+			// fs.files.Store(&next), ch.versions.Store(&kept): a publish.
+			if method, ok := ast.Unparen(stmt.Fun).(*ast.SelectorExpr); ok && publishMethods[method.Sel.Name] {
+				if what := publishedState(pass.TypesInfo, method.X); what != "" {
+					reportCommitFinding(pass, fd, stmt.Pos(), what)
+				}
+			}
 		}
 		return true
 	})
@@ -104,6 +114,24 @@ func reportCommittedTarget(pass *Pass, fd *ast.FuncDecl, lhs ast.Expr) {
 			reportCommitFinding(pass, fd, target.Pos(), "the FileSystem.files chain map")
 		}
 	}
+}
+
+// publishMethods are the sync/atomic methods that replace what a
+// published pointer holds.
+var publishMethods = map[string]bool{"Store": true, "Swap": true, "CompareAndSwap": true}
+
+// publishedState names the committed state the atomic pointer expr
+// publishes — FileSystem.files or fileChain.versions — or returns "".
+func publishedState(info *types.Info, expr ast.Expr) string {
+	if isFilesMap(info, expr) {
+		return "the FileSystem.files chain map"
+	}
+	if sel, ok := ast.Unparen(expr).(*ast.SelectorExpr); ok {
+		if owner, field := selectorField(info, sel); field != nil && committedFields[owner][field.Name()] {
+			return owner + "." + field.Name()
+		}
+	}
+	return ""
 }
 
 func reportCommitFinding(pass *Pass, fd *ast.FuncDecl, pos token.Pos, what string) {
@@ -141,9 +169,22 @@ func selectorField(info *types.Info, sel *ast.SelectorExpr) (string, *types.Var)
 }
 
 // isFilesMap reports whether expr is the files field of a FileSystem —
-// the committed version-chain namespace.
+// the committed version-chain namespace — or the map a Load of it
+// returned (*fs.files.Load()).
 func isFilesMap(info *types.Info, expr ast.Expr) bool {
-	sel, ok := ast.Unparen(expr).(*ast.SelectorExpr)
+	expr = ast.Unparen(expr)
+	if star, ok := expr.(*ast.StarExpr); ok {
+		call, ok := ast.Unparen(star.X).(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		load, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok || load.Sel.Name != "Load" {
+			return false
+		}
+		expr = ast.Unparen(load.X)
+	}
+	sel, ok := expr.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}

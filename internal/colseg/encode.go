@@ -166,16 +166,23 @@ func Extend(sidecar []byte, version int64, segData []byte, segStart, chunkSize i
 // it. The payload figure is exact for numeric data and leaves out the
 // key dictionaries of KV data, which only the encode pass can size.
 func chunkSizeHint(f colscan.Format, segData []byte, chunkSize int64) (payload, chunks int) {
-	recs := bytes.Count(segData, []byte{'\n'})
-	if n := len(segData); n > 0 && segData[n-1] != '\n' {
-		recs++
-	}
+	recs := recordCount(segData)
 	chunks = int((int64(len(segData)) + chunkSize - 1) / chunkSize)
 	payload = chunks*(4+8) + recs*(4+8)
 	if f == colscan.FormatKV {
 		payload += chunks*4 + recs*4
 	}
 	return payload, chunks
+}
+
+// recordCount returns how many records segData holds: one per newline,
+// and one more for a last record without one.
+func recordCount(segData []byte) int {
+	recs := bytes.Count(segData, []byte{'\n'})
+	if n := len(segData); n > 0 && segData[n-1] != '\n' {
+		recs++
+	}
+	return recs
 }
 
 // appendSegmentChunks encodes one append segment's chunks onto buf,
@@ -189,7 +196,10 @@ func appendSegmentChunks(buf []byte, bufPos int64, entries []entry, f colscan.Fo
 	// One pass over the segment finds every record's start and content
 	// end (absolute file offsets). The Hadoop split rules then reduce to
 	// slicing this list: a chunk owns the records starting inside it.
-	var starts, ends []int64
+	// Both columns come out of one allocation of exactly their size.
+	recs := recordCount(segData)
+	offsets := make([]int64, 2*recs)
+	starts, ends := offsets[:0:recs], offsets[recs:recs]
 	for pos := 0; pos < len(segData); {
 		nl := bytes.IndexByte(segData[pos:], '\n')
 		starts = append(starts, segBase+int64(pos))

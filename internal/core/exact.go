@@ -133,6 +133,7 @@ func runExactMultiJob(env *Env, jset []jobs.Numeric, path string, splitSize int6
 	mjob := &mr.Job{
 		Name:        "exact-" + jobsetTag(jset),
 		InputPath:   path,
+		Input:       env.View(),
 		SplitSize:   splitSize,
 		Mapper:      exactMapper{job: jset[0], prog: prog, seen: &seen},
 		Reducer:     exactMultiReducer{jset: jset},
@@ -174,6 +175,7 @@ func RunExactJob(env *Env, job jobs.Numeric, path string, splitSize int64) (floa
 	mjob := &mr.Job{
 		Name:        "exact-" + job.Name,
 		InputPath:   path,
+		Input:       env.View(),
 		SplitSize:   splitSize,
 		Mapper:      exactMapper{job: job, seen: &seen},
 		Reducer:     exactReducer{job: job},

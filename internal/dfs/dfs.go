@@ -39,6 +39,19 @@
 // analyzer), so no code path can mutate the namespace without a journal
 // record.
 //
+// # Reads take no lock
+//
+// Committed state is published, not guarded: the path map and each
+// path's version list are immutable values behind atomic pointers, a
+// commit builds the successor value and stores it, and a read loads one
+// *fileMeta and works on it for as long as it likes — the live view and
+// a Snapshot alike. A block's bytes hang off its *blockMeta (they are a
+// slice of the journal frame that committed them: an ingested byte is
+// stored once), beside an atomically published replica list; node
+// liveness and the fault plan are atomics too. The one mutex serialises
+// writers — commits, pin bookkeeping, KillDataNode, Rebalance, Compact,
+// the fault hooks — and no method of View ever takes it.
+//
 // # Columnar sidecars
 //
 // Each file version also carries a view of its columnar sidecar
@@ -60,6 +73,7 @@ package dfs
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand/v2"
 	"sort"
@@ -137,39 +151,50 @@ func (c Config) withDefaults() Config {
 // FileSystem is the simulated distributed filesystem: NameNode metadata
 // plus the DataNode block stores. All methods are safe for concurrent use.
 type FileSystem struct {
-	mu       sync.RWMutex
+	// mu serialises writers: commits, pin bookkeeping, node and placement
+	// changes, the fault plan, Compact and the sidecar fault hooks. Reads
+	// never take it (see "Reads take no lock" in the package comment).
+	mu       sync.Mutex
 	cfg      Config
-	rng      *rand.Rand // guarded by mu (write lock); used for placement only
+	rng      *rand.Rand // guarded by mu; used for placement only
 	readTick atomic.Int64
 	nextID   int64
 	nodes    []*dataNode
-	// files maps each path to its version chain: one immutable fileMeta
-	// per commit that touched the path, resolved by commit sequence.
-	files map[string]*fileChain
+	// files is the published namespace: each path's version chain, one
+	// immutable fileMeta per commit that touched the path, resolved by
+	// commit sequence. The map is never written once stored — a commit
+	// that creates a path or drops its last state stores a copy.
+	files atomic.Pointer[map[string]*fileChain]
 	// jlog is the commit journal — the durable truth every mutation is
-	// framed into before it is applied.
+	// framed into before it is applied, and the memory block payloads are
+	// cut from.
 	jlog      *journal.Log
-	commitSeq int64
+	commitSeq atomic.Int64
 	// pins refcounts the commit sequences active Snapshots hold open;
 	// superseded chain versions survive until no pin can see them.
 	pins      map[int64]int
 	crashed   bool // an injected crash fired; mutations refuse
-	faults    *FaultPlan
+	faults    atomic.Pointer[FaultPlan]
 	recovered *RecoverStats // set when this filesystem came from Recover
 	metrics   *simcost.Metrics
 }
 
+// dataNode is one DataNode: its liveness, which reads consult, and the
+// writers' placement ledger (guarded by mu) of the blocks it holds —
+// what BlockCounts reports, Rebalance moves and a prune drops. A read
+// reaches a block's bytes through the *blockMeta, never through here.
 type dataNode struct {
 	id     int
-	alive  bool
-	blocks map[int64][]byte
+	alive  atomic.Bool
+	blocks map[int64]*blockMeta
 }
 
 // fileChain is one path's version history: states ascending by commit
 // sequence. The last entry is the live state; earlier entries survive
-// only while a pinned Snapshot can still see them.
+// only while a pinned Snapshot can still see them. The list is published
+// copy-on-write — a reader may be walking the one it loaded.
 type fileChain struct {
-	versions []chainVersion
+	versions atomic.Pointer[[]chainVersion]
 }
 
 // chainVersion is one committed state of a path. A nil meta records a
@@ -183,7 +208,7 @@ type chainVersion struct {
 // (sharing the unchanged *blockMeta prefix — payloads never mutate);
 // rewrites start a fresh one. The sidecar field is derived columnar
 // state (rebuildable from the file bytes, never journaled) and is the
-// one field mutable outside the commit path.
+// one field replaced outside the commit path, hence atomic.
 type fileMeta struct {
 	size     int64
 	blocks   []*blockMeta
@@ -197,14 +222,19 @@ type fileMeta struct {
 	// segment encoding (internal/colseg), nil when it has none. Derived
 	// state — rebuildable at any time, never replicated or journaled:
 	// losing one costs a text decode, not data.
-	sidecar *sidecar
+	sidecar atomic.Pointer[sidecar]
 }
 
+// blockMeta is one block: where it sits in its file, its bytes, and
+// which DataNodes hold a copy. Everything but the replica list is fixed
+// at creation; Rebalance publishes a new list, it never edits one.
 type blockMeta struct {
-	id       int64
-	offset   int64 // offset of this block within the file
-	size     int64
-	replicas []int // datanode ids holding a copy
+	id      int64
+	offset  int64 // offset of this block within the file
+	size    int64
+	payload []byte // a slice of the journal frame that committed it; never written
+	// replicas lists the datanode ids holding a copy.
+	replicas atomic.Pointer[[]int]
 }
 
 // New creates a filesystem with cfg.
@@ -213,13 +243,14 @@ func New(cfg Config) *FileSystem {
 	fs := &FileSystem{
 		cfg:     cfg,
 		rng:     rand.New(rand.NewPCG(cfg.Seed, 0x6a09e667f3bcc908)),
-		files:   make(map[string]*fileChain),
 		jlog:    journal.New(),
 		pins:    make(map[int64]int),
 		metrics: cfg.Metrics,
 	}
 	for i := 0; i < cfg.DataNodes; i++ {
-		fs.nodes = append(fs.nodes, &dataNode{id: i, alive: true, blocks: make(map[int64][]byte)})
+		node := &dataNode{id: i, blocks: make(map[int64]*blockMeta)}
+		node.alive.Store(true)
+		fs.nodes = append(fs.nodes, node)
 	}
 	return fs
 }
@@ -232,36 +263,53 @@ func (fs *FileSystem) NumDataNodes() int { return len(fs.nodes) }
 
 // LiveDataNodes returns the ids of DataNodes currently alive.
 func (fs *FileSystem) LiveDataNodes() []int {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
 	var ids []int
 	for _, n := range fs.nodes {
-		if n.alive {
+		if n.alive.Load() {
 			ids = append(ids, n.id)
 		}
 	}
 	return ids
 }
 
-// metaLocked resolves path's committed state as of commit sequence at
+// chains returns the published namespace. The map is read-only.
+func (fs *FileSystem) chains() map[string]*fileChain {
+	if p := fs.files.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// metaAt resolves path's committed state as of commit sequence at
 // (at < 0 means the live state). Missing paths, states deleted at or
-// before at, and paths created after at all report !ok.
-func (fs *FileSystem) metaLocked(path string, at int64) (*fileMeta, bool) {
-	ch, ok := fs.files[path]
-	if !ok || len(ch.versions) == 0 {
+// before at, and paths created after at all report !ok. It takes no
+// lock: the state it returns is immutable, and stays readable whatever
+// commits, prunes or rebalances land while the caller works on it.
+func (fs *FileSystem) metaAt(path string, at int64) (*fileMeta, bool) {
+	ch, ok := fs.chains()[path]
+	if !ok {
 		return nil, false
 	}
+	versions := *ch.versions.Load()
 	if at < 0 {
-		v := ch.versions[len(ch.versions)-1]
+		v := versions[len(versions)-1]
 		return v.meta, v.meta != nil
 	}
-	for i := len(ch.versions) - 1; i >= 0; i-- {
-		if ch.versions[i].seq <= at {
-			v := ch.versions[i]
-			return v.meta, v.meta != nil
+	for i := len(versions) - 1; i >= 0; i-- {
+		if versions[i].seq <= at {
+			return versions[i].meta, versions[i].meta != nil
 		}
 	}
 	return nil, false
+}
+
+// fileAt is metaAt with the ErrNotFound every read reports.
+func (fs *FileSystem) fileAt(path string, at int64) (*fileMeta, error) {
+	meta, ok := fs.metaAt(path, at)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
+	}
+	return meta, nil
 }
 
 // WriteFile stores data at path, replacing any existing file, as one
@@ -276,7 +324,7 @@ func (fs *FileSystem) WriteFile(path string, data []byte) error {
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if len(fs.liveLocked()) == 0 {
+	if len(fs.LiveDataNodes()) == 0 {
 		return ErrNoDataNodes
 	}
 	return fs.commitLocked(journal.OpWrite, path, data)
@@ -301,12 +349,12 @@ func (fs *FileSystem) Append(path string, data []byte) error {
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if len(fs.liveLocked()) == 0 {
+	if len(fs.LiveDataNodes()) == 0 {
 		return ErrNoDataNodes
 	}
-	if meta, ok := fs.metaLocked(path, -1); ok && meta.size > 0 {
+	if meta, ok := fs.metaAt(path, -1); ok && meta.size > 0 {
 		last := meta.blocks[len(meta.blocks)-1]
-		payload, err := fs.replicaPayloadLocked(last)
+		payload, err := fs.replicaPayload(last)
 		if err != nil {
 			return err
 		}
@@ -322,8 +370,8 @@ func (fs *FileSystem) Append(path string, data []byte) error {
 func (fs *FileSystem) Delete(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if _, ok := fs.metaLocked(path, -1); !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, path)
+	if _, err := fs.fileAt(path, -1); err != nil {
+		return err
 	}
 	return fs.commitLocked(journal.OpDelete, path, nil)
 }
@@ -333,18 +381,21 @@ func (fs *FileSystem) Delete(path string) error {
 // dispatches to the apply function that performs the state change. Every
 // namespace mutation — live traffic and Recover replay alike — funnels
 // through here; nothing else may touch versioned state (enforced by the
-// journalcommit analyzer).
+// journalcommit analyzer). What is applied is the journal's copy of
+// data, not the caller's: block payloads are cut from the frame, so the
+// caller may reuse its slice the moment the call returns.
 func (fs *FileSystem) commitLocked(op journal.Op, path string, data []byte) error {
 	if fs.crashed {
 		return ErrCrashed
 	}
 	seq := fs.jlog.Records() + 1
-	if fp := fs.faults; fp != nil && fp.CrashAtCommit > 0 && seq >= fp.CrashAtCommit {
+	if fp := fs.faults.Load(); fp != nil && fp.CrashAtCommit > 0 && seq >= fp.CrashAtCommit {
 		// The injected crash strikes while this commit's record is being
 		// written: with TornTail the journal keeps a half-written frame
 		// (Recover must detect and truncate it), without it the record
 		// never reached the disk at all. Either way the mutation is not
-		// applied and the filesystem refuses further commits.
+		// applied — no block is cut from the frame about to be torn — and
+		// the filesystem refuses further commits.
 		fs.crashed = true
 		if fp.TornTail {
 			before := fs.jlog.Size()
@@ -353,8 +404,8 @@ func (fs *FileSystem) commitLocked(op journal.Op, path string, data []byte) erro
 		}
 		return ErrCrashed
 	}
-	fs.jlog.Append(op, path, data)
-	fs.commitSeq = seq
+	data = fs.jlog.Append(op, path, data)
+	fs.commitSeq.Store(seq)
 	switch op {
 	case journal.OpWrite:
 		fs.applyWrite(seq, path, data)
@@ -369,11 +420,11 @@ func (fs *FileSystem) commitLocked(op journal.Op, path string, data []byte) erro
 // applyWrite installs a fresh file state for path: new write generation,
 // new blocks, new sidecar.
 func (fs *FileSystem) applyWrite(seq int64, path string, data []byte) {
-	live := fs.liveLocked()
+	live := fs.LiveDataNodes()
 	fs.nextID++
 	meta := &fileMeta{size: int64(len(data)), segments: []int64{0}, version: fs.nextID}
 	fs.applyBlocks(meta, data, 0, live)
-	meta.sidecar = fs.buildSidecar(meta, data)
+	meta.sidecar.Store(fs.buildSidecar(meta, data))
 	fs.applyChainPush(path, seq, meta)
 }
 
@@ -382,7 +433,7 @@ func (fs *FileSystem) applyWrite(seq int64, path string, data []byte) {
 // payloads are immutable, so pinned snapshots and the live state read
 // the same bytes through the shared *blockMeta entries.
 func (fs *FileSystem) applyAppend(seq int64, path string, data []byte) {
-	cur, ok := fs.metaLocked(path, -1)
+	cur, ok := fs.metaAt(path, -1)
 	if !ok {
 		// Creating via Append is a write generation like WriteFile: a
 		// deleted-and-recreated path must never alias its predecessor's
@@ -390,7 +441,7 @@ func (fs *FileSystem) applyAppend(seq int64, path string, data []byte) {
 		fs.applyWrite(seq, path, data)
 		return
 	}
-	live := fs.liveLocked()
+	live := fs.LiveDataNodes()
 	base := cur.size
 	meta := &fileMeta{
 		size:     base + int64(len(data)),
@@ -399,7 +450,7 @@ func (fs *FileSystem) applyAppend(seq int64, path string, data []byte) {
 		version:  cur.version,
 	}
 	fs.applyBlocks(meta, data, base, live)
-	meta.sidecar = fs.extendSidecar(cur.sidecar, meta, data, base)
+	meta.sidecar.Store(fs.extendSidecar(cur.sidecar.Load(), meta, data, base))
 	fs.applyChainPush(path, seq, meta)
 }
 
@@ -408,33 +459,34 @@ func (fs *FileSystem) applyDelete(seq int64, path string) {
 	fs.applyChainPush(path, seq, nil)
 }
 
-// applyBlocks partitions data into blocks starting at file offset base,
-// replicates each across distinct live DataNodes (random placement, like
-// HDFS's rack-unaware policy on a flat topology) and attaches them to
-// meta. Write I/O is charged once per replica.
+// applyBlocks partitions data — the journal frame's copy — into blocks
+// starting at file offset base, replicates each across distinct live
+// DataNodes (random placement, like HDFS's rack-unaware policy on a flat
+// topology) and attaches them to meta. A payload is a capacity-clipped
+// slice of data, not a copy. Write I/O is charged once per replica.
 func (fs *FileSystem) applyBlocks(meta *fileMeta, data []byte, base int64, live []int) {
 	for off := int64(0); off < int64(len(data)) || (off == 0 && len(data) == 0 && base == 0); off += fs.cfg.BlockSize {
 		end := off + fs.cfg.BlockSize
 		if end > int64(len(data)) {
 			end = int64(len(data))
 		}
-		blk := &blockMeta{id: fs.nextID, offset: base + off, size: end - off}
+		blk := &blockMeta{id: fs.nextID, offset: base + off, size: end - off, payload: data[off:end:end]}
 		fs.nextID++
-		payload := make([]byte, end-off)
-		copy(payload, data[off:end])
 		perm := fs.rng.Perm(len(live))
 		nrep := fs.cfg.Replication
 		if nrep > len(live) {
 			nrep = len(live)
 		}
+		replicas := make([]int, 0, nrep)
 		for _, pi := range perm[:nrep] {
 			node := fs.nodes[live[pi]]
-			node.blocks[blk.id] = payload
-			blk.replicas = append(blk.replicas, node.id)
+			node.blocks[blk.id] = blk
+			replicas = append(replicas, node.id)
 			if fs.metrics != nil {
 				fs.metrics.BytesWritten.Add(blk.size)
 			}
 		}
+		blk.replicas.Store(&replicas)
 		meta.blocks = append(meta.blocks, blk)
 		if len(data) == 0 {
 			break
@@ -442,29 +494,50 @@ func (fs *FileSystem) applyBlocks(meta *fileMeta, data []byte, base int64, live 
 	}
 }
 
-// applyChainPush appends one committed state to path's version chain
-// (creating the chain) and prunes states no pinned snapshot can see.
+// applyChainPush publishes path's version chain extended by one
+// committed state (creating the chain), pruned of the states no pinned
+// snapshot can see.
 func (fs *FileSystem) applyChainPush(path string, seq int64, meta *fileMeta) {
-	ch, ok := fs.files[path]
-	if !ok {
+	ch, ok := fs.chains()[path]
+	var versions []chainVersion
+	if ok {
+		versions = *ch.versions.Load()
+	} else {
 		ch = &fileChain{}
-		fs.files[path] = ch
 	}
-	ch.versions = append(ch.versions, chainVersion{seq: seq, meta: meta})
-	fs.applyChainPrune(path, ch)
+	// The published list is a reader's to walk: extend a copy.
+	versions = append(versions[:len(versions):len(versions)], chainVersion{seq: seq, meta: meta})
+	fs.applyChainPrune(path, ch, versions)
+	if !ok {
+		fs.applyPathPublish(path, ch)
+	}
 }
 
-// applyChainPrune garbage-collects path's version chain: a non-live
-// state is dropped once its successor's commit precedes every pinned
-// snapshot (no pin can resolve to it anymore), and blocks referenced by
-// no surviving state are removed from the DataNodes. A chain reduced to
-// a single deletion marker disappears entirely.
-func (fs *FileSystem) applyChainPrune(path string, ch *fileChain) {
+// applyPinSweep prunes every chain after the pin floor moved. A chain
+// of one state has nothing to drop: a lone deletion marker is never
+// left published.
+func (fs *FileSystem) applyPinSweep() {
+	for path, ch := range fs.chains() {
+		if versions := *ch.versions.Load(); len(versions) > 1 {
+			fs.applyChainPrune(path, ch, versions)
+		}
+	}
+}
+
+// applyChainPrune publishes versions — path's version chain, or the
+// successor a commit built — without the states nothing can see: a
+// non-live state is dropped once its successor's commit precedes every
+// pinned snapshot (no pin can resolve to it anymore), and blocks
+// referenced by no surviving state are removed from the DataNodes'
+// ledgers. A chain reduced to a single deletion marker disappears
+// entirely. The survivors go into a fresh list, never compacted in
+// place: a reader may be walking versions.
+func (fs *FileSystem) applyChainPrune(path string, ch *fileChain, versions []chainVersion) {
 	minPin := fs.minPinLocked()
 	var pruned []*fileMeta
-	kept := ch.versions[:0]
-	for i, v := range ch.versions {
-		if i < len(ch.versions)-1 && ch.versions[i+1].seq <= minPin {
+	kept := make([]chainVersion, 0, len(versions))
+	for i, v := range versions {
+		if i < len(versions)-1 && versions[i+1].seq <= minPin {
 			if v.meta != nil {
 				pruned = append(pruned, v.meta)
 			}
@@ -472,7 +545,7 @@ func (fs *FileSystem) applyChainPrune(path string, ch *fileChain) {
 		}
 		kept = append(kept, v)
 	}
-	ch.versions = kept
+	ch.versions.Store(&kept)
 	// An append's successor lists its predecessor's blocks first, so a
 	// pruned state the live state extends drops no block: leave it out
 	// of the sweep, which visits every block of every surviving state.
@@ -490,7 +563,7 @@ func (fs *FileSystem) applyChainPrune(path string, ch *fileChain) {
 	}
 	if len(pruned) > 0 {
 		surviving := make(map[int64]struct{})
-		for _, v := range ch.versions {
+		for _, v := range kept {
 			if v.meta == nil {
 				continue
 			}
@@ -508,15 +581,30 @@ func (fs *FileSystem) applyChainPrune(path string, ch *fileChain) {
 					continue
 				}
 				dropped[blk.id] = struct{}{}
-				for _, nid := range blk.replicas {
+				for _, nid := range *blk.replicas.Load() {
 					delete(fs.nodes[nid].blocks, blk.id)
 				}
 			}
 		}
 	}
-	if len(ch.versions) == 1 && ch.versions[0].meta == nil {
-		delete(fs.files, path)
+	if len(kept) == 1 && kept[0].meta == nil {
+		fs.applyPathPublish(path, nil)
 	}
+}
+
+// applyPathPublish publishes the namespace with path bound to ch, or
+// without path when ch is nil. The published map is never written: a
+// reader may be looking a path up in it.
+func (fs *FileSystem) applyPathPublish(path string, ch *fileChain) {
+	old := fs.chains()
+	next := make(map[string]*fileChain, len(old)+1)
+	maps.Copy(next, old)
+	if ch != nil {
+		next[path] = ch
+	} else {
+		delete(next, path)
+	}
+	fs.files.Store(&next)
 }
 
 // minPinLocked returns the smallest pinned commit sequence, or MaxInt64
@@ -540,11 +628,9 @@ func (fs *FileSystem) Version(path string) (int64, error) {
 }
 
 func (fs *FileSystem) versionAt(path string, at int64) (int64, error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	meta, ok := fs.metaLocked(path, at)
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, path)
+	meta, err := fs.fileAt(path, at)
+	if err != nil {
+		return 0, err
 	}
 	return meta.version, nil
 }
@@ -558,23 +644,11 @@ func (fs *FileSystem) Segments(path string) ([]int64, error) {
 }
 
 func (fs *FileSystem) segmentsAt(path string, at int64) ([]int64, error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	meta, ok := fs.metaLocked(path, at)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
+	meta, err := fs.fileAt(path, at)
+	if err != nil {
+		return nil, err
 	}
 	return append([]int64(nil), meta.segments...), nil
-}
-
-func (fs *FileSystem) liveLocked() []int {
-	var ids []int
-	for _, n := range fs.nodes {
-		if n.alive {
-			ids = append(ids, n.id)
-		}
-	}
-	return ids
 }
 
 // Stat returns the size of the file at path.
@@ -583,11 +657,9 @@ func (fs *FileSystem) Stat(path string) (size int64, err error) {
 }
 
 func (fs *FileSystem) statAt(path string, at int64) (int64, error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	meta, ok := fs.metaLocked(path, at)
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, path)
+	meta, err := fs.fileAt(path, at)
+	if err != nil {
+		return 0, err
 	}
 	return meta.size, nil
 }
@@ -598,9 +670,7 @@ func (fs *FileSystem) Exists(path string) bool {
 }
 
 func (fs *FileSystem) existsAt(path string, at int64) bool {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	_, ok := fs.metaLocked(path, at)
+	_, ok := fs.metaAt(path, at)
 	return ok
 }
 
@@ -610,14 +680,12 @@ func (fs *FileSystem) List(prefix string) []string {
 }
 
 func (fs *FileSystem) listAt(prefix string, at int64) []string {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
 	var out []string
-	for p := range fs.files {
+	for p := range fs.chains() {
 		if !strings.HasPrefix(p, prefix) {
 			continue
 		}
-		if _, ok := fs.metaLocked(p, at); ok {
+		if _, ok := fs.metaAt(p, at); ok {
 			out = append(out, p)
 		}
 	}
@@ -625,22 +693,23 @@ func (fs *FileSystem) listAt(prefix string, at int64) []string {
 	return out
 }
 
-// ReadFile returns the whole contents of path, retrying across replicas
-// per block. A sequential whole-file read is charged one seek.
+// ReadFile returns the whole contents of path — one committed state's,
+// whatever lands meanwhile — retrying across replicas per block. A
+// sequential whole-file read is charged one seek.
 func (fs *FileSystem) ReadFile(path string) ([]byte, error) {
 	return fs.readFileAt(path, -1)
 }
 
 func (fs *FileSystem) readFileAt(path string, at int64) ([]byte, error) {
-	size, err := fs.statAt(path, at)
+	meta, err := fs.fileAt(path, at)
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, size)
-	if size == 0 {
+	buf := make([]byte, meta.size)
+	if meta.size == 0 {
 		return buf, nil
 	}
-	if _, err := fs.readAt(path, at, 0, buf, 1); err != nil {
+	if _, err := fs.readMeta(meta, 0, buf, 1); err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -655,17 +724,15 @@ func (fs *FileSystem) ReadAt(path string, off int64, p []byte) (int, error) {
 }
 
 func (fs *FileSystem) readAt(path string, at, off int64, p []byte, seeks int64) (int, error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	meta, ok := fs.metaLocked(path, at)
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, path)
+	meta, err := fs.fileAt(path, at)
+	if err != nil {
+		return 0, err
 	}
-	return fs.readMetaLocked(meta, off, p, seeks)
+	return fs.readMeta(meta, off, p, seeks)
 }
 
-// readMetaLocked is readAt against one resolved file state.
-func (fs *FileSystem) readMetaLocked(meta *fileMeta, off int64, p []byte, seeks int64) (int, error) {
+// readMeta is readAt against one resolved file state.
+func (fs *FileSystem) readMeta(meta *fileMeta, off int64, p []byte, seeks int64) (int, error) {
 	if off < 0 {
 		return 0, errors.New("dfs: negative offset")
 	}
@@ -687,7 +754,7 @@ func (fs *FileSystem) readMetaLocked(meta *fileMeta, off int64, p []byte, seeks 
 			break
 		}
 		blk := meta.blocks[bi]
-		payload, err := fs.replicaPayloadLocked(blk)
+		payload, err := fs.replicaPayload(blk)
 		if err != nil {
 			return int(n), err
 		}
@@ -711,63 +778,53 @@ func (m *fileMeta) blockAt(pos int64) int {
 	})
 }
 
-// replicaPayloadLocked returns a replica's bytes for blk, retrying with
+// replicaPayload returns a replica's bytes for blk, retrying with
 // exponential backoff across live replicas: each attempt advances the
-// round-robin tick to the next live replica, so a dead node, a missing
-// copy, or an injected transient fault costs one backoff step, not the
-// read. A read that exhausts its budget fails wrapping ErrNoReplica.
-// (fs.rng cannot be used here: the read path holds only the read lock,
-// so it must not mutate shared random state.)
-func (fs *FileSystem) replicaPayloadLocked(blk *blockMeta) ([]byte, error) {
+// round-robin tick to the next live replica, so a dead node or an
+// injected transient fault costs one backoff step, not the read. A read
+// that exhausts its budget fails wrapping ErrNoReplica. It holds no
+// lock, so a backoff or a slow replica delays this reader alone.
+// (fs.rng cannot be used here: readers share no mutable random state.)
+func (fs *FileSystem) replicaPayload(blk *blockMeta) ([]byte, error) {
 	var lastErr error
 	for attempt := 0; attempt < readAttempts; attempt++ {
 		if attempt > 0 {
 			time.Sleep(readBackoffBase << uint(attempt-1))
 		}
-		payload, err := fs.replicaAttemptLocked(blk, attempt)
+		err := fs.replicaAttempt(blk, attempt)
 		if err == nil {
-			return payload, nil
+			return blk.payload, nil
 		}
 		lastErr = err
 	}
 	return nil, fmt.Errorf("%w: block %d after %d attempts: %v", ErrNoReplica, blk.id, readAttempts, lastErr)
 }
 
-// replicaAttemptLocked performs one replica read attempt for blk.
-func (fs *FileSystem) replicaAttemptLocked(blk *blockMeta, attempt int) ([]byte, error) {
-	if fp := fs.faults; fp != nil && fp.readErrorFires(blk.id, attempt) {
-		return nil, fmt.Errorf("%w: injected read fault on block %d", ErrUnavailable, blk.id)
+// replicaAttempt performs one replica read attempt for blk: nil when
+// the replica the tick picked served it.
+func (fs *FileSystem) replicaAttempt(blk *blockMeta, attempt int) error {
+	fp := fs.faults.Load()
+	if fp != nil && fp.readErrorFires(blk.id, attempt) {
+		return fmt.Errorf("%w: injected read fault on block %d", ErrUnavailable, blk.id)
 	}
-	// The tick picks among the live replicas in replica order, found by
-	// counting rather than by building the list: this runs per block read.
-	live := 0
-	for _, id := range blk.replicas {
-		if fs.nodes[id].alive {
-			live++
+	// The tick picks among the live replicas in replica order. Liveness is
+	// read once per replica — a node may die or come back while this
+	// runs — into a list that stays on the stack: this runs per block read.
+	var buf [8]int
+	live := buf[:0]
+	for _, id := range *blk.replicas.Load() {
+		if fs.nodes[id].alive.Load() {
+			live = append(live, id)
 		}
 	}
-	if live == 0 {
-		return nil, fmt.Errorf("%w: block %d", ErrUnavailable, blk.id)
+	if len(live) == 0 {
+		return fmt.Errorf("%w: block %d", ErrUnavailable, blk.id)
 	}
-	nid, pick := -1, int(fs.readTick.Add(1))%live
-	for _, id := range blk.replicas {
-		if !fs.nodes[id].alive {
-			continue
-		}
-		if pick == 0 {
-			nid = id
-			break
-		}
-		pick--
-	}
-	if fp := fs.faults; fp != nil && fp.slowNode(nid) {
+	nid := live[int(fs.readTick.Add(1))%len(live)]
+	if fp != nil && fp.slowNode(nid) {
 		time.Sleep(fp.SlowDelay)
 	}
-	payload, ok := fs.nodes[nid].blocks[blk.id]
-	if !ok {
-		return nil, fmt.Errorf("%w: block %d missing on node %d", ErrUnavailable, blk.id, nid)
-	}
-	return payload, nil
+	return nil
 }
 
 // KillDataNode marks a node dead. Blocks whose every replica is dead
@@ -775,23 +832,21 @@ func (fs *FileSystem) replicaAttemptLocked(blk *blockMeta, attempt int) ([]byte,
 // mode §3.4 tolerates by finishing with an accuracy estimate instead of
 // restarting.
 func (fs *FileSystem) KillDataNode(id int) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if id < 0 || id >= len(fs.nodes) {
-		return fmt.Errorf("dfs: no datanode %d", id)
-	}
-	fs.nodes[id].alive = false
-	return nil
+	return fs.setAlive(id, false)
 }
 
 // ReviveDataNode brings a dead node (and its blocks) back.
 func (fs *FileSystem) ReviveDataNode(id int) error {
+	return fs.setAlive(id, true)
+}
+
+func (fs *FileSystem) setAlive(id int, alive bool) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if id < 0 || id >= len(fs.nodes) {
 		return fmt.Errorf("dfs: no datanode %d", id)
 	}
-	fs.nodes[id].alive = true
+	fs.nodes[id].alive.Store(alive)
 	return nil
 }
 
@@ -804,7 +859,7 @@ func (fs *FileSystem) ReviveDataNode(id int) error {
 func (fs *FileSystem) Rebalance() (moves int, err error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	live := fs.liveLocked()
+	live := fs.LiveDataNodes()
 	if len(live) == 0 {
 		return 0, ErrNoDataNodes
 	}
@@ -828,13 +883,13 @@ func (fs *FileSystem) Rebalance() (moves int, err error) {
 		}
 		// Move one block from maxN to minN (any block minN lacks).
 		moved := false
-		for bid, payload := range fs.nodes[maxN].blocks {
+		for bid, blk := range fs.nodes[maxN].blocks {
 			if _, has := fs.nodes[minN].blocks[bid]; has {
 				continue
 			}
-			fs.nodes[minN].blocks[bid] = payload
+			fs.nodes[minN].blocks[bid] = blk
 			delete(fs.nodes[maxN].blocks, bid)
-			fs.retargetReplicaLocked(bid, maxN, minN)
+			blk.retarget(maxN, minN)
 			count[maxN]--
 			count[minN]++
 			moves++
@@ -847,35 +902,26 @@ func (fs *FileSystem) Rebalance() (moves int, err error) {
 	}
 }
 
-// retargetReplicaLocked updates the replica list of the block with
-// blockID after a move. Chain versions share *blockMeta entries, so one
-// update is visible to every state referencing the block.
-func (fs *FileSystem) retargetReplicaLocked(blockID int64, from, to int) {
-	for _, ch := range fs.files {
-		for _, v := range ch.versions {
-			if v.meta == nil {
-				continue
-			}
-			for _, blk := range v.meta.blocks {
-				if blk.id != blockID {
-					continue
-				}
-				for i, nid := range blk.replicas {
-					if nid == from {
-						blk.replicas[i] = to
-						return
-					}
-				}
-			}
+// retarget publishes blk's replica list with from replaced by to after a
+// move. Chain versions share *blockMeta entries, so the one update is
+// visible to every state referencing the block; the old list is left
+// as it was for a reader in the middle of it.
+func (blk *blockMeta) retarget(from, to int) {
+	replicas := append([]int(nil), *blk.replicas.Load()...)
+	for i, nid := range replicas {
+		if nid == from {
+			replicas[i] = to
+			break
 		}
 	}
+	blk.replicas.Store(&replicas)
 }
 
 // BlockCounts returns, per DataNode id, how many block replicas it holds.
 // Used by tests and by the rebalancer experiment.
 func (fs *FileSystem) BlockCounts() map[int]int {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	out := make(map[int]int, len(fs.nodes))
 	for _, n := range fs.nodes {
 		out[n.id] = len(n.blocks)

@@ -36,17 +36,18 @@ type FaultPlan struct {
 }
 
 // SetFaultPlan installs plan (nil clears injection). The plan is copied;
-// later mutation of the caller's struct has no effect.
+// later mutation of the caller's struct has no effect, and the installed
+// copy is never written: reads consult it without a lock.
 func (fs *FileSystem) SetFaultPlan(plan *FaultPlan) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if plan == nil {
-		fs.faults = nil
+		fs.faults.Store(nil)
 		return
 	}
 	dup := *plan
 	dup.SlowNodes = append([]int(nil), plan.SlowNodes...)
-	fs.faults = &dup
+	fs.faults.Store(&dup)
 }
 
 // readErrorFires reports whether the injected transient read fault

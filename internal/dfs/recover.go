@@ -58,17 +58,13 @@ func Recover(cfg Config, image []byte) (*FileSystem, RecoverStats, error) {
 				rec.Seq, rec.Op, rec.Path, err)
 		}
 	}
-	fs.mu.Lock()
-	for _, ch := range fs.files {
-		v := ch.versions[len(ch.versions)-1]
-		if v.meta == nil {
-			continue
-		}
+	for _, path := range fs.List("") {
 		st.Files++
-		if sc := v.meta.sidecar; sc != nil && sc.size() > 0 {
+		if size, ok := fs.SidecarStat(path); ok && size > 0 {
 			st.Sidecars++
 		}
 	}
+	fs.mu.Lock()
 	fs.recovered = &st
 	fs.mu.Unlock()
 	return fs, st, nil
@@ -78,8 +74,8 @@ func Recover(cfg Config, image []byte) (*FileSystem, RecoverStats, error) {
 // durable deployment would have on disk, including any torn final
 // record an injected crash left. Recover replays it.
 func (fs *FileSystem) JournalBytes() []byte {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	return fs.jlog.Bytes()
 }
 
@@ -97,8 +93,8 @@ type JournalStats struct {
 
 // JournalStats snapshots the journal counters.
 func (fs *FileSystem) JournalStats() JournalStats {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	st := JournalStats{
 		Commits: fs.jlog.Records(),
 		Bytes:   fs.jlog.Size(),
@@ -114,8 +110,4 @@ func (fs *FileSystem) JournalStats() JournalStats {
 }
 
 // CommitSeq returns the sequence number of the last applied commit.
-func (fs *FileSystem) CommitSeq() int64 {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	return fs.commitSeq
-}
+func (fs *FileSystem) CommitSeq() int64 { return fs.commitSeq.Load() }

@@ -34,8 +34,9 @@ import (
 // the ingest-policy coverage. (Coverage added later by Compact is the
 // one thing a crash loses — a speed cost repaid by re-running Compact.)
 // The sidecar field is likewise exempt from the commit-path-only
-// mutation rule: Compact and the corruption fault hooks may swap it in
-// place, under the write lock, without a commit.
+// mutation rule: Compact and the corruption fault hooks may replace it,
+// under the writers' mutex, without a commit — an atomic store, because
+// reads load it without a lock.
 const (
 	sidecarMinBytes       = 4 << 10
 	sidecarAppendMinBytes = 64 << 10
@@ -61,8 +62,8 @@ const (
 // snapshots keep reading exactly the bytes they pinned.
 //
 // That immutability is also what lets ViewSidecarAt hand a reader a
-// sub-slice of a piece instead of a copy, and lets the reader keep it
-// after the lock is dropped, for as long as it likes: nothing ever
+// sub-slice of a piece instead of a copy, and lets the reader — who
+// holds no lock — keep it for as long as it likes: nothing ever
 // writes to a byte a piece covers — an append writes behind the last
 // piece, in capacity no piece's slice reaches — and a version that is
 // replaced or pruned only stops referring to its pieces. The holder's
@@ -283,13 +284,11 @@ func (fs *FileSystem) SidecarStat(path string) (int64, bool) {
 }
 
 func (fs *FileSystem) sidecarStatAt(path string, at int64) (int64, bool) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	meta, ok := fs.metaLocked(path, at)
-	if !ok || meta.sidecar == nil {
+	sc, err := fs.sidecarAt(path, at, 0)
+	if err != nil {
 		return 0, false
 	}
-	return meta.sidecar.size(), true
+	return sc.size(), true
 }
 
 // ViewSidecarAt returns the up to size bytes of path's sidecar at off —
@@ -303,9 +302,7 @@ func (fs *FileSystem) ViewSidecarAt(path string, off, size int64) ([]byte, error
 }
 
 func (fs *FileSystem) viewSidecarAt(path string, at, off, size int64) ([]byte, error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	sc, err := fs.sidecarLocked(path, at, off)
+	sc, err := fs.sidecarAt(path, at, off)
 	if err != nil || off >= sc.size() {
 		return nil, err
 	}
@@ -323,9 +320,7 @@ func (fs *FileSystem) ReadSidecarAt(path string, off int64, p []byte) (int, erro
 }
 
 func (fs *FileSystem) readSidecarAt(path string, at, off int64, p []byte) (int, error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	sc, err := fs.sidecarLocked(path, at, off)
+	sc, err := fs.sidecarAt(path, at, off)
 	if err != nil || off >= sc.size() {
 		return 0, err
 	}
@@ -334,16 +329,20 @@ func (fs *FileSystem) readSidecarAt(path string, at, off int64, p []byte) (int, 
 	return n, nil
 }
 
-// sidecarLocked resolves the sidecar a positioned read at off addresses.
-func (fs *FileSystem) sidecarLocked(path string, at, off int64) (*sidecar, error) {
-	meta, ok := fs.metaLocked(path, at)
-	if !ok || meta.sidecar == nil {
+// sidecarAt resolves the sidecar a positioned read at off addresses:
+// the view the file state holds right now, immutable from here on.
+func (fs *FileSystem) sidecarAt(path string, at, off int64) (*sidecar, error) {
+	var sc *sidecar
+	if meta, ok := fs.metaAt(path, at); ok {
+		sc = meta.sidecar.Load()
+	}
+	if sc == nil {
 		return nil, fmt.Errorf("%w: sidecar for %s", ErrNotFound, path)
 	}
 	if off < 0 {
 		return nil, errors.New("dfs: negative offset")
 	}
-	return meta.sidecar, nil
+	return sc, nil
 }
 
 // chargeSidecarRead charges one positioned sidecar read of n bytes.
@@ -378,15 +377,15 @@ type CompactStats struct {
 func (fs *FileSystem) Compact(path string) (CompactStats, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	meta, ok := fs.metaLocked(path, -1)
-	if !ok {
-		return CompactStats{}, fmt.Errorf("%w: %s", ErrNotFound, path)
+	meta, err := fs.fileAt(path, -1)
+	if err != nil {
+		return CompactStats{}, err
 	}
 	st := CompactStats{Path: path}
 	if meta.size == 0 {
 		return st, nil
 	}
-	if sc := meta.sidecar; sc != nil {
+	if sc := meta.sidecar.Load(); sc != nil {
 		if info, err := colseg.Inspect(sc.bytes()); err == nil &&
 			info.Version == meta.version && info.Cover == meta.size {
 			st.Chunks = info.Chunks
@@ -397,7 +396,7 @@ func (fs *FileSystem) Compact(path string) (CompactStats, error) {
 	}
 	data := make([]byte, 0, meta.size)
 	for _, blk := range meta.blocks {
-		payload, err := fs.replicaPayloadLocked(blk)
+		payload, err := fs.replicaPayload(blk)
 		if err != nil {
 			return st, err
 		}
@@ -411,7 +410,7 @@ func (fs *FileSystem) Compact(path string) (CompactStats, error) {
 	if err != nil {
 		return st, fmt.Errorf("dfs: compact %s: %w", path, err)
 	}
-	meta.sidecar = newSidecar(sc)
+	meta.sidecar.Store(newSidecar(sc))
 	if fs.metrics != nil {
 		fs.metrics.BytesWritten.Add(int64(len(sc)))
 	}
@@ -433,12 +432,12 @@ func (fs *FileSystem) Compact(path string) (CompactStats, error) {
 func (fs *FileSystem) CorruptSidecarByte(path string, off int64) bool {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	meta, ok := fs.metaLocked(path, -1)
-	if !ok || meta.sidecar == nil || off < 0 || off >= meta.sidecar.size() {
+	sc, meta := fs.liveSidecar(path)
+	if sc == nil || off < 0 || off >= sc.size() {
 		return false
 	}
 	// Copy-on-write: older versions share the piece that holds off.
-	meta.sidecar = meta.sidecar.flipped(off)
+	meta.sidecar.Store(sc.flipped(off))
 	return true
 }
 
@@ -448,10 +447,20 @@ func (fs *FileSystem) CorruptSidecarByte(path string, off int64) bool {
 func (fs *FileSystem) TruncateSidecar(path string, n int64) bool {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	meta, ok := fs.metaLocked(path, -1)
-	if !ok || meta.sidecar == nil || n < 0 || n > meta.sidecar.size() {
+	sc, meta := fs.liveSidecar(path)
+	if sc == nil || n < 0 || n > sc.size() {
 		return false
 	}
-	meta.sidecar = meta.sidecar.prefix(n)
+	meta.sidecar.Store(sc.prefix(n))
 	return true
+}
+
+// liveSidecar returns path's live sidecar and the file state holding
+// it, nil when the path has none.
+func (fs *FileSystem) liveSidecar(path string) (*sidecar, *fileMeta) {
+	meta, ok := fs.metaAt(path, -1)
+	if !ok {
+		return nil, nil
+	}
+	return meta.sidecar.Load(), meta
 }

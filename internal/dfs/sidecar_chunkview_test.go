@@ -78,10 +78,8 @@ func TestViewSidecarAtMatchesRead(t *testing.T) {
 		if tc.v == View(snap) && len(chunks) != 21 {
 			t.Fatalf("%s: %d chunks, want the 21 the snapshot pinned", tc.name, len(chunks))
 		}
-		fs.mu.RLock()
-		meta, _ := fs.metaLocked(tc.path, tc.at)
-		sc := meta.sidecar
-		fs.mu.RUnlock()
+		meta, _ := fs.metaAt(tc.path, tc.at)
+		sc := meta.sidecar.Load()
 		for i, c := range chunks {
 			pos, size := c[0], c[1]
 			var view []byte

@@ -154,7 +154,7 @@ func TestSidecarFormatIdentity(t *testing.T) {
 			}
 			appendBatch(fmt.Sprintf("append %d", k), batch(sidecarAppendMinBytes+recBytes, 3*sidecarAppendMinBytes))
 		}
-		if vs := fs.files[path].versions; len(vs[len(vs)-1].meta.sidecar.pieces) < 5 {
+		if vs := *fs.chains()[path].versions.Load(); len(vs[len(vs)-1].meta.sidecar.Load().pieces) < 5 {
 			t.Fatalf("trial %d: the appends never crossed an extent boundary", trial)
 		}
 		// Compact forks the view (a fresh Build output); appends after it
@@ -395,16 +395,16 @@ func TestSidecarForksNeverTouchSharedBytes(t *testing.T) {
 func TestAppendPruneKeepsBlockCounts(t *testing.T) {
 	fs := New(Config{BlockSize: 4 << 10, Replication: 2, DataNodes: 4, Seed: 11})
 	reachable := func() int {
-		fs.mu.RLock()
-		defer fs.mu.RUnlock()
+		fs.mu.Lock()
+		defer fs.mu.Unlock()
 		seen := map[int64]int{}
-		for _, ch := range fs.files {
-			for _, v := range ch.versions {
+		for _, ch := range fs.chains() {
+			for _, v := range *ch.versions.Load() {
 				if v.meta == nil {
 					continue
 				}
 				for _, blk := range v.meta.blocks {
-					seen[blk.id] = len(blk.replicas)
+					seen[blk.id] = len(*blk.replicas.Load())
 				}
 			}
 		}
@@ -428,7 +428,7 @@ func TestAppendPruneKeepsBlockCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(fmt.Sprintf("append %d", i))
-		if n := len(fs.files["/f"].versions); n != 1 {
+		if n := len(*fs.chains()["/f"].versions.Load()); n != 1 {
 			t.Fatalf("append %d: %d versions survive with nothing pinned", i, n)
 		}
 	}

@@ -36,15 +36,11 @@ func (fs *FileSystem) Splits(path string, splitSize int64) ([]Split, error) {
 }
 
 func (fs *FileSystem) splitsAt(path string, at, splitSize int64) ([]Split, error) {
-	fs.mu.RLock()
-	meta, ok := fs.metaLocked(path, at)
-	if !ok {
-		fs.mu.RUnlock()
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
+	meta, err := fs.fileAt(path, at)
+	if err != nil {
+		return nil, err
 	}
-	size := meta.size
-	segments := append([]int64(nil), meta.segments...)
-	fs.mu.RUnlock()
+	size, segments := meta.size, meta.segments
 	if splitSize <= 0 {
 		splitSize = fs.cfg.BlockSize
 	}
@@ -79,11 +75,12 @@ func (fs *FileSystem) splitsAt(path string, at, splitSize int64) ([]Split, error
 //
 // Together these rules give every line exactly one owner, which is what
 // makes per-split sampling uniform over records. The reader pulls data
-// through FileSystem.ReadAt in buffered chunks; the initial positioning
-// costs one seek (charged by ReadAt) and subsequent reads are sequential.
+// in buffered chunks, each charged as a positioned read, from the one
+// file state it resolved when it was opened: a rewrite or a delete that
+// lands while it iterates does not reach it.
 type LineReader struct {
 	fs      *FileSystem
-	at      int64 // commit sequence the reader is pinned to (-1: live)
+	meta    *fileMeta // the committed state the reader was opened on
 	split   Split
 	fileLen int64
 	pos     int64 // next byte offset to fetch from the file
@@ -103,10 +100,11 @@ func (fs *FileSystem) NewLineReader(split Split, chunkSize int) (*LineReader, er
 }
 
 func (fs *FileSystem) newLineReaderAt(split Split, at int64, chunkSize int) (*LineReader, error) {
-	size, err := fs.statAt(split.Path, at)
+	meta, err := fs.fileAt(split.Path, at)
 	if err != nil {
 		return nil, err
 	}
+	size := meta.size
 	if split.Offset < 0 || split.Length < 0 || split.Offset > size {
 		return nil, fmt.Errorf("dfs: split %v out of file bounds (size %d)", split, size)
 	}
@@ -115,7 +113,7 @@ func (fs *FileSystem) newLineReaderAt(split Split, at int64, chunkSize int) (*Li
 	}
 	return &LineReader{
 		fs:      fs,
-		at:      at,
+		meta:    meta,
 		split:   split,
 		fileLen: size,
 		pos:     split.Offset,
@@ -133,7 +131,7 @@ func (r *LineReader) fill() error {
 		want = r.fileLen - r.pos
 	}
 	buf := make([]byte, want)
-	n, err := r.fs.readAt(r.split.Path, r.at, r.pos, buf, 1)
+	n, err := r.fs.readMeta(r.meta, r.pos, buf, 1)
 	if err != nil {
 		return err
 	}
@@ -251,6 +249,10 @@ func (fs *FileSystem) ReadLineAt(path string, pos int64, chunkSize int) (line st
 }
 
 func (fs *FileSystem) readLineAt(path string, at, pos int64, chunkSize int) (line string, lineStart int64, err error) {
+	meta, err := fs.fileAt(path, at)
+	if err != nil {
+		return "", 0, err
+	}
 	if chunkSize <= 0 {
 		chunkSize = 256
 	}
@@ -261,7 +263,7 @@ func (fs *FileSystem) readLineAt(path string, at, pos int64, chunkSize int) (lin
 	// makes pre-map sampling a sub-scan operation.
 	back, fwd := int64(chunkSize), int64(chunkSize)
 	for {
-		line, lineStart, grow, err := fs.lineInWindow(path, at, pos, back, fwd)
+		line, lineStart, grow, err := fs.lineInWindow(meta, pos, back, fwd)
 		switch grow {
 		case growBack:
 			back *= 4
@@ -284,22 +286,16 @@ const (
 )
 
 // lineInWindow resolves the record containing pos within the window
-// [pos−back, pos+fwd) under one read lock: file state, block search,
-// newline search and the copy-out of the record alone. A window that
+// [pos−back, pos+fwd) of one file state: block search, newline search
+// and the copy-out of the record alone. A window that
 // lies in one block — every window but those straddling a block
 // boundary — is searched in the replica's bytes where they are; only a
 // straddling window is assembled by the copying read. Either way the
 // window is charged as one positioned read (a seek and its bytes) and
-// each block reaches its replica through replicaPayloadLocked, so
+// each block reaches its replica through replicaPayload, so
 // modelled cost, read ticks and injected faults do not depend on which
 // way the bytes were reached.
-func (fs *FileSystem) lineInWindow(path string, at, pos, back, fwd int64) (line string, lineStart int64, grow windowGrow, err error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	meta, ok := fs.metaLocked(path, at)
-	if !ok {
-		return "", 0, growNone, fmt.Errorf("%w: %s", ErrNotFound, path)
-	}
+func (fs *FileSystem) lineInWindow(meta *fileMeta, pos, back, fwd int64) (line string, lineStart int64, grow windowGrow, err error) {
 	size := meta.size
 	if size == 0 {
 		return "", 0, growNone, io.EOF
@@ -311,7 +307,7 @@ func (fs *FileSystem) lineInWindow(path string, at, pos, back, fwd int64) (line 
 		if fs.metrics != nil {
 			fs.metrics.DiskSeeks.Add(1)
 		}
-		payload, err := fs.replicaPayloadLocked(blk)
+		payload, err := fs.replicaPayload(blk)
 		if err != nil {
 			return "", 0, growNone, err
 		}
@@ -321,7 +317,7 @@ func (fs *FileSystem) lineInWindow(path string, at, pos, back, fwd int64) (line 
 		}
 	} else {
 		win = make([]byte, hi-lo)
-		if _, err := fs.readMetaLocked(meta, lo, win, 1); err != nil {
+		if _, err := fs.readMeta(meta, lo, win, 1); err != nil {
 			return "", 0, growNone, err
 		}
 	}

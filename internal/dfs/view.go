@@ -38,7 +38,9 @@ var (
 // no matter what WriteFile/Append/Delete commits land afterwards. The
 // superseded state a snapshot still needs survives garbage collection
 // until Release. Snapshots are cheap (a refcounted sequence number, no
-// copying) and safe for concurrent use; Release is idempotent.
+// copying) and safe for concurrent use; Release is idempotent. Taking
+// and releasing one go through the writers' mutex; reading through one
+// takes no lock.
 type Snapshot struct {
 	fs       *FileSystem
 	seq      int64
@@ -49,8 +51,9 @@ type Snapshot struct {
 func (fs *FileSystem) Snapshot() *Snapshot {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.pins[fs.commitSeq]++
-	return &Snapshot{fs: fs, seq: fs.commitSeq}
+	seq := fs.commitSeq.Load()
+	fs.pins[seq]++
+	return &Snapshot{fs: fs, seq: seq}
 }
 
 // Seq returns the commit sequence this snapshot pins.
@@ -69,10 +72,13 @@ func (s *Snapshot) Release() {
 	if fs.pins[s.seq]--; fs.pins[s.seq] <= 0 {
 		delete(fs.pins, s.seq)
 	}
-	// The pin floor moved: sweep every chain for states nothing can see.
-	for path, ch := range fs.files {
-		fs.applyChainPrune(path, ch)
+	// A state becomes prunable when the pin floor passes its successor's
+	// commit. No commit landed since this pin: nothing it held back has a
+	// successor. A pin at or below it remains: the floor did not move.
+	if s.seq == fs.commitSeq.Load() || fs.minPinLocked() <= s.seq {
+		return
 	}
+	fs.applyPinSweep()
 }
 
 // The View methods: each delegates to the sequence-resolved read path.

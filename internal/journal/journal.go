@@ -97,79 +97,77 @@ type Record struct {
 	Data []byte // nil for OpDelete
 }
 
-// Log is an in-memory journal being written. The zero value is not
-// ready; use New.
+// Log is an in-memory journal being written: the header followed by one
+// exact-size frame per record, each allocated once and never written
+// again. That is what lets Append hand the caller the stored copy of a
+// record's data to keep (dfs cuts its block payloads out of it — an
+// ingested byte is held once, and the log never regrows or copies what
+// it already holds). The zero value is not ready; use New.
 type Log struct {
-	buf []byte
-	n   int64 // records appended
+	frames [][]byte
+	size   int64 // header plus every frame, in bytes
+	n      int64 // records appended
 }
 
 // New returns an empty journal (header only).
 func New() *Log {
-	return &Log{buf: append([]byte(nil), magic...)}
+	return &Log{size: headerSize}
 }
 
-// Append frames and appends one record, assigning the next sequence
-// number, and returns it.
-func (l *Log) Append(op Op, path string, data []byte) int64 {
+// Append frames one record under the next sequence number and returns
+// the frame's data region — the journal's own copy of data, read-only
+// and capacity-clipped. The caller's slice is not retained.
+func (l *Log) Append(op Op, path string, data []byte) []byte {
 	l.n++
-	l.buf = appendRecord(l.buf, Record{Seq: l.n, Op: op, Path: path, Data: data})
-	return l.n
+	frame := make([]byte, frameFixed+len(path)+len(data))
+	binary.LittleEndian.PutUint64(frame, uint64(l.n))
+	frame[8] = byte(op)
+	binary.LittleEndian.PutUint32(frame[9:], uint32(len(path)))
+	binary.LittleEndian.PutUint64(frame[13:], uint64(len(data)))
+	body := frameFixed - 4 + copy(frame[frameFixed-4:], path)
+	end := body + copy(frame[body:], data)
+	binary.LittleEndian.PutUint32(frame[end:], crc32.Checksum(frame[:end], castagnoli))
+	l.frames = append(l.frames, frame)
+	l.size += int64(len(frame))
+	return frame[body:end:end]
 }
 
 // Records returns the number of records appended.
 func (l *Log) Records() int64 { return l.n }
 
 // Size returns the journal's size in bytes.
-func (l *Log) Size() int64 { return int64(len(l.buf)) }
+func (l *Log) Size() int64 { return l.size }
 
-// Bytes returns a copy of the journal's bytes — the crash image a
-// durable deployment would have on disk.
-func (l *Log) Bytes() []byte { return append([]byte(nil), l.buf...) }
+// Bytes returns the journal image as one fresh slice — the crash image
+// a durable deployment would have on disk.
+func (l *Log) Bytes() []byte {
+	buf := make([]byte, 0, l.size)
+	buf = append(buf, magic...)
+	for _, frame := range l.frames {
+		buf = append(buf, frame...)
+	}
+	return buf
+}
 
 // Tear truncates the journal mid-way through its final record, leaving
 // drop bytes missing from the frame — the shape a crash during the last
 // commit's write leaves behind. It reports whether a tear happened (a
 // journal with no records, or drop outside (0, frameLen), is left
-// untouched).
+// untouched). The frame is cut by re-slicing, not by writing: whoever
+// holds its data region still reads what was appended.
 func (l *Log) Tear(drop int64) bool {
 	if l.n == 0 {
 		return false
 	}
-	start := lastFrameStart(l.buf)
-	frameLen := int64(len(l.buf)) - start
+	last := len(l.frames) - 1
+	frameLen := int64(len(l.frames[last]))
 	if drop <= 0 || drop >= frameLen {
 		return false
 	}
-	l.buf = l.buf[:int64(len(l.buf))-drop]
+	l.frames[last] = l.frames[last][:frameLen-drop]
+	l.size -= drop
 	l.n-- // the torn record was never committed
 	return true
-}
-
-// lastFrameStart returns the byte offset where the final record's frame
-// begins, by walking the frames from the front.
-func lastFrameStart(buf []byte) int64 {
-	pos := int64(headerSize)
-	for {
-		next, _, err := parseRecord(buf, pos)
-		if err != nil || next >= int64(len(buf)) {
-			return pos
-		}
-		pos = next
-	}
-}
-
-// appendRecord frames rec onto dst.
-func appendRecord(dst []byte, rec Record) []byte {
-	base := len(dst)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(rec.Seq))
-	dst = append(dst, byte(rec.Op))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rec.Path)))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(rec.Data)))
-	dst = append(dst, rec.Path...)
-	dst = append(dst, rec.Data...)
-	crc := crc32.Checksum(dst[base:], castagnoli)
-	return binary.LittleEndian.AppendUint32(dst, crc)
 }
 
 // parseRecord decodes the record whose frame starts at pos. It returns

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand/v2"
 	"testing"
 )
@@ -214,4 +215,46 @@ func FuzzJournalReplay(f *testing.F) {
 			}
 		}
 	})
+}
+
+// tearEveryDrop tears a fresh n-record log at every drop from -1 to one
+// past the final frame's length and hashes what each attempt left:
+// whether it tore, the record count, the size and the image.
+func tearEveryDrop(t *testing.T, n int) uint64 {
+	t.Helper()
+	full := writeN(n).Bytes()
+	lastFrame := int64(len(full)) - int64(len(PrefixRecords(full, int64(n-1))))
+	h := fnv.New64a()
+	for drop := int64(-1); drop <= lastFrame+1; drop++ {
+		l := writeN(n)
+		tore := l.Tear(drop)
+		img := l.Bytes()
+		if want := drop > 0 && drop < lastFrame; tore != want {
+			t.Fatalf("n=%d Tear(%d) = %v, want %v", n, drop, tore, want)
+		}
+		wantImg, wantN := full, int64(n)
+		if tore {
+			wantImg, wantN = full[:int64(len(full))-drop], int64(n-1)
+		}
+		if !bytes.Equal(img, wantImg) || l.Records() != wantN || l.Size() != int64(len(wantImg)) {
+			t.Fatalf("n=%d Tear(%d): %d records over %d bytes, want %d over %d", n, drop, l.Records(), l.Size(), wantN, len(wantImg))
+		}
+		fmt.Fprintf(h, "%d %v %d %d %x;", drop, tore, l.Records(), l.Size(), img)
+	}
+	return h.Sum64()
+}
+
+// TestTearEveryDrop holds Tear at every drop of a one- and a three-record
+// log to the images the contiguous-buffer journal produced (the hashes
+// were recorded at the parent of PR 20, before the log became a list of
+// frames).
+func TestTearEveryDrop(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		want uint64
+	}{{1, 0x180b3224a1f23202}, {3, 0x52433289748395ff}} {
+		if got := tearEveryDrop(t, c.n); got != c.want {
+			t.Errorf("n=%d: hash %#016x, want %#016x", c.n, got, c.want)
+		}
+	}
 }

@@ -75,12 +75,20 @@ type inputSplit struct {
 	base     int64
 }
 
+// input returns the view job's InputPath is read through.
+func (e *Engine) input(job *Job) dfs.View {
+	if job.Input != nil {
+		return job.Input
+	}
+	return e.FS
+}
+
 func (e *Engine) splitsFor(job *Job) ([]inputSplit, error) {
 	if job.InputPath != "" {
 		if e.FS == nil {
 			return nil, fmt.Errorf("mr: job %q has InputPath but engine has no FS", job.Name)
 		}
-		ss, err := e.FS.Splits(job.InputPath, job.SplitSize)
+		ss, err := e.input(job).Splits(job.InputPath, job.SplitSize)
 		if err != nil {
 			return nil, err
 		}
@@ -210,7 +218,7 @@ func (e *Engine) mapAttempt(job *Job, sp inputSplit, info TaskInfo, r int) ([][]
 		return nil
 	}
 	if sp.dfsSplit != nil {
-		rd, err := e.FS.NewLineReader(*sp.dfsSplit, 0)
+		rd, err := e.input(job).NewLineReader(*sp.dfsSplit, 0)
 		if err != nil {
 			return nil, err
 		}

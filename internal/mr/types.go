@@ -26,6 +26,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+
+	"repro/internal/dfs"
 )
 
 // KV is one key/value pair flowing between stages.
@@ -109,7 +111,10 @@ type Job struct {
 	// Input: either a DFS path (read as text lines, split by SplitSize)
 	// or an in-memory record slice (tests and local mode). Exactly one
 	// must be set.
-	InputPath    string
+	InputPath string
+	// Input is the view InputPath is read through — a pinned snapshot
+	// when the job must see one commit; the engine's live filesystem if nil.
+	Input        dfs.View
 	SplitSize    int64 // bytes per input split; DFS block size if 0
 	MemoryInput  []string
 	MemorySplits int // splits to divide MemoryInput into; 1 if 0

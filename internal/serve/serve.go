@@ -515,8 +515,12 @@ func (s *Server) Query(ctx context.Context, spec QuerySpec) (QueryResult, error)
 	// One execution path for every flavour: the plan driver. Degenerate
 	// specs (no filter/derive, by "" or "key") run the historical
 	// RunMulti/RunGrouped code bit-identically; single and multi-statistic
-	// one-shots alike cost one shared sampling/IO pass.
-	pr, rerr := core.RunPlan(s.env, spec.Spec, core.Options{})
+	// one-shots alike cost one shared sampling/IO pass. The run reads one
+	// pinned commit: a rewrite or an append landing mid-run cannot give it
+	// a blend of two file states.
+	snap := s.env.FS.Snapshot()
+	defer snap.Release()
+	pr, rerr := core.RunPlan(s.env.WithData(snap), spec.Spec, core.Options{})
 	if rerr != nil {
 		return QueryResult{}, rerr
 	}

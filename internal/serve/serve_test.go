@@ -887,6 +887,126 @@ func TestMetricsExposeScanCache(t *testing.T) {
 	}
 }
 
+// TestOneShotNeverBlends is TestConcurrentRewriteNeverBlends for
+// one-shots: Query runs on one pinned commit, so a one-shot racing
+// rewrites, and one racing appends, reports bit for bit what a query
+// over one of the committed file states reports — never a sample drawn
+// across two of them. Every query goes to a fresh Server over the shared
+// cluster, so none is answered from the result cache. The expected
+// reports come from a second cluster taken through the same commits
+// with nothing running beside them.
+func TestOneShotNeverBlends(t *testing.T) {
+	const path = "/t/oneshot"
+	gen := func(dist workload.Dist, n int, seed uint64) []byte {
+		xs, err := workload.NumericSpec{Dist: dist, N: n, Seed: seed}.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return workload.EncodeLinesFixed(xs)
+	}
+	oneShot := func(env *core.Env, spec QuerySpec) string {
+		t.Helper()
+		s, err := New(env, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Query(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cached {
+			t.Fatal("a fresh server answered from its cache")
+		}
+		return fmt.Sprintf("%+v", res.Report)
+	}
+	for _, sampler := range []string{"pre-map", "post-map"} {
+		spec := QuerySpec{Job: "mean", Spec: plan.Spec{Path: path, Seed: 23, Sampler: sampler}}
+		// race runs one-shots beside mutate until mutate is done and a
+		// query has run after it; every report must be in allowed.
+		race := func(t *testing.T, env *core.Env, allowed map[string]int, mutate func()) {
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				mutate()
+			}()
+			last := -1
+			for after := false; !after; {
+				select {
+				case <-done:
+					after = true
+				default:
+				}
+				rep := oneShot(env, spec)
+				state, ok := allowed[rep]
+				if !ok {
+					t.Fatalf("a one-shot reported no committed state's answer: %s", rep)
+				}
+				if state < 0 {
+					continue // the rewrites alternate: no order to hold
+				}
+				if state < last {
+					t.Fatalf("a one-shot went back from state %d to state %d", last, state)
+				}
+				last = state
+			}
+			if pins := env.FS.JournalStats().Pins; pins != 0 {
+				t.Fatalf("%d pins left after the one-shots returned", pins)
+			}
+		}
+
+		t.Run(sampler+"/rewrite", func(t *testing.T) {
+			a, b := gen(workload.Gaussian, 40_000, 2), gen(workload.Uniform, 15_000, 18)
+			_, ref := newTestServer(t, Config{}, path, 40_000)
+			allowed := map[string]int{oneShot(ref, spec): -1}
+			if err := ref.FS.WriteFile(path, b); err != nil {
+				t.Fatal(err)
+			}
+			allowed[oneShot(ref, spec)] = -1
+			if len(allowed) != 2 {
+				t.Fatal("both contents give the same report; test is vacuous")
+			}
+			s, env := newTestServer(t, Config{}, path, 40_000)
+			race(t, env, allowed, func() {
+				for i := 0; i < 12; i++ {
+					data := b
+					if i%2 == 1 {
+						data = a
+					}
+					if _, err := s.Rewrite(path, data); err != nil {
+						t.Error(err)
+					}
+					time.Sleep(2 * time.Millisecond)
+				}
+			})
+		})
+
+		t.Run(sampler+"/append", func(t *testing.T) {
+			const batches = 8
+			batch := func(i int) []byte { return gen(workload.Uniform, 6_000, uint64(30+i)) }
+			_, ref := newTestServer(t, Config{}, path, 40_000)
+			allowed := map[string]int{oneShot(ref, spec): 0}
+			for i := 0; i < batches; i++ {
+				if err := ref.FS.Append(path, batch(i)); err != nil {
+					t.Fatal(err)
+				}
+				allowed[oneShot(ref, spec)] = i + 1
+			}
+			if len(allowed) != batches+1 {
+				t.Fatalf("%d distinct reports over %d file states; test is weaker than it looks", len(allowed), batches+1)
+			}
+			s, env := newTestServer(t, Config{}, path, 40_000)
+			race(t, env, allowed, func() {
+				for i := 0; i < batches; i++ {
+					if _, _, err := s.Append(path, batch(i)); err != nil {
+						t.Error(err)
+					}
+					time.Sleep(2 * time.Millisecond)
+				}
+			})
+		})
+	}
+}
+
 // TestConcurrentRewriteNeverBlends hammers WatchReport while a rewrite
 // of the watched path lands on another goroutine. Every report must be
 // bit-identical to the pre-rewrite answer OR to a fresh watch over the
