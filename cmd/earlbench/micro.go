@@ -659,6 +659,16 @@ func runMicro() (microReport, error) {
 	}
 	jset4 := []jobs.Numeric{jobs.Mean(), p50, p95, jobs.Count()}
 	engineOpts := core.Options{Sigma: 0.05, Seed: 2}
+	// The multi-statistic and grouped entries are library job queries on
+	// the one driver.
+	runMulti := func(env *core.Env) error {
+		_, _, err := core.Execute(env, core.JobQuery(jset4, "/bench/data", engineOpts), false)
+		return err
+	}
+	runGrouped := func(env *core.Env) error {
+		_, _, err := core.Execute(env, core.KeyedJobQuery(jobs.Mean(), core.TabRoute(), "/bench/kv", engineOpts), false)
+		return err
+	}
 
 	add("engine", fmt.Sprintf("RunSingle/mean/n=%d", engineN), func(b *testing.B) {
 		env, err := newEngineEnv()
@@ -679,7 +689,7 @@ func runMicro() (microReport, error) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.RunMulti(env, jset4, "/bench/data", engineOpts); err != nil {
+			if err := runMulti(env); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -698,7 +708,7 @@ func runMicro() (microReport, error) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.RunGrouped(env, jobs.Mean(), core.TabRoute(), "/bench/kv", engineOpts); err != nil {
+			if err := runGrouped(env); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1074,14 +1084,11 @@ func runMicro() (microReport, error) {
 	if err != nil {
 		return microReport{}, err
 	}
-	if _, err := core.RunMulti(env, jset4, "/bench/data", engineOpts); err != nil {
+	if err := runMulti(env); err != nil {
 		return microReport{}, err
 	}
 	multiRead := env.Metrics.RecordsRead.Load()
-	multiRate, err := ingestRate(env, "RunMulti", 8, func() error {
-		_, err := core.RunMulti(env, jset4, "/bench/data", engineOpts)
-		return err
-	})
+	multiRate, err := ingestRate(env, "RunMulti", 8, func() error { return runMulti(env) })
 	if err != nil {
 		return microReport{}, err
 	}
@@ -1089,10 +1096,7 @@ func runMicro() (microReport, error) {
 	if err := env.FS.WriteFile("/bench/kv", []byte(kv.String())); err != nil {
 		return microReport{}, err
 	}
-	if _, err := ingestRate(env, "RunGrouped", 8, func() error {
-		_, err := core.RunGrouped(env, jobs.Mean(), core.TabRoute(), "/bench/kv", engineOpts)
-		return err
-	}); err != nil {
+	if _, err := ingestRate(env, "RunGrouped", 8, func() error { return runGrouped(env) }); err != nil {
 		return microReport{}, err
 	}
 	// Surface the scan substrate's raw decode throughput alongside the

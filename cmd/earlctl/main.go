@@ -210,15 +210,23 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Parallelism: *par,
 	}
 	if *watch > 0 {
-		p := watchParams{
-			jobName: jobNames[0], dist: *dist, n: *n, cycles: *watch,
-			appendN: *appendN, seed: *seed,
+		w, err := cluster.WatchMulti(jset, "/data", opts)
+		killWait()
+		if err != nil {
+			return err
 		}
-		if len(jset) > 1 {
-			err = runMultiWatch(stdout, cluster, jset, opts, killWait, p)
-		} else {
-			err = runWatch(stdout, cluster, job, opts, killWait, p)
-		}
+		fmt.Fprintf(stdout, "watch        : %s over %d %s records (σ=%.3g) — one maintained sample\n",
+			jobSetName(jset), *n, *dist, *sigma)
+		err = watchLoop(stdout, cluster, w, watchParams{
+			n: *n, cycles: *watch, appendN: *appendN, seed: *seed, exact: jset,
+			appendBatch: func(n int, seed uint64) error {
+				batch, err := genValues(jobNames[0], *dist, n, seed)
+				if err != nil {
+					return err
+				}
+				return cluster.AppendValues("/data", batch)
+			},
+		})
 		if err != nil {
 			return err
 		}
@@ -344,62 +352,6 @@ func runMultiOnce(stdout io.Writer, cluster *earl.Cluster, jset []earl.Job, opts
 	return nil
 }
 
-// runMultiWatch maintains a multi-statistic query under append+refresh
-// cycles, printing every statistic per refresh.
-func runMultiWatch(stdout io.Writer, cluster *earl.Cluster, jset []earl.Job, opts earl.Options, killWait func(), p watchParams) error {
-	w, err := cluster.WatchMulti(jset, "/data", opts)
-	killWait()
-	if err != nil {
-		return err
-	}
-	defer w.Close()
-	first := w.Reports()
-	fmt.Fprintf(stdout, "watch        : %s over %d %s records (σ=%.3g) — one shared maintained sample\n",
-		jobSetName(jset), p.n, p.dist, opts.Sigma)
-	for _, rep := range first {
-		fmt.Fprintf(stdout, "first answer : %-12s %.6g  (cv %.4f, sample %d)\n", rep.Job, rep.Estimate, rep.CV, rep.SampleSize)
-	}
-
-	appendN := p.appendN
-	if appendN <= 0 {
-		appendN = p.n / 10
-		if appendN < 1 {
-			appendN = 1
-		}
-	}
-	for cycle := 1; cycle <= p.cycles; cycle++ {
-		batch, err := genValues(p.jobName, p.dist, appendN, p.seed+uint64(100+cycle))
-		if err != nil {
-			return err
-		}
-		if err := cluster.AppendValues("/data", batch); err != nil {
-			return err
-		}
-		before := cluster.Metrics()
-		reps, err := w.Refresh()
-		if err != nil {
-			return err
-		}
-		cost := cluster.Metrics().Sub(before)
-		fmt.Fprintf(stdout, "refresh %-2d   : +%d records; read %d records / %.2f KB for all %d statistics\n",
-			cycle, appendN, cost.RecordsRead, float64(cost.BytesRead)/(1<<10), len(jset))
-		for _, rep := range reps {
-			fmt.Fprintf(stdout, "  %-12s: %.6g (cv %.4f, sample %d)\n", rep.Job, rep.Estimate, rep.CV, rep.SampleSize)
-		}
-	}
-
-	last := w.Reports()
-	for i, rep := range last {
-		exact, _, err := cluster.RunExact(jset[i], "/data")
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "exact        : %-12s %.6g  (maintained answer off by %.3f%%)\n",
-			rep.Job, exact, 100*relErr(rep.Estimate, exact))
-	}
-	return nil
-}
-
 // planParams bundles the query-plan demo knobs (-filter/-derive/-by).
 type planParams struct {
 	stats              []string
@@ -467,7 +419,14 @@ func runPlanQuery(stdout io.Writer, cluster *earl.Cluster, opts earl.Options, p 
 		planDesc(norm), p.n, opts.Sigma, p.sampler)
 
 	if p.cycles > 0 {
-		return runPlanWatch(stdout, cluster, q, opts, p, writeBatch)
+		w, err := q.Watch(cluster, opts)
+		if err != nil {
+			return err
+		}
+		return watchLoop(stdout, cluster, w, watchParams{
+			n: p.n, cycles: p.cycles, appendN: p.appendN, seed: p.seed,
+			appendBatch: func(n int, seed uint64) error { return writeBatch(n, seed, false) },
+		})
 	}
 
 	res, err := q.Run(cluster, opts)
@@ -478,40 +437,6 @@ func runPlanQuery(stdout io.Writer, cluster *earl.Cluster, opts earl.Options, p 
 	printPlanResult(stdout, res)
 	fmt.Fprintf(stdout, "I/O          : %d records / %.2f MB read\n",
 		m.RecordsRead, float64(m.BytesRead)/(1<<20))
-	return nil
-}
-
-// runPlanWatch maintains the plan under append+refresh cycles.
-func runPlanWatch(stdout io.Writer, cluster *earl.Cluster, q *earl.Query, opts earl.Options, p planParams, writeBatch func(n int, seed uint64, first bool) error) error {
-	w, err := q.Watch(cluster, opts)
-	if err != nil {
-		return err
-	}
-	defer w.Close()
-	fmt.Fprintln(stdout, "first answer :")
-	printPlanResult(stdout, w.Result())
-
-	appendN := p.appendN
-	if appendN <= 0 {
-		appendN = p.n / 10
-		if appendN < 1 {
-			appendN = 1
-		}
-	}
-	for cycle := 1; cycle <= p.cycles; cycle++ {
-		if err := writeBatch(appendN, p.seed+uint64(100+cycle), false); err != nil {
-			return err
-		}
-		before := cluster.Metrics()
-		res, err := w.Refresh()
-		if err != nil {
-			return err
-		}
-		cost := cluster.Metrics().Sub(before)
-		fmt.Fprintf(stdout, "refresh %-2d   : +%d records; read %d records / %.2f KB (maintained sample %d)\n",
-			cycle, appendN, cost.RecordsRead, float64(cost.BytesRead)/(1<<10), w.SampleSize())
-		printPlanResult(stdout, res)
-	}
 	return nil
 }
 
@@ -583,62 +508,54 @@ func genValues(jobName, dist string, n int, seed uint64) ([]float64, error) {
 
 // watchParams bundles the continuous-ingest demo knobs.
 type watchParams struct {
-	jobName, dist string
-	n, cycles     int
-	appendN       int
-	seed          uint64
+	n, cycles, appendN int
+	seed               uint64
+	// appendBatch appends n generated records to /data.
+	appendBatch func(n int, seed uint64) error
+	// exact, when set, names the library statistics to recompute exactly
+	// at the end, beside the maintained answers.
+	exact []earl.Job
 }
 
-// runWatch demonstrates the maintained-query loop: one Watch, then
-// repeated Append + Refresh cycles, printing the refresh cost next to
-// what a from-scratch run over all data so far would read. killWait
-// settles the -kill goroutine before anything is printed.
-func runWatch(stdout io.Writer, cluster *earl.Cluster, job earl.Job, opts earl.Options, killWait func(), p watchParams) error {
-	w, err := cluster.Watch(job, "/data", opts)
-	killWait()
-	if err != nil {
-		return err
-	}
+// watchLoop is the maintained-query demo for every query shape: the
+// first answer, then repeated append + Refresh cycles printing each
+// refresh's cost next to what is on disk, then — for library statistics
+// — the exact answers over everything ingested.
+func watchLoop(stdout io.Writer, cluster *earl.Cluster, w *earl.Watch, p watchParams) error {
 	defer w.Close()
-	first := w.Report()
-	fmt.Fprintf(stdout, "watch        : %s over %d %s records (σ=%.3g)\n", job.Name, p.n, p.dist, opts.Sigma)
-	fmt.Fprintf(stdout, "first answer : %.6g  (cv %.4f, sample %d)\n", first.Estimate, first.CV, first.SampleSize)
+	fmt.Fprintln(stdout, "first answer :")
+	printPlanResult(stdout, w.Result())
 
 	appendN := p.appendN
 	if appendN <= 0 {
-		appendN = p.n / 10
-		if appendN < 1 {
-			appendN = 1
-		}
+		appendN = max(p.n/10, 1)
 	}
 	total := p.n
 	for cycle := 1; cycle <= p.cycles; cycle++ {
-		batch, err := genValues(p.jobName, p.dist, appendN, p.seed+uint64(100+cycle))
-		if err != nil {
-			return err
-		}
-		if err := cluster.AppendValues("/data", batch); err != nil {
+		if err := p.appendBatch(appendN, p.seed+uint64(100+cycle)); err != nil {
 			return err
 		}
 		total += appendN
 		before := cluster.Metrics()
-		rep, err := w.Refresh()
+		res, err := w.Refresh()
 		if err != nil {
 			return err
 		}
 		cost := cluster.Metrics().Sub(before)
-		fmt.Fprintf(stdout,
-			"refresh %-2d   : +%d records → %.6g (cv %.4f, sample %d); read %d records / %.2f KB — vs %d records on disk\n",
-			cycle, appendN, rep.Estimate, rep.CV, rep.SampleSize,
-			cost.RecordsRead, float64(cost.BytesRead)/(1<<10), total)
+		fmt.Fprintf(stdout, "refresh %-2d   : +%d records; read %d records / %.2f KB (maintained sample %d) — vs %d records on disk\n",
+			cycle, appendN, cost.RecordsRead, float64(cost.BytesRead)/(1<<10), w.SampleSize(), total)
+		printPlanResult(stdout, res)
 	}
 
-	exact, _, err := cluster.RunExact(job, "/data")
-	if err != nil {
-		return err
+	for i, job := range p.exact {
+		exact, _, err := cluster.RunExact(job, "/data")
+		if err != nil {
+			return err
+		}
+		rep := w.Result().Reports[i]
+		fmt.Fprintf(stdout, "exact        : %-12s %.6g  (maintained answer off by %.3f%%)\n",
+			rep.Job, exact, 100*relErr(rep.Estimate, exact))
 	}
-	last := w.Report()
-	fmt.Fprintf(stdout, "exact        : %.6g  (maintained answer off by %.3f%%)\n", exact, 100*relErr(last.Estimate, exact))
 	return nil
 }
 

@@ -101,13 +101,13 @@ type ClusterConfig = core.EnvConfig
 // against a Cluster.
 //
 // Concurrency contract: a Cluster is safe for concurrent use. Any mix
-// of Run, RunMulti, RunGrouped, Watch, WatchMulti, WatchGrouped,
-// Append, WriteFile and
-// metrics calls may proceed from multiple goroutines against the same
+// of Run, RunMulti, RunGrouped, RunPlan, Watch, WatchMulti,
+// WatchGrouped, WatchPlan, Append, WriteFile and metrics calls may
+// proceed from multiple goroutines against the same
 // Cluster — the DFS and engine are internally synchronized, and every
 // run owns its reducer→mapper feedback state (an in-memory round
 // barrier), so concurrent runs (even of the same job over the same
-// path) never observe each other's expansion state. Each Watch/GroupedWatch handle
+// path) never observe each other's expansion state. Each Watch handle
 // additionally serialises its own Refresh calls, so a handle may be
 // shared between goroutines; an Append concurrent with a Refresh is
 // ordered by the DFS — the refresh either sees the appended blocks now
@@ -225,6 +225,12 @@ func (c *Cluster) Run(job Job, path string, opts Options) (Report, error) {
 	return core.Run(c.env, job, path, opts)
 }
 
+// execute runs a library job query as a one-shot.
+func (c *Cluster) execute(pq *core.PlannedQuery) (*PlanResult, error) {
+	res, _, err := core.Execute(c.env, pq, false)
+	return res, err
+}
+
 // RunMulti executes several statistics over path as ONE shared-pass run:
 // one pilot, one SSABE plan per statistic, one sample sized at the
 // largest planned n, and one pass over the drawn records feeding every
@@ -234,7 +240,11 @@ func (c *Cluster) Run(job Job, path string, opts Options) (Report, error) {
 // demanding statistic, not four separate scans. One Report per
 // statistic, in job order.
 func (c *Cluster) RunMulti(jset []Job, path string, opts Options) ([]Report, error) {
-	return core.RunMulti(c.env, jset, path, opts)
+	res, err := c.execute(core.JobQuery(jset, path, opts))
+	if err != nil {
+		return nil, err
+	}
+	return res.Reports, nil
 }
 
 // RunExact executes job exactly over every record (the stock-Hadoop
@@ -295,17 +305,34 @@ type GroupedReport = core.GroupedReport
 
 // RunGrouped computes job per group key with an error bound on every
 // group — EARL applied to the native keyed shape of MapReduce data (an
-// extension beyond the paper's global aggregates; see core.RunGrouped).
+// extension beyond the paper's global aggregates; see core.Execute).
 func (c *Cluster) RunGrouped(job Job, route Route, path string, opts Options) (GroupedReport, error) {
-	return core.RunGrouped(c.env, job, route, path, opts)
+	res, err := c.execute(core.KeyedJobQuery(job, route, path, opts))
+	if err != nil {
+		return GroupedReport{}, err
+	}
+	return *res.Groups, nil
 }
 
 // Watch is a maintained query handle over continuously ingested data:
-// the initial Run's sample, per-resample sketch states and SSABE plan
+// the opening run's sample, per-resample sketch states and SSABE plans
 // stay alive, and Refresh processes only data appended since — EARL's
 // delta maintenance (§4.1) applied across the lifetime of a dataset
-// instead of within one run. See internal/live for the mechanics.
-type Watch struct{ q *live.Query }
+// instead of within one run. One type serves every query shape: Result
+// and Refresh return a PlanResult whose Reports hold one entry per
+// statistic (scalar queries), or whose Groups holds the per-key report
+// (grouped ones — Grouped says which). See internal/live for the
+// mechanics.
+type Watch struct{ w *live.Watch }
+
+// watch opens a maintained query.
+func (c *Cluster) watch(pq *core.PlannedQuery) (*Watch, error) {
+	w, err := live.Open(c.env, pq)
+	if err != nil {
+		return nil, err
+	}
+	return &Watch{w: w}, nil
+}
 
 // Watch runs job over path once (exactly like Run) and keeps the result
 // maintainable: after Append, call Refresh to bring the early answer up
@@ -313,92 +340,44 @@ type Watch struct{ q *live.Query }
 //
 //	w, _ := cluster.Watch(earl.Mean(), "/data", earl.Options{Sigma: 0.05})
 //	_ = cluster.AppendValues("/data", newBatch)
-//	rep, _ := w.Refresh() // samples only the appended blocks
+//	res, _ := w.Refresh() // samples only the appended blocks
+//	fmt.Println(res.Reports[0].Estimate)
 func (c *Cluster) Watch(job Job, path string, opts Options) (*Watch, error) {
-	q, err := live.WatchMulti(c.env, []Job{job}, path, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Watch{q: q}, nil
+	return c.watch(core.JobQuery([]Job{job}, path, opts))
 }
-
-// Report returns the most recent result without doing any work.
-func (w *Watch) Report() Report { return w.q.Report() }
-
-// Refresh brings the maintained answer up to date with the watched
-// file, sampling only appended data and re-expanding only if the σ
-// bound is violated.
-func (w *Watch) Refresh() (Report, error) { return w.q.Refresh() }
-
-// Refreshes returns how many Refresh calls have been applied.
-func (w *Watch) Refreshes() int { return w.q.Refreshes() }
-
-// SampleSize returns the records currently held in the maintained sample.
-func (w *Watch) SampleSize() int { return w.q.SampleSize() }
-
-// Close releases the handle; the last report stays readable.
-func (w *Watch) Close() { w.q.Close() }
-
-// MultiWatch is a maintained multi-statistic query: the shared-pass
-// semantics of RunMulti kept fresh under appends. Every statistic rides
-// the one maintained sample, so a Refresh costs a single delta scan no
-// matter how many statistics are watched.
-type MultiWatch struct{ q *live.Query }
 
 // WatchMulti runs the shared-pass multi-statistic workflow once and
-// keeps every statistic's resample set maintainable under appends.
-func (c *Cluster) WatchMulti(jset []Job, path string, opts Options) (*MultiWatch, error) {
-	q, err := live.WatchMulti(c.env, jset, path, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &MultiWatch{q: q}, nil
+// keeps every statistic's resample set maintainable under appends: every
+// statistic rides the one maintained sample, so a Refresh costs a single
+// delta scan no matter how many statistics are watched.
+func (c *Cluster) WatchMulti(jset []Job, path string, opts Options) (*Watch, error) {
+	return c.watch(core.JobQuery(jset, path, opts))
 }
-
-// Reports returns the most recent per-statistic results, in job order,
-// without doing any work.
-func (w *MultiWatch) Reports() []Report { return w.q.Reports() }
-
-// Refresh brings every statistic up to date with the watched file in
-// one delta scan and returns the per-statistic reports.
-func (w *MultiWatch) Refresh() ([]Report, error) { return w.q.RefreshAll() }
-
-// Refreshes returns how many Refresh calls have been applied.
-func (w *MultiWatch) Refreshes() int { return w.q.Refreshes() }
-
-// SampleSize returns the records currently held in the shared
-// maintained sample.
-func (w *MultiWatch) SampleSize() int { return w.q.SampleSize() }
-
-// Close releases the handle; the last reports stay readable.
-func (w *MultiWatch) Close() { w.q.Close() }
-
-// GroupedWatch is the per-key variant of Watch.
-type GroupedWatch struct{ q *live.GroupedQuery }
 
 // WatchGrouped runs the grouped workflow once and keeps every group's
 // resample set maintainable under appends — including groups that first
 // appear in appended data.
-func (c *Cluster) WatchGrouped(job Job, route Route, path string, opts Options) (*GroupedWatch, error) {
-	q, err := live.WatchGrouped(c.env, job, route, path, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &GroupedWatch{q: q}, nil
+func (c *Cluster) WatchGrouped(job Job, route Route, path string, opts Options) (*Watch, error) {
+	return c.watch(core.KeyedJobQuery(job, route, path, opts))
 }
 
-// Report returns the most recent grouped result without doing any work.
-func (w *GroupedWatch) Report() GroupedReport { return w.q.Report() }
+// Grouped reports whether the watch maintains a grouped query.
+func (w *Watch) Grouped() bool { return w.w.Grouped() }
 
-// Refresh brings every group up to date with the watched file.
-func (w *GroupedWatch) Refresh() (GroupedReport, error) { return w.q.Refresh() }
+// Result returns the most recent result without doing any work.
+func (w *Watch) Result() *PlanResult { return w.w.Result() }
+
+// Refresh brings the maintained answer up to date with the watched
+// file, sampling only appended data and re-expanding only if the σ
+// bound is violated, and returns the result.
+func (w *Watch) Refresh() (*PlanResult, error) { return w.w.Refresh() }
 
 // Refreshes returns how many Refresh calls have been applied.
-func (w *GroupedWatch) Refreshes() int { return w.q.Refreshes() }
+func (w *Watch) Refreshes() int { return w.w.Refreshes() }
 
-// SampleSize returns the records currently held across every group's
-// maintained sample.
-func (w *GroupedWatch) SampleSize() int { return w.q.SampleSize() }
+// SampleSize returns the records currently held in the maintained
+// sample (across every group, for a grouped watch).
+func (w *Watch) SampleSize() int { return w.w.SampleSize() }
 
-// Close releases the handle; the last report stays readable.
-func (w *GroupedWatch) Close() { w.q.Close() }
+// Close releases the handle; the last result stays readable.
+func (w *Watch) Close() { w.w.Close() }

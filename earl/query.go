@@ -2,7 +2,6 @@ package earl
 
 import (
 	"repro/internal/core"
-	"repro/internal/live"
 	"repro/internal/plan"
 )
 
@@ -84,87 +83,25 @@ func (q *Query) Run(c *Cluster, opts Options) (*PlanResult, error) {
 }
 
 // Watch executes the plan once and keeps it maintainable under appended
-// data, exactly like Watch/WatchGrouped for plan-free queries.
-func (q *Query) Watch(c *Cluster, opts Options) (*PlanWatch, error) {
+// data, exactly like Watch/WatchMulti/WatchGrouped for library jobs.
+func (q *Query) Watch(c *Cluster, opts Options) (*Watch, error) {
 	return c.WatchPlan(q.spec, opts)
 }
 
 // RunPlan executes a plan spec end to end (σ/π/γ pushed into the
-// sampling sources; degenerate specs take the historical paths
-// bit-identically).
+// sampling sources; degenerate specs are bit-identical to the same
+// statistics run through Run/RunMulti/RunGrouped).
 func (c *Cluster) RunPlan(spec PlanSpec, opts Options) (*PlanResult, error) {
 	return core.RunPlan(c.env, spec, opts)
 }
 
-// PlanWatch is a maintained plan: the compiled σ/π/γ program rides the
-// retained samplers, so every Refresh draws post-filter transformed
-// records from appended data only. Exactly one of Reports/Groups is
-// populated, matching the plan's shape.
-type PlanWatch struct {
-	q  *live.Query
-	gq *live.GroupedQuery
-}
-
-// WatchPlan opens a maintained query from a plan spec.
-func (c *Cluster) WatchPlan(spec PlanSpec, opts Options) (*PlanWatch, error) {
-	q, gq, err := live.WatchPlan(c.env, spec, opts)
+// WatchPlan opens a maintained query from a plan spec: the compiled
+// σ/π/γ program rides the retained samplers, so every Refresh draws
+// post-filter transformed records from appended data only.
+func (c *Cluster) WatchPlan(spec PlanSpec, opts Options) (*Watch, error) {
+	pq, err := core.PreparePlan(spec, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &PlanWatch{q: q, gq: gq}, nil
-}
-
-// Grouped reports whether the watch maintains a grouped plan.
-func (w *PlanWatch) Grouped() bool { return w.gq != nil }
-
-// Result returns the most recent result without doing any work.
-func (w *PlanWatch) Result() *PlanResult {
-	if w.gq != nil {
-		rep := w.gq.Report()
-		return &PlanResult{Groups: &rep}
-	}
-	return &PlanResult{Reports: w.q.Reports()}
-}
-
-// Refresh brings the maintained plan up to date with the watched file,
-// sampling only appended data (post-filter), and returns the result.
-func (w *PlanWatch) Refresh() (*PlanResult, error) {
-	if w.gq != nil {
-		rep, err := w.gq.Refresh()
-		if err != nil {
-			return nil, err
-		}
-		return &PlanResult{Groups: &rep}, nil
-	}
-	reps, err := w.q.RefreshAll()
-	if err != nil {
-		return nil, err
-	}
-	return &PlanResult{Reports: reps}, nil
-}
-
-// Refreshes returns how many Refresh calls have been applied.
-func (w *PlanWatch) Refreshes() int {
-	if w.gq != nil {
-		return w.gq.Refreshes()
-	}
-	return w.q.Refreshes()
-}
-
-// SampleSize returns the records currently held in the maintained
-// (post-filter) sample.
-func (w *PlanWatch) SampleSize() int {
-	if w.gq != nil {
-		return w.gq.SampleSize()
-	}
-	return w.q.SampleSize()
-}
-
-// Close releases the handle; the last result stays readable.
-func (w *PlanWatch) Close() {
-	if w.gq != nil {
-		w.gq.Close()
-		return
-	}
-	w.q.Close()
+	return c.watch(pq)
 }

@@ -29,8 +29,8 @@ func TestPublicWatchAppendRefresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if w.Report().UsedFull {
-		t.Fatalf("watch fell back to exact: %+v", w.Report())
+	if first := w.Result().Reports[0]; first.UsedFull {
+		t.Fatalf("watch fell back to exact: %+v", first)
 	}
 
 	delta, err := workload.NumericSpec{Dist: workload.Uniform, N: 40_000, Seed: 84}.Generate()
@@ -41,10 +41,11 @@ func TestPublicWatchAppendRefresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := cluster.Metrics()
-	rep, err := w.Refresh()
+	res, err := w.Refresh()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := res.Reports[0]
 	cost := cluster.Metrics().Sub(before)
 	if cost.Refreshes != 1 || w.Refreshes() != 1 {
 		t.Fatalf("refresh accounting: metrics %d, handle %d", cost.Refreshes, w.Refreshes())
@@ -92,16 +93,17 @@ func TestPublicWatchGrouped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if got := len(w.Report().Groups); got != 2 {
+	if got := len(w.Result().Groups.Groups); got != 2 {
 		t.Fatalf("initial groups = %d", got)
 	}
 	if err := cluster.Append("/kv", enc("apac", 25_000, 95, 100)); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := w.Refresh()
+	res, err := w.Refresh()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := res.Groups
 	if got := len(rep.Groups); got != 3 {
 		t.Fatalf("groups after refresh = %d (%v)", got, rep.Groups)
 	}

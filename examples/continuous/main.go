@@ -41,7 +41,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer w.Close()
-	first := w.Report()
+	first := w.Result().Reports[0]
 	fmt.Printf("first answer : %.4f (cv %.4f) from a %d-record sample of ~%d\n",
 		first.Estimate, first.CV, first.SampleSize, first.EstTotalN)
 
@@ -61,10 +61,11 @@ func main() {
 		total += len(batch)
 
 		before := cluster.Metrics()
-		rep, err := w.Refresh()
+		res, err := w.Refresh()
 		if err != nil {
 			log.Fatal(err)
 		}
+		rep := res.Reports[0] // one statistic, so one report
 		cost := cluster.Metrics().Sub(before)
 		fmt.Printf("day %d refresh: %.4f (cv %.4f, sample %d) — read %5d records of the %d appended (%d on disk)\n",
 			day, rep.Estimate, rep.CV, rep.SampleSize,
@@ -77,7 +78,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	last := w.Report()
+	last := w.Result().Reports[0]
 	off := math.Abs((last.Estimate - exact) / exact)
 	fmt.Printf("exact        : %.4f over %d records — maintained answer off by %.3f%%\n",
 		exact, n, 100*off)

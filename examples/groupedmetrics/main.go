@@ -3,7 +3,7 @@
 // "service\tlatency" log; every service gets an early mean with its own
 // error bound, from one pass over a small uniform sample. Grouped runs
 // are an extension beyond the paper's global aggregates (see
-// core.RunGrouped).
+// core.Execute).
 package main
 
 import (

@@ -101,7 +101,7 @@ func main() {
 		cost := cluster.Metrics().Sub(before)
 		fmt.Printf("  append %d      : +%d records; refresh read %d records for all %d statistics\n",
 			batch, len(delta), cost.RecordsRead, len(jset))
-		for _, rep := range fresh {
+		for _, rep := range fresh.Reports {
 			fmt.Printf("    %-12s: %12.4f  (cv %.3f, sample %d)\n", rep.Job, rep.Estimate, rep.CV, rep.SampleSize)
 		}
 	}

@@ -94,6 +94,10 @@ func (l *Loader) Load(patterns []string, tests bool) ([]*Package, error) {
 		if !tests {
 			continue
 		}
+		// An external _test package imports the package as its in-package
+		// test files augment it (export_test.go), exactly as go test
+		// builds it.
+		var augmented map[string]*types.Package
 		if len(lp.TestGoFiles) > 0 {
 			tp, err := l.check(path, lp.Name, lp.Dir,
 				append(append([]string{}, lp.GoFiles...), lp.TestGoFiles...), nil)
@@ -102,9 +106,10 @@ func (l *Loader) Load(patterns []string, tests bool) ([]*Package, error) {
 			}
 			tp.IsTest = true
 			out = append(out, tp)
+			augmented = map[string]*types.Package{path: tp.Types}
 		}
 		if len(lp.XTestGoFiles) > 0 {
-			xp, err := l.check(path+"_test", lp.Name+"_test", lp.Dir, lp.XTestGoFiles, nil)
+			xp, err := l.check(path+"_test", lp.Name+"_test", lp.Dir, lp.XTestGoFiles, augmented)
 			if err != nil {
 				return nil, err
 			}

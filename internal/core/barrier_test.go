@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/aes"
+	"repro/internal/colscan"
 	"repro/internal/jobs"
 	"repro/internal/plan"
 	"repro/internal/simcost"
@@ -107,18 +108,18 @@ func TestModelledCostRepeats(t *testing.T) {
 // test can act while the round is complete and every mapper is parked
 // on the barrier.
 type gateSink struct {
-	ResultSink
+	Sink
 	once    sync.Once
 	entered chan struct{}
 	release chan struct{}
 }
 
-func (g *gateSink) Grow(key string, vals []float64) error {
+func (g *gateSink) Fold(cols *colscan.Cols) error {
 	g.once.Do(func() {
 		close(g.entered)
 		<-g.release
 	})
-	return g.ResultSink.Grow(key, vals)
+	return g.Sink.Fold(cols)
 }
 
 // TestKillNodeWhileMappersParked: machines lost between rounds — every
@@ -133,9 +134,9 @@ func TestKillNodeWhileMappersParked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := &gateSink{ResultSink: sink, entered: make(chan struct{}), release: make(chan struct{})}
+	gate := &gateSink{Sink: sink, entered: make(chan struct{}), release: make(chan struct{})}
 	spec := engineSpec{
-		Name: "earl-parked", Sinks: []ResultSink{gate},
+		Name: "earl-parked", Sinks: []Sink{gate},
 		InitialN: 400, MaxN: 50_000,
 		Decode: ScalarDecode(job, nil), Key: job.Name,
 	}

@@ -33,9 +33,12 @@
 // Node failures during the job do not abort it: surviving data yields a
 // result with its achieved accuracy (§3.4).
 //
-// # One generic engine
+// # One driver, one generic engine
 //
-// Every sampled run — scalar, multi-statistic and grouped — executes on
+// Every sampled run — scalar, multi-statistic and grouped, one-shot or
+// the opening run of a maintained query — starts at ONE entry point,
+// Execute (driver.go), which hands back the run's state when asked to
+// retain it, and executes on
 // ONE generic pipeline (engine.go): the long-lived sampling mappers,
 // the round-barrier feedback loop, the doubling expansion schedule and
 // the §3.4 finish are written once. Records travel one way through it:
@@ -44,12 +47,13 @@
 // (colscan.Cols) — decoded by a built-in columnar format or, where the
 // samplers read, by the user's own parser (Decode, source.go); nothing
 // downstream can tell which. The engine is parameterized over one small
-// abstraction: a ResultSink per reduce partition folds
-// canonically-ordered growth deltas and answers the current error
-// estimate (sinks.go). The scalar driver is the one-key degenerate case
+// abstraction: a Sink per reduce partition folds each round's records in
+// canonical order, answers the current error estimate and renders the
+// reports (sinks.go) — and is what a maintained query keeps folding
+// into afterwards. A scalar query is the one-key degenerate case
 // (statSink: one resample set per statistic, all fed the shared
-// sample); grouped runs route records by their own keys into per-group
-// resample sets (groupSink). RunMulti rides the same engine to answer
+// sample); grouped queries route records by their own keys into
+// per-group resample sets (groupSink). A multi-statistic query answers
 // several statistics from one pilot, one sample and one pass over the
 // records — per-statistic SSABE plans (the sample runs at the largest
 // planned n, every statistic's B is its own) with per-statistic
@@ -75,7 +79,7 @@ import (
 // An Env is safe for concurrent use: the DFS, the MR engine and the
 // metrics sink are internally synchronized, and every sampled run owns
 // its feedback state (a private mr.Controller), so concurrent
-// Run/RunGrouped/Watch/Append callers share nothing but data.
+// Execute/Watch/Append callers share nothing but data.
 type Env struct {
 	FS      *dfs.FileSystem
 	Engine  *mr.Engine

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -113,227 +112,250 @@ type Report struct {
 	EstTotalN   int64   // estimated total records in the input
 }
 
-// Resampler abstracts the optimized and naive bootstrap reducers
+// resampler abstracts the optimized and naive bootstrap reducers
 // (Fig. 10): a growing sample whose B resample statistics can be read at
-// any time. It is exported so maintained queries (internal/live) can keep
-// growing the same resample set across ingest batches.
-type Resampler interface {
+// any time.
+type resampler interface {
 	Grow([]float64) error
 	Results() ([]float64, error)
 	N() int
-	// Updates reports cumulative per-item state operations — the work
-	// measure delta maintenance minimises (§4, Fig. 10).
-	Updates() int64
 }
 
-// StatState is the retained working state of one statistic of a sampled
-// run: its SSABE plan and its delta-maintained resample set.
-type StatState struct {
-	Plan  aes.Plan
-	Maint Resampler // nil when the run fell back to the exact path
-}
-
-// LiveState is the retained working state of one sampled run: the
-// per-statistic SSABE plans and delta-maintained resample sets (one
-// entry per statistic; a single-statistic run has exactly one), plus the
-// per-mapper sampling streams the statistics share. Run discards it;
-// RunScalarLive hands it to the caller so a maintained query can keep
-// the early answer fresh as data is appended, paying only for the delta.
-type LiveState struct {
-	Stats       []StatState
+// Retained is the working state a sampled run leaves behind when asked
+// to: the sink the engine folded into, the per-mapper sampling streams it
+// drew from, and what the run learned about the input. Execute drops it
+// for a one-shot; a maintained query (internal/live) keeps it and goes on
+// folding appended data into the same sink, drawing from the same
+// streams — the run, kept. A run that took the exact path retains no
+// sink and no sources: there is no sample to maintain.
+type Retained struct {
+	Sink        Sink           // nil when the run took the exact path
+	Plans       []aes.Plan     // per-statistic SSABE plans (nil for grouped runs)
+	Sources     []RecordSource // per-mapper samplers (without-replacement across refreshes)
 	EstTotal    int64          // estimated records covered so far
 	SyncedBytes int64          // file bytes covered (the ingest high-water mark)
-	Sources     []RecordSource // retained per-mapper samplers (without-replacement across refreshes)
 	Opts        Options        // with defaults applied
-	Generations int            // Grow generations applied so far
+	Generations int            // engine rounds of the run
+	Folds       int            // folds applied since the run (one per refresh fold, empty delta folds included)
 	SelSE       float64        // relative std. error of the filtered-subpopulation size estimate (0 = exact)
 }
 
-// Run executes job over the line-encoded numeric file at path with early
-// approximate results per the paper's full workflow.
-func Run(env *Env, job jobs.Numeric, path string, opts Options) (Report, error) {
-	reps, err := RunMulti(env, []jobs.Numeric{job}, path, opts)
-	if err != nil {
-		return Report{}, err
-	}
-	return reps[0], nil
+// Result renders the retained sink's current state. refreshes is how
+// many refreshes a maintained query has applied (0 for the run itself).
+func (r *Retained) Result(refreshes int) (*PlanResult, error) {
+	return r.Sink.Result(r, refreshes)
 }
 
-// RunMulti executes a set of statistics over the same records as ONE
-// shared-pass run: one pilot, one SSABE plan per statistic, one sampled
-// map phase sized at the largest planned n, and one pass over the drawn
-// records feeding every statistic's resample set. The input is read once
-// regardless of how many statistics ride the pass — a k-statistic run
-// costs the IO of the most demanding single statistic plus only
-// resampling CPU for the rest. One Report is returned per statistic, in
-// job order; the run terminates when every statistic meets σ (or the
-// expansion cap is hit).
+// Execute is the one sampled driver. Every sampled run — one statistic
+// or several over one shared sample, global or per group key, plan or
+// library job — is validated, piloted, planned, run on the generic
+// engine (engine.go) and assembled here; the only mode-specific step is
+// planning: one SSABE per statistic (§3.2) for scalar queries, a
+// distinct-key sizing for grouped ones.
 //
+// A scalar query over several statistics is ONE shared-pass run: one
+// pilot, one SSABE plan per statistic, one sampled map phase sized at
+// the largest planned n, and one pass over the drawn records feeding
+// every statistic's resample set — a k-statistic run costs the IO of the
+// most demanding single statistic plus only resampling CPU for the rest.
 // The statistics must share the input record format: records are parsed
-// once, as the first job says (its ScanFormat, else its Parse), and the
-// value feeds every statistic (true of all built-in numeric jobs, which
-// read one number per line).
+// once, as the first job says. A grouped query keeps one resample set
+// per group key and terminates when every group's error is at or below
+// σ; SSABE assumes one statistic, so its initial sample is ≈64 records
+// per distinct pilot key (floored at MinPilot, B = 30) and the expansion
+// loop does the rest — a documented extension beyond the paper.
 //
-// Every statistic's resample set is maintained over the full shared
-// sample (not capped at its own planned n_i) — see statSink for why the
-// maintained-query path requires the per-statistic samples to stay at
-// one common sampling fraction.
-func RunMulti(env *Env, jset []jobs.Numeric, path string, opts Options) ([]Report, error) {
-	reps, _, err := RunScalarLive(env, jset, path, opts, nil, false)
-	return reps, err
-}
-
-// jobsetTag names a statistic set for MR job names ("mean",
-// "mean+p95+count").
-func jobsetTag(jset []jobs.Numeric) string {
-	names := make([]string, len(jset))
-	for i, j := range jset {
-		names[i] = j.Name
-	}
-	return strings.Join(names, "+")
-}
-
-// RunScalarLive is the scalar driver — one statistic or several over one
-// shared sample — additionally returning the run's retained working
-// state (one StatState per statistic) so the caller can maintain the
-// result under appended data (internal/live builds on this).
+// retain=false is a one-shot: the exact fall-back (§3.1) runs the stock
+// job and no state is returned. retain=true is a watch's opening run: the
+// Retained state comes back, and on the exact fall-back the exact job is
+// NOT executed — the Reports carry only UsedFull/EstTotalN and the state
+// has no sink, because internal/live builds an incremental exact state
+// with a single scan instead of running a whole-file job whose output it
+// would throw away.
 //
-// A non-nil prog is a compiled query plan pushed into the pilot and the
-// sampling sources; opts must then already carry the spec's knobs
-// (PreparePlan's Opts).
-//
-// deferExact changes the fall-back to the exact path: the exact MR job
-// is NOT executed, the returned Reports carry only UsedFull/EstTotalN
-// and the LiveState has no maintainers. The caller is expected to
-// produce the exact answer itself — internal/live builds an incremental
-// exact state with a single scan instead of running a whole-file job
-// whose output it would throw away. Without deferExact the state's
-// Stats[i].Maint is nil when the run fell back to the exact job.
-func RunScalarLive(env *Env, jset []jobs.Numeric, path string, opts Options, prog *plan.Program, deferExact bool) ([]Report, *LiveState, error) {
-	opts = opts.withDefaults()
+// Handed the live filesystem, Execute pins one commit for the whole run
+// (pilot, sampled job and exact fall-back alike), so a rewrite or an
+// append landing beside it cannot give it a blend of two file states; a
+// caller that already pinned a view (env.Data) keeps its own.
+func Execute(env *Env, pq *PlannedQuery, retain bool) (*PlanResult, *Retained, error) {
 	if env == nil || env.FS == nil || env.Engine == nil {
 		return nil, nil, errors.New("core: incomplete Env")
 	}
+	if env.Data != nil {
+		return execute(env, pq, retain)
+	}
+	snap := env.FS.Snapshot()
+	defer snap.Release()
+	res, ret, err := execute(env.WithData(snap), pq, retain)
+	if ret != nil {
+		// The pin dies with this call; retained streams read live after.
+		RepinSources(ret.Sources, env.FS)
+	}
+	return res, ret, err
+}
+
+// planned is what the mode-specific planning step hands the shared tail
+// of execute.
+type planned struct {
+	sinks    []Sink     // one per reduce partition
+	plans    []aes.Plan // scalar only
+	initialN int64
+	name     string // MR job name
+	useFull  bool   // scalar only: sampling cannot pay, take the exact path
+}
+
+func execute(env *Env, pq *PlannedQuery, retain bool) (*PlanResult, *Retained, error) {
+	opts := pq.Opts.withDefaults()
+	jset, path, prog, grouped := pq.Jobs, pq.Spec.Path, pq.Prog, pq.Grouped()
 	if len(jset) == 0 {
 		return nil, nil, errors.New("core: need at least one job")
 	}
 	for _, job := range jset {
-		if job.Reducer == nil || job.Parse == nil {
+		if job.Reducer == nil || (!grouped && job.Parse == nil) {
 			return nil, nil, errors.New("core: job needs Reducer and Parse")
 		}
+	}
+	// The pilot decodes records exactly as the sampled job that follows
+	// will (under a built-in format it shares env.Scan's decoded blocks
+	// with that job, and with every other run over the file).
+	dec, err := pq.Decode()
+	if err != nil {
+		return nil, nil, err
 	}
 	size, err := env.View().Stat(path)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	// ---- Local-mode pilot + SSABE (§3.2), shared by every statistic. --
-	pilotSampler, err := sampling.NewPreMap(env.View(), path, opts.SplitSize, opts.Seed)
-	if err != nil {
+	// ---- Local-mode pilot (§3.2), shared by every statistic. ----------
+	pilot := &pilotSample{prog: prog, sc: plan.NewScratch()}
+	if pilot.s, err = sampling.NewPreMap(env.View(), path, opts.SplitSize, opts.Seed); err != nil {
 		return nil, nil, err
 	}
-	// The pilot decodes records exactly as the sampled job that follows
-	// will (under a built-in format it shares env.Scan's decoded blocks
-	// with that job, and with every other run over the file).
-	dec := ScalarDecode(jset[0], prog)
-	pilotSc := plan.NewScratch()
-	if err := dec.enable(pilotSampler, env.Scan); err != nil {
+	if err := dec.enable(pilot.s, env.Scan); err != nil {
 		return nil, nil, err
 	}
 	// Pilot records are real input reads (the sampler backtracks lines out
 	// of DFS blocks), so they are charged to RecordsRead like every other
 	// mapper delivery. The pilot is drawn ONCE per run however many
 	// statistics ride it — charging it is what makes the shared-pilot
-	// saving of RunMulti visible in the counters.
-	defer func() { env.Metrics.RecordsRead.Add(int64(pilotSampler.Taken())) }()
-	var pilot colscan.Cols
-	err = drawPilot(pilotSampler, prog, pilotSc, 256, &pilot)
-	if errors.Is(err, sampling.ErrExhausted) {
-		// Tiny data set: just run it exactly.
-		fullPlans := make([]aes.Plan, len(jset))
-		for i := range fullPlans {
-			fullPlans[i] = aes.Plan{UseFull: true}
+	// saving of a multi-statistic run visible in the counters.
+	defer func() { env.Metrics.RecordsRead.Add(int64(pilot.s.Taken())) }()
+	// exact is the §3.1 switch back to the standard workflow; known says
+	// whether the pilot got far enough to estimate the input's size.
+	exact := func(plans []aes.Plan, estTotal int64, known bool) (*PlanResult, *Retained, error) {
+		if retain {
+			return &PlanResult{Reports: exactReports(jset, estTotal, known)},
+				&Retained{Plans: plans, EstTotal: estTotal, SyncedBytes: size, Opts: opts}, nil
 		}
-		if deferExact {
-			return exactReports(jset, 0, false), exactLiveState(opts, fullPlans, 0, size), nil
+		reps, err := runExactMulti(env, jset, path, opts, prog)
+		if known {
+			for i := range reps {
+				reps[i].EstTotalN = estTotal
+			}
 		}
-		reps, estN, err := runExactMulti(env, jset, path, opts, prog)
-		return reps, exactLiveState(opts, fullPlans, estN, size), err
+		return &PlanResult{Reports: reps}, nil, err
+	}
+
+	var pl planned
+	if grouped {
+		pl, err = planGrouped(env, jset[0], opts, pilot)
+	} else {
+		var tiny bool
+		if pl, tiny, err = planScalar(env, jset, opts, pilot); tiny {
+			return exact(nil, 0, false) // tiny data set: just run it exactly
+		}
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	// effTotal estimates the population the run is over: the whole file,
-	// scaled by the pilot's observed selectivity when a filter is pushed
-	// down. Filter-then-sample means every N below — SSABE's, the
-	// expansion cap's, the correction fraction p's — is denominated in
-	// effective (post-filter subpopulation) records.
-	effTotal := func() int64 {
-		raw := pilotSampler.EstimatedTotalRecords()
-		if prog == nil || !prog.HasFilter() {
-			return raw
-		}
-		taken := pilotSampler.Taken()
-		if taken == 0 {
-			return raw
-		}
-		est := int64(float64(raw) * float64(pilot.Len()) / float64(taken))
-		if est < 1 {
-			est = 1
-		}
-		return est
+	estTotal := pilot.effTotal()
+	if pl.useFull {
+		// "EARL informs the user that an early estimation with the
+		// specified accuracy is not faster than computing f over N" —
+		// §3.1. One statistic needing the full pass means the shared pass
+		// reads everything, so the whole set takes the exact path together.
+		return exact(pl.plans, estTotal, true)
 	}
-	estTotal := effTotal()
-	pilotN := int(opts.PilotFraction * float64(estTotal))
-	if pilotN < opts.MinPilot {
-		pilotN = opts.MinPilot
+
+	// ---- Pipelined sampling job (§2.1's modified Hadoop flow). --------
+	res, err := runEngine(env, path, opts, engineSpec{
+		Name:     pl.name,
+		Sinks:    pl.sinks,
+		InitialN: pl.initialN,
+		MaxN:     max(int64(opts.MaxSampleFraction*float64(estTotal)), pl.initialN),
+		Decode:   dec,
+		// Scalar runs are the one-key degenerate case: every record routes
+		// to the single reduce partition under the job-set's own name.
+		Key:   jset[0].Name,
+		Keyed: grouped,
+		Prog:  prog,
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	if pilotN > opts.MaxPilot {
-		pilotN = opts.MaxPilot
+	ret := &Retained{
+		Sink:        mergeSinks(pl.sinks),
+		Plans:       pl.plans,
+		Sources:     res.Sources,
+		EstTotal:    estTotal,
+		SyncedBytes: size,
+		Opts:        opts,
+		Generations: res.Generations,
+		SelSE:       pilot.selSE(),
 	}
+	out, err := ret.Result(0)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i := range out.Reports {
+		out.Reports[i].FailedMaps = res.FailedMaps
+	}
+	if out.Groups != nil {
+		out.Groups.FailedMaps = res.FailedMaps
+	}
+	if !retain {
+		ret = nil
+	}
+	return out, ret, nil
+}
+
+// planScalar is scalar planning: extend the 256-record probe to the full
+// pilot, then one SSABE per statistic. tiny reports a file the probe
+// alone ran dry — too small to plan over.
+func planScalar(env *Env, jset []jobs.Numeric, opts Options, pilot *pilotSample) (pl planned, tiny bool, err error) {
+	if tiny, err = pilot.extend(256); tiny || err != nil {
+		return pl, tiny, err
+	}
+	pilotN := min(max(int(opts.PilotFraction*float64(pilot.effTotal())), opts.MinPilot), opts.MaxPilot)
 	forced := opts.ForceB > 1 && opts.ForceN > 0
 	if forced {
-		pilotN = pilot.Len() // plan is forced: the probe alone suffices for estTotal
-		if prog != nil && prog.HasFilter() && pilotN < opts.MinPilot {
+		pilotN = pilot.cols.Len() // plan is forced: the probe alone suffices for estTotal
+		if pilot.filtered() && pilotN < opts.MinPilot {
 			// Under a filter the pilot doubles as the selectivity
 			// estimator; the probe alone makes the effective-N denominator
 			// (and every corrected statistic) too noisy.
 			pilotN = opts.MinPilot
 		}
 	}
-	if pilotN > pilot.Len() {
-		err = drawPilot(pilotSampler, prog, pilotSc, pilotN-pilot.Len(), &pilot)
-		if err != nil && !errors.Is(err, sampling.ErrExhausted) {
-			return nil, nil, err
+	if pilotN > pilot.cols.Len() {
+		if _, err = pilot.extend(pilotN - pilot.cols.Len()); err != nil {
+			return pl, false, err
 		}
 	}
-	estTotal = effTotal() // refined by the larger pilot
-
-	// selSE is the relative standard error of the pilot's selectivity
-	// estimate — the only noisy factor in the effective subpopulation
-	// size. FinishReport widens extensive statistics' intervals by it;
-	// it is 0 (no widening, bit-identical reports) without a filter.
-	var selSE float64
-	if prog != nil && prog.HasFilter() {
-		if taken := pilotSampler.Taken(); taken > 0 && pilot.Len() > 0 {
-			sel := float64(pilot.Len()) / float64(taken)
-			if sel < 1 {
-				selSE = math.Sqrt((1 - sel) / (sel * float64(taken)))
-			}
-		}
-	}
+	estTotal := pilot.effTotal() // refined by the larger pilot
 
 	// Each statistic's plan is a function of the pilot, its reducer and
 	// the seed alone, so the statistics are planned side by side — phase 1
 	// cannot use a second core within one SSABE, but three SSABEs can.
-	plans := make([]aes.Plan, len(jset))
+	pl.plans = make([]aes.Plan, len(jset))
 	err = pool.ForEach(len(jset), pool.Workers(opts.Parallelism), func(i int) error {
 		if forced {
-			plans[i] = aes.Plan{B: opts.ForceB, N: opts.ForceN}
+			pl.plans[i] = aes.Plan{B: opts.ForceB, N: opts.ForceN}
 			return nil
 		}
 		var err error
-		plans[i], err = aes.SSABE(pilot.Vals, estTotal, aes.Config{
+		pl.plans[i], err = aes.SSABE(pilot.cols.Vals, estTotal, aes.Config{
 			Reducer:     jset[i].Reducer,
 			Sigma:       opts.Sigma,
 			Tau:         opts.Tau,
@@ -346,53 +368,103 @@ func RunScalarLive(env *Env, jset []jobs.Numeric, path string, opts Options, pro
 		return err
 	})
 	if err != nil {
-		return nil, nil, err
+		return pl, false, err
 	}
-	useFull := false
-	for _, p := range plans {
-		useFull = useFull || p.UseFull
+	for _, p := range pl.plans {
+		pl.useFull = pl.useFull || p.UseFull
+		pl.initialN = max(pl.initialN, int64(p.N))
 	}
-	if useFull {
-		// "EARL informs the user that an early estimation with the
-		// specified accuracy is not faster than computing f over N" —
-		// §3.1: switch back to the standard workflow. One statistic
-		// needing the full pass means the shared pass reads everything,
-		// so the whole set takes the exact path together.
-		if deferExact {
-			return exactReports(jset, estTotal, true), exactLiveState(opts, plans, estTotal, size), nil
-		}
-		reps, _, err := runExactMulti(env, jset, path, opts, prog)
-		for i := range reps {
-			reps[i].EstTotalN = estTotal
-		}
-		return reps, exactLiveState(opts, plans, estTotal, size), err
+	if pl.useFull {
+		return pl, false, nil
 	}
-
-	// ---- Pipelined sampling job (§2.1's modified Hadoop flow). --------
-	reps, st, err := runSampledJob(env, jset, path, opts, plans, dec, prog, estTotal, size, selSE)
-	for i := range reps {
-		reps[i].EstTotalN = estTotal
-	}
-	return reps, st, err
+	sink, err := newStatSink(env, jset, pl.plans, opts)
+	pl.sinks, pl.name = []Sink{sink}, "earl-"+jobsetTag(jset)
+	return pl, false, err
 }
 
-// drawPilot extends a pilot by n records, appended to out, passing
-// sampling.ErrExhausted through to the caller. Under a plan, n counts
-// POST-FILTER records: the pilot keeps drawing raw records through σ/π
-// until n survivors arrive (or the file is dry), so sample sizes are
-// planned against the filtered subpopulation — the population the
-// statistics and their confidence intervals are about.
-func drawPilot(s *sampling.PreMap, prog *plan.Program, sc *plan.Scratch, n int, out *colscan.Cols) error {
-	if prog == nil {
-		_, err := s.SampleCols(n, out)
+// planGrouped is grouped planning: draw until 512 records survive the
+// plan (or the file is dry) — the distinct keys and the selectivity both
+// come from the post-filter stream the run is actually about — and size
+// the initial sample from the distinct-key count.
+func planGrouped(env *Env, job jobs.Numeric, opts Options, pilot *pilotSample) (planned, error) {
+	if _, err := pilot.extend(512); err != nil {
+		return planned{}, err
+	}
+	keys := map[string]struct{}{}
+	for _, k := range pilot.cols.Keys {
+		keys[k] = struct{}{}
+	}
+	if len(keys) == 0 {
+		if pilot.filtered() {
+			return planned{}, errors.New("core: no records matched filter")
+		}
+		return planned{}, errors.New("core: no records found")
+	}
+	b := opts.ForceB
+	if b <= 1 {
+		b = 30
+	}
+	initialN := opts.ForceN
+	if initialN <= 0 {
+		initialN = max(64*len(keys), opts.MinPilot)
+	}
+	r := 2 // grouped mode exercises the partitioned path
+	if r > len(keys) {
+		r = 1
+	}
+	pl := planned{initialN: int64(initialN), name: "earl-grouped-" + job.Name, sinks: make([]Sink, r)}
+	for p := range pl.sinks {
+		pl.sinks[p] = newGroupSink(env, job, b, opts)
+	}
+	return pl, nil
+}
+
+// jobsetTag names a statistic set for MR job names ("mean",
+// "mean+p95+count").
+func jobsetTag(jset []jobs.Numeric) string {
+	names := make([]string, len(jset))
+	for i, j := range jset {
+		names[i] = j.Name
+	}
+	return strings.Join(names, "+")
+}
+
+// pilotSample is a run's local-mode pilot sample (§3.2): the records drawn so
+// far, post-plan, and the sampler they came from.
+type pilotSample struct {
+	s    *sampling.PreMap
+	prog *plan.Program // nil without a plan
+	sc   *plan.Scratch
+	cols colscan.Cols
+}
+
+func (p *pilotSample) filtered() bool { return p.prog != nil && p.prog.HasFilter() }
+
+// extend grows the pilot by n records; dry reports a file that ran out
+// first. Under a plan, n counts POST-FILTER records: the pilot keeps
+// drawing raw records through σ/π until n survivors arrive (or the file
+// is dry), so sample sizes are planned against the filtered
+// subpopulation — the population the statistics and their confidence
+// intervals are about.
+func (p *pilotSample) extend(n int) (dry bool, err error) {
+	if err = p.draw(n); errors.Is(err, sampling.ErrExhausted) {
+		return true, nil
+	}
+	return false, err
+}
+
+// draw is extend passing sampling.ErrExhausted through.
+func (p *pilotSample) draw(n int) error {
+	if p.prog == nil {
+		_, err := p.s.SampleCols(n, &p.cols)
 		return err
 	}
 	var raw colscan.Cols
 	for n > 0 {
 		raw.Reset()
-		got, serr := s.SampleCols(n, &raw)
+		got, serr := p.s.SampleCols(n, &raw)
 		if got > 0 {
-			kept, err := prog.Apply(sc, &raw, out, false)
+			kept, err := p.prog.Apply(p.sc, &raw, &p.cols, false)
 			if err != nil {
 				return err
 			}
@@ -403,6 +475,35 @@ func drawPilot(s *sampling.PreMap, prog *plan.Program, sc *plan.Scratch, n int, 
 		}
 	}
 	return nil
+}
+
+// effTotal estimates the population the run is over: the whole file,
+// scaled by the pilot's observed selectivity when a filter is pushed
+// down. Filter-then-sample means every N downstream — SSABE's, the
+// expansion cap's, the correction fraction p's — is denominated in
+// effective (post-filter subpopulation) records.
+func (p *pilotSample) effTotal() int64 {
+	raw, taken := p.s.EstimatedTotalRecords(), p.s.Taken()
+	if !p.filtered() || taken == 0 {
+		return raw
+	}
+	return max(int64(float64(raw)*float64(p.cols.Len())/float64(taken)), 1)
+}
+
+// selSE is the relative standard error of the pilot's selectivity
+// estimate — the only noisy factor in the effective subpopulation size.
+// FinishReport widens extensive statistics' intervals by it; it is 0 (no
+// widening, bit-identical reports) without a filter.
+func (p *pilotSample) selSE() float64 {
+	taken := p.s.Taken()
+	if !p.filtered() || taken == 0 || p.cols.Len() == 0 {
+		return 0
+	}
+	sel := float64(p.cols.Len()) / float64(taken)
+	if sel >= 1 {
+		return 0
+	}
+	return math.Sqrt((1 - sel) / (sel * float64(taken)))
 }
 
 // exactReports renders the deferred-exact placeholder reports.
@@ -419,22 +520,22 @@ func exactReports(jset []jobs.Numeric, estTotal int64, setEst bool) []Report {
 
 // runExactMulti executes every statistic exactly over ONE full scan of
 // the file (the stock-Hadoop fall-back, preserving the multi-statistic
-// read-once contract) and returns the record count observed. A single
-// statistic without a plan keeps the historical runExact path
-// bit-for-bit; a plan run filters/derives each scanned record through
-// the per-record reference evaluator, so the exact answer is over
-// exactly the subpopulation the sampled path estimates.
-func runExactMulti(env *Env, jset []jobs.Numeric, path string, opts Options, prog *plan.Program) ([]Report, int64, error) {
+// read-once contract). A single statistic without a plan keeps the
+// historical runExact path bit-for-bit; a plan run filters/derives each
+// scanned record through the per-record reference evaluator, so the
+// exact answer is over exactly the subpopulation the sampled path
+// estimates.
+func runExactMulti(env *Env, jset []jobs.Numeric, path string, opts Options, prog *plan.Program) ([]Report, error) {
 	if len(jset) == 1 && prog == nil {
 		rep, err := runExact(env, jset[0], path, opts)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		return []Report{rep}, int64(rep.SampleSize), nil
+		return []Report{rep}, nil
 	}
 	outs, n, err := runExactMultiJob(env, jset, path, opts.SplitSize, prog)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	reps := make([]Report, len(jset))
 	for i, job := range jset {
@@ -452,79 +553,5 @@ func runExactMulti(env *Env, jset []jobs.Numeric, path string, opts Options, pro
 			Iterations:  1,
 		}
 	}
-	return reps, int64(n), nil
-}
-
-// exactLiveState is the retained state of a run that used the exact
-// path: no resamplers, no sources — a maintained query over it keeps an
-// incremental exact state instead (internal/live).
-func exactLiveState(opts Options, plans []aes.Plan, estTotal, syncedBytes int64) *LiveState {
-	st := &LiveState{EstTotal: estTotal, SyncedBytes: syncedBytes, Opts: opts}
-	for _, p := range plans {
-		st.Stats = append(st.Stats, StatState{Plan: p})
-	}
-	return st
-}
-
-// runSampledJob drives the generic engine with a statSink: one reduce
-// partition whose sink feeds every statistic from the shared sample.
-func runSampledJob(env *Env, jset []jobs.Numeric, path string, opts Options, plans []aes.Plan, dec Decode, prog *plan.Program, estTotal, syncedBytes int64, selSE float64) ([]Report, *LiveState, error) {
-	var initialN int64
-	for _, p := range plans {
-		if int64(p.N) > initialN {
-			initialN = int64(p.N)
-		}
-	}
-	maxSample := int64(opts.MaxSampleFraction * float64(estTotal))
-	if maxSample < initialN {
-		maxSample = initialN
-	}
-
-	sink, err := newStatSink(env, jset, plans, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := runEngine(env, path, opts, engineSpec{
-		Name:     "earl-" + jobsetTag(jset),
-		Sinks:    []ResultSink{sink},
-		InitialN: initialN,
-		MaxN:     maxSample,
-		Decode:   dec,
-		// The one-key degenerate case: every record routes to the single
-		// reduce partition under the job-set's own name.
-		Key:  jset[0].Name,
-		Prog: prog,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	st := &LiveState{
-		EstTotal:    estTotal,
-		SyncedBytes: syncedBytes,
-		Sources:     res.Sources,
-		Opts:        opts,
-		Generations: res.Generations,
-		SelSE:       selSE,
-	}
-	reps := make([]Report, len(jset))
-	for i, sr := range sink.stats {
-		vals, err := sr.maint.Results()
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: no results (sample never arrived): %w", err)
-		}
-		p := float64(sr.maint.N()) / float64(estTotal)
-		rep, err := FinishReport(sr.job, opts, vals, sr.lastCV, p, selSE)
-		if err != nil {
-			return nil, nil, err
-		}
-		rep.B = sr.plan.B
-		rep.SampleSize = sr.maint.N()
-		rep.PlannedN = sr.plan.N
-		rep.Iterations = res.Generations
-		rep.FailedMaps = res.FailedMaps
-		reps[i] = rep
-		st.Stats = append(st.Stats, StatState{Plan: sr.plan, Maint: sr.maint})
-	}
-	return reps, st, nil
+	return reps, nil
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/colscan"
 	"repro/internal/dfs"
@@ -27,40 +26,49 @@ import (
 // emit whole []float64 batches — under the run's one synthetic key for
 // scalar runs (the one-key degenerate case), bucketed by the records'
 // own keys for grouped runs. The engine is parameterized over one small
-// abstraction, ResultSink: it consumes one growth generation of
-// canonically ordered values per reduce key and reports the partition's
-// current error estimate. The scalar sink maintains one resample set
-// per statistic (all fed the same shared sample); the grouped sink
-// maintains one per group key.
+// abstraction, Sink: it folds one growth generation of records into the
+// state it maintains and reports the partition's current error
+// estimate. The scalar sink maintains one resample set per statistic
+// (all fed the same shared sample); the grouped sink maintains one per
+// group key.
 //
-// Everything upstream (pilot, SSABE planning) and downstream (reports,
-// retained live state) stays in the thin per-mode drivers.
+// Everything upstream (pilot, planning) and downstream (the retained
+// state) is Execute's (driver.go).
 
-// ResultSink is the engine's result-maintenance abstraction: one sink
-// per reduce partition consumes routed growth deltas and answers the
-// partition's current error. Grow is called once per (generation, key)
-// in canonical order — keys sorted, values sorted ascending — which is
-// what keeps fixed-seed runs bit-identical at any parallelism; after a
-// generation's keys are folded the engine asks ErrorEstimate once and
-// publishes it to the §3.3 round barrier. A sink is only ever called from
-// its partition's reducer goroutine during the run; reads after the run
-// are ordered by the engine's completion.
-type ResultSink interface {
-	// Grow folds vals (sorted ascending) for key into the maintained
-	// state.
-	Grow(key string, vals []float64) error
+// Sink is a run's maintained result: the engine folds each round's
+// routed records into one sink per reduce partition and asks it for the
+// partition's error; a maintained query (internal/live) keeps the run's
+// sink and folds every refresh's draws into it the same way; both render
+// their reports from it. Nothing of the engine — buffers, channels, the
+// barrier — is reachable from a sink, so keeping one keeps only results.
+//
+// During the run a sink is only ever called from its partition's reducer
+// goroutine; reads after the run are ordered by the engine's completion.
+type Sink interface {
+	// Fold grows the maintained state by one batch in canonical order —
+	// keys sorted, each key's values sorted ascending — which is what
+	// keeps fixed-seed runs bit-identical at any parallelism: the batch's
+	// multiset is deterministic, but arrival order is not, and resample
+	// updates consume seeded rng draws. Fold may reorder cols in place; a
+	// scalar sink ignores cols.Keys.
+	Fold(cols *colscan.Cols) error
+	// Size returns the records currently held in the maintained sample.
+	Size() int64
 	// ErrorEstimate returns the error of the current state; +Inf when it
 	// cannot be trusted yet (no data, degenerate distribution, a group
 	// below its minimum sample).
 	ErrorEstimate() float64
+	// Result renders the current state as reports, for the run that owns
+	// r and for every later refresh (refreshes counts them).
+	Result(r *Retained, refreshes int) (*PlanResult, error)
 }
 
 // engineSpec parameterizes one run of the generic engine.
 type engineSpec struct {
-	Name     string       // MR job name (cosmetic/metrics)
-	Sinks    []ResultSink // one per reduce partition
-	InitialN int64        // SSABE's initial sample target
-	MaxN     int64        // expansion cap (records)
+	Name     string // MR job name (cosmetic/metrics)
+	Sinks    []Sink // one per reduce partition
+	InitialN int64  // the planned initial sample target
+	MaxN     int64  // expansion cap (records)
 	// Decode is how the run's sampling sources parse records.
 	Decode Decode
 	// Key is the reduce key every record of a scalar run routes to (the
@@ -106,6 +114,10 @@ func mapperShards(env *Env, path string, opts Options) ([][]dfs.Split, error) {
 	return owned, nil
 }
 
+// newController is mr.NewController; a test swaps it to probe that
+// nothing a run retains can reach the run's barrier.
+var newController = mr.NewController
+
 // runEngine executes the pipelined sampling job of §2.1: long-lived
 // mappers draw from their retained samplers toward their share of the
 // barrier's target and park on it between rounds; the per-partition
@@ -125,7 +137,7 @@ func runEngine(env *Env, path string, opts Options, spec engineSpec) (engineResu
 		return engineResult{}, err
 	}
 
-	ctrl := mr.NewController(mr.Feedback{
+	ctrl := newController(mr.Feedback{
 		Mappers:    m,
 		Partitions: len(spec.Sinks),
 		Sigma:      opts.Sigma,
@@ -183,32 +195,18 @@ func runEngine(env *Env, path string, opts Options, spec engineSpec) (engineResu
 		MapTask:     mapLoop,
 		ReduceTask: func(part int, in <-chan mr.KV) error {
 			sink := spec.Sinks[part]
-			buf := map[string][]float64{}
+			// The round's routed records, in arrival order (scalar runs leave
+			// Keys empty); the sink puts them in canonical order.
+			var gen colscan.Cols
 			foldedEver := false // any record ever folded into this sink
 			growAll := func() error {
-				// Fold keys in sorted order with sorted deltas: the
-				// per-generation multiset is deterministic, but map
-				// iteration and reducer arrival order are not, and
-				// resample updates consume seeded rng draws — canonical
-				// ordering keeps fixed-seed runs bit-identical across
-				// repeats and at any Parallelism.
-				keys := make([]string, 0, len(buf))
-				for key := range buf {
-					keys = append(keys, key)
-				}
-				sort.Strings(keys)
-				for _, key := range keys {
-					vals := buf[key]
-					if len(vals) == 0 {
-						continue
-					}
-					sort.Float64s(vals)
-					if err := sink.Grow(key, vals); err != nil {
+				if gen.Len() > 0 {
+					if err := sink.Fold(&gen); err != nil {
 						return err
 					}
 					foldedEver = true
+					gen.Reset()
 				}
-				buf = map[string][]float64{}
 				cv := sink.ErrorEstimate()
 				if !foldedEver {
 					// A partition no group key routes to has no opinion:
@@ -232,7 +230,7 @@ func runEngine(env *Env, path string, opts Options, spec engineSpec) (engineResu
 						// Terminated with deltas still buffered (the §3.4
 						// exit): fold them in, the answer keeps every
 						// record that arrived.
-						if len(buf) > 0 {
+						if gen.Len() > 0 {
 							return growAll()
 						}
 						return nil
@@ -242,7 +240,12 @@ func runEngine(env *Env, path string, opts Options, spec engineSpec) (engineResu
 						return fmt.Errorf("core: reducer got %T", kv.Value)
 					}
 					// One mapper batch, counted per record.
-					buf[kv.Key] = append(buf[kv.Key], vals...)
+					gen.Vals = append(gen.Vals, vals...)
+					if spec.Keyed {
+						for range vals {
+							gen.Keys = append(gen.Keys, kv.Key)
+						}
+					}
 					ctrl.Received(part, len(vals))
 				case <-ctrl.Ready(part):
 					if err := growAll(); err != nil {
@@ -278,8 +281,9 @@ func runEngine(env *Env, path string, opts Options, spec engineSpec) (engineResu
 // mapper's reusable bucket map; emitted slices are copies because they
 // cross the shuffle channel and outlive the next batch. Emission order
 // over keys is map order — safe here because the reducer buffers a full
-// generation and folds it canonically (sorted keys, sorted values), so
-// within-generation arrival order never reaches the resample streams.
+// generation and the sink folds it canonically (sorted keys, sorted
+// values), so within-generation arrival order never reaches the
+// resample streams.
 func emitKeyed(ctx *mr.MapStream, cols *colscan.Cols, scratch map[string][]float64) {
 	for i, key := range cols.Keys {
 		scratch[key] = append(scratch[key], cols.Vals[i])

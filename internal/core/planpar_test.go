@@ -29,15 +29,23 @@ func TestPlansSideBySideEqualOneByOne(t *testing.T) {
 	jset := multiJobSet(t)
 	for _, dist := range []workload.Dist{workload.Gaussian, workload.Zipf} {
 		for _, par := range []int{1, 4} {
+			pq := JobQuery(jset, "/data", Options{Sigma: 0.05, Seed: 62, Parallelism: par})
+			// The plans are read off a retained run of the same query on a
+			// twin cluster; the reports and the cost are the one-shot's.
+			twin, _ := testEnv(t, 120_000, dist, 61)
+			_, st, err := Execute(twin, pq, true)
+			if err != nil {
+				t.Fatal(err)
+			}
 			env, _ := testEnv(t, 120_000, dist, 61)
 			env.Metrics.Reset()
-			reps, st, err := RunScalarLive(env, jset, "/data", Options{Sigma: 0.05, Seed: 62, Parallelism: par}, nil, false)
+			res, _, err := Execute(env, pq, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			h := fnv.New64a()
 			for i := range jset {
-				fmt.Fprintf(h, "%+v|%+v|", st.Stats[i].Plan, reps[i])
+				fmt.Fprintf(h, "%+v|%+v|", st.Plans[i], res.Reports[i])
 			}
 			fmt.Fprintf(h, "%+v", env.Metrics.Snapshot())
 			if got, want := h.Sum64(), sideBySidePins[dist]; got != want {

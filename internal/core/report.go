@@ -1,20 +1,17 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"sort"
 
 	"repro/internal/bootstrap"
-	"repro/internal/delta"
 	"repro/internal/jobs"
 	"repro/internal/stats"
 )
 
-// Report assembly shared by the batch drivers and internal/live's
-// maintained refreshes: FinishReport renders one statistic's result
-// distribution, GroupedReportFrom renders a grouped run's per-key
-// resample sets.
+// The report types, and FinishReport — how one statistic's result
+// distribution becomes the user-facing numbers (the sinks render from
+// it, for a run and for every maintained refresh alike).
 
 // GroupResult is one group's early estimate.
 type GroupResult struct {
@@ -99,39 +96,6 @@ func FinishReport(job jobs.Numeric, opts Options, vals []float64, cv, p, selSE f
 // and COUNT scale by 1/p, intensive ones return their input unchanged).
 func pSensitive(job jobs.Numeric, p float64) bool {
 	return job.Reducer.Correct(1, p) != 1 || job.Reducer.Correct(-3, p) != -3
-}
-
-// GroupedReportFrom assembles per-group results from the maintained resample
-// sets (shared by the initial grouped run and every live refresh).
-func GroupedReportFrom(job jobs.Numeric, opts Options, maints map[string]*delta.Maintainer) (GroupedReport, error) {
-	rep := GroupedReport{
-		Job:       job.Name,
-		Groups:    map[string]GroupResult{},
-		Converged: true,
-	}
-	for key, mt := range maints {
-		vals, err := mt.Results()
-		if err != nil {
-			return rep, err
-		}
-		est, err := stats.Mean(vals)
-		if err != nil {
-			return rep, err
-		}
-		cv, cvErr := mt.CV()
-		if cvErr != nil {
-			cv = math.Inf(1)
-		}
-		rep.Groups[key] = GroupResult{Estimate: est, CV: cv, SampleSize: mt.N()}
-		rep.SampleSize += mt.N()
-		if cv > opts.Sigma {
-			rep.Converged = false
-		}
-	}
-	if len(rep.Groups) == 0 {
-		return rep, errors.New("core: grouped run produced no groups")
-	}
-	return rep, nil
 }
 
 // SortedGroupKeys returns the report's keys in order, for stable output.

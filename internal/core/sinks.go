@@ -1,26 +1,33 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"hash/fnv"
 	"math"
+	"sort"
 	"sync"
 
 	"repro/internal/aes"
+	"repro/internal/colscan"
 	"repro/internal/delta"
 	"repro/internal/jobs"
+	"repro/internal/stats"
 )
 
-// The two ResultSink implementations of the generic engine: statSink
-// (scalar and multi-statistic runs — one resample set per statistic, all
-// fed the one shared sample) and groupSink (grouped runs — one resample
-// set per group key).
+// The two Sink implementations of the generic engine: statSink (scalar
+// and multi-statistic runs — one resample set per statistic, all fed the
+// one shared sample) and groupSink (grouped runs — one resample set per
+// group key). A sink is the whole maintained state of a run: the engine
+// folds each round into it, a maintained query (internal/live) goes on
+// folding refresh draws into the very same one, and both render their
+// reports from it.
 
 // statRun is one statistic's maintained state inside a statSink.
 type statRun struct {
 	job    jobs.Numeric
-	plan   aes.Plan
-	maint  Resampler
-	lastCV float64 // error at the last published generation
+	maint  resampler
+	lastCV float64 // error at the last ErrorEstimate, i.e. after the last fold
 }
 
 // statSink maintains one delta-maintained resample set per statistic.
@@ -57,7 +64,7 @@ func newStatSink(env *Env, jset []jobs.Numeric, plans []aes.Plan, opts Options) 
 			Metrics: env.Metrics, Key: job.Name,
 			Parallelism: opts.Parallelism,
 		}
-		var maint Resampler
+		var maint resampler
 		var err error
 		if opts.DisableDeltaMaintenance {
 			maint, err = delta.NewNaive(cfg)
@@ -67,25 +74,32 @@ func newStatSink(env *Env, jset []jobs.Numeric, plans []aes.Plan, opts Options) 
 		if err != nil {
 			return nil, err
 		}
-		s.stats = append(s.stats, &statRun{job: job, plan: plans[i], maint: maint, lastCV: math.Inf(1)})
+		s.stats = append(s.stats, &statRun{job: job, maint: maint, lastCV: math.Inf(1)})
 	}
 	return s, nil
 }
 
-// Grow implements ResultSink: the shared delta feeds every statistic's
-// resample set.
-func (s *statSink) Grow(_ string, vals []float64) error {
+// Fold implements Sink: the shared delta, sorted where it lies, feeds
+// every statistic's resample set (the maintainers batch-apply the slice
+// without retaining it).
+//
+//earl:hotpath
+func (s *statSink) Fold(cols *colscan.Cols) error {
+	sort.Float64s(cols.Vals)
 	for _, st := range s.stats {
-		if err := st.maint.Grow(vals); err != nil {
+		if err := st.maint.Grow(cols.Vals); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// ErrorEstimate implements ResultSink: the worst error across the
-// statistics (+Inf on any degenerate distribution, so the loop keeps
-// growing rather than mis-terminating).
+// Size implements Sink: the shared sample every statistic holds.
+func (s *statSink) Size() int64 { return int64(s.stats[0].maint.N()) }
+
+// ErrorEstimate implements Sink: the worst error across the statistics
+// under opts.Measure (+Inf on any degenerate distribution, so the loop
+// keeps growing rather than mis-terminating).
 func (s *statSink) ErrorEstimate() float64 {
 	worst := 0.0
 	for _, st := range s.stats {
@@ -103,6 +117,31 @@ func (s *statSink) ErrorEstimate() float64 {
 	return worst
 }
 
+// Result implements Sink: one Report per statistic, in job order. A
+// report's CV is the error at the last fold; its Iterations counts the
+// run's rounds plus every fold since.
+func (s *statSink) Result(r *Retained, _ int) (*PlanResult, error) {
+	reps := make([]Report, len(s.stats))
+	for i, st := range s.stats {
+		vals, err := st.maint.Results()
+		if err != nil {
+			return nil, fmt.Errorf("core: no results (sample never arrived): %w", err)
+		}
+		p := float64(st.maint.N()) / float64(r.EstTotal)
+		rep, err := FinishReport(st.job, s.opts, vals, st.lastCV, p, r.SelSE)
+		if err != nil {
+			return nil, err
+		}
+		rep.B = r.Plans[i].B
+		rep.SampleSize = st.maint.N()
+		rep.PlannedN = r.Plans[i].N
+		rep.Iterations = r.Generations + r.Folds
+		rep.EstTotalN = r.EstTotal
+		reps[i] = rep
+	}
+	return &PlanResult{Reports: reps}, nil
+}
+
 // seedForKey derives a group's resampling seed from the run seed and the
 // key alone — never from the order keys were first observed in, which
 // depends on goroutine scheduling. This is what makes grouped runs (and
@@ -113,29 +152,21 @@ func seedForKey(seed uint64, key string) uint64 {
 	return seed + h.Sum64()
 }
 
-// NewGroupMaintainer creates the delta-maintained resample set for one
-// group key under the run's seeding contract. Exported so a grouped
-// maintained query (internal/live) can open groups that first appear in
-// appended data with exactly the seed the initial run would have used.
-func NewGroupMaintainer(env *Env, job jobs.Numeric, key string, b int, opts Options) (*delta.Maintainer, error) {
-	return delta.New(delta.Config{
-		Reducer: job.Reducer, B: b,
-		Seed:    seedForKey(opts.Seed, key),
-		Metrics: env.Metrics, Key: key,
-		Parallelism: opts.Parallelism,
-	})
-}
-
-// MinGroupSample is the smallest per-group sample before a group's cv
+// minGroupSample is the smallest per-group sample before a group's cv
 // is trusted: below it the error is treated as +Inf so the expansion
-// loop keeps sampling. Shared by the in-run grouped sink and the
-// maintained grouped query's refresh loop.
-const MinGroupSample = 8
+// loop keeps sampling — in the run and in every later refresh, so a
+// brand-new key appearing in appended data with a deceptively tight tiny
+// sample still forces expansion instead of being reported converged.
+const minGroupSample = 8
 
 // groupSink maintains one delta-maintained resample set per group key,
-// opened lazily with key-derived seeds as keys arrive. The published
-// error is the worst group's, floored at +Inf while any group's sample
-// is below MinGroupSample.
+// opened lazily with key-derived seeds as keys arrive — in the run, and
+// for groups that first appear in appended data, with exactly the seed
+// the run would have used. The published error is the worst group's
+// (always the cv: a grouped run ignores opts.Measure), floored at +Inf
+// while any group's sample is below minGroupSample. The mutex orders the
+// run's partitions against one another while they share nothing but the
+// type; after the run one goroutine at a time holds the sink.
 type groupSink struct {
 	env  *Env
 	job  jobs.Numeric
@@ -144,29 +175,76 @@ type groupSink struct {
 
 	mu     sync.Mutex
 	maints map[string]*delta.Maintainer
+	// Fold scratch: the per-key value buffers and the sorted-key slice are
+	// reused across folds so a long-lived grouped watch does not
+	// re-allocate its routing state every refresh.
+	groups map[string][]float64
+	keys   []string
 }
 
 func newGroupSink(env *Env, job jobs.Numeric, b int, opts Options) *groupSink {
-	return &groupSink{env: env, job: job, b: b, opts: opts, maints: map[string]*delta.Maintainer{}}
+	return &groupSink{env: env, job: job, b: b, opts: opts,
+		maints: map[string]*delta.Maintainer{}, groups: map[string][]float64{}}
 }
 
-// Grow implements ResultSink.
-func (g *groupSink) Grow(key string, vals []float64) error {
+// Fold implements Sink: the batch is routed by key and folded into
+// per-group resample sets in canonical order (sorted keys, sorted
+// deltas), with brand-new keys opened under their key-derived seeds.
+//
+//earl:hotpath
+func (g *groupSink) Fold(cols *colscan.Cols) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	mt, ok := g.maints[key]
-	if !ok {
-		var err error
-		mt, err = NewGroupMaintainer(g.env, g.job, key, g.b, g.opts)
-		if err != nil {
+	for key, vals := range g.groups {
+		g.groups[key] = vals[:0]
+	}
+	for i, key := range cols.Keys {
+		g.groups[key] = append(g.groups[key], cols.Vals[i])
+	}
+	keys := g.keys[:0]
+	for key, vals := range g.groups {
+		if len(vals) > 0 {
+			keys = append(keys, key)
+		}
+	}
+	sort.Strings(keys)
+	g.keys = keys
+	for _, key := range keys {
+		mt, ok := g.maints[key]
+		if !ok {
+			var err error
+			mt, err = delta.New(delta.Config{
+				Reducer: g.job.Reducer, B: g.b,
+				Seed:    seedForKey(g.opts.Seed, key),
+				Metrics: g.env.Metrics, Key: key,
+				Parallelism: g.opts.Parallelism,
+			})
+			if err != nil {
+				return err
+			}
+			g.maints[key] = mt
+		}
+		vals := g.groups[key]
+		sort.Float64s(vals)
+		if err := mt.Grow(vals); err != nil {
 			return err
 		}
-		g.maints[key] = mt
 	}
-	return mt.Grow(vals)
+	return nil
 }
 
-// ErrorEstimate implements ResultSink.
+// Size implements Sink: the records held across every group's sample.
+func (g *groupSink) Size() int64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	var n int64
+	for _, mt := range g.maints {
+		n += int64(mt.N())
+	}
+	return n
+}
+
+// ErrorEstimate implements Sink.
 func (g *groupSink) ErrorEstimate() float64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -175,7 +253,7 @@ func (g *groupSink) ErrorEstimate() float64 {
 	}
 	worst := 0.0
 	for _, mt := range g.maints {
-		if mt.N() < MinGroupSample {
+		if mt.N() < minGroupSample {
 			return math.Inf(1)
 		}
 		cv, err := mt.CV()
@@ -187,4 +265,58 @@ func (g *groupSink) ErrorEstimate() float64 {
 		}
 	}
 	return worst
+}
+
+// Result implements Sink: per-group results from the maintained resample
+// sets. Iterations counts the run's rounds plus the refreshes applied
+// since.
+func (g *groupSink) Result(r *Retained, refreshes int) (*PlanResult, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	rep := GroupedReport{
+		Job:        g.job.Name,
+		Groups:     map[string]GroupResult{},
+		Iterations: r.Generations + refreshes,
+		Converged:  true,
+	}
+	for key, mt := range g.maints {
+		vals, err := mt.Results()
+		if err != nil {
+			return nil, err
+		}
+		est, err := stats.Mean(vals)
+		if err != nil {
+			return nil, err
+		}
+		cv, cvErr := mt.CV()
+		if cvErr != nil {
+			cv = math.Inf(1)
+		}
+		rep.Groups[key] = GroupResult{Estimate: est, CV: cv, SampleSize: mt.N()}
+		rep.SampleSize += mt.N()
+		if cv > g.opts.Sigma {
+			rep.Converged = false
+		}
+	}
+	if len(rep.Groups) == 0 {
+		return nil, errors.New("core: grouped run produced no groups")
+	}
+	return &PlanResult{Groups: &rep}, nil
+}
+
+// mergeSinks folds a finished run's partition sinks into the one sink
+// the run retains. Partitions own disjoint keys (the shuffle routes by
+// key), so a grouped run's sinks merge into one keyspace; a scalar run
+// has one partition and keeps its sink.
+func mergeSinks(parts []Sink) Sink {
+	first, ok := parts[0].(*groupSink)
+	if !ok {
+		return parts[0]
+	}
+	for _, p := range parts[1:] {
+		for key, mt := range p.(*groupSink).maints {
+			first.maints[key] = mt
+		}
+	}
+	return first
 }

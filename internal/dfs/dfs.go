@@ -258,9 +258,6 @@ func New(cfg Config) *FileSystem {
 // BlockSize returns the configured block size.
 func (fs *FileSystem) BlockSize() int64 { return fs.cfg.BlockSize }
 
-// NumDataNodes returns the cluster size (live or not).
-func (fs *FileSystem) NumDataNodes() int { return len(fs.nodes) }
-
 // LiveDataNodes returns the ids of DataNodes currently alive.
 func (fs *FileSystem) LiveDataNodes() []int {
 	var ids []int

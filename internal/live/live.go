@@ -2,35 +2,23 @@
 // data — EARL's delta-maintenance trick (§4.1) lifted from within one
 // run to across the lifetime of a dataset.
 //
-// There is ONE maintained-query implementation here, mirroring the
-// generic execution engine in internal/core: a shared refresh core
-// (watchBase) owns the retained per-mapper without-replacement samplers,
-// the ingest high-water mark, and the draw/expansion machinery, and is
-// parameterized over a small maintSink abstraction that says how drawn
-// records fold into maintained state and what the current error is.
-// Drawn records are parsed column batches (colscan.Cols) whatever
-// decoded them — the retained sources apply a custom parser where they
-// read, exactly as in the initial run — so there is one draw path and
-// one fold per sink. Query folds every record into one resample set per
-// statistic (the scalar case is the one-statistic degenerate form; a
-// multi-statistic watch shares the one sample across all of them);
-// GroupedQuery routes records by key into one resample set per group —
-// grouped is just many sinks' worth of state behind the same refresh
-// loop.
-//
-// A Query is created by WatchMulti (or WatchPlan): it runs the normal
-// early-accurate workflow once, then keeps the run's working state
-// alive — the SSABE plans, the delta-maintained bootstrap resample sets
-// (with every per-resample sketch state), and the per-mapper samplers.
-// When data is appended to the watched file (dfs.Append cuts new blocks
-// without disturbing existing splits), Refresh:
+// A watch is the run, kept. Open executes the query once through the one
+// sampled driver (core.Execute) and keeps what the run leaves behind —
+// the sink the engine folded into (every statistic's, or every group's,
+// delta-maintained bootstrap resample set with its per-resample sketch
+// states), the SSABE plans, and the per-mapper without-replacement
+// samplers. There is ONE watch implementation: it is written against
+// core.Sink alone, so scalar, multi-statistic and grouped queries differ
+// only in the sink their run retained. When data is appended to the
+// watched file (dfs.Append cuts new blocks without disturbing existing
+// splits), Refresh:
 //
 //  1. samples only the appended splits at the query's current sampling
 //     fraction p, so the combined sample stays (approximately) uniform
 //     over the concatenated data;
-//  2. feeds that delta through the retained resample sets — sharded
-//     across Options.Parallelism workers under the engine-wide
-//     fixed-seed determinism contract;
+//  2. folds that delta into the retained sink exactly as the engine
+//     folded a round — sharded across Options.Parallelism workers under
+//     the engine-wide fixed-seed determinism contract;
 //  3. re-estimates the error, and re-expands the sample (drawing from
 //     old and new regions alike, still without replacement) only if the
 //     σ bound is violated.
@@ -40,10 +28,11 @@
 // in simcost counters (Refreshes, RecordsRead, BytesRead) so experiments
 // can compare maintained refreshes against from-scratch re-runs.
 //
-// Queries whose initial run fell back to the exact path (tiny data, or
-// SSABE's B×n ≥ N) are maintained exactly instead: the user jobs'
-// incremental reduce states are grown with every appended record
-// (mr.InitializeOrUpdate), which is still delta-proportional work.
+// Queries whose run fell back to the exact path (tiny data, or SSABE's
+// B×n ≥ N) retain no sink and are maintained exactly instead: the user
+// jobs' incremental reduce states are grown with every appended record
+// (mr.InitializeOrUpdate), which is still delta-proportional work
+// (exact.go).
 package live
 
 import (
@@ -54,6 +43,7 @@ import (
 	"repro/internal/colscan"
 	"repro/internal/core"
 	"repro/internal/dfs"
+	"repro/internal/mr"
 	"repro/internal/plan"
 	"repro/internal/pool"
 	"repro/internal/sampling"
@@ -71,52 +61,187 @@ var ErrTruncated = errors.New("live: watched file shrank (appends only)")
 // a stream with the initial run's or an earlier refresh's.
 const refreshSalt = 0x51_7cc1b7_2722_0a95
 
-// maintSink is how a maintained query's state consumes freshly drawn
-// records: Query folds them into every statistic's resample set,
-// GroupedQuery routes them by key into per-group sets. The shared
-// refresh loop in watchBase is written against this interface alone.
-type maintSink interface {
-	// foldCols grows the maintained state by one drawn batch in
-	// canonical order (the determinism contract of the in-run engine).
-	foldCols(cols *colscan.Cols) error
-	// size returns the records currently held in the maintained sample.
-	size() int64
-	// errEstimate returns the current worst error; +Inf when it cannot
-	// be trusted (no data, degenerate distribution, undersampled group).
-	errEstimate() float64
-}
-
-// watchBase is the shared core of every maintained query: the retained
-// sampler streams, the ingest high-water mark, and the refresh loop.
-// The embedding query type provides the lock discipline (all watchBase
-// methods assume mu is held).
-type watchBase struct {
-	mu   sync.Mutex
-	env  *core.Env
-	path string
-	opts core.Options
-	// origOpts are the options the watch was opened with, before any
-	// defaulting — a rewrite-triggered rebuild re-runs the creation with
-	// exactly these, so the rebuilt watch is bit-identical to a fresh
-	// watch opened over the rewritten file.
-	origOpts core.Options
-	// decode is how the watched records are parsed, derived once from
-	// the watch's fixed inputs (job or route, prog) — so it holds
-	// whichever path the creation run or a rebuild takes, and every
-	// refresh's new sampler streams are built on the same one.
+// Watch is a maintained EARL query: one statistic or several sharing a
+// single maintained sample, or one statistic per group key. All methods
+// are safe for concurrent use; Refresh calls are serialised.
+type Watch struct {
+	mu  sync.Mutex
+	env *core.Env
+	// pq is the query as it was opened, options before any defaulting — a
+	// rewrite-triggered rebuild re-executes exactly this, so the rebuilt
+	// watch is bit-identical to a fresh watch opened over the rewritten
+	// file.
+	pq *core.PlannedQuery
+	// decode is how the watched records are parsed, derived once from the
+	// query — so it holds whichever path the opening run or a rebuild
+	// takes, and every refresh's new sampler streams are built on it.
 	decode core.Decode
-	// prog is the compiled query plan pushed into every refresh's new
-	// sampler streams; nil for legacy (plan-free) watches.
-	prog *plan.Program
 
-	sources  []core.RecordSource
-	dry      []bool // aligned with sources
-	estTotal int64
-	synced   int64 // file bytes covered (ingest high-water mark)
-	version  int64 // watched file's write generation at the last sync
+	// ret is the opening run's retained state — sink, sources, estimated
+	// total, ingest high-water mark — advanced in place by every refresh
+	// and replaced wholesale by a rebuild.
+	ret     *core.Retained
+	dry     []bool // aligned with ret.Sources
+	version int64  // watched file's write generation at the last sync
+
+	// exact-maintenance path (ret.Sink == nil): one incremental reduce
+	// state per statistic.
+	exactStates []mr.State
+	exactN      int64
 
 	refreshGen int
 	closed     bool
+	last       *core.PlanResult
+}
+
+// Open executes pq once (exactly like a one-shot: one pilot, one sample,
+// one pass) and returns a handle that keeps the run's state maintainable
+// under appended data. The statistics of a scalar query share the
+// maintained sample, so a refresh costs one delta scan regardless of how
+// many ride the watch; a grouped watch keeps every group's resample set,
+// including groups that first appear in appended data.
+func Open(env *core.Env, pq *core.PlannedQuery) (*Watch, error) {
+	dec, err := pq.Decode()
+	if err != nil {
+		return nil, err
+	}
+	w := &Watch{env: env, pq: pq, decode: dec}
+	// The opening run reads through a pinned snapshot: a rewrite (or
+	// append) landing mid-run cannot give the watch a blended view.
+	snap := env.FS.Snapshot()
+	defer snap.Release()
+	if err := w.rebuild(snap); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// rebuild executes the query against the pinned snapshot and replaces
+// the maintained state wholesale — the opening run, and again after a
+// rewrite of the watched path, when the retained sample describes bytes
+// that no longer exist. Both run the same query with the same options,
+// so a rebuilt watch reports what a fresh one over the rewritten file
+// would. The recorded write generation is what later refreshes compare
+// against to detect rewrites.
+func (w *Watch) rebuild(snap *dfs.Snapshot) error {
+	res, ret, err := core.Execute(w.env.WithData(snap), w.pq, true)
+	if err != nil {
+		return err
+	}
+	ver, err := snap.Version(w.pq.Spec.Path)
+	if err != nil {
+		return err
+	}
+	w.ret, w.dry, w.version, w.last = ret, make([]bool, len(ret.Sources)), ver, res
+	w.exactStates, w.exactN = nil, 0
+	if ret.Sink == nil {
+		// Exact fall-back: Execute skipped the exact job, because one scan
+		// here produces the same answers and leaves a maintainable state
+		// behind; every refresh after reads only appended splits.
+		splits, err := snap.Splits(w.pq.Spec.Path, ret.Opts.SplitSize)
+		if err != nil {
+			return err
+		}
+		if err := w.foldExact(snap, splits); err != nil {
+			return err
+		}
+	}
+	// The snapshot dies with the caller; later draws read live.
+	core.RepinSources(ret.Sources, w.env.FS)
+	return nil
+}
+
+// Result returns the most recent result without doing any work.
+func (w *Watch) Result() *core.PlanResult {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return clone(w.last)
+}
+
+// clone copies a result far enough that the caller cannot reach the
+// watch's own.
+func clone(res *core.PlanResult) *core.PlanResult {
+	out := &core.PlanResult{Reports: append([]core.Report(nil), res.Reports...)}
+	if res.Groups != nil {
+		g := *res.Groups
+		out.Groups = &g
+	}
+	return out
+}
+
+// Grouped reports whether the watch maintains a grouped query.
+func (w *Watch) Grouped() bool { return w.pq.Grouped() }
+
+// Refreshes returns how many Refresh calls have been applied.
+func (w *Watch) Refreshes() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.refreshGen
+}
+
+// SampleSize returns the records currently held in the maintained sample
+// (the exact record count on the exact-maintenance path).
+func (w *Watch) SampleSize() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.ret.Sink == nil {
+		return int(w.exactN)
+	}
+	return int(w.ret.Sink.Size())
+}
+
+// Close releases the retained samplers and exact states. The final
+// result stays readable; Refresh returns ErrClosed.
+func (w *Watch) Close() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.closed = true
+	w.ret.Sources, w.dry, w.exactStates = nil, nil, nil
+}
+
+// Refresh brings the maintained answer up to date with the watched
+// file, processing only data appended since the last sync (or Open):
+// the appended region is sampled at the current fraction, then the
+// sample re-expands (over the whole file, without replacement) while the
+// worst error violates σ. With nothing appended it just returns the
+// current result.
+//
+// The whole refresh — classification, delta scan, expansion — reads
+// through one pinned snapshot of the DFS, so concurrent ingest (or a
+// rewrite) can never hand it a blended view: the result reflects either
+// the pre-commit or the post-commit file, exactly. A rewrite of the
+// watched path triggers a full rebuild against the snapshot,
+// bit-identical to a fresh watch opened over the rewritten contents.
+//
+// An infrastructure error mid-refresh (e.g. appended blocks with no
+// live replica) is returned as-is; the handle's coverage of the file
+// may then be incomplete, so after repairing the cluster either retry
+// or open a fresh watch.
+func (w *Watch) Refresh() (*core.PlanResult, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	snap := w.env.FS.Snapshot()
+	defer snap.Release()
+	size, appended, rewritten, err := w.beginRefresh(snap)
+	switch {
+	case err != nil:
+	case rewritten:
+		err = w.rebuild(snap)
+	case !appended:
+	case w.ret.Sink == nil:
+		err = w.refreshExact(snap, size)
+	default:
+		if err = w.refreshSampled(w.env.WithData(snap), size); err == nil {
+			var res *core.PlanResult
+			if res, err = w.ret.Result(w.refreshGen); err == nil {
+				w.last = res
+			}
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return clone(w.last), nil
 }
 
 // beginRefresh classifies the watched file against the sync point, all
@@ -132,57 +257,58 @@ type watchBase struct {
 //     place must not silently re-read the file);
 //   - otherwise data was appended: the refresh is counted and the
 //     refresh generation advances.
-func (b *watchBase) beginRefresh(v dfs.View) (size int64, appended, rewritten bool, err error) {
-	if b.closed {
+func (w *Watch) beginRefresh(v dfs.View) (size int64, appended, rewritten bool, err error) {
+	if w.closed {
 		return 0, false, false, ErrClosed
 	}
-	ver, err := v.Version(b.path)
+	path := w.pq.Spec.Path
+	ver, err := v.Version(path)
 	if err != nil {
 		return 0, false, false, err
 	}
-	if ver != b.version {
-		b.refreshGen++
+	if ver != w.version {
+		w.refreshGen++
 		return 0, false, true, nil
 	}
-	size, err = v.Stat(b.path)
+	size, err = v.Stat(path)
 	if err != nil {
 		return 0, false, false, err
 	}
-	if size < b.synced {
+	if size < w.ret.SyncedBytes {
 		// Unreachable while versions are per-WriteFile (a same-version
 		// file only grows), kept as a tripwire.
-		return 0, false, false, fmt.Errorf("%w: %s", ErrTruncated, b.path)
+		return 0, false, false, fmt.Errorf("%w: %s", ErrTruncated, path)
 	}
-	if size == b.synced {
+	if size == w.ret.SyncedBytes {
 		return size, false, false, nil
 	}
-	b.env.Metrics.Refreshes.Add(1)
-	b.refreshGen++
+	w.env.Metrics.Refreshes.Add(1)
+	w.refreshGen++
 	return size, true, false, nil
 }
 
 // refreshSampled is the maintained-sample refresh described in the
 // package comment: extend coverage over the appended region at the
-// current sampling fraction, then re-expand (over the whole file,
-// without replacement, the in-run doubling schedule) while the sink's
-// error violates σ. penv's data view is the refresh's pinned snapshot:
-// every source — retained and new alike — is repinned onto it for the
+// current sampling fraction, then re-expand while the sink's error
+// violates σ. penv's data view is the refresh's pinned snapshot: every
+// source — retained and new alike — is repinned onto it for the
 // duration, so the whole refresh reads one commit point even while
 // ingest lands concurrently, and repinned back onto the live filesystem
 // before the caller releases the snapshot.
-func (b *watchBase) refreshSampled(penv *core.Env, size int64, sk maintSink) error {
-	b.sources, b.dry = compactSources(b.sources, b.dry)
-	core.RepinSources(b.sources, penv.View())
-	defer func() { core.RepinSources(b.sources, b.env.FS) }()
-	if size > b.synced {
+func (w *Watch) refreshSampled(penv *core.Env, size int64) error {
+	ret, sink := w.ret, w.ret.Sink
+	ret.Sources, w.dry = compactSources(ret.Sources, w.dry)
+	core.RepinSources(ret.Sources, penv.View())
+	defer func() { core.RepinSources(ret.Sources, w.env.FS) }()
+	if size > ret.SyncedBytes {
 		newSources, estNew, err := buildRefreshSources(
-			penv, b.path, b.opts, b.decode, b.prog, b.synced, size, b.estTotal, b.refreshGen)
+			penv, w.pq.Spec.Path, ret.Opts, w.decode, w.pq.Prog, ret.SyncedBytes, size, ret.EstTotal, w.refreshGen)
 		if err != nil {
 			return err
 		}
 		// Sample the appended region at the query's current fraction so
 		// the maintained sample stays uniform over old ∪ new.
-		p := float64(sk.size()) / float64(b.estTotal)
+		p := float64(sink.Size()) / float64(ret.EstTotal)
 		if p > 1 {
 			p = 1
 		}
@@ -190,40 +316,41 @@ func (b *watchBase) refreshSampled(penv *core.Env, size int64, sk maintSink) err
 		if nDelta > estNew {
 			nDelta = estNew
 		}
-		from := len(b.sources)
-		b.sources = append(b.sources, newSources...)
-		b.dry = append(b.dry, make([]bool, len(newSources))...)
-		b.estTotal += estNew
-		b.synced = size
+		from := len(ret.Sources)
+		ret.Sources = append(ret.Sources, newSources...)
+		w.dry = append(w.dry, make([]bool, len(newSources))...)
+		ret.EstTotal += estNew
+		ret.SyncedBytes = size
 		if nDelta > 0 {
-			if _, err := b.drawAndFold(from, len(b.sources), int(nDelta), sk, true); err != nil {
+			if _, err := w.drawAndFold(from, len(ret.Sources), int(nDelta), true); err != nil {
 				return err
 			}
 		}
 	}
 
-	// Re-estimate, and re-expand only if σ is violated — the same
-	// doubling schedule as the in-run expansion loop, drawing from every
-	// region of the file without replacement.
-	cv := sk.errEstimate()
-	maxSample := int64(b.opts.MaxSampleFraction * float64(b.estTotal))
-	for cv > b.opts.Sigma && sk.size() < maxSample {
-		next := sk.size() * 2
+	// Re-estimate, and re-expand only if σ is violated — the in-run
+	// doubling schedule (the engine's barrier runs it between rounds; a
+	// refresh has no mappers to park, so it is a loop), drawing from
+	// every region of the file without replacement.
+	cv := sink.ErrorEstimate()
+	maxSample := int64(ret.Opts.MaxSampleFraction * float64(ret.EstTotal))
+	for cv > ret.Opts.Sigma && sink.Size() < maxSample {
+		next := sink.Size() * 2
 		if next > maxSample {
 			next = maxSample
 		}
-		k := next - sk.size()
+		k := next - sink.Size()
 		if k <= 0 {
 			break
 		}
-		n, err := b.drawAndFold(0, len(b.sources), int(k), sk, false)
+		n, err := w.drawAndFold(0, len(ret.Sources), int(k), false)
 		if err != nil {
 			return err
 		}
 		if n == 0 {
 			break // every region exhausted: finish with achieved accuracy
 		}
-		cv = sk.errEstimate()
+		cv = sink.ErrorEstimate()
 	}
 	return nil
 }
@@ -233,23 +360,16 @@ func (b *watchBase) refreshSampled(penv *core.Env, size int64, sk maintSink) err
 // foldEmpty preserves the delta branch's behaviour of folding even an
 // empty draw (the fold counts a generation); the expansion loop instead
 // checks the count first so an exhausted file terminates it.
-func (b *watchBase) drawAndFold(from, to, total int, sk maintSink, foldEmpty bool) (int, error) {
-	cols, err := b.drawColsAcross(from, to, total)
+func (w *Watch) drawAndFold(from, to, total int, foldEmpty bool) (int, error) {
+	cols, err := w.drawColsAcross(from, to, total)
 	if err != nil {
 		return 0, err
 	}
 	if cols.Len() == 0 && !foldEmpty {
 		return 0, nil
 	}
-	return cols.Len(), sk.foldCols(cols)
-}
-
-// closeBase releases the retained samplers; the last report stays
-// readable on the embedding query.
-func (b *watchBase) closeBase() {
-	b.closed = true
-	b.sources = nil
-	b.dry = nil
+	w.ret.Folds++
+	return cols.Len(), w.ret.Sink.Fold(cols)
 }
 
 // drawColsAcross draws total records from sources[from:to], apportioned
@@ -259,7 +379,7 @@ func (b *watchBase) closeBase() {
 // records are identical at any parallelism. Sources that run dry
 // contribute what they have; a second, sequential pass redistributes
 // any shortfall to the remaining live sources.
-func (b *watchBase) drawColsAcross(from, to, total int) (*colscan.Cols, error) {
+func (w *Watch) drawColsAcross(from, to, total int) (*colscan.Cols, error) {
 	type slot struct {
 		idx   int
 		share int
@@ -267,15 +387,15 @@ func (b *watchBase) drawColsAcross(from, to, total int) (*colscan.Cols, error) {
 	var slots []slot
 	var weightSum int64
 	for i := from; i < to; i++ {
-		if b.dry[i] {
+		if w.dry[i] {
 			continue
 		}
-		w := b.sources[i].Weight()
-		if w <= 0 {
+		weight := w.ret.Sources[i].Weight()
+		if weight <= 0 {
 			continue
 		}
 		slots = append(slots, slot{idx: i})
-		weightSum += w
+		weightSum += weight
 	}
 	flat := &colscan.Cols{}
 	if len(slots) == 0 || weightSum == 0 {
@@ -284,8 +404,8 @@ func (b *watchBase) drawColsAcross(from, to, total int) (*colscan.Cols, error) {
 	// Largest-remainder apportionment of total across the live sources.
 	assigned := 0
 	for si := range slots {
-		w := b.sources[slots[si].idx].Weight()
-		slots[si].share = int(int64(total) * w / weightSum)
+		weight := w.ret.Sources[slots[si].idx].Weight()
+		slots[si].share = int(int64(total) * weight / weightSum)
 		assigned += slots[si].share
 	}
 	for si := 0; assigned < total; si = (si + 1) % len(slots) {
@@ -294,18 +414,18 @@ func (b *watchBase) drawColsAcross(from, to, total int) (*colscan.Cols, error) {
 	}
 
 	out := make([]colscan.Cols, len(slots))
-	workers := pool.Workers(b.opts.Parallelism)
+	workers := pool.Workers(w.ret.Opts.Parallelism)
 	err := pool.ForEach(len(slots), workers, func(si int) error {
 		s := slots[si]
 		if s.share == 0 {
 			return nil
 		}
-		dry, err := b.drawOneCols(s.idx, s.share, &out[si])
+		dry, err := w.drawOneCols(s.idx, s.share, &out[si])
 		if err != nil {
 			return err
 		}
 		if dry {
-			b.dry[s.idx] = true // distinct index per worker: no race
+			w.dry[s.idx] = true // distinct index per worker: no race
 		}
 		return nil
 	})
@@ -322,23 +442,23 @@ func (b *watchBase) drawColsAcross(from, to, total int) (*colscan.Cols, error) {
 		if flat.Len() >= total {
 			break
 		}
-		if b.dry[slots[si].idx] {
+		if w.dry[slots[si].idx] {
 			continue
 		}
-		dry, err := b.drawOneCols(slots[si].idx, total-flat.Len(), flat)
+		dry, err := w.drawOneCols(slots[si].idx, total-flat.Len(), flat)
 		if err != nil {
 			return nil, err
 		}
 		if dry {
-			b.dry[slots[si].idx] = true
+			w.dry[slots[si].idx] = true
 		}
 	}
 	return flat, nil
 }
 
 // drawOneCols draws up to k decoded records from source i into out.
-func (b *watchBase) drawOneCols(i, k int, out *colscan.Cols) (dry bool, err error) {
-	_, err = b.sources[i].DrawCols(k, out)
+func (w *Watch) drawOneCols(i, k int, out *colscan.Cols) (dry bool, err error) {
+	_, err = w.ret.Sources[i].DrawCols(k, out)
 	if errors.Is(err, sampling.ErrExhausted) {
 		return true, nil
 	}

@@ -208,7 +208,7 @@ func TestAwaitQuotaWakes(t *testing.T) {
 		wake   func(e *Engine, c *Controller)
 		wantOK bool
 	}{
-		{"target rise", func(_ *Engine, c *Controller) { c.RequestExpansion(20) }, true},
+		{"target rise", func(_ *Engine, c *Controller) { c.Publish(0, 0.2) }, true}, // round 1 misses σ: the target doubles
 		{"terminate", func(_ *Engine, c *Controller) { c.Terminate() }, false},
 		{"node death", func(e *Engine, _ *Controller) { e.Cluster.KillNode(0) }, false},
 	} {

@@ -2,7 +2,6 @@ package mr
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 )
@@ -272,13 +271,4 @@ func ScaleCorrect(result, p float64) float64 {
 		return result
 	}
 	return result / p
-}
-
-// ValidateCorrection sanity-checks a sampling fraction before Correct is
-// applied.
-func ValidateCorrection(p float64) error {
-	if p <= 0 || p > 1 {
-		return fmt.Errorf("mr: sampling fraction p=%v outside (0,1]", p)
-	}
-	return nil
 }

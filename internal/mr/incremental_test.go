@@ -145,12 +145,4 @@ func TestCorrections(t *testing.T) {
 	if ScaleCorrect(42, 0) != 42 {
 		t.Fatal("scale correction must ignore p=0")
 	}
-	if err := ValidateCorrection(0.5); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []float64{0, -0.1, 1.5} {
-		if err := ValidateCorrection(p); err == nil {
-			t.Fatalf("p=%v should be invalid", p)
-		}
-	}
 }

@@ -22,8 +22,8 @@ import (
 //     Feedback.decide, from the cvs published for that round;
 //   - when no further progress is possible the run ends itself (§3.4).
 //
-// The zero value is a plain control bus (Terminate, RequestExpansion)
-// for stream jobs without rounds. Methods are safe for concurrent use.
+// The zero value serves stream jobs without rounds: Terminate is all
+// they use. Methods are safe for concurrent use.
 type Controller struct {
 	mu         sync.Mutex
 	terminated bool
@@ -141,18 +141,8 @@ func (c *Controller) Terminated() bool {
 	return c.terminated
 }
 
-// RequestExpansion raises the target total sample size mappers should
-// produce. Values lower than the current target are ignored.
-func (c *Controller) RequestExpansion(total int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if total > c.target {
-		c.target = total
-		c.wakeLocked()
-	}
-}
-
-// ExpansionTarget returns the current requested total sample size.
+// ExpansionTarget returns the total sample size the mappers are
+// currently asked to produce.
 func (c *Controller) ExpansionTarget() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -2,7 +2,6 @@ package mr
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -117,37 +116,6 @@ func TestPipelinedValidation(t *testing.T) {
 	e, _, _ := newTestEngine(t, 2, 1)
 	if _, err := e.RunPipelined(&StreamJob{Name: "nil-tasks"}); err == nil {
 		t.Fatal("missing tasks should error")
-	}
-}
-
-func TestControllerExpansionMonotonic(t *testing.T) {
-	var c Controller
-	c.RequestExpansion(100)
-	c.RequestExpansion(50) // ignored: lower than current
-	if got := c.ExpansionTarget(); got != 100 {
-		t.Fatalf("target = %d, want 100", got)
-	}
-	c.RequestExpansion(200)
-	if got := c.ExpansionTarget(); got != 200 {
-		t.Fatalf("target = %d, want 200", got)
-	}
-}
-
-func TestControllerConcurrentUse(t *testing.T) {
-	var c Controller
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				c.RequestExpansion(int64(i*100 + j))
-			}
-		}(i)
-	}
-	wg.Wait()
-	if got := c.ExpansionTarget(); got != 799 {
-		t.Fatalf("target = %d, want 799 (max requested)", got)
 	}
 }
 

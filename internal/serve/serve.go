@@ -82,7 +82,7 @@ type Config struct {
 	// when the caller's context carries no deadline of its own; 60s if 0.
 	QueryTimeout time.Duration
 	// MaxWatches bounds the shared-watch registry: every entry pins a
-	// live.Query's retained sample and sketch states, so abandoned
+	// live.Watch's retained sample and sketch states, so abandoned
 	// subscriptions must not grow server memory without limit; 256 if 0.
 	MaxWatches int
 	// WatchIdleTTL makes the registry cap recoverable: when OpenWatch
@@ -296,56 +296,6 @@ type Server struct {
 	subSeq   int64
 }
 
-// watchHandle abstracts the maintained-query flavours the registry
-// serves — scalar/multi-statistic (live.Query) and grouped
-// (live.GroupedQuery) — behind one refresh/report surface, so dedup,
-// refresh serialisation and idle eviction are written once.
-type watchHandle interface {
-	Refresh() error
-	Refreshes() int
-	SampleSize() int
-	Close()
-	// fill writes the handle's current results into info (Report and,
-	// as applicable, Reports/Groups).
-	fill(info *WatchInfo)
-}
-
-// queryHandle adapts live.Query (scalar and multi-statistic watches).
-type queryHandle struct {
-	q     *live.Query
-	multi bool
-}
-
-func (h queryHandle) Refresh() error {
-	_, err := h.q.RefreshAll()
-	return err
-}
-func (h queryHandle) Refreshes() int  { return h.q.Refreshes() }
-func (h queryHandle) SampleSize() int { return h.q.SampleSize() }
-func (h queryHandle) Close()          { h.q.Close() }
-func (h queryHandle) fill(info *WatchInfo) {
-	reps := h.q.Reports()
-	info.Report = reps[0]
-	if h.multi {
-		info.Reports = reps
-	}
-}
-
-// groupedHandle adapts live.GroupedQuery.
-type groupedHandle struct{ q *live.GroupedQuery }
-
-func (h groupedHandle) Refresh() error {
-	_, err := h.q.Refresh()
-	return err
-}
-func (h groupedHandle) Refreshes() int  { return h.q.Refreshes() }
-func (h groupedHandle) SampleSize() int { return h.q.SampleSize() }
-func (h groupedHandle) Close()          { h.q.Close() }
-func (h groupedHandle) fill(info *WatchInfo) {
-	rep := h.q.Report()
-	info.Groups = &rep
-}
-
 // watchEntry is one shared maintained query. Creation happens outside
 // the server lock; subscribers arriving meanwhile wait on ready.
 type watchEntry struct {
@@ -354,7 +304,7 @@ type watchEntry struct {
 	spec  QuerySpec
 	ready chan struct{}
 	err   error       // creation outcome, valid after ready closes
-	q     watchHandle // valid after ready closes iff err == nil
+	q     *live.Watch // valid after ready closes iff err == nil
 
 	// refreshMu is a capacity-1 channel lock serialising refresh
 	// decisions: unlike a sync.Mutex, a subscriber waiting behind a slow
@@ -512,26 +462,16 @@ func (s *Server) Query(ctx context.Context, spec QuerySpec) (QueryResult, error)
 	start := time.Now()
 	before := s.env.Metrics.Snapshot()
 	res := QueryResult{}
-	// One execution path for every flavour: the plan driver. Degenerate
-	// specs (no filter/derive, by "" or "key") run the historical
-	// RunMulti/RunGrouped code bit-identically; single and multi-statistic
-	// one-shots alike cost one shared sampling/IO pass. The run reads one
-	// pinned commit: a rewrite or an append landing mid-run cannot give it
-	// a blend of two file states.
-	snap := s.env.FS.Snapshot()
-	defer snap.Release()
-	pr, rerr := core.RunPlan(s.env.WithData(snap), spec.Spec, core.Options{})
+	// One execution path for every flavour: the plan driver. Single and
+	// multi-statistic one-shots alike cost one shared sampling/IO pass,
+	// and the run reads one pinned commit (core.Execute pins it): a
+	// rewrite or an append landing mid-run cannot give it a blend of two
+	// file states.
+	pr, rerr := core.RunPlan(s.env, spec.Spec, core.Options{})
 	if rerr != nil {
 		return QueryResult{}, rerr
 	}
-	if pr.Groups != nil {
-		res.Groups = pr.Groups
-	} else {
-		res.Report = pr.Reports[0]
-		if len(pr.Reports) > 1 {
-			res.Reports = pr.Reports
-		}
-	}
+	res.Report, res.Reports, res.Groups = wireShape(pr)
 	res.Elapsed = time.Since(start)
 	res.Cost = s.env.Metrics.Snapshot().Sub(before)
 	s.queries.Add(1)
@@ -559,7 +499,7 @@ func (s *Server) Query(ctx context.Context, spec QuerySpec) (QueryResult, error)
 
 // OpenWatch subscribes to the maintained query named by spec, creating
 // it on first open and deduping identical subsequent opens onto the same
-// underlying live.Query. The returned WatchInfo carries the watch id all
+// underlying live.Watch. The returned WatchInfo carries the watch id all
 // subscribers share.
 func (s *Server) OpenWatch(ctx context.Context, spec QuerySpec) (WatchInfo, bool, error) {
 	spec, err := spec.normalize()
@@ -665,18 +605,27 @@ func (s *Server) OpenWatch(ctx context.Context, spec QuerySpec) (WatchInfo, bool
 	return info, false, nil
 }
 
-// createWatch runs the initial query for a registry entry, returning
-// the flavour-appropriate maintained handle — one plan-driven path for
-// scalar, multi-statistic and grouped watches alike.
-func (s *Server) createWatch(spec QuerySpec) (watchHandle, error) {
-	q, gq, err := live.WatchPlan(s.env, spec.Spec, core.Options{})
+// createWatch runs the initial query for a registry entry — one
+// plan-driven path for scalar, multi-statistic and grouped watches alike.
+func (s *Server) createWatch(spec QuerySpec) (*live.Watch, error) {
+	pq, err := core.PreparePlan(spec.Spec, core.Options{})
 	if err != nil {
 		return nil, err
 	}
-	if gq != nil {
-		return groupedHandle{gq}, nil
+	return live.Open(s.env, pq)
+}
+
+// wireShape lays a result out the way QueryResult and WatchInfo carry
+// it: groups alone for a grouped query, else the first statistic's
+// report, with the full list beside it only when there are several.
+func wireShape(res *core.PlanResult) (core.Report, []core.Report, *core.GroupedReport) {
+	switch {
+	case res.Groups != nil:
+		return core.Report{}, nil, res.Groups
+	case len(res.Reports) > 1:
+		return res.Reports[0], res.Reports, nil
 	}
-	return queryHandle{q: q, multi: len(spec.Stats) > 1}, nil
+	return res.Reports[0], nil, nil
 }
 
 // newSubLocked mints a subscription token on e. Caller holds Server.mu.
@@ -699,7 +648,7 @@ func (s *Server) infoOf(e *watchEntry) WatchInfo {
 		Refreshes:   e.q.Refreshes(),
 		SampleSize:  e.q.SampleSize(),
 	}
-	e.q.fill(&info)
+	info.Report, info.Reports, info.Groups = wireShape(e.q.Result())
 	return info
 }
 
@@ -814,7 +763,7 @@ func (s *Server) WatchReport(ctx context.Context, id string) (WatchInfo, error) 
 		}
 		beforeN := e.q.Refreshes()
 		before := s.env.Metrics.Snapshot()
-		err = e.q.Refresh()
+		_, err = e.q.Refresh()
 		cost := s.env.Metrics.Snapshot().Sub(before)
 		release()
 		if err != nil {

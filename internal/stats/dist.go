@@ -125,19 +125,3 @@ func ProportionInterval(successes, n int, confidence float64) (p, halfWidth floa
 	halfWidth = z * math.Sqrt(p*(1-p)/float64(n))
 	return p, halfWidth, nil
 }
-
-// ZTestProportion tests H0: true proportion = p0 against the two-sided
-// alternative and returns the z statistic and p-value.
-func ZTestProportion(successes, n int, p0 float64) (z, pValue float64, err error) {
-	if n <= 0 {
-		return 0, 0, ErrEmpty
-	}
-	if p0 <= 0 || p0 >= 1 {
-		return 0, 0, errors.New("stats: p0 must be in (0,1)")
-	}
-	phat := float64(successes) / float64(n)
-	se := math.Sqrt(p0 * (1 - p0) / float64(n))
-	z = (phat - p0) / se
-	pValue = 2 * (1 - NormalCDF(math.Abs(z)))
-	return z, pValue, nil
-}

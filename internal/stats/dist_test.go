@@ -132,18 +132,3 @@ func TestProportionIntervalErrors(t *testing.T) {
 		t.Fatal("confidence=1 should error")
 	}
 }
-
-func TestZTestProportion(t *testing.T) {
-	// 60/100 against p0 = 0.5: z = (0.6-0.5)/sqrt(0.25/100) = 2.0.
-	z, pv, err := ZTestProportion(60, 100, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(z-2.0) > 1e-12 {
-		t.Fatalf("z = %v, want 2.0", z)
-	}
-	wantP := 2 * (1 - NormalCDF(2.0))
-	if math.Abs(pv-wantP) > 1e-12 {
-		t.Fatalf("pValue = %v, want %v", pv, wantP)
-	}
-}

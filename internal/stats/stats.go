@@ -1,8 +1,8 @@
 // Package stats provides the numerical routines EARL is built on:
 // descriptive statistics, streaming (Welford) accumulators, quantiles,
 // least-squares model fitting, and the probability distributions used by
-// the resampling machinery (normal, binomial) together with z-tests for
-// categorical data.
+// the resampling machinery (normal, binomial) together with the z
+// interval for categorical proportions.
 //
 // All functions are pure and allocation-conscious; none of them seed or
 // hold global random state. Randomized routines accept a *rand.Rand so
@@ -285,20 +285,6 @@ func addLanes4(w0, w1, w2, w3 *Welford, b0, b1, b2, b3 []float64) {
 	w0.n, w1.n, w2.n, w3.n = n0, n1, n2, n3
 	w0.mean, w1.mean, w2.mean, w3.mean = mean0, mean1, mean2, mean3
 	w0.m2, w1.m2, w2.m2, w3.m2 = s0, s1, s2, s3
-}
-
-// AddN folds n copies of x into the accumulator. Bootstrap resamples drawn
-// with replacement contain repeated items; counting multiplicities lets the
-// caller fold them in O(distinct) time.
-func (w *Welford) AddN(x float64, n int64) {
-	if n <= 0 {
-		return
-	}
-	var other Welford
-	other.n = n
-	other.mean = x
-	other.m2 = 0
-	w.Merge(other)
 }
 
 // Merge combines another accumulator into w (Chan et al. parallel update).

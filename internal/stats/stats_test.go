@@ -200,19 +200,6 @@ func TestWelfordMergeEquivalence(t *testing.T) {
 	}
 }
 
-func TestWelfordAddNMatchesRepeatedAdd(t *testing.T) {
-	var a, b Welford
-	for i := 0; i < 7; i++ {
-		a.Add(3.25)
-	}
-	a.Add(1)
-	b.AddN(3.25, 7)
-	b.Add(1)
-	if !almostEqual(a.Mean(), b.Mean(), 1e-12) || !almostEqual(a.Variance(), b.Variance(), 1e-12) {
-		t.Fatalf("AddN mismatch: (%v,%v) vs (%v,%v)", a.Mean(), a.Variance(), b.Mean(), b.Variance())
-	}
-}
-
 func TestWelfordRemoveInverse(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	var w Welford
