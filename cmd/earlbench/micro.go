@@ -133,6 +133,9 @@ func regressions(baseline, current microReport) []string {
 	return regs
 }
 
+// heldSnapshot is where journal/SnapshotRelease parks its snapshot.
+var heldSnapshot *dfs.Snapshot
+
 // runMicro measures the benchmark families — bootstrap resampling,
 // delta maintenance, the order-statistic multiset, pre-map sampling and
 // the post-map pool fill (the hot substrates), scan decode
@@ -894,8 +897,9 @@ func runMicro() (microReport, error) {
 	// log, and apply the new file state. RecoverReplay prices crash
 	// recovery end to end — parse and verify the journal image, then
 	// re-ingest every commit. SnapshotRead vs LiveRead brackets the
-	// MVCC cost of reading through a pinned commit versus the live
-	// chain head.
+	// cost of reading through a held commit versus the live namespace
+	// (one pointer load apart), and SnapshotRelease prices taking and
+	// releasing a snapshot alone — no lock, one small allocation.
 	const journalBatch = 1 << 13 // 8 KiB per commit payload
 	journalData := workload.EncodeLinesFixed(planData[:journalBatch/28])
 	newJournalFS := func() *dfs.FileSystem {
@@ -973,6 +977,13 @@ func runMicro() (microReport, error) {
 			defer snap.Release()
 			readAt(b, snap)
 		})
+		add("journal", "SnapshotRelease", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				heldSnapshot = fsys.Snapshot() // escapes, as one handed to a run does
+				heldSnapshot.Release()
+			}
+		})
 	}
 
 	// --- Family 8: ingest scaling (append cost against file size). ----
@@ -980,9 +991,9 @@ func runMicro() (microReport, error) {
 	// 4096 fixed-width records, just over dfs's 64 KB threshold for
 	// extending the sidecar — onto files of 0.2 M, 1 M and 4 M records:
 	// journal frame (which is the block), block placement, sidecar tail,
-	// chain prune. The iteration count is fixed because an append is not
-	// repeatable (every op grows the file); the first few appends stay
-	// untimed. Recover replays a 0.2 M-record write and 400 such appends.
+	// namespace publish. The iteration count is fixed because an append
+	// is not repeatable (every op grows the file); the first few appends
+	// stay untimed. Recover replays a 0.2 M-record write and 400 such appends.
 	// The acceptance criteria — cost independent of file size, and a few
 	// times the batch in allocation — are enforced below.
 	const ingestAppends, ingestWarmup, recoverAppends = 200, 8, 400

@@ -46,21 +46,34 @@ func StdErr(values []float64) (float64, error) { return stats.StdDev(values) }
 // Variance is the variance of the result distribution.
 func Variance(values []float64) (float64, error) { return stats.Variance(values) }
 
+const (
+	// subsamples is L, the subsample count of phase 2 (paper: 5).
+	subsamples = 5
+	// stableSteps is how many consecutive τ-stable steps phase 1 requires
+	// before it stops (robustness against one lucky step).
+	stableSteps = 3
+	// replicates is how many independent delta-maintained runs phase 2
+	// averages each curve point over. A single run measures each cv from
+	// only B values (relative noise ≈ 1/√(2(B−1)), ~17% at the paper's
+	// B≈30), and SolveN amplifies intercept noise badly; averaging a few
+	// replicates stabilises the fitted curve at pilot scale, where the
+	// extra resampling is cheap and rides the parallel engine.
+	replicates = 3
+)
+
 // Config parameterises the stage.
 type Config struct {
 	Reducer mr.IncrementalReducer
 	Sigma   float64 // user-desired error bound σ
 	// Tau is the stability threshold τ: phase 1 stops once the error
 	// estimate's *relative* step |cv_i − cv_{i−1}| / cv_i has stayed
-	// below τ for Stable consecutive B's. (The paper states τ as an
+	// below τ for stableSteps consecutive B's. (The paper states τ as an
 	// absolute difference; a relative criterion is the scale-free
 	// equivalent — the pilot's cv magnitude depends on the pilot size,
 	// which the user shouldn't have to know.) Defaults to 0.03, which
 	// lands B in the paper's "roughly 30" regime (§3.1).
 	Tau     float64
-	L       int // subsample count for phase 2 (paper: 5)
 	MaxB    int // cap on bootstraps (default 2/τ)
-	Stable  int // consecutive stable steps required (robustness; ≥1)
 	Seed    uint64
 	Metrics *simcost.Metrics
 	Measure Measure // CV if nil
@@ -72,14 +85,6 @@ type Config struct {
 	// time and early-stops on τ-stability. What runs beside it is another
 	// statistic's SSABE: core plans a query's statistics concurrently.)
 	Parallelism int
-	// Replicates is how many independent delta-maintained runs phase 2
-	// averages each curve point over (default 3). A single run measures
-	// each cv from only B values (relative noise ≈ 1/√(2(B−1)), ~17% at
-	// the paper's B≈30), and SolveN amplifies intercept noise badly;
-	// averaging a few replicates stabilises the fitted curve at pilot
-	// scale, where the extra resampling is cheap and rides the parallel
-	// engine.
-	Replicates int
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -95,23 +100,14 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Tau == 0 {
 		c.Tau = 0.03
 	}
-	if c.L <= 0 {
-		c.L = 5
-	}
 	if c.MaxB <= 0 {
 		c.MaxB = int(math.Ceil(2 / c.Tau))
 	}
 	if c.MaxB < 3 {
 		c.MaxB = 3
 	}
-	if c.Stable <= 0 {
-		c.Stable = 3
-	}
 	if c.Measure == nil {
 		c.Measure = CV
-	}
-	if c.Replicates <= 0 {
-		c.Replicates = 3
 	}
 	return c, nil
 }
@@ -119,7 +115,7 @@ func (c Config) withDefaults() (Config, error) {
 // EstimateB runs phase 1 on the pilot sample: resamples are added one at
 // a time (each new candidate B reuses all previous resamples, the
 // incremental-processing observation of §4), and the loop stops once the
-// error measure has moved less than τ for cfg.Stable consecutive steps.
+// error measure has moved less than τ for stableSteps consecutive steps.
 // It returns the chosen B and the cv trace indexed by B−2.
 func EstimateB(pilot []float64, cfg Config) (int, []float64, error) {
 	cfg, err := cfg.withDefaults()
@@ -192,7 +188,7 @@ func EstimateB(pilot []float64, cfg Config) (int, []float64, error) {
 		}
 		if math.Abs(cur-prev)/scale < cfg.Tau {
 			stable++
-			if stable >= cfg.Stable {
+			if stable >= stableSteps {
 				return b, trace, nil
 			}
 		} else {
@@ -209,13 +205,13 @@ type CurvePoint struct {
 	CV float64
 }
 
-// EstimateN runs phase 2: the pilot is split into cfg.L geometrically
-// growing prefixes n_i = len(pilot)/2^(L−i); the error is measured on
+// EstimateN runs phase 2: the pilot is split into L = subsamples
+// geometrically growing prefixes n_i = len(pilot)/2^(L−i); the error is measured on
 // each with B resamples using a delta.Maintainer (so each step reuses the
 // previous step's resamples), the curve cv(n) = a + b/√n is fitted and
 // solved for σ. ok=false means the fitted curve never reaches σ — the
 // caller should fall back to the full data set. Each curve point is
-// averaged over cfg.Replicates independent maintained runs to tame the
+// averaged over replicates (3) independent maintained runs to tame the
 // B-value noise of a single cv measurement before the fit.
 func EstimateN(pilot []float64, b int, cfg Config) (n int, ok bool, curve stats.CVCurve, points []CurvePoint, err error) {
 	cfg, err = cfg.withDefaults()
@@ -225,11 +221,11 @@ func EstimateN(pilot []float64, b int, cfg Config) (n int, ok bool, curve stats.
 	if b < 2 {
 		return 0, false, stats.CVCurve{}, nil, fmt.Errorf("aes: need B ≥ 2, got %d", b)
 	}
-	minSize := 1 << (cfg.L - 1)
+	minSize := 1 << (subsamples - 1)
 	if len(pilot) < minSize*2 {
-		return 0, false, stats.CVCurve{}, nil, fmt.Errorf("aes: pilot of %d too small for L=%d subsamples", len(pilot), cfg.L)
+		return 0, false, stats.CVCurve{}, nil, fmt.Errorf("aes: pilot of %d too small for L=%d subsamples", len(pilot), subsamples)
 	}
-	for r := 0; r < cfg.Replicates; r++ {
+	for r := 0; r < replicates; r++ {
 		rep, err := estimateNReplicate(pilot, b, cfg, r)
 		if err != nil {
 			return 0, false, stats.CVCurve{}, nil, err
@@ -243,7 +239,7 @@ func EstimateN(pilot []float64, b int, cfg Config) (n int, ok bool, curve stats.
 		}
 	}
 	for i := range points {
-		points[i].CV /= float64(cfg.Replicates)
+		points[i].CV /= float64(replicates)
 	}
 	ns := make([]int, len(points))
 	cvs := make([]float64, len(points))
@@ -276,15 +272,15 @@ func estimateNReplicate(pilot []float64, b int, cfg Config, r int) ([]CurvePoint
 	}
 	var points []CurvePoint
 	prevEnd := 0
-	for i := 1; i <= cfg.L; i++ {
-		end := len(pilot) >> (cfg.L - i) // n_i = n / 2^(L-i)
+	for i := 1; i <= subsamples; i++ {
+		end := len(pilot) >> (subsamples - i) // n_i = n / 2^(L-i)
 		if end <= prevEnd {
 			continue
 		}
 		// The maintainer is read once more after its last point and then
 		// dropped, so that point need not prepare a next generation.
 		grow := maint.Grow
-		if i == cfg.L {
+		if i == subsamples {
 			grow = maint.GrowFinal
 		}
 		if err := grow(pilot[prevEnd:end]); err != nil {

@@ -13,31 +13,29 @@ import (
 // dispatching to an apply* helper. State mutated anywhere else would
 // exist in memory but not in the commit journal — a crash-recovery
 // replay (dfs.Recover) would silently reconstruct a different
-// filesystem, and pinned snapshots could observe half-applied
-// mutations.
+// filesystem, and held snapshots could observe half-applied mutations.
 //
 // Concretely, in packages named "dfs" (non-test files), it reports
 // assignments — including compound assignment, ++/-- and delete() —
 // that target
 //
-//   - a field of fileMeta, chainVersion or fileChain, or
-//   - the FileSystem.files version-chain map,
+//   - a journaled field of fileMeta or a field of namespace, or an
+//     element of one (an entry of a namespace's files map), or
+//   - the FileSystem.ns pointer,
 //
-// outside a function whose name starts with "apply". Committed state is
-// published through atomic pointers (FileSystem.files, the path map,
-// and fileChain.versions, a path's version list), so a publish — a
-// Store, Swap or CompareAndSwap on either — is the same mutation and
-// reported the same way, as is writing through the map or list a Load
-// returned. The fileMeta sidecar field is exempt: it is derived
-// columnar state, rebuildable from the file bytes and deliberately
-// never journaled (Compact replaces it). Constructing a fresh fileMeta
-// literal is likewise fine anywhere — only mutation of installed state
-// is the hazard.
+// outside a function whose name starts with "apply". A commit publishes
+// its namespace through the atomic pointer FileSystem.ns, so a publish —
+// a Store, Swap or CompareAndSwap on it — is the same mutation and
+// reported the same way. The fileMeta sidecar field is exempt: it is
+// derived columnar state, rebuildable from the file bytes and
+// deliberately never journaled (Compact replaces it). Constructing a
+// fresh fileMeta or namespace literal is likewise fine anywhere — only
+// mutation of installed state is the hazard.
 //
 // //earl:commit-ok <reason> on the offending line suppresses a finding.
 var JournalCommit = &Analyzer{
 	Name: "journalcommit",
-	Doc: "dfs committed file state (fileMeta/fileChain/files) may only be " +
+	Doc: "dfs committed file state (fileMeta/namespace/FileSystem.ns) may only be " +
 		"mutated inside the commit path's apply* helpers, so the journal " +
 		"stays the single source of truth for crash recovery",
 	Run: runJournalCommit,
@@ -46,9 +44,9 @@ var JournalCommit = &Analyzer{
 // committedFields lists, per committed-state struct, the fields whose
 // mutation must be journaled. fileMeta.sidecar is absent by design.
 var committedFields = map[string]map[string]bool{
-	"fileMeta":     {"size": true, "blocks": true, "segments": true, "version": true},
-	"chainVersion": {"seq": true, "meta": true},
-	"fileChain":    {"versions": true},
+	"fileMeta":   {"size": true, "blocks": true, "segments": true, "version": true},
+	"namespace":  {"seq": true, "files": true},
+	"FileSystem": {"ns": true},
 }
 
 func runJournalCommit(pass *Pass) (any, error) {
@@ -82,37 +80,28 @@ func checkCommitMutations(pass *Pass, fd *ast.FuncDecl) {
 		case *ast.IncDecStmt:
 			reportCommittedTarget(pass, fd, stmt.X)
 		case *ast.CallExpr:
-			// delete(fs.files, path) removes a version chain.
+			// delete(ns.files, path) unbinds a path.
 			if id, ok := ast.Unparen(stmt.Fun).(*ast.Ident); ok && id.Name == "delete" && len(stmt.Args) > 0 {
-				if isFilesMap(pass.TypesInfo, stmt.Args[0]) {
-					reportCommitFinding(pass, fd, stmt.Pos(), "the FileSystem.files chain map")
-				}
+				reportCommittedTarget(pass, fd, stmt.Args[0])
 			}
-			// fs.files.Store(&next), ch.versions.Store(&kept): a publish.
+			// fs.ns.Store(next): a publish.
 			if method, ok := ast.Unparen(stmt.Fun).(*ast.SelectorExpr); ok && publishMethods[method.Sel.Name] {
-				if what := publishedState(pass.TypesInfo, method.X); what != "" {
-					reportCommitFinding(pass, fd, stmt.Pos(), what)
-				}
+				reportCommittedTarget(pass, fd, method.X)
 			}
 		}
 		return true
 	})
 }
 
-// reportCommittedTarget reports lhs if it mutates committed state: a
-// journaled field of a committed-state struct, or an entry of the
-// FileSystem.files map.
-func reportCommittedTarget(pass *Pass, fd *ast.FuncDecl, lhs ast.Expr) {
-	switch target := ast.Unparen(lhs).(type) {
-	case *ast.SelectorExpr:
-		owner, field := selectorField(pass.TypesInfo, target)
-		if fields, ok := committedFields[owner]; ok && fields[field.Name()] {
-			reportCommitFinding(pass, fd, target.Pos(), owner+"."+field.Name())
-		}
-	case *ast.IndexExpr:
-		if isFilesMap(pass.TypesInfo, target.X) {
-			reportCommitFinding(pass, fd, target.Pos(), "the FileSystem.files chain map")
-		}
+// reportCommittedTarget reports target if it is committed state: a
+// journaled field of a committed-state struct, or an element of one.
+func reportCommittedTarget(pass *Pass, fd *ast.FuncDecl, target ast.Expr) {
+	target = ast.Unparen(target)
+	if index, ok := target.(*ast.IndexExpr); ok {
+		target = ast.Unparen(index.X)
+	}
+	if what := committedField(pass.TypesInfo, target); what != "" {
+		reportCommitFinding(pass, fd, target.Pos(), what)
 	}
 }
 
@@ -120,13 +109,10 @@ func reportCommittedTarget(pass *Pass, fd *ast.FuncDecl, lhs ast.Expr) {
 // published pointer holds.
 var publishMethods = map[string]bool{"Store": true, "Swap": true, "CompareAndSwap": true}
 
-// publishedState names the committed state the atomic pointer expr
-// publishes — FileSystem.files or fileChain.versions — or returns "".
-func publishedState(info *types.Info, expr ast.Expr) string {
-	if isFilesMap(info, expr) {
-		return "the FileSystem.files chain map"
-	}
-	if sel, ok := ast.Unparen(expr).(*ast.SelectorExpr); ok {
+// committedField names the committed state expr selects — "owner.field"
+// for a field committedFields lists — or returns "".
+func committedField(info *types.Info, expr ast.Expr) string {
+	if sel, ok := expr.(*ast.SelectorExpr); ok {
 		if owner, field := selectorField(info, sel); field != nil && committedFields[owner][field.Name()] {
 			return owner + "." + field.Name()
 		}
@@ -166,28 +152,4 @@ func selectorField(info *types.Info, sel *ast.SelectorExpr) (string, *types.Var)
 		return "", nil
 	}
 	return named.Obj().Name(), field
-}
-
-// isFilesMap reports whether expr is the files field of a FileSystem —
-// the committed version-chain namespace — or the map a Load of it
-// returned (*fs.files.Load()).
-func isFilesMap(info *types.Info, expr ast.Expr) bool {
-	expr = ast.Unparen(expr)
-	if star, ok := expr.(*ast.StarExpr); ok {
-		call, ok := ast.Unparen(star.X).(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		load, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || load.Sel.Name != "Load" {
-			return false
-		}
-		expr = ast.Unparen(load.X)
-	}
-	sel, ok := expr.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	owner, field := selectorField(info, sel)
-	return owner == "FileSystem" && field != nil && field.Name() == "files"
 }

@@ -1,11 +1,10 @@
 package dfs
 
 // Fixture for the journalcommit analyzer: a miniature of the real dfs
-// package's committed-state types. Mutations of fileMeta/fileChain/
-// chainVersion fields and of the FileSystem.files map — which, like a
-// chain's version list, is published through an atomic pointer — are
-// only legal inside apply*-prefixed functions; the sidecar field is
-// derived state and exempt everywhere.
+// package's committed-state types. Mutations of fileMeta and namespace
+// fields, of a namespace's files map and of the FileSystem.ns pointer
+// that publishes one are only legal inside apply*-prefixed functions;
+// the sidecar field is derived state and exempt everywhere.
 
 import "sync/atomic"
 
@@ -22,59 +21,43 @@ type fileMeta struct {
 	sidecar  atomic.Pointer[[]byte]
 }
 
-type chainVersion struct {
-	seq  int64
-	meta *fileMeta
-}
-
-type fileChain struct {
-	versions atomic.Pointer[[]chainVersion]
+type namespace struct {
+	seq   int64
+	files map[string]*fileMeta
 }
 
 type FileSystem struct {
-	files atomic.Pointer[map[string]*fileChain]
-	seq   int64
+	ns  atomic.Pointer[namespace]
+	seq int64
 }
 
 // applyWrite is the blessed shape: mutation inside an apply* helper,
 // published by storing the successor value.
 func (fs *FileSystem) applyWrite(path string, meta *fileMeta) {
 	meta.version = fs.seq
-	files := *fs.files.Load()
-	ch, ok := files[path]
-	if !ok {
-		ch = &fileChain{}
-	}
-	var versions []chainVersion
-	if old := ch.versions.Load(); old != nil {
-		versions = append(versions, *old...)
-	}
-	versions = append(versions, chainVersion{seq: fs.seq, meta: meta})
-	ch.versions.Store(&versions)
-	if !ok {
-		next := map[string]*fileChain{path: ch}
-		for p, c := range files {
-			next[p] = c
+	old := fs.ns.Load()
+	next := &namespace{seq: fs.seq, files: map[string]*fileMeta{path: meta}}
+	for p, m := range old.files {
+		if p != path {
+			next.files[p] = m
 		}
-		fs.files.Store(&next)
 	}
+	fs.ns.Store(next)
 }
 
-// applyPrune may also drop chains, even in the published map itself.
-func (fs *FileSystem) applyPrune(path string) {
-	delete(*fs.files.Load(), path)
+// applyDrop may also unbind paths, even in the published map itself.
+func (fs *FileSystem) applyDrop(path string) {
+	delete(fs.ns.Load().files, path)
 }
 
 // truncate is the bug shape: it edits installed state directly, so the
 // journal never hears about the mutation and recovery replays the old
 // size.
 func (fs *FileSystem) truncate(path string, n int64) {
-	ch := (*fs.files.Load())[path]
-	versions := *ch.versions.Load()
-	v := &versions[len(versions)-1]
-	v.meta.size = n                       // want `truncate mutates fileMeta.size outside the commit path`
-	v.meta.blocks = v.meta.blocks[:1]     // want `truncate mutates fileMeta.blocks outside the commit path`
-	v.meta.segments = v.meta.segments[:1] // want `truncate mutates fileMeta.segments outside the commit path`
+	meta := fs.ns.Load().files[path]
+	meta.size = n                     // want `truncate mutates fileMeta.size outside the commit path`
+	meta.blocks = meta.blocks[:1]     // want `truncate mutates fileMeta.blocks outside the commit path`
+	meta.segments = meta.segments[:1] // want `truncate mutates fileMeta.segments outside the commit path`
 }
 
 // rebless bumps a write generation in place: same hazard.
@@ -82,34 +65,27 @@ func (fs *FileSystem) rebless(meta *fileMeta) {
 	meta.version++ // want `rebless mutates fileMeta.version outside the commit path`
 }
 
-// graft swaps chain internals around without a commit.
-func (fs *FileSystem) graft(dst, src *fileChain, path string) {
-	dst.versions.Store(src.versions.Load())         // want `graft mutates fileChain.versions outside the commit path`
-	(*dst.versions.Load())[0].meta = nil            // want `graft mutates chainVersion.meta outside the commit path`
-	(*dst.versions.Load())[0].seq = 0               // want `graft mutates chainVersion.seq outside the commit path`
-	(*fs.files.Load())[path] = dst                  // want `graft mutates the FileSystem.files chain map outside the commit path`
-	delete(*fs.files.Load(), path)                  // want `graft mutates the FileSystem.files chain map outside the commit path`
-	dst.versions = atomic.Pointer[[]chainVersion]{} // want `graft mutates fileChain.versions outside the commit path`
+// graft swaps namespace internals around without a commit.
+func (fs *FileSystem) graft(dst, src *namespace, path string) {
+	dst.files = src.files               // want `graft mutates namespace.files outside the commit path`
+	dst.seq = 0                         // want `graft mutates namespace.seq outside the commit path`
+	dst.files[path] = nil               // want `graft mutates namespace.files outside the commit path`
+	fs.ns.Load().files[path] = nil      // want `graft mutates namespace.files outside the commit path`
+	delete(fs.ns.Load().files, path)    // want `graft mutates namespace.files outside the commit path`
+	fs.ns = atomic.Pointer[namespace]{} // want `graft mutates FileSystem.ns outside the commit path`
 }
 
-// republish is the publish-shaped bug: a namespace or a version list
-// swapped in behind the journal's back, by any of the atomic writes.
-func (fs *FileSystem) republish(ch *fileChain, files *map[string]*fileChain, versions *[]chainVersion) {
-	fs.files.Store(files)                           // want `republish mutates the FileSystem.files chain map outside the commit path`
-	fs.files.Swap(files)                            // want `republish mutates the FileSystem.files chain map outside the commit path`
-	fs.files.CompareAndSwap(fs.files.Load(), files) // want `republish mutates the FileSystem.files chain map outside the commit path`
-	ch.versions.Swap(versions)                      // want `republish mutates fileChain.versions outside the commit path`
-	ch.versions.CompareAndSwap(versions, versions)  // want `republish mutates fileChain.versions outside the commit path`
+// republish is the publish-shaped bug: a namespace swapped in behind the
+// journal's back, by any of the atomic writes.
+func (fs *FileSystem) republish(ns *namespace) {
+	fs.ns.Store(ns)                        // want `republish mutates FileSystem.ns outside the commit path`
+	fs.ns.Swap(ns)                         // want `republish mutates FileSystem.ns outside the commit path`
+	fs.ns.CompareAndSwap(fs.ns.Load(), ns) // want `republish mutates FileSystem.ns outside the commit path`
 }
 
 // lookup only loads: reading published state is what it is for.
 func (fs *FileSystem) lookup(path string) *fileMeta {
-	ch, ok := (*fs.files.Load())[path]
-	if !ok {
-		return nil
-	}
-	versions := *ch.versions.Load()
-	return versions[len(versions)-1].meta
+	return fs.ns.Load().files[path]
 }
 
 // compact rebuilds derived columnar state: sidecar is exempt by design,
@@ -123,7 +99,7 @@ func (fs *FileSystem) compact(meta *fileMeta, sc []byte, replicas []int) {
 // mutations of installed state.
 func build(n int64) *fileMeta {
 	m := &fileMeta{size: n, segments: []int64{0}}
-	local := chainVersion{seq: 1, meta: m}
+	local := namespace{seq: 1, files: map[string]*fileMeta{"/f": m}}
 	_ = local
 	return m
 }

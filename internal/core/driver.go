@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"math"
 	"runtime"
 	"strings"
 
@@ -23,18 +22,23 @@ const (
 	PostMapSampling SamplerKind = "post-map" // Algorithm 1: load, pool, draw without replacement
 )
 
+// The pilot's size (§3.2): a fraction of the data, floored and capped —
+// a pilot needs statistical resolution, not a fixed fraction of
+// ever-larger data.
+const (
+	pilotFraction = 0.01
+	minPilot      = 512
+	maxPilot      = 65536
+)
+
 // Options tunes a Run. Zero values take the paper's defaults.
 type Options struct {
-	Sigma         float64     // target error bound σ; 0.05 (the paper's 5%) if 0
-	Tau           float64     // SSABE relative stability threshold τ; aes default (0.03) if 0
-	PilotFraction float64     // pilot sample fraction p; 0.01 (§3.2) if 0
-	MinPilot      int         // pilot floor; 512 if 0
-	MaxPilot      int         // pilot cap; 65536 if 0 (a pilot needs statistical resolution, not a fixed fraction of ever-larger data)
-	Sampler       SamplerKind // PreMapSampling if empty
-	NumMappers    int         // long-lived sampling mappers; 4 if 0
-	SplitSize     int64       // input split size; DFS block size if 0
-	Confidence    float64     // CI level for the report; 0.95 if 0
-	Seed          uint64
+	Sigma      float64     // target error bound σ; 0.05 (the paper's 5%) if 0
+	Sampler    SamplerKind // PreMapSampling if empty
+	NumMappers int         // long-lived sampling mappers; 4 if 0
+	SplitSize  int64       // input split size; DFS block size if 0
+	Confidence float64     // CI level for the report; 0.95 if 0
+	Seed       uint64
 	// ForceB / ForceN skip SSABE and use the given resample count /
 	// initial sample size (experiment hooks; both must be set).
 	ForceB int
@@ -60,18 +64,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Sigma <= 0 {
 		o.Sigma = 0.05
-	}
-	if o.PilotFraction <= 0 {
-		o.PilotFraction = 0.01
-	}
-	if o.MinPilot <= 0 {
-		o.MinPilot = 512
-	}
-	if o.MaxPilot <= 0 {
-		o.MaxPilot = 65536
-	}
-	if o.MaxPilot < o.MinPilot {
-		o.MaxPilot = o.MinPilot
 	}
 	if o.Sampler == "" {
 		o.Sampler = PreMapSampling
@@ -162,7 +154,7 @@ func (r *Retained) Result(refreshes int) (*PlanResult, error) {
 // once, as the first job says. A grouped query keeps one resample set
 // per group key and terminates when every group's error is at or below
 // σ; SSABE assumes one statistic, so its initial sample is ≈64 records
-// per distinct pilot key (floored at MinPilot, B = 30) and the expansion
+// per distinct pilot key (floored at minPilot, B = 30) and the expansion
 // loop does the rest — a documented extension beyond the paper.
 //
 // retain=false is a one-shot: the exact fall-back (§3.1) runs the stock
@@ -188,7 +180,8 @@ func Execute(env *Env, pq *PlannedQuery, retain bool) (*PlanResult, *Retained, e
 	defer snap.Release()
 	res, ret, err := execute(env.WithData(snap), pq, retain)
 	if ret != nil {
-		// The pin dies with this call; retained streams read live after.
+		// Retained streams read live after: held, the snapshot would keep
+		// this commit's namespace alive as long as the watch that owns them.
 		RepinSources(ret.Sources, env.FS)
 	}
 	return res, ret, err
@@ -327,15 +320,15 @@ func planScalar(env *Env, jset []jobs.Numeric, opts Options, pilot *pilotSample)
 	if tiny, err = pilot.extend(256); tiny || err != nil {
 		return pl, tiny, err
 	}
-	pilotN := min(max(int(opts.PilotFraction*float64(pilot.effTotal())), opts.MinPilot), opts.MaxPilot)
+	pilotN := min(max(int(pilotFraction*float64(pilot.effTotal())), minPilot), maxPilot)
 	forced := opts.ForceB > 1 && opts.ForceN > 0
 	if forced {
 		pilotN = pilot.cols.Len() // plan is forced: the probe alone suffices for estTotal
-		if pilot.filtered() && pilotN < opts.MinPilot {
+		if pilot.filtered() && pilotN < minPilot {
 			// Under a filter the pilot doubles as the selectivity
 			// estimator; the probe alone makes the effective-N denominator
 			// (and every corrected statistic) too noisy.
-			pilotN = opts.MinPilot
+			pilotN = minPilot
 		}
 	}
 	if pilotN > pilot.cols.Len() {
@@ -358,7 +351,6 @@ func planScalar(env *Env, jset []jobs.Numeric, opts Options, pilot *pilotSample)
 		pl.plans[i], err = aes.SSABE(pilot.cols.Vals, estTotal, aes.Config{
 			Reducer:     jset[i].Reducer,
 			Sigma:       opts.Sigma,
-			Tau:         opts.Tau,
 			Seed:        opts.Seed + 17,
 			Metrics:     env.Metrics,
 			Measure:     opts.Measure,
@@ -406,7 +398,7 @@ func planGrouped(env *Env, job jobs.Numeric, opts Options, pilot *pilotSample) (
 	}
 	initialN := opts.ForceN
 	if initialN <= 0 {
-		initialN = max(64*len(keys), opts.MinPilot)
+		initialN = max(64*len(keys), minPilot)
 	}
 	r := 2 // grouped mode exercises the partitioned path
 	if r > len(keys) {
@@ -495,15 +487,10 @@ func (p *pilotSample) effTotal() int64 {
 // FinishReport widens extensive statistics' intervals by it; it is 0 (no
 // widening, bit-identical reports) without a filter.
 func (p *pilotSample) selSE() float64 {
-	taken := p.s.Taken()
-	if !p.filtered() || taken == 0 || p.cols.Len() == 0 {
+	if !p.filtered() {
 		return 0
 	}
-	sel := float64(p.cols.Len()) / float64(taken)
-	if sel >= 1 {
-		return 0
-	}
-	return math.Sqrt((1 - sel) / (sel * float64(taken)))
+	return shareSE(int64(p.cols.Len()), int64(p.s.Taken()))
 }
 
 // exactReports renders the deferred-exact placeholder reports.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/colscan"
 	"repro/internal/dfs"
@@ -56,8 +57,9 @@ type Sink interface {
 	Size() int64
 	// ErrorEstimate returns the error of the current state; +Inf when it
 	// cannot be trusted yet (no data, degenerate distribution, a group
-	// below its minimum sample).
-	ErrorEstimate() float64
+	// below its minimum sample). n is the whole sample's size — Size()
+	// for a sink that holds it all, more for one partition's of a run.
+	ErrorEstimate(n int64) float64
 	// Result renders the current state as reports, for the run that owns
 	// r and for every later refresh (refreshes counts them).
 	Result(r *Retained, refreshes int) (*PlanResult, error)
@@ -146,6 +148,11 @@ func runEngine(env *Env, path string, opts Options, spec engineSpec) (engineResu
 		Metrics:    env.Metrics,
 	})
 
+	// arrived counts the records all partitions have received. The barrier
+	// hands out a round only once the shuffle has drained, so whenever a
+	// partition folds it is the whole run's sample, whatever the timing.
+	var arrived atomic.Int64
+
 	mapLoop := func(ctx *mr.MapStream, idx int) error {
 		const batch = 128
 		var buckets map[string][]float64
@@ -207,7 +214,7 @@ func runEngine(env *Env, path string, opts Options, spec engineSpec) (engineResu
 					foldedEver = true
 					gen.Reset()
 				}
-				cv := sink.ErrorEstimate()
+				cv := sink.ErrorEstimate(arrived.Load())
 				if !foldedEver {
 					// A partition no group key routes to has no opinion:
 					// NaN is skipped by the round's cv average (unlike
@@ -246,6 +253,7 @@ func runEngine(env *Env, path string, opts Options, spec engineSpec) (engineResu
 							gen.Keys = append(gen.Keys, kv.Key)
 						}
 					}
+					arrived.Add(int64(len(vals)))
 					ctrl.Received(part, len(vals))
 				case <-ctrl.Ready(part):
 					if err := growAll(); err != nil {

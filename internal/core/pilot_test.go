@@ -11,7 +11,7 @@ import (
 // pilot phase draws through the sampler are input reads and must land in
 // simcost.RecordsRead. COUNT's reducer consumes almost nothing, so
 // before the attribution a converged count run reported ~1 record read —
-// the pilot floor (Options.MinPilot = 512) dominates its true cost.
+// the pilot floor (minPilot = 512) dominates its true cost.
 func TestPilotReadsCharged(t *testing.T) {
 	env, _ := testEnv(t, 200_000, workload.Gaussian, 40)
 	env.Metrics.Reset()

@@ -98,6 +98,17 @@ func pSensitive(job jobs.Numeric, p float64) bool {
 	return job.Reducer.Correct(1, p) != 1 || job.Reducer.Correct(-3, p) != -3
 }
 
+// shareSE is the relative standard error of the share hits/draws as an
+// estimate of the proportion it samples: 0 when there is nothing to
+// estimate (no draws, no hits, or every draw a hit).
+func shareSE(hits, draws int64) float64 {
+	if hits <= 0 || hits >= draws {
+		return 0
+	}
+	share := float64(hits) / float64(draws)
+	return math.Sqrt((1 - share) / (share * float64(draws)))
+}
+
 // SortedGroupKeys returns the report's keys in order, for stable output.
 func (g GroupedReport) SortedGroupKeys() []string {
 	keys := make([]string, 0, len(g.Groups))

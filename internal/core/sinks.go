@@ -12,7 +12,6 @@ import (
 	"repro/internal/colscan"
 	"repro/internal/delta"
 	"repro/internal/jobs"
-	"repro/internal/stats"
 )
 
 // The two Sink implementations of the generic engine: statSink (scalar
@@ -100,7 +99,7 @@ func (s *statSink) Size() int64 { return int64(s.stats[0].maint.N()) }
 // ErrorEstimate implements Sink: the worst error across the statistics
 // under opts.Measure (+Inf on any degenerate distribution, so the loop
 // keeps growing rather than mis-terminating).
-func (s *statSink) ErrorEstimate() float64 {
+func (s *statSink) ErrorEstimate(int64) float64 {
 	worst := 0.0
 	for _, st := range s.stats {
 		cv := math.Inf(1)
@@ -163,10 +162,10 @@ const minGroupSample = 8
 // opened lazily with key-derived seeds as keys arrive — in the run, and
 // for groups that first appear in appended data, with exactly the seed
 // the run would have used. The published error is the worst group's
-// (always the cv: a grouped run ignores opts.Measure), floored at +Inf
-// while any group's sample is below minGroupSample. The mutex orders the
-// run's partitions against one another while they share nothing but the
-// type; after the run one goroutine at a time holds the sink.
+// (groupError), floored at +Inf while any group's sample is below
+// minGroupSample. The mutex orders the run's partitions against one
+// another while they share nothing but the type; after the run one
+// goroutine at a time holds the sink.
 type groupSink struct {
 	env  *Env
 	job  jobs.Numeric
@@ -244,8 +243,27 @@ func (g *groupSink) Size() int64 {
 	return n
 }
 
-// ErrorEstimate implements Sink.
-func (g *groupSink) ErrorEstimate() float64 {
+// groupError is one group's error: that of its result distribution
+// vals under opts.Measure and, for a statistic whose correction scales
+// with 1/p (sum, count), the share noise on top, in quadrature. A
+// group's resamples all hold its n_g records, but n_g is itself one
+// draw — the group's share of the n records sampled — and the corrected
+// estimate scales with it: a count's resamples all say n_g, an error of
+// 0 without the term.
+func (g *groupSink) groupError(vals []float64, share float64) float64 {
+	cv, err := g.opts.Measure(vals)
+	if err != nil {
+		return math.Inf(1)
+	}
+	if pSensitive(g.job, 0.5) {
+		cv = math.Hypot(cv, share)
+	}
+	return cv
+}
+
+// ErrorEstimate implements Sink; n is the whole run's sample, of which
+// a partition's sink holds its own keys' part.
+func (g *groupSink) ErrorEstimate(n int64) float64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if len(g.maints) == 0 {
@@ -256,20 +274,19 @@ func (g *groupSink) ErrorEstimate() float64 {
 		if mt.N() < minGroupSample {
 			return math.Inf(1)
 		}
-		cv, err := mt.CV()
+		vals, err := mt.Results()
 		if err != nil {
 			return math.Inf(1)
 		}
-		if cv > worst {
-			worst = cv
-		}
+		worst = max(worst, g.groupError(vals, shareSE(int64(mt.N()), n)))
 	}
 	return worst
 }
 
-// Result implements Sink: per-group results from the maintained resample
-// sets. Iterations counts the run's rounds plus the refreshes applied
-// since.
+// Result implements Sink: each group rendered like a statistic of a
+// scalar run (FinishReport), at the fraction p the whole sample is of
+// the data. Iterations counts the run's rounds plus the refreshes
+// applied since.
 func (g *groupSink) Result(r *Retained, refreshes int) (*PlanResult, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -279,24 +296,23 @@ func (g *groupSink) Result(r *Retained, refreshes int) (*PlanResult, error) {
 		Iterations: r.Generations + refreshes,
 		Converged:  true,
 	}
+	for _, mt := range g.maints {
+		rep.SampleSize += mt.N()
+	}
+	n := int64(rep.SampleSize)
+	p := float64(n) / float64(r.EstTotal)
 	for key, mt := range g.maints {
 		vals, err := mt.Results()
 		if err != nil {
 			return nil, err
 		}
-		est, err := stats.Mean(vals)
+		share := shareSE(int64(mt.N()), n)
+		fr, err := FinishReport(g.job, g.opts, vals, g.groupError(vals, share), p, math.Hypot(r.SelSE, share))
 		if err != nil {
 			return nil, err
 		}
-		cv, cvErr := mt.CV()
-		if cvErr != nil {
-			cv = math.Inf(1)
-		}
-		rep.Groups[key] = GroupResult{Estimate: est, CV: cv, SampleSize: mt.N()}
-		rep.SampleSize += mt.N()
-		if cv > g.opts.Sigma {
-			rep.Converged = false
-		}
+		rep.Groups[key] = GroupResult{Estimate: fr.Estimate, CV: fr.CV, SampleSize: mt.N()}
+		rep.Converged = rep.Converged && fr.Converged
 	}
 	if len(rep.Groups) == 0 {
 		return nil, errors.New("core: grouped run produced no groups")

@@ -296,10 +296,12 @@ func NewRecordSources(env *Env, path string, owned [][]dfs.Split, opts Options, 
 }
 
 // Repinner is implemented by sources whose draws read the DFS through a
-// pinned view. Repin re-points them — after a snapshot-pinned build,
-// back at the live filesystem, BEFORE the snapshot is released: a
-// released snapshot's versions may be pruned, so keeping it would turn
-// later draws into not-found errors.
+// view they hold. Repin re-points them — after a build over a snapshot,
+// back at the live filesystem: a source that kept the snapshot would
+// keep that commit's whole namespace and file states alive (an append
+// clones the block list, so a watch retaining one source set per
+// refresh would hold O(appends²) pointers), and would never see the
+// file grow.
 type Repinner interface {
 	Repin(v dfs.View)
 }

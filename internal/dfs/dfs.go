@@ -27,30 +27,31 @@
 // a crash leaves) and rebuilding every file, sidecar and write generation
 // deterministically.
 //
-// The namespace itself is multi-versioned: each path holds a chain of
-// immutable file states, one per commit that touched it, and readers
-// resolve through a commit sequence number. Snapshot pins the current
-// commit and serves every read — ReadAt, Splits, Segments, Version,
-// sidecar reads, line readers — from that one consistent world, even
-// while rewrites land concurrently; Release unpins it and garbage-
-// collects the superseded states no snapshot can see. All mutations to
-// versioned state happen inside apply*-prefixed functions reachable only
-// from the commit helper (machine-checked by earlvet's journalcommit
-// analyzer), so no code path can mutate the namespace without a journal
-// record.
+// Each commit publishes one immutable namespace — the commit's sequence
+// number and every path's file state, itself immutable — and a Snapshot
+// is that value, held: it serves every read — ReadAt, Splits, Segments,
+// Version, sidecar reads, line readers — from that one consistent world
+// whatever rewrites, appends and deletes land afterwards, for as long as
+// anything holds it. There is no version chain to walk and nothing to
+// unpin: a superseded state lives exactly as long as something can still
+// reach it, which is the garbage collector's question, not ours. All
+// mutations to committed state happen inside apply*-prefixed functions
+// reachable only from the commit helper (machine-checked by earlvet's
+// journalcommit analyzer), so no code path can mutate the namespace
+// without a journal record.
 //
 // # Reads take no lock
 //
-// Committed state is published, not guarded: the path map and each
-// path's version list are immutable values behind atomic pointers, a
-// commit builds the successor value and stores it, and a read loads one
-// *fileMeta and works on it for as long as it likes — the live view and
-// a Snapshot alike. A block's bytes hang off its *blockMeta (they are a
-// slice of the journal frame that committed them: an ingested byte is
-// stored once), beside an atomically published replica list; node
-// liveness and the fault plan are atomics too. The one mutex serialises
-// writers — commits, pin bookkeeping, KillDataNode, Rebalance, Compact,
-// the fault hooks — and no method of View ever takes it.
+// Committed state is published, not guarded: a commit builds the
+// successor namespace and stores it behind one atomic pointer, and a
+// read loads it (the live view) or already holds one (a Snapshot),
+// looks up one *fileMeta and works on it for as long as it likes. A
+// block's bytes hang off its *blockMeta (they are a slice of the journal
+// frame that committed them: an ingested byte is stored once), beside an
+// atomically published replica list; node liveness and the fault plan
+// are atomics too. The one mutex serialises writers — commits,
+// KillDataNode, Rebalance, Compact, the fault hooks — and no method of
+// View, nor taking or releasing a Snapshot, ever takes it.
 //
 // # Columnar sidecars
 //
@@ -61,8 +62,8 @@
 // footer. An Append's successor shares every run with its predecessor
 // and adds only a new header, the new segment's chunk bytes and a new
 // footer, so an append costs the batch plus per-segment metadata
-// however large the file, and a pinned Snapshot keeps its own header,
-// footer and size. New chunk bytes are packed into append-only extents
+// however large the file, and a Snapshot keeps its own header, footer
+// and size. New chunk bytes are packed into append-only extents
 // under a tip-ownership rule (the sidecar type states it) that never
 // writes a byte another version can read.
 //
@@ -74,7 +75,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"math"
 	"math/rand/v2"
 	"sort"
 	"strings"
@@ -151,8 +151,8 @@ func (c Config) withDefaults() Config {
 // FileSystem is the simulated distributed filesystem: NameNode metadata
 // plus the DataNode block stores. All methods are safe for concurrent use.
 type FileSystem struct {
-	// mu serialises writers: commits, pin bookkeeping, node and placement
-	// changes, the fault plan, Compact and the sidecar fault hooks. Reads
+	// mu serialises writers: commits, node and placement changes, the
+	// fault plan, Compact and the sidecar fault hooks. Reads and snapshots
 	// never take it (see "Reads take no lock" in the package comment).
 	mu       sync.Mutex
 	cfg      Config
@@ -160,19 +160,16 @@ type FileSystem struct {
 	readTick atomic.Int64
 	nextID   int64
 	nodes    []*dataNode
-	// files is the published namespace: each path's version chain, one
-	// immutable fileMeta per commit that touched the path, resolved by
-	// commit sequence. The map is never written once stored — a commit
-	// that creates a path or drops its last state stores a copy.
-	files atomic.Pointer[map[string]*fileChain]
+	// ns is the published namespace: the last commit's. It is never nil
+	// and never written once stored — a commit stores its successor.
+	ns atomic.Pointer[namespace]
 	// jlog is the commit journal — the durable truth every mutation is
 	// framed into before it is applied, and the memory block payloads are
 	// cut from.
-	jlog      *journal.Log
-	commitSeq atomic.Int64
-	// pins refcounts the commit sequences active Snapshots hold open;
-	// superseded chain versions survive until no pin can see them.
-	pins      map[int64]int
+	jlog *journal.Log
+	// pins counts the Snapshots taken and not yet released — a gauge for
+	// leak checks and /metrics; nothing is kept alive or freed by it.
+	pins      atomic.Int64
 	crashed   bool // an injected crash fired; mutations refuse
 	faults    atomic.Pointer[FaultPlan]
 	recovered *RecoverStats // set when this filesystem came from Recover
@@ -180,8 +177,8 @@ type FileSystem struct {
 }
 
 // dataNode is one DataNode: its liveness, which reads consult, and the
-// writers' placement ledger (guarded by mu) of the blocks it holds —
-// what BlockCounts reports, Rebalance moves and a prune drops. A read
+// writers' placement ledger (guarded by mu) of the live namespace's
+// blocks it holds — what BlockCounts reports and Rebalance moves. A read
 // reaches a block's bytes through the *blockMeta, never through here.
 type dataNode struct {
 	id     int
@@ -189,19 +186,21 @@ type dataNode struct {
 	blocks map[int64]*blockMeta
 }
 
-// fileChain is one path's version history: states ascending by commit
-// sequence. The last entry is the live state; earlier entries survive
-// only while a pinned Snapshot can still see them. The list is published
-// copy-on-write — a reader may be walking the one it loaded.
-type fileChain struct {
-	versions atomic.Pointer[[]chainVersion]
+// namespace is the filesystem as of one commit: every path that exists
+// after commit seq, bound to its file state. Immutable once published;
+// whoever holds one — the filesystem its latest, a Snapshot its own —
+// reads that commit for as long as it likes.
+type namespace struct {
+	seq   int64
+	files map[string]*fileMeta
 }
 
-// chainVersion is one committed state of a path. A nil meta records a
-// deletion (the path does not exist at and after seq, until recreated).
-type chainVersion struct {
-	seq  int64
-	meta *fileMeta
+// state is one namespace read through its filesystem (block size, cost
+// accounting, node liveness, fault plan). It carries the View methods
+// once: FileSystem's are live()'s, a Snapshot embeds the one it took.
+type state struct {
+	fs *FileSystem
+	ns *namespace
 }
 
 // fileMeta is one immutable committed state of a file. Appends clone it
@@ -244,9 +243,9 @@ func New(cfg Config) *FileSystem {
 		cfg:     cfg,
 		rng:     rand.New(rand.NewPCG(cfg.Seed, 0x6a09e667f3bcc908)),
 		jlog:    journal.New(),
-		pins:    make(map[int64]int),
 		metrics: cfg.Metrics,
 	}
+	fs.applyInit()
 	for i := 0; i < cfg.DataNodes; i++ {
 		node := &dataNode{id: i, blocks: make(map[int64]*blockMeta)}
 		node.alive.Store(true)
@@ -254,6 +253,10 @@ func New(cfg Config) *FileSystem {
 	}
 	return fs
 }
+
+// applyInit publishes the empty namespace a new filesystem starts from:
+// commit 0, the one state no journal record describes.
+func (fs *FileSystem) applyInit() { fs.ns.Store(&namespace{}) }
 
 // BlockSize returns the configured block size.
 func (fs *FileSystem) BlockSize() int64 { return fs.cfg.BlockSize }
@@ -269,40 +272,14 @@ func (fs *FileSystem) LiveDataNodes() []int {
 	return ids
 }
 
-// chains returns the published namespace. The map is read-only.
-func (fs *FileSystem) chains() map[string]*fileChain {
-	if p := fs.files.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
+// live returns the filesystem's state as of the last commit.
+func (fs *FileSystem) live() state { return state{fs: fs, ns: fs.ns.Load()} }
 
-// metaAt resolves path's committed state as of commit sequence at
-// (at < 0 means the live state). Missing paths, states deleted at or
-// before at, and paths created after at all report !ok. It takes no
-// lock: the state it returns is immutable, and stays readable whatever
-// commits, prunes or rebalances land while the caller works on it.
-func (fs *FileSystem) metaAt(path string, at int64) (*fileMeta, bool) {
-	ch, ok := fs.chains()[path]
-	if !ok {
-		return nil, false
-	}
-	versions := *ch.versions.Load()
-	if at < 0 {
-		v := versions[len(versions)-1]
-		return v.meta, v.meta != nil
-	}
-	for i := len(versions) - 1; i >= 0; i-- {
-		if versions[i].seq <= at {
-			return versions[i].meta, versions[i].meta != nil
-		}
-	}
-	return nil, false
-}
-
-// fileAt is metaAt with the ErrNotFound every read reports.
-func (fs *FileSystem) fileAt(path string, at int64) (*fileMeta, error) {
-	meta, ok := fs.metaAt(path, at)
+// file resolves path's committed state, ErrNotFound when the namespace
+// has no such path. The state is immutable, and stays readable whatever
+// commits or rebalances land while the caller works on it.
+func (s state) file(path string) (*fileMeta, error) {
+	meta, ok := s.ns.files[path]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
@@ -314,7 +291,7 @@ func (fs *FileSystem) fileAt(path string, at int64) (*fileMeta, error) {
 // replicated across distinct live DataNodes (fewer if the cluster is
 // smaller than the replication factor). Write I/O is charged once per
 // replica. The superseded file state stays readable through Snapshots
-// pinned before the commit.
+// taken before the commit.
 func (fs *FileSystem) WriteFile(path string, data []byte) error {
 	if path == "" {
 		return errors.New("dfs: empty path")
@@ -349,7 +326,7 @@ func (fs *FileSystem) Append(path string, data []byte) error {
 	if len(fs.LiveDataNodes()) == 0 {
 		return ErrNoDataNodes
 	}
-	if meta, ok := fs.metaAt(path, -1); ok && meta.size > 0 {
+	if meta := fs.ns.Load().files[path]; meta != nil && meta.size > 0 {
 		last := meta.blocks[len(meta.blocks)-1]
 		payload, err := fs.replicaPayload(last)
 		if err != nil {
@@ -362,23 +339,23 @@ func (fs *FileSystem) Append(path string, data []byte) error {
 	return fs.commitLocked(journal.OpAppend, path, data)
 }
 
-// Delete removes path as one journaled commit. Snapshots pinned before
+// Delete removes path as one journaled commit. Snapshots taken before
 // the commit keep reading the file.
 func (fs *FileSystem) Delete(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if _, err := fs.fileAt(path, -1); err != nil {
+	if _, err := fs.live().file(path); err != nil {
 		return err
 	}
 	return fs.commitLocked(journal.OpDelete, path, nil)
 }
 
 // commitLocked is THE mutation choke point: it frames one validated
-// mutation as a journal record, advances the commit sequence, and
-// dispatches to the apply function that performs the state change. Every
-// namespace mutation — live traffic and Recover replay alike — funnels
-// through here; nothing else may touch versioned state (enforced by the
-// journalcommit analyzer). What is applied is the journal's copy of
+// mutation as a journal record and dispatches to the apply function
+// that publishes the successor namespace under the record's sequence.
+// Every namespace mutation — live traffic and Recover replay alike —
+// funnels through here; nothing else may touch committed state
+// (enforced by the journalcommit analyzer). What is applied is the journal's copy of
 // data, not the caller's: block payloads are cut from the frame, so the
 // caller may reuse its slice the moment the call returns.
 func (fs *FileSystem) commitLocked(op journal.Op, path string, data []byte) error {
@@ -402,7 +379,6 @@ func (fs *FileSystem) commitLocked(op journal.Op, path string, data []byte) erro
 		return ErrCrashed
 	}
 	data = fs.jlog.Append(op, path, data)
-	fs.commitSeq.Store(seq)
 	switch op {
 	case journal.OpWrite:
 		fs.applyWrite(seq, path, data)
@@ -422,15 +398,16 @@ func (fs *FileSystem) applyWrite(seq int64, path string, data []byte) {
 	meta := &fileMeta{size: int64(len(data)), segments: []int64{0}, version: fs.nextID}
 	fs.applyBlocks(meta, data, 0, live)
 	meta.sidecar.Store(fs.buildSidecar(meta, data))
-	fs.applyChainPush(path, seq, meta)
+	fs.applyUnplace(fs.applyPublish(seq, path, meta))
 }
 
 // applyAppend installs a cloned file state extended by one segment. The
 // clone shares the unchanged block prefix with its predecessor —
-// payloads are immutable, so pinned snapshots and the live state read
-// the same bytes through the shared *blockMeta entries.
+// payloads are immutable, so snapshots and the live state read the same
+// bytes through the shared *blockMeta entries — and lists every block
+// its predecessor did, so nothing leaves the ledger.
 func (fs *FileSystem) applyAppend(seq int64, path string, data []byte) {
-	cur, ok := fs.metaAt(path, -1)
+	cur, ok := fs.ns.Load().files[path]
 	if !ok {
 		// Creating via Append is a write generation like WriteFile: a
 		// deleted-and-recreated path must never alias its predecessor's
@@ -448,12 +425,12 @@ func (fs *FileSystem) applyAppend(seq int64, path string, data []byte) {
 	}
 	fs.applyBlocks(meta, data, base, live)
 	meta.sidecar.Store(fs.extendSidecar(cur.sidecar.Load(), meta, data, base))
-	fs.applyChainPush(path, seq, meta)
+	fs.applyPublish(seq, path, meta)
 }
 
-// applyDelete installs a deletion marker for path.
+// applyDelete unbinds path.
 func (fs *FileSystem) applyDelete(seq int64, path string) {
-	fs.applyChainPush(path, seq, nil)
+	fs.applyUnplace(fs.applyPublish(seq, path, nil))
 }
 
 // applyBlocks partitions data — the journal frame's copy — into blocks
@@ -491,198 +468,92 @@ func (fs *FileSystem) applyBlocks(meta *fileMeta, data []byte, base int64, live 
 	}
 }
 
-// applyChainPush publishes path's version chain extended by one
-// committed state (creating the chain), pruned of the states no pinned
-// snapshot can see.
-func (fs *FileSystem) applyChainPush(path string, seq int64, meta *fileMeta) {
-	ch, ok := fs.chains()[path]
-	var versions []chainVersion
-	if ok {
-		versions = *ch.versions.Load()
+// applyPublish publishes commit seq's namespace — its predecessor's
+// with path bound to meta, unbound when meta is nil — and returns the
+// state of path it supersedes, nil when there was none. The published
+// map is never written (a reader may be looking a path up in it), so
+// the successor is a copy: O(paths) per commit, on namespaces of a
+// handful of paths.
+func (fs *FileSystem) applyPublish(seq int64, path string, meta *fileMeta) *fileMeta {
+	old := fs.ns.Load()
+	files := make(map[string]*fileMeta, len(old.files)+1)
+	maps.Copy(files, old.files)
+	if meta != nil {
+		files[path] = meta
 	} else {
-		ch = &fileChain{}
+		delete(files, path)
 	}
-	// The published list is a reader's to walk: extend a copy.
-	versions = append(versions[:len(versions):len(versions)], chainVersion{seq: seq, meta: meta})
-	fs.applyChainPrune(path, ch, versions)
-	if !ok {
-		fs.applyPathPublish(path, ch)
-	}
+	fs.ns.Store(&namespace{seq: seq, files: files})
+	return old.files[path]
 }
 
-// applyPinSweep prunes every chain after the pin floor moved. A chain
-// of one state has nothing to drop: a lone deletion marker is never
-// left published.
-func (fs *FileSystem) applyPinSweep() {
-	for path, ch := range fs.chains() {
-		if versions := *ch.versions.Load(); len(versions) > 1 {
-			fs.applyChainPrune(path, ch, versions)
+// applyUnplace takes the blocks of a state a rewrite or a delete
+// superseded out of the DataNodes' ledger, which lists the live
+// namespace's blocks only. A Snapshot that still holds the state reads
+// them through its own *blockMeta entries, replica list included.
+func (fs *FileSystem) applyUnplace(superseded *fileMeta) {
+	if superseded == nil {
+		return
+	}
+	for _, blk := range superseded.blocks {
+		for _, nid := range *blk.replicas.Load() {
+			delete(fs.nodes[nid].blocks, blk.id)
 		}
 	}
-}
-
-// applyChainPrune publishes versions — path's version chain, or the
-// successor a commit built — without the states nothing can see: a
-// non-live state is dropped once its successor's commit precedes every
-// pinned snapshot (no pin can resolve to it anymore), and blocks
-// referenced by no surviving state are removed from the DataNodes'
-// ledgers. A chain reduced to a single deletion marker disappears
-// entirely. The survivors go into a fresh list, never compacted in
-// place: a reader may be walking versions.
-func (fs *FileSystem) applyChainPrune(path string, ch *fileChain, versions []chainVersion) {
-	minPin := fs.minPinLocked()
-	var pruned []*fileMeta
-	kept := make([]chainVersion, 0, len(versions))
-	for i, v := range versions {
-		if i < len(versions)-1 && versions[i+1].seq <= minPin {
-			if v.meta != nil {
-				pruned = append(pruned, v.meta)
-			}
-			continue
-		}
-		kept = append(kept, v)
-	}
-	ch.versions.Store(&kept)
-	// An append's successor lists its predecessor's blocks first, so a
-	// pruned state the live state extends drops no block: leave it out
-	// of the sweep, which visits every block of every surviving state.
-	// One pointer decides it — block lists only ever grow by cloning a
-	// predecessor's, so two states that share the block at an index
-	// share every block before it.
-	if live := kept[len(kept)-1].meta; live != nil {
-		swept := pruned[:0]
-		for _, meta := range pruned {
-			if n := len(meta.blocks); n > len(live.blocks) || (n > 0 && meta.blocks[n-1] != live.blocks[n-1]) {
-				swept = append(swept, meta)
-			}
-		}
-		pruned = swept
-	}
-	if len(pruned) > 0 {
-		surviving := make(map[int64]struct{})
-		for _, v := range kept {
-			if v.meta == nil {
-				continue
-			}
-			for _, blk := range v.meta.blocks {
-				surviving[blk.id] = struct{}{}
-			}
-		}
-		dropped := make(map[int64]struct{})
-		for _, meta := range pruned {
-			for _, blk := range meta.blocks {
-				if _, keep := surviving[blk.id]; keep {
-					continue
-				}
-				if _, done := dropped[blk.id]; done {
-					continue
-				}
-				dropped[blk.id] = struct{}{}
-				for _, nid := range *blk.replicas.Load() {
-					delete(fs.nodes[nid].blocks, blk.id)
-				}
-			}
-		}
-	}
-	if len(kept) == 1 && kept[0].meta == nil {
-		fs.applyPathPublish(path, nil)
-	}
-}
-
-// applyPathPublish publishes the namespace with path bound to ch, or
-// without path when ch is nil. The published map is never written: a
-// reader may be looking a path up in it.
-func (fs *FileSystem) applyPathPublish(path string, ch *fileChain) {
-	old := fs.chains()
-	next := make(map[string]*fileChain, len(old)+1)
-	maps.Copy(next, old)
-	if ch != nil {
-		next[path] = ch
-	} else {
-		delete(next, path)
-	}
-	fs.files.Store(&next)
-}
-
-// minPinLocked returns the smallest pinned commit sequence, or MaxInt64
-// when no snapshot is active (everything but the live state prunable).
-func (fs *FileSystem) minPinLocked() int64 {
-	min := int64(math.MaxInt64)
-	for seq := range fs.pins {
-		if seq < min {
-			min = seq
-		}
-	}
-	return min
 }
 
 // Version returns the file's write generation: fresh per WriteFile,
 // stable across Append. (path, Version, offset) uniquely identifies
 // immutable content, which is what the colscan block cache keys on and
 // how maintained queries detect a rewrite under their path.
-func (fs *FileSystem) Version(path string) (int64, error) {
-	return fs.versionAt(path, -1)
-}
-
-func (fs *FileSystem) versionAt(path string, at int64) (int64, error) {
-	meta, err := fs.fileAt(path, at)
+func (s state) Version(path string) (int64, error) {
+	meta, err := s.file(path)
 	if err != nil {
 		return 0, err
 	}
 	return meta.version, nil
 }
 
+func (fs *FileSystem) Version(path string) (int64, error) { return fs.live().Version(path) }
+
 // Segments returns the start offset of every segment of path — offset 0
 // for the initial write plus one offset per Append since. Splits never
 // straddle a segment boundary, so a caller that remembers the file size
 // it has processed can identify the splits covering appended data exactly.
-func (fs *FileSystem) Segments(path string) ([]int64, error) {
-	return fs.segmentsAt(path, -1)
-}
-
-func (fs *FileSystem) segmentsAt(path string, at int64) ([]int64, error) {
-	meta, err := fs.fileAt(path, at)
+func (s state) Segments(path string) ([]int64, error) {
+	meta, err := s.file(path)
 	if err != nil {
 		return nil, err
 	}
 	return append([]int64(nil), meta.segments...), nil
 }
 
-// Stat returns the size of the file at path.
-func (fs *FileSystem) Stat(path string) (size int64, err error) {
-	return fs.statAt(path, -1)
-}
+func (fs *FileSystem) Segments(path string) ([]int64, error) { return fs.live().Segments(path) }
 
-func (fs *FileSystem) statAt(path string, at int64) (int64, error) {
-	meta, err := fs.fileAt(path, at)
+// Stat returns the size of the file at path.
+func (s state) Stat(path string) (size int64, err error) {
+	meta, err := s.file(path)
 	if err != nil {
 		return 0, err
 	}
 	return meta.size, nil
 }
 
-// Exists reports whether path exists.
-func (fs *FileSystem) Exists(path string) bool {
-	return fs.existsAt(path, -1)
-}
+func (fs *FileSystem) Stat(path string) (int64, error) { return fs.live().Stat(path) }
 
-func (fs *FileSystem) existsAt(path string, at int64) bool {
-	_, ok := fs.metaAt(path, at)
+// Exists reports whether path exists.
+func (s state) Exists(path string) bool {
+	_, ok := s.ns.files[path]
 	return ok
 }
 
-// List returns all paths with the given prefix, sorted.
-func (fs *FileSystem) List(prefix string) []string {
-	return fs.listAt(prefix, -1)
-}
+func (fs *FileSystem) Exists(path string) bool { return fs.live().Exists(path) }
 
-func (fs *FileSystem) listAt(prefix string, at int64) []string {
+// List returns all paths with the given prefix, sorted.
+func (s state) List(prefix string) []string {
 	var out []string
-	for p := range fs.chains() {
-		if !strings.HasPrefix(p, prefix) {
-			continue
-		}
-		if _, ok := fs.metaAt(p, at); ok {
+	for p := range s.ns.files {
+		if strings.HasPrefix(p, prefix) {
 			out = append(out, p)
 		}
 	}
@@ -690,15 +561,13 @@ func (fs *FileSystem) listAt(prefix string, at int64) []string {
 	return out
 }
 
+func (fs *FileSystem) List(prefix string) []string { return fs.live().List(prefix) }
+
 // ReadFile returns the whole contents of path — one committed state's,
 // whatever lands meanwhile — retrying across replicas per block. A
 // sequential whole-file read is charged one seek.
-func (fs *FileSystem) ReadFile(path string) ([]byte, error) {
-	return fs.readFileAt(path, -1)
-}
-
-func (fs *FileSystem) readFileAt(path string, at int64) ([]byte, error) {
-	meta, err := fs.fileAt(path, at)
+func (s state) ReadFile(path string) ([]byte, error) {
+	meta, err := s.file(path)
 	if err != nil {
 		return nil, err
 	}
@@ -706,38 +575,41 @@ func (fs *FileSystem) readFileAt(path string, at int64) ([]byte, error) {
 	if meta.size == 0 {
 		return buf, nil
 	}
-	if _, err := fs.readMeta(meta, 0, buf, 1); err != nil {
+	if _, err := s.fs.readMeta(meta, 0, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
 }
 
+func (fs *FileSystem) ReadFile(path string) ([]byte, error) { return fs.live().ReadFile(path) }
+
 // ReadAt fills p with file bytes starting at off, charging one disk seek
 // (this is the random-access path the pre-map sampler uses). It returns
 // the number of bytes read; n < len(p) with a nil error means EOF was
 // reached.
-func (fs *FileSystem) ReadAt(path string, off int64, p []byte) (int, error) {
-	return fs.readAt(path, -1, off, p, 1)
-}
-
-func (fs *FileSystem) readAt(path string, at, off int64, p []byte, seeks int64) (int, error) {
-	meta, err := fs.fileAt(path, at)
+func (s state) ReadAt(path string, off int64, p []byte) (int, error) {
+	meta, err := s.file(path)
 	if err != nil {
 		return 0, err
 	}
-	return fs.readMeta(meta, off, p, seeks)
+	return s.fs.readMeta(meta, off, p)
 }
 
-// readMeta is readAt against one resolved file state.
-func (fs *FileSystem) readMeta(meta *fileMeta, off int64, p []byte, seeks int64) (int, error) {
+func (fs *FileSystem) ReadAt(path string, off int64, p []byte) (int, error) {
+	return fs.live().ReadAt(path, off, p)
+}
+
+// readMeta is one positioned read of one resolved file state: p filled
+// from off, one seek charged.
+func (fs *FileSystem) readMeta(meta *fileMeta, off int64, p []byte) (int, error) {
 	if off < 0 {
 		return 0, errors.New("dfs: negative offset")
 	}
 	if off >= meta.size {
 		return 0, nil
 	}
-	if fs.metrics != nil && seeks > 0 {
-		fs.metrics.DiskSeeks.Add(seeks)
+	if fs.metrics != nil {
+		fs.metrics.DiskSeeks.Add(1)
 	}
 	want := int64(len(p))
 	if off+want > meta.size {
@@ -851,8 +723,9 @@ func (fs *FileSystem) setAlive(id int, alive bool) error {
 // possible across live DataNodes — the HDFS balancer the paper notes
 // makes uniform sampling from blocks sound (§1). Returns the number of
 // replica moves performed. Placement is physical state, not namespace
-// state: moves are not journaled, and pinned snapshots observe them
-// (the bytes they read are identical from any replica).
+// state: moves are not journaled, and snapshots observe the moves of
+// blocks the live namespace still lists (the bytes they read are
+// identical from any replica).
 func (fs *FileSystem) Rebalance() (moves int, err error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -900,7 +773,7 @@ func (fs *FileSystem) Rebalance() (moves int, err error) {
 }
 
 // retarget publishes blk's replica list with from replaced by to after a
-// move. Chain versions share *blockMeta entries, so the one update is
+// move. File states share *blockMeta entries, so the one update is
 // visible to every state referencing the block; the old list is left
 // as it was for a reader in the middle of it.
 func (blk *blockMeta) retarget(from, to int) {

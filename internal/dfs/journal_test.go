@@ -307,15 +307,17 @@ func TestSnapshotIsolation(t *testing.T) {
 		t.Fatal("live view resurrects a deleted file")
 	}
 
-	// Release prunes: the superseded chain states disappear.
+	// Release takes the snapshot out of the pin count.
 	snap.Release()
 	if js := fs.JournalStats(); js.Pins != 0 {
 		t.Fatalf("pins after release = %d", js.Pins)
 	}
 }
 
-// Released snapshots free the superseded blocks: after a rewrite lands
-// and the pin drops, the old version's bytes leave the DataNodes.
+// A rewrite takes the superseded blocks out of the DataNodes' ledger
+// with the commit — the ledger is the live namespace's — while a
+// snapshot taken before it still reads the old bytes through its own
+// file state.
 func TestSnapshotReleaseFreesBlocks(t *testing.T) {
 	fs := New(Config{BlockSize: 64, Replication: 1, DataNodes: 1, Seed: 1})
 	if err := fs.WriteFile("/f", bytes.Repeat([]byte("x\n"), 512)); err != nil {
@@ -326,14 +328,16 @@ func TestSnapshotReleaseFreesBlocks(t *testing.T) {
 	if err := fs.WriteFile("/f", []byte("small\n")); err != nil {
 		t.Fatal(err)
 	}
-	withBoth := blockTotal(fs)
-	if withBoth <= 1 {
-		t.Fatalf("pinned rewrite should retain old blocks (have %d, baseline %d)", withBoth, baseline)
+	if held := blockTotal(fs); held != 1 {
+		t.Fatalf("ledger after the rewrite = %d blocks, want the rewrite's 1 (baseline %d)", held, baseline)
+	}
+	if old, err := snap.ReadFile("/f"); err != nil || len(old) != 1024 {
+		t.Fatalf("snapshot read %d old bytes, %v; want 1024", len(old), err)
 	}
 	snap.Release()
 	after := blockTotal(fs)
 	if after != 1 {
-		t.Fatalf("blocks after release = %d, want 1 (old version pruned)", after)
+		t.Fatalf("blocks after release = %d, want 1", after)
 	}
 }
 
@@ -341,6 +345,18 @@ func blockTotal(fs *FileSystem) int {
 	total := 0
 	for _, n := range fs.BlockCounts() {
 		total += n
+	}
+	return total
+}
+
+// liveReplicas counts the replicas of every block the live namespace
+// lists: what the DataNodes' ledger must hold after any commit.
+func liveReplicas(fs *FileSystem) int {
+	total := 0
+	for _, meta := range fs.ns.Load().files {
+		for _, blk := range meta.blocks {
+			total += len(*blk.replicas.Load())
+		}
 	}
 	return total
 }

@@ -243,8 +243,9 @@ func readEveryMethod(v View, path string, rng *rand.Rand, whole bool) (viewRead,
 }
 
 // TestViewNeverTakesTheCommitLock holds the writers' mutex and calls
-// every method of View on the live filesystem and on a snapshot taken
-// beforehand: a read that waited for the lock would never return.
+// every method of View on the live filesystem, on a snapshot taken
+// beforehand and on one taken — and released — under the lock: a read,
+// a Snapshot or a Release that waited for the lock would never return.
 func TestViewNeverTakesTheCommitLock(t *testing.T) {
 	fs := New(Config{BlockSize: 16 << 10, Replication: 2, DataNodes: 4, Seed: 5})
 	if err := fs.WriteFile("/r/a", raceDoc(1, 0, raceBaseLines(1))); err != nil {
@@ -267,23 +268,35 @@ func TestViewNeverTakesTheCommitLock(t *testing.T) {
 
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	done := make(chan error, 2)
+	done := make(chan error, 3)
 	for _, v := range []View{fs, snap} {
 		go func() {
 			_, err := readEveryMethod(v, "/r/a", rand.New(rand.NewPCG(1, 2)), true)
 			done <- err
 		}()
 	}
+	go func() {
+		held := fs.Snapshot()
+		r, err := readEveryMethod(held, "/r/a", rand.New(rand.NewPCG(1, 2)), true)
+		held.Release()
+		if err == nil && (held.Seq() != 5 || len(r.segments) != 5) {
+			err = fmt.Errorf("%v taken under the lock reads %d segments, want commit 5's 5", held, len(r.segments))
+		}
+		done <- err
+	}()
 	deadline := time.After(30 * time.Second)
-	for range 2 {
+	for range 3 {
 		select {
 		case err := <-done:
 			if err != nil {
 				t.Fatal(err)
 			}
 		case <-deadline:
-			t.Fatal("a View method waited for the commit lock")
+			t.Fatal("a View method, Snapshot or Release waited for the commit lock")
 		}
+	}
+	if pins := fs.pins.Load(); pins != 1 {
+		t.Fatalf("%d pins under the lock, want the one snapshot still held", pins)
 	}
 	if fs.CommitSeq() != 5 || len(fs.LiveDataNodes()) != 4 {
 		t.Fatalf("CommitSeq %d, %d live nodes under the lock", fs.CommitSeq(), len(fs.LiveDataNodes()))

@@ -84,7 +84,7 @@ func (fs *FileSystem) JournalBytes() []byte {
 type JournalStats struct {
 	Commits int64 `json:"commits"` // committed records in the journal
 	Bytes   int64 `json:"bytes"`   // journal size in bytes
-	Pins    int   `json:"pins"`    // active snapshot pins
+	Pins    int   `json:"pins"`    // snapshots taken and not yet released
 	// Recovered is true when this filesystem was built by Recover;
 	// Recovery then carries what the replay found.
 	Recovered bool         `json:"recovered"`
@@ -98,9 +98,7 @@ func (fs *FileSystem) JournalStats() JournalStats {
 	st := JournalStats{
 		Commits: fs.jlog.Records(),
 		Bytes:   fs.jlog.Size(),
-	}
-	for _, n := range fs.pins {
-		st.Pins += n
+		Pins:    int(fs.pins.Load()),
 	}
 	if fs.recovered != nil {
 		st.Recovered = true
@@ -110,4 +108,4 @@ func (fs *FileSystem) JournalStats() JournalStats {
 }
 
 // CommitSeq returns the sequence number of the last applied commit.
-func (fs *FileSystem) CommitSeq() int64 { return fs.commitSeq.Load() }
+func (fs *FileSystem) CommitSeq() int64 { return fs.ns.Load().seq }

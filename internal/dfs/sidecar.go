@@ -58,15 +58,15 @@ const (
 // and an append shares every run with its predecessor, adding only a
 // new header, the new segment's chunk bytes and a new footer. A view is
 // immutable once a version holds it (the fault hooks and Compact
-// replace the live version's view, they never edit one), so pinned
-// snapshots keep reading exactly the bytes they pinned.
+// replace the live version's view, they never edit one), so a snapshot
+// keeps reading exactly the bytes of the version it holds.
 //
 // That immutability is also what lets ViewSidecarAt hand a reader a
 // sub-slice of a piece instead of a copy, and lets the reader — who
 // holds no lock — keep it for as long as it likes: nothing ever
 // writes to a byte a piece covers — an append writes behind the last
 // piece, in capacity no piece's slice reaches — and a version that is
-// replaced or pruned only stops referring to its pieces. The holder's
+// replaced or dropped only stops referring to its pieces. The holder's
 // side of the contract is to treat the bytes as read-only, and to know
 // that it keeps the whole run or extent alive while it holds them.
 //
@@ -279,17 +279,15 @@ func (fs *FileSystem) extendSidecar(prev *sidecar, meta *fileMeta, segData []byt
 
 // SidecarStat reports the size of path's columnar sidecar, false when
 // the path has none. It implements half of colseg.Store.
-func (fs *FileSystem) SidecarStat(path string) (int64, bool) {
-	return fs.sidecarStatAt(path, -1)
-}
-
-func (fs *FileSystem) sidecarStatAt(path string, at int64) (int64, bool) {
-	sc, err := fs.sidecarAt(path, at, 0)
+func (s state) SidecarStat(path string) (int64, bool) {
+	sc, err := s.sidecar(path, 0)
 	if err != nil {
 		return 0, false
 	}
 	return sc.size(), true
 }
+
+func (fs *FileSystem) SidecarStat(path string) (int64, bool) { return fs.live().SidecarStat(path) }
 
 // ViewSidecarAt returns the up to size bytes of path's sidecar at off —
 // fewer only where the sidecar ends — charging one disk seek and the
@@ -297,43 +295,43 @@ func (fs *FileSystem) sidecarStatAt(path string, at int64) (int64, bool) {
 // aliases stored bytes (see sidecar for why that is safe to hold); it
 // is a private copy only when the range straddles two pieces. It
 // implements the other half of colseg.Store.
-func (fs *FileSystem) ViewSidecarAt(path string, off, size int64) ([]byte, error) {
-	return fs.viewSidecarAt(path, -1, off, size)
-}
-
-func (fs *FileSystem) viewSidecarAt(path string, at, off, size int64) ([]byte, error) {
-	sc, err := fs.sidecarAt(path, at, off)
+func (s state) ViewSidecarAt(path string, off, size int64) ([]byte, error) {
+	sc, err := s.sidecar(path, off)
 	if err != nil || off >= sc.size() {
 		return nil, err
 	}
 	b := sc.view(off, size)
-	fs.chargeSidecarRead(len(b))
+	s.fs.chargeSidecarRead(len(b))
 	return b, nil
+}
+
+func (fs *FileSystem) ViewSidecarAt(path string, off, size int64) ([]byte, error) {
+	return fs.live().ViewSidecarAt(path, off, size)
 }
 
 // ReadSidecarAt is the copying form of ViewSidecarAt, for a caller that
 // owns the destination: it fills p from path's sidecar starting at off,
 // with the same charge. n < len(p) with a nil error means the sidecar
 // ended.
-func (fs *FileSystem) ReadSidecarAt(path string, off int64, p []byte) (int, error) {
-	return fs.readSidecarAt(path, -1, off, p)
-}
-
-func (fs *FileSystem) readSidecarAt(path string, at, off int64, p []byte) (int, error) {
-	sc, err := fs.sidecarAt(path, at, off)
+func (s state) ReadSidecarAt(path string, off int64, p []byte) (int, error) {
+	sc, err := s.sidecar(path, off)
 	if err != nil || off >= sc.size() {
 		return 0, err
 	}
 	n := sc.readAt(off, p)
-	fs.chargeSidecarRead(n)
+	s.fs.chargeSidecarRead(n)
 	return n, nil
 }
 
-// sidecarAt resolves the sidecar a positioned read at off addresses:
-// the view the file state holds right now, immutable from here on.
-func (fs *FileSystem) sidecarAt(path string, at, off int64) (*sidecar, error) {
+func (fs *FileSystem) ReadSidecarAt(path string, off int64, p []byte) (int, error) {
+	return fs.live().ReadSidecarAt(path, off, p)
+}
+
+// sidecar resolves the sidecar a positioned read at off addresses: the
+// view the file state holds right now, immutable from here on.
+func (s state) sidecar(path string, off int64) (*sidecar, error) {
 	var sc *sidecar
-	if meta, ok := fs.metaAt(path, at); ok {
+	if meta := s.ns.files[path]; meta != nil {
 		sc = meta.sidecar.Load()
 	}
 	if sc == nil {
@@ -377,7 +375,7 @@ type CompactStats struct {
 func (fs *FileSystem) Compact(path string) (CompactStats, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	meta, err := fs.fileAt(path, -1)
+	meta, err := fs.live().file(path)
 	if err != nil {
 		return CompactStats{}, err
 	}
@@ -458,8 +456,8 @@ func (fs *FileSystem) TruncateSidecar(path string, n int64) bool {
 // liveSidecar returns path's live sidecar and the file state holding
 // it, nil when the path has none.
 func (fs *FileSystem) liveSidecar(path string) (*sidecar, *fileMeta) {
-	meta, ok := fs.metaAt(path, -1)
-	if !ok {
+	meta := fs.ns.Load().files[path]
+	if meta == nil {
 		return nil, nil
 	}
 	return meta.sidecar.Load(), meta

@@ -66,19 +66,19 @@ func TestViewSidecarAtMatchesRead(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		v    View
-		at   int64
+		st   state
 		path string
 	}{
-		{"written whole, live", fs, -1, "/whole"},
-		{"appended, live", fs, -1, "/appended"},
-		{"appended, pinned after 20 of 40 appends", snap, snap.Seq(), "/appended"},
+		{"written whole, live", fs, fs.live(), "/whole"},
+		{"appended, live", fs, fs.live(), "/appended"},
+		{"appended, pinned after 20 of 40 appends", snap, snap.state, "/appended"},
 	} {
 		whole := viewBytes(t, tc.v, tc.path)
 		chunks := chunkRanges(t, whole)
 		if tc.v == View(snap) && len(chunks) != 21 {
 			t.Fatalf("%s: %d chunks, want the 21 the snapshot pinned", tc.name, len(chunks))
 		}
-		meta, _ := fs.metaAt(tc.path, tc.at)
+		meta, _ := tc.st.file(tc.path)
 		sc := meta.sidecar.Load()
 		for i, c := range chunks {
 			pos, size := c[0], c[1]

@@ -154,7 +154,7 @@ func TestSidecarFormatIdentity(t *testing.T) {
 			}
 			appendBatch(fmt.Sprintf("append %d", k), batch(sidecarAppendMinBytes+recBytes, 3*sidecarAppendMinBytes))
 		}
-		if vs := *fs.chains()[path].versions.Load(); len(vs[len(vs)-1].meta.sidecar.Load().pieces) < 5 {
+		if len(fs.ns.Load().files[path].sidecar.Load().pieces) < 5 {
 			t.Fatalf("trial %d: the appends never crossed an extent boundary", trial)
 		}
 		// Compact forks the view (a fresh Build output); appends after it
@@ -389,35 +389,16 @@ func TestSidecarForksNeverTouchSharedBytes(t *testing.T) {
 	})
 }
 
-// TestAppendPruneKeepsBlockCounts pins what the append fast path in
-// applyChainPrune must not change: after every commit the DataNodes
-// hold exactly the replicas of the blocks some surviving version lists.
+// TestAppendPruneKeepsBlockCounts pins what an append's publish — which
+// takes nothing out of the ledger — must not change: after every commit
+// the DataNodes hold exactly the replicas of the blocks the live
+// namespace lists, under a held snapshot too.
 func TestAppendPruneKeepsBlockCounts(t *testing.T) {
 	fs := New(Config{BlockSize: 4 << 10, Replication: 2, DataNodes: 4, Seed: 11})
-	reachable := func() int {
-		fs.mu.Lock()
-		defer fs.mu.Unlock()
-		seen := map[int64]int{}
-		for _, ch := range fs.chains() {
-			for _, v := range *ch.versions.Load() {
-				if v.meta == nil {
-					continue
-				}
-				for _, blk := range v.meta.blocks {
-					seen[blk.id] = len(*blk.replicas.Load())
-				}
-			}
-		}
-		total := 0
-		for _, n := range seen {
-			total += n
-		}
-		return total
-	}
 	check := func(step string) {
 		t.Helper()
-		if got, want := blockTotal(fs), reachable(); got != want {
-			t.Fatalf("%s: DataNodes hold %d replicas, surviving versions list %d", step, got, want)
+		if got, want := blockTotal(fs), liveReplicas(fs); got != want {
+			t.Fatalf("%s: DataNodes hold %d replicas, the live namespace lists %d", step, got, want)
 		}
 	}
 	if err := fs.WriteFile("/f", numericLines(1000, 0)); err != nil {
@@ -428,9 +409,6 @@ func TestAppendPruneKeepsBlockCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(fmt.Sprintf("append %d", i))
-		if n := len(*fs.chains()["/f"].versions.Load()); n != 1 {
-			t.Fatalf("append %d: %d versions survive with nothing pinned", i, n)
-		}
 	}
 	before := blockTotal(fs)
 	snap := fs.Snapshot()
@@ -438,8 +416,8 @@ func TestAppendPruneKeepsBlockCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("append under a pin")
-	// A rewrite under the pin: the appended chain's blocks survive for
-	// the snapshot and go when it is released — the full sweep's case.
+	// A rewrite under the pin: the appended file's blocks leave the
+	// ledger with the commit; the snapshot reads them through its own state.
 	if err := fs.WriteFile("/f", numericLines(500, 0)); err != nil {
 		t.Fatal(err)
 	}

@@ -31,18 +31,14 @@ func (s Split) String() string {
 // a segment boundary — so the splits covering already-ingested data are
 // byte-for-byte identical after any number of Appends, and the appended
 // region is covered entirely by new splits.
-func (fs *FileSystem) Splits(path string, splitSize int64) ([]Split, error) {
-	return fs.splitsAt(path, -1, splitSize)
-}
-
-func (fs *FileSystem) splitsAt(path string, at, splitSize int64) ([]Split, error) {
-	meta, err := fs.fileAt(path, at)
+func (s state) Splits(path string, splitSize int64) ([]Split, error) {
+	meta, err := s.file(path)
 	if err != nil {
 		return nil, err
 	}
 	size, segments := meta.size, meta.segments
 	if splitSize <= 0 {
-		splitSize = fs.cfg.BlockSize
+		splitSize = s.fs.cfg.BlockSize
 	}
 	if size == 0 {
 		return []Split{{Path: path, Index: 0, Offset: 0, Length: 0}}, nil
@@ -62,6 +58,10 @@ func (fs *FileSystem) splitsAt(path string, at, splitSize int64) ([]Split, error
 		}
 	}
 	return out, nil
+}
+
+func (fs *FileSystem) Splits(path string, splitSize int64) ([]Split, error) {
+	return fs.live().Splits(path, splitSize)
 }
 
 // LineReader iterates the records of one split with Hadoop's
@@ -95,12 +95,8 @@ type LineReader struct {
 
 // NewLineReader opens a reader over split. chunkSize controls the I/O
 // granularity (64 KiB when <= 0).
-func (fs *FileSystem) NewLineReader(split Split, chunkSize int) (*LineReader, error) {
-	return fs.newLineReaderAt(split, -1, chunkSize)
-}
-
-func (fs *FileSystem) newLineReaderAt(split Split, at int64, chunkSize int) (*LineReader, error) {
-	meta, err := fs.fileAt(split.Path, at)
+func (s state) NewLineReader(split Split, chunkSize int) (*LineReader, error) {
+	meta, err := s.file(split.Path)
 	if err != nil {
 		return nil, err
 	}
@@ -112,13 +108,17 @@ func (fs *FileSystem) newLineReaderAt(split Split, at int64, chunkSize int) (*Li
 		chunkSize = 64 << 10
 	}
 	return &LineReader{
-		fs:      fs,
+		fs:      s.fs,
 		meta:    meta,
 		split:   split,
 		fileLen: size,
 		pos:     split.Offset,
 		chunk:   chunkSize,
 	}, nil
+}
+
+func (fs *FileSystem) NewLineReader(split Split, chunkSize int) (*LineReader, error) {
+	return fs.live().NewLineReader(split, chunkSize)
 }
 
 // fill appends the next chunk of the file to the window.
@@ -131,7 +131,7 @@ func (r *LineReader) fill() error {
 		want = r.fileLen - r.pos
 	}
 	buf := make([]byte, want)
-	n, err := r.fs.readMeta(r.meta, r.pos, buf, 1)
+	n, err := r.fs.readMeta(r.meta, r.pos, buf)
 	if err != nil {
 		return err
 	}
@@ -244,12 +244,8 @@ func (r *LineReader) Err() error { return r.err }
 // a line, back up to the previous newline. It returns the line, the
 // offset at which it starts, and charges the underlying seek. Used by the
 // pre-map sampler to turn a random byte offset into a whole record.
-func (fs *FileSystem) ReadLineAt(path string, pos int64, chunkSize int) (line string, lineStart int64, err error) {
-	return fs.readLineAt(path, -1, pos, chunkSize)
-}
-
-func (fs *FileSystem) readLineAt(path string, at, pos int64, chunkSize int) (line string, lineStart int64, err error) {
-	meta, err := fs.fileAt(path, at)
+func (s state) ReadLineAt(path string, pos int64, chunkSize int) (line string, lineStart int64, err error) {
+	meta, err := s.file(path)
 	if err != nil {
 		return "", 0, err
 	}
@@ -263,7 +259,7 @@ func (fs *FileSystem) readLineAt(path string, at, pos int64, chunkSize int) (lin
 	// makes pre-map sampling a sub-scan operation.
 	back, fwd := int64(chunkSize), int64(chunkSize)
 	for {
-		line, lineStart, grow, err := fs.lineInWindow(meta, pos, back, fwd)
+		line, lineStart, grow, err := s.fs.lineInWindow(meta, pos, back, fwd)
 		switch grow {
 		case growBack:
 			back *= 4
@@ -273,6 +269,10 @@ func (fs *FileSystem) readLineAt(path string, at, pos int64, chunkSize int) (lin
 			return line, lineStart, err
 		}
 	}
+}
+
+func (fs *FileSystem) ReadLineAt(path string, pos int64, chunkSize int) (string, int64, error) {
+	return fs.live().ReadLineAt(path, pos, chunkSize)
 }
 
 // windowGrow says which side of a window must widen before the record
@@ -317,7 +317,7 @@ func (fs *FileSystem) lineInWindow(meta *fileMeta, pos, back, fwd int64) (line s
 		}
 	} else {
 		win = make([]byte, hi-lo)
-		if _, err := fs.readMeta(meta, lo, win, 1); err != nil {
+		if _, err := fs.readMeta(meta, lo, win); err != nil {
 			return "", 0, growNone, err
 		}
 	}
@@ -341,12 +341,8 @@ func (fs *FileSystem) lineInWindow(meta *fileMeta, pos, back, fwd int64) (line s
 
 // CountLines returns the number of records in the file (used by tests and
 // by exact baselines that need the true N).
-func (fs *FileSystem) CountLines(path string) (int64, error) {
-	return fs.countLinesAt(path, -1)
-}
-
-func (fs *FileSystem) countLinesAt(path string, at int64) (int64, error) {
-	data, err := fs.readFileAt(path, at)
+func (s state) CountLines(path string) (int64, error) {
+	data, err := s.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
@@ -364,3 +360,5 @@ func (fs *FileSystem) countLinesAt(path string, at int64) (int64, error) {
 	}
 	return n, nil
 }
+
+func (fs *FileSystem) CountLines(path string) (int64, error) { return fs.live().CountLines(path) }

@@ -146,7 +146,7 @@ func (w *Watch) rebuild(snap *dfs.Snapshot) error {
 			return err
 		}
 	}
-	// The snapshot dies with the caller; later draws read live.
+	// Later draws read live; the snapshot is the caller's to let go.
 	core.RepinSources(ret.Sources, w.env.FS)
 	return nil
 }
@@ -294,7 +294,7 @@ func (w *Watch) beginRefresh(v dfs.View) (size int64, appended, rewritten bool, 
 // source — retained and new alike — is repinned onto it for the
 // duration, so the whole refresh reads one commit point even while
 // ingest lands concurrently, and repinned back onto the live filesystem
-// before the caller releases the snapshot.
+// when it is done (a retained source must not keep a commit alive).
 func (w *Watch) refreshSampled(penv *core.Env, size int64) error {
 	ret, sink := w.ret, w.ret.Sink
 	ret.Sources, w.dry = compactSources(ret.Sources, w.dry)
@@ -332,7 +332,7 @@ func (w *Watch) refreshSampled(penv *core.Env, size int64) error {
 	// doubling schedule (the engine's barrier runs it between rounds; a
 	// refresh has no mappers to park, so it is a loop), drawing from
 	// every region of the file without replacement.
-	cv := sink.ErrorEstimate()
+	cv := sink.ErrorEstimate(sink.Size())
 	maxSample := int64(ret.Opts.MaxSampleFraction * float64(ret.EstTotal))
 	for cv > ret.Opts.Sigma && sink.Size() < maxSample {
 		next := sink.Size() * 2
@@ -350,7 +350,7 @@ func (w *Watch) refreshSampled(penv *core.Env, size int64) error {
 		if n == 0 {
 			break // every region exhausted: finish with achieved accuracy
 		}
-		cv = sink.ErrorEstimate()
+		cv = sink.ErrorEstimate(sink.Size())
 	}
 	return nil
 }

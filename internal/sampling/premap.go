@@ -380,8 +380,9 @@ func (s *PreMap) EstimatedFraction() float64 {
 }
 
 // Repin re-points the sampler's reads at v. A sampler built against a
-// pinned snapshot must be repinned to the live filesystem before the
-// snapshot is released (its pinned versions may then be pruned); the
+// snapshot is repinned to the live filesystem once the build is done —
+// held, the snapshot would keep its commit's namespace and every file
+// state in it alive for as long as the sampler lives; the
 // without-replacement bookkeeping, the rng stream and any adopted
 // decoded blocks all carry over — over append-only growth the bytes the
 // sampler owns are identical through either view.
