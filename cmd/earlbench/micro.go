@@ -310,6 +310,27 @@ func runMicro() (microReport, error) {
 		})
 	}
 
+	// A resample's draws: len(xs) indices below len(xs), as one
+	// stats.PCG.Indices call and as the rand.IntN loop it replaces —
+	// same stream, same values (stats.TestPCGMatchesMathRand).
+	{
+		idx := make([]uint32, len(xs))
+		add("stats", fmt.Sprintf("PCGIndices/n=%d", len(xs)), func(b *testing.B) {
+			src := stats.NewPCG(1, 2)
+			for i := 0; i < b.N; i++ {
+				src.Indices(idx, len(xs))
+			}
+		})
+		add("stats", fmt.Sprintf("RandIntN/n=%d", len(xs)), func(b *testing.B) {
+			rng := rand.New(rand.NewPCG(1, 2))
+			for i := 0; i < b.N; i++ {
+				for j := range idx {
+					idx[j] = uint32(rng.IntN(len(xs)))
+				}
+			}
+		})
+	}
+
 	// --- Family 2b: planning (SSABE over a pilot, §3.2). --------------
 	// What a sampled query pays before it reads its first sample record:
 	// phase 1's B search plus phase 2's three delta-maintained replicates
@@ -441,6 +462,47 @@ func runMicro() (microReport, error) {
 			}
 		}
 		add("dfs", fmt.Sprintf("ReadLineAt/fixed19/n=%d", lineRecs), readLines)
+		// A pilot extend as dfs sees it: 10 k drawn positions resolved as
+		// one ordered gather, the records viewed where they are stored.
+		const pilotRecs = 10_000
+		add("dfs", fmt.Sprintf("ReadLinesAt/fixed19/n=%d/k=%d", lineRecs, pilotRecs), func(b *testing.B) {
+			rng := rand.New(rand.NewPCG(1, 2))
+			positions := make([]int64, pilotRecs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range positions {
+					positions[j] = rng.Int64N(19 * lineRecs)
+				}
+				seen := 0
+				err := lineFS.ReadLinesAt("/bench/lines", positions, 0, func(_ int, line []byte, _ int64, err error) (bool, error) {
+					seen += len(line)
+					return true, err
+				})
+				if err != nil || seen != 18*pilotRecs {
+					b.Fatalf("gathered %d record bytes, want %d: %v", seen, 18*pilotRecs, err)
+				}
+			}
+		})
+		// And as the planner sees it: the pilot's shape — a fresh sampler
+		// over the file, 10 k distinct records out as parsed columns.
+		add("sampling", fmt.Sprintf("PreMapSample/n=%d/k=%d", lineRecs, pilotRecs), func(b *testing.B) {
+			cache := colscan.NewCache(0)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := sampling.NewPreMap(lineFS, "/bench/lines", 0, uint64(i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := s.EnableColumnar(cache, colscan.FormatNumeric); err != nil {
+					b.Fatal(err)
+				}
+				var cols colscan.Cols
+				if n, err := s.SampleCols(pilotRecs, &cols); err != nil || n != pilotRecs {
+					b.Fatalf("sampled %d records, want %d: %v", n, pilotRecs, err)
+				}
+			}
+		})
 		// The same read with a writer on the file: one goroutine appending
 		// the end-to-end benchmark's 77 KB batch in a loop. Reads take no
 		// lock, so what separates this entry from the one above is the CPU

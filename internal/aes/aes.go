@@ -112,6 +112,112 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
+// phase1 draws EstimateB's resamples from the pilot, in stream order,
+// and hands out their values one at a time. Every candidate B draws
+// from the same pilot by position, so how a resample reaches its state
+// is a choice the rng never sees:
+//
+//   - a reducer that takes a batch in any order (mr.Rank) has the pilot
+//     sorted once and each resample counted into place;
+//   - a reducer that folds states side by side (mr.LaneUpdater) has a
+//     group of stats.WelfordLanes resamples drawn into per-lane buffers
+//     — one rng, so group order is resample order — and folded in one
+//     mr.UpdateLanes from empty states, which the capability defines to
+//     be Initialize over the same values;
+//   - any other reducer gets one Initialize per resample.
+//
+// Resamples drawn past the stopping B are dropped with the rng, which
+// is EstimateB's own.
+type phase1 struct {
+	cfg   Config
+	pilot []float64
+	src   *stats.PCG
+
+	rk     *mr.Ranking
+	counts []uint32 // per distinct pilot value; zero between resamples
+
+	lanes  bool        // the reducer is an mr.LaneUpdater and the pilot is not ranked
+	bufs   [][]float64 // a resample's values, one buffer per state of a group
+	states []mr.State  // the group's states (capacity: the group width); states[next:] await Finalize
+	next   int
+}
+
+func newPhase1(pilot []float64, cfg Config) *phase1 {
+	p := &phase1{cfg: cfg, pilot: pilot, src: newRNG(cfg.Seed)}
+	width := 1
+	if p.rk = mr.Rank(cfg.Reducer, pilot); p.rk != nil {
+		p.counts = make([]uint32, len(p.rk.Distinct))
+	} else {
+		if _, p.lanes = cfg.Reducer.(mr.LaneUpdater); p.lanes {
+			width = stats.WelfordLanes
+		}
+		p.bufs = make([][]float64, width)
+		for k := range p.bufs {
+			p.bufs[k] = make([]float64, len(pilot))
+		}
+	}
+	p.states = make([]mr.State, 0, width)
+	return p
+}
+
+// value returns the statistic on the next resample; left (≥ 1) is how
+// many more the caller may still ask for, this one included, and clips
+// the group drawn to serve it.
+func (p *phase1) value(left int) (float64, error) {
+	if p.next == len(p.states) {
+		if err := p.drawGroup(min(cap(p.states), left)); err != nil {
+			return 0, err
+		}
+	}
+	st := p.states[p.next]
+	p.next++
+	return p.cfg.Reducer.Finalize(st)
+}
+
+// drawGroup draws the next group resamples and leaves their states in
+// p.states.
+//
+//earl:hotpath
+func (p *phase1) drawGroup(group int) error {
+	var idx [stats.IndexBlock]uint32
+	n := len(p.pilot)
+	p.states, p.next = p.states[:0], 0
+	for k := 0; k < group; k++ {
+		for done := 0; done < n; done += len(idx) {
+			block := idx[:min(len(idx), n-done)]
+			p.src.Indices(block, n)
+			if p.rk != nil {
+				for _, j := range block {
+					p.counts[p.rk.Of[j]]++
+				}
+				continue
+			}
+			out := p.bufs[k][done : done+len(block)]
+			for i, j := range block {
+				out[i] = p.pilot[j]
+			}
+		}
+		var st mr.State
+		var err error
+		switch {
+		case p.rk != nil:
+			st, err = p.rk.Initialize(p.cfg.Key, p.counts)
+		case p.lanes:
+			st, err = p.cfg.Reducer.Initialize(p.cfg.Key, nil)
+		default:
+			st, err = p.cfg.Reducer.Initialize(p.cfg.Key, p.bufs[k])
+		}
+		if err != nil {
+			return err
+		}
+		p.states = append(p.states, st)
+	}
+	if !p.lanes {
+		return nil
+	}
+	return mr.UpdateLanes(p.cfg.Reducer, p.states, p.bufs[:group])
+}
+
 // EstimateB runs phase 1 on the pilot sample: resamples are added one at
 // a time (each new candidate B reuses all previous resamples, the
 // incremental-processing observation of §4), and the loop stops once the
@@ -125,36 +231,10 @@ func EstimateB(pilot []float64, cfg Config) (int, []float64, error) {
 	if len(pilot) < 2 {
 		return 0, nil, stats.ErrShortInput
 	}
-	rng := newRNG(cfg.Seed)
+	resamples := newPhase1(pilot, cfg)
 	values := make([]float64, 0, cfg.MaxB)
-	// Every candidate B draws from the same pilot by position, so a
-	// reducer that takes a batch in any order has the pilot sorted once
-	// and each resample counted into place: the rng sequence, and so B
-	// and the trace, are the same either way.
-	var resample func() (mr.State, error)
-	if rk := mr.Rank(cfg.Reducer, pilot); rk != nil {
-		counts := make([]uint32, len(rk.Distinct))
-		resample = func() (mr.State, error) {
-			for range pilot {
-				counts[rk.Of[rng.IntN(len(pilot))]]++
-			}
-			return rk.Initialize(cfg.Key, counts)
-		}
-	} else {
-		buf := make([]float64, len(pilot))
-		resample = func() (mr.State, error) {
-			for i := range buf {
-				buf[i] = pilot[rng.IntN(len(pilot))]
-			}
-			return cfg.Reducer.Initialize(cfg.Key, buf)
-		}
-	}
 	drawValue := func() error {
-		st, err := resample()
-		if err != nil {
-			return err
-		}
-		v, err := cfg.Reducer.Finalize(st)
+		v, err := resamples.value(cfg.MaxB - len(values))
 		if err != nil {
 			return err
 		}

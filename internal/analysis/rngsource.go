@@ -16,9 +16,11 @@ import (
 //   - calls to math/rand/v2 package-level draw functions (IntN,
 //     Float64, Perm, Shuffle, N, ...): same global source. The
 //     explicit-seed constructors (New, NewPCG, NewChaCha8, NewZipf)
-//     stay allowed — determinism is then visibly the caller's seed
-//     argument, which is exactly the contract internal/stats.SplitRNG
-//     and internal/aes's newRNG build on;
+//     stay allowed, as does internal/stats.NewPCG — the same PCG
+//     stream with a block draw, outside these packages altogether —
+//     determinism is then visibly the caller's seed argument, which
+//     is exactly the contract internal/stats.SplitRNG and
+//     internal/aes's newRNG build on;
 //   - wall-clock seeding: time.Now flowing into an rng constructor
 //     argument, a parameter whose name contains "seed", or a composite-
 //     literal field named Seed (the Config{Seed: ...} shape every EARL
@@ -51,7 +53,7 @@ func runRngSource(pass *Pass) (any, error) {
 			if imp.Path.Value == `"math/rand"` {
 				if !pass.Suppressed(imp.Pos(), "rand-ok") {
 					pass.Reportf(imp.Pos(),
-						"import of math/rand: its global source is seeded at process start; use math/rand/v2 streams seeded via internal/stats.SplitRNG or an explicit Config seed")
+						"import of math/rand: its global source is seeded at process start; use math/rand/v2 streams seeded via internal/stats.SplitRNG, stats.NewPCG or an explicit Config seed")
 				}
 			}
 		}
@@ -86,7 +88,7 @@ func checkGlobalRandCall(pass *Pass, call *ast.CallExpr) {
 		return
 	}
 	pass.Reportf(call.Pos(),
-		"call to rand.%s draws from the process-global source; derive a stream from the run's seed (stats.SplitRNG / rand.New(rand.NewPCG(seed, ...)))",
+		"call to rand.%s draws from the process-global source; derive a stream from the run's seed (stats.SplitRNG / stats.NewPCG(seed, ...) / rand.New(rand.NewPCG(seed, ...)))",
 		fn.Name())
 }
 

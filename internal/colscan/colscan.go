@@ -14,6 +14,7 @@
 package colscan
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -76,22 +77,28 @@ func (c *Cols) Reset() {
 
 // AppendParsedLine parses one record line under f and appends it to c —
 // the per-record fallback that shares the columnar decoder's validation
-// (same values bit for bit, same ErrBadRecord class).
-func AppendParsedLine(c *Cols, f Format, line string) error {
+// (same values bit for bit, same ErrBadRecord class). The line is only
+// read: a numeric record is parsed where it lies, and of a key/value
+// record the key alone is copied out.
+func AppendParsedLine(c *Cols, f Format, line []byte) error {
 	switch f {
 	case FormatNumeric:
-		v, err := ParseValueString(line)
+		v, err := ParseValue(line)
 		if err != nil {
 			return err
 		}
 		c.Vals = append(c.Vals, v)
 		return nil
 	case FormatKV:
-		k, v, err := ParseKVString(line)
+		i := bytes.IndexByte(line, '\t')
+		if i < 0 {
+			return fmt.Errorf("colscan: no tab separator in record %s: %w", quoteBytes(line), ErrBadRecord)
+		}
+		v, err := ParseValue(line[i+1:])
 		if err != nil {
 			return err
 		}
-		c.Keys = append(c.Keys, k)
+		c.Keys = append(c.Keys, string(line[:i]))
 		c.Vals = append(c.Vals, v)
 		return nil
 	default:

@@ -19,7 +19,7 @@ func referenceDecode(data []byte, f Format) (*Cols, error) {
 		} else {
 			line, data = data, nil
 		}
-		if err := AppendParsedLine(cols, f, string(line)); err != nil {
+		if err := AppendParsedLine(cols, f, line); err != nil {
 			return nil, err
 		}
 	}

@@ -98,12 +98,14 @@ type Maintainer struct {
 }
 
 // resample is one of the B maintained resamples. Each owns its rng
-// stream, its per-generation sketches and a Fenwick tree over its part
-// sizes, so growing it touches no state shared with the other resamples
-// (beyond read-only delta data and the atomic cost counters) — the
-// property the parallel Grow relies on.
+// stream (one state, held as source and as *rand.Rand), its
+// per-generation sketches and a Fenwick tree over its part sizes, so
+// growing it touches no state shared with the other resamples (beyond
+// read-only delta data and the atomic cost counters) — the property the
+// parallel Grow relies on.
 type resample struct {
-	rng      *rand.Rand
+	src      *stats.PCG // the stream itself: a generation's draws from Δs, a block per call
+	rng      *rand.Rand // rand.New(src): the binomial resize, sketch shuffles, weighted picks
 	state    mr.State
 	parts    []*sketch.Part  // parts[k] = b_Δs(k+1)
 	partTree stats.Fenwick   // Fenwick over parts[k].Size(), kept in lockstep
@@ -232,7 +234,8 @@ func (m *Maintainer) grow(deltaSample []float64, final bool) error {
 	if first {
 		m.resamples = make([]*resample, m.b)
 		for i := range m.resamples {
-			m.resamples[i] = &resample{rng: stats.SplitRNG(m.seed, seed2Base, i)}
+			src := stats.SplitPCG(m.seed, seed2Base, i)
+			m.resamples[i] = &resample{src: src, rng: rand.New(src)}
 		}
 	}
 	// Full groups feed the lane kernels, but never at the price of a
@@ -280,7 +283,7 @@ func (m *Maintainer) grow(deltaSample []float64, final bool) error {
 //earl:hotpath
 func (m *Maintainer) initGroup(rs []*resample, ds []float64, rk *mr.Ranking, scratch *growScratch, final bool) error {
 	for _, r := range rs {
-		items := drawDelta(r.rng, ds, rk, scratch.counts, scratch.adds.Take(len(ds)), len(ds))
+		items := drawDelta(r.src, ds, rk, scratch.counts, scratch.adds.Take(len(ds)), len(ds))
 		var st mr.State
 		var err error
 		if rk != nil {
@@ -325,7 +328,7 @@ func (m *Maintainer) growGroup(rs []*resample, nPrime int, ds []float64, rk *mr.
 		// Fill to n′ with draws from Δs (the new generation) — memory-
 		// resident this iteration, so drawn directly.
 		fill := nPrime - keep
-		draws[k] = drawDelta(r.rng, ds, rk, scratch.counts, scratch.fills[k].Take(fill), fill)
+		draws[k] = drawDelta(r.src, ds, rk, scratch.counts, scratch.fills[k].Take(fill), fill)
 		states[k] = r.state
 		if rk != nil {
 			if states[k], err = rk.Update(r.state, scratch.counts); err != nil {
@@ -353,21 +356,28 @@ func (m *Maintainer) growGroup(rs []*resample, nPrime int, ds []float64, rk *mr.
 
 // drawDelta appends n draws from Δs, with replacement and in draw
 // order, to items; under a ranking it also counts each draw by rank, for
-// the reducer to take as the same multiset, sorted. The rng is advanced
-// identically either way.
+// the reducer to take as the same multiset, sorted. The stream advances
+// exactly as n calls of rand.New(src).IntN(len(ds)) would, either way;
+// the indices come a block at a time so the generator's state stays in
+// registers and the gather is a loop of loads.
 //
 //earl:hotpath
-func drawDelta(rng *rand.Rand, ds []float64, rk *mr.Ranking, counts []uint32, items []float64, n int) []float64 {
-	if rk == nil {
-		for j := 0; j < n; j++ {
-			items = append(items, ds[rng.IntN(len(ds))])
+func drawDelta(src *stats.PCG, ds []float64, rk *mr.Ranking, counts []uint32, items []float64, n int) []float64 {
+	var idx [stats.IndexBlock]uint32
+	for n > 0 {
+		block := idx[:min(n, len(idx))]
+		src.Indices(block, len(ds))
+		if rk == nil {
+			for _, p := range block {
+				items = append(items, ds[p])
+			}
+		} else {
+			for _, p := range block {
+				items = append(items, ds[p])
+				counts[rk.Of[p]]++
+			}
 		}
-		return items
-	}
-	for j := 0; j < n; j++ {
-		p := rng.IntN(len(ds))
-		items = append(items, ds[p])
-		counts[rk.Of[p]]++
+		n -= len(block)
 	}
 	return items
 }

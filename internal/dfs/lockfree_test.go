@@ -158,6 +158,7 @@ func readEveryMethod(v View, path string, rng *rand.Rand, whole bool) (viewRead,
 	}
 
 	// Positioned reads.
+	var linePos, lineStart []int64
 	for i := 0; i < 4; i++ {
 		off := rng.Int64N(int64(len(r.data))/raceLineWidth) * raceLineWidth
 		p := make([]byte, 40*raceLineWidth)
@@ -185,6 +186,31 @@ func readEveryMethod(v View, path string, rng *rand.Rand, whole bool) (viewRead,
 		if whole && start != off {
 			return r, fmt.Errorf("ReadLineAt(%d) starts at %d, want %d", pos, start, off)
 		}
+		linePos, lineStart = append(linePos, pos), append(lineStart, start)
+	}
+	// The same positions as one gather. It serves one file state, so its
+	// records are lines of one write; where the path holds still they
+	// are the records the single reads returned.
+	tag := -1
+	err = v.ReadLinesAt(path, linePos, 8, func(i int, line []byte, start int64, err error) (bool, error) {
+		if err != nil {
+			return false, fmt.Errorf("position %d: %w", linePos[i], err)
+		}
+		if err := checkRaceLine(line, start); err != nil {
+			return false, fmt.Errorf("position %d: %w", linePos[i], err)
+		}
+		t, _ := raceTag(append(append([]byte(nil), line...), '\n'))
+		if tag >= 0 && t != tag {
+			return false, fmt.Errorf("records of writes %d and %d in one gather", tag, t)
+		}
+		tag = t
+		if whole && start != lineStart[i] {
+			return false, fmt.Errorf("position %d starts at %d, ReadLineAt said %d", linePos[i], start, lineStart[i])
+		}
+		return true, nil
+	})
+	if err != nil && !gone(err) {
+		return r, fmt.Errorf("ReadLinesAt: %w", err)
 	}
 
 	// Splits and line readers: a reader serves one file state from open

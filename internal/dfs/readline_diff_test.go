@@ -2,9 +2,11 @@ package dfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -146,13 +148,79 @@ func (tw *readLineTwin) compare(t *testing.T, label, path string, chunks []int, 
 	}
 }
 
+// compareBatch holds ReadLinesAt to the loop of single reads it stands
+// for: every byte position of path (and one either side), shuffled, as
+// one batch on the production filesystem, while the reference makes the
+// same reads one copyingReadLineAt at a time on its twin. Inside the
+// callback for position i — after the batch has charged it, and after
+// it has touched positions it has not read yet — line, start, error,
+// cost counters and read tick must equal the reference's after its i-th
+// call: the touch-ahead charges nothing, ticks nothing and asks no
+// replica. An early stop then leaves the counters where they are.
+func (tw *readLineTwin) compareBatch(t *testing.T, label, path string, chunks []int, view func(*FileSystem) View) {
+	t.Helper()
+	refV, gotV := view(tw.ref), view(tw.got)
+	size, err := refV.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	positions := make([]int64, 0, size+2)
+	for pos := int64(-1); pos <= size; pos++ {
+		positions = append(positions, pos)
+	}
+	rand.New(rand.NewPCG(uint64(size), 0xba7c4)).Shuffle(len(positions), func(i, j int) {
+		positions[i], positions[j] = positions[j], positions[i]
+	})
+	for _, chunk := range chunks {
+		stopAt := len(positions) * 2 / 3
+		calls := 0
+		err := gotV.ReadLinesAt(path, positions, chunk, func(i int, gl []byte, gs int64, gerr error) (bool, error) {
+			if i != calls {
+				t.Fatalf("%s chunk=%d: callback %d carries index %d", label, chunk, calls, i)
+			}
+			calls++
+			wl, ws, werr := copyingReadLineAt(refV, path, positions[i], chunk)
+			where := fmt.Sprintf("%s chunk=%d batch[%d] pos=%d", label, chunk, i, positions[i])
+			if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+				t.Fatalf("%s: err %v, reference %v", where, gerr, werr)
+			}
+			if string(gl) != wl || gs != ws {
+				t.Fatalf("%s: (%q, %d), reference (%q, %d)", where, gl, gs, wl, ws)
+			}
+			if g, w := tw.gotM.Snapshot(), tw.refM.Snapshot(); g != w {
+				t.Fatalf("%s: modelled cost %+v, reference %+v", where, g, w)
+			}
+			if g, w := tw.got.readTick.Load(), tw.ref.readTick.Load(); g != w {
+				t.Fatalf("%s: read tick %d, reference %d", where, g, w)
+			}
+			return i+1 < stopAt, nil
+		})
+		if err != nil {
+			t.Fatalf("%s chunk=%d: ReadLinesAt: %v", label, chunk, err)
+		}
+		if calls != stopAt {
+			t.Fatalf("%s chunk=%d: %d callbacks before the stop at %d", label, chunk, calls, stopAt)
+		}
+		// Stopped a third short: nothing was read, charged or ticked for
+		// the rest.
+		if g, w := tw.gotM.Snapshot(), tw.refM.Snapshot(); g != w {
+			t.Fatalf("%s chunk=%d: modelled cost %+v after the stop, reference %+v", label, chunk, g, w)
+		}
+		if g, w := tw.got.readTick.Load(), tw.ref.readTick.Load(); g != w {
+			t.Fatalf("%s chunk=%d: read tick %d after the stop, reference %d", label, chunk, g, w)
+		}
+	}
+}
+
 func liveView(fs *FileSystem) View { return fs }
 
 // TestReadLineAtMatchesCopyingLoop is the differential test of the
-// in-place positioned read: every byte position of multi-block files at
-// block sizes 64…4096 — variable-length records, records longer than
-// the window, no trailing newline, after an Append, and through a
-// Snapshot that a later rewrite must not reach.
+// in-place positioned read, one position at a time (compare) and as an
+// ordered batch (compareBatch): every byte position of multi-block
+// files at block sizes 64…4096 — variable-length records, records
+// longer than the window (several growths either way), windows that
+// straddle a block, no trailing newline, after an Append, through a
+// Snapshot that a later rewrite must not reach, and the empty file.
 func TestReadLineAtMatchesCopyingLoop(t *testing.T) {
 	for _, bs := range []int64{64, 100, 256, 1024, 4096} {
 		t.Run(fmt.Sprintf("block=%d", bs), func(t *testing.T) {
@@ -161,6 +229,7 @@ func TestReadLineAtMatchesCopyingLoop(t *testing.T) {
 			body := linesOfMixedLength(int(3*bs)+37, uint64(bs))
 			tw.each(t, func(fs *FileSystem) error { return fs.WriteFile("/f", body) })
 			tw.compare(t, "written", "/f", chunks, liveView)
+			tw.compareBatch(t, "written", "/f", chunks, liveView)
 
 			// An append cuts a fresh block at the old end of file, so
 			// block boundaries stop being multiples of the block size;
@@ -168,6 +237,7 @@ func TestReadLineAtMatchesCopyingLoop(t *testing.T) {
 			tail := append(linesOfMixedLength(int(bs)+11, uint64(bs)+1), "unterminated tail"...)
 			tw.each(t, func(fs *FileSystem) error { return fs.Append("/f", tail) })
 			tw.compare(t, "appended", "/f", chunks, liveView)
+			tw.compareBatch(t, "appended", "/f", chunks, liveView)
 
 			// A snapshot keeps reading the appended file while the path
 			// is rewritten behind it.
@@ -176,7 +246,15 @@ func TestReadLineAtMatchesCopyingLoop(t *testing.T) {
 			defer snaps[tw.got].Release()
 			tw.each(t, func(fs *FileSystem) error { return fs.WriteFile("/f", []byte("7\n8\n9")) })
 			tw.compare(t, "snapshot", "/f", chunks, func(fs *FileSystem) View { return snaps[fs] })
+			tw.compareBatch(t, "snapshot", "/f", chunks, func(fs *FileSystem) View { return snaps[fs] })
 			tw.compare(t, "rewritten", "/f", chunks, liveView)
+			tw.compareBatch(t, "rewritten", "/f", chunks, liveView)
+
+			// The empty file: every position is io.EOF, handed to the
+			// callback like any other outcome, and charges nothing.
+			tw.each(t, func(fs *FileSystem) error { return fs.WriteFile("/f", nil) })
+			tw.compare(t, "empty", "/f", chunks, liveView)
+			tw.compareBatch(t, "empty", "/f", chunks, liveView)
 		})
 	}
 }
@@ -185,7 +263,9 @@ func TestReadLineAtMatchesCopyingLoop(t *testing.T) {
 // with a dead node, a slow node and injected read errors: the in-place
 // path must take its replica through the same attempts as readAt — same
 // tick, same backoff outcome, same error text when a block exhausts its
-// budget — and still charge the same seek and window bytes.
+// budget — and still charge the same seek and window bytes. In a batch
+// a position that finds no replica is the callback's to judge, and the
+// positions after it are read as if it had not failed.
 func TestReadLineAtMatchesCopyingLoopUnderFaults(t *testing.T) {
 	tw := newReadLineTwin(Config{BlockSize: 64, Replication: 2, DataNodes: 4, Seed: 11})
 	// Every failed attempt sleeps its backoff, so this file is small:
@@ -198,6 +278,7 @@ func TestReadLineAtMatchesCopyingLoopUnderFaults(t *testing.T) {
 	tw.ref.SetFaultPlan(plan)
 	tw.got.SetFaultPlan(plan)
 	tw.compare(t, "faults", "/f", []int{7}, liveView)
+	tw.compareBatch(t, "faults", "/f", []int{7}, liveView)
 
 	failed := 0
 	for pos := int64(0); pos < int64(len(body)); pos += 16 {
@@ -235,5 +316,80 @@ func TestReadLineAtAllocatesOnlyTheRecord(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("ReadAt made %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestReadLinesAtStopsAndFails pins the two ways a walk ends early: the
+// callback's error is returned as it is, a missing path is reported
+// before any callback, and either way nothing further is charged.
+func TestReadLinesAtStopsAndFails(t *testing.T) {
+	m := &simcost.Metrics{}
+	fs := New(Config{BlockSize: 64, Replication: 2, DataNodes: 4, Seed: 5, Metrics: m})
+	if err := fs.WriteFile("/f", []byte("1\n22\n333\n4444\n")); err != nil {
+		t.Fatal(err)
+	}
+	before, tick := m.Snapshot(), fs.readTick.Load()
+	called := false
+	err := fs.ReadLinesAt("/missing", []int64{0, 1}, 0, func(int, []byte, int64, error) (bool, error) {
+		called = true
+		return true, nil
+	})
+	if !errors.Is(err, ErrNotFound) || called {
+		t.Fatalf("missing path: err %v, callback ran: %v", err, called)
+	}
+	if err := fs.ReadLinesAt("/f", nil, 0, nil); err != nil {
+		t.Fatalf("no positions: %v", err)
+	}
+	if g := m.Snapshot(); g != before || fs.readTick.Load() != tick {
+		t.Fatalf("a walk that read nothing charged %+v (tick %d → %d)", g, tick, fs.readTick.Load())
+	}
+
+	boom := errors.New("boom")
+	var seen []string
+	err = fs.ReadLinesAt("/f", []int64{9, 0, 3, 6}, 0, func(i int, line []byte, start int64, err error) (bool, error) {
+		seen = append(seen, fmt.Sprintf("%d:%s@%d:%v", i, line, start, err))
+		if i == 1 {
+			return true, boom
+		}
+		return true, nil
+	})
+	if err != boom {
+		t.Fatalf("callback error came back as %v", err)
+	}
+	if want := []string{"0:4444@9:<nil>", "1:1@0:<nil>"}; !slices.Equal(seen, want) {
+		t.Fatalf("walk saw %v, want %v", seen, want)
+	}
+	after := m.Snapshot()
+	if after.DiskSeeks-before.DiskSeeks != 2 {
+		t.Fatalf("two positions read, %d seeks charged", after.DiskSeeks-before.DiskSeeks)
+	}
+}
+
+// TestReadLinesAtViewsStoredBytes pins what the batch is for: a window
+// inside one block hands the callback the stored bytes themselves — no
+// copy, no allocation per position.
+func TestReadLinesAtViewsStoredBytes(t *testing.T) {
+	fs := New(Config{BlockSize: 1 << 20, Replication: 2, DataNodes: 4, Seed: 5, Metrics: &simcost.Metrics{}})
+	if err := fs.WriteFile("/f", bytes.Repeat([]byte("+1.234567890e+01\n"), 4096)); err != nil {
+		t.Fatal(err)
+	}
+	positions := make([]int64, 256)
+	for i := range positions {
+		positions[i] = int64(i*7919) % (17 * 4096)
+	}
+	total := 0
+	visit := func(_ int, line []byte, _ int64, err error) (bool, error) {
+		total += len(line)
+		return true, err
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := fs.ReadLinesAt("/f", positions, 0, visit); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("ReadLinesAt made %.1f allocs per 256 positions, want 0", allocs)
+	}
+	if total == 0 {
+		t.Fatal("no record bytes seen")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 )
 
 // Split is a logical input split: a byte range of a file handed to one
@@ -242,24 +243,115 @@ func (r *LineReader) Err() error { return r.err }
 // ReadLineAt returns the full line containing file offset pos, applying
 // the paper's backtracking rule (Algorithm 2): if pos is not the start of
 // a line, back up to the previous newline. It returns the line, the
-// offset at which it starts, and charges the underlying seek. Used by the
-// pre-map sampler to turn a random byte offset into a whole record.
+// offset at which it starts, and charges the underlying seek. It is the
+// one-position form of ReadLinesAt, with the record copied out.
 func (s state) ReadLineAt(path string, pos int64, chunkSize int) (line string, lineStart int64, err error) {
 	meta, err := s.file(path)
 	if err != nil {
 		return "", 0, err
 	}
+	rec, lineStart, err := s.fs.lineAt(meta, pos, chunkSize)
+	return string(rec), lineStart, err
+}
+
+func (fs *FileSystem) ReadLineAt(path string, pos int64, chunkSize int) (string, int64, error) {
+	return fs.live().ReadLineAt(path, pos, chunkSize)
+}
+
+// ReadLinesAt resolves the records containing positions, in order,
+// against the one file state it resolves first, and hands each to fn:
+// the pre-map sampler's unit of work, a whole extend's draws as one
+// gather. Position i is charged, ticked and fault-checked exactly as
+// ReadLineAt(path, positions[i], chunkSize) is — one seek and its
+// window's bytes, a replica per window, the same growth — and its
+// outcome, error included (io.EOF on an empty file, a read that found
+// no replica), is fn's to judge. line is a read-only view, of stored
+// bytes or of a window assembled across a block boundary, and is valid
+// until fn returns. fn returning more == false, or an error (which
+// ReadLinesAt returns), ends the walk: later positions are not read
+// and not charged.
+//
+// What the batch buys is overlap: a drawn position is a cache miss, and
+// one at a time each waits for the one before. Before resolving
+// positions i … i+touchAhead−1 the walk touches their windows — plain
+// loads from the bytes the file state already holds: no charge, no
+// tick, no fault check, no replica choice — so those misses are in
+// flight together by the time the real, ordered reads search them.
+//
+//earl:hotpath
+func (s state) ReadLinesAt(path string, positions []int64, chunkSize int, fn func(i int, line []byte, lineStart int64, err error) (more bool, fail error)) error {
+	meta, err := s.file(path)
+	if err != nil {
+		return err
+	}
+	for i, pos := range positions {
+		if i%touchAhead == 0 {
+			meta.touch(positions[i:min(i+touchAhead, len(positions))])
+		}
+		line, start, err := s.fs.lineAt(meta, pos, chunkSize)
+		more, err := fn(i, line, start, err)
+		if err != nil || !more {
+			return err
+		}
+	}
+	return nil
+}
+
+func (fs *FileSystem) ReadLinesAt(path string, positions []int64, chunkSize int, fn func(i int, line []byte, lineStart int64, err error) (more bool, fail error)) error {
+	return fs.live().ReadLinesAt(path, positions, chunkSize, fn)
+}
+
+const (
+	// touchAhead is how many positions ReadLinesAt touches before it
+	// resolves the first of them: the misses a core keeps in flight.
+	touchAhead = 16
+	// touchBack and touchFwd are where, around a position, the touch
+	// loads a byte: the cache lines the newline searches of a short
+	// record start in, either way.
+	touchBack = 24
+	touchFwd  = 32
+)
+
+// touch loads a byte either side of each position from the file's own
+// bytes, so the cache lines a record search starts in are on their way
+// before the search runs. It is not a read: nothing is charged or
+// chosen, and a position outside the file touches nothing.
+func (m *fileMeta) touch(positions []int64) {
+	var sink byte
+	var blk *blockMeta
+	for _, pos := range positions {
+		if pos < 0 || pos >= m.size {
+			continue
+		}
+		lo := max(pos-touchBack, 0)
+		if blk == nil || lo < blk.offset || lo >= blk.offset+blk.size {
+			blk = m.blocks[m.blockAt(lo)]
+		}
+		sink ^= blk.payload[lo-blk.offset]
+		// The forward byte only where this block holds it: a window
+		// that straddles blocks is rare and gets no second hint.
+		if hi := pos + touchFwd - blk.offset; hi < blk.size {
+			sink ^= blk.payload[hi]
+		}
+	}
+	// The loads are the point; keeping their result live is what stops
+	// the compiler from dropping them.
+	runtime.KeepAlive(sink)
+}
+
+// lineAt resolves the record containing pos in one file state: one
+// window around pos, grown geometrically until it contains both the
+// preceding newline (or file start) and the terminating newline (or
+// EOF). Short records resolve in a single positioned read — one seek, a
+// few hundred bytes — which is what makes pre-map sampling a sub-scan
+// operation. The returned line is a read-only view.
+func (fs *FileSystem) lineAt(meta *fileMeta, pos int64, chunkSize int) (line []byte, lineStart int64, err error) {
 	if chunkSize <= 0 {
 		chunkSize = 256
 	}
-	// Read one window around pos, growing it geometrically until it
-	// contains both the preceding newline (or file start) and the
-	// terminating newline (or EOF). Short records resolve in a single
-	// positioned read — one seek, a few hundred bytes — which is what
-	// makes pre-map sampling a sub-scan operation.
 	back, fwd := int64(chunkSize), int64(chunkSize)
 	for {
-		line, lineStart, grow, err := s.fs.lineInWindow(meta, pos, back, fwd)
+		line, lineStart, grow, err := fs.lineInWindow(meta, pos, back, fwd)
 		switch grow {
 		case growBack:
 			back *= 4
@@ -269,10 +361,6 @@ func (s state) ReadLineAt(path string, pos int64, chunkSize int) (line string, l
 			return line, lineStart, err
 		}
 	}
-}
-
-func (fs *FileSystem) ReadLineAt(path string, pos int64, chunkSize int) (string, int64, error) {
-	return fs.live().ReadLineAt(path, pos, chunkSize)
 }
 
 // windowGrow says which side of a window must widen before the record
@@ -286,8 +374,8 @@ const (
 )
 
 // lineInWindow resolves the record containing pos within the window
-// [pos−back, pos+fwd) of one file state: block search, newline search
-// and the copy-out of the record alone. A window that
+// [pos−back, pos+fwd) of one file state: block search and newline
+// search. A window that
 // lies in one block — every window but those straddling a block
 // boundary — is searched in the replica's bytes where they are; only a
 // straddling window is assembled by the copying read. Either way the
@@ -295,10 +383,10 @@ const (
 // each block reaches its replica through replicaPayload, so
 // modelled cost, read ticks and injected faults do not depend on which
 // way the bytes were reached.
-func (fs *FileSystem) lineInWindow(meta *fileMeta, pos, back, fwd int64) (line string, lineStart int64, grow windowGrow, err error) {
+func (fs *FileSystem) lineInWindow(meta *fileMeta, pos, back, fwd int64) (line []byte, lineStart int64, grow windowGrow, err error) {
 	size := meta.size
 	if size == 0 {
-		return "", 0, growNone, io.EOF
+		return nil, 0, growNone, io.EOF
 	}
 	pos = min(max(pos, 0), size-1)
 	lo, hi := max(pos-back, 0), min(pos+fwd, size)
@@ -309,7 +397,7 @@ func (fs *FileSystem) lineInWindow(meta *fileMeta, pos, back, fwd int64) (line s
 		}
 		payload, err := fs.replicaPayload(blk)
 		if err != nil {
-			return "", 0, growNone, err
+			return nil, 0, growNone, err
 		}
 		win = payload[lo-blk.offset : hi-blk.offset]
 		if fs.metrics != nil {
@@ -318,7 +406,7 @@ func (fs *FileSystem) lineInWindow(meta *fileMeta, pos, back, fwd int64) (line s
 	} else {
 		win = make([]byte, hi-lo)
 		if _, err := fs.readMeta(meta, lo, win); err != nil {
-			return "", 0, growNone, err
+			return nil, 0, growNone, err
 		}
 	}
 	// The record containing pos starts after the last '\n' strictly
@@ -328,15 +416,15 @@ func (fs *FileSystem) lineInWindow(meta *fileMeta, pos, back, fwd int64) (line s
 	if i := bytes.LastIndexByte(win[:rel], '\n'); i >= 0 {
 		start = int64(i) + 1
 	} else if lo > 0 {
-		return "", 0, growBack, nil
+		return nil, 0, growBack, nil
 	}
 	end := int64(len(win))
 	if i := bytes.IndexByte(win[rel:], '\n'); i >= 0 {
 		end = rel + int64(i)
 	} else if hi < size {
-		return "", 0, growFwd, nil
+		return nil, 0, growFwd, nil
 	}
-	return string(win[start:end]), lo + start, growNone, nil
+	return win[start:end:end], lo + start, growNone, nil
 }
 
 // CountLines returns the number of records in the file (used by tests and

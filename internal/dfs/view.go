@@ -21,6 +21,7 @@ type View interface {
 	Splits(path string, splitSize int64) ([]Split, error)
 	NewLineReader(split Split, chunkSize int) (*LineReader, error)
 	ReadLineAt(path string, pos int64, chunkSize int) (line string, lineStart int64, err error)
+	ReadLinesAt(path string, positions []int64, chunkSize int, fn func(i int, line []byte, lineStart int64, err error) (more bool, fail error)) error
 	CountLines(path string) (int64, error)
 	SidecarStat(path string) (int64, bool)
 	ViewSidecarAt(path string, off, size int64) ([]byte, error)

@@ -104,3 +104,44 @@ func TestUpdateLanesRejectsForeignState(t *testing.T) {
 		t.Fatalf("err = %v, want ErrBadState", err)
 	}
 }
+
+// TestLaneUpdatersInitializeIsEmptyThenUpdate holds the lane-folding
+// reducers to the other half of the capability: a state initialized
+// over values is bit for bit the empty state updated with them, which
+// is what lets SSABE's phase 1 build a group of fresh resamples abreast.
+func TestLaneUpdatersInitializeIsEmptyThenUpdate(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 0xfeed))
+	values := make([]float64, 257)
+	for i := range values {
+		values[i] = rng.NormFloat64()*15 + 50
+	}
+	checked := 0
+	for _, name := range []string{"mean", "sum", "count", "median", "variance", "stddev", "proportion", "p95"} {
+		job, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := job.Reducer.(mr.LaneUpdater); !ok {
+			continue
+		}
+		checked++
+		for _, n := range []int{0, 1, 2, 257} {
+			whole, err := job.Reducer.Initialize("k", values[:n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			grown, err := job.Reducer.Initialize("k", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			states := []mr.State{grown}
+			if err := mr.UpdateLanes(job.Reducer, states, [][]float64{values[:n]}); err != nil {
+				t.Fatal(err)
+			}
+			sameFinalize(t, fmt.Sprintf("%s n=%d", name, n), job.Reducer, states, []mr.State{whole})
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no named reducer is a LaneUpdater")
+	}
+}

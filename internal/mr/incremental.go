@@ -129,6 +129,10 @@ func UpdateAll(r IncrementalReducer, state State, values []float64) (State, erro
 // batches[k]) would — same slice order, same arithmetic, bit for bit —
 // for any number of states, batches of unequal length and empty ones;
 // only the interleaving across states is the implementation's to choose.
+// The capability also promises that Initialize(key, values) leaves the
+// state Initialize(key, nil) followed by Update(values) does, so a
+// caller building several fresh states (SSABE's phase 1) can fold them
+// abreast too.
 type LaneUpdater interface {
 	UpdateLanes(states []State, batches [][]float64) error
 }

@@ -9,10 +9,13 @@
 package sampling
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
+	"slices"
+	"sort"
 
 	"repro/internal/colscan"
 	"repro/internal/dfs"
@@ -46,10 +49,12 @@ type Record struct {
 type PreMap struct {
 	fs     dfs.View
 	path   string
-	splits []dfs.Split          // the splits this sampler owns
-	size   int64                // whole-file size
-	owned  int64                // total bytes of owned splits
-	taken  []map[int64]struct{} // per split: sampled line-start offsets
+	splits []dfs.Split // the splits this sampler owns
+	before []int64     // before[i]: owned bytes ahead of splits[i]; before[len(splits)] == owned
+	byOff  []int       // owned split indices, ascending by (Offset, End)
+	size   int64       // whole-file size
+	owned  int64       // total bytes of owned splits
+	taken  offsetSet   // sampled line-start offsets
 	nTaken int
 	bytes  int64 // total bytes of sampled lines (for fraction estimates)
 	rng    *rand.Rand
@@ -64,6 +69,8 @@ type PreMap struct {
 	version   int64
 	blocks    []*colscan.Block // per owned split, lazily resolved
 	hits      []int            // per owned split: seek-path resolutions so far
+	peeked    []uint32         // per owned split: the call (s.call) that last looked for its block in the cache
+	call      uint32           // sampleLoop calls so far
 
 	// parser (EnableParser) decodes SampleCols draws with a custom parser
 	// instead of a built-in format: every draw stays a positioned read,
@@ -79,7 +86,9 @@ type PreMap struct {
 // many bytes as the split body itself, so columnar decode never
 // inflates a run's I/O beyond ~2x the pure seek path — the §3.3
 // sub-scan property figures 5 and 10 reproduce. A block already
-// decoded by anyone else (cache Peek) is adopted immediately.
+// decoded by anyone else is adopted from the cache without counting
+// toward the threshold; a split is looked up there once per Sample or
+// SampleCols call, at the call's first draw that lands in it.
 const decodeAfterHits = 32
 
 // hotThreshold returns the seek-hit count at which decoding sp becomes
@@ -120,21 +129,23 @@ func NewPreMapOwned(fsys dfs.View, path string, splits []dfs.Split, seed uint64)
 	if err != nil {
 		return nil, err
 	}
-	taken := make([]map[int64]struct{}, len(splits))
-	for i := range taken {
-		taken[i] = make(map[int64]struct{})
+	before := make([]int64, len(splits)+1)
+	byOff := make([]int, len(splits))
+	for i, sp := range splits {
+		before[i+1] = before[i] + sp.Length
+		byOff[i] = i
 	}
-	var owned int64
-	for _, sp := range splits {
-		owned += sp.Length
-	}
+	slices.SortStableFunc(byOff, func(a, b int) int {
+		return cmp.Or(cmp.Compare(splits[a].Offset, splits[b].Offset), cmp.Compare(splits[a].End(), splits[b].End()))
+	})
 	return &PreMap{
 		fs:     fsys,
 		path:   path,
 		splits: splits,
+		before: before,
+		byOff:  byOff,
 		size:   size,
-		owned:  owned,
-		taken:  taken,
+		owned:  before[len(splits)],
 		rng:    rand.New(rand.NewPCG(seed, 0xbb67ae8584caa73b)),
 		chunk:  256,
 	}, nil
@@ -160,6 +171,7 @@ func (s *PreMap) EnableColumnar(cache *colscan.Cache, format colscan.Format) err
 	s.version = ver
 	s.blocks = make([]*colscan.Block, len(s.splits))
 	s.hits = make([]int, len(s.splits))
+	s.peeked = make([]uint32, len(s.splits))
 	return nil
 }
 
@@ -182,7 +194,12 @@ func (s *PreMap) Sample(n int) ([]Record, error) {
 // appended to out as parsed columns (values, plus keys under FormatKV),
 // validated by the colscan decoder (NaN/±Inf reject). It returns the
 // number of records appended; fewer than n only with ErrExhausted.
-// EnableColumnar or EnableParser must have been called.
+// EnableColumnar or EnableParser must have been called. Any other
+// error — a bad record, a block with no live replica — fails the call
+// part-way through a pass whose positions were all drawn before the
+// first was read, so the rng stands a few draws past the failing record:
+// a sampler that has returned one is not resumed (every caller fails
+// the run or the mapper).
 func (s *PreMap) SampleCols(n int, out *colscan.Cols) (int, error) {
 	if s.colFormat == colscan.FormatNone && s.parser == nil {
 		return 0, errors.New("sampling: SampleCols before EnableColumnar or EnableParser")
@@ -192,10 +209,22 @@ func (s *PreMap) SampleCols(n int, out *colscan.Cols) (int, error) {
 	return out.Len() - before, err
 }
 
+// passMax bounds how many positions one pass draws ahead of reading
+// them — the size of the pass's scratch, not of the sample.
+const passMax = 4096
+
 // sampleLoop is the shared draw loop behind Sample and SampleCols: one
-// rng draw per iteration, the same rejection and without-replacement
+// rng draw per position, the same rejection and without-replacement
 // bookkeeping on both paths, so a fixed seed yields the same record
 // sequence regardless of which entry point (or mix) consumes it.
+//
+// A position yields at most one record, so a pass draws the positions
+// it still needs up front — never more than one draw at a time would
+// have made — and then resolves them in order: against a decoded block
+// where the position's split has one, as one dfs.ReadLinesAt gather for
+// a run of positions whose splits have none. A run ends before the
+// first position whose split has a block or is due one, so a split is
+// promoted at exactly the draw it would be promoted at one at a time.
 func (s *PreMap) sampleLoop(n int, recs *[]Record, cols *colscan.Cols) error {
 	if s.size == 0 || s.owned == 0 {
 		if n == 0 {
@@ -203,78 +232,76 @@ func (s *PreMap) sampleLoop(n int, recs *[]Record, cols *colscan.Cols) error {
 		}
 		return ErrExhausted
 	}
-	got := 0
+	s.call++
+	s.taken.reserve(s.nTaken + n)
+	columnar := cols != nil && s.parser == nil
+	var (
+		pos  = make([]int64, 0, min(n, passMax))
+		in   = make([]int, 0, min(n, passMax)) // in[i]: the owned split pos[i] was drawn in
+		got  int
+		next int // the first position of the pass not yet resolved
+	)
+	// seek takes one position of a ReadLinesAt run, and ends the run
+	// before a position that is no longer a seek.
+	seek := func(_ int, line []byte, start int64, err error) (bool, error) {
+		next++
+		switch {
+		case err == io.EOF:
+		case err != nil:
+			return false, err
+		default:
+			taken, err := s.take(line, start, recs, cols)
+			if err != nil {
+				return false, err
+			}
+			if taken {
+				got++
+			}
+		}
+		return !columnar || (next < len(pos) && s.onSeekPath(in[next])), nil
+	}
 	// Retry budget: rejection sampling against the already-taken set. As
 	// the sampled fraction approaches 1 the rejection rate rises; the
 	// budget scales generously so legitimate draws still succeed, and a
 	// truly exhausted file terminates via the budget.
 	budget := 64*n + 4096
 	for got < n && budget > 0 {
-		budget--
-		// Pick a random byte position uniformly over the *owned* splits
-		// (a random split weighted by its length, then a random position
+		// Pick random byte positions uniformly over the *owned* splits (a
+		// random split weighted by its length, then a random position
 		// inside it — the paper's per-split bookkeeping).
-		pos, si := s.ownedPos(s.rng.Int64N(s.owned))
-		if cols != nil && s.parser == nil {
-			blk, err := s.blockFor(si)
-			if err != nil {
-				return err
-			}
-			if blk != nil {
-				rec := blk.FindRecord(pos)
-				if rec >= 0 {
-					start := blk.Start(rec)
-					if _, dup := s.taken[si][start]; dup {
+		pass := min(n-got, budget, passMax)
+		budget -= pass
+		pos, in = pos[:0], in[:0]
+		for range pass {
+			p, si := s.ownedPos(s.rng.Int64N(s.owned))
+			pos, in = append(pos, p), append(in, si)
+		}
+		for next = 0; next < pass; {
+			if columnar {
+				blk, err := s.blockFor(in[next])
+				if err != nil {
+					return err
+				}
+				if blk != nil {
+					if rec := blk.FindRecord(pos[next]); rec >= 0 {
+						next++
+						if s.taken.add(blk.Start(rec)) {
+							s.nTaken++
+							s.bytes += int64(blk.RecLen(rec)) + 1
+							blk.AppendCols(cols, rec)
+							got++
+						}
 						continue
 					}
-					s.taken[si][start] = struct{}{}
-					s.nTaken++
-					s.bytes += int64(blk.RecLen(rec)) + 1
-					blk.AppendCols(cols, rec)
-					got++
-					continue
+					// pos precedes the split's first record (the tail of a
+					// record owned by the previous split): the seek below
+					// backtracks across the boundary and rejects it.
 				}
-				// pos precedes the split's first record (the tail of a
-				// record owned by the previous split): the seek path
-				// below backtracks across the boundary and rejects it.
 			}
-		}
-		line, start, err := s.fs.ReadLineAt(s.path, pos, s.chunk)
-		if err == io.EOF {
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		// Backtracking can cross a split boundary: accept the line only
-		// if it starts inside an owned split, so samplers with disjoint
-		// ownership stay disjoint.
-		osi, ok := s.splitFor(start)
-		if !ok {
-			continue
-		}
-		if _, dup := s.taken[osi][start]; dup {
-			continue
-		}
-		if cols != nil {
-			if s.parser != nil {
-				err = s.parser.appendLine(cols, line)
-			} else {
-				err = colscan.AppendParsedLine(cols, s.colFormat, line)
-			}
-			if err != nil {
+			if err := s.fs.ReadLinesAt(s.path, pos[next:], s.chunk, seek); err != nil {
 				return err
 			}
-		} else {
-			*recs = append(*recs, Record{Line: line, Split: osi, Offset: start})
 		}
-		s.taken[osi][start] = struct{}{}
-		s.nTaken++
-		s.bytes += int64(len(line)) + 1
-		if s.hits != nil {
-			s.hits[osi]++
-		}
-		got++
 	}
 	if got < n {
 		return ErrExhausted
@@ -282,25 +309,68 @@ func (s *PreMap) sampleLoop(n int, recs *[]Record, cols *colscan.Cols) error {
 	return nil
 }
 
+// take accepts the record a positioned read resolved, unless it starts
+// outside the owned splits or is already in the sample. The offset is
+// marked taken before the record is parsed; a record that then fails to
+// parse fails the call.
+func (s *PreMap) take(line []byte, start int64, recs *[]Record, cols *colscan.Cols) (bool, error) {
+	// Backtracking can cross a split boundary: accept the line only if
+	// it starts inside an owned split, so samplers with disjoint
+	// ownership stay disjoint.
+	osi, ok := s.splitFor(start)
+	if !ok || !s.taken.add(start) {
+		return false, nil
+	}
+	var err error
+	switch {
+	case cols == nil:
+		*recs = append(*recs, Record{Line: string(line), Split: osi, Offset: start})
+	case s.parser != nil:
+		err = s.parser.appendLine(cols, string(line))
+	default:
+		err = colscan.AppendParsedLine(cols, s.colFormat, line)
+	}
+	if err != nil {
+		return false, err
+	}
+	s.nTaken++
+	s.bytes += int64(len(line)) + 1
+	if s.hits != nil {
+		s.hits[osi]++
+	}
+	return true, nil
+}
+
+// onSeekPath reports whether a draw in owned split si is a positioned
+// read: the split has no decoded block, the shared cache holds none to
+// adopt, and its hits have not yet made it worth decoding.
+func (s *PreMap) onSeekPath(si int) bool {
+	if s.blocks[si] != nil {
+		return false
+	}
+	if s.cache != nil && s.peeked[si] != s.call {
+		s.peeked[si] = s.call
+		sp := s.splits[si]
+		key := colscan.BlockKey{Path: s.path, Version: s.version, Offset: sp.Offset, Length: sp.Length, Format: s.colFormat}
+		if blk, ok := s.cache.Peek(key); ok {
+			s.blocks[si] = blk
+			return false
+		}
+	}
+	return s.hits[si] < s.hotThreshold(s.splits[si])
+}
+
 // blockFor resolves the decoded block for owned split si, or nil while
-// the split is still below its hot threshold (the caller stays on the
-// seek path). Blocks decoded by other watches are adopted from the
-// shared cache without counting toward the threshold.
+// the split is on the seek path. A split that has reached its hot
+// threshold is decoded here.
 func (s *PreMap) blockFor(si int) (*colscan.Block, error) {
+	if s.onSeekPath(si) {
+		return nil, nil
+	}
 	if blk := s.blocks[si]; blk != nil {
 		return blk, nil
 	}
 	sp := s.splits[si]
-	if s.cache != nil {
-		key := colscan.BlockKey{Path: s.path, Version: s.version, Offset: sp.Offset, Length: sp.Length, Format: s.colFormat}
-		if blk, ok := s.cache.Peek(key); ok {
-			s.blocks[si] = blk
-			return blk, nil
-		}
-	}
-	if s.hits[si] < s.hotThreshold(sp) {
-		return nil, nil
-	}
 	blk, err := colscan.LoadSplit(s.cache, s.fs, s.path, s.version, s.size, sp.Offset, sp.Length, s.colFormat)
 	if err != nil {
 		return nil, err
@@ -313,23 +383,26 @@ func (s *PreMap) blockFor(si int) (*colscan.Block, error) {
 }
 
 // ownedPos maps x ∈ [0, owned) to a file offset inside the owned splits,
-// also returning the owned-split index it landed in.
+// also returning the owned-split index it landed in: the first split
+// the running total of lengths carries past x.
 func (s *PreMap) ownedPos(x int64) (int64, int) {
-	for i := range s.splits {
-		if x < s.splits[i].Length {
-			return s.splits[i].Offset + x, i
-		}
-		x -= s.splits[i].Length
+	i := sort.Search(len(s.splits), func(i int) bool { return x < s.before[i+1] })
+	if i == len(s.splits) {
+		return s.splits[i-1].End() - 1, i - 1
 	}
-	return s.splits[len(s.splits)-1].End() - 1, len(s.splits) - 1
+	return s.splits[i].Offset + x - s.before[i], i
 }
 
-// splitFor returns the index of the owned split containing pos.
+// splitFor returns the index of the owned split containing pos (owned
+// splits are disjoint): the last one, by offset, that starts at or
+// before pos, if pos is inside it.
 func (s *PreMap) splitFor(pos int64) (int, bool) {
-	for i := range s.splits {
-		if pos >= s.splits[i].Offset && pos < s.splits[i].End() {
-			return i, true
-		}
+	k := sort.Search(len(s.byOff), func(k int) bool { return s.splits[s.byOff[k]].Offset > pos })
+	if k == 0 {
+		return 0, false
+	}
+	if i := s.byOff[k-1]; pos < s.splits[i].End() {
+		return i, true
 	}
 	return 0, false
 }
@@ -391,9 +464,7 @@ func (s *PreMap) Repin(v dfs.View) { s.fs = v }
 // Reset forgets everything sampled, restarting the without-replacement
 // stream (used between independent experiment repetitions).
 func (s *PreMap) Reset() {
-	for i := range s.taken {
-		s.taken[i] = make(map[int64]struct{})
-	}
+	s.taken.reset()
 	s.nTaken = 0
 	s.bytes = 0
 }

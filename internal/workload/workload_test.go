@@ -1,7 +1,10 @@
 package workload
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -301,5 +304,40 @@ func TestEncodeLinesFixedWidth(t *testing.T) {
 		if rel > 1e-9 {
 			t.Fatalf("line %d decoded %v, want %v", i, v, xs[i])
 		}
+	}
+}
+
+// TestEncodeLinesFixedMatchesFmt holds the hand-padded encoder to the
+// fmt verb it replaced, byte for byte: both zeros, negatives, subnormals,
+// two- and three-digit exponents either way, the largest and smallest
+// finite values, values that round up into a new exponent, the
+// non-finite three, and a random sweep of bit patterns.
+func TestEncodeLinesFixedMatchesFmt(t *testing.T) {
+	xs := []float64{
+		0, math.Copysign(0, -1), 1, -1, 1.5, -3.25, 12.3456789, 9.9999999995, -9.9999999995, 999999999.95,
+		1e-12, -1e-12, 9.9e20, 1e99, 1e100, -1e100, 1e-99, 1e-100, -1e-100,
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 2.2250738585072014e-308, 4e-310,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	rng := rand.New(rand.NewPCG(3, 4))
+	for i := 0; i < 20000; i++ {
+		xs = append(xs, math.Float64frombits(rng.Uint64()))
+	}
+	var want bytes.Buffer
+	for _, x := range xs {
+		fmt.Fprintf(&want, "%018.9e\n", x)
+	}
+	got := EncodeLinesFixed(xs)
+	if !bytes.Equal(got, want.Bytes()) {
+		gl, wl := bytes.Split(got, []byte{'\n'}), bytes.Split(want.Bytes(), []byte{'\n'})
+		for i := range wl {
+			if i >= len(gl) || !bytes.Equal(gl[i], wl[i]) {
+				t.Fatalf("value %d (%v): encoded %q, fmt gives %q", i, xs[i], gl[i], wl[i])
+			}
+		}
+		t.Fatalf("encoded %d bytes, fmt gives %d", len(got), want.Len())
+	}
+	if len(got) != 19*len(xs) {
+		t.Fatalf("%d bytes for %d values: not 19 each", len(got), len(xs))
 	}
 }
