@@ -2,26 +2,24 @@
 //
 //	go run ./cmd/earlvet ./...
 //
-// It machine-checks the determinism, allocation, and pooling contracts
+// It machine-checks the determinism, allocation and durability contracts
 // that earlier PRs fixed by hand (see internal/analysis): randomness
 // must flow through seeded stream constructors, map iteration must not
 // feed order-sensitive sinks, //earl:hotpath loops must not allocate
-// per iteration, pool buffers must be released on every return path,
-// and sentinel errors must be matched with errors.Is.
+// per iteration, dfs committed state must only change inside the
+// journaled commit path, and sentinel errors must be matched with
+// errors.Is. Any //earl: directive no analyzer reads is reported too.
 //
 // Flags:
 //
 //	-list           print the analyzers and exit
 //	-run a,b        run only the named analyzers
-//	-json           emit findings as a JSON array
-//	-fix            apply suggested fixes in place (then re-run gofmt)
 //	-notests        skip _test.go files and test package variants
 //
 // Exit status is 1 when any finding is reported, 2 on a driver error.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -38,8 +36,6 @@ func run() int {
 	var (
 		list    = flag.Bool("list", false, "print the analyzers and exit")
 		only    = flag.String("run", "", "comma-separated analyzer names to run (default all)")
-		asJSON  = flag.Bool("json", false, "emit findings as JSON")
-		fix     = flag.Bool("fix", false, "apply suggested fixes in place")
 		noTests = flag.Bool("notests", false, "skip test files and test package variants")
 	)
 	flag.Parse()
@@ -87,45 +83,8 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "earlvet:", err)
 		return 2
 	}
-
-	if *fix {
-		changed, err := analysis.ApplyFixes(fset, diags)
-		for _, f := range changed {
-			fmt.Fprintln(os.Stderr, "earlvet: fixed", f)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "earlvet:", err)
-			return 2
-		}
-		return 0
-	}
-
-	if *asJSON {
-		type finding struct {
-			Analyzer string `json:"analyzer"`
-			Position string `json:"position"`
-			Message  string `json:"message"`
-			Fixable  bool   `json:"fixable,omitempty"`
-		}
-		out := make([]finding, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, finding{
-				Analyzer: d.Category,
-				Position: fset.Position(d.Pos).String(),
-				Message:  d.Message,
-				Fixable:  len(d.SuggestedFixes) > 0,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "earlvet:", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Printf("%s: %s: %s\n", fset.Position(d.Pos), d.Category, d.Message)
-		}
+	for _, d := range diags {
+		fmt.Printf("%s: %s: %s\n", fset.Position(d.Pos), d.Category, d.Message)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "earlvet: %d finding(s)\n", len(diags))

@@ -92,11 +92,10 @@ func TestConfidenceIntervalCalibration(t *testing.T) {
 						return
 					}
 					rep, err := cluster.Run(job, "/data", earl.Options{
-						Sigma:      0.05,
-						Confidence: 0.95,
-						Seed:       2000 + seed,
-						ForceB:     150, // fixed plan: every run exercises the sampled path
-						ForceN:     800, // (B this large keeps the percentile tails stable)
+						Sigma:  0.05,
+						Seed:   2000 + seed,
+						ForceB: 150, // fixed plan: every run exercises the sampled path
+						ForceN: 800, // (B this large keeps the percentile tails stable)
 					})
 					if err != nil {
 						fail(err)

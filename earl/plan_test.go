@@ -320,11 +320,10 @@ func TestFilteredConfidenceIntervalCalibration(t *testing.T) {
 						Filter(filterExpr).
 						Stats(cj.name).
 						Run(cluster, earl.Options{
-							Sigma:      0.05,
-							Confidence: 0.95,
-							Seed:       2000 + seed,
-							ForceB:     150,
-							ForceN:     800,
+							Sigma:  0.05,
+							Seed:   2000 + seed,
+							ForceB: 150,
+							ForceN: 800,
 						})
 					if err != nil {
 						fail(err)

@@ -1,20 +1,21 @@
 // Package analysis is earlvet's static-analysis substrate: a small,
 // dependency-free mirror of the golang.org/x/tools/go/analysis API
-// (Analyzer / Pass / Diagnostic / SuggestedFix) plus a module-aware
-// package loader built on `go list` and the standard library's
-// go/parser + go/types. The container this repo builds in has no module
-// proxy access, so the x/tools framework itself cannot be vendored; the
-// subset implemented here is shaped so the analyzers would port to the
-// real framework by changing imports only.
+// (Analyzer / Pass / Diagnostic) plus a module-aware package loader
+// built on `go list` and the standard library's go/parser + go/types.
+// The container this repo builds in has no module proxy access, so the
+// x/tools framework itself cannot be vendored; the subset implemented
+// here is shaped so the analyzers would port to the real framework by
+// changing imports only.
 //
-// The analyzers in this package encode EARL's three machine-checkable
+// An analyzer earns its place by holding a rule no test can: a test
+// checks the paths it runs, an analyzer every path of the introducing
+// diff. The analyzers here encode EARL's three machine-checkable
 // invariants — the ones that have each already produced a shipped bug:
 //
 //   - determinism: fixed-seed results are bit-identical at any
 //     Parallelism (rngsource, maporder);
 //   - zero steady-state allocation on the resampling hot path
 //     (hotalloc);
-//   - balanced scratch/pool usage (poolleak);
 //   - durability: dfs committed file state only changes through the
 //     journaled commit path (journalcommit);
 //
@@ -29,13 +30,15 @@
 //     annotated range statement;
 //   - //earl:alloc-ok <reason> — suppresses a hotalloc finding on the
 //     annotated line;
-//   - //earl:pool-ok <reason> — suppresses a poolleak finding;
 //   - //earl:rand-ok <reason> — suppresses an rngsource finding;
 //   - //earl:commit-ok <reason> — suppresses a journalcommit finding.
 //
 // Every suppressing directive requires a reason; a bare directive is
 // itself reported. A directive covers its own source line and the line
-// directly below it, so both trailing and preceding comments work.
+// directly below it, so both trailing and preceding comments work. Any
+// other //earl: name is reported too, whichever analyzers run: a
+// misspelled //earl:hotpath would otherwise exempt its kernel from
+// hotalloc without a word.
 package analysis
 
 import (
@@ -43,9 +46,15 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
+
+// knownDirectives is every directive name an analyzer reads: the package
+// comment's list, in its order (keep the two in step). Run reports any
+// other name.
+var knownDirectives = []string{"hotpath", "nondet-ok", "alloc-ok", "rand-ok", "commit-ok"}
 
 // An Analyzer describes one earlvet check.
 type Analyzer struct {
@@ -78,24 +87,9 @@ type Pass struct {
 
 // A Diagnostic is one finding.
 type Diagnostic struct {
-	Pos            token.Pos
-	End            token.Pos // optional
-	Category       string    // analyzer name, filled by the driver
-	Message        string
-	SuggestedFixes []SuggestedFix
-}
-
-// A SuggestedFix is one mechanical rewrite that resolves a diagnostic.
-type SuggestedFix struct {
-	Message   string
-	TextEdits []TextEdit
-}
-
-// A TextEdit replaces the source range [Pos, End) with NewText.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
+	Pos      token.Pos
+	Category string // analyzer name, filled by the driver
+	Message  string
 }
 
 // Report records a diagnostic.
@@ -174,12 +168,10 @@ func (p *Pass) fileDirs(f *ast.File) fileDirectives {
 	fd := fileDirectives{byLine: map[int][]Directive{}}
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			if !strings.HasPrefix(c.Text, DirectivePrefix) {
+			d, ok := parseDirective(c)
+			if !ok {
 				continue
 			}
-			rest := strings.TrimPrefix(c.Text, DirectivePrefix)
-			name, args, _ := strings.Cut(rest, " ")
-			d := Directive{Name: strings.TrimSpace(name), Args: strings.TrimSpace(args), Pos: c.Pos()}
 			line := p.Fset.Position(c.Pos()).Line
 			fd.byLine[line] = append(fd.byLine[line], d)
 			fd.byLine[line+1] = append(fd.byLine[line+1], d)
@@ -233,15 +225,40 @@ func FuncDirective(decl *ast.FuncDecl, name string) bool {
 		return false
 	}
 	for _, c := range decl.Doc.List {
-		if strings.HasPrefix(c.Text, DirectivePrefix) {
-			rest := strings.TrimPrefix(c.Text, DirectivePrefix)
-			n, _, _ := strings.Cut(rest, " ")
-			if strings.TrimSpace(n) == name {
-				return true
-			}
+		if d, ok := parseDirective(c); ok && d.Name == name {
+			return true
 		}
 	}
 	return false
+}
+
+// parseDirective parses c as an //earl:<name> <args> directive.
+func parseDirective(c *ast.Comment) (Directive, bool) {
+	rest, ok := strings.CutPrefix(c.Text, DirectivePrefix)
+	if !ok {
+		return Directive{}, false
+	}
+	name, args, _ := strings.Cut(rest, " ")
+	return Directive{Name: strings.TrimSpace(name), Args: strings.TrimSpace(args), Pos: c.Pos()}, true
+}
+
+// unknownDirectives reports every directive in f whose name is not in
+// knownDirectives.
+func unknownDirectives(f *ast.File) []Diagnostic {
+	var out []Diagnostic
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			if d, ok := parseDirective(c); ok && !slices.Contains(knownDirectives, d.Name) {
+				out = append(out, Diagnostic{
+					Pos:      d.Pos,
+					Category: "directive",
+					Message: fmt.Sprintf("unknown directive //earl:%s: no analyzer reads it (known: %s)",
+						d.Name, strings.Join(knownDirectives, ", ")),
+				})
+			}
+		}
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------

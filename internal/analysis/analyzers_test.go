@@ -4,13 +4,9 @@ package analysis
 // golang.org/x/tools/go/analysis/analysistest: each testdata/<analyzer>
 // directory is type-checked as one package and the analyzer's
 // diagnostics are matched line by line against `// want` comments
-// (backquoted regexps). *_fix directories additionally verify the
-// suggested fixes: the fixture is copied to a temp dir, fixes are
-// applied and gofmt-ed, and the result must equal the .golden file
-// (set EARLVET_UPDATE=1 to regenerate goldens).
+// (backquoted regexps).
 
 import (
-	"go/format"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -30,19 +26,6 @@ func moduleRoot(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return root
-}
-
-// fixtureLoader builds a loader rooted at the module, optionally
-// pre-listing module packages the fixture imports (e.g. ./internal/pool).
-func fixtureLoader(t *testing.T, preload ...string) *Loader {
-	t.Helper()
-	l := NewLoader(moduleRoot(t))
-	if len(preload) > 0 {
-		if _, err := l.Load(preload, false); err != nil {
-			t.Fatalf("preloading %v: %v", preload, err)
-		}
-	}
-	return l
 }
 
 func fixtureFiles(t *testing.T, dir string) []string {
@@ -78,9 +61,9 @@ func checkFixture(t *testing.T, l *Loader, dir string) *Package {
 
 // runFixture analyzes testdata/<name> and matches diagnostics against
 // `// want` comments.
-func runFixture(t *testing.T, a *Analyzer, dir string, preload ...string) {
+func runFixture(t *testing.T, a *Analyzer, dir string) {
 	t.Helper()
-	pkg := checkFixture(t, fixtureLoader(t, preload...), dir)
+	pkg := checkFixture(t, NewLoader(moduleRoot(t)), dir)
 	diags, fset, err := Run([]*Analyzer{a}, []*Package{pkg})
 	if err != nil {
 		t.Fatal(err)
@@ -139,86 +122,22 @@ func runFixture(t *testing.T, a *Analyzer, dir string, preload ...string) {
 	}
 }
 
-// runFixFixture copies testdata/<name> to a temp dir, applies the
-// analyzer's suggested fixes, formats the result and compares it to the
-// fixture's .golden files.
-func runFixFixture(t *testing.T, a *Analyzer, dir string, preload ...string) {
-	t.Helper()
-	files := fixtureFiles(t, dir)
-	tmp := t.TempDir()
-	for _, f := range files {
-		src, err := os.ReadFile(filepath.Join(dir, f))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(tmp, f), src, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	l := fixtureLoader(t, preload...)
-	pkg, err := l.CheckFiles("fixture/"+filepath.Base(dir), tmp, files)
-	if err != nil {
-		t.Fatalf("type-checking fixture %s: %v", dir, err)
-	}
-	diags, fset, err := Run([]*Analyzer{a}, []*Package{pkg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	changed, err := ApplyFixes(fset, diags)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(changed) == 0 {
-		t.Fatal("no fixes applied")
-	}
-	for _, f := range files {
-		raw, err := os.ReadFile(filepath.Join(tmp, f))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := format.Source(raw)
-		if err != nil {
-			t.Fatalf("%s: fixed source does not format: %v\n%s", f, err, raw)
-		}
-		goldenPath := filepath.Join(dir, f+".golden")
-		if os.Getenv("EARLVET_UPDATE") == "1" {
-			if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(goldenPath)
-		if err != nil {
-			t.Fatalf("missing golden (run with EARLVET_UPDATE=1 to create): %v", err)
-		}
-		if string(got) != string(want) {
-			t.Errorf("%s: fixed output differs from golden:\n--- got ---\n%s\n--- want ---\n%s", f, got, want)
-		}
-	}
-}
-
 func TestRngSource(t *testing.T)   { runFixture(t, RngSource, "testdata/rngsource") }
 func TestMapOrder(t *testing.T)    { runFixture(t, MapOrder, "testdata/maporder") }
 func TestHotAlloc(t *testing.T)    { runFixture(t, HotAlloc, "testdata/hotalloc") }
 func TestSentinelErr(t *testing.T) { runFixture(t, SentinelErr, "testdata/sentinelerr") }
-func TestPoolLeak(t *testing.T) {
-	runFixture(t, PoolLeak, "testdata/poolleak", "./internal/pool")
-}
-
-func TestMapOrderFix(t *testing.T)    { runFixFixture(t, MapOrder, "testdata/maporder_fix") }
-func TestSentinelErrFix(t *testing.T) { runFixFixture(t, SentinelErr, "testdata/sentinelerr_fix") }
 
 // TestByName covers the driver's analyzer selection.
 func TestByName(t *testing.T) {
 	if _, err := ByName([]string{"nope"}); err == nil {
 		t.Fatal("unknown analyzer accepted")
 	}
-	as, err := ByName([]string{"maporder", "poolleak"})
-	if err != nil || len(as) != 2 || as[0] != MapOrder || as[1] != PoolLeak {
+	as, err := ByName([]string{"maporder", "hotalloc"})
+	if err != nil || len(as) != 2 || as[0] != MapOrder || as[1] != HotAlloc {
 		t.Fatalf("ByName = %v, %v", as, err)
 	}
-	if got := len(All()); got != 6 {
-		t.Fatalf("All() = %d analyzers, want 6", got)
+	if got := len(All()); got != 5 {
+		t.Fatalf("All() = %d analyzers, want 5", got)
 	}
 }
 

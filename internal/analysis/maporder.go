@@ -25,9 +25,6 @@ import (
 // map, taking a max) pass without annotation. A genuinely
 // order-insensitive loop that still trips a trigger carries
 // //earl:nondet-ok <reason>.
-//
-// For string-keyed maps in files that already import "sort", the
-// analyzer offers the mechanical sort-before-range rewrite.
 var MapOrder = &Analyzer{
 	Name: "maporder",
 	Doc: "range over a map must not feed order-sensitive sinks in " +
@@ -62,14 +59,14 @@ func runMapOrder(pass *Pass) (any, error) {
 			if !ok || fn.Body == nil {
 				return true
 			}
-			checkFuncMapRanges(pass, file, fn)
+			checkFuncMapRanges(pass, fn)
 			return true
 		})
 	}
 	return nil, nil
 }
 
-func checkFuncMapRanges(pass *Pass, file *ast.File, fn *ast.FuncDecl) {
+func checkFuncMapRanges(pass *Pass, fn *ast.FuncDecl) {
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
 		if !ok {
@@ -83,15 +80,7 @@ func checkFuncMapRanges(pass *Pass, file *ast.File, fn *ast.FuncDecl) {
 			return true
 		}
 		if reason, pos := mapRangeViolation(pass, fn, rng); reason != "" {
-			d := Diagnostic{
-				Pos: pos,
-				Message: "map iteration order feeds " + reason +
-					": results become run-dependent; sort the keys first or annotate //earl:nondet-ok <reason>",
-			}
-			if fix, ok := sortKeysFix(pass, file, rng); ok {
-				d.SuggestedFixes = []SuggestedFix{fix}
-			}
-			pass.Report(d)
+			pass.Reportf(pos, "map iteration order feeds %s: results become run-dependent; sort the keys first or annotate //earl:nondet-ok <reason>", reason)
 		}
 		return true
 	})
@@ -262,51 +251,3 @@ func isHashWrite(info *types.Info, call *ast.CallExpr) bool {
 }
 
 func hasPrefix(s, p string) bool { return len(s) >= len(p) && s[:len(p)] == p }
-
-// sortKeysFix offers the mechanical sort-before-range rewrite for the
-// simple shape `for k := range m` / `for k, v := range m` with a
-// string-keyed map ident, in files already importing "sort".
-func sortKeysFix(pass *Pass, file *ast.File, rng *ast.RangeStmt) (SuggestedFix, bool) {
-	if importName(file, "sort") != "sort" {
-		return SuggestedFix{}, false
-	}
-	mapIdent, ok := ast.Unparen(rng.X).(*ast.Ident)
-	if !ok {
-		return SuggestedFix{}, false
-	}
-	keyIdent, ok := rng.Key.(*ast.Ident)
-	if !ok || keyIdent.Name == "_" || rng.Tok.String() != ":=" {
-		return SuggestedFix{}, false
-	}
-	tv, ok := pass.TypesInfo.Types[rng.X]
-	if !ok {
-		return SuggestedFix{}, false
-	}
-	mt, ok := tv.Type.Underlying().(*types.Map)
-	if !ok {
-		return SuggestedFix{}, false
-	}
-	basic, ok := mt.Key().Underlying().(*types.Basic)
-	if !ok || basic.Kind() != types.String {
-		return SuggestedFix{}, false
-	}
-	keysName := keyIdent.Name + "s"
-	valueBind := ""
-	if rng.Value != nil {
-		if vid, ok := rng.Value.(*ast.Ident); ok && vid.Name != "_" {
-			valueBind = "\n" + vid.Name + " := " + mapIdent.Name + "[" + keyIdent.Name + "]"
-		}
-	}
-	// One edit spanning the whole range header keeps the fix trivially
-	// non-overlapping: preamble + rewritten header (+ value binding).
-	// gofmt settles the indentation after application.
-	text := keysName + " := make([]string, 0, len(" + mapIdent.Name + "))\n" +
-		"for " + keyIdent.Name + " := range " + mapIdent.Name + " {\n" +
-		keysName + " = append(" + keysName + ", " + keyIdent.Name + ")\n}\n" +
-		"sort.Strings(" + keysName + ")\n" +
-		"for _, " + keyIdent.Name + " := range " + keysName + " {" + valueBind
-	edits := []TextEdit{
-		{Pos: rng.Pos(), End: rng.Body.Lbrace + 1, NewText: []byte(text)},
-	}
-	return SuggestedFix{Message: "iterate sorted keys", TextEdits: edits}, true
-}

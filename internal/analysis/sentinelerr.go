@@ -1,22 +1,10 @@
 package analysis
 
 import (
-	"bytes"
 	"go/ast"
-	"go/printer"
 	"go/types"
 	"strings"
 )
-
-// nodeText renders a node back to source (go/printer normalizes
-// whitespace, which is fine for suggested-fix text).
-func nodeText(pass *Pass, n ast.Node) ([]byte, bool) {
-	var buf bytes.Buffer
-	if err := printer.Fprint(&buf, pass.Fset, n); err != nil {
-		return nil, false
-	}
-	return buf.Bytes(), true
-}
 
 // SentinelErr enforces errors.Is for sentinel-error matching. The
 // repo's public errors (bootstrap.ErrTooFewResamples, mr.ErrBadInput,
@@ -25,9 +13,9 @@ func nodeText(pass *Pass, n ast.Node) ([]byte, bool) {
 // errors, the HTTP layer wraps engine errors — so an identity
 // comparison silently stops matching the moment a wrapping layer is
 // added. The analyzer reports ==/!= where either operand is a
-// package-level error variable named Err* (nil comparisons stay fine)
-// and suggests the mechanical errors.Is rewrite. It checks test files
-// too: assertions are where identity comparisons actually accumulate.
+// package-level error variable named Err* (nil comparisons stay fine).
+// It checks test files too: assertions are where identity comparisons
+// actually accumulate.
 var SentinelErr = &Analyzer{
 	Name: "sentinelerr",
 	Doc:  "sentinel errors must be matched with errors.Is, never == or !=",
@@ -36,34 +24,23 @@ var SentinelErr = &Analyzer{
 
 func runSentinelErr(pass *Pass) (any, error) {
 	for _, file := range pass.Files {
-		errPkgName := importName(file, "errors")
 		ast.Inspect(file, func(n ast.Node) bool {
 			bin, ok := n.(*ast.BinaryExpr)
 			if !ok || (bin.Op.String() != "==" && bin.Op.String() != "!=") {
 				return true
 			}
-			var sentinel ast.Expr
 			var other ast.Expr
 			if isSentinelErrVar(pass.TypesInfo, bin.X) {
-				sentinel, other = bin.X, bin.Y
+				other = bin.Y
 			} else if isSentinelErrVar(pass.TypesInfo, bin.Y) {
-				sentinel, other = bin.Y, bin.X
+				other = bin.X
 			} else {
 				return true
 			}
 			if isNilIdent(pass.TypesInfo, other) {
 				return true
 			}
-			d := Diagnostic{
-				Pos: bin.Pos(),
-				End: bin.End(),
-				Message: "sentinel error compared with " + bin.Op.String() +
-					": wrapped errors will not match; use errors.Is",
-			}
-			if fix, ok := errorsIsFix(pass, file, errPkgName, bin, other, sentinel); ok {
-				d.SuggestedFixes = []SuggestedFix{fix}
-			}
-			pass.Report(d)
+			pass.Reportf(bin.Pos(), "sentinel error compared with %s: wrapped errors will not match; use errors.Is", bin.Op)
 			return true
 		})
 	}
@@ -124,76 +101,4 @@ func isNilIdent(info *types.Info, expr ast.Expr) bool {
 	}
 	_, isNil := info.Uses[id].(*types.Nil)
 	return isNil
-}
-
-// importName returns the local name under which file imports path
-// ("" when it does not).
-func importName(file *ast.File, path string) string {
-	for _, imp := range file.Imports {
-		if imp.Path.Value != `"`+path+`"` {
-			continue
-		}
-		if imp.Name != nil {
-			return imp.Name.Name
-		}
-		return path[strings.LastIndex(path, "/")+1:]
-	}
-	return ""
-}
-
-// errorsIsFix builds the errors.Is rewrite for `other OP sentinel`,
-// adding an "errors" import when the file lacks one.
-func errorsIsFix(pass *Pass, file *ast.File, errPkgName string, bin *ast.BinaryExpr, other, sentinel ast.Expr) (SuggestedFix, bool) {
-	src := func(e ast.Expr) ([]byte, bool) {
-		return nodeText(pass, e)
-	}
-	otherSrc, ok1 := src(other)
-	sentinelSrc, ok2 := src(sentinel)
-	if !ok1 || !ok2 {
-		return SuggestedFix{}, false
-	}
-	name := errPkgName
-	var edits []TextEdit
-	if name == "" {
-		name = "errors"
-		imp, ok := importInsertion(file)
-		if !ok {
-			return SuggestedFix{}, false
-		}
-		edits = append(edits, imp)
-	} else if name == "." || name == "_" {
-		return SuggestedFix{}, false
-	}
-	var buf bytes.Buffer
-	if bin.Op.String() == "!=" {
-		buf.WriteString("!")
-	}
-	buf.WriteString(name)
-	buf.WriteString(".Is(")
-	buf.Write(otherSrc)
-	buf.WriteString(", ")
-	buf.Write(sentinelSrc)
-	buf.WriteString(")")
-	edits = append(edits, TextEdit{Pos: bin.Pos(), End: bin.End(), NewText: buf.Bytes()})
-	return SuggestedFix{Message: "use errors.Is", TextEdits: edits}, true
-}
-
-// importInsertion returns an edit adding `"errors"` to the file's first
-// import declaration (or a new one after the package clause).
-func importInsertion(file *ast.File) (TextEdit, bool) {
-	for _, decl := range file.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok.String() != "import" {
-			continue
-		}
-		if gd.Lparen.IsValid() {
-			// Insert right after the opening paren; gofmt settles order.
-			return TextEdit{Pos: gd.Lparen + 1, End: gd.Lparen + 1, NewText: []byte("\n\t\"errors\"")}, true
-		}
-		// Single-spec import: rewrite `import "x"` into a block is more
-		// edit than we want; add a separate import decl after it.
-		return TextEdit{Pos: gd.End(), End: gd.End(), NewText: []byte("\nimport \"errors\"")}, true
-	}
-	// No imports at all: add one after the package clause.
-	return TextEdit{Pos: file.Name.End(), End: file.Name.End(), NewText: []byte("\n\nimport \"errors\"")}, true
 }

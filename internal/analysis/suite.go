@@ -3,13 +3,12 @@ package analysis
 import (
 	"fmt"
 	"go/token"
-	"os"
 	"sort"
 )
 
 // All returns earlvet's analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{HotAlloc, JournalCommit, MapOrder, PoolLeak, RngSource, SentinelErr}
+	return []*Analyzer{HotAlloc, JournalCommit, MapOrder, RngSource, SentinelErr}
 }
 
 // ByName resolves a comma-separated analyzer selection ("" = all).
@@ -33,12 +32,16 @@ func ByName(names []string) ([]*Analyzer, error) {
 }
 
 // Run applies the analyzers to each package unit and returns all
-// diagnostics in (file, position) order.
+// diagnostics in (file, position) order. Every //earl: directive is
+// checked against the known names whichever analyzers are selected.
 func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, *token.FileSet, error) {
 	var all []Diagnostic
 	var fset *token.FileSet
 	for _, pkg := range pkgs {
 		fset = pkg.Fset
+		for _, f := range pkg.Files {
+			all = append(all, unknownDirectives(f)...)
+		}
 		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer:  a,
@@ -77,67 +80,4 @@ func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, *token.FileSet, 
 		out = append(out, d)
 	}
 	return out, fset, nil
-}
-
-// ApplyFixes applies every diagnostic's first suggested fix to the
-// source files on disk, skipping edits that overlap an already-applied
-// edit. It returns the files rewritten.
-func ApplyFixes(fset *token.FileSet, diags []Diagnostic) ([]string, error) {
-	type edit struct {
-		start, end int
-		text       []byte
-	}
-	perFile := map[string][]edit{}
-	for _, d := range diags {
-		if len(d.SuggestedFixes) == 0 {
-			continue
-		}
-		for _, te := range d.SuggestedFixes[0].TextEdits {
-			pos := fset.Position(te.Pos)
-			end := fset.Position(te.End)
-			if pos.Filename == "" || pos.Filename != end.Filename {
-				continue
-			}
-			perFile[pos.Filename] = append(perFile[pos.Filename],
-				edit{start: pos.Offset, end: end.Offset, text: te.NewText})
-		}
-	}
-	var changed []string
-	for file, edits := range perFile {
-		src, err := os.ReadFile(file)
-		if err != nil {
-			return changed, err
-		}
-		sort.Slice(edits, func(i, j int) bool { return edits[i].start < edits[j].start })
-		var out []byte
-		last := 0
-		applied := false
-		var prev *edit
-		for i := range edits {
-			e := edits[i]
-			if e.start < last || e.end > len(src) {
-				continue // overlapping or out-of-range edit
-			}
-			// Identical edits arise when several fixes in one file each
-			// carry the same import insertion; apply it once.
-			if prev != nil && e.start == prev.start && e.end == prev.end && string(e.text) == string(prev.text) {
-				continue
-			}
-			prev = &edits[i]
-			out = append(out, src[last:e.start]...)
-			out = append(out, e.text...)
-			last = e.end
-			applied = true
-		}
-		out = append(out, src[last:]...)
-		if !applied {
-			continue
-		}
-		if err := os.WriteFile(file, out, 0o644); err != nil {
-			return changed, err
-		}
-		changed = append(changed, file)
-	}
-	sort.Strings(changed)
-	return changed, nil
 }

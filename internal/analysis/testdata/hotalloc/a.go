@@ -97,3 +97,14 @@ func growPerItemCold(r reducer, state any, vs []float64) any {
 	}
 	return state
 }
+
+// growPerItemMisspelled meant to opt in: hotalloc reads no //earl:hotpth,
+// so its boxing goes unchecked — the unknown directive is the finding.
+//
+//earl:hotpth // want `unknown directive //earl:hotpth`
+func growPerItemMisspelled(r reducer, state any, vs []float64) any {
+	for _, v := range vs {
+		state = r.Update(state, v)
+	}
+	return state
+}

@@ -36,8 +36,6 @@ type Options struct {
 	Sigma      float64     // target error bound σ; 0.05 (the paper's 5%) if 0
 	Sampler    SamplerKind // PreMapSampling if empty
 	NumMappers int         // long-lived sampling mappers; 4 if 0
-	SplitSize  int64       // input split size; DFS block size if 0
-	Confidence float64     // CI level for the report; 0.95 if 0
 	Seed       uint64
 	// ForceB / ForceN skip SSABE and use the given resample count /
 	// initial sample size (experiment hooks; both must be set).
@@ -70,9 +68,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.NumMappers <= 0 {
 		o.NumMappers = 4
-	}
-	if o.Confidence <= 0 {
-		o.Confidence = 0.95
 	}
 	if o.MaxSampleFraction <= 0 {
 		o.MaxSampleFraction = 0.5
@@ -222,7 +217,7 @@ func execute(env *Env, pq *PlannedQuery, retain bool) (*PlanResult, *Retained, e
 
 	// ---- Local-mode pilot (§3.2), shared by every statistic. ----------
 	pilot := &pilotSample{prog: prog, sc: plan.NewScratch()}
-	if pilot.s, err = sampling.NewPreMap(env.View(), path, opts.SplitSize, opts.Seed); err != nil {
+	if pilot.s, err = sampling.NewPreMap(env.View(), path, 0, opts.Seed); err != nil {
 		return nil, nil, err
 	}
 	if err := dec.enable(pilot.s, env.Scan); err != nil {
@@ -241,7 +236,7 @@ func execute(env *Env, pq *PlannedQuery, retain bool) (*PlanResult, *Retained, e
 			return &PlanResult{Reports: exactReports(jset, estTotal, known)},
 				&Retained{Plans: plans, EstTotal: estTotal, SyncedBytes: size, Opts: opts}, nil
 		}
-		reps, err := runExactMulti(env, jset, path, opts, prog)
+		reps, err := runExactMulti(env, jset, path, prog)
 		if known {
 			for i := range reps {
 				reps[i].EstTotalN = estTotal
@@ -503,42 +498,4 @@ func exactReports(jset []jobs.Numeric, estTotal int64, setEst bool) []Report {
 		}
 	}
 	return reps
-}
-
-// runExactMulti executes every statistic exactly over ONE full scan of
-// the file (the stock-Hadoop fall-back, preserving the multi-statistic
-// read-once contract). A single statistic without a plan keeps the
-// historical runExact path bit-for-bit; a plan run filters/derives each
-// scanned record through the per-record reference evaluator, so the
-// exact answer is over exactly the subpopulation the sampled path
-// estimates.
-func runExactMulti(env *Env, jset []jobs.Numeric, path string, opts Options, prog *plan.Program) ([]Report, error) {
-	if len(jset) == 1 && prog == nil {
-		rep, err := runExact(env, jset[0], path, opts)
-		if err != nil {
-			return nil, err
-		}
-		return []Report{rep}, nil
-	}
-	outs, n, err := runExactMultiJob(env, jset, path, opts.SplitSize, prog)
-	if err != nil {
-		return nil, err
-	}
-	reps := make([]Report, len(jset))
-	for i, job := range jset {
-		reps[i] = Report{
-			Job:         job.Name,
-			Estimate:    outs[i],
-			Uncorrected: outs[i],
-			CILo:        outs[i],
-			CIHi:        outs[i],
-			B:           1,
-			SampleSize:  n,
-			UsedFull:    true,
-			Converged:   true,
-			FractionP:   1,
-			Iterations:  1,
-		}
-	}
-	return reps, nil
 }

@@ -98,7 +98,7 @@ type engineResult struct {
 // mapperShards splits the file's splits round-robin across at most
 // opts.NumMappers owners (at least one).
 func mapperShards(env *Env, path string, opts Options) ([][]dfs.Split, error) {
-	splits, err := env.View().Splits(path, opts.SplitSize)
+	splits, err := env.View().Splits(path, 0)
 	if err != nil {
 		return nil, err
 	}

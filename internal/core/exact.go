@@ -10,28 +10,23 @@ import (
 	"repro/internal/plan"
 )
 
-// runExact executes job over the whole file as a standard batch MR job —
-// the "stock Hadoop" flow EARL switches back to when early approximation
-// cannot pay off (§3.1), and the baseline every Fig. 5–7 comparison runs.
-func runExact(env *Env, job jobs.Numeric, path string, opts Options) (Report, error) {
-	res, n, err := RunExactJob(env, job, path, opts.SplitSize)
-	if err != nil {
-		return Report{}, err
-	}
+// ExactReport is the report of a statistic computed exactly over n
+// records — the "stock Hadoop" answer EARL switches back to when early
+// approximation cannot pay off (§3.1): CV 0, p = 1, nothing to estimate.
+func ExactReport(job string, v float64, n int) Report {
 	return Report{
-		Job:         job.Name,
-		Estimate:    res,
-		Uncorrected: res,
-		CV:          0,
-		CILo:        res,
-		CIHi:        res,
+		Job:         job,
+		Estimate:    v,
+		Uncorrected: v,
+		CILo:        v,
+		CIHi:        v,
 		B:           1,
 		SampleSize:  n,
 		UsedFull:    true,
 		Converged:   true,
 		FractionP:   1,
 		Iterations:  1,
-	}, nil
+	}
 }
 
 // exactMapper parses each line and emits it under a single key. A
@@ -67,32 +62,9 @@ func (m exactMapper) Map(off int64, line string, emit mr.Emitter) error {
 	return nil
 }
 
-// exactReducer computes the statistic over all values of the key.
-type exactReducer struct {
-	job jobs.Numeric
-}
-
-// Reduce implements mr.Reducer.
-func (r exactReducer) Reduce(key string, values []any, emit mr.Emitter) error {
-	xs := make([]float64, 0, len(values))
-	for _, v := range values {
-		f, ok := v.(float64)
-		if !ok {
-			return fmt.Errorf("core: exact reducer got %T", v)
-		}
-		xs = append(xs, f)
-	}
-	out, err := r.job.Statistic(xs)
-	if err != nil {
-		return err
-	}
-	emit.Emit(key, out)
-	return nil
-}
-
 // exactMultiReducer applies every statistic of the set to the one
-// collected value stream, emitting each under its index — the
-// shared-scan exact fall-back of a multi-statistic run.
+// collected value stream, emitting each under its index — one statistic
+// or several, over one shared scan.
 type exactMultiReducer struct {
 	jset []jobs.Numeric
 }
@@ -108,9 +80,6 @@ func (r exactMultiReducer) Reduce(key string, values []any, emit mr.Emitter) err
 		xs = append(xs, f)
 	}
 	for i, job := range r.jset {
-		if job.Statistic == nil {
-			return fmt.Errorf("core: job %q needs a Statistic for the exact path", job.Name)
-		}
 		out, err := job.Statistic(xs)
 		if err != nil {
 			return err
@@ -120,14 +89,36 @@ func (r exactMultiReducer) Reduce(key string, values []any, emit mr.Emitter) err
 	return nil
 }
 
+// runExactMulti executes every statistic exactly over ONE full scan of
+// the file — the stock-Hadoop fall-back, preserving the multi-statistic
+// read-once contract. A plan run filters/derives each scanned record
+// through the per-record reference evaluator, so the exact answer is over
+// exactly the subpopulation the sampled path estimates.
+func runExactMulti(env *Env, jset []jobs.Numeric, path string, prog *plan.Program) ([]Report, error) {
+	outs, n, err := runExactMultiJob(env, jset, path, 0, prog)
+	if err != nil {
+		return nil, err
+	}
+	reps := make([]Report, len(jset))
+	for i, job := range jset {
+		reps[i] = ExactReport(job.Name, outs[i], n)
+	}
+	return reps, nil
+}
+
 // runExactMultiJob runs every statistic of the set exactly over ONE full
-// scan: a single batch MR job parses each record once (the jobs share
-// the input format, so the first job's Parse stands for all) and the
-// reducer applies every statistic to the collected values — the exact
-// fall-back keeps the multi-statistic read-once contract.
+// scan: a single batch MR job (the stock job, named "exact-<names>")
+// parses each record once (the jobs share the input format, so the first
+// job's Parse stands for all) and the reducer applies every statistic to
+// the collected values.
 func runExactMultiJob(env *Env, jset []jobs.Numeric, path string, splitSize int64, prog *plan.Program) ([]float64, int, error) {
 	if jset[0].Parse == nil {
 		return nil, 0, fmt.Errorf("core: job %q needs Parse", jset[0].Name)
+	}
+	for _, job := range jset {
+		if job.Statistic == nil {
+			return nil, 0, fmt.Errorf("core: job %q needs a Statistic for the exact path", job.Name)
+		}
 	}
 	var seen atomic.Int64
 	mjob := &mr.Job{
@@ -147,13 +138,13 @@ func runExactMultiJob(env *Env, jset []jobs.Numeric, path string, splitSize int6
 		return nil, 0, fmt.Errorf("core: no records matched filter")
 	}
 	if len(res.Output) != len(jset) {
-		return nil, 0, fmt.Errorf("core: exact multi job emitted %d results for %d statistics", len(res.Output), len(jset))
+		return nil, 0, fmt.Errorf("core: exact job emitted %d results for %d statistics", len(res.Output), len(jset))
 	}
 	outs := make([]float64, len(jset))
 	for _, kv := range res.Output {
 		i, err := strconv.Atoi(kv.Key)
 		if err != nil || i < 0 || i >= len(jset) {
-			return nil, 0, fmt.Errorf("core: exact multi job emitted key %q", kv.Key)
+			return nil, 0, fmt.Errorf("core: exact job emitted key %q", kv.Key)
 		}
 		v, ok := kv.Value.(float64)
 		if !ok {
@@ -165,32 +156,13 @@ func runExactMultiJob(env *Env, jset []jobs.Numeric, path string, splitSize int6
 }
 
 // RunExactJob runs the user job exactly over every record of path on the
-// batch engine and returns the result plus the record count processed.
-// Exposed for the stock-Hadoop baselines of the benchmark harness.
+// batch engine and returns the result plus the record count processed —
+// the one-statistic stock job, exposed for the stock-Hadoop baselines of
+// the benchmark harness.
 func RunExactJob(env *Env, job jobs.Numeric, path string, splitSize int64) (float64, int, error) {
-	if job.Statistic == nil || job.Parse == nil {
-		return 0, 0, fmt.Errorf("core: job %q needs Statistic and Parse", job.Name)
-	}
-	var seen atomic.Int64
-	mjob := &mr.Job{
-		Name:        "exact-" + job.Name,
-		InputPath:   path,
-		Input:       env.View(),
-		SplitSize:   splitSize,
-		Mapper:      exactMapper{job: job, seen: &seen},
-		Reducer:     exactReducer{job: job},
-		NumReducers: 1,
-	}
-	res, err := env.Engine.Run(mjob)
+	outs, n, err := runExactMultiJob(env, []jobs.Numeric{job}, path, splitSize, nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	if len(res.Output) != 1 {
-		return 0, 0, fmt.Errorf("core: exact job emitted %d results", len(res.Output))
-	}
-	out, ok := res.Output[0].Value.(float64)
-	if !ok {
-		return 0, 0, fmt.Errorf("core: exact result has type %T", res.Output[0].Value)
-	}
-	return out, int(seen.Load()), nil
+	return outs[0], n, nil
 }

@@ -13,32 +13,17 @@ import (
 
 // KMeansOptions tunes RunKMeans.
 type KMeansOptions struct {
-	Sigma             float64 // target cv of the per-point clustering cost; 0.05 if 0
-	B                 int     // bootstraps for the cost distribution; 30 if 0
-	InitialSample     int     // starting sample size; max(1000, 100·K) if 0
-	MaxSampleFraction float64 // expansion cap; 0.5 if 0
-	SplitSize         int64
-	Seed              uint64
+	Sigma float64 // target cv of the per-point clustering cost; 0.05 if 0
+	Seed  uint64
 }
 
-func (o KMeansOptions) withDefaults(k int) KMeansOptions {
-	if o.Sigma <= 0 {
-		o.Sigma = 0.05
-	}
-	if o.B <= 0 {
-		o.B = 30
-	}
-	if o.InitialSample <= 0 {
-		o.InitialSample = 100 * k
-		if o.InitialSample < 1000 {
-			o.InitialSample = 1000
-		}
-	}
-	if o.MaxSampleFraction <= 0 {
-		o.MaxSampleFraction = 0.5
-	}
-	return o
-}
+// The early K-Means run's fixed knobs: bootstraps of the cost
+// distribution, and the expansion cap as a fraction of the points. The
+// starting sample is max(1000, 100·K) points.
+const (
+	kmeansB              = 30
+	kmeansMaxSampleShare = 0.5
+)
 
 // KMeansReport is the outcome of an early K-Means run.
 type KMeansReport struct {
@@ -62,8 +47,10 @@ func RunKMeans(env *Env, path string, kcfg jobs.KMeans, opts KMeansOptions) (KMe
 	if env == nil || env.FS == nil {
 		return KMeansReport{}, errors.New("core: incomplete Env")
 	}
-	opts = opts.withDefaults(kcfg.K)
-	sampler, err := sampling.NewPreMap(env.FS, path, opts.SplitSize, opts.Seed)
+	if opts.Sigma <= 0 {
+		opts.Sigma = 0.05
+	}
+	sampler, err := sampling.NewPreMap(env.FS, path, 0, opts.Seed)
 	if err != nil {
 		return KMeansReport{}, err
 	}
@@ -73,7 +60,7 @@ func RunKMeans(env *Env, path string, kcfg jobs.KMeans, opts KMeansOptions) (KMe
 
 	rng := rand.New(rand.NewPCG(opts.Seed, 0xab1c5ed5da6d8118))
 	var pts []workload.Point
-	target := opts.InitialSample
+	target := max(100*kcfg.K, 1000)
 	rep := KMeansReport{}
 	for iter := 1; ; iter++ {
 		rep.Iterations = iter
@@ -102,15 +89,15 @@ func RunKMeans(env *Env, path string, kcfg jobs.KMeans, opts KMeansOptions) (KMe
 		env.Metrics.RecordsReduced.Add(int64(len(pts)) * int64(fit.Iterations))
 
 		// Bootstrap the per-point cost of the fitted centers.
-		values := make([]float64, opts.B)
+		values := make([]float64, kmeansB)
 		buf := make([]workload.Point, len(pts))
-		for b := 0; b < opts.B; b++ {
+		for b := range values {
 			for j := range buf {
 				buf[j] = pts[rng.IntN(len(pts))]
 			}
 			values[b] = jobs.WCSSOf(fit.Centers, buf) / float64(len(buf))
 		}
-		env.Metrics.RecordsReduced.Add(int64(len(pts)) * int64(opts.B))
+		env.Metrics.RecordsReduced.Add(int64(len(pts)) * kmeansB)
 		cv, err := stats.CV(values)
 		if err != nil {
 			return rep, err
@@ -127,7 +114,7 @@ func RunKMeans(env *Env, path string, kcfg jobs.KMeans, opts KMeansOptions) (KMe
 			rep.Converged = true
 			return rep, nil
 		}
-		maxPts := int(opts.MaxSampleFraction * float64(rep.EstTotalPts))
+		maxPts := int(kmeansMaxSampleShare * float64(rep.EstTotalPts))
 		next := target * 2
 		if next > maxPts {
 			next = maxPts

@@ -30,6 +30,9 @@ type GroupedReport struct {
 	FailedMaps int
 }
 
+// confidence is the level of every reported interval.
+const confidence = 0.95
+
 // FinishReport turns a result distribution into the user-facing numbers:
 // the mean estimate, the percentile confidence interval, and the
 // p-corrected versions of all three. The CI bounds pass through the user
@@ -54,7 +57,7 @@ func FinishReport(job jobs.Numeric, opts Options, vals []float64, cv, p, selSE f
 		return Report{}, err
 	}
 	res := bootstrap.Result{Values: vals}
-	lo, hi, err := res.PercentileCI(opts.Confidence)
+	lo, hi, err := res.PercentileCI(confidence)
 	if err != nil {
 		return Report{}, err
 	}
@@ -67,11 +70,7 @@ func FinishReport(job jobs.Numeric, opts Options, vals []float64, cv, p, selSE f
 		cLo, cHi = cHi, cLo
 	}
 	if selSE > 0 && pSensitive(job, p) {
-		conf := opts.Confidence
-		if conf <= 0 {
-			conf = 0.95
-		}
-		z, zerr := stats.NormalQuantile(0.5 + conf/2)
+		z, zerr := stats.NormalQuantile(0.5 + confidence/2)
 		if zerr != nil {
 			return Report{}, zerr
 		}

@@ -69,7 +69,7 @@ func (w *Watch) foldExact(v dfs.View, splits []dfs.Split) error {
 // refreshExact folds only the appended splits into the exact states,
 // reading through v — the refresh's pinned snapshot.
 func (w *Watch) refreshExact(v dfs.View, size int64) error {
-	splits, err := splitsSince(v, w.pq.Spec.Path, w.ret.Opts.SplitSize, w.ret.SyncedBytes)
+	splits, err := splitsSince(v, w.pq.Spec.Path, w.ret.SyncedBytes)
 	if err != nil {
 		return err
 	}
@@ -80,8 +80,7 @@ func (w *Watch) refreshExact(v dfs.View, size int64) error {
 	return nil
 }
 
-// exactResult renders the maintained exact states as Reports (CV 0,
-// p = 1 — there is no sampling error to estimate).
+// exactResult renders the maintained exact states as Reports.
 func (w *Watch) exactResult() *core.PlanResult {
 	reps := make([]core.Report, len(w.pq.Jobs))
 	for i, job := range w.pq.Jobs {
@@ -91,20 +90,8 @@ func (w *Watch) exactResult() *core.PlanResult {
 				est = v
 			}
 		}
-		reps[i] = core.Report{
-			Job:         job.Name,
-			Estimate:    est,
-			Uncorrected: est,
-			CILo:        est,
-			CIHi:        est,
-			B:           1,
-			SampleSize:  int(w.exactN),
-			Iterations:  1,
-			UsedFull:    true,
-			Converged:   true,
-			FractionP:   1,
-			EstTotalN:   w.exactN,
-		}
+		reps[i] = core.ExactReport(job.Name, est, int(w.exactN))
+		reps[i].EstTotalN = w.exactN
 	}
 	return &core.PlanResult{Reports: reps}
 }

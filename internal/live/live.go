@@ -138,7 +138,7 @@ func (w *Watch) rebuild(snap *dfs.Snapshot) error {
 		// Exact fall-back: Execute skipped the exact job, because one scan
 		// here produces the same answers and leaves a maintainable state
 		// behind; every refresh after reads only appended splits.
-		splits, err := snap.Splits(w.pq.Spec.Path, ret.Opts.SplitSize)
+		splits, err := snap.Splits(w.pq.Spec.Path, 0)
 		if err != nil {
 			return err
 		}
@@ -485,8 +485,8 @@ func compactSources(sources []core.RecordSource, dry []bool) ([]core.RecordSourc
 // splitsSince returns the splits wholly beyond the sync point, read
 // through v (the refresh's pinned snapshot). Splits are segment-aware,
 // so the boundary is exact.
-func splitsSince(v dfs.View, path string, splitSize, synced int64) ([]dfs.Split, error) {
-	splits, err := v.Splits(path, splitSize)
+func splitsSince(v dfs.View, path string, synced int64) ([]dfs.Split, error) {
+	splits, err := v.Splits(path, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -514,7 +514,7 @@ func splitsSince(v dfs.View, path string, splitSize, synced int64) ([]dfs.Split,
 // raw bytes by bytes-per-EFFECTIVE-record (estTotal is effective under
 // a plan), embedding the selectivity without an extra correction.
 func buildRefreshSources(env *core.Env, path string, opts core.Options, dec core.Decode, prog *plan.Program, synced, size, estTotal int64, refreshGen int) ([]core.RecordSource, int64, error) {
-	splits, err := splitsSince(env.View(), path, opts.SplitSize, synced)
+	splits, err := splitsSince(env.View(), path, synced)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -1,7 +1,6 @@
 package mr
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -67,14 +66,6 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 	return e.runReducePhase(job, mapOut)
 }
 
-// inputSplit is one unit of map work: either a DFS split or a slice of
-// in-memory records with their starting offset index.
-type inputSplit struct {
-	dfsSplit *dfs.Split
-	records  []string
-	base     int64
-}
-
 // input returns the view job's InputPath is read through.
 func (e *Engine) input(job *Job) dfs.View {
 	if job.Input != nil {
@@ -83,66 +74,22 @@ func (e *Engine) input(job *Job) dfs.View {
 	return e.FS
 }
 
-func (e *Engine) splitsFor(job *Job) ([]inputSplit, error) {
-	if job.InputPath != "" {
-		if e.FS == nil {
-			return nil, fmt.Errorf("mr: job %q has InputPath but engine has no FS", job.Name)
-		}
-		ss, err := e.input(job).Splits(job.InputPath, job.SplitSize)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]inputSplit, len(ss))
-		for i := range ss {
-			sp := ss[i]
-			out[i] = inputSplit{dfsSplit: &sp}
-		}
-		return out, nil
-	}
-	nsplits := job.MemorySplits
-	if nsplits <= 0 {
-		nsplits = 1
-	}
-	if nsplits > len(job.MemoryInput) {
-		nsplits = len(job.MemoryInput)
-	}
-	if nsplits == 0 {
-		return []inputSplit{{records: nil, base: 0}}, nil
-	}
-	var out []inputSplit
-	per := (len(job.MemoryInput) + nsplits - 1) / nsplits
-	for i := 0; i < len(job.MemoryInput); i += per {
-		end := i + per
-		if end > len(job.MemoryInput) {
-			end = len(job.MemoryInput)
-		}
-		out = append(out, inputSplit{records: job.MemoryInput[i:end], base: int64(i)})
-	}
-	return out, nil
-}
-
-// mapEmitter partitions map output into per-reducer buffers.
+// mapEmitter hash-partitions map output into per-reducer buffers.
 type mapEmitter struct {
-	partition Partitioner
-	r         int
-	parts     [][]KV
-}
-
-func newMapEmitter(p Partitioner, r int) *mapEmitter {
-	return &mapEmitter{partition: p, r: r, parts: make([][]KV, r)}
+	parts [][]KV
 }
 
 // Emit implements Emitter.
 func (m *mapEmitter) Emit(key string, value any) {
-	p := m.partition(key, m.r)
-	if p < 0 || p >= m.r {
-		p = 0
-	}
+	p := HashPartition(key, len(m.parts))
 	m.parts[p] = append(m.parts[p], KV{Key: key, Value: value})
 }
 
 func (e *Engine) runMapPhase(job *Job) ([][][]KV, error) {
-	splits, err := e.splitsFor(job)
+	if e.FS == nil {
+		return nil, fmt.Errorf("mr: job %q has InputPath but engine has no FS", job.Name)
+	}
+	splits, err := e.input(job).Splits(job.InputPath, job.SplitSize)
 	if err != nil {
 		return nil, err
 	}
@@ -166,9 +113,9 @@ func (e *Engine) runMapPhase(job *Job) ([][][]KV, error) {
 	return outputs, nil
 }
 
-func (e *Engine) runMapTask(job *Job, sp inputSplit, idx, r int) ([][]KV, error) {
+func (e *Engine) runMapTask(job *Job, sp dfs.Split, idx, r int) ([][]KV, error) {
 	var lastErr error
-	for attempt := 0; attempt < job.maxAttempts(); attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		nid, release, err := e.Cluster.acquireSlot(MapTask)
 		if err != nil {
 			return nil, err
@@ -194,54 +141,29 @@ func (e *Engine) runMapTask(job *Job, sp inputSplit, idx, r int) ([][]KV, error)
 	return nil, fmt.Errorf("%w: map[%d] of %q: %v", ErrTooManyFailures, idx, job.Name, lastErr)
 }
 
-func (e *Engine) mapAttempt(job *Job, sp inputSplit, info TaskInfo, r int) ([][]KV, error) {
+func (e *Engine) mapAttempt(job *Job, sp dfs.Split, info TaskInfo, r int) ([][]KV, error) {
 	if e.Fault != nil && e.Fault.ShouldFail(info) {
 		return nil, fmt.Errorf("mr: injected failure at %s", info)
 	}
-	em := newMapEmitter(job.partitioner(), r)
-	consume := func(offset int64, line string) error {
-		e.Metrics.RecordsRead.Add(1)
-		before := recordCount(em)
-		if err := job.Mapper.Map(offset, line, em); err != nil {
-			return fmt.Errorf("mr: mapper at %s offset %d: %w", info, offset, err)
-		}
-		e.Metrics.RecordsMapped.Add(recordCount(em) - before)
-		return nil
+	em := &mapEmitter{parts: make([][]KV, r)}
+	rd, err := e.input(job).NewLineReader(sp, 0)
+	if err != nil {
+		return nil, err
 	}
 	const livenessEvery = 256
-	seen := 0
-	checkAlive := func() error {
-		seen++
+	for seen := 1; rd.Next(); seen++ {
 		if seen%livenessEvery == 0 && !e.Cluster.NodeAlive(info.Node) {
-			return fmt.Errorf("mr: node %d died during %s", info.Node, info)
+			return nil, fmt.Errorf("mr: node %d died during %s", info.Node, info)
 		}
-		return nil
+		e.Metrics.RecordsRead.Add(1)
+		before := recordCount(em)
+		if err := job.Mapper.Map(rd.RecordOffset(), rd.Text(), em); err != nil {
+			return nil, fmt.Errorf("mr: mapper at %s offset %d: %w", info, rd.RecordOffset(), err)
+		}
+		e.Metrics.RecordsMapped.Add(recordCount(em) - before)
 	}
-	if sp.dfsSplit != nil {
-		rd, err := e.input(job).NewLineReader(*sp.dfsSplit, 0)
-		if err != nil {
-			return nil, err
-		}
-		for rd.Next() {
-			if err := checkAlive(); err != nil {
-				return nil, err
-			}
-			if err := consume(rd.RecordOffset(), rd.Text()); err != nil {
-				return nil, err
-			}
-		}
-		if rd.Err() != nil {
-			return nil, rd.Err()
-		}
-	} else {
-		for i, rec := range sp.records {
-			if err := checkAlive(); err != nil {
-				return nil, err
-			}
-			if err := consume(sp.base+int64(i), rec); err != nil {
-				return nil, err
-			}
-		}
+	if rd.Err() != nil {
+		return nil, rd.Err()
 	}
 	if job.Combiner != nil {
 		return e.combine(job, em.parts)
@@ -335,17 +257,12 @@ func (e *Engine) runReducePhase(job *Job, mapOut [][][]KV) (*Result, error) {
 	for _, po := range partOutputs {
 		res.Output = append(res.Output, po...)
 	}
-	if job.OutputPath != "" {
-		if err := e.writeOutput(job.OutputPath, res.Output); err != nil {
-			return nil, err
-		}
-	}
 	return res, nil
 }
 
 func (e *Engine) runReduceTask(job *Job, part int, in []KV) ([]KV, error) {
 	var lastErr error
-	for attempt := 0; attempt < job.maxAttempts(); attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		nid, release, err := e.Cluster.acquireSlot(ReduceTask)
 		if err != nil {
 			return nil, err
@@ -384,15 +301,4 @@ func (e *Engine) reduceAttempt(job *Job, info TaskInfo, in []KV) ([]KV, error) {
 		}
 	}
 	return em.kvs, nil
-}
-
-func (e *Engine) writeOutput(path string, kvs []KV) error {
-	if e.FS == nil {
-		return fmt.Errorf("mr: OutputPath set but engine has no FS")
-	}
-	var buf bytes.Buffer
-	for _, kv := range kvs {
-		fmt.Fprintf(&buf, "%s\t%v\n", kv.Key, kv.Value)
-	}
-	return e.FS.WriteFile(path, buf.Bytes())
 }

@@ -49,6 +49,18 @@ func newTestEngine(t *testing.T, nodes, slots int) (*Engine, *dfs.FileSystem, *s
 	return &Engine{FS: fsys, Cluster: cl, Metrics: &m}, fsys, &m
 }
 
+// writeLines writes lines, newline-terminated, to a fresh DFS file.
+func writeLines(t *testing.T, fsys *dfs.FileSystem, path string, lines ...string) {
+	t.Helper()
+	var sb strings.Builder
+	for _, l := range lines {
+		sb.WriteString(l + "\n")
+	}
+	if err := fsys.WriteFile(path, []byte(sb.String())); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func outputMap(res *Result) map[string]any {
 	out := make(map[string]any, len(res.Output))
 	for _, kv := range res.Output {
@@ -57,11 +69,14 @@ func outputMap(res *Result) map[string]any {
 	return out
 }
 
+// TestWordCountMemoryInput keeps its name from the in-memory input it
+// once ran on; the same three records now come from a one-split DFS file.
 func TestWordCountMemoryInput(t *testing.T) {
-	e, _, _ := newTestEngine(t, 3, 2)
+	e, fsys, _ := newTestEngine(t, 3, 2)
+	writeLines(t, fsys, "/in", "a b a", "b c", "a")
 	job := &Job{
 		Name:        "wc",
-		MemoryInput: []string{"a b a", "b c", "a"},
+		InputPath:   "/in",
 		Mapper:      wcMapper{},
 		Reducer:     wcReducer{},
 		NumReducers: 3,
@@ -117,13 +132,14 @@ func TestCombinerReducesShuffleBytes(t *testing.T) {
 		input[i] = "x y z"
 	}
 	run := func(withCombiner bool) int64 {
-		e, _, m := newTestEngine(t, 3, 2)
+		e, fsys, m := newTestEngine(t, 3, 2)
+		writeLines(t, fsys, "/in", input...)
 		job := &Job{
-			Name:         "wc",
-			MemoryInput:  input,
-			MemorySplits: 4,
-			Mapper:       wcMapper{},
-			Reducer:      wcReducer{},
+			Name:      "wc",
+			InputPath: "/in",
+			SplitSize: 300, // 4 splits
+			Mapper:    wcMapper{},
+			Reducer:   wcReducer{},
 		}
 		if withCombiner {
 			job.Combiner = wcCombiner{}
@@ -147,10 +163,9 @@ func TestCombinerReducesShuffleBytes(t *testing.T) {
 func TestJobValidation(t *testing.T) {
 	e, _, _ := newTestEngine(t, 2, 1)
 	cases := []*Job{
-		{Name: "no-mapper", MemoryInput: []string{"x"}, Reducer: wcReducer{}},
-		{Name: "no-reducer", MemoryInput: []string{"x"}, Mapper: wcMapper{}},
+		{Name: "no-mapper", InputPath: "/a", Reducer: wcReducer{}},
+		{Name: "no-reducer", InputPath: "/a", Mapper: wcMapper{}},
 		{Name: "no-input", Mapper: wcMapper{}, Reducer: wcReducer{}},
-		{Name: "two-inputs", InputPath: "/a", MemoryInput: []string{"x"}, Mapper: wcMapper{}, Reducer: wcReducer{}},
 	}
 	for _, job := range cases {
 		if _, err := e.Run(job); err == nil {
@@ -160,11 +175,12 @@ func TestJobValidation(t *testing.T) {
 }
 
 func TestMapperErrorPropagates(t *testing.T) {
-	e, _, _ := newTestEngine(t, 2, 1)
+	e, fsys, _ := newTestEngine(t, 2, 1)
+	writeLines(t, fsys, "/in", "x")
 	boom := errors.New("boom")
 	job := &Job{
-		Name:        "bad-map",
-		MemoryInput: []string{"x"},
+		Name:      "bad-map",
+		InputPath: "/in",
 		Mapper: MapperFunc(func(off int64, line string, emit Emitter) error {
 			return boom
 		}),
@@ -180,11 +196,12 @@ func TestMapperErrorPropagates(t *testing.T) {
 }
 
 func TestReducerErrorPropagates(t *testing.T) {
-	e, _, _ := newTestEngine(t, 2, 1)
+	e, fsys, _ := newTestEngine(t, 2, 1)
+	writeLines(t, fsys, "/in", "x")
 	job := &Job{
-		Name:        "bad-reduce",
-		MemoryInput: []string{"x"},
-		Mapper:      wcMapper{},
+		Name:      "bad-reduce",
+		InputPath: "/in",
+		Mapper:    wcMapper{},
 		Reducer: ReducerFunc(func(key string, values []any, emit Emitter) error {
 			return errors.New("reduce-boom")
 		}),
@@ -195,17 +212,18 @@ func TestReducerErrorPropagates(t *testing.T) {
 }
 
 func TestTransientTaskFailureIsRetried(t *testing.T) {
-	e, _, m := newTestEngine(t, 3, 2)
+	e, fsys, m := newTestEngine(t, 3, 2)
+	writeLines(t, fsys, "/in", "a", "b", "c", "d")
 	// Fail the first two attempts of map task 0 only.
 	e.Fault = FaultFunc(func(ti TaskInfo) bool {
 		return ti.Kind == MapTask && ti.Index == 0 && ti.Attempt < 2
 	})
 	job := &Job{
-		Name:         "flaky",
-		MemoryInput:  []string{"a", "b", "c", "d"},
-		MemorySplits: 2,
-		Mapper:       wcMapper{},
-		Reducer:      wcReducer{},
+		Name:      "flaky",
+		InputPath: "/in",
+		SplitSize: 4, // 2 splits
+		Mapper:    wcMapper{},
+		Reducer:   wcReducer{},
 	}
 	res, err := e.Run(job)
 	if err != nil {
@@ -220,38 +238,20 @@ func TestTransientTaskFailureIsRetried(t *testing.T) {
 }
 
 func TestPermanentFailureExhaustsAttempts(t *testing.T) {
-	e, _, _ := newTestEngine(t, 2, 1)
+	e, fsys, m := newTestEngine(t, 2, 1)
+	writeLines(t, fsys, "/in", "x")
 	e.Fault = FaultFunc(func(ti TaskInfo) bool { return ti.Kind == ReduceTask })
 	job := &Job{
-		Name:        "doomed",
-		MemoryInput: []string{"x"},
-		Mapper:      wcMapper{},
-		Reducer:     wcReducer{},
-		MaxAttempts: 3,
+		Name:      "doomed",
+		InputPath: "/in",
+		Mapper:    wcMapper{},
+		Reducer:   wcReducer{},
 	}
 	if _, err := e.Run(job); !errors.Is(err, ErrTooManyFailures) {
 		t.Fatalf("err = %v, want ErrTooManyFailures", err)
 	}
-}
-
-func TestOutputPathWritesToDFS(t *testing.T) {
-	e, fsys, _ := newTestEngine(t, 3, 2)
-	job := &Job{
-		Name:        "wc-out",
-		MemoryInput: []string{"b a", "a"},
-		Mapper:      wcMapper{},
-		Reducer:     wcReducer{},
-		OutputPath:  "/out/part-0",
-	}
-	if _, err := e.Run(job); err != nil {
-		t.Fatal(err)
-	}
-	data, err := fsys.ReadFile("/out/part-0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "a\t2\nb\t1\n" {
-		t.Fatalf("output file = %q", data)
+	if got := m.Snapshot().TaskRestarts; got != maxAttempts {
+		t.Fatalf("TaskRestarts = %d, want %d", got, maxAttempts)
 	}
 }
 
@@ -259,14 +259,15 @@ func TestDeterministicOutputOrder(t *testing.T) {
 	// Key order within partitions must be deterministic across runs.
 	var prev []KV
 	for i := 0; i < 5; i++ {
-		e, _, _ := newTestEngine(t, 4, 2)
+		e, fsys, _ := newTestEngine(t, 4, 2)
+		writeLines(t, fsys, "/in", "q w e r t y u i o p", "a s d f g h j k l")
 		job := &Job{
-			Name:         "det",
-			MemoryInput:  []string{"q w e r t y u i o p", "a s d f g h j k l"},
-			MemorySplits: 2,
-			Mapper:       wcMapper{},
-			Reducer:      wcReducer{},
-			NumReducers:  3,
+			Name:        "det",
+			InputPath:   "/in",
+			SplitSize:   20, // one line per split
+			Mapper:      wcMapper{},
+			Reducer:     wcReducer{},
+			NumReducers: 3,
 		}
 		res, err := e.Run(job)
 		if err != nil {
@@ -287,13 +288,14 @@ func TestDeterministicOutputOrder(t *testing.T) {
 }
 
 func TestMetricsCharged(t *testing.T) {
-	e, _, m := newTestEngine(t, 3, 2)
+	e, fsys, m := newTestEngine(t, 3, 2)
+	writeLines(t, fsys, "/in", "a b", "c")
 	job := &Job{
-		Name:         "metrics",
-		MemoryInput:  []string{"a b", "c"},
-		MemorySplits: 2,
-		Mapper:       wcMapper{},
-		Reducer:      wcReducer{},
+		Name:      "metrics",
+		InputPath: "/in",
+		SplitSize: 4, // one line per split
+		Mapper:    wcMapper{},
+		Reducer:   wcReducer{},
 	}
 	if _, err := e.Run(job); err != nil {
 		t.Fatal(err)
@@ -320,12 +322,13 @@ func TestMetricsCharged(t *testing.T) {
 }
 
 func TestEmptyInput(t *testing.T) {
-	e, _, _ := newTestEngine(t, 2, 1)
+	e, fsys, _ := newTestEngine(t, 2, 1)
+	writeLines(t, fsys, "/in")
 	job := &Job{
-		Name:        "empty",
-		MemoryInput: []string{},
-		Mapper:      wcMapper{},
-		Reducer:     wcReducer{},
+		Name:      "empty",
+		InputPath: "/in",
+		Mapper:    wcMapper{},
+		Reducer:   wcReducer{},
 	}
 	res, err := e.Run(job)
 	if err != nil {
@@ -415,18 +418,21 @@ func TestClusterKillRevive(t *testing.T) {
 }
 
 func TestRunWithAllNodesDead(t *testing.T) {
-	e, _, _ := newTestEngine(t, 2, 1)
+	e, fsys, _ := newTestEngine(t, 2, 1)
+	writeLines(t, fsys, "/in", "x")
 	e.Cluster.KillNode(0)
 	e.Cluster.KillNode(1)
-	job := &Job{Name: "dead", MemoryInput: []string{"x"}, Mapper: wcMapper{}, Reducer: wcReducer{}}
+	job := &Job{Name: "dead", InputPath: "/in", Mapper: wcMapper{}, Reducer: wcReducer{}}
 	if _, err := e.Run(job); err == nil {
 		t.Fatal("job on dead cluster should fail")
 	}
 }
 
 func TestEngineDefaults(t *testing.T) {
-	e := &Engine{}
-	job := &Job{Name: "defaults", MemoryInput: []string{"a"}, Mapper: wcMapper{}, Reducer: wcReducer{}}
+	fsys := dfs.New(dfs.Config{BlockSize: 64, Replication: 1, DataNodes: 1, Seed: 1})
+	writeLines(t, fsys, "/in", "a")
+	e := &Engine{FS: fsys} // default cluster and metrics
+	job := &Job{Name: "defaults", InputPath: "/in", Mapper: wcMapper{}, Reducer: wcReducer{}}
 	res, err := e.Run(job)
 	if err != nil {
 		t.Fatal(err)

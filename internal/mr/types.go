@@ -108,30 +108,23 @@ func ValueSize(v any) int64 {
 type Job struct {
 	Name string
 
-	// Input: either a DFS path (read as text lines, split by SplitSize)
-	// or an in-memory record slice (tests and local mode). Exactly one
-	// must be set.
+	// InputPath is the DFS file the job reads as text lines, split by
+	// SplitSize.
 	InputPath string
 	// Input is the view InputPath is read through — a pinned snapshot
 	// when the job must see one commit; the engine's live filesystem if nil.
-	Input        dfs.View
-	SplitSize    int64 // bytes per input split; DFS block size if 0
-	MemoryInput  []string
-	MemorySplits int // splits to divide MemoryInput into; 1 if 0
+	Input     dfs.View
+	SplitSize int64 // bytes per input split; DFS block size if 0
 
 	Mapper      Mapper
 	Combiner    Combiner
 	Reducer     Reducer
 	NumReducers int // 1 if 0
-	Partition   Partitioner
-
-	// MaxAttempts bounds per-task retries after failures (Hadoop's
-	// mapred.map.max.attempts); default 4.
-	MaxAttempts int
-
-	// OutputPath, when set, also writes "key\tvalue" lines to the DFS.
-	OutputPath string
 }
+
+// maxAttempts bounds per-task retries after failures (Hadoop's
+// mapred.map.max.attempts default).
+const maxAttempts = 4
 
 func (j *Job) validate() error {
 	if j.Mapper == nil {
@@ -140,10 +133,8 @@ func (j *Job) validate() error {
 	if j.Reducer == nil {
 		return errors.New("mr: job needs a Reducer")
 	}
-	hasPath := j.InputPath != ""
-	hasMem := j.MemoryInput != nil
-	if hasPath == hasMem {
-		return errors.New("mr: job needs exactly one of InputPath or MemoryInput")
+	if j.InputPath == "" {
+		return errors.New("mr: job needs an InputPath")
 	}
 	return nil
 }
@@ -153,20 +144,6 @@ func (j *Job) numReducers() int {
 		return 1
 	}
 	return j.NumReducers
-}
-
-func (j *Job) maxAttempts() int {
-	if j.MaxAttempts <= 0 {
-		return 4
-	}
-	return j.MaxAttempts
-}
-
-func (j *Job) partitioner() Partitioner {
-	if j.Partition == nil {
-		return HashPartition
-	}
-	return j.Partition
 }
 
 // Result is a completed job's output.
