@@ -14,31 +14,6 @@
 //	-parallelism N  resampling worker-pool size (0 = GOMAXPROCS,
 //	                1 = sequential engine); tables are identical for a
 //	                fixed seed at any value
-//	-json           run the benchmark families — the hot substrates
-//	                (bootstrap resampling, delta maintenance and SSABE
-//	                at one worker and at all, the order-statistic
-//	                multiset, pre-map sampling; self-checked: the
-//	                resampling allocation budgets), scan decode, the
-//	                end-to-end engine family
-//	                (single-statistic vs 4-statistic shared pass,
-//	                scalar vs grouped, with records-read measurements;
-//	                self-checked: read-only runs add 0 commits and 0
-//	                bytes to the DFS journal),
-//	                the query-plan family (σ pushdown vs post-hoc
-//	                filtering, π overhead, grouped-with-filter), the
-//	                commit-journal family (journaled commit, recovery
-//	                replay, snapshot vs live reads) and the ingest
-//	                family (a 77 KB Append onto 0.2 M / 1 M / 4 M-record
-//	                files, a 400-append Recover; self-checked: the 4 M
-//	                append may cost at most 2x the time and 1.5x the
-//	                allocation of the 0.2 M one) — and
-//	                emit the results as JSON instead of figure tables;
-//	                CI publishes this as the benchmark trajectory
-//	                artifact (BENCH_<pr>.json)
-//	-compare FILE   with -json: compare against a baseline BENCH_*.json
-//	                and exit non-zero on a >2x ns/op regression in any
-//	                benchmark present in both files (CI pins the
-//	                substrate families against the committed baseline)
 package main
 
 import (
@@ -55,17 +30,7 @@ func main() {
 	records := flag.Int("records", 1<<20, "laptop-scale record count for measured runs")
 	quick := flag.Bool("quick", false, "use smaller measurement sizes")
 	parallelism := flag.Int("parallelism", 0, "resampling worker-pool size (0 = GOMAXPROCS, 1 = sequential)")
-	jsonOut := flag.Bool("json", false, "emit benchmark-family ns/op + engine IO as JSON (ignores figure arguments)")
-	compareTo := flag.String("compare", "", "with -json: baseline BENCH_*.json; exit non-zero on >2x ns/op regression")
 	flag.Parse()
-
-	if *jsonOut {
-		if err := runMicroJSON(os.Stdout, *compareTo); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	experiments.Parallelism = *parallelism
 	recs := *records

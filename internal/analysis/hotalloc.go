@@ -8,9 +8,10 @@ import (
 // HotAlloc is the allocation analyzer for the resampling hot path (the
 // PR 5 bug class: delta maintenance boxed one float64 per item into the
 // reducer's `any` Update parameter — 371k allocations per Grow). It is
-// the static complement of the earlbench -compare allocs/op gate: the
-// benchmark catches a regression after the fact, this catches the
-// introducing diff.
+// the static complement of the allocation-budget tests
+// (delta.TestMaintainerGrowSteadyStateAllocs and its kin): a test
+// catches a regression on the paths it runs, this catches the
+// introducing diff on every annotated kernel.
 //
 // Functions annotated //earl:hotpath (in the doc comment) must keep
 // their loops free of per-iteration allocation:

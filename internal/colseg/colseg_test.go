@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -149,6 +150,17 @@ func kvData(n int) []byte {
 		fmt.Fprintf(&buf, "host-%d\t%0.4f\n", i%7, float64((i*i)%997)/3)
 	}
 	return buf.Bytes()
+}
+
+// scanShapes returns n records in each of the end-to-end benchmark's
+// shapes: 19-byte numeric lines and 16-byte "g<i%8>\t<value>" lines.
+func scanShapes(n int) (numeric, kv []byte) {
+	for i := 0; i < n; i++ {
+		v := float64(i*7919%n) / 1000
+		numeric = fmt.Appendf(numeric, "%018.9e\n", v)
+		kv = fmt.Appendf(kv, "g%d\t%012.6f\n", i%8, v)
+	}
+	return numeric, kv
 }
 
 func TestRoundTripNumeric(t *testing.T) {
@@ -309,6 +321,100 @@ func TestReaderCleanMisses(t *testing.T) {
 	rd := colseg.NewReader(memStore{})
 	blk, ok, err = rd.LoadColumns(colscan.BlockKey{Path: "/f", Version: 5, Offset: 0, Length: 128, Format: colscan.FormatNumeric})
 	check("no sidecar", blk, ok, err)
+}
+
+// TestColdLoadAllocatesTheBlock pins that a cold sidecar load touches
+// its chunk once: loading every split of a file allocates the blocks it
+// returns — at most 1.1× their SizeBytes — and nothing else of their
+// size. A payload-sized read buffer or a second copy of a column would
+// be 1.4× and up. scanShapes' 64 KiB chunks give columns the allocator
+// holds near their size.
+func TestColdLoadAllocatesTheBlock(t *testing.T) {
+	const version, chunkSize = 2, 64 << 10
+	numeric, kv := scanShapes(100_000)
+	for _, c := range []struct {
+		name string
+		f    colscan.Format
+		data []byte
+	}{
+		{"numeric", colscan.FormatNumeric, numeric},
+		{"kv", colscan.FormatKV, kv},
+	} {
+		sc, err := colseg.Build(c.f, version, c.data, []int64{0}, chunkSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd := colseg.NewReader(memStore{"/f": sc})
+		geom := chunkGeom([]int64{0}, int64(len(c.data)), chunkSize)
+		loadAll := func() (blockBytes int64) {
+			for _, g := range geom {
+				blk, ok, err := rd.LoadColumns(colscan.BlockKey{Path: "/f", Version: version, Offset: g[0], Length: g[1], Format: c.f})
+				if err != nil || !ok {
+					t.Fatalf("%s: LoadColumns [%d,+%d): ok=%v err=%v", c.name, g[0], g[1], ok, err)
+				}
+				blockBytes += blk.SizeBytes()
+			}
+			return blockBytes
+		}
+		loadAll() // parses the footer index, which the reader keeps
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		blockBytes := loadAll()
+		runtime.ReadMemStats(&after)
+		got := int64(after.TotalAlloc - before.TotalAlloc)
+		t.Logf("%s: %d splits allocate %d B for blocks of %d B", c.name, len(geom), got, blockBytes)
+		if got > blockBytes*11/10 {
+			t.Errorf("%s: a cold load of %d splits allocates %d B for blocks of %d B (limit 1.1×)", c.name, len(geom), got, blockBytes)
+		}
+	}
+}
+
+// BenchmarkColdLoad prices a cold read of every 64 KiB split of 200 k
+// numeric records two ways: from the sidecar (a CRC pass over the stored
+// payload and one converting pass per column) and as text
+// (colscan.Decode parsing every record). The sidecar read is meant to
+// run at 3× or more the text decode's ns/record.
+func BenchmarkColdLoad(b *testing.B) {
+	const version, chunkSize = 2, 64 << 10
+	numeric, _ := scanShapes(200_000)
+	sc, err := colseg.Build(colscan.FormatNumeric, version, numeric, []int64{0}, chunkSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	geom := chunkGeom([]int64{0}, int64(len(numeric)), chunkSize)
+	rd := colseg.NewReader(memStore{"/f": sc})
+	for _, c := range []struct {
+		name string
+		load func(g [2]int64) (*colscan.Block, error)
+	}{
+		{"sidecar", func(g [2]int64) (*colscan.Block, error) {
+			blk, ok, err := rd.LoadColumns(colscan.BlockKey{
+				Path: "/f", Version: version, Offset: g[0], Length: g[1], Format: colscan.FormatNumeric})
+			if err == nil && !ok {
+				err = errors.New("sidecar miss")
+			}
+			return blk, err
+		}},
+		{"text", func(g [2]int64) (*colscan.Block, error) {
+			return colscan.Decode(byteFile(numeric), "/f", int64(len(numeric)), g[0], g[1], colscan.FormatNumeric)
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			recs := 0
+			for i := 0; i < b.N; i++ {
+				for _, g := range geom {
+					blk, err := c.load(g)
+					if err != nil {
+						b.Fatal(err)
+					}
+					recs += blk.NumRecords()
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(recs), "ns/record")
+		})
+	}
 }
 
 func TestInspectRejectsGarbage(t *testing.T) {

@@ -34,7 +34,7 @@ func (pq *PlannedQuery) Grouped() bool { return pq.Spec.GroupBy != "" }
 // a rebuild all derive the same one.
 func (pq *PlannedQuery) Decode() (Decode, error) {
 	if pq.Grouped() {
-		return GroupedDecode(pq.Route, pq.Prog)
+		return groupedDecode(pq.Route, pq.Prog)
 	}
 	return ScalarDecode(pq.Jobs[0], pq.Prog), nil
 }

@@ -74,11 +74,11 @@ type Decode struct {
 	Parser *sampling.Parser
 }
 
-// GroupedDecode resolves how a grouped run over route (and an optional
+// groupedDecode resolves how a grouped run over route (and an optional
 // plan) decodes records: the plan's input format when there is a plan,
 // else the route's one set field. A route that sets both fields or
 // neither is rejected.
-func GroupedDecode(route Route, prog *plan.Program) (Decode, error) {
+func groupedDecode(route Route, prog *plan.Program) (Decode, error) {
 	if prog != nil {
 		return Decode{Format: prog.InputFormat()}, nil
 	}

@@ -2,11 +2,14 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/colscan"
 	"repro/internal/dfs"
 	"repro/internal/jobs"
+	"repro/internal/plan"
 	"repro/internal/sampling"
 	"repro/internal/workload"
 )
@@ -44,6 +47,72 @@ func TestNewRecordSourcesDraws(t *testing.T) {
 				t.Fatalf("%s source %d: weight %d", sampler, i, s.Weight())
 			}
 		}
+	}
+}
+
+// growthAllocs is how many times a slices.Grow allocates the capacity it
+// adds: once, or twice under the race detector (race_test.go).
+var growthAllocs int64 = 1
+
+// TestPostMapFillTakesOnePool pins what a post-map fill allocates once
+// its blocks are decoded: one mapper over 1 MiB blocks of
+// "g<i%16>\t<value>" text (the end-to-end benchmark's query_scan shape),
+// its σ keeping three records in four and every block a scan-cache hit,
+// takes its (block, record) reference pool — 8 bytes a pooled record —
+// once, twice if the first block under-estimated the rest. The megabyte
+// on top is the mapper's keep vector and scratch.
+func TestPostMapFillTakesOnePool(t *testing.T) {
+	const blocks = 8
+	env, err := NewEnv(EnvConfig{BlockSize: 1 << 20, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals, err := workload.NumericSpec{Dist: workload.Uniform, N: blocks << 16, Seed: 7}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 0, blocks<<20)
+	for i := 0; len(data) < blocks<<20-(1<<19); i++ {
+		data = fmt.Appendf(data, "g%d\t%012.6f\n", i%16, vals[i])
+	}
+	if err := env.FS.WriteFile("/fill", data); err != nil {
+		t.Fatal(err)
+	}
+	pq, err := PreparePlan(plan.Spec{Path: "/fill", Stats: []string{"mean"},
+		Filter: `v > 20 && key != "g7"`, GroupBy: "key", Sampler: "post-map"}, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := groupedDecode(TabRoute(), pq.Prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	splits, err := env.FS.Splits("/fill", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := func() int64 {
+		sources, err := NewRecordSources(env, "/fill", [][]dfs.Split{splits}, pq.Opts, 0, dec, pq.Prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sources[0].Weight()
+	}
+	pooled := fill() // decodes the blocks into the scan cache
+	if len(splits) != blocks || pooled == 0 {
+		t.Fatalf("fixture: %d blocks (want %d), %d records pooled", len(splits), blocks, pooled)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if again := fill(); again != pooled {
+		t.Fatalf("a second fill pooled %d records, the first %d", again, pooled)
+	}
+	runtime.ReadMemStats(&after)
+	got, limit := int64(after.TotalAlloc-before.TotalAlloc), growthAllocs*(2*8*pooled+1<<20)
+	t.Logf("pooling %d records allocates %d B", pooled, got)
+	if got > limit {
+		t.Fatalf("pooling %d records allocates %d B, limit %d (two pools of 8 bytes a record, + 1 MiB)", pooled, got, limit)
 	}
 }
 

@@ -166,7 +166,13 @@ func TestMaintainerQuantileBatchedGrowDeterministic(t *testing.T) {
 // at the unit level: growing B resamples by a generation must cost a
 // small constant number of allocations per resample (sketch part +
 // cache + batch boxing), not one per item as the per-value Update loop
-// did.
+// did. It also holds the budgets of a whole four-generation schedule
+// (n = 4096, B = 30): a mean one stays at its ~1 k allocations (parts,
+// caches and per-worker scratch), and a median one — whose resamples
+// arrive counted instead of being sorted in each state's own buffer —
+// at no more than the 1 453 it made before that.
+// AllocsPerRun runs at GOMAXPROCS 1, so Parallelism is set explicitly
+// to cover a pool of workers too.
 func TestMaintainerGrowSteadyStateAllocs(t *testing.T) {
 	m, err := New(Config{Reducer: jobs.Mean().Reducer, B: 10, Seed: 9, Parallelism: 1})
 	if err != nil {
@@ -187,5 +193,31 @@ func TestMaintainerGrowSteadyStateAllocs(t *testing.T) {
 	// *item* would be ≥ 20k.
 	if allocs > 300 {
 		t.Fatalf("Grow allocated %.0f/op, want small constant per resample (≤300)", allocs)
+	}
+
+	ds := sampleData(4096, 1)
+	for _, c := range []struct {
+		job    jobs.Numeric
+		budget float64
+	}{{jobs.Mean(), 1100}, {jobs.Median(), 1453}} {
+		for _, par := range []int{1, 2} {
+			seed := uint64(0)
+			allocs := testing.AllocsPerRun(3, func() {
+				seed++
+				m, err := New(Config{Reducer: c.job.Reducer, B: 30, Seed: seed, Key: "b", Parallelism: par})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for g := 0; g < 4; g++ {
+					if err := m.Grow(ds); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			t.Logf("%s, Parallelism %d: %.0f allocs", c.job.Name, par, allocs)
+			if allocs > c.budget {
+				t.Errorf("%s, Parallelism %d: four Grow generations made %.0f allocs, budget %.0f", c.job.Name, par, allocs, c.budget)
+			}
+		}
 	}
 }

@@ -294,7 +294,8 @@ func TestReadLineAtMatchesCopyingLoopUnderFaults(t *testing.T) {
 // TestReadLineAtAllocatesOnlyTheRecord pins what the in-place path is
 // for: a positioned line read whose window sits in one block allocates
 // the string it returns and nothing else — no window buffer, no replica
-// list — and a plain positioned block read allocates nothing.
+// list — and a plain positioned block read allocates nothing, on the
+// live filesystem and through a held snapshot alike.
 func TestReadLineAtAllocatesOnlyTheRecord(t *testing.T) {
 	fs := New(Config{BlockSize: 1 << 20, Replication: 2, DataNodes: 4, Seed: 5, Metrics: &simcost.Metrics{}})
 	if err := fs.WriteFile("/f", bytes.Repeat([]byte("+1.234567890e+01\n"), 4096)); err != nil {
@@ -309,13 +310,20 @@ func TestReadLineAtAllocatesOnlyTheRecord(t *testing.T) {
 	}); allocs > 1 {
 		t.Fatalf("ReadLineAt made %.1f allocs/op, want ≤ 1 (the returned record)", allocs)
 	}
+	snap := fs.Snapshot()
+	defer snap.Release()
 	buf := make([]byte, 512)
-	if allocs := testing.AllocsPerRun(200, func() {
-		if _, err := fs.ReadAt("/f", 1000, buf); err != nil {
-			t.Fatal(err)
+	for _, v := range []struct {
+		name string
+		view View
+	}{{"live", fs}, {"snapshot", snap}} {
+		if allocs := testing.AllocsPerRun(200, func() {
+			if _, err := v.view.ReadAt("/f", 1000, buf); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("%s ReadAt made %.1f allocs/op, want 0", v.name, allocs)
 		}
-	}); allocs != 0 {
-		t.Fatalf("ReadAt made %.1f allocs/op, want 0", allocs)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/colscan"
@@ -149,6 +150,59 @@ func TestSidecarAppendExtends(t *testing.T) {
 	chunkRegion := before[25 : len(before)-12-36*binfo.Chunks]
 	if !bytes.Contains(after, chunkRegion) {
 		t.Fatal("append rewrote pre-append chunk bytes")
+	}
+}
+
+// TestAppendAllocatesTheBatch pins that an append costs the batch, not
+// the file, in memory: a 77 KB batch (4096 records of 19 bytes, just
+// over the sidecar-extend threshold) allocates at most 4× its bytes —
+// the journal frame (the one copy of the data, which the blocks are cut
+// from), the sidecar tail and its share of an extent — and the same
+// batches onto a file 20× larger allocate at most 1.1× as much. A second
+// copy of the data, a copied journal image or a sidecar re-encoded from
+// the start shows here.
+func TestAppendAllocatesTheBatch(t *testing.T) {
+	const warmup, appends = 4, 16
+	records := func(n int) []byte {
+		buf := make([]byte, 0, 19*n)
+		for i := 0; i < n; i++ {
+			buf = fmt.Appendf(buf, "%018d\n", i)
+		}
+		return buf
+	}
+	batch := records(4096)
+	if len(batch) < sidecarAppendMinBytes {
+		t.Fatalf("a %d-byte batch would not extend the sidecar", len(batch))
+	}
+	perAppend := func(fileRecs int) uint64 {
+		fs := New(Config{Seed: 6})
+		if err := fs.WriteFile("/data", records(fileRecs)); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		for i := 0; i < warmup+appends; i++ {
+			if i == warmup {
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+			}
+			if err := fs.Append("/data", batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		info, err := colseg.Inspect(readSidecar(t, fs, "/data"))
+		if size, _ := fs.Stat("/data"); err != nil || info.Cover != size {
+			t.Fatalf("sidecar covers %d of %d bytes: %v", info.Cover, size, err)
+		}
+		return (after.TotalAlloc - before.TotalAlloc) / appends
+	}
+	small, large := perAppend(20_000), perAppend(400_000)
+	t.Logf("a %d-byte append allocates %d B onto %d records, %d B onto %d", len(batch), small, 20_000, large, 400_000)
+	if limit := uint64(4 * len(batch)); small > limit || large > limit {
+		t.Errorf("appending %d bytes allocates %d B (small file) and %d B (20× file), limit 4× the batch", len(batch), small, large)
+	}
+	if float64(large) > 1.1*float64(small) {
+		t.Errorf("the same append allocates %d B onto a 20× file vs %d B (limit 1.1×)", large, small)
 	}
 }
 
