@@ -112,8 +112,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *filter != "" || *derive != "" || *by != "" {
 			return fmt.Errorf("kmeans does not take -filter/-derive/-by")
 		}
-		if *compact {
-			return fmt.Errorf("kmeans does not take -compact")
+		if *compact || *watch > 0 || *kill != "" {
+			return fmt.Errorf("kmeans does not take -compact, -watch or -kill")
 		}
 		return runKMeans(stdout, cluster, *n, *k, *sigma, *seed)
 	}

@@ -80,6 +80,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-sampler", "sideways", "-n", "1000"},
 		{"-n", "0"},
 		{"-definitely-not-a-flag"},
+		{"-job", "kmeans", "-watch", "2", "-n", "1000"},
 	}
 	for _, args := range cases {
 		var out, errw strings.Builder

@@ -45,8 +45,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Options re-exports core.Options: the knobs of one EARL run (σ, τ,
-// sampler choice, expansion cap, …).
+// Options re-exports core.Options: the knobs of one EARL run — Sigma
+// (σ), Sampler, Seed, ForceB and ForceN, DisableDeltaMaintenance and
+// Parallelism.
 type Options = core.Options
 
 // Report re-exports core.Report: the early result with its achieved

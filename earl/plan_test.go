@@ -155,15 +155,15 @@ func TestDegeneratePlanMatchesLegacy(t *testing.T) {
 }
 
 // TestPlanMatchesManualPrefilter is the pushdown golden: under the
-// post-map sampler with one mapper and a forced plan (no SSABE), a
-// filter+derive plan over raw data must produce the same sample — and
-// hence bit-identical p-invariant statistics — as manually filtering
-// and deriving the data up front and running the legacy engine on the
-// result. The data uses exact quarter values and an exact affine
-// derive, so transformed records round-trip the fixed-width encoding
-// bit for bit. FractionP and EstTotalN are excluded: the plan
-// denominates them in the ESTIMATED effective subpopulation, the
-// manual run in the prefiltered file's own estimate.
+// post-map sampler over one-split files (so one mapper) and a forced
+// plan (no SSABE), a filter+derive plan over raw data must produce the
+// same sample — and hence bit-identical p-invariant statistics — as
+// manually filtering and deriving the data up front and running the
+// legacy engine on the result. The data uses exact quarter values and
+// an exact affine derive, so transformed records round-trip the
+// fixed-width encoding bit for bit. FractionP and EstTotalN are
+// excluded: the plan denominates them in the ESTIMATED effective
+// subpopulation, the manual run in the prefiltered file's own estimate.
 func TestPlanMatchesManualPrefilter(t *testing.T) {
 	const n = 50_000
 	raw := make([]float64, n)
@@ -181,13 +181,12 @@ func TestPlanMatchesManualPrefilter(t *testing.T) {
 		opts := earl.Options{
 			Sigma:       0.2,
 			Sampler:     earl.PostMapSampling,
-			NumMappers:  1,
 			Seed:        41,
 			ForceB:      64,
 			ForceN:      400,
 			Parallelism: par,
 		}
-		cluster, err := earl.NewCluster(earl.ClusterConfig{BlockSize: 1 << 14, Seed: 40})
+		cluster, err := earl.NewCluster(earl.ClusterConfig{BlockSize: 2 << 20, Seed: 40})
 		if err != nil {
 			t.Fatal(err)
 		}

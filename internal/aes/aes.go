@@ -3,10 +3,9 @@
 //
 // The AES consumes the result distribution — the B values of the user's
 // statistic computed on B bootstrap resamples — and reduces it to an
-// error measure. The default measure is the coefficient of variation
-// cv = stddev/|mean|, but the stage is measure-agnostic (§3: "Our
-// approach is independent of the error measure"), so variance, standard
-// error and relative half-width measures are provided too.
+// error measure: the coefficient of variation cv = stddev/|mean|
+// (stats.CV). §3 notes the approach is independent of the measure; cv is
+// the one every run and every plan uses.
 //
 // SSABE is the two-phase pilot that runs in "local mode" before the
 // cluster job starts (§3.2):
@@ -33,18 +32,6 @@ import (
 	"repro/internal/simcost"
 	"repro/internal/stats"
 )
-
-// Measure reduces a result distribution to a scalar error.
-type Measure func(values []float64) (float64, error)
-
-// CV is the default error measure: stddev/|mean| of the distribution.
-func CV(values []float64) (float64, error) { return stats.CV(values) }
-
-// StdErr is the plain standard deviation of the result distribution.
-func StdErr(values []float64) (float64, error) { return stats.StdDev(values) }
-
-// Variance is the variance of the result distribution.
-func Variance(values []float64) (float64, error) { return stats.Variance(values) }
 
 const (
 	// subsamples is L, the subsample count of phase 2 (paper: 5).
@@ -76,8 +63,7 @@ type Config struct {
 	MaxB    int // cap on bootstraps (default 2/τ)
 	Seed    uint64
 	Metrics *simcost.Metrics
-	Measure Measure // CV if nil
-	Key     string  // reduce key handed to Initialize
+	Key     string // reduce key handed to Initialize
 	// Parallelism is the worker-pool size for phase 2's delta-maintained
 	// resampling: 0 (or negative) means runtime.GOMAXPROCS, 1 forces the
 	// sequential path. Plan output is identical at any value for a fixed
@@ -105,9 +91,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.MaxB < 3 {
 		c.MaxB = 3
-	}
-	if c.Measure == nil {
-		c.Measure = CV
 	}
 	return c, nil
 }
@@ -247,7 +230,7 @@ func EstimateB(pilot []float64, cfg Config) (int, []float64, error) {
 		}
 	}
 	trace := []float64{}
-	prev, err := cfg.Measure(values)
+	prev, err := stats.CV(values)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -257,7 +240,7 @@ func EstimateB(pilot []float64, cfg Config) (int, []float64, error) {
 		if err := drawValue(); err != nil {
 			return 0, nil, err
 		}
-		cur, err := cfg.Measure(values)
+		cur, err := stats.CV(values)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -371,7 +354,7 @@ func estimateNReplicate(pilot []float64, b int, cfg Config, r int) ([]CurvePoint
 		if err != nil {
 			return nil, err
 		}
-		cv, err := cfg.Measure(vals)
+		cv, err := stats.CV(vals)
 		if err != nil {
 			return nil, err
 		}
@@ -412,8 +395,3 @@ func SSABE(pilot []float64, totalN int64, cfg Config) (Plan, error) {
 	}
 	return plan, nil
 }
-
-// Stability measures τ-stability of consecutive error estimates: it
-// returns |cv_i − cv_{i−1}| given the previous and current estimates —
-// the quantity the paper defines as τ's operational meaning.
-func Stability(prev, cur float64) float64 { return math.Abs(cur - prev) }

@@ -1,7 +1,6 @@
 package aes
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/mr"
@@ -229,40 +228,5 @@ func TestPaperHeadlineMeanNeedsOnePercentAnd30(t *testing.T) {
 	}
 	if plan.N > 10000 { // 1% of 1M
 		t.Fatalf("N = %d, want ≤ 1%% of 1M", plan.N)
-	}
-}
-
-func TestMeasures(t *testing.T) {
-	vals := []float64{4, 6}
-	cv, err := CV(vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sd, _ := StdErr(vals)
-	va, _ := Variance(vals)
-	if math.Abs(cv-sd/5) > 1e-12 {
-		t.Fatalf("cv %v, stderr %v", cv, sd)
-	}
-	if math.Abs(va-sd*sd) > 1e-12 {
-		t.Fatalf("var %v vs sd² %v", va, sd*sd)
-	}
-}
-
-func TestStability(t *testing.T) {
-	if Stability(0.05, 0.07) != 0.02 && math.Abs(Stability(0.05, 0.07)-0.02) > 1e-15 {
-		t.Fatal("stability distance wrong")
-	}
-}
-
-func TestEstimateBWithCustomMeasure(t *testing.T) {
-	cfg := baseConfig()
-	cfg.Measure = StdErr
-	cfg.Tau = 0.05
-	b, _, err := EstimateB(pilotData(300, 12), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b < 3 {
-		t.Fatalf("B = %d", b)
 	}
 }

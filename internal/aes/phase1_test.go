@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/jobs"
 	"repro/internal/mr"
+	"repro/internal/stats"
 )
 
 // estimateBOneAtATime is the reference phase 1: the loop as it stood
@@ -41,7 +42,7 @@ func estimateBOneAtATime(pilot []float64, cfg Config) (int, []float64, error) {
 			return 0, nil, err
 		}
 	}
-	prev, err := cfg.Measure(values)
+	prev, err := stats.CV(values)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -51,7 +52,7 @@ func estimateBOneAtATime(pilot []float64, cfg Config) (int, []float64, error) {
 		if err := drawValue(); err != nil {
 			return 0, nil, err
 		}
-		cur, err := cfg.Measure(values)
+		cur, err := stats.CV(values)
 		if err != nil {
 			return 0, nil, err
 		}

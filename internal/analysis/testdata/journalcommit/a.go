@@ -10,7 +10,7 @@ import "sync/atomic"
 
 type blockMeta struct {
 	id       int64
-	replicas atomic.Pointer[[]int]
+	replicas []int
 }
 
 type fileMeta struct {
@@ -88,11 +88,9 @@ func (fs *FileSystem) lookup(path string) *fileMeta {
 	return fs.ns.Load().files[path]
 }
 
-// compact rebuilds derived columnar state: sidecar is exempt by design,
-// and so is a block's replica list — placement is physical, unjournaled.
-func (fs *FileSystem) compact(meta *fileMeta, sc []byte, replicas []int) {
+// compact rebuilds derived columnar state: sidecar is exempt by design.
+func (fs *FileSystem) compact(meta *fileMeta, sc []byte) {
 	meta.sidecar.Store(&sc)
-	meta.blocks[0].replicas.Store(&replicas)
 }
 
 // build constructs a FRESH meta — composite literals and locals are not

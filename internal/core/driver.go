@@ -31,21 +31,24 @@ const (
 	maxPilot      = 65536
 )
 
+// The sampled run's fixed shape: how many long-lived sampling mappers
+// share the file's splits, and the expansion cap — the share of the
+// (estimated) data a run, a refresh or an early K-Means may sample before
+// giving up on convergence and finishing with its achieved accuracy.
+const (
+	numMappers     = 4
+	MaxSampleShare = 0.5
+)
+
 // Options tunes a Run. Zero values take the paper's defaults.
 type Options struct {
-	Sigma      float64     // target error bound σ; 0.05 (the paper's 5%) if 0
-	Sampler    SamplerKind // PreMapSampling if empty
-	NumMappers int         // long-lived sampling mappers; 4 if 0
-	Seed       uint64
+	Sigma   float64     // target error bound σ; 0.05 (the paper's 5%) if 0
+	Sampler SamplerKind // PreMapSampling if empty
+	Seed    uint64
 	// ForceB / ForceN skip SSABE and use the given resample count /
 	// initial sample size (experiment hooks; both must be set).
 	ForceB int
 	ForceN int
-	// MaxSampleFraction caps sample expansion at this fraction of the
-	// (estimated) data size before giving up on convergence; 0.5 if 0.
-	MaxSampleFraction float64
-	// Measure overrides the error measure (aes.CV if nil).
-	Measure aes.Measure
 	// DisableDeltaMaintenance switches the reducer to the naive
 	// recompute-everything resampler (§4.1's baseline; Fig. 10 ablation).
 	DisableDeltaMaintenance bool
@@ -53,9 +56,8 @@ type Options struct {
 	// engine (SSABE's pilot bootstraps and the reducer's delta-update
 	// loop); runtime.GOMAXPROCS(0) if 0, 1 forces the sequential path.
 	// A multi-statistic query also plans its statistics concurrently, up
-	// to this many SSABEs at a time (so Measure may be called from
-	// several goroutines). Results are reproducible for a fixed Seed at
-	// any parallelism.
+	// to this many SSABEs at a time. Results are reproducible for a fixed
+	// Seed at any parallelism.
 	Parallelism int
 }
 
@@ -65,15 +67,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Sampler == "" {
 		o.Sampler = PreMapSampling
-	}
-	if o.NumMappers <= 0 {
-		o.NumMappers = 4
-	}
-	if o.MaxSampleFraction <= 0 {
-		o.MaxSampleFraction = 0.5
-	}
-	if o.Measure == nil {
-		o.Measure = aes.CV
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
@@ -271,7 +264,7 @@ func execute(env *Env, pq *PlannedQuery, retain bool) (*PlanResult, *Retained, e
 		Name:     pl.name,
 		Sinks:    pl.sinks,
 		InitialN: pl.initialN,
-		MaxN:     max(int64(opts.MaxSampleFraction*float64(estTotal)), pl.initialN),
+		MaxN:     max(int64(MaxSampleShare*float64(estTotal)), pl.initialN),
 		Decode:   dec,
 		// Scalar runs are the one-key degenerate case: every record routes
 		// to the single reduce partition under the job-set's own name.
@@ -348,7 +341,6 @@ func planScalar(env *Env, jset []jobs.Numeric, opts Options, pilot *pilotSample)
 			Sigma:       opts.Sigma,
 			Seed:        opts.Seed + 17,
 			Metrics:     env.Metrics,
-			Measure:     opts.Measure,
 			Key:         jset[i].Name,
 			Parallelism: opts.Parallelism,
 		})

@@ -95,25 +95,16 @@ type engineResult struct {
 	Sources     []RecordSource // retained per-mapper samplers for live maintenance
 }
 
-// mapperShards splits the file's splits round-robin across at most
-// opts.NumMappers owners (at least one).
-func mapperShards(env *Env, path string, opts Options) ([][]dfs.Split, error) {
-	splits, err := env.View().Splits(path, 0)
-	if err != nil {
-		return nil, err
-	}
-	m := opts.NumMappers
-	if m > len(splits) {
-		m = len(splits)
-	}
-	if m < 1 {
-		m = 1
-	}
+// DealSplits deals splits round-robin across at most numMappers owners
+// (at least one): how a run's mappers share the file, and how a
+// maintained query's refresh streams share the region appended since.
+func DealSplits(splits []dfs.Split) [][]dfs.Split {
+	m := max(min(numMappers, len(splits)), 1)
 	owned := make([][]dfs.Split, m)
 	for i, sp := range splits {
 		owned[i%m] = append(owned[i%m], sp)
 	}
-	return owned, nil
+	return owned
 }
 
 // newController is mr.NewController; a test swaps it to probe that
@@ -129,10 +120,11 @@ var newController = mr.NewController
 // no more progress (§3.4): node failures and dry regions cost accuracy,
 // never the answer.
 func runEngine(env *Env, path string, opts Options, spec engineSpec) (engineResult, error) {
-	owned, err := mapperShards(env, path, opts)
+	splits, err := env.View().Splits(path, 0)
 	if err != nil {
 		return engineResult{}, err
 	}
+	owned := DealSplits(splits)
 	m := len(owned)
 	sources, err := NewRecordSources(env, path, owned, opts, 0, spec.Decode, spec.Prog)
 	if err != nil {

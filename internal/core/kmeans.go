@@ -17,13 +17,10 @@ type KMeansOptions struct {
 	Seed  uint64
 }
 
-// The early K-Means run's fixed knobs: bootstraps of the cost
-// distribution, and the expansion cap as a fraction of the points. The
-// starting sample is max(1000, 100·K) points.
-const (
-	kmeansB              = 30
-	kmeansMaxSampleShare = 0.5
-)
+// kmeansB is the early K-Means run's bootstraps of the cost
+// distribution. The starting sample is max(1000, 100·K) points, and the
+// expansion cap is MaxSampleShare of them.
+const kmeansB = 30
 
 // KMeansReport is the outcome of an early K-Means run.
 type KMeansReport struct {
@@ -114,7 +111,7 @@ func RunKMeans(env *Env, path string, kcfg jobs.KMeans, opts KMeansOptions) (KMe
 			rep.Converged = true
 			return rep, nil
 		}
-		maxPts := int(kmeansMaxSampleShare * float64(rep.EstTotalPts))
+		maxPts := int(MaxSampleShare * float64(rep.EstTotalPts))
 		next := target * 2
 		if next > maxPts {
 			next = maxPts

@@ -12,6 +12,7 @@ import (
 	"repro/internal/colscan"
 	"repro/internal/delta"
 	"repro/internal/jobs"
+	"repro/internal/stats"
 )
 
 // The two Sink implementations of the generic engine: statSink (scalar
@@ -96,15 +97,15 @@ func (s *statSink) Fold(cols *colscan.Cols) error {
 // Size implements Sink: the shared sample every statistic holds.
 func (s *statSink) Size() int64 { return int64(s.stats[0].maint.N()) }
 
-// ErrorEstimate implements Sink: the worst error across the statistics
-// under opts.Measure (+Inf on any degenerate distribution, so the loop
-// keeps growing rather than mis-terminating).
+// ErrorEstimate implements Sink: the worst cv across the statistics
+// (+Inf on any degenerate distribution, so the loop keeps growing
+// rather than mis-terminating).
 func (s *statSink) ErrorEstimate(int64) float64 {
 	worst := 0.0
 	for _, st := range s.stats {
 		cv := math.Inf(1)
 		if vals, err := st.maint.Results(); err == nil {
-			if m, err := s.opts.Measure(vals); err == nil {
+			if m, err := stats.CV(vals); err == nil {
 				cv = m
 			}
 		}
@@ -243,15 +244,15 @@ func (g *groupSink) Size() int64 {
 	return n
 }
 
-// groupError is one group's error: that of its result distribution
-// vals under opts.Measure and, for a statistic whose correction scales
-// with 1/p (sum, count), the share noise on top, in quadrature. A
-// group's resamples all hold its n_g records, but n_g is itself one
-// draw — the group's share of the n records sampled — and the corrected
-// estimate scales with it: a count's resamples all say n_g, an error of
-// 0 without the term.
+// groupError is one group's error: the cv of its result distribution
+// vals and, for a statistic whose correction scales with 1/p (sum,
+// count), the share noise on top, in quadrature. A group's resamples
+// all hold its n_g records, but n_g is itself one draw — the group's
+// share of the n records sampled — and the corrected estimate scales
+// with it: a count's resamples all say n_g, an error of 0 without the
+// term.
 func (g *groupSink) groupError(vals []float64, share float64) float64 {
-	cv, err := g.opts.Measure(vals)
+	cv, err := stats.CV(vals)
 	if err != nil {
 		return math.Inf(1)
 	}

@@ -7,8 +7,6 @@
 //   - blocks are replicated; reads retry with backoff across surviving
 //     replicas, which is what lets EARL keep answering through node
 //     failures (§3.4);
-//   - a rebalancer distributes blocks uniformly across DataNodes — the
-//     property EARL's sampling exploits;
 //   - files expose *logical splits* (the "InputSplit" of MapReduce) and a
 //     LineRecordReader with Hadoop's exact split-boundary semantics: a
 //     reader whose split starts mid-line skips that partial line (its
@@ -47,11 +45,11 @@
 // read loads it (the live view) or already holds one (a Snapshot),
 // looks up one *fileMeta and works on it for as long as it likes. A
 // block's bytes hang off its *blockMeta (they are a slice of the journal
-// frame that committed them: an ingested byte is stored once), beside an
-// atomically published replica list; node liveness and the fault plan
-// are atomics too. The one mutex serialises writers — commits,
-// KillDataNode, Rebalance, Compact, the fault hooks — and no method of
-// View, nor taking or releasing a Snapshot, ever takes it.
+// frame that committed them: an ingested byte is stored once), beside a
+// replica list fixed at placement; node liveness and the fault plan are
+// atomics. The one mutex serialises writers — commits, KillDataNode,
+// Compact, the fault hooks — and no method of View, nor taking or
+// releasing a Snapshot, ever takes it.
 //
 // # Columnar sidecars
 //
@@ -151,8 +149,8 @@ func (c Config) withDefaults() Config {
 // FileSystem is the simulated distributed filesystem: NameNode metadata
 // plus the DataNode block stores. All methods are safe for concurrent use.
 type FileSystem struct {
-	// mu serialises writers: commits, node and placement changes, the
-	// fault plan, Compact and the sidecar fault hooks. Reads and snapshots
+	// mu serialises writers: commits, node liveness changes, the fault
+	// plan, Compact and the sidecar fault hooks. Reads and snapshots
 	// never take it (see "Reads take no lock" in the package comment).
 	mu       sync.Mutex
 	cfg      Config
@@ -176,14 +174,11 @@ type FileSystem struct {
 	metrics   *simcost.Metrics
 }
 
-// dataNode is one DataNode: its liveness, which reads consult, and the
-// writers' placement ledger (guarded by mu) of the live namespace's
-// blocks it holds — what BlockCounts reports and Rebalance moves. A read
+// dataNode is one DataNode: an id and the liveness reads consult. A read
 // reaches a block's bytes through the *blockMeta, never through here.
 type dataNode struct {
-	id     int
-	alive  atomic.Bool
-	blocks map[int64]*blockMeta
+	id    int
+	alive atomic.Bool
 }
 
 // namespace is the filesystem as of one commit: every path that exists
@@ -225,15 +220,13 @@ type fileMeta struct {
 }
 
 // blockMeta is one block: where it sits in its file, its bytes, and
-// which DataNodes hold a copy. Everything but the replica list is fixed
-// at creation; Rebalance publishes a new list, it never edits one.
+// which DataNodes hold a copy. All of it is fixed at placement.
 type blockMeta struct {
-	id      int64
-	offset  int64 // offset of this block within the file
-	size    int64
-	payload []byte // a slice of the journal frame that committed it; never written
-	// replicas lists the datanode ids holding a copy.
-	replicas atomic.Pointer[[]int]
+	id       int64
+	offset   int64 // offset of this block within the file
+	size     int64
+	payload  []byte // a slice of the journal frame that committed it; never written
+	replicas []int  // the datanode ids holding a copy
 }
 
 // New creates a filesystem with cfg.
@@ -247,7 +240,7 @@ func New(cfg Config) *FileSystem {
 	}
 	fs.applyInit()
 	for i := 0; i < cfg.DataNodes; i++ {
-		node := &dataNode{id: i, blocks: make(map[int64]*blockMeta)}
+		node := &dataNode{id: i}
 		node.alive.Store(true)
 		fs.nodes = append(fs.nodes, node)
 	}
@@ -277,7 +270,7 @@ func (fs *FileSystem) live() state { return state{fs: fs, ns: fs.ns.Load()} }
 
 // file resolves path's committed state, ErrNotFound when the namespace
 // has no such path. The state is immutable, and stays readable whatever
-// commits or rebalances land while the caller works on it.
+// commits land while the caller works on it.
 func (s state) file(path string) (*fileMeta, error) {
 	meta, ok := s.ns.files[path]
 	if !ok {
@@ -398,14 +391,13 @@ func (fs *FileSystem) applyWrite(seq int64, path string, data []byte) {
 	meta := &fileMeta{size: int64(len(data)), segments: []int64{0}, version: fs.nextID}
 	fs.applyBlocks(meta, data, 0, live)
 	meta.sidecar.Store(fs.buildSidecar(meta, data))
-	fs.applyUnplace(fs.applyPublish(seq, path, meta))
+	fs.applyPublish(seq, path, meta)
 }
 
 // applyAppend installs a cloned file state extended by one segment. The
 // clone shares the unchanged block prefix with its predecessor —
 // payloads are immutable, so snapshots and the live state read the same
-// bytes through the shared *blockMeta entries — and lists every block
-// its predecessor did, so nothing leaves the ledger.
+// bytes through the shared *blockMeta entries.
 func (fs *FileSystem) applyAppend(seq int64, path string, data []byte) {
 	cur, ok := fs.ns.Load().files[path]
 	if !ok {
@@ -430,7 +422,7 @@ func (fs *FileSystem) applyAppend(seq int64, path string, data []byte) {
 
 // applyDelete unbinds path.
 func (fs *FileSystem) applyDelete(seq int64, path string) {
-	fs.applyUnplace(fs.applyPublish(seq, path, nil))
+	fs.applyPublish(seq, path, nil)
 }
 
 // applyBlocks partitions data — the journal frame's copy — into blocks
@@ -444,24 +436,19 @@ func (fs *FileSystem) applyBlocks(meta *fileMeta, data []byte, base int64, live 
 		if end > int64(len(data)) {
 			end = int64(len(data))
 		}
-		blk := &blockMeta{id: fs.nextID, offset: base + off, size: end - off, payload: data[off:end:end]}
-		fs.nextID++
 		perm := fs.rng.Perm(len(live))
-		nrep := fs.cfg.Replication
-		if nrep > len(live) {
-			nrep = len(live)
-		}
-		replicas := make([]int, 0, nrep)
-		for _, pi := range perm[:nrep] {
-			node := fs.nodes[live[pi]]
-			node.blocks[blk.id] = blk
-			replicas = append(replicas, node.id)
+		nrep := min(fs.cfg.Replication, len(live))
+		replicas := make([]int, nrep)
+		for i, pi := range perm[:nrep] {
+			replicas[i] = live[pi]
 			if fs.metrics != nil {
-				fs.metrics.BytesWritten.Add(blk.size)
+				fs.metrics.BytesWritten.Add(end - off)
 			}
 		}
-		blk.replicas.Store(&replicas)
-		meta.blocks = append(meta.blocks, blk)
+		meta.blocks = append(meta.blocks, &blockMeta{
+			id: fs.nextID, offset: base + off, size: end - off, payload: data[off:end:end], replicas: replicas,
+		})
+		fs.nextID++
 		if len(data) == 0 {
 			break
 		}
@@ -469,12 +456,11 @@ func (fs *FileSystem) applyBlocks(meta *fileMeta, data []byte, base int64, live 
 }
 
 // applyPublish publishes commit seq's namespace — its predecessor's
-// with path bound to meta, unbound when meta is nil — and returns the
-// state of path it supersedes, nil when there was none. The published
-// map is never written (a reader may be looking a path up in it), so
-// the successor is a copy: O(paths) per commit, on namespaces of a
-// handful of paths.
-func (fs *FileSystem) applyPublish(seq int64, path string, meta *fileMeta) *fileMeta {
+// with path bound to meta, unbound when meta is nil. The published map
+// is never written (a reader may be looking a path up in it), so the
+// successor is a copy: O(paths) per commit, on namespaces of a handful
+// of paths.
+func (fs *FileSystem) applyPublish(seq int64, path string, meta *fileMeta) {
 	old := fs.ns.Load()
 	files := make(map[string]*fileMeta, len(old.files)+1)
 	maps.Copy(files, old.files)
@@ -484,22 +470,6 @@ func (fs *FileSystem) applyPublish(seq int64, path string, meta *fileMeta) *file
 		delete(files, path)
 	}
 	fs.ns.Store(&namespace{seq: seq, files: files})
-	return old.files[path]
-}
-
-// applyUnplace takes the blocks of a state a rewrite or a delete
-// superseded out of the DataNodes' ledger, which lists the live
-// namespace's blocks only. A Snapshot that still holds the state reads
-// them through its own *blockMeta entries, replica list included.
-func (fs *FileSystem) applyUnplace(superseded *fileMeta) {
-	if superseded == nil {
-		return
-	}
-	for _, blk := range superseded.blocks {
-		for _, nid := range *blk.replicas.Load() {
-			delete(fs.nodes[nid].blocks, blk.id)
-		}
-	}
 }
 
 // Version returns the file's write generation: fresh per WriteFile,
@@ -681,7 +651,7 @@ func (fs *FileSystem) replicaAttempt(blk *blockMeta, attempt int) error {
 	// runs — into a list that stays on the stack: this runs per block read.
 	var buf [8]int
 	live := buf[:0]
-	for _, id := range *blk.replicas.Load() {
+	for _, id := range blk.replicas {
 		if fs.nodes[id].alive.Load() {
 			live = append(live, id)
 		}
@@ -717,84 +687,4 @@ func (fs *FileSystem) setAlive(id int, alive bool) error {
 	}
 	fs.nodes[id].alive.Store(alive)
 	return nil
-}
-
-// Rebalance redistributes replicas so block counts are as even as
-// possible across live DataNodes — the HDFS balancer the paper notes
-// makes uniform sampling from blocks sound (§1). Returns the number of
-// replica moves performed. Placement is physical state, not namespace
-// state: moves are not journaled, and snapshots observe the moves of
-// blocks the live namespace still lists (the bytes they read are
-// identical from any replica).
-func (fs *FileSystem) Rebalance() (moves int, err error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	live := fs.LiveDataNodes()
-	if len(live) == 0 {
-		return 0, ErrNoDataNodes
-	}
-	count := make(map[int]int, len(live))
-	for _, nid := range live {
-		count[nid] = len(fs.nodes[nid].blocks)
-	}
-	for {
-		// Find the most and least loaded live nodes.
-		maxN, minN := live[0], live[0]
-		for _, nid := range live {
-			if count[nid] > count[maxN] {
-				maxN = nid
-			}
-			if count[nid] < count[minN] {
-				minN = nid
-			}
-		}
-		if count[maxN]-count[minN] <= 1 {
-			return moves, nil
-		}
-		// Move one block from maxN to minN (any block minN lacks).
-		moved := false
-		for bid, blk := range fs.nodes[maxN].blocks {
-			if _, has := fs.nodes[minN].blocks[bid]; has {
-				continue
-			}
-			fs.nodes[minN].blocks[bid] = blk
-			delete(fs.nodes[maxN].blocks, bid)
-			blk.retarget(maxN, minN)
-			count[maxN]--
-			count[minN]++
-			moves++
-			moved = true
-			break
-		}
-		if !moved {
-			return moves, nil // nothing movable without violating distinctness
-		}
-	}
-}
-
-// retarget publishes blk's replica list with from replaced by to after a
-// move. File states share *blockMeta entries, so the one update is
-// visible to every state referencing the block; the old list is left
-// as it was for a reader in the middle of it.
-func (blk *blockMeta) retarget(from, to int) {
-	replicas := append([]int(nil), *blk.replicas.Load()...)
-	for i, nid := range replicas {
-		if nid == from {
-			replicas[i] = to
-			break
-		}
-	}
-	blk.replicas.Store(&replicas)
-}
-
-// BlockCounts returns, per DataNode id, how many block replicas it holds.
-// Used by tests and by the rebalancer experiment.
-func (fs *FileSystem) BlockCounts() map[int]int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	out := make(map[int]int, len(fs.nodes))
-	for _, n := range fs.nodes {
-		out[n.id] = len(n.blocks)
-	}
-	return out
 }

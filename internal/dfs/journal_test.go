@@ -314,53 +314,6 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// A rewrite takes the superseded blocks out of the DataNodes' ledger
-// with the commit — the ledger is the live namespace's — while a
-// snapshot taken before it still reads the old bytes through its own
-// file state.
-func TestSnapshotReleaseFreesBlocks(t *testing.T) {
-	fs := New(Config{BlockSize: 64, Replication: 1, DataNodes: 1, Seed: 1})
-	if err := fs.WriteFile("/f", bytes.Repeat([]byte("x\n"), 512)); err != nil {
-		t.Fatal(err)
-	}
-	baseline := blockTotal(fs)
-	snap := fs.Snapshot()
-	if err := fs.WriteFile("/f", []byte("small\n")); err != nil {
-		t.Fatal(err)
-	}
-	if held := blockTotal(fs); held != 1 {
-		t.Fatalf("ledger after the rewrite = %d blocks, want the rewrite's 1 (baseline %d)", held, baseline)
-	}
-	if old, err := snap.ReadFile("/f"); err != nil || len(old) != 1024 {
-		t.Fatalf("snapshot read %d old bytes, %v; want 1024", len(old), err)
-	}
-	snap.Release()
-	after := blockTotal(fs)
-	if after != 1 {
-		t.Fatalf("blocks after release = %d, want 1", after)
-	}
-}
-
-func blockTotal(fs *FileSystem) int {
-	total := 0
-	for _, n := range fs.BlockCounts() {
-		total += n
-	}
-	return total
-}
-
-// liveReplicas counts the replicas of every block the live namespace
-// lists: what the DataNodes' ledger must hold after any commit.
-func liveReplicas(fs *FileSystem) int {
-	total := 0
-	for _, meta := range fs.ns.Load().files {
-		for _, blk := range meta.blocks {
-			total += len(*blk.replicas.Load())
-		}
-	}
-	return total
-}
-
 // Transient injected read errors are absorbed by the retry path: with a
 // moderate fault rate every read still succeeds, returns identical
 // bytes, and the filesystem never surfaces the fault.

@@ -330,10 +330,10 @@ func TestViewNeverTakesTheCommitLock(t *testing.T) {
 }
 
 // TestReadersRaceCommits loops every method of View on the live view
-// and on pinned snapshots while another goroutine commits, rebalances,
-// kills and revives nodes, compacts and damages sidecars and swaps the
-// fault plan. Every pinned read must equal the bytes captured when the
-// pin was taken; every live read must be one committed state, whole.
+// and on pinned snapshots while another goroutine commits, kills and
+// revives nodes, compacts and damages sidecars and swaps the fault
+// plan. Every pinned read must equal the bytes captured when the pin
+// was taken; every live read must be one committed state, whole.
 // Under -race it is also the proof that nothing a reader reaches is
 // written in place.
 func TestReadersRaceCommits(t *testing.T) {
@@ -456,8 +456,6 @@ func TestReadersRaceCommits(t *testing.T) {
 			err = fs.KillDataNode(i / 12 % 4)
 		case 5:
 			err = fs.ReviveDataNode(i / 12 % 4)
-		case 3, 8:
-			_, err = fs.Rebalance()
 		case 6:
 			_, err = fs.Compact("/r/a")
 		case 7:
@@ -473,7 +471,6 @@ func TestReadersRaceCommits(t *testing.T) {
 			t.Fatalf("cycle %d: %v", i, err)
 		}
 		fs.JournalStats()
-		fs.BlockCounts()
 		runtime.Gosched()
 	}
 	stop.Store(true)

@@ -388,47 +388,3 @@ func TestSidecarForksNeverTouchSharedBytes(t *testing.T) {
 		}
 	})
 }
-
-// TestAppendPruneKeepsBlockCounts pins what an append's publish — which
-// takes nothing out of the ledger — must not change: after every commit
-// the DataNodes hold exactly the replicas of the blocks the live
-// namespace lists, under a held snapshot too.
-func TestAppendPruneKeepsBlockCounts(t *testing.T) {
-	fs := New(Config{BlockSize: 4 << 10, Replication: 2, DataNodes: 4, Seed: 11})
-	check := func(step string) {
-		t.Helper()
-		if got, want := blockTotal(fs), liveReplicas(fs); got != want {
-			t.Fatalf("%s: DataNodes hold %d replicas, the live namespace lists %d", step, got, want)
-		}
-	}
-	if err := fs.WriteFile("/f", numericLines(1000, 0)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		if err := fs.Append("/f", numericLines(700, 1000+700*i)); err != nil {
-			t.Fatal(err)
-		}
-		check(fmt.Sprintf("append %d", i))
-	}
-	before := blockTotal(fs)
-	snap := fs.Snapshot()
-	if err := fs.Append("/f", numericLines(700, 9000)); err != nil {
-		t.Fatal(err)
-	}
-	check("append under a pin")
-	// A rewrite under the pin: the appended file's blocks leave the
-	// ledger with the commit; the snapshot reads them through its own state.
-	if err := fs.WriteFile("/f", numericLines(500, 0)); err != nil {
-		t.Fatal(err)
-	}
-	check("rewrite under a pin")
-	if err := fs.Append("/f", numericLines(700, 500)); err != nil {
-		t.Fatal(err)
-	}
-	check("append after rewrite, pin held")
-	snap.Release()
-	check("release")
-	if got := blockTotal(fs); got >= before {
-		t.Fatalf("release left %d replicas, the pinned file alone had %d", got, before)
-	}
-}

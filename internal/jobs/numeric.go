@@ -2,8 +2,7 @@
 // reproduction runs: the aggregates of the paper's experiments (mean in
 // Fig. 5, median in Fig. 6, K-Means in Fig. 7) plus the wider set the
 // design supports — sum/count with 1/p correction (§2.1's example),
-// variance, arbitrary quantiles, categorical proportions (Appendix A)
-// and Pearson correlation.
+// variance, arbitrary quantiles and categorical proportions (Appendix A).
 //
 // Every numeric job is expressed once as an mr.IncrementalReducer (the
 // initialize/update/finalize/correct API of §2.1) so it can run under

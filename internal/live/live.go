@@ -333,7 +333,7 @@ func (w *Watch) refreshSampled(penv *core.Env, size int64) error {
 	// refresh has no mappers to park, so it is a loop), drawing from
 	// every region of the file without replacement.
 	cv := sink.ErrorEstimate(sink.Size())
-	maxSample := int64(ret.Opts.MaxSampleFraction * float64(ret.EstTotal))
+	maxSample := int64(core.MaxSampleShare * float64(ret.EstTotal))
 	for cv > ret.Opts.Sigma && sink.Size() < maxSample {
 		next := sink.Size() * 2
 		if next > maxSample {
@@ -518,18 +518,7 @@ func buildRefreshSources(env *core.Env, path string, opts core.Options, dec core
 	if err != nil {
 		return nil, 0, err
 	}
-	m := opts.NumMappers
-	if m > len(splits) {
-		m = len(splits)
-	}
-	if m < 1 {
-		m = 1
-	}
-	owned := make([][]dfs.Split, m)
-	for i, sp := range splits {
-		owned[i%m] = append(owned[i%m], sp)
-	}
-	sources, err := core.NewRecordSources(env, path, owned, opts, uint64(refreshGen)*refreshSalt, dec, prog)
+	sources, err := core.NewRecordSources(env, path, core.DealSplits(splits), opts, uint64(refreshGen)*refreshSalt, dec, prog)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -217,6 +217,41 @@ func TestRefreshReExpandsOnSigmaViolation(t *testing.T) {
 	}
 }
 
+// TestRefreshStopsAtTheExpansionCap: under an unreachable σ a refresh
+// re-expands the maintained sample only up to the cap a run stops at —
+// MaxSampleShare of the file's estimated records — and returns with its
+// achieved accuracy instead of drawing the whole file.
+func TestRefreshStopsAtTheExpansionCap(t *testing.T) {
+	env := newEnv(t, 35)
+	if err := env.FS.WriteFile("/data", workload.EncodeLinesFixed(genValues(t, 20_000, 36))); err != nil {
+		t.Fatal(err)
+	}
+	// A forced plan keeps the watch sampled: SSABE would send σ = 1e-9
+	// to the exact path.
+	q, err := live.WatchMulti(env, []jobs.Numeric{jobs.Mean()}, "/data", core.Options{
+		Sigma: 1e-9, Seed: 37, ForceB: 20, ForceN: 200,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	if err := env.FS.Append("/data", workload.EncodeLinesFixed(genValues(t, 10_000, 38))); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := q.Refresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Converged || rep.UsedFull {
+		t.Fatalf("σ = 1e-9 cannot converge on a sample: %+v", rep)
+	}
+	limit := int(core.MaxSampleShare * float64(rep.EstTotalN))
+	if rep.SampleSize > limit || rep.SampleSize <= limit/2 {
+		t.Fatalf("refresh holds %d records, want up to the cap %d of %d estimated",
+			rep.SampleSize, limit, rep.EstTotalN)
+	}
+}
+
 // TestWatchExactFallbackMaintained: a tiny file takes the exact path;
 // refreshes keep the answer exact by folding in only appended records.
 func TestWatchExactFallbackMaintained(t *testing.T) {

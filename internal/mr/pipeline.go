@@ -289,7 +289,6 @@ type StreamJob struct {
 	Name        string
 	NumMappers  int
 	NumReducers int
-	Partition   Partitioner
 
 	// MapTask runs once per mapper index. It should emit pairs via ctx
 	// and check ctx.Terminated() or ctx.AwaitQuota between batches,
@@ -309,7 +308,6 @@ type MapStream struct {
 	node  int
 	chans []chan KV
 	ctrl  *Controller
-	part  Partitioner
 }
 
 // Emit routes one pair to its reduce partition, blocking if the reducer
@@ -318,10 +316,7 @@ type MapStream struct {
 // sharing one key (the vectorized scan path) and is charged per record,
 // so the counters read the same whichever path emitted.
 func (m *MapStream) Emit(key string, value any) {
-	p := m.part(key, len(m.chans))
-	if p < 0 || p >= len(m.chans) {
-		p = 0
-	}
+	p := HashPartition(key, len(m.chans))
 	if batch, ok := value.([]float64); ok {
 		m.eng.Metrics.RecordsMapped.Add(int64(len(batch)))
 	} else {
@@ -392,10 +387,6 @@ func (e *Engine) RunPipelined(job *StreamJob) (*StreamResult, error) {
 	nr := job.NumReducers
 	if nr <= 0 {
 		nr = 1
-	}
-	part := job.Partition
-	if part == nil {
-		part = HashPartition
 	}
 	ctrl := job.Control
 	if ctrl == nil {
@@ -491,7 +482,7 @@ func (e *Engine) RunPipelined(job *StreamJob) (*StreamResult, error) {
 				merrs[i] = fmt.Errorf("mr: injected failure at %s", info)
 				return
 			}
-			ctx := &MapStream{eng: e, node: nid, chans: chans, ctrl: ctrl, part: part}
+			ctx := &MapStream{eng: e, node: nid, chans: chans, ctrl: ctrl}
 			merrs[i] = job.MapTask(ctx, i)
 		}(i)
 	}

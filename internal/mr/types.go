@@ -2,7 +2,7 @@
 // the execution substrate the paper extends. It provides:
 //
 //   - the classic two-stage programming model (Mapper, Reducer, optional
-//     Combiner, hash Partitioner) over line-oriented input splits from the
+//     Combiner, hash partitioning) over line-oriented input splits from the
 //     simulated DFS (package dfs);
 //   - a cluster abstraction with per-node task slots, task scheduling,
 //     task restart on failure, and deterministic fault injection — the
@@ -75,12 +75,10 @@ func (f ReducerFunc) Reduce(key string, values []any, emit Emitter) error {
 	return f(key, values, emit)
 }
 
-// Partitioner maps a key to one of r reduce partitions.
-type Partitioner func(key string, r int) int
-
-// HashPartition is the default partitioner: FNV-1a hash modulo r. Random
-// hashing over keys is what makes "choosing a subset of the keys at
-// random" a uniform sample (§1 of the paper).
+// HashPartition maps a key to one of r reduce partitions, for batch and
+// pipelined jobs alike: FNV-1a hash modulo r. Random hashing over keys
+// is what makes "choosing a subset of the keys at random" a uniform
+// sample (§1 of the paper).
 func HashPartition(key string, r int) int {
 	h := fnv.New32a()
 	h.Write([]byte(key))

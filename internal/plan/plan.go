@@ -17,7 +17,7 @@
 //
 //   - Pushdown: the filter is applied before sampling (filter-then-
 //     sample), not after. SSABE's pilot therefore sees the effective
-//     post-filter N, sample-size planning and the MaxSampleFraction cap
+//     post-filter N, sample-size planning and the MaxSampleShare cap
 //     are relative to the filtered subpopulation, and the reported
 //     confidence intervals are for statistics OF THAT SUBPOPULATION
 //     (sum/count estimate the subpopulation's total/cardinality).

@@ -79,89 +79,3 @@ func BlockSample(fsys *dfs.FileSystem, path string, splitSize int64, nBlocks int
 	}
 	return out, nil
 }
-
-// TwoFile implements the 2-file + ARHASH scheme of Olken & Rotem that the
-// paper cites as the closest file-sampling relative (§7): a memory-
-// resident portion F1 (a prefix of splits cached in RAM) and a disk
-// portion F2. Each draw picks F1 with probability |F1|/(|F1|+|F2|), else
-// seeks into F2 — cutting expected disk seeks by the cached fraction.
-type TwoFile struct {
-	fs       *dfs.FileSystem
-	path     string
-	memLines []string // F1, fully cached
-	memBytes int64
-	size     int64
-	rng      *rand.Rand
-	chunk    int
-}
-
-// NewTwoFile caches the first memSplits splits of path in memory as F1.
-func NewTwoFile(fsys *dfs.FileSystem, path string, splitSize int64, memSplits int, seed uint64) (*TwoFile, error) {
-	splits, err := fsys.Splits(path, splitSize)
-	if err != nil {
-		return nil, err
-	}
-	size, err := fsys.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	if memSplits > len(splits) {
-		memSplits = len(splits)
-	}
-	t := &TwoFile{
-		fs:    fsys,
-		path:  path,
-		size:  size,
-		rng:   rand.New(rand.NewPCG(seed, 0x9b05688c2b3e6c1f)),
-		chunk: 256,
-	}
-	for _, sp := range splits[:memSplits] {
-		rd, err := fsys.NewLineReader(sp, 0)
-		if err != nil {
-			return nil, err
-		}
-		for rd.Next() {
-			t.memLines = append(t.memLines, rd.Text())
-		}
-		if rd.Err() != nil {
-			return nil, rd.Err()
-		}
-		t.memBytes += sp.Length
-	}
-	return t, nil
-}
-
-// Sample draws n lines (with replacement — the scheme's natural mode).
-func (t *TwoFile) Sample(n int) ([]string, error) {
-	if t.size == 0 {
-		return nil, ErrExhausted
-	}
-	out := make([]string, 0, n)
-	for len(out) < n {
-		if t.memBytes > 0 && t.rng.Float64() < float64(t.memBytes)/float64(t.size) {
-			// F1: free in-memory draw.
-			out = append(out, t.memLines[t.rng.IntN(len(t.memLines))])
-			continue
-		}
-		// F2: positioned disk read (charged a seek by the DFS).
-		lo := t.memBytes
-		if lo >= t.size {
-			lo = 0
-		}
-		pos := lo + t.rng.Int64N(t.size-lo)
-		line, _, err := t.fs.ReadLineAt(t.path, pos, t.chunk)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, line)
-	}
-	return out, nil
-}
-
-// MemFraction reports the fraction of the file served from memory.
-func (t *TwoFile) MemFraction() float64 {
-	if t.size == 0 {
-		return 0
-	}
-	return float64(t.memBytes) / float64(t.size)
-}

@@ -2,10 +2,10 @@
 // — pre-map sampling (Algorithm 2 of the paper: random line offsets read
 // directly from file splits before any mapper sees them) and post-map
 // sampling (Algorithm 1: hash-pooled key/value pairs drawn without
-// replacement after the map-side read) — together with the baselines the
-// paper discusses in §7: reservoir sampling (uniform but reads
-// everything), block sampling (fast but biased under clustered layouts),
-// and a 2-file ARHASH-style sampler.
+// replacement after the map-side read) — together with the two baselines
+// Fig. 9's sampler ablation compares them against: reservoir sampling
+// (uniform but reads everything) and block sampling (fast but biased
+// under clustered layouts).
 package sampling
 
 import (

@@ -465,30 +465,6 @@ func TestBlockSampleAllBlocks(t *testing.T) {
 	}
 }
 
-func TestTwoFileSamplerSeekSavings(t *testing.T) {
-	fsys, _, m := fixtureFS(t, 5000, false)
-	tf, err := NewTwoFile(fsys, "/data", 1<<12, 6, 2) // ~half the splits cached
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tf.MemFraction() <= 0.3 {
-		t.Fatalf("mem fraction = %v, want sizeable", tf.MemFraction())
-	}
-	before := m.Snapshot().DiskSeeks
-	lines, err := tf.Sample(500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) != 500 {
-		t.Fatalf("sampled %d", len(lines))
-	}
-	seeks := m.Snapshot().DiskSeeks - before
-	// Cached fraction should have eliminated a matching share of seeks.
-	if float64(seeks) > 500*(1-tf.MemFraction())*1.5 {
-		t.Fatalf("seeks = %d with mem fraction %v", seeks, tf.MemFraction())
-	}
-}
-
 func TestPreMapPropertyOffsetsAreRecordStarts(t *testing.T) {
 	f := func(seed uint64) bool {
 		fsys := dfs.New(dfs.Config{BlockSize: 256, Replication: 1, DataNodes: 2, Seed: seed})
