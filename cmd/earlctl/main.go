@@ -1,7 +1,7 @@
 // Command earlctl runs one EARL query end to end on the simulated
-// cluster: it generates a synthetic dataset (or uses values piped via a
-// file of numbers handled by -input), runs the requested statistic with
-// an error bound, and prints the early result next to the exact one.
+// cluster: it generates a synthetic dataset, runs the requested
+// statistics with an error bound, and prints the early result next to
+// the exact one.
 //
 //	earlctl -job mean -dist uniform -n 1000000 -sigma 0.05
 //	earlctl -job median -dist pareto -n 500000 -sigma 0.03 -sampler post-map
@@ -10,25 +10,26 @@
 //	earlctl -job mean -n 400000 -kill 3,4   # fault-tolerance demo (§3.4)
 //	earlctl -job mean -n 500000 -watch 3    # continuous ingest: 3 append+refresh cycles
 //
-// Repeating -job runs the statistics as ONE shared-pass multi-statistic
-// query — one pilot, one sample, one pass over the records — printing
-// one report per statistic (and -watch maintains them all under one
-// refresh per append):
+// Every numeric invocation is one query-plan spec (earl.PlanSpec) — the
+// same composable σ/π/γ algebra, and the same spec validation, earld's
+// HTTP API and the earl library expose. Repeating -job runs the
+// statistics as ONE shared-pass query — one pilot, one sample, one pass
+// over the records — printing one report per statistic (and -watch
+// maintains them all under one refresh per append). -filter, -derive and
+// -by add σ, π and γ; the filter is pushed below sampling, so sample
+// sizing and the reported confidence intervals are relative to the
+// filtered subpopulation:
 //
 //	earlctl -job mean -job p50 -job p95 -job count -n 1000000
-//	earlctl -job mean -job p99 -n 500000 -watch 3
-//
-// -filter, -derive and -by lift the run onto the query-plan layer: the
-// same composable σ/π/γ algebra (and the same spec validation) earld's
-// HTTP API and the earl library expose. The filter is pushed below
-// sampling, so sample sizing and the reported confidence intervals are
-// relative to the filtered subpopulation:
-//
 //	earlctl -job mean -filter "v > 50" -n 1000000
 //	earlctl -job p95 -filter "v > 0" -derive "log(v)" -n 500000
 //	earlctl -job mean -by "floor(v / 25)" -n 500000      # grouped by bucket
 //	earlctl -job mean -by key -keys 12 -n 500000         # grouped by record key
 //	earlctl -job mean -filter "v < 10" -watch 3          # maintained plan
+//
+// A spec with no filter, derive or group-by also prints each statistic's
+// exact answer. -kill, -journal, -compact and -watch apply to every
+// shape.
 package main
 
 import (
@@ -117,171 +118,161 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		return runKMeans(stdout, cluster, *n, *k, *sigma, *seed)
 	}
-
-	jset := make([]earl.Job, len(jobNames))
-	for i, name := range jobNames {
-		if jset[i], err = pickJob(name); err != nil {
-			return err
-		}
-	}
-	job := jset[0]
 	if *n <= 0 {
 		return fmt.Errorf("need -n > 0")
 	}
-	var samplerKind earl.SamplerKind
-	switch *sampler {
-	case "pre-map":
-		samplerKind = earl.PreMapSampling
-	case "post-map":
-		samplerKind = earl.PostMapSampling
-	default:
-		return fmt.Errorf("unknown -sampler %q (pre-map|post-map)", *sampler)
-	}
 
-	if *filter != "" || *derive != "" || *by != "" {
-		if *kill != "" {
-			return fmt.Errorf("-kill is not supported with -filter/-derive/-by")
-		}
-		if *compact {
-			return fmt.Errorf("-compact is not supported with -filter/-derive/-by")
-		}
-		opts := earl.Options{
-			Sigma:       *sigma,
-			Sampler:     samplerKind,
-			Seed:        *seed + 7,
-			Parallelism: *par,
-		}
-		return runPlanQuery(stdout, cluster, opts, planParams{
-			stats: jobNames, filter: *filter, derive: *derive, by: *by,
-			dist: *dist, n: *n, keys: *keys, seed: *seed,
-			cycles: *watch, appendN: *appendN, sampler: *sampler,
-		})
-	}
-
-	xs, err := genValues(jobNames[0], *dist, *n, *seed)
+	// Normalize and compile up front: positioned expression errors surface
+	// before any data is generated, and the compiled plan's input format
+	// decides which generator to run.
+	spec, err := earl.PlanSpec{
+		Path: "/data", Stats: jobNames, Filter: *filter, Derive: *derive, GroupBy: *by,
+		Sigma: *sigma, Sampler: *sampler, Seed: *seed + 7, Parallelism: *par,
+	}.Normalize()
 	if err != nil {
 		return err
 	}
-	if err := cluster.WriteValues("/data", xs); err != nil {
+	prog, err := spec.Compile()
+	if err != nil {
+		return err
+	}
+	// A degenerate "by key" compiles to a nil program (the tab-separated
+	// route), so it needs KV data too.
+	kv := spec.GroupBy == "key" || (prog != nil && prog.InputFormat() == colscan.FormatKV)
+	data := *dist
+	if kv {
+		data = fmt.Sprintf("%d-key", *keys)
+	}
+	writeBatch := func(n int, seed uint64, first bool) error {
+		if kv {
+			recs, err := workload.KVSpec{Keys: *keys, N: n, Seed: seed}.Generate()
+			if err != nil {
+				return err
+			}
+			if first {
+				return cluster.WriteFile("/data", workload.EncodeStrings(recs))
+			}
+			return cluster.Append("/data", workload.EncodeStrings(recs))
+		}
+		xs, err := genValues(spec.Stats[0], *dist, n, seed)
+		if err != nil {
+			return err
+		}
+		if first {
+			return cluster.WriteValues("/data", xs)
+		}
+		return cluster.AppendValues("/data", xs)
+	}
+	if err := writeBatch(*n, *seed, true); err != nil {
 		return err
 	}
 	cluster.ResetMetrics()
 
-	// The kill goroutine shares stdout with the report printing below, so
-	// run() stops it and waits (killWait) before writing anything else —
-	// the injected io.Writer is not assumed to be safe for concurrent use.
-	killStop := make(chan struct{})
-	killDone := make(chan struct{})
-	killWait := func() {
-		close(killStop)
-		<-killDone
-	}
-	if *kill == "" {
-		close(killDone)
-	} else {
-		go func() {
-			defer close(killDone)
-			for cluster.Metrics().RecordsMapped < 100 {
-				select {
-				case <-killStop:
-					return
-				case <-time.After(50 * time.Microsecond):
-				}
-			}
-			for _, tok := range strings.Split(*kill, ",") {
-				id, err := strconv.Atoi(strings.TrimSpace(tok))
-				if err != nil {
-					fmt.Fprintf(stderr, "bad node id %q\n", tok)
-					continue
-				}
-				if err := cluster.KillNode(id); err != nil {
-					fmt.Fprintln(stderr, err)
-				} else {
-					fmt.Fprintf(stdout, "!! killed node %d mid-job\n", id)
-				}
-			}
-		}()
-	}
+	fmt.Fprintf(stdout, "plan         : %s over %d %s records (σ=%.3g, %s sampling)\n",
+		planDesc(spec), *n, data, spec.Sigma, spec.Sampler)
 
-	opts := earl.Options{
-		Sigma:       *sigma,
-		Sampler:     samplerKind,
-		Seed:        *seed + 7,
-		Parallelism: *par,
-	}
+	killWait := startKills(stdout, stderr, cluster, *kill)
+	var res *earl.PlanResult
 	if *watch > 0 {
-		w, err := cluster.WatchMulti(jset, "/data", opts)
+		w, err := cluster.WatchPlan(spec, earl.Options{})
 		killWait()
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "watch        : %s over %d %s records (σ=%.3g) — one maintained sample\n",
-			jobSetName(jset), *n, *dist, *sigma)
+		defer w.Close()
 		err = watchLoop(stdout, cluster, w, watchParams{
-			n: *n, cycles: *watch, appendN: *appendN, seed: *seed, exact: jset,
-			appendBatch: func(n int, seed uint64) error {
-				batch, err := genValues(jobNames[0], *dist, n, seed)
-				if err != nil {
-					return err
-				}
-				return cluster.AppendValues("/data", batch)
-			},
+			n: *n, cycles: *watch, appendN: *appendN, seed: *seed,
+			appendBatch: func(n int, seed uint64) error { return writeBatch(n, seed, false) },
 		})
 		if err != nil {
 			return err
 		}
-		// Watch cycles append in small batches that leave sidecar
-		// coverage behind — exactly what -compact repairs.
-		return finishReports(stdout, cluster, *compact, *journal)
-	}
-
-	if len(jset) > 1 {
-		if err := runMultiOnce(stdout, cluster, jset, opts, killWait, *n, *dist); err != nil {
+		res = w.Result()
+	} else {
+		res, err = cluster.RunPlan(spec, earl.Options{})
+		killWait()
+		if err != nil {
 			return err
 		}
-		return finishReports(stdout, cluster, *compact, *journal)
+		m := cluster.Metrics()
+		printPlanResult(stdout, res)
+		fmt.Fprintf(stdout, "I/O          : %d records / %.2f MB read\n",
+			m.RecordsRead, float64(m.BytesRead)/(1<<20))
 	}
-
-	rep, err := cluster.Run(job, "/data", opts)
-	killWait()
-	if err != nil {
+	if err := exactReport(stdout, cluster, spec, res); err != nil {
 		return err
 	}
-	m := cluster.Metrics()
-
-	fmt.Fprintf(stdout, "job          : %s over %d %s records (σ=%.3g, %s sampling)\n",
-		job.Name, *n, *dist, *sigma, *sampler)
-	fmt.Fprintf(stdout, "early result : %.6g  (cv %.4f, 95%% CI [%.6g, %.6g])\n",
-		rep.Estimate, rep.CV, rep.CILo, rep.CIHi)
-	fmt.Fprintf(stdout, "sample       : %d records (%.3f%% of input), B=%d, %d iteration(s), converged=%v\n",
-		rep.SampleSize, 100*rep.FractionP, rep.B, rep.Iterations, rep.Converged)
-	if rep.UsedFull {
-		fmt.Fprintln(stdout, "mode         : exact full-data run (sampling could not pay off)")
-	}
-	if rep.FailedMaps > 0 {
-		fmt.Fprintf(stdout, "failures     : %d mapper task(s) lost, job finished anyway (§3.4)\n", rep.FailedMaps)
-	}
-	fmt.Fprintf(stdout, "I/O          : %.2f MB read of %.2f MB input\n",
-		float64(m.BytesRead)/(1<<20), float64(*n*19)/(1<<20))
-
-	exact, _, err := cluster.RunExact(job, "/data")
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "exact        : %.6g  (early result off by %.3f%%)\n", exact, 100*relErr(rep.Estimate, exact))
-	return finishReports(stdout, cluster, *compact, *journal)
-}
-
-// finishReports prints the optional post-run maintenance reports
-// (-compact, -journal) in a fixed order.
-func finishReports(stdout io.Writer, cluster *earl.Cluster, compact, journal bool) error {
-	if compact {
+	if *compact {
 		if err := compactReport(stdout, cluster); err != nil {
 			return err
 		}
 	}
-	if journal {
+	if *journal {
 		journalReport(stdout, cluster)
+	}
+	return nil
+}
+
+// startKills fails the comma-separated node ids once the run has mapped
+// its first records, and returns the function that stops it and waits.
+// The kill goroutine shares stdout with the report printing, so run()
+// calls the returned wait before writing anything else — the injected
+// io.Writer is not assumed to be safe for concurrent use.
+func startKills(stdout, stderr io.Writer, cluster *earl.Cluster, kill string) (wait func()) {
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	wait = func() {
+		close(stop)
+		<-done
+	}
+	if kill == "" {
+		close(done)
+		return wait
+	}
+	go func() {
+		defer close(done)
+		for cluster.Metrics().RecordsMapped < 100 {
+			select {
+			case <-stop:
+				return
+			case <-time.After(50 * time.Microsecond):
+			}
+		}
+		for _, tok := range strings.Split(kill, ",") {
+			id, err := strconv.Atoi(strings.TrimSpace(tok))
+			if err != nil {
+				fmt.Fprintf(stderr, "bad node id %q\n", tok)
+				continue
+			}
+			if err := cluster.KillNode(id); err != nil {
+				fmt.Fprintln(stderr, err)
+			} else {
+				fmt.Fprintf(stdout, "!! killed node %d mid-job\n", id)
+			}
+		}
+	}()
+	return wait
+}
+
+// exactReport recomputes every statistic of a spec with no filter,
+// derive or group-by exactly over /data (the stock-Hadoop baseline) and
+// prints it beside the query's answer.
+func exactReport(stdout io.Writer, cluster *earl.Cluster, spec earl.PlanSpec, res *earl.PlanResult) error {
+	if spec.Filter != "" || spec.Derive != "" || spec.GroupBy != "" {
+		return nil
+	}
+	jset, err := spec.JobSet()
+	if err != nil {
+		return err
+	}
+	for i, job := range jset {
+		exact, _, err := cluster.RunExact(job, "/data")
+		if err != nil {
+			return err
+		}
+		rep := res.Reports[i]
+		fmt.Fprintf(stdout, "exact        : %-12s %.6g  (answer off by %.3f%%)\n",
+			rep.Job, exact, 100*relErr(rep.Estimate, exact))
 	}
 	return nil
 }
@@ -328,118 +319,6 @@ func (j *jobListFlag) Set(v string) error {
 	return nil
 }
 
-// runMultiOnce runs a multi-statistic shared-pass query and prints one
-// report per statistic next to its exact answer.
-func runMultiOnce(stdout io.Writer, cluster *earl.Cluster, jset []earl.Job, opts earl.Options, killWait func(), n int, dist string) error {
-	reps, err := cluster.RunMulti(jset, "/data", opts)
-	killWait()
-	if err != nil {
-		return err
-	}
-	m := cluster.Metrics()
-	fmt.Fprintf(stdout, "jobs         : %s over %d %s records (σ=%.3g) — one shared sampling pass\n",
-		jobSetName(jset), n, dist, opts.Sigma)
-	fmt.Fprintf(stdout, "sample       : %d records (%.3f%% of input), %d iteration(s); %d records read\n",
-		reps[0].SampleSize, 100*reps[0].FractionP, reps[0].Iterations, m.RecordsRead)
-	for i, rep := range reps {
-		exact, _, err := cluster.RunExact(jset[i], "/data")
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "%-12s : %.6g  (cv %.4f, B=%d, converged=%v; exact %.6g, off by %.3f%%)\n",
-			rep.Job, rep.Estimate, rep.CV, rep.B, rep.Converged, exact, 100*relErr(rep.Estimate, exact))
-	}
-	return nil
-}
-
-// planParams bundles the query-plan demo knobs (-filter/-derive/-by).
-type planParams struct {
-	stats              []string
-	filter, derive, by string
-	dist               string
-	n, keys            int
-	seed               uint64
-	cycles, appendN    int
-	sampler            string
-}
-
-// runPlanQuery runs a -filter/-derive/-by invocation through the public
-// query-plan surface: the fluent builder assembles the spec, the engine
-// validates and compiles it (the same shared path earld's HTTP API
-// uses), and the filter is pushed below sampling. Plans that read the
-// record key get generated "key\tvalue" data; everything else reuses
-// the numeric -dist generators.
-func runPlanQuery(stdout io.Writer, cluster *earl.Cluster, opts earl.Options, p planParams) error {
-	q := earl.NewQuery("/data").
-		Filter(p.filter).
-		Derive(p.derive).
-		GroupBy(p.by).
-		Stats(p.stats...)
-
-	// Normalize + compile up front: positioned expression errors surface
-	// before any data is generated, and the compiled plan's input format
-	// decides which generator to run.
-	norm, err := q.Spec().Normalize()
-	if err != nil {
-		return err
-	}
-	prog, err := norm.Compile()
-	if err != nil {
-		return err
-	}
-	// A degenerate "by key" compiles to a nil program (legacy grouped
-	// path, tab-separated route), so it needs KV data too.
-	kv := norm.GroupBy == "key" || (prog != nil && prog.InputFormat() == colscan.FormatKV)
-	writeBatch := func(n int, seed uint64, first bool) error {
-		if kv {
-			recs, err := workload.KVSpec{Keys: p.keys, N: n, Seed: seed}.Generate()
-			if err != nil {
-				return err
-			}
-			if first {
-				return cluster.WriteFile("/data", workload.EncodeStrings(recs))
-			}
-			return cluster.Append("/data", workload.EncodeStrings(recs))
-		}
-		xs, err := genValues(norm.Stats[0], p.dist, n, seed)
-		if err != nil {
-			return err
-		}
-		if first {
-			return cluster.WriteValues("/data", xs)
-		}
-		return cluster.AppendValues("/data", xs)
-	}
-	if err := writeBatch(p.n, p.seed, true); err != nil {
-		return err
-	}
-	cluster.ResetMetrics()
-
-	fmt.Fprintf(stdout, "plan         : %s over %d records (σ=%.3g, %s sampling)\n",
-		planDesc(norm), p.n, opts.Sigma, p.sampler)
-
-	if p.cycles > 0 {
-		w, err := q.Watch(cluster, opts)
-		if err != nil {
-			return err
-		}
-		return watchLoop(stdout, cluster, w, watchParams{
-			n: p.n, cycles: p.cycles, appendN: p.appendN, seed: p.seed,
-			appendBatch: func(n int, seed uint64) error { return writeBatch(n, seed, false) },
-		})
-	}
-
-	res, err := q.Run(cluster, opts)
-	if err != nil {
-		return err
-	}
-	m := cluster.Metrics()
-	printPlanResult(stdout, res)
-	fmt.Fprintf(stdout, "I/O          : %d records / %.2f MB read\n",
-		m.RecordsRead, float64(m.BytesRead)/(1<<20))
-	return nil
-}
-
 // planDesc renders a normalized plan spec for display:
 // "mean+p95 where (v > 10) derive (v * 2) by floor(v / 25)".
 func planDesc(spec earl.PlanSpec) string {
@@ -458,7 +337,7 @@ func planDesc(spec earl.PlanSpec) string {
 
 // printPlanResult prints either shape of a plan result: one line per
 // statistic for scalar plans, one line per group (sorted) for grouped
-// ones.
+// ones, then any mapper tasks the run lost to node failures.
 func printPlanResult(stdout io.Writer, res *earl.PlanResult) {
 	if res.Groups != nil {
 		g := res.Groups
@@ -473,21 +352,25 @@ func printPlanResult(stdout io.Writer, res *earl.PlanResult) {
 			gr := g.Groups[name]
 			fmt.Fprintf(stdout, "  %-12s: %.6g (cv %.4f, sample %d)\n", name, gr.Estimate, gr.CV, gr.SampleSize)
 		}
+		printFailures(stdout, g.FailedMaps)
 		return
 	}
 	for _, rep := range res.Reports {
-		fmt.Fprintf(stdout, "%-12s : %.6g  (cv %.4f, 95%% CI [%.6g, %.6g], B=%d, sample %d, converged=%v)\n",
-			rep.Job, rep.Estimate, rep.CV, rep.CILo, rep.CIHi, rep.B, rep.SampleSize, rep.Converged)
+		mode := ""
+		if rep.UsedFull {
+			mode = " — exact full-data run, sampling could not pay off"
+		}
+		fmt.Fprintf(stdout, "%-12s : %.6g  (cv %.4f, 95%% CI [%.6g, %.6g], B=%d, sample %d, converged=%v)%s\n",
+			rep.Job, rep.Estimate, rep.CV, rep.CILo, rep.CIHi, rep.B, rep.SampleSize, rep.Converged, mode)
 	}
+	printFailures(stdout, res.Reports[0].FailedMaps)
 }
 
-// jobSetName joins the statistic names for display ("mean+p50+p95").
-func jobSetName(jset []earl.Job) string {
-	names := make([]string, len(jset))
-	for i, j := range jset {
-		names[i] = j.Name
+// printFailures notes mapper tasks lost to node failures (§3.4).
+func printFailures(stdout io.Writer, failed int) {
+	if failed > 0 {
+		fmt.Fprintf(stdout, "failures     : %d mapper task(s) lost, query finished anyway (§3.4)\n", failed)
 	}
-	return strings.Join(names, "+")
 }
 
 // relErr returns |est-exact|/|exact| (0 when exact is 0).
@@ -512,17 +395,12 @@ type watchParams struct {
 	seed               uint64
 	// appendBatch appends n generated records to /data.
 	appendBatch func(n int, seed uint64) error
-	// exact, when set, names the library statistics to recompute exactly
-	// at the end, beside the maintained answers.
-	exact []earl.Job
 }
 
 // watchLoop is the maintained-query demo for every query shape: the
 // first answer, then repeated append + Refresh cycles printing each
-// refresh's cost next to what is on disk, then — for library statistics
-// — the exact answers over everything ingested.
+// refresh's cost next to what is on disk.
 func watchLoop(stdout io.Writer, cluster *earl.Cluster, w *earl.Watch, p watchParams) error {
-	defer w.Close()
 	fmt.Fprintln(stdout, "first answer :")
 	printPlanResult(stdout, w.Result())
 
@@ -546,23 +424,7 @@ func watchLoop(stdout io.Writer, cluster *earl.Cluster, w *earl.Watch, p watchPa
 			cycle, appendN, cost.RecordsRead, float64(cost.BytesRead)/(1<<10), w.SampleSize(), total)
 		printPlanResult(stdout, res)
 	}
-
-	for i, job := range p.exact {
-		exact, _, err := cluster.RunExact(job, "/data")
-		if err != nil {
-			return err
-		}
-		rep := w.Result().Reports[i]
-		fmt.Fprintf(stdout, "exact        : %-12s %.6g  (maintained answer off by %.3f%%)\n",
-			rep.Job, exact, 100*relErr(rep.Estimate, exact))
-	}
 	return nil
-}
-
-// pickJob delegates to the engine-wide name table (kmeans is dispatched
-// before this, it is not a Numeric job).
-func pickJob(name string) (earl.Job, error) {
-	return earl.JobByName(name)
 }
 
 func runKMeans(stdout io.Writer, cluster *earl.Cluster, n, k int, sigma float64, seed uint64) error {

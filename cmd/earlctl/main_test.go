@@ -18,7 +18,7 @@ func smoke(t *testing.T, args ...string) string {
 
 func TestRunMeanPreMap(t *testing.T) {
 	out := smoke(t, "-job", "mean", "-n", "40000", "-seed", "3")
-	for _, want := range []string{"early result", "pre-map sampling", "exact"} {
+	for _, want := range []string{"mean over", "pre-map sampling", "answer off by"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
@@ -40,7 +40,7 @@ func TestRunPostMapSampler(t *testing.T) {
 
 func TestRunQuantileJob(t *testing.T) {
 	out := smoke(t, "-job", "p99", "-dist", "zipf", "-n", "40000", "-seed", "5")
-	if !strings.Contains(out, "quantile") && !strings.Contains(out, "p99") && !strings.Contains(out, "early result") {
+	if !strings.Contains(out, "quantile-0.99") {
 		t.Fatalf("p99 output unexpected:\n%s", out)
 	}
 }
@@ -53,7 +53,7 @@ func TestRunWatchMode(t *testing.T) {
 	if !strings.Contains(out, "refresh 1") || !strings.Contains(out, "refresh 2") {
 		t.Fatalf("watch mode missing refresh cycles:\n%s", out)
 	}
-	if !strings.Contains(out, "maintained answer off by") {
+	if !strings.Contains(out, "answer off by") {
 		t.Fatalf("watch mode missing exact comparison:\n%s", out)
 	}
 }
@@ -63,14 +63,20 @@ func TestRunParallelismFlag(t *testing.T) {
 	smoke(t, "-job", "mean", "-n", "40000", "-parallelism", "4", "-seed", "7")
 }
 
-// TestRunKillNodes covers the -kill fault-tolerance path: the run must
-// finish with an answer, and the kill goroutine's output must be fully
-// flushed before the report (run waits for it, so the injected writer
-// needs no locking).
+// TestRunKillNodes covers the -kill fault-tolerance path for a scalar
+// and a grouped query: the run must finish with an answer, and the kill
+// goroutine's output must be fully flushed before the report (run waits
+// for it, so the injected writer needs no locking).
 func TestRunKillNodes(t *testing.T) {
 	out := smoke(t, "-job", "mean", "-n", "120000", "-kill", "3,4", "-seed", "8")
-	if !strings.Contains(out, "early result") {
+	if !strings.Contains(out, "answer off by") {
 		t.Fatalf("kill run produced no answer:\n%s", out)
+	}
+	out = smoke(t, "-job", "mean", "-by", "key", "-kill", "3", "-n", "200000", "-seed", "16")
+	for _, want := range []string{"killed node 3", "groups"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("grouped kill output missing %q:\n%s", want, out)
+		}
 	}
 }
 
@@ -94,7 +100,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // multi-statistic query with one report per statistic.
 func TestRunMultiJobSharedPass(t *testing.T) {
 	out := smoke(t, "-job", "mean", "-job", "p95", "-job", "count", "-n", "40000", "-seed", "9")
-	for _, want := range []string{"one shared sampling pass", "mean", "quantile-0.95", "count"} {
+	for _, want := range []string{"mean+quantile-0.95+count over", "exact        : mean", "exact        : quantile-0.95", "exact        : count"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("multi-job output missing %q:\n%s", want, out)
 		}
@@ -105,7 +111,7 @@ func TestRunMultiJobSharedPass(t *testing.T) {
 // statistic under one refresh per append.
 func TestRunMultiJobWatch(t *testing.T) {
 	out := smoke(t, "-job", "mean", "-job", "p99", "-n", "40000", "-watch", "2", "-append-n", "8000", "-seed", "10")
-	for _, want := range []string{"first answer", "refresh 1", "refresh 2", "quantile-0.99", "maintained answer off by"} {
+	for _, want := range []string{"first answer", "refresh 1", "refresh 2", "quantile-0.99", "answer off by"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("multi-job watch output missing %q:\n%s", want, out)
 		}
@@ -121,12 +127,11 @@ func TestRunRejectsKMeansInMulti(t *testing.T) {
 	}
 }
 
-// TestRunPlanFilter: -filter lifts the run onto the query-plan layer;
-// the estimate must reflect the filtered subpopulation (uniform values
-// above 50 average near 75, far from the unfiltered 50).
+// TestRunPlanFilter: -filter adds σ to the plan, and -journal reports
+// after a filtered query as after any other.
 func TestRunPlanFilter(t *testing.T) {
-	out := smoke(t, "-job", "mean", "-filter", "v > 50", "-n", "40000", "-seed", "11")
-	for _, want := range []string{"plan", "where v > 50", "mean"} {
+	out := smoke(t, "-job", "mean", "-filter", "v > 50", "-journal", "-n", "20000", "-seed", "11")
+	for _, want := range []string{"plan", "where v > 50", "mean", "journal      :"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("plan output missing %q:\n%s", want, out)
 		}
@@ -134,10 +139,10 @@ func TestRunPlanFilter(t *testing.T) {
 }
 
 // TestRunPlanGroupedByExpr: -by with a bucketing expression runs the
-// grouped plan over plain numeric data.
+// grouped plan over plain numeric data, and -compact applies to it.
 func TestRunPlanGroupedByExpr(t *testing.T) {
-	out := smoke(t, "-job", "mean", "-by", "floor(v / 25)", "-n", "40000", "-seed", "12")
-	if !strings.Contains(out, "groups") || !strings.Contains(out, "by floor(v / 25)") {
+	out := smoke(t, "-job", "mean", "-by", "floor(v / 25)", "-compact", "-n", "40000", "-seed", "12")
+	if !strings.Contains(out, "groups") || !strings.Contains(out, "by floor(v / 25)") || !strings.Contains(out, "compact      :") {
 		t.Fatalf("grouped plan output unexpected:\n%s", out)
 	}
 }
@@ -161,7 +166,6 @@ func TestRunPlanRejectsBadExpressions(t *testing.T) {
 		{"-job", "mean", "-filter", "v + 1", "-n", "1000"},          // not boolean
 		{"-job", "mean", "-derive", "v > 1", "-n", "1000"},          // not numeric
 		{"-job", "mean", "-job", "p95", "-by", "key", "-n", "1000"}, // grouped multi-stat
-		{"-job", "mean", "-filter", "v > 1", "-kill", "2", "-n", "1000"},
 		{"-job", "kmeans", "-filter", "v > 1", "-n", "1000"},
 	}
 	for _, args := range cases {

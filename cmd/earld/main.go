@@ -9,8 +9,8 @@
 //
 //	curl -X POST localhost:8080/data \
 //	     -d '{"path":"/t/latency","values":[12.1,14.2,13.7,15.9]}'
-//	curl -X POST localhost:8080/query -d '{"job":"mean","path":"/t/latency"}'
-//	curl -X POST localhost:8080/watch -d '{"job":"p99","path":"/t/latency"}'
+//	curl -X POST localhost:8080/query -d '{"stats":["mean"],"path":"/t/latency"}'
+//	curl -X POST localhost:8080/watch -d '{"stats":["p99"],"path":"/t/latency"}'
 //	curl -X POST localhost:8080/append -d '{"path":"/t/latency","values":[99.5]}'
 //	curl localhost:8080/watch/w1
 //	curl localhost:8080/metrics
@@ -23,8 +23,8 @@
 // subpopulation. Grouped queries ("by") watch per-group aggregates —
 // over "key\tvalue" records for by:"key", or bucketed by a numeric
 // expression. Everything flows through the same dedup registry and
-// result cache as scalar queries; {"job":...}, {"jobs":[...]} and
-// {"grouped":true} remain accepted as aliases for stats / by:"key":
+// result cache as scalar queries, and a body field outside the plan spec
+// is a 400 that names it:
 //
 //	curl -X POST localhost:8080/query \
 //	     -d '{"stats":["mean","p50","p95","count"],"path":"/t/latency"}'
@@ -32,7 +32,7 @@
 //	     -d '{"stats":["mean"],"path":"/t/latency","filter":"v > 50","derive":"log(v)"}'
 //	curl -X POST localhost:8080/watch \
 //	     -d '{"stats":["mean"],"path":"/t/latency","by":"floor(v / 25)"}'
-//	curl -X POST localhost:8080/watch -d '{"job":"mean","grouped":true,"path":"/t/kv"}'
+//	curl -X POST localhost:8080/watch -d '{"stats":["mean"],"by":"key","path":"/t/kv"}'
 //
 // The optional -demo-records flag preloads a Gaussian dataset at
 // /demo/gaussian so the API is immediately queryable.

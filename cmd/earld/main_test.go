@@ -29,7 +29,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 	base := "http://" + addr
 
-	post := func(path, body string) map[string]any {
+	postStatus := func(path, body string) (int, map[string]any) {
 		t.Helper()
 		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
 		if err != nil {
@@ -40,13 +40,18 @@ func TestDaemonEndToEnd(t *testing.T) {
 		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 			t.Fatalf("POST %s: decode: %v", path, err)
 		}
-		if resp.StatusCode >= 300 {
-			t.Fatalf("POST %s: status %d: %v", path, resp.StatusCode, m)
+		return resp.StatusCode, m
+	}
+	post := func(path, body string) map[string]any {
+		t.Helper()
+		status, m := postStatus(path, body)
+		if status >= 300 {
+			t.Fatalf("POST %s: status %d: %v", path, status, m)
 		}
 		return m
 	}
 
-	q := post("/query", `{"job":"mean","path":"/demo/gaussian"}`)
+	q := post("/query", `{"stats":["mean"],"path":"/demo/gaussian"}`)
 	rep, ok := q["report"].(map[string]any)
 	if !ok || rep["SampleSize"] == nil {
 		t.Fatalf("query response missing report: %v", q)
@@ -59,29 +64,26 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if frep, ok := fq["report"].(map[string]any); !ok || frep["SampleSize"] == nil {
 		t.Fatalf("filtered query response missing report: %v", fq)
 	}
-	resp400, err := http.Post(base+"/query", "application/json",
-		strings.NewReader(`{"stats":["mean"],"path":"/demo/gaussian","filter":"v +"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var badBody map[string]any
-	if err := json.NewDecoder(resp400.Body).Decode(&badBody); err != nil {
-		t.Fatal(err)
-	}
-	resp400.Body.Close()
-	if resp400.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed filter should be 400, got %d: %v", resp400.StatusCode, badBody)
+	status, badBody := postStatus("/query", `{"stats":["mean"],"path":"/demo/gaussian","filter":"v +"}`)
+	if status != http.StatusBadRequest {
+		t.Fatalf("malformed filter should be 400, got %d: %v", status, badBody)
 	}
 	if msg, _ := badBody["error"].(string); !strings.Contains(msg, "column") {
 		t.Fatalf("expression error should carry its column: %v", badBody)
 	}
+	// A query has one spelling: a field outside plan.Spec, such as the
+	// retired "job", is a 400 that names it.
+	status, badBody = postStatus("/query", `{"job":"mean","path":"/demo/gaussian"}`)
+	if msg, _ := badBody["error"].(string); status != http.StatusBadRequest || !strings.Contains(msg, `"job"`) {
+		t.Fatalf(`a body with "job" should be a 400 naming it, got %d: %v`, status, badBody)
+	}
 
-	w1 := post("/watch", `{"job":"mean","path":"/demo/gaussian","sigma":0.05}`)
+	w1 := post("/watch", `{"stats":["mean"],"path":"/demo/gaussian","sigma":0.05}`)
 	id, _ := w1["id"].(string)
 	if id == "" {
 		t.Fatalf("watch response missing id: %v", w1)
 	}
-	w2 := post("/watch", `{"job":"mean","path":"/demo/gaussian","sigma":0.05}`)
+	w2 := post("/watch", `{"stats":["mean"],"path":"/demo/gaussian","sigma":0.05}`)
 	if shared, _ := w2["shared"].(bool); !shared {
 		t.Fatalf("second identical watch not deduped: %v", w2)
 	}

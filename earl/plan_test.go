@@ -41,18 +41,14 @@ func planCluster(t *testing.T, n int, clusterSeed, dataSeed uint64) (*earl.Clust
 	return cluster, xs
 }
 
-// TestQueryBuilderEndToEnd walks the fluent public surface: a filtered
-// derived multi-statistic Run, a grouped Run, and a maintained Watch of
-// each shape surviving an append+refresh.
-func TestQueryBuilderEndToEnd(t *testing.T) {
+// TestPlanSpecEndToEnd walks the public plan surface: a filtered
+// derived multi-statistic RunPlan, a grouped RunPlan, and a maintained
+// WatchPlan of each shape surviving an append+refresh.
+func TestPlanSpecEndToEnd(t *testing.T) {
 	cluster, xs := planCluster(t, 60_000, 21, 22)
 	opts := earl.Options{Sigma: 0.05, Seed: 23}
 
-	res, err := earl.NewQuery("/data").
-		Filter("v > 50").
-		Derive("v * 2").
-		Stats("mean", "p95").
-		Run(cluster, opts)
+	res, err := cluster.RunPlan(earl.PlanSpec{Path: "/data", Filter: "v > 50", Derive: "v * 2", Stats: []string{"mean", "p95"}}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +60,8 @@ func TestQueryBuilderEndToEnd(t *testing.T) {
 		t.Fatalf("filtered derived mean %.3f does not look like 2·(v|v>50)", est)
 	}
 
-	gres, err := earl.NewQuery("/data").GroupBy("floor(v / 50)").Stats("mean").Run(cluster, opts)
+	grouped := earl.PlanSpec{Path: "/data", GroupBy: "floor(v / 50)", Stats: []string{"mean"}}
+	gres, err := cluster.RunPlan(grouped, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +69,7 @@ func TestQueryBuilderEndToEnd(t *testing.T) {
 		t.Fatalf("grouped plan returned %+v", gres)
 	}
 
-	w, err := earl.NewQuery("/data").Filter("v > 50").Stats("mean").Watch(cluster, opts)
+	w, err := cluster.WatchPlan(earl.PlanSpec{Path: "/data", Filter: "v > 50", Stats: []string{"mean"}}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +88,7 @@ func TestQueryBuilderEndToEnd(t *testing.T) {
 		t.Fatalf("plan watch after one append: refreshes=%d result=%+v", w.Refreshes(), wres)
 	}
 
-	gw, err := earl.NewQuery("/data").GroupBy("floor(v / 50)").Stats("mean").Watch(cluster, opts)
+	gw, err := cluster.WatchPlan(grouped, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +122,7 @@ func TestDegeneratePlanMatchesLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := earl.NewQuery("/data").Stats("mean", "p95").Run(cluster, opts)
+		got, err := cluster.RunPlan(earl.PlanSpec{Path: "/data", Stats: []string{"mean", "p95"}}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +141,7 @@ func TestDegeneratePlanMatchesLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ggot, err := earl.NewQuery("/kv").GroupBy("key").Stats("mean").Run(cluster, opts)
+		ggot, err := cluster.RunPlan(earl.PlanSpec{Path: "/kv", GroupBy: "key", Stats: []string{"mean"}}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,11 +198,12 @@ func TestPlanMatchesManualPrefilter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := earl.NewQuery("/raw").
-			Filter("v < 25").
-			Derive("v * 2 + 1").
-			Stats("mean", "p50", "p95").
-			Run(cluster, opts)
+		got, err := cluster.RunPlan(earl.PlanSpec{
+			Path:   "/raw",
+			Filter: "v < 25",
+			Derive: "v * 2 + 1",
+			Stats:  []string{"mean", "p50", "p95"},
+		}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,19 +227,19 @@ func TestPlanMatchesManualPrefilter(t *testing.T) {
 // expressions fail Run with positioned errors before any engine work.
 func TestPlanSpecValidationAtPublicSurface(t *testing.T) {
 	cluster, _ := planCluster(t, 4_000, 51, 52)
-	for _, q := range []*earl.Query{
-		earl.NewQuery("/data").Filter("v +"),
-		earl.NewQuery("/data").Filter("v + 1"),                     // filter must be boolean
-		earl.NewQuery("/data").Derive("v > 1"),                     // derive must be numeric
-		earl.NewQuery("/data").Filter("nope(v)"),                   // unknown function
-		earl.NewQuery("/data").GroupBy("key").Stats("mean", "p95"), // grouped multi-stat
-		earl.NewQuery(""),
+	for _, spec := range []earl.PlanSpec{
+		{Path: "/data", Filter: "v +"},
+		{Path: "/data", Filter: "v + 1"},                                // filter must be boolean
+		{Path: "/data", Derive: "v > 1"},                                // derive must be numeric
+		{Path: "/data", Filter: "nope(v)"},                              // unknown function
+		{Path: "/data", GroupBy: "key", Stats: []string{"mean", "p95"}}, // grouped multi-stat
+		{},
 	} {
-		if _, err := q.Run(cluster, earl.Options{}); err == nil {
-			t.Errorf("spec %+v accepted", q.Spec())
+		if _, err := cluster.RunPlan(spec, earl.Options{}); err == nil {
+			t.Errorf("spec %+v accepted", spec)
 		}
 	}
-	if _, err := earl.NewQuery("/data").Filter("v +").Run(cluster, earl.Options{}); err == nil ||
+	if _, err := cluster.RunPlan(earl.PlanSpec{Path: "/data", Filter: "v +"}, earl.Options{}); err == nil ||
 		!strings.Contains(err.Error(), "column") {
 		t.Errorf("malformed expression error lacks a position: %v", err)
 	}
@@ -315,15 +313,12 @@ func TestFilteredConfidenceIntervalCalibration(t *testing.T) {
 						fail(err)
 						return
 					}
-					res, err := earl.NewQuery("/data").
-						Filter(filterExpr).
-						Stats(cj.name).
-						Run(cluster, earl.Options{
-							Sigma:  0.05,
-							Seed:   2000 + seed,
-							ForceB: 150,
-							ForceN: 800,
-						})
+					res, err := cluster.RunPlan(earl.PlanSpec{Path: "/data", Filter: filterExpr, Stats: []string{cj.name}}, earl.Options{
+						Sigma:  0.05,
+						Seed:   2000 + seed,
+						ForceB: 150,
+						ForceN: 800,
+					})
 					if err != nil {
 						fail(err)
 						return

@@ -66,7 +66,7 @@ func main() {
 
 	// K clients open the identical maintained query concurrently. The
 	// registry runs it once; the rest subscribe.
-	spec := `{"job":"mean","path":"/stream/metrics","sigma":0.05,"seed":3}`
+	spec := `{"stats":["mean"],"path":"/stream/metrics","sigma":0.05,"seed":3}`
 	ids := make([]string, clients)
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {

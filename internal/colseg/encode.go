@@ -73,14 +73,22 @@ type Tail struct {
 	Footer []byte // the successor's footer: old entries, new entries, trailer
 }
 
+// Cover returns the data bytes a sidecar header says its chunks tile,
+// [0, cover): the offset the next ExtendTail must start at.
+func Cover(header []byte) (int64, error) {
+	h, err := parseHeader(header)
+	return h.cover, err
+}
+
 // ExtendTail encodes the Tail for one freshly appended segment given
 // only the predecessor sidecar's header and footer (the footer starts
 // at sidecar offset footerStart) — the cost is the batch plus one
 // footer entry per chunk, whatever the size of the file. The sidecar
 // must have been built for the same write generation and must cover
-// the file exactly up to segStart (dfs skips extension for
-// sub-threshold appends, so cover can legitimately lag — those files
-// wait for Compact).
+// the file exactly up to segStart. dfs skips extension for
+// sub-threshold appends, so cover can legitimately lag; the next large
+// append catches it up by extending over each uncovered segment in
+// turn, Tail after Tail, before its own.
 func ExtendTail(oldHeader, oldFooter []byte, footerStart, version int64, segData []byte, segStart, chunkSize int64) (Tail, error) {
 	if chunkSize <= 0 {
 		return Tail{}, fmt.Errorf("colseg: chunk size %d", chunkSize)

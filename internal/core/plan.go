@@ -52,7 +52,7 @@ func KeyedJobQuery(job jobs.Numeric, route Route, path string, opts Options) *Pl
 }
 
 // PreparePlan normalizes and compiles spec against opts. Spec fields
-// left at their zero value inherit from opts (so a builder user can
+// left at their zero value inherit from opts (so a library caller can
 // keep tuning knobs in Options); set spec fields win and are copied
 // back into the returned Opts, keeping the two views consistent.
 func PreparePlan(spec plan.Spec, opts Options) (*PlannedQuery, error) {

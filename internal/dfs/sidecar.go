@@ -22,8 +22,9 @@ import (
 //     query writes nothing to the filesystem);
 //   - appends extend the sidecar only for batches of at least
 //     sidecarAppendMinBytes; smaller batches leave coverage behind
-//     (reads of the uncovered tail fall back to text decode) until an
-//     explicit Compact re-encodes to full coverage;
+//     (reads of the uncovered tail fall back to text decode) until the
+//     next such batch, which first extends over every segment they left
+//     uncovered, or an explicit Compact re-encodes to full coverage;
 //   - a file with any record the colscan validators reject gets no
 //     sidecar at all, keeping the text decoder the single authority on
 //     decode errors (a NaN-poisoned file must fail a run the same way
@@ -252,25 +253,64 @@ func (fs *FileSystem) buildSidecar(meta *fileMeta, data []byte) *sidecar {
 }
 
 // extendSidecar returns the successor state's sidecar for one appended
-// segment. Extension requires an existing sidecar whose coverage
-// reaches exactly the append point; anything else (small initial write,
-// earlier sub-threshold appends, a sidecar the fault hooks damaged)
-// keeps the old view and leaves full coverage for Compact. Only the
-// header, the new segment's chunks and the footer are encoded and
+// segment. Extension requires an existing sidecar whose coverage ends
+// at a segment start; anything else (small initial write, a sidecar the
+// fault hooks damaged) keeps the old view and leaves full coverage for
+// Compact. Segments earlier sub-threshold appends left uncovered are
+// extended over first, their bytes read back from the blocks, so one
+// small append costs coverage only until the next large one. Only the
+// header, the new segments' chunks and the footer are encoded and
 // written: colseg.ExtendTail sees nothing else of the old sidecar and
 // the successor shares the pre-append chunk runs (see sidecar), so the
-// cost is the batch plus one footer entry per chunk whatever the
-// file's size.
+// cost is the uncovered bytes plus one footer entry per chunk whatever
+// the file's size.
 func (fs *FileSystem) extendSidecar(prev *sidecar, meta *fileMeta, segData []byte, segStart int64) *sidecar {
 	if fs.cfg.DisableSidecars || int64(len(segData)) < sidecarAppendMinBytes || prev == nil || len(prev.pieces) < 2 {
 		return prev
 	}
-	footer := prev.pieces[len(prev.pieces)-1]
-	tail, err := colseg.ExtendTail(prev.pieces[0].b, footer.b, footer.off, meta.version, segData, segStart, fs.cfg.BlockSize)
+	cover, err := colseg.Cover(prev.pieces[0].b)
 	if err != nil {
 		return prev
 	}
-	ext := prev.extended(tail)
+	// The uncovered bytes [cover, segStart): every block lies inside one
+	// segment, so they are the payloads of the blocks starting there.
+	var gap []byte
+	if cover < segStart {
+		gap = make([]byte, 0, segStart-cover)
+		for _, blk := range meta.blocks {
+			if blk.offset >= cover && blk.offset < segStart {
+				gap = append(gap, blk.payload...)
+			}
+		}
+		if fs.metrics != nil {
+			fs.metrics.DiskSeeks.Add(1)
+			fs.metrics.BytesRead.Add(int64(len(gap)))
+		}
+	}
+	// Encode every Tail before writing any, so a segment the validators
+	// reject leaves no bytes behind in the tip extent.
+	header, footer := prev.pieces[0].b, prev.pieces[len(prev.pieces)-1]
+	var tails []colseg.Tail
+	last := len(meta.segments) - 1
+	for i, start := range meta.segments {
+		if start < cover {
+			continue
+		}
+		data := segData
+		if i < last {
+			data = gap[start-cover : meta.segments[i+1]-cover]
+		}
+		tail, err := colseg.ExtendTail(header, footer.b, footer.off, meta.version, data, start, fs.cfg.BlockSize)
+		if err != nil {
+			return prev
+		}
+		tails = append(tails, tail)
+		header, footer = tail.Header, sidecarPiece{off: footer.off + int64(len(tail.Chunks)), b: tail.Footer}
+	}
+	ext := prev
+	for _, tail := range tails {
+		ext = ext.extended(tail)
+	}
 	if fs.metrics != nil {
 		fs.metrics.BytesWritten.Add(ext.size() - prev.size())
 	}

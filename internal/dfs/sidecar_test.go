@@ -239,6 +239,38 @@ func TestSidecarSmallAppendWaitsForCompact(t *testing.T) {
 	}
 }
 
+// TestSidecarLargeAppendCatchesUp: one sub-threshold append must not
+// freeze coverage for every later append. The next append of at least
+// sidecarAppendMinBytes extends over the segment the small one left
+// uncovered, then over its own, so the sidecar covers the whole file and
+// is byte-identical to colseg.Build of it.
+func TestSidecarLargeAppendCatchesUp(t *testing.T) {
+	fs := sidecarTestFS()
+	if err := fs.WriteFile("/data", numericLines(1000, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Append("/data", numericLines(20, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := fs.Append("/data", numericLines(8000, 1020+8000*i)); err != nil { // 72 KB
+			t.Fatal(err)
+		}
+	}
+	got := readSidecar(t, fs, "/data")
+	info, err := colseg.Inspect(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, _ := fs.Stat("/data")
+	if info.Cover != size {
+		t.Fatalf("sidecar covers %d of %d bytes after a small append and five large ones", info.Cover, size)
+	}
+	if !bytes.Equal(got, buildWhole(t, fs, "/data", colscan.FormatNumeric)) {
+		t.Fatal("caught-up sidecar differs from colseg.Build of the whole file")
+	}
+}
+
 func TestCompactBackfillsAndRejects(t *testing.T) {
 	fs := sidecarTestFS()
 	// Backfill: a file ingested below the sidecar threshold.

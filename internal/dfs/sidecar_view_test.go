@@ -140,15 +140,19 @@ func TestSidecarFormatIdentity(t *testing.T) {
 			if err := fs.Append(path, data); err != nil {
 				t.Fatal(err)
 			}
-			if len(data) < sidecarAppendMinBytes {
-				covered = false
+			extended := covered // the successor is colseg.Extend of its predecessor
+			covered = len(data) >= sidecarAppendMinBytes
+			if !extended {
+				data = nil // a catch-up extends over earlier segments too
 			}
 			check(step, data, segStart)
 		}
 		for k := 0; k < 9; k++ {
-			// One numeric and one KV trial drop a sub-threshold batch
-			// in the middle; the rest keep coverage to the end.
-			if (trial == 2 || trial == 5) && k == 4 {
+			// One numeric and one KV trial drop a sub-threshold batch in
+			// the middle, which the next append catches up, and one at
+			// the end, which Compact covers; the rest keep coverage to
+			// the end.
+			if (trial == 2 || trial == 5) && (k == 4 || k == 8) {
 				appendBatch(fmt.Sprintf("small append %d", k), batch(recBytes, sidecarAppendMinBytes-recBytes))
 				continue
 			}
@@ -157,8 +161,8 @@ func TestSidecarFormatIdentity(t *testing.T) {
 		if len(fs.ns.Load().files[path].sidecar.Load().pieces) < 5 {
 			t.Fatalf("trial %d: the appends never crossed an extent boundary", trial)
 		}
-		// Compact forks the view (a fresh Build output); appends after it
-		// must extend that, in a new extent.
+		// Compact forks an uncovered view (a fresh Build output); appends
+		// after it must extend that, in a new extent.
 		if _, err := fs.Compact(path); err != nil {
 			t.Fatal(err)
 		}

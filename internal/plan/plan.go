@@ -5,7 +5,7 @@
 // compiled down onto the unified sampling engine.
 //
 // Spec is the one canonical, JSON-serializable query description shared
-// verbatim by the public earl builder, earlctl's flags and earld's HTTP
+// verbatim by the public earl library, earlctl's flags and earld's HTTP
 // API; Normalize is the one shared validation/canonicalization path, so
 // the front ends cannot drift. Compile turns a normalized Spec into a
 // Program: vectorized kernels (vm.go: a tiled selection-vector

@@ -19,10 +19,9 @@ import (
 //	                     by?, sigma?, sampler?, seed?, parallelism?} — the
 //	                     canonical plan.Spec; filter/derive/by are the σ/π/γ
 //	                     query-plan expressions, several stats share one
-//	                     sampling pass. {job:"mean"} / {jobs:[...]} and
-//	                     {grouped:true} are accepted as legacy aliases for
-//	                     stats / by:"key". Malformed expressions are 400s
-//	                     with the offending column.
+//	                     sampling pass. Malformed expressions are 400s
+//	                     with the offending column, and an unknown field
+//	                     is a 400 that names it.
 //	POST   /watch        same body; dedupes identical maintained queries
 //	                     (scalar, multi-statistic and grouped alike) by the
 //	                     spec's canonical key

@@ -47,14 +47,12 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dfs"
-	"repro/internal/jobs"
 	"repro/internal/live"
 	"repro/internal/plan"
 	"repro/internal/simcost"
@@ -114,71 +112,24 @@ func (c Config) withDefaults() Config {
 // QuerySpec names one approximate query — the identity the shared-watch
 // registry and the result cache key on. It IS the engine-wide canonical
 // plan.Spec (path, stats, filter, derive, by, σ, sampler, seed,
-// parallelism), shared verbatim with the public earl builder and
-// earlctl's flags, plus the pre-plan wire spellings kept as decode
-// shims. Two specs that normalize the same way are the same query and
-// may share work — {"job":"p50"}, {"jobs":["p50"]} and
-// {"stats":["p50"]} all key identically.
+// parallelism), shared verbatim with the earl library and earlctl's
+// flags. Two specs that normalize the same way are the same query and
+// may share work — {"stats":["p50"]} and {"stats":["q0.5"]} key
+// identically.
 type QuerySpec struct {
 	plan.Spec
-
-	// Job and Jobs are the legacy spellings of Stats: one statistic, or
-	// several computed as ONE shared-pass multi-statistic query. At most
-	// one of job/jobs/stats may be set; normalize folds them into Stats.
-	Job  string   `json:"job,omitempty"`
-	Jobs []string `json:"jobs,omitempty"`
-	// Grouped is the legacy spelling of By:"key" — the per-key variant
-	// over "key\tvalue" records.
-	Grouped bool `json:"grouped,omitempty"`
 }
 
-// normalize folds the legacy shims into the plan spec, then applies the
-// engine-wide validation/canonicalization path (plan.Spec.Normalize) —
-// the one shared with earlctl and the earl builder, so malformed
-// expressions fail here with positioned client errors. The returned
-// spec has empty shims: WatchInfo and /metrics always show the
-// canonical form.
+// normalize applies the engine-wide validation/canonicalization path
+// (plan.Spec.Normalize) — the one shared with earlctl and the earl
+// library, so malformed expressions fail here with positioned client
+// errors, and WatchInfo and /metrics always show the canonical form.
 func (q QuerySpec) normalize() (QuerySpec, error) {
-	q.Job = strings.ToLower(strings.TrimSpace(q.Job))
-	set := 0
-	for _, ok := range []bool{q.Job != "", len(q.Jobs) > 0, len(q.Stats) > 0} {
-		if ok {
-			set++
-		}
-	}
-	if set > 1 {
-		return q, errors.New("serve: give one of job, jobs or stats, not several")
-	}
-	switch {
-	case q.Job != "":
-		q.Stats = []string{q.Job}
-	case len(q.Jobs) > 0:
-		// Copy before handing off: the spec arrived by value but the
-		// slice header aliases the caller's backing array.
-		q.Stats = append([]string(nil), q.Jobs...)
-	}
-	q.Job, q.Jobs = "", nil
-	if q.Grouped {
-		if q.GroupBy != "" && q.GroupBy != "key" {
-			return q, errors.New("serve: grouped conflicts with by; use one")
-		}
-		q.GroupBy = "key"
-		q.Grouped = false
-	}
-	var err error
-	if q.Spec, err = q.Spec.Normalize(); err != nil {
+	spec, err := q.Spec.Normalize()
+	if err != nil {
 		return q, fmt.Errorf("serve: %w", err)
 	}
-	return q, nil
-}
-
-// jobSet resolves every statistic of a normalized spec.
-func (q QuerySpec) jobSet() ([]jobs.Numeric, error) {
-	jset, err := q.Spec.JobSet()
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	return jset, nil
+	return QuerySpec{Spec: spec}, nil
 }
 
 // key is the canonical identity string of a normalized spec — the

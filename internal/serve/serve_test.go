@@ -45,7 +45,7 @@ func newTestServer(t *testing.T, cfg Config, path string, n int) (*Server, *core
 func TestWatchDedupSharesOneQuery(t *testing.T) {
 	s, env := newTestServer(t, Config{}, "/t/data", 60_000)
 	ctx := context.Background()
-	spec := QuerySpec{Job: "mean", Spec: plan.Spec{Path: "/t/data", Sigma: 0.05, Seed: 3}}
+	spec := QuerySpec{Spec: plan.Spec{Path: "/t/data", Stats: []string{"mean"}, Sigma: 0.05, Seed: 3}}
 
 	a, sharedA, err := s.OpenWatch(ctx, spec)
 	if err != nil {
@@ -118,7 +118,7 @@ func TestConcurrentClientsOneRefreshPerAppend(t *testing.T) {
 	run := func(par int) []batchReport {
 		s, env := newTestServer(t, Config{MaxInFlight: 4, MaxQueue: 4 * K}, "/t/stream", initialN)
 		ctx := context.Background()
-		spec := QuerySpec{Job: "mean", Spec: plan.Spec{Path: "/t/stream", Sigma: 0.05, Seed: 5, Parallelism: par}}
+		spec := QuerySpec{Spec: plan.Spec{Path: "/t/stream", Stats: []string{"mean"}, Sigma: 0.05, Seed: 5, Parallelism: par}}
 
 		ids := make([]string, K)
 		var wg sync.WaitGroup
@@ -271,7 +271,7 @@ func waitFor(t *testing.T, cond func() bool) {
 func TestQueryCacheInvalidatedByAppend(t *testing.T) {
 	s, env := newTestServer(t, Config{}, "/t/cache", 50_000)
 	ctx := context.Background()
-	spec := QuerySpec{Job: "mean", Spec: plan.Spec{Path: "/t/cache", Seed: 6}}
+	spec := QuerySpec{Spec: plan.Spec{Path: "/t/cache", Stats: []string{"mean"}, Seed: 6}}
 
 	first, err := s.Query(ctx, spec)
 	if err != nil {
@@ -320,7 +320,7 @@ func TestQueryCacheInvalidatedByAppend(t *testing.T) {
 func TestCloseWatchLastSubscriberCloses(t *testing.T) {
 	s, _ := newTestServer(t, Config{}, "/t/close", 40_000)
 	ctx := context.Background()
-	spec := QuerySpec{Job: "mean", Spec: plan.Spec{Path: "/t/close", Seed: 8}}
+	spec := QuerySpec{Spec: plan.Spec{Path: "/t/close", Stats: []string{"mean"}, Seed: 8}}
 
 	a, _, err := s.OpenWatch(ctx, spec)
 	if err != nil {
@@ -371,7 +371,7 @@ func TestCloseWatchLastSubscriberCloses(t *testing.T) {
 func TestRewriteRebuildsWatches(t *testing.T) {
 	s, _ := newTestServer(t, Config{}, "/t/rw", 50_000)
 	ctx := context.Background()
-	spec := QuerySpec{Job: "mean", Spec: plan.Spec{Path: "/t/rw", Seed: 11}}
+	spec := QuerySpec{Spec: plan.Spec{Path: "/t/rw", Stats: []string{"mean"}, Seed: 11}}
 
 	w, _, err := s.OpenWatch(ctx, spec)
 	if err != nil {
@@ -436,20 +436,20 @@ func TestWatchRegistryCapAndIdleEviction(t *testing.T) {
 	s, _ := newTestServer(t, Config{MaxWatches: 2, WatchIdleTTL: time.Hour}, "/t/cap", 40_000)
 	ctx := context.Background()
 
-	a, _, err := s.OpenWatch(ctx, QuerySpec{Job: "mean", Spec: plan.Spec{Path: "/t/cap", Seed: 20}})
+	a, _, err := s.OpenWatch(ctx, QuerySpec{Spec: plan.Spec{Path: "/t/cap", Stats: []string{"mean"}, Seed: 20}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := s.OpenWatch(ctx, QuerySpec{Job: "median", Spec: plan.Spec{Path: "/t/cap", Seed: 21}})
+	b, _, err := s.OpenWatch(ctx, QuerySpec{Spec: plan.Spec{Path: "/t/cap", Stats: []string{"median"}, Seed: 21}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Registry full, everything fresh: a new distinct watch is refused…
-	if _, _, err := s.OpenWatch(ctx, QuerySpec{Job: "sum", Spec: plan.Spec{Path: "/t/cap", Seed: 22}}); !errors.Is(err, ErrOverloaded) {
+	if _, _, err := s.OpenWatch(ctx, QuerySpec{Spec: plan.Spec{Path: "/t/cap", Stats: []string{"sum"}, Seed: 22}}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("full registry accepted a new watch: %v", err)
 	}
 	// …but subscribing to an existing watch still dedupes freely.
-	if _, shared, err := s.OpenWatch(ctx, QuerySpec{Job: "mean", Spec: plan.Spec{Path: "/t/cap", Seed: 20}}); err != nil || !shared {
+	if _, shared, err := s.OpenWatch(ctx, QuerySpec{Spec: plan.Spec{Path: "/t/cap", Stats: []string{"mean"}, Seed: 20}}); err != nil || !shared {
 		t.Fatalf("dedup blocked by the cap: shared=%v err=%v", shared, err)
 	}
 
@@ -457,7 +457,7 @@ func TestWatchRegistryCapAndIdleEviction(t *testing.T) {
 	s.mu.Lock()
 	s.byID[b.ID].lastTouch.Store(time.Now().Add(-2 * time.Hour).UnixNano())
 	s.mu.Unlock()
-	c, _, err := s.OpenWatch(ctx, QuerySpec{Job: "sum", Spec: plan.Spec{Path: "/t/cap", Seed: 22}})
+	c, _, err := s.OpenWatch(ctx, QuerySpec{Spec: plan.Spec{Path: "/t/cap", Stats: []string{"sum"}, Seed: 22}})
 	if err != nil {
 		t.Fatalf("idle eviction did not free a slot: %v", err)
 	}
@@ -478,17 +478,16 @@ func TestSpecValidation(t *testing.T) {
 	s, _ := newTestServer(t, Config{}, "/t/val", 4_000)
 	ctx := context.Background()
 	for _, bad := range []QuerySpec{
-		{Job: "nope", Spec: plan.Spec{Path: "/t/val"}},
-		{Job: "p200", Spec: plan.Spec{Path: "/t/val"}}, // out-of-range quantile is a client error too
-		{Job: "qnan", Spec: plan.Spec{Path: "/t/val"}}, // ParseFloat accepts "nan"; must not reach the engine
-		{Job: "pnan", Spec: plan.Spec{Path: "/t/val"}},
-		{Job: "mean"},
-		{Job: "mean", Spec: plan.Spec{Path: "/t/val", Sigma: -1}},
-		{Job: "mean", Spec: plan.Spec{Path: "/t/val", Sampler: "mid-map"}},
-		{Job: "mean", Spec: plan.Spec{Path: "/t/val", Filter: "v +"}},                   // malformed expression
-		{Job: "mean", Spec: plan.Spec{Path: "/t/val", Filter: "v + 1"}},                 // filter must be boolean
-		{Job: "mean", Spec: plan.Spec{Path: "/t/val", Derive: "v > 1"}},                 // derive must be numeric
-		{Job: "mean", Grouped: true, Spec: plan.Spec{Path: "/t/val", GroupBy: "v - 7"}}, // grouped vs by conflict
+		{Spec: plan.Spec{Path: "/t/val", Stats: []string{"nope"}}},
+		{Spec: plan.Spec{Path: "/t/val", Stats: []string{"p200"}}}, // out-of-range quantile is a client error too
+		{Spec: plan.Spec{Path: "/t/val", Stats: []string{"qnan"}}}, // ParseFloat accepts "nan"; must not reach the engine
+		{Spec: plan.Spec{Path: "/t/val", Stats: []string{"pnan"}}},
+		{Spec: plan.Spec{Stats: []string{"mean"}}},
+		{Spec: plan.Spec{Path: "/t/val", Sigma: -1}},
+		{Spec: plan.Spec{Path: "/t/val", Sampler: "mid-map"}},
+		{Spec: plan.Spec{Path: "/t/val", Filter: "v +"}},   // malformed expression
+		{Spec: plan.Spec{Path: "/t/val", Filter: "v + 1"}}, // filter must be boolean
+		{Spec: plan.Spec{Path: "/t/val", Derive: "v > 1"}}, // derive must be numeric
 	} {
 		if _, err := s.Query(ctx, bad); err == nil {
 			t.Errorf("spec %+v accepted", bad)
@@ -496,8 +495,8 @@ func TestSpecValidation(t *testing.T) {
 	}
 	// Quantile forms parse (through the shared normalization path).
 	for _, name := range []string{"p99", "p50", "q0.25"} {
-		if _, err := (QuerySpec{Job: name, Spec: plan.Spec{Path: "/x"}}).normalize(); err != nil {
-			t.Errorf("job %q rejected: %v", name, err)
+		if _, err := (QuerySpec{Spec: plan.Spec{Path: "/x", Stats: []string{name}}}).normalize(); err != nil {
+			t.Errorf("statistic %q rejected: %v", name, err)
 		}
 	}
 	// Grouped one-shot works over kv data.
@@ -508,7 +507,7 @@ func TestSpecValidation(t *testing.T) {
 	if err := s.Env().FS.WriteFile("/t/kv", kv); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Query(ctx, QuerySpec{Job: "mean", Grouped: true, Spec: plan.Spec{Path: "/t/kv", Sigma: 0.2, Seed: 9}})
+	res, err := s.Query(ctx, QuerySpec{Spec: plan.Spec{Path: "/t/kv", Stats: []string{"mean"}, GroupBy: "key", Sigma: 0.2, Seed: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +521,7 @@ func TestSpecValidation(t *testing.T) {
 func TestOpenWatchConcurrentCreation(t *testing.T) {
 	s, env := newTestServer(t, Config{MaxInFlight: 4, MaxQueue: 64}, "/t/race", 60_000)
 	ctx := context.Background()
-	spec := QuerySpec{Job: "mean", Spec: plan.Spec{Path: "/t/race", Seed: 10}}
+	spec := QuerySpec{Spec: plan.Spec{Path: "/t/race", Stats: []string{"mean"}, Seed: 10}}
 
 	const K = 12
 	var wg sync.WaitGroup
@@ -595,7 +594,7 @@ func TestGroupedWatchDedupBitIdentical(t *testing.T) {
 	}
 	env.Metrics.Reset()
 	ctx := context.Background()
-	spec := QuerySpec{Job: "mean", Grouped: true, Spec: plan.Spec{Path: "/t/kv", Sigma: 0.08, Seed: 3}}
+	spec := QuerySpec{Spec: plan.Spec{Path: "/t/kv", Stats: []string{"mean"}, GroupBy: "key", Sigma: 0.08, Seed: 3}}
 
 	ids := make([]string, K)
 	var wg sync.WaitGroup
@@ -676,14 +675,13 @@ func TestGroupedWatchDedupBitIdentical(t *testing.T) {
 }
 
 // TestMultiStatQueryAndWatch covers the multi-statistic spec surface: a
-// jobs list answers one report per statistic from one shared pass, hits
-// the cache on repeat, and a one-element jobs list shares identity with
-// the job spelling (same watch, same cache key).
+// stats list answers one report per statistic from one shared pass, hits
+// the cache on repeat, and a multi-stat watch refreshes every statistic.
 func TestMultiStatQueryAndWatch(t *testing.T) {
 	s, _ := newTestServer(t, Config{}, "/t/multi", 60_000)
 	ctx := context.Background()
 
-	res, err := s.Query(ctx, QuerySpec{Jobs: []string{"mean", "p95", "count"}, Spec: plan.Spec{Path: "/t/multi", Seed: 4}})
+	res, err := s.Query(ctx, QuerySpec{Spec: plan.Spec{Path: "/t/multi", Stats: []string{"mean", "p95", "count"}, Seed: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -696,7 +694,7 @@ func TestMultiStatQueryAndWatch(t *testing.T) {
 	if res.Reports[1].Job != "quantile-0.95" || res.Reports[2].Job != "count" {
 		t.Fatalf("reports out of order: %s, %s", res.Reports[1].Job, res.Reports[2].Job)
 	}
-	again, err := s.Query(ctx, QuerySpec{Jobs: []string{"mean", "p95", "count"}, Spec: plan.Spec{Path: "/t/multi", Seed: 4}})
+	again, err := s.Query(ctx, QuerySpec{Spec: plan.Spec{Path: "/t/multi", Stats: []string{"mean", "p95", "count"}, Seed: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -704,21 +702,8 @@ func TestMultiStatQueryAndWatch(t *testing.T) {
 		t.Fatalf("identical multi-stat repeat missed the cache: cached=%v", again.Cached)
 	}
 
-	// jobs:["mean"] and job:"mean" are the same query identity.
-	a, _, err := s.OpenWatch(ctx, QuerySpec{Job: "mean", Spec: plan.Spec{Path: "/t/multi", Seed: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, shared, err := s.OpenWatch(ctx, QuerySpec{Jobs: []string{"mean"}, Spec: plan.Spec{Path: "/t/multi", Seed: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !shared || a.ID != b.ID {
-		t.Fatalf("one-element jobs list did not dedupe onto the job spelling: %v vs %v (shared=%v)", a.ID, b.ID, shared)
-	}
-
 	// A multi-stat watch refreshes every statistic with one delta scan.
-	w, _, err := s.OpenWatch(ctx, QuerySpec{Jobs: []string{"mean", "p95"}, Spec: plan.Spec{Path: "/t/multi", Seed: 6}})
+	w, _, err := s.OpenWatch(ctx, QuerySpec{Spec: plan.Spec{Path: "/t/multi", Stats: []string{"mean", "p95"}, Seed: 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -736,39 +721,34 @@ func TestMultiStatQueryAndWatch(t *testing.T) {
 	if len(info.Reports) != 2 {
 		t.Fatalf("multi-stat watch info carries %d reports, want 2", len(info.Reports))
 	}
-	// Both specs disagree (job vs jobs) — ensure they did not collide.
-	if info.ID == a.ID {
-		t.Fatalf("distinct job sets shared a watch id")
-	}
 
-	// Validation: mixed spellings, grouped multi, and duplicates —
-	// including two spellings of the same quantile — are client errors.
+	// Validation: grouped multi, and duplicates — including two
+	// spellings of the same quantile — are client errors.
 	for _, bad := range []QuerySpec{
-		{Job: "mean", Jobs: []string{"p95"}, Spec: plan.Spec{Path: "/t/multi"}},
-		{Jobs: []string{"mean", "p95"}, Grouped: true, Spec: plan.Spec{Path: "/t/multi"}},
-		{Jobs: []string{"mean", "nope"}, Spec: plan.Spec{Path: "/t/multi"}},
-		{Jobs: []string{"mean", "mean"}, Spec: plan.Spec{Path: "/t/multi"}},
-		{Jobs: []string{"p99.9", "q0.999"}, Spec: plan.Spec{Path: "/t/multi"}},
+		{Spec: plan.Spec{Path: "/t/multi", Stats: []string{"mean", "p95"}, GroupBy: "key"}},
+		{Spec: plan.Spec{Path: "/t/multi", Stats: []string{"mean", "nope"}}},
+		{Spec: plan.Spec{Path: "/t/multi", Stats: []string{"mean", "mean"}}},
+		{Spec: plan.Spec{Path: "/t/multi", Stats: []string{"p99.9", "q0.999"}}},
 	} {
 		if _, err := s.Query(ctx, bad); err == nil {
 			t.Errorf("spec %+v accepted", bad)
 		}
 	}
 
-	// normalize must not rewrite the caller's Jobs slice in place.
+	// normalize must not rewrite the caller's Stats slice in place.
 	names := []string{"MEAN", "P95"}
-	if _, err := s.Query(ctx, QuerySpec{Jobs: names, Spec: plan.Spec{Path: "/t/multi", Seed: 8}}); err != nil {
+	if _, err := s.Query(ctx, QuerySpec{Spec: plan.Spec{Path: "/t/multi", Stats: names, Seed: 8}}); err != nil {
 		t.Fatal(err)
 	}
 	if names[0] != "MEAN" || names[1] != "P95" {
-		t.Fatalf("normalize mutated the caller's jobs slice: %v", names)
+		t.Fatalf("normalize mutated the caller's stats slice: %v", names)
 	}
 }
 
-// TestSpecAliasKeysIdentical pins the back-compat contract: the legacy
-// job / jobs / grouped spellings and the canonical stats / by fields
-// normalize to the SAME cache and dedup key, so old and new clients
-// share watches and cache entries.
+// TestSpecAliasKeysIdentical pins that two spellings of one query — a
+// quantile's pNN and q0.NN names, or an expression's whitespace and
+// parentheses — normalize to the SAME cache and dedup key, so their
+// clients share watches and cache entries.
 func TestSpecAliasKeysIdentical(t *testing.T) {
 	key := func(q QuerySpec) string {
 		t.Helper()
@@ -779,30 +759,16 @@ func TestSpecAliasKeysIdentical(t *testing.T) {
 		return n.key()
 	}
 	base := plan.Spec{Path: "/t/data", Sigma: 0.05, Seed: 3}
-	if a, b := key(QuerySpec{Job: "p50", Spec: base}), key(QuerySpec{Jobs: []string{"p50"}, Spec: base}); a != b {
-		t.Fatalf("job vs jobs keys differ:\n%s\n%s", a, b)
-	}
-	stats := base
-	stats.Stats = []string{"p50"}
-	if a, b := key(QuerySpec{Job: "p50", Spec: base}), key(QuerySpec{Spec: stats}); a != b {
-		t.Fatalf("job vs stats keys differ:\n%s\n%s", a, b)
-	}
 	// Two spellings of the same quantile canonicalize together.
-	q05 := base
-	q05.Stats = []string{"q0.5"}
-	if a, b := key(QuerySpec{Job: "p50", Spec: base}), key(QuerySpec{Spec: q05}); a != b {
+	p50, q05 := base, base
+	p50.Stats, q05.Stats = []string{"p50"}, []string{"q0.5"}
+	if a, b := key(QuerySpec{Spec: p50}), key(QuerySpec{Spec: q05}); a != b {
 		t.Fatalf("p50 vs q0.5 keys differ:\n%s\n%s", a, b)
-	}
-	// grouped:true is by:"key".
-	byKey := base
-	byKey.GroupBy = "key"
-	if a, b := key(QuerySpec{Job: "mean", Grouped: true, Spec: base}), key(QuerySpec{Job: "mean", Spec: byKey}); a != b {
-		t.Fatalf("grouped vs by:key keys differ:\n%s\n%s", a, b)
 	}
 	// Expression whitespace canonicalizes away.
 	f1, f2 := base, base
 	f1.Filter, f2.Filter = "v>50&&v<90", "v > 50  &&  (v < 90)"
-	if a, b := key(QuerySpec{Job: "mean", Spec: f1}), key(QuerySpec{Job: "mean", Spec: f2}); a != b {
+	if a, b := key(QuerySpec{Spec: f1}), key(QuerySpec{Spec: f2}); a != b {
 		t.Fatalf("equivalent filter spellings key differently:\n%s\n%s", a, b)
 	}
 }
@@ -871,7 +837,7 @@ func TestMetricsExposeScanCache(t *testing.T) {
 	if rep.Scan.MaxBytes <= 0 {
 		t.Fatalf("scanCache.maxBytes = %d, want the configured budget", rep.Scan.MaxBytes)
 	}
-	spec := QuerySpec{Job: "mean", Spec: plan.Spec{Path: "/t/scan", Seed: 11, Sampler: "post-map"}}
+	spec := QuerySpec{Spec: plan.Spec{Path: "/t/scan", Stats: []string{"mean"}, Seed: 11, Sampler: "post-map"}}
 	if _, err := s.Query(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
@@ -920,7 +886,7 @@ func TestOneShotNeverBlends(t *testing.T) {
 		return fmt.Sprintf("%+v", res.Report)
 	}
 	for _, sampler := range []string{"pre-map", "post-map"} {
-		spec := QuerySpec{Job: "mean", Spec: plan.Spec{Path: path, Seed: 23, Sampler: sampler}}
+		spec := QuerySpec{Spec: plan.Spec{Path: path, Stats: []string{"mean"}, Seed: 23, Sampler: sampler}}
 		// race runs one-shots beside mutate until mutate is done and a
 		// query has run after it; every report must be in allowed.
 		race := func(t *testing.T, env *core.Env, allowed map[string]int, mutate func()) {
@@ -1017,7 +983,7 @@ func TestOneShotNeverBlends(t *testing.T) {
 func TestConcurrentRewriteNeverBlends(t *testing.T) {
 	s, _ := newTestServer(t, Config{}, "/t/blend", 40_000)
 	ctx := context.Background()
-	spec := QuerySpec{Job: "mean", Spec: plan.Spec{Path: "/t/blend", Seed: 17}}
+	spec := QuerySpec{Spec: plan.Spec{Path: "/t/blend", Stats: []string{"mean"}, Seed: 17}}
 
 	w, _, err := s.OpenWatch(ctx, spec)
 	if err != nil {

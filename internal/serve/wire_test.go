@@ -45,9 +45,9 @@ func TestWireJSONGolden(t *testing.T) {
 		spec QuerySpec
 		more []byte
 	}{
-		{"scalar", QuerySpec{Job: "mean", Spec: plan.Spec{Path: "/w/data", Sigma: 0.05, Seed: 3}}, wireValues(t, 10_000, 4)},
+		{"scalar", QuerySpec{Spec: plan.Spec{Path: "/w/data", Stats: []string{"mean"}, Sigma: 0.05, Seed: 3}}, wireValues(t, 10_000, 4)},
 		{"multi", QuerySpec{Spec: plan.Spec{Path: "/w/data", Stats: []string{"mean", "p95", "count"}, Sigma: 0.05, Seed: 5}}, wireValues(t, 10_000, 6)},
-		{"grouped", QuerySpec{Job: "mean", Grouped: true, Spec: plan.Spec{Path: "/w/kv", Sigma: 0.08, Seed: 7}}, wireKV(t, 10_000, 8)},
+		{"grouped", QuerySpec{Spec: plan.Spec{Path: "/w/kv", Stats: []string{"mean"}, GroupBy: "key", Sigma: 0.08, Seed: 7}}, wireKV(t, 10_000, 8)},
 	} {
 		res, err := s.Query(ctx, tc.spec)
 		if err != nil {
