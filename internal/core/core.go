@@ -42,14 +42,15 @@
 // ONE generic pipeline (engine.go): the long-lived sampling mappers,
 // the round-barrier feedback loop, the doubling expansion schedule and
 // the §3.4 finish are written once. Records travel one way through it:
-// the samplers are the only code that ever sees a record as a line, and
-// everything from a RecordSource out handles parsed columns
-// (colscan.Cols) — decoded by a built-in columnar format or, where the
-// samplers read, by the user's own parser (Decode, source.go); nothing
-// downstream can tell which. The engine is parameterized over one small
-// abstraction: a Sink per reduce partition folds each round's records in
-// canonical order, answers the current error estimate and renders the
-// reports (sinks.go) — and is what a maintained query keeps folding
+// the samplers are the only code of a sampled run that ever sees a
+// record as a line, and everything from a RecordSource out handles
+// parsed columns (colscan.Cols) — decoded by a built-in columnar format
+// or, where the samplers read, by the user's own parser (Decode,
+// source.go); nothing downstream can tell which. The engine is
+// parameterized over one small abstraction: a Sink per reduce partition
+// folds each round's records in canonical order, answers the current
+// error estimate and renders the reports (sinks.go) — and is what a
+// maintained query keeps folding
 // into afterwards. A scalar query is the one-key degenerate case
 // (statSink: one resample set per statistic, all fed the shared
 // sample); grouped queries route records by their own keys into
@@ -59,9 +60,13 @@
 // planned n, every statistic's B is its own) with per-statistic
 // reports, at the IO cost of the single most demanding statistic.
 //
-// The exact fall-back (exact.go) is deliberately not on this pipeline:
-// it is the stock-Hadoop batch job, line by line, and the reference the
-// sampled path is tested against.
+// The exact fall-back (exact.go) is not on this pipeline: it is one
+// column scan of the whole file — resident decoded blocks where env.Scan
+// holds them, a line reader per split under the run's Decode otherwise,
+// σ/π through the plan's kernels — then each statistic over the
+// survivors. It answers what the stock-Hadoop batch job (RunExactJob,
+// the figures' baseline and the reference the sampled path is tested
+// against) answers, bit for bit, and charges what that job would.
 package core
 
 import (

@@ -85,7 +85,7 @@ type Report struct {
 	SampleSize  int     // records actually consumed by the reducer
 	PlannedN    int     // SSABE's initial sample size
 	Iterations  int     // reducer growth generations (1 = SSABE got it right)
-	UsedFull    bool    // fell back to the exact full-data job
+	UsedFull    bool    // fell back to the exact answer over the full data (§3.1)
 	Converged   bool    // final error ≤ σ
 	FractionP   float64 // sampling fraction handed to correct()
 	FailedMaps  int     // mapper tasks lost to failures (§3.4 path)
@@ -145,13 +145,13 @@ func (r *Retained) Result(refreshes int) (*PlanResult, error) {
 // per distinct pilot key (floored at minPilot, B = 30) and the expansion
 // loop does the rest — a documented extension beyond the paper.
 //
-// retain=false is a one-shot: the exact fall-back (§3.1) runs the stock
-// job and no state is returned. retain=true is a watch's opening run: the
-// Retained state comes back, and on the exact fall-back the exact job is
-// NOT executed — the Reports carry only UsedFull/EstTotalN and the state
-// has no sink, because internal/live builds an incremental exact state
-// with a single scan instead of running a whole-file job whose output it
-// would throw away.
+// retain=false is a one-shot: the exact fall-back (§3.1) is one column
+// scan of the file (runExact) and no state is returned. retain=true is a
+// watch's opening run: the Retained state comes back, and on the exact
+// fall-back nothing is computed — the Reports carry only
+// UsedFull/EstTotalN and the state has no sink, because internal/live
+// folds the same scan (ScanExact) into incremental exact states it can
+// maintain instead.
 //
 // Handed the live filesystem, Execute pins one commit for the whole run
 // (pilot, sampled job and exact fall-back alike), so a rewrite or an
@@ -229,7 +229,7 @@ func execute(env *Env, pq *PlannedQuery, retain bool) (*PlanResult, *Retained, e
 			return &PlanResult{Reports: exactReports(jset, estTotal, known)},
 				&Retained{Plans: plans, EstTotal: estTotal, SyncedBytes: size, Opts: opts}, nil
 		}
-		reps, err := runExactMulti(env, jset, path, prog)
+		reps, err := runExact(env, jset, path, dec, prog)
 		if known {
 			for i := range reps {
 				reps[i].EstTotalN = estTotal

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"strconv"
 	"sync/atomic"
 
+	"repro/internal/colscan"
+	"repro/internal/dfs"
 	"repro/internal/jobs"
 	"repro/internal/mr"
 	"repro/internal/plan"
@@ -29,48 +31,34 @@ func ExactReport(job string, v float64, n int) Report {
 	}
 }
 
-// exactMapper parses each line and emits it under a single key. A
-// non-nil prog routes every line through the plan's per-record
-// reference evaluator instead: filtered-out lines are dropped, derived
-// values replace the parsed ones, and seen counts only survivors — the
-// exact fall-back computes over exactly the subpopulation the sampled
-// path estimates.
+// exactKey is the one key the stock job's mapper emits every value
+// under, so a survivor costs the shuffle len(exactKey) + 8 bytes.
+const exactKey = "f"
+
+// exactMapper parses each line and emits it under exactKey.
 type exactMapper struct {
 	job  jobs.Numeric
-	prog *plan.Program
 	seen *atomic.Int64
 }
 
 // Map implements mr.Mapper.
 func (m exactMapper) Map(off int64, line string, emit mr.Emitter) error {
-	var v float64
-	var err error
-	if m.prog != nil {
-		var keep bool
-		keep, _, v, err = m.prog.EvalLine(line)
-		if err != nil {
-			return err
-		}
-		if !keep {
-			return nil
-		}
-	} else if v, err = m.job.Parse(line); err != nil {
+	v, err := m.job.Parse(line)
+	if err != nil {
 		return err
 	}
 	m.seen.Add(1)
-	emit.Emit("f", v)
+	emit.Emit(exactKey, v)
 	return nil
 }
 
-// exactMultiReducer applies every statistic of the set to the one
-// collected value stream, emitting each under its index — one statistic
-// or several, over one shared scan.
-type exactMultiReducer struct {
-	jset []jobs.Numeric
+// exactReducer applies the statistic to the one collected value stream.
+type exactReducer struct {
+	job jobs.Numeric
 }
 
 // Reduce implements mr.Reducer.
-func (r exactMultiReducer) Reduce(key string, values []any, emit mr.Emitter) error {
+func (r exactReducer) Reduce(key string, values []any, emit mr.Emitter) error {
 	xs := make([]float64, 0, len(values))
 	for _, v := range values {
 		f, ok := v.(float64)
@@ -79,90 +67,176 @@ func (r exactMultiReducer) Reduce(key string, values []any, emit mr.Emitter) err
 		}
 		xs = append(xs, f)
 	}
-	for i, job := range r.jset {
-		out, err := job.Statistic(xs)
-		if err != nil {
-			return err
-		}
-		emit.Emit(strconv.Itoa(i), out)
+	out, err := r.job.Statistic(xs)
+	if err != nil {
+		return err
 	}
+	emit.Emit(key, out)
 	return nil
 }
 
-// runExactMulti executes every statistic exactly over ONE full scan of
-// the file — the stock-Hadoop fall-back, preserving the multi-statistic
-// read-once contract. A plan run filters/derives each scanned record
-// through the per-record reference evaluator, so the exact answer is over
-// exactly the subpopulation the sampled path estimates.
-func runExactMulti(env *Env, jset []jobs.Numeric, path string, prog *plan.Program) ([]Report, error) {
-	outs, n, err := runExactMultiJob(env, jset, path, 0, prog)
+// RunExactJob runs the user job exactly over every record of path as a
+// stock line-at-a-time batch MR job — parse every line, shuffle, one
+// reduce — and returns the result plus the record count processed. It
+// is the figures' stock baseline (Figs. 5–7); a query's own exact
+// fall-back is the column scan of runExact, which charges what this job
+// would.
+func RunExactJob(env *Env, job jobs.Numeric, path string, splitSize int64) (float64, int, error) {
+	if job.Parse == nil || job.Statistic == nil {
+		return 0, 0, fmt.Errorf("core: job %q needs Parse and a Statistic for the exact path", job.Name)
+	}
+	var seen atomic.Int64
+	res, err := env.Engine.Run(&mr.Job{
+		Name:        "exact-" + job.Name,
+		InputPath:   path,
+		Input:       env.View(),
+		SplitSize:   splitSize,
+		Mapper:      exactMapper{job: job, seen: &seen},
+		Reducer:     exactReducer{job: job},
+		NumReducers: 1,
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	if len(res.Output) != 1 {
+		return 0, 0, fmt.Errorf("core: exact job emitted %d results", len(res.Output))
+	}
+	v, ok := res.Output[0].Value.(float64)
+	if !ok {
+		return 0, 0, fmt.Errorf("core: exact result has type %T", res.Output[0].Value)
+	}
+	return v, int(seen.Load()), nil
+}
+
+// runExact is the one-shot exact fall-back (§3.1's "standard workflow"):
+// one column scan of the whole file (ScanExact), then every statistic of
+// the set applied in turn to the one column of survivors in file order,
+// as the stock job's reducer applied them to its collected values. Its
+// modelled cost is that stock job's by construction: ScanExact charges
+// the map tasks' reads, and the task counters are charged here in
+// closed form — one job, one map task per split, one reduce task, and
+// every survivor mapped, shuffled under exactKey and reduced.
+func runExact(env *Env, jset []jobs.Numeric, path string, dec Decode, prog *plan.Program) ([]Report, error) {
+	for _, job := range jset {
+		if job.Statistic == nil {
+			return nil, fmt.Errorf("core: job %q needs a Statistic for the exact path", job.Name)
+		}
+	}
+	splits, err := env.View().Splits(path, 0)
 	if err != nil {
 		return nil, err
 	}
+	vals, err := ScanExact(env, path, splits, dec, prog)
+	if err != nil {
+		return nil, err
+	}
+	kept := int64(len(vals))
+	m := env.Metrics
+	m.JobStartups.Add(1)
+	m.MapTasks.Add(int64(len(splits)))
+	m.ReduceTasks.Add(1)
+	m.RecordsMapped.Add(kept)
+	m.RecordsReduced.Add(kept)
+	m.BytesShuffled.Add(kept * (int64(len(exactKey)) + mr.ValueSize(0.0)))
+	if kept == 0 {
+		if prog != nil && prog.HasFilter() {
+			return nil, errors.New("core: no records matched filter")
+		}
+		return nil, errors.New("core: no records found")
+	}
 	reps := make([]Report, len(jset))
 	for i, job := range jset {
-		reps[i] = ExactReport(job.Name, outs[i], n)
+		v, err := job.Statistic(vals)
+		if err != nil {
+			return nil, err
+		}
+		reps[i] = ExactReport(job.Name, v, len(vals))
 	}
 	return reps, nil
 }
 
-// runExactMultiJob runs every statistic of the set exactly over ONE full
-// scan: a single batch MR job (the stock job, named "exact-<names>")
-// parses each record once (the jobs share the input format, so the first
-// job's Parse stands for all) and the reducer applies every statistic to
-// the collected values.
-func runExactMultiJob(env *Env, jset []jobs.Numeric, path string, splitSize int64, prog *plan.Program) ([]float64, int, error) {
-	if jset[0].Parse == nil {
-		return nil, 0, fmt.Errorf("core: job %q needs Parse", jset[0].Name)
+// ScanExact is the exact fall-back's one pass, shared by the one-shot
+// (runExact) and an exact watch's folds: every record of splits — of
+// path, read through env's data view — in file order, through prog's σ/π
+// when prog is non-nil. It returns the survivors' values as a column the
+// caller owns: a statistic may sort it in place.
+//
+// A split whose decoded block is resident in env.Scan is taken from
+// there: Peek, never a decode or an insert, so the scan leaves the cache
+// holding what it held. Any other split is read through its own
+// LineReader and decoded by dec. Either way the reads are charged as a
+// LineReader over the split charges them — a resident one in closed
+// form (dfs.LineScanCost) — and every record to RecordsRead.
+func ScanExact(env *Env, path string, splits []dfs.Split, dec Decode, prog *plan.Program) ([]float64, error) {
+	view := env.View()
+	size, err := view.Stat(path)
+	if err != nil {
+		return nil, err
 	}
-	for _, job := range jset {
-		if job.Statistic == nil {
-			return nil, 0, fmt.Errorf("core: job %q needs a Statistic for the exact path", job.Name)
+	blks, resident, err := residentBlocks(env, path, splits, dec)
+	if err != nil {
+		return nil, err
+	}
+	var sc *plan.Scratch
+	if prog != nil {
+		sc = plan.NewScratch()
+	}
+	out := colscan.Cols{Vals: make([]float64, 0, resident)}
+	var raw, shared colscan.Cols // a read split's records; a resident block's, read-only
+	var read int64
+	for i, sp := range splits {
+		in := &raw
+		if blk := blks[i]; blk != nil {
+			n := blk.NumRecords()
+			end := blk.Start(n-1) + int64(blk.RecLen(n-1)) // the last record's newline, or EOF
+			bytes, seeks := dfs.LineScanCost(sp, size, min(end+1, size))
+			env.Metrics.BytesRead.Add(bytes)
+			env.Metrics.DiskSeeks.Add(seeks)
+			shared.Vals, shared.Keys = blk.Values(), shared.Keys[:0]
+			if dict := blk.Dict(); dict != nil {
+				for _, id := range blk.KeyIDs() {
+					shared.Keys = append(shared.Keys, dict[id])
+				}
+			}
+			in = &shared
+		} else {
+			raw.Reset()
+			if err := dec.scanSplit(view, sp, &raw); err != nil {
+				return nil, err
+			}
+		}
+		read += int64(in.Len())
+		if prog == nil {
+			out.Vals = append(out.Vals, in.Vals...)
+		} else if _, err := prog.Apply(sc, in, &out, false); err != nil {
+			return nil, err
 		}
 	}
-	var seen atomic.Int64
-	mjob := &mr.Job{
-		Name:        "exact-" + jobsetTag(jset),
-		InputPath:   path,
-		Input:       env.View(),
-		SplitSize:   splitSize,
-		Mapper:      exactMapper{job: jset[0], prog: prog, seen: &seen},
-		Reducer:     exactMultiReducer{jset: jset},
-		NumReducers: 1,
+	env.Metrics.RecordsRead.Add(read)
+	return out.Vals, nil
+}
+
+// residentBlocks peeks env.Scan for each split's decoded block, and
+// counts the records they hold. A split gets nil when the records are a
+// custom parser's (they never enter the cache), when no block is
+// resident, and when the block holds no record: a split inside one
+// record, whose read its block cannot place.
+func residentBlocks(env *Env, path string, splits []dfs.Split, dec Decode) ([]*colscan.Block, int, error) {
+	blks := make([]*colscan.Block, len(splits))
+	if env.Scan == nil || dec.Parser != nil {
+		return blks, 0, nil
 	}
-	res, err := env.Engine.Run(mjob)
+	version, err := env.View().Version(path)
 	if err != nil {
 		return nil, 0, err
 	}
-	if len(res.Output) == 0 && prog != nil {
-		return nil, 0, fmt.Errorf("core: no records matched filter")
-	}
-	if len(res.Output) != len(jset) {
-		return nil, 0, fmt.Errorf("core: exact job emitted %d results for %d statistics", len(res.Output), len(jset))
-	}
-	outs := make([]float64, len(jset))
-	for _, kv := range res.Output {
-		i, err := strconv.Atoi(kv.Key)
-		if err != nil || i < 0 || i >= len(jset) {
-			return nil, 0, fmt.Errorf("core: exact job emitted key %q", kv.Key)
+	records := 0
+	for i, sp := range splits {
+		key := colscan.BlockKey{Path: path, Version: version, Offset: sp.Offset, Length: sp.Length, Format: dec.Format}
+		if blk, ok := env.Scan.Peek(key); ok && blk.NumRecords() > 0 {
+			blks[i] = blk
+			records += blk.NumRecords()
 		}
-		v, ok := kv.Value.(float64)
-		if !ok {
-			return nil, 0, fmt.Errorf("core: exact result has type %T", kv.Value)
-		}
-		outs[i] = v
 	}
-	return outs, int(seen.Load()), nil
-}
-
-// RunExactJob runs the user job exactly over every record of path on the
-// batch engine and returns the result plus the record count processed —
-// the one-statistic stock job, exposed for the stock-Hadoop baselines of
-// the benchmark harness.
-func RunExactJob(env *Env, job jobs.Numeric, path string, splitSize int64) (float64, int, error) {
-	outs, n, err := runExactMultiJob(env, []jobs.Numeric{job}, path, splitSize, nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	return outs[0], n, nil
+	return blks, records, nil
 }

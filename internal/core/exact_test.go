@@ -1,0 +1,252 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/colscan"
+	"repro/internal/dfs"
+	"repro/internal/jobs"
+	"repro/internal/mr"
+	"repro/internal/plan"
+	"repro/internal/simcost"
+	"repro/internal/workload"
+)
+
+// planMapper is the stock job's mapper with a plan's line-at-a-time
+// reference evaluator in front: the exact fall-back of a plan query as
+// a stock MR job, which the scan must match.
+type planMapper struct {
+	prog *plan.Program
+	seen *atomic.Int64
+}
+
+func (m planMapper) Map(_ int64, line string, emit mr.Emitter) error {
+	keep, _, v, err := m.prog.EvalLine(line)
+	if err != nil || !keep {
+		return err
+	}
+	m.seen.Add(1)
+	emit.Emit(exactKey, v)
+	return nil
+}
+
+// stockExact answers job over path (through prog when non-nil) with the
+// stock line-at-a-time MR job.
+func stockExact(env *Env, job jobs.Numeric, path string, prog *plan.Program) (float64, int, error) {
+	if prog == nil {
+		return RunExactJob(env, job, path, 0)
+	}
+	var seen atomic.Int64
+	res, err := env.Engine.Run(&mr.Job{
+		Name: "exact-" + job.Name, InputPath: path, Input: env.View(),
+		Mapper: planMapper{prog: prog, seen: &seen}, Reducer: exactReducer{job: job}, NumReducers: 1,
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	return res.Output[0].Value.(float64), int(seen.Load()), nil
+}
+
+// makeResident decodes every every-th split of path into env.Scan, as a
+// sampler's hot split would be, and returns the file's splits.
+func makeResident(t testing.TB, env *Env, path string, format colscan.Format, every int) []dfs.Split {
+	t.Helper()
+	splits, err := env.FS.Splits(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	version, _ := env.FS.Version(path)
+	size, _ := env.FS.Stat(path)
+	for i, sp := range splits {
+		if every > 0 && i%every == 0 {
+			if _, err := colscan.LoadSplit(env.Scan, env.FS, path, version, size, sp.Offset, sp.Length, format); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return splits
+}
+
+// residency reports which splits have a block in env.Scan, and the
+// cache's block count and bytes.
+func residency(env *Env, path string, splits []dfs.Split, format colscan.Format) string {
+	version, _ := env.FS.Version(path)
+	var b bytes.Buffer
+	for _, sp := range splits {
+		_, ok := env.Scan.Peek(colscan.BlockKey{Path: path, Version: version, Offset: sp.Offset, Length: sp.Length, Format: format})
+		fmt.Fprintf(&b, "%t ", ok)
+	}
+	st := env.Scan.Stats()
+	fmt.Fprintf(&b, "blocks=%d bytes=%d", st.Blocks, st.Bytes)
+	return b.String()
+}
+
+// TestExactScanMatchesStockJob holds the exact fall-back's scan to the
+// stock MR job it replaced, on fresh identical clusters: the same
+// estimate bit for bit, the same record count, the same simcost delta
+// field by field, and env.Scan holding the same blocks before and after
+// the scan. The grid: numeric records, key/value records under a filter
+// and a derive, and a custom parser; one split and many; sidecars on
+// and off; no block resident, every other one, and all of them.
+func TestExactScanMatchesStockJob(t *testing.T) {
+	xs, err := workload.NumericSpec{Dist: workload.Zipf, N: 4000, Seed: 3}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kv bytes.Buffer
+	for i, x := range xs {
+		fmt.Fprintf(&kv, "k%d\t%g\n", i%4, x)
+	}
+	// A one-split file whose last newline is the first byte of a reader's
+	// second 64 KiB fill: off by one there, and the charge is one fill short.
+	fillEdge := append(bytes.Repeat([]byte("1\n"), 32767), "12\n"...)
+	shapes := []struct {
+		name string
+		data []byte
+		spec plan.Spec // Stats and the plan; Path is filled in
+		job  jobs.Numeric
+	}{
+		{name: "numeric", data: workload.EncodeLinesFixed(xs), job: jobs.Median()},
+		{name: "kv plan", data: kv.Bytes(), spec: plan.Spec{Stats: []string{"median"}, Filter: `key != "k0" && v > 2`, Derive: "v * 2 + 1"}},
+		{name: "custom parser", data: workload.EncodeLinesFixed(xs), job: customJob(jobs.Median(), workload.DecodeLine)},
+		{name: "fill edge", data: fillEdge, job: jobs.Mean()},
+	}
+	for _, sh := range shapes {
+		for _, blockSize := range []int64{1 << 20, 1 << 12} {
+			for _, sidecars := range []bool{true, false} {
+				for _, every := range []int{0, 2, 1} {
+					name := fmt.Sprintf("%s/block=%d/sidecars=%t/resident-every=%d", sh.name, blockSize, sidecars, every)
+					run := func(scan bool) (float64, int, simcost.Snapshot) {
+						env, err := NewEnv(EnvConfig{BlockSize: blockSize, DisableSidecars: !sidecars, Seed: 5})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := env.FS.WriteFile("/data", sh.data); err != nil {
+							t.Fatal(err)
+						}
+						job, prog := sh.job, (*plan.Program)(nil)
+						if sh.spec.Stats != nil {
+							spec := sh.spec
+							spec.Path = "/data"
+							pq, err := PreparePlan(spec, Options{})
+							if err != nil {
+								t.Fatal(err)
+							}
+							job, prog = pq.Jobs[0], pq.Prog
+						}
+						dec := ScalarDecode(job, prog)
+						format := dec.Format
+						if format == colscan.FormatNone {
+							format = colscan.FormatNumeric // blocks another query left behind
+						}
+						splits := makeResident(t, env, "/data", format, every)
+						before, cache := env.Metrics.Snapshot(), residency(env, "/data", splits, format)
+						var v float64
+						var n int
+						if scan {
+							var reps []Report
+							if reps, err = runExact(env, []jobs.Numeric{job}, "/data", dec, prog); err == nil {
+								v, n = reps[0].Estimate, reps[0].SampleSize
+							}
+							if after := residency(env, "/data", splits, format); after != cache {
+								t.Fatalf("%s: the scan changed env.Scan:\nbefore %s\nafter  %s", name, cache, after)
+							}
+						} else {
+							v, n, err = stockExact(env, job, "/data", prog)
+						}
+						if err != nil {
+							t.Fatalf("%s: scan=%t: %v", name, scan, err)
+						}
+						return v, n, env.Metrics.Snapshot().Sub(before)
+					}
+					sv, sn, scost := run(true)
+					jv, jn, jcost := run(false)
+					if math.Float64bits(sv) != math.Float64bits(jv) || sn != jn {
+						t.Fatalf("%s: scan %v over %d records, stock job %v over %d", name, sv, sn, jv, jn)
+					}
+					if scost != jcost {
+						t.Fatalf("%s: modelled cost differs:\nscan  %v\nstock %v", name, scost, jcost)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestExactFallbackRejectsNaNRecord: a one-shot that falls back to the
+// exact path over a file with one NaN line fails with ErrBadRecord even
+// under a lax custom parser — the scan decodes through the same
+// finiteness check as the samplers — instead of answering NaN.
+func TestExactFallbackRejectsNaNRecord(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		env, err := NewEnv(EnvConfig{BlockSize: 1 << 14, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs, err := workload.NumericSpec{Dist: workload.Zipf, N: 3000, Seed: seed}.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := env.FS.WriteFile("/data", poisonedData(xs, 1)); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Run(env, customJob(jobs.Mean(), laxFloat), "/data", Options{Sigma: 0.0005, Seed: seed})
+		if !errors.Is(err, ErrBadRecord) {
+			t.Fatalf("seed %d: exact fall-back over a NaN record: %+v, %v", seed, rep, err)
+		}
+	}
+}
+
+// TestRunExactJobKeepsBadRecordCause: the stock job over a NaN record
+// fails once its map task has exhausted its attempts, and the error is
+// both mr.ErrTooManyFailures and ErrBadRecord.
+func TestRunExactJobKeepsBadRecordCause(t *testing.T) {
+	env, xs := testEnv(t, 2000, workload.Uniform, 13)
+	if err := env.FS.WriteFile("/data", poisonedData(xs, 1)); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := RunExactJob(env, jobs.Mean(), "/data", 0)
+	if !errors.Is(err, ErrBadRecord) || !errors.Is(err, mr.ErrTooManyFailures) {
+		t.Fatalf("stock job over a NaN record: %v", err)
+	}
+}
+
+// BenchmarkExactFallback times one exact fall-back over 1 M records
+// whose one decoded block is resident, as after a sampled run over the
+// file: the column scan the one-shot takes ("scan") against the stock
+// line-at-a-time MR job ("stock"), for the median.
+func BenchmarkExactFallback(b *testing.B) {
+	env, err := NewEnv(EnvConfig{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	xs, err := workload.NumericSpec{Dist: workload.Zipf, N: 1_000_000, Seed: 1}.Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := env.FS.WriteFile("/data", workload.EncodeLinesFixed(xs)); err != nil {
+		b.Fatal(err)
+	}
+	makeResident(b, env, "/data", colscan.FormatNumeric, 1)
+	job := jobs.Median()
+	dec := ScalarDecode(job, nil)
+	b.Run("scan", func(b *testing.B) {
+		for range b.N {
+			if _, err := runExact(env, []jobs.Numeric{job}, "/data", dec, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("stock", func(b *testing.B) {
+		for range b.N {
+			if _, _, err := RunExactJob(env, job, "/data", 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

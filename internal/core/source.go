@@ -120,6 +120,26 @@ func (d Decode) enable(s *sampling.PreMap, cache *colscan.Cache) error {
 	return s.EnableColumnar(cache, d.Format)
 }
 
+// scanSplit reads every record sp owns through its own LineReader,
+// which charges the read, and decodes each onto out.
+func (d Decode) scanSplit(v dfs.View, sp dfs.Split, out *colscan.Cols) error {
+	rd, err := v.NewLineReader(sp, 0)
+	if err != nil {
+		return err
+	}
+	for rd.Next() {
+		if d.Parser != nil {
+			err = d.Parser.AppendLine(out, rd.Text())
+		} else {
+			err = colscan.AppendParsedLine(out, d.Format, rd.Bytes())
+		}
+		if err != nil {
+			return fmt.Errorf("core: %s@%d: %w", sp.Path, rd.RecordOffset(), err)
+		}
+	}
+	return rd.Err()
+}
+
 // preMapSource wraps the Algorithm 2 sampler. Draws are charged as
 // mapper input records (the records delivered to the sampling mapper).
 type preMapSource struct {

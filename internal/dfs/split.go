@@ -94,8 +94,11 @@ type LineReader struct {
 	chunk   int
 }
 
+// lineChunk is a LineReader's default fill: 64 KiB, one positioned read.
+const lineChunk = 64 << 10
+
 // NewLineReader opens a reader over split. chunkSize controls the I/O
-// granularity (64 KiB when <= 0).
+// granularity (lineChunk when <= 0).
 func (s state) NewLineReader(split Split, chunkSize int) (*LineReader, error) {
 	meta, err := s.file(split.Path)
 	if err != nil {
@@ -106,7 +109,7 @@ func (s state) NewLineReader(split Split, chunkSize int) (*LineReader, error) {
 		return nil, fmt.Errorf("dfs: split %v out of file bounds (size %d)", split, size)
 	}
 	if chunkSize <= 0 {
-		chunkSize = 64 << 10
+		chunkSize = lineChunk
 	}
 	return &LineReader{
 		fs:      s.fs,
@@ -223,6 +226,24 @@ func (r *LineReader) skipToNewline() error {
 		r.bufOff += int64(len(r.window))
 		r.window = nil
 	}
+}
+
+// LineScanCost is what a default-chunk LineReader drained over sp in a
+// file of size bytes charges — bytes read and seeks — without reading
+// anything: its fills are contiguous lineChunk reads (one seek each, the
+// last one clipped at EOF) from Offset−1 (0 for the first split) until
+// the window holds through−1. through is one past the newline that ends
+// the split's last owned record — or, for a split that owns none, the
+// newline that ends the partial line it skips — and size when that
+// record runs unterminated to EOF. A caller that already holds a split's
+// decoded records charges their scan with it instead of re-reading them.
+func LineScanCost(sp Split, size, through int64) (bytes, seeks int64) {
+	from := max(sp.Offset-1, 0)
+	if through <= from {
+		return 0, 0
+	}
+	seeks = (through - from + lineChunk - 1) / lineChunk
+	return min(seeks*lineChunk, size-from), seeks
 }
 
 // Text returns the current record without its trailing newline.

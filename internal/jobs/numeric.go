@@ -28,9 +28,9 @@ type Numeric struct {
 	Name      string
 	Reducer   mr.IncrementalReducer
 	Statistic bootstrap.Statistic
-	// Parse decodes one input line into the job's value. The exact
-	// (full-scan) path always parses with it; sampled runs do only when
-	// ScanFormat is unset.
+	// Parse decodes one input line into the job's value. The stock
+	// baseline job always parses with it; a query's runs — sampled or
+	// the exact fall-back's scan — do only when ScanFormat is unset.
 	Parse func(line string) (float64, error)
 	// ScanFormat is the built-in columnar format that describes this
 	// job's records: sampled runs then decode through colscan, sharing

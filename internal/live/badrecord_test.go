@@ -2,8 +2,11 @@ package live_test
 
 import (
 	"errors"
+	"strconv"
+	"strings"
 	"testing"
 
+	"repro/internal/colscan"
 	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/live"
@@ -36,6 +39,34 @@ func TestRefreshRejectsNaNRecord(t *testing.T) {
 	}
 	if _, err := q.Refresh(); !errors.Is(err, core.ErrBadRecord) {
 		t.Fatalf("refresh over NaN append: %v", err)
+	}
+}
+
+// TestExactWatchRejectsNaNRecord: an exact watch (the file is too small
+// to sample) under a lax custom parser — strconv.ParseFloat accepts
+// "NaN" without an error — fails the refresh that meets an appended NaN
+// record with ErrBadRecord instead of folding it into its states.
+func TestExactWatchRejectsNaNRecord(t *testing.T) {
+	env := newEnv(t, 71)
+	if err := env.FS.WriteFile("/data", workload.EncodeLinesFixed(genValues(t, 300, 72))); err != nil {
+		t.Fatal(err)
+	}
+	lax := jobs.Mean()
+	lax.ScanFormat = colscan.FormatNone
+	lax.Parse = func(line string) (float64, error) { return strconv.ParseFloat(strings.TrimSpace(line), 64) }
+	q, err := live.WatchMulti(env, []jobs.Numeric{lax}, "/data", core.Options{Seed: 73})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	if !q.Report().UsedFull {
+		t.Fatalf("a 300-record watch should be exact: %+v", q.Report())
+	}
+	if err := env.FS.Append("/data", []byte("1.5\nNaN\n2.5\n")); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := q.Refresh(); !errors.Is(err, core.ErrBadRecord) {
+		t.Fatalf("exact refresh over a NaN append: %+v, %v", rep, err)
 	}
 }
 

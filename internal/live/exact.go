@@ -1,8 +1,6 @@
 package live
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/dfs"
 	"repro/internal/mr"
@@ -11,44 +9,20 @@ import (
 // Exact maintenance: a watch whose run fell back to the exact path (tiny
 // data, or SSABE said sampling won't pay) retains no sink; it keeps one
 // incremental reduce state per statistic and grows each with every
-// appended record instead.
+// appended record instead. The records come from the one-shot's column
+// scan (core.ScanExact): resident blocks where env.Scan holds them, a
+// LineReader per split otherwise, σ/π through the plan's kernels, and
+// the watch's own decode — so a record the sampled path would reject
+// fails the fold too.
 
-// foldExact streams every record of the given splits into each
-// statistic's incremental reduce state (one scan, shared parse), reading
-// through v — the caller's pinned snapshot — and renders the result.
+// foldExact scans the given splits once, reading through v — the
+// caller's pinned snapshot — folds the survivors into each statistic's
+// incremental reduce state and renders the result.
 func (w *Watch) foldExact(v dfs.View, splits []dfs.Split) error {
-	jset, prog := w.pq.Jobs, w.pq.Prog
-	var vals []float64
-	for _, sp := range splits {
-		rd, err := v.NewLineReader(sp, 0)
-		if err != nil {
-			return err
-		}
-		for rd.Next() {
-			if prog != nil {
-				// Plan watches fold only σ's survivors, carrying the
-				// derived value — the exact state IS the subpopulation
-				// statistic. Every scanned record is charged as read.
-				keep, _, v, perr := prog.EvalLine(rd.Text())
-				if perr != nil {
-					return fmt.Errorf("live: parse: %w", perr)
-				}
-				w.env.Metrics.RecordsRead.Add(1)
-				if keep {
-					vals = append(vals, v)
-				}
-				continue
-			}
-			v, perr := jset[0].Parse(rd.Text())
-			if perr != nil {
-				return fmt.Errorf("live: parse: %w", perr)
-			}
-			vals = append(vals, v)
-			w.env.Metrics.RecordsRead.Add(1)
-		}
-		if rd.Err() != nil {
-			return rd.Err()
-		}
+	jset := w.pq.Jobs
+	vals, err := core.ScanExact(w.env.WithData(v), w.pq.Spec.Path, splits, w.decode, w.pq.Prog)
+	if err != nil {
+		return err
 	}
 	if w.exactStates == nil {
 		w.exactStates = make([]mr.State, len(jset))

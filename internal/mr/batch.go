@@ -138,7 +138,7 @@ func (e *Engine) runMapTask(job *Job, sp dfs.Split, idx, r int) ([][]KV, error) 
 		lastErr = err
 		e.Metrics.TaskRestarts.Add(1)
 	}
-	return nil, fmt.Errorf("%w: map[%d] of %q: %v", ErrTooManyFailures, idx, job.Name, lastErr)
+	return nil, fmt.Errorf("%w: map[%d] of %q: %w", ErrTooManyFailures, idx, job.Name, lastErr)
 }
 
 func (e *Engine) mapAttempt(job *Job, sp dfs.Split, info TaskInfo, r int) ([][]KV, error) {
@@ -277,7 +277,7 @@ func (e *Engine) runReduceTask(job *Job, part int, in []KV) ([]KV, error) {
 		lastErr = err
 		e.Metrics.TaskRestarts.Add(1)
 	}
-	return nil, fmt.Errorf("%w: reduce[%d] of %q: %v", ErrTooManyFailures, part, job.Name, lastErr)
+	return nil, fmt.Errorf("%w: reduce[%d] of %q: %w", ErrTooManyFailures, part, job.Name, lastErr)
 }
 
 func (e *Engine) reduceAttempt(job *Job, info TaskInfo, in []KV) ([]KV, error) {

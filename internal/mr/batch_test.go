@@ -255,6 +255,36 @@ func TestPermanentFailureExhaustsAttempts(t *testing.T) {
 	}
 }
 
+// TestExhaustedTaskKeepsItsCause: a map or reduce task that fails on
+// every attempt returns an error that is both ErrTooManyFailures and
+// the last attempt's cause under errors.Is, after the full retry policy
+// and its charges.
+func TestExhaustedTaskKeepsItsCause(t *testing.T) {
+	cause := errors.New("bad record")
+	for _, kind := range []TaskKind{MapTask, ReduceTask} {
+		e, fsys, m := newTestEngine(t, 2, 1)
+		writeLines(t, fsys, "/in", "x")
+		job := &Job{Name: "cause", InputPath: "/in", Mapper: wcMapper{}, Reducer: wcReducer{}}
+		if kind == MapTask {
+			job.Mapper = MapperFunc(func(int64, string, Emitter) error { return fmt.Errorf("parse: %w", cause) })
+		} else {
+			job.Reducer = ReducerFunc(func(string, []any, Emitter) error { return fmt.Errorf("statistic: %w", cause) })
+		}
+		_, err := e.Run(job)
+		if !errors.Is(err, ErrTooManyFailures) || !errors.Is(err, cause) {
+			t.Fatalf("%s: err = %v, want both ErrTooManyFailures and the cause", kind, err)
+		}
+		s := m.Snapshot()
+		launches := s.MapTasks
+		if kind == ReduceTask {
+			launches = s.ReduceTasks
+		}
+		if s.TaskRestarts != maxAttempts || launches != maxAttempts {
+			t.Fatalf("%s: %d restarts over %d launches, want %d each", kind, s.TaskRestarts, launches, maxAttempts)
+		}
+	}
+}
+
 func TestDeterministicOutputOrder(t *testing.T) {
 	// Key order within partitions must be deterministic across runs.
 	var prev []KV

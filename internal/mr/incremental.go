@@ -193,13 +193,18 @@ type Ranking struct {
 // the reducer to reject as it always has, and one holding both +0 and
 // −0, which compare equal, would otherwise reach the state in an order
 // other than the reducer's own sort would have produced.
+//
+// A source already ascending — a Δs the sinks sorted where it lies — is
+// ranked in one linear pass; any other is copied, sorted and searched.
+// Both give the same Ranking.
 func Rank(r IncrementalReducer, source []float64) *Ranking {
 	red, ok := r.(MultisetReducer)
 	if !ok || len(source) == 0 {
 		return nil
 	}
 	var posZero, negZero bool
-	for _, v := range source {
+	ascending := true
+	for j, v := range source {
 		if v != v {
 			return nil
 		}
@@ -210,10 +215,34 @@ func Rank(r IncrementalReducer, source []float64) *Ranking {
 				posZero = true
 			}
 		}
+		ascending = ascending && (j == 0 || source[j-1] <= v)
 	}
 	if posZero && negZero {
 		return nil
 	}
+	if ascending {
+		return rankAscending(red, source)
+	}
+	return rankBySort(red, source)
+}
+
+// rankAscending ranks an ascending source in one pass: a value that
+// differs from its predecessor opens the next distinct rank.
+func rankAscending(red MultisetReducer, source []float64) *Ranking {
+	distinct := make([]float64, 0, len(source))
+	of := make([]uint32, len(source))
+	for j, v := range source {
+		if j == 0 || v != source[j-1] {
+			distinct = append(distinct, v)
+		}
+		of[j] = uint32(len(distinct) - 1)
+	}
+	return &Ranking{red: red, Distinct: distinct, Of: of}
+}
+
+// rankBySort ranks any source: a sorted copy, its distinct values, and
+// a binary search per element.
+func rankBySort(red MultisetReducer, source []float64) *Ranking {
 	sorted := append([]float64(nil), source...)
 	sort.Float64s(sorted)
 	distinct := sorted[:1]

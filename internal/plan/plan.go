@@ -9,9 +9,10 @@
 // API; Normalize is the one shared validation/canonicalization path, so
 // the front ends cannot drift. Compile turns a normalized Spec into a
 // Program: vectorized kernels (vm.go: a tiled selection-vector
-// evaluator) that filter, derive and label decoded column batches, plus
-// a per-record reference evaluator (eval.go) for the exact fall-back
-// paths — the two are fuzz-checked bit-identical.
+// evaluator) that filter, derive and label decoded column batches —
+// every run, sampled or exact, goes through them — plus a per-record
+// reference evaluator (eval.go), the oracle the kernels are fuzz-checked
+// bit-identical against.
 //
 // Execution semantics, chosen once here for every front end:
 //
@@ -357,8 +358,8 @@ func (p *Program) KeepBlock(sc *Scratch, b *colscan.Block, dst []int32) []int32 
 }
 
 // EvalRecord applies the plan to one raw record — the per-record
-// reference path (exact fall-backs, pilots on the per-record route).
-// Semantics match Apply bit for bit.
+// reference path the kernels are checked against. Semantics match Apply
+// bit for bit.
 func (p *Program) EvalRecord(key string, v float64) (keep bool, outKey string, outVal float64, err error) {
 	if p.filter != nil && p.filter.evalOne(key, v) == 0 {
 		return false, "", 0, nil
@@ -386,7 +387,8 @@ func (p *Program) EvalRecord(key string, v float64) (keep bool, outKey string, o
 }
 
 // EvalLine parses one raw record line under the plan's input format and
-// applies the plan — the line-at-a-time reference path.
+// applies the plan — the line-at-a-time reference path, the oracle for
+// a plan's exact answer.
 func (p *Program) EvalLine(line string) (keep bool, outKey string, outVal float64, err error) {
 	var k string
 	var v float64

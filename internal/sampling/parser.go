@@ -9,12 +9,11 @@ import (
 )
 
 // Parser is a user-supplied record parser — the one decode the columnar
-// layer cannot mirror. The samplers are the only code that ever sees a
-// record as a line, so they apply it themselves, at the two sites where
-// they read one (PreMap's positioned reads, the post-map pool fill), and
-// hand everything downstream the same colscan columns a built-in format
-// decodes to. A func has no cacheable identity, so parsed records never
-// enter the shared scan cache.
+// layer cannot mirror. It is applied wherever a record is read as a line
+// (PreMap's positioned reads, the post-map pool fill, and the exact
+// fall-back's scan of a split), and everything downstream gets the same
+// colscan columns a built-in format decodes to. A func has no cacheable
+// identity, so parsed records never enter the shared scan cache.
 type Parser struct {
 	// Parse decodes one record line into a (key, value) pair.
 	Parse func(line string) (key string, value float64, err error)
@@ -24,11 +23,11 @@ type Parser struct {
 	Keyed bool
 }
 
-// appendLine parses one line onto out. The parser's output crosses the
+// AppendLine parses one line onto out. The parser's output crosses the
 // same validation boundary as built-in decode: a rejected line, and a
 // non-finite value returned without an error, both wrap
 // colscan.ErrBadRecord.
-func (p *Parser) appendLine(out *colscan.Cols, line string) error {
+func (p *Parser) AppendLine(out *colscan.Cols, line string) error {
 	key, v, err := p.Parse(line)
 	if err != nil {
 		return fmt.Errorf("sampling: custom parser: %w: %w", colscan.ErrBadRecord, err)
@@ -56,7 +55,7 @@ func (p *Parser) ParseSplit(v dfs.View, sp dfs.Split) (*colscan.Block, error) {
 	var lastEnd int64
 	for rd.Next() {
 		line := rd.Text()
-		if err := p.appendLine(&cols, line); err != nil {
+		if err := p.AppendLine(&cols, line); err != nil {
 			return nil, err
 		}
 		starts = append(starts, rd.RecordOffset())

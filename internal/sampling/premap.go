@@ -326,7 +326,7 @@ func (s *PreMap) take(line []byte, start int64, recs *[]Record, cols *colscan.Co
 	case cols == nil:
 		*recs = append(*recs, Record{Line: string(line), Split: osi, Offset: start})
 	case s.parser != nil:
-		err = s.parser.appendLine(cols, string(line))
+		err = s.parser.AppendLine(cols, string(line))
 	default:
 		err = colscan.AppendParsedLine(cols, s.colFormat, line)
 	}

@@ -166,7 +166,7 @@ func (r *perDrawPreMap) sampleLoop(n int, recs *[]Record, cols *colscan.Cols) er
 		case cols == nil:
 			*recs = append(*recs, Record{Line: line, Split: osi, Offset: start})
 		case r.parser != nil:
-			err = r.parser.appendLine(cols, line)
+			err = r.parser.AppendLine(cols, line)
 		default:
 			err = colscan.AppendParsedLine(cols, r.colFormat, []byte(line))
 		}
