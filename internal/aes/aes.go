@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/delta"
 	"repro/internal/mr"
+	"repro/internal/pool"
 	"repro/internal/simcost"
 	"repro/internal/stats"
 )
@@ -44,7 +45,8 @@ const (
 	// only B values (relative noise ≈ 1/√(2(B−1)), ~17% at the paper's
 	// B≈30), and SolveN amplifies intercept noise badly; averaging a few
 	// replicates stabilises the fitted curve at pilot scale, where the
-	// extra resampling is cheap and rides the parallel engine.
+	// extra resampling is cheap: the replicates share one ranking of each
+	// pilot segment and run side by side.
 	replicates = 3
 )
 
@@ -64,12 +66,15 @@ type Config struct {
 	Seed    uint64
 	Metrics *simcost.Metrics
 	Key     string // reduce key handed to Initialize
-	// Parallelism is the worker-pool size for phase 2's delta-maintained
-	// resampling: 0 (or negative) means runtime.GOMAXPROCS, 1 forces the
-	// sequential path. Plan output is identical at any value for a fixed
-	// Seed. (Phase 1 is inherently sequential: it adds one resample at a
-	// time and early-stops on τ-stability. What runs beside it is another
-	// statistic's SSABE: core plans a query's statistics concurrently.)
+	// Parallelism is the worker-pool size for phase 2: 0 (or negative)
+	// means runtime.GOMAXPROCS, 1 forces the sequential path. Phase 2's
+	// replicates run on min(replicates, workers) of them, and each
+	// replicate's maintainer shards its resamples over
+	// max(1, workers/replicates). Plan output is identical at any value
+	// for a fixed Seed. (Phase 1 is inherently sequential: it adds one
+	// resample at a time and early-stops on τ-stability. What runs beside
+	// it is another statistic's SSABE: core plans a query's statistics
+	// concurrently.)
 	Parallelism int
 }
 
@@ -275,7 +280,8 @@ type CurvePoint struct {
 // solved for σ. ok=false means the fitted curve never reaches σ — the
 // caller should fall back to the full data set. Each curve point is
 // averaged over replicates (3) independent maintained runs to tame the
-// B-value noise of a single cv measurement before the fit.
+// B-value noise of a single cv measurement before the fit; each prefix
+// step is ranked once for all of them.
 func EstimateN(pilot []float64, b int, cfg Config) (n int, ok bool, curve stats.CVCurve, points []CurvePoint, err error) {
 	cfg, err = cfg.withDefaults()
 	if err != nil {
@@ -288,17 +294,27 @@ func EstimateN(pilot []float64, b int, cfg Config) (n int, ok bool, curve stats.
 	if len(pilot) < minSize*2 {
 		return 0, false, stats.CVCurve{}, nil, fmt.Errorf("aes: pilot of %d too small for L=%d subsamples", len(pilot), subsamples)
 	}
-	for r := 0; r < replicates; r++ {
-		rep, err := estimateNReplicate(pilot, b, cfg, r)
-		if err != nil {
-			return 0, false, stats.CVCurve{}, nil, err
-		}
-		if points == nil {
-			points = rep
-		} else {
-			for i := range points {
-				points[i].CV += rep[i].CV
-			}
+	segs := segments(pilot, cfg.Reducer)
+	// The replicates own their seeds and maintainers and only read the
+	// segments, so they run side by side, each maintainer on its share of
+	// the workers. Their cvs are summed in r order once all have returned:
+	// the float sums, and so the plan, are the same at any Parallelism.
+	workers := pool.Workers(cfg.Parallelism)
+	repCfg := cfg
+	repCfg.Parallelism = max(1, workers/replicates)
+	reps := make([][]CurvePoint, replicates)
+	err = pool.ForEach(replicates, min(replicates, workers), func(r int) error {
+		var err error
+		reps[r], err = estimateNReplicate(segs, b, repCfg, r)
+		return err
+	})
+	if err != nil {
+		return 0, false, stats.CVCurve{}, nil, err
+	}
+	points = reps[0]
+	for _, rep := range reps[1:] {
+		for i := range points {
+			points[i].CV += rep[i].CV
 		}
 	}
 	for i := range points {
@@ -318,10 +334,37 @@ func EstimateN(pilot []float64, b int, cfg Config) (n int, ok bool, curve stats.
 	return n, ok, curve, points, nil
 }
 
+// segment is one step of phase 2's growth schedule: the pilot records
+// that take its prefix from n_{i−1} to n_i = end, and their ranking
+// (nil unless the reducer takes batches in any order).
+type segment struct {
+	delta []float64
+	rank  *mr.Ranking
+	end   int
+}
+
+// segments cuts the pilot into the schedule's L geometrically growing
+// prefixes n_i = len(pilot)/2^(L−i) and ranks each step once, for every
+// replicate to read.
+func segments(pilot []float64, red mr.IncrementalReducer) []segment {
+	var segs []segment
+	prevEnd := 0
+	for i := 1; i <= subsamples; i++ {
+		end := len(pilot) >> (subsamples - i)
+		if end <= prevEnd {
+			continue
+		}
+		ds := pilot[prevEnd:end]
+		segs = append(segs, segment{delta: ds, rank: mr.Rank(red, ds), end: end})
+		prevEnd = end
+	}
+	return segs
+}
+
 // estimateNReplicate runs one delta-maintained pass over the phase-2
 // growth schedule and returns the cv at each prefix size. Replicate r
 // owns a fixed seed offset, so the averaged curve is deterministic.
-func estimateNReplicate(pilot []float64, b int, cfg Config, r int) ([]CurvePoint, error) {
+func estimateNReplicate(segs []segment, b int, cfg Config, r int) ([]CurvePoint, error) {
 	maint, err := delta.New(delta.Config{
 		Reducer:     cfg.Reducer,
 		B:           b,
@@ -333,23 +376,13 @@ func estimateNReplicate(pilot []float64, b int, cfg Config, r int) ([]CurvePoint
 	if err != nil {
 		return nil, err
 	}
-	var points []CurvePoint
-	prevEnd := 0
-	for i := 1; i <= subsamples; i++ {
-		end := len(pilot) >> (subsamples - i) // n_i = n / 2^(L-i)
-		if end <= prevEnd {
-			continue
-		}
+	points := make([]CurvePoint, 0, len(segs))
+	for i, seg := range segs {
 		// The maintainer is read once more after its last point and then
 		// dropped, so that point need not prepare a next generation.
-		grow := maint.Grow
-		if i == subsamples {
-			grow = maint.GrowFinal
-		}
-		if err := grow(pilot[prevEnd:end]); err != nil {
+		if err := maint.GrowRanked(seg.delta, seg.rank, i == len(segs)-1); err != nil {
 			return nil, err
 		}
-		prevEnd = end
 		vals, err := maint.Results()
 		if err != nil {
 			return nil, err
@@ -358,7 +391,7 @@ func estimateNReplicate(pilot []float64, b int, cfg Config, r int) ([]CurvePoint
 		if err != nil {
 			return nil, err
 		}
-		points = append(points, CurvePoint{N: end, CV: cv})
+		points = append(points, CurvePoint{N: seg.end, CV: cv})
 	}
 	return points, nil
 }

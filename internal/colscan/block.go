@@ -287,24 +287,54 @@ func keysLE(dst []uint32, src []byte, dict int) int {
 // It returns -1 when pos precedes the block's first record (the tail of
 // a record owned by the previous split); the caller falls back to the
 // seek path for that draw.
+//
+// The first probe interpolates: pos's share of the block's byte span
+// times the record count, which is the answer outright when records are
+// of one width. From there the search gallops outward until it brackets
+// pos and bisects the bracket, so a block of any shape costs O(log d)
+// probes, d the guess's distance from the answer — never more than a
+// plain binary search's order.
+//
+//earl:hotpath
 func (b *Block) FindRecord(pos int64) int {
-	if pos < b.base {
+	n := len(b.offs)
+	if pos < b.base || n == 0 {
 		return -1
 	}
 	if pos-b.base > maxSpan {
-		return len(b.offs) - 1
+		return n - 1
 	}
 	rel := uint32(pos - b.base)
-	lo, hi := 0, len(b.offs) // invariant: offs[lo-1] <= rel < offs[hi]
-	for lo < hi {
+	// rel < 2^32 and n ≤ 2^32 (the offsets are distinct uint32s), so the
+	// product fits 64 bits; span ≥ 1 since lastEnd ≥ the last start.
+	span := uint64(b.lastEnd-b.base) + 1
+	g := int(min(uint64(rel)*uint64(n)/span, uint64(n-1)))
+	// Bracket the answer: offs[lo] <= rel, and hi == n or offs[hi] > rel.
+	// offs[0] == 0 <= rel, so a downward gallop always has a floor.
+	lo, hi := g, g+1
+	if b.offs[g] <= rel {
+		for step := 1; hi < n && b.offs[hi] <= rel; step *= 2 {
+			lo, hi = hi, min(hi+step, n)
+		}
+	} else {
+		hi = g
+		for step := 1; ; step *= 2 {
+			lo = max(hi-step, 0)
+			if b.offs[lo] <= rel {
+				break
+			}
+			hi = lo
+		}
+	}
+	for lo+1 < hi { // offs[lo] <= rel < offs[hi]
 		mid := int(uint(lo+hi) >> 1)
 		if b.offs[mid] <= rel {
-			lo = mid + 1
+			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	return lo - 1
+	return lo
 }
 
 // Decode scans the split [off, off+length) of path and parses every

@@ -328,7 +328,8 @@ func planScalar(env *Env, jset []jobs.Numeric, opts Options, pilot *pilotSample)
 
 	// Each statistic's plan is a function of the pilot, its reducer and
 	// the seed alone, so the statistics are planned side by side — phase 1
-	// cannot use a second core within one SSABE, but three SSABEs can.
+	// cannot use a second core within one SSABE, but other SSABEs can, and
+	// so can each SSABE's phase-2 replicates.
 	pl.plans = make([]aes.Plan, len(jset))
 	err = pool.ForEach(len(jset), pool.Workers(opts.Parallelism), func(i int) error {
 		if forced {

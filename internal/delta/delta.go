@@ -32,7 +32,8 @@
 // the quantiles) Grow sorts Δs once instead — mr.Rank — and every
 // resample, which draws from Δs by position, counts its draws by rank
 // and hands its state the counts: one increment per item where each
-// state used to sort its own batch.
+// state used to sort its own batch. A caller growing several maintainers
+// over the same Δs ranks it once and hands each the ranking (GrowRanked).
 package delta
 
 import (
@@ -94,7 +95,7 @@ type Maintainer struct {
 	updates   atomic.Int64 // state add/remove operations performed (work measure)
 
 	generation int
-	final      bool // GrowFinal has run: the sketches are a generation behind
+	final      bool // a final GrowRanked has run: the sketches are a generation behind
 }
 
 // resample is one of the B maintained resamples. Each owns its rng
@@ -199,25 +200,37 @@ func (m *Maintainer) charge(n int64) {
 
 // Grow applies one iteration: the sample becomes s ∪ deltaSample and all
 // B resamples (and their states) are updated in place per §4.1, sharded
-// across the configured worker pool in groups of up to growLanes.
-func (m *Maintainer) Grow(deltaSample []float64) error { return m.grow(deltaSample, false) }
+// across the configured worker pool in groups of up to growLanes. One
+// sort of Δs (mr.Rank) serves every resample of a reducer that takes
+// its batches in any order.
+func (m *Maintainer) Grow(deltaSample []float64) error {
+	return m.GrowRanked(deltaSample, mr.Rank(m.red, deltaSample), false)
+}
 
-// GrowFinal is Grow for a maintainer that will not grow again — SSABE's
-// throwaway ones, read once at their last curve point. The states take
-// the iteration exactly as under Grow (same draws, same arithmetic, same
+// GrowRanked is Grow for a caller that ranked Δs itself — SSABE, whose
+// replicates grow over the same pilot segments and share one ranking of
+// each. rk must be mr.Rank of deltaSample for this maintainer's reducer,
+// or nil, which folds the draws in draw order (it does not rank here);
+// either way the states end bit-identical to Grow's. It is only read,
+// so one ranking may serve maintainers growing concurrently.
+//
+// final marks a maintainer that will not grow again — SSABE's throwaway
+// ones, read once at their last curve point. The states take the
+// iteration exactly as under Grow (same draws, same arithmetic, same
 // charge), but the new generation's part and cache and the
 // end-of-iteration reshuffles, which only prepare the next Grow, are
-// not built. Afterwards Results, CV and Updates stand; Grow and
-// GrowFinal return an error and ResampleSizes no longer counts the last
+// not built. Afterwards Results, CV and Updates stand; a further grow
+// returns an error and ResampleSizes no longer counts the last
 // generation.
-func (m *Maintainer) GrowFinal(deltaSample []float64) error { return m.grow(deltaSample, true) }
-
-func (m *Maintainer) grow(deltaSample []float64, final bool) error {
+func (m *Maintainer) GrowRanked(deltaSample []float64, rk *mr.Ranking, final bool) error {
 	if m.final {
-		return errors.New("delta: Grow after GrowFinal")
+		return errors.New("delta: Grow after a final grow")
 	}
 	if len(deltaSample) == 0 {
 		return errors.New("delta: empty delta sample")
+	}
+	if rk != nil && len(rk.Of) != len(deltaSample) {
+		return fmt.Errorf("delta: ranking of %d values for a delta sample of %d", len(rk.Of), len(deltaSample))
 	}
 	// Parts and sketch caches retain Δs; a final generation builds neither.
 	ds := deltaSample
@@ -225,10 +238,6 @@ func (m *Maintainer) grow(deltaSample []float64, final bool) error {
 		ds = append([]float64(nil), deltaSample...)
 	}
 	nPrime := m.n + len(ds)
-	// One sort of Δs serves every resample of a reducer that takes its
-	// batches in any order; nil for every other reducer. It lives for
-	// this call only.
-	rk := mr.Rank(m.red, ds)
 
 	first := m.n == 0
 	if first {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/jobs"
+	"repro/internal/mr"
 	"repro/internal/simcost"
 )
 
@@ -87,57 +88,101 @@ func TestGrowPinnedAcrossGroupingAndParallelism(t *testing.T) {
 	}
 }
 
-// TestGrowFinalEqualsGrow: ending a schedule with GrowFinal leaves the
-// same results, the same work count and the same modelled cost as
-// ending it with Grow — it only skips preparing a generation that never
-// comes — and the maintainer refuses to grow afterwards.
-func TestGrowFinalEqualsGrow(t *testing.T) {
-	for _, name := range []string{"mean", "median"} {
-		job, err := jobs.ByName(name)
+// TestGrowRankedEqualsGrow: a schedule grown through GrowRanked — handed
+// mr.Rank of each Δs, or nil (fold in draw order, even for a reducer
+// Grow would rank for), and ending with a final grow or not — leaves,
+// after every generation, the same results bit for bit, the same work
+// count and the same modelled cost as the schedule grown through Grow.
+// A final grow only skips preparing a generation that never comes, and
+// the maintainer refuses to grow after it. The reducers are a lane
+// reducer Rank refuses (mean), two quantiles it ranks, and a median over
+// +0 beside −0, which it refuses too.
+func TestGrowRankedEqualsGrow(t *testing.T) {
+	for _, c := range []struct{ name, data string }{
+		{"mean", "zipf"}, {"median", "zipf"}, {"p95", "gaussian"}, {"median", "signed-zeros"},
+	} {
+		job, err := jobs.ByName(c.name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, gens := range []int{1, 4} {
-			run := func(final bool) ([]float64, int64, simcost.Snapshot, *Maintainer) {
-				metrics := &simcost.Metrics{}
-				m, err := New(Config{Reducer: job.Reducer, B: 19, Seed: 77, Metrics: metrics, Parallelism: 2})
-				if err != nil {
+		type gen struct {
+			vals    []float64
+			updates int64
+			cost    simcost.Snapshot
+		}
+		schedule := func(par, gens int, grow func(m *Maintainer, gi int, ds []float64) error) ([]gen, *Maintainer) {
+			metrics := &simcost.Metrics{}
+			m, err := New(Config{Reducer: job.Reducer, B: 19, Seed: 77, Metrics: metrics, Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out []gen
+			for gi := 0; gi < gens; gi++ {
+				if err := grow(m, gi, rankedDelta(c.data, gi, 300<<gi)); err != nil {
 					t.Fatal(err)
-				}
-				for gi := 0; gi < gens; gi++ {
-					grow := m.Grow
-					if final && gi == gens-1 {
-						grow = m.GrowFinal
-					}
-					if err := grow(sampleData(300<<gi, uint64(gi+5200))); err != nil {
-						t.Fatal(err)
-					}
 				}
 				vals, err := m.Results()
 				if err != nil {
 					t.Fatal(err)
 				}
-				return vals, m.Updates(), metrics.Snapshot(), m
+				out = append(out, gen{vals, m.Updates(), metrics.Snapshot()})
 			}
-			wantVals, wantUpdates, wantCost, _ := run(false)
-			gotVals, gotUpdates, gotCost, m := run(true)
-			for i := range wantVals {
-				if math.Float64bits(gotVals[i]) != math.Float64bits(wantVals[i]) {
-					t.Fatalf("%s gens=%d: Results()[%d] = %v after GrowFinal, %v after Grow", name, gens, i, gotVals[i], wantVals[i])
+			return out, m
+		}
+		want, _ := schedule(1, 4, func(m *Maintainer, _ int, ds []float64) error { return m.Grow(ds) })
+		for _, par := range []int{1, 3} {
+			for _, ranked := range []bool{true, false} {
+				// Four generations, none final; one, final (the first
+				// grow's path); four, the last final.
+				for _, run := range []struct {
+					gens  int
+					final bool
+				}{{4, false}, {1, true}, {4, true}} {
+					where := fmt.Sprintf("%s/%s par=%d ranked=%v %+v", c.name, c.data, par, ranked, run)
+					got, m := schedule(par, run.gens, func(m *Maintainer, gi int, ds []float64) error {
+						var rk *mr.Ranking
+						if ranked {
+							rk = mr.Rank(job.Reducer, ds)
+						}
+						return m.GrowRanked(ds, rk, run.final && gi == run.gens-1)
+					})
+					for gi := range got {
+						for i := range want[gi].vals {
+							if math.Float64bits(got[gi].vals[i]) != math.Float64bits(want[gi].vals[i]) {
+								t.Fatalf("%s gen %d: Results()[%d] = %v, %v under Grow", where, gi, i, got[gi].vals[i], want[gi].vals[i])
+							}
+						}
+						if got[gi].updates != want[gi].updates || got[gi].cost != want[gi].cost {
+							t.Fatalf("%s gen %d: updates %d cost %+v, %d %+v under Grow", where, gi, got[gi].updates, got[gi].cost, want[gi].updates, want[gi].cost)
+						}
+					}
+					if m.N() != 300<<run.gens-300 || m.Generation() != run.gens {
+						t.Fatalf("%s: N=%d Generation=%d", where, m.N(), m.Generation())
+					}
+					if !run.final {
+						continue
+					}
+					if err := m.Grow(sampleData(10, 1)); err == nil {
+						t.Fatalf("%s: Grow after a final grow succeeded", where)
+					}
+					if err := m.GrowRanked(sampleData(10, 1), nil, true); err == nil {
+						t.Fatalf("%s: a final grow after a final grow succeeded", where)
+					}
 				}
 			}
-			if gotUpdates != wantUpdates || gotCost != wantCost {
-				t.Fatalf("%s gens=%d: updates %d cost %+v after GrowFinal, %d %+v after Grow", name, gens, gotUpdates, gotCost, wantUpdates, wantCost)
-			}
-			if m.N() != 300<<gens-300 || m.Generation() != gens {
-				t.Fatalf("%s gens=%d: N=%d Generation=%d", name, gens, m.N(), m.Generation())
-			}
-			if err := m.Grow(sampleData(10, 1)); err == nil {
-				t.Fatalf("%s: Grow after GrowFinal succeeded", name)
-			}
-			if err := m.GrowFinal(sampleData(10, 1)); err == nil {
-				t.Fatalf("%s: GrowFinal after GrowFinal succeeded", name)
-			}
 		}
+	}
+}
+
+// TestGrowRankedRejectsAMismatchedRanking: a ranking of another Δs
+// cannot be counted into this one's draws.
+func TestGrowRankedRejectsAMismatchedRanking(t *testing.T) {
+	red := jobs.Median().Reducer
+	m, err := New(Config{Reducer: red, B: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.GrowRanked(sampleData(20, 1), mr.Rank(red, sampleData(19, 1)), false); err == nil {
+		t.Fatal("GrowRanked accepted a ranking of 19 values for a Δs of 20")
 	}
 }

@@ -76,6 +76,23 @@ type PreMap struct {
 	// instead of a built-in format: every draw stays a positioned read,
 	// and no split is ever promoted to a cached block.
 	parser *Parser
+
+	draw drawState
+}
+
+// drawState is sampleLoop's per-call state, held on the sampler so that
+// a call in steady state allocates nothing: the pass's drawn positions,
+// how far it has resolved them, what the call has taken and where it
+// goes, and the ReadLinesAt callback, bound once.
+type drawState struct {
+	pos      []int64
+	in       []int // in[i]: the owned split pos[i] was drawn in
+	next     int   // the first position of the pass not yet resolved
+	got      int
+	columnar bool
+	recs     *[]Record
+	cols     *colscan.Cols
+	seek     func(i int, line []byte, start int64, err error) (bool, error) // s.seekLine
 }
 
 // decodeAfterHits is the floor of the per-split hot threshold: below
@@ -138,7 +155,7 @@ func NewPreMapOwned(fsys dfs.View, path string, splits []dfs.Split, seed uint64)
 	slices.SortStableFunc(byOff, func(a, b int) int {
 		return cmp.Or(cmp.Compare(splits[a].Offset, splits[b].Offset), cmp.Compare(splits[a].End(), splits[b].End()))
 	})
-	return &PreMap{
+	s := &PreMap{
 		fs:     fsys,
 		path:   path,
 		splits: splits,
@@ -148,7 +165,9 @@ func NewPreMapOwned(fsys dfs.View, path string, splits []dfs.Split, seed uint64)
 		owned:  before[len(splits)],
 		rng:    rand.New(rand.NewPCG(seed, 0xbb67ae8584caa73b)),
 		chunk:  256,
-	}, nil
+	}
+	s.draw.seek = s.seekLine
+	return s, nil
 }
 
 // EnableColumnar switches this sampler's draws onto the vectorized scan
@@ -234,62 +253,42 @@ func (s *PreMap) sampleLoop(n int, recs *[]Record, cols *colscan.Cols) error {
 	}
 	s.call++
 	s.taken.reserve(s.nTaken + n)
-	columnar := cols != nil && s.parser == nil
-	var (
-		pos  = make([]int64, 0, min(n, passMax))
-		in   = make([]int, 0, min(n, passMax)) // in[i]: the owned split pos[i] was drawn in
-		got  int
-		next int // the first position of the pass not yet resolved
-	)
-	// seek takes one position of a ReadLinesAt run, and ends the run
-	// before a position that is no longer a seek.
-	seek := func(_ int, line []byte, start int64, err error) (bool, error) {
-		next++
-		switch {
-		case err == io.EOF:
-		case err != nil:
-			return false, err
-		default:
-			taken, err := s.take(line, start, recs, cols)
-			if err != nil {
-				return false, err
-			}
-			if taken {
-				got++
-			}
-		}
-		return !columnar || (next < len(pos) && s.onSeekPath(in[next])), nil
+	d := &s.draw
+	if want := min(n, passMax); cap(d.pos) < want {
+		d.pos, d.in = make([]int64, 0, want), make([]int, 0, want)
 	}
+	d.got, d.columnar, d.recs, d.cols = 0, cols != nil && s.parser == nil, recs, cols
+	defer d.release()
 	// Retry budget: rejection sampling against the already-taken set. As
 	// the sampled fraction approaches 1 the rejection rate rises; the
 	// budget scales generously so legitimate draws still succeed, and a
 	// truly exhausted file terminates via the budget.
 	budget := 64*n + 4096
-	for got < n && budget > 0 {
+	for d.got < n && budget > 0 {
 		// Pick random byte positions uniformly over the *owned* splits (a
 		// random split weighted by its length, then a random position
 		// inside it — the paper's per-split bookkeeping).
-		pass := min(n-got, budget, passMax)
+		pass := min(n-d.got, budget, passMax)
 		budget -= pass
-		pos, in = pos[:0], in[:0]
+		d.pos, d.in = d.pos[:0], d.in[:0]
 		for range pass {
 			p, si := s.ownedPos(s.rng.Int64N(s.owned))
-			pos, in = append(pos, p), append(in, si)
+			d.pos, d.in = append(d.pos, p), append(d.in, si)
 		}
-		for next = 0; next < pass; {
-			if columnar {
-				blk, err := s.blockFor(in[next])
+		for d.next = 0; d.next < pass; {
+			if d.columnar {
+				blk, err := s.blockFor(d.in[d.next])
 				if err != nil {
 					return err
 				}
 				if blk != nil {
-					if rec := blk.FindRecord(pos[next]); rec >= 0 {
-						next++
+					if rec := blk.FindRecord(d.pos[d.next]); rec >= 0 {
+						d.next++
 						if s.taken.add(blk.Start(rec)) {
 							s.nTaken++
 							s.bytes += int64(blk.RecLen(rec)) + 1
 							blk.AppendCols(cols, rec)
-							got++
+							d.got++
 						}
 						continue
 					}
@@ -298,16 +297,41 @@ func (s *PreMap) sampleLoop(n int, recs *[]Record, cols *colscan.Cols) error {
 					// backtracks across the boundary and rejects it.
 				}
 			}
-			if err := s.fs.ReadLinesAt(s.path, pos[next:], s.chunk, seek); err != nil {
+			if err := s.fs.ReadLinesAt(s.path, d.pos[d.next:], s.chunk, d.seek); err != nil {
 				return err
 			}
 		}
 	}
-	if got < n {
+	if d.got < n {
 		return ErrExhausted
 	}
 	return nil
 }
+
+// seekLine takes one position of a sampleLoop pass's ReadLinesAt run,
+// and ends the run before a position that is no longer a seek.
+func (s *PreMap) seekLine(_ int, line []byte, start int64, err error) (bool, error) {
+	d := &s.draw
+	d.next++
+	switch {
+	case err == io.EOF:
+	case err != nil:
+		return false, err
+	default:
+		taken, err := s.take(line, start, d.recs, d.cols)
+		if err != nil {
+			return false, err
+		}
+		if taken {
+			d.got++
+		}
+	}
+	return !d.columnar || (d.next < len(d.pos) && s.onSeekPath(d.in[d.next])), nil
+}
+
+// release drops the call's destinations, so the sampler does not keep a
+// caller's output alive between calls.
+func (d *drawState) release() { d.recs, d.cols = nil, nil }
 
 // take accepts the record a positioned read resolved, unless it starts
 // outside the owned splits or is already in the sample. The offset is

@@ -35,6 +35,51 @@ func fixtureFS(t testing.TB, n int, clustered bool) (*dfs.FileSystem, []float64,
 	return fsys, xs, &m
 }
 
+// TestPreMapResidentDrawsAllocateNothing: once a split's block is
+// resident, a SampleCols call of the engine mapper's size (128 records)
+// allocates nothing when the output and the offset set have room — a
+// pass's positions and the seek callback are the sampler's own.
+func TestPreMapResidentDrawsAllocateNothing(t *testing.T) {
+	const n, draw = 200_000, 128
+	xs, err := workload.NumericSpec{Dist: workload.Zipf, N: n, Seed: 3}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys := dfs.New(dfs.Config{BlockSize: 8 << 20, Replication: 2, DataNodes: 4, Seed: 9, DisableSidecars: true})
+	if err := fsys.WriteFile("/data", workload.EncodeLinesFixed(xs)); err != nil {
+		t.Fatal(err)
+	}
+	cache := colscan.NewCache(64 << 20)
+	s, err := NewPreMap(fsys, "/data", 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.EnableColumnar(cache, colscan.FormatNumeric); err != nil {
+		t.Fatal(err)
+	}
+	sp := s.splits[0]
+	if _, err := colscan.LoadSplit(cache, fsys, "/data", s.version, s.size, sp.Offset, sp.Length, colscan.FormatNumeric); err != nil {
+		t.Fatal(err)
+	}
+	out := colscan.Cols{Vals: make([]float64, 0, draw)}
+	if _, err := s.SampleCols(draw, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.splits) != 1 || s.blocks[0] == nil {
+		t.Fatalf("%d splits, block adopted %v: the file is not one resident split", len(s.splits), s.blocks[0] != nil)
+	}
+	s.taken.reserve(n)
+	allocs := testing.AllocsPerRun(200, func() {
+		out.Vals = out.Vals[:0]
+		if _, err := s.SampleCols(draw, &out); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a %d-record draw from a resident block allocated %v times, want 0", draw, allocs)
+	}
+}
+
 func TestPreMapDistinctAndValid(t *testing.T) {
 	fsys, xs, _ := fixtureFS(t, 2000, false)
 	s, err := NewPreMap(fsys, "/data", 1<<10, 5)
