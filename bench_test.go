@@ -81,36 +81,17 @@ func BenchmarkFig10_UpdateOverhead(b *testing.B) {
 // ---------------------------------------------------------------------
 // Substrate micro-benchmarks.
 
+// The small-B regime SSABE's phase 1 lives in, on one worker.
 func BenchmarkBootstrapMonteCarloMean(b *testing.B) {
-	xs, err := workload.NumericSpec{Dist: workload.Gaussian, N: 10_000, Seed: 1}.Generate()
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(1, 2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bootstrap.MonteCarlo(rng, xs, bootstrap.Mean, 30); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchParallelMC(b, 10_000, 30, 1, bootstrap.Mean)
 }
 
 func BenchmarkBootstrapMonteCarloMedian(b *testing.B) {
-	xs, err := workload.NumericSpec{Dist: workload.Gaussian, N: 10_000, Seed: 1}.Generate()
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(1, 2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bootstrap.MonteCarlo(rng, xs, bootstrap.Median, 30); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchParallelMC(b, 10_000, 30, 1, bootstrap.Median)
 }
 
 // ---------------------------------------------------------------------
-// Parallel bootstrap engine: sequential vs sharded worker pool. The p1
+// The bootstrap engine: one worker vs a sharded worker pool. The p1
 // variants run the engine on one worker (its sequential floor); pMax
 // uses GOMAXPROCS. Values are bit-identical across parallelism for a
 // fixed seed, so the speedup is pure scheduling.

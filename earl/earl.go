@@ -315,25 +315,15 @@ func (c *Cluster) RunGrouped(job Job, route Route, path string, opts Options) (G
 	return *res.Groups, nil
 }
 
-// Watch is a maintained query handle over continuously ingested data:
-// the opening run's sample, per-resample sketch states and SSABE plans
-// stay alive, and Refresh processes only data appended since — EARL's
-// delta maintenance (§4.1) applied across the lifetime of a dataset
-// instead of within one run. One type serves every query shape: Result
-// and Refresh return a PlanResult whose Reports hold one entry per
-// statistic (scalar queries), or whose Groups holds the per-key report
-// (grouped ones — Grouped says which). See internal/live for the
-// mechanics.
-type Watch struct{ w *live.Watch }
-
-// watch opens a maintained query.
-func (c *Cluster) watch(pq *core.PlannedQuery) (*Watch, error) {
-	w, err := live.Open(c.env, pq)
-	if err != nil {
-		return nil, err
-	}
-	return &Watch{w: w}, nil
-}
+// Watch re-exports live.Watch: a maintained query handle over
+// continuously ingested data — the opening run's sample, per-resample
+// sketch states and SSABE plans stay alive, and Refresh processes only
+// data appended since (EARL's delta maintenance, §4.1, applied across the
+// lifetime of a dataset instead of within one run). One type serves
+// every query shape: Result and Refresh return a PlanResult whose
+// Reports hold one entry per statistic (scalar queries), or whose Groups
+// holds the per-key report (grouped ones — Grouped says which).
+type Watch = live.Watch
 
 // Watch runs job over path once (exactly like Run) and keeps the result
 // maintainable: after Append, call Refresh to bring the early answer up
@@ -344,7 +334,7 @@ func (c *Cluster) watch(pq *core.PlannedQuery) (*Watch, error) {
 //	res, _ := w.Refresh() // samples only the appended blocks
 //	fmt.Println(res.Reports[0].Estimate)
 func (c *Cluster) Watch(job Job, path string, opts Options) (*Watch, error) {
-	return c.watch(core.JobQuery([]Job{job}, path, opts))
+	return live.Open(c.env, core.JobQuery([]Job{job}, path, opts))
 }
 
 // WatchMulti runs the shared-pass multi-statistic workflow once and
@@ -352,33 +342,12 @@ func (c *Cluster) Watch(job Job, path string, opts Options) (*Watch, error) {
 // statistic rides the one maintained sample, so a Refresh costs a single
 // delta scan no matter how many statistics are watched.
 func (c *Cluster) WatchMulti(jset []Job, path string, opts Options) (*Watch, error) {
-	return c.watch(core.JobQuery(jset, path, opts))
+	return live.Open(c.env, core.JobQuery(jset, path, opts))
 }
 
 // WatchGrouped runs the grouped workflow once and keeps every group's
 // resample set maintainable under appends — including groups that first
 // appear in appended data.
 func (c *Cluster) WatchGrouped(job Job, route Route, path string, opts Options) (*Watch, error) {
-	return c.watch(core.KeyedJobQuery(job, route, path, opts))
+	return live.Open(c.env, core.KeyedJobQuery(job, route, path, opts))
 }
-
-// Grouped reports whether the watch maintains a grouped query.
-func (w *Watch) Grouped() bool { return w.w.Grouped() }
-
-// Result returns the most recent result without doing any work.
-func (w *Watch) Result() *PlanResult { return w.w.Result() }
-
-// Refresh brings the maintained answer up to date with the watched
-// file, sampling only appended data and re-expanding only if the σ
-// bound is violated, and returns the result.
-func (w *Watch) Refresh() (*PlanResult, error) { return w.w.Refresh() }
-
-// Refreshes returns how many Refresh calls have been applied.
-func (w *Watch) Refreshes() int { return w.w.Refreshes() }
-
-// SampleSize returns the records currently held in the maintained
-// sample (across every group, for a grouped watch).
-func (w *Watch) SampleSize() int { return w.w.SampleSize() }
-
-// Close releases the handle; the last result stays readable.
-func (w *Watch) Close() { w.w.Close() }

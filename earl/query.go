@@ -2,6 +2,7 @@ package earl
 
 import (
 	"repro/internal/core"
+	"repro/internal/live"
 	"repro/internal/plan"
 )
 
@@ -51,5 +52,5 @@ func (c *Cluster) WatchPlan(spec PlanSpec, opts Options) (*Watch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.watch(pq)
+	return live.Open(c.env, pq)
 }

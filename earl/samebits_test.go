@@ -39,7 +39,9 @@ const sameBitsFile = "testdata/samebits.txt"
 // Rows per cell: run (median), multi (mean, median, p95, count), grouped
 // (median by key), and per watch — multi-statistic and grouped — its
 // first answer with the append → refresh that follows, then a rewrite →
-// rebuild. The 200 k cells are skipped under -short.
+// rebuild. Built-in cells add two plans under one filter: a one-shot
+// (mean, p95, count) and a watch grouped by floor(v / 20), first answer
+// and one append → refresh. The 200 k cells are skipped under -short.
 func TestSameBitsMatrix(t *testing.T) {
 	want := map[string]string{}
 	if !*update {
@@ -229,6 +231,38 @@ func matrixCell(t *testing.T, d matrixDataset, opts earl.Options, custom bool) m
 		return *rebuilt.Groups, nil
 	})
 	gw.Close()
+
+	// Plans compile to their own built-in format, so only built-in cells
+	// run them. The filter keeps a quarter to three quarters of every
+	// distribution, so the pilot and the mappers draw through σ in
+	// several rounds.
+	if custom {
+		return rows
+	}
+	const filter = "v > 2 && v < 60"
+	row("plan", func() (any, error) {
+		res, err := c.RunPlan(earl.PlanSpec{Path: "/data", Filter: filter, Stats: []string{"mean", "p95", "count"}}, opts)
+		if err != nil {
+			return nil, err
+		}
+		return res.Reports, nil
+	})
+	row("watchplan.refresh", func() (any, error) {
+		pw, err := c.WatchPlan(earl.PlanSpec{Path: "/data", Filter: filter, GroupBy: "floor(v / 20)"}, opts)
+		if err != nil {
+			return nil, err
+		}
+		defer pw.Close()
+		first := *pw.Result().Groups
+		if err := c.Append("/data", d.delta); err != nil {
+			return nil, err
+		}
+		refreshed, err := pw.Refresh()
+		if err != nil {
+			return nil, err
+		}
+		return []earl.GroupedReport{first, *refreshed.Groups}, nil
+	})
 	return rows
 }
 

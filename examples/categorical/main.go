@@ -52,12 +52,12 @@ func main() {
 	}
 	rngA := rand.New(rand.NewPCG(45, 1))
 	rngB := rand.New(rand.NewPCG(45, 2))
-	iid, err := bootstrap.MonteCarlo(rngA, series, bootstrap.Mean, 200)
+	iid, err := bootstrap.ParallelMonteCarlo(rngA, series, bootstrap.Mean, 200, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	blockLen := bootstrap.AutoBlockLength(len(series)) * 4
-	blk, err := bootstrap.MovingBlock(rngB, series, blockLen, bootstrap.Mean, 200)
+	blk, err := bootstrap.ParallelMovingBlock(rngB, series, blockLen, bootstrap.Mean, 200, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

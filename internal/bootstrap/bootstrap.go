@@ -1,20 +1,19 @@
 // Package bootstrap implements the resampling machinery of §3: the
 // Monte-Carlo bootstrap EARL uses for error estimation of arbitrary
 // functions, the jackknife it compares against (and which fails for the
-// median — the paper's reason to prefer the bootstrap), exact small-n
-// bootstrap enumeration for validation, percentile and BCa confidence
-// intervals, and the moving-block bootstrap of Appendix A for dependent
-// data.
+// median — the paper's reason to prefer the bootstrap), the percentile
+// confidence interval, and the moving-block bootstrap of Appendix A for
+// dependent data.
 //
 // Everything operates on a plain []float64 sample and a Statistic — "the
 // function of interest f" in the paper's notation. Randomness is always
 // an explicit *rand.Rand.
 //
-// The B resamples of a Monte-Carlo run are independent, so the hot path
-// also exists in a sharded form: ParallelMonteCarlo and
-// ParallelMovingBlock (parallel.go) split the B draws across a worker
-// pool with deterministic per-shard rng streams, producing bit-identical
-// Result.Values at any parallelism level.
+// There is one Monte-Carlo engine (runShards): ParallelMonteCarlo and
+// ParallelMovingBlock differ only in how a resample is built, and both
+// split the B draws across a worker pool with deterministic per-shard
+// rng streams, producing bit-identical Result.Values at any parallelism
+// level — parallelism 1 is the sequential case, not a second path.
 //
 // Statistics are handed a scratch resample buffer and must not retain or
 // mutate it beyond the call. Order-statistic functions (Median, the
@@ -32,6 +31,7 @@ import (
 	"math/rand/v2"
 	"sort"
 
+	"repro/internal/pool"
 	"repro/internal/stats"
 )
 
@@ -115,19 +115,40 @@ func safeCV(est, se float64) float64 {
 	}
 }
 
-// Resample fills out with a uniform with-replacement draw from s (one
-// bootstrap resample b). len(out) may differ from len(s) for the m-out-
-// of-n variants.
-func Resample(rng *rand.Rand, s []float64, out []float64) {
+// resample fills out with a uniform with-replacement draw from s: one
+// bootstrap resample.
+func resample(rng *rand.Rand, s []float64, out []float64) {
 	for i := range out {
 		out[i] = s[rng.IntN(len(s))]
 	}
 }
 
-// MonteCarlo runs the standard Monte-Carlo approximation of the
-// bootstrap (§3): B resamples of size len(s) drawn with replacement,
-// f computed on each.
-func MonteCarlo(rng *rand.Rand, s []float64, f Statistic, B int) (Result, error) {
+// The Monte-Carlo engine shards the B resamples of a bootstrap across a
+// worker pool. Reproducibility contract: the work is cut into fixed-size
+// shards (shardSize resamples each, independent of the worker count),
+// each shard owns a deterministic rng stream derived from two seed words
+// drawn once from the caller's rng, and each shard writes its values
+// into its own segment of the result slice — so Result.Values is
+// bit-identical at parallelism 1, 4, or GOMAXPROCS for the same caller
+// rng state.
+
+// shardSize is the number of resamples evaluated per rng shard. It is a
+// fixed constant — never derived from the parallelism — because the
+// shard decomposition defines the value stream.
+const shardSize = 64
+
+// Workers resolves a parallelism request: p itself when positive,
+// otherwise runtime.GOMAXPROCS(0).
+func Workers(p int) int { return pool.Workers(p) }
+
+// monteCarlo is the engine: f on the original sample, then f on B
+// resamples evaluated across a pool of Workers(parallelism) goroutines.
+// newResample is called once per worker so each can own its scratch; the
+// builder it returns draws one resample from the shard's rng. The two
+// seed words for the per-shard streams are drawn from rng up front
+// (exactly two Uint64s), so the caller's rng advances the same way at
+// any parallelism. The first error in shard order is returned.
+func monteCarlo(rng *rand.Rand, s []float64, f Statistic, B, parallelism int, newResample func() func(*rand.Rand) []float64) (Result, error) {
 	if len(s) == 0 {
 		return Result{}, stats.ErrEmpty
 	}
@@ -138,17 +159,63 @@ func MonteCarlo(rng *rand.Rand, s []float64, f Statistic, B int) (Result, error)
 	if err != nil {
 		return Result{}, fmt.Errorf("bootstrap: f on original sample: %w", err)
 	}
+	seed1, seed2 := rng.Uint64(), rng.Uint64()
 	values := make([]float64, B)
-	buf := make([]float64, len(s))
-	for b := 0; b < B; b++ {
-		Resample(rng, s, buf)
-		v, err := f(buf)
-		if err != nil {
-			return Result{}, fmt.Errorf("bootstrap: f on resample %d: %w", b, err)
+	nShards := (B + shardSize - 1) / shardSize
+	err = pool.ForEachWorker(nShards, Workers(parallelism), func() func(int) error {
+		resample := newResample()
+		return func(k int) error {
+			shardRNG := stats.SplitRNG(seed1, seed2, k)
+			for b := k * shardSize; b < min((k+1)*shardSize, B); b++ {
+				v, err := f(resample(shardRNG))
+				if err != nil {
+					return fmt.Errorf("bootstrap: f on resample %d: %w", b, err)
+				}
+				values[b] = v
+			}
+			return nil
 		}
-		values[b] = v
+	})
+	if err != nil {
+		return Result{}, err
 	}
 	return summarize(values, orig)
+}
+
+// ParallelMonteCarlo runs the standard Monte-Carlo approximation of the
+// bootstrap (§3): B resamples of size len(s) drawn with replacement, f
+// computed on each, on the engine above.
+func ParallelMonteCarlo(rng *rand.Rand, s []float64, f Statistic, B, parallelism int) (Result, error) {
+	return monteCarlo(rng, s, f, B, parallelism, func() func(*rand.Rand) []float64 {
+		buf := make([]float64, len(s))
+		return func(shardRNG *rand.Rand) []float64 {
+			resample(shardRNG, s, buf)
+			return buf
+		}
+	})
+}
+
+// ParallelMovingBlock runs the moving-block bootstrap for b-dependent
+// data (Appendix A) on the same engine: resamples are built from random
+// contiguous blocks of length blockLen so within-block dependence is
+// preserved.
+func ParallelMovingBlock(rng *rand.Rand, s []float64, blockLen int, f Statistic, B, parallelism int) (Result, error) {
+	n := len(s)
+	if n > 0 && (blockLen <= 0 || blockLen > n) {
+		return Result{}, fmt.Errorf("%w: %d outside [1,%d]", ErrBlockLength, blockLen, n)
+	}
+	nStarts := n - blockLen + 1
+	return monteCarlo(rng, s, f, B, parallelism, func() func(*rand.Rand) []float64 {
+		buf := make([]float64, 0, n+blockLen)
+		return func(shardRNG *rand.Rand) []float64 {
+			buf = buf[:0]
+			for len(buf) < n {
+				start := shardRNG.IntN(nStarts)
+				buf = append(buf, s[start:start+blockLen]...)
+			}
+			return buf[:n]
+		}
+	})
 }
 
 // Jackknife computes the delete-1 jackknife estimate of f's sampling
@@ -194,69 +261,6 @@ func Jackknife(s []float64, f Statistic) (Result, error) {
 	}, nil
 }
 
-// Exact enumerates every bootstrap resample of s as a multiset (the
-// C(2n−1, n−1) resamples of §3) and returns the exactly-weighted result
-// distribution moments. Only feasible for tiny n — it exists so tests can
-// verify that MonteCarlo converges to the truth it approximates.
-func Exact(s []float64, f Statistic) (mean, variance float64, err error) {
-	n := len(s)
-	if n == 0 {
-		return 0, 0, stats.ErrEmpty
-	}
-	if n > 12 {
-		return 0, 0, fmt.Errorf("bootstrap: exact enumeration infeasible for n=%d", n)
-	}
-	// Enumerate multiset counts (c_1..c_n), Σc=n, weight n!/(Πc_i!)/nⁿ.
-	logNFact := logFactorial(n)
-	logNn := float64(n) * math.Log(float64(n))
-	buf := make([]float64, 0, n)
-	counts := make([]int, n)
-	var m1, m2, wsum float64
-	var rec func(idx, left int, logW float64) error
-	rec = func(idx, left int, logW float64) error {
-		if idx == n-1 {
-			counts[idx] = left
-			w := math.Exp(logW - logFactorial(left) - logNn)
-			buf = buf[:0]
-			for i, c := range counts {
-				for j := 0; j < c; j++ {
-					buf = append(buf, s[i])
-				}
-			}
-			v, err := f(buf)
-			if err != nil {
-				return err
-			}
-			m1 += w * v
-			m2 += w * v * v
-			wsum += w
-			return nil
-		}
-		for c := 0; c <= left; c++ {
-			counts[idx] = c
-			if err := rec(idx+1, left-c, logW-logFactorial(c)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := rec(0, n, logNFact); err != nil {
-		return 0, 0, err
-	}
-	// wsum is 1 up to floating point; normalise anyway.
-	m1 /= wsum
-	m2 /= wsum
-	return m1, m2 - m1*m1, nil
-}
-
-func logFactorial(n int) float64 {
-	lf := 0.0
-	for i := 2; i <= n; i++ {
-		lf += math.Log(float64(i))
-	}
-	return lf
-}
-
 // PercentileCI returns the percentile bootstrap confidence interval at
 // the given confidence level from the result distribution.
 func (r Result) PercentileCI(confidence float64) (lo, hi float64, err error) {
@@ -276,121 +280,6 @@ func (r Result) PercentileCI(confidence float64) (lo, hi float64, err error) {
 	}
 	hi, err = stats.QuantileSorted(sorted, 1-alpha)
 	return lo, hi, err
-}
-
-// BCa computes the bias-corrected and accelerated bootstrap confidence
-// interval (Efron 1987, the paper's [12]) — the "better bootstrap
-// confidence interval" that corrects the percentile interval for bias
-// and skewness using a jackknife acceleration estimate.
-func BCa(rng *rand.Rand, s []float64, f Statistic, B int, confidence float64) (lo, hi float64, err error) {
-	if confidence <= 0 || confidence >= 1 {
-		return 0, 0, errors.New("bootstrap: confidence must be in (0,1)")
-	}
-	res, err := MonteCarlo(rng, s, f, B)
-	if err != nil {
-		return 0, 0, err
-	}
-	orig, err := f(s)
-	if err != nil {
-		return 0, 0, err
-	}
-	// Bias correction z0: fraction of resample values below the original.
-	below := 0
-	for _, v := range res.Values {
-		if v < orig {
-			below++
-		}
-	}
-	frac := float64(below) / float64(len(res.Values))
-	if frac <= 0 {
-		frac = 0.5 / float64(len(res.Values))
-	}
-	if frac >= 1 {
-		frac = 1 - 0.5/float64(len(res.Values))
-	}
-	z0, err := stats.NormalQuantile(frac)
-	if err != nil {
-		return 0, 0, err
-	}
-	// Acceleration a from jackknife skewness.
-	jack, err := Jackknife(s, f)
-	if err != nil {
-		return 0, 0, err
-	}
-	jmean, _ := stats.Mean(jack.Values)
-	var num, den float64
-	for _, v := range jack.Values {
-		d := jmean - v
-		num += d * d * d
-		den += d * d
-	}
-	a := 0.0
-	if den > 0 {
-		a = num / (6 * math.Pow(den, 1.5))
-	}
-	zAlpha, err := stats.NormalQuantile((1 - confidence) / 2)
-	if err != nil {
-		return 0, 0, err
-	}
-	adj := func(z float64) float64 {
-		w := z0 + z
-		return stats.NormalCDF(z0 + w/(1-a*w))
-	}
-	sorted := make([]float64, len(res.Values))
-	copy(sorted, res.Values)
-	sort.Float64s(sorted)
-	lo, err = stats.QuantileSorted(sorted, clamp01(adj(zAlpha)))
-	if err != nil {
-		return 0, 0, err
-	}
-	hi, err = stats.QuantileSorted(sorted, clamp01(adj(-zAlpha)))
-	return lo, hi, err
-}
-
-func clamp01(p float64) float64 {
-	if p < 0 {
-		return 0
-	}
-	if p > 1 {
-		return 1
-	}
-	return p
-}
-
-// MovingBlock runs the moving-block bootstrap for b-dependent data
-// (Appendix A): resamples are built from random contiguous blocks of
-// length blockLen so within-block dependence is preserved.
-func MovingBlock(rng *rand.Rand, s []float64, blockLen int, f Statistic, B int) (Result, error) {
-	n := len(s)
-	if n == 0 {
-		return Result{}, stats.ErrEmpty
-	}
-	if blockLen <= 0 || blockLen > n {
-		return Result{}, fmt.Errorf("%w: %d outside [1,%d]", ErrBlockLength, blockLen, n)
-	}
-	if B < 2 {
-		return Result{}, fmt.Errorf("%w, got %d", ErrTooFewResamples, B)
-	}
-	orig, err := f(s)
-	if err != nil {
-		return Result{}, err
-	}
-	values := make([]float64, B)
-	buf := make([]float64, 0, n+blockLen)
-	nStarts := n - blockLen + 1
-	for b := 0; b < B; b++ {
-		buf = buf[:0]
-		for len(buf) < n {
-			start := rng.IntN(nStarts)
-			buf = append(buf, s[start:start+blockLen]...)
-		}
-		v, err := f(buf[:n])
-		if err != nil {
-			return Result{}, err
-		}
-		values[b] = v
-	}
-	return summarize(values, orig)
 }
 
 // AutoBlockLength picks a moving-block length for series of length n

@@ -1,6 +1,7 @@
 package bootstrap
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -18,11 +19,74 @@ func testSample(n int, seed uint64) []float64 {
 	return xs
 }
 
+// exact enumerates every bootstrap resample of s as a multiset (the
+// C(2n−1, n−1) resamples of §3) and returns the exactly-weighted result
+// distribution moments — the truth the Monte-Carlo engine approximates.
+// Only feasible for tiny n.
+func exact(s []float64, f Statistic) (mean, variance float64, err error) {
+	n := len(s)
+	if n == 0 {
+		return 0, 0, stats.ErrEmpty
+	}
+	if n > 12 {
+		return 0, 0, fmt.Errorf("bootstrap: exact enumeration infeasible for n=%d", n)
+	}
+	// Enumerate multiset counts (c_1..c_n), Σc=n, weight n!/(Πc_i!)/nⁿ.
+	logNFact := logFactorial(n)
+	logNn := float64(n) * math.Log(float64(n))
+	buf := make([]float64, 0, n)
+	counts := make([]int, n)
+	var m1, m2, wsum float64
+	var rec func(idx, left int, logW float64) error
+	rec = func(idx, left int, logW float64) error {
+		if idx == n-1 {
+			counts[idx] = left
+			w := math.Exp(logW - logFactorial(left) - logNn)
+			buf = buf[:0]
+			for i, c := range counts {
+				for j := 0; j < c; j++ {
+					buf = append(buf, s[i])
+				}
+			}
+			v, err := f(buf)
+			if err != nil {
+				return err
+			}
+			m1 += w * v
+			m2 += w * v * v
+			wsum += w
+			return nil
+		}
+		for c := 0; c <= left; c++ {
+			counts[idx] = c
+			if err := rec(idx+1, left-c, logW-logFactorial(c)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := rec(0, n, logNFact); err != nil {
+		return 0, 0, err
+	}
+	// wsum is 1 up to floating point; normalise anyway.
+	m1 /= wsum
+	m2 /= wsum
+	return m1, m2 - m1*m1, nil
+}
+
+func logFactorial(n int) float64 {
+	lf := 0.0
+	for i := 2; i <= n; i++ {
+		lf += math.Log(float64(i))
+	}
+	return lf
+}
+
 func TestMonteCarloMeanStdErr(t *testing.T) {
 	// For the mean, bootstrap stderr should approximate s/√n.
 	rng := rand.New(rand.NewPCG(1, 2))
 	s := testSample(400, 3)
-	res, err := MonteCarlo(rng, s, Mean, 600)
+	res, err := ParallelMonteCarlo(rng, s, Mean, 600, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,14 +106,14 @@ func TestMonteCarloMeanStdErr(t *testing.T) {
 
 func TestMonteCarloValidation(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
-	if _, err := MonteCarlo(rng, nil, Mean, 10); err == nil {
+	if _, err := ParallelMonteCarlo(rng, nil, Mean, 10, 1); err == nil {
 		t.Fatal("empty sample should error")
 	}
-	if _, err := MonteCarlo(rng, []float64{1, 2}, Mean, 1); err == nil {
+	if _, err := ParallelMonteCarlo(rng, []float64{1, 2}, Mean, 1, 1); err == nil {
 		t.Fatal("B<2 should error")
 	}
 	bad := Statistic(func([]float64) (float64, error) { return 0, stats.ErrEmpty })
-	if _, err := MonteCarlo(rng, []float64{1, 2}, bad, 5); err == nil {
+	if _, err := ParallelMonteCarlo(rng, []float64{1, 2}, bad, 5, 1); err == nil {
 		t.Fatal("failing statistic should propagate")
 	}
 }
@@ -58,12 +122,12 @@ func TestMonteCarloMatchesExactSmallN(t *testing.T) {
 	// On a tiny sample the Monte-Carlo estimate must converge to the
 	// exactly-enumerated bootstrap moments.
 	s := []float64{1, 3, 7, 9, 12, 15}
-	exMean, exVar, err := Exact(s, Mean)
+	exMean, exVar, err := exact(s, Mean)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewPCG(5, 6))
-	res, err := MonteCarlo(rng, s, Mean, 40000)
+	res, err := ParallelMonteCarlo(rng, s, Mean, 40000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +143,7 @@ func TestExactMeanKnownFormula(t *testing.T) {
 	// For f = mean, the exact bootstrap mean is the sample mean and the
 	// exact bootstrap variance is popVar/n.
 	s := []float64{2, 4, 6, 8}
-	m, v, err := Exact(s, Mean)
+	m, v, err := exact(s, Mean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +159,10 @@ func TestExactMeanKnownFormula(t *testing.T) {
 }
 
 func TestExactRejectsLargeN(t *testing.T) {
-	if _, _, err := Exact(make([]float64, 13), Mean); err == nil {
+	if _, _, err := exact(make([]float64, 13), Mean); err == nil {
 		t.Fatal("large n should be rejected")
 	}
-	if _, _, err := Exact(nil, Mean); err == nil {
+	if _, _, err := exact(nil, Mean); err == nil {
 		t.Fatal("empty should error")
 	}
 }
@@ -135,7 +199,7 @@ func TestJackknifeFailsForMedian(t *testing.T) {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewPCG(uint64(trial), 13))
-			boot, err := MonteCarlo(rng, s, f, 400)
+			boot, err := ParallelMonteCarlo(rng, s, f, 400, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,7 +246,7 @@ func TestJackknifeShortInput(t *testing.T) {
 func TestPercentileCI(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 22))
 	s := testSample(300, 23)
-	res, err := MonteCarlo(rng, s, Mean, 1000)
+	res, err := ParallelMonteCarlo(rng, s, Mean, 1000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,39 +273,6 @@ func TestPercentileCI(t *testing.T) {
 	}
 }
 
-func TestBCaCoverageOnSkewedData(t *testing.T) {
-	// BCa intervals should achieve close-to-nominal coverage for the mean
-	// of a skewed (Pareto) distribution, where percentile intervals are
-	// biased. Just check BCa covers the true mean at a reasonable rate.
-	const trials = 60
-	covered := 0
-	for trial := 0; trial < trials; trial++ {
-		xs, err := workload.NumericSpec{Dist: workload.Pareto, N: 150, Seed: uint64(trial)}.Generate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewPCG(uint64(trial), 99))
-		lo, hi, err := BCa(rng, xs, Mean, 400, 0.9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trueMean := 3.0 // Pareto(alpha=1.5, xm=1): mean = α/(α−1) = 3
-		if lo <= trueMean && trueMean <= hi {
-			covered++
-		}
-	}
-	if covered < trials*6/10 {
-		t.Fatalf("BCa covered %d/%d, implausibly low", covered, trials)
-	}
-}
-
-func TestBCaValidation(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 1))
-	if _, _, err := BCa(rng, []float64{1, 2, 3}, Mean, 100, 0); err == nil {
-		t.Fatal("confidence 0 should error")
-	}
-}
-
 func TestMovingBlockPreservesDependence(t *testing.T) {
 	// For positively autocorrelated AR(1) data, the i.i.d. bootstrap
 	// understates the stderr of the mean; the moving-block bootstrap
@@ -252,11 +283,11 @@ func TestMovingBlockPreservesDependence(t *testing.T) {
 	}
 	rngA := rand.New(rand.NewPCG(1, 2))
 	rngB := rand.New(rand.NewPCG(3, 4))
-	iid, err := MonteCarlo(rngA, xs, Mean, 300)
+	iid, err := ParallelMonteCarlo(rngA, xs, Mean, 300, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blk, err := MovingBlock(rngB, xs, AutoBlockLength(len(xs))*4, Mean, 300)
+	blk, err := ParallelMovingBlock(rngB, xs, AutoBlockLength(len(xs))*4, Mean, 300, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,16 +298,16 @@ func TestMovingBlockPreservesDependence(t *testing.T) {
 
 func TestMovingBlockValidation(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
-	if _, err := MovingBlock(rng, nil, 1, Mean, 10); err == nil {
+	if _, err := ParallelMovingBlock(rng, nil, 1, Mean, 10, 1); err == nil {
 		t.Fatal("empty should error")
 	}
-	if _, err := MovingBlock(rng, []float64{1, 2}, 0, Mean, 10); err == nil {
+	if _, err := ParallelMovingBlock(rng, []float64{1, 2}, 0, Mean, 10, 1); err == nil {
 		t.Fatal("blockLen 0 should error")
 	}
-	if _, err := MovingBlock(rng, []float64{1, 2}, 3, Mean, 10); err == nil {
+	if _, err := ParallelMovingBlock(rng, []float64{1, 2}, 3, Mean, 10, 1); err == nil {
 		t.Fatal("blockLen > n should error")
 	}
-	if _, err := MovingBlock(rng, []float64{1, 2}, 1, Mean, 1); err == nil {
+	if _, err := ParallelMovingBlock(rng, []float64{1, 2}, 1, Mean, 1, 1); err == nil {
 		t.Fatal("B < 2 should error")
 	}
 }
@@ -318,7 +349,7 @@ func TestResamplePropertyElementsFromSource(t *testing.T) {
 		rng := rand.New(rand.NewPCG(seed, 77))
 		s := testSample(30, seed)
 		out := make([]float64, 30)
-		Resample(rng, s, out)
+		resample(rng, s, out)
 		valid := map[float64]bool{}
 		for _, x := range s {
 			valid[x] = true
@@ -344,7 +375,7 @@ func TestCVDecreasesWithN(t *testing.T) {
 		for r := 0; r < reps; r++ {
 			s := testSample(n, uint64(1000+r))
 			rng := rand.New(rand.NewPCG(uint64(n), uint64(r)))
-			res, err := MonteCarlo(rng, s, Mean, 60)
+			res, err := ParallelMonteCarlo(rng, s, Mean, 60, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

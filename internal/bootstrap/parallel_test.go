@@ -71,31 +71,6 @@ func TestParallelMovingBlockDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestParallelMonteCarloMatchesSequentialStatistics checks the parallel
-// engine approximates the same sampling distribution as the sequential
-// path (it uses different rng streams, so values differ but moments must
-// agree).
-func TestParallelMonteCarloMatchesSequentialStatistics(t *testing.T) {
-	xs := gaussianSample(t, 2000)
-	const B = 2000
-	seqRes, err := MonteCarlo(rand.New(rand.NewPCG(1, 2)), xs, Mean, B)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parRes, err := ParallelMonteCarlo(rand.New(rand.NewPCG(3, 4)), xs, Mean, B, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both estimate the same θ̂* with stderr σ̂/√B; allow 5 combined sigmas.
-	tol := 5 * (seqRes.StdErr + parRes.StdErr) / math.Sqrt(B)
-	if math.Abs(seqRes.Estimate-parRes.Estimate) > tol {
-		t.Fatalf("estimates diverge: seq %v vs par %v (tol %v)", seqRes.Estimate, parRes.Estimate, tol)
-	}
-	if parRes.StdErr < seqRes.StdErr/1.5 || parRes.StdErr > seqRes.StdErr*1.5 {
-		t.Fatalf("stderr diverges: seq %v vs par %v", seqRes.StdErr, parRes.StdErr)
-	}
-}
-
 func TestParallelMonteCarloAdvancesCallerRNGIndependentOfParallelism(t *testing.T) {
 	xs := gaussianSample(t, 100)
 	after := make([]uint64, 0, 2)
@@ -123,6 +98,9 @@ func TestParallelVariantsShareSentinelErrors(t *testing.T) {
 	if _, err := ParallelMovingBlock(rng, xs, 0, Mean, 10, 2); !errors.Is(err, ErrBlockLength) {
 		t.Fatalf("blockLen=0: got %v, want ErrBlockLength", err)
 	}
+	if _, err := ParallelMovingBlock(rng, xs, -1, Mean, 10, 2); !errors.Is(err, ErrBlockLength) {
+		t.Fatalf("blockLen=-1: got %v, want ErrBlockLength", err)
+	}
 	if _, err := ParallelMovingBlock(rng, xs, len(xs)+1, Mean, 10, 2); !errors.Is(err, ErrBlockLength) {
 		t.Fatalf("blockLen>n: got %v, want ErrBlockLength", err)
 	}
@@ -131,22 +109,24 @@ func TestParallelVariantsShareSentinelErrors(t *testing.T) {
 	}
 }
 
+// Parallelism 1 is the sequential case of the same engine; it must
+// reject bad arguments with the same sentinels.
 func TestSequentialVariantsShareSentinelErrors(t *testing.T) {
 	xs := gaussianSample(t, 50)
 	rng := rand.New(rand.NewPCG(1, 2))
-	if _, err := MonteCarlo(rng, xs, Mean, 1); !errors.Is(err, ErrTooFewResamples) {
+	if _, err := ParallelMonteCarlo(rng, xs, Mean, 1, 1); !errors.Is(err, ErrTooFewResamples) {
 		t.Fatalf("MonteCarlo B=1: got %v, want ErrTooFewResamples", err)
 	}
-	if _, err := MovingBlock(rng, xs, 5, Mean, 1); !errors.Is(err, ErrTooFewResamples) {
+	if _, err := ParallelMovingBlock(rng, xs, 5, Mean, 1, 1); !errors.Is(err, ErrTooFewResamples) {
 		t.Fatalf("MovingBlock B=1: got %v, want ErrTooFewResamples", err)
 	}
-	if _, err := MovingBlock(rng, xs, -1, Mean, 10); !errors.Is(err, ErrBlockLength) {
+	if _, err := ParallelMovingBlock(rng, xs, -1, Mean, 10, 1); !errors.Is(err, ErrBlockLength) {
 		t.Fatalf("MovingBlock blockLen=-1: got %v, want ErrBlockLength", err)
 	}
 }
 
 // statistic errors surfaced from a worker must carry the resample index
-// wrapping, same as the sequential path.
+// wrapping.
 func TestParallelMonteCarloPropagatesStatisticError(t *testing.T) {
 	xs := gaussianSample(t, 50)
 	boom := errors.New("boom")
@@ -215,10 +195,10 @@ func TestMonteCarloZeroMeanStatisticNotConverged(t *testing.T) {
 		}
 	}
 	for name, run := range map[string]func() (Result, error){
-		"sequential": func() (Result, error) {
-			return MonteCarlo(rand.New(rand.NewPCG(5, 6)), xs, sign, 200)
+		"p=1": func() (Result, error) {
+			return ParallelMonteCarlo(rand.New(rand.NewPCG(5, 6)), xs, sign, 200, 1)
 		},
-		"parallel": func() (Result, error) {
+		"p=4": func() (Result, error) {
 			return ParallelMonteCarlo(rand.New(rand.NewPCG(5, 6)), xs, sign, 200, 4)
 		},
 	} {

@@ -209,13 +209,16 @@ func execute(env *Env, pq *PlannedQuery, retain bool) (*PlanResult, *Retained, e
 	}
 
 	// ---- Local-mode pilot (§3.2), shared by every statistic. ----------
-	pilot := &pilotSample{prog: prog, sc: plan.NewScratch()}
+	pilot := &pilotSample{prog: prog}
 	if pilot.s, err = sampling.NewPreMap(env.View(), path, 0, opts.Seed); err != nil {
 		return nil, nil, err
 	}
 	if err := dec.enable(pilot.s, env.Scan); err != nil {
 		return nil, nil, err
 	}
+	// The pilot draws through the mappers' own plan stage; it charges its
+	// reads once, below, rather than per draw.
+	pilot.src = withPlan(preMapSource{s: pilot.s}, prog, false)
 	// Pilot records are real input reads (the sampler backtracks lines out
 	// of DFS blocks), so they are charged to RecordsRead like every other
 	// mapper delivery. The pilot is drawn ONCE per run however many
@@ -410,11 +413,12 @@ func jobsetTag(jset []jobs.Numeric) string {
 }
 
 // pilotSample is a run's local-mode pilot sample (§3.2): the records drawn so
-// far, post-plan, and the sampler they came from.
+// far, post-plan, the sampler they came from and the stream that pushes
+// the plan into its draws.
 type pilotSample struct {
 	s    *sampling.PreMap
+	src  RecordSource
 	prog *plan.Program // nil without a plan
-	sc   *plan.Scratch
 	cols colscan.Cols
 }
 
@@ -427,34 +431,10 @@ func (p *pilotSample) filtered() bool { return p.prog != nil && p.prog.HasFilter
 // subpopulation — the population the statistics and their confidence
 // intervals are about.
 func (p *pilotSample) extend(n int) (dry bool, err error) {
-	if err = p.draw(n); errors.Is(err, sampling.ErrExhausted) {
+	if _, err = p.src.DrawCols(n, &p.cols); errors.Is(err, sampling.ErrExhausted) {
 		return true, nil
 	}
 	return false, err
-}
-
-// draw is extend passing sampling.ErrExhausted through.
-func (p *pilotSample) draw(n int) error {
-	if p.prog == nil {
-		_, err := p.s.SampleCols(n, &p.cols)
-		return err
-	}
-	var raw colscan.Cols
-	for n > 0 {
-		raw.Reset()
-		got, serr := p.s.SampleCols(n, &raw)
-		if got > 0 {
-			kept, err := p.prog.Apply(p.sc, &raw, &p.cols, false)
-			if err != nil {
-				return err
-			}
-			n -= kept
-		}
-		if serr != nil {
-			return serr
-		}
-	}
-	return nil
 }
 
 // effTotal estimates the population the run is over: the whole file,

@@ -223,6 +223,14 @@ func (x *xformColSource) DrawCols(k int, out *colscan.Cols) (int, error) {
 // regions, as record density already is).
 func (x *xformColSource) Weight() int64 { return x.inner.Weight() }
 
+// withPlan pushes prog into inner's draws (inner itself without a plan).
+func withPlan(inner RecordSource, prog *plan.Program, prefiltered bool) RecordSource {
+	if prog == nil {
+		return inner
+	}
+	return &xformColSource{inner: inner, prog: prog, prefiltered: prefiltered, sc: plan.NewScratch()}
+}
+
 // NewRecordSources builds one retained sampling stream per mapper over
 // the given split ownership, per opts.Sampler. seedSalt decorrelates
 // streams built for different ingest generations of the same maintained
@@ -260,12 +268,6 @@ func NewRecordSources(env *Env, path string, owned [][]dfs.Split, opts Options, 
 	}
 	sources := make([]RecordSource, len(owned))
 	err := pool.ForEach(len(owned), len(owned), func(idx int) error {
-		wrap := func(inner RecordSource, prefiltered bool) RecordSource {
-			if prog == nil {
-				return inner
-			}
-			return &xformColSource{inner: inner, prog: prog, prefiltered: prefiltered, sc: plan.NewScratch()}
-		}
 		if opts.Sampler == PostMapSampling {
 			pmap := sampling.NewPostMapCols(opts.Seed + seedSalt + uint64(idx)*7919)
 			pmap.ExpectBlocks(len(owned[idx]))
@@ -296,7 +298,7 @@ func NewRecordSources(env *Env, path string, owned [][]dfs.Split, opts Options, 
 					pmap.AddBlock(blk)
 				}
 			}
-			sources[idx] = wrap(postMapColsSource{s: pmap}, keepSc != nil)
+			sources[idx] = withPlan(postMapColsSource{s: pmap}, prog, keepSc != nil)
 			return nil
 		}
 		sampler, err := sampling.NewPreMapOwned(view, path, owned[idx], opts.Seed+seedSalt+uint64(idx)*104729)
@@ -306,7 +308,7 @@ func NewRecordSources(env *Env, path string, owned [][]dfs.Split, opts Options, 
 		if err := dec.enable(sampler, env.Scan); err != nil {
 			return err
 		}
-		sources[idx] = wrap(preMapSource{s: sampler, metrics: env.Metrics}, false)
+		sources[idx] = withPlan(preMapSource{s: sampler, metrics: env.Metrics}, prog, false)
 		return nil
 	})
 	if err != nil {

@@ -104,7 +104,7 @@ func AblationSSABE(seed uint64) (*Table, error) {
 		rounds++
 		s := drawSample(n)
 		naiveRecords += n
-		res, err := bootstrap.MonteCarlo(rng, s, bootstrap.Mean, b)
+		res, err := bootstrap.ParallelMonteCarlo(rng, s, bootstrap.Mean, b, Parallelism)
 		if err != nil {
 			return nil, err
 		}

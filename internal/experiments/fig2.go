@@ -19,20 +19,14 @@ func Fig2a(seed uint64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewPCG(seed, 0xf2a))
 	// Draw the resample values once; cv at B is the cv of the prefix —
 	// exactly the incremental procedure EARL's phase 1 runs.
 	const maxB = 60
-	values := make([]float64, 0, maxB)
-	buf := make([]float64, n)
-	for b := 0; b < maxB; b++ {
-		bootstrap.Resample(rng, sample, buf)
-		v, err := stats.Mean(buf)
-		if err != nil {
-			return nil, err
-		}
-		values = append(values, v)
+	res, err := bootstrap.ParallelMonteCarlo(rand.New(rand.NewPCG(seed, 0xf2a)), sample, bootstrap.Mean, maxB, Parallelism)
+	if err != nil {
+		return nil, err
 	}
+	values := res.Values
 	t := &Table{
 		Title:   "Figure 2a — effect of the number of bootstraps B on cv (mean, n=1000)",
 		Columns: []string{"B", "cv", "|Δcv|/cv"},
@@ -81,7 +75,7 @@ func Fig2b(seed uint64) (*Table, error) {
 		for i := range sample {
 			sample[i] = data[rng.IntN(len(data))]
 		}
-		res, err := bootstrap.MonteCarlo(rng, sample, bootstrap.Mean, B)
+		res, err := bootstrap.ParallelMonteCarlo(rng, sample, bootstrap.Mean, B, Parallelism)
 		if err != nil {
 			return nil, err
 		}

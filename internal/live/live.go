@@ -180,7 +180,8 @@ func (w *Watch) Refreshes() int {
 }
 
 // SampleSize returns the records currently held in the maintained sample
-// (the exact record count on the exact-maintenance path).
+// (across every group, for a grouped watch; the exact record count on the
+// exact-maintenance path).
 func (w *Watch) SampleSize() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -10,7 +10,8 @@ import (
 // distribution (the probit function), using the Acklam rational
 // approximation, accurate to about 1.15e-9 over (0,1). It is used for
 // z-test confidence intervals on categorical proportions (Appendix A of
-// the paper) and for the BCa bootstrap interval.
+// the paper) and for widening a filtered report's interval by the
+// selectivity estimate's error.
 func NormalQuantile(p float64) (float64, error) {
 	if p <= 0 || p >= 1 {
 		return 0, errors.New("stats: normal quantile requires 0 < p < 1")
