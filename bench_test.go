@@ -15,6 +15,7 @@ import (
 	"repro/internal/delta"
 	"repro/internal/experiments"
 	"repro/internal/jobs"
+	"repro/internal/pool"
 	"repro/internal/sampling"
 	"repro/internal/workload"
 
@@ -113,7 +114,7 @@ func benchParallelMC(b *testing.B, n, B, par int, f bootstrap.Statistic) {
 
 func benchLabel(par int) string {
 	if par == 0 {
-		return fmt.Sprintf("pmax=%d", bootstrap.Workers(0))
+		return fmt.Sprintf("pmax=%d", pool.Workers(0))
 	}
 	return fmt.Sprintf("p=%d", par)
 }

@@ -21,7 +21,8 @@
 // phase-2 error-curve resampling and the reducer's per-delta-batch
 // resample updates are sharded across (0 means runtime.GOMAXPROCS, 1
 // forces the sequential path; SSABE's phase 1 stays sequential — it
-// adds one resample at a time and early-stops on stability). The
+// adds one resample at a time and early-stops on stability — and is
+// run once for all of a query's statistics). The
 // engine's reproducible-seeding contract: every shard of work owns an
 // rng stream derived only from the run's Seed and the shard index —
 // never from worker identity or scheduling — so a run with a fixed Seed
@@ -233,7 +234,7 @@ func (c *Cluster) execute(pq *core.PlannedQuery) (*PlanResult, error) {
 }
 
 // RunMulti executes several statistics over path as ONE shared-pass run:
-// one pilot, one SSABE plan per statistic, one sample sized at the
+// one pilot, one SSABE giving a plan per statistic, one sample sized at the
 // largest planned n, and one pass over the drawn records feeding every
 // statistic's resample set. The input is read once regardless of how
 // many statistics ride the pass — a dashboard asking for

@@ -20,6 +20,11 @@
 //
 // If B×n ≥ N, EARL tells the caller that early approximation cannot beat
 // the exact job and the full data set should be processed instead.
+//
+// A query asking for several statistics is planned by one SSABE
+// (PlanAll): both phases draw each resample once and fold it into every
+// statistic that reads it, and each statistic still stops phase 1 at
+// its own B and gets the plan an SSABE of its own would give it.
 package aes
 
 import (
@@ -66,15 +71,14 @@ type Config struct {
 	Seed    uint64
 	Metrics *simcost.Metrics
 	Key     string // reduce key handed to Initialize
-	// Parallelism is the worker-pool size for phase 2: 0 (or negative)
-	// means runtime.GOMAXPROCS, 1 forces the sequential path. Phase 2's
-	// replicates run on min(replicates, workers) of them, and each
-	// replicate's maintainer shards its resamples over
-	// max(1, workers/replicates). Plan output is identical at any value
-	// for a fixed Seed. (Phase 1 is inherently sequential: it adds one
-	// resample at a time and early-stops on τ-stability. What runs beside
-	// it is another statistic's SSABE: core plans a query's statistics
-	// concurrently.)
+	// Parallelism is the worker-pool size: 0 (or negative) means
+	// runtime.GOMAXPROCS, 1 forces the sequential path. Above 1, phase
+	// 2's replicates all run at once, and each replicate's maintainer
+	// shards its resamples over all the workers.
+	// Plan output is identical at any value for a fixed Seed. (Phase 1
+	// is inherently sequential: it adds one resample at a time and
+	// early-stops on τ-stability, in one pass for all the statistics
+	// PlanAll plans.)
 	Parallelism int
 }
 
@@ -100,110 +104,241 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// phase1 draws EstimateB's resamples from the pilot, in stream order,
-// and hands out their values one at a time. Every candidate B draws
-// from the same pilot by position, so how a resample reaches its state
-// is a choice the rng never sees:
+// chooser is one statistic's phase 1: the values of its resamples so
+// far, the cv trace over them, and the τ-stability run that stops it.
+type chooser struct {
+	cfg     Config
+	counted mr.MultisetReducer // the reducer, when the pilot is ranked and it takes counts
+	lanes   bool               // the reducer is an mr.LaneUpdater and does not take counts
+	states  []mr.State         // lanes: the current group's states
+
+	values []float64
+	trace  []float64
+	prev   float64
+	stable int
+	b      int // the chosen B; 0 while choosing
+	err    error
+}
+
+func (c *chooser) choosing() bool { return c.b == 0 && c.err == nil }
+
+// add takes the statistic's value on its next resample and applies the
+// stopping rule: from the third value on, phase 1 stops once the cv's
+// relative step has stayed below τ for stableSteps steps, or at MaxB.
+func (c *chooser) add(v float64) {
+	c.values = append(c.values, v)
+	b := len(c.values)
+	if b < 2 {
+		return
+	}
+	cur, err := stats.CV(c.values)
+	if err != nil {
+		c.err = err
+		return
+	}
+	c.trace = append(c.trace, cur)
+	if b > 2 {
+		scale := math.Abs(cur)
+		if scale == 0 {
+			scale = 1e-12
+		}
+		if math.Abs(cur-c.prev)/scale < c.cfg.Tau {
+			c.stable++
+			if c.stable >= stableSteps {
+				c.b = b
+				return
+			}
+		} else {
+			c.stable = 0
+		}
+	}
+	c.prev = cur
+	if b == c.cfg.MaxB {
+		c.b = b
+	}
+}
+
+// estimateB runs phase 1 for every statistic at once. Resamples come
+// from the pilot in stream order, each drawn once, and every statistic
+// still choosing its B reads each in turn — so each sees exactly the
+// values a phase 1 of its own would, since every candidate B draws from
+// the same pilot by position and how a resample reaches a state is a
+// choice the rng never sees:
 //
-//   - a reducer that takes a batch in any order (mr.Rank) has the pilot
-//     sorted once and each resample counted into place;
+//   - a reducer that takes a batch in any order (mr.MultisetReducer)
+//     reads the resample counted by rank, over one sort of the pilot
+//     shared by every such statistic;
 //   - a reducer that folds states side by side (mr.LaneUpdater) has a
-//     group of stats.WelfordLanes resamples drawn into per-lane buffers
-//     — one rng, so group order is resample order — and folded in one
-//     mr.UpdateLanes from empty states, which the capability defines to
-//     be Initialize over the same values;
-//   - any other reducer gets one Initialize per resample.
+//     group of stats.WelfordLanes resamples — one rng, so group order is
+//     resample order — folded in one mr.UpdateLanes from empty states,
+//     which the capability defines to be Initialize over the same
+//     values;
+//   - any other reducer gets one Initialize per resample it reads.
 //
-// Resamples drawn past the stopping B are dropped with the rng, which
-// is EstimateB's own.
-type phase1 struct {
-	cfg   Config
-	pilot []float64
-	src   *stats.PCG
-
-	rk     *mr.Ranking
-	counts []uint32 // per distinct pilot value; zero between resamples
-
-	lanes  bool        // the reducer is an mr.LaneUpdater and the pilot is not ranked
-	bufs   [][]float64 // a resample's values, one buffer per state of a group
-	states []mr.State  // the group's states (capacity: the group width); states[next:] await Finalize
-	next   int
-}
-
-func newPhase1(pilot []float64, cfg Config) *phase1 {
-	p := &phase1{cfg: cfg, pilot: pilot, src: newRNG(cfg.Seed)}
+// Groups are drawn that wide only while a lane reducer is choosing, and
+// are clipped to MaxB. Each statistic still choosing reads every group
+// and stops on its own. Resamples drawn past the largest stopping B are
+// dropped with the rng, which is phase 1's own. rk is the pilot's ranking for ranker(cfgs),
+// and the cfgs share their defaults.
+func estimateB(pilot []float64, rk *mr.Ranking, cfgs []Config) []*chooser {
+	cs := make([]*chooser, len(cfgs))
+	if len(cfgs) == 0 {
+		return cs
+	}
+	for s, cfg := range cfgs {
+		cs[s] = &chooser{cfg: cfg}
+	}
+	n := len(pilot)
+	if n < 2 {
+		for _, c := range cs {
+			c.err = stats.ErrShortInput
+		}
+		return cs
+	}
 	width := 1
-	if p.rk = mr.Rank(cfg.Reducer, pilot); p.rk != nil {
-		p.counts = make([]uint32, len(p.rk.Distinct))
-	} else {
-		if _, p.lanes = cfg.Reducer.(mr.LaneUpdater); p.lanes {
-			width = stats.WelfordLanes
-		}
-		p.bufs = make([][]float64, width)
-		for k := range p.bufs {
-			p.bufs[k] = make([]float64, len(pilot))
-		}
-	}
-	p.states = make([]mr.State, 0, width)
-	return p
-}
-
-// value returns the statistic on the next resample; left (≥ 1) is how
-// many more the caller may still ask for, this one included, and clips
-// the group drawn to serve it.
-func (p *phase1) value(left int) (float64, error) {
-	if p.next == len(p.states) {
-		if err := p.drawGroup(min(cap(p.states), left)); err != nil {
-			return 0, err
-		}
-	}
-	st := p.states[p.next]
-	p.next++
-	return p.cfg.Reducer.Finalize(st)
-}
-
-// drawGroup draws the next group resamples and leaves their states in
-// p.states.
-//
-//earl:hotpath
-func (p *phase1) drawGroup(group int) error {
-	var idx [stats.IndexBlock]uint32
-	n := len(p.pilot)
-	p.states, p.next = p.states[:0], 0
-	for k := 0; k < group; k++ {
-		for done := 0; done < n; done += len(idx) {
-			block := idx[:min(len(idx), n-done)]
-			p.src.Indices(block, n)
-			if p.rk != nil {
-				for _, j := range block {
-					p.counts[p.rk.Of[j]]++
-				}
-				continue
-			}
-			out := p.bufs[k][done : done+len(block)]
-			for i, j := range block {
-				out[i] = p.pilot[j]
+	for _, c := range cs {
+		if c.counted, _ = c.cfg.Reducer.(mr.MultisetReducer); rk == nil || c.counted == nil {
+			c.counted = nil
+			if _, c.lanes = c.cfg.Reducer.(mr.LaneUpdater); c.lanes {
+				width = stats.WelfordLanes
 			}
 		}
+	}
+	gather, count, _ := needs(cs)
+	d := newDraws(pilot, rk, cfgs[0].Seed, width, gather, count)
+	for i := 0; ; {
+		gather, count, lanes := needs(cs)
+		if !gather && !count {
+			return cs
+		}
+		group := 1
+		if lanes {
+			group = min(width, cfgs[0].MaxB-i)
+		}
+		d.draw(group, gather, count)
+		for _, c := range cs {
+			if c.choosing() {
+				c.read(d, group)
+			}
+		}
+		if count {
+			for _, counts := range d.counts[:group] {
+				clear(counts)
+			}
+		}
+		i += group
+	}
+}
+
+// needs reports how the statistics still choosing read a resample: as
+// values (gather), as counts (count), and whether any folds in lanes.
+func needs(cs []*chooser) (gather, count, lanes bool) {
+	for _, c := range cs {
+		if c.choosing() {
+			gather = gather || c.counted == nil
+			count = count || c.counted != nil
+			lanes = lanes || c.lanes
+		}
+	}
+	return gather, count, lanes
+}
+
+// read takes the group of resamples d drew last, in order, until the
+// statistic stops: folded abreast from empty states for a lane reducer,
+// counted for one that takes counts, through Initialize otherwise.
+func (c *chooser) read(d *draws, group int) {
+	if c.lanes {
+		if c.err = foldLanes(c, d.bufs[:group]); c.err != nil {
+			return
+		}
+	}
+	for k := 0; k < group && c.choosing(); k++ {
 		var st mr.State
 		var err error
 		switch {
-		case p.rk != nil:
-			st, err = p.rk.Initialize(p.cfg.Key, p.counts)
-		case p.lanes:
-			st, err = p.cfg.Reducer.Initialize(p.cfg.Key, nil)
+		case c.counted != nil:
+			st, err = c.counted.InitializeCounted(c.cfg.Key, d.rk.Distinct, d.counts[k])
+		case c.lanes:
+			st = c.states[k]
 		default:
-			st, err = p.cfg.Reducer.Initialize(p.cfg.Key, p.bufs[k])
+			st, err = c.cfg.Reducer.Initialize(c.cfg.Key, d.bufs[k])
 		}
+		var v float64
+		if err == nil {
+			v, err = c.cfg.Reducer.Finalize(st)
+		}
+		if err != nil {
+			c.err = err
+			return
+		}
+		c.add(v)
+	}
+}
+
+// draws is phase 1's resample stream: a group of resamples at a time,
+// as values for the statistics that fold values and as counts by rank
+// for those that take counts.
+type draws struct {
+	src    *stats.PCG
+	pilot  []float64
+	rk     *mr.Ranking
+	bufs   [][]float64 // bufs[k]: the group's resample k, in draw order
+	counts [][]uint32  // counts[k]: its draws per distinct pilot value; zeroed once read
+}
+
+// newDraws allocates a group of width resamples for phase 1's stream,
+// as values when gather and as counts when count.
+func newDraws(pilot []float64, rk *mr.Ranking, seed uint64, width int, gather, count bool) *draws {
+	d := &draws{src: newRNG(seed), pilot: pilot, rk: rk, bufs: make([][]float64, width), counts: make([][]uint32, width)}
+	for k := range width {
+		if gather {
+			d.bufs[k] = make([]float64, len(pilot))
+		}
+		if count {
+			d.counts[k] = make([]uint32, len(rk.Distinct))
+		}
+	}
+	return d
+}
+
+// draw draws the next group resamples from the stream, gathering their
+// values and counting their draws by rank as asked.
+//
+//earl:hotpath
+func (d *draws) draw(group int, gather, count bool) {
+	var idx [stats.IndexBlock]uint32
+	n := len(d.pilot)
+	for k := 0; k < group; k++ {
+		for done := 0; done < n; done += len(idx) {
+			block := idx[:min(len(idx), n-done)]
+			d.src.Indices(block, n)
+			if gather {
+				out := d.bufs[k][done : done+len(block)]
+				for b, j := range block {
+					out[b] = d.pilot[j]
+				}
+			}
+			if count {
+				for _, j := range block {
+					d.counts[k][d.rk.Of[j]]++
+				}
+			}
+		}
+	}
+}
+
+// foldLanes builds a lane statistic's states for a group of resamples:
+// empty states, folded abreast.
+func foldLanes(c *chooser, bufs [][]float64) error {
+	c.states = c.states[:0]
+	for range bufs {
+		st, err := c.cfg.Reducer.Initialize(c.cfg.Key, nil)
 		if err != nil {
 			return err
 		}
-		p.states = append(p.states, st)
+		c.states = append(c.states, st)
 	}
-	if !p.lanes {
-		return nil
-	}
-	return mr.UpdateLanes(p.cfg.Reducer, p.states, p.bufs[:group])
+	return mr.UpdateLanes(c.cfg.Reducer, c.states, bufs)
 }
 
 // EstimateB runs phase 1 on the pilot sample: resamples are added one at
@@ -216,55 +351,11 @@ func EstimateB(pilot []float64, cfg Config) (int, []float64, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	if len(pilot) < 2 {
-		return 0, nil, stats.ErrShortInput
+	c := estimateB(pilot, mr.Rank(cfg.Reducer, pilot), []Config{cfg})[0]
+	if c.err != nil {
+		return 0, nil, c.err
 	}
-	resamples := newPhase1(pilot, cfg)
-	values := make([]float64, 0, cfg.MaxB)
-	drawValue := func() error {
-		v, err := resamples.value(cfg.MaxB - len(values))
-		if err != nil {
-			return err
-		}
-		values = append(values, v)
-		return nil
-	}
-	for i := 0; i < 2; i++ {
-		if err := drawValue(); err != nil {
-			return 0, nil, err
-		}
-	}
-	trace := []float64{}
-	prev, err := stats.CV(values)
-	if err != nil {
-		return 0, nil, err
-	}
-	trace = append(trace, prev)
-	stable := 0
-	for b := 3; b <= cfg.MaxB; b++ {
-		if err := drawValue(); err != nil {
-			return 0, nil, err
-		}
-		cur, err := stats.CV(values)
-		if err != nil {
-			return 0, nil, err
-		}
-		trace = append(trace, cur)
-		scale := math.Abs(cur)
-		if scale == 0 {
-			scale = 1e-12
-		}
-		if math.Abs(cur-prev)/scale < cfg.Tau {
-			stable++
-			if stable >= stableSteps {
-				return b, trace, nil
-			}
-		} else {
-			stable = 0
-		}
-		prev = cur
-	}
-	return cfg.MaxB, trace, nil
+	return c.b, c.trace, nil
 }
 
 // CurvePoint is one (subsample size, error) observation from phase 2.
@@ -287,56 +378,103 @@ func EstimateN(pilot []float64, b int, cfg Config) (n int, ok bool, curve stats.
 	if err != nil {
 		return 0, false, stats.CVCurve{}, nil, err
 	}
-	if b < 2 {
-		return 0, false, stats.CVCurve{}, nil, fmt.Errorf("aes: need B ≥ 2, got %d", b)
-	}
-	minSize := 1 << (subsamples - 1)
-	if len(pilot) < minSize*2 {
-		return 0, false, stats.CVCurve{}, nil, fmt.Errorf("aes: pilot of %d too small for L=%d subsamples", len(pilot), subsamples)
-	}
-	segs := segments(pilot, cfg.Reducer)
-	// The replicates own their seeds and maintainers and only read the
-	// segments, so they run side by side, each maintainer on its share of
-	// the workers. Their cvs are summed in r order once all have returned:
-	// the float sums, and so the plan, are the same at any Parallelism.
-	workers := pool.Workers(cfg.Parallelism)
-	repCfg := cfg
-	repCfg.Parallelism = max(1, workers/replicates)
-	reps := make([][]CurvePoint, replicates)
-	err = pool.ForEach(replicates, min(replicates, workers), func(r int) error {
-		var err error
-		reps[r], err = estimateNReplicate(segs, b, repCfg, r)
-		return err
-	})
+	fits, err := estimateN(pilot, segments(pilot, cfg.Reducer), []int{b}, []Config{cfg})
 	if err != nil {
 		return 0, false, stats.CVCurve{}, nil, err
 	}
-	points = reps[0]
-	for _, rep := range reps[1:] {
-		for i := range points {
-			points[i].CV += rep[i].CV
+	f := fits[0]
+	return f.n, f.ok, f.curve, f.points, nil
+}
+
+// fit is one statistic's phase-2 outcome: its curve points, the curve
+// fitted to them and the n it solves to (ok: the curve reaches σ).
+type fit struct {
+	n      int
+	ok     bool
+	curve  stats.CVCurve
+	points []CurvePoint
+}
+
+// estimateN runs phase 2 for every statistic at once over the pilot's
+// segments, statistic s with bs[s] resamples. Each replicate is one
+// delta.Maintainer folding every statistic: resample i is drawn and
+// maintained once and read by each statistic with i < bs[s], so each
+// statistic's curve is the one a phase 2 of its own would measure. A statistic's failed fold or fit
+// fails the call with a *delta.StatError naming it; a failure no
+// statistic owns — a pilot too small to split — is returned as it is.
+// The cfgs share their defaults.
+func estimateN(pilot []float64, segs []segment, bs []int, cfgs []Config) ([]fit, error) {
+	for s, b := range bs {
+		if b < 2 {
+			return nil, &delta.StatError{Stat: s, Err: fmt.Errorf("aes: need B ≥ 2, got %d", b)}
 		}
 	}
-	for i := range points {
-		points[i].CV /= float64(replicates)
+	minSize := 1 << (subsamples - 1)
+	if len(pilot) < minSize*2 {
+		return nil, fmt.Errorf("aes: pilot of %d too small for L=%d subsamples", len(pilot), subsamples)
 	}
-	ns := make([]int, len(points))
-	cvs := make([]float64, len(points))
-	for i, pt := range points {
-		ns[i] = pt.N
-		cvs[i] = pt.CV
+	// The replicates own their seeds and maintainers and only read the
+	// segments, so they all run at once unless the path is sequential,
+	// each maintainer sharding its resamples over all the workers: the
+	// scheduler packs their uneven groups onto the cores. Their cvs are
+	// summed in r order once all have returned: the float sums, and so
+	// the plans, are the same at any Parallelism.
+	workers := pool.Workers(cfgs[0].Parallelism)
+	side := replicates
+	if workers == 1 {
+		side = 1
 	}
-	curve, err = stats.FitCVCurve(ns, cvs)
+	reps := make([][][]CurvePoint, replicates)
+	err := pool.ForEach(replicates, side, func(r int) error {
+		var err error
+		reps[r], err = estimateNReplicate(segs, bs, cfgs, r, workers)
+		return err
+	})
 	if err != nil {
-		return 0, false, curve, points, err
+		return nil, err
 	}
-	n, ok = curve.SolveN(cfg.Sigma)
-	return n, ok, curve, points, nil
+	fits := make([]fit, len(cfgs))
+	for s, cfg := range cfgs {
+		points := reps[0][s]
+		for _, rep := range reps[1:] {
+			for i := range points {
+				points[i].CV += rep[s][i].CV
+			}
+		}
+		for i := range points {
+			points[i].CV /= float64(replicates)
+		}
+		ns := make([]int, len(points))
+		cvs := make([]float64, len(points))
+		for i, pt := range points {
+			ns[i] = pt.N
+			cvs[i] = pt.CV
+		}
+		curve, err := stats.FitCVCurve(ns, cvs)
+		if err != nil {
+			return nil, &delta.StatError{Stat: s, Err: err}
+		}
+		n, ok := curve.SolveN(cfg.Sigma)
+		fits[s] = fit{n: n, ok: ok, curve: curve, points: points}
+	}
+	return fits, nil
+}
+
+// ranker is the reducer a pilot or a segment is ranked for: the first
+// statistic's that takes counts (every such statistic reads the one
+// ranking), or one that ranks nothing.
+func ranker(cfgs []Config) mr.IncrementalReducer {
+	for _, cfg := range cfgs {
+		if _, ok := cfg.Reducer.(mr.MultisetReducer); ok {
+			return cfg.Reducer
+		}
+	}
+	return nil
 }
 
 // segment is one step of phase 2's growth schedule: the pilot records
 // that take its prefix from n_{i−1} to n_i = end, and their ranking
-// (nil unless the reducer takes batches in any order).
+// (nil unless some reducer takes batches in any order).
 type segment struct {
 	delta []float64
 	rank  *mr.Ranking
@@ -344,9 +482,17 @@ type segment struct {
 }
 
 // segments cuts the pilot into the schedule's L geometrically growing
-// prefixes n_i = len(pilot)/2^(L−i) and ranks each step once, for every
-// replicate to read.
+// prefixes n_i = len(pilot)/2^(L−i) and ranks each step once for red,
+// for every replicate to read.
 func segments(pilot []float64, red mr.IncrementalReducer) []segment {
+	return cut(pilot, red, mr.Rank(red, pilot))
+}
+
+// cut is segments given rk, the pilot's ranking for red: each step's
+// ranking is a part of it, found without a sort. A pilot that is not
+// ranked as a whole — a NaN, or +0 beside −0 — may still have steps that
+// are, and they are ranked on their own.
+func cut(pilot []float64, red mr.IncrementalReducer, rk *mr.Ranking) []segment {
 	var segs []segment
 	prevEnd := 0
 	for i := 1; i <= subsamples; i++ {
@@ -354,44 +500,56 @@ func segments(pilot []float64, red mr.IncrementalReducer) []segment {
 		if end <= prevEnd {
 			continue
 		}
-		ds := pilot[prevEnd:end]
-		segs = append(segs, segment{delta: ds, rank: mr.Rank(red, ds), end: end})
+		seg := segment{delta: pilot[prevEnd:end], end: end}
+		if rk != nil {
+			seg.rank = rk.Part(prevEnd, end)
+		} else {
+			seg.rank = mr.Rank(red, seg.delta)
+		}
+		segs = append(segs, seg)
 		prevEnd = end
 	}
 	return segs
 }
 
 // estimateNReplicate runs one delta-maintained pass over the phase-2
-// growth schedule and returns the cv at each prefix size. Replicate r
-// owns a fixed seed offset, so the averaged curve is deterministic.
-func estimateNReplicate(segs []segment, b int, cfg Config, r int) ([]CurvePoint, error) {
+// growth schedule and returns, per statistic, the cv at each prefix
+// size. Replicate r owns a fixed seed offset, so the averaged curves are
+// deterministic.
+func estimateNReplicate(segs []segment, bs []int, cfgs []Config, r, par int) ([][]CurvePoint, error) {
+	more := make([]delta.Stat, 0, len(cfgs)-1)
+	for s, cfg := range cfgs[1:] {
+		more = append(more, delta.Stat{Reducer: cfg.Reducer, Key: cfg.Key, B: bs[s+1]})
+	}
 	maint, err := delta.New(delta.Config{
-		Reducer:     cfg.Reducer,
-		B:           b,
-		Seed:        cfg.Seed + 1 + uint64(r)*0x9e37,
-		Metrics:     cfg.Metrics,
-		Key:         cfg.Key,
-		Parallelism: cfg.Parallelism,
-	})
+		Reducer:     cfgs[0].Reducer,
+		B:           bs[0],
+		Seed:        cfgs[0].Seed + 1 + uint64(r)*0x9e37,
+		Metrics:     cfgs[0].Metrics,
+		Key:         cfgs[0].Key,
+		Parallelism: par,
+	}, more...)
 	if err != nil {
 		return nil, err
 	}
-	points := make([]CurvePoint, 0, len(segs))
+	points := make([][]CurvePoint, len(cfgs))
 	for i, seg := range segs {
 		// The maintainer is read once more after its last point and then
 		// dropped, so that point need not prepare a next generation.
 		if err := maint.GrowRanked(seg.delta, seg.rank, i == len(segs)-1); err != nil {
 			return nil, err
 		}
-		vals, err := maint.Results()
-		if err != nil {
-			return nil, err
+		for s := range cfgs {
+			vals, err := maint.ResultsOf(s)
+			if err == nil {
+				var cv float64
+				if cv, err = stats.CV(vals); err == nil {
+					points[s] = append(points[s], CurvePoint{N: seg.end, CV: cv})
+					continue
+				}
+			}
+			return nil, &delta.StatError{Stat: s, Err: err}
 		}
-		cv, err := stats.CV(vals)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, CurvePoint{N: seg.end, CV: cv})
 	}
 	return points, nil
 }
@@ -408,23 +566,84 @@ type Plan struct {
 }
 
 // SSABE runs both phases over the pilot sample and applies the
-// B×n ≥ N cutoff (§3.1) against totalN, the full data-set size.
+// B×n ≥ N cutoff (§3.1) against totalN, the full data-set size. It is
+// PlanAll of one statistic.
 func SSABE(pilot []float64, totalN int64, cfg Config) (Plan, error) {
-	cfg, err := cfg.withDefaults()
+	plans, err := PlanAll(pilot, totalN, []Config{cfg})
 	if err != nil {
 		return Plan{}, err
 	}
-	b, trace, err := EstimateB(pilot, cfg)
-	if err != nil {
-		return Plan{}, fmt.Errorf("aes: phase 1: %w", err)
+	return plans[0], nil
+}
+
+// PlanAll plans every statistic of a query over one pilot with one
+// SSABE: plans[s] is SSABE(pilot, totalN, cfgs[s]), bit for bit, but
+// each resample of either phase is drawn once for all the statistics
+// instead of once per statistic (§4's premise — work the resamples
+// share is done once — applied across statistics). The cfgs differ in
+// Reducer and Key only: they must agree on Sigma, Tau, MaxB, Seed,
+// Metrics and Parallelism. Metrics is charged what the SSABEs one by
+// one would be. When statistics fail, the error is the first one's in
+// statistic order, as one by one.
+func PlanAll(pilot []float64, totalN int64, cfgs []Config) ([]Plan, error) {
+	cfgs = append([]Config(nil), cfgs...)
+	// The statistics before live have not failed; firstErr is the one at
+	// live. Those after it no longer matter and are not planned on.
+	live := len(cfgs)
+	var firstErr error
+	fail := func(s int, err error) {
+		live, firstErr = s, err
 	}
-	n, ok, curve, points, err := EstimateN(pilot, b, cfg)
-	if err != nil {
-		return Plan{}, fmt.Errorf("aes: phase 2: %w", err)
+	for s := range cfgs {
+		cfg, err := cfgs[s].withDefaults()
+		if err != nil {
+			fail(s, err)
+			break
+		}
+		if c0 := cfgs[0]; s > 0 && (cfg.Sigma != c0.Sigma || cfg.Tau != c0.Tau || cfg.MaxB != c0.MaxB ||
+			cfg.Seed != c0.Seed || cfg.Metrics != c0.Metrics || cfg.Parallelism != c0.Parallelism) {
+			return nil, errors.New("aes: statistics planned together must share Sigma, Tau, MaxB, Seed, Metrics and Parallelism")
+		}
+		cfgs[s] = cfg
 	}
-	plan := Plan{B: b, N: n, Curve: curve, BTrace: trace, Points: points}
-	if !ok || int64(b)*int64(n) >= totalN {
-		plan.UseFull = true
+	// One sort of the pilot serves every statistic that takes counts, in
+	// both phases.
+	red := ranker(cfgs[:live])
+	rk := mr.Rank(red, pilot)
+	bs := make([]int, live)
+	chosen := estimateB(pilot, rk, cfgs[:live])
+	for s, c := range chosen {
+		if c.err != nil {
+			fail(s, fmt.Errorf("aes: phase 1: %w", c.err))
+			break
+		}
+		bs[s] = c.b
 	}
-	return plan, nil
+	// A statistic failing phase 2 leaves the ones before it to be
+	// planned again without it: a failed grow leaves no maintainer to go
+	// on with.
+	var fits []fit
+	for live > 0 {
+		var err error
+		if fits, err = estimateN(pilot, cut(pilot, red, rk), bs[:live], cfgs[:live]); err == nil {
+			break
+		}
+		s := 0
+		if se := (*delta.StatError)(nil); errors.As(err, &se) {
+			s = se.Stat
+		}
+		fail(s, fmt.Errorf("aes: phase 2: %w", err))
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	plans := make([]Plan, len(cfgs))
+	for s, f := range fits {
+		b := bs[s]
+		plans[s] = Plan{B: b, N: f.n, Curve: f.curve, BTrace: chosen[s].trace, Points: f.points}
+		if !f.ok || int64(b)*int64(f.n) >= totalN {
+			plans[s].UseFull = true
+		}
+	}
+	return plans, nil
 }

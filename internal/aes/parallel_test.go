@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/jobs"
@@ -83,22 +84,34 @@ func TestSSABESameBitsAtAnyParallelism(t *testing.T) {
 }
 
 // BenchmarkSSABE times one SSABE — phase 1 and phase 2's three
-// replicates — over a 10 k Zipf pilot, sequentially and at GOMAXPROCS.
+// replicates — over a 10 k Zipf pilot, sequentially and at GOMAXPROCS:
+// for mean and for p50 alone, and for mean, p50 and count planned
+// together, as a query of the three is.
 func BenchmarkSSABE(b *testing.B) {
 	pilot, err := workload.NumericSpec{Dist: workload.Zipf, N: 10_000, Seed: 5}.Generate()
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, name := range []string{"mean", "p50"} {
-		job, err := jobs.ByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		stats []string
+		sigma float64
+	}{
+		{[]string{"mean"}, 0.01},
+		{[]string{"p50"}, 0.01},
+		{[]string{"mean", "p50", "count"}, 0.05},
+	} {
 		for _, par := range []int{1, runtime.GOMAXPROCS(0)} {
-			b.Run(fmt.Sprintf("%s/par=%d", name, par), func(b *testing.B) {
-				cfg := Config{Reducer: job.Reducer, Sigma: 0.01, Seed: 3, Parallelism: par}
+			cfgs := make([]Config, len(c.stats))
+			for i, name := range c.stats {
+				job, err := jobs.ByName(name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cfgs[i] = Config{Reducer: job.Reducer, Key: name, Sigma: c.sigma, Seed: 3, Parallelism: par}
+			}
+			b.Run(fmt.Sprintf("%s/par=%d", strings.Join(c.stats, "+"), par), func(b *testing.B) {
 				for range b.N {
-					if _, err := SSABE(pilot, 1_000_000, cfg); err != nil {
+					if _, err := PlanAll(pilot, 1_000_000, cfgs); err != nil {
 						b.Fatal(err)
 					}
 				}

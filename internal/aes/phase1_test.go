@@ -179,16 +179,18 @@ func (r clippedReducer) UpdateLanes(states []mr.State, batches [][]float64) erro
 
 func TestEstimateBClipsLastGroupToMaxB(t *testing.T) {
 	mean := jobs.Mean().Reducer
-	for maxB := 3; maxB <= 9; maxB++ {
-		inits := 0
-		red := clippedReducer{mean, mean.(mr.LaneUpdater), &inits}
-		// τ this small never holds for three steps: phase 1 runs to the cap.
-		b, _, err := EstimateB(pilotData(400, 5), Config{Reducer: red, Sigma: 0.05, Tau: 1e-12, MaxB: maxB, Seed: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b != maxB || inits != maxB {
-			t.Fatalf("MaxB=%d: B=%d from %d resamples, want the cap from exactly that many", maxB, b, inits)
+	for _, par := range []int{1, 2} {
+		for maxB := 3; maxB <= 9; maxB++ {
+			inits := 0
+			red := clippedReducer{mean, mean.(mr.LaneUpdater), &inits}
+			// τ this small never holds for three steps: phase 1 runs to the cap.
+			b, _, err := EstimateB(pilotData(400, 5), Config{Reducer: red, Sigma: 0.05, Tau: 1e-12, MaxB: maxB, Seed: 2, Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b != maxB || inits != maxB {
+				t.Fatalf("MaxB=%d at parallelism %d: B=%d from %d resamples, want the cap from exactly that many", maxB, par, b, inits)
+			}
 		}
 	}
 }

@@ -137,12 +137,9 @@ func resample(rng *rand.Rand, s []float64, out []float64) {
 // shard decomposition defines the value stream.
 const shardSize = 64
 
-// Workers resolves a parallelism request: p itself when positive,
-// otherwise runtime.GOMAXPROCS(0).
-func Workers(p int) int { return pool.Workers(p) }
-
 // monteCarlo is the engine: f on the original sample, then f on B
-// resamples evaluated across a pool of Workers(parallelism) goroutines.
+// resamples evaluated across a pool of pool.Workers(parallelism)
+// goroutines.
 // newResample is called once per worker so each can own its scratch; the
 // builder it returns draws one resample from the shard's rng. The two
 // seed words for the per-shard streams are drawn from rng up front
@@ -162,7 +159,7 @@ func monteCarlo(rng *rand.Rand, s []float64, f Statistic, B, parallelism int, ne
 	seed1, seed2 := rng.Uint64(), rng.Uint64()
 	values := make([]float64, B)
 	nShards := (B + shardSize - 1) / shardSize
-	err = pool.ForEachWorker(nShards, Workers(parallelism), func() func(int) error {
+	err = pool.ForEachWorker(nShards, pool.Workers(parallelism), func() func(int) error {
 		resample := newResample()
 		return func(k int) error {
 			shardRNG := stats.SplitRNG(seed1, seed2, k)

@@ -214,15 +214,3 @@ func TestMonteCarloZeroMeanStatisticNotConverged(t *testing.T) {
 		}
 	}
 }
-
-func TestWorkersResolution(t *testing.T) {
-	if got := Workers(3); got != 3 {
-		t.Fatalf("Workers(3) = %d", got)
-	}
-	if got := Workers(0); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
-	}
-	if got := Workers(-2); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers(-2) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
-	}
-}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/colscan"
 	"repro/internal/jobs"
 	"repro/internal/plan"
-	"repro/internal/pool"
 	"repro/internal/sampling"
 )
 
@@ -53,11 +52,11 @@ type Options struct {
 	// recompute-everything resampler (§4.1's baseline; Fig. 10 ablation).
 	DisableDeltaMaintenance bool
 	// Parallelism is the worker-pool size of the parallel resampling
-	// engine (SSABE's pilot bootstraps and the reducer's delta-update
+	// engine (SSABE's phase-2 replicates and the reducer's delta-update
 	// loop); runtime.GOMAXPROCS(0) if 0, 1 forces the sequential path.
-	// A multi-statistic query also plans its statistics concurrently, up
-	// to this many SSABEs at a time. Results are reproducible for a fixed
-	// Seed at any parallelism.
+	// A multi-statistic query is planned by one SSABE, which draws each
+	// resample once for every statistic. Results are reproducible for a
+	// fixed Seed at any parallelism.
 	Parallelism int
 }
 
@@ -130,11 +129,12 @@ func (r *Retained) Result(refreshes int) (*PlanResult, error) {
 // or several over one shared sample, global or per group key, plan or
 // library job — is validated, piloted, planned, run on the generic
 // engine (engine.go) and assembled here; the only mode-specific step is
-// planning: one SSABE per statistic (§3.2) for scalar queries, a
-// distinct-key sizing for grouped ones.
+// planning: one SSABE (§3.2) planning every statistic for scalar
+// queries, a distinct-key sizing for grouped ones.
 //
 // A scalar query over several statistics is ONE shared-pass run: one
-// pilot, one SSABE plan per statistic, one sampled map phase sized at
+// pilot, one SSABE giving a plan per statistic from resamples drawn once
+// for all of them (aes.PlanAll), one sampled map phase sized at
 // the largest planned n, and one pass over the drawn records feeding
 // every statistic's resample set — a k-statistic run costs the IO of the
 // most demanding single statistic plus only resampling CPU for the rest.
@@ -305,8 +305,9 @@ func execute(env *Env, pq *PlannedQuery, retain bool) (*PlanResult, *Retained, e
 }
 
 // planScalar is scalar planning: extend the 256-record probe to the full
-// pilot, then one SSABE per statistic. tiny reports a file the probe
-// alone ran dry — too small to plan over.
+// pilot, then one SSABE for all the statistics (aes.PlanAll), a plan
+// each. tiny reports a file the probe alone ran dry — too small to plan
+// over.
 func planScalar(env *Env, jset []jobs.Numeric, opts Options, pilot *pilotSample) (pl planned, tiny bool, err error) {
 	if tiny, err = pilot.extend(256); tiny || err != nil {
 		return pl, tiny, err
@@ -329,29 +330,28 @@ func planScalar(env *Env, jset []jobs.Numeric, opts Options, pilot *pilotSample)
 	}
 	estTotal := pilot.effTotal() // refined by the larger pilot
 
-	// Each statistic's plan is a function of the pilot, its reducer and
-	// the seed alone, so the statistics are planned side by side — phase 1
-	// cannot use a second core within one SSABE, but other SSABEs can, and
-	// so can each SSABE's phase-2 replicates.
-	pl.plans = make([]aes.Plan, len(jset))
-	err = pool.ForEach(len(jset), pool.Workers(opts.Parallelism), func(i int) error {
-		if forced {
+	// One SSABE plans every statistic: each resample is drawn once and
+	// read by all of them.
+	if forced {
+		pl.plans = make([]aes.Plan, len(jset))
+		for i := range pl.plans {
 			pl.plans[i] = aes.Plan{B: opts.ForceB, N: opts.ForceN}
-			return nil
 		}
-		var err error
-		pl.plans[i], err = aes.SSABE(pilot.cols.Vals, estTotal, aes.Config{
-			Reducer:     jset[i].Reducer,
-			Sigma:       opts.Sigma,
-			Seed:        opts.Seed + 17,
-			Metrics:     env.Metrics,
-			Key:         jset[i].Name,
-			Parallelism: opts.Parallelism,
-		})
-		return err
-	})
-	if err != nil {
-		return pl, false, err
+	} else {
+		cfgs := make([]aes.Config, len(jset))
+		for i, job := range jset {
+			cfgs[i] = aes.Config{
+				Reducer:     job.Reducer,
+				Sigma:       opts.Sigma,
+				Seed:        opts.Seed + 17,
+				Metrics:     env.Metrics,
+				Key:         job.Name,
+				Parallelism: opts.Parallelism,
+			}
+		}
+		if pl.plans, err = aes.PlanAll(pilot.cols.Vals, estTotal, cfgs); err != nil {
+			return pl, false, err
+		}
 	}
 	for _, p := range pl.plans {
 		pl.useFull = pl.useFull || p.UseFull

@@ -16,7 +16,11 @@
 // stream (derived deterministically from Config.Seed) and its own
 // sketches; Grow shards the per-resample update work across a worker
 // pool of Config.Parallelism goroutines and produces identical results
-// at any parallelism level.
+// at any parallelism level. A resample's stream depends on neither the
+// reducer nor B, so one Maintainer may fold several statistics' states
+// from the same resamples (New's more, SSABE's phase 2): each resample's
+// rng work is done once, and each statistic reads the first B of them
+// that it would have held alone.
 //
 // The per-item hot path is allocation-free in steady state: a
 // generation's deletes and adds are collected into per-worker scratch
@@ -72,17 +76,30 @@ func RetainedSize(rng *rand.Rand, n, nPrime int) (int, error) {
 	return stats.Binomial(rng, nPrime, float64(n)/float64(nPrime)), nil
 }
 
-// Maintainer owns B bootstrap resamples of a growing sample and the
-// per-resample user-job states, applying inter-iteration delta
-// maintenance on each Grow call. It is the engine behind EARL's cheap
-// sample-size expansion.
+// Maintainer owns B bootstrap resamples of a growing sample and, per
+// resample, the user-job state of every statistic folded from it,
+// applying inter-iteration delta maintenance on each Grow call. It is
+// the engine behind EARL's cheap sample-size expansion.
+//
+// Most maintainers fold one statistic. SSABE's phase 2 folds every
+// statistic of a query from one maintainer: each statistic s reads the
+// first B_s resamples, the maintainer holds max B_s, and resample i's
+// rng work — the binomial resize, its deletes and cache adds, the Δs
+// draws, the new part and cache — is done once for all the statistics
+// with i < B_s. Each statistic's states end exactly as they would in a
+// maintainer of its own with the same seed, since a resample's stream
+// depends on neither the reducer nor B; and each is charged the state
+// operations and sketch I/O its own maintainer would have been.
 type Maintainer struct {
-	red     mr.IncrementalReducer
-	b       int
+	stats   []stat
+	b       int // resamples held: the largest statistic's B
 	c       float64
 	par     int
 	seed    uint64
 	metrics *simcost.Metrics
+	// ranker ranks a Grow's Δs: the first statistic whose reducer is an
+	// mr.MultisetReducer, or nil — mr.Rank then ranks nothing.
+	ranker mr.IncrementalReducer
 
 	n int
 	// genTree holds |Δs_k| per generation for O(log gens) weighted picks.
@@ -90,7 +107,6 @@ type Maintainer struct {
 	// which are the draw path's actual consumers.
 	genTree   stats.Fenwick
 	resamples []*resample
-	key       string
 	rebuilds  atomic.Int64 // states rebuilt because Remove was unsupported
 	updates   atomic.Int64 // state add/remove operations performed (work measure)
 
@@ -98,19 +114,50 @@ type Maintainer struct {
 	final      bool // a final GrowRanked has run: the sketches are a generation behind
 }
 
-// resample is one of the B maintained resamples. Each owns its rng
-// stream (one state, held as source and as *rand.Rand), its
-// per-generation sketches and a Fenwick tree over its part sizes, so
-// growing it touches no state shared with the other resamples (beyond
-// read-only delta data and the atomic cost counters) — the property the
-// parallel Grow relies on.
+// Stat is one statistic a Maintainer folds its resamples into: the
+// reducer, the reduce key its states are initialized with, and B, how
+// many of the maintained resamples — the first B — it reads.
+type Stat struct {
+	Reducer mr.IncrementalReducer
+	Key     string
+	B       int
+}
+
+// stat is a Stat as the maintainer folds it.
+type stat struct {
+	red     mr.IncrementalReducer
+	counted mr.MultisetReducer // red, when it takes ranked batches as counts
+	key     string
+	b       int
+}
+
+// StatError is a Grow failure in one statistic's fold: Stat indexes the
+// maintainer's statistics, Config's first. It reads as the error itself.
+type StatError struct {
+	Stat int
+	Err  error
+}
+
+func (e *StatError) Error() string { return e.Err.Error() }
+func (e *StatError) Unwrap() error { return e.Err }
+
+// resample is one of the maintained resamples. Each owns its rng stream
+// (one state, held as source and as *rand.Rand), its per-generation
+// sketches and a Fenwick tree over its part sizes, so growing it touches
+// no state shared with the other resamples (beyond read-only delta data
+// and the atomic cost counters) — the property the parallel Grow relies
+// on.
 type resample struct {
-	src      *stats.PCG // the stream itself: a generation's draws from Δs, a block per call
-	rng      *rand.Rand // rand.New(src): the binomial resize, sketch shuffles, weighted picks
-	state    mr.State
+	src      *stats.PCG      // the stream itself: a generation's draws from Δs, a block per call
+	rng      *rand.Rand      // rand.New(src): the binomial resize, sketch shuffles, weighted picks
+	states   []mr.State      // states[s]: statistic s's state, for each s that reads this resample
+	readers  int64           // how many statistics read this resample
 	parts    []*sketch.Part  // parts[k] = b_Δs(k+1)
 	partTree stats.Fenwick   // Fenwick over parts[k].Size(), kept in lockstep
 	caches   []*sketch.Cache // caches[k] = this resample's sketch(Δs_(k+1))
+	// io collects the sketch I/O of the resample's parts and caches until
+	// chargeIO moves it to the cost metrics, once per reader.
+	io simcost.Metrics
 }
 
 // growScratch is the per-worker scratch state of a Grow pass: reusable
@@ -120,7 +167,7 @@ type resample struct {
 // they are folded only once the whole group has drawn, and read again
 // after that to build the resample's new part. Under a ranking the
 // draws are also counted by rank, and a resample's counts are folded
-// before the next one draws.
+// into every counted statistic before the next one draws.
 type growScratch struct {
 	dels   pool.Floats
 	adds   pool.Floats
@@ -130,7 +177,8 @@ type growScratch struct {
 	counts []uint32 // per distinct value of Δs; zero between resamples
 }
 
-// Config configures a Maintainer.
+// Config configures a Maintainer. Reducer, B and Key are its first
+// statistic's; New's more adds the others.
 type Config struct {
 	Reducer mr.IncrementalReducer
 	B       int              // number of bootstrap resamples
@@ -147,30 +195,39 @@ type Config struct {
 }
 
 // New creates an empty Maintainer; call Grow with the initial sample
-// (the paper treats the first sample as Δs₁ added to an empty set).
-func New(cfg Config) (*Maintainer, error) {
-	if cfg.Reducer == nil {
-		return nil, errors.New("delta: Config.Reducer is required")
-	}
-	if cfg.B < 2 {
-		return nil, fmt.Errorf("delta: need B ≥ 2, got %d", cfg.B)
-	}
+// (the paper treats the first sample as Δs₁ added to an empty set). It
+// folds cfg's statistic — Reducer, Key, B — and every statistic of
+// more, which share its resamples: statistic 0 is cfg's, statistic s
+// is more[s−1].
+func New(cfg Config, more ...Stat) (*Maintainer, error) {
 	c := cfg.C
 	if c <= 0 {
 		c = sketch.DefaultC
 	}
-	return &Maintainer{
-		red:     cfg.Reducer,
-		b:       cfg.B,
+	m := &Maintainer{
 		c:       c,
 		par:     pool.Workers(cfg.Parallelism),
 		seed:    cfg.Seed,
 		metrics: cfg.Metrics,
-		key:     cfg.Key,
-	}, nil
+	}
+	for _, st := range append([]Stat{{Reducer: cfg.Reducer, Key: cfg.Key, B: cfg.B}}, more...) {
+		if st.Reducer == nil {
+			return nil, errors.New("delta: Config.Reducer is required")
+		}
+		if st.B < 2 {
+			return nil, fmt.Errorf("delta: need B ≥ 2, got %d", st.B)
+		}
+		counted, _ := st.Reducer.(mr.MultisetReducer)
+		if counted != nil && m.ranker == nil {
+			m.ranker = st.Reducer
+		}
+		m.stats = append(m.stats, stat{red: st.Reducer, counted: counted, key: st.Key, b: st.B})
+		m.b = max(m.b, st.B)
+	}
+	return m, nil
 }
 
-// B returns the number of maintained resamples.
+// B returns the number of maintained resamples: the largest statistic's.
 func (m *Maintainer) B() int { return m.b }
 
 // N returns the current sample size.
@@ -184,10 +241,11 @@ func (m *Maintainer) Generation() int { return m.generation }
 func (m *Maintainer) Rebuilds() int { return int(m.rebuilds.Load()) }
 
 // Updates reports the total number of per-item state operations (adds,
-// removes, rebuild re-adds) performed so far — the work that delta
-// maintenance saves relative to recomputing every resample from scratch
-// (§4, measured in Fig. 10). It is also charged to Metrics as
-// RecordsReduced so modeled job times include resampling CPU.
+// removes, rebuild re-adds) performed so far, over every statistic —
+// the work that delta maintenance saves relative to recomputing every
+// resample from scratch (§4, measured in Fig. 10). It is also charged
+// to Metrics as RecordsReduced so modeled job times include resampling
+// CPU.
 func (m *Maintainer) Updates() int64 { return m.updates.Load() }
 
 // charge records n state operations.
@@ -198,21 +256,34 @@ func (m *Maintainer) charge(n int64) {
 	}
 }
 
+// chargeIO moves the sketch I/O r has collected to the cost metrics,
+// times times over — once per statistic reading r, whose own maintainer
+// would have done that I/O itself.
+func (m *Maintainer) chargeIO(r *resample, times int64) {
+	seeks, read, written := r.io.DiskSeeks.Swap(0), r.io.BytesRead.Swap(0), r.io.BytesWritten.Swap(0)
+	if m.metrics == nil || seeks == 0 { // every sketch charge is a seek
+		return
+	}
+	m.metrics.DiskSeeks.Add(times * seeks)
+	m.metrics.BytesRead.Add(times * read)
+	m.metrics.BytesWritten.Add(times * written)
+}
+
 // Grow applies one iteration: the sample becomes s ∪ deltaSample and all
-// B resamples (and their states) are updated in place per §4.1, sharded
-// across the configured worker pool in groups of up to growLanes. One
-// sort of Δs (mr.Rank) serves every resample of a reducer that takes
-// its batches in any order.
+// the resamples (and their states) are updated in place per §4.1,
+// sharded across the configured worker pool in groups of up to
+// growLanes. One sort of Δs (mr.Rank) serves every resample of every
+// statistic whose reducer takes its batches in any order.
 func (m *Maintainer) Grow(deltaSample []float64) error {
-	return m.GrowRanked(deltaSample, mr.Rank(m.red, deltaSample), false)
+	return m.GrowRanked(deltaSample, mr.Rank(m.ranker, deltaSample), false)
 }
 
 // GrowRanked is Grow for a caller that ranked Δs itself — SSABE, whose
 // replicates grow over the same pilot segments and share one ranking of
-// each. rk must be mr.Rank of deltaSample for this maintainer's reducer,
-// or nil, which folds the draws in draw order (it does not rank here);
-// either way the states end bit-identical to Grow's. It is only read,
-// so one ranking may serve maintainers growing concurrently.
+// each. rk must be mr.Rank of deltaSample, or nil, which folds the
+// draws in draw order (it does not rank here); either way the states
+// end bit-identical to Grow's. It is only read, so one ranking may
+// serve maintainers growing concurrently.
 //
 // final marks a maintainer that will not grow again — SSABE's throwaway
 // ones, read once at their last curve point. The states take the
@@ -222,6 +293,8 @@ func (m *Maintainer) Grow(deltaSample []float64) error {
 // not built. Afterwards Results, CV and Updates stand; a further grow
 // returns an error and ResampleSizes no longer counts the last
 // generation.
+//
+// A statistic's fold failing fails the grow with a *StatError.
 func (m *Maintainer) GrowRanked(deltaSample []float64, rk *mr.Ranking, final bool) error {
 	if m.final {
 		return errors.New("delta: Grow after a final grow")
@@ -244,7 +317,13 @@ func (m *Maintainer) GrowRanked(deltaSample []float64, rk *mr.Ranking, final boo
 		m.resamples = make([]*resample, m.b)
 		for i := range m.resamples {
 			src := stats.SplitPCG(m.seed, seed2Base, i)
-			m.resamples[i] = &resample{src: src, rng: rand.New(src)}
+			r := &resample{src: src, rng: rand.New(src), states: make([]mr.State, len(m.stats))}
+			for _, st := range m.stats {
+				if i < st.b {
+					r.readers++
+				}
+			}
+			m.resamples[i] = r
 		}
 	}
 	// Full groups feed the lane kernels, but never at the price of a
@@ -263,9 +342,9 @@ func (m *Maintainer) GrowRanked(deltaSample []float64, rk *mr.Ranking, final boo
 			hi := min(lo+group, m.b)
 			var err error
 			if first {
-				err = m.initGroup(m.resamples[lo:hi], ds, rk, scratch, final)
+				err = m.initGroup(lo, m.resamples[lo:hi], ds, rk, scratch, final)
 			} else {
-				err = m.growGroup(m.resamples[lo:hi], nPrime, ds, rk, scratch, final)
+				err = m.growGroup(lo, m.resamples[lo:hi], nPrime, ds, rk, scratch, final)
 			}
 			if err != nil {
 				return fmt.Errorf("delta: resamples %d-%d: %w", lo, hi-1, err)
@@ -287,29 +366,60 @@ func (m *Maintainer) GrowRanked(deltaSample []float64, rk *mr.Ranking, final boo
 // n′ items drawn with replacement from Δs₁, which is memory-resident
 // right now — no disk charge (sketches are kept for *future*
 // iterations, when Δs₁ has been spilled). Initialize takes a resample's
-// items whole, so there is nothing to fold across the group.
+// items whole, so there is nothing to fold across the group. lo is the
+// index of the group's first resample.
 //
 //earl:hotpath
-func (m *Maintainer) initGroup(rs []*resample, ds []float64, rk *mr.Ranking, scratch *growScratch, final bool) error {
-	for _, r := range rs {
+func (m *Maintainer) initGroup(lo int, rs []*resample, ds []float64, rk *mr.Ranking, scratch *growScratch, final bool) error {
+	for k, r := range rs {
 		items := drawDelta(r.src, ds, rk, scratch.counts, scratch.adds.Take(len(ds)), len(ds))
-		var st mr.State
-		var err error
-		if rk != nil {
-			st, err = rk.Initialize(m.key, scratch.counts)
-		} else {
-			st, err = m.red.Initialize(m.key, items)
-		}
+		err := m.initStates(lo+k, r, items, rk, scratch.counts)
+		clear(scratch.counts)
 		if err != nil {
-			return fmt.Errorf("initialize: %w", err)
+			return err
 		}
-		m.charge(int64(len(items)))
-		r.state = st
-		if final {
+		m.charge(r.readers * int64(len(items)))
+		if !final {
+			if err := m.endIteration(r, items, ds); err != nil {
+				return err
+			}
+		}
+		m.chargeIO(r, r.readers)
+	}
+	return nil
+}
+
+// initStates initializes every reading statistic's state of resample
+// i from its first draws: items in draw order, and their counts by rank
+// under a ranking.
+func (m *Maintainer) initStates(i int, r *resample, items []float64, rk *mr.Ranking, counts []uint32) error {
+	for s, st := range m.stats {
+		if i >= st.b {
 			continue
 		}
-		if err := m.endIteration(r, items, ds); err != nil {
-			return err
+		var err error
+		if rk != nil && st.counted != nil {
+			r.states[s], err = st.counted.InitializeCounted(st.key, rk.Distinct, counts)
+		} else {
+			r.states[s], err = st.red.Initialize(st.key, items)
+		}
+		if err != nil {
+			return &StatError{Stat: s, Err: fmt.Errorf("initialize: %w", err)}
+		}
+	}
+	return nil
+}
+
+// foldCounted folds resample i's draws, counted by rank, into every
+// reading statistic that takes counts.
+func (m *Maintainer) foldCounted(i int, r *resample, rk *mr.Ranking, counts []uint32) error {
+	for s, st := range m.stats {
+		if i >= st.b || st.counted == nil {
+			continue
+		}
+		var err error
+		if r.states[s], err = st.counted.UpdateCounted(r.states[s], rk.Distinct, counts); err != nil {
+			return &StatError{Stat: s, Err: err}
 		}
 	}
 	return nil
@@ -319,18 +429,20 @@ func (m *Maintainer) initGroup(rs []*resample, ds []float64, rk *mr.Ranking, scr
 // Per resample the rng draw sequence is identical item for item to the
 // historical one-Update-per-item implementation — the binomial resize,
 // its deletes or adds, the draws from Δs, then the new part and cache —
-// and so is the order its state sees values in; only the *state*
-// application is batched: deletes and adds in one interface call each,
-// and the Δs draws of the whole group in one mr.UpdateLanes between the
-// two per-resample passes. Fixed-seed results stay bit-identical. Under
-// a ranking a resample's draws reach its state at once and ascending —
-// the reducer has declared that order leaves no trace.
+// and so is the order each statistic's state sees values in; only the
+// *state* application is batched: deletes and adds in one interface
+// call each, and the Δs draws of the whole group in one mr.UpdateLanes
+// per statistic between the two per-resample passes. Fixed-seed results
+// stay bit-identical. Under a ranking a resample's draws reach a counted
+// statistic's state at once and ascending — the reducer has declared
+// that order leaves no trace. The rng work is done once per resample,
+// whatever number of statistics read it.
 //
 //earl:hotpath
-func (m *Maintainer) growGroup(rs []*resample, nPrime int, ds []float64, rk *mr.Ranking, scratch *growScratch, final bool) error {
-	draws, states := scratch.draws[:len(rs)], scratch.states[:len(rs)]
+func (m *Maintainer) growGroup(lo int, rs []*resample, nPrime int, ds []float64, rk *mr.Ranking, scratch *growScratch, final bool) error {
+	draws := scratch.draws[:len(rs)]
 	for k, r := range rs {
-		keep, err := m.resizeResample(r, nPrime, scratch)
+		keep, err := m.resizeResample(lo+k, r, nPrime, scratch)
 		if err != nil {
 			return err
 		}
@@ -338,27 +450,43 @@ func (m *Maintainer) growGroup(rs []*resample, nPrime int, ds []float64, rk *mr.
 		// resident this iteration, so drawn directly.
 		fill := nPrime - keep
 		draws[k] = drawDelta(r.src, ds, rk, scratch.counts, scratch.fills[k].Take(fill), fill)
-		states[k] = r.state
-		if rk != nil {
-			if states[k], err = rk.Update(r.state, scratch.counts); err != nil {
-				return err
-			}
+		if rk == nil {
+			continue
+		}
+		err = m.foldCounted(lo+k, r, rk, scratch.counts)
+		clear(scratch.counts)
+		if err != nil {
+			return err
 		}
 	}
-	if rk == nil {
-		if err := mr.UpdateLanes(m.red, states, draws); err != nil {
-			return err
+	for s, st := range m.stats {
+		if rk != nil && st.counted != nil {
+			continue
+		}
+		// The statistic reads a prefix of the group.
+		n := min(len(rs), st.b-lo)
+		if n <= 0 {
+			continue
+		}
+		states := scratch.states[:n]
+		for k := range states {
+			states[k] = rs[k].states[s]
+		}
+		if err := mr.UpdateLanes(st.red, states, draws[:n]); err != nil {
+			return &StatError{Stat: s, Err: err}
+		}
+		for k, state := range states {
+			rs[k].states[s] = state
 		}
 	}
 	for k, r := range rs {
-		r.state = states[k]
-		m.charge(int64(len(draws[k])))
-		if final {
-			continue
+		m.charge(r.readers * int64(len(draws[k])))
+		if !final {
+			if err := m.endIteration(r, draws[k], ds); err != nil {
+				return err
+			}
 		}
-		if err := m.endIteration(r, draws[k], ds); err != nil {
-			return err
-		}
+		m.chargeIO(r, r.readers)
 	}
 	return nil
 }
@@ -400,9 +528,9 @@ func drawDelta(src *stats.PCG, ds []float64, rk *mr.Ranking, counts []uint32, it
 // layout largely disappear — the modeled disk cost of the optimized
 // path drops accordingly.
 func (m *Maintainer) endIteration(r *resample, items, ds []float64) error {
-	r.parts = append(r.parts, sketch.NewPart(items, m.c, r.rng, m.metrics))
+	r.parts = append(r.parts, sketch.NewPart(items, m.c, r.rng, &r.io))
 	r.partTree.Append(int64(len(items)))
-	cache, err := sketch.NewCache(ds, m.c, r.rng, m.metrics)
+	cache, err := sketch.NewCache(ds, m.c, r.rng, &r.io)
 	if err != nil {
 		return err
 	}
@@ -413,12 +541,13 @@ func (m *Maintainer) endIteration(r *resample, items, ds []float64) error {
 	return nil
 }
 
-// resizeResample draws how many of the resample's n′ items are retained
+// resizeResample draws how many of resample i's n′ items are retained
 // from the old sample (Eq. 2) and deletes or adds old items to match,
-// applying them to the state as it goes. It returns the retained count.
+// applying them to every reading statistic's state as it goes. It
+// returns the retained count.
 //
 //earl:hotpath
-func (m *Maintainer) resizeResample(r *resample, nPrime int, scratch *growScratch) (int, error) {
+func (m *Maintainer) resizeResample(i int, r *resample, nPrime int, scratch *growScratch) (int, error) {
 	keep, err := RetainedSize(r.rng, m.n, nPrime)
 	if err != nil {
 		return 0, err
@@ -428,7 +557,7 @@ func (m *Maintainer) resizeResample(r *resample, nPrime int, scratch *growScratc
 		// Randomly delete (n − keep) items from the old parts, each part
 		// chosen with probability proportional to its size (a uniform
 		// deletion over the whole resample). Values are collected and
-		// removed from the user state in one batch.
+		// removed from the user states in one batch each.
 		dels := scratch.dels.Take(m.n - keep)
 		for d := 0; d < m.n-keep; d++ {
 			pi, p := pickPartWeighted(r)
@@ -442,15 +571,24 @@ func (m *Maintainer) resizeResample(r *resample, nPrime int, scratch *growScratc
 			r.partTree.Add(pi, -1)
 			dels = append(dels, v)
 		}
-		if err := m.removeFromState(r, dels); err != nil {
-			return 0, err
+		// The deletes' sketch refreshes are every reader's; a rebuild's
+		// re-read is its own statistic's.
+		m.chargeIO(r, r.readers)
+		for s, st := range m.stats {
+			if i >= st.b {
+				continue
+			}
+			if err := m.removeFromState(r, s, dels); err != nil {
+				return 0, &StatError{Stat: s, Err: err}
+			}
+			m.chargeIO(r, 1)
 		}
-		m.charge(int64(len(dels)))
+		m.charge(r.readers * int64(len(dels)))
 	case keep > m.n:
 		// Add (keep − n) items drawn randomly from the old sample s:
 		// pick a generation weighted by size, draw from this resample's
-		// cache over it. Values are folded into the user state in one
-		// batch.
+		// cache over it. Values are folded into the user states in one
+		// batch each.
 		adds := scratch.adds.Take(keep - m.n)
 		for a := 0; a < keep-m.n; a++ {
 			k := m.pickGenWeighted(r.rng)
@@ -459,12 +597,15 @@ func (m *Maintainer) resizeResample(r *resample, nPrime int, scratch *growScratc
 			r.partTree.Add(k, 1)
 			adds = append(adds, v)
 		}
-		st, err := mr.UpdateAll(m.red, r.state, adds)
-		if err != nil {
-			return 0, err
+		for s, st := range m.stats {
+			if i >= st.b {
+				continue
+			}
+			if r.states[s], err = mr.UpdateAll(st.red, r.states[s], adds); err != nil {
+				return 0, &StatError{Stat: s, Err: err}
+			}
 		}
-		r.state = st
-		m.charge(int64(len(adds)))
+		m.charge(r.readers * int64(len(adds)))
 	}
 	return keep, nil
 }
@@ -490,18 +631,18 @@ func (m *Maintainer) pickGenWeighted(rng *rand.Rand) int {
 	return m.genTree.Pick(int64(rng.IntN(int(m.genTree.Total()))))
 }
 
-// removeFromState removes a batch of values from a resample's state —
-// one mr.BatchRemovableState call when supported, a per-value Remove
-// loop otherwise — rebuilding the state from the resample's surviving
-// items when the state cannot remove at all. The rebuild is the slow
-// path the paper's design avoids for moment-like statistics; batching
-// means one rebuild per generation (not one per deleted item), charged
-// as the full re-read it implies.
-func (m *Maintainer) removeFromState(r *resample, vs []float64) error {
+// removeFromState removes a batch of values from statistic s's state
+// of r — one mr.BatchRemovableState call when supported, a per-value
+// Remove loop otherwise — rebuilding the state from the resample's
+// surviving items when the state cannot remove at all. The rebuild is
+// the slow path the paper's design avoids for moment-like statistics;
+// batching means one rebuild per generation (not one per deleted item),
+// charged as the full re-read it implies.
+func (m *Maintainer) removeFromState(r *resample, s int, vs []float64) error {
 	if len(vs) == 0 {
 		return nil
 	}
-	handled, err := mr.RemoveValues(r.state, vs)
+	handled, err := mr.RemoveValues(r.states[s], vs)
 	if err != nil {
 		return err
 	}
@@ -513,25 +654,31 @@ func (m *Maintainer) removeFromState(r *resample, vs []float64) error {
 	for _, p := range r.parts {
 		all = append(all, p.Items()...) // Items() charges the disk read
 	}
-	st, err := m.red.Initialize(m.key, all)
+	st := &m.stats[s]
+	state, err := st.red.Initialize(st.key, all)
 	if err != nil {
 		return err
 	}
 	m.charge(int64(len(all)))
-	r.state = st
+	r.states[s] = state
 	return nil
 }
 
-// Results finalizes every resample state and returns the B values of the
-// statistic — the result distribution handed to the accuracy estimation
+// Results finalizes statistic 0's resample states and returns its B
+// values — the result distribution handed to the accuracy estimation
 // stage.
-func (m *Maintainer) Results() ([]float64, error) {
+func (m *Maintainer) Results() ([]float64, error) { return m.ResultsOf(0) }
+
+// ResultsOf is Results for statistic s: the values of its B_s
+// resamples.
+func (m *Maintainer) ResultsOf(s int) ([]float64, error) {
 	if m.n == 0 {
 		return nil, errors.New("delta: no sample yet")
 	}
-	out := make([]float64, len(m.resamples))
-	for i, r := range m.resamples {
-		v, err := m.red.Finalize(r.state)
+	st := &m.stats[s]
+	out := make([]float64, st.b)
+	for i, r := range m.resamples[:st.b] {
+		v, err := st.red.Finalize(r.states[s])
 		if err != nil {
 			return nil, fmt.Errorf("delta: finalize resample %d: %w", i, err)
 		}
@@ -540,8 +687,8 @@ func (m *Maintainer) Results() ([]float64, error) {
 	return out, nil
 }
 
-// CV finalizes all resamples and returns the coefficient of variation of
-// the result distribution — EARL's error measure.
+// CV finalizes statistic 0's resamples and returns the coefficient of
+// variation of its result distribution — EARL's error measure.
 func (m *Maintainer) CV() (float64, error) {
 	vals, err := m.Results()
 	if err != nil {

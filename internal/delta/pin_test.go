@@ -186,3 +186,77 @@ func TestGrowRankedRejectsAMismatchedRanking(t *testing.T) {
 		t.Fatal("GrowRanked accepted a ranking of 19 values for a Δs of 20")
 	}
 }
+
+// TestSharedMaintainerEqualsOneEach: a maintainer folding several
+// statistics, each reading its first B resamples, leaves each statistic
+// the result distribution a maintainer of its own with the same seed
+// leaves, bit for bit, and charges the state operations and modelled
+// cost the maintainers one by one add up to — for a lane reducer, a
+// counted one, and one whose states cannot remove and are rebuilt,
+// over ranked and unranked generations, at any Parallelism.
+func TestSharedMaintainerEqualsOneEach(t *testing.T) {
+	stats := []Stat{
+		{Reducer: jobs.Mean().Reducer, Key: "mean", B: 7},
+		{Reducer: jobs.Median().Reducer, Key: "median", B: 12},
+		{Reducer: noRemoveReducer{}, Key: "plain", B: 5},
+	}
+	gens := [][]float64{sampleData(200, 41), sampleData(300, 42), sampleData(500, 43)}
+	for _, par := range []int{1, 3} {
+		var wantCost simcost.Snapshot
+		var wantUpdates int64
+		want := make([][]float64, len(stats))
+		for s, st := range stats {
+			metrics := &simcost.Metrics{}
+			m, err := New(Config{Reducer: st.Reducer, Key: st.Key, B: st.B, Seed: 9, Metrics: metrics, Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, g := range gens {
+				if err := m.Grow(g); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if want[s], err = m.Results(); err != nil {
+				t.Fatal(err)
+			}
+			wantCost = wantCost.Add(metrics.Snapshot())
+			wantUpdates += m.Updates()
+		}
+		metrics := &simcost.Metrics{}
+		m, err := New(Config{Reducer: stats[0].Reducer, Key: stats[0].Key, B: stats[0].B, Seed: 9, Metrics: metrics, Parallelism: par}, stats[1:]...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range gens {
+			if err := m.Grow(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if m.B() != 12 {
+			t.Fatalf("parallelism %d: %d resamples held, want the largest B, 12", par, m.B())
+		}
+		for s, st := range stats {
+			got, err := m.ResultsOf(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != st.B {
+				t.Fatalf("parallelism %d: %s has %d values, want %d", par, st.Key, len(got), st.B)
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[s][i]) {
+					t.Fatalf("parallelism %d: %s resample %d = %v shared, %v alone", par, st.Key, i, got[i], want[s][i])
+				}
+			}
+		}
+		if m.Rebuilds() == 0 {
+			t.Fatalf("parallelism %d: the plain reducer's states were never rebuilt", par)
+		}
+		if got := m.Updates(); got != wantUpdates {
+			t.Errorf("parallelism %d: %d state operations shared, %d alone", par, got, wantUpdates)
+		}
+		if cost := metrics.Snapshot(); cost != wantCost {
+			t.Errorf("parallelism %d: cost %+v shared, %+v alone", par, cost, wantCost)
+		}
+	}
+}

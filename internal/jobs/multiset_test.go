@@ -137,11 +137,11 @@ func TestMultisetReducersIgnoreBatchOrder(t *testing.T) {
 			check("counted", run(
 				func() (mr.State, error) {
 					rk, counts := counted(first)
-					return rk.Initialize("k", counts)
+					return job.Reducer.(mr.MultisetReducer).InitializeCounted("k", rk.Distinct, counts)
 				},
 				func(st mr.State) (mr.State, error) {
 					rk, counts := counted(second)
-					return rk.Update(st, counts)
+					return job.Reducer.(mr.MultisetReducer).UpdateCounted(st, rk.Distinct, counts)
 				},
 			))
 		}

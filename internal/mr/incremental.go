@@ -3,7 +3,6 @@ package mr
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // State is an opaque summary of a user function f after processing some
@@ -178,28 +177,30 @@ type MultisetReducer interface {
 // Ranking is a batch source — a Δs, SSABE's pilot — sorted once, so that
 // each bootstrap resample drawn from it by position reaches a
 // MultisetReducer for one counter increment per draw (counts[Of[p]]++)
-// instead of one sort per resample. It is read-only after Rank and safe
-// to share between workers; the counters — one per distinct value, zero
-// between resamples — are the caller's per-worker scratch.
+// instead of one sort per resample: the reducer's counted methods take
+// Distinct and the counts. A ranking belongs to no reducer — every
+// MultisetReducer folding resamples of the source may read it — and it
+// is read-only after Rank, safe to share between workers; the counters
+// — one per distinct value, zeroed by the caller between resamples —
+// are the caller's per-worker scratch.
 type Ranking struct {
-	red      MultisetReducer
 	Distinct []float64 // the source's distinct values, ascending
 	Of       []uint32  // Of[j] is the index in Distinct of source[j]
 }
 
-// Rank ranks source for r. It returns nil — and the caller keeps folding
+// Rank ranks source. It returns nil — and the caller keeps folding
 // batches in draw order — unless r is a MultisetReducer and sorting
-// cannot change a bit of r's state: a source holding a NaN is left for
-// the reducer to reject as it always has, and one holding both +0 and
-// −0, which compare equal, would otherwise reach the state in an order
-// other than the reducer's own sort would have produced.
+// cannot change a bit of a multiset state: a source holding a NaN is
+// left for the reducer to reject as it always has, and one holding both
+// +0 and −0, which compare equal, would otherwise reach the state in an
+// order other than the reducer's own sort would have produced. Neither
+// condition depends on which MultisetReducer r is.
 //
 // A source already ascending — a Δs the sinks sorted where it lies — is
-// ranked in one linear pass; any other is copied, sorted and searched.
-// Both give the same Ranking.
+// ranked in one linear pass; any other is radix-sorted with its
+// positions. Both give the same Ranking.
 func Rank(r IncrementalReducer, source []float64) *Ranking {
-	red, ok := r.(MultisetReducer)
-	if !ok || len(source) == 0 {
+	if _, ok := r.(MultisetReducer); !ok || len(source) == 0 {
 		return nil
 	}
 	var posZero, negZero bool
@@ -221,14 +222,14 @@ func Rank(r IncrementalReducer, source []float64) *Ranking {
 		return nil
 	}
 	if ascending {
-		return rankAscending(red, source)
+		return rankAscending(source)
 	}
-	return rankBySort(red, source)
+	return rankBySort(source)
 }
 
 // rankAscending ranks an ascending source in one pass: a value that
 // differs from its predecessor opens the next distinct rank.
-func rankAscending(red MultisetReducer, source []float64) *Ranking {
+func rankAscending(source []float64) *Ranking {
 	distinct := make([]float64, 0, len(source))
 	of := make([]uint32, len(source))
 	for j, v := range source {
@@ -237,41 +238,79 @@ func rankAscending(red MultisetReducer, source []float64) *Ranking {
 		}
 		of[j] = uint32(len(distinct) - 1)
 	}
-	return &Ranking{red: red, Distinct: distinct, Of: of}
+	return &Ranking{Distinct: distinct, Of: of}
 }
 
-// rankBySort ranks any source: a sorted copy, its distinct values, and
-// a binary search per element.
-func rankBySort(red MultisetReducer, source []float64) *Ranking {
-	sorted := append([]float64(nil), source...)
-	sort.Float64s(sorted)
-	distinct := sorted[:1]
-	for _, v := range sorted[1:] {
-		if v != distinct[len(distinct)-1] {
-			distinct = append(distinct, v)
+// rankBySort ranks any source: a least-significant-digit radix sort of
+// its values' order-preserving bit keys, carrying each value's
+// position, then one walk that opens a rank wherever the key changes.
+// Keys are equal exactly when values are: Rank has turned away NaN and
+// +0 beside −0.
+func rankBySort(source []float64) *Ranking {
+	n := len(source)
+	keys, pos := make([]uint64, n), make([]uint32, n)
+	for j, v := range source {
+		k := math.Float64bits(v)
+		if k>>63 != 0 {
+			k = ^k // negative: the larger the magnitude, the smaller the key
+		} else {
+			k |= 1 << 63
+		}
+		keys[j], pos[j] = k, uint32(j)
+	}
+	nextKeys, nextPos := make([]uint64, n), make([]uint32, n)
+	for shift := 0; shift < 64; shift += 8 {
+		var at [256]int
+		for _, k := range keys {
+			at[byte(k>>shift)]++
+		}
+		if at[byte(keys[0]>>shift)] == n {
+			continue // every key has this digit: the pass would move nothing
+		}
+		sum := 0
+		for d, c := range at {
+			at[d], sum = sum, sum+c
+		}
+		for j, k := range keys {
+			d := byte(k >> shift)
+			nextKeys[at[d]], nextPos[at[d]] = k, pos[j]
+			at[d]++
+		}
+		keys, nextKeys, pos, nextPos = nextKeys, keys, nextPos, pos
+	}
+	distinct := make([]float64, 0, n)
+	of := make([]uint32, n)
+	for i, k := range keys {
+		if i == 0 || k != keys[i-1] {
+			distinct = append(distinct, source[pos[i]])
+		}
+		of[pos[i]] = uint32(len(distinct) - 1)
+	}
+	return &Ranking{Distinct: distinct, Of: of}
+}
+
+// Part returns the ranking of source[lo:hi], where rk ranks source: the
+// distinct values the part holds, in rk's order, so the same Ranking
+// Rank would return for the part — found in one pass, with no sort.
+func (rk *Ranking) Part(lo, hi int) *Ranking {
+	// next[d] is 1 + the part's rank of rk's rank d, or 0 if the part
+	// lacks it.
+	next := make([]uint32, len(rk.Distinct))
+	for _, d := range rk.Of[lo:hi] {
+		next[d] = 1
+	}
+	distinct := make([]float64, 0, len(rk.Distinct))
+	for d, held := range next {
+		if held != 0 {
+			distinct = append(distinct, rk.Distinct[d])
+			next[d] = uint32(len(distinct))
 		}
 	}
-	of := make([]uint32, len(source))
-	for j, v := range source {
-		of[j] = uint32(sort.SearchFloat64s(distinct, v))
+	of := make([]uint32, hi-lo)
+	for j, d := range rk.Of[lo:hi] {
+		of[j] = next[d] - 1
 	}
-	return &Ranking{red: red, Distinct: distinct, Of: of}
-}
-
-// Initialize reduces the resample counts describes into a fresh state
-// and zeroes counts for the next resample.
-func (rk *Ranking) Initialize(key string, counts []uint32) (State, error) {
-	st, err := rk.red.InitializeCounted(key, rk.Distinct, counts)
-	clear(counts)
-	return st, err
-}
-
-// Update folds the resample counts describes into state and zeroes
-// counts for the next resample.
-func (rk *Ranking) Update(state State, counts []uint32) (State, error) {
-	st, err := rk.red.UpdateCounted(state, rk.Distinct, counts)
-	clear(counts)
-	return st, err
+	return &Ranking{Distinct: distinct, Of: of}
 }
 
 // InitializeOrUpdate folds values into state, creating a fresh state via

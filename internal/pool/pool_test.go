@@ -19,6 +19,18 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
+func TestWorkersResolution(t *testing.T) {
+	if got := Workers(3); got != 3 {
+		t.Fatalf("Workers(3) = %d", got)
+	}
+	if got := Workers(0); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("Workers(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+	}
+	if got := Workers(-2); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("Workers(-2) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+	}
+}
+
 func TestForEachCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{1, 4, 100} {
 		var hits [37]atomic.Int32
