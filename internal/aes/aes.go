@@ -25,6 +25,16 @@
 // (PlanAll): both phases draw each resample once and fold it into every
 // statistic that reads it, and each statistic still stops phase 1 at
 // its own B and gets the plan an SSABE of its own would give it.
+//
+// Every resample of either phase is drawn from the one pilot, which is
+// ranked once (mr.Rank). Over a ranked pilot a quantile is planned from
+// counts alone and no order-statistic state is built: phase 1 finalizes
+// each candidate resample from its counts by rank
+// (mr.MultisetReducer.FinalizeCounted), and phase 2's maintainers are
+// told the pilot's distinct values as their universe
+// (delta.Config.Universe), each resample one count vector over them
+// that every quantile of the query reads. A pilot that is not ranked —
+// a NaN, or +0 beside −0 — keeps the states.
 package aes
 
 import (
@@ -166,8 +176,8 @@ func (c *chooser) add(v float64) {
 // choice the rng never sees:
 //
 //   - a reducer that takes a batch in any order (mr.MultisetReducer)
-//     reads the resample counted by rank, over one sort of the pilot
-//     shared by every such statistic;
+//     finalizes the resample from its counts by rank, over one sort of
+//     the pilot shared by every such statistic, with no state built;
 //   - a reducer that folds states side by side (mr.LaneUpdater) has a
 //     group of stats.WelfordLanes resamples — one rng, so group order is
 //     resample order — folded in one mr.UpdateLanes from empty states,
@@ -245,7 +255,8 @@ func needs(cs []*chooser) (gather, count, lanes bool) {
 
 // read takes the group of resamples d drew last, in order, until the
 // statistic stops: folded abreast from empty states for a lane reducer,
-// counted for one that takes counts, through Initialize otherwise.
+// finalized from its counts for one that takes counts, through
+// Initialize otherwise.
 func (c *chooser) read(d *draws, group int) {
 	if c.lanes {
 		if c.err = foldLanes(c, d.bufs[:group]); c.err != nil {
@@ -253,19 +264,18 @@ func (c *chooser) read(d *draws, group int) {
 		}
 	}
 	for k := 0; k < group && c.choosing(); k++ {
-		var st mr.State
+		var v float64
 		var err error
 		switch {
 		case c.counted != nil:
-			st, err = c.counted.InitializeCounted(c.cfg.Key, d.rk.Distinct, d.counts[k])
+			v, err = c.counted.FinalizeCounted(d.rk.Distinct, d.counts[k], int64(len(d.pilot)))
 		case c.lanes:
-			st = c.states[k]
+			v, err = c.cfg.Reducer.Finalize(c.states[k])
 		default:
-			st, err = c.cfg.Reducer.Initialize(c.cfg.Key, d.bufs[k])
-		}
-		var v float64
-		if err == nil {
-			v, err = c.cfg.Reducer.Finalize(st)
+			var st mr.State
+			if st, err = c.cfg.Reducer.Initialize(c.cfg.Key, d.bufs[k]); err == nil {
+				v, err = c.cfg.Reducer.Finalize(st)
+			}
 		}
 		if err != nil {
 			c.err = err
@@ -474,11 +484,14 @@ func ranker(cfgs []Config) mr.IncrementalReducer {
 
 // segment is one step of phase 2's growth schedule: the pilot records
 // that take its prefix from n_{i−1} to n_i = end, and their ranking
-// (nil unless some reducer takes batches in any order).
+// (nil unless some reducer takes batches in any order). view marks a
+// ranking that is a view of the pilot's: its Distinct is the whole
+// pilot's, the universe phase 2's maintainers count over.
 type segment struct {
 	delta []float64
 	rank  *mr.Ranking
 	end   int
+	view  bool
 }
 
 // segments cuts the pilot into the schedule's L geometrically growing
@@ -489,9 +502,10 @@ func segments(pilot []float64, red mr.IncrementalReducer) []segment {
 }
 
 // cut is segments given rk, the pilot's ranking for red: each step's
-// ranking is a part of it, found without a sort. A pilot that is not
-// ranked as a whole — a NaN, or +0 beside −0 — may still have steps that
-// are, and they are ranked on their own.
+// ranking is a view of it — the pilot's distinct values, and the step's
+// stretch of rk.Of — so it costs nothing. A pilot that is not ranked as
+// a whole — a NaN, or +0 beside −0 — may still have steps that are, and
+// they are ranked on their own.
 func cut(pilot []float64, red mr.IncrementalReducer, rk *mr.Ranking) []segment {
 	var segs []segment
 	prevEnd := 0
@@ -500,9 +514,9 @@ func cut(pilot []float64, red mr.IncrementalReducer, rk *mr.Ranking) []segment {
 		if end <= prevEnd {
 			continue
 		}
-		seg := segment{delta: pilot[prevEnd:end], end: end}
+		seg := segment{delta: pilot[prevEnd:end], end: end, view: rk != nil}
 		if rk != nil {
-			seg.rank = rk.Part(prevEnd, end)
+			seg.rank = &mr.Ranking{Distinct: rk.Distinct, Of: rk.Of[prevEnd:end]}
 		} else {
 			seg.rank = mr.Rank(red, seg.delta)
 		}
@@ -515,11 +529,17 @@ func cut(pilot []float64, red mr.IncrementalReducer, rk *mr.Ranking) []segment {
 // estimateNReplicate runs one delta-maintained pass over the phase-2
 // growth schedule and returns, per statistic, the cv at each prefix
 // size. Replicate r owns a fixed seed offset, so the averaged curves are
-// deterministic.
+// deterministic. Segments that are views of the pilot's ranking give
+// the maintainer the pilot's distinct values as its universe: each
+// resample's counted statistics are one count vector over them.
 func estimateNReplicate(segs []segment, bs []int, cfgs []Config, r, par int) ([][]CurvePoint, error) {
 	more := make([]delta.Stat, 0, len(cfgs)-1)
 	for s, cfg := range cfgs[1:] {
 		more = append(more, delta.Stat{Reducer: cfg.Reducer, Key: cfg.Key, B: bs[s+1]})
+	}
+	var universe []float64
+	if segs[0].view {
+		universe = segs[0].rank.Distinct
 	}
 	maint, err := delta.New(delta.Config{
 		Reducer:     cfgs[0].Reducer,
@@ -528,6 +548,7 @@ func estimateNReplicate(segs []segment, bs []int, cfgs []Config, r, par int) ([]
 		Metrics:     cfgs[0].Metrics,
 		Key:         cfgs[0].Key,
 		Parallelism: par,
+		Universe:    universe,
 	}, more...)
 	if err != nil {
 		return nil, err

@@ -86,20 +86,32 @@ func TestSSABESameBitsAtAnyParallelism(t *testing.T) {
 // BenchmarkSSABE times one SSABE — phase 1 and phase 2's three
 // replicates — over a 10 k Zipf pilot, sequentially and at GOMAXPROCS:
 // for mean and for p50 alone, and for mean, p50 and count planned
-// together, as a query of the three is.
+// together, as a query of the three is; and for p50, p95 and p99 over a
+// 10 k Gaussian pilot, whose values are all distinct — the most
+// distinct values a quantile's resamples can be counted over.
 func BenchmarkSSABE(b *testing.B) {
-	pilot, err := workload.NumericSpec{Dist: workload.Zipf, N: 10_000, Seed: 5}.Generate()
+	zipf, err := workload.NumericSpec{Dist: workload.Zipf, N: 10_000, Seed: 5}.Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	gaussian, err := workload.NumericSpec{Dist: workload.Gaussian, N: 10_000, Seed: 5}.Generate()
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, c := range []struct {
+		pilot string
 		stats []string
 		sigma float64
 	}{
-		{[]string{"mean"}, 0.01},
-		{[]string{"p50"}, 0.01},
-		{[]string{"mean", "p50", "count"}, 0.05},
+		{"zipf", []string{"mean"}, 0.01},
+		{"zipf", []string{"p50"}, 0.01},
+		{"zipf", []string{"mean", "p50", "count"}, 0.05},
+		{"gaussian", []string{"p50", "p95", "p99"}, 0.05},
 	} {
+		pilot := zipf
+		if c.pilot == "gaussian" {
+			pilot = gaussian
+		}
 		for _, par := range []int{1, runtime.GOMAXPROCS(0)} {
 			cfgs := make([]Config, len(c.stats))
 			for i, name := range c.stats {
@@ -109,7 +121,11 @@ func BenchmarkSSABE(b *testing.B) {
 				}
 				cfgs[i] = Config{Reducer: job.Reducer, Key: name, Sigma: c.sigma, Seed: 3, Parallelism: par}
 			}
-			b.Run(fmt.Sprintf("%s/par=%d", strings.Join(c.stats, "+"), par), func(b *testing.B) {
+			name := strings.Join(c.stats, "+")
+			if c.pilot != "zipf" {
+				name = c.pilot + "/" + name
+			}
+			b.Run(fmt.Sprintf("%s/par=%d", name, par), func(b *testing.B) {
 				for range b.N {
 					if _, err := PlanAll(pilot, 1_000_000, cfgs); err != nil {
 						b.Fatal(err)

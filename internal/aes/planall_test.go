@@ -3,6 +3,7 @@ package aes
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -61,13 +62,36 @@ func (r frozenReducer) Finalize(state mr.State) (float64, error) {
 // curve, the phase-1 trace and every phase-2 point, floats by bits —
 // and charges the modelled cost the SSABEs one by one add up to, at
 // every Parallelism: for statistics that stop phase 1 at different B,
-// for quantiles sharing one ranking, for the moment reducers, and beside
-// a reducer that has no lanes, no ranking and no Remove, whose states
-// are rebuilt and whose calls are counted.
+// for quantiles sharing one ranking (and, in phase 2, one count vector
+// per resample), for the moment reducers, and beside a reducer that has
+// no lanes, no ranking and no Remove, whose states are rebuilt and whose
+// calls are counted. The pilots are Zipf; Gaussian, whose values are
+// all distinct; one holding −0 but no +0, which is ranked; and one
+// holding both, which is not, so its segments are ranked on their own.
 func TestPlanAllEqualsSSABEOneByOne(t *testing.T) {
-	pilot, err := workload.NumericSpec{Dist: workload.Zipf, N: 4000, Seed: 71}.Generate()
+	zipf, err := workload.NumericSpec{Dist: workload.Zipf, N: 4000, Seed: 71}.Generate()
 	if err != nil {
 		t.Fatal(err)
+	}
+	withZeros := func(neg, pos bool) []float64 {
+		xs := pilotData(4000, 73)
+		for i := range xs {
+			switch {
+			case i%40 == 0 && neg:
+				xs[i] = math.Copysign(0, -1)
+			case i%40 == 20 && pos:
+				xs[i] = 0
+			}
+		}
+		return xs
+	}
+	negZero, bothZeros := withZeros(true, false), withZeros(true, true)
+	p50Job, err := jobs.ByName("p50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mr.Rank(p50Job.Reducer, negZero) == nil || mr.Rank(p50Job.Reducer, bothZeros) != nil {
+		t.Fatal("the −0 pilot must rank and the ±0 pilot must not")
 	}
 	var calls atomic.Int64
 	reducer := func(name string) mr.IncrementalReducer {
@@ -80,59 +104,168 @@ func TestPlanAllEqualsSSABEOneByOne(t *testing.T) {
 		}
 		return job.Reducer
 	}
-	for _, set := range [][]string{
-		{"mean", "p50", "count"},
-		{"p50", "p95", "p99"},
-		{"mean", "sum", "variance", "stddev"},
-		{"p50", "frozen-mean", "mean"},
+	for _, c := range []struct {
+		name  string
+		pilot []float64
+		sets  [][]string
+	}{
+		{"zipf", zipf, [][]string{
+			{"mean", "p50", "count"},
+			{"p50", "p95", "p99"},
+			{"mean", "sum", "variance", "stddev"},
+			{"p50", "frozen-mean", "mean"},
+		}},
+		{"gaussian", pilotData(4000, 74), [][]string{{"p50", "p95", "p99"}}},
+		{"−0", negZero, [][]string{{"p50", "p95", "p99"}, {"p50", "frozen-mean", "mean"}}},
+		{"±0", bothZeros, [][]string{{"p50", "p95", "p99"}}},
 	} {
-		for _, seed := range []uint64{1, 4} {
-			cfgs := make([]Config, len(set))
-			for i, name := range set {
-				cfgs[i] = Config{Reducer: reducer(name), Key: name, Sigma: 0.02, Seed: seed}
-			}
-			for _, par := range []int{1, 2, 4} {
-				where := fmt.Sprintf("%s seed %d parallelism %d", strings.Join(set, "+"), seed, par)
-				var wantCost simcost.Snapshot
-				want := make([]Plan, len(cfgs))
-				calls.Store(0)
-				for i, cfg := range cfgs {
-					metrics := &simcost.Metrics{}
-					cfg.Metrics, cfg.Parallelism = metrics, par
-					if want[i], err = SSABE(pilot, 10_000_000, cfg); err != nil {
-						t.Fatalf("%s: %s alone: %v", where, set[i], err)
-					}
-					wantCost = wantCost.Add(metrics.Snapshot())
+		pilot := c.pilot
+		for _, set := range c.sets {
+			for _, seed := range []uint64{1, 4} {
+				cfgs := make([]Config, len(set))
+				for i, name := range set {
+					cfgs[i] = Config{Reducer: reducer(name), Key: name, Sigma: 0.02, Seed: seed}
 				}
-				wantCalls := calls.Swap(0)
+				for _, par := range []int{1, 2, 4} {
+					where := fmt.Sprintf("%s pilot: %s seed %d parallelism %d", c.name, strings.Join(set, "+"), seed, par)
+					var wantCost simcost.Snapshot
+					want := make([]Plan, len(cfgs))
+					calls.Store(0)
+					for i, cfg := range cfgs {
+						metrics := &simcost.Metrics{}
+						cfg.Metrics, cfg.Parallelism = metrics, par
+						if want[i], err = SSABE(pilot, 10_000_000, cfg); err != nil {
+							t.Fatalf("%s: %s alone: %v", where, set[i], err)
+						}
+						wantCost = wantCost.Add(metrics.Snapshot())
+					}
+					wantCalls := calls.Swap(0)
 
-				metrics := &simcost.Metrics{}
-				together := make([]Config, len(cfgs))
-				for i, cfg := range cfgs {
-					cfg.Metrics, cfg.Parallelism = metrics, par
-					together[i] = cfg
-				}
-				got, err := PlanAll(pilot, 10_000_000, together)
-				if err != nil {
-					t.Fatalf("%s: %v", where, err)
-				}
-				bs := map[int]bool{}
-				for i := range got {
-					bs[want[i].B] = true
-					if planFingerprint(got[i]) != planFingerprint(want[i]) {
-						t.Errorf("%s: %s planned B=%d N=%d full=%v together, B=%d N=%d full=%v alone",
-							where, set[i], got[i].B, got[i].N, got[i].UseFull, want[i].B, want[i].N, want[i].UseFull)
+					metrics := &simcost.Metrics{}
+					together := make([]Config, len(cfgs))
+					for i, cfg := range cfgs {
+						cfg.Metrics, cfg.Parallelism = metrics, par
+						together[i] = cfg
+					}
+					got, err := PlanAll(pilot, 10_000_000, together)
+					if err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+					bs := map[int]bool{}
+					for i := range got {
+						bs[want[i].B] = true
+						if planFingerprint(got[i]) != planFingerprint(want[i]) {
+							t.Errorf("%s: %s planned B=%d N=%d full=%v together, B=%d N=%d full=%v alone",
+								where, set[i], got[i].B, got[i].N, got[i].UseFull, want[i].B, want[i].N, want[i].UseFull)
+						}
+					}
+					if cost := metrics.Snapshot(); cost != wantCost {
+						t.Errorf("%s: cost %+v together, %+v alone", where, cost, wantCost)
+					}
+					if n := calls.Load(); n != wantCalls {
+						t.Errorf("%s: the frozen reducer served %d calls together, %d alone", where, n, wantCalls)
+					}
+					if set[0] == "mean" && set[2] == "count" && len(bs) < 2 {
+						t.Errorf("%s: every statistic stopped phase 1 at the same B", where)
 					}
 				}
-				if cost := metrics.Snapshot(); cost != wantCost {
-					t.Errorf("%s: cost %+v together, %+v alone", where, cost, wantCost)
+			}
+		}
+	}
+}
+
+// countingQuantile is a quantile reducer that counts every call that
+// builds or grows a state, by counts or by values.
+type countingQuantile struct {
+	mr.IncrementalReducer
+	counted mr.MultisetReducer
+	calls   *atomic.Int64
+}
+
+func newCountingQuantile(t *testing.T, name string, calls *atomic.Int64) countingQuantile {
+	job, err := jobs.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return countingQuantile{job.Reducer, job.Reducer.(mr.MultisetReducer), calls}
+}
+
+func (r countingQuantile) Initialize(key string, values []float64) (mr.State, error) {
+	r.calls.Add(1)
+	return r.IncrementalReducer.Initialize(key, values)
+}
+
+func (r countingQuantile) Update(state mr.State, input any) (mr.State, error) {
+	r.calls.Add(1)
+	return r.IncrementalReducer.Update(state, input)
+}
+
+func (r countingQuantile) InitializeCounted(key string, distinct []float64, counts []uint32) (mr.State, error) {
+	r.calls.Add(1)
+	return r.counted.InitializeCounted(key, distinct, counts)
+}
+
+func (r countingQuantile) UpdateCounted(state mr.State, distinct []float64, counts []uint32) (mr.State, error) {
+	r.calls.Add(1)
+	return r.counted.UpdateCounted(state, distinct, counts)
+}
+
+func (r countingQuantile) FinalizeCounted(distinct []float64, counts []uint32, n int64) (float64, error) {
+	return r.counted.FinalizeCounted(distinct, counts, n)
+}
+
+// TestPlanAllOverARankedPilotBuildsNoQuantileState: over a ranked pilot
+// a quantile is planned from counts alone — phase 1 finalizes each
+// resample's counts, phase 2 keeps one count vector per resample — so
+// PlanAll never asks a quantile reducer for a state, by counts or by
+// values, at any Parallelism, and plans what the reducers themselves
+// plan. Over a pilot that is not ranked, it does ask.
+func TestPlanAllOverARankedPilotBuildsNoQuantileState(t *testing.T) {
+	zipf, err := workload.NumericSpec{Dist: workload.Zipf, N: 4000, Seed: 75}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bothZeros := pilotData(4000, 76)
+	bothZeros[10], bothZeros[20] = 0, math.Copysign(0, -1)
+	for _, c := range []struct {
+		name   string
+		pilot  []float64
+		ranked bool
+	}{{"zipf", zipf, true}, {"gaussian", pilotData(4000, 77), true}, {"±0", bothZeros, false}} {
+		for _, par := range []int{1, 3} {
+			var calls atomic.Int64
+			plan := func(names []string, red func(string) mr.IncrementalReducer) []Plan {
+				cfgs := make([]Config, len(names))
+				for i, name := range names {
+					cfgs[i] = Config{Reducer: red(name), Key: name, Sigma: 0.02, Seed: 2, Parallelism: par}
 				}
-				if n := calls.Load(); n != wantCalls {
-					t.Errorf("%s: the frozen reducer served %d calls together, %d alone", where, n, wantCalls)
+				plans, err := PlanAll(c.pilot, 10_000_000, cfgs)
+				if err != nil {
+					t.Fatalf("%s parallelism %d: %v", c.name, par, err)
 				}
-				if set[0] == "mean" && set[2] == "count" && len(bs) < 2 {
-					t.Errorf("%s: every statistic stopped phase 1 at the same B", where)
+				return plans
+			}
+			names := []string{"mean", "p50", "p95"}
+			want := plan(names, func(name string) mr.IncrementalReducer {
+				job, err := jobs.ByName(name)
+				if err != nil {
+					t.Fatal(err)
 				}
+				return job.Reducer
+			})
+			got := plan(names, func(name string) mr.IncrementalReducer {
+				if name == "mean" {
+					return jobs.Mean().Reducer
+				}
+				return newCountingQuantile(t, name, &calls)
+			})
+			for i := range got {
+				if planFingerprint(got[i]) != planFingerprint(want[i]) {
+					t.Errorf("%s parallelism %d: %s planned differently through the counting reducer", c.name, par, names[i])
+				}
+			}
+			if n := calls.Load(); (n == 0) != c.ranked {
+				t.Errorf("%s parallelism %d: the quantile reducers built or grew %d states", c.name, par, n)
 			}
 		}
 	}

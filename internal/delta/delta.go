@@ -38,12 +38,22 @@
 // and hands its state the counts: one increment per item where each
 // state used to sort its own batch. A caller growing several maintainers
 // over the same Δs ranks it once and hands each the ranking (GrowRanked).
+//
+// When every Δs is cut from one source ranked once — SSABE's pilot — the
+// caller may name the source's distinct values as the maintainer's
+// universe (Config.Universe). Each resample then keeps one count per
+// universe value instead of a state per counted statistic: a draw from
+// Δs, and a resize's delete or add, move one count, and ResultsOf
+// finalizes each counted statistic from the counts
+// (mr.MultisetReducer.FinalizeCounted). Results, work counts and
+// charged cost are the ones the states would give.
 package delta
 
 import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/mr"
@@ -100,6 +110,9 @@ type Maintainer struct {
 	// ranker ranks a Grow's Δs: the first statistic whose reducer is an
 	// mr.MultisetReducer, or nil — mr.Rank then ranks nothing.
 	ranker mr.IncrementalReducer
+	// universe is Config.Universe when some statistic takes counts, nil
+	// otherwise: every resample then holds counts over it.
+	universe []float64
 
 	n int
 	// genTree holds |Δs_k| per generation for O(log gens) weighted picks.
@@ -127,6 +140,8 @@ type Stat struct {
 type stat struct {
 	red     mr.IncrementalReducer
 	counted mr.MultisetReducer // red, when it takes ranked batches as counts
+	tallied bool               // counted, under a universe: read from the resample's counts, no state kept
+	lanes   bool               // red is an mr.LaneUpdater
 	key     string
 	b       int
 }
@@ -150,7 +165,8 @@ func (e *StatError) Unwrap() error { return e.Err }
 type resample struct {
 	src      *stats.PCG      // the stream itself: a generation's draws from Δs, a block per call
 	rng      *rand.Rand      // rand.New(src): the binomial resize, sketch shuffles, weighted picks
-	states   []mr.State      // states[s]: statistic s's state, for each s that reads this resample
+	states   []mr.State      // states[s]: statistic s's state, for each untallied s that reads this resample
+	counts   []uint32        // under a universe: the resample's items per universe value
 	readers  int64           // how many statistics read this resample
 	parts    []*sketch.Part  // parts[k] = b_Δs(k+1)
 	partTree stats.Fenwick   // Fenwick over parts[k].Size(), kept in lockstep
@@ -165,9 +181,10 @@ type resample struct {
 // per-resample-per-generation `make` churn disappears. A resample's
 // draws from the new generation get a buffer per lane of the group:
 // they are folded only once the whole group has drawn, and read again
-// after that to build the resample's new part. Under a ranking the
-// draws are also counted by rank, and a resample's counts are folded
-// into every counted statistic before the next one draws.
+// after that to build the resample's new part. Under a ranking with no
+// universe the draws are also counted by rank here, and a resample's
+// counts are folded into every counted statistic before the next one
+// draws.
 type growScratch struct {
 	dels   pool.Floats
 	adds   pool.Floats
@@ -192,6 +209,19 @@ type Config struct {
 	// Results are identical at any value because every resample owns a
 	// deterministic rng stream.
 	Parallelism int
+	// Universe, if set, is every value any Δs will hold, ascending and
+	// distinct — the Distinct of a ranking of the whole source the Δs
+	// are cut from (SSABE's pilot). Each resample then keeps one count
+	// per universe value, shared by every statistic that takes counts
+	// (mr.MultisetReducer), instead of a state per statistic: a draw, a
+	// resize's delete and a resize's add each move one count, and
+	// ResultsOf finalizes from the counts (FinalizeCounted). Results,
+	// Updates, Rebuilds and the charged cost are what they are without
+	// it. Every grow must then be ranked over the universe: GrowRanked
+	// refuses a ranking whose Distinct is not the universe, and Grow one
+	// that does not hold every universe value. Ignored when no statistic
+	// takes counts.
+	Universe []float64
 }
 
 // New creates an empty Maintainer; call Grow with the initial sample
@@ -221,8 +251,13 @@ func New(cfg Config, more ...Stat) (*Maintainer, error) {
 		if counted != nil && m.ranker == nil {
 			m.ranker = st.Reducer
 		}
-		m.stats = append(m.stats, stat{red: st.Reducer, counted: counted, key: st.Key, b: st.B})
+		_, lanes := st.Reducer.(mr.LaneUpdater)
+		m.stats = append(m.stats, stat{red: st.Reducer, counted: counted, tallied: counted != nil && cfg.Universe != nil,
+			lanes: lanes, key: st.Key, b: st.B})
 		m.b = max(m.b, st.B)
+	}
+	if m.ranker != nil {
+		m.universe = cfg.Universe
 	}
 	return m, nil
 }
@@ -282,7 +317,9 @@ func (m *Maintainer) Grow(deltaSample []float64) error {
 // replicates grow over the same pilot segments and share one ranking of
 // each. rk must be mr.Rank of deltaSample, or nil, which folds the
 // draws in draw order (it does not rank here); either way the states
-// end bit-identical to Grow's. It is only read, so one ranking may
+// end bit-identical to Grow's. Under a universe rk is instead required,
+// and ranks deltaSample over it: Distinct is the universe and Of[j] the
+// index of deltaSample[j] in it. It is only read, so one ranking may
 // serve maintainers growing concurrently.
 //
 // final marks a maintainer that will not grow again — SSABE's throwaway
@@ -305,6 +342,9 @@ func (m *Maintainer) GrowRanked(deltaSample []float64, rk *mr.Ranking, final boo
 	if rk != nil && len(rk.Of) != len(deltaSample) {
 		return fmt.Errorf("delta: ranking of %d values for a delta sample of %d", len(rk.Of), len(deltaSample))
 	}
+	if m.universe != nil && (rk == nil || !slices.Equal(rk.Distinct, m.universe)) {
+		return errors.New("delta: the ranking does not index the maintainer's universe")
+	}
 	// Parts and sketch caches retain Δs; a final generation builds neither.
 	ds := deltaSample
 	if !final {
@@ -318,6 +358,9 @@ func (m *Maintainer) GrowRanked(deltaSample []float64, rk *mr.Ranking, final boo
 		for i := range m.resamples {
 			src := stats.SplitPCG(m.seed, seed2Base, i)
 			r := &resample{src: src, rng: rand.New(src), states: make([]mr.State, len(m.stats))}
+			if m.universe != nil {
+				r.counts = make([]uint32, len(m.universe))
+			}
 			for _, st := range m.stats {
 				if i < st.b {
 					r.readers++
@@ -334,19 +377,13 @@ func (m *Maintainer) GrowRanked(deltaSample []float64, rk *mr.Ranking, final boo
 	groups := (m.b + group - 1) / group
 	err := pool.ForEachWorker(groups, m.par, func() func(int) error {
 		scratch := &growScratch{}
-		if rk != nil {
+		if rk != nil && m.universe == nil {
 			scratch.counts = make([]uint32, len(rk.Distinct))
 		}
 		return func(g int) error {
 			lo := g * group
 			hi := min(lo+group, m.b)
-			var err error
-			if first {
-				err = m.initGroup(lo, m.resamples[lo:hi], ds, rk, scratch, final)
-			} else {
-				err = m.growGroup(lo, m.resamples[lo:hi], nPrime, ds, rk, scratch, final)
-			}
-			if err != nil {
+			if err := m.growGroup(lo, m.resamples[lo:hi], nPrime, ds, rk, scratch, final, first); err != nil {
 				return fmt.Errorf("delta: resamples %d-%d: %w", lo, hi-1, err)
 			}
 			return nil
@@ -362,98 +399,53 @@ func (m *Maintainer) GrowRanked(deltaSample []float64, rk *mr.Ranking, final boo
 	return nil
 }
 
-// initGroup builds a group's resamples for the first iteration: each is
-// n′ items drawn with replacement from Δs₁, which is memory-resident
-// right now — no disk charge (sketches are kept for *future*
-// iterations, when Δs₁ has been spilled). Initialize takes a resample's
-// items whole, so there is nothing to fold across the group. lo is the
-// index of the group's first resample.
+// growGroup applies one §4.1 maintenance step to a group of resamples
+// — on the first iteration, builds them: each is n′ items drawn with
+// replacement from Δs₁, which is memory-resident right now, so no disk
+// charge (sketches are kept for *future* iterations, when Δs₁ has been
+// spilled). Per resample the rng draw sequence is identical item for
+// item to the historical one-Update-per-item implementation — the
+// binomial resize, its deletes or adds, the draws from Δs, then the new
+// part and cache — and so is the order each statistic's state sees
+// values in; only the *state* application is batched: deletes and adds
+// in one interface call each, and the Δs draws of the whole group in
+// one mr.UpdateLanes per statistic between the two per-resample passes
+// (on the first iteration a lane reducer folds the group abreast from
+// empty states, which the capability defines to be Initialize over the
+// same items, and any other reducer gets one Initialize per resample).
+// Fixed-seed results stay bit-identical. Under a ranking a resample's
+// draws reach a counted statistic's state at once and ascending — the
+// reducer has declared that order leaves no trace — and under a
+// universe they are only counted. The rng work is done once per
+// resample, whatever number of statistics read it. lo is the index of
+// the group's first resample.
 //
 //earl:hotpath
-func (m *Maintainer) initGroup(lo int, rs []*resample, ds []float64, rk *mr.Ranking, scratch *growScratch, final bool) error {
-	for k, r := range rs {
-		items := drawDelta(r.src, ds, rk, scratch.counts, scratch.adds.Take(len(ds)), len(ds))
-		err := m.initStates(lo+k, r, items, rk, scratch.counts)
-		clear(scratch.counts)
-		if err != nil {
-			return err
-		}
-		m.charge(r.readers * int64(len(items)))
-		if !final {
-			if err := m.endIteration(r, items, ds); err != nil {
-				return err
-			}
-		}
-		m.chargeIO(r, r.readers)
-	}
-	return nil
-}
-
-// initStates initializes every reading statistic's state of resample
-// i from its first draws: items in draw order, and their counts by rank
-// under a ranking.
-func (m *Maintainer) initStates(i int, r *resample, items []float64, rk *mr.Ranking, counts []uint32) error {
-	for s, st := range m.stats {
-		if i >= st.b {
-			continue
-		}
-		var err error
-		if rk != nil && st.counted != nil {
-			r.states[s], err = st.counted.InitializeCounted(st.key, rk.Distinct, counts)
-		} else {
-			r.states[s], err = st.red.Initialize(st.key, items)
-		}
-		if err != nil {
-			return &StatError{Stat: s, Err: fmt.Errorf("initialize: %w", err)}
-		}
-	}
-	return nil
-}
-
-// foldCounted folds resample i's draws, counted by rank, into every
-// reading statistic that takes counts.
-func (m *Maintainer) foldCounted(i int, r *resample, rk *mr.Ranking, counts []uint32) error {
-	for s, st := range m.stats {
-		if i >= st.b || st.counted == nil {
-			continue
-		}
-		var err error
-		if r.states[s], err = st.counted.UpdateCounted(r.states[s], rk.Distinct, counts); err != nil {
-			return &StatError{Stat: s, Err: err}
-		}
-	}
-	return nil
-}
-
-// growGroup applies one §4.1 maintenance step to a group of resamples.
-// Per resample the rng draw sequence is identical item for item to the
-// historical one-Update-per-item implementation — the binomial resize,
-// its deletes or adds, the draws from Δs, then the new part and cache —
-// and so is the order each statistic's state sees values in; only the
-// *state* application is batched: deletes and adds in one interface
-// call each, and the Δs draws of the whole group in one mr.UpdateLanes
-// per statistic between the two per-resample passes. Fixed-seed results
-// stay bit-identical. Under a ranking a resample's draws reach a counted
-// statistic's state at once and ascending — the reducer has declared
-// that order leaves no trace. The rng work is done once per resample,
-// whatever number of statistics read it.
-//
-//earl:hotpath
-func (m *Maintainer) growGroup(lo int, rs []*resample, nPrime int, ds []float64, rk *mr.Ranking, scratch *growScratch, final bool) error {
+func (m *Maintainer) growGroup(lo int, rs []*resample, nPrime int, ds []float64, rk *mr.Ranking, scratch *growScratch, final, first bool) error {
 	draws := scratch.draws[:len(rs)]
 	for k, r := range rs {
-		keep, err := m.resizeResample(lo+k, r, nPrime, scratch)
-		if err != nil {
-			return err
+		keep := 0
+		if !first {
+			var err error
+			if keep, err = m.resizeResample(lo+k, r, nPrime, scratch); err != nil {
+				return err
+			}
 		}
 		// Fill to n′ with draws from Δs (the new generation) — memory-
 		// resident this iteration, so drawn directly.
 		fill := nPrime - keep
-		draws[k] = drawDelta(r.src, ds, rk, scratch.counts, scratch.fills[k].Take(fill), fill)
-		if rk == nil {
+		// Under a universe the draws are counted into the resample's own
+		// counts, which are kept; otherwise into the worker's scratch,
+		// folded into each counted state and cleared.
+		counts := r.counts
+		if counts == nil {
+			counts = scratch.counts
+		}
+		draws[k] = drawDelta(r.src, ds, rk, counts, scratch.fills[k].Take(fill), fill)
+		if rk == nil || r.counts != nil {
 			continue
 		}
-		err = m.foldCounted(lo+k, r, rk, scratch.counts)
+		err := m.foldCounted(lo+k, r, rk, scratch.counts, first)
 		clear(scratch.counts)
 		if err != nil {
 			return err
@@ -468,15 +460,8 @@ func (m *Maintainer) growGroup(lo int, rs []*resample, nPrime int, ds []float64,
 		if n <= 0 {
 			continue
 		}
-		states := scratch.states[:n]
-		for k := range states {
-			states[k] = rs[k].states[s]
-		}
-		if err := mr.UpdateLanes(st.red, states, draws[:n]); err != nil {
+		if err := m.foldDraws(s, rs[:n], draws[:n], scratch, first); err != nil {
 			return &StatError{Stat: s, Err: err}
-		}
-		for k, state := range states {
-			rs[k].states[s] = state
 		}
 	}
 	for k, r := range rs {
@@ -487,6 +472,66 @@ func (m *Maintainer) growGroup(lo int, rs []*resample, nPrime int, ds []float64,
 			}
 		}
 		m.chargeIO(r, r.readers)
+	}
+	return nil
+}
+
+// foldDraws folds each resample's draws, in draw order, into its state
+// of statistic s: side by side through mr.UpdateLanes, from empty states
+// on the first iteration for a lane reducer, and through one Initialize
+// per resample on the first iteration for any other.
+func (m *Maintainer) foldDraws(s int, rs []*resample, draws [][]float64, scratch *growScratch, first bool) error {
+	st := &m.stats[s]
+	states := scratch.states[:len(rs)]
+	for k, r := range rs {
+		switch {
+		case !first:
+			states[k] = r.states[s]
+		case st.lanes:
+			state, err := st.red.Initialize(st.key, nil)
+			if err != nil {
+				return fmt.Errorf("initialize: %w", err)
+			}
+			states[k] = state
+		default:
+			state, err := st.red.Initialize(st.key, draws[k])
+			if err != nil {
+				return fmt.Errorf("initialize: %w", err)
+			}
+			r.states[s] = state
+		}
+	}
+	if first && !st.lanes {
+		return nil
+	}
+	if err := mr.UpdateLanes(st.red, states, draws); err != nil {
+		return err
+	}
+	for k, state := range states {
+		rs[k].states[s] = state
+	}
+	return nil
+}
+
+// foldCounted folds resample i's draws, counted by rank, into every
+// reading statistic that takes counts: into fresh states on the first
+// iteration.
+func (m *Maintainer) foldCounted(i int, r *resample, rk *mr.Ranking, counts []uint32, first bool) error {
+	for s, st := range m.stats {
+		if i >= st.b || st.counted == nil {
+			continue
+		}
+		var err error
+		if first {
+			if r.states[s], err = st.counted.InitializeCounted(st.key, rk.Distinct, counts); err != nil {
+				err = fmt.Errorf("initialize: %w", err)
+			}
+		} else {
+			r.states[s], err = st.counted.UpdateCounted(r.states[s], rk.Distinct, counts)
+		}
+		if err != nil {
+			return &StatError{Stat: s, Err: err}
+		}
 	}
 	return nil
 }
@@ -574,8 +619,11 @@ func (m *Maintainer) resizeResample(i int, r *resample, nPrime int, scratch *gro
 		// The deletes' sketch refreshes are every reader's; a rebuild's
 		// re-read is its own statistic's.
 		m.chargeIO(r, r.readers)
+		if err := m.recount(r, dels, false); err != nil {
+			return 0, err
+		}
 		for s, st := range m.stats {
-			if i >= st.b {
+			if i >= st.b || st.tallied {
 				continue
 			}
 			if err := m.removeFromState(r, s, dels); err != nil {
@@ -597,8 +645,11 @@ func (m *Maintainer) resizeResample(i int, r *resample, nPrime int, scratch *gro
 			r.partTree.Add(k, 1)
 			adds = append(adds, v)
 		}
+		if err := m.recount(r, adds, true); err != nil {
+			return 0, err
+		}
 		for s, st := range m.stats {
-			if i >= st.b {
+			if i >= st.b || st.tallied {
 				continue
 			}
 			if r.states[s], err = mr.UpdateAll(st.red, r.states[s], adds); err != nil {
@@ -608,6 +659,30 @@ func (m *Maintainer) resizeResample(i int, r *resample, nPrime int, scratch *gro
 		m.charge(r.readers * int64(len(adds)))
 	}
 	return keep, nil
+}
+
+// recount moves r's count of each value of vs by one — up for a
+// resize's adds, down for its deletes — when r keeps counts. Each value
+// is found by binary search over the universe: r drew it from a Δs the
+// universe holds.
+//
+//earl:hotpath
+func (m *Maintainer) recount(r *resample, vs []float64, up bool) error {
+	if r.counts == nil {
+		return nil
+	}
+	for _, v := range vs {
+		d, ok := slices.BinarySearch(m.universe, v)
+		if !ok || !up && r.counts[d] == 0 {
+			return fmt.Errorf("delta: resample holds no %v to move", v)
+		}
+		if up {
+			r.counts[d]++
+		} else {
+			r.counts[d]--
+		}
+	}
+	return nil
 }
 
 // pickPartWeighted picks one of r's non-empty parts with probability
@@ -678,7 +753,13 @@ func (m *Maintainer) ResultsOf(s int) ([]float64, error) {
 	st := &m.stats[s]
 	out := make([]float64, st.b)
 	for i, r := range m.resamples[:st.b] {
-		v, err := st.red.Finalize(r.states[s])
+		var v float64
+		var err error
+		if st.tallied {
+			v, err = st.counted.FinalizeCounted(m.universe, r.counts, int64(m.n))
+		} else {
+			v, err = st.red.Finalize(r.states[s])
+		}
 		if err != nil {
 			return nil, fmt.Errorf("delta: finalize resample %d: %w", i, err)
 		}

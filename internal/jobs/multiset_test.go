@@ -186,3 +186,55 @@ func TestRankRefusesWhatSortingWouldChange(t *testing.T) {
 		}
 	}
 }
+
+// TestFinalizeCountedEqualsFinalize holds every mr.MultisetReducer to
+// FinalizeCounted's promise: the result of a counted batch, by bits and
+// error, is Finalize of the state InitializeCounted builds from it — for
+// continuous values, ties, a lone −0, infinities, a universe whose ends
+// and middle hold zero counts, and no mass at all.
+func TestFinalizeCountedEqualsFinalize(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	rng := rand.New(rand.NewPCG(78, 0xfeed))
+	universes := map[string][]float64{
+		"continuous": {-40.5, -3, -1e-9, 0.25, 7, 12.5, 50, 1e6},
+		"ties":       {1, 2},
+		"lone −0":    {-2, negZero, 3},
+		"infinities": {math.Inf(-1), -1, 1, math.Inf(1)},
+	}
+	for _, name := range multisetNames {
+		job, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		red := job.Reducer.(mr.MultisetReducer)
+		for _, shape := range []string{"continuous", "ties", "lone −0", "infinities"} {
+			distinct := universes[shape]
+			for trial := range 40 {
+				counts := make([]uint32, len(distinct))
+				var n int64
+				for i := range counts {
+					switch {
+					case trial == 0: // no mass at all
+					case trial%3 == 1 && (i == 0 || i == len(counts)-1 || i == len(counts)/2):
+						// zero counts at the ends and in the middle
+					default:
+						counts[i] = uint32(rng.IntN(6))
+					}
+					n += int64(counts[i])
+				}
+				want, errWant := 0.0, error(nil)
+				st, err := red.InitializeCounted("k", distinct, counts)
+				if err == nil {
+					want, errWant = job.Reducer.Finalize(st)
+				} else {
+					errWant = err
+				}
+				got, errGot := red.FinalizeCounted(distinct, counts, n)
+				if fmt.Sprint(errGot) != fmt.Sprint(errWant) || math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s %s counts %v: FinalizeCounted = %v (%v), Finalize of the state = %v (%v)",
+						name, shape, counts, got, errGot, want, errWant)
+				}
+			}
+		}
+	}
+}

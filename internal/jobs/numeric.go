@@ -387,5 +387,12 @@ func (r quantileReducer) UpdateCounted(state mr.State, distinct []float64, count
 	return st, nil
 }
 
+// FinalizeCounted implements mr.MultisetReducer: the quantile of the
+// counted batch by one prefix scan, the value Finalize reads from the
+// state InitializeCounted would build.
+func (r quantileReducer) FinalizeCounted(distinct []float64, counts []uint32, n int64) (float64, error) {
+	return stats.QuantileCounted(distinct, counts, n, r.q)
+}
+
 // Correct implements mr.IncrementalReducer: quantiles are p-invariant.
 func (r quantileReducer) Correct(result, p float64) float64 { return mr.IdentityCorrect(result, p) }

@@ -169,9 +169,21 @@ func UpdateLanes(r IncrementalReducer, states []State, batches [][]float64) erro
 // and Update would leave given the same multiset as a slice. Neither
 // argument is retained or modified. The promise covers the batches Rank
 // agrees to sort: no NaN, and not +0 beside −0.
+//
+// FinalizeCounted is the result of a counted batch with no state built:
+// bit for bit — error included — Finalize(InitializeCounted(key,
+// distinct, counts)) for any key, where n is the sum of the counts. A
+// caller whose resamples are all drawn from one ranked source — SSABE's
+// pilot — keeps each resample as its counts over the source's distinct
+// values and finalizes from them, so a draw, a delete and an add are
+// each one counter step. Counts never need a rebuild, so a
+// MultisetReducer's states must remove (RemovableState or
+// BatchRemovableState): held as states or as counts, a resample then
+// costs the same work.
 type MultisetReducer interface {
 	InitializeCounted(key string, distinct []float64, counts []uint32) (State, error)
 	UpdateCounted(state State, distinct []float64, counts []uint32) (State, error)
+	FinalizeCounted(distinct []float64, counts []uint32, n int64) (float64, error)
 }
 
 // Ranking is a batch source — a Δs, SSABE's pilot — sorted once, so that
@@ -182,7 +194,10 @@ type MultisetReducer interface {
 // MultisetReducer folding resamples of the source may read it — and it
 // is read-only after Rank, safe to share between workers; the counters
 // — one per distinct value, zeroed by the caller between resamples —
-// are the caller's per-worker scratch.
+// are the caller's per-worker scratch. A stretch of the source is
+// ranked over the whole source's values by the same Distinct and that
+// stretch of Of — a view, with zero counts for the values it lacks,
+// which is how SSABE's phase 2 cuts its pilot segments.
 type Ranking struct {
 	Distinct []float64 // the source's distinct values, ascending
 	Of       []uint32  // Of[j] is the index in Distinct of source[j]
@@ -285,30 +300,6 @@ func rankBySort(source []float64) *Ranking {
 			distinct = append(distinct, source[pos[i]])
 		}
 		of[pos[i]] = uint32(len(distinct) - 1)
-	}
-	return &Ranking{Distinct: distinct, Of: of}
-}
-
-// Part returns the ranking of source[lo:hi], where rk ranks source: the
-// distinct values the part holds, in rk's order, so the same Ranking
-// Rank would return for the part — found in one pass, with no sort.
-func (rk *Ranking) Part(lo, hi int) *Ranking {
-	// next[d] is 1 + the part's rank of rk's rank d, or 0 if the part
-	// lacks it.
-	next := make([]uint32, len(rk.Distinct))
-	for _, d := range rk.Of[lo:hi] {
-		next[d] = 1
-	}
-	distinct := make([]float64, 0, len(rk.Distinct))
-	for d, held := range next {
-		if held != 0 {
-			distinct = append(distinct, rk.Distinct[d])
-			next[d] = uint32(len(distinct))
-		}
-	}
-	of := make([]uint32, hi-lo)
-	for j, d := range rk.Of[lo:hi] {
-		of[j] = next[d] - 1
 	}
 	return &Ranking{Distinct: distinct, Of: of}
 }

@@ -20,6 +20,10 @@ func (countedReducer) UpdateCounted(State, []float64, []uint32) (State, error) {
 	return nil, nil
 }
 
+func (countedReducer) FinalizeCounted([]float64, []uint32, int64) (float64, error) {
+	return 0, nil
+}
+
 // TestRankAscendingMatchesSort: on ascending sources with duplicates the
 // one-pass ranking and the sort-and-search ranking are the same Ranking,
 // and Rank takes the one-pass path for them; a shuffled copy of the same
@@ -67,31 +71,6 @@ func TestRankAscendingMatchesSort(t *testing.T) {
 	}
 	if Rank(red, []float64{0, 0, math.Copysign(0, -1)}) != nil {
 		t.Fatal("an ascending source mixing +0 and −0 was ranked")
-	}
-}
-
-// TestRankingPartEqualsRank: a part of a source's ranking is the
-// ranking Rank gives the part itself, for parts of every width and
-// offset, without the part being sorted again.
-func TestRankingPartEqualsRank(t *testing.T) {
-	rng := rand.New(rand.NewPCG(31, 2))
-	red := countedReducer{}
-	src := make([]float64, 400)
-	for i := range src {
-		if src[i] = float64(rng.IntN(60)) - 20; src[i] == 0 {
-			src[i] = math.Copysign(0, -1) // zeros are −0 only: the source ranks
-		}
-	}
-	rk := Rank(red, src)
-	if rk == nil {
-		t.Fatal("source not ranked")
-	}
-	for _, part := range [][2]int{{0, 1}, {0, 400}, {7, 8}, {13, 200}, {200, 400}, {100, 101}, {25, 50}} {
-		lo, hi := part[0], part[1]
-		want := Rank(red, src[lo:hi])
-		if got := rk.Part(lo, hi); !reflect.DeepEqual(got, want) {
-			t.Fatalf("part [%d, %d): %+v, Rank gives %+v", lo, hi, got, want)
-		}
 	}
 }
 

@@ -112,12 +112,13 @@ func Median(xs []float64) (float64, error) {
 var errQuantileRange = errors.New("stats: quantile out of range [0,1]")
 
 // quantileType7 is the ONE type-7 (R/NumPy default) interpolation
-// kernel behind every quantile variant — QuantileSorted, SelectQuantile
-// and OrderStat.Quantile differ only in how they reach an order
-// statistic, so they share the h/lo/frac arithmetic and its edge cases
-// here. kth(k) must return the k-th (0-based) order statistic; it is
-// called with lo first and, only when interpolation is needed, lo+1 —
-// an ordering in-place selectors rely on.
+// kernel behind every quantile variant — QuantileSorted, SelectQuantile,
+// QuantileCounted and OrderStat.Quantile differ only in how they reach
+// an order statistic, so they share the h/lo/frac arithmetic and its
+// edge cases here. kth(k) must return the k-th (0-based) order
+// statistic; it is called with lo first and, only when interpolation is
+// needed, lo+1 — an ordering in-place selectors and the counted scan
+// rely on.
 func quantileType7(n int64, q float64, kth func(k int64) float64) (float64, error) {
 	if n == 0 {
 		return 0, ErrEmpty
@@ -169,6 +170,25 @@ func Quantile(xs []float64, q float64) (float64, error) {
 // not allocate. Behaviour is undefined if xs is unsorted.
 func QuantileSorted(xs []float64, q float64) (float64, error) {
 	return quantileType7(int64(len(xs)), q, func(k int64) float64 { return xs[k] })
+}
+
+// QuantileCounted is QuantileSorted over a counted multiset —
+// counts[i] copies of distinct[i], distinct ascending, n the sum of the
+// counts, zero counts allowed — bit for bit, without writing the
+// multiset out: one prefix scan over the counts finds the lower order
+// statistic and, relying on quantileType7's lo-then-lo+1 call order,
+// goes on from there to its successor.
+//
+//earl:hotpath
+func QuantileCounted(distinct []float64, counts []uint32, n int64, q float64) (float64, error) {
+	i, below := 0, int64(0) // below counts the items in the slots before i
+	return quantileType7(n, q, func(k int64) float64 {
+		for below+int64(counts[i]) <= k {
+			below += int64(counts[i])
+			i++
+		}
+		return distinct[i]
+	})
 }
 
 // MinMax returns the smallest and largest values in xs.
