@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -32,6 +33,11 @@ import (
 //	POST   /data         {path, values:[...]} create/replace a dataset
 //	GET    /metrics      server + cluster counters, per-query costs, watches
 //	GET    /healthz
+//
+// Every body is one JSON value; anything but whitespace after it is a
+// 400. An /append or /data body in the canonical encoding (see
+// ingestRequest) is scanned directly, and every other body is decoded
+// by encoding/json, to the same struct or the same error.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", s.handleQuery)
@@ -59,6 +65,19 @@ type openWatchResponse struct {
 // ingestRequest is the POST /append and POST /data body. Values are
 // encoded in the fixed-width line format (exactly uniform pre-map
 // sampling); Data is raw newline-terminated records stored as-is.
+//
+// The canonical encoding, which json.Marshal writes for a path that
+// needs no escapes and its values, is scanned without encoding/json:
+//   - one object whose keys are spelled exactly "path", "values" or
+//     "data", each at most once;
+//   - strings with no escape, no control byte, and valid UTF-8;
+//   - values a flat array of JSON numbers, each parsed by
+//     strconv.ParseFloat(s, 64) as encoding/json parses it;
+//   - nothing but whitespace after the object.
+//
+// Any other body (null values, an escaped string such as a data field
+// with its newlines, another key spelling, a number ParseFloat rejects)
+// is decoded by encoding/json with unknown fields disallowed.
 type ingestRequest struct {
 	Path   string    `json:"path"`
 	Values []float64 `json:"values,omitempty"`
@@ -113,13 +132,41 @@ func (s *Server) handleCloseWatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
+	s.handleIngest(w, r, false)
+}
+
+func (s *Server) handleData(w http.ResponseWriter, r *http.Request) {
+	s.handleIngest(w, r, true)
+}
+
+// handleIngest answers POST /append, or POST /data when rewrite is set.
+func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, rewrite bool) {
+	body, err := readBody(r)
 	var req ingestRequest
-	if !decodeBody(w, r, &req) {
+	if err == nil {
+		req, err = decodeIngest(body)
+	}
+	if err != nil {
+		writeBadBody(w, err)
 		return
 	}
+	s.store(w, req, rewrite)
+}
+
+// store writes a decoded ingest request to its path and answers it.
+func (s *Server) store(w http.ResponseWriter, req ingestRequest, rewrite bool) {
 	data, err := req.payload()
 	if err != nil {
 		writeError(w, err)
+		return
+	}
+	if rewrite {
+		size, err := s.Rewrite(req.Path, data)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusCreated, map[string]int64{"size": size})
 		return
 	}
 	size, gen, err := s.Append(req.Path, data)
@@ -128,24 +175,6 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]int64{"size": size, "generation": gen})
-}
-
-func (s *Server) handleData(w http.ResponseWriter, r *http.Request) {
-	var req ingestRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	data, err := req.payload()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	size, err := s.Rewrite(req.Path, data)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]int64{"size": size})
 }
 
 func (r ingestRequest) payload() ([]byte, error) {
@@ -167,13 +196,51 @@ func (r ingestRequest) payload() ([]byte, error) {
 // decodeBody parses the JSON request body into v, answering 400 itself
 // on malformed input.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
+	body, err := readBody(r)
+	if err == nil {
+		err = decodeJSON(body, v)
+	}
+	if err != nil {
+		writeBadBody(w, err)
 		return false
 	}
 	return true
+}
+
+// maxPresize caps the buffer a request body is read into before any of
+// it has arrived: a Content-Length claim beyond it is believed only as
+// the bytes come in.
+const maxPresize = 1 << 20
+
+// readBody reads r's body whole, into one buffer presized from
+// Content-Length (capped at maxPresize) so a truthful body is read
+// without a regrowth.
+func readBody(r *http.Request) ([]byte, error) {
+	// MinRead of headroom: ReadFrom grows a buffer with less free.
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), maxPresize)+bytes.MinRead))
+	_, err := buf.ReadFrom(r.Body)
+	return buf.Bytes(), err
+}
+
+// errTrailingData rejects a body that carries more than one JSON value.
+var errTrailingData = errors.New("trailing data after the JSON value")
+
+// decodeJSON decodes body into v with encoding/json: an unknown field,
+// or anything but whitespace after the one value, is an error.
+func decodeJSON(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if skipSpace(body, int(dec.InputOffset())) != len(body) {
+		return errTrailingData
+	}
+	return nil
+}
+
+func writeBadBody(w http.ResponseWriter, err error) {
+	writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
