@@ -127,7 +127,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// decides which generator to run.
 	spec, err := earl.PlanSpec{
 		Path: "/data", Stats: jobNames, Filter: *filter, Derive: *derive, GroupBy: *by,
-		Sigma: *sigma, Sampler: *sampler, Seed: *seed + 7, Parallelism: *par,
+		Sigma: *sigma, Sampler: *sampler, Seed: *seed + 7,
 	}.Normalize()
 	if err != nil {
 		return err
@@ -172,9 +172,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		planDesc(spec), *n, data, spec.Sigma, spec.Sampler)
 
 	killWait := startKills(stdout, stderr, cluster, *kill)
+	opts := earl.Options{Parallelism: *par}
 	var res *earl.PlanResult
 	if *watch > 0 {
-		w, err := cluster.WatchPlan(spec, earl.Options{})
+		w, err := cluster.WatchPlan(spec, opts)
 		killWait()
 		if err != nil {
 			return err
@@ -189,7 +190,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		res = w.Result()
 	} else {
-		res, err = cluster.RunPlan(spec, earl.Options{})
+		res, err = cluster.RunPlan(spec, opts)
 		killWait()
 		if err != nil {
 			return err

@@ -1,11 +1,12 @@
 // Command earld is the EARL approximate-query daemon: one simulated
 // cluster served to many concurrent clients over an HTTP JSON API, with
-// admission control, shared maintained queries, and an append-aware
-// result cache (see internal/serve for the design).
+// admission control, shared maintained queries, and a result cache that
+// any write to a file invalidates (see internal/serve for the design).
 //
 //	earld -addr :8080 -max-inflight 4 -queue 64
 //
-// A quick session with curl:
+// A quick session with curl (an /append answers with the file's new
+// size, {"size":N}):
 //
 //	curl -X POST localhost:8080/data \
 //	     -d '{"path":"/t/latency","values":[12.1,14.2,13.7,15.9]}'
@@ -24,7 +25,8 @@
 // over "key\tvalue" records for by:"key", or bucketed by a numeric
 // expression. Everything flows through the same dedup registry and
 // result cache as scalar queries, and a body field outside the plan spec
-// is a 400 that names it:
+// is a 400 that names it — "parallelism" too: the worker-pool size
+// decides no bit of an answer, so it is the server's, not the client's:
 //
 //	curl -X POST localhost:8080/query \
 //	     -d '{"stats":["mean","p50","p95","count"],"path":"/t/latency"}'

@@ -72,10 +72,16 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("expression error should carry its column: %v", badBody)
 	}
 	// A query has one spelling: a field outside plan.Spec, such as the
-	// retired "job", is a 400 that names it.
-	status, badBody = postStatus("/query", `{"job":"mean","path":"/demo/gaussian"}`)
-	if msg, _ := badBody["error"].(string); status != http.StatusBadRequest || !strings.Contains(msg, `"job"`) {
-		t.Fatalf(`a body with "job" should be a 400 naming it, got %d: %v`, status, badBody)
+	// retired "job", or "parallelism" (the server sizes its own worker
+	// pools), is a 400 that names it.
+	for _, c := range []struct{ field, body string }{
+		{"job", `{"job":"mean","path":"/demo/gaussian"}`},
+		{"parallelism", `{"stats":["mean"],"path":"/demo/gaussian","parallelism":4}`},
+	} {
+		status, badBody = postStatus("/query", c.body)
+		if msg, _ := badBody["error"].(string); status != http.StatusBadRequest || !strings.Contains(msg, `"`+c.field+`"`) {
+			t.Fatalf(`a body with %q should be a 400 naming it, got %d: %v`, c.field, status, badBody)
+		}
 	}
 
 	w1 := post("/watch", `{"stats":["mean"],"path":"/demo/gaussian","sigma":0.05}`)

@@ -39,7 +39,8 @@ type PlanResult = core.PlanResult
 // RunPlan executes a plan spec end to end (σ/π/γ pushed into the
 // sampling sources; degenerate specs are bit-identical to the same
 // statistics run through Run/RunMulti/RunGrouped). Spec knobs left
-// unset (σ, sampler, seed, parallelism) inherit from opts.
+// unset (σ, sampler, seed) inherit from opts; the worker-pool size is
+// opts.Parallelism alone.
 func (c *Cluster) RunPlan(spec PlanSpec, opts Options) (*PlanResult, error) {
 	return core.RunPlan(c.env, spec, opts)
 }

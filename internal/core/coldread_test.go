@@ -116,8 +116,8 @@ func TestColdReadEquivalenceGoldens(t *testing.T) {
 				env := coldEnv(t, disable)
 				res, err := RunPlan(env, plan.Spec{
 					Path: "/data", Stats: []string{"mean"}, Filter: "v > 0.2",
-					Sigma: 0.05, Seed: 25, Sampler: "post-map", Parallelism: par,
-				}, Options{})
+					Sigma: 0.05, Seed: 25, Sampler: "post-map",
+				}, Options{Parallelism: par})
 				if err != nil {
 					t.Fatal(err)
 				}

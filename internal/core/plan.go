@@ -65,9 +65,6 @@ func PreparePlan(spec plan.Spec, opts Options) (*PlannedQuery, error) {
 	if spec.Seed == 0 {
 		spec.Seed = opts.Seed
 	}
-	if spec.Parallelism == 0 {
-		spec.Parallelism = opts.Parallelism
-	}
 	spec, err := spec.Normalize()
 	if err != nil {
 		return nil, err
@@ -75,7 +72,6 @@ func PreparePlan(spec plan.Spec, opts Options) (*PlannedQuery, error) {
 	opts.Sigma = spec.Sigma
 	opts.Sampler = SamplerKind(spec.Sampler)
 	opts.Seed = spec.Seed
-	opts.Parallelism = spec.Parallelism
 	jset, err := spec.JobSet()
 	if err != nil {
 		return nil, err

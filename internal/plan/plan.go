@@ -50,10 +50,11 @@ import (
 )
 
 // Spec is the canonical plan description. Stats, Filter, Derive and
-// GroupBy define the algebra; the remaining fields are the execution
-// knobs front ends exchange over the wire. The zero value of every
-// field means "default"; Normalize canonicalizes a spec so that two
-// specs describing the same query serialize — and cache/dedup-key —
+// GroupBy define the algebra; Sigma, Sampler and Seed are the execution
+// knobs that decide its bits. The worker-pool size decides none, so it
+// is core.Options.Parallelism and not a wire field. The zero value of
+// every field means "default"; Normalize canonicalizes a spec so that
+// two specs describing the same query serialize — and cache/dedup-key —
 // identically.
 type Spec struct {
 	Path    string   `json:"path"`
@@ -62,10 +63,9 @@ type Spec struct {
 	Derive  string   `json:"derive,omitempty"` // π: numeric expression replacing v
 	GroupBy string   `json:"by,omitempty"`     // γ: "key" or a numeric expression
 
-	Sigma       float64 `json:"sigma,omitempty"`
-	Sampler     string  `json:"sampler,omitempty"` // "", "pre-map", "post-map"
-	Seed        uint64  `json:"seed,omitempty"`
-	Parallelism int     `json:"parallelism,omitempty"`
+	Sigma   float64 `json:"sigma,omitempty"`
+	Sampler string  `json:"sampler,omitempty"` // "", "pre-map", "post-map"
+	Seed    uint64  `json:"seed,omitempty"`
 }
 
 // Normalize validates s and returns its canonical form: statistic names
@@ -127,9 +127,6 @@ func (s Spec) Normalize() (Spec, error) {
 	if s.Sigma == 0 {
 		s.Sigma = 0.05
 	}
-	if s.Parallelism < 0 {
-		s.Parallelism = 0
-	}
 	return s, nil
 }
 
@@ -147,9 +144,9 @@ func canonicalize(src string, want kind, what string) (string, error) {
 // dedup registry and result cache key on. Two specs that Normalize to
 // the same value answer the same query.
 func (s Spec) Key() string {
-	return fmt.Sprintf("%s|%s|f=%s|d=%s|by=%s|σ=%g|%s|seed=%d|par=%d",
+	return fmt.Sprintf("%s|%s|f=%s|d=%s|by=%s|σ=%g|%s|seed=%d",
 		strings.Join(s.Stats, "+"), s.Path, s.Filter, s.Derive, s.GroupBy,
-		s.Sigma, s.Sampler, s.Seed, s.Parallelism)
+		s.Sigma, s.Sampler, s.Seed)
 }
 
 // JobSet resolves the spec's statistics (call on a normalized spec).

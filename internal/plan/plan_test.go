@@ -86,7 +86,7 @@ func TestPositionedErrors(t *testing.T) {
 func TestSpecJSONRoundTrip(t *testing.T) {
 	s := mustNormalize(t, Spec{
 		Path: "/d", Stats: []string{"mean", "p95"}, Filter: "v > 0", Derive: "v * 2",
-		Sigma: 0.1, Sampler: "post-map", Seed: 7, Parallelism: 2,
+		Sigma: 0.1, Sampler: "post-map", Seed: 7,
 	})
 	raw, err := json.Marshal(s)
 	if err != nil {

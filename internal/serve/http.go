@@ -17,20 +17,22 @@ import (
 // Handler returns earld's HTTP JSON API over the server:
 //
 //	POST   /query        {stats:["mean","p95",...], path, filter?, derive?,
-//	                     by?, sigma?, sampler?, seed?, parallelism?} — the
-//	                     canonical plan.Spec; filter/derive/by are the σ/π/γ
+//	                     by?, sigma?, sampler?, seed?} — the canonical
+//	                     plan.Spec; filter/derive/by are the σ/π/γ
 //	                     query-plan expressions, several stats share one
 //	                     sampling pass. Malformed expressions are 400s
 //	                     with the offending column, and an unknown field
-//	                     is a 400 that names it.
+//	                     (parallelism among them: the server sizes its
+//	                     own worker pools) is a 400 that names it.
 //	POST   /watch        same body; dedupes identical maintained queries
 //	                     (scalar, multi-statistic and grouped alike) by the
 //	                     spec's canonical key
-//	GET    /watch/{id}   current report, refreshing once if data was appended
+//	GET    /watch/{id}   current report, refreshing once if the file was written
 //	DELETE /watch/{id}?sub=TOKEN  drop the subscription minted by POST /watch
 //	                     (idempotent per token; last one closes the query)
 //	POST   /append       {path, values:[...]} or {path, data:"raw\nlines\n"}
-//	POST   /data         {path, values:[...]} create/replace a dataset
+//	                     → {size}, the file's size after the append
+//	POST   /data         {path, values:[...]} create/replace a dataset → {size}
 //	GET    /metrics      server + cluster counters, per-query costs, watches
 //	GET    /healthz
 //
@@ -160,21 +162,16 @@ func (s *Server) store(w http.ResponseWriter, req ingestRequest, rewrite bool) {
 		writeError(w, err)
 		return
 	}
+	write, status := s.Append, http.StatusOK
 	if rewrite {
-		size, err := s.Rewrite(req.Path, data)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, map[string]int64{"size": size})
-		return
+		write, status = s.Rewrite, http.StatusCreated
 	}
-	size, gen, err := s.Append(req.Path, data)
+	size, err := write(req.Path, data)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int64{"size": size, "generation": gen})
+	writeJSON(w, status, map[string]int64{"size": size})
 }
 
 func (r ingestRequest) payload() ([]byte, error) {

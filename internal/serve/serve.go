@@ -17,21 +17,24 @@
 //     multi-statistic shared-pass (QuerySpec.Stats), filtered/derived
 //     (QuerySpec.Filter/Derive) and grouped (QuerySpec.GroupBy) alike —
 //     are deduped by their full canonical plan identity
-//     (statistics, path, filter, derive, group-by, σ, sampler, seed,
-//     parallelism): the first
-//     OpenWatch runs the query and keeps its maintained handle;
-//     identical subsequent opens subscribe to the same underlying
-//     query. After an
-//     Append, the first subscriber to ask for the report pays the one
-//     delta refresh (serialised per entry) and every subscriber reads
-//     the same refreshed Report — K clients watching the same stream
-//     cost one refresh per append, o(K·N) records, instead of K.
+//     (statistics, path, filter, derive, group-by, σ, sampler, seed):
+//     the first OpenWatch runs the query and keeps its maintained
+//     handle; identical subsequent opens subscribe to the same
+//     underlying query. After a write to the watched file, the first
+//     subscriber to ask for the report pays the one delta refresh
+//     (serialised per entry) and every subscriber reads the same
+//     refreshed Report — K clients watching the same stream cost one
+//     refresh per append, o(K·N) records, instead of K.
 //
-//   - A result cache for one-shot queries, invalidated by ingest. Each
-//     watched path carries a generation counter bumped on Append; a
-//     cached Report is returned only while its path generation is
-//     current, so a cache hit can never serve data from before an
-//     append.
+//   - A result cache for one-shot queries, keyed on what decides a
+//     report's bits: the spec, and the dfs state (Version, size) of the
+//     file in the commit the run read. A cached Report is returned only
+//     while the live file is still in that state.
+//
+// Freshness is the file's dfs state alone, so any write — through
+// Append and Rewrite, or straight to Env().FS — invalidates: neither a
+// cache hit nor a watch report answers for bytes the file no longer
+// holds.
 //
 // Cost attribution: the cluster's simcost.Metrics is a single shared
 // sink, so per-query cost deltas (QueryResult.Cost, and the per-query
@@ -56,7 +59,6 @@ import (
 	"repro/internal/live"
 	"repro/internal/plan"
 	"repro/internal/simcost"
-	"repro/internal/workload"
 )
 
 // Errors the scheduler reports to clients.
@@ -111,11 +113,10 @@ func (c Config) withDefaults() Config {
 
 // QuerySpec names one approximate query — the identity the shared-watch
 // registry and the result cache key on. It IS the engine-wide canonical
-// plan.Spec (path, stats, filter, derive, by, σ, sampler, seed,
-// parallelism), shared verbatim with the earl library and earlctl's
-// flags. Two specs that normalize the same way are the same query and
-// may share work — {"stats":["p50"]} and {"stats":["q0.5"]} key
-// identically.
+// plan.Spec (path, stats, filter, derive, by, σ, sampler, seed),
+// shared verbatim with the earl library and earlctl's flags. Two specs
+// that normalize the same way are the same query and may share work —
+// {"stats":["p50"]} and {"stats":["q0.5"]} key identically.
 type QuerySpec struct {
 	plan.Spec
 }
@@ -133,15 +134,14 @@ func (q QuerySpec) normalize() (QuerySpec, error) {
 }
 
 // key is the canonical identity string of a normalized spec — the
-// engine-wide plan key. Parallelism is deliberately part of it even
-// though results are bit-identical at any parallelism: sharing across
-// parallelism settings would be sound for results but would make a
-// subscriber's requested worker-pool size lie.
+// engine-wide plan key.
 func (q QuerySpec) key() string { return q.Spec.Key() }
 
 // QueryResult is one answered query. Multi-statistic queries fill
 // Reports (one per statistic, in request order) with Report carrying
-// the first statistic for single-statistic compatibility.
+// the first statistic for single-statistic compatibility. Cached marks
+// the answer of an earlier run of the same spec over the file in the
+// state it still is in.
 type QueryResult struct {
 	Report  core.Report         `json:"report"`
 	Reports []core.Report       `json:"reports,omitempty"`
@@ -183,11 +183,11 @@ type Stats struct {
 	WatchesOpened   int64 `json:"watchesOpened"`   // OpenWatch calls
 	WatchesShared   int64 `json:"watchesShared"`   // of which deduped onto an existing query
 	RefreshesServed int64 `json:"refreshesServed"` // delta refreshes executed by the registry
-	Appends         int64 `json:"appends"`
-	Rejected        int64 `json:"rejected"` // admissions refused (queue full)
-	Expired         int64 `json:"expired"`  // admissions abandoned (deadline/cancel)
-	InFlight        int64 `json:"inFlight"` // gauge: executing now
-	Queued          int64 `json:"queued"`   // gauge: waiting for a slot
+	Appends         int64 `json:"appends"`         // appends through the server (other writes go uncounted)
+	Rejected        int64 `json:"rejected"`        // admissions refused (queue full)
+	Expired         int64 `json:"expired"`         // admissions abandoned (deadline/cancel)
+	InFlight        int64 `json:"inFlight"`        // gauge: executing now
+	Queued          int64 `json:"queued"`          // gauge: waiting for a slot
 }
 
 // MetricsReport is the GET /metrics payload.
@@ -238,7 +238,6 @@ type Server struct {
 	inFlight, queued                                 atomic.Int64
 
 	mu       sync.Mutex
-	pathGen  map[string]int64 // append generation per path
 	watches  map[string]*watchEntry
 	byID     map[string]*watchEntry
 	cache    map[string]cacheEntry
@@ -260,22 +259,48 @@ type watchEntry struct {
 	// refreshMu is a capacity-1 channel lock serialising refresh
 	// decisions: unlike a sync.Mutex, a subscriber waiting behind a slow
 	// refresh can still honour its context's deadline/cancellation.
-	refreshMu    chan struct{}
-	refreshedGen int64               // pathGen the current report reflects; guarded by refreshMu
-	subIDs       map[string]struct{} // live subscription tokens, guarded by Server.mu
-	lastTouch    atomic.Int64        // unix nanos of the last open/poll; idle-eviction clock
+	refreshMu chan struct{}
+	synced    fileState           // file state read before the last refresh or the creation; guarded by refreshMu
+	subIDs    map[string]struct{} // live subscription tokens, guarded by Server.mu
+	lastTouch atomic.Int64        // unix nanos of the last open/poll; idle-eviction clock
 }
 
 // touch records activity on the watch for idle-eviction purposes.
 func (e *watchEntry) touch() { e.lastTouch.Store(time.Now().UnixNano()) }
 
-// cacheEntry is a one-shot result valid while its path generation holds.
+// cacheEntry is a one-shot result, valid while its file is in state.
 type cacheEntry struct {
-	path    string // for eviction sweeps on ingest
-	gen     int64
+	state   fileState
 	report  core.Report
 	reports []core.Report // multi-statistic results
 	grouped *core.GroupedReport
+}
+
+// fileState names a file's bytes: dfs gives a file a fresh, larger
+// Version on every WriteFile, and within a version only an Append
+// changes it, by growing it.
+type fileState struct{ version, size int64 }
+
+// stateOf reads path's state in v.
+func stateOf(v dfs.View, path string) (fileState, error) {
+	ver, err := v.Version(path)
+	if err != nil {
+		return fileState{}, err
+	}
+	size, err := v.Stat(path)
+	return fileState{ver, size}, err
+}
+
+// after reports whether st is a later state of the file than o.
+func (st fileState) after(o fileState) bool {
+	return st.version > o.version || st.version == o.version && st.size > o.size
+}
+
+// liveState reads path's state from one commit of the live filesystem.
+func (s *Server) liveState(path string) (fileState, error) {
+	snap := s.env.FS.Snapshot()
+	defer snap.Release()
+	return stateOf(snap, path)
 }
 
 // Bounds on the per-key maps, so a long-lived server fed ever-varying
@@ -299,7 +324,6 @@ func New(env *core.Env, cfg Config) (*Server, error) {
 		env:      env,
 		cfg:      cfg,
 		slots:    make(chan struct{}, cfg.MaxInFlight),
-		pathGen:  map[string]int64{},
 		watches:  map[string]*watchEntry{},
 		byID:     map[string]*watchEntry{},
 		cache:    map[string]cacheEntry{},
@@ -307,8 +331,9 @@ func New(env *core.Env, cfg Config) (*Server, error) {
 	}, nil
 }
 
-// Env exposes the underlying environment (the daemon's data-loading
-// endpoints write through it).
+// Env exposes the underlying environment. A write straight to its FS
+// invalidates cached results and stales watches exactly as Append and
+// Rewrite do: both key on the file's dfs state.
 func (s *Server) Env() *core.Env { return s.env }
 
 // withDeadline applies the configured default timeout when ctx carries
@@ -347,28 +372,6 @@ func (s *Server) acquire(ctx context.Context) (release func(), err error) {
 	}
 }
 
-// generation returns the current append generation of path.
-func (s *Server) generation(path string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pathGen[path]
-}
-
-// bumpGeneration advances path's ingest generation and frees the cache
-// entries it just invalidated (their gen can never match again).
-func (s *Server) bumpGeneration(path string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pathGen[path]++
-	gen := s.pathGen[path]
-	for key, ce := range s.cache {
-		if ce.path == path && ce.gen < gen {
-			delete(s.cache, key)
-		}
-	}
-	return gen
-}
-
 // chargeQuery folds one execution's cost delta into the per-query
 // aggregates (bounded; see maxPerQueryKeys).
 func (s *Server) chargeQuery(key string, cost simcost.Snapshot) {
@@ -383,8 +386,8 @@ func (s *Server) chargeQuery(key string, cost simcost.Snapshot) {
 	s.perQuery[key] = qc
 }
 
-// Query answers one one-shot query, from cache when the path has not
-// been appended to since the cached execution.
+// Query answers one one-shot query, from cache when the file is in the
+// state a cached run read.
 func (s *Server) Query(ctx context.Context, spec QuerySpec) (QueryResult, error) {
 	spec, err := spec.normalize()
 	if err != nil {
@@ -393,16 +396,17 @@ func (s *Server) Query(ctx context.Context, spec QuerySpec) (QueryResult, error)
 	ctx, cancel := s.withDeadline(ctx)
 	defer cancel()
 	key := spec.key()
-	gen := s.generation(spec.Path)
 
-	s.mu.Lock()
-	if ce, ok := s.cache[key]; ok && ce.gen == gen {
+	if live, err := s.liveState(spec.Path); err == nil {
+		s.mu.Lock()
+		ce, ok := s.cache[key]
 		s.mu.Unlock()
-		s.queries.Add(1)
-		s.cacheHits.Add(1)
-		return QueryResult{Report: ce.report, Reports: ce.reports, Groups: ce.grouped, Cached: true}, nil
+		if ok && ce.state == live {
+			s.queries.Add(1)
+			s.cacheHits.Add(1)
+			return QueryResult{Report: ce.report, Reports: ce.reports, Groups: ce.grouped, Cached: true}, nil
+		}
 	}
-	s.mu.Unlock()
 
 	release, err := s.acquire(ctx)
 	if err != nil {
@@ -410,17 +414,23 @@ func (s *Server) Query(ctx context.Context, spec QuerySpec) (QueryResult, error)
 	}
 	defer release()
 
+	// One execution path for every flavour: the plan driver. Single and
+	// multi-statistic one-shots alike cost one shared sampling/IO pass,
+	// and the run reads one commit, pinned here — after admission, so a
+	// queued request holds none: a rewrite or an append landing mid-run
+	// cannot give it a blend of two file states.
+	snap := s.env.FS.Snapshot()
+	defer snap.Release()
+	state, err := stateOf(snap, spec.Path)
+	if err != nil {
+		return QueryResult{}, err
+	}
 	start := time.Now()
 	before := s.env.Metrics.Snapshot()
 	res := QueryResult{}
-	// One execution path for every flavour: the plan driver. Single and
-	// multi-statistic one-shots alike cost one shared sampling/IO pass,
-	// and the run reads one pinned commit (core.Execute pins it): a
-	// rewrite or an append landing mid-run cannot give it a blend of two
-	// file states.
-	pr, rerr := core.RunPlan(s.env, spec.Spec, core.Options{})
-	if rerr != nil {
-		return QueryResult{}, rerr
+	pr, err := core.RunPlan(s.env.WithData(snap), spec.Spec, core.Options{})
+	if err != nil {
+		return QueryResult{}, err
 	}
 	res.Report, res.Reports, res.Groups = wireShape(pr)
 	res.Elapsed = time.Since(start)
@@ -428,21 +438,21 @@ func (s *Server) Query(ctx context.Context, spec QuerySpec) (QueryResult, error)
 	s.queries.Add(1)
 	s.chargeQuery(key, res.Cost)
 
-	// Cache under the generation observed before the run: if an Append
-	// landed mid-run the stored generation is already stale and the next
-	// lookup misses, so a possibly-partial view is never served as fresh.
-	// Never clobber a fresher entry — a slow straggler finishing after an
-	// append (and after a rerun cached the post-append result) would
-	// otherwise evict it and force the next caller into a full run.
+	// Cache under the state of the file the run read: if a write landed
+	// mid-run the live file has already left that state and the next
+	// lookup misses. Never clobber a later state's entry — a slow
+	// straggler finishing after an append (and after a rerun cached the
+	// post-append result) would otherwise evict it and force the next
+	// caller into a full run.
 	s.mu.Lock()
-	if ce, ok := s.cache[key]; !ok || ce.gen <= gen {
+	if ce, ok := s.cache[key]; !ok || !ce.state.after(state) {
 		if !ok && len(s.cache) >= maxCacheEntries {
 			for evict := range s.cache { // arbitrary eviction at the cap
 				delete(s.cache, evict)
 				break
 			}
 		}
-		s.cache[key] = cacheEntry{path: spec.Path, gen: gen, report: res.Report, reports: res.Reports, grouped: res.Groups}
+		s.cache[key] = cacheEntry{state: state, report: res.Report, reports: res.Reports, grouped: res.Groups}
 	}
 	s.mu.Unlock()
 	return res, nil
@@ -510,14 +520,6 @@ func (s *Server) OpenWatch(ctx context.Context, spec QuerySpec) (WatchInfo, bool
 		ready:     make(chan struct{}),
 		refreshMu: make(chan struct{}, 1),
 		subIDs:    map[string]struct{}{},
-		// The creation run syncs to the file as it stands now; starting
-		// from the pre-creation generation means an append racing the
-		// creation triggers one refresh, which no-ops if the run already
-		// saw those bytes. (A rewrite racing the creation is equally
-		// harmless: the creation run reads through a pinned snapshot, and
-		// the generation bump makes the first report pay one refresh,
-		// which rebuilds if the snapshot predated the rewrite.)
-		refreshedGen: s.pathGen[spec.Path],
 	}
 	e.touch()
 	sub := s.newSubLocked(e)
@@ -538,6 +540,13 @@ func (s *Server) OpenWatch(ctx context.Context, spec QuerySpec) (WatchInfo, bool
 		s.dropEntry(e)
 		return WatchInfo{}, false, err
 	}
+	// The creation run pins the file as it stands after this read, so a
+	// write racing the creation makes the first report pay one refresh —
+	// which no-ops if the run already saw those bytes, and rebuilds if
+	// the run's snapshot predated a rewrite. A failed read leaves the
+	// zero state, which no file is in: the creation fails on the same
+	// missing file, or the first report pays that one refresh.
+	e.synced, _ = s.liveState(spec.Path)
 	before := s.env.Metrics.Snapshot()
 	h, err := s.createWatch(spec)
 	cost := s.env.Metrics.Snapshot().Sub(before)
@@ -675,7 +684,7 @@ func (s *Server) CloseWatch(id, sub string) error {
 }
 
 // WatchReport returns the watch's current report, paying the one delta
-// refresh if data has been appended since the last subscriber asked.
+// refresh if the file has been written since the last subscriber asked.
 // Refreshes are serialised per watch: concurrent subscribers after one
 // append perform exactly one underlying refresh, and all of them read
 // the same (bit-identical) report.
@@ -684,10 +693,6 @@ func (s *Server) WatchReport(ctx context.Context, id string) (WatchInfo, error) 
 	defer cancel()
 	s.mu.Lock()
 	e, ok := s.byID[id]
-	var gen int64
-	if ok {
-		gen = s.pathGen[e.spec.Path]
-	}
 	s.mu.Unlock()
 	if !ok {
 		return WatchInfo{}, fmt.Errorf("%w: %s", ErrUnknownWatch, id)
@@ -707,7 +712,11 @@ func (s *Server) WatchReport(ctx context.Context, id string) (WatchInfo, error) 
 		return WatchInfo{}, ctx.Err()
 	}
 	defer func() { <-e.refreshMu }()
-	if e.refreshedGen < gen {
+	state, err := s.liveState(e.spec.Path)
+	if err != nil {
+		return WatchInfo{}, err
+	}
+	if state != e.synced {
 		release, err := s.acquire(ctx)
 		if err != nil {
 			return WatchInfo{}, err
@@ -720,11 +729,11 @@ func (s *Server) WatchReport(ctx context.Context, id string) (WatchInfo, error) 
 		if err != nil {
 			return WatchInfo{}, err
 		}
-		e.refreshedGen = gen
-		// A Refresh that found nothing new (an earlier refresh already
-		// consumed these bytes — gen lags the file) is a no-op inside
-		// live and must stay uncounted here too, or RefreshesServed and
-		// the per-query costs drift from the true simcost.Refreshes.
+		e.synced = state
+		// A Refresh that found nothing new (the creation run already read
+		// these bytes — synced lags the file) is a no-op inside live and
+		// must stay uncounted here too, or RefreshesServed and the
+		// per-query costs drift from the true simcost.Refreshes.
 		if e.q.Refreshes() > beforeN {
 			s.refreshesServed.Add(1)
 			s.chargeQuery(e.key, cost)
@@ -733,34 +742,25 @@ func (s *Server) WatchReport(ctx context.Context, id string) (WatchInfo, error) 
 	return s.infoOf(e), nil
 }
 
-// Append adds record-aligned data to the end of path and bumps the
-// path's generation, invalidating cached results and marking every
-// watch over it stale.
-func (s *Server) Append(path string, data []byte) (int64, int64, error) {
+// Append adds record-aligned data to the end of path and returns the
+// file's size after it. Like any write, it invalidates the path's
+// cached results and marks every watch over it stale.
+func (s *Server) Append(path string, data []byte) (int64, error) {
 	if err := s.env.FS.Append(path, data); err != nil {
-		return 0, 0, err
-	}
-	size, err := s.env.FS.Stat(path)
-	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	s.appends.Add(1)
-	return size, s.bumpGeneration(path), nil
+	return s.env.FS.Stat(path)
 }
 
-// AppendValues appends numeric values in the fixed-width line encoding.
-func (s *Server) AppendValues(path string, values []float64) (int64, int64, error) {
-	return s.Append(path, workload.EncodeLinesFixed(values))
-}
-
-// Rewrite replaces path's contents wholesale and bumps the path's
-// generation. Watches over the path survive: the dfs WriteFile is one
-// journaled commit, every refresh reads through a pinned snapshot, and
-// a refresh that observes the new write generation rebuilds the
-// maintained state from scratch — so the first report a subscriber
-// asks for after a rewrite is bit-identical to a fresh watch opened
-// over the rewritten contents, never a blend of old and new data.
-// Cached one-shot results are invalidated via the generation bump.
+// Rewrite replaces path's contents wholesale and returns the new size.
+// Watches over the path survive: the dfs WriteFile is one journaled
+// commit, every refresh reads through a pinned snapshot, and a refresh
+// that observes the new write generation rebuilds the maintained state
+// from scratch — so the first report a subscriber asks for after a
+// rewrite is bit-identical to a fresh watch opened over the rewritten
+// contents, never a blend of old and new data. Like any write, it
+// invalidates the path's cached results.
 func (s *Server) Rewrite(path string, data []byte) (int64, error) {
 	if err := s.env.FS.WriteFile(path, data); err != nil {
 		return 0, err
@@ -770,12 +770,7 @@ func (s *Server) Rewrite(path string, data []byte) (int64, error) {
 		// contents' decoded blocks just frees the bytes promptly.
 		s.env.Scan.InvalidatePath(path)
 	}
-	size, err := s.env.FS.Stat(path)
-	if err != nil {
-		return 0, err
-	}
-	s.bumpGeneration(path)
-	return size, nil
+	return s.env.FS.Stat(path)
 }
 
 // Stats returns the server's own counters.

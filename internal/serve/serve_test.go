@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -41,7 +42,8 @@ func newTestServer(t *testing.T, cfg Config, path string, n int) (*Server, *core
 // TestWatchDedupSharesOneQuery is the registry's core guarantee: two
 // identical maintained queries share one underlying live.Query — one
 // initial run, and after an append one refresh whose cost is counted
-// once.
+// once, whether the append came through the server or straight through
+// env.FS.
 func TestWatchDedupSharesOneQuery(t *testing.T) {
 	s, env := newTestServer(t, Config{}, "/t/data", 60_000)
 	ctx := context.Background()
@@ -72,7 +74,7 @@ func TestWatchDedupSharesOneQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.AppendValues("/t/data", delta); err != nil {
+	if _, err := s.Append("/t/data", workload.EncodeLinesFixed(delta)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -95,6 +97,25 @@ func TestWatchDedupSharesOneQuery(t *testing.T) {
 	if ra.Refreshes != 1 {
 		t.Fatalf("underlying query refreshed %d times, want 1", ra.Refreshes)
 	}
+
+	// Another writer on the same Env, bypassing the server, stales the
+	// watch all the same.
+	if err := env.FS.Append("/t/data", workload.EncodeLinesFixed(delta)); err != nil {
+		t.Fatal(err)
+	}
+	served := s.Stats().RefreshesServed
+	if ra, err = s.WatchReport(ctx, a.ID); err != nil {
+		t.Fatal(err)
+	}
+	if rb, err = s.WatchReport(ctx, b.ID); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().RefreshesServed - served; got != 1 {
+		t.Fatalf("two subscribers after an append through env.FS were served %d refreshes, want 1", got)
+	}
+	if ra.Refreshes != 2 || ra.Report != rb.Report {
+		t.Fatalf("after an append through env.FS: %d refreshes, reports\n%+v\n%+v", ra.Refreshes, ra.Report, rb.Report)
+	}
 }
 
 // TestConcurrentClientsOneRefreshPerAppend is the load-generator
@@ -102,7 +123,8 @@ func TestWatchDedupSharesOneQuery(t *testing.T) {
 // maintained query; per append the registry performs exactly one
 // underlying refresh (simcost.Refreshes), the poll phase reads o(K·N)
 // records (simcost.RecordsRead), and every client receives the
-// bit-identical report — at any Parallelism.
+// bit-identical report — at any GOMAXPROCS, which sizes the server's
+// worker pools (0 keeps the process's own, all cores by default).
 func TestConcurrentClientsOneRefreshPerAppend(t *testing.T) {
 	const (
 		K        = 8
@@ -116,9 +138,10 @@ func TestConcurrentClientsOneRefreshPerAppend(t *testing.T) {
 		SampleSize int
 	}
 	run := func(par int) []batchReport {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
 		s, env := newTestServer(t, Config{MaxInFlight: 4, MaxQueue: 4 * K}, "/t/stream", initialN)
 		ctx := context.Background()
-		spec := QuerySpec{Spec: plan.Spec{Path: "/t/stream", Stats: []string{"mean"}, Sigma: 0.05, Seed: 5, Parallelism: par}}
+		spec := QuerySpec{Spec: plan.Spec{Path: "/t/stream", Stats: []string{"mean"}, Sigma: 0.05, Seed: 5}}
 
 		ids := make([]string, K)
 		var wg sync.WaitGroup
@@ -150,7 +173,7 @@ func TestConcurrentClientsOneRefreshPerAppend(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := s.AppendValues("/t/stream", delta); err != nil {
+			if _, err := s.Append("/t/stream", workload.EncodeLinesFixed(delta)); err != nil {
 				t.Fatal(err)
 			}
 			before := env.Metrics.Snapshot()
@@ -267,7 +290,9 @@ func waitFor(t *testing.T, cond func() bool) {
 }
 
 // TestQueryCacheInvalidatedByAppend: identical one-shot queries hit the
-// cache until an append bumps the path generation.
+// cache until the file is written — by the server's Append, or by an
+// append or a rewrite straight through env.FS — and a miss answers for
+// the file as it now is.
 func TestQueryCacheInvalidatedByAppend(t *testing.T) {
 	s, env := newTestServer(t, Config{}, "/t/cache", 50_000)
 	ctx := context.Background()
@@ -300,7 +325,7 @@ func TestQueryCacheInvalidatedByAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.AppendValues("/t/cache", delta); err != nil {
+	if _, err := s.Append("/t/cache", workload.EncodeLinesFixed(delta)); err != nil {
 		t.Fatal(err)
 	}
 	third, err := s.Query(ctx, spec)
@@ -310,8 +335,138 @@ func TestQueryCacheInvalidatedByAppend(t *testing.T) {
 	if third.Cached {
 		t.Fatal("query after append served stale cached result")
 	}
+
+	for _, w := range []struct {
+		name  string
+		write func() error
+	}{
+		{"append", func() error { return env.FS.Append("/t/cache", workload.EncodeLinesFixed(delta)) }},
+		{"rewrite", func() error { return env.FS.WriteFile("/t/cache", workload.EncodeLinesFixed(delta[:5_000])) }},
+	} {
+		if err := w.write(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Query(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cached {
+			t.Fatalf("query after an %s through env.FS served the stale cached result", w.name)
+		}
+		want, err := core.RunPlan(env, spec.Spec, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Report != want.Reports[0] {
+			t.Fatalf("query after an %s through env.FS does not answer for the new file:\n got %+v\nwant %+v", w.name, got.Report, want.Reports[0])
+		}
+	}
 	if s.Stats().CacheHits != 1 {
 		t.Fatalf("cacheHits = %d, want 1", s.Stats().CacheHits)
+	}
+}
+
+// TestConcurrentOutOfBandWriter: one goroutine appends straight to
+// env.FS, unseen by the server, while K clients poll Query and
+// WatchReport on one spec. At a σ no sample of this small file can meet
+// for mean, the spec is answered exactly (UsedFull), so every answer's
+// count must be the record count of a committed file state; once the
+// writer stops, the next one-shot and
+// the next watch report must both be the final count, and a repeat
+// one-shot on the now quiet file a cache hit. Under -race this also
+// checks the cache and the registry against a writer they do not see.
+func TestConcurrentOutOfBandWriter(t *testing.T) {
+	const (
+		K        = 4
+		path     = "/t/oob"
+		initialN = 2_000
+		batchN   = 500
+		batches  = 20
+		finalN   = initialN + batches*batchN
+	)
+	s, env := newTestServer(t, Config{MaxInFlight: 2, MaxQueue: 4 * K}, path, initialN)
+	ctx := context.Background()
+	spec := QuerySpec{Spec: plan.Spec{Path: path, Stats: []string{"count", "mean"}, Sigma: 0.001, Seed: 9}}
+	committed := func(what string, r core.Report) {
+		n := int(r.Estimate)
+		if !r.UsedFull || float64(n) != r.Estimate || n < initialN || n > finalN || (n-initialN)%batchN != 0 {
+			t.Errorf("%s: %+v is not the exact count of a committed file state", what, r)
+		}
+	}
+	w, _, err := s.OpenWatch(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed("open", w.Report)
+	data := make([][]byte, batches)
+	for i := range data {
+		xs, err := workload.NumericSpec{Dist: workload.Gaussian, N: batchN, Seed: uint64(60 + i)}.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[i] = workload.EncodeLinesFixed(xs)
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1 + K)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for _, batch := range data {
+			if err := env.FS.Append(path, batch); err != nil {
+				t.Error(err)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	for c := 0; c < K; c++ {
+		go func() {
+			defer wg.Done()
+			for last := false; !last; {
+				select {
+				case <-done:
+					last = true
+				default:
+				}
+				res, err := s.Query(ctx, spec)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				committed("one-shot", res.Report)
+				info, err := s.WatchReport(ctx, w.ID)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				committed("watch", info.Report)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	res, err := s.Query(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := s.WatchReport(ctx, w.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Report.Estimate != finalN || info.Report.Estimate != finalN {
+		t.Fatalf("after the writer stopped: one-shot %g, watch %g, want %d", res.Report.Estimate, info.Report.Estimate, finalN)
+	}
+	again, err := s.Query(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Cached || again.Report != res.Report {
+		t.Fatalf("repeat one-shot on a quiet file: cached=%v, %+v vs %+v", again.Cached, again.Report, res.Report)
 	}
 }
 
@@ -630,7 +785,7 @@ func TestGroupedWatchDedupBitIdentical(t *testing.T) {
 		kvBatch([]string{"b"}, 20_000, 4, 50),
 		kvBatch([]string{"c"}, 20_000, 5, 200),
 	} {
-		if _, _, err := s.Append("/t/kv", batch); err != nil {
+		if _, err := s.Append("/t/kv", batch); err != nil {
 			t.Fatal(err)
 		}
 		before := env.Metrics.Snapshot()
@@ -711,7 +866,7 @@ func TestMultiStatQueryAndWatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.AppendValues("/t/multi", delta); err != nil {
+	if _, err := s.Append("/t/multi", workload.EncodeLinesFixed(delta)); err != nil {
 		t.Fatal(err)
 	}
 	info, err := s.WatchReport(ctx, w.ID)
@@ -963,7 +1118,7 @@ func TestOneShotNeverBlends(t *testing.T) {
 			s, env := newTestServer(t, Config{}, path, 40_000)
 			race(t, env, allowed, func() {
 				for i := 0; i < batches; i++ {
-					if _, _, err := s.Append(path, batch(i)); err != nil {
+					if _, err := s.Append(path, batch(i)); err != nil {
 						t.Error(err)
 					}
 					time.Sleep(2 * time.Millisecond)

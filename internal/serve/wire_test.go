@@ -60,7 +60,7 @@ func TestWireJSONGolden(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		put(tc.name+"/open", info)
-		if _, _, err := s.Append(tc.spec.Path, tc.more); err != nil {
+		if _, err := s.Append(tc.spec.Path, tc.more); err != nil {
 			t.Fatal(err)
 		}
 		info, err = s.WatchReport(ctx, info.ID)
