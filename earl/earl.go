@@ -120,11 +120,10 @@ type ClusterConfig = core.EnvConfig
 // through a snapshot pinned at a single commit point, and a refresh
 // that observes the new write generation rebuilds the maintained state
 // from scratch — so each report reflects exactly one version of the
-// file (pre- or post-rewrite), never a blend. The cost counters in Metrics are
-// cluster-wide aggregates: under concurrent runs, per-run attribution
-// requires snapshot deltas taken by the caller (see internal/serve for
-// the caveats). KillNode/ReviveNode are also safe to call mid-run —
-// that is exactly the §3.4 fault-tolerance path.
+// file (pre- or post-rewrite), never a blend. The cost counters in
+// Metrics are the cluster-wide totals, exact at every instant; a Watch's
+// own cost is its Cost. KillNode/ReviveNode are also safe to call
+// mid-run — that is exactly the §3.4 fault-tolerance path.
 type Cluster struct {
 	env *core.Env
 }

@@ -20,13 +20,15 @@ const DefaultCacheBytes = 256 << 20
 
 // ColumnStore is the persistent columnar sidecar surface the cache
 // consults before paying a text decode (internal/colseg's Reader
-// implements it). LoadColumns returns ok=false for a clean miss — no
-// sidecar, stale generation, uncovered split — and an error when a
-// sidecar exists but fails verification; the cache counts and reports
-// the error (see OnSidecarError) and falls back to text decode, so a
-// damaged sidecar can cost speed, never correctness.
+// implements it). LoadColumnsVia reads the sidecar through r, the
+// loading caller's own view of the file, so the read is charged to that
+// caller like the text decode it replaces. It returns ok=false for a
+// clean miss — no sidecar, stale generation, uncovered split — and an
+// error when a sidecar exists but fails verification; the cache counts
+// and reports the error (see OnSidecarError) and falls back to text
+// decode, so a damaged sidecar can cost speed, never correctness.
 type ColumnStore interface {
-	LoadColumns(key BlockKey) (*Block, bool, error)
+	LoadColumnsVia(r ReaderAt, key BlockKey) (*Block, bool, error)
 }
 
 // Cache is the decoded-block cache: K concurrent watches over one file
@@ -180,7 +182,7 @@ func (c *Cache) loadBlock(r ReaderAt, fileSize int64, key BlockKey) (*Block, err
 	store, hook := c.store, c.onSidecarErr
 	c.mu.Unlock()
 	if store != nil {
-		blk, ok, err := store.LoadColumns(key)
+		blk, ok, err := store.LoadColumnsVia(r, key)
 		switch {
 		case err != nil:
 			c.mu.Lock()

@@ -77,7 +77,9 @@ type fakeStore struct {
 	err error
 }
 
-func (s *fakeStore) LoadColumns(key BlockKey) (*Block, bool, error) { return s.blk, s.ok, s.err }
+func (s *fakeStore) LoadColumnsVia(_ ReaderAt, key BlockKey) (*Block, bool, error) {
+	return s.blk, s.ok, s.err
+}
 
 func TestCacheServesFromColumnStore(t *testing.T) {
 	data := []byte("1\n2\n3\n")

@@ -60,18 +60,31 @@ func NewReader(store Store) *Reader {
 	return &Reader{store: store, idx: make(map[string]*fileIndex)}
 }
 
-// LoadColumns implements colscan.ColumnStore: it returns the sidecar-
-// backed block for key, ok=false when the sidecar is absent, built for
-// a different generation or format, or simply does not cover the split
+// LoadColumns returns the sidecar-backed block for key, read from the
+// Reader's store: ok=false when the sidecar is absent, built for a
+// different generation or format, or simply does not cover the split
 // (all clean misses — the cache decodes text), and an ErrCorrupt-
 // wrapping error when a sidecar exists but fails structural or checksum
 // verification (the cache logs it and decodes text).
 func (r *Reader) LoadColumns(key colscan.BlockKey) (*colscan.Block, bool, error) {
-	size, ok := r.store.SidecarStat(key.Path)
+	return r.LoadColumnsVia(nil, key)
+}
+
+// LoadColumnsVia implements colscan.ColumnStore: LoadColumns, reading
+// through src when src holds sidecars too (a dfs view — a run's pinned
+// snapshot, whose reads charge that run), through the Reader's store
+// otherwise. A footer parsed once is reused by every later load, which
+// is charged only what it reads itself.
+func (r *Reader) LoadColumnsVia(src colscan.ReaderAt, key colscan.BlockKey) (*colscan.Block, bool, error) {
+	store, ok := src.(Store)
+	if !ok {
+		store = r.store
+	}
+	size, ok := store.SidecarStat(key.Path)
 	if !ok {
 		return nil, false, nil
 	}
-	idx, err := r.index(key.Path, key.Version, size)
+	idx, err := r.index(store, key.Path, key.Version, size)
 	if err != nil {
 		return nil, false, err
 	}
@@ -86,7 +99,7 @@ func (r *Reader) LoadColumns(key colscan.BlockKey) (*colscan.Block, bool, error)
 	if !ok {
 		return nil, false, nil
 	}
-	payload, err := r.store.ViewSidecarAt(key.Path, e.pos, e.size)
+	payload, err := store.ViewSidecarAt(key.Path, e.pos, e.size)
 	if err != nil {
 		return nil, false, fmt.Errorf("%w: read payload: %v", ErrCorrupt, err)
 	} else if int64(len(payload)) != e.size {
@@ -108,13 +121,13 @@ func (r *Reader) LoadColumns(key colscan.BlockKey) (*colscan.Block, bool, error)
 // The lock is held across the parse so concurrent cold loads of one
 // file cost exactly one header+footer read — keeping simulated seek
 // counts deterministic under any parallelism.
-func (r *Reader) index(path string, version, size int64) (*fileIndex, error) {
+func (r *Reader) index(store Store, path string, version, size int64) (*fileIndex, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if idx, ok := r.idx[path]; ok && idx.sidecarSize == size && idx.version == version {
 		return idx, nil
 	}
-	idx, err := r.parseIndex(path, size)
+	idx, err := parseIndex(store, path, size)
 	if err != nil {
 		return nil, err
 	}
@@ -128,11 +141,11 @@ func (r *Reader) index(path string, version, size int64) (*fileIndex, error) {
 // parseIndex reads and validates path's header and footer: one
 // positioned read for the header+trailer probe regions and one for the
 // entry table.
-func (r *Reader) parseIndex(path string, size int64) (*fileIndex, error) {
+func parseIndex(store Store, path string, size int64) (*fileIndex, error) {
 	if size < headerSize+tailSize {
 		return nil, fmt.Errorf("%w: sidecar smaller than header+trailer", ErrCorrupt)
 	}
-	head, err := r.store.ViewSidecarAt(path, 0, headerSize)
+	head, err := store.ViewSidecarAt(path, 0, headerSize)
 	if err != nil || len(head) < headerSize {
 		return nil, fmt.Errorf("%w: read header (%d bytes, %v)", ErrCorrupt, len(head), err)
 	}
@@ -140,7 +153,7 @@ func (r *Reader) parseIndex(path string, size int64) (*fileIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	tail, err := r.store.ViewSidecarAt(path, size-tailSize, tailSize)
+	tail, err := store.ViewSidecarAt(path, size-tailSize, tailSize)
 	if err != nil || len(tail) < tailSize {
 		return nil, fmt.Errorf("%w: read trailer (%d bytes, %v)", ErrCorrupt, len(tail), err)
 	}
@@ -148,7 +161,7 @@ func (r *Reader) parseIndex(path string, size int64) (*fileIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	table, err := r.store.ViewSidecarAt(path, footerStart, int64(count)*entrySize)
+	table, err := store.ViewSidecarAt(path, footerStart, int64(count)*entrySize)
 	if err != nil || int64(len(table)) < int64(count)*entrySize {
 		return nil, fmt.Errorf("%w: read footer (%d bytes, %v)", ErrCorrupt, len(table), err)
 	}

@@ -82,38 +82,50 @@ import (
 // Env bundles the simulated deployment a driver runs against.
 //
 // An Env is safe for concurrent use: the DFS, the MR engine and the
-// metrics sink are internally synchronized, and every sampled run owns
-// its feedback state (a private mr.Controller), so concurrent
+// metrics are internally synchronized, and every sampled run owns its
+// feedback state (a private mr.Controller), so concurrent
 // Execute/Watch/Append callers share nothing but data.
+//
+// A run is an Env too, made by Open: it reads one pinned commit and
+// charges its ledger, a child of the cluster's Metrics. Everything the
+// run builds from its Env — samplers, engine, SSABE, delta maintainers,
+// the exact scan — charges that ledger, and each charge lands in the
+// cluster's at once: the ledger is the run's exact cost under any
+// overlap, and the cluster's Metrics stay the total.
 type Env struct {
-	FS      *dfs.FileSystem
-	Engine  *mr.Engine
+	FS     *dfs.FileSystem
+	Engine *mr.Engine
+	// Metrics is the cluster's cost ledger, or in a run's Env the run's.
 	Metrics *simcost.Metrics
 	// Scan is the shared decoded-block cache of the vectorized scan
 	// path: K concurrent watches (or repeated runs) over one file
 	// re-decode nothing. Nil is tolerated everywhere — colscan then
 	// decodes per caller without sharing.
 	Scan *colscan.Cache
-	// Data, when non-nil, is the view every DATA read of a run goes
-	// through — typically a pinned dfs.Snapshot, so a run (or a watch
-	// refresh) observes one commit point of the filesystem no matter
-	// what lands concurrently. Mutations always use the live FS.
-	Data dfs.View
+	// snap is the commit a run's every data read goes through, nil
+	// outside a run. Mutations always use the live FS.
+	snap *dfs.Snapshot
 }
 
-// View returns the data-read view: the pinned Data view when set, else
-// the live filesystem.
+// View returns the data-read view: the run's pinned commit, or the live
+// filesystem outside a run.
 func (e *Env) View() dfs.View {
-	if e.Data != nil {
-		return e.Data
+	if e.snap != nil {
+		return e.snap
 	}
 	return e.FS
 }
 
-// WithData derives an Env whose data reads go through v (usually a
-// pinned snapshot), sharing everything else with the receiver.
-func (e *Env) WithData(v dfs.View) *Env {
-	return &Env{FS: e.FS, Engine: e.Engine, Metrics: e.Metrics, Scan: e.Scan, Data: v}
+// Open starts a run: it pins the current commit as a snapshot whose
+// reads charge ledger and returns the run's Env — that snapshot as its
+// data view, ledger as its Metrics, an engine bound to ledger — and the
+// release that unpins the commit. ledger is a child of e.Metrics for a
+// caller that reads the run's cost, e.Metrics when nobody does.
+func (e *Env) Open(ledger *simcost.Metrics) (run *Env, release func()) {
+	snap := e.FS.Pin(ledger)
+	eng := *e.Engine
+	eng.Metrics = ledger
+	return &Env{FS: e.FS, Engine: &eng, Metrics: ledger, Scan: e.Scan, snap: snap}, snap.Release
 }
 
 // EnvConfig shapes a simulated deployment.
@@ -158,8 +170,8 @@ func (cfg EnvConfig) dfsConfig(metrics *simcost.Metrics) dfs.Config {
 	}
 }
 
-// NewEnv builds a fresh simulated cluster: DFS, MR engine and a shared
-// metrics sink.
+// NewEnv builds a fresh simulated cluster: DFS, MR engine and the
+// cluster's root cost ledger.
 func NewEnv(cfg EnvConfig) (*Env, error) {
 	cfg = cfg.defaulted()
 	metrics := &simcost.Metrics{}

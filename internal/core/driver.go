@@ -10,6 +10,7 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/plan"
 	"repro/internal/sampling"
+	"repro/internal/simcost"
 )
 
 // SamplerKind selects the sampling stage implementation (§3.3).
@@ -153,20 +154,21 @@ func (r *Retained) Result(refreshes int) (*PlanResult, error) {
 // folds the same scan (ScanExact) into incremental exact states it can
 // maintain instead.
 //
-// Handed the live filesystem, Execute pins one commit for the whole run
+// Handed a run's Env (Env.Open), Execute reads that run's commit and
+// charges its ledger; handed the cluster's, it opens a run charged to
+// the cluster's Metrics. Either way one commit serves the whole run
 // (pilot, sampled job and exact fall-back alike), so a rewrite or an
-// append landing beside it cannot give it a blend of two file states; a
-// caller that already pinned a view (env.Data) keeps its own.
+// append landing beside it cannot give it a blend of two file states.
 func Execute(env *Env, pq *PlannedQuery, retain bool) (*PlanResult, *Retained, error) {
 	if env == nil || env.FS == nil || env.Engine == nil {
 		return nil, nil, errors.New("core: incomplete Env")
 	}
-	if env.Data != nil {
-		return execute(env, pq, retain)
+	if env.snap == nil {
+		run, release := env.Open(env.Metrics)
+		defer release()
+		env = run
 	}
-	snap := env.FS.Snapshot()
-	defer snap.Release()
-	res, ret, err := execute(env.WithData(snap), pq, retain)
+	res, ret, err := execute(env, pq, retain)
 	if ret != nil {
 		// Retained streams read live after: held, the snapshot would keep
 		// this commit's namespace alive as long as the watch that owns them.
@@ -224,7 +226,7 @@ func execute(env *Env, pq *PlannedQuery, retain bool) (*PlanResult, *Retained, e
 	// mapper delivery. The pilot is drawn ONCE per run however many
 	// statistics ride it — charging it is what makes the shared-pilot
 	// saving of a multi-statistic run visible in the counters.
-	defer func() { env.Metrics.RecordsRead.Add(int64(pilot.s.Taken())) }()
+	defer func() { env.Metrics.Charge(simcost.Snapshot{RecordsRead: int64(pilot.s.Taken())}) }()
 	// exact is the §3.1 switch back to the standard workflow; known says
 	// whether the pilot got far enough to estimate the input's size.
 	exact := func(plans []aes.Plan, estTotal int64, known bool) (*PlanResult, *Retained, error) {

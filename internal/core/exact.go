@@ -10,6 +10,7 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/mr"
 	"repro/internal/plan"
+	"repro/internal/simcost"
 )
 
 // ExactReport is the report of a statistic computed exactly over n
@@ -131,13 +132,14 @@ func runExact(env *Env, jset []jobs.Numeric, path string, dec Decode, prog *plan
 		return nil, err
 	}
 	kept := int64(len(vals))
-	m := env.Metrics
-	m.JobStartups.Add(1)
-	m.MapTasks.Add(int64(len(splits)))
-	m.ReduceTasks.Add(1)
-	m.RecordsMapped.Add(kept)
-	m.RecordsReduced.Add(kept)
-	m.BytesShuffled.Add(kept * (int64(len(exactKey)) + mr.ValueSize(0.0)))
+	env.Metrics.Charge(simcost.Snapshot{
+		JobStartups:    1,
+		MapTasks:       int64(len(splits)),
+		ReduceTasks:    1,
+		RecordsMapped:  kept,
+		RecordsReduced: kept,
+		BytesShuffled:  kept * (int64(len(exactKey)) + mr.ValueSize(0.0)),
+	})
 	if kept == 0 {
 		if prog != nil && prog.HasFilter() {
 			return nil, errors.New("core: no records matched filter")
@@ -190,8 +192,7 @@ func ScanExact(env *Env, path string, splits []dfs.Split, dec Decode, prog *plan
 			n := blk.NumRecords()
 			end := blk.Start(n-1) + int64(blk.RecLen(n-1)) // the last record's newline, or EOF
 			bytes, seeks := dfs.LineScanCost(sp, size, min(end+1, size))
-			env.Metrics.BytesRead.Add(bytes)
-			env.Metrics.DiskSeeks.Add(seeks)
+			env.Metrics.Charge(simcost.Snapshot{BytesRead: bytes, DiskSeeks: seeks})
 			shared.Vals, shared.Keys = blk.Values(), shared.Keys[:0]
 			if dict := blk.Dict(); dict != nil {
 				for _, id := range blk.KeyIDs() {
@@ -212,7 +213,7 @@ func ScanExact(env *Env, path string, splits []dfs.Split, dec Decode, prog *plan
 			return nil, err
 		}
 	}
-	env.Metrics.RecordsRead.Add(read)
+	env.Metrics.Charge(simcost.Snapshot{RecordsRead: read})
 	return out.Vals, nil
 }
 

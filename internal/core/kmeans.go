@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/jobs"
 	"repro/internal/sampling"
+	"repro/internal/simcost"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -51,9 +52,7 @@ func RunKMeans(env *Env, path string, kcfg jobs.KMeans, opts KMeansOptions) (KMe
 	if err != nil {
 		return KMeansReport{}, err
 	}
-	env.Metrics.JobStartups.Add(1) // EARL's K-Means is one long-lived job
-	env.Metrics.MapTasks.Add(1)
-	env.Metrics.ReduceTasks.Add(1)
+	env.Metrics.Charge(simcost.Snapshot{JobStartups: 1, MapTasks: 1, ReduceTasks: 1}) // EARL's K-Means is one long-lived job
 
 	rng := rand.New(rand.NewPCG(opts.Seed, 0xab1c5ed5da6d8118))
 	var pts []workload.Point
@@ -83,7 +82,7 @@ func RunKMeans(env *Env, path string, kcfg jobs.KMeans, opts KMeansOptions) (KMe
 			return rep, err
 		}
 		// Lloyd passes over the sample are the job's CPU cost.
-		env.Metrics.RecordsReduced.Add(int64(len(pts)) * int64(fit.Iterations))
+		env.Metrics.Charge(simcost.Snapshot{RecordsReduced: int64(len(pts)) * int64(fit.Iterations)})
 
 		// Bootstrap the per-point cost of the fitted centers.
 		values := make([]float64, kmeansB)
@@ -94,7 +93,7 @@ func RunKMeans(env *Env, path string, kcfg jobs.KMeans, opts KMeansOptions) (KMe
 			}
 			values[b] = jobs.WCSSOf(fit.Centers, buf) / float64(len(buf))
 		}
-		env.Metrics.RecordsReduced.Add(int64(len(pts)) * kmeansB)
+		env.Metrics.Charge(simcost.Snapshot{RecordsReduced: int64(len(pts)) * kmeansB})
 		cv, err := stats.CV(values)
 		if err != nil {
 			return rep, err

@@ -149,9 +149,7 @@ type preMapSource struct {
 
 func (p preMapSource) DrawCols(k int, out *colscan.Cols) (int, error) {
 	n, err := p.s.SampleCols(k, out)
-	if p.metrics != nil {
-		p.metrics.RecordsRead.Add(int64(n))
-	}
+	p.metrics.Charge(simcost.Snapshot{RecordsRead: int64(n)})
 	return n, err
 }
 
@@ -290,7 +288,7 @@ func NewRecordSources(env *Env, path string, owned [][]dfs.Split, opts Options, 
 				}
 				// The pool-filling scan delivered every record of the
 				// split to this mapper.
-				env.Metrics.RecordsRead.Add(int64(blk.NumRecords()))
+				env.Metrics.Charge(simcost.Snapshot{RecordsRead: int64(blk.NumRecords())})
 				if keepSc != nil {
 					keepScratch = prog.KeepBlock(keepSc, blk, keepScratch[:0])
 					pmap.AddBlockKept(blk, keepScratch)

@@ -286,9 +286,7 @@ func (m *Maintainer) Updates() int64 { return m.updates.Load() }
 // charge records n state operations.
 func (m *Maintainer) charge(n int64) {
 	m.updates.Add(n)
-	if m.metrics != nil {
-		m.metrics.RecordsReduced.Add(n)
-	}
+	m.metrics.Charge(simcost.Snapshot{RecordsReduced: n})
 }
 
 // chargeIO moves the sketch I/O r has collected to the cost metrics,
@@ -296,12 +294,7 @@ func (m *Maintainer) charge(n int64) {
 // would have done that I/O itself.
 func (m *Maintainer) chargeIO(r *resample, times int64) {
 	seeks, read, written := r.io.DiskSeeks.Swap(0), r.io.BytesRead.Swap(0), r.io.BytesWritten.Swap(0)
-	if m.metrics == nil || seeks == 0 { // every sketch charge is a seek
-		return
-	}
-	m.metrics.DiskSeeks.Add(times * seeks)
-	m.metrics.BytesRead.Add(times * read)
-	m.metrics.BytesWritten.Add(times * written)
+	m.metrics.Charge(simcost.Snapshot{DiskSeeks: times * seeks, BytesRead: times * read, BytesWritten: times * written})
 }
 
 // Grow applies one iteration: the sample becomes s ∪ deltaSample and all

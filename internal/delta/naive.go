@@ -70,13 +70,10 @@ func (m *NaiveMaintainer) Grow(deltaSample []float64) error {
 	}
 	m.sample = append(m.sample, deltaSample...)
 	n := len(m.sample)
-	if m.metrics != nil {
-		// Re-read s from HDFS (the old part was spilled) and write the
-		// refreshed resamples back — the round trip §4.1 eliminates.
-		m.metrics.DiskSeeks.Add(int64(m.b) + 1)
-		m.metrics.BytesRead.Add(int64(n) * bytesPerItem)
-		m.metrics.BytesWritten.Add(int64(m.b) * int64(n) * bytesPerItem)
-	}
+	// Re-read s from HDFS (the old part was spilled) and write the
+	// refreshed resamples back — the round trip §4.1 eliminates.
+	m.metrics.Charge(simcost.Snapshot{DiskSeeks: int64(m.b) + 1,
+		BytesRead: int64(n) * bytesPerItem, BytesWritten: int64(m.b) * int64(n) * bytesPerItem})
 	m.values = make([]float64, m.b)
 	gen := m.generation
 	m.generation++
@@ -105,9 +102,7 @@ func (m *NaiveMaintainer) Grow(deltaSample []float64) error {
 
 func (m *NaiveMaintainer) charge(n int64) {
 	m.updates.Add(n)
-	if m.metrics != nil {
-		m.metrics.RecordsReduced.Add(n)
-	}
+	m.metrics.Charge(simcost.Snapshot{RecordsReduced: n})
 }
 
 // Results returns the current result distribution.

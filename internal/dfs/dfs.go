@@ -190,12 +190,14 @@ type namespace struct {
 	files map[string]*fileMeta
 }
 
-// state is one namespace read through its filesystem (block size, cost
-// accounting, node liveness, fault plan). It carries the View methods
-// once: FileSystem's are live()'s, a Snapshot embeds the one it took.
+// state is one namespace read through its filesystem (block size, node
+// liveness, fault plan) and charged to one ledger. It carries the View
+// methods once: FileSystem's are live()'s, a Snapshot embeds the one it
+// took.
 type state struct {
-	fs *FileSystem
-	ns *namespace
+	fs     *FileSystem
+	ns     *namespace
+	ledger *simcost.Metrics // what every read through this state charges
 }
 
 // fileMeta is one immutable committed state of a file. Appends clone it
@@ -266,7 +268,7 @@ func (fs *FileSystem) LiveDataNodes() []int {
 }
 
 // live returns the filesystem's state as of the last commit.
-func (fs *FileSystem) live() state { return state{fs: fs, ns: fs.ns.Load()} }
+func (fs *FileSystem) live() state { return state{fs: fs, ns: fs.ns.Load(), ledger: fs.metrics} }
 
 // file resolves path's committed state, ErrNotFound when the namespace
 // has no such path. The state is immutable, and stays readable whatever
@@ -441,10 +443,8 @@ func (fs *FileSystem) applyBlocks(meta *fileMeta, data []byte, base int64, live 
 		replicas := make([]int, nrep)
 		for i, pi := range perm[:nrep] {
 			replicas[i] = live[pi]
-			if fs.metrics != nil {
-				fs.metrics.BytesWritten.Add(end - off)
-			}
 		}
+		fs.metrics.Charge(simcost.Snapshot{BytesWritten: int64(nrep) * (end - off)})
 		meta.blocks = append(meta.blocks, &blockMeta{
 			id: fs.nextID, offset: base + off, size: end - off, payload: data[off:end:end], replicas: replicas,
 		})
@@ -545,7 +545,7 @@ func (s state) ReadFile(path string) ([]byte, error) {
 	if meta.size == 0 {
 		return buf, nil
 	}
-	if _, err := s.fs.readMeta(meta, 0, buf); err != nil {
+	if _, err := s.readMeta(meta, 0, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -562,7 +562,7 @@ func (s state) ReadAt(path string, off int64, p []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return s.fs.readMeta(meta, off, p)
+	return s.readMeta(meta, off, p)
 }
 
 func (fs *FileSystem) ReadAt(path string, off int64, p []byte) (int, error) {
@@ -570,16 +570,13 @@ func (fs *FileSystem) ReadAt(path string, off int64, p []byte) (int, error) {
 }
 
 // readMeta is one positioned read of one resolved file state: p filled
-// from off, one seek charged.
-func (fs *FileSystem) readMeta(meta *fileMeta, off int64, p []byte) (int, error) {
+// from off, one seek and the bytes it got charged.
+func (s state) readMeta(meta *fileMeta, off int64, p []byte) (int, error) {
 	if off < 0 {
 		return 0, errors.New("dfs: negative offset")
 	}
 	if off >= meta.size {
 		return 0, nil
-	}
-	if fs.metrics != nil {
-		fs.metrics.DiskSeeks.Add(1)
 	}
 	want := int64(len(p))
 	if off+want > meta.size {
@@ -593,17 +590,15 @@ func (fs *FileSystem) readMeta(meta *fileMeta, off int64, p []byte) (int, error)
 			break
 		}
 		blk := meta.blocks[bi]
-		payload, err := fs.replicaPayload(blk)
+		payload, err := s.fs.replicaPayload(blk)
 		if err != nil {
+			s.ledger.Charge(simcost.Snapshot{DiskSeeks: 1, BytesRead: n})
 			return int(n), err
 		}
 		inBlk := pos - blk.offset
-		c := int64(copy(p[n:want], payload[inBlk:]))
-		n += c
-		if fs.metrics != nil {
-			fs.metrics.BytesRead.Add(c)
-		}
+		n += int64(copy(p[n:want], payload[inBlk:]))
 	}
+	s.ledger.Charge(simcost.Snapshot{DiskSeeks: 1, BytesRead: n})
 	return int(n), nil
 }
 

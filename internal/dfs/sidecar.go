@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/colscan"
 	"repro/internal/colseg"
+	"repro/internal/simcost"
 )
 
 // Sidecar policy: the filesystem builds a persistent columnar segment
@@ -246,9 +247,7 @@ func (fs *FileSystem) buildSidecar(meta *fileMeta, data []byte) *sidecar {
 	if err != nil {
 		return nil
 	}
-	if fs.metrics != nil {
-		fs.metrics.BytesWritten.Add(int64(len(sc)))
-	}
+	fs.metrics.Charge(simcost.Snapshot{BytesWritten: int64(len(sc))})
 	return newSidecar(sc)
 }
 
@@ -282,10 +281,7 @@ func (fs *FileSystem) extendSidecar(prev *sidecar, meta *fileMeta, segData []byt
 				gap = append(gap, blk.payload...)
 			}
 		}
-		if fs.metrics != nil {
-			fs.metrics.DiskSeeks.Add(1)
-			fs.metrics.BytesRead.Add(int64(len(gap)))
-		}
+		fs.metrics.Charge(simcost.Snapshot{DiskSeeks: 1, BytesRead: int64(len(gap))})
 	}
 	// Encode every Tail before writing any, so a segment the validators
 	// reject leaves no bytes behind in the tip extent.
@@ -311,9 +307,7 @@ func (fs *FileSystem) extendSidecar(prev *sidecar, meta *fileMeta, segData []byt
 	for _, tail := range tails {
 		ext = ext.extended(tail)
 	}
-	if fs.metrics != nil {
-		fs.metrics.BytesWritten.Add(ext.size() - prev.size())
-	}
+	fs.metrics.Charge(simcost.Snapshot{BytesWritten: ext.size() - prev.size()})
 	return ext
 }
 
@@ -341,7 +335,7 @@ func (s state) ViewSidecarAt(path string, off, size int64) ([]byte, error) {
 		return nil, err
 	}
 	b := sc.view(off, size)
-	s.fs.chargeSidecarRead(len(b))
+	s.ledger.Charge(simcost.Snapshot{DiskSeeks: 1, BytesRead: int64(len(b))})
 	return b, nil
 }
 
@@ -359,7 +353,7 @@ func (s state) ReadSidecarAt(path string, off int64, p []byte) (int, error) {
 		return 0, err
 	}
 	n := sc.readAt(off, p)
-	s.fs.chargeSidecarRead(n)
+	s.ledger.Charge(simcost.Snapshot{DiskSeeks: 1, BytesRead: int64(n)})
 	return n, nil
 }
 
@@ -381,14 +375,6 @@ func (s state) sidecar(path string, off int64) (*sidecar, error) {
 		return nil, errors.New("dfs: negative offset")
 	}
 	return sc, nil
-}
-
-// chargeSidecarRead charges one positioned sidecar read of n bytes.
-func (fs *FileSystem) chargeSidecarRead(n int) {
-	if fs.metrics != nil {
-		fs.metrics.DiskSeeks.Add(1)
-		fs.metrics.BytesRead.Add(int64(n))
-	}
 }
 
 // CompactStats reports what Compact found and did.
@@ -440,18 +426,13 @@ func (fs *FileSystem) Compact(path string) (CompactStats, error) {
 		}
 		data = append(data, payload...)
 	}
-	if fs.metrics != nil {
-		fs.metrics.DiskSeeks.Add(1)
-		fs.metrics.BytesRead.Add(int64(len(data)))
-	}
+	fs.metrics.Charge(simcost.Snapshot{DiskSeeks: 1, BytesRead: int64(len(data))})
 	sc, err := colseg.Build(sniffFormat(data), meta.version, data, meta.segments, fs.cfg.BlockSize)
 	if err != nil {
 		return st, fmt.Errorf("dfs: compact %s: %w", path, err)
 	}
 	meta.sidecar.Store(newSidecar(sc))
-	if fs.metrics != nil {
-		fs.metrics.BytesWritten.Add(int64(len(sc)))
-	}
+	fs.metrics.Charge(simcost.Snapshot{BytesWritten: int64(len(sc))})
 	info, err := colseg.Inspect(sc)
 	if err != nil {
 		return st, err

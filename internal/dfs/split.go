@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+
+	"repro/internal/simcost"
 )
 
 // Split is a logical input split: a byte range of a file handed to one
@@ -80,7 +82,7 @@ func (fs *FileSystem) Splits(path string, splitSize int64) ([]Split, error) {
 // file state it resolved when it was opened: a rewrite or a delete that
 // lands while it iterates does not reach it.
 type LineReader struct {
-	fs      *FileSystem
+	st      state     // the view the reader reads and charges through
 	meta    *fileMeta // the committed state the reader was opened on
 	split   Split
 	fileLen int64
@@ -112,7 +114,7 @@ func (s state) NewLineReader(split Split, chunkSize int) (*LineReader, error) {
 		chunkSize = lineChunk
 	}
 	return &LineReader{
-		fs:      s.fs,
+		st:      s,
 		meta:    meta,
 		split:   split,
 		fileLen: size,
@@ -135,7 +137,7 @@ func (r *LineReader) fill() error {
 		want = r.fileLen - r.pos
 	}
 	buf := make([]byte, want)
-	n, err := r.fs.readMeta(r.meta, r.pos, buf)
+	n, err := r.st.readMeta(r.meta, r.pos, buf)
 	if err != nil {
 		return err
 	}
@@ -271,7 +273,7 @@ func (s state) ReadLineAt(path string, pos int64, chunkSize int) (line string, l
 	if err != nil {
 		return "", 0, err
 	}
-	rec, lineStart, err := s.fs.lineAt(meta, pos, chunkSize)
+	rec, lineStart, err := s.lineAt(meta, pos, chunkSize)
 	return string(rec), lineStart, err
 }
 
@@ -309,7 +311,7 @@ func (s state) ReadLinesAt(path string, positions []int64, chunkSize int, fn fun
 		if i%touchAhead == 0 {
 			meta.touch(positions[i:min(i+touchAhead, len(positions))])
 		}
-		line, start, err := s.fs.lineAt(meta, pos, chunkSize)
+		line, start, err := s.lineAt(meta, pos, chunkSize)
 		more, err := fn(i, line, start, err)
 		if err != nil || !more {
 			return err
@@ -366,13 +368,13 @@ func (m *fileMeta) touch(positions []int64) {
 // EOF). Short records resolve in a single positioned read — one seek, a
 // few hundred bytes — which is what makes pre-map sampling a sub-scan
 // operation. The returned line is a read-only view.
-func (fs *FileSystem) lineAt(meta *fileMeta, pos int64, chunkSize int) (line []byte, lineStart int64, err error) {
+func (s state) lineAt(meta *fileMeta, pos int64, chunkSize int) (line []byte, lineStart int64, err error) {
 	if chunkSize <= 0 {
 		chunkSize = 256
 	}
 	back, fwd := int64(chunkSize), int64(chunkSize)
 	for {
-		line, lineStart, grow, err := fs.lineInWindow(meta, pos, back, fwd)
+		line, lineStart, grow, err := s.lineInWindow(meta, pos, back, fwd)
 		switch grow {
 		case growBack:
 			back *= 4
@@ -404,7 +406,7 @@ const (
 // each block reaches its replica through replicaPayload, so
 // modelled cost, read ticks and injected faults do not depend on which
 // way the bytes were reached.
-func (fs *FileSystem) lineInWindow(meta *fileMeta, pos, back, fwd int64) (line []byte, lineStart int64, grow windowGrow, err error) {
+func (s state) lineInWindow(meta *fileMeta, pos, back, fwd int64) (line []byte, lineStart int64, grow windowGrow, err error) {
 	size := meta.size
 	if size == 0 {
 		return nil, 0, growNone, io.EOF
@@ -413,20 +415,16 @@ func (fs *FileSystem) lineInWindow(meta *fileMeta, pos, back, fwd int64) (line [
 	lo, hi := max(pos-back, 0), min(pos+fwd, size)
 	var win []byte
 	if blk := meta.blocks[meta.blockAt(lo)]; hi <= blk.offset+blk.size {
-		if fs.metrics != nil {
-			fs.metrics.DiskSeeks.Add(1)
-		}
-		payload, err := fs.replicaPayload(blk)
+		payload, err := s.fs.replicaPayload(blk)
 		if err != nil {
+			s.ledger.Charge(simcost.Snapshot{DiskSeeks: 1})
 			return nil, 0, growNone, err
 		}
+		s.ledger.Charge(simcost.Snapshot{DiskSeeks: 1, BytesRead: hi - lo})
 		win = payload[lo-blk.offset : hi-blk.offset]
-		if fs.metrics != nil {
-			fs.metrics.BytesRead.Add(hi - lo)
-		}
 	} else {
 		win = make([]byte, hi-lo)
-		if _, err := fs.readMeta(meta, lo, win); err != nil {
+		if _, err := s.readMeta(meta, lo, win); err != nil {
 			return nil, 0, growNone, err
 		}
 	}

@@ -3,6 +3,8 @@ package dfs
 import (
 	"fmt"
 	"sync/atomic"
+
+	"repro/internal/simcost"
 )
 
 // View is the read surface of the filesystem: everything a scan, a
@@ -47,11 +49,18 @@ type Snapshot struct {
 	released atomic.Bool
 }
 
-// Snapshot returns a View of the current commit and counts it in
-// JournalStats.Pins until it is released.
-func (fs *FileSystem) Snapshot() *Snapshot {
+// Snapshot returns a View of the current commit, its reads charged to
+// the filesystem's own metrics, and counts it in JournalStats.Pins until
+// it is released.
+func (fs *FileSystem) Snapshot() *Snapshot { return fs.Pin(fs.metrics) }
+
+// Pin is Snapshot with every read through the snapshot charged to
+// ledger instead: one run's, a child of the filesystem's metrics, so the
+// run's ledger holds its own reads and the filesystem's still sees them
+// all.
+func (fs *FileSystem) Pin(ledger *simcost.Metrics) *Snapshot {
 	fs.pins.Add(1)
-	return &Snapshot{state: fs.live()}
+	return &Snapshot{state: state{fs: fs, ns: fs.ns.Load(), ledger: ledger}}
 }
 
 // Seq returns the commit sequence this snapshot holds.

@@ -15,12 +15,12 @@ import (
 // the watch's own decode — so a record the sampled path would reject
 // fails the fold too.
 
-// foldExact scans the given splits once, reading through v — the
-// caller's pinned snapshot — folds the survivors into each statistic's
-// incremental reduce state and renders the result.
-func (w *Watch) foldExact(v dfs.View, splits []dfs.Split) error {
+// foldExact scans the given splits once as run — the opening run, or a
+// refresh — folds the survivors into each statistic's incremental
+// reduce state and renders the result.
+func (w *Watch) foldExact(run *core.Env, splits []dfs.Split) error {
 	jset := w.pq.Jobs
-	vals, err := core.ScanExact(w.env.WithData(v), w.pq.Spec.Path, splits, w.decode, w.pq.Prog)
+	vals, err := core.ScanExact(run, w.pq.Spec.Path, splits, w.decode, w.pq.Prog)
 	if err != nil {
 		return err
 	}
@@ -41,13 +41,13 @@ func (w *Watch) foldExact(v dfs.View, splits []dfs.Split) error {
 }
 
 // refreshExact folds only the appended splits into the exact states,
-// reading through v — the refresh's pinned snapshot.
-func (w *Watch) refreshExact(v dfs.View, size int64) error {
-	splits, err := splitsSince(v, w.pq.Spec.Path, w.ret.SyncedBytes)
+// as run, the refresh.
+func (w *Watch) refreshExact(run *core.Env, size int64) error {
+	splits, err := splitsSince(run.View(), w.pq.Spec.Path, w.ret.SyncedBytes)
 	if err != nil {
 		return err
 	}
-	if err := w.foldExact(v, splits); err != nil {
+	if err := w.foldExact(run, splits); err != nil {
 		return err
 	}
 	w.ret.SyncedBytes = size

@@ -47,6 +47,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/pool"
 	"repro/internal/sampling"
+	"repro/internal/simcost"
 )
 
 // ErrClosed is returned by Refresh after Close.
@@ -67,6 +68,9 @@ const refreshSalt = 0x51_7cc1b7_2722_0a95
 type Watch struct {
 	mu  sync.Mutex
 	env *core.Env
+	// ledger is the watch's own cost ledger, a child of env.Metrics: the
+	// opening run, every rebuild and every refresh charge it.
+	ledger *simcost.Metrics
 	// pq is the query as it was opened, options before any defaulting — a
 	// rewrite-triggered rebuild re-executes exactly this, so the rebuilt
 	// watch is bit-identical to a fresh watch opened over the rewritten
@@ -105,30 +109,30 @@ func Open(env *core.Env, pq *core.PlannedQuery) (*Watch, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Watch{env: env, pq: pq, decode: dec}
-	// The opening run reads through a pinned snapshot: a rewrite (or
-	// append) landing mid-run cannot give the watch a blended view.
-	snap := env.FS.Snapshot()
-	defer snap.Release()
-	if err := w.rebuild(snap); err != nil {
+	w := &Watch{env: env, ledger: env.Metrics.Child(), pq: pq, decode: dec}
+	// The opening run reads one pinned commit: a rewrite (or append)
+	// landing mid-run cannot give the watch a blended view.
+	run, release := env.Open(w.ledger)
+	defer release()
+	if err := w.rebuild(run); err != nil {
 		return nil, err
 	}
 	return w, nil
 }
 
-// rebuild executes the query against the pinned snapshot and replaces
-// the maintained state wholesale — the opening run, and again after a
-// rewrite of the watched path, when the retained sample describes bytes
-// that no longer exist. Both run the same query with the same options,
-// so a rebuilt watch reports what a fresh one over the rewritten file
-// would. The recorded write generation is what later refreshes compare
-// against to detect rewrites.
-func (w *Watch) rebuild(snap *dfs.Snapshot) error {
-	res, ret, err := core.Execute(w.env.WithData(snap), w.pq, true)
+// rebuild executes the query as run and replaces the maintained state
+// wholesale — the opening run, and again after a rewrite of the watched
+// path, when the retained sample describes bytes that no longer exist.
+// Both run the same query with the same options, so a rebuilt watch
+// reports what a fresh one over the rewritten file would. The recorded
+// write generation is what later refreshes compare against to detect
+// rewrites.
+func (w *Watch) rebuild(run *core.Env) error {
+	res, ret, err := core.Execute(run, w.pq, true)
 	if err != nil {
 		return err
 	}
-	ver, err := snap.Version(w.pq.Spec.Path)
+	ver, err := run.View().Version(w.pq.Spec.Path)
 	if err != nil {
 		return err
 	}
@@ -138,16 +142,12 @@ func (w *Watch) rebuild(snap *dfs.Snapshot) error {
 		// Exact fall-back: Execute skipped the exact job, because one scan
 		// here produces the same answers and leaves a maintainable state
 		// behind; every refresh after reads only appended splits.
-		splits, err := snap.Splits(w.pq.Spec.Path, 0)
+		splits, err := run.View().Splits(w.pq.Spec.Path, 0)
 		if err != nil {
 			return err
 		}
-		if err := w.foldExact(snap, splits); err != nil {
-			return err
-		}
+		return w.foldExact(run, splits)
 	}
-	// Later draws read live; the snapshot is the caller's to let go.
-	core.RepinSources(ret.Sources, w.env.FS)
 	return nil
 }
 
@@ -191,6 +191,10 @@ func (w *Watch) SampleSize() int {
 	return int(w.ret.Sink.Size())
 }
 
+// Cost returns what the watch has charged — its opening run, every
+// refresh and rebuild since — exactly, whatever else the cluster runs.
+func (w *Watch) Cost() simcost.Snapshot { return w.ledger.Snapshot() }
+
 // Close releases the retained samplers and exact states. The final
 // result stays readable; Refresh returns ErrClosed.
 func (w *Watch) Close() {
@@ -221,18 +225,18 @@ func (w *Watch) Close() {
 func (w *Watch) Refresh() (*core.PlanResult, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	snap := w.env.FS.Snapshot()
-	defer snap.Release()
-	size, appended, rewritten, err := w.beginRefresh(snap)
+	run, release := w.env.Open(w.ledger)
+	defer release()
+	size, appended, rewritten, err := w.beginRefresh(run.View())
 	switch {
 	case err != nil:
 	case rewritten:
-		err = w.rebuild(snap)
+		err = w.rebuild(run)
 	case !appended:
 	case w.ret.Sink == nil:
-		err = w.refreshExact(snap, size)
+		err = w.refreshExact(run, size)
 	default:
-		if err = w.refreshSampled(w.env.WithData(snap), size); err == nil {
+		if err = w.refreshSampled(run, size); err == nil {
 			var res *core.PlanResult
 			if res, err = w.ret.Result(w.refreshGen); err == nil {
 				w.last = res
@@ -283,7 +287,7 @@ func (w *Watch) beginRefresh(v dfs.View) (size int64, appended, rewritten bool, 
 	if size == w.ret.SyncedBytes {
 		return size, false, false, nil
 	}
-	w.env.Metrics.Refreshes.Add(1)
+	w.ledger.Charge(simcost.Snapshot{Refreshes: 1})
 	w.refreshGen++
 	return size, true, false, nil
 }
@@ -291,19 +295,19 @@ func (w *Watch) beginRefresh(v dfs.View) (size int64, appended, rewritten bool, 
 // refreshSampled is the maintained-sample refresh described in the
 // package comment: extend coverage over the appended region at the
 // current sampling fraction, then re-expand while the sink's error
-// violates σ. penv's data view is the refresh's pinned snapshot: every
-// source — retained and new alike — is repinned onto it for the
-// duration, so the whole refresh reads one commit point even while
-// ingest lands concurrently, and repinned back onto the live filesystem
-// when it is done (a retained source must not keep a commit alive).
-func (w *Watch) refreshSampled(penv *core.Env, size int64) error {
+// violates σ. run is the refresh: every source — retained and new
+// alike — is repinned onto its commit for the duration, so the whole
+// refresh reads one commit point even while ingest lands concurrently,
+// and repinned back onto the live filesystem when it is done (a
+// retained source must not keep a commit alive).
+func (w *Watch) refreshSampled(run *core.Env, size int64) error {
 	ret, sink := w.ret, w.ret.Sink
 	ret.Sources, w.dry = compactSources(ret.Sources, w.dry)
-	core.RepinSources(ret.Sources, penv.View())
+	core.RepinSources(ret.Sources, run.View())
 	defer func() { core.RepinSources(ret.Sources, w.env.FS) }()
 	if size > ret.SyncedBytes {
 		newSources, estNew, err := buildRefreshSources(
-			penv, w.pq.Spec.Path, ret.Opts, w.decode, w.pq.Prog, ret.SyncedBytes, size, ret.EstTotal, w.refreshGen)
+			run, w.pq.Spec.Path, ret.Opts, w.decode, w.pq.Prog, ret.SyncedBytes, size, ret.EstTotal, w.refreshGen)
 		if err != nil {
 			return err
 		}
@@ -484,7 +488,7 @@ func compactSources(sources []core.RecordSource, dry []bool) ([]core.RecordSourc
 }
 
 // splitsSince returns the splits wholly beyond the sync point, read
-// through v (the refresh's pinned snapshot). Splits are segment-aware,
+// through v (the refresh's pinned commit). Splits are segment-aware,
 // so the boundary is exact.
 func splitsSince(v dfs.View, path string, synced int64) ([]dfs.Split, error) {
 	splits, err := v.Splits(path, 0)

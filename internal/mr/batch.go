@@ -1,6 +1,7 @@
 package mr
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -9,17 +10,14 @@ import (
 	"repro/internal/simcost"
 )
 
-// Engine executes jobs against a DFS and a cluster. Zero-value fields are
-// filled with defaults at Run time: a 5-node cluster with 2 slots per
-// node (the paper's testbed shape) and a discard Metrics.
+// Engine executes jobs against a DFS and a cluster, charging every task
+// and record to Metrics (nothing, when nil). It is a plain value: a run
+// that keeps its own ledger copies the engine and sets Metrics.
 type Engine struct {
 	FS      *dfs.FileSystem
 	Cluster *Cluster
 	Metrics *simcost.Metrics
 	Fault   FaultInjector
-
-	initOnce sync.Once
-	initErr  error
 }
 
 // NewEngine builds an engine over fs with the paper's 5-node topology.
@@ -31,33 +29,21 @@ func NewEngine(fs *dfs.FileSystem, metrics *simcost.Metrics) (*Engine, error) {
 	return &Engine{FS: fs, Cluster: cl, Metrics: metrics}, nil
 }
 
-func (e *Engine) init() error {
-	e.initOnce.Do(func() {
-		if e.Cluster == nil {
-			e.Cluster, e.initErr = NewCluster(5, 2)
-			if e.initErr != nil {
-				return
-			}
-		}
-		if e.Metrics == nil {
-			e.Metrics = &simcost.Metrics{}
-		}
-	})
-	return e.initErr
-}
+// errNoCluster is what an engine without a Cluster answers every job.
+var errNoCluster = errors.New("mr: engine has no Cluster")
 
 // Run executes job in batch mode — the stock-Hadoop flow the paper
 // compares against: all map tasks run to completion, their output is
 // shuffled, then reduce tasks run. Returns reduce output ordered by
 // (partition, key).
 func (e *Engine) Run(job *Job) (*Result, error) {
-	if err := e.init(); err != nil {
-		return nil, err
+	if e.Cluster == nil {
+		return nil, errNoCluster
 	}
 	if err := job.validate(); err != nil {
 		return nil, err
 	}
-	e.Metrics.JobStartups.Add(1)
+	e.Metrics.Charge(simcost.Snapshot{JobStartups: 1})
 
 	mapOut, err := e.runMapPhase(job)
 	if err != nil {
@@ -120,7 +106,7 @@ func (e *Engine) runMapTask(job *Job, sp dfs.Split, idx, r int) ([][]KV, error) 
 		if err != nil {
 			return nil, err
 		}
-		e.Metrics.MapTasks.Add(1)
+		e.Metrics.Charge(simcost.Snapshot{MapTasks: 1})
 		info := TaskInfo{Job: job.Name, Kind: MapTask, Index: idx, Attempt: attempt, Node: nid}
 		out, err := e.mapAttempt(job, sp, info, r)
 		release()
@@ -132,11 +118,11 @@ func (e *Engine) runMapTask(job *Job, sp dfs.Split, idx, r int) ([][]KV, error) 
 					bytes += int64(len(kv.Key)) + ValueSize(kv.Value)
 				}
 			}
-			e.Metrics.BytesShuffled.Add(bytes)
+			e.Metrics.Charge(simcost.Snapshot{BytesShuffled: bytes})
 			return out, nil
 		}
 		lastErr = err
-		e.Metrics.TaskRestarts.Add(1)
+		e.Metrics.Charge(simcost.Snapshot{TaskRestarts: 1})
 	}
 	return nil, fmt.Errorf("%w: map[%d] of %q: %w", ErrTooManyFailures, idx, job.Name, lastErr)
 }
@@ -155,12 +141,12 @@ func (e *Engine) mapAttempt(job *Job, sp dfs.Split, info TaskInfo, r int) ([][]K
 		if seen%livenessEvery == 0 && !e.Cluster.NodeAlive(info.Node) {
 			return nil, fmt.Errorf("mr: node %d died during %s", info.Node, info)
 		}
-		e.Metrics.RecordsRead.Add(1)
 		before := recordCount(em)
 		if err := job.Mapper.Map(rd.RecordOffset(), rd.Text(), em); err != nil {
+			e.Metrics.Charge(simcost.Snapshot{RecordsRead: 1})
 			return nil, fmt.Errorf("mr: mapper at %s offset %d: %w", info, rd.RecordOffset(), err)
 		}
-		e.Metrics.RecordsMapped.Add(recordCount(em) - before)
+		e.Metrics.Charge(simcost.Snapshot{RecordsRead: 1, RecordsMapped: recordCount(em) - before})
 	}
 	if rd.Err() != nil {
 		return nil, rd.Err()
@@ -267,7 +253,7 @@ func (e *Engine) runReduceTask(job *Job, part int, in []KV) ([]KV, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.Metrics.ReduceTasks.Add(1)
+		e.Metrics.Charge(simcost.Snapshot{ReduceTasks: 1})
 		info := TaskInfo{Job: job.Name, Kind: ReduceTask, Index: part, Attempt: attempt, Node: nid}
 		out, err := e.reduceAttempt(job, info, in)
 		release()
@@ -275,7 +261,7 @@ func (e *Engine) runReduceTask(job *Job, part int, in []KV) ([]KV, error) {
 			return out, nil
 		}
 		lastErr = err
-		e.Metrics.TaskRestarts.Add(1)
+		e.Metrics.Charge(simcost.Snapshot{TaskRestarts: 1})
 	}
 	return nil, fmt.Errorf("%w: reduce[%d] of %q: %w", ErrTooManyFailures, part, job.Name, lastErr)
 }
@@ -295,7 +281,7 @@ func (e *Engine) reduceAttempt(job *Job, info TaskInfo, in []KV) ([]KV, error) {
 				return nil, fmt.Errorf("mr: node %d died during %s", info.Node, info)
 			}
 		}
-		e.Metrics.RecordsReduced.Add(int64(len(g.values)))
+		e.Metrics.Charge(simcost.Snapshot{RecordsReduced: int64(len(g.values))})
 		if err := job.Reducer.Reduce(g.key, g.values, em); err != nil {
 			return nil, fmt.Errorf("mr: reducer for key %q: %w", g.key, err)
 		}

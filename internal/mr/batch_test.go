@@ -461,13 +461,29 @@ func TestRunWithAllNodesDead(t *testing.T) {
 func TestEngineDefaults(t *testing.T) {
 	fsys := dfs.New(dfs.Config{BlockSize: 64, Replication: 1, DataNodes: 1, Seed: 1})
 	writeLines(t, fsys, "/in", "a")
-	e := &Engine{FS: fsys} // default cluster and metrics
 	job := &Job{Name: "defaults", InputPath: "/in", Mapper: wcMapper{}, Reducer: wcReducer{}}
+	// Nothing defaults an engine's cluster: without one, a job fails.
+	if _, err := (&Engine{FS: fsys}).Run(job); err == nil {
+		t.Fatal("engine without a Cluster ran a job")
+	}
+	cl, err := NewCluster(5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ledger simcost.Metrics
+	e := &Engine{FS: fsys, Cluster: cl, Metrics: &ledger}
 	res, err := e.Run(job)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Output) != 1 {
 		t.Fatalf("output = %v", res.Output)
+	}
+	if s := ledger.Snapshot(); s.JobStartups != 1 || s.RecordsRead != 1 {
+		t.Fatalf("ledger = %+v, want the one job and its one record", s)
+	}
+	// A nil ledger charges nothing and runs the same job.
+	if _, err := (&Engine{FS: fsys, Cluster: cl}).Run(job); err != nil {
+		t.Fatal(err)
 	}
 }

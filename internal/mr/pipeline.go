@@ -233,12 +233,9 @@ rounds:
 			cvs[q] = c.parts[q].cvs[round-1]
 		}
 		c.decided = round
-		if m := c.fb.Metrics; m != nil {
-			files, readers := int64(len(c.parts)), int64(len(c.sent))
-			m.BytesWritten.Add(files * errorFileBytes * errorFileReplicas)
-			m.DiskSeeks.Add(readers * files)
-			m.BytesRead.Add(readers * files * errorFileBytes)
-		}
+		files, readers := int64(len(c.parts)), int64(len(c.sent))
+		c.fb.Metrics.Charge(simcost.Snapshot{BytesWritten: files * errorFileBytes * errorFileReplicas,
+			DiskSeeks: readers * files, BytesRead: readers * files * errorFileBytes})
 		next, stop := c.fb.decide(round, cvs, c.target)
 		if stop {
 			c.terminateLocked()
@@ -317,12 +314,11 @@ type MapStream struct {
 // so the counters read the same whichever path emitted.
 func (m *MapStream) Emit(key string, value any) {
 	p := HashPartition(key, len(m.chans))
+	records := int64(1)
 	if batch, ok := value.([]float64); ok {
-		m.eng.Metrics.RecordsMapped.Add(int64(len(batch)))
-	} else {
-		m.eng.Metrics.RecordsMapped.Add(1)
+		records = int64(len(batch))
 	}
-	m.eng.Metrics.BytesShuffled.Add(int64(len(key)) + ValueSize(value))
+	m.eng.Metrics.Charge(simcost.Snapshot{RecordsMapped: records, BytesShuffled: int64(len(key)) + ValueSize(value)})
 	m.chans[p] <- KV{Key: key, Value: value}
 }
 
@@ -374,8 +370,8 @@ type StreamResult struct {
 // the failure model EARL's approximation tolerates. Reduce failures fail
 // the job, as reducers hold the states.
 func (e *Engine) RunPipelined(job *StreamJob) (*StreamResult, error) {
-	if err := e.init(); err != nil {
-		return nil, err
+	if e.Cluster == nil {
+		return nil, errNoCluster
 	}
 	if job.MapTask == nil || job.ReduceTask == nil {
 		return nil, fmt.Errorf("mr: stream job needs MapTask and ReduceTask")
@@ -392,7 +388,7 @@ func (e *Engine) RunPipelined(job *StreamJob) (*StreamResult, error) {
 	if ctrl == nil {
 		ctrl = &Controller{}
 	}
-	e.Metrics.JobStartups.Add(1)
+	e.Metrics.Charge(simcost.Snapshot{JobStartups: 1})
 
 	chans := make([]chan KV, nr)
 	for i := range chans {
@@ -424,7 +420,7 @@ func (e *Engine) RunPipelined(job *StreamJob) (*StreamResult, error) {
 			defer rwg.Done()
 			nid := placements[p].nid
 			defer placements[p].release()
-			e.Metrics.ReduceTasks.Add(1)
+			e.Metrics.Charge(simcost.Snapshot{ReduceTasks: 1})
 			info := TaskInfo{Job: job.Name, Kind: ReduceTask, Index: p, Attempt: 0, Node: nid}
 			if e.Fault != nil && e.Fault.ShouldFail(info) {
 				rerrs[p] = fmt.Errorf("mr: injected failure at %s", info)
@@ -448,7 +444,7 @@ func (e *Engine) RunPipelined(job *StreamJob) (*StreamResult, error) {
 				}
 			}()
 			for kv := range chans[p] {
-				e.Metrics.RecordsReduced.Add(1)
+				e.Metrics.Charge(simcost.Snapshot{RecordsReduced: 1})
 				counted <- kv
 			}
 			close(counted)
@@ -476,7 +472,7 @@ func (e *Engine) RunPipelined(job *StreamJob) (*StreamResult, error) {
 				return
 			}
 			defer release()
-			e.Metrics.MapTasks.Add(1)
+			e.Metrics.Charge(simcost.Snapshot{MapTasks: 1})
 			info := TaskInfo{Job: job.Name, Kind: MapTask, Index: i, Attempt: 0, Node: nid}
 			if e.Fault != nil && e.Fault.ShouldFail(info) {
 				merrs[i] = fmt.Errorf("mr: injected failure at %s", info)

@@ -36,13 +36,10 @@
 // cache hit nor a watch report answers for bytes the file no longer
 // holds.
 //
-// Cost attribution: the cluster's simcost.Metrics is a single shared
-// sink, so per-query cost deltas (QueryResult.Cost, and the per-query
-// aggregates in Metrics()) are exact only for queries that did not
-// overlap another run; under concurrency, overlapping queries' counters
-// bleed into each other's deltas. The aggregate snapshot is always
-// exact. Per-watch refresh counts are tracked by the registry itself
-// and are exact under any concurrency.
+// Every execution owns its cost: a one-shot runs on its own ledger and a
+// watch keeps one for its creation and its refreshes (core.Env.Open), so
+// QueryResult.Cost and the per-query aggregates in Metrics() are exact
+// under any overlap.
 package serve
 
 import (
@@ -148,9 +145,7 @@ type QueryResult struct {
 	Groups  *core.GroupedReport `json:"groups,omitempty"`
 	Cached  bool                `json:"cached"`
 	Elapsed time.Duration       `json:"elapsedNs"`
-	// Cost is the cluster-wide simcost delta over this query's execution
-	// (zero for cache hits). Exact when no other query overlapped; see
-	// the package comment for the attribution caveat.
+	// Cost is what this query's execution charged (zero for cache hits).
 	Cost simcost.Snapshot `json:"cost"`
 }
 
@@ -202,8 +197,7 @@ type MetricsReport struct {
 	// records, journal bytes, active snapshot pins, and — when the
 	// filesystem was built by crash recovery — what the replay found.
 	Journal dfs.JournalStats `json:"journal"`
-	// PerQuery aggregates cost deltas by query identity (see the package
-	// comment for the overlap caveat).
+	// PerQuery aggregates the executions' costs by query identity.
 	PerQuery map[string]QueryCost `json:"perQuery"`
 	Watches  []WatchInfo          `json:"watches"`
 }
@@ -372,8 +366,8 @@ func (s *Server) acquire(ctx context.Context) (release func(), err error) {
 	}
 }
 
-// chargeQuery folds one execution's cost delta into the per-query
-// aggregates (bounded; see maxPerQueryKeys).
+// chargeQuery folds one execution's cost into the per-query aggregates
+// (bounded; see maxPerQueryKeys).
 func (s *Server) chargeQuery(key string, cost simcost.Snapshot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -418,23 +412,23 @@ func (s *Server) Query(ctx context.Context, spec QuerySpec) (QueryResult, error)
 	// multi-statistic one-shots alike cost one shared sampling/IO pass,
 	// and the run reads one commit, pinned here — after admission, so a
 	// queued request holds none: a rewrite or an append landing mid-run
-	// cannot give it a blend of two file states.
-	snap := s.env.FS.Snapshot()
-	defer snap.Release()
-	state, err := stateOf(snap, spec.Path)
+	// cannot give it a blend of two file states. It charges a ledger of
+	// its own, which is its cost.
+	run, unpin := s.env.Open(s.env.Metrics.Child())
+	defer unpin()
+	state, err := stateOf(run.View(), spec.Path)
 	if err != nil {
 		return QueryResult{}, err
 	}
 	start := time.Now()
-	before := s.env.Metrics.Snapshot()
 	res := QueryResult{}
-	pr, err := core.RunPlan(s.env.WithData(snap), spec.Spec, core.Options{})
+	pr, err := core.RunPlan(run, spec.Spec, core.Options{})
 	if err != nil {
 		return QueryResult{}, err
 	}
 	res.Report, res.Reports, res.Groups = wireShape(pr)
 	res.Elapsed = time.Since(start)
-	res.Cost = s.env.Metrics.Snapshot().Sub(before)
+	res.Cost = run.Metrics.Snapshot()
 	s.queries.Add(1)
 	s.chargeQuery(key, res.Cost)
 
@@ -547,9 +541,7 @@ func (s *Server) OpenWatch(ctx context.Context, spec QuerySpec) (WatchInfo, bool
 	// zero state, which no file is in: the creation fails on the same
 	// missing file, or the first report pays that one refresh.
 	e.synced, _ = s.liveState(spec.Path)
-	before := s.env.Metrics.Snapshot()
 	h, err := s.createWatch(spec)
-	cost := s.env.Metrics.Snapshot().Sub(before)
 	release()
 	e.q, e.err = h, err
 	close(e.ready)
@@ -559,7 +551,7 @@ func (s *Server) OpenWatch(ctx context.Context, spec QuerySpec) (WatchInfo, bool
 	}
 	// The creation run is the dominant cost of a maintained query; charge
 	// it to the key so /metrics compares watches and one-shots honestly.
-	s.chargeQuery(key, cost)
+	s.chargeQuery(key, h.Cost())
 	info := s.infoOf(e)
 	info.Sub = sub
 	return info, false, nil
@@ -721,10 +713,11 @@ func (s *Server) WatchReport(ctx context.Context, id string) (WatchInfo, error) 
 		if err != nil {
 			return WatchInfo{}, err
 		}
-		beforeN := e.q.Refreshes()
-		before := s.env.Metrics.Snapshot()
+		// refreshMu makes this the only run charging the watch's ledger,
+		// so the refresh's cost is the ledger's delta.
+		beforeN, before := e.q.Refreshes(), e.q.Cost()
 		_, err = e.q.Refresh()
-		cost := s.env.Metrics.Snapshot().Sub(before)
+		cost := e.q.Cost().Sub(before)
 		release()
 		if err != nil {
 			return WatchInfo{}, err

@@ -7,9 +7,15 @@
 // the *cost structure* — bytes scanned from disk, bytes shuffled over the
 // network, records processed, disk seeks, and per-task / per-job fixed
 // overheads. Every component of the simulated stack (DFS, MapReduce
-// engine, samplers) increments a Metrics value, and a CostModel converts
+// engine, samplers) charges a Metrics ledger, and a CostModel converts
 // those counters into a modeled duration using constants calibrated to
 // commodity 2012 hardware (the paper's Intel Core Duo E8400 nodes).
+//
+// Ledgers form a tree with one rule: a child's charge is its parent's
+// charge too, made at the same moment. A cluster owns the root; each run
+// charges its own child of it, so a run's cost is its ledger — exact
+// however many runs overlap — and the root is always the sum of
+// everything charged below it.
 //
 // Figures 5–7, 9 and 10 of the paper compare processing times; the bench
 // harness reports both measured in-process time and the modeled time from
@@ -26,6 +32,9 @@ import (
 // Metrics accumulates the cost-relevant counters of one job (or any
 // sub-phase). All methods are safe for concurrent use: map and reduce
 // tasks running on different goroutines update the same Metrics.
+//
+// A Metrics is a ledger: Charge is the one way its counters grow (a
+// no-op on a nil ledger), and a Child's charges land in its parent too.
 type Metrics struct {
 	BytesRead      atomic.Int64 // bytes scanned from DFS block storage
 	BytesWritten   atomic.Int64 // bytes written back to DFS
@@ -39,6 +48,67 @@ type Metrics struct {
 	JobStartups    atomic.Int64 // MR job submissions (JVM fleet spin-up)
 	TaskRestarts   atomic.Int64 // tasks restarted after failure
 	Refreshes      atomic.Int64 // maintained-query refresh operations (continuous ingest)
+
+	parent *Metrics // where every charge also lands; nil for a root
+}
+
+// Child returns a fresh ledger whose charges also add into m.
+func (m *Metrics) Child() *Metrics { return &Metrics{parent: m} }
+
+// Charge adds d to m and to every ledger above it. It is safe on a nil
+// m, which charges nothing.
+func (m *Metrics) Charge(d Snapshot) {
+	for ; m != nil; m = m.parent {
+		m.add(&d)
+	}
+}
+
+// add folds d into m's own counters, skipping the zero ones: a charge
+// usually moves one or two, and each move is an atomic add. (Written
+// out field by field: this runs per record on the read paths.)
+func (m *Metrics) add(d *Snapshot) {
+	if d.BytesRead != 0 {
+		m.BytesRead.Add(d.BytesRead)
+	}
+	if d.BytesWritten != 0 {
+		m.BytesWritten.Add(d.BytesWritten)
+	}
+	if d.BytesShuffled != 0 {
+		m.BytesShuffled.Add(d.BytesShuffled)
+	}
+	if d.RecordsRead != 0 {
+		m.RecordsRead.Add(d.RecordsRead)
+	}
+	if d.RecordsMapped != 0 {
+		m.RecordsMapped.Add(d.RecordsMapped)
+	}
+	if d.RecordsReduced != 0 {
+		m.RecordsReduced.Add(d.RecordsReduced)
+	}
+	if d.DiskSeeks != 0 {
+		m.DiskSeeks.Add(d.DiskSeeks)
+	}
+	if d.MapTasks != 0 {
+		m.MapTasks.Add(d.MapTasks)
+	}
+	if d.ReduceTasks != 0 {
+		m.ReduceTasks.Add(d.ReduceTasks)
+	}
+	if d.JobStartups != 0 {
+		m.JobStartups.Add(d.JobStartups)
+	}
+	if d.TaskRestarts != 0 {
+		m.TaskRestarts.Add(d.TaskRestarts)
+	}
+	if d.Refreshes != 0 {
+		m.Refreshes.Add(d.Refreshes)
+	}
+}
+
+// counters returns m's own counters in Snapshot's field order.
+func (m *Metrics) counters() [12]*atomic.Int64 {
+	return [...]*atomic.Int64{&m.BytesRead, &m.BytesWritten, &m.BytesShuffled, &m.RecordsRead, &m.RecordsMapped,
+		&m.RecordsReduced, &m.DiskSeeks, &m.MapTasks, &m.ReduceTasks, &m.JobStartups, &m.TaskRestarts, &m.Refreshes}
 }
 
 // Snapshot is an immutable copy of a Metrics at a point in time.
@@ -57,76 +127,46 @@ type Snapshot struct {
 	Refreshes      int64
 }
 
+// fields returns pointers to s's counters in declaration order.
+func (s *Snapshot) fields() [12]*int64 {
+	return [...]*int64{&s.BytesRead, &s.BytesWritten, &s.BytesShuffled, &s.RecordsRead, &s.RecordsMapped,
+		&s.RecordsReduced, &s.DiskSeeks, &s.MapTasks, &s.ReduceTasks, &s.JobStartups, &s.TaskRestarts, &s.Refreshes}
+}
+
 // Snapshot returns a consistent-enough copy for reporting. (Individual
 // counters are read atomically; cross-counter skew is irrelevant for cost
 // accounting after a job completes.)
-func (m *Metrics) Snapshot() Snapshot {
-	return Snapshot{
-		BytesRead:      m.BytesRead.Load(),
-		BytesWritten:   m.BytesWritten.Load(),
-		BytesShuffled:  m.BytesShuffled.Load(),
-		RecordsRead:    m.RecordsRead.Load(),
-		RecordsMapped:  m.RecordsMapped.Load(),
-		RecordsReduced: m.RecordsReduced.Load(),
-		DiskSeeks:      m.DiskSeeks.Load(),
-		MapTasks:       m.MapTasks.Load(),
-		ReduceTasks:    m.ReduceTasks.Load(),
-		JobStartups:    m.JobStartups.Load(),
-		TaskRestarts:   m.TaskRestarts.Load(),
-		Refreshes:      m.Refreshes.Load(),
+func (m *Metrics) Snapshot() (s Snapshot) {
+	fs := s.fields()
+	for i, c := range m.counters() {
+		*fs[i] = c.Load()
 	}
+	return s
 }
 
-// Reset zeroes all counters.
+// Reset zeroes m's own counters (not its parent's).
 func (m *Metrics) Reset() {
-	m.BytesRead.Store(0)
-	m.BytesWritten.Store(0)
-	m.BytesShuffled.Store(0)
-	m.RecordsRead.Store(0)
-	m.RecordsMapped.Store(0)
-	m.RecordsReduced.Store(0)
-	m.DiskSeeks.Store(0)
-	m.MapTasks.Store(0)
-	m.ReduceTasks.Store(0)
-	m.JobStartups.Store(0)
-	m.TaskRestarts.Store(0)
-	m.Refreshes.Store(0)
+	for _, c := range m.counters() {
+		c.Store(0)
+	}
 }
 
 // Add folds another snapshot into s.
 func (s Snapshot) Add(o Snapshot) Snapshot {
-	return Snapshot{
-		BytesRead:      s.BytesRead + o.BytesRead,
-		BytesWritten:   s.BytesWritten + o.BytesWritten,
-		BytesShuffled:  s.BytesShuffled + o.BytesShuffled,
-		RecordsRead:    s.RecordsRead + o.RecordsRead,
-		RecordsMapped:  s.RecordsMapped + o.RecordsMapped,
-		RecordsReduced: s.RecordsReduced + o.RecordsReduced,
-		DiskSeeks:      s.DiskSeeks + o.DiskSeeks,
-		MapTasks:       s.MapTasks + o.MapTasks,
-		ReduceTasks:    s.ReduceTasks + o.ReduceTasks,
-		JobStartups:    s.JobStartups + o.JobStartups,
-		TaskRestarts:   s.TaskRestarts + o.TaskRestarts,
-		Refreshes:      s.Refreshes + o.Refreshes,
+	fs, ofs := s.fields(), o.fields()
+	for i := range fs {
+		*fs[i] += *ofs[i]
 	}
+	return s
 }
 
 // Sub returns s - o, the delta between two snapshots of the same Metrics.
 func (s Snapshot) Sub(o Snapshot) Snapshot {
-	return Snapshot{
-		BytesRead:      s.BytesRead - o.BytesRead,
-		BytesWritten:   s.BytesWritten - o.BytesWritten,
-		BytesShuffled:  s.BytesShuffled - o.BytesShuffled,
-		RecordsRead:    s.RecordsRead - o.RecordsRead,
-		RecordsMapped:  s.RecordsMapped - o.RecordsMapped,
-		RecordsReduced: s.RecordsReduced - o.RecordsReduced,
-		DiskSeeks:      s.DiskSeeks - o.DiskSeeks,
-		MapTasks:       s.MapTasks - o.MapTasks,
-		ReduceTasks:    s.ReduceTasks - o.ReduceTasks,
-		JobStartups:    s.JobStartups - o.JobStartups,
-		TaskRestarts:   s.TaskRestarts - o.TaskRestarts,
-		Refreshes:      s.Refreshes - o.Refreshes,
+	fs, ofs := s.fields(), o.fields()
+	for i := range fs {
+		*fs[i] -= *ofs[i]
 	}
+	return s
 }
 
 // CostModel converts a Snapshot into modeled wall-clock time. Throughput
@@ -212,34 +252,22 @@ func (c CostModel) duration(s Snapshot, pipelined bool) time.Duration {
 // paper's data sizes: data-dependent work scales linearly with input size,
 // fixed scheduling overheads do not.
 func (s Snapshot) ScaleBytes(factor float64) Snapshot {
-	scale := func(v int64) int64 { return int64(float64(v) * factor) }
-	return Snapshot{
-		BytesRead:      scale(s.BytesRead),
-		BytesWritten:   scale(s.BytesWritten),
-		BytesShuffled:  scale(s.BytesShuffled),
-		RecordsRead:    scale(s.RecordsRead),
-		RecordsMapped:  scale(s.RecordsMapped),
-		RecordsReduced: scale(s.RecordsReduced),
-		DiskSeeks:      scale(s.DiskSeeks),
-		MapTasks:       s.MapTasks,
-		ReduceTasks:    s.ReduceTasks,
-		JobStartups:    s.JobStartups,
-		TaskRestarts:   s.TaskRestarts,
-		Refreshes:      s.Refreshes,
+	fs := s.fields()
+	for _, p := range fs[:7] { // BytesRead … DiskSeeks: the data-dependent counters
+		*p = int64(float64(*p) * factor)
 	}
+	return s
 }
 
 // ScaleAll returns a copy of s with every counter except JobStartups
-// multiplied by factor. This is the stock-job extrapolation: doubling
-// the input doubles bytes, records, seeks AND task launches (more
-// splits), while job submission stays one.
+// and ReduceTasks multiplied by factor. This is the stock-job
+// extrapolation: doubling the input doubles bytes, records, seeks AND
+// map task launches (more splits), while the reducer count is a job
+// setting and job submission stays one.
 func (s Snapshot) ScaleAll(factor float64) Snapshot {
-	scale := func(v int64) int64 { return int64(float64(v) * factor) }
 	out := s.ScaleBytes(factor)
-	out.MapTasks = scale(s.MapTasks)
-	out.ReduceTasks = s.ReduceTasks // reducer count is a job setting, not data-driven
-	out.TaskRestarts = scale(s.TaskRestarts)
-	out.JobStartups = s.JobStartups
+	out.MapTasks = int64(float64(s.MapTasks) * factor)
+	out.TaskRestarts = int64(float64(s.TaskRestarts) * factor)
 	return out
 }
 

@@ -7,37 +7,65 @@ import (
 )
 
 func TestSnapshotAddSub(t *testing.T) {
-	var m Metrics
-	m.BytesRead.Add(100)
-	m.MapTasks.Add(2)
-	a := m.Snapshot()
-	m.BytesRead.Add(50)
-	b := m.Snapshot()
-	d := b.Sub(a)
-	if d.BytesRead != 50 || d.MapTasks != 0 {
-		t.Fatalf("delta = %+v", d)
+	// The same arithmetic on a root ledger, a child and a grandchild: a
+	// ledger's charges read back from it, and land in the root as well.
+	var root Metrics
+	for _, m := range []*Metrics{&root, root.Child(), root.Child().Child()} {
+		start := root.Snapshot()
+		m.Charge(Snapshot{BytesRead: 100, MapTasks: 2})
+		a := m.Snapshot()
+		m.Charge(Snapshot{BytesRead: 50})
+		b := m.Snapshot()
+		d := b.Sub(a)
+		if d.BytesRead != 50 || d.MapTasks != 0 {
+			t.Fatalf("delta = %+v", d)
+		}
+		sum := a.Add(d)
+		if sum != b {
+			t.Fatalf("add(sub) not identity: %+v vs %+v", sum, b)
+		}
+		if got := root.Snapshot().Sub(start); got != (Snapshot{BytesRead: 150, MapTasks: 2}) {
+			t.Fatalf("the root saw %+v of its descendant's charges", got)
+		}
 	}
-	sum := a.Add(d)
-	if sum != b {
-		t.Fatalf("add(sub) not identity: %+v vs %+v", sum, b)
-	}
+	// A nil ledger charges nothing, and does not panic doing it.
+	var none *Metrics
+	none.Charge(Snapshot{BytesRead: 1, JobStartups: 1})
 }
 
 func TestMetricsConcurrent(t *testing.T) {
-	var m Metrics
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				m.RecordsRead.Add(1)
+	// 16 goroutines charge one shared ledger, then 16 children of it:
+	// either way the root loses no update, and each child holds its own.
+	for _, children := range []bool{false, true} {
+		var m Metrics
+		ledgers := make([]*Metrics, 16)
+		for i := range ledgers {
+			ledgers[i] = &m
+			if children {
+				ledgers[i] = m.Child()
 			}
-		}()
-	}
-	wg.Wait()
-	if got := m.RecordsRead.Load(); got != 16000 {
-		t.Fatalf("concurrent adds lost updates: %d", got)
+		}
+		var wg sync.WaitGroup
+		for _, l := range ledgers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < 1000; j++ {
+					l.Charge(Snapshot{RecordsRead: 1, BytesRead: 2})
+				}
+			}()
+		}
+		wg.Wait()
+		if got := m.Snapshot(); got.RecordsRead != 16000 || got.BytesRead != 32000 {
+			t.Fatalf("children=%v: concurrent charges lost updates: %+v", children, got)
+		}
+		if children {
+			for i, l := range ledgers {
+				if got := l.Snapshot(); got != (Snapshot{RecordsRead: 1000, BytesRead: 2000}) {
+					t.Fatalf("child %d holds %+v, want its own 1000 charges", i, got)
+				}
+			}
+		}
 	}
 }
 

@@ -135,11 +135,7 @@ func (p *Part) Add(v float64) {
 func (p *Part) refresh() {
 	p.refreshes++
 	p.shuffleSketch()
-	if p.metrics != nil {
-		p.metrics.DiskSeeks.Add(1)
-		p.metrics.BytesRead.Add(int64(p.sketchEnd) * bytesPerItem)
-		p.metrics.BytesWritten.Add(int64(p.sketchEnd) * bytesPerItem)
-	}
+	p.metrics.Charge(simcost.Snapshot{DiskSeeks: 1, BytesRead: int64(p.sketchEnd) * bytesPerItem, BytesWritten: int64(p.sketchEnd) * bytesPerItem})
 }
 
 // EndIteration performs the paper's end-of-iteration bookkeeping: used
@@ -154,10 +150,7 @@ func (p *Part) EndIteration() {
 // Items returns a copy of the current multiset (test hook; conceptually
 // a full disk read, so it charges accordingly).
 func (p *Part) Items() []float64 {
-	if p.metrics != nil {
-		p.metrics.DiskSeeks.Add(1)
-		p.metrics.BytesRead.Add(int64(len(p.items)) * bytesPerItem)
-	}
+	p.metrics.Charge(simcost.Snapshot{DiskSeeks: 1, BytesRead: int64(len(p.items)) * bytesPerItem})
 	return append([]float64(nil), p.items...)
 }
 
@@ -208,9 +201,8 @@ func (c *Cache) fill(charge bool) {
 		c.buf[i] = c.backing[c.rng.IntN(len(c.backing))]
 	}
 	c.pos = 0
-	if charge && c.metrics != nil {
-		c.metrics.DiskSeeks.Add(1)
-		c.metrics.BytesRead.Add(int64(k) * bytesPerItem)
+	if charge {
+		c.metrics.Charge(simcost.Snapshot{DiskSeeks: 1, BytesRead: int64(k) * bytesPerItem})
 	}
 }
 
