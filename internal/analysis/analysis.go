@@ -9,7 +9,7 @@
 //
 // An analyzer earns its place by holding a rule no test can: a test
 // checks the paths it runs, an analyzer every path of the introducing
-// diff. The analyzers here encode EARL's three machine-checkable
+// diff. The analyzers here encode EARL's four machine-checkable
 // invariants — the ones that have each already produced a shipped bug:
 //
 //   - determinism: fixed-seed results are bit-identical at any
@@ -18,6 +18,9 @@
 //     (hotalloc);
 //   - durability: dfs committed file state only changes through the
 //     journaled commit path (journalcommit);
+//   - ownership: a scan-cache block is given back by the function that
+//     took it or by its holder's Release/Close, and never read after
+//     (blockhold);
 //
 // plus the API hygiene rule that sentinel errors are matched with
 // errors.Is (sentinelerr).

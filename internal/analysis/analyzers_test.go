@@ -136,8 +136,8 @@ func TestByName(t *testing.T) {
 	if err != nil || len(as) != 2 || as[0] != MapOrder || as[1] != HotAlloc {
 		t.Fatalf("ByName = %v, %v", as, err)
 	}
-	if got := len(All()); got != 5 {
-		t.Fatalf("All() = %d analyzers, want 5", got)
+	if got := len(All()); got != 6 {
+		t.Fatalf("All() = %d analyzers, want 6", got)
 	}
 }
 
@@ -162,3 +162,4 @@ func TestRepoInvariants(t *testing.T) {
 }
 
 func TestJournalCommit(t *testing.T) { runFixture(t, JournalCommit, "testdata/journalcommit") }
+func TestBlockHold(t *testing.T)     { runFixture(t, BlockHold, "testdata/blockhold") }

@@ -8,7 +8,7 @@ import (
 
 // All returns earlvet's analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{HotAlloc, JournalCommit, MapOrder, RngSource, SentinelErr}
+	return []*Analyzer{BlockHold, HotAlloc, JournalCommit, MapOrder, RngSource, SentinelErr}
 }
 
 // ByName resolves a comma-separated analyzer selection ("" = all).

@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync/atomic"
+
+	"repro/internal/pool"
 )
 
 // ReaderAt is the positioned-read surface the decoder needs; the dfs
@@ -22,9 +25,11 @@ const extendChunk = 64 << 10
 
 // Block is one split, decoded once: record-start offsets, a parsed
 // value column, and (for FormatKV) dictionary-interned keys. A Block is
-// immutable once built and safe for concurrent readers — the cache
-// hands the same Block to every watch on the file. Decode and
-// NewBlockLE copy everything out of the bytes they read, so a Block
+// immutable once built, while held, and safe for concurrent readers —
+// the cache hands the same Block to every watch on the file, each with
+// a hold that Release gives back (see Cache); a block no cache handed
+// out holds nothing and is never recycled. Decode and
+// Spares.NewBlockLE copy everything out of the bytes they read, so a Block
 // never pins a read buffer or a view of stored sidecar bytes (NewBlock
 // keeps the columns its caller built for it).
 //
@@ -43,6 +48,52 @@ type Block struct {
 	vals    []float64
 	keys    []uint32 // dict indices, FormatKV only
 	dict    []string // interned key strings, FormatKV only
+	// own is the cache entry that handed the block out, set by the cache
+	// alone (nil for every block built outside it).
+	own *cacheEntry
+}
+
+// Release gives back the hold the Load, Peek or LoadSplit that returned
+// b took. Neither b nor a column slice taken from it may be read after:
+// the last release of a block the cache dropped hands its storage to
+// another block. Releasing a block no cache handed out (or nil) does
+// nothing; releasing one more often than it was handed out panics.
+func (b *Block) Release() {
+	if b != nil && b.own != nil {
+		b.own.c.release(b.own)
+	}
+}
+
+// Spares is column storage parked for reuse: the arrays of blocks a
+// Cache dropped and nobody holds any more. Building a block through
+// Spares takes arrays from it where one fits, so a cold miss skips
+// allocating and zeroing fresh columns. A nil *Spares allocates.
+type Spares struct {
+	u32    pool.Spares[uint32] // start offsets and key ids
+	f64    pool.Spares[float64]
+	reused atomic.Int64 // blocks built on parked storage
+}
+
+// columns returns storage for n records' columns, keys only when keyed,
+// with unspecified contents.
+func (sp *Spares) columns(n int, keyed bool) (offs []uint32, vals []float64, keys []uint32) {
+	if sp == nil {
+		offs, vals = make([]uint32, n), make([]float64, n)
+		if keyed {
+			keys = make([]uint32, n)
+		}
+		return offs, vals, keys
+	}
+	offs, r1 := sp.u32.Take(n)
+	vals, r2 := sp.f64.Take(n)
+	r3 := false
+	if keyed {
+		keys, r3 = sp.u32.Take(n)
+	}
+	if r1 || r2 || r3 {
+		sp.reused.Add(1)
+	}
+	return offs, vals, keys
 }
 
 // NumRecords returns the number of records decoded from the split.
@@ -72,10 +123,11 @@ func (b *Block) RecLen(i int) int {
 }
 
 // SizeBytes estimates the block's retained memory for cache accounting:
-// 12 bytes a record (a 4-byte start offset, an 8-byte value), 4 more
-// under FormatKV (the key id), plus the dictionary's strings.
+// 4 bytes a start offset and 8 a value, 4 more a key id under FormatKV,
+// each counted by the capacity its array keeps alive, plus the
+// dictionary's strings.
 func (b *Block) SizeBytes() int64 {
-	n := int64(len(b.offs))*12 + int64(len(b.keys))*4
+	n := int64(cap(b.offs))*4 + int64(cap(b.vals))*8 + int64(cap(b.keys))*4
 	for _, k := range b.dict {
 		n += int64(len(k)) + 16
 	}
@@ -189,7 +241,9 @@ func checkShape(f Format, starts, vals, keys, dict int) error {
 // against NewBlock's invariants in the same single pass, so a cold load
 // walks its bytes once and nothing unchecked becomes a Block. The images
 // are only read: the block keeps no reference to them (dict it keeps).
-func NewBlockLE(f Format, splitOff, lastEnd int64, starts, vals, keys []byte, dict []string) (*Block, error) {
+// The columns go into sp's parked storage where it has some; a nil sp
+// allocates them fresh.
+func (sp *Spares) NewBlockLE(f Format, splitOff, lastEnd int64, starts, vals, keys []byte, dict []string) (*Block, error) {
 	n := len(starts) / 4
 	if len(starts)%4 != 0 || len(vals)%8 != 0 || len(keys)%4 != 0 {
 		return nil, fmt.Errorf("colscan: ragged column images (%d, %d, %d bytes)", len(starts), len(vals), len(keys))
@@ -205,19 +259,18 @@ func NewBlockLE(f Format, splitOff, lastEnd int64, starts, vals, keys []byte, di
 		return nil, fmt.Errorf("colscan: split offset %d out of range", splitOff)
 	}
 	blk.base = splitOff + int64(binary.LittleEndian.Uint32(starts))
-	blk.offs = make([]uint32, n)
+	blk.offs, blk.vals, blk.keys = sp.columns(n, f == FormatKV)
+	blk.offs[0] = 0 // startsLE leaves it: parked storage is not zeroed
 	if i := startsLE(blk.offs, starts); i >= 0 {
 		return nil, fmt.Errorf("colscan: record starts not ascending at %d", i)
 	}
 	if last := blk.Start(n - 1); lastEnd < last {
 		return nil, fmt.Errorf("colscan: lastEnd %d before final record start %d", lastEnd, last)
 	}
-	blk.vals = make([]float64, n)
 	if i := valuesLE(blk.vals, vals); i >= 0 {
 		return nil, fmt.Errorf("colscan: non-finite value at record %d", i)
 	}
 	if f == FormatKV {
-		blk.keys = make([]uint32, n)
 		if i := keysLE(blk.keys, keys, len(dict)); i >= 0 {
 			return nil, fmt.Errorf("colscan: key index %d out of dictionary (%d) at record %d", blk.keys[i], len(dict), i)
 		}
@@ -226,9 +279,9 @@ func NewBlockLE(f Format, splitOff, lastEnd int64, starts, vals, keys []byte, di
 }
 
 // startsLE converts the start column: dst[i] is record i's distance
-// from record 0 (dst[0] stays 0), which must grow strictly. It returns
-// the first record that breaks the order, -1 if none does.
-// len(src) == 4*len(dst) > 0.
+// from record 0 (dst[0] is the caller's to set), which must grow
+// strictly. It returns the first record that breaks the order, -1 if
+// none does. len(src) == 4*len(dst) > 0.
 //
 //earl:hotpath
 func startsLE(dst []uint32, src []byte) int {

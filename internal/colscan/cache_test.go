@@ -77,7 +77,7 @@ type fakeStore struct {
 	err error
 }
 
-func (s *fakeStore) LoadColumnsVia(_ ReaderAt, key BlockKey) (*Block, bool, error) {
+func (s *fakeStore) LoadColumnsVia(_ ReaderAt, key BlockKey, _ *Spares) (*Block, bool, error) {
 	return s.blk, s.ok, s.err
 }
 

@@ -8,9 +8,9 @@
 // error path surfaces poisoned records instead of letting them corrupt
 // an order-statistic dictionary).
 //
-// The package is dependency-free (stdlib only): dfs, core, live and
-// sampling all sit above it, and the dfs file system satisfies its
-// ReaderAt without an import edge.
+// The package imports nothing of the repo but internal/pool's spare
+// storage: dfs, core, live and sampling all sit above it, and the dfs
+// file system satisfies its ReaderAt without an import edge.
 package colscan
 
 import (

@@ -28,8 +28,9 @@ func referenceDecode(data []byte, f Format) (*Cols, error) {
 
 // FuzzColumnarDecode drives the block decoder against the per-record
 // reference: same keys, same values (bit for bit), same record count,
-// same accept/reject verdict — and a block decoded before an append
-// replays bit-identically from the cache afterwards.
+// same accept/reject verdict — the same block again when built from its
+// sidecar images into recycled 0xFF-filled storage, and a block decoded
+// before an append replays bit-identically from the cache afterwards.
 func FuzzColumnarDecode(f *testing.F) {
 	f.Add([]byte("1\n2.5\n-3e2\n"), false, uint16(4))
 	f.Add([]byte("a\t1\nbb\t2\na\t3.5\n"), true, uint16(4))
@@ -72,6 +73,9 @@ func FuzzColumnarDecode(f *testing.F) {
 				t.Fatalf("record %d: key %q vs reference %q", i, cols.Keys[i], want.Keys[i])
 			}
 		}
+		// Recycled storage is dirty: building into it must give the
+		// block fresh storage does.
+		checkDirtyDecode(t, data, format)
 
 		// Append replay: decode a record-aligned prefix, append the rest
 		// plus one more record, and the cached block must replay bit for

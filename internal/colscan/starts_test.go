@@ -130,7 +130,7 @@ func TestBlocksEqualWhicheverPathBuiltThem(t *testing.T) {
 	}
 	l0, h0 := bits(-3)
 	l1, h1 := bits(400)
-	wire, err := NewBlockLE(FormatKV, off, 23, le(11-off, 16-off), le(l0, h0, l1, h1), le(0, 1), []string{"a", "ccc"})
+	wire, err := (*Spares)(nil).NewBlockLE(FormatKV, off, 23, le(11-off, 16-off), le(l0, h0, l1, h1), le(0, 1), []string{"a", "ccc"})
 	if err != nil {
 		t.Fatal(err)
 	}

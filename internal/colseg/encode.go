@@ -324,10 +324,11 @@ func appendChunk(buf []byte, f colscan.Format, chunkOff, segBase int64, segData 
 // colscan.NewBlockLE as sub-slices of payload, which converts and
 // validates each in one pass into storage the block owns; dictionary
 // strings are copied out here. The block keeps nothing of payload.
-// chunkOff is the split offset the starts were delta-encoded against.
+// chunkOff is the split offset the starts were delta-encoded against;
+// the columns are built on sp's parked storage (fresh when sp is nil).
 //
 //earl:hotpath
-func decodeChunk(payload []byte, f colscan.Format, chunkOff int64) (*colscan.Block, error) {
+func decodeChunk(payload []byte, f colscan.Format, chunkOff int64, sp *colscan.Spares) (*colscan.Block, error) {
 	p := payload
 	if len(p) < 4+8 {
 		return nil, fmt.Errorf("%w: chunk shorter than its count and lastEnd", ErrCorrupt)
@@ -368,7 +369,7 @@ func decodeChunk(payload []byte, f colscan.Format, chunkOff int64) (*colscan.Blo
 			p = p[kl:]
 		}
 	}
-	blk, err := colscan.NewBlockLE(f, chunkOff, lastEnd, starts, vals, keys, dict)
+	blk, err := sp.NewBlockLE(f, chunkOff, lastEnd, starts, vals, keys, dict)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}

@@ -67,15 +67,16 @@ func NewReader(store Store) *Reader {
 // wrapping error when a sidecar exists but fails structural or checksum
 // verification (the cache logs it and decodes text).
 func (r *Reader) LoadColumns(key colscan.BlockKey) (*colscan.Block, bool, error) {
-	return r.LoadColumnsVia(nil, key)
+	return r.LoadColumnsVia(nil, key, nil)
 }
 
 // LoadColumnsVia implements colscan.ColumnStore: LoadColumns, reading
 // through src when src holds sidecars too (a dfs view — a run's pinned
 // snapshot, whose reads charge that run), through the Reader's store
-// otherwise. A footer parsed once is reused by every later load, which
-// is charged only what it reads itself.
-func (r *Reader) LoadColumnsVia(src colscan.ReaderAt, key colscan.BlockKey) (*colscan.Block, bool, error) {
+// otherwise, and building the block on sp's parked storage. A footer
+// parsed once is reused by every later load, which is charged only what
+// it reads itself.
+func (r *Reader) LoadColumnsVia(src colscan.ReaderAt, key colscan.BlockKey, sp *colscan.Spares) (*colscan.Block, bool, error) {
 	store, ok := src.(Store)
 	if !ok {
 		store = r.store
@@ -109,7 +110,7 @@ func (r *Reader) LoadColumnsVia(src colscan.ReaderAt, key colscan.BlockKey) (*co
 		return nil, false, fmt.Errorf("%w: chunk %d+%d checksum %08x != %08x",
 			ErrCorrupt, key.Offset, key.Length, crc, e.crc)
 	}
-	blk, err := decodeChunk(payload, idx.format, key.Offset)
+	blk, err := decodeChunk(payload, idx.format, key.Offset, sp)
 	if err != nil {
 		return nil, false, err
 	}

@@ -147,7 +147,9 @@ func (r *Retained) Result(refreshes int) (*PlanResult, error) {
 // loop does the rest — a documented extension beyond the paper.
 //
 // retain=false is a one-shot: the exact fall-back (§3.1) is one column
-// scan of the file (runExact) and no state is returned. retain=true is a
+// scan of the file (runExact), no state is returned, and the run's
+// sampling streams give back their scan-cache blocks before Execute
+// returns (so does the pilot, in either mode). retain=true is a
 // watch's opening run: the Retained state comes back, and on the exact
 // fall-back nothing is computed — the Reports carry only
 // UsedFull/EstTotalN and the state has no sink, because internal/live
@@ -215,6 +217,7 @@ func execute(env *Env, pq *PlannedQuery, retain bool) (*PlanResult, *Retained, e
 	if pilot.s, err = sampling.NewPreMap(env.View(), path, 0, opts.Seed); err != nil {
 		return nil, nil, err
 	}
+	defer pilot.s.Release()
 	if err := dec.enable(pilot.s, env.Scan); err != nil {
 		return nil, nil, err
 	}
@@ -291,6 +294,11 @@ func execute(env *Env, pq *PlannedQuery, retain bool) (*PlanResult, *Retained, e
 		SelSE:       pilot.selSE(),
 	}
 	out, err := ret.Result(0)
+	if err != nil || !retain {
+		// Only a watch keeps the streams: a one-shot's end is theirs.
+		ReleaseSources(res.Sources)
+		ret = nil
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -299,9 +307,6 @@ func execute(env *Env, pq *PlannedQuery, retain bool) (*PlanResult, *Retained, e
 	}
 	if out.Groups != nil {
 		out.Groups.FailedMaps = res.FailedMaps
-	}
-	if !retain {
-		ret = nil
 	}
 	return out, ret, nil
 }

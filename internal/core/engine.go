@@ -92,7 +92,7 @@ type engineSpec struct {
 type engineResult struct {
 	Generations int
 	FailedMaps  int
-	Sources     []RecordSource // retained per-mapper samplers for live maintenance
+	Sources     []RecordSource // per-mapper samplers, the caller's to retain or release
 }
 
 // DealSplits deals splits round-robin across at most numMappers owners
@@ -256,8 +256,11 @@ func runEngine(env *Env, path string, opts Options, spec engineSpec) (engineResu
 		},
 	}
 
+	// Every mapper has returned by the time RunPipelined does, so a
+	// failed run can release the sources at once.
 	sres, err := env.Engine.RunPipelined(sjob)
 	if err != nil {
+		ReleaseSources(sources)
 		return engineResult{}, err
 	}
 	// Data corruption is not a lost node: a mapper that died on a bad
@@ -266,6 +269,7 @@ func runEngine(env *Env, path string, opts Options, spec engineSpec) (engineResu
 	// loss and silently reporting an estimate over partial data.
 	for _, merr := range sres.MapperErrs {
 		if errors.Is(merr, ErrBadRecord) {
+			ReleaseSources(sources)
 			return engineResult{}, merr
 		}
 	}

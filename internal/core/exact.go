@@ -165,8 +165,9 @@ func runExact(env *Env, jset []jobs.Numeric, path string, dec Decode, prog *plan
 //
 // A split whose decoded block is resident in env.Scan is taken from
 // there: Peek, never a decode or an insert, so the scan leaves the cache
-// holding what it held. Any other split is read through its own
-// LineReader and decoded by dec. Either way the reads are charged as a
+// holding what it held, and the holds are given back when the pass
+// ends. Any other split is read through its own LineReader and decoded
+// by dec. Either way the reads are charged as a
 // LineReader over the split charges them — a resident one in closed
 // form (dfs.LineScanCost) — and every record to RecordsRead.
 func ScanExact(env *Env, path string, splits []dfs.Split, dec Decode, prog *plan.Program) ([]float64, error) {
@@ -179,6 +180,11 @@ func ScanExact(env *Env, path string, splits []dfs.Split, dec Decode, prog *plan
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		for _, blk := range blks {
+			blk.Release()
+		}
+	}()
 	var sc *plan.Scratch
 	if prog != nil {
 		sc = plan.NewScratch()
@@ -218,10 +224,10 @@ func ScanExact(env *Env, path string, splits []dfs.Split, dec Decode, prog *plan
 }
 
 // residentBlocks peeks env.Scan for each split's decoded block, and
-// counts the records they hold. A split gets nil when the records are a
-// custom parser's (they never enter the cache), when no block is
-// resident, and when the block holds no record: a split inside one
-// record, whose read its block cannot place.
+// counts the records they hold; the caller releases the blocks. A split
+// gets nil when the records are a custom parser's (they never enter the
+// cache), when no block is resident, and when the block holds no
+// record: a split inside one record, whose read its block cannot place.
 func residentBlocks(env *Env, path string, splits []dfs.Split, dec Decode) ([]*colscan.Block, int, error) {
 	blks := make([]*colscan.Block, len(splits))
 	if env.Scan == nil || dec.Parser != nil {
@@ -237,6 +243,8 @@ func residentBlocks(env *Env, path string, splits []dfs.Split, dec Decode) ([]*c
 		if blk, ok := env.Scan.Peek(key); ok && blk.NumRecords() > 0 {
 			blks[i] = blk
 			records += blk.NumRecords()
+		} else if ok {
+			blk.Release()
 		}
 	}
 	return blks, records, nil

@@ -22,10 +22,13 @@ import (
 // outlive the job that created them: a maintained query (internal/live)
 // keeps drawing from them across ingest batches, which is what preserves
 // the without-replacement guarantee between the initial answer and later
-// refreshes.
+// refreshes. Release ends a source: it gives back the decoded blocks the
+// source holds from env.Scan, and nothing may be drawn after it. Whoever
+// drops a source releases it.
 type RecordSource interface {
 	DrawCols(k int, out *colscan.Cols) (int, error)
 	Weight() int64
+	Release()
 }
 
 // ParseKV is a custom record parser: one input line to a (group key,
@@ -155,6 +158,8 @@ func (p preMapSource) DrawCols(k int, out *colscan.Cols) (int, error) {
 
 func (p preMapSource) Weight() int64 { return p.s.OwnedBytes() }
 
+func (p preMapSource) Release() { p.s.Release() }
+
 // errSource is a source whose region could not be scanned (e.g. a block
 // with no live replica during post-map pool filling). Every draw returns
 // the scan error, so the owning mapper task fails and is tolerated as a
@@ -164,6 +169,7 @@ type errSource struct{ err error }
 
 func (e errSource) DrawCols(int, *colscan.Cols) (int, error) { return 0, e.err }
 func (e errSource) Weight() int64                            { return 0 }
+func (e errSource) Release()                                 {}
 
 // postMapColsSource wraps the Algorithm 1 pooled sampler. The
 // pool-filling scan already charged every record as mapper input; draws
@@ -175,6 +181,8 @@ func (p postMapColsSource) DrawCols(k int, out *colscan.Cols) (int, error) {
 }
 
 func (p postMapColsSource) Weight() int64 { return int64(p.s.Total()) }
+
+func (p postMapColsSource) Release() { p.s.Release() }
 
 // xformColSource pushes a compiled plan into a sampling stream: draws
 // from the inner source are raw records, the program's vectorized
@@ -220,6 +228,8 @@ func (x *xformColSource) DrawCols(k int, out *colscan.Cols) (int, error) {
 // keeps its byte weight (selectivity is assumed uniform across owned
 // regions, as record density already is).
 func (x *xformColSource) Weight() int64 { return x.inner.Weight() }
+
+func (x *xformColSource) Release() { x.inner.Release() }
 
 // withPlan pushes prog into inner's draws (inner itself without a plan).
 func withPlan(inner RecordSource, prog *plan.Program, prefiltered bool) RecordSource {
@@ -283,6 +293,7 @@ func NewRecordSources(env *Env, path string, owned [][]dfs.Split, opts Options, 
 					blk, err = colscan.LoadSplit(env.Scan, view, path, version, size, sp.Offset, sp.Length, dec.Format)
 				}
 				if err != nil {
+					pmap.Release()
 					sources[idx] = errSource{err: err}
 					return nil
 				}
@@ -310,6 +321,7 @@ func NewRecordSources(env *Env, path string, owned [][]dfs.Split, opts Options, 
 		return nil
 	})
 	if err != nil {
+		ReleaseSources(sources)
 		return nil, err
 	}
 	return sources, nil
@@ -331,6 +343,15 @@ func (p preMapSource) Repin(v dfs.View) { p.s.Repin(v) }
 func (x *xformColSource) Repin(v dfs.View) {
 	if r, ok := x.inner.(Repinner); ok {
 		r.Repin(v)
+	}
+}
+
+// ReleaseSources releases every source built (nil entries are skipped).
+func ReleaseSources(sources []RecordSource) {
+	for _, s := range sources {
+		if s != nil {
+			s.Release()
+		}
 	}
 }
 

@@ -136,6 +136,9 @@ func (w *Watch) rebuild(run *core.Env) error {
 	if err != nil {
 		return err
 	}
+	if w.ret != nil {
+		core.ReleaseSources(w.ret.Sources) // the rewritten file's sample is dead
+	}
 	w.ret, w.dry, w.version, w.last = ret, make([]bool, len(ret.Sources)), ver, res
 	w.exactStates, w.exactN = nil, 0
 	if ret.Sink == nil {
@@ -201,6 +204,7 @@ func (w *Watch) Close() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.closed = true
+	core.ReleaseSources(w.ret.Sources)
 	w.ret.Sources, w.dry, w.exactStates = nil, nil, nil
 }
 
@@ -470,15 +474,17 @@ func (w *Watch) drawOneCols(i, k int, out *colscan.Cols) (dry bool, err error) {
 	return false, err
 }
 
-// compactSources drops permanently-dry sources so a long-lived watch
-// does not accumulate one dead shard set per refresh — post-map sources
-// in particular pin their undrawn records in memory until released. Dry
-// sources contribute nothing to draws, so pruning never changes results.
+// compactSources drops, and releases, permanently-dry sources so a
+// long-lived watch does not accumulate one dead shard set per refresh —
+// post-map sources in particular pin their undrawn records in memory
+// until released. Dry sources contribute nothing to draws, so pruning
+// never changes results.
 func compactSources(sources []core.RecordSource, dry []bool) ([]core.RecordSource, []bool) {
 	outS := make([]core.RecordSource, 0, len(sources))
 	outD := make([]bool, 0, len(dry))
 	for i, s := range sources {
 		if dry[i] {
+			s.Release()
 			continue
 		}
 		outS = append(outS, s)

@@ -2,7 +2,8 @@
 // resampling engines (internal/bootstrap, internal/delta). It only
 // schedules: determinism is the caller's job, achieved by keying rng
 // streams to the work index — never to the worker — so results are
-// identical at any worker count.
+// identical at any worker count. It also holds the scratch and spare
+// storage those engines and the scan layer reuse (Floats, Spares).
 package pool
 
 import (

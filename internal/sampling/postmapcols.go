@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/colscan"
+	"repro/internal/pool"
 )
 
 // PostMapCols implements the paper's Algorithm 1: the map side reads and
@@ -29,6 +30,9 @@ type colRef struct {
 	blk int32
 	rec int32
 }
+
+// refSpares holds released pools' refs arrays for the next fill.
+var refSpares pool.Spares[colRef]
 
 // NewPostMapCols builds an empty pool with its own seeded rng stream.
 func NewPostMapCols(seed uint64) *PostMapCols {
@@ -70,11 +74,15 @@ func (s *PostMapCols) AddBlockKept(b *colscan.Block, kept []int32) {
 
 // reserve extends refs by the n entries of the block just added, for
 // the caller to fill: capacity is taken once per block, not checked
-// once per record — and for every expected block at once on the first.
+// once per record — and for every expected block at once on the first,
+// from a released pool's refs where one is large enough.
 func (s *PostMapCols) reserve(n int) []colRef {
 	at, room := len(s.refs), n
 	if len(s.blocks) == 1 {
-		room = n * max(s.expect, 1)
+		if room = n * max(s.expect, 1); room > 0 {
+			s.refs, _ = refSpares.Take(room)
+			s.refs = s.refs[:0]
+		}
 	}
 	s.refs = slices.Grow(s.refs, room)[:at+n]
 	return s.refs[at:]
@@ -111,4 +119,14 @@ func (s *PostMapCols) DrawCols(n int, out *colscan.Cols) (int, error) {
 // over the same pool.
 func (s *PostMapCols) Reset() {
 	s.drawn = 0
+}
+
+// Release ends the pool: it gives back its hold on every pooled block
+// and parks refs for the next pool's fill. Nothing may be drawn after.
+func (s *PostMapCols) Release() {
+	for _, b := range s.blocks {
+		b.Release()
+	}
+	refSpares.Put(s.refs)
+	s.blocks, s.refs, s.drawn = nil, nil, 0
 }

@@ -476,6 +476,15 @@ func (s *PreMap) EstimatedFraction() float64 {
 	return float64(s.nTaken) / float64(total)
 }
 
+// Release gives back the holds on the decoded blocks the sampler adopted
+// from the cache or loaded through it. Nothing may be drawn after.
+func (s *PreMap) Release() {
+	for i, b := range s.blocks {
+		b.Release()
+		s.blocks[i] = nil
+	}
+}
+
 // Repin re-points the sampler's reads at v. A sampler built against a
 // snapshot is repinned to the live filesystem once the build is done —
 // held, the snapshot would keep its commit's namespace and every file

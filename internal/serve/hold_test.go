@@ -1,0 +1,191 @@
+package serve
+
+import (
+	"context"
+	"math/rand/v2"
+	"reflect"
+	"strconv"
+	"sync"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/plan"
+)
+
+// holdServer builds a server whose scan cache is 4 MiB — less than one
+// file's decoded blocks, so every post-map query evicts blocks it still
+// holds — with files[i].data written at files[i].path. Two runs execute
+// at once: a run's four mappers each hold a map slot for the whole run,
+// and the default cluster has ten.
+func holdServer(t *testing.T, files ...file) *Server {
+	t.Helper()
+	env, err := core.NewEnv(core.EnvConfig{BlockSize: 256 << 10, CacheBytes: 4 << 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(env, Config{MaxInFlight: 2, MaxQueue: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if err := env.FS.WriteFile(f.path, f.data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+type file struct {
+	path string
+	data []byte
+}
+
+// kvRecords renders n "k000i\t<value>" records over eight keys, each
+// value one of 1 024 drawn uniformly from [0, 100) — built by appends
+// from a rendered table, since formatting every record would dominate
+// these tests under -race.
+func kvRecords(n int, seed uint64) []byte {
+	rng := rand.New(rand.NewPCG(seed, 0x2545f4914f6cdd1d))
+	table := make([][]byte, 1024)
+	for i := range table {
+		table[i] = strconv.AppendFloat(nil, rng.Float64()*100, 'f', 6, 64)
+	}
+	buf := make([]byte, 0, n*16)
+	for range n {
+		r := rng.Uint64()
+		buf = append(buf, "k000"...)
+		buf = append(buf, byte('0'+r%8), '\t')
+		buf = append(buf, table[r>>3%1024]...)
+		buf = append(buf, '\n')
+	}
+	return buf
+}
+
+// scanSpec is a filtered, derived, grouped post-map query: the shape
+// that reads every block of the file cold.
+func scanSpec(path string, seed uint64) QuerySpec {
+	return QuerySpec{Spec: plan.Spec{Path: path, Stats: []string{"mean"}, Filter: `v > 20 && key != "k0007"`,
+		Derive: "v * 2 + 1", GroupBy: "key", Sampler: "post-map", Sigma: 0.05, Seed: seed}}
+}
+
+// answer is what a query reports, without its timing and cost.
+type answer struct {
+	Report  core.Report
+	Reports []core.Report
+	Groups  *core.GroupedReport
+}
+
+// TestScanCacheHoldsReturn: /metrics counts the blocks a run or a watch
+// still holds after the cache dropped them. A burst of one-shots over a
+// cache smaller than the file recycles storage and leaves nothing held;
+// a watch holds its sample's blocks until it is closed. A forgotten
+// release shows up here as held bytes that never return to 0.
+func TestScanCacheHoldsReturn(t *testing.T) {
+	const path = "/t/held"
+	s := holdServer(t, file{path, kvRecords(300_000, 5)})
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for seed := range uint64(4) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Query(ctx, scanSpec(path, seed+1)); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	sc := s.Metrics().Scan
+	if sc.Recycled == 0 || sc.Held != 0 || sc.HeldBytes != 0 {
+		t.Fatalf("after the burst: %+v; want recycled loads and nothing held", sc)
+	}
+	w, _, err := s.OpenWatch(ctx, scanSpec(path, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc := s.Metrics().Scan; sc.HeldBytes == 0 {
+		t.Fatalf("an open post-map watch holds no dropped block: %+v", sc)
+	}
+	if err := s.CloseWatch(w.ID, w.Sub); err != nil {
+		t.Fatal(err)
+	}
+	if sc := s.Metrics().Scan; sc.Held != 0 || sc.HeldBytes != 0 {
+		t.Fatalf("after the watch closed: %+v; want nothing held", sc)
+	}
+}
+
+// TestConcurrentScansOverRecycledBlocks: four filtered, grouped post-map
+// one-shots over two files, a watch and a rewrite of the watched file
+// run at once over a 4 MiB cache, so a run's misses decode into storage
+// another run gave back. Every answer equals the one the same query gives run
+// alone, in turn, on an identical cluster.
+func TestConcurrentScansOverRecycledBlocks(t *testing.T) {
+	scanned, watched := []string{"/t/scan0", "/t/scan1"}, "/t/watched"
+	// The two scanned files decode to 4.5 MB together: each one-shot
+	// evicts blocks of the other file, held or just released.
+	files := []file{{scanned[0], kvRecords(140_000, 5)}, {scanned[1], kvRecords(140_000, 6)}, {watched, kvRecords(60_000, 7)}}
+	rewritten := kvRecords(40_000, 77)
+	ctx := context.Background()
+	type outcome struct {
+		oneShots []answer
+		watch    answer
+	}
+	run := func(concurrent bool) outcome {
+		s := holdServer(t, files...)
+		w, _, err := s.OpenWatch(ctx, scanSpec(watched, 11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := outcome{oneShots: make([]answer, 4)}
+		steps := make([]func(), 0, 5)
+		for i := range out.oneShots {
+			steps = append(steps, func() {
+				r, err := s.Query(ctx, scanSpec(scanned[i%2], uint64(i+1)))
+				if err != nil {
+					t.Error(err)
+				}
+				out.oneShots[i] = answer{r.Report, r.Reports, r.Groups}
+			})
+		}
+		steps = append(steps, func() {
+			if _, err := s.Rewrite(watched, rewritten); err != nil {
+				t.Error(err)
+			}
+			info, err := s.WatchReport(ctx, w.ID)
+			if err != nil {
+				t.Error(err)
+			}
+			out.watch = answer{info.Report, info.Reports, info.Groups}
+		})
+		var wg sync.WaitGroup
+		for _, step := range steps {
+			if !concurrent {
+				step()
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				step()
+			}()
+		}
+		wg.Wait()
+		if err := s.CloseWatch(w.ID, w.Sub); err != nil {
+			t.Fatal(err)
+		}
+		if sc := s.Metrics().Scan; sc.Recycled == 0 || sc.Held != 0 || sc.HeldBytes != 0 {
+			t.Fatalf("concurrent=%v: %+v; want recycled loads, and nothing held once every run and watch ended", concurrent, sc)
+		}
+		return out
+	}
+	serial := run(false)
+	together := run(true)
+	for i := range serial.oneShots {
+		if !reflect.DeepEqual(together.oneShots[i], serial.oneShots[i]) {
+			t.Errorf("one-shot %d run beside the others differs from its serial run:\n%+v\n%+v", i, together.oneShots[i], serial.oneShots[i])
+		}
+	}
+	if !reflect.DeepEqual(together.watch, serial.watch) {
+		t.Errorf("the rewritten watch differs from its serial run:\n%+v\n%+v", together.watch, serial.watch)
+	}
+}

@@ -190,8 +190,9 @@ type MetricsReport struct {
 	Server  Stats            `json:"server"`
 	Cluster simcost.Snapshot `json:"cluster"`
 	// Scan is the decoded-block cache: hit/miss counters, retained
-	// bytes against the -cache-bytes budget, and how many cold misses
-	// the persistent columnar sidecars served (or failed to serve).
+	// bytes against the -cache-bytes budget, how many cold misses the
+	// persistent columnar sidecars served (or failed to serve), and the
+	// dropped blocks still held outside the budget.
 	Scan ScanCacheStats `json:"scanCache"`
 	// Journal is the dfs commit-journal health snapshot: committed
 	// records, journal bytes, active snapshot pins, and — when the
@@ -211,6 +212,11 @@ type ScanCacheStats struct {
 	Blocks        int   `json:"blocks"`
 	SidecarReads  int64 `json:"sidecarReads"`
 	SidecarErrors int64 `json:"sidecarErrors"`
+	// Dropped blocks a run or watch still holds, and sidecar misses built on
+	// a released block's storage (see colscan.CacheStats).
+	Held      int   `json:"held"`
+	HeldBytes int64 `json:"heldBytes"`
+	Recycled  int64 `json:"recycled"`
 }
 
 // QueryCost is the accumulated cost of all executions of one query key.
@@ -798,6 +804,7 @@ func (s *Server) Metrics() MetricsReport {
 			Hits: cs.Hits, Misses: cs.Misses,
 			Bytes: cs.Bytes, MaxBytes: cs.MaxBytes, Blocks: cs.Blocks,
 			SidecarReads: cs.SidecarReads, SidecarErrors: cs.SidecarErrors,
+			Held: cs.Held, HeldBytes: cs.HeldBytes, Recycled: cs.Recycled,
 		}
 	}
 	s.mu.Lock()
