@@ -109,7 +109,9 @@ type ClusterConfig = core.EnvConfig
 // Cluster — the DFS and engine are internally synchronized, and every
 // run owns its reducer→mapper feedback state (an in-memory round
 // barrier), so concurrent runs (even of the same job over the same
-// path) never observe each other's expansion state. Each Watch handle
+// path) never observe each other's expansion state. A task is placed
+// on a node, never queued for capacity, so no run waits on another's
+// tasks. Each Watch handle
 // additionally serialises its own Refresh calls, so a handle may be
 // shared between goroutines; an Append concurrent with a Refresh is
 // ordered by the DFS — the refresh either sees the appended blocks now
@@ -269,8 +271,8 @@ func (c *Cluster) RunKMeans(path string, k KMeans, opts KMeansOptions) (KMeansRe
 	return core.RunKMeans(c.env, path, k, opts)
 }
 
-// KillNode fails one simulated machine (its DataNode and task slots) —
-// EARL keeps answering through failures (§3.4).
+// KillNode fails one simulated machine (its DataNode and the tasks
+// placed on it) — EARL keeps answering through failures (§3.4).
 func (c *Cluster) KillNode(id int) error { return c.env.KillNode(id) }
 
 // ReviveNode brings a machine back.

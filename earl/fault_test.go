@@ -11,7 +11,7 @@ import (
 
 // TestKillNodeMidRunBothSamplers pins the §3.4 behaviour that until now
 // only an example exercised: losing machines mid-run (their DataNode
-// and task slots together) must not abort the job — it finishes on
+// and the tasks placed on them together) must not abort the job — it finishes on
 // surviving data and still lands within tolerance of a healthy run's
 // estimate, under both sampling algorithms.
 func TestKillNodeMidRunBothSamplers(t *testing.T) {

@@ -211,8 +211,10 @@ func TestDrySourcesBelowTargetTerminate(t *testing.T) {
 }
 
 // TestRunsLeaveNoGoroutines: a run owns no background goroutine (there
-// is no watchdog and no timer), so the count is back at its baseline the
-// moment the 200th run returns.
+// is no watchdog and no timer), so the count returns to its baseline
+// after the 200th run. A task goroutine may still be exiting as Run
+// returns — past its deferred Done, not yet gone — so the count is
+// polled for up to 2 s; a leaked goroutine parks forever and still fails.
 func TestRunsLeaveNoGoroutines(t *testing.T) {
 	env, _ := testEnv(t, 50_000, workload.Gaussian, 75)
 	opts := Options{Sigma: 0.02, Seed: 76}
@@ -225,7 +227,11 @@ func TestRunsLeaveNoGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("goroutines: %d before, %d after 200 runs", before, after)
+	deadline := time.Now().Add(2 * time.Second)
+	for after := runtime.NumGoroutine(); after > before; after = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before, %d 2 s after 200 runs", before, after)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

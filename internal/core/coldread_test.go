@@ -22,7 +22,6 @@ func coldEnv(t *testing.T, disableSidecars bool) *Env {
 	t.Helper()
 	env, err := NewEnv(EnvConfig{
 		DataNodes:       5,
-		SlotsPerNode:    4,
 		BlockSize:       1 << 14,
 		Replication:     2,
 		Seed:            21,

@@ -130,10 +130,9 @@ func (e *Env) Open(ledger *simcost.Metrics) (run *Env, release func()) {
 
 // EnvConfig shapes a simulated deployment.
 type EnvConfig struct {
-	DataNodes    int   // cluster size; 5 (the paper's testbed) if 0
-	SlotsPerNode int   // concurrent tasks per node; 2 if 0
-	BlockSize    int64 // DFS block size; dfs.DefaultBlockSize if 0
-	Replication  int   // block replicas; 3 if 0
+	DataNodes   int   // cluster size; 5 (the paper's testbed) if 0
+	BlockSize   int64 // DFS block size; dfs.DefaultBlockSize if 0
+	Replication int   // block replicas; 3 if 0
 	// CacheBytes bounds the decoded-block scan cache
 	// (colscan.DefaultCacheBytes if 0) — earld exposes it as
 	// -cache-bytes.
@@ -151,9 +150,6 @@ type EnvConfig struct {
 func (cfg EnvConfig) defaulted() EnvConfig {
 	if cfg.DataNodes <= 0 {
 		cfg.DataNodes = 5
-	}
-	if cfg.SlotsPerNode <= 0 {
-		cfg.SlotsPerNode = 2
 	}
 	return cfg
 }
@@ -199,7 +195,7 @@ func RecoverEnv(cfg EnvConfig, image []byte) (*Env, dfs.RecoverStats, error) {
 // envAround wires the MR engine and scan cache around an existing DFS —
 // the shared tail of NewEnv and RecoverEnv.
 func envAround(cfg EnvConfig, fsys *dfs.FileSystem, metrics *simcost.Metrics) (*Env, error) {
-	cluster, err := mr.NewCluster(cfg.DataNodes, cfg.SlotsPerNode)
+	cluster, err := mr.NewCluster(cfg.DataNodes)
 	if err != nil {
 		return nil, err
 	}

@@ -14,11 +14,10 @@ import (
 func testEnv(t testing.TB, n int, dist workload.Dist, seed uint64) (*Env, []float64) {
 	t.Helper()
 	env, err := NewEnv(EnvConfig{
-		DataNodes:    5,
-		SlotsPerNode: 4,
-		BlockSize:    1 << 14,
-		Replication:  2,
-		Seed:         seed,
+		DataNodes:   5,
+		BlockSize:   1 << 14,
+		Replication: 2,
+		Seed:        seed,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 // groupedEnv writes key\tvalue records with known per-key means.
 func groupedEnv(t testing.TB, keys, n int, seed uint64) (*Env, map[string]float64) {
 	t.Helper()
-	env, err := NewEnv(EnvConfig{BlockSize: 1 << 14, SlotsPerNode: 4, Seed: seed})
+	env, err := NewEnv(EnvConfig{BlockSize: 1 << 14, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestRunGroupedSkewedKeys(t *testing.T) {
 	// Zipf-ish key skew: the dominant key converges immediately while
 	// rare keys force expansion; the run must still terminate with every
 	// key estimated.
-	env, err := NewEnv(EnvConfig{BlockSize: 1 << 14, SlotsPerNode: 4, Seed: 7})
+	env, err := NewEnv(EnvConfig{BlockSize: 1 << 14, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

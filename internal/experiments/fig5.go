@@ -17,7 +17,7 @@ const recordBytes = 19
 
 // measureEnv creates a fresh cluster with n fixed-width records at /data.
 func measureEnv(n int, seed uint64) (*core.Env, error) {
-	env, err := core.NewEnv(core.EnvConfig{BlockSize: 1 << 16, SlotsPerNode: 4, Seed: seed})
+	env, err := core.NewEnv(core.EnvConfig{BlockSize: 1 << 16, Seed: seed})
 	if err != nil {
 		return nil, err
 	}

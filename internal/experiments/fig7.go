@@ -33,7 +33,7 @@ func Fig7(laptopPts int, seed uint64) (*Table, error) {
 	ptBytes := len(workload.EncodePoints(pts))
 
 	// Stock iterated-MR K-Means.
-	env, err := core.NewEnv(core.EnvConfig{BlockSize: 1 << 16, SlotsPerNode: 4, Seed: seed})
+	env, err := core.NewEnv(core.EnvConfig{BlockSize: 1 << 16, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +54,7 @@ func Fig7(laptopPts int, seed uint64) (*Table, error) {
 	}
 
 	// EARL early K-Means.
-	env2, err := core.NewEnv(core.EnvConfig{BlockSize: 1 << 16, SlotsPerNode: 4, Seed: seed + 2})
+	env2, err := core.NewEnv(core.EnvConfig{BlockSize: 1 << 16, Seed: seed + 2})
 	if err != nil {
 		return nil, err
 	}

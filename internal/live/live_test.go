@@ -19,11 +19,10 @@ import (
 func newEnv(t testing.TB, seed uint64) *core.Env {
 	t.Helper()
 	env, err := core.NewEnv(core.EnvConfig{
-		DataNodes:    5,
-		SlotsPerNode: 4,
-		BlockSize:    1 << 14,
-		Replication:  2,
-		Seed:         seed,
+		DataNodes:   5,
+		BlockSize:   1 << 14,
+		Replication: 2,
+		Seed:        seed,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/dfs"
+	"repro/internal/pool"
 	"repro/internal/simcost"
 )
 
@@ -22,7 +22,7 @@ type Engine struct {
 
 // NewEngine builds an engine over fs with the paper's 5-node topology.
 func NewEngine(fs *dfs.FileSystem, metrics *simcost.Metrics) (*Engine, error) {
-	cl, err := NewCluster(5, 2)
+	cl, err := NewCluster(5)
 	if err != nil {
 		return nil, err
 	}
@@ -81,20 +81,12 @@ func (e *Engine) runMapPhase(job *Job) ([][][]KV, error) {
 	}
 	r := job.numReducers()
 	outputs := make([][][]KV, len(splits)) // [task][partition][]KV
-	errs := make([]error, len(splits))
-	var wg sync.WaitGroup
-	for i := range splits {
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			outputs[idx], errs[idx] = e.runMapTask(job, splits[idx], idx, r)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err = pool.ForEach(len(splits), pool.Workers(0), func(i int) (err error) {
+		outputs[i], err = e.runMapTask(job, splits[i], i, r)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return outputs, nil
 }
@@ -102,14 +94,13 @@ func (e *Engine) runMapPhase(job *Job) ([][][]KV, error) {
 func (e *Engine) runMapTask(job *Job, sp dfs.Split, idx, r int) ([][]KV, error) {
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		nid, release, err := e.Cluster.acquireSlot(MapTask)
+		nid, err := e.Cluster.place()
 		if err != nil {
 			return nil, err
 		}
 		e.Metrics.Charge(simcost.Snapshot{MapTasks: 1})
 		info := TaskInfo{Job: job.Name, Kind: MapTask, Index: idx, Attempt: attempt, Node: nid}
 		out, err := e.mapAttempt(job, sp, info, r)
-		release()
 		if err == nil {
 			// Charge shuffle traffic for the surviving attempt's output.
 			var bytes int64
@@ -218,26 +209,18 @@ func groupByKey(kvs []KV) []keyGroup {
 func (e *Engine) runReducePhase(job *Job, mapOut [][][]KV) (*Result, error) {
 	r := job.numReducers()
 	partOutputs := make([][]KV, r)
-	errs := make([]error, r)
-	var wg sync.WaitGroup
-	for p := 0; p < r; p++ {
-		wg.Add(1)
-		go func(part int) {
-			defer wg.Done()
-			// Gather this partition's pairs from every map task, in task
-			// order for determinism.
-			var in []KV
-			for _, taskOut := range mapOut {
-				in = append(in, taskOut[part]...)
-			}
-			partOutputs[part], errs[part] = e.runReduceTask(job, part, in)
-		}(p)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	err := pool.ForEach(r, pool.Workers(0), func(part int) (err error) {
+		// Gather this partition's pairs from every map task, in task
+		// order for determinism.
+		var in []KV
+		for _, taskOut := range mapOut {
+			in = append(in, taskOut[part]...)
 		}
+		partOutputs[part], err = e.runReduceTask(job, part, in)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	res := &Result{}
 	for _, po := range partOutputs {
@@ -249,14 +232,13 @@ func (e *Engine) runReducePhase(job *Job, mapOut [][][]KV) (*Result, error) {
 func (e *Engine) runReduceTask(job *Job, part int, in []KV) ([]KV, error) {
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		nid, release, err := e.Cluster.acquireSlot(ReduceTask)
+		nid, err := e.Cluster.place()
 		if err != nil {
 			return nil, err
 		}
 		e.Metrics.Charge(simcost.Snapshot{ReduceTasks: 1})
 		info := TaskInfo{Job: job.Name, Kind: ReduceTask, Index: part, Attempt: attempt, Node: nid}
 		out, err := e.reduceAttempt(job, info, in)
-		release()
 		if err == nil {
 			return out, nil
 		}

@@ -38,11 +38,11 @@ func (wcCombiner) Combine(key string, values []any, emit Emitter) error {
 	return wcReducer{}.Reduce(key, values, emit)
 }
 
-func newTestEngine(t *testing.T, nodes, slots int) (*Engine, *dfs.FileSystem, *simcost.Metrics) {
+func newTestEngine(t *testing.T, nodes int) (*Engine, *dfs.FileSystem, *simcost.Metrics) {
 	t.Helper()
 	var m simcost.Metrics
 	fsys := dfs.New(dfs.Config{BlockSize: 64, Replication: 2, DataNodes: nodes, Metrics: &m, Seed: 1})
-	cl, err := NewCluster(nodes, slots)
+	cl, err := NewCluster(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func outputMap(res *Result) map[string]any {
 // TestWordCountMemoryInput keeps its name from the in-memory input it
 // once ran on; the same three records now come from a one-split DFS file.
 func TestWordCountMemoryInput(t *testing.T) {
-	e, fsys, _ := newTestEngine(t, 3, 2)
+	e, fsys, _ := newTestEngine(t, 3)
 	writeLines(t, fsys, "/in", "a b a", "b c", "a")
 	job := &Job{
 		Name:        "wc",
@@ -95,7 +95,7 @@ func TestWordCountMemoryInput(t *testing.T) {
 }
 
 func TestWordCountDFSInputManySplits(t *testing.T) {
-	e, fsys, _ := newTestEngine(t, 5, 2)
+	e, fsys, _ := newTestEngine(t, 5)
 	var sb strings.Builder
 	want := map[string]int{}
 	for i := 0; i < 500; i++ {
@@ -132,7 +132,7 @@ func TestCombinerReducesShuffleBytes(t *testing.T) {
 		input[i] = "x y z"
 	}
 	run := func(withCombiner bool) int64 {
-		e, fsys, m := newTestEngine(t, 3, 2)
+		e, fsys, m := newTestEngine(t, 3)
 		writeLines(t, fsys, "/in", input...)
 		job := &Job{
 			Name:      "wc",
@@ -161,7 +161,7 @@ func TestCombinerReducesShuffleBytes(t *testing.T) {
 }
 
 func TestJobValidation(t *testing.T) {
-	e, _, _ := newTestEngine(t, 2, 1)
+	e, _, _ := newTestEngine(t, 2)
 	cases := []*Job{
 		{Name: "no-mapper", InputPath: "/a", Reducer: wcReducer{}},
 		{Name: "no-reducer", InputPath: "/a", Mapper: wcMapper{}},
@@ -175,7 +175,7 @@ func TestJobValidation(t *testing.T) {
 }
 
 func TestMapperErrorPropagates(t *testing.T) {
-	e, fsys, _ := newTestEngine(t, 2, 1)
+	e, fsys, _ := newTestEngine(t, 2)
 	writeLines(t, fsys, "/in", "x")
 	boom := errors.New("boom")
 	job := &Job{
@@ -196,7 +196,7 @@ func TestMapperErrorPropagates(t *testing.T) {
 }
 
 func TestReducerErrorPropagates(t *testing.T) {
-	e, fsys, _ := newTestEngine(t, 2, 1)
+	e, fsys, _ := newTestEngine(t, 2)
 	writeLines(t, fsys, "/in", "x")
 	job := &Job{
 		Name:      "bad-reduce",
@@ -212,7 +212,7 @@ func TestReducerErrorPropagates(t *testing.T) {
 }
 
 func TestTransientTaskFailureIsRetried(t *testing.T) {
-	e, fsys, m := newTestEngine(t, 3, 2)
+	e, fsys, m := newTestEngine(t, 3)
 	writeLines(t, fsys, "/in", "a", "b", "c", "d")
 	// Fail the first two attempts of map task 0 only.
 	e.Fault = FaultFunc(func(ti TaskInfo) bool {
@@ -238,7 +238,7 @@ func TestTransientTaskFailureIsRetried(t *testing.T) {
 }
 
 func TestPermanentFailureExhaustsAttempts(t *testing.T) {
-	e, fsys, m := newTestEngine(t, 2, 1)
+	e, fsys, m := newTestEngine(t, 2)
 	writeLines(t, fsys, "/in", "x")
 	e.Fault = FaultFunc(func(ti TaskInfo) bool { return ti.Kind == ReduceTask })
 	job := &Job{
@@ -262,7 +262,7 @@ func TestPermanentFailureExhaustsAttempts(t *testing.T) {
 func TestExhaustedTaskKeepsItsCause(t *testing.T) {
 	cause := errors.New("bad record")
 	for _, kind := range []TaskKind{MapTask, ReduceTask} {
-		e, fsys, m := newTestEngine(t, 2, 1)
+		e, fsys, m := newTestEngine(t, 2)
 		writeLines(t, fsys, "/in", "x")
 		job := &Job{Name: "cause", InputPath: "/in", Mapper: wcMapper{}, Reducer: wcReducer{}}
 		if kind == MapTask {
@@ -289,7 +289,7 @@ func TestDeterministicOutputOrder(t *testing.T) {
 	// Key order within partitions must be deterministic across runs.
 	var prev []KV
 	for i := 0; i < 5; i++ {
-		e, fsys, _ := newTestEngine(t, 4, 2)
+		e, fsys, _ := newTestEngine(t, 4)
 		writeLines(t, fsys, "/in", "q w e r t y u i o p", "a s d f g h j k l")
 		job := &Job{
 			Name:        "det",
@@ -318,7 +318,7 @@ func TestDeterministicOutputOrder(t *testing.T) {
 }
 
 func TestMetricsCharged(t *testing.T) {
-	e, fsys, m := newTestEngine(t, 3, 2)
+	e, fsys, m := newTestEngine(t, 3)
 	writeLines(t, fsys, "/in", "a b", "c")
 	job := &Job{
 		Name:      "metrics",
@@ -352,7 +352,7 @@ func TestMetricsCharged(t *testing.T) {
 }
 
 func TestEmptyInput(t *testing.T) {
-	e, fsys, _ := newTestEngine(t, 2, 1)
+	e, fsys, _ := newTestEngine(t, 2)
 	writeLines(t, fsys, "/in")
 	job := &Job{
 		Name:      "empty",
@@ -411,16 +411,13 @@ func TestGroupByKeyPreservesValueOrder(t *testing.T) {
 }
 
 func TestClusterValidation(t *testing.T) {
-	if _, err := NewCluster(0, 1); err == nil {
+	if _, err := NewCluster(0); err == nil {
 		t.Fatal("0 nodes should error")
-	}
-	if _, err := NewCluster(1, 0); err == nil {
-		t.Fatal("0 slots should error")
 	}
 }
 
 func TestClusterKillRevive(t *testing.T) {
-	c, err := NewCluster(3, 1)
+	c, err := NewCluster(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,8 +427,8 @@ func TestClusterKillRevive(t *testing.T) {
 	if c.NodeAlive(1) {
 		t.Fatal("node 1 should be dead")
 	}
-	if live := c.LiveNodes(); len(live) != 2 {
-		t.Fatalf("live = %v", live)
+	if !c.NodeAlive(0) || !c.NodeAlive(2) {
+		t.Fatal("nodes 0 and 2 should stay alive")
 	}
 	if err := c.ReviveNode(1); err != nil {
 		t.Fatal(err)
@@ -448,7 +445,7 @@ func TestClusterKillRevive(t *testing.T) {
 }
 
 func TestRunWithAllNodesDead(t *testing.T) {
-	e, fsys, _ := newTestEngine(t, 2, 1)
+	e, fsys, _ := newTestEngine(t, 2)
 	writeLines(t, fsys, "/in", "x")
 	e.Cluster.KillNode(0)
 	e.Cluster.KillNode(1)
@@ -466,7 +463,7 @@ func TestEngineDefaults(t *testing.T) {
 	if _, err := (&Engine{FS: fsys}).Run(job); err == nil {
 		t.Fatal("engine without a Cluster ran a job")
 	}
-	cl, err := NewCluster(5, 2)
+	cl, err := NewCluster(5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,71 +5,31 @@ import (
 	"sync"
 )
 
-// Cluster models the compute side of the testbed: a set of nodes, each
-// with a bounded number of concurrently-running map slots and reduce
-// slots (Hadoop's separate mapred.tasktracker.map/reduce.tasks.maximum
-// pools — keeping the pools separate is also what lets pipelined jobs
-// hold reducers open while mappers run without self-deadlock). The
-// paper's cluster had 5 nodes; tasks scheduled onto a dead node fail and
-// are rescheduled elsewhere.
+// Cluster models the compute side of the testbed: a set of nodes that
+// live and die. A task is placed on the next live node round-robin —
+// placement is bookkeeping, not admission: nothing waits for capacity,
+// so pipelined mappers parked on the round barrier never hold up the
+// siblings they wait for. The paper's cluster had 5 nodes; tasks placed
+// on a dead node fail and are rescheduled elsewhere.
 type Cluster struct {
 	mu    sync.Mutex
-	nodes []*node
-	next  int // round-robin scheduling cursor
+	alive []bool
+	next  int // round-robin placement cursor
 	// killed is closed (and replaced) by the next KillNode, waking map
 	// tasks parked between rounds to re-check their node.
 	killed chan struct{}
 }
 
-type node struct {
-	id          int
-	alive       bool
-	mapSlots    chan struct{} // buffered; one token per concurrent map task
-	reduceSlots chan struct{} // buffered; one token per concurrent reduce task
-}
-
-func (n *node) pool(kind TaskKind) chan struct{} {
-	if kind == MapTask {
-		return n.mapSlots
-	}
-	return n.reduceSlots
-}
-
-// NewCluster creates a cluster of n nodes with slotsPerNode concurrent
-// map slots and slotsPerNode reduce slots each.
-func NewCluster(n, slotsPerNode int) (*Cluster, error) {
+// NewCluster creates a cluster of n live nodes.
+func NewCluster(n int) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("mr: cluster needs at least one node, got %d", n)
 	}
-	if slotsPerNode <= 0 {
-		return nil, fmt.Errorf("mr: need at least one slot per node, got %d", slotsPerNode)
+	alive := make([]bool, n)
+	for i := range alive {
+		alive[i] = true
 	}
-	c := &Cluster{killed: make(chan struct{})}
-	for i := 0; i < n; i++ {
-		c.nodes = append(c.nodes, &node{
-			id:          i,
-			alive:       true,
-			mapSlots:    make(chan struct{}, slotsPerNode),
-			reduceSlots: make(chan struct{}, slotsPerNode),
-		})
-	}
-	return c, nil
-}
-
-// Size returns the number of nodes, dead or alive.
-func (c *Cluster) Size() int { return len(c.nodes) }
-
-// LiveNodes returns the ids of nodes currently alive.
-func (c *Cluster) LiveNodes() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []int
-	for _, n := range c.nodes {
-		if n.alive {
-			out = append(out, n.id)
-		}
-	}
-	return out
+	return &Cluster{alive: alive, killed: make(chan struct{})}, nil
 }
 
 // KillNode marks a node dead. Tasks already running there observe the
@@ -78,10 +38,10 @@ func (c *Cluster) LiveNodes() []int {
 func (c *Cluster) KillNode(id int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if id < 0 || id >= len(c.nodes) {
+	if id < 0 || id >= len(c.alive) {
 		return fmt.Errorf("mr: no node %d", id)
 	}
-	c.nodes[id].alive = false
+	c.alive[id] = false
 	close(c.killed)
 	c.killed = make(chan struct{})
 	return nil
@@ -91,10 +51,10 @@ func (c *Cluster) KillNode(id int) error {
 func (c *Cluster) ReviveNode(id int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if id < 0 || id >= len(c.nodes) {
+	if id < 0 || id >= len(c.alive) {
 		return fmt.Errorf("mr: no node %d", id)
 	}
-	c.nodes[id].alive = true
+	c.alive[id] = true
 	return nil
 }
 
@@ -109,39 +69,20 @@ func (c *Cluster) NodeAlive(id int) bool {
 func (c *Cluster) watchNode(id int) (alive bool, killed <-chan struct{}) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return id >= 0 && id < len(c.nodes) && c.nodes[id].alive, c.killed
+	return id >= 0 && id < len(c.alive) && c.alive[id], c.killed
 }
 
-// acquireSlot picks a live node round-robin and claims one of its slots
-// from the pool for the given task kind, blocking until a slot frees up.
-// It returns the node id and a release function, or an error when no
-// nodes are alive.
-func (c *Cluster) acquireSlot(kind TaskKind) (int, func(), error) {
+// place returns the next live node round-robin, or an error when no
+// node is alive.
+func (c *Cluster) place() (int, error) {
 	c.mu.Lock()
-	// Find the next live node round-robin.
-	var chosen *node
-	for i := 0; i < len(c.nodes); i++ {
-		cand := c.nodes[(c.next+i)%len(c.nodes)]
-		if cand.alive {
-			// Prefer a node with a free slot right now.
-			if len(cand.pool(kind)) < cap(cand.pool(kind)) {
-				chosen = cand
-				c.next = (cand.id + 1) % len(c.nodes)
-				break
-			}
-			if chosen == nil {
-				chosen = cand
-			}
+	defer c.mu.Unlock()
+	for i := range c.alive {
+		id := (c.next + i) % len(c.alive)
+		if c.alive[id] {
+			c.next = (id + 1) % len(c.alive)
+			return id, nil
 		}
 	}
-	if chosen == nil {
-		c.mu.Unlock()
-		return 0, nil, fmt.Errorf("mr: no live nodes")
-	}
-	c.mu.Unlock()
-	// Block on the chosen node's slot. (If it dies while we wait, the
-	// task will fail its liveness check immediately and be retried.)
-	pool := chosen.pool(kind)
-	pool <- struct{}{}
-	return chosen.id, func() { <-pool }, nil
+	return 0, fmt.Errorf("mr: no live nodes")
 }

@@ -396,30 +396,22 @@ func (e *Engine) RunPipelined(job *StreamJob) (*StreamResult, error) {
 	}
 
 	// Reducers are placed first — they must be consuming before mappers
-	// push, so their slots are acquired synchronously here.
+	// push, so they are placed synchronously here.
 	var rwg sync.WaitGroup
 	rerrs := make([]error, nr)
-	type placement struct {
-		nid     int
-		release func()
-	}
-	placements := make([]placement, nr)
-	for p := 0; p < nr; p++ {
-		nid, release, err := e.Cluster.acquireSlot(ReduceTask)
+	nodes := make([]int, nr)
+	for p := range nodes {
+		nid, err := e.Cluster.place()
 		if err != nil {
-			for q := 0; q < p; q++ {
-				placements[q].release()
-			}
 			return nil, fmt.Errorf("mr: placing reduce[%d] of %q: %w", p, job.Name, err)
 		}
-		placements[p] = placement{nid: nid, release: release}
+		nodes[p] = nid
 	}
 	for p := 0; p < nr; p++ {
 		rwg.Add(1)
 		go func(p int) {
 			defer rwg.Done()
-			nid := placements[p].nid
-			defer placements[p].release()
+			nid := nodes[p]
 			e.Metrics.Charge(simcost.Snapshot{ReduceTasks: 1})
 			info := TaskInfo{Job: job.Name, Kind: ReduceTask, Index: p, Attempt: 0, Node: nid}
 			if e.Fault != nil && e.Fault.ShouldFail(info) {
@@ -452,7 +444,9 @@ func (e *Engine) RunPipelined(job *StreamJob) (*StreamResult, error) {
 		}(p)
 	}
 
-	// Mappers.
+	// Mappers: one goroutine each, never a bounded pool — they meet at
+	// the round barrier, so a mapper waiting for a worker would stall
+	// the siblings already parked there.
 	var mwg sync.WaitGroup
 	merrs := make([]error, nm)
 	for i := 0; i < nm; i++ {
@@ -466,12 +460,11 @@ func (e *Engine) RunPipelined(job *StreamJob) (*StreamResult, error) {
 					ctrl.Dry(i)
 				}
 			}()
-			nid, release, err := e.Cluster.acquireSlot(MapTask)
+			nid, err := e.Cluster.place()
 			if err != nil {
 				merrs[i] = err
 				return
 			}
-			defer release()
 			e.Metrics.Charge(simcost.Snapshot{MapTasks: 1})
 			info := TaskInfo{Job: job.Name, Kind: MapTask, Index: i, Attempt: 0, Node: nid}
 			if e.Fault != nil && e.Fault.ShouldFail(info) {

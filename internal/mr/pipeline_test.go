@@ -8,7 +8,7 @@ import (
 )
 
 func TestPipelinedSumWithTermination(t *testing.T) {
-	e, _, m := newTestEngine(t, 3, 2)
+	e, _, m := newTestEngine(t, 3)
 	ctrl := &Controller{}
 	var sum atomic.Int64
 	job := &StreamJob{
@@ -56,7 +56,7 @@ func TestPipelinedSumWithTermination(t *testing.T) {
 }
 
 func TestPipelinedMapFailureDoesNotFailJob(t *testing.T) {
-	e, _, _ := newTestEngine(t, 3, 2)
+	e, _, _ := newTestEngine(t, 3)
 	e.Fault = FaultFunc(func(ti TaskInfo) bool {
 		return ti.Kind == MapTask && ti.Index == 1
 	})
@@ -92,7 +92,7 @@ func TestPipelinedMapFailureDoesNotFailJob(t *testing.T) {
 }
 
 func TestPipelinedReduceFailureFailsJob(t *testing.T) {
-	e, _, _ := newTestEngine(t, 2, 2)
+	e, _, _ := newTestEngine(t, 2)
 	e.Fault = FaultFunc(func(ti TaskInfo) bool { return ti.Kind == ReduceTask })
 	job := &StreamJob{
 		Name:       "red-dead",
@@ -113,14 +113,14 @@ func TestPipelinedReduceFailureFailsJob(t *testing.T) {
 }
 
 func TestPipelinedValidation(t *testing.T) {
-	e, _, _ := newTestEngine(t, 2, 1)
+	e, _, _ := newTestEngine(t, 2)
 	if _, err := e.RunPipelined(&StreamJob{Name: "nil-tasks"}); err == nil {
 		t.Fatal("missing tasks should error")
 	}
 }
 
 func TestPipelinedMapperSeesNodeDeath(t *testing.T) {
-	e, _, _ := newTestEngine(t, 1, 2)
+	e, _, _ := newTestEngine(t, 1)
 	started := make(chan struct{})
 	job := &StreamJob{
 		Name:       "node-death",
@@ -158,5 +158,62 @@ func TestPipelinedMapperSeesNodeDeath(t *testing.T) {
 	}
 	if len(res.FailedMappers) != 1 {
 		t.Fatalf("expected the mapper to report node death, got %v", res.FailedMappers)
+	}
+}
+
+// TestConcurrentPipelinedJobsOutnumberNodes: pipelined mappers live for
+// the whole run and wait on each other, so runs that together have more
+// mappers than the cluster has nodes must still all start. Three
+// 4-mapper jobs share one node, and every map task waits until all
+// twelve have started; a cluster that made a task wait for capacity
+// would hang here, so the wait gives up after a deadline and the test
+// fails instead.
+func TestConcurrentPipelinedJobsOutnumberNodes(t *testing.T) {
+	const jobs, mappers = 3, 4
+	e, _, _ := newTestEngine(t, 1)
+	var started atomic.Int32
+	allStarted, giveUp := make(chan struct{}), make(chan struct{})
+	errs := make(chan error, jobs)
+	for j := range jobs {
+		job := &StreamJob{
+			Name:       fmt.Sprintf("crowd%d", j),
+			NumMappers: mappers,
+			MapTask: func(ctx *MapStream, idx int) error {
+				if started.Add(1) == jobs*mappers {
+					close(allStarted)
+				}
+				select {
+				case <-allStarted:
+					ctx.Emit("k", 1)
+					return nil
+				case <-giveUp:
+					return fmt.Errorf("gave up waiting for the other map tasks")
+				}
+			},
+			ReduceTask: func(part int, in <-chan KV) error {
+				for range in {
+				}
+				return nil
+			},
+		}
+		go func() {
+			res, err := e.RunPipelined(job)
+			if err == nil && len(res.FailedMappers) > 0 {
+				err = fmt.Errorf("%s: mappers %v failed: %v", job.Name, res.FailedMappers, res.MapperErrs)
+			}
+			errs <- err
+		}()
+	}
+	deadline := time.After(10 * time.Second)
+	for range jobs {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Error(err)
+			}
+		case <-deadline:
+			close(giveUp)
+			t.Fatalf("%d of %d map tasks started within 10 s", started.Load(), jobs*mappers)
+		}
 	}
 }

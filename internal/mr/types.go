@@ -4,10 +4,10 @@
 //   - the classic two-stage programming model (Mapper, Reducer, optional
 //     Combiner, hash partitioning) over line-oriented input splits from the
 //     simulated DFS (package dfs);
-//   - a cluster abstraction with per-node task slots, task scheduling,
-//     task restart on failure, and deterministic fault injection — the
-//     machinery whose overheads (job submission, task JVM spawn) EARL
-//     amortises and whose failures EARL tolerates (§3.4);
+//   - a cluster abstraction with round-robin task placement on live
+//     nodes, task restart on failure, and deterministic fault
+//     injection — the machinery whose overheads (job submission, task
+//     JVM spawn) EARL amortises and whose failures EARL tolerates (§3.4);
 //   - a pipelined execution mode in which reducers consume map output
 //     while mappers run, plus a mapper⇄reducer control bus. These are the
 //     paper's three Hadoop modifications (§2.1): reducers process input

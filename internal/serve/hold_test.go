@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/plan"
@@ -15,8 +16,10 @@ import (
 // holdServer builds a server whose scan cache is 4 MiB — less than one
 // file's decoded blocks, so every post-map query evicts blocks it still
 // holds — with files[i].data written at files[i].path. Two runs execute
-// at once: a run's four mappers each hold a map slot for the whole run,
-// and the default cluster has ten.
+// at once, fewer than the default admission: while some runs have
+// finished and released their blocks others still miss, so a miss can
+// decode into storage given back. With every run in flight at once,
+// none has released yet and nothing is recycled.
 func holdServer(t *testing.T, files ...file) *Server {
 	t.Helper()
 	env, err := core.NewEnv(core.EnvConfig{BlockSize: 256 << 10, CacheBytes: 4 << 20, Seed: 1})
@@ -187,5 +190,75 @@ func TestConcurrentScansOverRecycledBlocks(t *testing.T) {
 	}
 	if !reflect.DeepEqual(together.watch, serial.watch) {
 		t.Errorf("the rewritten watch differs from its serial run:\n%+v\n%+v", together.watch, serial.watch)
+	}
+}
+
+// TestConcurrentGroupedOneShotsAtDefaults: at the default admission,
+// four clients' filtered, grouped post-map one-shots run at once, each
+// with four pipelined mappers parked on its round barrier — sixteen map
+// tasks on five nodes, so a cluster that made a task wait for capacity
+// would hang here. Each repetition, on a fresh server so nothing is
+// answered from cache, must finish within its deadline, and every
+// answer must equal the same query run alone.
+func TestConcurrentGroupedOneShotsAtDefaults(t *testing.T) {
+	const path, clients, reps = "/t/crowd", 4, 5
+	records := kvRecords(50_000, 3)
+	server := func() *Server {
+		// 64 KiB blocks split the file's 0.8 MB so a run gets four mappers.
+		env, err := core.NewEnv(core.EnvConfig{BlockSize: 64 << 10, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(env, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := env.FS.WriteFile(path, records); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	ctx := context.Background()
+	ask := func(s *Server, c int) (answer, error) {
+		r, err := s.Query(ctx, scanSpec(path, uint64(c+1)))
+		return answer{r.Report, r.Reports, r.Groups}, err
+	}
+	alone, want := server(), make([]answer, clients)
+	for c := range want {
+		var err error
+		if want[c], err = ask(alone, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for rep := range reps {
+		s := server()
+		got := make([]answer, clients)
+		errs := make([]error, clients)
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		for c := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[c], errs[c] = ask(s, c)
+			}()
+		}
+		go func() {
+			wg.Wait()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("repetition %d: %d concurrent one-shots still running after 10 s", rep, clients)
+		}
+		for c := range got {
+			if errs[c] != nil {
+				t.Fatalf("repetition %d, client %d: %v", rep, c, errs[c])
+			}
+			if !reflect.DeepEqual(got[c], want[c]) {
+				t.Errorf("repetition %d: client %d's answer differs from its serial run:\n%+v\n%+v", rep, c, got[c], want[c])
+			}
+		}
 	}
 }

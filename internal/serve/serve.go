@@ -8,10 +8,11 @@
 //     execution slots. Callers beyond that wait in a bounded queue
 //     (Config.MaxQueue) honouring their context's deadline/cancellation;
 //     callers beyond the queue are rejected immediately with
-//     ErrOverloaded. This keeps a burst of expensive queries from
-//     oversubscribing the cluster's task slots and stretching every
-//     caller's latency — the admission-control lesson the LSST-scale
-//     serving designs make explicit.
+//     ErrOverloaded. MaxInFlight is the one bound on concurrent runs:
+//     it keeps a burst of expensive queries from oversubscribing the
+//     process and stretching every caller's latency — the
+//     admission-control lesson the LSST-scale serving designs make
+//     explicit.
 //
 //   - A shared-watch registry. Maintained queries — scalar,
 //     multi-statistic shared-pass (QuerySpec.Stats), filtered/derived
