@@ -15,7 +15,7 @@ type BlockKey struct {
 	Format  Format
 }
 
-// DefaultCacheBytes bounds the cache's retained decoded state.
+// DefaultCacheBytes bounds the cache's unheld decoded state.
 const DefaultCacheBytes = 256 << 20
 
 // ColumnStore is the persistent columnar sidecar surface the cache
@@ -34,25 +34,30 @@ type ColumnStore interface {
 
 // Cache is the decoded-block cache: K concurrent watches over one file
 // re-decode nothing. Loads of the same key are single-flighted (one
-// decode, everyone waits on it), and ready blocks are evicted LRU by
-// retained bytes. A Cache is safe for concurrent use.
+// decode, everyone waits on it). A Cache is safe for concurrent use.
 //
 // Each Load, Peek and LoadSplit through the cache takes a hold on the
-// block it returns, and Block.Release gives it back. Residency counts as
-// a hold too: an evicted or invalidated block stays intact while held,
-// and its last release parks its column arrays in the cache's Spares
-// for a later sidecar miss to build its columns in (a text decode
-// allocates its own). A hold never released only forgoes that reuse.
+// block it returns, and Block.Release gives it back. A held block is
+// pinned: it stays in the cache, outside the byte budget and off the
+// LRU list, so every overlapping run shares its one decoded copy (it is
+// alive anyway). The release that leaves a resident block unheld puts
+// it at the LRU front and evicts least-recently-released blocks until
+// the budget holds. An evicted block, and an invalidated one once its
+// last hold goes, parks its column arrays in the cache's Spares for a
+// later sidecar miss to build its columns in (a text decode allocates
+// its own). A hold never released pins its block for good.
 type Cache struct {
-	mu      sync.Mutex
-	max     int64
+	mu  sync.Mutex
+	max int64
+	// cur is the bytes of the unheld blocks on the LRU list.
 	cur     int64
 	entries map[BlockKey]*cacheEntry
-	// Intrusive LRU list: head is most recent.
+	// Intrusive LRU list of the ready, unheld, resident blocks: head is
+	// the most recently released.
 	head, tail *cacheEntry
 
 	hits, misses int64
-	// Blocks evicted or invalidated while held, and their bytes.
+	// Held blocks, resident or invalidated, and their bytes.
 	held      int
 	heldBytes int64
 	spares    Spares
@@ -73,12 +78,13 @@ type cacheEntry struct {
 	err        error
 	size       int64
 	ready      bool // guarded by Cache.mu
-	// holds counts the callers holding blk (guarded by Cache.mu); blk is
-	// recycled once it is 0 and the entry is out of c.entries.
+	// holds counts the callers holding blk (guarded by Cache.mu). An
+	// entry in flight is held by its loader, so holds == 0 means a ready
+	// block: on the LRU list while resident, recycled once it is not.
 	holds int
 }
 
-// NewCache builds a cache bounded at maxBytes of retained decoded state
+// NewCache builds a cache bounded at maxBytes of unheld decoded state
 // (DefaultCacheBytes if maxBytes <= 0).
 func NewCache(maxBytes int64) *Cache {
 	if maxBytes <= 0 {
@@ -116,9 +122,10 @@ type CacheStats struct {
 	// loads that failed verification and fell back to text.
 	SidecarReads  int64
 	SidecarErrors int64
-	// Held and HeldBytes count the blocks evicted or invalidated while
-	// held, and their bytes: decoded state outside the budget. Recycled
-	// counts sidecar misses built on a released block's storage.
+	// Held and HeldBytes count the blocks some caller holds, and their
+	// bytes: decoded state outside the budget, whether still resident or
+	// invalidated by a rewrite. Recycled counts sidecar misses built on
+	// the storage of an evicted or invalidated block.
 	Held      int
 	HeldBytes int64
 	Recycled  int64
@@ -147,9 +154,8 @@ func (c *Cache) Peek(key BlockKey) (*Block, bool) {
 	if !ok || !e.ready || e.err != nil {
 		return nil, false
 	}
-	c.touch(e)
 	c.hits++
-	e.holds++
+	c.holdLocked(e)
 	return e.blk, true
 }
 
@@ -157,24 +163,22 @@ func (c *Cache) Peek(key BlockKey) (*Block, bool) {
 // key no matter how many goroutines ask: from the sidecar store when
 // one covers the split, by text decode via r (bounded by fileSize)
 // otherwise. Each call takes a hold on the block it returns — a caller
-// joining a load in flight takes it before it waits, so no eviction can
-// recycle the block under it. Failed loads are not cached: the error is
-// returned to every waiter of that flight and the next Load retries.
+// joining a load in flight takes it before it waits. Failed loads are
+// not cached: the error is returned to every waiter of that flight and
+// the next Load retries.
 func (c *Cache) Load(r ReaderAt, fileSize int64, key BlockKey) (*Block, error) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if ok {
 		// A hit, or a join of the flight decoding it: either way this
 		// call decodes nothing.
-		c.touch(e)
 		c.hits++
+		c.holdLocked(e)
 	} else {
-		e = &cacheEntry{c: c, key: key}
+		e = &cacheEntry{c: c, key: key, holds: 1}
 		c.entries[key] = e
-		c.pushFront(e)
 		c.misses++
 	}
-	e.holds++
 	c.mu.Unlock()
 
 	e.once.Do(func() {
@@ -189,28 +193,37 @@ func (c *Cache) Load(r ReaderAt, fileSize int64, key BlockKey) (*Block, error) {
 			// (e.g. after the bad data is rewritten) retries.
 			if resident {
 				delete(c.entries, key)
-				c.unlink(e)
 			}
 			return
 		}
+		// Held by every caller that waited on it, the block lands
+		// pinned. If the key was invalidated while this load was in
+		// flight (a rewrite under the same path) it serves its waiters
+		// and is recycled by the last release, never cached under the
+		// dead key.
 		blk.own = e
 		e.size = blk.SizeBytes()
-		if !resident {
-			// The key was invalidated while this load was in flight (a
-			// rewrite under the same path): serve the waiters, but do
-			// not re-populate the cache under the dead key — and do not
-			// account bytes the map no longer references.
-			c.dropLocked(e)
-			return
-		}
-		c.cur += e.size
-		c.evictLocked(e)
+		c.held++
+		c.heldBytes += e.size
 	})
 	return e.blk, e.err
 }
 
-// release gives back one hold on e's block; the last one of a block the
-// cache has dropped recycles its storage.
+// holdLocked takes one hold on e. The first hold on a ready block pins
+// it: off the LRU list and out of the budget.
+func (c *Cache) holdLocked(e *cacheEntry) {
+	if e.holds == 0 {
+		c.unlink(e)
+		c.cur -= e.size
+		c.held++
+		c.heldBytes += e.size
+	}
+	e.holds++
+}
+
+// release gives back one hold on e's block. The last one puts a
+// resident block back on the LRU list, trimming the cache to its budget,
+// and recycles an invalidated block's storage.
 func (c *Cache) release(e *cacheEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -218,23 +231,18 @@ func (c *Cache) release(e *cacheEntry) {
 	switch {
 	case e.holds < 0:
 		panic("colscan: Block released more often than it was handed out")
-	case e.holds == 0 && c.entries[e.key] != e:
-		c.held--
-		c.heldBytes -= e.size
-		c.recycleLocked(e.blk)
+	case e.holds > 0:
+		return
 	}
-}
-
-// dropLocked takes the residency hold from e, just removed from the map:
-// its block is recycled if nobody else holds it, counted as held if
-// somebody does.
-func (c *Cache) dropLocked(e *cacheEntry) {
-	if e.holds == 0 {
+	c.held--
+	c.heldBytes -= e.size
+	if c.entries[e.key] != e {
 		c.recycleLocked(e.blk)
 		return
 	}
-	c.held++
-	c.heldBytes += e.size
+	c.pushFront(e)
+	c.cur += e.size
+	c.evictLocked()
 }
 
 // recycleLocked parks b's column arrays for the next miss to decode
@@ -284,28 +292,25 @@ func (c *Cache) InvalidatePath(path string) {
 			continue
 		}
 		delete(c.entries, key)
-		c.unlink(e)
-		if e.ready { // an in-flight load accounts its block when it lands
+		// A held or in-flight block stays intact for its holders and
+		// is recycled by its last release.
+		if e.holds == 0 {
+			c.unlink(e)
 			c.cur -= e.size
-			c.dropLocked(e)
+			c.recycleLocked(e.blk)
 		}
 	}
 }
 
-// evictLocked drops least-recently-used ready blocks until the budget
-// holds, never evicting keep (the entry just loaded — a block larger
-// than the whole budget must still be served once).
-func (c *Cache) evictLocked(keep *cacheEntry) {
-	e := c.tail
-	for c.cur > c.max && e != nil {
-		prev := e.prev
-		if e != keep && e.ready && e.err == nil {
-			delete(c.entries, e.key)
-			c.unlink(e)
-			c.cur -= e.size
-			c.dropLocked(e)
-		}
-		e = prev
+// evictLocked drops least-recently-released blocks until the budget
+// holds. Every block on the list is unheld, so each step evicts one.
+func (c *Cache) evictLocked() {
+	for c.cur > c.max {
+		e := c.tail
+		delete(c.entries, e.key)
+		c.unlink(e)
+		c.cur -= e.size
+		c.recycleLocked(e.blk)
 	}
 }
 
@@ -333,14 +338,6 @@ func (c *Cache) unlink(e *cacheEntry) {
 		c.tail = e.prev
 	}
 	e.prev, e.next = nil, nil
-}
-
-func (c *Cache) touch(e *cacheEntry) {
-	if c.head == e {
-		return
-	}
-	c.unlink(e)
-	c.pushFront(e)
 }
 
 // LoadSplit decodes the split [off,+length) of path, through cache c

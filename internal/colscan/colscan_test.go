@@ -273,8 +273,9 @@ func TestCacheSharesDecodes(t *testing.T) {
 	}
 }
 
-// TestCacheEvictsLRU: inserting past the budget drops the
-// least-recently-used block but never the one being returned.
+// TestCacheEvictsLRU: released blocks past the budget are dropped
+// least recently released first, and the unheld bytes never exceed the
+// budget.
 func TestCacheEvictsLRU(t *testing.T) {
 	line := strings.Repeat("7", 128) + "e-100\n"
 	data := strings.Repeat(line, 64)
@@ -284,22 +285,32 @@ func TestCacheEvictsLRU(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCache(3 * one.SizeBytes())
-	for v := int64(1); v <= 8; v++ {
-		key := BlockKey{Path: "/f", Version: v, Offset: 0, Length: int64(len(data)), Format: FormatNumeric}
-		if _, err := c.Load(mf, int64(len(data)), key); err != nil {
-			t.Fatal(err)
+	key := func(v int64) BlockKey {
+		return BlockKey{Path: "/f", Version: v, Offset: 0, Length: int64(len(data)), Format: FormatNumeric}
+	}
+	withinBudget := func(when string) {
+		t.Helper()
+		if st := c.Stats(); st.Bytes > st.MaxBytes {
+			t.Fatalf("%s: cache over budget: %d > %d", when, st.Bytes, st.MaxBytes)
 		}
 	}
-	st := c.Stats()
-	if st.Bytes > 3*one.SizeBytes() {
-		t.Fatalf("cache over budget: %d > %d", st.Bytes, 3*one.SizeBytes())
+	for v := int64(1); v <= 8; v++ {
+		blk, err := c.Load(mf, int64(len(data)), key(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		withinBudget(fmt.Sprintf("load %d", v))
+		blk.Release()
+		withinBudget(fmt.Sprintf("release %d", v))
 	}
-	if _, ok := c.Peek(BlockKey{Path: "/f", Version: 1, Offset: 0, Length: int64(len(data)), Format: FormatNumeric}); ok {
+	if _, ok := c.Peek(key(1)); ok {
 		t.Fatal("oldest block survived eviction")
 	}
-	if _, ok := c.Peek(BlockKey{Path: "/f", Version: 8, Offset: 0, Length: int64(len(data)), Format: FormatNumeric}); !ok {
+	newest, ok := c.Peek(key(8))
+	if !ok {
 		t.Fatal("newest block evicted")
 	}
+	newest.Release()
 	c.InvalidatePath("/f")
 	if got := c.Stats().Bytes; got != 0 {
 		t.Fatalf("InvalidatePath left %d bytes", got)

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -65,6 +66,14 @@ func loadKey(t *testing.T, c *Cache, path string, data []byte) *Block {
 		t.Fatal(err)
 	}
 	return blk
+}
+
+// blockBytes is the size of data's block loaded through a fresh cache.
+func blockBytes(t *testing.T, data []byte) int64 {
+	t.Helper()
+	blk := loadKey(t, holdCache(0), "/size", data)
+	defer blk.Release()
+	return blk.SizeBytes()
 }
 
 // blockCopy is a deep copy of b's records, for comparing after the cache
@@ -126,44 +135,119 @@ func TestJoinedLoadCountsAsHit(t *testing.T) {
 	b.Release()
 }
 
-// TestHeldBlockSurvivesRecycling: a block evicted while held keeps its
-// columns bit for bit however many later loads recycle storage, and is
-// counted as held until it is released.
+// TestHeldBlockSurvivesRecycling: a held block is never evicted. Over
+// a budget of one block, later loads evict and recycle one another, but
+// the held block stays in the cache — a Peek finds the same block, its
+// columns bit for bit — and is counted as held, outside the budget.
+// After its last release it is trimmed like any other block and its
+// storage recycled.
 func TestHeldBlockSurvivesRecycling(t *testing.T) {
 	noGC(t)
-	c := holdCache(1) // every load evicts the one before it
-	held := loadKey(t, c, "/h", numericData(500, 0))
-	want, size := blockCopy(held), held.SizeBytes()
+	data := numericData(500, 0)
+	heldKey := BlockKey{Path: "/h", Version: 1, Length: int64(len(data)), Format: FormatNumeric}
+	size := blockBytes(t, data)
+	c := holdCache(size) // every block is the same size: one fits the budget
+	held := loadKey(t, c, "/h", data)
+	want := blockCopy(held)
 	const K = 8
 	for i := range K {
-		blk := loadKey(t, c, fmt.Sprintf("/k%d", i), numericData(500, i+1)) // evicts the block before it
-		blk.Release()
+		loadKey(t, c, fmt.Sprintf("/k%d", i), numericData(500, i+1)).Release() // evicts the block before it
+		if st := c.Stats(); st.Bytes > st.MaxBytes {
+			t.Fatalf("load %d: %d unheld bytes over a budget of %d", i, st.Bytes, st.MaxBytes)
+		}
 	}
+	peeked, ok := c.Peek(heldKey)
+	if !ok || peeked != held {
+		t.Fatal("a held block was evicted")
+	}
+	peeked.Release()
 	if !sameColumns(held, &want) {
-		t.Fatal("a held, evicted block changed under recycling loads")
+		t.Fatal("a held block changed under recycling loads")
 	}
 	st := c.Stats()
-	if st.Held != 1 || st.HeldBytes != size || st.Recycled == 0 {
-		t.Fatalf("stats %+v: want 1 held block of %d bytes and recycled loads", st, size)
+	if st.Held != 1 || st.HeldBytes != size || st.Recycled == 0 || st.Bytes > st.MaxBytes {
+		t.Fatalf("stats %+v: want 1 held block of %d bytes outside the budget, and recycled loads", st, size)
 	}
 	held.Release()
-	if st := c.Stats(); st.Held != 0 || st.HeldBytes != 0 {
-		t.Fatalf("after the release: %d held, %d bytes", st.Held, st.HeldBytes)
+	if st := c.Stats(); st.Held != 0 || st.HeldBytes != 0 || st.Bytes > st.MaxBytes {
+		t.Fatalf("after the release: %+v; want nothing held, within budget", st)
 	}
+	// The released block is now the most recent: the next released load
+	// trims it, and the miss after that builds on its storage.
+	loadKey(t, c, "/next", numericData(500, K+1)).Release()
 	if held.offs != nil || held.vals != nil {
 		t.Fatal("a recycled block still reads as its old records")
 	}
+	if _, ok := c.Peek(heldKey); ok {
+		t.Fatal("the released block outlived the budget")
+	}
+	before := c.Stats().Recycled
+	loadKey(t, c, "/last", numericData(500, K+2)).Release()
+	if c.Stats().Recycled != before+1 {
+		t.Fatal("the miss after the trim did not reuse parked storage")
+	}
 }
 
-// TestReleasedStorageIsReused: once the last hold on an evicted block
-// goes, the next miss of the same shape decodes into its arrays.
+// TestConcurrentLoadsShareAHeldBlock: while a block is held, every Load
+// of its key returns that block and no second one is decoded, however
+// small the budget and however many goroutines load and release around
+// it. Once the holds are gone the cache trims back to its budget.
+func TestConcurrentLoadsShareAHeldBlock(t *testing.T) {
+	const K, G, rounds = 6, 4, 50
+	datas := make([][]byte, K)
+	for k := range datas {
+		datas[k] = numericData(200, k)
+	}
+	c := holdCache(blockBytes(t, datas[0])) // a budget of one block
+	held := make([]*Block, K)
+	for k, data := range datas {
+		held[k] = loadKey(t, c, fmt.Sprintf("/s%d", k), data)
+	}
+	var wg sync.WaitGroup
+	for range G {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				for k, data := range datas {
+					key := BlockKey{Path: fmt.Sprintf("/s%d", k), Version: 1, Length: int64(len(data)), Format: FormatNumeric}
+					blk, err := c.Load(&memFile{data: data}, int64(len(data)), key)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					same := blk == held[k]
+					blk.Release()
+					if !same {
+						t.Errorf("key %d: a Load built a second block while one was held", k)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := c.Stats(); st.Misses != K {
+		t.Fatalf("%d misses for %d held keys", st.Misses, K)
+	}
+	for _, b := range held {
+		b.Release()
+	}
+	if st := c.Stats(); st.Bytes > st.MaxBytes || st.Held != 0 || st.HeldBytes != 0 {
+		t.Fatalf("after the releases: %+v; want nothing held, within budget", st)
+	}
+}
+
+// TestReleasedStorageIsReused: once the last hold on a block goes and
+// the cache trims it, the next miss of the same shape decodes into its
+// arrays.
 func TestReleasedStorageIsReused(t *testing.T) {
 	noGC(t)
 	data := numericData(300, 0)
 	c := holdCache(1)
 	old := loadKey(t, c, "/a", data)
 	offs, vals := &old.offs[0], &old.vals[0]
-	b := loadKey(t, c, "/b", data) // evicts /a, still held
+	b := loadKey(t, c, "/b", data) // /a is held: nothing is parked
 	if &b.offs[0] == offs {
 		t.Fatal("a held block's storage was reused")
 	}
@@ -325,9 +409,13 @@ func TestAccountedBytesCoverPinnedStorage(t *testing.T) {
 	if cap(near.offs) != 190 || cap(near.vals) != 190 {
 		t.Fatal("a 100-record block did not take the 190-entry parked arrays")
 	}
-	if st := c.Stats(); st.Bytes < pinned(small)+pinned(near) {
-		t.Fatalf("cache accounts %d bytes, its blocks pin %d", st.Bytes, pinned(small)+pinned(near))
+	want := pinned(small) + pinned(near)
+	if st := c.Stats(); st.HeldBytes < want {
+		t.Fatalf("cache accounts %d held bytes, its blocks pin %d", st.HeldBytes, want)
 	}
 	small.Release()
 	near.Release()
+	if st := c.Stats(); st.Bytes < want {
+		t.Fatalf("cache accounts %d bytes once released, its blocks pin %d", st.Bytes, want)
+	}
 }

@@ -133,8 +133,8 @@ type EnvConfig struct {
 	DataNodes   int   // cluster size; 5 (the paper's testbed) if 0
 	BlockSize   int64 // DFS block size; dfs.DefaultBlockSize if 0
 	Replication int   // block replicas; 3 if 0
-	// CacheBytes bounds the decoded-block scan cache
-	// (colscan.DefaultCacheBytes if 0) — earld exposes it as
+	// CacheBytes bounds the decoded blocks no run holds in the scan
+	// cache (colscan.DefaultCacheBytes if 0) — earld exposes it as
 	// -cache-bytes.
 	CacheBytes int64
 	// DisableSidecars turns off persistent columnar sidecars end to

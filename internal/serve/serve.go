@@ -190,10 +190,10 @@ type Stats struct {
 type MetricsReport struct {
 	Server  Stats            `json:"server"`
 	Cluster simcost.Snapshot `json:"cluster"`
-	// Scan is the decoded-block cache: hit/miss counters, retained
+	// Scan is the decoded-block cache: hit/miss counters, unheld
 	// bytes against the -cache-bytes budget, how many cold misses the
 	// persistent columnar sidecars served (or failed to serve), and the
-	// dropped blocks still held outside the budget.
+	// blocks runs and watches hold, outside the budget.
 	Scan ScanCacheStats `json:"scanCache"`
 	// Journal is the dfs commit-journal health snapshot: committed
 	// records, journal bytes, active snapshot pins, and — when the
@@ -213,8 +213,9 @@ type ScanCacheStats struct {
 	Blocks        int   `json:"blocks"`
 	SidecarReads  int64 `json:"sidecarReads"`
 	SidecarErrors int64 `json:"sidecarErrors"`
-	// Dropped blocks a run or watch still holds, and sidecar misses built on
-	// a released block's storage (see colscan.CacheStats).
+	// Blocks a run or watch holds, resident or invalidated by a rewrite,
+	// and sidecar misses built on an evicted or invalidated block's
+	// storage (see colscan.CacheStats).
 	Held      int   `json:"held"`
 	HeldBytes int64 `json:"heldBytes"`
 	Recycled  int64 `json:"recycled"`
