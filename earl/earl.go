@@ -250,8 +250,10 @@ func (c *Cluster) RunMulti(jset []Job, path string, opts Options) ([]Report, err
 	return res.Reports, nil
 }
 
-// RunExact executes job exactly over every record (the stock-Hadoop
-// baseline); it returns the result and the records processed.
+// RunExact answers job exactly over every record of one commit of path
+// — the stock-Hadoop answer, from the column pass a query's exact
+// fall-back takes, charged as the stock job would be; it returns the
+// result and the records processed.
 func (c *Cluster) RunExact(job Job, path string) (float64, int, error) {
 	return core.RunExactJob(c.env, job, path, 0)
 }

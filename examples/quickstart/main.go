@@ -1,7 +1,8 @@
 // Command quickstart is the smallest end-to-end EARL run: load a
 // synthetic numeric data set into the simulated cluster, ask for the
 // mean with a 5% error bound, and compare the early answer (and how
-// little data it touched) against the exact stock-MapReduce job.
+// little data it touched) against the exact answer, the one the stock
+// MapReduce job computes.
 package main
 
 import (

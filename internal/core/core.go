@@ -64,9 +64,10 @@
 // column scan of the whole file — resident decoded blocks where env.Scan
 // holds them, a line reader per split under the run's Decode otherwise,
 // σ/π through the plan's kernels — then each statistic over the
-// survivors. It answers what the stock-Hadoop batch job (RunExactJob,
-// the figures' baseline and the reference the sampled path is tested
-// against) answers, bit for bit, and charges what that job would.
+// survivors. It answers what the stock-Hadoop batch job (parse every
+// line, shuffle, one reduce) answers, bit for bit, and charges what
+// that job would. RunExactJob, the figures' stock baseline and the
+// reference the sampled path is tested against, is the same pass.
 package core
 
 import (
@@ -126,6 +127,16 @@ func (e *Env) Open(ledger *simcost.Metrics) (run *Env, release func()) {
 	eng := *e.Engine
 	eng.Metrics = ledger
 	return &Env{FS: e.FS, Engine: &eng, Metrics: ledger, Scan: e.Scan, snap: snap}, snap.Release
+}
+
+// openRun returns the Env a run reads and charges: e itself when e is
+// already a run's, else a run Open makes on the cluster's Metrics. The
+// release ends only a run it opened.
+func (e *Env) openRun() (run *Env, release func()) {
+	if e.snap != nil {
+		return e, func() {}
+	}
+	return e.Open(e.Metrics)
 }
 
 // EnvConfig shapes a simulated deployment.

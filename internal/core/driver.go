@@ -165,11 +165,8 @@ func Execute(env *Env, pq *PlannedQuery, retain bool) (*PlanResult, *Retained, e
 	if env == nil || env.FS == nil || env.Engine == nil {
 		return nil, nil, errors.New("core: incomplete Env")
 	}
-	if env.snap == nil {
-		run, release := env.Open(env.Metrics)
-		defer release()
-		env = run
-	}
+	env, release := env.openRun()
+	defer release()
 	res, ret, err := execute(env, pq, retain)
 	if ret != nil {
 		// Retained streams read live after: held, the snapshot would keep
@@ -237,7 +234,7 @@ func execute(env *Env, pq *PlannedQuery, retain bool) (*PlanResult, *Retained, e
 			return &PlanResult{Reports: exactReports(jset, estTotal, known)},
 				&Retained{Plans: plans, EstTotal: estTotal, SyncedBytes: size, Opts: opts}, nil
 		}
-		reps, err := runExact(env, jset, path, dec, prog)
+		reps, err := runExact(env, jset, path, 0, dec, prog)
 		if known {
 			for i := range reps {
 				reps[i].EstTotalN = estTotal

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/colscan"
 	"repro/internal/dfs"
@@ -33,80 +32,27 @@ func ExactReport(job string, v float64, n int) Report {
 }
 
 // exactKey is the one key the stock job's mapper emits every value
-// under, so a survivor costs the shuffle len(exactKey) + 8 bytes.
+// under, so runExact charges a survivor's shuffle len(exactKey) + 8
+// bytes, as that job would.
 const exactKey = "f"
 
-// exactMapper parses each line and emits it under exactKey.
-type exactMapper struct {
-	job  jobs.Numeric
-	seen *atomic.Int64
-}
-
-// Map implements mr.Mapper.
-func (m exactMapper) Map(off int64, line string, emit mr.Emitter) error {
-	v, err := m.job.Parse(line)
-	if err != nil {
-		return err
-	}
-	m.seen.Add(1)
-	emit.Emit(exactKey, v)
-	return nil
-}
-
-// exactReducer applies the statistic to the one collected value stream.
-type exactReducer struct {
-	job jobs.Numeric
-}
-
-// Reduce implements mr.Reducer.
-func (r exactReducer) Reduce(key string, values []any, emit mr.Emitter) error {
-	xs := make([]float64, 0, len(values))
-	for _, v := range values {
-		f, ok := v.(float64)
-		if !ok {
-			return fmt.Errorf("core: exact reducer got %T", v)
-		}
-		xs = append(xs, f)
-	}
-	out, err := r.job.Statistic(xs)
-	if err != nil {
-		return err
-	}
-	emit.Emit(key, out)
-	return nil
-}
-
-// RunExactJob runs the user job exactly over every record of path as a
-// stock line-at-a-time batch MR job — parse every line, shuffle, one
-// reduce — and returns the result plus the record count processed. It
-// is the figures' stock baseline (Figs. 5–7); a query's own exact
-// fall-back is the column scan of runExact, which charges what this job
-// would.
+// RunExactJob answers job exactly over every record of path — the
+// stock-Hadoop answer and Figs. 5–6's stock baseline — and returns it
+// with the records processed. It is the exact fall-back's column pass
+// (runExact) over splits of splitSize bytes (the block size if 0), so
+// it answers and charges what the stock line-at-a-time MR job would.
+// Handed the cluster's Env, it opens a run: the pass reads one commit.
 func RunExactJob(env *Env, job jobs.Numeric, path string, splitSize int64) (float64, int, error) {
 	if job.Parse == nil || job.Statistic == nil {
 		return 0, 0, fmt.Errorf("core: job %q needs Parse and a Statistic for the exact path", job.Name)
 	}
-	var seen atomic.Int64
-	res, err := env.Engine.Run(&mr.Job{
-		Name:        "exact-" + job.Name,
-		InputPath:   path,
-		Input:       env.View(),
-		SplitSize:   splitSize,
-		Mapper:      exactMapper{job: job, seen: &seen},
-		Reducer:     exactReducer{job: job},
-		NumReducers: 1,
-	})
+	env, release := env.openRun()
+	defer release()
+	reps, err := runExact(env, []jobs.Numeric{job}, path, splitSize, ScalarDecode(job, nil), nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	if len(res.Output) != 1 {
-		return 0, 0, fmt.Errorf("core: exact job emitted %d results", len(res.Output))
-	}
-	v, ok := res.Output[0].Value.(float64)
-	if !ok {
-		return 0, 0, fmt.Errorf("core: exact result has type %T", res.Output[0].Value)
-	}
-	return v, int(seen.Load()), nil
+	return reps[0].Estimate, reps[0].SampleSize, nil
 }
 
 // runExact is the one-shot exact fall-back (§3.1's "standard workflow"):
@@ -117,13 +63,13 @@ func RunExactJob(env *Env, job jobs.Numeric, path string, splitSize int64) (floa
 // the map tasks' reads, and the task counters are charged here in
 // closed form — one job, one map task per split, one reduce task, and
 // every survivor mapped, shuffled under exactKey and reduced.
-func runExact(env *Env, jset []jobs.Numeric, path string, dec Decode, prog *plan.Program) ([]Report, error) {
+func runExact(env *Env, jset []jobs.Numeric, path string, splitSize int64, dec Decode, prog *plan.Program) ([]Report, error) {
 	for _, job := range jset {
 		if job.Statistic == nil {
 			return nil, fmt.Errorf("core: job %q needs a Statistic for the exact path", job.Name)
 		}
 	}
-	splits, err := env.View().Splits(path, 0)
+	splits, err := env.View().Splits(path, splitSize)
 	if err != nil {
 		return nil, err
 	}

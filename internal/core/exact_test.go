@@ -17,6 +17,46 @@ import (
 	"repro/internal/workload"
 )
 
+// exactMapper parses each line and emits it under exactKey.
+type exactMapper struct {
+	job  jobs.Numeric
+	seen *atomic.Int64
+}
+
+// Map implements mr.Mapper.
+func (m exactMapper) Map(off int64, line string, emit mr.Emitter) error {
+	v, err := m.job.Parse(line)
+	if err != nil {
+		return err
+	}
+	m.seen.Add(1)
+	emit.Emit(exactKey, v)
+	return nil
+}
+
+// exactReducer applies the statistic to the one collected value stream.
+type exactReducer struct {
+	job jobs.Numeric
+}
+
+// Reduce implements mr.Reducer.
+func (r exactReducer) Reduce(key string, values []any, emit mr.Emitter) error {
+	xs := make([]float64, 0, len(values))
+	for _, v := range values {
+		f, ok := v.(float64)
+		if !ok {
+			return fmt.Errorf("core: exact reducer got %T", v)
+		}
+		xs = append(xs, f)
+	}
+	out, err := r.job.Statistic(xs)
+	if err != nil {
+		return err
+	}
+	emit.Emit(key, out)
+	return nil
+}
+
 // planMapper is the stock job's mapper with a plan's line-at-a-time
 // reference evaluator in front: the exact fall-back of a plan query as
 // a stock MR job, which the scan must match.
@@ -35,16 +75,18 @@ func (m planMapper) Map(_ int64, line string, emit mr.Emitter) error {
 	return nil
 }
 
-// stockExact answers job over path (through prog when non-nil) with the
-// stock line-at-a-time MR job.
-func stockExact(env *Env, job jobs.Numeric, path string, prog *plan.Program) (float64, int, error) {
-	if prog == nil {
-		return RunExactJob(env, job, path, 0)
-	}
+// stockExact is the oracle of the exact pass: job over path (through
+// prog when non-nil) as the stock line-at-a-time MR job — parse every
+// line of each splitSize split, shuffle, one reduce.
+func stockExact(env *Env, job jobs.Numeric, path string, splitSize int64, prog *plan.Program) (float64, int, error) {
 	var seen atomic.Int64
+	var mapper mr.Mapper = exactMapper{job: job, seen: &seen}
+	if prog != nil {
+		mapper = planMapper{prog: prog, seen: &seen}
+	}
 	res, err := env.Engine.Run(&mr.Job{
-		Name: "exact-" + job.Name, InputPath: path, Input: env.View(),
-		Mapper: planMapper{prog: prog, seen: &seen}, Reducer: exactReducer{job: job}, NumReducers: 1,
+		Name: "exact-" + job.Name, InputPath: path, SplitSize: splitSize,
+		Mapper: mapper, Reducer: exactReducer{job: job}, NumReducers: 1,
 	})
 	if err != nil {
 		return 0, 0, err
@@ -86,13 +128,15 @@ func residency(env *Env, path string, splits []dfs.Split, format colscan.Format)
 	return b.String()
 }
 
-// TestExactScanMatchesStockJob holds the exact fall-back's scan to the
-// stock MR job it replaced, on fresh identical clusters: the same
-// estimate bit for bit, the same record count, the same simcost delta
-// field by field, and env.Scan holding the same blocks before and after
-// the scan. The grid: numeric records, key/value records under a filter
-// and a derive, and a custom parser; one split and many; sidecars on
-// and off; no block resident, every other one, and all of them.
+// TestExactScanMatchesStockJob holds the exact pass — RunExactJob, and
+// runExact under a plan — to the stock MR job it replaced, on fresh
+// identical clusters: the same estimate bit for bit, the same record
+// count, the same simcost delta field by field, and env.Scan holding
+// the same blocks before and after the scan. The grid: numeric records,
+// key/value records under a filter and a derive, and a custom parser;
+// one split and many; splits of the block size and of 4 KiB, which no
+// resident block's key matches; sidecars on and off; no block resident,
+// every other one, and all of them.
 func TestExactScanMatchesStockJob(t *testing.T) {
 	xs, err := workload.NumericSpec{Dist: workload.Zipf, N: 4000, Seed: 3}.Generate()
 	if err != nil {
@@ -117,10 +161,11 @@ func TestExactScanMatchesStockJob(t *testing.T) {
 		{name: "fill edge", data: fillEdge, job: jobs.Mean()},
 	}
 	for _, sh := range shapes {
-		for _, blockSize := range []int64{1 << 20, 1 << 12} {
+		for _, sz := range []struct{ block, split int64 }{{1 << 20, 0}, {1 << 20, 1 << 12}, {1 << 12, 0}} {
 			for _, sidecars := range []bool{true, false} {
 				for _, every := range []int{0, 2, 1} {
-					name := fmt.Sprintf("%s/block=%d/sidecars=%t/resident-every=%d", sh.name, blockSize, sidecars, every)
+					blockSize, splitSize := sz.block, sz.split
+					name := fmt.Sprintf("%s/block=%d/split=%d/sidecars=%t/resident-every=%d", sh.name, blockSize, splitSize, sidecars, every)
 					run := func(scan bool) (float64, int, simcost.Snapshot) {
 						env, err := NewEnv(EnvConfig{BlockSize: blockSize, DisableSidecars: !sidecars, Seed: 5})
 						if err != nil {
@@ -148,16 +193,19 @@ func TestExactScanMatchesStockJob(t *testing.T) {
 						before, cache := env.Metrics.Snapshot(), residency(env, "/data", splits, format)
 						var v float64
 						var n int
-						if scan {
+						switch {
+						case !scan:
+							v, n, err = stockExact(env, job, "/data", splitSize, prog)
+						case prog == nil:
+							v, n, err = RunExactJob(env, job, "/data", splitSize)
+						default:
 							var reps []Report
-							if reps, err = runExact(env, []jobs.Numeric{job}, "/data", dec, prog); err == nil {
+							if reps, err = runExact(env, []jobs.Numeric{job}, "/data", splitSize, dec, prog); err == nil {
 								v, n = reps[0].Estimate, reps[0].SampleSize
 							}
-							if after := residency(env, "/data", splits, format); after != cache {
-								t.Fatalf("%s: the scan changed env.Scan:\nbefore %s\nafter  %s", name, cache, after)
-							}
-						} else {
-							v, n, err = stockExact(env, job, "/data", prog)
+						}
+						if after := residency(env, "/data", splits, format); scan && after != cache {
+							t.Fatalf("%s: the scan changed env.Scan:\nbefore %s\nafter  %s", name, cache, after)
 						}
 						if err != nil {
 							t.Fatalf("%s: scan=%t: %v", name, scan, err)
@@ -202,17 +250,17 @@ func TestExactFallbackRejectsNaNRecord(t *testing.T) {
 	}
 }
 
-// TestRunExactJobKeepsBadRecordCause: the stock job over a NaN record
-// fails once its map task has exhausted its attempts, and the error is
-// both mr.ErrTooManyFailures and ErrBadRecord.
+// TestRunExactJobKeepsBadRecordCause: the exact pass over a NaN record
+// fails with ErrBadRecord. (The pass has no task retries; the engine's
+// retry-and-cause contract is mr.TestExhaustedTaskKeepsItsCause's.)
 func TestRunExactJobKeepsBadRecordCause(t *testing.T) {
 	env, xs := testEnv(t, 2000, workload.Uniform, 13)
 	if err := env.FS.WriteFile("/data", poisonedData(xs, 1)); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err := RunExactJob(env, jobs.Mean(), "/data", 0)
-	if !errors.Is(err, ErrBadRecord) || !errors.Is(err, mr.ErrTooManyFailures) {
-		t.Fatalf("stock job over a NaN record: %v", err)
+	if !errors.Is(err, ErrBadRecord) {
+		t.Fatalf("exact pass over a NaN record: %v", err)
 	}
 }
 
@@ -237,14 +285,14 @@ func BenchmarkExactFallback(b *testing.B) {
 	dec := ScalarDecode(job, nil)
 	b.Run("scan", func(b *testing.B) {
 		for range b.N {
-			if _, err := runExact(env, []jobs.Numeric{job}, "/data", dec, nil); err != nil {
+			if _, err := runExact(env, []jobs.Numeric{job}, "/data", 0, dec, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("stock", func(b *testing.B) {
 		for range b.N {
-			if _, _, err := RunExactJob(env, job, "/data", 0); err != nil {
+			if _, _, err := stockExact(env, job, "/data", 0, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

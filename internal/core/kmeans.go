@@ -41,14 +41,18 @@ type KMeansReport struct {
 // cost. While cv > σ the sample doubles (with the smaller-data
 // convergence bonus the paper highlights: fewer Lloyd iterations per
 // try). The stock-Hadoop comparison for Fig. 7 is jobs.KMeans.FitMR.
+// Handed a run's Env (Env.Open) it samples that run's commit; handed
+// the cluster's, it opens a run, so every draw reads one commit.
 func RunKMeans(env *Env, path string, kcfg jobs.KMeans, opts KMeansOptions) (KMeansReport, error) {
-	if env == nil || env.FS == nil {
+	if env == nil || env.FS == nil || env.Engine == nil {
 		return KMeansReport{}, errors.New("core: incomplete Env")
 	}
 	if opts.Sigma <= 0 {
 		opts.Sigma = 0.05
 	}
-	sampler, err := sampling.NewPreMap(env.FS, path, 0, opts.Seed)
+	env, release := env.openRun()
+	defer release()
+	sampler, err := sampling.NewPreMap(env.View(), path, 0, opts.Seed)
 	if err != nil {
 		return KMeansReport{}, err
 	}

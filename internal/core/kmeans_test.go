@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/jobs"
@@ -69,5 +70,32 @@ func TestRunKMeansValidation(t *testing.T) {
 	env, _ := kmeansEnv(t, 100)
 	if _, err := RunKMeans(env, "/missing", jobs.KMeans{K: 2}, KMeansOptions{}); err == nil {
 		t.Fatal("missing path should error")
+	}
+}
+
+// TestRunKMeansReadsItsRunsCommit: handed a run's Env, RunKMeans samples
+// the commit the run pinned, not points written over the file since.
+func TestRunKMeansReadsItsRunsCommit(t *testing.T) {
+	kcfg, opts := jobs.KMeans{K: 4, Seed: 39}, KMeansOptions{Seed: 40}
+	env, _ := kmeansEnv(t, 20_000)
+	want, err := RunKMeans(env, "/pts", kcfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, release := env.Open(env.Metrics)
+	defer release()
+	moved, _, err := workload.MixtureSpec{K: 4, Dim: 2, N: 20_000, Spread: 9, Sep: 40, Seed: 41}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := env.FS.WriteFile("/pts", workload.EncodePoints(moved)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunKMeans(run, "/pts", kcfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("a run's K-Means read a later commit:\ngot  %+v\nwant %+v", got, want)
 	}
 }

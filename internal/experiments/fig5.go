@@ -123,7 +123,7 @@ func Fig5(laptopRecs int, seed uint64) (*Table, error) {
 	job := jobs.Mean()
 	const sigma = 0.05
 
-	// --- Measure stock at laptop scale. --------------------------------
+	// --- Stock at laptop scale: the exact pass charges the stock job. --
 	env, err := measureEnv(laptopRecs, seed)
 	if err != nil {
 		return nil, err
@@ -198,7 +198,7 @@ func Fig5(laptopRecs int, seed uint64) (*Table, error) {
 		)
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("laptop-scale measurement: %d records (%.1f MB); stock real %.0f ms, EARL sampled-job real %.0f ms",
+		fmt.Sprintf("laptop-scale measurement: %d records (%.1f MB); exact pass real %.0f ms, EARL sampled-job real %.0f ms",
 			laptopRecs, laptopBytes/(1<<20), stockReal.Seconds()*1000, ph.mainReal.Seconds()*1000),
 		fmt.Sprintf("SSABE plan: B=%d, n=%d; EARL run: sample=%d, cv=%.3f, converged=%v, result within CI [%.3f, %.3f]",
 			ph.plan.B, ph.plan.N, ph.rep.SampleSize, ph.rep.CV, ph.rep.Converged, ph.rep.CILo, ph.rep.CIHi),

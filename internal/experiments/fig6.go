@@ -108,7 +108,7 @@ func Fig6(laptopRecs int, seed uint64) (*Table, error) {
 		)
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("laptop measurement %d records: stock real %.0f ms; naive real %.0f ms (%d iterations, sample %d); optimized real %.0f ms (%d iterations, sample %d)",
+		fmt.Sprintf("laptop measurement %d records: exact pass real %.0f ms; naive real %.0f ms (%d iterations, sample %d); optimized real %.0f ms (%d iterations, sample %d)",
 			laptopRecs, stockReal.Seconds()*1000,
 			variants[0].real.Seconds()*1000, variants[0].rep.Iterations, variants[0].rep.SampleSize,
 			variants[1].real.Seconds()*1000, variants[1].rep.Iterations, variants[1].rep.SampleSize),

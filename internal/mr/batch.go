@@ -52,14 +52,6 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 	return e.runReducePhase(job, mapOut)
 }
 
-// input returns the view job's InputPath is read through.
-func (e *Engine) input(job *Job) dfs.View {
-	if job.Input != nil {
-		return job.Input
-	}
-	return e.FS
-}
-
 // mapEmitter hash-partitions map output into per-reducer buffers.
 type mapEmitter struct {
 	parts [][]KV
@@ -75,7 +67,7 @@ func (e *Engine) runMapPhase(job *Job) ([][][]KV, error) {
 	if e.FS == nil {
 		return nil, fmt.Errorf("mr: job %q has InputPath but engine has no FS", job.Name)
 	}
-	splits, err := e.input(job).Splits(job.InputPath, job.SplitSize)
+	splits, err := e.FS.Splits(job.InputPath, job.SplitSize)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +115,7 @@ func (e *Engine) mapAttempt(job *Job, sp dfs.Split, info TaskInfo, r int) ([][]K
 		return nil, fmt.Errorf("mr: injected failure at %s", info)
 	}
 	em := &mapEmitter{parts: make([][]KV, r)}
-	rd, err := e.input(job).NewLineReader(sp, 0)
+	rd, err := e.FS.NewLineReader(sp, 0)
 	if err != nil {
 		return nil, err
 	}

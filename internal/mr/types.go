@@ -26,8 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-
-	"repro/internal/dfs"
 )
 
 // KV is one key/value pair flowing between stages.
@@ -106,12 +104,9 @@ func ValueSize(v any) int64 {
 type Job struct {
 	Name string
 
-	// InputPath is the DFS file the job reads as text lines, split by
-	// SplitSize.
+	// InputPath is the file of the engine's DFS the job reads as text
+	// lines, split by SplitSize.
 	InputPath string
-	// Input is the view InputPath is read through — a pinned snapshot
-	// when the job must see one commit; the engine's live filesystem if nil.
-	Input     dfs.View
 	SplitSize int64 // bytes per input split; DFS block size if 0
 
 	Mapper      Mapper
