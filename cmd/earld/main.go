@@ -76,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 		idleTTL  = fs.Duration("watch-idle-ttl", 15*time.Minute, "idle watches past this are evictable when the registry is full")
 		nodes    = fs.Int("nodes", 5, "simulated cluster size")
 		seed     = fs.Uint64("seed", 1, "cluster seed")
-		cacheB   = fs.Int64("cache-bytes", 0, "scan cache budget in bytes for decoded blocks no run holds (0 = default 256 MiB)")
+		cacheB   = fs.Int64("cache-bytes", 0, "scan cache budget in bytes for decoded blocks no run holds, their memoized filter selections included (0 = default 256 MiB)")
 		demoN    = fs.Int("demo-records", 0, "preload /demo/gaussian with this many records (0 = none)")
 	)
 	fs.SetOutput(stderr)

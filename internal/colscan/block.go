@@ -64,6 +64,24 @@ func (b *Block) Release() {
 	}
 }
 
+// Selection returns b's memoized selection under key — derived data of
+// the cached block, such as the records a filter keeps
+// (plan.Program.KeepBlock keys it by the filter's canonical text) —
+// building it with build on a miss. A cached block holds one memo: a
+// build under another key replaces it. The memo is a copy of build's
+// result at its exact length, so build may return a scratch buffer, and
+// its bytes count toward the block's cache footprint. Concurrent callers
+// on one block build once: build runs under the block's memo lock, so
+// it must not call Selection itself. The result is shared and
+// read-only, valid while b is held. A block no cache handed out
+// memoizes nothing: each call returns build's result itself.
+func (b *Block) Selection(key string, build func() []int32) []int32 {
+	if b.own == nil {
+		return build()
+	}
+	return b.own.c.selection(b.own, key, build)
+}
+
 // Spares is column storage parked for reuse: the arrays of blocks a
 // Cache dropped and nobody holds any more. Building a block through
 // Spares takes arrays from it where one fits, so a cold miss skips

@@ -57,6 +57,8 @@ type Cache struct {
 	head, tail *cacheEntry
 
 	hits, misses int64
+	// Memoized selections built, and calls served one (Block.Selection).
+	selections, selectionHits int64
 	// Held blocks, resident or invalidated, and their bytes.
 	held      int
 	heldBytes int64
@@ -69,6 +71,9 @@ type Cache struct {
 	sidecarErrs  int64
 }
 
+// cacheEntry is one cached block and the state the cache keeps beside
+// it. size is the block's bytes plus its memoized selection's, so the
+// memo is held or budgeted with the block it derives from.
 type cacheEntry struct {
 	c          *Cache
 	key        BlockKey
@@ -82,6 +87,11 @@ type cacheEntry struct {
 	// entry in flight is held by its loader, so holds == 0 means a ready
 	// block: on the LRU list while resident, recycled once it is not.
 	holds int
+	// The one memo slot of Block.Selection: sel, built under selKey
+	// (guarded by selMu, which also single-flights its build).
+	selMu  sync.Mutex
+	selKey string
+	sel    []int32
 }
 
 // NewCache builds a cache bounded at maxBytes of unheld decoded state
@@ -114,9 +124,11 @@ func (c *Cache) OnSidecarError(fn func(BlockKey, error)) {
 // CacheStats is a point-in-time counters snapshot.
 type CacheStats struct {
 	Hits, Misses int64
-	Bytes        int64
-	MaxBytes     int64
-	Blocks       int
+	// Bytes is the unheld blocks' bytes, their memoized selections
+	// included, against the MaxBytes budget.
+	Bytes    int64
+	MaxBytes int64
+	Blocks   int
 	// SidecarReads counts misses served from the persistent columnar
 	// sidecar instead of a text decode; SidecarErrors counts sidecar
 	// loads that failed verification and fell back to text.
@@ -124,11 +136,16 @@ type CacheStats struct {
 	SidecarErrors int64
 	// Held and HeldBytes count the blocks some caller holds, and their
 	// bytes: decoded state outside the budget, whether still resident or
-	// invalidated by a rewrite. Recycled counts sidecar misses built on
-	// the storage of an evicted or invalidated block.
+	// invalidated by a rewrite, memoized selections included. Recycled
+	// counts sidecar misses built on the storage of an evicted or
+	// invalidated block.
 	Held      int
 	HeldBytes int64
 	Recycled  int64
+	// Selections counts the selections Block.Selection built and
+	// memoized on a cached block; SelectionHits the calls a memo served.
+	Selections    int64
+	SelectionHits int64
 }
 
 // Stats snapshots the cache counters.
@@ -140,6 +157,7 @@ func (c *Cache) Stats() CacheStats {
 		Bytes: c.cur, MaxBytes: c.max, Blocks: len(c.entries),
 		SidecarReads: c.sidecarReads, SidecarErrors: c.sidecarErrs,
 		Held: c.held, HeldBytes: c.heldBytes, Recycled: c.spares.reused.Load(),
+		Selections: c.selections, SelectionHits: c.selectionHits,
 	}
 }
 
@@ -219,6 +237,41 @@ func (c *Cache) holdLocked(e *cacheEntry) {
 		c.heldBytes += e.size
 	}
 	e.holds++
+}
+
+// selection serves Block.Selection for e's block, which the caller
+// holds: the memo on a hit; otherwise build's result, copied to its
+// exact length and published in the slot, its bytes moving into e.size
+// and with it into the held bytes. The array it displaces is left to
+// the collector, never parked: a fill may still be reading it.
+func (c *Cache) selection(e *cacheEntry, key string, build func() []int32) []int32 {
+	e.selMu.Lock()
+	defer e.selMu.Unlock()
+	if e.sel != nil && e.selKey == key {
+		c.mu.Lock()
+		c.selectionHits++
+		c.mu.Unlock()
+		return e.sel
+	}
+	kept := build()
+	sel := make([]int32, len(kept))
+	copy(sel, kept)
+	grow := selBytes(key, sel) - selBytes(e.selKey, e.sel)
+	e.selKey, e.sel = key, sel
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.selections++
+	e.size += grow
+	c.heldBytes += grow
+	return sel
+}
+
+// selBytes is what a memoized selection adds to its entry's size.
+func selBytes(key string, sel []int32) int64 {
+	if sel == nil {
+		return 0
+	}
+	return int64(len(key)) + 4*int64(len(sel))
 }
 
 // release gives back one hold on e's block. The last one puts a

@@ -419,3 +419,42 @@ func TestAccountedBytesCoverPinnedStorage(t *testing.T) {
 		t.Fatalf("cache accounts %d bytes once released, its blocks pin %d", st.Bytes, want)
 	}
 }
+
+// TestSelectionMemoCountsInBudget: a memoized selection is part of its
+// block's footprint — inside HeldBytes while the block is held, inside
+// the budget once it is released, so blocks that fit the budget bare
+// no longer all fit with their memos.
+func TestSelectionMemoCountsInBudget(t *testing.T) {
+	const K = 4
+	datas := make([][]byte, K)
+	for k := range datas {
+		datas[k] = numericData(300, k)
+	}
+	c := holdCache(K * blockBytes(t, datas[0]))
+	held := make([]*Block, K)
+	var want int64
+	for k, data := range datas {
+		held[k] = loadKey(t, c, fmt.Sprintf("/m%d", k), data)
+		sel := held[k].Selection("v > 0", func() []int32 {
+			all := make([]int32, held[k].NumRecords(), 2*held[k].NumRecords())
+			for i := range all {
+				all[i] = int32(i)
+			}
+			return all
+		})
+		// The memo is copied to its exact length, not the build's capacity.
+		if cap(sel) != held[k].NumRecords() {
+			t.Fatalf("memo capacity %d for %d records", cap(sel), held[k].NumRecords())
+		}
+		want += held[k].SizeBytes() + int64(len("v > 0")) + 4*int64(len(sel))
+	}
+	if st := c.Stats(); st.HeldBytes != want || st.Selections != K {
+		t.Fatalf("holding %d memoized blocks: %+v; want HeldBytes %d, %d selections", K, st, want, K)
+	}
+	for _, b := range held {
+		b.Release()
+	}
+	if st := c.Stats(); st.Bytes > st.MaxBytes || st.Held != 0 || st.HeldBytes != 0 || st.Blocks == K {
+		t.Fatalf("after the releases: %+v; want nothing held, within budget, a memoized block trimmed", st)
+	}
+}

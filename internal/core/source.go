@@ -279,7 +279,6 @@ func NewRecordSources(env *Env, path string, owned [][]dfs.Split, opts Options, 
 		if opts.Sampler == PostMapSampling {
 			pmap := sampling.NewPostMapCols(opts.Seed + seedSalt + uint64(idx)*7919)
 			pmap.ExpectBlocks(len(owned[idx]))
-			var keepScratch []int32
 			var keepSc *plan.Scratch
 			if prog != nil && prog.HasFilter() {
 				keepSc = plan.NewScratch()
@@ -301,8 +300,7 @@ func NewRecordSources(env *Env, path string, owned [][]dfs.Split, opts Options, 
 				// split to this mapper.
 				env.Metrics.Charge(simcost.Snapshot{RecordsRead: int64(blk.NumRecords())})
 				if keepSc != nil {
-					keepScratch = prog.KeepBlock(keepSc, blk, keepScratch[:0])
-					pmap.AddBlockKept(blk, keepScratch)
+					pmap.AddBlockKept(blk, prog.KeepBlock(keepSc, blk, nil))
 				} else {
 					pmap.AddBlock(blk)
 				}

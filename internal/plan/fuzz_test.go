@@ -9,10 +9,11 @@ import (
 // the parser accepts must evaluate bit-identically on the tiled
 // selection-vector evaluator (vm.go) and the per-record reference tree
 // walk (eval.go) through both entry points — KeepBlock over a
-// dictionary-coded block and Apply over a string-keyed batch, see
-// checkAgainstReference — and the canonical printer must be a fixed
-// point (print(parse(print)) == print). Wired into the CI fuzz smoke
-// next to the order-statistic and decoder targets.
+// dictionary-coded block, built fresh and memoized on a cached block,
+// and Apply over a string-keyed batch, see checkAgainstReference — and
+// the canonical printer must be a fixed point (print(parse(print)) ==
+// print). Wired into the CI fuzz smoke next to the order-statistic and
+// decoder targets.
 func FuzzExprEval(f *testing.F) {
 	f.Add("v > 1 && key == \"a\"", 1.5, "a")
 	f.Add("v * 2 + 1", -3.25, "")

@@ -137,7 +137,7 @@ func canonicalize(src string, want kind, what string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return printExpr(c.root), nil
+	return c.canon, nil
 }
 
 // Key is the canonical identity of a normalized spec — what serve's
@@ -229,14 +229,16 @@ func (p *Program) HasFilter() bool { return p.filter != nil }
 // tile-sized registers, selection vectors and mask of the vectorized
 // evaluator (vm.go), one truth table per string predicate (a byte per
 // entry of the largest key dictionary seen), and the group-label intern
-// table. Nothing in it grows with the length of the batches it filters.
-// One Scratch serves one drawing goroutine at a time.
+// table. Nothing in it grows with the length of the batches Apply
+// filters; KeepBlock's selection buffer grows to the largest block it
+// evaluated. One Scratch serves one drawing goroutine at a time.
 type Scratch struct {
 	regs   [][]float64
 	sels   [][]int32
 	mask   []uint8
 	truth  [][]uint8
 	labels map[uint64]string // by value bits: 0 and -0 label differently, as in EvalRecord
+	keep   []int32           // KeepBlock's selection before a memo copies it
 }
 
 // NewScratch builds evaluation state for one source.
@@ -318,23 +320,36 @@ func (p *Program) Apply(sc *Scratch, in *colscan.Cols, out *colscan.Cols, prefil
 	return kept, nil
 }
 
-// KeepBlock evaluates σ over one decoded block's raw columns, a tile at
-// a time, and appends the indices of surviving records to dst — the
-// pushdown hook the post-map pool fill uses so a cached decoded block
-// is filtered without re-decode (and without ever mutating the shared
-// block). String predicates run once per dictionary entry, not per
-// record. A program without a filter keeps every record.
+// KeepBlock returns the ascending indices of the records of one decoded
+// block that pass σ — the pushdown hook the post-map pool fill uses, so
+// a cached decoded block is filtered without re-decode (and without ever
+// mutating the shared block). String predicates run once per dictionary
+// entry, not per record. A program without a filter keeps every record.
+//
+// On a block a colscan.Cache handed out, the selection is memoized with
+// the block under σ's canonical text (Block.Selection): the first fill
+// of a block under a filter evaluates it, every later fill under any
+// spelling of that filter reads it. The result is read-only: a memo is
+// valid while b is held, any other result until sc's next KeepBlock.
+// dst is not used; it stays only because bench/replay.go passes one.
+func (p *Program) KeepBlock(sc *Scratch, b *colscan.Block, dst []int32) []int32 {
+	if p.filter == nil {
+		sc.keep = sc.keep[:0]
+		for i := range b.NumRecords() {
+			sc.keep = append(sc.keep, int32(i))
+		}
+		return sc.keep
+	}
+	return b.Selection(p.filter.canon, func() []int32 { return p.narrowBlock(sc, b) })
+}
+
+// narrowBlock evaluates σ over b's raw columns, a tile at a time, into
+// sc.keep.
 //
 //earl:hotpath
-func (p *Program) KeepBlock(sc *Scratch, b *colscan.Block, dst []int32) []int32 {
+func (p *Program) narrowBlock(sc *Scratch, b *colscan.Block) []int32 {
 	vals, ids := b.Values(), b.KeyIDs()
-	dst = slices.Grow(dst, len(vals))
-	if p.filter == nil {
-		for i := range vals {
-			dst = append(dst, int32(i))
-		}
-		return dst
-	}
+	dst := slices.Grow(sc.keep[:0], len(vals))
 	sc.fit(p.filter)
 	sc.bindDict(p.filter, b.Dict())
 	sel := sc.sels[0]
@@ -351,6 +366,7 @@ func (p *Program) KeepBlock(sc *Scratch, b *colscan.Block, dst []int32) []int32 
 			dst[at+j] = int32(base) + s
 		}
 	}
+	sc.keep = dst
 	return dst
 }
 

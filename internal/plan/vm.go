@@ -131,6 +131,7 @@ type pred struct {
 // whether it reads the key column.
 type compiled struct {
 	src     string
+	canon   string // the checked tree printed canonically: src's identity
 	root    node
 	usesKey bool
 
@@ -157,7 +158,7 @@ func compileExpr(src string, want kind, what string) (*compiled, error) {
 		return nil, posErrf(src, root.pos(), "%s must be a %s expression, got %s", what, want, k)
 	}
 	_, key := refs(root)
-	c := &compiled{src: src, root: root, usesKey: key}
+	c := &compiled{src: src, canon: printExpr(root), root: root, usesKey: key}
 	switch k {
 	case kBool:
 		c.nsels = 1 // vector 0 receives the result

@@ -3,6 +3,7 @@ package plan
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/colscan"
@@ -40,15 +41,37 @@ func testBlock(tb testing.TB, vals []float64, keys []string) *colscan.Block {
 	return blk
 }
 
+// blockStore serves one prebuilt block as a sidecar read, so a hand-built
+// block comes out of a colscan.Cache with a memo slot.
+type blockStore struct{ blk *colscan.Block }
+
+func (s blockStore) LoadColumnsVia(colscan.ReaderAt, colscan.BlockKey, *colscan.Spares) (*colscan.Block, bool, error) {
+	return s.blk, true, nil
+}
+
+// cachedBlock is testBlock(vals, keys) as a fresh cache hands it out,
+// held; the caller releases it.
+func cachedBlock(tb testing.TB, vals []float64, keys []string) (*colscan.Block, *colscan.Cache) {
+	tb.Helper()
+	c := colscan.NewCache(0)
+	c.SetStore(blockStore{testBlock(tb, vals, keys)})
+	blk, err := c.Load(nil, 0, colscan.BlockKey{Path: "/memo", Format: colscan.FormatKV})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return blk, c
+}
+
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // checkAgainstReference holds the vectorized evaluator to the
 // per-record reference walk through both entry points: KeepBlock's
 // indices over a dictionary-coded block (and a numeric one when the
 // filter does not read the key) must be exactly the records EvalRecord
-// keeps, and Apply's output — raw, and prefiltered over KeepBlock's
-// survivors — must match EvalRecord's bit for bit, failing with
-// ErrBadRecord exactly when the reference does.
+// keeps, built fresh and, over a cached block, memoized and read back
+// from the memo; and Apply's output — raw, and prefiltered over
+// KeepBlock's survivors — must match EvalRecord's bit for bit, failing
+// with ErrBadRecord exactly when the reference does.
 func checkAgainstReference(tb testing.TB, p *Program, vals []float64, keys []string) {
 	tb.Helper()
 	var wantIdx []int32
@@ -86,6 +109,18 @@ func checkAgainstReference(tb testing.TB, p *Program, vals []float64, keys []str
 				tb.Fatalf("KeepBlock[%d] = record %d, reference keeps record %d", i, got[i], wantIdx[i])
 			}
 		}
+	}
+	if p.filter != nil {
+		blk, c := cachedBlock(tb, vals, keys)
+		built := p.KeepBlock(sc, blk, nil)
+		memo := p.KeepBlock(sc, blk, nil)
+		if !slices.Equal(built, wantIdx) || !slices.Equal(memo, built) {
+			tb.Fatalf("over a cached block KeepBlock kept %v, then %v from the memo; reference keeps %v", built, memo, wantIdx)
+		}
+		if st := c.Stats(); st.Selections != 1 || st.SelectionHits != 1 {
+			tb.Fatalf("two KeepBlocks over a cached block: %d selections built, %d hits; want 1 and 1", st.Selections, st.SelectionHits)
+		}
+		blk.Release()
 	}
 
 	for _, c := range []struct {
@@ -209,15 +244,20 @@ func TestVMDictionaries(t *testing.T) {
 }
 
 // TestKeepBlockWithoutFilter pins the exported contract for derive-only
-// and group-only programs: no σ keeps every record.
+// and group-only programs: no σ keeps every record, and dst is not
+// written.
 func TestKeepBlockWithoutFilter(t *testing.T) {
 	p, err := mustNormalize(t, Spec{Path: "/d", Derive: "v * 2"}).Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
 	blk := testBlock(t, []float64{4, 5, 6}, nil)
-	got := p.KeepBlock(NewScratch(), blk, []int32{9})
-	want := []int32{9, 0, 1, 2}
+	dst := []int32{9}
+	got := p.KeepBlock(NewScratch(), blk, dst[:0])
+	want := []int32{0, 1, 2}
+	if dst[0] != 9 {
+		t.Fatalf("KeepBlock wrote %d into dst", dst[0])
+	}
 	if len(got) != len(want) {
 		t.Fatalf("KeepBlock = %v, want %v", got, want)
 	}

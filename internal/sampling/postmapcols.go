@@ -63,6 +63,8 @@ func (s *PostMapCols) AddBlock(b *colscan.Block) {
 // pools the σ-surviving records of each cached block, so the pool IS
 // the filtered subpopulation and a fixed seed draws the same record
 // permutation as a pool built from a physically pre-filtered file.
+// kept is copied, not retained: it may be a selection memoized on the
+// shared block (plan.Program.KeepBlock), which no pool may hold.
 func (s *PostMapCols) AddBlockKept(b *colscan.Block, kept []int32) {
 	bi := int32(len(s.blocks))
 	s.blocks = append(s.blocks, b)

@@ -202,12 +202,13 @@ func TestConcurrentScansOverRecycledBlocks(t *testing.T) {
 	}
 }
 
-// TestOverlappingScanDecodesNothing: a one-shot that overlaps an open
-// post-map watch over the same file, larger than the cache, finds every
-// block the watch holds: it decodes and reads no sidecar, and answers
-// exactly as it does alone on a fresh server.
-func TestOverlappingScanDecodesNothing(t *testing.T) {
-	const path = "/t/overlap"
+// overlappingScan runs scanSpec as a one-shot that overlaps an open
+// post-map watch of the same spec over one file, larger than the cache,
+// and requires the one-shot to answer exactly as it does alone on a
+// fresh server. It returns the scan cache's counters before and after
+// the one-shot.
+func overlappingScan(t *testing.T, path string) (before, after ScanCacheStats) {
+	t.Helper()
 	records := kvRecords(300_000, 5)
 	ctx := context.Background()
 	alone, err := holdServer(t, file{path, records}).Query(ctx, scanSpec(path, 3))
@@ -219,7 +220,12 @@ func TestOverlappingScanDecodesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := s.Metrics().Scan
+	defer func() {
+		if err := s.CloseWatch(w.ID, w.Sub); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	before = s.Metrics().Scan
 	if before.HeldBytes <= before.MaxBytes {
 		t.Fatalf("the watch holds %d bytes, not more than the %d-byte cache", before.HeldBytes, before.MaxBytes)
 	}
@@ -227,17 +233,37 @@ func TestOverlappingScanDecodesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := s.Metrics().Scan
-	if got.Cached || after.Misses != before.Misses || after.SidecarReads != before.SidecarReads {
-		t.Fatalf("the overlapping one-shot (cached %v) added %d misses and %d sidecar reads, want a run with none",
-			got.Cached, after.Misses-before.Misses, after.SidecarReads-before.SidecarReads)
+	if got.Cached {
+		t.Fatal("the overlapping one-shot was answered from the result cache")
 	}
 	overlapped, want := answer{got.Report, got.Reports, got.Groups}, answer{alone.Report, alone.Reports, alone.Groups}
 	if !reflect.DeepEqual(overlapped, want) {
 		t.Errorf("the overlapping one-shot differs from its run alone:\n%+v\n%+v", overlapped, want)
 	}
-	if err := s.CloseWatch(w.ID, w.Sub); err != nil {
-		t.Fatal(err)
+	return before, s.Metrics().Scan
+}
+
+// TestOverlappingScanDecodesNothing: a one-shot that overlaps an open
+// post-map watch over the same file, larger than the cache, finds every
+// block the watch holds: it decodes and reads no sidecar, and answers
+// exactly as it does alone on a fresh server.
+func TestOverlappingScanDecodesNothing(t *testing.T) {
+	before, after := overlappingScan(t, "/t/overlap")
+	if after.Misses != before.Misses || after.SidecarReads != before.SidecarReads {
+		t.Fatalf("the overlapping one-shot added %d misses and %d sidecar reads, want a run with none",
+			after.Misses-before.Misses, after.SidecarReads-before.SidecarReads)
+	}
+}
+
+// TestOverlappingScanFiltersOnce: the watch's fill left σ's selection
+// memoized on every block it holds, so an overlapping one-shot of the
+// same spec builds none — each of its blocks is a memo hit — and still
+// answers exactly as it does alone on a fresh server.
+func TestOverlappingScanFiltersOnce(t *testing.T) {
+	before, after := overlappingScan(t, "/t/filter-once")
+	if before.Selections == 0 || after.Selections != before.Selections || after.SelectionHits == before.SelectionHits {
+		t.Fatalf("the watch built %d selections; the overlapping one-shot built %d and read %d memos, want 0 built",
+			before.Selections, after.Selections-before.Selections, after.SelectionHits-before.SelectionHits)
 	}
 }
 

@@ -192,8 +192,9 @@ type MetricsReport struct {
 	Cluster simcost.Snapshot `json:"cluster"`
 	// Scan is the decoded-block cache: hit/miss counters, unheld
 	// bytes against the -cache-bytes budget, how many cold misses the
-	// persistent columnar sidecars served (or failed to serve), and the
-	// blocks runs and watches hold, outside the budget.
+	// persistent columnar sidecars served (or failed to serve), the
+	// blocks runs and watches hold, outside the budget, and the filter
+	// selections memoized on cached blocks.
 	Scan ScanCacheStats `json:"scanCache"`
 	// Journal is the dfs commit-journal health snapshot: committed
 	// records, journal bytes, active snapshot pins, and — when the
@@ -219,6 +220,10 @@ type ScanCacheStats struct {
 	Held      int   `json:"held"`
 	HeldBytes int64 `json:"heldBytes"`
 	Recycled  int64 `json:"recycled"`
+	// Filter selections built and memoized on a cached block, and pool
+	// fills a memo served; their bytes are inside bytes and heldBytes.
+	Selections    int64 `json:"selections"`
+	SelectionHits int64 `json:"selectionHits"`
 }
 
 // QueryCost is the accumulated cost of all executions of one query key.
@@ -807,6 +812,7 @@ func (s *Server) Metrics() MetricsReport {
 			Bytes: cs.Bytes, MaxBytes: cs.MaxBytes, Blocks: cs.Blocks,
 			SidecarReads: cs.SidecarReads, SidecarErrors: cs.SidecarErrors,
 			Held: cs.Held, HeldBytes: cs.HeldBytes, Recycled: cs.Recycled,
+			Selections: cs.Selections, SelectionHits: cs.SelectionHits,
 		}
 	}
 	s.mu.Lock()
