@@ -554,10 +554,8 @@ func estimateNReplicate(segs []segment, bs []int, cfgs []Config, r, par int) ([]
 		return nil, err
 	}
 	points := make([][]CurvePoint, len(cfgs))
-	for i, seg := range segs {
-		// The maintainer is read once more after its last point and then
-		// dropped, so that point need not prepare a next generation.
-		if err := maint.GrowRanked(seg.delta, seg.rank, i == len(segs)-1); err != nil {
+	for _, seg := range segs {
+		if err := maint.GrowRanked(seg.delta, seg.rank); err != nil {
 			return nil, err
 		}
 		for s := range cfgs {

@@ -109,6 +109,11 @@ func (l *Loader) Load(patterns []string, tests bool) ([]*Package, error) {
 			augmented = map[string]*types.Package{path: tp.Types}
 		}
 		if len(lp.XTestGoFiles) > 0 {
+			if augmented != nil {
+				if err := l.testVariants(path, augmented, lp.XTestImports); err != nil {
+					return nil, err
+				}
+			}
 			xp, err := l.check(path+"_test", lp.Name+"_test", lp.Dir, lp.XTestGoFiles, augmented)
 			if err != nil {
 				return nil, err
@@ -118,6 +123,45 @@ func (l *Loader) Load(patterns []string, tests bool) ([]*Package, error) {
 		}
 	}
 	return out, nil
+}
+
+// testVariants re-checks against path's test-augmented package,
+// variants[path], every module package the external test's imports
+// reach that imports path, directly or not — what go test builds as
+// "d [path.test]" — and adds it to variants, so the test sees one type
+// whether it names it itself or through such a package.
+func (l *Loader) testVariants(path string, variants map[string]*types.Package, imports []string) error {
+	reaches := map[string]bool{path: true}
+	var visit func(p string) (bool, error)
+	visit = func(p string) (bool, error) {
+		lp, ok := l.listed[p]
+		if _, done := reaches[p]; done || !ok || lp.Standard {
+			return reaches[p], nil
+		}
+		reaches[p] = false // a cycle is go list's to report
+		for _, imp := range lp.Imports {
+			r, err := visit(imp)
+			if err != nil {
+				return false, err
+			}
+			reaches[p] = reaches[p] || r
+		}
+		if !reaches[p] {
+			return false, nil
+		}
+		vp, err := l.check(p, lp.Name, lp.Dir, lp.GoFiles, variants)
+		if err != nil {
+			return false, err
+		}
+		variants[p] = vp.Types
+		return true, nil
+	}
+	for _, imp := range imports {
+		if _, err := visit(imp); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // list runs `go list -json -deps` and records every listed package,

@@ -12,6 +12,11 @@
 //     y maximising expected saved work P(X=y)·y lets EARL compute a
 //     shared block of each resample once and reuse it.
 //
+// A generation is built when the next grow reads it: a grow leaves each
+// resample's draws from Δs pending, and the next grow first builds their
+// part, the cache over Δs and the reshuffles — the same rng calls in the
+// same order — so no maintainer builds a generation it never grows past.
+//
 // The B resamples are mutually independent, so each owns its own rng
 // stream (derived deterministically from Config.Seed) and its own
 // sketches; Grow shards the per-resample update work across a worker
@@ -94,12 +99,13 @@ func RetainedSize(rng *rand.Rand, n, nPrime int) (int, error) {
 // Most maintainers fold one statistic. SSABE's phase 2 folds every
 // statistic of a query from one maintainer: each statistic s reads the
 // first B_s resamples, the maintainer holds max B_s, and resample i's
-// rng work — the binomial resize, its deletes and cache adds, the Δs
-// draws, the new part and cache — is done once for all the statistics
-// with i < B_s. Each statistic's states end exactly as they would in a
-// maintainer of its own with the same seed, since a resample's stream
-// depends on neither the reducer nor B; and each is charged the state
-// operations and sketch I/O its own maintainer would have been.
+// rng work — the last generation's part and cache, the binomial resize,
+// its deletes and cache adds, the Δs draws — is done once for all the
+// statistics with i < B_s. Each statistic's states end exactly as they
+// would in a maintainer of its own with the same seed, since a
+// resample's stream depends on neither the reducer nor B; and each is
+// charged the state operations and sketch I/O its own maintainer would
+// have been.
 type Maintainer struct {
 	stats   []stat
 	b       int // resamples held: the largest statistic's B
@@ -123,8 +129,7 @@ type Maintainer struct {
 	rebuilds  atomic.Int64 // states rebuilt because Remove was unsupported
 	updates   atomic.Int64 // state add/remove operations performed (work measure)
 
-	generation int
-	final      bool // a final GrowRanked has run: the sketches are a generation behind
+	newest []float64 // a copy of the last grow's Δs, which the next grow builds caches over
 }
 
 // Stat is one statistic a Maintainer folds its resamples into: the
@@ -171,6 +176,7 @@ type resample struct {
 	parts    []*sketch.Part  // parts[k] = b_Δs(k+1)
 	partTree stats.Fenwick   // Fenwick over parts[k].Size(), kept in lockstep
 	caches   []*sketch.Cache // caches[k] = this resample's sketch(Δs_(k+1))
+	drawn    []float64       // the newest generation's draws, pending: the next grow builds their part
 	// io collects the sketch I/O of the resample's parts and caches until
 	// chargeIO moves it to the cost metrics, once per reader.
 	io simcost.Metrics
@@ -178,17 +184,14 @@ type resample struct {
 
 // growScratch is the per-worker scratch state of a Grow pass: reusable
 // buffers for a generation's collected deletes and adds, so the
-// per-resample-per-generation `make` churn disappears. A resample's
-// draws from the new generation get a buffer per lane of the group:
-// they are folded only once the whole group has drawn, and read again
-// after that to build the resample's new part. Under a ranking with no
-// universe the draws are also counted by rank here, and a resample's
-// counts are folded into every counted statistic before the next one
-// draws.
+// per-resample-per-generation `make` churn disappears, and the group's
+// draws from the new generation, which are folded only once the whole
+// group has drawn. Under a ranking with no universe the draws are also
+// counted by rank here, and a resample's counts are folded into every
+// counted statistic before the next one draws.
 type growScratch struct {
 	dels   pool.Floats
 	adds   pool.Floats
-	fills  [growLanes]pool.Floats
 	draws  [growLanes][]float64
 	states [growLanes]mr.State
 	counts []uint32 // per distinct value of Δs; zero between resamples
@@ -268,9 +271,6 @@ func (m *Maintainer) B() int { return m.b }
 // N returns the current sample size.
 func (m *Maintainer) N() int { return m.n }
 
-// Generation returns how many Grow calls have been applied.
-func (m *Maintainer) Generation() int { return m.generation }
-
 // Rebuilds reports how many times a state had to be rebuilt from scratch
 // because its reducer does not support Remove.
 func (m *Maintainer) Rebuilds() int { return int(m.rebuilds.Load()) }
@@ -303,7 +303,7 @@ func (m *Maintainer) chargeIO(r *resample, times int64) {
 // growLanes. One sort of Δs (mr.Rank) serves every resample of every
 // statistic whose reducer takes its batches in any order.
 func (m *Maintainer) Grow(deltaSample []float64) error {
-	return m.GrowRanked(deltaSample, mr.Rank(m.ranker, deltaSample), false)
+	return m.GrowRanked(deltaSample, mr.Rank(m.ranker, deltaSample))
 }
 
 // GrowRanked is Grow for a caller that ranked Δs itself — SSABE, whose
@@ -315,20 +315,8 @@ func (m *Maintainer) Grow(deltaSample []float64) error {
 // index of deltaSample[j] in it. It is only read, so one ranking may
 // serve maintainers growing concurrently.
 //
-// final marks a maintainer that will not grow again — SSABE's throwaway
-// ones, read once at their last curve point. The states take the
-// iteration exactly as under Grow (same draws, same arithmetic, same
-// charge), but the new generation's part and cache and the
-// end-of-iteration reshuffles, which only prepare the next Grow, are
-// not built. Afterwards Results, CV and Updates stand; a further grow
-// returns an error and ResampleSizes no longer counts the last
-// generation.
-//
 // A statistic's fold failing fails the grow with a *StatError.
-func (m *Maintainer) GrowRanked(deltaSample []float64, rk *mr.Ranking, final bool) error {
-	if m.final {
-		return errors.New("delta: Grow after a final grow")
-	}
+func (m *Maintainer) GrowRanked(deltaSample []float64, rk *mr.Ranking) error {
 	if len(deltaSample) == 0 {
 		return errors.New("delta: empty delta sample")
 	}
@@ -338,11 +326,7 @@ func (m *Maintainer) GrowRanked(deltaSample []float64, rk *mr.Ranking, final boo
 	if m.universe != nil && (rk == nil || !slices.Equal(rk.Distinct, m.universe)) {
 		return errors.New("delta: the ranking does not index the maintainer's universe")
 	}
-	// Parts and sketch caches retain Δs; a final generation builds neither.
-	ds := deltaSample
-	if !final {
-		ds = append([]float64(nil), deltaSample...)
-	}
+	ds := slices.Clone(deltaSample)
 	nPrime := m.n + len(ds)
 
 	first := m.n == 0
@@ -376,7 +360,7 @@ func (m *Maintainer) GrowRanked(deltaSample []float64, rk *mr.Ranking, final boo
 		return func(g int) error {
 			lo := g * group
 			hi := min(lo+group, m.b)
-			if err := m.growGroup(lo, m.resamples[lo:hi], nPrime, ds, rk, scratch, final, first); err != nil {
+			if err := m.growGroup(lo, m.resamples[lo:hi], nPrime, ds, rk, scratch, first); err != nil {
 				return fmt.Errorf("delta: resamples %d-%d: %w", lo, hi-1, err)
 			}
 			return nil
@@ -387,8 +371,7 @@ func (m *Maintainer) GrowRanked(deltaSample []float64, rk *mr.Ranking, final boo
 	}
 	m.genTree.Append(int64(len(ds)))
 	m.n = nPrime
-	m.generation++
-	m.final = final
+	m.newest = ds
 	return nil
 }
 
@@ -398,8 +381,9 @@ func (m *Maintainer) GrowRanked(deltaSample []float64, rk *mr.Ranking, final boo
 // charge (sketches are kept for *future* iterations, when Δs₁ has been
 // spilled). Per resample the rng draw sequence is identical item for
 // item to the historical one-Update-per-item implementation — the
-// binomial resize, its deletes or adds, the draws from Δs, then the new
-// part and cache — and so is the order each statistic's state sees
+// previous generation's part and cache, the binomial resize, its deletes
+// or adds, then the draws from Δs, which stay pending for the next
+// grow's build — and so is the order each statistic's state sees
 // values in; only the *state* application is batched: deletes and adds
 // in one interface call each, and the Δs draws of the whole group in
 // one mr.UpdateLanes per statistic between the two per-resample passes
@@ -414,18 +398,22 @@ func (m *Maintainer) GrowRanked(deltaSample []float64, rk *mr.Ranking, final boo
 // the group's first resample.
 //
 //earl:hotpath
-func (m *Maintainer) growGroup(lo int, rs []*resample, nPrime int, ds []float64, rk *mr.Ranking, scratch *growScratch, final, first bool) error {
+func (m *Maintainer) growGroup(lo int, rs []*resample, nPrime int, ds []float64, rk *mr.Ranking, scratch *growScratch, first bool) error {
 	draws := scratch.draws[:len(rs)]
 	for k, r := range rs {
 		keep := 0
 		if !first {
+			if err := m.buildGeneration(r); err != nil {
+				return err
+			}
 			var err error
 			if keep, err = m.resizeResample(lo+k, r, nPrime, scratch); err != nil {
 				return err
 			}
 		}
 		// Fill to n′ with draws from Δs (the new generation) — memory-
-		// resident this iteration, so drawn directly.
+		// resident this iteration, so drawn directly, into the buffer
+		// the generation's part will own.
 		fill := nPrime - keep
 		// Under a universe the draws are counted into the resample's own
 		// counts, which are kept; otherwise into the worker's scratch,
@@ -434,7 +422,8 @@ func (m *Maintainer) growGroup(lo int, rs []*resample, nPrime int, ds []float64,
 		if counts == nil {
 			counts = scratch.counts
 		}
-		draws[k] = drawDelta(r.src, ds, rk, counts, scratch.fills[k].Take(fill), fill)
+		r.drawn = drawDelta(r.src, ds, rk, counts, sketch.PartBuffer(fill, m.c), fill)
+		draws[k] = r.drawn
 		if rk == nil || r.counts != nil {
 			continue
 		}
@@ -457,13 +446,8 @@ func (m *Maintainer) growGroup(lo int, rs []*resample, nPrime int, ds []float64,
 			return &StatError{Stat: s, Err: err}
 		}
 	}
-	for k, r := range rs {
-		m.charge(r.readers * int64(len(draws[k])))
-		if !final {
-			if err := m.endIteration(r, draws[k], ds); err != nil {
-				return err
-			}
-		}
+	for _, r := range rs {
+		m.charge(r.readers * int64(len(r.drawn)))
 		m.chargeIO(r, r.readers)
 	}
 	return nil
@@ -557,18 +541,18 @@ func drawDelta(src *stats.PCG, ds []float64, rk *mr.Ranking, counts []uint32, it
 	return items
 }
 
-// endIteration closes a resample's generation: its new part over the
-// items it drew from Δs, its cache over Δs for future random adds, and
-// the end-of-iteration sketch bookkeeping. Note the cost-model
-// consequence of per-resample caches: each gets its initial c·√|Δs|
-// prefetch free (Δs is memory-resident this iteration for every
+// buildGeneration closes a resample's pending generation when the next
+// grow reads it: its new part, which takes over the draws, its cache over
+// Δs for future random adds, and the end-of-iteration sketch bookkeeping.
+// Note the cost-model consequence of per-resample caches: each gets its
+// initial c·√|Δs| prefetch free (Δs was memory-resident for every
 // resample alike), so the charged refills of the old one-shared-cache
-// layout largely disappear — the modeled disk cost of the optimized
-// path drops accordingly.
-func (m *Maintainer) endIteration(r *resample, items, ds []float64) error {
-	r.parts = append(r.parts, sketch.NewPart(items, m.c, r.rng, &r.io))
-	r.partTree.Append(int64(len(items)))
-	cache, err := sketch.NewCache(ds, m.c, r.rng, &r.io)
+// layout largely disappear — the modeled disk cost drops accordingly.
+func (m *Maintainer) buildGeneration(r *resample) error {
+	r.parts = append(r.parts, sketch.NewPart(r.drawn, m.c, r.rng, &r.io))
+	r.partTree.Append(int64(len(r.drawn)))
+	r.drawn = nil
+	cache, err := sketch.NewCache(m.newest, m.c, r.rng, &r.io)
 	if err != nil {
 		return err
 	}
@@ -761,22 +745,12 @@ func (m *Maintainer) ResultsOf(s int) ([]float64, error) {
 	return out, nil
 }
 
-// CV finalizes statistic 0's resamples and returns the coefficient of
-// variation of its result distribution — EARL's error measure.
-func (m *Maintainer) CV() (float64, error) {
-	vals, err := m.Results()
-	if err != nil {
-		return 0, err
-	}
-	return stats.CV(vals)
-}
-
 // ResampleSizes returns each resample's current item count (each should
-// equal N); exposed for invariant tests.
+// equal N), its pending draws included; exposed for invariant tests.
 func (m *Maintainer) ResampleSizes() []int {
 	out := make([]int, len(m.resamples))
 	for i, r := range m.resamples {
-		n := 0
+		n := len(r.drawn)
 		for _, p := range r.parts {
 			n += p.Size()
 		}

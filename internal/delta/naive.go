@@ -113,14 +113,5 @@ func (m *NaiveMaintainer) Results() ([]float64, error) {
 	return append([]float64(nil), m.values...), nil
 }
 
-// CV returns the coefficient of variation of the result distribution.
-func (m *NaiveMaintainer) CV() (float64, error) {
-	vals, err := m.Results()
-	if err != nil {
-		return 0, err
-	}
-	return stats.CV(vals)
-}
-
 // bytesPerItem mirrors the sketch package's record size for charging.
 const bytesPerItem = 8

@@ -90,13 +90,11 @@ func TestGrowPinnedAcrossGroupingAndParallelism(t *testing.T) {
 
 // TestGrowRankedEqualsGrow: a schedule grown through GrowRanked — handed
 // mr.Rank of each Δs, or nil (fold in draw order, even for a reducer
-// Grow would rank for), and ending with a final grow or not — leaves,
-// after every generation, the same results bit for bit, the same work
-// count and the same modelled cost as the schedule grown through Grow.
-// A final grow only skips preparing a generation that never comes, and
-// the maintainer refuses to grow after it. The reducers are a lane
-// reducer Rank refuses (mean), two quantiles it ranks, and a median over
-// +0 beside −0, which it refuses too.
+// Grow would rank for) — leaves, after every generation, the same
+// results bit for bit, the same work count and the same modelled cost
+// as the schedule grown through Grow. The reducers are a lane reducer
+// Rank refuses (mean), two quantiles it ranks, and a median over +0
+// beside −0, which it refuses too.
 func TestGrowRankedEqualsGrow(t *testing.T) {
 	for _, c := range []struct{ name, data string }{
 		{"mean", "zipf"}, {"median", "zipf"}, {"p95", "gaussian"}, {"median", "signed-zeros"},
@@ -110,15 +108,15 @@ func TestGrowRankedEqualsGrow(t *testing.T) {
 			updates int64
 			cost    simcost.Snapshot
 		}
-		schedule := func(par, gens int, grow func(m *Maintainer, gi int, ds []float64) error) ([]gen, *Maintainer) {
+		schedule := func(par int, grow func(m *Maintainer, ds []float64) error) []gen {
 			metrics := &simcost.Metrics{}
 			m, err := New(Config{Reducer: job.Reducer, B: 19, Seed: 77, Metrics: metrics, Parallelism: par})
 			if err != nil {
 				t.Fatal(err)
 			}
 			var out []gen
-			for gi := 0; gi < gens; gi++ {
-				if err := grow(m, gi, rankedDelta(c.data, gi, 300<<gi)); err != nil {
+			for gi := 0; gi < 4; gi++ {
+				if err := grow(m, rankedDelta(c.data, gi, 300<<gi)); err != nil {
 					t.Fatal(err)
 				}
 				vals, err := m.Results()
@@ -127,46 +125,27 @@ func TestGrowRankedEqualsGrow(t *testing.T) {
 				}
 				out = append(out, gen{vals, m.Updates(), metrics.Snapshot()})
 			}
-			return out, m
+			return out
 		}
-		want, _ := schedule(1, 4, func(m *Maintainer, _ int, ds []float64) error { return m.Grow(ds) })
+		want := schedule(1, func(m *Maintainer, ds []float64) error { return m.Grow(ds) })
 		for _, par := range []int{1, 3} {
 			for _, ranked := range []bool{true, false} {
-				// Four generations, none final; one, final (the first
-				// grow's path); four, the last final.
-				for _, run := range []struct {
-					gens  int
-					final bool
-				}{{4, false}, {1, true}, {4, true}} {
-					where := fmt.Sprintf("%s/%s par=%d ranked=%v %+v", c.name, c.data, par, ranked, run)
-					got, m := schedule(par, run.gens, func(m *Maintainer, gi int, ds []float64) error {
-						var rk *mr.Ranking
-						if ranked {
-							rk = mr.Rank(job.Reducer, ds)
-						}
-						return m.GrowRanked(ds, rk, run.final && gi == run.gens-1)
-					})
-					for gi := range got {
-						for i := range want[gi].vals {
-							if math.Float64bits(got[gi].vals[i]) != math.Float64bits(want[gi].vals[i]) {
-								t.Fatalf("%s gen %d: Results()[%d] = %v, %v under Grow", where, gi, i, got[gi].vals[i], want[gi].vals[i])
-							}
-						}
-						if got[gi].updates != want[gi].updates || got[gi].cost != want[gi].cost {
-							t.Fatalf("%s gen %d: updates %d cost %+v, %d %+v under Grow", where, gi, got[gi].updates, got[gi].cost, want[gi].updates, want[gi].cost)
+				where := fmt.Sprintf("%s/%s par=%d ranked=%v", c.name, c.data, par, ranked)
+				got := schedule(par, func(m *Maintainer, ds []float64) error {
+					var rk *mr.Ranking
+					if ranked {
+						rk = mr.Rank(job.Reducer, ds)
+					}
+					return m.GrowRanked(ds, rk)
+				})
+				for gi := range got {
+					for i := range want[gi].vals {
+						if math.Float64bits(got[gi].vals[i]) != math.Float64bits(want[gi].vals[i]) {
+							t.Fatalf("%s gen %d: Results()[%d] = %v, %v under Grow", where, gi, i, got[gi].vals[i], want[gi].vals[i])
 						}
 					}
-					if m.N() != 300<<run.gens-300 || m.Generation() != run.gens {
-						t.Fatalf("%s: N=%d Generation=%d", where, m.N(), m.Generation())
-					}
-					if !run.final {
-						continue
-					}
-					if err := m.Grow(sampleData(10, 1)); err == nil {
-						t.Fatalf("%s: Grow after a final grow succeeded", where)
-					}
-					if err := m.GrowRanked(sampleData(10, 1), nil, true); err == nil {
-						t.Fatalf("%s: a final grow after a final grow succeeded", where)
+					if got[gi].updates != want[gi].updates || got[gi].cost != want[gi].cost {
+						t.Fatalf("%s gen %d: updates %d cost %+v, %d %+v under Grow", where, gi, got[gi].updates, got[gi].cost, want[gi].updates, want[gi].cost)
 					}
 				}
 			}
@@ -182,7 +161,7 @@ func TestGrowRankedRejectsAMismatchedRanking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.GrowRanked(sampleData(20, 1), mr.Rank(red, sampleData(19, 1)), false); err == nil {
+	if err := m.GrowRanked(sampleData(20, 1), mr.Rank(red, sampleData(19, 1))); err == nil {
 		t.Fatal("GrowRanked accepted a ranking of 19 values for a Δs of 20")
 	}
 }

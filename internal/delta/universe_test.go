@@ -63,11 +63,11 @@ func TestUniverseMaintainerEqualsRankedSegments(t *testing.T) {
 			lo := 0
 			for i := 1; i <= 5; i++ {
 				hi := len(pilot) >> (5 - i)
-				seg, final := pilot[lo:hi], i == 5
-				if err := want.GrowRanked(seg, mr.Rank(p50.Reducer, seg), final); err != nil {
+				seg := pilot[lo:hi]
+				if err := want.GrowRanked(seg, mr.Rank(p50.Reducer, seg)); err != nil {
 					t.Fatal(err)
 				}
-				if err := got.GrowRanked(seg, &mr.Ranking{Distinct: rk.Distinct, Of: rk.Of[lo:hi]}, final); err != nil {
+				if err := got.GrowRanked(seg, &mr.Ranking{Distinct: rk.Distinct, Of: rk.Of[lo:hi]}); err != nil {
 					t.Fatalf("%s segment %d: %v", where, i, err)
 				}
 				for s := range 1 + len(more) {
@@ -110,8 +110,8 @@ func TestUniverseMaintainerEqualsRankedSegments(t *testing.T) {
 		name string
 		grow func(*Maintainer) error
 	}{
-		{"the segment's own ranking", func(m *Maintainer) error { return m.GrowRanked(seg, mr.Rank(p50.Reducer, seg), false) }},
-		{"no ranking", func(m *Maintainer) error { return m.GrowRanked(seg, nil, false) }},
+		{"the segment's own ranking", func(m *Maintainer) error { return m.GrowRanked(seg, mr.Rank(p50.Reducer, seg)) }},
+		{"no ranking", func(m *Maintainer) error { return m.GrowRanked(seg, nil) }},
 		{"Grow", func(m *Maintainer) error { return m.Grow(seg) }},
 	} {
 		m, err := New(Config{Reducer: p50.Reducer, B: 4, Seed: 1, Universe: rk.Distinct})

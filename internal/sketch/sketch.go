@@ -15,7 +15,6 @@ package sketch
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand/v2"
 
@@ -32,6 +31,15 @@ var ErrEmpty = errors.New("sketch: no items remain")
 // bytesPerItem is the charged size of one float64 record on disk.
 const bytesPerItem = 8
 
+// sketchLen is c·√n rounded up: the sketch size of n items under the
+// sketch constant c (DefaultC if <= 0).
+func sketchLen(c float64, n int) int {
+	if c <= 0 {
+		c = DefaultC
+	}
+	return int(math.Ceil(c * math.Sqrt(float64(n))))
+}
+
 // Part is one resample partition b_Δsk: the multiset of items a resample
 // drew from delta-generation k. It supports uniform random deletion
 // without replacement (served from the in-memory sketch region) and
@@ -46,23 +54,13 @@ type Part struct {
 	refreshes int
 }
 
-// NewPart builds a partition over the given items (the slice is copied,
-// with c·√n capacity slack so the ±σ₀ < √n adds of a maintenance
-// iteration land in place instead of reallocating the backing array).
-// c is the sketch constant (DefaultC if <= 0); metrics may be nil.
+// NewPart builds a partition over items and takes ownership of them:
+// the part shuffles, deletes and appends in place, so the caller must
+// not touch the slice again. A buffer from PartBuffer has the room for
+// a maintenance iteration's adds. c is the sketch constant (DefaultC if
+// <= 0); metrics may be nil.
 func NewPart(items []float64, c float64, rng *rand.Rand, metrics *simcost.Metrics) *Part {
-	if c <= 0 {
-		c = DefaultC
-	}
-	slack := int(math.Ceil(c*math.Sqrt(float64(len(items))))) + 4
-	buf := make([]float64, len(items), len(items)+slack)
-	copy(buf, items)
-	p := &Part{
-		items:   buf,
-		c:       c,
-		rng:     rng,
-		metrics: metrics,
-	}
+	p := &Part{items: items, c: c, rng: rng, metrics: metrics}
 	// The initial sketch rides along with the data that produced the
 	// partition (it is in memory already when the resample is built), so
 	// no I/O charge here.
@@ -70,17 +68,15 @@ func NewPart(items []float64, c float64, rng *rand.Rand, metrics *simcost.Metric
 	return p
 }
 
-func (p *Part) sketchSize() int {
-	n := len(p.items)
-	if n == 0 {
-		return 0
-	}
-	s := int(math.Ceil(p.c * math.Sqrt(float64(n))))
-	if s > n {
-		s = n
-	}
-	return s
+// PartBuffer returns an empty buffer for the n items of a part to come:
+// its c·√n capacity slack lets the ±σ₀ < √n adds of a maintenance
+// iteration land in place instead of reallocating the backing array. c
+// is the sketch constant (DefaultC if <= 0).
+func PartBuffer(n int, c float64) []float64 {
+	return make([]float64, 0, n+sketchLen(c, n)+4)
 }
+
+func (p *Part) sketchSize() int { return min(sketchLen(p.c, len(p.items)), len(p.items)) }
 
 // shuffleSketch makes items[:sketchSize] a uniform random subset in
 // random order by a partial Fisher–Yates pass.
@@ -154,11 +150,6 @@ func (p *Part) Items() []float64 {
 	return append([]float64(nil), p.items...)
 }
 
-// String describes the part.
-func (p *Part) String() string {
-	return fmt.Sprintf("part(n=%d, sketch=%d, refreshes=%d)", len(p.items), p.sketchEnd, p.refreshes)
-}
-
 // Cache serves with-replacement random draws from a backing data set
 // (a delta sample Δs_k) through a prefetched sketch: sketch(Δs_k) in the
 // paper. Draw cost is memory-only until the prefetched batch is used up;
@@ -180,19 +171,13 @@ func NewCache(backing []float64, c float64, rng *rand.Rand, metrics *simcost.Met
 	if len(backing) == 0 {
 		return nil, ErrEmpty
 	}
-	if c <= 0 {
-		c = DefaultC
-	}
 	cc := &Cache{backing: backing, c: c, rng: rng, metrics: metrics}
 	cc.fill(false)
 	return cc, nil
 }
 
 func (c *Cache) fill(charge bool) {
-	k := int(math.Ceil(c.c * math.Sqrt(float64(len(c.backing)))))
-	if k < 1 {
-		k = 1
-	}
+	k := max(sketchLen(c.c, len(c.backing)), 1)
 	if cap(c.buf) < k {
 		c.buf = make([]float64, k)
 	}

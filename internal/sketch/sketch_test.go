@@ -22,6 +22,7 @@ func seq(n int) []float64 {
 func TestPartDeleteAllReturnsExactMultiset(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	in := []float64{5, 5, 7, 9, 9, 9, 11}
+	want := append([]float64(nil), in...) // the part owns in from here on
 	p := NewPart(in, 2, rng, nil)
 	var out []float64
 	for p.Size() > 0 {
@@ -35,12 +36,27 @@ func TestPartDeleteAllReturnsExactMultiset(t *testing.T) {
 		t.Fatalf("err = %v, want ErrEmpty", err)
 	}
 	sort.Float64s(out)
-	want := append([]float64(nil), in...)
 	sort.Float64s(want)
 	for i := range want {
 		if out[i] != want[i] {
 			t.Fatalf("multiset mismatch: %v vs %v", out, want)
 		}
+	}
+}
+
+// TestPartOwnsItsBuffer: a part built over a PartBuffer keeps that
+// buffer as its storage, and a maintenance iteration's adds (up to
+// c·√n) land in its capacity without a reallocation.
+func TestPartOwnsItsBuffer(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	const n = 400
+	buf := append(PartBuffer(n, DefaultC), seq(n)...)
+	p := NewPart(buf, DefaultC, rng, nil)
+	for i := 0; i < int(DefaultC*math.Sqrt(n)); i++ {
+		p.Add(float64(n + i))
+	}
+	if &p.items[0] != &buf[0] {
+		t.Fatal("the part copied its items or reallocated them")
 	}
 }
 
