@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/colscan"
 	"repro/internal/dfs"
@@ -171,19 +172,6 @@ func (e errSource) DrawCols(int, *colscan.Cols) (int, error) { return 0, e.err }
 func (e errSource) Weight() int64                            { return 0 }
 func (e errSource) Release()                                 {}
 
-// postMapColsSource wraps the Algorithm 1 pooled sampler. The
-// pool-filling scan already charged every record as mapper input; draws
-// come from memory.
-type postMapColsSource struct{ s *sampling.PostMapCols }
-
-func (p postMapColsSource) DrawCols(k int, out *colscan.Cols) (int, error) {
-	return p.s.DrawCols(k, out)
-}
-
-func (p postMapColsSource) Weight() int64 { return int64(p.s.Total()) }
-
-func (p postMapColsSource) Release() { p.s.Release() }
-
 // xformColSource pushes a compiled plan into a sampling stream: draws
 // from the inner source are raw records, the program's vectorized
 // kernels filter/derive/label them, and only surviving transformed
@@ -258,10 +246,10 @@ func withPlan(inner RecordSource, prog *plan.Program, prefiltered bool) RecordSo
 // behaviour: the mapper fails, the run finishes on surviving data.
 //
 // A non-nil prog pushes the compiled plan into every stream: post-map
-// pools are filled through the vectorized σ kernel (only surviving
-// records of each cached decoded block are pooled — the block itself is
-// shared and never re-decoded or mutated), and every stream is wrapped
-// so draws deliver transformed post-filter records.
+// pools are filled through the vectorized σ kernel (a pool holds each
+// cached decoded block with the selection memoized on it — the block
+// and the memo are shared, never re-decoded or mutated), and every
+// stream is wrapped so draws deliver transformed post-filter records.
 func NewRecordSources(env *Env, path string, owned [][]dfs.Split, opts Options, seedSalt uint64, dec Decode, prog *plan.Program) ([]RecordSource, error) {
 	view := env.View()
 	var version, size int64
@@ -278,7 +266,6 @@ func NewRecordSources(env *Env, path string, owned [][]dfs.Split, opts Options, 
 	err := pool.ForEach(len(owned), len(owned), func(idx int) error {
 		if opts.Sampler == PostMapSampling {
 			pmap := sampling.NewPostMapCols(opts.Seed + seedSalt + uint64(idx)*7919)
-			pmap.ExpectBlocks(len(owned[idx]))
 			var keepSc *plan.Scratch
 			if prog != nil && prog.HasFilter() {
 				keepSc = plan.NewScratch()
@@ -300,12 +287,16 @@ func NewRecordSources(env *Env, path string, owned [][]dfs.Split, opts Options, 
 				// split to this mapper.
 				env.Metrics.Charge(simcost.Snapshot{RecordsRead: int64(blk.NumRecords())})
 				if keepSc != nil {
-					pmap.AddBlockKept(blk, prog.KeepBlock(keepSc, blk, nil))
+					kept := prog.KeepBlock(keepSc, blk, nil)
+					if dec.Parser != nil || env.Scan == nil {
+						kept = slices.Clone(kept) // keepSc's buffer: no memo
+					}
+					pmap.AddBlockKept(blk, kept)
 				} else {
 					pmap.AddBlock(blk)
 				}
 			}
-			sources[idx] = withPlan(postMapColsSource{s: pmap}, prog, keepSc != nil)
+			sources[idx] = withPlan(pmap, prog, keepSc != nil)
 			return nil
 		}
 		sampler, err := sampling.NewPreMapOwned(view, path, owned[idx], opts.Seed+seedSalt+uint64(idx)*104729)

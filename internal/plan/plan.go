@@ -330,7 +330,8 @@ func (p *Program) Apply(sc *Scratch, in *colscan.Cols, out *colscan.Cols, prefil
 // the block under σ's canonical text (Block.Selection): the first fill
 // of a block under a filter evaluates it, every later fill under any
 // spelling of that filter reads it. The result is read-only: a memo is
-// valid while b is held, any other result until sc's next KeepBlock.
+// valid while b is held (a post-map pool retains it), any other result
+// until sc's next KeepBlock.
 // dst is not used; it stays only because bench/replay.go passes one.
 func (p *Program) KeepBlock(sc *Scratch, b *colscan.Block, dst []int32) []int32 {
 	if p.filter == nil {

@@ -68,6 +68,3 @@ func (s *offsetSet) reserve(n int) {
 		s.slots[i] = key
 	}
 }
-
-// reset empties the set, keeping nothing.
-func (s *offsetSet) reset() { *s = offsetSet{} }

@@ -1,11 +1,12 @@
 package sampling
 
 import (
+	"math/bits"
 	"math/rand/v2"
 	"slices"
+	"sort"
 
 	"repro/internal/colscan"
-	"repro/internal/pool"
 )
 
 // PostMapCols implements the paper's Algorithm 1: the map side reads and
@@ -13,49 +14,38 @@ import (
 // uniform without-replacement subsets downstream until the error is low
 // enough. Compared to PreMap it pays the full load cost but knows the
 // exact record count, so result correction is exact (§3.3, §6.5). The
-// map-side scan decodes each split into one shared columnar block and
-// the pool is a flat slice of 8-byte (block, record) references; draws
-// are an incremental Fisher–Yates shuffle ("the key, value pairs already
-// sent are removed from the hashmap") that delivers parsed columns
-// straight to the engine's batch route.
+// pool is virtual, one span per decoded block, so a fill costs one
+// append per block. Draws are an incremental Fisher–Yates shuffle ("the
+// key, value pairs already sent are removed from the hashmap") that
+// stores only the positions a swap displaced: a stream costs O(draws),
+// whatever the pool's size, and delivers parsed columns.
 type PostMapCols struct {
 	blocks []*colscan.Block
-	refs   []colRef
-	expect int // blocks the fill will add, 0 if it did not say
+	spans  []span // spans[i] pools from blocks[i]
+	total  int
+	moved  displaced
 	drawn  int
 	rng    *rand.Rand
 }
 
-type colRef struct {
-	blk int32
-	rec int32
+// span is what a pool takes from one block: its records sel[0..] in
+// order, or every record when sel is nil; end is the pool position past
+// the last.
+type span struct {
+	sel []int32
+	end int
 }
-
-// refSpares holds released pools' refs arrays for the next fill.
-var refSpares pool.Spares[colRef]
 
 // NewPostMapCols builds an empty pool with its own seeded rng stream.
 func NewPostMapCols(seed uint64) *PostMapCols {
 	return &PostMapCols{rng: rand.New(rand.NewPCG(seed, 0x3c6ef372fe94f82b))}
 }
 
-// ExpectBlocks tells an empty pool how many blocks its fill is about to
-// add. The first of them then sizes the whole pool — the splits a
-// mapper owns are equal tiles of their segment, so blocks × the first
-// block's pooled count is what the fill ends near — and refs is
-// allocated once instead of regrown and re-copied as each block
-// arrives. An estimate that falls short grows like any append.
-func (s *PostMapCols) ExpectBlocks(n int) { s.expect = n }
-
 // AddBlock pools every record of one decoded split. Blocks are added
 // in split order before the first draw.
 func (s *PostMapCols) AddBlock(b *colscan.Block) {
-	bi := int32(len(s.blocks))
-	s.blocks = append(s.blocks, b)
-	refs := s.reserve(b.NumRecords())
-	for r := range refs {
-		refs[r] = colRef{blk: bi, rec: int32(r)}
-	}
+	s.total += b.NumRecords()
+	s.blocks, s.spans = append(s.blocks, b), append(s.spans, span{end: s.total})
 }
 
 // AddBlockKept pools only the given records (ascending indices into b)
@@ -63,72 +53,129 @@ func (s *PostMapCols) AddBlock(b *colscan.Block) {
 // pools the σ-surviving records of each cached block, so the pool IS
 // the filtered subpopulation and a fixed seed draws the same record
 // permutation as a pool built from a physically pre-filtered file.
-// kept is copied, not retained: it may be a selection memoized on the
-// shared block (plan.Program.KeepBlock), which no pool may hold.
+// kept is retained, not copied, and must stay unchanged while b is
+// held, as a memo of plan.Program.KeepBlock does: the cache never
+// writes a memo it published, not even one it displaced.
 func (s *PostMapCols) AddBlockKept(b *colscan.Block, kept []int32) {
-	bi := int32(len(s.blocks))
-	s.blocks = append(s.blocks, b)
-	refs := s.reserve(len(kept))
-	for i, r := range kept {
-		refs[i] = colRef{blk: bi, rec: r}
-	}
+	s.total += len(kept)
+	s.blocks, s.spans = append(s.blocks, b), append(s.spans, span{sel: kept, end: s.total})
 }
 
-// reserve extends refs by the n entries of the block just added, for
-// the caller to fill: capacity is taken once per block, not checked
-// once per record — and for every expected block at once on the first,
-// from a released pool's refs where one is large enough.
-func (s *PostMapCols) reserve(n int) []colRef {
-	at, room := len(s.refs), n
-	if len(s.blocks) == 1 {
-		if room = n * max(s.expect, 1); room > 0 {
-			s.refs, _ = refSpares.Take(room)
-			s.refs = s.refs[:0]
-		}
-	}
-	s.refs = slices.Grow(s.refs, room)[:at+n]
-	return s.refs[at:]
-}
+// Weight returns the number of records pooled.
+func (s *PostMapCols) Weight() int64 { return int64(s.total) }
 
-// Total returns the number of records pooled.
-func (s *PostMapCols) Total() int { return len(s.refs) }
-
-// Remaining returns how many pooled records have not been drawn yet.
-func (s *PostMapCols) Remaining() int { return len(s.refs) - s.drawn }
+// batch is how many draws DrawCols resolves per pass: a batch's
+// positions are all picked before any is located, and all located
+// before any record is gathered, so the random loads of a pass overlap.
+const batch = 64
 
 // DrawCols appends n records drawn uniformly without replacement to
 // out. It returns the number appended; fewer than n only with
 // ErrExhausted.
 func (s *PostMapCols) DrawCols(n int, out *colscan.Cols) (int, error) {
-	got := 0
-	for got < n {
-		if s.drawn >= len(s.refs) {
-			return got, ErrExhausted
+	want := min(max(n, 0), s.total-s.drawn)
+	s.moved.reserve(s.drawn + want)
+	var pos [batch]int
+	var recs [batch]int32
+	var blks [batch]*colscan.Block
+	for got := 0; got < want; got += batch {
+		k := min(batch, want-got)
+		// Incremental Fisher–Yates: positions [0, drawn) are the sample
+		// so far, and a uniform pick j from the suffix extends it. The
+		// prefix is never read again, so a swap records only what it
+		// leaves at j.
+		for i := range k {
+			j := s.drawn + s.rng.IntN(s.total-s.drawn)
+			pos[i] = s.moved.at(j)
+			s.moved.set(j, s.moved.at(s.drawn))
+			s.drawn++
 		}
-		// Incremental Fisher–Yates: the prefix [0, drawn) is the sample
-		// so far; one uniform pick from the suffix extends it.
-		j := s.drawn + s.rng.IntN(len(s.refs)-s.drawn)
-		s.refs[s.drawn], s.refs[j] = s.refs[j], s.refs[s.drawn]
-		ref := s.refs[s.drawn]
-		s.blocks[ref.blk].AppendCols(out, int(ref.rec))
-		s.drawn++
-		got++
+		for i, p := range pos[:k] {
+			blks[i], recs[i] = s.locate(p)
+		}
+		for i, b := range blks[:k] {
+			b.AppendCols(out, int(recs[i]))
+		}
 	}
-	return got, nil
+	if want < n {
+		return want, ErrExhausted
+	}
+	return want, nil
 }
 
-// Reset forgets draw state, restarting the without-replacement stream
-// over the same pool.
-func (s *PostMapCols) Reset() {
-	s.drawn = 0
+// locate resolves pool position p to its block and record, in the
+// first span ending past p.
+func (s *PostMapCols) locate(p int) (*colscan.Block, int32) {
+	i := sort.Search(len(s.spans), func(i int) bool { return s.spans[i].end > p })
+	b, sp := s.blocks[i], &s.spans[i]
+	if sp.sel == nil {
+		return b, int32(b.NumRecords() - (sp.end - p))
+	}
+	return b, sp.sel[len(sp.sel)-(sp.end-p)]
 }
 
-// Release ends the pool: it gives back its hold on every pooled block
-// and parks refs for the next pool's fill. Nothing may be drawn after.
+// Release ends the pool: it gives back its hold on every pooled block,
+// last first, so a scan cache too small for them all keeps the first
+// ones — what the next fill over these splits takes first. Nothing may
+// be drawn after.
 func (s *PostMapCols) Release() {
-	for _, b := range s.blocks {
+	for _, b := range slices.Backward(s.blocks) {
 		b.Release()
 	}
-	refSpares.Put(s.refs)
-	s.blocks, s.refs, s.drawn = nil, nil, 0
+	*s = PostMapCols{rng: s.rng}
+}
+
+// displaced is the shuffle's sparse state: each position a swap moved
+// another position's record to, with that position. A position it does
+// not hold holds its own record. Like offsetSet it is a flat
+// open-addressed table kept at most half full; a slot packs position+1
+// (0 is empty) over the value, so a pool holds fewer than 2³² records.
+type displaced struct {
+	slots []uint64
+	shift uint // 64 − log2(len(slots))
+}
+
+// displacedMinSlots (2¹²) is the first table's size: room for the
+// couple of thousand draws a post-map run makes from one pool.
+const displacedMinSlots = 1 << 12
+
+// find returns the slot holding position p, or the empty one it would
+// take: a multiplicative (Fibonacci) hash, then a linear probe.
+func (d *displaced) find(p int) int {
+	key, mask := uint64(p+1), len(d.slots)-1
+	i := int(key * 0x9e3779b97f4a7c15 >> d.shift)
+	for d.slots[i] != 0 && d.slots[i]>>32 != key {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// at returns the position whose record sits at position p.
+func (d *displaced) at(p int) int {
+	if e := d.slots[d.find(p)]; e != 0 {
+		return int(uint32(e))
+	}
+	return p
+}
+
+// set records that position v's record sits at position p.
+func (d *displaced) set(p, v int) {
+	d.slots[d.find(p)] = uint64(p+1)<<32 | uint64(uint32(v))
+}
+
+// reserve makes room for n entries (a stream of n draws sets at most
+// n), growing the table at most once:
+// into the smallest power of two of at least 2n slots.
+func (d *displaced) reserve(n int) {
+	if 2*n <= len(d.slots) {
+		return
+	}
+	size := max(displacedMinSlots, 1<<bits.Len(uint(2*n-1)))
+	old := d.slots
+	d.slots, d.shift = make([]uint64, size), uint(64-bits.TrailingZeros(uint(size)))
+	for _, e := range old {
+		if e != 0 {
+			d.slots[d.find(int(e>>32)-1)] = e
+		}
+	}
 }

@@ -494,14 +494,6 @@ func (s *PreMap) Release() {
 // sampler owns are identical through either view.
 func (s *PreMap) Repin(v dfs.View) { s.fs = v }
 
-// Reset forgets everything sampled, restarting the without-replacement
-// stream (used between independent experiment repetitions).
-func (s *PreMap) Reset() {
-	s.taken.reset()
-	s.nTaken = 0
-	s.bytes = 0
-}
-
 // String describes the sampler state.
 func (s *PreMap) String() string {
 	return fmt.Sprintf("premap(%s: %d splits, %d taken)", s.path, len(s.splits), s.nTaken)

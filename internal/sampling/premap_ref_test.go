@@ -438,7 +438,7 @@ func TestOwnedSplitSearchesMatchLinearWalk(t *testing.T) {
 // FuzzOffsetSet drives the without-replacement set against the map it
 // replaced: a byte string read as a sequence of inserts (small offsets
 // that collide and repeat, large ones that exercise the hash's high
-// bits), reserves and resets.
+// bits), reserves and restarts from an empty set.
 func FuzzOffsetSet(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 3, 250, 7, 7})
 	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over, the quick brown fox"))
@@ -448,7 +448,7 @@ func FuzzOffsetSet(f *testing.F) {
 		for i, b := range ops {
 			switch {
 			case b == 255:
-				s.reset()
+				s = offsetSet{}
 				clear(ref)
 				continue
 			case b == 254:

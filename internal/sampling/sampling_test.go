@@ -206,18 +206,18 @@ func TestPreMapReadsFarLessThanFile(t *testing.T) {
 	}
 }
 
-func TestPreMapReset(t *testing.T) {
+// TestPreMapDrawsOnUntilExhausted: a stream drawn in two calls keeps
+// its without-replacement state across them, and the call that runs
+// past the file returns what was left with ErrExhausted.
+func TestPreMapDrawsOnUntilExhausted(t *testing.T) {
 	fsys, _, _ := fixtureFS(t, 100, false)
 	s, _ := NewPreMap(fsys, "/data", 1<<10, 11)
 	if _, err := s.Sample(50); err != nil {
 		t.Fatal(err)
 	}
-	s.Reset()
-	if s.Taken() != 0 {
-		t.Fatal("reset did not clear state")
-	}
-	if _, err := s.Sample(100); err != nil {
-		t.Fatalf("post-reset sample: %v", err)
+	recs, err := s.Sample(100)
+	if !errors.Is(err, ErrExhausted) || len(recs) != 50 || s.Taken() != 100 {
+		t.Fatalf("second draw = %d records (taken %d), %v; want the other 50, ErrExhausted", len(recs), s.Taken(), err)
 	}
 }
 
@@ -249,25 +249,31 @@ func indexPool(t testing.TB, seed uint64, n, perBlock int) *PostMapCols {
 func addIndexBlocks(t testing.TB, s *PostMapCols, from, n, perBlock int) {
 	t.Helper()
 	for lo := from; lo < n; lo += perBlock {
-		hi := min(lo+perBlock, n)
-		starts := make([]int64, hi-lo)
-		vals := make([]float64, hi-lo)
-		for i := range vals {
-			starts[i] = int64(2 * (lo + i))
-			vals[i] = float64(lo + i)
-		}
-		blk, err := colscan.NewBlock(colscan.FormatNumeric, starts, int64(2*hi-1), vals, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.AddBlock(blk)
+		s.AddBlock(indexBlock(t, lo, min(lo+perBlock, n)))
 	}
+}
+
+// indexBlock is a block of records lo..hi-1 whose values are their own
+// indices.
+func indexBlock(t testing.TB, lo, hi int) *colscan.Block {
+	t.Helper()
+	starts := make([]int64, hi-lo)
+	vals := make([]float64, hi-lo)
+	for i := range vals {
+		starts[i] = int64(2 * (lo + i))
+		vals[i] = float64(lo + i)
+	}
+	blk, err := colscan.NewBlock(colscan.FormatNumeric, starts, int64(2*hi-1), vals, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blk
 }
 
 func TestPostMapDrawWithoutReplacement(t *testing.T) {
 	s := indexPool(t, 3, 100, 30)
-	if s.Total() != 100 {
-		t.Fatalf("total = %d", s.Total())
+	if s.Weight() != 100 {
+		t.Fatalf("total = %d", s.Weight())
 	}
 	seen := map[float64]bool{}
 	for round := 0; round < 4; round++ {
@@ -285,45 +291,8 @@ func TestPostMapDrawWithoutReplacement(t *testing.T) {
 	if len(seen) != 100 {
 		t.Fatalf("drew %d distinct, want 100", len(seen))
 	}
-	if _, err := s.DrawCols(1, &colscan.Cols{}); !errors.Is(err, ErrExhausted) {
-		t.Fatalf("err = %v, want ErrExhausted", err)
-	}
-	s.Reset()
-	if s.Remaining() != 100 {
-		t.Fatal("reset did not restore pool")
-	}
-}
-
-// TestPostMapExpectBlocksReservesOnce: a pool told how many blocks are
-// coming takes its whole capacity at the first and never moves again,
-// an estimate that falls short still pools every record, and either way
-// the draws are those of a pool that was told nothing.
-func TestPostMapExpectBlocksReservesOnce(t *testing.T) {
-	const n, perBlock = 1000, 128 // 7 full blocks and a short one
-	told := NewPostMapCols(5)
-	told.ExpectBlocks(8)
-	addIndexBlocks(t, told, 0, perBlock, perBlock)
-	if cap(told.refs) < 8*perBlock {
-		t.Fatalf("capacity %d after the first of 8 blocks of %d", cap(told.refs), perBlock)
-	}
-	first := &told.refs[0]
-	addIndexBlocks(t, told, perBlock, n, perBlock)
-	if first != &told.refs[0] {
-		t.Fatal("the reserved pool was reallocated")
-	}
-	short := NewPostMapCols(5)
-	short.ExpectBlocks(2) // 8 arrive
-	addIndexBlocks(t, short, 0, n, perBlock)
-
-	var want colscan.Cols
-	if got, err := indexPool(t, 5, n, perBlock).DrawCols(n, &want); err != nil || got != n {
-		t.Fatalf("drew %d of %d: %v", got, n, err)
-	}
-	for name, s := range map[string]*PostMapCols{"told 8 of 8": told, "told 2 of 8": short} {
-		var cols colscan.Cols
-		if got, err := s.DrawCols(n, &cols); err != nil || got != n || !reflect.DeepEqual(cols, want) {
-			t.Fatalf("%s: drew %d of %d (%v), same sequence as an untold pool: %v", name, got, n, err, reflect.DeepEqual(cols, want))
-		}
+	if n, err := s.DrawCols(1, &colscan.Cols{}); n != 0 || !errors.Is(err, ErrExhausted) {
+		t.Fatalf("draw past the pool = %d, %v; want 0, ErrExhausted", n, err)
 	}
 }
 
