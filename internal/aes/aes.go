@@ -526,12 +526,20 @@ func cut(pilot []float64, red mr.IncrementalReducer, rk *mr.Ranking) []segment {
 	return segs
 }
 
+// stock holds the resample storage of finished phase-2 replicates, for
+// the next replicate — of any SSABE — to grow its generations into
+// instead of allocating and zeroing fresh buffers. It holds them only
+// weakly.
+var stock delta.Stock
+
 // estimateNReplicate runs one delta-maintained pass over the phase-2
 // growth schedule and returns, per statistic, the cv at each prefix
 // size. Replicate r owns a fixed seed offset, so the averaged curves are
 // deterministic. Segments that are views of the pilot's ranking give
 // the maintainer the pilot's distinct values as its universe: each
-// resample's counted statistics are one count vector over them.
+// resample's counted statistics are one count vector over them. The
+// maintainer builds on storage a finished replicate parked in stock,
+// and parks its own there when done.
 func estimateNReplicate(segs []segment, bs []int, cfgs []Config, r, par int) ([][]CurvePoint, error) {
 	more := make([]delta.Stat, 0, len(cfgs)-1)
 	for s, cfg := range cfgs[1:] {
@@ -541,7 +549,7 @@ func estimateNReplicate(segs []segment, bs []int, cfgs []Config, r, par int) ([]
 	if segs[0].view {
 		universe = segs[0].rank.Distinct
 	}
-	maint, err := delta.New(delta.Config{
+	maint, err := stock.New(delta.Config{
 		Reducer:     cfgs[0].Reducer,
 		B:           bs[0],
 		Seed:        cfgs[0].Seed + 1 + uint64(r)*0x9e37,
@@ -553,6 +561,7 @@ func estimateNReplicate(segs []segment, bs []int, cfgs []Config, r, par int) ([]
 	if err != nil {
 		return nil, err
 	}
+	defer maint.Release()
 	points := make([][]CurvePoint, len(cfgs))
 	for _, seg := range segs {
 		if err := maint.GrowRanked(seg.delta, seg.rank); err != nil {

@@ -126,6 +126,7 @@ func BenchmarkSSABE(b *testing.B) {
 				name = c.pilot + "/" + name
 			}
 			b.Run(fmt.Sprintf("%s/par=%d", name, par), func(b *testing.B) {
+				b.ReportAllocs()
 				for range b.N {
 					if _, err := PlanAll(pilot, 1_000_000, cfgs); err != nil {
 						b.Fatal(err)

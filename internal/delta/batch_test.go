@@ -1,7 +1,6 @@
 package delta
 
 import (
-	"math/rand/v2"
 	"runtime"
 	"testing"
 
@@ -18,8 +17,8 @@ import (
 // this pins that they are genuinely never returned, and that picks stay
 // proportional to part size.
 func TestPickPartWeightedSkipsEmptyParts(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	r := &resample{rng: rng}
+	rng := stats.NewPCG(3, 4)
+	r := &resample{src: rng}
 	sizes := []int{5, 0, 3, 0, 0, 2}
 	for _, n := range sizes {
 		items := make([]float64, n)
@@ -65,8 +64,8 @@ func TestPickPartWeightedSkipsEmptyParts(t *testing.T) {
 // TestPickPartWeightedAllEmpty covers the degenerate every-part-empty
 // case: the pick must report exhaustion, not loop or panic.
 func TestPickPartWeightedAllEmpty(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 6))
-	r := &resample{rng: rng}
+	rng := stats.NewPCG(5, 6)
+	r := &resample{src: rng}
 	r.parts = append(r.parts, sketch.NewPart(nil, 0, rng, nil))
 	r.partTree.Append(0)
 	if pi, p := pickPartWeighted(r); p != nil || pi != -1 {

@@ -130,6 +130,46 @@ type Maintainer struct {
 	updates   atomic.Int64 // state add/remove operations performed (work measure)
 
 	newest []float64 // a copy of the last grow's Δs, which the next grow builds caches over
+	stock  *Stock    // where Release parks the resamples; nil for a maintainer made by New
+}
+
+// Stock parks released maintainers' resamples, each maintainer's as one
+// unit — the buffers of its parts, caches and pending draws — for the
+// next maintainer it makes to grow its generations into. A unit is held
+// only weakly (pool.Spares): the next collection reclaims what no
+// maintainer claimed. A Stock is safe for concurrent use.
+type Stock struct{ units pool.Spares[*resample] }
+
+// New is delta.New for a maintainer whose first grow builds its
+// resamples on a parked unit, where there is one, and whose Release
+// parks them back.
+func (st *Stock) New(cfg Config, more ...Stat) (*Maintainer, error) {
+	m, err := New(cfg, more...)
+	if err != nil {
+		return nil, err
+	}
+	m.stock = st
+	return m, nil
+}
+
+// Release parks m's resamples in the Stock m was made from; m must not
+// be used afterwards. It does nothing for a maintainer made by New.
+func (m *Maintainer) Release() {
+	if m.stock == nil {
+		return
+	}
+	for _, r := range m.resamples {
+		// What it was lent becomes its spares; unlent spares are dropped.
+		clear(r.bufs[r.lent:])
+		r.bufs, r.lent = r.bufs[:r.lent], 0
+		clear(r.parts)
+		clear(r.caches)
+		r.parts, r.caches, r.drawn = r.parts[:0], r.caches[:0], nil
+		r.partTree.Reset()
+		r.io.Reset()
+	}
+	m.stock.units.Put(m.resamples)
+	m.resamples = nil
 }
 
 // Stat is one statistic a Maintainer folds its resamples into: the
@@ -162,14 +202,14 @@ func (e *StatError) Error() string { return e.Err.Error() }
 func (e *StatError) Unwrap() error { return e.Err }
 
 // resample is one of the maintained resamples. Each owns its rng stream
-// (one state, held as source and as *rand.Rand), its per-generation
+// (one state, held as a PCG and as *rand.Rand), its per-generation
 // sketches and a Fenwick tree over its part sizes, so growing it touches
 // no state shared with the other resamples (beyond read-only delta data
 // and the atomic cost counters) — the property the parallel Grow relies
 // on.
 type resample struct {
-	src      *stats.PCG      // the stream itself: a generation's draws from Δs, a block per call
-	rng      *rand.Rand      // rand.New(src): the binomial resize, sketch shuffles, weighted picks
+	src      *stats.PCG      // the stream itself: Δs draws, sketch shuffles and adds, weighted picks
+	rng      *rand.Rand      // rand.New(src): the binomial resize
 	states   []mr.State      // states[s]: statistic s's state, for each untallied s that reads this resample
 	counts   []uint32        // under a universe: the resample's items per universe value
 	readers  int64           // how many statistics read this resample
@@ -177,6 +217,8 @@ type resample struct {
 	partTree stats.Fenwick   // Fenwick over parts[k].Size(), kept in lockstep
 	caches   []*sketch.Cache // caches[k] = this resample's sketch(Δs_(k+1))
 	drawn    []float64       // the newest generation's draws, pending: the next grow builds their part
+	bufs     [][]float64     // [:lent] lent to its parts, caches and draws; [lent:] spares
+	lent     int
 	// io collects the sketch I/O of the resample's parts and caches until
 	// chargeIO moves it to the cost metrics, once per reader.
 	io simcost.Metrics
@@ -331,19 +373,33 @@ func (m *Maintainer) GrowRanked(deltaSample []float64, rk *mr.Ranking) error {
 
 	first := m.n == 0
 	if first {
-		m.resamples = make([]*resample, m.b)
-		for i := range m.resamples {
-			src := stats.SplitPCG(m.seed, seed2Base, i)
-			r := &resample{src: src, rng: rand.New(src), states: make([]mr.State, len(m.stats))}
-			if m.universe != nil {
-				r.counts = make([]uint32, len(m.universe))
+		// A maintainer from a stock builds on a parked unit, where there
+		// is one; either way each resample starts its own stream afresh.
+		if m.stock != nil {
+			m.resamples, _ = m.stock.units.Take(m.b)
+		} else {
+			m.resamples = make([]*resample, m.b)
+		}
+		for i, r := range m.resamples {
+			if r == nil {
+				r = &resample{}
+				m.resamples[i] = r
 			}
+			r.src = stats.SplitPCG(m.seed, seed2Base, i)
+			r.rng = rand.New(r.src)
+			r.states = make([]mr.State, len(m.stats))
+			if m.universe == nil {
+				r.counts = nil
+			} else {
+				r.counts = slices.Grow(r.counts[:0], len(m.universe))[:len(m.universe)]
+				clear(r.counts)
+			}
+			r.readers = 0
 			for _, st := range m.stats {
 				if i < st.b {
 					r.readers++
 				}
 			}
-			m.resamples[i] = r
 		}
 	}
 	// Full groups feed the lane kernels, but never at the price of a
@@ -373,6 +429,28 @@ func (m *Maintainer) GrowRanked(deltaSample []float64, rk *mr.Ranking) error {
 	m.n = nPrime
 	m.newest = ds
 	return nil
+}
+
+// buffer lends r an empty buffer with room for n items until m is
+// released: the smallest of r's spares with the room, or else a fresh
+// sketch.PartBuffer(n, m.c), which only a maintainer with a stock keeps.
+func (m *Maintainer) buffer(r *resample, n int) []float64 {
+	if m.stock == nil {
+		return sketch.PartBuffer(n, m.c)
+	}
+	best := -1
+	for i := r.lent; i < len(r.bufs); i++ {
+		if size := cap(r.bufs[i]); size >= n && (best < 0 || size < cap(r.bufs[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		best = len(r.bufs)
+		r.bufs = append(r.bufs, sketch.PartBuffer(n, m.c))
+	}
+	r.bufs[r.lent], r.bufs[best] = r.bufs[best], r.bufs[r.lent]
+	r.lent++
+	return r.bufs[r.lent-1][:0]
 }
 
 // growGroup applies one §4.1 maintenance step to a group of resamples
@@ -422,7 +500,7 @@ func (m *Maintainer) growGroup(lo int, rs []*resample, nPrime int, ds []float64,
 		if counts == nil {
 			counts = scratch.counts
 		}
-		r.drawn = drawDelta(r.src, ds, rk, counts, sketch.PartBuffer(fill, m.c), fill)
+		r.drawn = drawDelta(r.src, ds, rk, counts, m.buffer(r, fill), fill)
 		draws[k] = r.drawn
 		if rk == nil || r.counts != nil {
 			continue
@@ -549,10 +627,10 @@ func drawDelta(src *stats.PCG, ds []float64, rk *mr.Ranking, counts []uint32, it
 // resample alike), so the charged refills of the old one-shared-cache
 // layout largely disappear — the modeled disk cost drops accordingly.
 func (m *Maintainer) buildGeneration(r *resample) error {
-	r.parts = append(r.parts, sketch.NewPart(r.drawn, m.c, r.rng, &r.io))
+	r.parts = append(r.parts, sketch.NewPart(r.drawn, m.c, r.src, &r.io))
 	r.partTree.Append(int64(len(r.drawn)))
 	r.drawn = nil
-	cache, err := sketch.NewCache(m.newest, m.c, r.rng, &r.io)
+	cache, err := sketch.NewCache(m.newest, m.buffer(r, sketch.Len(m.c, len(m.newest))), m.c, r.src, &r.io)
 	if err != nil {
 		return err
 	}
@@ -616,7 +694,7 @@ func (m *Maintainer) resizeResample(i int, r *resample, nPrime int, scratch *gro
 		// batch each.
 		adds := scratch.adds.Take(keep - m.n)
 		for a := 0; a < keep-m.n; a++ {
-			k := m.pickGenWeighted(r.rng)
+			k := m.pickGenWeighted(r.src)
 			v := r.caches[k].Next()
 			r.parts[k].Add(v)
 			r.partTree.Add(k, 1)
@@ -672,14 +750,14 @@ func pickPartWeighted(r *resample) (int, *sketch.Part) {
 	if total == 0 {
 		return -1, nil
 	}
-	i := r.partTree.Pick(int64(r.rng.IntN(int(total))))
+	i := r.partTree.Pick(int64(r.src.IntN(int(total))))
 	return i, r.parts[i]
 }
 
 // pickGenWeighted picks a generation index with probability proportional
 // to |Δs_k| — a uniform draw over the old sample s, via the generation
 // Fenwick tree.
-func (m *Maintainer) pickGenWeighted(rng *rand.Rand) int {
+func (m *Maintainer) pickGenWeighted(rng *stats.PCG) int {
 	return m.genTree.Pick(int64(rng.IntN(int(m.genTree.Total()))))
 }
 

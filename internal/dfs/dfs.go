@@ -572,6 +572,15 @@ func (fs *FileSystem) ReadAt(path string, off int64, p []byte) (int, error) {
 // readMeta is one positioned read of one resolved file state: p filled
 // from off, one seek and the bytes it got charged.
 func (s state) readMeta(meta *fileMeta, off int64, p []byte) (int, error) {
+	var cost simcost.Snapshot
+	n, err := s.gatherMeta(meta, off, p, &cost)
+	s.ledger.Charge(cost)
+	return n, err
+}
+
+// gatherMeta is readMeta adding its seek and bytes to tally instead of
+// charging them.
+func (s state) gatherMeta(meta *fileMeta, off int64, p []byte, tally *simcost.Snapshot) (int, error) {
 	if off < 0 {
 		return 0, errors.New("dfs: negative offset")
 	}
@@ -592,13 +601,13 @@ func (s state) readMeta(meta *fileMeta, off int64, p []byte) (int, error) {
 		blk := meta.blocks[bi]
 		payload, err := s.fs.replicaPayload(blk)
 		if err != nil {
-			s.ledger.Charge(simcost.Snapshot{DiskSeeks: 1, BytesRead: n})
+			tally.DiskSeeks, tally.BytesRead = tally.DiskSeeks+1, tally.BytesRead+n
 			return int(n), err
 		}
 		inBlk := pos - blk.offset
 		n += int64(copy(p[n:want], payload[inBlk:]))
 	}
-	s.ledger.Charge(simcost.Snapshot{DiskSeeks: 1, BytesRead: n})
+	tally.DiskSeeks, tally.BytesRead = tally.DiskSeeks+1, tally.BytesRead+n
 	return int(n), nil
 }
 

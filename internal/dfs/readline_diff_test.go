@@ -152,11 +152,13 @@ func (tw *readLineTwin) compare(t *testing.T, label, path string, chunks []int, 
 // for: every byte position of path (and one either side), shuffled, as
 // one batch on the production filesystem, while the reference makes the
 // same reads one copyingReadLineAt at a time on its twin. Inside the
-// callback for position i — after the batch has charged it, and after
-// it has touched positions it has not read yet — line, start, error,
-// cost counters and read tick must equal the reference's after its i-th
-// call: the touch-ahead charges nothing, ticks nothing and asks no
-// replica. An early stop then leaves the counters where they are.
+// callback for position i — after the batch has read it, and after it
+// has touched positions it has not read yet — line, start, error and
+// read tick must equal the reference's after its i-th call: the
+// touch-ahead ticks nothing and asks no replica. The batch's ledger
+// does not move until the walk ends; then it holds what the
+// reference's i calls charged, so an early stop charges nothing for
+// the positions it did not reach.
 func (tw *readLineTwin) compareBatch(t *testing.T, label, path string, chunks []int, view func(*FileSystem) View) {
 	t.Helper()
 	refV, gotV := view(tw.ref), view(tw.got)
@@ -174,6 +176,7 @@ func (tw *readLineTwin) compareBatch(t *testing.T, label, path string, chunks []
 	for _, chunk := range chunks {
 		stopAt := len(positions) * 2 / 3
 		calls := 0
+		before := tw.gotM.Snapshot()
 		err := gotV.ReadLinesAt(path, positions, chunk, func(i int, gl []byte, gs int64, gerr error) (bool, error) {
 			if i != calls {
 				t.Fatalf("%s chunk=%d: callback %d carries index %d", label, chunk, calls, i)
@@ -187,8 +190,8 @@ func (tw *readLineTwin) compareBatch(t *testing.T, label, path string, chunks []
 			if string(gl) != wl || gs != ws {
 				t.Fatalf("%s: (%q, %d), reference (%q, %d)", where, gl, gs, wl, ws)
 			}
-			if g, w := tw.gotM.Snapshot(), tw.refM.Snapshot(); g != w {
-				t.Fatalf("%s: modelled cost %+v, reference %+v", where, g, w)
+			if g := tw.gotM.Snapshot(); g != before {
+				t.Fatalf("%s: modelled cost moved mid-walk to %+v from %+v", where, g, before)
 			}
 			if g, w := tw.got.readTick.Load(), tw.ref.readTick.Load(); g != w {
 				t.Fatalf("%s: read tick %d, reference %d", where, g, w)
@@ -399,5 +402,89 @@ func TestReadLinesAtViewsStoredBytes(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no record bytes seen")
+	}
+}
+
+// TestReadLinesAtChargesOnce pins the gather's ledger: nothing is
+// charged while the walk runs, and when it ends the ledger holds exactly
+// what ReadLineAt charges for the same positions one at a time —
+// through windows that grow (records far longer than the 8-byte chunk),
+// windows that straddle a block (64-byte blocks), and a gather that an
+// injected read error fails part-way. A snapshot pinned to a nil ledger
+// charges nothing and reads the same records.
+func TestReadLinesAtChargesOnce(t *testing.T) {
+	body := linesOfMixedLength(3000, 17)
+	positions := make([]int64, 0, len(body)/5)
+	for pos := int64(3); pos < int64(len(body)); pos += 5 {
+		positions = append(positions, pos)
+	}
+	for _, c := range []struct {
+		name string
+		plan *FaultPlan
+	}{{"clean", nil}, {"read-error", &FaultPlan{Seed: 1, ReadErrorRate: 0.5}}} {
+		t.Run(c.name, func(t *testing.T) {
+			tw := newReadLineTwin(Config{BlockSize: 64, Replication: 2, DataNodes: 4, Seed: 9})
+			tw.each(t, func(fs *FileSystem) error { return fs.WriteFile("/f", body) })
+			tw.ref.SetFaultPlan(c.plan)
+			tw.got.SetFaultPlan(c.plan)
+			refL, gotL := &simcost.Metrics{}, &simcost.Metrics{}
+			ref, got := tw.ref.Pin(refL), tw.got.Pin(gotL)
+			defer ref.Release()
+			defer got.Release()
+
+			var want []string
+			var wantErr error
+			grew, straddled := false, false
+			for _, pos := range positions {
+				seeks := refL.DiskSeeks.Load()
+				line, start, err := ref.ReadLineAt("/f", pos, 8)
+				if err != nil {
+					wantErr = err
+					break
+				}
+				want = append(want, line)
+				grew = grew || refL.DiskSeeks.Load()-seeks > 1
+				straddled = straddled || start/64 != (start+int64(len(line)))/64
+			}
+			if c.plan == nil && (!grew || !straddled) {
+				t.Fatalf("the reference reads never grew a window (%v) or crossed a block (%v)", grew, straddled)
+			}
+			if c.plan != nil && (wantErr == nil || len(want) == 0) {
+				t.Fatalf("the read error failed %d of %d reads in (%v): want part-way", len(want), len(positions), wantErr)
+			}
+
+			var lines []string
+			err := got.ReadLinesAt("/f", positions, 8, func(i int, line []byte, _ int64, err error) (bool, error) {
+				if g := gotL.Snapshot(); g != (simcost.Snapshot{}) {
+					t.Fatalf("position %d: the ledger was charged mid-walk: %+v", i, g)
+				}
+				if err == nil {
+					lines = append(lines, string(line))
+				}
+				return true, err
+			})
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) || !slices.Equal(lines, want) {
+				t.Fatalf("gather: %d lines, err %v; one at a time: %d lines, err %v", len(lines), err, len(want), wantErr)
+			}
+			if g, w := gotL.Snapshot(), refL.Snapshot(); g != w {
+				t.Fatalf("gather charged %+v, one at a time %+v", g, w)
+			}
+
+			// A nil ledger: the same walk, nothing charged anywhere.
+			tw.got.SetFaultPlan(nil)
+			before := tw.gotM.Snapshot()
+			nilView := tw.got.Pin(nil)
+			defer nilView.Release()
+			n := 0
+			if err := nilView.ReadLinesAt("/f", positions, 8, func(int, []byte, int64, error) (bool, error) {
+				n++
+				return true, nil
+			}); err != nil || n != len(positions) {
+				t.Fatalf("nil ledger: %d of %d positions, err %v", n, len(positions), err)
+			}
+			if g := tw.gotM.Snapshot(); g != before {
+				t.Fatalf("a walk on a nil ledger charged the filesystem: %+v → %+v", before, g)
+			}
+		})
 	}
 }

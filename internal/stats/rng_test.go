@@ -42,10 +42,32 @@ func checkIndices(t testing.TB, s1, s2 uint64, n, draws int) {
 	}
 }
 
+// checkIntN draws from both generators with a bound that changes every
+// draw — ours through IntN, the toolchain's through rand.New(p).IntN —
+// and requires equal values and equal state afterwards.
+func checkIntN(t testing.TB, s1, s2 uint64, bounds []int, draws int) {
+	t.Helper()
+	got := NewPCG(s1, s2)
+	refSrc := rand.NewPCG(s1, s2)
+	ref := rand.New(refSrc)
+	for i := 0; i < draws; i++ {
+		n := bounds[i%len(bounds)]
+		if g, w := got.IntN(n), ref.IntN(n); g != w {
+			t.Fatalf("seed (%#x, %#x) draw %d n=%d: IntN %d, rand.IntN %d", s1, s2, i, n, g, w)
+		}
+	}
+	if hi, lo := pcgState(t, refSrc); got.hi != hi || got.lo != lo {
+		t.Fatalf("seed (%#x, %#x): IntN state (%#x, %#x) after %d draws, rand.PCG is at (%#x, %#x)", s1, s2, got.hi, got.lo, draws, hi, lo)
+	}
+}
+
 // TestPCGMatchesMathRand pins PCG to the toolchain's math/rand/v2: the
 // raw stream, the bounded draws for sizes on both sides of every branch
 // IntN takes (one, powers of two, tiny and pilot-sized moduli, the
-// largest that fit 31 and 32 bits), and the state they leave. A Go
+// largest that fit 31 and 32 bits, moduli just past a power of two,
+// which reject most often), one at a time with the bound changing every
+// draw as a partial Fisher–Yates pass changes it, and the state they
+// leave. A Go
 // release that changed its PCG or IntN would fail here, before any
 // fixed-seed report moved.
 func TestPCGMatchesMathRand(t *testing.T) {
@@ -71,6 +93,15 @@ func TestPCGMatchesMathRand(t *testing.T) {
 		for _, s := range seeds {
 			checkIndices(t, s[0], s[1], n, draws)
 		}
+	}
+	bounds := []int{1, 2, 1 << 10, 1 << 32, 1<<31 + 1, 3 << 30, 3, 625, 9_999, 1<<32 - 1}
+	shuffle := make([]int, 10_000) // a partial Fisher–Yates pass: n, n−1, …
+	for i := range shuffle {
+		shuffle[i] = len(shuffle) - i
+	}
+	for _, s := range seeds {
+		checkIntN(t, s[0], s[1], bounds, draws)
+		checkIntN(t, s[0], s[1], shuffle, draws)
 	}
 }
 
@@ -123,7 +154,26 @@ func TestPCGIndicesRejection(t *testing.T) {
 			if *one != *two {
 				t.Fatalf("n=%d: one index from a rejecting state did not take two steps", n)
 			}
+			checkIntN(t, hi0, lo0, []int{n}, 64)
+			three := NewPCG(hi0, lo0)
+			three.IntN(n)
+			if *three != *two {
+				t.Fatalf("n=%d: one IntN from a rejecting state did not take two steps", n)
+			}
 		}
+	}
+}
+
+func TestPCGIntNRefusesOutOfRange(t *testing.T) {
+	for _, n := range []int{0, -1, 1<<32 + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("IntN(%d) did not panic", n)
+				}
+			}()
+			NewPCG(1, 2).IntN(n)
+		}()
 	}
 }
 
