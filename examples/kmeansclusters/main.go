@@ -47,7 +47,10 @@ func main() {
 	}
 
 	cluster.ResetMetrics()
-	stock, err := kcfg.FitMR(cluster.Env().Engine, "/mining/points", 0)
+	env := cluster.Env()
+	run, release := env.Open(env.Metrics)
+	stock, err := kcfg.FitMR(run.View(), run.Metrics, "/mining/points")
+	release()
 	if err != nil {
 		log.Fatal(err)
 	}

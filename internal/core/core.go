@@ -210,7 +210,7 @@ func envAround(cfg EnvConfig, fsys *dfs.FileSystem, metrics *simcost.Metrics) (*
 	if err != nil {
 		return nil, err
 	}
-	eng := &mr.Engine{FS: fsys, Cluster: cluster, Metrics: metrics}
+	eng := &mr.Engine{Cluster: cluster, Metrics: metrics}
 	scan := colscan.NewCache(cfg.CacheBytes)
 	if !cfg.DisableSidecars {
 		// Cold cache misses consult the persistent columnar sidecars

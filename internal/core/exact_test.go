@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/colscan"
@@ -17,81 +16,49 @@ import (
 	"repro/internal/workload"
 )
 
-// exactMapper parses each line and emits it under exactKey.
-type exactMapper struct {
-	job  jobs.Numeric
-	seen *atomic.Int64
-}
-
-// Map implements mr.Mapper.
-func (m exactMapper) Map(off int64, line string, emit mr.Emitter) error {
-	v, err := m.job.Parse(line)
-	if err != nil {
-		return err
-	}
-	m.seen.Add(1)
-	emit.Emit(exactKey, v)
-	return nil
-}
-
-// exactReducer applies the statistic to the one collected value stream.
-type exactReducer struct {
-	job jobs.Numeric
-}
-
-// Reduce implements mr.Reducer.
-func (r exactReducer) Reduce(key string, values []any, emit mr.Emitter) error {
-	xs := make([]float64, 0, len(values))
-	for _, v := range values {
-		f, ok := v.(float64)
-		if !ok {
-			return fmt.Errorf("core: exact reducer got %T", v)
-		}
-		xs = append(xs, f)
-	}
-	out, err := r.job.Statistic(xs)
-	if err != nil {
-		return err
-	}
-	emit.Emit(key, out)
-	return nil
-}
-
-// planMapper is the stock job's mapper with a plan's line-at-a-time
-// reference evaluator in front: the exact fall-back of a plan query as
-// a stock MR job, which the scan must match.
-type planMapper struct {
-	prog *plan.Program
-	seen *atomic.Int64
-}
-
-func (m planMapper) Map(_ int64, line string, emit mr.Emitter) error {
-	keep, _, v, err := m.prog.EvalLine(line)
-	if err != nil || !keep {
-		return err
-	}
-	m.seen.Add(1)
-	emit.Emit(exactKey, v)
-	return nil
-}
-
 // stockExact is the oracle of the exact pass: job over path (through
-// prog when non-nil) as the stock line-at-a-time MR job — parse every
-// line of each splitSize split, shuffle, one reduce.
+// prog when non-nil) as the stock line-at-a-time MapReduce job the scan
+// replaced — every line of each splitSize split read by its own
+// LineReader and parsed (or evaluated by prog), the kept values
+// shuffled to one reducer that applies the statistic. It charges the
+// job's counters record by record as it goes, so the closed form
+// runExact charges is checked against an independent count.
 func stockExact(env *Env, job jobs.Numeric, path string, splitSize int64, prog *plan.Program) (float64, int, error) {
-	var seen atomic.Int64
-	var mapper mr.Mapper = exactMapper{job: job, seen: &seen}
-	if prog != nil {
-		mapper = planMapper{prog: prog, seen: &seen}
-	}
-	res, err := env.Engine.Run(&mr.Job{
-		Name: "exact-" + job.Name, InputPath: path, SplitSize: splitSize,
-		Mapper: mapper, Reducer: exactReducer{job: job}, NumReducers: 1,
-	})
+	view := env.View()
+	splits, err := view.Splits(path, splitSize)
 	if err != nil {
 		return 0, 0, err
 	}
-	return res.Output[0].Value.(float64), int(seen.Load()), nil
+	env.Metrics.Charge(simcost.Snapshot{JobStartups: 1, ReduceTasks: 1})
+	var xs []float64
+	for _, sp := range splits {
+		env.Metrics.Charge(simcost.Snapshot{MapTasks: 1})
+		rd, err := view.NewLineReader(sp, 0)
+		if err != nil {
+			return 0, 0, err
+		}
+		for rd.Next() {
+			env.Metrics.Charge(simcost.Snapshot{RecordsRead: 1})
+			keep, v := true, 0.0
+			if prog != nil {
+				keep, _, v, err = prog.EvalLine(rd.Text())
+			} else {
+				v, err = job.Parse(rd.Text())
+			}
+			if err != nil {
+				return 0, 0, err
+			}
+			if keep {
+				env.Metrics.Charge(simcost.Snapshot{RecordsMapped: 1, BytesShuffled: int64(len(exactKey)) + mr.ValueSize(v), RecordsReduced: 1})
+				xs = append(xs, v)
+			}
+		}
+		if err := rd.Err(); err != nil {
+			return 0, 0, err
+		}
+	}
+	v, err := job.Statistic(xs)
+	return v, len(xs), err
 }
 
 // makeResident decodes every every-th split of path into env.Scan, as a
@@ -251,8 +218,8 @@ func TestExactFallbackRejectsNaNRecord(t *testing.T) {
 }
 
 // TestRunExactJobKeepsBadRecordCause: the exact pass over a NaN record
-// fails with ErrBadRecord. (The pass has no task retries; the engine's
-// retry-and-cause contract is mr.TestExhaustedTaskKeepsItsCause's.)
+// fails with ErrBadRecord. (The pass has no task retries, so the cause
+// is the error itself.)
 func TestRunExactJobKeepsBadRecordCause(t *testing.T) {
 	env, xs := testEnv(t, 2000, workload.Uniform, 13)
 	if err := env.FS.WriteFile("/data", poisonedData(xs, 1)); err != nil {
@@ -264,10 +231,9 @@ func TestRunExactJobKeepsBadRecordCause(t *testing.T) {
 	}
 }
 
-// BenchmarkExactFallback times one exact fall-back over 1 M records
-// whose one decoded block is resident, as after a sampled run over the
-// file: the column scan the one-shot takes ("scan") against the stock
-// line-at-a-time MR job ("stock"), for the median.
+// BenchmarkExactFallback times one exact fall-back — the column scan a
+// one-shot takes — over 1 M records whose one decoded block is
+// resident, as after a sampled run over the file, for the median.
 func BenchmarkExactFallback(b *testing.B) {
 	env, err := NewEnv(EnvConfig{Seed: 1})
 	if err != nil {
@@ -286,13 +252,6 @@ func BenchmarkExactFallback(b *testing.B) {
 	b.Run("scan", func(b *testing.B) {
 		for range b.N {
 			if _, err := runExact(env, []jobs.Numeric{job}, "/data", 0, dec, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("stock", func(b *testing.B) {
-		for range b.N {
-			if _, _, err := stockExact(env, job, "/data", 0, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -53,12 +53,18 @@ func (fs *FileSystem) SetFaultPlan(plan *FaultPlan) {
 // readErrorFires reports whether the injected transient read fault
 // strikes this (block, attempt) pair. Pure function of the plan seed —
 // no shared state, so concurrent readers agree and outcomes do not
-// depend on scheduling.
+// depend on scheduling. The seed goes through a full finalizer
+// (SplitMix64's) before it is combined: XORed in raw, nearby seeds
+// would differ only in low bits that one mixing round barely spreads,
+// and inject nearly the same faults.
 func (fp *FaultPlan) readErrorFires(blockID int64, attempt int) bool {
 	if fp.ReadErrorRate <= 0 {
 		return false
 	}
-	h := fp.Seed
+	h := fp.Seed + 0x9e3779b97f4a7c15
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	h ^= h >> 31
 	h ^= uint64(blockID) * 0x9e3779b97f4a7c15
 	h ^= uint64(attempt+1) * 0xbf58476d1ce4e5b9
 	h ^= h >> 33

@@ -343,6 +343,36 @@ func TestInjectedReadErrorsRetried(t *testing.T) {
 	}
 }
 
+// TestReadFaultSeedsIndependent: nearby plan seeds inject unrelated
+// faults. At rate 0.5 over blocks 0–59 and attempts 0–5, independent
+// seeds disagree on about half of the 360 (block, attempt) outcomes;
+// every pair of seeds 1–8 must disagree on at least a quarter.
+func TestReadFaultSeedsIndependent(t *testing.T) {
+	const blocks, attempts = 60, 6
+	outcomes := make([][]bool, 9)
+	for seed := 1; seed <= 8; seed++ {
+		fp := &FaultPlan{Seed: uint64(seed), ReadErrorRate: 0.5}
+		for b := range blocks {
+			for a := range attempts {
+				outcomes[seed] = append(outcomes[seed], fp.readErrorFires(int64(b), a))
+			}
+		}
+	}
+	for s1 := 1; s1 <= 8; s1++ {
+		for s2 := s1 + 1; s2 <= 8; s2++ {
+			differ := 0
+			for i, f := range outcomes[s1] {
+				if f != outcomes[s2][i] {
+					differ++
+				}
+			}
+			if 4*differ < blocks*attempts {
+				t.Errorf("seeds %d and %d differ in %d of %d outcomes, want at least a quarter", s1, s2, differ, blocks*attempts)
+			}
+		}
+	}
+}
+
 // A read whose block has no live replica exhausts the retry budget and
 // fails with the errors.Is-able ErrNoReplica sentinel.
 func TestErrNoReplicaSentinel(t *testing.T) {

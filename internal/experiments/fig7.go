@@ -42,7 +42,9 @@ func Fig7(laptopPts int, seed uint64) (*Table, error) {
 	}
 	env.Metrics.Reset()
 	startStock := time.Now()
-	stockFit, err := kcfg.FitMR(env.Engine, "/pts", 0)
+	run, release := env.Open(env.Metrics)
+	stockFit, err := kcfg.FitMR(run.View(), run.Metrics, "/pts")
+	release()
 	if err != nil {
 		return nil, err
 	}

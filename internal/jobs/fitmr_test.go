@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/dfs"
-	"repro/internal/mr"
 	"repro/internal/simcost"
 	"repro/internal/workload"
 )
@@ -83,11 +82,9 @@ func TestFitMRGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.Reset()
-		eng, err := mr.NewEngine(fsys, &m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sh.km.FitMR(eng, "/pts", 0)
+		snap := fsys.Pin(&m)
+		res, err := sh.km.FitMR(snap, &m, "/pts")
+		snap.Release()
 		if err != nil {
 			t.Fatalf("%s: %v", sh.name, err)
 		}

@@ -8,7 +8,9 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/mr"
+	"repro/internal/dfs"
+	"repro/internal/pool"
+	"repro/internal/simcost"
 	"repro/internal/workload"
 )
 
@@ -153,13 +155,22 @@ func (c KMeans) Fit(pts []workload.Point) (FitResult, error) {
 	return FitResult{Centers: centers, WCSS: wcss, Iterations: iter}, nil
 }
 
-// FitMR runs the same algorithm as iterated MapReduce jobs over a DFS
-// file of comma-separated points — the stock-Hadoop flow of Fig. 7: one
-// MR job per Lloyd iteration (map: assign to nearest centroid; combine:
-// partial sums; reduce: recompute centroids), paying the per-job startup
-// cost the paper's comparison highlights.
-func (c KMeans) FitMR(eng *mr.Engine, path string, splitSize int64) (FitResult, error) {
+// FitMR runs the same algorithm as the stock-Hadoop flow of Fig. 7 —
+// one MapReduce job per Lloyd iteration (map: assign each point to its
+// nearest center; combine: per-split partial sums; reduce: one new
+// center per cluster), then one job for the WCSS — as column passes over
+// v's splits of path, a file of comma-separated points. v is one run's
+// pinned view, so every pass reads one commit. ledger is charged what
+// the iterated stock job would be: per job its startup, its map and
+// reduce tasks, every line read and mapped, and every per-split partial
+// shuffled and reduced — the per-job costs the paper's comparison
+// highlights. The splits' reads are charged by v.
+func (c KMeans) FitMR(v dfs.View, ledger *simcost.Metrics, path string) (FitResult, error) {
 	c, err := c.withDefaults()
+	if err != nil {
+		return FitResult{}, err
+	}
+	splits, err := v.Splits(path, 0)
 	if err != nil {
 		return FitResult{}, err
 	}
@@ -170,7 +181,7 @@ func (c KMeans) FitMR(eng *mr.Engine, path string, splitSize int64) (FitResult, 
 	if prefixN < 200 {
 		prefixN = 200
 	}
-	prefix, err := readFirstPoints(eng, path, prefixN)
+	prefix, err := readFirstPoints(v, splits, prefixN)
 	if err != nil {
 		return FitResult{}, err
 	}
@@ -181,28 +192,9 @@ func (c KMeans) FitMR(eng *mr.Engine, path string, splitSize int64) (FitResult, 
 	centers := c.seedCenters(rng, prefix)
 	var iter int
 	for iter = 1; iter <= c.MaxIter; iter++ {
-		cur := centers
-		job := &mr.Job{
-			Name:        fmt.Sprintf("kmeans-iter%d", iter),
-			InputPath:   path,
-			SplitSize:   splitSize,
-			Mapper:      &kmeansMapper{centers: cur},
-			Combiner:    kmeansCombiner{},
-			Reducer:     kmeansReducer{},
-			NumReducers: c.K,
-		}
-		res, err := eng.Run(job)
+		next, err := lloydPass(v, ledger, splits, centers)
 		if err != nil {
 			return FitResult{}, fmt.Errorf("jobs: kmeans iteration %d: %w", iter, err)
-		}
-		next := make([]workload.Point, len(centers))
-		copy(next, centers)
-		for _, kv := range res.Output {
-			k, err := strconv.Atoi(kv.Key)
-			if err != nil || k < 0 || k >= len(next) {
-				return FitResult{}, fmt.Errorf("jobs: bad kmeans reduce key %q", kv.Key)
-			}
-			next[k] = kv.Value.(workload.Point)
 		}
 		moved := 0.0
 		for k := range centers {
@@ -216,34 +208,136 @@ func (c KMeans) FitMR(eng *mr.Engine, path string, splitSize int64) (FitResult, 
 	if iter > c.MaxIter {
 		iter = c.MaxIter
 	}
-	// Final WCSS pass as one more MR job.
-	wcssJob := &mr.Job{
-		Name:      "kmeans-wcss",
-		InputPath: path,
-		SplitSize: splitSize,
-		Mapper:    &wcssMapper{centers: centers},
-		Combiner:  sumCombiner{},
-		Reducer:   sumAllReducer{},
-	}
-	res, err := eng.Run(wcssJob)
+	wcss, err := wcssPass(v, ledger, splits, centers)
 	if err != nil {
 		return FitResult{}, err
-	}
-	var wcss float64
-	if len(res.Output) > 0 {
-		wcss = res.Output[0].Value.(float64)
 	}
 	return FitResult{Centers: centers, WCSS: wcss, Iterations: iter}, nil
 }
 
-func readFirstPoints(eng *mr.Engine, path string, k int) ([]workload.Point, error) {
-	splits, err := eng.FS.Splits(path, 0)
+// partialBytes is the modelled shuffle size of one partial sum: one
+// word, as mr.ValueSize charges any value that is not a string or a
+// slice.
+const partialBytes = 8
+
+// lloydPass is one Lloyd iteration in the stock job's order: each split
+// folds its points, in line order, into per-center sums from zero (the
+// map task and its combiner); then, per center, the splits' partial
+// sums are added in split order, skipping splits with no point for it,
+// and divided by the count (the reducer). A center no point is nearest
+// to keeps its position.
+func lloydPass(v dfs.View, ledger *simcost.Metrics, splits []dfs.Split, centers []workload.Point) ([]workload.Point, error) {
+	type partial struct {
+		sums   []workload.Point // per center; nil where no point fell
+		counts []int64
+		lines  int64
+	}
+	parts := make([]partial, len(splits))
+	err := pool.ForEach(len(splits), pool.Workers(0), func(i int) (err error) {
+		pt := &parts[i]
+		pt.sums, pt.counts = make([]workload.Point, len(centers)), make([]int64, len(centers))
+		pt.lines, err = eachPoint(v, splits[i], func(p workload.Point) {
+			k, _ := nearest(p, centers)
+			if pt.sums[k] == nil {
+				pt.sums[k] = make(workload.Point, len(p))
+			}
+			for d := range p {
+				pt.sums[k][d] += p[d]
+			}
+			pt.counts[k]++
+		})
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
+	cost := simcost.Snapshot{JobStartups: 1, MapTasks: int64(len(splits)), ReduceTasks: int64(len(centers))}
+	for _, pt := range parts {
+		cost.RecordsRead += pt.lines
+	}
+	cost.RecordsMapped = cost.RecordsRead
+	next := append([]workload.Point(nil), centers...)
+	for k := range centers {
+		var sum workload.Point
+		var n int64
+		for _, pt := range parts {
+			if pt.sums[k] == nil {
+				continue
+			}
+			if sum == nil {
+				sum = make(workload.Point, len(pt.sums[k]))
+			}
+			for d := range pt.sums[k] {
+				sum[d] += pt.sums[k][d]
+			}
+			n += pt.counts[k]
+			cost.RecordsReduced++
+			cost.BytesShuffled += int64(len(strconv.Itoa(k))) + partialBytes
+		}
+		if n > 0 {
+			for d := range sum {
+				sum[d] /= float64(n)
+			}
+			next[k] = sum
+		}
+	}
+	ledger.Charge(cost)
+	return next, nil
+}
+
+// wcssPass is the stock WCSS job: each split sums its points' squared
+// distances to their nearest center, in line order, and the splits that
+// have points are added in split order under one reducer.
+func wcssPass(v dfs.View, ledger *simcost.Metrics, splits []dfs.Split, centers []workload.Point) (float64, error) {
+	sums, lines := make([]float64, len(splits)), make([]int64, len(splits))
+	err := pool.ForEach(len(splits), pool.Workers(0), func(i int) (err error) {
+		lines[i], err = eachPoint(v, splits[i], func(p workload.Point) {
+			_, d := nearest(p, centers)
+			sums[i] += d
+		})
+		return err
+	})
+	if err != nil {
+		return 0, err
+	}
+	cost := simcost.Snapshot{JobStartups: 1, MapTasks: int64(len(splits)), ReduceTasks: 1}
+	var wcss float64
+	for i, n := range lines {
+		cost.RecordsRead += n
+		if n > 0 {
+			wcss += sums[i]
+			cost.RecordsReduced++
+			cost.BytesShuffled += int64(len("wcss")) + partialBytes
+		}
+	}
+	cost.RecordsMapped = cost.RecordsRead
+	ledger.Charge(cost)
+	return wcss, nil
+}
+
+// eachPoint hands fn every point of sp in line order and returns how
+// many lines it read.
+func eachPoint(v dfs.View, sp dfs.Split, fn func(workload.Point)) (int64, error) {
+	rd, err := v.NewLineReader(sp, 0)
+	if err != nil {
+		return 0, err
+	}
+	var n int64
+	for rd.Next() {
+		p, err := workload.DecodePoint(rd.Text())
+		if err != nil {
+			return n, fmt.Errorf("jobs: %s offset %d: %w", sp.Path, rd.RecordOffset(), err)
+		}
+		fn(p)
+		n++
+	}
+	return n, rd.Err()
+}
+
+func readFirstPoints(v dfs.View, splits []dfs.Split, k int) ([]workload.Point, error) {
 	var pts []workload.Point
 	for _, sp := range splits {
-		rd, err := eng.FS.NewLineReader(sp, 0)
+		rd, err := v.NewLineReader(sp, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -262,128 +356,6 @@ func readFirstPoints(eng *mr.Engine, path string, k int) ([]workload.Point, erro
 		}
 	}
 	return pts, nil
-}
-
-// kmeansMapper assigns each point to its nearest centroid.
-type kmeansMapper struct {
-	centers []workload.Point
-}
-
-// Map implements mr.Mapper.
-func (m *kmeansMapper) Map(off int64, line string, emit mr.Emitter) error {
-	p, err := workload.DecodePoint(line)
-	if err != nil {
-		return err
-	}
-	k, _ := nearest(p, m.centers)
-	emit.Emit(strconv.Itoa(k), p)
-	return nil
-}
-
-// pointSum is a partial centroid: coordinate sums plus a count.
-type pointSum struct {
-	sum workload.Point
-	n   int64
-}
-
-func foldPoints(values []any) (*pointSum, error) {
-	acc := &pointSum{}
-	for _, v := range values {
-		switch x := v.(type) {
-		case workload.Point:
-			if acc.sum == nil {
-				acc.sum = make(workload.Point, len(x))
-			}
-			for d := range x {
-				acc.sum[d] += x[d]
-			}
-			acc.n++
-		case *pointSum:
-			if acc.sum == nil {
-				acc.sum = make(workload.Point, len(x.sum))
-			}
-			for d := range x.sum {
-				acc.sum[d] += x.sum[d]
-			}
-			acc.n += x.n
-		default:
-			return nil, fmt.Errorf("jobs: unexpected kmeans value %T", v)
-		}
-	}
-	return acc, nil
-}
-
-// kmeansCombiner pre-aggregates assignments into partial sums.
-type kmeansCombiner struct{}
-
-// Combine implements mr.Combiner.
-func (kmeansCombiner) Combine(key string, values []any, emit mr.Emitter) error {
-	acc, err := foldPoints(values)
-	if err != nil {
-		return err
-	}
-	emit.Emit(key, acc)
-	return nil
-}
-
-// kmeansReducer emits the new centroid for its cluster.
-type kmeansReducer struct{}
-
-// Reduce implements mr.Reducer.
-func (kmeansReducer) Reduce(key string, values []any, emit mr.Emitter) error {
-	acc, err := foldPoints(values)
-	if err != nil {
-		return err
-	}
-	if acc.n == 0 {
-		return nil
-	}
-	c := make(workload.Point, len(acc.sum))
-	for d := range c {
-		c[d] = acc.sum[d] / float64(acc.n)
-	}
-	emit.Emit(key, c)
-	return nil
-}
-
-// wcssMapper emits each point's squared distance to its centroid.
-type wcssMapper struct {
-	centers []workload.Point
-}
-
-// Map implements mr.Mapper.
-func (m *wcssMapper) Map(off int64, line string, emit mr.Emitter) error {
-	p, err := workload.DecodePoint(line)
-	if err != nil {
-		return err
-	}
-	_, d := nearest(p, m.centers)
-	emit.Emit("wcss", d)
-	return nil
-}
-
-type sumCombiner struct{}
-
-// Combine implements mr.Combiner.
-func (sumCombiner) Combine(key string, values []any, emit mr.Emitter) error {
-	var s float64
-	for _, v := range values {
-		s += v.(float64)
-	}
-	emit.Emit(key, s)
-	return nil
-}
-
-type sumAllReducer struct{}
-
-// Reduce implements mr.Reducer.
-func (sumAllReducer) Reduce(key string, values []any, emit mr.Emitter) error {
-	var s float64
-	for _, v := range values {
-		s += v.(float64)
-	}
-	emit.Emit(key, s)
-	return nil
 }
 
 // CentroidError greedily matches fitted centers to true centers and

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dfs"
-	"repro/internal/mr"
 	"repro/internal/simcost"
 	"repro/internal/workload"
 )
@@ -100,11 +99,7 @@ func TestKMeansFitMRMatchesInMemory(t *testing.T) {
 	if err := fsys.WriteFile("/pts", workload.EncodePoints(pts)); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := mr.NewEngine(fsys, &m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := KMeans{K: 4, Seed: 3}.FitMR(eng, "/pts", 1<<13)
+	res, err := KMeans{K: 4, Seed: 3}.FitMR(fsys, &m, "/pts")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -213,7 +213,7 @@ func TestAwaitQuotaWakes(t *testing.T) {
 		{"node death", func(e *Engine, _ *Controller) { e.Cluster.KillNode(0) }, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e, _, _ := newTestEngine(t, 1)
+			e, _ := newTestEngine(t, 1)
 			ctrl := NewController(Feedback{Mappers: 1, Partitions: 1, Sigma: 0.05, InitialN: 10, MaxN: 40})
 			parked := make(chan struct{})
 			job := &StreamJob{
@@ -254,7 +254,7 @@ func TestAwaitQuotaWakes(t *testing.T) {
 // TestPipelinedReduceErrorStopsMappers: a reducer that fails mid-run
 // ends the job instead of leaving the mappers parked on the barrier.
 func TestPipelinedReduceErrorStopsMappers(t *testing.T) {
-	e, _, _ := newTestEngine(t, 2)
+	e, _ := newTestEngine(t, 2)
 	ctrl := NewController(Feedback{Mappers: 2, Partitions: 1, Sigma: 0.05, InitialN: 4000, MaxN: 8000})
 	job := &StreamJob{
 		Name:       "reduce-error",

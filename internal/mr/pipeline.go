@@ -1,12 +1,25 @@
 package mr
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
 
 	"repro/internal/simcost"
 )
+
+// Engine runs pipelined jobs on a cluster, charging every task and
+// record to Metrics (nothing, when nil). It is a plain value: a run
+// that keeps its own ledger copies the engine and sets Metrics.
+type Engine struct {
+	Cluster *Cluster
+	Metrics *simcost.Metrics
+	Fault   FaultInjector
+}
+
+// errNoCluster is what an engine without a Cluster answers every job.
+var errNoCluster = errors.New("mr: engine has no Cluster")
 
 // Controller is the mapper⇄reducer communication layer of §2.1 and a
 // sampled run's single round barrier (§3.3). The paper runs this
@@ -365,10 +378,11 @@ type StreamResult struct {
 	MapperErrs []error
 }
 
-// RunPipelined executes a StreamJob. Unlike Run, map failures do not fail
-// the job: the failed task's remaining input is simply absent, which is
-// the failure model EARL's approximation tolerates. Reduce failures fail
-// the job, as reducers hold the states.
+// RunPipelined executes a StreamJob. Unlike stock Hadoop, map failures
+// are not retried and do not fail the job: the failed task's remaining
+// input is simply absent, which is the failure model EARL's
+// approximation tolerates. Reduce failures fail the job, as reducers
+// hold the states.
 func (e *Engine) RunPipelined(job *StreamJob) (*StreamResult, error) {
 	if e.Cluster == nil {
 		return nil, errNoCluster

@@ -8,7 +8,7 @@ import (
 )
 
 func TestPipelinedSumWithTermination(t *testing.T) {
-	e, _, m := newTestEngine(t, 3)
+	e, m := newTestEngine(t, 3)
 	ctrl := &Controller{}
 	var sum atomic.Int64
 	job := &StreamJob{
@@ -56,7 +56,7 @@ func TestPipelinedSumWithTermination(t *testing.T) {
 }
 
 func TestPipelinedMapFailureDoesNotFailJob(t *testing.T) {
-	e, _, _ := newTestEngine(t, 3)
+	e, _ := newTestEngine(t, 3)
 	e.Fault = FaultFunc(func(ti TaskInfo) bool {
 		return ti.Kind == MapTask && ti.Index == 1
 	})
@@ -92,7 +92,7 @@ func TestPipelinedMapFailureDoesNotFailJob(t *testing.T) {
 }
 
 func TestPipelinedReduceFailureFailsJob(t *testing.T) {
-	e, _, _ := newTestEngine(t, 2)
+	e, _ := newTestEngine(t, 2)
 	e.Fault = FaultFunc(func(ti TaskInfo) bool { return ti.Kind == ReduceTask })
 	job := &StreamJob{
 		Name:       "red-dead",
@@ -113,14 +113,14 @@ func TestPipelinedReduceFailureFailsJob(t *testing.T) {
 }
 
 func TestPipelinedValidation(t *testing.T) {
-	e, _, _ := newTestEngine(t, 2)
+	e, _ := newTestEngine(t, 2)
 	if _, err := e.RunPipelined(&StreamJob{Name: "nil-tasks"}); err == nil {
 		t.Fatal("missing tasks should error")
 	}
 }
 
 func TestPipelinedMapperSeesNodeDeath(t *testing.T) {
-	e, _, _ := newTestEngine(t, 1)
+	e, _ := newTestEngine(t, 1)
 	started := make(chan struct{})
 	job := &StreamJob{
 		Name:       "node-death",
@@ -170,7 +170,7 @@ func TestPipelinedMapperSeesNodeDeath(t *testing.T) {
 // fails instead.
 func TestConcurrentPipelinedJobsOutnumberNodes(t *testing.T) {
 	const jobs, mappers = 3, 4
-	e, _, _ := newTestEngine(t, 1)
+	e, _ := newTestEngine(t, 1)
 	var started atomic.Int32
 	allStarted, giveUp := make(chan struct{}), make(chan struct{})
 	errs := make(chan error, jobs)

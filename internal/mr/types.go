@@ -1,13 +1,10 @@
 // Package mr is an in-process MapReduce engine modeled on Hadoop 0.20 —
 // the execution substrate the paper extends. It provides:
 //
-//   - the classic two-stage programming model (Mapper, Reducer, optional
-//     Combiner, hash partitioning) over line-oriented input splits from the
-//     simulated DFS (package dfs);
 //   - a cluster abstraction with round-robin task placement on live
-//     nodes, task restart on failure, and deterministic fault
-//     injection — the machinery whose overheads (job submission, task
-//     JVM spawn) EARL amortises and whose failures EARL tolerates (§3.4);
+//     nodes and deterministic fault injection — the machinery whose
+//     overheads (job submission, task JVM spawn) EARL amortises and
+//     whose failures EARL tolerates (§3.4);
 //   - a pipelined execution mode in which reducers consume map output
 //     while mappers run, plus a mapper⇄reducer control bus. These are the
 //     paper's three Hadoop modifications (§2.1): reducers process input
@@ -23,7 +20,6 @@
 package mr
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 )
@@ -34,49 +30,9 @@ type KV struct {
 	Value any
 }
 
-// Emitter receives pairs produced by map and reduce functions.
-type Emitter interface {
-	Emit(key string, value any)
-}
-
-// Mapper transforms one input record into intermediate pairs. For text
-// input (the Hadoop default this engine implements), key is the byte
-// offset of the line and value is the line without its newline.
-type Mapper interface {
-	Map(offset int64, line string, emit Emitter) error
-}
-
-// Reducer folds all values sharing a key into output pairs.
-type Reducer interface {
-	Reduce(key string, values []any, emit Emitter) error
-}
-
-// Combiner optionally pre-aggregates map output per task before shuffle,
-// cutting shuffle bytes — same contract as Reducer.
-type Combiner interface {
-	Combine(key string, values []any, emit Emitter) error
-}
-
-// MapperFunc adapts a function to Mapper.
-type MapperFunc func(offset int64, line string, emit Emitter) error
-
-// Map implements Mapper.
-func (f MapperFunc) Map(offset int64, line string, emit Emitter) error {
-	return f(offset, line, emit)
-}
-
-// ReducerFunc adapts a function to Reducer.
-type ReducerFunc func(key string, values []any, emit Emitter) error
-
-// Reduce implements Reducer.
-func (f ReducerFunc) Reduce(key string, values []any, emit Emitter) error {
-	return f(key, values, emit)
-}
-
-// HashPartition maps a key to one of r reduce partitions, for batch and
-// pipelined jobs alike: FNV-1a hash modulo r. Random hashing over keys
-// is what makes "choosing a subset of the keys at random" a uniform
-// sample (§1 of the paper).
+// HashPartition maps a key to one of r reduce partitions: FNV-1a hash
+// modulo r. Random hashing over keys is what makes "choosing a subset
+// of the keys at random" a uniform sample (§1 of the paper).
 func HashPartition(key string, r int) int {
 	h := fnv.New32a()
 	h.Write([]byte(key))
@@ -98,50 +54,6 @@ func ValueSize(v any) int64 {
 	default:
 		return 8
 	}
-}
-
-// Job describes one MapReduce job.
-type Job struct {
-	Name string
-
-	// InputPath is the file of the engine's DFS the job reads as text
-	// lines, split by SplitSize.
-	InputPath string
-	SplitSize int64 // bytes per input split; DFS block size if 0
-
-	Mapper      Mapper
-	Combiner    Combiner
-	Reducer     Reducer
-	NumReducers int // 1 if 0
-}
-
-// maxAttempts bounds per-task retries after failures (Hadoop's
-// mapred.map.max.attempts default).
-const maxAttempts = 4
-
-func (j *Job) validate() error {
-	if j.Mapper == nil {
-		return errors.New("mr: job needs a Mapper")
-	}
-	if j.Reducer == nil {
-		return errors.New("mr: job needs a Reducer")
-	}
-	if j.InputPath == "" {
-		return errors.New("mr: job needs an InputPath")
-	}
-	return nil
-}
-
-func (j *Job) numReducers() int {
-	if j.NumReducers <= 0 {
-		return 1
-	}
-	return j.NumReducers
-}
-
-// Result is a completed job's output.
-type Result struct {
-	Output []KV // reduce output, ordered by (partition, key)
 }
 
 // TaskKind distinguishes map from reduce tasks in failure injection.
@@ -184,9 +96,3 @@ type FaultFunc func(t TaskInfo) bool
 
 // ShouldFail implements FaultInjector.
 func (f FaultFunc) ShouldFail(t TaskInfo) bool { return f(t) }
-
-// ErrTooManyFailures is returned when a task exhausts its attempts.
-var ErrTooManyFailures = errors.New("mr: task failed on every attempt")
-
-// ErrJobAborted is returned when the engine is asked to abort a job.
-var ErrJobAborted = errors.New("mr: job aborted")
