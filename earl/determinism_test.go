@@ -35,8 +35,8 @@ func runOnce(t *testing.T, par int, sampler earl.SamplerKind) earl.Report {
 // contract at the public API: a fixed-seed Report is bit-identical at
 // any Parallelism (1, 4, and 0 = GOMAXPROCS), for both samplers. The
 // pre-existing determinism tests stop at the bootstrap/delta layer; this
-// one covers the full pipelined driver, whose reducer canonicalises the
-// (scheduler-dependent) arrival order before growing resamples.
+// one covers the full sampled driver, whose reducers canonicalise each
+// round's records before growing resamples.
 func TestEndToEndDeterminismAcrossParallelism(t *testing.T) {
 	for _, sampler := range []earl.SamplerKind{earl.PreMapSampling, earl.PostMapSampling} {
 		golden := runOnce(t, 1, sampler)

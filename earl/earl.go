@@ -29,11 +29,11 @@
 // produces bit-identical results at any Parallelism.
 //
 // The heavy lifting lives in internal packages: internal/dfs (simulated
-// HDFS), internal/mr (the MapReduce engine with EARL's pipelining and
-// incremental-reduce extensions), internal/sampling (pre-map/post-map
+// HDFS), internal/mr (the cluster, the §3.3 feedback policy and the
+// incremental-reduce API), internal/sampling (pre-map/post-map
 // samplers), internal/bootstrap + internal/delta (resampling and its
 // optimizations), internal/aes (accuracy estimation and SSABE), and
-// internal/core (the driver). This package re-exports the surface a
+// internal/core (the driver and its round-loop engine). This package re-exports the surface a
 // downstream user needs.
 package earl
 
@@ -98,20 +98,20 @@ func JobByName(name string) (Job, error) { return jobs.ByName(name) }
 // ClusterConfig shapes the simulated deployment.
 type ClusterConfig = core.EnvConfig
 
-// Cluster is a simulated Hadoop deployment: a replicated DFS plus a
-// MapReduce engine with EARL's extensions. All EARL runs execute
+// Cluster is a simulated Hadoop deployment: a replicated DFS plus the
+// compute nodes EARL's sampling jobs run on. All EARL runs execute
 // against a Cluster.
 //
 // Concurrency contract: a Cluster is safe for concurrent use. Any mix
 // of Run, RunMulti, RunGrouped, RunPlan, Watch, WatchMulti,
 // WatchGrouped, WatchPlan, Append, WriteFile and metrics calls may
 // proceed from multiple goroutines against the same
-// Cluster — the DFS and engine are internally synchronized, and every
-// run owns its reducer→mapper feedback state (an in-memory round
-// barrier), so concurrent runs (even of the same job over the same
-// path) never observe each other's expansion state. A task is placed
-// on a node, never queued for capacity, so no run waits on another's
-// tasks. Each Watch handle
+// Cluster — the DFS and the nodes are internally synchronized, and
+// every run keeps its rounds (targets, shares, folds and the
+// reducer→mapper ruling between them) to itself, so concurrent runs
+// (even of the same job over the same path) never observe each other's
+// expansion state. A task is placed on a node, never queued for
+// capacity, so no run waits on another's tasks. Each Watch handle
 // additionally serialises its own Refresh calls, so a handle may be
 // shared between goroutines; an Append concurrent with a Refresh is
 // ordered by the DFS — the refresh either sees the appended blocks now

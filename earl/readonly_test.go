@@ -13,7 +13,7 @@ import (
 )
 
 // TestQueriesNeverTouchTheJournal: read-only means read-only. A sampled
-// run coordinates through its in-memory round barrier, so no query path
+// run rules on its rounds in memory, so no query path
 // — scalar, multi-statistic, grouped, planned under either sampler, or a
 // watch refresh with nothing appended — commits to the DFS journal; and
 // a filesystem that has crashed (and refuses every mutation) still

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/aes"
 	"repro/internal/colscan"
 	"repro/internal/jobs"
 	"repro/internal/plan"
@@ -17,10 +16,10 @@ import (
 	"repro/internal/workload"
 )
 
-// These tests pin what the in-memory round barrier guarantees and the
-// §3.3 error-file mailbox it replaced could not: a stop decision that
-// cannot race, a modelled cost that repeats, and liveness without a
-// polling watchdog.
+// These tests pin what the round loop guarantees and the §3.3
+// error-file mailbox it replaced could not: a stop decision that cannot
+// race, a modelled cost that repeats, node loss that repeats, and
+// liveness without a polling watchdog.
 
 // TestGroupedPlanStopDecisionRepeats repeats one fixed-seed grouped plan
 // of the shape that exposed the mailbox's races — two reduce partitions,
@@ -105,8 +104,7 @@ func TestModelledCostRepeats(t *testing.T) {
 }
 
 // gateSink holds its partition's first fold open until released, so a
-// test can act while the round is complete and every mapper is parked
-// on the barrier.
+// test can act after round 1's draws and before its ruling.
 type gateSink struct {
 	Sink
 	once    sync.Once
@@ -122,72 +120,87 @@ func (g *gateSink) Fold(cols *colscan.Cols) error {
 	return g.Sink.Fold(cols)
 }
 
-// TestKillNodeWhileMappersParked: machines lost between rounds — every
-// mapper parked on the barrier, nothing polling — must wake the mappers
-// that ran there; the run finishes on the survivors with the accuracy it
-// achieved (§3.4).
-func TestKillNodeWhileMappersParked(t *testing.T) {
+// killedRun is what one run that lost machines reports.
+type killedRun struct {
+	res     engineResult
+	n       int
+	results []float64
+}
+
+// killBetweenRounds runs a scalar mean on a fresh testEnv and kills
+// nodes 1 and 2 while round 1 folds. Placement is round-robin from
+// node 0: the one reducer there, mappers 0–3 on nodes 1–4.
+func killBetweenRounds(t *testing.T, sigma float64) killedRun {
+	t.Helper()
 	env, _ := testEnv(t, 200_000, workload.Uniform, 71)
-	opts := Options{Seed: 72}.withDefaults()
-	job := jobs.Mean()
-	sink, err := newStatSink(env, []jobs.Numeric{job}, []aes.Plan{{B: 30, N: 400}}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := Options{Sigma: sigma, Seed: 72}.withDefaults()
+	spec, sink := meanSpec(t, env, opts)
 	gate := &gateSink{Sink: sink, entered: make(chan struct{}), release: make(chan struct{})}
-	spec := engineSpec{
-		Name: "earl-parked", Sinks: []Sink{gate},
-		InitialN: 400, MaxN: 50_000,
-		Decode: ScalarDecode(job, nil), Key: job.Name,
-	}
-	type outcome struct {
-		res engineResult
-		err error
-	}
-	done := make(chan outcome, 1)
+	spec.Sinks = []Sink{gate}
+	done := make(chan struct{})
 	go func() {
-		res, err := runEngine(env, "/data", opts, spec)
-		done <- outcome{res, err}
-	}()
-	select {
-	case <-gate.entered:
-	case <-time.After(30 * time.Second):
-		t.Fatal("round 1 never folded")
-	}
-	// The fold began because the target was met: every mapper has sent
-	// its share and is parked (or about to). Give them a moment to reach
-	// the select, then take two machines away.
-	time.Sleep(5 * time.Millisecond)
-	for _, id := range []int{1, 2} {
-		if err := env.KillNode(id); err != nil {
-			t.Fatal(err)
+		select {
+		case <-gate.entered:
+		case <-done:
+			return
 		}
+		for _, id := range []int{1, 2} {
+			if err := env.KillNode(id); err != nil {
+				t.Error(err)
+			}
+		}
+		close(gate.release)
+	}()
+	res, err := runEngine(env, "/data", opts, spec)
+	close(done)
+	if err != nil {
+		t.Fatalf("run with node loss should still answer: %v", err)
 	}
-	close(gate.release)
-	var out outcome
-	select {
-	case out = <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("run hung after KillNode: parked mappers were not woken")
+	ReleaseSources(res.Sources)
+	res.Sources = nil
+	results, err := sink.stats[0].maint.Results()
+	if err != nil {
+		t.Fatalf("no result distribution after node loss: %v", err)
 	}
-	if out.err != nil {
-		t.Fatalf("run with node loss should still answer: %v", out.err)
+	return killedRun{res: res, n: sink.stats[0].maint.N(), results: results}
+}
+
+// TestKillNodeWhileMappersParked: machines lost between rounds fail the
+// mappers that ran there, and only those; the run finishes on the
+// survivors with the accuracy it achieved (§3.4).
+func TestKillNodeWhileMappersParked(t *testing.T) {
+	got := killBetweenRounds(t, 0.05)
+	if got.res.FailedMaps != 2 {
+		t.Fatalf("%d failed mappers, want the 2 that ran on the killed nodes", got.res.FailedMaps)
 	}
-	if out.res.FailedMaps == 0 {
-		t.Fatal("no mapper noticed its node die")
+	if got.n < 400 || got.n >= 50_000 {
+		t.Fatalf("sample size %d: want the survivors' achieved sample (≥ round 1, below the cap)", got.n)
 	}
-	n := sink.stats[0].maint.N()
-	if n < 400 || n >= 50_000 {
-		t.Fatalf("sample size %d: want the survivors' achieved sample (≥ round 1, below the cap)", n)
+	if len(got.results) != 30 {
+		t.Fatalf("%d resample results, want 30", len(got.results))
 	}
-	if vals, err := sink.stats[0].maint.Results(); err != nil || len(vals) != 30 {
-		t.Fatalf("no result distribution after node loss: %v (%d values)", err, len(vals))
+}
+
+// TestKillNodeBetweenRoundsRepeats: a run that loses machines is as
+// deterministic as one that does not. At σ 0.002 the run goes on past
+// the kill, and each of ten repeats must report the same.
+func TestKillNodeBetweenRoundsRepeats(t *testing.T) {
+	golden := killBetweenRounds(t, 0.002)
+	t.Logf("%d rounds, %d failed mappers, n %d", golden.res.Generations, golden.res.FailedMaps, golden.n)
+	if golden.res.Generations < 2 {
+		t.Fatalf("%d rounds: the run must go on after the kill", golden.res.Generations)
+	}
+	for i := 1; i < 10; i++ {
+		if got := killBetweenRounds(t, 0.002); !reflect.DeepEqual(got, golden) {
+			t.Fatalf("repeat %d: %d rounds, %d failed mappers, n %d; first run %d, %d, n %d", i,
+				got.res.Generations, got.res.FailedMaps, got.n, golden.res.Generations, golden.res.FailedMaps, golden.n)
+		}
 	}
 }
 
 // TestDrySourcesBelowTargetTerminate: when every source runs out below
-// the target the round can never complete; the barrier ends the run on
-// what arrived instead of waiting for the missing share.
+// the target the round can never complete; the run ends on what arrived
+// instead of waiting for the missing share.
 func TestDrySourcesBelowTargetTerminate(t *testing.T) {
 	env, xs := testEnv(t, 3_000, workload.Uniform, 73)
 	done := make(chan struct{})

@@ -11,21 +11,23 @@
 //     bootstraps B and the sample size n in cheap local mode, before any
 //     cluster job starts. If B×n ≥ N the driver falls back to the exact
 //     job over the full data set.
-//  2. A pipelined MR job starts: long-lived mapper tasks sample records
+//  2. A sampling MR job starts: long-lived mapper tasks sample records
 //     from their owned splits (pre-map, Algorithm 2) or from pooled
-//     parsed records (post-map, Algorithm 1) and push them to the
-//     reducer while running.
-//  3. The reducer maintains B bootstrap resamples and their incremental
-//     states (delta maintenance, §4.1), and after each growth round
-//     publishes the round's error to the run's barrier (mr.Controller).
-//  4. The barrier is the reducer→mapper feedback layer of §2.1/§3.3: the
-//     publication that completes a round decides once — terminate, or
-//     double the target — and the mappers, parked on the barrier between
-//     rounds, wake and keep feeding. The paper runs this exchange through
-//     error files on the DFS that the mappers poll; here only the files'
-//     cost is kept, charged to simcost per round (a small replicated
-//     write per partition, a seek and read per mapper per partition), so
-//     a sampled run writes nothing to the DFS or its journal.
+//     parsed records (post-map, Algorithm 1) toward their share of the
+//     round's target, and the shuffle routes them to the reducers.
+//  3. The reducers maintain B bootstrap resamples and their incremental
+//     states (delta maintenance, §4.1): each round they fold what the
+//     round drew, before the mappers finish the run, and publish the
+//     partition's error.
+//  4. The round's ruling is the reducer→mapper feedback layer of
+//     §2.1/§3.3: once every partition has published, it decides once —
+//     terminate, or double the target — and the mappers, alive across
+//     rounds, keep feeding. The paper runs this exchange through error
+//     files on the DFS that the mappers poll; here the rounds are one
+//     loop and only the files' cost is kept, charged to simcost per
+//     round (a small replicated write per partition, a seek and read
+//     per mapper per partition), so a sampled run writes nothing to the
+//     DFS or its journal.
 //  5. The final result is corrected for the sampling fraction p via the
 //     user job's correct() and reported with its cv and a percentile
 //     confidence interval.
@@ -38,29 +40,28 @@
 // Every sampled run — scalar, multi-statistic and grouped, one-shot or
 // the opening run of a maintained query — starts at ONE entry point,
 // Execute (driver.go), which hands back the run's state when asked to
-// retain it, and executes on
-// ONE generic pipeline (engine.go): the long-lived sampling mappers,
-// the round-barrier feedback loop, the doubling expansion schedule and
-// the §3.4 finish are written once. Records travel one way through it:
-// the samplers are the only code of a sampled run that ever sees a
-// record as a line, and everything from a RecordSource out handles
-// parsed columns (colscan.Cols) — decoded by a built-in columnar format
-// or, where the samplers read, by the user's own parser (Decode,
-// source.go); nothing downstream can tell which. The engine is
-// parameterized over one small abstraction: a Sink per reduce partition
-// folds each round's records in canonical order, answers the current
-// error estimate and renders the reports (sinks.go) — and is what a
-// maintained query keeps folding
-// into afterwards. A scalar query is the one-key degenerate case
-// (statSink: one resample set per statistic, all fed the shared
-// sample); grouped queries route records by their own keys into
-// per-group resample sets (groupSink). A multi-statistic query answers
-// several statistics from one pilot, one sample and one pass over the
-// records — per-statistic SSABE plans (the sample runs at the largest
-// planned n, every statistic's B is its own) with per-statistic
-// reports, at the IO cost of the single most demanding statistic.
+// retain it, and executes on ONE generic engine (engine.go): the
+// long-lived sampling mappers, the loop of rounds with its feedback
+// ruling, the doubling expansion schedule and the §3.4 finish are
+// written once. Records travel one way through it: the samplers are the
+// only code of a sampled run that ever sees a record as a line, and
+// everything from a RecordSource out handles parsed columns
+// (colscan.Cols) — decoded by a built-in columnar format or, where the
+// samplers read, by the user's own parser (Decode, source.go); nothing
+// downstream can tell which. The engine is parameterized over one small
+// abstraction: a Sink per reduce partition folds each round's records in
+// canonical order, answers the current error estimate and renders the
+// reports (sinks.go) — and is what a maintained query keeps folding into
+// afterwards. A scalar query is the one-key degenerate case (statSink:
+// one resample set per statistic, all fed the shared sample); grouped
+// queries route records by their own keys into per-group resample sets
+// (groupSink). A multi-statistic query answers several statistics from
+// one pilot, one sample and one pass over the records — per-statistic
+// SSABE plans (the sample runs at the largest planned n, every
+// statistic's B is its own) with per-statistic reports, at the IO cost
+// of the single most demanding statistic.
 //
-// The exact fall-back (exact.go) is not on this pipeline: it is one
+// The exact fall-back (exact.go) is not on this engine: it is one
 // column scan of the whole file — resident decoded blocks where env.Scan
 // holds them, a line reader per split under the run's Decode otherwise,
 // σ/π through the plan's kernels — then each statistic over the
@@ -82,20 +83,22 @@ import (
 
 // Env bundles the simulated deployment a driver runs against.
 //
-// An Env is safe for concurrent use: the DFS, the MR engine and the
-// metrics are internally synchronized, and every sampled run owns its
-// feedback state (a private mr.Controller), so concurrent
+// An Env is safe for concurrent use: the DFS, the cluster and the
+// metrics are internally synchronized, and every sampled run's round
+// loop keeps its state on its own stack, so concurrent
 // Execute/Watch/Append callers share nothing but data.
 //
 // A run is an Env too, made by Open: it reads one pinned commit and
 // charges its ledger, a child of the cluster's Metrics. Everything the
-// run builds from its Env — samplers, engine, SSABE, delta maintainers,
+// run builds from its Env — samplers, round loop, SSABE, delta maintainers,
 // the exact scan — charges that ledger, and each charge lands in the
 // cluster's at once: the ledger is the run's exact cost under any
 // overlap, and the cluster's Metrics stay the total.
 type Env struct {
-	FS     *dfs.FileSystem
-	Engine *mr.Engine
+	FS *dfs.FileSystem
+	// Cluster is the compute side: the nodes a run's tasks are placed
+	// on, and which of them are alive.
+	Cluster *mr.Cluster
 	// Metrics is the cluster's cost ledger, or in a run's Env the run's.
 	Metrics *simcost.Metrics
 	// Scan is the shared decoded-block cache of the vectorized scan
@@ -119,14 +122,12 @@ func (e *Env) View() dfs.View {
 
 // Open starts a run: it pins the current commit as a snapshot whose
 // reads charge ledger and returns the run's Env — that snapshot as its
-// data view, ledger as its Metrics, an engine bound to ledger — and the
-// release that unpins the commit. ledger is a child of e.Metrics for a
+// data view, ledger as its Metrics — and the release that unpins the
+// commit. ledger is a child of e.Metrics for a
 // caller that reads the run's cost, e.Metrics when nobody does.
 func (e *Env) Open(ledger *simcost.Metrics) (run *Env, release func()) {
 	snap := e.FS.Pin(ledger)
-	eng := *e.Engine
-	eng.Metrics = ledger
-	return &Env{FS: e.FS, Engine: &eng, Metrics: ledger, Scan: e.Scan, snap: snap}, snap.Release
+	return &Env{FS: e.FS, Cluster: e.Cluster, Metrics: ledger, Scan: e.Scan, snap: snap}, snap.Release
 }
 
 // openRun returns the Env a run reads and charges: e itself when e is
@@ -177,7 +178,7 @@ func (cfg EnvConfig) dfsConfig(metrics *simcost.Metrics) dfs.Config {
 	}
 }
 
-// NewEnv builds a fresh simulated cluster: DFS, MR engine and the
+// NewEnv builds a fresh simulated cluster: DFS, compute nodes and the
 // cluster's root cost ledger.
 func NewEnv(cfg EnvConfig) (*Env, error) {
 	cfg = cfg.defaulted()
@@ -203,14 +204,13 @@ func RecoverEnv(cfg EnvConfig, image []byte) (*Env, dfs.RecoverStats, error) {
 	return env, rst, err
 }
 
-// envAround wires the MR engine and scan cache around an existing DFS —
+// envAround wires the compute nodes and scan cache around an existing DFS —
 // the shared tail of NewEnv and RecoverEnv.
 func envAround(cfg EnvConfig, fsys *dfs.FileSystem, metrics *simcost.Metrics) (*Env, error) {
 	cluster, err := mr.NewCluster(cfg.DataNodes)
 	if err != nil {
 		return nil, err
 	}
-	eng := &mr.Engine{Cluster: cluster, Metrics: metrics}
 	scan := colscan.NewCache(cfg.CacheBytes)
 	if !cfg.DisableSidecars {
 		// Cold cache misses consult the persistent columnar sidecars
@@ -223,7 +223,7 @@ func envAround(cfg EnvConfig, fsys *dfs.FileSystem, metrics *simcost.Metrics) (*
 				key.Path, key.Offset, key.Length, err)
 		})
 	}
-	return &Env{FS: fsys, Engine: eng, Metrics: metrics, Scan: scan}, nil
+	return &Env{FS: fsys, Cluster: cluster, Metrics: metrics, Scan: scan}, nil
 }
 
 // KillNode kills both the DataNode and the compute node with the given
@@ -232,7 +232,7 @@ func (e *Env) KillNode(id int) error {
 	if err := e.FS.KillDataNode(id); err != nil {
 		return err
 	}
-	return e.Engine.Cluster.KillNode(id)
+	return e.Cluster.KillNode(id)
 }
 
 // ReviveNode brings a machine back.
@@ -240,5 +240,5 @@ func (e *Env) ReviveNode(id int) error {
 	if err := e.FS.ReviveDataNode(id); err != nil {
 		return err
 	}
-	return e.Engine.Cluster.ReviveNode(id)
+	return e.Cluster.ReviveNode(id)
 }

@@ -162,7 +162,7 @@ func (r *Retained) Result(refreshes int) (*PlanResult, error) {
 // (pilot, sampled job and exact fall-back alike), so a rewrite or an
 // append landing beside it cannot give it a blend of two file states.
 func Execute(env *Env, pq *PlannedQuery, retain bool) (*PlanResult, *Retained, error) {
-	if env == nil || env.FS == nil || env.Engine == nil {
+	if env == nil || env.FS == nil || env.Cluster == nil {
 		return nil, nil, errors.New("core: incomplete Env")
 	}
 	env, release := env.openRun()

@@ -339,7 +339,7 @@ func TestRunQuantileJob(t *testing.T) {
 
 func TestRunDeterministicAcrossRepeats(t *testing.T) {
 	// Same seed + same data ⇒ identical plan and identical estimate, even
-	// though the pipelined job is concurrent (all randomness is seeded and
+	// though the mappers draw side by side (all randomness is seeded and
 	// record-order independence holds at the state level).
 	var estimates []float64
 	var bs []int

@@ -7,7 +7,6 @@ import (
 	"repro/internal/colscan"
 	"repro/internal/dfs"
 	"repro/internal/jobs"
-	"repro/internal/mr"
 	"repro/internal/plan"
 	"repro/internal/simcost"
 )
@@ -84,7 +83,7 @@ func runExact(env *Env, jset []jobs.Numeric, path string, splitSize int64, dec D
 		ReduceTasks:    1,
 		RecordsMapped:  kept,
 		RecordsReduced: kept,
-		BytesShuffled:  kept * (int64(len(exactKey)) + mr.ValueSize(0.0)),
+		BytesShuffled:  kept * (int64(len(exactKey)) + valueBytes),
 	})
 	if kept == 0 {
 		if prog != nil && prog.HasFilter() {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/colscan"
 	"repro/internal/dfs"
 	"repro/internal/jobs"
-	"repro/internal/mr"
 	"repro/internal/plan"
 	"repro/internal/simcost"
 	"repro/internal/workload"
@@ -49,7 +48,7 @@ func stockExact(env *Env, job jobs.Numeric, path string, splitSize int64, prog *
 				return 0, 0, err
 			}
 			if keep {
-				env.Metrics.Charge(simcost.Snapshot{RecordsMapped: 1, BytesShuffled: int64(len(exactKey)) + mr.ValueSize(v), RecordsReduced: 1})
+				env.Metrics.Charge(simcost.Snapshot{RecordsMapped: 1, BytesShuffled: int64(len(exactKey)) + valueBytes, RecordsReduced: 1})
 				xs = append(xs, v)
 			}
 		}

@@ -44,7 +44,7 @@ type KMeansReport struct {
 // Handed a run's Env (Env.Open) it samples that run's commit; handed
 // the cluster's, it opens a run, so every draw reads one commit.
 func RunKMeans(env *Env, path string, kcfg jobs.KMeans, opts KMeansOptions) (KMeansReport, error) {
-	if env == nil || env.FS == nil || env.Engine == nil {
+	if env == nil || env.FS == nil || env.Cluster == nil {
 		return KMeansReport{}, errors.New("core: incomplete Env")
 	}
 	if opts.Sigma <= 0 {

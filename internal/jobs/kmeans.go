@@ -216,8 +216,7 @@ func (c KMeans) FitMR(v dfs.View, ledger *simcost.Metrics, path string) (FitResu
 }
 
 // partialBytes is the modelled shuffle size of one partial sum: one
-// word, as mr.ValueSize charges any value that is not a string or a
-// slice.
+// word, as the sampled engine and the exact scan charge a numeric value.
 const partialBytes = 8
 
 // lloydPass is one Lloyd iteration in the stock job's order: each split

@@ -337,10 +337,10 @@ func (w *Watch) refreshSampled(run *core.Env, size int64) error {
 		}
 	}
 
-	// Re-estimate, and re-expand only if σ is violated — the in-run
-	// doubling schedule (the engine's barrier runs it between rounds; a
-	// refresh has no mappers to park, so it is a loop), drawing from
-	// every region of the file without replacement.
+	// Re-estimate, and re-expand only if σ is violated — the doubling
+	// schedule the engine applies between rounds, here over the one
+	// merged sink, drawing from every region of the file without
+	// replacement.
 	cv := sink.ErrorEstimate(sink.Size())
 	maxSample := int64(core.MaxSampleShare * float64(ret.EstTotal))
 	for cv > ret.Opts.Sigma && sink.Size() < maxSample {

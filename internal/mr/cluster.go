@@ -3,21 +3,19 @@ package mr
 import (
 	"fmt"
 	"sync"
+
+	"repro/internal/simcost"
 )
 
 // Cluster models the compute side of the testbed: a set of nodes that
 // live and die. A task is placed on the next live node round-robin —
 // placement is bookkeeping, not admission: nothing waits for capacity,
-// so pipelined mappers parked on the round barrier never hold up the
-// siblings they wait for. The paper's cluster had 5 nodes; tasks placed
-// on a dead node fail and are rescheduled elsewhere.
+// so concurrent jobs with more tasks than nodes all start. The paper's
+// cluster had 5 nodes.
 type Cluster struct {
 	mu    sync.Mutex
 	alive []bool
 	next  int // round-robin placement cursor
-	// killed is closed (and replaced) by the next KillNode, waking map
-	// tasks parked between rounds to re-check their node.
-	killed chan struct{}
 }
 
 // NewCluster creates a cluster of n live nodes.
@@ -29,54 +27,64 @@ func NewCluster(n int) (*Cluster, error) {
 	for i := range alive {
 		alive[i] = true
 	}
-	return &Cluster{alive: alive, killed: make(chan struct{})}, nil
+	return &Cluster{alive: alive}, nil
 }
 
-// KillNode marks a node dead. Tasks already running there observe the
-// death at their next liveness check (parked ones are woken for it) and
-// fail; new tasks avoid it.
+// KillNode marks a node dead. Tasks already placed there observe the
+// death at their next liveness check and fail; new tasks avoid it.
 func (c *Cluster) KillNode(id int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if id < 0 || id >= len(c.alive) {
-		return fmt.Errorf("mr: no node %d", id)
-	}
-	c.alive[id] = false
-	close(c.killed)
-	c.killed = make(chan struct{})
-	return nil
+	return c.setAlive(id, false)
 }
 
 // ReviveNode brings a node back into scheduling.
 func (c *Cluster) ReviveNode(id int) error {
+	return c.setAlive(id, true)
+}
+
+func (c *Cluster) setAlive(id int, alive bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if id < 0 || id >= len(c.alive) {
 		return fmt.Errorf("mr: no node %d", id)
 	}
-	c.alive[id] = true
+	c.alive[id] = alive
 	return nil
 }
 
 // NodeAlive reports whether node id is alive (false for unknown ids).
 func (c *Cluster) NodeAlive(id int) bool {
-	alive, _ := c.watchNode(id)
-	return alive
-}
-
-// watchNode reports whether node id is alive and returns a channel the
-// next KillNode (of any node) closes.
-func (c *Cluster) watchNode(id int) (alive bool, killed <-chan struct{}) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return id >= 0 && id < len(c.alive) && c.alive[id], c.killed
+	return id >= 0 && id < len(c.alive) && c.alive[id]
 }
 
-// place returns the next live node round-robin, or an error when no
-// node is alive.
-func (c *Cluster) place() (int, error) {
+// Place starts job on the cluster and charges m for it: the job's
+// startup, then nr reduce tasks — placed first, since they hold the
+// job's state — and nm map tasks in index order. It returns the map
+// tasks' nodes; with no live node to place on, the job fails.
+func (c *Cluster) Place(job string, nm, nr int, m *simcost.Metrics) (mappers []int, err error) {
+	m.Charge(simcost.Snapshot{JobStartups: 1})
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	for p := range nr {
+		if _, err := c.placeLocked(); err != nil {
+			return nil, fmt.Errorf("mr: placing reduce[%d] of %q: %w", p, job, err)
+		}
+	}
+	m.Charge(simcost.Snapshot{ReduceTasks: int64(nr)})
+	mappers = make([]int, nm)
+	for i := range mappers {
+		if mappers[i], err = c.placeLocked(); err != nil {
+			return nil, fmt.Errorf("mr: placing map[%d] of %q: %w", i, job, err)
+		}
+	}
+	m.Charge(simcost.Snapshot{MapTasks: int64(nm)})
+	return mappers, nil
+}
+
+// placeLocked returns the next live node round-robin, or an error when
+// no node is alive.
+func (c *Cluster) placeLocked() (int, error) {
 	for i := range c.alive {
 		id := (c.next + i) % len(c.alive)
 		if c.alive[id] {

@@ -1,36 +1,12 @@
 package mr
 
 import (
-	"errors"
-	"fmt"
+	"slices"
 	"strconv"
 	"testing"
 
 	"repro/internal/simcost"
 )
-
-func newTestEngine(t *testing.T, nodes int) (*Engine, *simcost.Metrics) {
-	t.Helper()
-	var m simcost.Metrics
-	cl, err := NewCluster(nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &Engine{Cluster: cl, Metrics: &m}, &m
-}
-
-// drain is a reduce task that consumes its input and keeps nothing.
-func drain(part int, in <-chan KV) error {
-	for range in {
-	}
-	return nil
-}
-
-// emitOne is a map task that emits one record.
-func emitOne(ctx *MapStream, idx int) error {
-	ctx.Emit("k", 1)
-	return nil
-}
 
 func TestHashPartitionStableAndInRange(t *testing.T) {
 	for r := 1; r <= 7; r++ {
@@ -44,21 +20,6 @@ func TestHashPartitionStableAndInRange(t *testing.T) {
 				t.Fatal("partition not stable")
 			}
 		}
-	}
-}
-
-func TestValueSize(t *testing.T) {
-	if ValueSize("hello") != 5 {
-		t.Fatal("string size")
-	}
-	if ValueSize([]byte{1, 2, 3}) != 3 {
-		t.Fatal("bytes size")
-	}
-	if ValueSize([]float64{1, 2}) != 16 {
-		t.Fatal("float slice size")
-	}
-	if ValueSize(3.14) != 8 {
-		t.Fatal("scalar size")
 	}
 }
 
@@ -96,88 +57,39 @@ func TestClusterKillRevive(t *testing.T) {
 	}
 }
 
-// TestRunWithAllNodesDead: a pipelined job on a cluster with no live
-// node fails to place its tasks.
+// TestRunWithAllNodesDead: a job on a cluster with no live node fails
+// to place its tasks.
 func TestRunWithAllNodesDead(t *testing.T) {
-	e, _ := newTestEngine(t, 2)
-	e.Cluster.KillNode(0)
-	e.Cluster.KillNode(1)
-	job := &StreamJob{Name: "dead", NumMappers: 1, MapTask: emitOne, ReduceTask: drain}
-	if _, err := e.RunPipelined(job); err == nil {
+	c, err := NewCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.KillNode(0)
+	c.KillNode(1)
+	if _, err := c.Place("dead", 1, 1, nil); err == nil {
 		t.Fatal("job on dead cluster should fail")
 	}
 }
 
-// TestEngineDefaults: nothing defaults an engine's cluster, and a nil
-// ledger charges nothing and runs the same job.
-func TestEngineDefaults(t *testing.T) {
-	job := &StreamJob{Name: "defaults", MapTask: emitOne, ReduceTask: drain}
-	if _, err := (&Engine{}).RunPipelined(job); err == nil {
-		t.Fatal("engine without a Cluster ran a job")
-	}
-	cl, err := NewCluster(5)
+// TestMetricsCharged: placing a job charges its startup and every task
+// it places, and map tasks go round-robin over the live nodes after the
+// reducers.
+func TestMetricsCharged(t *testing.T) {
+	c, err := NewCluster(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (&Engine{Cluster: cl}).RunPipelined(job); err != nil {
+	c.KillNode(1)
+	var m simcost.Metrics
+	nodes, err := c.Place("metrics", 3, 2, &m)
+	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestMetricsCharged: a pipelined job charges its startup, every task it
-// places, every record its mappers emit with its key and value bytes,
-// and every record its reducers receive.
-func TestMetricsCharged(t *testing.T) {
-	e, m := newTestEngine(t, 3)
-	job := &StreamJob{Name: "metrics", NumMappers: 2, NumReducers: 3, MapTask: emitOne, ReduceTask: drain}
-	if _, err := e.RunPipelined(job); err != nil {
-		t.Fatal(err)
+	if want := []int{0, 2, 0}; !slices.Equal(nodes, want) {
+		t.Fatalf("map tasks on nodes %v, want %v", nodes, want)
 	}
-	want := simcost.Snapshot{JobStartups: 1, MapTasks: 2, ReduceTasks: 3, RecordsMapped: 2, BytesShuffled: 2 * (1 + 8), RecordsReduced: 2}
+	want := simcost.Snapshot{JobStartups: 1, MapTasks: 3, ReduceTasks: 2}
 	if s := m.Snapshot(); s != want {
 		t.Fatalf("charged %+v, want %+v", s, want)
-	}
-}
-
-// TestMapperErrorPropagates: a map task's error lands in the result
-// with its cause, and the job still succeeds on the other mappers.
-func TestMapperErrorPropagates(t *testing.T) {
-	e, _ := newTestEngine(t, 2)
-	cause := errors.New("bad record")
-	job := &StreamJob{
-		Name:       "bad-map",
-		NumMappers: 2,
-		MapTask: func(ctx *MapStream, idx int) error {
-			if idx == 1 {
-				return fmt.Errorf("parse: %w", cause)
-			}
-			return emitOne(ctx, idx)
-		},
-		ReduceTask: drain,
-	}
-	res, err := e.RunPipelined(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.FailedMappers) != 1 || res.FailedMappers[0] != 1 || !errors.Is(res.MapperErrs[0], cause) {
-		t.Fatalf("failed mappers %v, errors %v; want mapper 1 with the cause", res.FailedMappers, res.MapperErrs)
-	}
-}
-
-// TestReducerErrorPropagates: a reduce task's error fails the job and
-// keeps its cause under errors.Is.
-func TestReducerErrorPropagates(t *testing.T) {
-	e, _ := newTestEngine(t, 2)
-	cause := errors.New("statistic failed")
-	job := &StreamJob{
-		Name:    "bad-reduce",
-		MapTask: emitOne,
-		ReduceTask: func(part int, in <-chan KV) error {
-			<-in
-			return fmt.Errorf("reduce: %w", cause)
-		},
-	}
-	if _, err := e.RunPipelined(job); !errors.Is(err, cause) {
-		t.Fatalf("err = %v, want the reducer's cause", err)
 	}
 }

@@ -320,9 +320,6 @@ func InitializeOrUpdate(r IncrementalReducer, key string, state State, values []
 	return UpdateAll(r, state, values)
 }
 
-// Correctable wraps a user correction function.
-type Correctable func(result, p float64) float64
-
 // IdentityCorrect is the correction for statistics that are invariant to
 // sampling fraction (mean, median, quantiles, variance).
 func IdentityCorrect(result, p float64) float64 { return result }

@@ -269,9 +269,9 @@ func TestOverlappingScanFiltersOnce(t *testing.T) {
 
 // TestConcurrentGroupedOneShotsAtDefaults: at the default admission,
 // four clients' filtered, grouped post-map one-shots run at once, each
-// with four pipelined mappers parked on its round barrier — sixteen map
-// tasks on five nodes, so a cluster that made a task wait for capacity
-// would hang here. Each repetition, on a fresh server so nothing is
+// with four mappers alive across its rounds — sixteen map tasks on five
+// nodes, so a cluster that made a task wait for capacity would hang
+// here. Each repetition, on a fresh server so nothing is
 // answered from cache, must finish within its deadline, and every
 // answer must equal the same query run alone.
 func TestConcurrentGroupedOneShotsAtDefaults(t *testing.T) {

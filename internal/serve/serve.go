@@ -323,7 +323,7 @@ const (
 
 // New builds a server over env.
 func New(env *core.Env, cfg Config) (*Server, error) {
-	if env == nil || env.FS == nil || env.Engine == nil {
+	if env == nil || env.FS == nil || env.Cluster == nil {
 		return nil, errors.New("serve: incomplete Env")
 	}
 	cfg = cfg.withDefaults()
