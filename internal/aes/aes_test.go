@@ -3,51 +3,10 @@ package aes
 import (
 	"testing"
 
-	"repro/internal/mr"
+	"repro/internal/jobs"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
-
-// meanReducer is the mean statistic with Remove support.
-type meanReducer struct{}
-
-type meanState struct{ w stats.Welford }
-
-func (s *meanState) Remove(v float64) error { s.w.Remove(v); return nil }
-
-func (meanReducer) Initialize(key string, values []float64) (mr.State, error) {
-	st := &meanState{}
-	for _, v := range values {
-		st.w.Add(v)
-	}
-	return st, nil
-}
-
-func (meanReducer) Update(state mr.State, input any) (mr.State, error) {
-	st, ok := state.(*meanState)
-	if !ok {
-		return nil, mr.ErrBadState
-	}
-	switch x := input.(type) {
-	case float64:
-		st.w.Add(x)
-	case *meanState:
-		st.w.Merge(x.w)
-	default:
-		return nil, mr.ErrBadInput
-	}
-	return st, nil
-}
-
-func (meanReducer) Finalize(state mr.State) (float64, error) {
-	st, ok := state.(*meanState)
-	if !ok {
-		return 0, mr.ErrBadState
-	}
-	return st.w.Mean(), nil
-}
-
-func (meanReducer) Correct(result, p float64) float64 { return result }
 
 func pilotData(n int, seed uint64) []float64 {
 	xs, err := workload.NumericSpec{Dist: workload.Gaussian, N: n, Seed: seed}.Generate()
@@ -59,7 +18,7 @@ func pilotData(n int, seed uint64) []float64 {
 
 func baseConfig() Config {
 	return Config{
-		Reducer: meanReducer{},
+		Reducer: plainReducer{jobs.Mean().Reducer},
 		Sigma:   0.05,
 		Seed:    7,
 	}

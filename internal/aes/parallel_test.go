@@ -14,7 +14,7 @@ import (
 )
 
 // plainReducer hides every optional capability of the reducer it wraps:
-// no lanes, no ranking — each resample folds item by item.
+// no lanes, no ranking — each resample's state folds on its own.
 type plainReducer struct{ mr.IncrementalReducer }
 
 // TestSSABESameBitsAtAnyParallelism: phase 2's replicates run side by

@@ -14,47 +14,27 @@ import (
 	"repro/internal/workload"
 )
 
-// frozenReducer hides every optional capability of the reducer it wraps
-// — no lanes, no ranking — and wraps its states so that they cannot
-// remove either: delta maintenance rebuilds them. It counts the
-// Initialize and Update calls it serves, so a statistic folded into a
-// resample it does not read shows.
-type frozenReducer struct {
+// countingPlain is a plainReducer that counts the Initialize, Update
+// and Remove calls it serves, so a statistic folded into a resample it
+// does not read shows.
+type countingPlain struct {
 	mr.IncrementalReducer
 	calls *atomic.Int64
 }
 
-type frozenState struct{ st mr.State }
-
-func (r frozenReducer) Initialize(key string, values []float64) (mr.State, error) {
+func (r countingPlain) Initialize(key string, values []float64) (mr.State, error) {
 	r.calls.Add(1)
-	st, err := r.IncrementalReducer.Initialize(key, values)
-	if err != nil {
-		return nil, err
-	}
-	return &frozenState{st}, nil
+	return r.IncrementalReducer.Initialize(key, values)
 }
 
-func (r frozenReducer) Update(state mr.State, input any) (mr.State, error) {
+func (r countingPlain) Update(state mr.State, values []float64) (mr.State, error) {
 	r.calls.Add(1)
-	fs, ok := state.(*frozenState)
-	if !ok {
-		return nil, mr.ErrBadState
-	}
-	st, err := r.IncrementalReducer.Update(fs.st, input)
-	if err != nil {
-		return nil, err
-	}
-	fs.st = st
-	return fs, nil
+	return r.IncrementalReducer.Update(state, values)
 }
 
-func (r frozenReducer) Finalize(state mr.State) (float64, error) {
-	fs, ok := state.(*frozenState)
-	if !ok {
-		return 0, mr.ErrBadState
-	}
-	return r.IncrementalReducer.Finalize(fs.st)
+func (r countingPlain) Remove(state mr.State, values []float64) error {
+	r.calls.Add(1)
+	return r.IncrementalReducer.Remove(state, values)
 }
 
 // TestPlanAllEqualsSSABEOneByOne: planning a query's statistics with one
@@ -64,8 +44,7 @@ func (r frozenReducer) Finalize(state mr.State) (float64, error) {
 // every Parallelism: for statistics that stop phase 1 at different B,
 // for quantiles sharing one ranking (and, in phase 2, one count vector
 // per resample), for the moment reducers, and beside a reducer that has
-// no lanes, no ranking and no Remove, whose states are rebuilt and whose
-// calls are counted. The pilots are Zipf; Gaussian, whose values are
+// no lanes and no ranking, whose calls are counted. The pilots are Zipf; Gaussian, whose values are
 // all distinct; one holding −0 but no +0, which is ranked; and one
 // holding both, which is not, so its segments are ranked on their own.
 func TestPlanAllEqualsSSABEOneByOne(t *testing.T) {
@@ -95,8 +74,8 @@ func TestPlanAllEqualsSSABEOneByOne(t *testing.T) {
 	}
 	var calls atomic.Int64
 	reducer := func(name string) mr.IncrementalReducer {
-		if name == "frozen-mean" {
-			return frozenReducer{jobs.Mean().Reducer, &calls}
+		if name == "counting-mean" {
+			return countingPlain{jobs.Mean().Reducer, &calls}
 		}
 		job, err := jobs.ByName(name)
 		if err != nil {
@@ -113,10 +92,10 @@ func TestPlanAllEqualsSSABEOneByOne(t *testing.T) {
 			{"mean", "p50", "count"},
 			{"p50", "p95", "p99"},
 			{"mean", "sum", "variance", "stddev"},
-			{"p50", "frozen-mean", "mean"},
+			{"p50", "counting-mean", "mean"},
 		}},
 		{"gaussian", pilotData(4000, 74), [][]string{{"p50", "p95", "p99"}}},
-		{"−0", negZero, [][]string{{"p50", "p95", "p99"}, {"p50", "frozen-mean", "mean"}}},
+		{"−0", negZero, [][]string{{"p50", "p95", "p99"}, {"p50", "counting-mean", "mean"}}},
 		{"±0", bothZeros, [][]string{{"p50", "p95", "p99"}}},
 	} {
 		pilot := c.pilot
@@ -163,7 +142,7 @@ func TestPlanAllEqualsSSABEOneByOne(t *testing.T) {
 						t.Errorf("%s: cost %+v together, %+v alone", where, cost, wantCost)
 					}
 					if n := calls.Load(); n != wantCalls {
-						t.Errorf("%s: the frozen reducer served %d calls together, %d alone", where, n, wantCalls)
+						t.Errorf("%s: the counting reducer served %d calls together, %d alone", where, n, wantCalls)
 					}
 					if set[0] == "mean" && set[2] == "count" && len(bs) < 2 {
 						t.Errorf("%s: every statistic stopped phase 1 at the same B", where)
@@ -195,9 +174,9 @@ func (r countingQuantile) Initialize(key string, values []float64) (mr.State, er
 	return r.IncrementalReducer.Initialize(key, values)
 }
 
-func (r countingQuantile) Update(state mr.State, input any) (mr.State, error) {
+func (r countingQuantile) Update(state mr.State, values []float64) (mr.State, error) {
 	r.calls.Add(1)
-	return r.IncrementalReducer.Update(state, input)
+	return r.IncrementalReducer.Update(state, values)
 }
 
 func (r countingQuantile) InitializeCounted(key string, distinct []float64, counts []uint32) (mr.State, error) {
@@ -285,11 +264,11 @@ func (r failingAt) Initialize(key string, values []float64) (mr.State, error) {
 	return r.IncrementalReducer.Initialize(key, values)
 }
 
-func (r failingAt) Update(state mr.State, input any) (mr.State, error) {
+func (r failingAt) Update(state mr.State, values []float64) (mr.State, error) {
 	if r.updateErr != nil {
 		return nil, r.updateErr
 	}
-	return r.IncrementalReducer.Update(state, input)
+	return r.IncrementalReducer.Update(state, values)
 }
 
 // TestPlanAllFirstErrorInStatisticOrder: when statistics fail, PlanAll

@@ -17,9 +17,8 @@ import (
 //     is later passed to a sort call in the same function (the
 //     collect-keys-then-sort idiom is the sanctioned fix);
 //   - sends on a channel;
-//   - feeds reducer state (Update / UpdateAll / InitializeOrUpdate /
-//     Initialize / Grow) or derives seeds (hash writes, SplitRNG,
-//     seed-named callees).
+//   - feeds reducer state (Initialize / Update / Remove / Merge / Grow)
+//     or derives seeds (hash writes, SplitRNG, seed-named callees).
 //
 // Commutative folds (summing into a scalar, writing back into the same
 // map, taking a max) pass without annotation. A genuinely
@@ -42,8 +41,8 @@ var mapOrderPackages = map[string]bool{
 // orderSensitiveCalls feed per-item state whose final value depends on
 // arrival order (reducer folds, resample growth).
 var orderSensitiveCalls = map[string]bool{
-	"Update": true, "UpdateAll": true, "InitializeOrUpdate": true,
-	"Initialize": true, "Grow": true,
+	"Initialize": true, "Update": true, "Remove": true, "Merge": true,
+	"Grow": true,
 }
 
 func runMapOrder(pass *Pass) (any, error) {

@@ -7,7 +7,7 @@ import (
 )
 
 // SentinelErr enforces errors.Is for sentinel-error matching. The
-// repo's public errors (bootstrap.ErrTooFewResamples, mr.ErrBadInput,
+// repo's public errors (bootstrap.ErrTooFewResamples, mr.ErrBadState,
 // serve.ErrOverloaded, dfs.ErrNotFound, ...) are routinely wrapped with
 // %w as they cross package boundaries — the driver wraps resample
 // errors, the HTTP layer wraps engine errors — so an identity

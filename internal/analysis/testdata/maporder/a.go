@@ -9,6 +9,8 @@ type reducer struct{}
 
 func (reducer) Update(s []float64, v float64) []float64 { return append(s, v) }
 
+func (reducer) Merge(s, other []float64) []float64 { return append(s, other...) }
+
 // appendUnsorted accumulates in map-iteration order: the slice's final
 // order is run-dependent.
 func appendUnsorted(m map[string]int) []string {
@@ -65,6 +67,15 @@ func foldUpdate(m map[string][]float64, r reducer) []float64 {
 		for _, v := range vs {
 			s = r.Update(s, v) // want `order-sensitive state fold`
 		}
+	}
+	return s
+}
+
+// foldMerge merges per-key states in map-iteration order.
+func foldMerge(m map[string][]float64, r reducer) []float64 {
+	var s []float64
+	for _, other := range m {
+		s = r.Merge(s, other) // want `order-sensitive state fold`
 	}
 	return s
 }

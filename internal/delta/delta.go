@@ -30,8 +30,8 @@
 // The per-item hot path is allocation-free in steady state: a
 // generation's deletes and adds are collected into per-worker scratch
 // buffers (internal/pool) and applied to the user-job state in one
-// batched interface call each (mr.RemoveValues / mr.UpdateAll), and the
-// weighted part/generation picks run on Fenwick trees instead of linear
+// batched reducer call each (Remove / Update), and the weighted
+// part/generation picks run on Fenwick trees instead of linear
 // cumulative scans — same rng-for-rng pick, O(log) instead of O(parts).
 // A worker takes resamples a few at a time (growLanes) and folds the
 // group's draws from the new generation — the bulk of a Grow — in one
@@ -126,7 +126,6 @@ type Maintainer struct {
 	// which are the draw path's actual consumers.
 	genTree   stats.Fenwick
 	resamples []*resample
-	rebuilds  atomic.Int64 // states rebuilt because Remove was unsupported
 	updates   atomic.Int64 // state add/remove operations performed (work measure)
 
 	newest []float64 // a copy of the last grow's Δs, which the next grow builds caches over
@@ -261,11 +260,11 @@ type Config struct {
 	// (mr.MultisetReducer), instead of a state per statistic: a draw, a
 	// resize's delete and a resize's add each move one count, and
 	// ResultsOf finalizes from the counts (FinalizeCounted). Results,
-	// Updates, Rebuilds and the charged cost are what they are without
-	// it. Every grow must then be ranked over the universe: GrowRanked
-	// refuses a ranking whose Distinct is not the universe, and Grow one
-	// that does not hold every universe value. Ignored when no statistic
-	// takes counts.
+	// Updates and the charged cost are what they are without it. Every
+	// grow must then be ranked over the universe: GrowRanked refuses a
+	// ranking whose Distinct is not the universe, and Grow one that does
+	// not hold every universe value. Ignored when no statistic takes
+	// counts.
 	Universe []float64
 }
 
@@ -313,16 +312,11 @@ func (m *Maintainer) B() int { return m.b }
 // N returns the current sample size.
 func (m *Maintainer) N() int { return m.n }
 
-// Rebuilds reports how many times a state had to be rebuilt from scratch
-// because its reducer does not support Remove.
-func (m *Maintainer) Rebuilds() int { return int(m.rebuilds.Load()) }
-
-// Updates reports the total number of per-item state operations (adds,
-// removes, rebuild re-adds) performed so far, over every statistic —
-// the work that delta maintenance saves relative to recomputing every
-// resample from scratch (§4, measured in Fig. 10). It is also charged
-// to Metrics as RecordsReduced so modeled job times include resampling
-// CPU.
+// Updates reports the total number of per-item state operations (adds
+// and removes) performed so far, over every statistic — the work that
+// delta maintenance saves relative to recomputing every resample from
+// scratch (§4, measured in Fig. 10). It is also charged to Metrics as
+// RecordsReduced so modeled job times include resampling CPU.
 func (m *Maintainer) Updates() int64 { return m.updates.Load() }
 
 // charge records n state operations.
@@ -671,8 +665,7 @@ func (m *Maintainer) resizeResample(i int, r *resample, nPrime int, scratch *gro
 			r.partTree.Add(pi, -1)
 			dels = append(dels, v)
 		}
-		// The deletes' sketch refreshes are every reader's; a rebuild's
-		// re-read is its own statistic's.
+		// The deletes' sketch refreshes are every reader's.
 		m.chargeIO(r, r.readers)
 		if err := m.recount(r, dels, false); err != nil {
 			return 0, err
@@ -681,10 +674,9 @@ func (m *Maintainer) resizeResample(i int, r *resample, nPrime int, scratch *gro
 			if i >= st.b || st.tallied {
 				continue
 			}
-			if err := m.removeFromState(r, s, dels); err != nil {
+			if err := st.red.Remove(r.states[s], dels); err != nil {
 				return 0, &StatError{Stat: s, Err: err}
 			}
-			m.chargeIO(r, 1)
 		}
 		m.charge(r.readers * int64(len(dels)))
 	case keep > m.n:
@@ -707,7 +699,7 @@ func (m *Maintainer) resizeResample(i int, r *resample, nPrime int, scratch *gro
 			if i >= st.b || st.tallied {
 				continue
 			}
-			if r.states[s], err = mr.UpdateAll(st.red, r.states[s], adds); err != nil {
+			if r.states[s], err = st.red.Update(r.states[s], adds); err != nil {
 				return 0, &StatError{Stat: s, Err: err}
 			}
 		}
@@ -759,39 +751,6 @@ func pickPartWeighted(r *resample) (int, *sketch.Part) {
 // Fenwick tree.
 func (m *Maintainer) pickGenWeighted(rng *stats.PCG) int {
 	return m.genTree.Pick(int64(rng.IntN(int(m.genTree.Total()))))
-}
-
-// removeFromState removes a batch of values from statistic s's state
-// of r — one mr.BatchRemovableState call when supported, a per-value
-// Remove loop otherwise — rebuilding the state from the resample's
-// surviving items when the state cannot remove at all. The rebuild is
-// the slow path the paper's design avoids for moment-like statistics;
-// batching means one rebuild per generation (not one per deleted item),
-// charged as the full re-read it implies.
-func (m *Maintainer) removeFromState(r *resample, s int, vs []float64) error {
-	if len(vs) == 0 {
-		return nil
-	}
-	handled, err := mr.RemoveValues(r.states[s], vs)
-	if err != nil {
-		return err
-	}
-	if handled {
-		return nil
-	}
-	m.rebuilds.Add(1)
-	var all []float64
-	for _, p := range r.parts {
-		all = append(all, p.Items()...) // Items() charges the disk read
-	}
-	st := &m.stats[s]
-	state, err := st.red.Initialize(st.key, all)
-	if err != nil {
-		return err
-	}
-	m.charge(int64(len(all)))
-	r.states[s] = state
-	return nil
 }
 
 // Results finalizes statistic 0's resample states and returns its B

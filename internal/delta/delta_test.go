@@ -12,40 +12,48 @@ import (
 	"repro/internal/workload"
 )
 
-// welfordReducer is the mean statistic as an IncrementalReducer with
-// Remove support — the happy path for delta maintenance.
+// welfordReducer is the mean statistic as a plain IncrementalReducer:
+// it removes, but folds neither lanes nor counts, so delta maintenance
+// takes its one-Initialize-per-resample and one-Update-per-state paths.
 type welfordReducer struct{}
 
 type welfordState struct {
 	w stats.Welford
 }
 
-func (s *welfordState) Remove(v float64) error {
-	s.w.Remove(v)
-	return nil
+func (welfordReducer) Initialize(key string, values []float64) (mr.State, error) {
+	return welfordReducer{}.Update(&welfordState{}, values)
 }
 
-func (welfordReducer) Initialize(key string, values []float64) (mr.State, error) {
-	st := &welfordState{}
+func (welfordReducer) Update(state mr.State, values []float64) (mr.State, error) {
+	st, ok := state.(*welfordState)
+	if !ok {
+		return nil, mr.ErrBadState
+	}
 	for _, v := range values {
 		st.w.Add(v)
 	}
 	return st, nil
 }
 
-func (welfordReducer) Update(state mr.State, input any) (mr.State, error) {
+func (welfordReducer) Remove(state mr.State, values []float64) error {
 	st, ok := state.(*welfordState)
 	if !ok {
+		return mr.ErrBadState
+	}
+	for _, v := range values {
+		st.w.Remove(v)
+	}
+	return nil
+}
+
+func (welfordReducer) Merge(state, other mr.State) (mr.State, error) {
+	st, ok := state.(*welfordState)
+	o, ok2 := other.(*welfordState)
+	if !ok || !ok2 {
 		return nil, mr.ErrBadState
 	}
-	switch x := input.(type) {
-	case float64:
-		st.w.Add(x)
-	case *welfordState:
-		st.w.Merge(x.w)
-	default:
-		return nil, mr.ErrBadInput
-	}
+	st.w.Merge(o.w)
 	return st, nil
 }
 
@@ -58,44 +66,6 @@ func (welfordReducer) Finalize(state mr.State) (float64, error) {
 }
 
 func (welfordReducer) Correct(result, p float64) float64 { return result }
-
-// noRemoveReducer is the same statistic without Remove — exercises the
-// rebuild slow path.
-type noRemoveReducer struct{ welfordReducer }
-
-type plainState struct{ w stats.Welford }
-
-func (noRemoveReducer) Initialize(key string, values []float64) (mr.State, error) {
-	st := &plainState{}
-	for _, v := range values {
-		st.w.Add(v)
-	}
-	return st, nil
-}
-
-func (noRemoveReducer) Update(state mr.State, input any) (mr.State, error) {
-	st, ok := state.(*plainState)
-	if !ok {
-		return nil, mr.ErrBadState
-	}
-	switch x := input.(type) {
-	case float64:
-		st.w.Add(x)
-	case *plainState:
-		st.w.Merge(x.w)
-	default:
-		return nil, mr.ErrBadInput
-	}
-	return st, nil
-}
-
-func (noRemoveReducer) Finalize(state mr.State) (float64, error) {
-	st, ok := state.(*plainState)
-	if !ok {
-		return 0, mr.ErrBadState
-	}
-	return st.w.Mean(), nil
-}
 
 func sampleData(n int, seed uint64) []float64 {
 	xs, err := workload.NumericSpec{Dist: workload.Gaussian, N: n, Seed: seed}.Generate()
@@ -307,39 +277,6 @@ func TestMaintainerSketchAvoidsDiskIO(t *testing.T) {
 	s := metrics.Snapshot()
 	if s.DiskSeeks > 4 {
 		t.Fatalf("delta maintenance hit disk %d times; sketches should absorb it (%v)", s.DiskSeeks, s)
-	}
-	if m.Rebuilds() != 0 {
-		t.Fatalf("unexpected state rebuilds: %d", m.Rebuilds())
-	}
-}
-
-func TestMaintainerRebuildPathForNonRemovableStates(t *testing.T) {
-	m, err := New(Config{Reducer: noRemoveReducer{}, B: 6, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Grow(sampleData(300, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Grow(sampleData(300, 2)); err != nil {
-		t.Fatal(err)
-	}
-	// Deletions almost surely happened across 6 resamples; each must have
-	// triggered a rebuild rather than failing.
-	vals, err := m.Results()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vals) != 6 {
-		t.Fatalf("got %d values", len(vals))
-	}
-	for _, sz := range m.ResampleSizes() {
-		if sz != 600 {
-			t.Fatalf("size %d, want 600", sz)
-		}
-	}
-	if m.Rebuilds() == 0 {
-		t.Skip("no deletions drawn this seed (legal but rare)")
 	}
 }
 

@@ -80,9 +80,9 @@ func OptimalY(n int) (y, savings float64, err error) {
 // SharedResampler generates B resamples of s with intra-iteration
 // sharing: a shared block of y*·n items is drawn once, its partial state
 // computed once, and every resample's state starts from a copy of that
-// partial state before adding its own (1−y*)·n distinct draws. The
-// reducer's Update(state, otherState) must not mutate its second
-// argument — the contract mr.IncrementalReducer documents.
+// partial state before adding its own (1−y*)·n distinct draws: one
+// Merge of the shared state, which mr.IncrementalReducer promises not
+// to modify, per resample.
 type SharedResampler struct {
 	red mr.IncrementalReducer
 	key string
@@ -129,12 +129,11 @@ func (sr *SharedResampler) Draw(s []float64, b int, draw func(k int) []float64) 
 		if err != nil {
 			return nil, 0, err
 		}
-		st, err = sr.red.Update(st, sharedState) // state-merge: O(1), no item work
+		st, err = sr.red.Merge(st, sharedState) // state-merge: O(1), no item work
 		if err != nil {
 			return nil, 0, err
 		}
-		rest := draw(n - shared)
-		st, err = mr.UpdateAll(sr.red, st, rest)
+		st, err = sr.red.Update(st, draw(n-shared))
 		if err != nil {
 			return nil, 0, err
 		}

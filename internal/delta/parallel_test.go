@@ -76,8 +76,7 @@ func TestNaiveMaintainerDeterministicAcrossParallelism(t *testing.T) {
 }
 
 // TestMaintainerParallelInvariants re-checks the core §4.1 invariants
-// (sizes, state/item agreement) with the worker pool engaged, including
-// the non-removable-state rebuild path.
+// (sizes, state/item agreement) with the worker pool engaged.
 func TestMaintainerParallelInvariants(t *testing.T) {
 	m, err := New(Config{Reducer: welfordReducer{}, B: 12, Seed: 19, Parallelism: 4})
 	if err != nil {
@@ -101,21 +100,5 @@ func TestMaintainerParallelInvariants(t *testing.T) {
 	}
 	if len(vals) != 12 {
 		t.Fatalf("got %d values", len(vals))
-	}
-
-	// Rebuild path under parallelism (no Remove support).
-	nr, err := New(Config{Reducer: noRemoveReducer{}, B: 8, Seed: 20, Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for gi, sz := range []int{300, 300} {
-		if err := nr.Grow(sampleData(sz, uint64(gi+950))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, sz := range nr.ResampleSizes() {
-		if sz != 600 {
-			t.Fatalf("size %d, want 600", sz)
-		}
 	}
 }

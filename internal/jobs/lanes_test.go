@@ -12,8 +12,8 @@ import (
 
 // TestUpdateLanesEqualsUpdateAllLoop holds every named reducer to the
 // lane contract: mr.UpdateLanes over a group of states leaves each one
-// bit for bit where a loop of mr.UpdateAll does — on Finalize, and
-// again after removing values (the removal arithmetic reads the whole
+// bit for bit where a loop of Update over all of them does — on
+// Finalize, and again after removing values (the removal arithmetic reads the whole
 // accumulator, so it would expose a state that merely finalizes alike)
 // — for 1…9 states, ragged batch lengths and empty lanes.
 func TestUpdateLanesEqualsUpdateAllLoop(t *testing.T) {
@@ -57,7 +57,7 @@ func TestUpdateLanesEqualsUpdateAllLoop(t *testing.T) {
 					t.Fatal(err)
 				}
 				for k := range want {
-					if want[k], err = mr.UpdateAll(job.Reducer, want[k], batches[k]); err != nil {
+					if want[k], err = job.Reducer.Update(want[k], batches[k]); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -66,8 +66,8 @@ func TestUpdateLanesEqualsUpdateAllLoop(t *testing.T) {
 				for k := range got {
 					rm := batches[k][:len(batches[k])/3]
 					for _, st := range []mr.State{got[k], want[k]} {
-						if handled, err := mr.RemoveValues(st, rm); err != nil || !handled {
-							t.Fatalf("%s lane %d: RemoveValues handled=%v err=%v", where, k, handled, err)
+						if err := job.Reducer.Remove(st, rm); err != nil {
+							t.Fatalf("%s lane %d: Remove: %v", where, k, err)
 						}
 					}
 				}
@@ -89,7 +89,7 @@ func sameFinalize(t *testing.T, where string, red mr.IncrementalReducer, got, wa
 			t.Fatal(err)
 		}
 		if math.Float64bits(g) != math.Float64bits(w) {
-			t.Fatalf("%s lane %d: %v (%#x), UpdateAll loop gives %v (%#x)", where, k, g, math.Float64bits(g), w, math.Float64bits(w))
+			t.Fatalf("%s lane %d: %v (%#x), want %v (%#x)", where, k, g, math.Float64bits(g), w, math.Float64bits(w))
 		}
 	}
 }
@@ -116,11 +116,7 @@ func TestLaneUpdatersInitializeIsEmptyThenUpdate(t *testing.T) {
 		values[i] = rng.NormFloat64()*15 + 50
 	}
 	checked := 0
-	for _, name := range []string{"mean", "sum", "count", "median", "variance", "stddev", "proportion", "p95"} {
-		job, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, job := range contractReducers(t) {
 		if _, ok := job.Reducer.(mr.LaneUpdater); !ok {
 			continue
 		}
@@ -138,7 +134,7 @@ func TestLaneUpdatersInitializeIsEmptyThenUpdate(t *testing.T) {
 			if err := mr.UpdateLanes(job.Reducer, states, [][]float64{values[:n]}); err != nil {
 				t.Fatal(err)
 			}
-			sameFinalize(t, fmt.Sprintf("%s n=%d", name, n), job.Reducer, states, []mr.State{whole})
+			sameFinalize(t, fmt.Sprintf("%s n=%d", job.Name, n), job.Reducer, states, []mr.State{whole})
 		}
 	}
 	if checked == 0 {

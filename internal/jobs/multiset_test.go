@@ -37,7 +37,7 @@ func quantileSweep(t *testing.T, st mr.State) []uint64 {
 // mr.MultisetReducer to its promise: Initialize and Update over 50
 // random permutations of a batch, over its ascending order, and over
 // the sorted-and-counted form a ranking presents, leave states that
-// finalize to the same bits — and again after RemoveValues, which reads
+// finalize to the same bits — and again after Remove, which reads
 // the dictionary the batches built (tombstones included).
 func TestMultisetReducersIgnoreBatchOrder(t *testing.T) {
 	for _, name := range momentNames {
@@ -89,8 +89,8 @@ func TestMultisetReducersIgnoreBatchOrder(t *testing.T) {
 				}
 				var out [2][]uint64
 				out[0] = quantileSweep(t, st)
-				if handled, err := mr.RemoveValues(st, removed); err != nil || !handled {
-					t.Fatalf("%s: RemoveValues handled=%v err=%v", name, handled, err)
+				if err := job.Reducer.Remove(st, removed); err != nil {
+					t.Fatalf("%s: Remove: %v", name, err)
 				}
 				out[1] = quantileSweep(t, st)
 				return out
@@ -98,7 +98,7 @@ func TestMultisetReducersIgnoreBatchOrder(t *testing.T) {
 			slices := func(a, b []float64) [2][]uint64 {
 				return run(
 					func() (mr.State, error) { return job.Reducer.Initialize("k", a) },
-					func(st mr.State) (mr.State, error) { return mr.UpdateAll(job.Reducer, st, b) },
+					func(st mr.State) (mr.State, error) { return job.Reducer.Update(st, b) },
 				)
 			}
 			want := slices(first, second)

@@ -7,9 +7,9 @@
 // Every numeric job is expressed once as an mr.IncrementalReducer (the
 // initialize/update/finalize/correct API of §2.1) so it can run under
 // EARL's resample maintenance, and once as a plain bootstrap.Statistic
-// for pilot estimation. States implement mr.RemovableState wherever the
-// statistic supports O(1)/O(log n) deletion, which is what makes
-// inter-iteration delta maintenance cheap.
+// for pilot estimation. Every reducer removes a batch in O(1) or
+// O(log n) per value (a Welford downdate, a counted-multiset decrement),
+// which is what makes inter-iteration delta maintenance cheap.
 package jobs
 
 import (
@@ -151,67 +151,51 @@ func Proportion() Numeric {
 // welfordState is shared by mean/sum/count/variance/stddev reducers.
 type welfordState struct{ w stats.Welford }
 
-// Remove implements mr.RemovableState.
-func (s *welfordState) Remove(v float64) error {
-	s.w.Remove(v)
-	return nil
-}
-
-// RemoveBatch implements mr.BatchRemovableState: one interface call per
-// generation; removal order matches the per-value loop bit for bit.
-//
-//earl:hotpath
-func (s *welfordState) RemoveBatch(vs []float64) error {
-	for _, v := range vs {
-		s.w.Remove(v)
-	}
-	return nil
-}
-
-func initWelford(values []float64) *welfordState {
-	st := &welfordState{}
-	for _, v := range values {
-		st.w.Add(v)
-	}
-	return st
-}
-
-// updateWelford folds one update batch into the shared Welford state —
-// the per-generation kernel behind every moment reducer.
-//
-//earl:hotpath
-func updateWelford(state mr.State, input any) (*welfordState, error) {
-	st, ok := state.(*welfordState)
-	if !ok {
-		return nil, mr.ErrBadState
-	}
-	switch x := input.(type) {
-	case float64:
-		st.w.Add(x)
-	case []float64:
-		// Batch fold in slice order — identical arithmetic to the
-		// per-value loop (the mr.IncrementalReducer batch contract).
-		for _, v := range x {
-			st.w.Add(v)
-		}
-	case *welfordState:
-		st.w.Merge(x.w)
-	default:
-		return nil, mr.ErrBadInput
-	}
-	return st, nil
-}
-
 type meanReducer struct{}
 
 // Initialize implements mr.IncrementalReducer.
 func (meanReducer) Initialize(key string, values []float64) (mr.State, error) {
-	return initWelford(values), nil
+	return meanReducer{}.Update(&welfordState{}, values)
 }
 
-// Update implements mr.IncrementalReducer.
-func (meanReducer) Update(state mr.State, input any) (mr.State, error) {
-	return updateWelford(state, input)
+// Update implements mr.IncrementalReducer for every moment reducer:
+// the batch is folded in slice order.
+//
+//earl:hotpath
+func (meanReducer) Update(state mr.State, values []float64) (mr.State, error) {
+	st, ok := state.(*welfordState)
+	if !ok {
+		return nil, mr.ErrBadState
+	}
+	for _, v := range values {
+		st.w.Add(v)
+	}
+	return st, nil
+}
+
+// Remove implements mr.IncrementalReducer, in slice order.
+//
+//earl:hotpath
+func (meanReducer) Remove(state mr.State, values []float64) error {
+	st, ok := state.(*welfordState)
+	if !ok {
+		return mr.ErrBadState
+	}
+	for _, v := range values {
+		st.w.Remove(v)
+	}
+	return nil
+}
+
+// Merge implements mr.IncrementalReducer.
+func (meanReducer) Merge(state, other mr.State) (mr.State, error) {
+	st, ok := state.(*welfordState)
+	o, ok2 := other.(*welfordState)
+	if !ok || !ok2 {
+		return nil, mr.ErrBadState
+	}
+	st.w.Merge(o.w)
+	return st, nil
 }
 
 // UpdateLanes implements mr.LaneUpdater for every moment reducer (they
@@ -316,18 +300,6 @@ func newMultiset(values []float64) (*multisetState, error) {
 	return st, nil
 }
 
-// Remove implements mr.RemovableState.
-func (s *multisetState) Remove(v float64) error {
-	return s.ms.Remove(v)
-}
-
-// RemoveBatch implements mr.BatchRemovableState.
-//
-//earl:hotpath
-func (s *multisetState) RemoveBatch(vs []float64) error {
-	return s.ms.RemoveBatch(vs)
-}
-
 type quantileReducer struct{ q float64 }
 
 // Initialize implements mr.IncrementalReducer.
@@ -339,25 +311,36 @@ func (r quantileReducer) Initialize(key string, values []float64) (mr.State, err
 // NaN would corrupt the ordered dictionary for finite values too).
 //
 //earl:hotpath
-func (r quantileReducer) Update(state mr.State, input any) (mr.State, error) {
+func (r quantileReducer) Update(state mr.State, values []float64) (mr.State, error) {
 	st, ok := state.(*multisetState)
 	if !ok {
 		return nil, mr.ErrBadState
 	}
-	switch x := input.(type) {
-	case float64:
-		if err := st.ms.Add(x); err != nil {
-			return nil, err
-		}
-	case []float64:
-		if err := st.ms.AddBatch(x); err != nil {
-			return nil, err
-		}
-	case *multisetState:
-		st.ms.Merge(&x.ms)
-	default:
-		return nil, mr.ErrBadInput
+	if err := st.ms.AddBatch(values); err != nil {
+		return nil, err
 	}
+	return st, nil
+}
+
+// Remove implements mr.IncrementalReducer.
+//
+//earl:hotpath
+func (r quantileReducer) Remove(state mr.State, values []float64) error {
+	st, ok := state.(*multisetState)
+	if !ok {
+		return mr.ErrBadState
+	}
+	return st.ms.RemoveBatch(values)
+}
+
+// Merge implements mr.IncrementalReducer.
+func (r quantileReducer) Merge(state, other mr.State) (mr.State, error) {
+	st, ok := state.(*multisetState)
+	o, ok2 := other.(*multisetState)
+	if !ok || !ok2 {
+		return nil, mr.ErrBadState
+	}
+	st.ms.Merge(&o.ms)
 	return st, nil
 }
 

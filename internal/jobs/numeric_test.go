@@ -46,57 +46,91 @@ func TestReducersMatchStatistics(t *testing.T) {
 	}
 }
 
+// contractNames are the statistics ByName resolves, each a reducer the
+// contract tests hold to the mr.IncrementalReducer methods.
+var contractNames = []string{"mean", "sum", "count", "variance", "stddev", "median", "proportion", "p95"}
+
+// contractReducers resolves contractNames.
+func contractReducers(t *testing.T) []Numeric {
+	t.Helper()
+	out := make([]Numeric, len(contractNames))
+	for i, name := range contractNames {
+		job, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = job
+	}
+	return out
+}
+
+// TestReducerIncrementalEqualsBatch: a state built over a batch, grown
+// by Update and by Merge of another state, finalizes to the batch's
+// result; and Initialize over values leaves the bits Initialize over
+// nothing followed by Update does — on Finalize, and again after a
+// Remove, which reads the whole state.
 func TestReducerIncrementalEqualsBatch(t *testing.T) {
 	xs, _ := workload.NumericSpec{Dist: workload.Uniform, N: 200, Seed: 4}.Generate()
-	for _, job := range []Numeric{Mean(), Sum(), Variance(), Median()} {
+	for _, job := range contractReducers(t) {
+		red := job.Reducer
 		batch := runReducer(t, job, xs)
-		st, err := job.Reducer.Initialize("k", xs[:50])
+		st, err := red.Initialize("k", xs[:50])
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err = mr.UpdateAll(job.Reducer, st, xs[50:150])
+		if st, err = red.Update(st, xs[50:150]); err != nil {
+			t.Fatal(err)
+		}
+		other, err := red.Initialize("k", xs[150:])
 		if err != nil {
 			t.Fatal(err)
 		}
-		other, err := job.Reducer.Initialize("k", xs[150:])
-		if err != nil {
+		if st, err = red.Merge(st, other); err != nil {
 			t.Fatal(err)
 		}
-		st, err = job.Reducer.Update(st, other)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inc, err := job.Reducer.Finalize(st)
+		inc, err := red.Finalize(st)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Abs(batch-inc) > 1e-8*(1+math.Abs(batch)) {
 			t.Fatalf("%s: incremental %v != batch %v", job.Name, inc, batch)
 		}
+
+		whole, err := red.Initialize("k", xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grown, err := red.Initialize("k", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grown, err = red.Update(grown, xs); err != nil {
+			t.Fatal(err)
+		}
+		sameFinalize(t, job.Name+" Initialize vs Update", red, []mr.State{grown}, []mr.State{whole})
+		for _, st := range []mr.State{grown, whole} {
+			if err := red.Remove(st, xs[:70]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sameFinalize(t, job.Name+" Initialize vs Update, after Remove", red, []mr.State{grown}, []mr.State{whole})
 	}
 }
 
 func TestReducerRemoveInvertsAdd(t *testing.T) {
 	xs, _ := workload.NumericSpec{Dist: workload.Uniform, N: 100, Seed: 5}.Generate()
-	for _, job := range []Numeric{Mean(), Sum(), Variance(), Median()} {
+	for _, job := range contractReducers(t) {
 		want := runReducer(t, job, xs)
 		st, err := job.Reducer.Initialize("k", xs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		extra := []float64{3.25, -17, 42}
-		st, err = mr.UpdateAll(job.Reducer, st, extra)
-		if err != nil {
+		if st, err = job.Reducer.Update(st, extra); err != nil {
 			t.Fatal(err)
 		}
-		rem, ok := st.(mr.RemovableState)
-		if !ok {
-			t.Fatalf("%s state is not removable", job.Name)
-		}
-		for _, v := range extra {
-			if err := rem.Remove(v); err != nil {
-				t.Fatal(err)
-			}
+		if err := job.Reducer.Remove(st, extra); err != nil {
+			t.Fatal(err)
 		}
 		got, err := job.Reducer.Finalize(st)
 		if err != nil {
@@ -132,20 +166,18 @@ func TestQuantileValidation(t *testing.T) {
 }
 
 func TestMultisetRemoveAbsent(t *testing.T) {
-	st, err := newMultiset([]float64{1, 2, 2})
+	red := Median().Reducer
+	st, err := red.Initialize("k", []float64{1, 2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Remove(5); err == nil {
+	if err := red.Remove(st, []float64{5}); err == nil {
 		t.Fatal("removing absent value should error")
 	}
-	if err := st.Remove(2); err != nil {
+	if err := red.Remove(st, []float64{2, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Remove(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Remove(2); err == nil {
+	if err := red.Remove(st, []float64{2}); err == nil {
 		t.Fatal("third remove of 2 should error")
 	}
 }
@@ -192,15 +224,14 @@ func TestMultisetEmptyQuantile(t *testing.T) {
 
 func TestReducersRejectWrongStates(t *testing.T) {
 	for _, job := range []Numeric{Mean(), Median()} {
-		if _, err := job.Reducer.Update("bogus", 1.0); !errors.Is(err, mr.ErrBadState) {
-			t.Fatalf("%s: err = %v", job.Name, err)
-		}
 		st, _ := job.Reducer.Initialize("k", nil)
-		if _, err := job.Reducer.Update(st, "bogus"); !errors.Is(err, mr.ErrBadInput) {
-			t.Fatalf("%s: err = %v", job.Name, err)
-		}
-		if _, err := job.Reducer.Finalize("bogus"); !errors.Is(err, mr.ErrBadState) {
-			t.Fatalf("%s: err = %v", job.Name, err)
+		_, errUpdate := job.Reducer.Update("bogus", []float64{1})
+		_, errMerge := job.Reducer.Merge(st, "bogus")
+		_, errFinalize := job.Reducer.Finalize("bogus")
+		for _, err := range []error{errUpdate, job.Reducer.Remove("bogus", nil), errMerge, errFinalize} {
+			if !errors.Is(err, mr.ErrBadState) {
+				t.Fatalf("%s: err = %v", job.Name, err)
+			}
 		}
 	}
 }

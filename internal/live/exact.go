@@ -28,7 +28,15 @@ func (w *Watch) foldExact(run *core.Env, splits []dfs.Split) error {
 		w.exactStates = make([]mr.State, len(jset))
 	}
 	for i, job := range jset {
-		st, err := mr.InitializeOrUpdate(job.Reducer, job.Name, w.exactStates[i], vals)
+		// The same state grows refresh after refresh; a nil one with
+		// nothing to fold stays nil, as there is nothing to summarise.
+		st, err := w.exactStates[i], error(nil)
+		switch {
+		case st != nil:
+			st, err = job.Reducer.Update(st, vals)
+		case len(vals) > 0:
+			st, err = job.Reducer.Initialize(job.Name, vals)
+		}
 		if err != nil {
 			return err
 		}

@@ -31,7 +31,7 @@
 // Queries whose run fell back to the exact path (tiny data, or SSABE's
 // B×n ≥ N) retain no sink and are maintained exactly instead: the user
 // jobs' incremental reduce states are grown with every appended record
-// (mr.InitializeOrUpdate), which is still delta-proportional work
+// (Initialize, then Update), which is still delta-proportional work
 // (exact.go).
 package live
 

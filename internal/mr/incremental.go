@@ -18,28 +18,36 @@ type State any
 // p of the data:
 //
 //	initialize: <k,v1>,...,<k,vk> → state
-//	update:     state × (state | value) → state
+//	update:     state × values → state   (and remove, its inverse)
 //	finalize:   state → (result, error estimate input)
 //	correct:    result × p → corrected result
+//
+// Merge folds one state into another. Every method that takes a batch
+// takes it as a []float64 and does not retain it: callers (the
+// delta-maintenance hot path in particular) hand in reused scratch
+// buffers. A state of the wrong concrete type is ErrBadState.
 type IncrementalReducer interface {
-	// Initialize reduces a batch of raw values into a fresh state. The
-	// values slice must not be retained: callers (the delta-maintenance
-	// hot path in particular) hand in reused scratch buffers.
+	// Initialize reduces a batch of raw values into a fresh state.
 	Initialize(key string, values []float64) (State, error)
-	// Update folds input — another State produced by this reducer, a
-	// single raw value, or a []float64 batch of raw values — into state,
-	// returning the new state. The returned state may alias the argument.
-	// A batch must be folded exactly as the per-value loop would fold it
-	// (same order, same arithmetic); reducers that do not recognise
-	// batches return ErrBadInput and UpdateAll falls back to the loop.
-	// Batch slices are not retained. A reducer that also implements
-	// LaneUpdater extends the same clause across states: however many
-	// it steps side by side, each state sees exactly this fold. A
-	// reducer that is also a MultisetReducer promises more — any
-	// permutation of a batch leaves its state bit-identical, here and
-	// in Initialize — and in return may be handed a batch sorted and
-	// counted instead of in draw order.
-	Update(state State, input any) (State, error)
+	// Update folds a batch of raw values into state, in slice order,
+	// returning the new state, which may alias the argument. A reducer
+	// that also implements LaneUpdater extends the same clause across
+	// states: however many it steps side by side, each state sees
+	// exactly this fold. A reducer that is also a MultisetReducer
+	// promises more — any permutation of a batch leaves its state
+	// bit-identical, here and in Initialize — and in return may be
+	// handed a batch sorted and counted instead of in draw order.
+	Update(state State, values []float64) (State, error)
+	// Remove deletes from state one previously folded copy of every
+	// value of the batch — the primitive §4.1's resize needs when it
+	// shrinks a resample. Removing a value the state does not hold is
+	// an error.
+	Remove(state State, values []float64) error
+	// Merge folds other, a state of this reducer, into state and
+	// returns the new state, which may alias state; other is not
+	// modified, so one state may be merged into many (§4.2's shared
+	// block, delta.SharedResampler).
+	Merge(state, other State) (State, error)
 	// Finalize extracts the current result from a state.
 	Finalize(state State) (float64, error)
 	// Correct rescales a result computed from fraction p (0 < p ≤ 1) of
@@ -49,75 +57,9 @@ type IncrementalReducer interface {
 	Correct(result float64, p float64) float64
 }
 
-// RemovableState is implemented by states that additionally support
-// removing a previously-added value — the primitive needed by the
-// inter-iteration delta maintenance when the binomial resize shrinks a
-// resample (§4.1). States that cannot remove force a rebuild.
-type RemovableState interface {
-	Remove(value float64) error
-}
-
-// BatchRemovableState is implemented by states that can remove a whole
-// batch of previously-added values in one call — one interface dispatch
-// per growth generation instead of one per item, the removal-side twin
-// of Update's []float64 batches. RemoveValues prefers it over
-// per-value RemovableState.Remove.
-type BatchRemovableState interface {
-	RemoveBatch(values []float64) error
-}
-
-// RemoveValues removes every value of vs from state, using the batch
-// entry point when available and falling back to per-value Remove.
-// handled is false (with a nil error) when the state supports neither —
-// the caller must rebuild, as delta maintenance does.
-func RemoveValues(state State, vs []float64) (handled bool, err error) {
-	if br, ok := state.(BatchRemovableState); ok {
-		return true, br.RemoveBatch(vs)
-	}
-	if rem, ok := state.(RemovableState); ok {
-		for _, v := range vs {
-			if err := rem.Remove(v); err != nil {
-				return true, err
-			}
-		}
-		return true, nil
-	}
-	return false, nil
-}
-
 // ErrBadState is returned when an IncrementalReducer is handed a state of
 // the wrong concrete type.
 var ErrBadState = errors.New("mr: state has wrong type for this reducer")
-
-// ErrBadInput is returned when Update receives an input that is neither a
-// compatible State nor a raw value.
-var ErrBadInput = errors.New("mr: update input is neither state nor value")
-
-// UpdateAll folds a slice of raw values into state. It offers the whole
-// slice to r.Update first — one interface call (and one boxing
-// allocation) per batch for reducers that accept []float64, which is
-// what makes the delta-maintenance hot path allocation-free — and falls
-// back to the per-value loop for reducers that return ErrBadInput on
-// batches. The two paths are equivalent by Update's batch contract.
-func UpdateAll(r IncrementalReducer, state State, values []float64) (State, error) {
-	if len(values) == 0 {
-		return state, nil
-	}
-	next, err := r.Update(state, values)
-	if err == nil {
-		return next, nil
-	}
-	if !errors.Is(err, ErrBadInput) {
-		return nil, err
-	}
-	for _, v := range values {
-		state, err = r.Update(state, v)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return state, nil
-}
 
 // LaneUpdater is implemented by reducers that can fold several
 // independent (state, batch) pairs side by side — the cross-state twin
@@ -139,15 +81,19 @@ type LaneUpdater interface {
 // UpdateLanes folds batches[k] into states[k] for every k, replacing
 // states[k] with the state Update returns. The states must be pairwise
 // distinct. Reducers implementing LaneUpdater take the whole group in one
-// call; every other reducer gets the loop over UpdateAll, which is what
-// the capability is defined to equal. On error the group is abandoned:
-// states before the failing one have been folded, later ones not.
+// call; every other reducer gets the loop over Update, which is what the
+// capability is defined to equal, and an empty batch is left alone. On
+// error the group is abandoned: states before the failing one have been
+// folded, later ones not.
 func UpdateLanes(r IncrementalReducer, states []State, batches [][]float64) error {
 	if lu, ok := r.(LaneUpdater); ok {
 		return lu.UpdateLanes(states, batches)
 	}
 	for k := range states {
-		next, err := UpdateAll(r, states[k], batches[k])
+		if len(batches[k]) == 0 {
+			continue
+		}
+		next, err := r.Update(states[k], batches[k])
 		if err != nil {
 			return err
 		}
@@ -176,10 +122,7 @@ func UpdateLanes(r IncrementalReducer, states []State, batches [][]float64) erro
 // caller whose resamples are all drawn from one ranked source — SSABE's
 // pilot — keeps each resample as its counts over the source's distinct
 // values and finalizes from them, so a draw, a delete and an add are
-// each one counter step. Counts never need a rebuild, so a
-// MultisetReducer's states must remove (RemovableState or
-// BatchRemovableState): held as states or as counts, a resample then
-// costs the same work.
+// each one counter step.
 type MultisetReducer interface {
 	InitializeCounted(key string, distinct []float64, counts []uint32) (State, error)
 	UpdateCounted(state State, distinct []float64, counts []uint32) (State, error)
@@ -302,22 +245,6 @@ func rankBySort(source []float64) *Ranking {
 		of[pos[i]] = uint32(len(distinct) - 1)
 	}
 	return &Ranking{Distinct: distinct, Of: of}
-}
-
-// InitializeOrUpdate folds values into state, creating a fresh state via
-// Initialize when state is nil. This is the reuse pattern of maintained
-// queries over continuously ingested data: the same incremental state is
-// grown batch after batch instead of being recomputed, so each refresh
-// costs only the delta. A nil state with no values stays nil (there is
-// nothing to summarise yet).
-func InitializeOrUpdate(r IncrementalReducer, key string, state State, values []float64) (State, error) {
-	if state == nil {
-		if len(values) == 0 {
-			return nil, nil
-		}
-		return r.Initialize(key, values)
-	}
-	return UpdateAll(r, state, values)
 }
 
 // IdentityCorrect is the correction for statistics that are invariant to

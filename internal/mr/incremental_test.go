@@ -5,7 +5,8 @@ import (
 	"testing"
 )
 
-// meanState is a minimal IncrementalReducer for tests: tracks sum/count.
+// meanState is a minimal IncrementalReducer state for tests: tracks
+// sum/count.
 type meanState struct {
 	sum float64
 	n   int64
@@ -14,7 +15,14 @@ type meanState struct {
 type meanReducer struct{}
 
 func (meanReducer) Initialize(key string, values []float64) (State, error) {
-	st := &meanState{}
+	return meanReducer{}.Update(&meanState{}, values)
+}
+
+func (meanReducer) Update(state State, values []float64) (State, error) {
+	st, ok := state.(*meanState)
+	if !ok {
+		return nil, ErrBadState
+	}
 	for _, v := range values {
 		st.sum += v
 		st.n++
@@ -22,21 +30,26 @@ func (meanReducer) Initialize(key string, values []float64) (State, error) {
 	return st, nil
 }
 
-func (meanReducer) Update(state State, input any) (State, error) {
+func (meanReducer) Remove(state State, values []float64) error {
 	st, ok := state.(*meanState)
 	if !ok {
+		return ErrBadState
+	}
+	for _, v := range values {
+		st.sum -= v
+		st.n--
+	}
+	return nil
+}
+
+func (meanReducer) Merge(state, other State) (State, error) {
+	st, ok := state.(*meanState)
+	o, ok2 := other.(*meanState)
+	if !ok || !ok2 {
 		return nil, ErrBadState
 	}
-	switch x := input.(type) {
-	case *meanState:
-		st.sum += x.sum
-		st.n += x.n
-	case float64:
-		st.sum += x
-		st.n++
-	default:
-		return nil, ErrBadInput
-	}
+	st.sum += o.sum
+	st.n += o.n
 	return st, nil
 }
 
@@ -59,15 +72,20 @@ func TestIncrementalReducerContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Update with a raw value.
-	st, err = r.Update(st, 6.0)
-	if err != nil {
+	// Update with a batch of raw values.
+	if st, err = r.Update(st, []float64{6, 7}); err != nil {
 		t.Fatal(err)
 	}
-	// Update with another state (the delta-maintenance merge path).
+	// Merge another state (the shared-block path), which stays as it was.
 	other, _ := r.Initialize("k", []float64{8, 10})
-	st, err = r.Update(st, other)
-	if err != nil {
+	if st, err = r.Merge(st, other); err != nil {
+		t.Fatal(err)
+	}
+	if o := other.(*meanState); o.sum != 18 || o.n != 2 {
+		t.Fatalf("Merge modified its argument: %+v", o)
+	}
+	// Remove inverts a batch.
+	if err := r.Remove(st, []float64{7}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := r.Finalize(st)
@@ -79,59 +97,14 @@ func TestIncrementalReducerContract(t *testing.T) {
 	}
 }
 
-func TestUpdateAll(t *testing.T) {
-	r := meanReducer{}
-	st, _ := r.Initialize("k", nil)
-	st, err := UpdateAll(r, st, []float64{2, 4, 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := r.Finalize(st)
-	if got != 4 {
-		t.Fatalf("mean = %v, want 4", got)
-	}
-}
-
-func TestInitializeOrUpdate(t *testing.T) {
-	r := meanReducer{}
-	// nil state + no values: still nothing to summarise.
-	st, err := InitializeOrUpdate(r, "k", nil, nil)
-	if err != nil || st != nil {
-		t.Fatalf("empty init: state %v, err %v", st, err)
-	}
-	// First batch initialises.
-	st, err = InitializeOrUpdate(r, "k", st, []float64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Later batches update the SAME state — the maintained-query reuse
-	// pattern: cost proportional to the delta, not the history.
-	st, err = InitializeOrUpdate(r, "k", st, []float64{4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.Finalize(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 3 {
-		t.Fatalf("maintained mean = %v, want 3", got)
-	}
-	// Updating with an empty delta is a no-op, not an error.
-	st2, err := InitializeOrUpdate(r, "k", st, nil)
-	if err != nil || st2 != st {
-		t.Fatalf("empty delta: state %v, err %v", st2, err)
-	}
-}
-
 func TestUpdateRejectsWrongTypes(t *testing.T) {
 	r := meanReducer{}
-	if _, err := r.Update("not-a-state", 1.0); !errors.Is(err, ErrBadState) {
+	if _, err := r.Update("not-a-state", []float64{1}); !errors.Is(err, ErrBadState) {
 		t.Fatalf("err = %v, want ErrBadState", err)
 	}
 	st, _ := r.Initialize("k", nil)
-	if _, err := r.Update(st, "weird"); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("err = %v, want ErrBadInput", err)
+	if _, err := r.Merge(st, "not-a-state"); !errors.Is(err, ErrBadState) {
+		t.Fatalf("err = %v, want ErrBadState", err)
 	}
 }
 
@@ -144,5 +117,59 @@ func TestCorrections(t *testing.T) {
 	}
 	if ScaleCorrect(42, 0) != 42 {
 		t.Fatal("scale correction must ignore p=0")
+	}
+}
+
+// laneReducer records that a whole group reached UpdateLanes.
+type laneReducer struct {
+	meanReducer
+	groups *int
+}
+
+func (r laneReducer) UpdateLanes(states []State, batches [][]float64) error {
+	*r.groups++
+	for k, st := range states {
+		st.(*meanState).sum += float64(len(batches[k])) // not the mean fold: the test sees which path ran
+	}
+	return nil
+}
+
+// failingReducer fails every Update.
+type failingReducer struct{ meanReducer }
+
+var errBoom = errors.New("boom")
+
+func (failingReducer) Update(State, []float64) (State, error) { return nil, errBoom }
+
+func TestUpdateLanesRouting(t *testing.T) {
+	batches := [][]float64{{1, 2}, nil, {3}}
+	fresh := func() []State { return []State{&meanState{sum: 10}, &meanState{sum: 20}, &meanState{sum: 30}} }
+	sums := func(states []State) [3]float64 {
+		return [3]float64{states[0].(*meanState).sum, states[1].(*meanState).sum, states[2].(*meanState).sum}
+	}
+
+	// A reducer with the capability takes the group in one call.
+	groups := 0
+	states := fresh()
+	if err := UpdateLanes(laneReducer{groups: &groups}, states, batches); err != nil {
+		t.Fatal(err)
+	}
+	if groups != 1 || sums(states) != [3]float64{12, 20, 31} {
+		t.Fatalf("lane path: %d group calls, sums %v", groups, sums(states))
+	}
+
+	// One without it gets Update per state, and an empty lane is left
+	// alone.
+	states = fresh()
+	if err := UpdateLanes(meanReducer{}, states, batches); err != nil {
+		t.Fatal(err)
+	}
+	if sums(states) != [3]float64{13, 20, 33} || states[1].(*meanState).n != 0 {
+		t.Fatalf("generic path: sums %v, empty lane %+v", sums(states), states[1])
+	}
+
+	// The first failing state's error surfaces, past an empty lane.
+	if err := UpdateLanes(failingReducer{}, fresh(), [][]float64{nil, {1}}); !errors.Is(err, errBoom) {
+		t.Fatalf("err = %v, want errBoom", err)
 	}
 }

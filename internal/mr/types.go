@@ -10,7 +10,8 @@
 //   - Feedback, the §3.3 stop/expand policy the reducers' error tells
 //     the mappers, with the cost of the paper's error files;
 //   - the finer-grained incremental reduce API of §2.1 —
-//     initialize/update/finalize/correct — used by EARL to keep per-
+//     initialize/update/finalize/correct, plus §4.1's remove and a
+//     state merge, every batch a []float64 — used by EARL to keep per-
 //     resample states instead of raw data.
 //
 // The round loop itself — mappers that stay alive across rounds,
