@@ -97,6 +97,20 @@ func TestIncrementalReducerContract(t *testing.T) {
 	}
 }
 
+func TestUpdateAll(t *testing.T) {
+	// One Update call folds a whole batch into an empty state.
+	r := meanReducer{}
+	st, _ := r.Initialize("k", nil)
+	st, err := r.Update(st, []float64{2, 4, 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := r.Finalize(st)
+	if got != 4 {
+		t.Fatalf("mean = %v, want 4", got)
+	}
+}
+
 func TestUpdateRejectsWrongTypes(t *testing.T) {
 	r := meanReducer{}
 	if _, err := r.Update("not-a-state", []float64{1}); !errors.Is(err, ErrBadState) {
