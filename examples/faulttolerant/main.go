@@ -3,12 +3,19 @@
 // while EARL simply finishes on the surviving sample and reports the
 // accuracy it actually achieved — no task restarts needed.
 //
-// The run kills 2 of 5 machines while the job streams.
+// The run kills 2 of 5 machines while the job streams: 1 MiB blocks
+// give the file four splits, so the job's four mappers land on nodes 1
+// to 4 (its reducer takes node 0), and σ = 1% keeps them drawing batch
+// after batch, long enough for the killer to see the job placed. The
+// killer is a goroutine polling the cost counters, so it needs a second
+// CPU to act while the job runs: at GOMAXPROCS=1 the job ends before it
+// is scheduled, and the run reports no mapper lost.
 package main
 
 import (
 	"fmt"
 	"log"
+	"runtime"
 
 	"repro/earl"
 	"repro/internal/workload"
@@ -18,6 +25,7 @@ func main() {
 	cluster, err := earl.NewCluster(earl.ClusterConfig{
 		DataNodes:   5,
 		Replication: 2,
+		BlockSize:   1 << 20,
 		Seed:        31,
 	})
 	if err != nil {
@@ -36,9 +44,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Kill machines once the job is visibly running.
+	// Kill machines once the sampled job is running: Place charges the
+	// job's map tasks only after it has placed them, and the count stands
+	// at the exact pass's until then.
+	placed := cluster.Metrics().MapTasks
+	armed := make(chan struct{})
 	go func() {
-		for cluster.Metrics().RecordsMapped < 200 {
+		close(armed)
+		for cluster.Metrics().MapTasks == placed {
+			runtime.Gosched()
 		}
 		if err := cluster.KillNode(3); err != nil {
 			log.Print(err)
@@ -46,10 +60,11 @@ func main() {
 		if err := cluster.KillNode(4); err != nil {
 			log.Print(err)
 		}
-		fmt.Println("!! killed nodes 3 and 4 mid-job")
+		fmt.Println("!! killed nodes 3 and 4 after the job was placed")
 	}()
 
-	rep, err := cluster.Run(earl.Mean(), "/data/sensor", earl.Options{Sigma: 0.05, Seed: 33})
+	<-armed
+	rep, err := cluster.Run(earl.Mean(), "/data/sensor", earl.Options{Sigma: 0.01, Seed: 33})
 	if err != nil {
 		log.Fatalf("EARL should survive node loss, got: %v", err)
 	}
@@ -58,7 +73,7 @@ func main() {
 	fmt.Printf("exact (pre-failure) answer    : %.4f\n", exact)
 	fmt.Printf("relative error                : %.3f%%\n", 100*abs(rep.Estimate-exact)/exact)
 	fmt.Printf("mapper tasks lost             : %d (not restarted — §3.4)\n", rep.FailedMaps)
-	fmt.Printf("converged to σ=5%%             : %v\n", rep.Converged)
+	fmt.Printf("converged to σ=1%%             : %v\n", rep.Converged)
 }
 
 func abs(x float64) float64 {

@@ -34,7 +34,9 @@
 // told the pilot's distinct values as their universe
 // (delta.Config.Universe), each resample one count vector over them
 // that every quantile of the query reads. A pilot that is not ranked —
-// a NaN, or +0 beside −0 — keeps the states.
+// a NaN, or +0 beside −0 — keeps the states. A state, wherever one is
+// built, starts empty (mr.IncrementalReducer.Initialize) and takes its
+// resample through Update or UpdateLanes.
 package aes
 
 import (
@@ -180,10 +182,10 @@ func (c *chooser) add(v float64) {
 //     the pilot shared by every such statistic, with no state built;
 //   - a reducer that folds states side by side (mr.LaneUpdater) has a
 //     group of stats.WelfordLanes resamples — one rng, so group order is
-//     resample order — folded in one mr.UpdateLanes from empty states,
-//     which the capability defines to be Initialize over the same
-//     values;
-//   - any other reducer gets one Initialize per resample it reads.
+//     resample order — folded into empty states in one mr.UpdateLanes;
+//   - any other reducer folds each resample it reads into an empty state
+//     with one Update, one resample at a time, since a statistic may
+//     stop mid-group.
 //
 // Groups are drawn that wide only while a lane reducer is choosing, and
 // are clipped to MaxB. Each statistic still choosing reads every group
@@ -255,8 +257,8 @@ func needs(cs []*chooser) (gather, count, lanes bool) {
 
 // read takes the group of resamples d drew last, in order, until the
 // statistic stops: folded abreast from empty states for a lane reducer,
-// finalized from its counts for one that takes counts, through
-// Initialize otherwise.
+// finalized from its counts for one that takes counts, and otherwise
+// folded into an empty state one at a time.
 func (c *chooser) read(d *draws, group int) {
 	if c.lanes {
 		if c.err = foldLanes(c, d.bufs[:group]); c.err != nil {
@@ -273,7 +275,10 @@ func (c *chooser) read(d *draws, group int) {
 			v, err = c.cfg.Reducer.Finalize(c.states[k])
 		default:
 			var st mr.State
-			if st, err = c.cfg.Reducer.Initialize(c.cfg.Key, d.bufs[k]); err == nil {
+			if st, err = c.cfg.Reducer.Initialize(c.cfg.Key); err == nil {
+				st, err = c.cfg.Reducer.Update(st, d.bufs[k])
+			}
+			if err == nil {
 				v, err = c.cfg.Reducer.Finalize(st)
 			}
 		}
@@ -342,7 +347,7 @@ func (d *draws) draw(group int, gather, count bool) {
 func foldLanes(c *chooser, bufs [][]float64) error {
 	c.states = c.states[:0]
 	for range bufs {
-		st, err := c.cfg.Reducer.Initialize(c.cfg.Key, nil)
+		st, err := c.cfg.Reducer.Initialize(c.cfg.Key)
 		if err != nil {
 			return err
 		}

@@ -13,7 +13,8 @@ import (
 
 // estimateBOneAtATime is the reference phase 1: the loop as it stood
 // before resamples were drawn in groups — one rand.IntN per item, one
-// Initialize per resample, nothing drawn past the stopping B.
+// empty state per resample folded with one Update, nothing drawn past
+// the stopping B.
 func estimateBOneAtATime(pilot []float64, cfg Config) (int, []float64, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -26,7 +27,10 @@ func estimateBOneAtATime(pilot []float64, cfg Config) (int, []float64, error) {
 		for i := range buf {
 			buf[i] = pilot[rng.IntN(len(pilot))]
 		}
-		st, err := cfg.Reducer.Initialize(cfg.Key, buf)
+		st, err := cfg.Reducer.Initialize(cfg.Key)
+		if err == nil {
+			st, err = cfg.Reducer.Update(st, buf)
+		}
 		if err != nil {
 			return err
 		}
@@ -82,9 +86,9 @@ type countingReducer struct {
 	inits *int
 }
 
-func (r countingReducer) Initialize(key string, values []float64) (mr.State, error) {
+func (r countingReducer) Initialize(key string) (mr.State, error) {
 	*r.inits++
-	return r.IncrementalReducer.Initialize(key, values)
+	return r.IncrementalReducer.Initialize(key)
 }
 
 // TestEstimateBMatchesOneAtATime holds the grouped phase 1 to the
@@ -168,9 +172,9 @@ type clippedReducer struct {
 	inits *int
 }
 
-func (r clippedReducer) Initialize(key string, values []float64) (mr.State, error) {
+func (r clippedReducer) Initialize(key string) (mr.State, error) {
 	*r.inits++
-	return r.IncrementalReducer.Initialize(key, values)
+	return r.IncrementalReducer.Initialize(key)
 }
 
 func (r clippedReducer) UpdateLanes(states []mr.State, batches [][]float64) error {

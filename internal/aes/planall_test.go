@@ -22,9 +22,9 @@ type countingPlain struct {
 	calls *atomic.Int64
 }
 
-func (r countingPlain) Initialize(key string, values []float64) (mr.State, error) {
+func (r countingPlain) Initialize(key string) (mr.State, error) {
 	r.calls.Add(1)
-	return r.IncrementalReducer.Initialize(key, values)
+	return r.IncrementalReducer.Initialize(key)
 }
 
 func (r countingPlain) Update(state mr.State, values []float64) (mr.State, error) {
@@ -169,19 +169,14 @@ func newCountingQuantile(t *testing.T, name string, calls *atomic.Int64) countin
 	return countingQuantile{job.Reducer, job.Reducer.(mr.MultisetReducer), calls}
 }
 
-func (r countingQuantile) Initialize(key string, values []float64) (mr.State, error) {
+func (r countingQuantile) Initialize(key string) (mr.State, error) {
 	r.calls.Add(1)
-	return r.IncrementalReducer.Initialize(key, values)
+	return r.IncrementalReducer.Initialize(key)
 }
 
 func (r countingQuantile) Update(state mr.State, values []float64) (mr.State, error) {
 	r.calls.Add(1)
 	return r.IncrementalReducer.Update(state, values)
-}
-
-func (r countingQuantile) InitializeCounted(key string, distinct []float64, counts []uint32) (mr.State, error) {
-	r.calls.Add(1)
-	return r.counted.InitializeCounted(key, distinct, counts)
 }
 
 func (r countingQuantile) UpdateCounted(state mr.State, distinct []float64, counts []uint32) (mr.State, error) {
@@ -251,24 +246,24 @@ func TestPlanAllOverARankedPilotBuildsNoQuantileState(t *testing.T) {
 }
 
 // failingAt is a mean reducer that fails in one place: Initialize, which
-// phase 1 reaches, or Update, which only phase 2 does.
+// phase 1 reaches, or Remove, which only phase 2's resizes do.
 type failingAt struct {
 	mr.IncrementalReducer
-	initErr, updateErr error
+	initErr, removeErr error
 }
 
-func (r failingAt) Initialize(key string, values []float64) (mr.State, error) {
+func (r failingAt) Initialize(key string) (mr.State, error) {
 	if r.initErr != nil {
 		return nil, r.initErr
 	}
-	return r.IncrementalReducer.Initialize(key, values)
+	return r.IncrementalReducer.Initialize(key)
 }
 
-func (r failingAt) Update(state mr.State, values []float64) (mr.State, error) {
-	if r.updateErr != nil {
-		return nil, r.updateErr
+func (r failingAt) Remove(state mr.State, values []float64) error {
+	if r.removeErr != nil {
+		return r.removeErr
 	}
-	return r.IncrementalReducer.Update(state, values)
+	return r.IncrementalReducer.Remove(state, values)
 }
 
 // TestPlanAllFirstErrorInStatisticOrder: when statistics fail, PlanAll
@@ -279,7 +274,7 @@ func TestPlanAllFirstErrorInStatisticOrder(t *testing.T) {
 	mean := jobs.Mean().Reducer
 	errPhase1, errPhase2 := errors.New("fails phase 1"), errors.New("fails phase 2")
 	inPhase1 := failingAt{IncrementalReducer: mean, initErr: errPhase1}
-	inPhase2 := failingAt{IncrementalReducer: mean, updateErr: errPhase2}
+	inPhase2 := failingAt{IncrementalReducer: mean, removeErr: errPhase2}
 	for _, c := range []struct {
 		name string
 		reds []mr.IncrementalReducer

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/colscan"
 	"repro/internal/jobs"
+	"repro/internal/simcost"
 	"repro/internal/stats"
 )
 
@@ -74,6 +75,32 @@ func TestRunGroupedMeanPerKey(t *testing.T) {
 	}
 	if got := rep.SortedGroupKeys(); len(got) != len(truth) || got[0] > got[len(got)-1] {
 		t.Fatalf("sorted keys wrong: %v", got)
+	}
+}
+
+// TestRunGroupedHonoursDisableDeltaMaintenance: a grouped run with
+// DisableDeltaMaintenance grows every group through the naive
+// recompute-everything resampler, which writes each group's resamples
+// back every round, so it is charged otherwise than the same run with
+// delta maintenance — and still answers for every group.
+func TestRunGroupedHonoursDisableDeltaMaintenance(t *testing.T) {
+	charged := func(disable bool) simcost.Snapshot {
+		env, truth := groupedEnv(t, 4, 60_000, 5)
+		rep, err := RunGrouped(env, jobs.Mean(), TabRoute(), "/kv", Options{Sigma: 0.005, Seed: 6, DisableDeltaMaintenance: disable})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Groups) != len(truth) {
+			t.Fatalf("DisableDeltaMaintenance=%v: %d groups, want %d", disable, len(rep.Groups), len(truth))
+		}
+		return env.Metrics.Snapshot()
+	}
+	delta, naive := charged(false), charged(true)
+	if naive == delta {
+		t.Fatalf("the naive grouped run was charged exactly what the delta-maintained one was: %+v", naive)
+	}
+	if naive.BytesWritten <= delta.BytesWritten {
+		t.Fatalf("naive grouped run wrote %d bytes, the delta-maintained one %d: the resamples were not rewritten", naive.BytesWritten, delta.BytesWritten)
 	}
 }
 

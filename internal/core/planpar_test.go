@@ -61,7 +61,7 @@ type failingReducer struct {
 	err error
 }
 
-func (r failingReducer) Initialize(string, []float64) (mr.State, error) { return nil, r.err }
+func (r failingReducer) Initialize(string) (mr.State, error) { return nil, r.err }
 
 // TestPlanningReturnsFirstErrorInStatisticOrder: when the SSABEs of
 // statistics 2 and 3 of 3 both fail, the run fails with statistic 2's

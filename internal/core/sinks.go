@@ -12,6 +12,7 @@ import (
 	"repro/internal/colscan"
 	"repro/internal/delta"
 	"repro/internal/jobs"
+	"repro/internal/mr"
 	"repro/internal/stats"
 )
 
@@ -58,25 +59,24 @@ type statSink struct {
 func newStatSink(env *Env, jset []jobs.Numeric, plans []aes.Plan, opts Options) (*statSink, error) {
 	s := &statSink{opts: opts}
 	for i, job := range jset {
-		cfg := delta.Config{
-			Reducer: job.Reducer, B: plans[i].B,
-			Seed:    opts.Seed + 31 + 1_000_003*uint64(i),
-			Metrics: env.Metrics, Key: job.Name,
-			Parallelism: opts.Parallelism,
-		}
-		var maint resampler
-		var err error
-		if opts.DisableDeltaMaintenance {
-			maint, err = delta.NewNaive(cfg)
-		} else {
-			maint, err = delta.New(cfg)
-		}
+		maint, err := newResampler(env, opts, job.Reducer, plans[i].B, opts.Seed+31+1_000_003*uint64(i), job.Name)
 		if err != nil {
 			return nil, err
 		}
 		s.stats = append(s.stats, &statRun{job: job, maint: maint, lastCV: math.Inf(1)})
 	}
 	return s, nil
+}
+
+// newResampler builds one resample set of a sink, folding red with b
+// resamples from seed under key: §4.1's delta.Maintainer, or the naive
+// recompute-everything baseline when opts.DisableDeltaMaintenance is set.
+func newResampler(env *Env, opts Options, red mr.IncrementalReducer, b int, seed uint64, key string) (resampler, error) {
+	cfg := delta.Config{Reducer: red, B: b, Seed: seed, Metrics: env.Metrics, Key: key, Parallelism: opts.Parallelism}
+	if opts.DisableDeltaMaintenance {
+		return delta.NewNaive(cfg)
+	}
+	return delta.New(cfg)
 }
 
 // Fold implements Sink: the shared delta, sorted where it lies, feeds
@@ -159,7 +159,7 @@ func seedForKey(seed uint64, key string) uint64 {
 // sample still forces expansion instead of being reported converged.
 const minGroupSample = 8
 
-// groupSink maintains one delta-maintained resample set per group key,
+// groupSink maintains one resample set per group key (newResampler's),
 // opened lazily with key-derived seeds as keys arrive — in the run, and
 // for groups that first appear in appended data, with exactly the seed
 // the run would have used. The published error is the worst group's
@@ -174,7 +174,7 @@ type groupSink struct {
 	opts Options
 
 	mu     sync.Mutex
-	maints map[string]*delta.Maintainer
+	maints map[string]resampler
 	// Fold scratch: the per-key value buffers and the sorted-key slice are
 	// reused across folds so a long-lived grouped watch does not
 	// re-allocate its routing state every refresh.
@@ -184,7 +184,7 @@ type groupSink struct {
 
 func newGroupSink(env *Env, job jobs.Numeric, b int, opts Options) *groupSink {
 	return &groupSink{env: env, job: job, b: b, opts: opts,
-		maints: map[string]*delta.Maintainer{}, groups: map[string][]float64{}}
+		maints: map[string]resampler{}, groups: map[string][]float64{}}
 }
 
 // Fold implements Sink: the batch is routed by key and folded into
@@ -213,12 +213,7 @@ func (g *groupSink) Fold(cols *colscan.Cols) error {
 		mt, ok := g.maints[key]
 		if !ok {
 			var err error
-			mt, err = delta.New(delta.Config{
-				Reducer: g.job.Reducer, B: g.b,
-				Seed:    seedForKey(g.opts.Seed, key),
-				Metrics: g.env.Metrics, Key: key,
-				Parallelism: g.opts.Parallelism,
-			})
+			mt, err = newResampler(g.env, g.opts, g.job.Reducer, g.b, seedForKey(g.opts.Seed, key), key)
 			if err != nil {
 				return err
 			}

@@ -33,16 +33,21 @@
 // batched reducer call each (Remove / Update), and the weighted
 // part/generation picks run on Fenwick trees instead of linear
 // cumulative scans — same rng-for-rng pick, O(log) instead of O(parts).
-// A worker takes resamples a few at a time (growLanes) and folds the
-// group's draws from the new generation — the bulk of a Grow — in one
-// mr.UpdateLanes call, so reducers whose update is a latency-bound
-// arithmetic chain step the group's states side by side. For reducers
-// whose state is a function of a batch's multiset (mr.MultisetReducer:
-// the quantiles) Grow sorts Δs once instead — mr.Rank — and every
-// resample, which draws from Δs by position, counts its draws by rank
-// and hands its state the counts: one increment per item where each
-// state used to sort its own batch. A caller growing several maintainers
-// over the same Δs ranks it once and hands each the ranking (GrowRanked).
+// Every state starts empty: the first grow gives each resample an
+// empty state (Initialize) per statistic reading it, and every value,
+// the first grow's draws included, reaches a state through Update,
+// UpdateLanes or UpdateCounted — so the first grow and every later one
+// fold alike. A worker takes resamples a few at a time (growLanes) and
+// folds the group's draws from the new generation — the bulk of a
+// Grow — in one mr.UpdateLanes call, so reducers whose update is a
+// latency-bound arithmetic chain step the group's states side by side.
+// For reducers whose state is a function of a batch's multiset
+// (mr.MultisetReducer: the quantiles) Grow sorts Δs once instead —
+// mr.Rank — and every resample, which draws from Δs by position, counts
+// its draws by rank and hands its state the counts: one increment per
+// item where each state used to sort its own batch. A caller growing
+// several maintainers over the same Δs ranks it once and hands each the
+// ranking (GrowRanked).
 //
 // When every Δs is cut from one source ranked once — SSABE's pilot — the
 // caller may name the source's distinct values as the maintainer's
@@ -185,7 +190,6 @@ type stat struct {
 	red     mr.IncrementalReducer
 	counted mr.MultisetReducer // red, when it takes ranked batches as counts
 	tallied bool               // counted, under a universe: read from the resample's counts, no state kept
-	lanes   bool               // red is an mr.LaneUpdater
 	key     string
 	b       int
 }
@@ -295,9 +299,8 @@ func New(cfg Config, more ...Stat) (*Maintainer, error) {
 		if counted != nil && m.ranker == nil {
 			m.ranker = st.Reducer
 		}
-		_, lanes := st.Reducer.(mr.LaneUpdater)
 		m.stats = append(m.stats, stat{red: st.Reducer, counted: counted, tallied: counted != nil && cfg.Universe != nil,
-			lanes: lanes, key: st.Key, b: st.B})
+			key: st.Key, b: st.B})
 		m.b = max(m.b, st.B)
 	}
 	if m.ranker != nil {
@@ -382,6 +385,16 @@ func (m *Maintainer) GrowRanked(deltaSample []float64, rk *mr.Ranking) error {
 			r.src = stats.SplitPCG(m.seed, seed2Base, i)
 			r.rng = rand.New(r.src)
 			r.states = make([]mr.State, len(m.stats))
+			for s, st := range m.stats {
+				if i >= st.b || st.tallied {
+					continue
+				}
+				state, err := st.red.Initialize(st.key)
+				if err != nil {
+					return fmt.Errorf("delta: resample %d: initialize: %w", i, &StatError{Stat: s, Err: err})
+				}
+				r.states[s] = state
+			}
 			if m.universe == nil {
 				r.counts = nil
 			} else {
@@ -410,10 +423,17 @@ func (m *Maintainer) GrowRanked(deltaSample []float64, rk *mr.Ranking) error {
 		return func(g int) error {
 			lo := g * group
 			hi := min(lo+group, m.b)
-			if err := m.growGroup(lo, m.resamples[lo:hi], nPrime, ds, rk, scratch, first); err != nil {
+			err := m.growGroup(lo, m.resamples[lo:hi], nPrime, ds, rk, scratch, first)
+			switch {
+			case err == nil:
+				return nil
+			case first:
+				// The first grow builds the states: its failure is an
+				// initialize failure.
+				return fmt.Errorf("delta: resamples %d-%d: initialize: %w", lo, hi-1, err)
+			default:
 				return fmt.Errorf("delta: resamples %d-%d: %w", lo, hi-1, err)
 			}
-			return nil
 		}
 	})
 	if err != nil {
@@ -451,23 +471,21 @@ func (m *Maintainer) buffer(r *resample, n int) []float64 {
 // — on the first iteration, builds them: each is n′ items drawn with
 // replacement from Δs₁, which is memory-resident right now, so no disk
 // charge (sketches are kept for *future* iterations, when Δs₁ has been
-// spilled). Per resample the rng draw sequence is identical item for
-// item to the historical one-Update-per-item implementation — the
-// previous generation's part and cache, the binomial resize, its deletes
-// or adds, then the draws from Δs, which stay pending for the next
-// grow's build — and so is the order each statistic's state sees
-// values in; only the *state* application is batched: deletes and adds
-// in one interface call each, and the Δs draws of the whole group in
-// one mr.UpdateLanes per statistic between the two per-resample passes
-// (on the first iteration a lane reducer folds the group abreast from
-// empty states, which the capability defines to be Initialize over the
-// same items, and any other reducer gets one Initialize per resample).
-// Fixed-seed results stay bit-identical. Under a ranking a resample's
-// draws reach a counted statistic's state at once and ascending — the
-// reducer has declared that order leaves no trace — and under a
-// universe they are only counted. The rng work is done once per
-// resample, whatever number of statistics read it. lo is the index of
-// the group's first resample.
+// spilled), folded into the empty states GrowRanked gave it; first only
+// skips the generation that does not exist yet. Per resample the rng
+// draw sequence is identical item for item to the historical
+// one-Update-per-item implementation — the previous generation's part
+// and cache, the binomial resize, its deletes or adds, then the draws
+// from Δs, which stay pending for the next grow's build — and so is the
+// order each statistic's state sees values in; only the *state*
+// application is batched: deletes and adds in one interface call each,
+// and the Δs draws of the whole group in one mr.UpdateLanes per
+// statistic between the two per-resample passes. Fixed-seed results
+// stay bit-identical. Under a ranking a resample's draws reach a counted
+// statistic's state at once and ascending — the reducer has declared
+// that order leaves no trace — and under a universe they are only
+// counted. The rng work is done once per resample, whatever number of
+// statistics read it. lo is the index of the group's first resample.
 //
 //earl:hotpath
 func (m *Maintainer) growGroup(lo int, rs []*resample, nPrime int, ds []float64, rk *mr.Ranking, scratch *growScratch, first bool) error {
@@ -499,7 +517,7 @@ func (m *Maintainer) growGroup(lo int, rs []*resample, nPrime int, ds []float64,
 		if rk == nil || r.counts != nil {
 			continue
 		}
-		err := m.foldCounted(lo+k, r, rk, scratch.counts, first)
+		err := m.foldCounted(lo+k, r, rk, scratch.counts)
 		clear(scratch.counts)
 		if err != nil {
 			return err
@@ -514,7 +532,7 @@ func (m *Maintainer) growGroup(lo int, rs []*resample, nPrime int, ds []float64,
 		if n <= 0 {
 			continue
 		}
-		if err := m.foldDraws(s, rs[:n], draws[:n], scratch, first); err != nil {
+		if err := m.foldDraws(s, rs[:n], draws[:n], scratch); err != nil {
 			return &StatError{Stat: s, Err: err}
 		}
 	}
@@ -526,32 +544,12 @@ func (m *Maintainer) growGroup(lo int, rs []*resample, nPrime int, ds []float64,
 }
 
 // foldDraws folds each resample's draws, in draw order, into its state
-// of statistic s: side by side through mr.UpdateLanes, from empty states
-// on the first iteration for a lane reducer, and through one Initialize
-// per resample on the first iteration for any other.
-func (m *Maintainer) foldDraws(s int, rs []*resample, draws [][]float64, scratch *growScratch, first bool) error {
+// of statistic s, side by side through mr.UpdateLanes.
+func (m *Maintainer) foldDraws(s int, rs []*resample, draws [][]float64, scratch *growScratch) error {
 	st := &m.stats[s]
 	states := scratch.states[:len(rs)]
 	for k, r := range rs {
-		switch {
-		case !first:
-			states[k] = r.states[s]
-		case st.lanes:
-			state, err := st.red.Initialize(st.key, nil)
-			if err != nil {
-				return fmt.Errorf("initialize: %w", err)
-			}
-			states[k] = state
-		default:
-			state, err := st.red.Initialize(st.key, draws[k])
-			if err != nil {
-				return fmt.Errorf("initialize: %w", err)
-			}
-			r.states[s] = state
-		}
-	}
-	if first && !st.lanes {
-		return nil
+		states[k] = r.states[s]
 	}
 	if err := mr.UpdateLanes(st.red, states, draws); err != nil {
 		return err
@@ -563,22 +561,14 @@ func (m *Maintainer) foldDraws(s int, rs []*resample, draws [][]float64, scratch
 }
 
 // foldCounted folds resample i's draws, counted by rank, into every
-// reading statistic that takes counts: into fresh states on the first
-// iteration.
-func (m *Maintainer) foldCounted(i int, r *resample, rk *mr.Ranking, counts []uint32, first bool) error {
+// reading statistic that takes counts.
+func (m *Maintainer) foldCounted(i int, r *resample, rk *mr.Ranking, counts []uint32) error {
 	for s, st := range m.stats {
 		if i >= st.b || st.counted == nil {
 			continue
 		}
 		var err error
-		if first {
-			if r.states[s], err = st.counted.InitializeCounted(st.key, rk.Distinct, counts); err != nil {
-				err = fmt.Errorf("initialize: %w", err)
-			}
-		} else {
-			r.states[s], err = st.counted.UpdateCounted(r.states[s], rk.Distinct, counts)
-		}
-		if err != nil {
+		if r.states[s], err = st.counted.UpdateCounted(r.states[s], rk.Distinct, counts); err != nil {
 			return &StatError{Stat: s, Err: err}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/mr"
@@ -14,16 +15,14 @@ import (
 
 // welfordReducer is the mean statistic as a plain IncrementalReducer:
 // it removes, but folds neither lanes nor counts, so delta maintenance
-// takes its one-Initialize-per-resample and one-Update-per-state paths.
+// takes its one-Update-per-state paths.
 type welfordReducer struct{}
 
 type welfordState struct {
 	w stats.Welford
 }
 
-func (welfordReducer) Initialize(key string, values []float64) (mr.State, error) {
-	return welfordReducer{}.Update(&welfordState{}, values)
-}
+func (welfordReducer) Initialize(string) (mr.State, error) { return &welfordState{}, nil }
 
 func (welfordReducer) Update(state mr.State, values []float64) (mr.State, error) {
 	st, ok := state.(*welfordState)
@@ -66,6 +65,65 @@ func (welfordReducer) Finalize(state mr.State) (float64, error) {
 }
 
 func (welfordReducer) Correct(result, p float64) float64 { return result }
+
+// countingPlain is welfordReducer counting the states it is asked for
+// and the values it is handed to fold and to remove.
+type countingPlain struct {
+	welfordReducer
+	inits, updated, removed *atomic.Int64
+}
+
+func (r countingPlain) Initialize(key string) (mr.State, error) {
+	r.inits.Add(1)
+	return r.welfordReducer.Initialize(key)
+}
+
+func (r countingPlain) Update(state mr.State, values []float64) (mr.State, error) {
+	r.updated.Add(int64(len(values)))
+	return r.welfordReducer.Update(state, values)
+}
+
+func (r countingPlain) Remove(state mr.State, values []float64) error {
+	r.removed.Add(int64(len(values)))
+	return r.welfordReducer.Remove(state, values)
+}
+
+// TestMaintainerInitializesOnceThenUpdates: a plain reducer — neither
+// lanes nor counts — read by two statistics of different B is asked for
+// one empty state per (resample, reading statistic), in the first grow
+// only, and every value a grow draws or a resize adds reaches Update:
+// the first grow's n′ per state, and every state operation the
+// maintainer counts as either an Update or a Remove value.
+func TestMaintainerInitializesOnceThenUpdates(t *testing.T) {
+	const b0, b1 = 7, 4
+	for _, par := range []int{1, 3} {
+		var inits, updated, removed atomic.Int64
+		red := countingPlain{inits: &inits, updated: &updated, removed: &removed}
+		m, err := New(Config{Reducer: red, B: b0, Seed: 11, Parallelism: par}, Stat{Reducer: red, Key: "k1", B: b1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g, n := range []int{300, 200, 500} {
+			if err := m.Grow(sampleData(n, uint64(40+g))); err != nil {
+				t.Fatal(err)
+			}
+			if got := inits.Load(); got != b0+b1 {
+				t.Fatalf("Parallelism %d, after grow %d: %d states initialized, want %d", par, g+1, got, b0+b1)
+			}
+			if g == 0 && (updated.Load() != int64((b0+b1)*n) || removed.Load() != 0) {
+				t.Fatalf("Parallelism %d: the first grow updated %d and removed %d values, want %d and 0",
+					par, updated.Load(), removed.Load(), (b0+b1)*n)
+			}
+			if got, want := updated.Load()+removed.Load(), m.Updates(); got != want {
+				t.Fatalf("Parallelism %d, after grow %d: %d values reached Update or Remove, the maintainer counts %d",
+					par, g+1, got, want)
+			}
+		}
+		if removed.Load() == 0 {
+			t.Fatalf("Parallelism %d: no resize deleted a value, so Remove went unexercised", par)
+		}
+	}
+}
 
 func sampleData(n int, seed uint64) []float64 {
 	xs, err := workload.NumericSpec{Dist: workload.Gaussian, N: n, Seed: seed}.Generate()

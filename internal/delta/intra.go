@@ -117,7 +117,10 @@ func (sr *SharedResampler) Draw(s []float64, b int, draw func(k int) []float64) 
 		shared = n
 	}
 	sharedItems := draw(shared)
-	sharedState, err := sr.red.Initialize(sr.key, sharedItems)
+	sharedState, err := sr.red.Initialize(sr.key)
+	if err == nil {
+		sharedState, err = sr.red.Update(sharedState, sharedItems)
+	}
 	if err != nil {
 		return nil, 0, err
 	}
@@ -125,7 +128,7 @@ func (sr *SharedResampler) Draw(s []float64, b int, draw func(k int) []float64) 
 
 	values = make([]float64, b)
 	for i := 0; i < b; i++ {
-		st, err := sr.red.Initialize(sr.key, nil)
+		st, err := sr.red.Initialize(sr.key)
 		if err != nil {
 			return nil, 0, err
 		}

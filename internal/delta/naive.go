@@ -85,7 +85,10 @@ func (m *NaiveMaintainer) Grow(deltaSample []float64) error {
 			for j := range buf {
 				buf[j] = m.sample[rng.IntN(n)]
 			}
-			st, err := m.red.Initialize(m.key, buf)
+			st, err := m.red.Initialize(m.key)
+			if err == nil {
+				st, err = m.red.Update(st, buf)
+			}
 			if err != nil {
 				return fmt.Errorf("delta: resample %d: %w", i, err)
 			}

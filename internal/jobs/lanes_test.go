@@ -46,12 +46,7 @@ func TestUpdateLanesEqualsUpdateAllLoop(t *testing.T) {
 					}
 					batches[k] = draw(n)
 					seedItems := draw(5 + k)
-					if got[k], err = job.Reducer.Initialize("k", seedItems); err != nil {
-						t.Fatal(err)
-					}
-					if want[k], err = job.Reducer.Initialize("k", seedItems); err != nil {
-						t.Fatal(err)
-					}
+					got[k], want[k] = fold(t, job.Reducer, seedItems), fold(t, job.Reducer, seedItems)
 				}
 				if err := mr.UpdateLanes(job.Reducer, got, batches); err != nil {
 					t.Fatal(err)
@@ -96,48 +91,8 @@ func sameFinalize(t *testing.T, where string, red mr.IncrementalReducer, got, wa
 
 func TestUpdateLanesRejectsForeignState(t *testing.T) {
 	median, mean := Median(), Mean()
-	st, err := median.Reducer.Initialize("k", []float64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := fold(t, median.Reducer, []float64{1})
 	if err := mr.UpdateLanes(mean.Reducer, []mr.State{st}, [][]float64{{2}}); !errors.Is(err, mr.ErrBadState) {
 		t.Fatalf("err = %v, want ErrBadState", err)
-	}
-}
-
-// TestLaneUpdatersInitializeIsEmptyThenUpdate holds the lane-folding
-// reducers to the other half of the capability: a state initialized
-// over values is bit for bit the empty state updated with them, which
-// is what lets SSABE's phase 1 build a group of fresh resamples abreast.
-func TestLaneUpdatersInitializeIsEmptyThenUpdate(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 0xfeed))
-	values := make([]float64, 257)
-	for i := range values {
-		values[i] = rng.NormFloat64()*15 + 50
-	}
-	checked := 0
-	for _, job := range contractReducers(t) {
-		if _, ok := job.Reducer.(mr.LaneUpdater); !ok {
-			continue
-		}
-		checked++
-		for _, n := range []int{0, 1, 2, 257} {
-			whole, err := job.Reducer.Initialize("k", values[:n])
-			if err != nil {
-				t.Fatal(err)
-			}
-			grown, err := job.Reducer.Initialize("k", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			states := []mr.State{grown}
-			if err := mr.UpdateLanes(job.Reducer, states, [][]float64{values[:n]}); err != nil {
-				t.Fatal(err)
-			}
-			sameFinalize(t, fmt.Sprintf("%s n=%d", job.Name, n), job.Reducer, states, []mr.State{whole})
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no named reducer is a LaneUpdater")
 	}
 }

@@ -34,10 +34,10 @@ func quantileSweep(t *testing.T, st mr.State) []uint64 {
 }
 
 // TestMultisetReducersIgnoreBatchOrder holds every reducer that declares
-// mr.MultisetReducer to its promise: Initialize and Update over 50
-// random permutations of a batch, over its ascending order, and over
-// the sorted-and-counted form a ranking presents, leave states that
-// finalize to the same bits — and again after Remove, which reads
+// mr.MultisetReducer to its promise: two Updates of an empty state over
+// 50 random permutations of their batches, over their ascending order,
+// and over the sorted-and-counted form a ranking presents, leave states
+// that finalize to the same bits — and again after Remove, which reads
 // the dictionary the batches built (tombstones included).
 func TestMultisetReducersIgnoreBatchOrder(t *testing.T) {
 	for _, name := range momentNames {
@@ -77,15 +77,18 @@ func TestMultisetReducersIgnoreBatchOrder(t *testing.T) {
 			first, second := draw(300), draw(500)
 			removed := append(append([]float64(nil), first[:100]...), second[:250]...)
 
-			// run builds a state from one presentation of the two
-			// batches and returns its sweep before and after the removal.
-			run := func(init func() (mr.State, error), update func(mr.State) (mr.State, error)) [2][]uint64 {
-				st, err := init()
+			// run folds one presentation of the two batches into an
+			// empty state and returns its sweep before and after the
+			// removal.
+			run := func(updates ...func(mr.State) (mr.State, error)) [2][]uint64 {
+				st, err := job.Reducer.Initialize("k")
 				if err != nil {
 					t.Fatal(err)
 				}
-				if st, err = update(st); err != nil {
-					t.Fatal(err)
+				for _, update := range updates {
+					if st, err = update(st); err != nil {
+						t.Fatal(err)
+					}
 				}
 				var out [2][]uint64
 				out[0] = quantileSweep(t, st)
@@ -97,7 +100,7 @@ func TestMultisetReducersIgnoreBatchOrder(t *testing.T) {
 			}
 			slices := func(a, b []float64) [2][]uint64 {
 				return run(
-					func() (mr.State, error) { return job.Reducer.Initialize("k", a) },
+					func(st mr.State) (mr.State, error) { return job.Reducer.Update(st, a) },
 					func(st mr.State) (mr.State, error) { return job.Reducer.Update(st, b) },
 				)
 			}
@@ -134,16 +137,13 @@ func TestMultisetReducersIgnoreBatchOrder(t *testing.T) {
 				}
 				return rk, counts
 			}
-			check("counted", run(
-				func() (mr.State, error) {
-					rk, counts := counted(first)
-					return job.Reducer.(mr.MultisetReducer).InitializeCounted("k", rk.Distinct, counts)
-				},
-				func(st mr.State) (mr.State, error) {
-					rk, counts := counted(second)
+			updateCounted := func(batch []float64) func(mr.State) (mr.State, error) {
+				return func(st mr.State) (mr.State, error) {
+					rk, counts := counted(batch)
 					return job.Reducer.(mr.MultisetReducer).UpdateCounted(st, rk.Distinct, counts)
-				},
-			))
+				}
+			}
+			check("counted", run(updateCounted(first), updateCounted(second)))
 		}
 	}
 }
@@ -189,7 +189,7 @@ func TestRankRefusesWhatSortingWouldChange(t *testing.T) {
 
 // TestFinalizeCountedEqualsFinalize holds every mr.MultisetReducer to
 // FinalizeCounted's promise: the result of a counted batch, by bits and
-// error, is Finalize of the state InitializeCounted builds from it — for
+// error, is Finalize of the empty state UpdateCounted folds it into — for
 // continuous values, ties, a lone −0, infinities, a universe whose ends
 // and middle hold zero counts, and no mass at all.
 func TestFinalizeCountedEqualsFinalize(t *testing.T) {
@@ -223,7 +223,10 @@ func TestFinalizeCountedEqualsFinalize(t *testing.T) {
 					n += int64(counts[i])
 				}
 				want, errWant := 0.0, error(nil)
-				st, err := red.InitializeCounted("k", distinct, counts)
+				st, err := job.Reducer.Initialize("k")
+				if err == nil {
+					st, err = red.UpdateCounted(st, distinct, counts)
+				}
 				if err == nil {
 					want, errWant = job.Reducer.Finalize(st)
 				} else {

@@ -7,9 +7,12 @@
 // Every numeric job is expressed once as an mr.IncrementalReducer (the
 // initialize/update/finalize/correct API of §2.1) so it can run under
 // EARL's resample maintenance, and once as a plain bootstrap.Statistic
-// for pilot estimation. Every reducer removes a batch in O(1) or
-// O(log n) per value (a Welford downdate, a counted-multiset decrement),
-// which is what makes inter-iteration delta maintenance cheap.
+// for pilot estimation. A reducer's Initialize returns an empty state —
+// a Welford accumulator, a counted multiset — and every value reaches
+// it through Update, UpdateLanes or UpdateCounted. Every reducer
+// removes a batch in O(1) or O(log n) per value (a Welford downdate, a
+// counted-multiset decrement), which is what makes inter-iteration
+// delta maintenance cheap.
 package jobs
 
 import (
@@ -153,10 +156,8 @@ type welfordState struct{ w stats.Welford }
 
 type meanReducer struct{}
 
-// Initialize implements mr.IncrementalReducer.
-func (meanReducer) Initialize(key string, values []float64) (mr.State, error) {
-	return meanReducer{}.Update(&welfordState{}, values)
-}
+// Initialize implements mr.IncrementalReducer: an empty accumulator.
+func (meanReducer) Initialize(string) (mr.State, error) { return &welfordState{}, nil }
 
 // Update implements mr.IncrementalReducer for every moment reducer:
 // the batch is folded in slice order.
@@ -292,20 +293,10 @@ func (stddevReducer) Finalize(state mr.State) (float64, error) {
 // statistic.)
 type multisetState struct{ ms stats.OrderStat }
 
-func newMultiset(values []float64) (*multisetState, error) {
-	st := &multisetState{}
-	if err := st.ms.AddBatch(values); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
 type quantileReducer struct{ q float64 }
 
-// Initialize implements mr.IncrementalReducer.
-func (r quantileReducer) Initialize(key string, values []float64) (mr.State, error) {
-	return newMultiset(values)
-}
+// Initialize implements mr.IncrementalReducer: an empty multiset.
+func (r quantileReducer) Initialize(string) (mr.State, error) { return &multisetState{}, nil }
 
 // Update implements mr.IncrementalReducer. NaN inputs are rejected (a
 // NaN would corrupt the ordered dictionary for finite values too).
@@ -353,14 +344,9 @@ func (r quantileReducer) Finalize(state mr.State) (float64, error) {
 	return st.ms.Quantile(r.q)
 }
 
-// InitializeCounted implements mr.MultisetReducer: the state is a
-// counted multiset, and stats.OrderStat sorts and counts a batch before
-// it looks at it, so the order values arrive in leaves no trace.
-func (r quantileReducer) InitializeCounted(key string, distinct []float64, counts []uint32) (mr.State, error) {
-	return r.UpdateCounted(&multisetState{}, distinct, counts)
-}
-
-// UpdateCounted implements mr.MultisetReducer.
+// UpdateCounted implements mr.MultisetReducer: the state is a counted
+// multiset, and stats.OrderStat sorts and counts a batch before it looks
+// at it, so the order values arrive in leaves no trace.
 func (r quantileReducer) UpdateCounted(state mr.State, distinct []float64, counts []uint32) (mr.State, error) {
 	st, ok := state.(*multisetState)
 	if !ok {
@@ -371,8 +357,8 @@ func (r quantileReducer) UpdateCounted(state mr.State, distinct []float64, count
 }
 
 // FinalizeCounted implements mr.MultisetReducer: the quantile of the
-// counted batch by one prefix scan, the value Finalize reads from the
-// state InitializeCounted would build.
+// counted batch by one prefix scan, the value Finalize reads from an
+// empty state UpdateCounted has folded the batch into.
 func (r quantileReducer) FinalizeCounted(distinct []float64, counts []uint32, n int64) (float64, error) {
 	return stats.QuantileCounted(distinct, counts, n, r.q)
 }

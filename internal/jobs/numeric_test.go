@@ -11,13 +11,23 @@ import (
 	"repro/internal/workload"
 )
 
-func runReducer(t *testing.T, n Numeric, values []float64) float64 {
+// fold is the state red builds over values: an empty state, then one
+// Update.
+func fold(t *testing.T, red mr.IncrementalReducer, values []float64) mr.State {
 	t.Helper()
-	st, err := n.Reducer.Initialize("k", values)
+	st, err := red.Initialize("k")
+	if err == nil {
+		st, err = red.Update(st, values)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := n.Reducer.Finalize(st)
+	return st
+}
+
+func runReducer(t *testing.T, n Numeric, values []float64) float64 {
+	t.Helper()
+	got, err := n.Reducer.Finalize(fold(t, n.Reducer, values))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,28 +74,19 @@ func contractReducers(t *testing.T) []Numeric {
 	return out
 }
 
-// TestReducerIncrementalEqualsBatch: a state built over a batch, grown
-// by Update and by Merge of another state, finalizes to the batch's
-// result; and Initialize over values leaves the bits Initialize over
-// nothing followed by Update does — on Finalize, and again after a
-// Remove, which reads the whole state.
+// TestReducerIncrementalEqualsBatch: a state built over part of a
+// batch, grown by Update and by Merge of another state, finalizes to the
+// batch's result.
 func TestReducerIncrementalEqualsBatch(t *testing.T) {
 	xs, _ := workload.NumericSpec{Dist: workload.Uniform, N: 200, Seed: 4}.Generate()
 	for _, job := range contractReducers(t) {
 		red := job.Reducer
 		batch := runReducer(t, job, xs)
-		st, err := red.Initialize("k", xs[:50])
+		st, err := red.Update(fold(t, red, xs[:50]), xs[50:150])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st, err = red.Update(st, xs[50:150]); err != nil {
-			t.Fatal(err)
-		}
-		other, err := red.Initialize("k", xs[150:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st, err = red.Merge(st, other); err != nil {
+		if st, err = red.Merge(st, fold(t, red, xs[150:])); err != nil {
 			t.Fatal(err)
 		}
 		inc, err := red.Finalize(st)
@@ -95,25 +96,6 @@ func TestReducerIncrementalEqualsBatch(t *testing.T) {
 		if math.Abs(batch-inc) > 1e-8*(1+math.Abs(batch)) {
 			t.Fatalf("%s: incremental %v != batch %v", job.Name, inc, batch)
 		}
-
-		whole, err := red.Initialize("k", xs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		grown, err := red.Initialize("k", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if grown, err = red.Update(grown, xs); err != nil {
-			t.Fatal(err)
-		}
-		sameFinalize(t, job.Name+" Initialize vs Update", red, []mr.State{grown}, []mr.State{whole})
-		for _, st := range []mr.State{grown, whole} {
-			if err := red.Remove(st, xs[:70]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sameFinalize(t, job.Name+" Initialize vs Update, after Remove", red, []mr.State{grown}, []mr.State{whole})
 	}
 }
 
@@ -121,12 +103,9 @@ func TestReducerRemoveInvertsAdd(t *testing.T) {
 	xs, _ := workload.NumericSpec{Dist: workload.Uniform, N: 100, Seed: 5}.Generate()
 	for _, job := range contractReducers(t) {
 		want := runReducer(t, job, xs)
-		st, err := job.Reducer.Initialize("k", xs)
-		if err != nil {
-			t.Fatal(err)
-		}
 		extra := []float64{3.25, -17, 42}
-		if st, err = job.Reducer.Update(st, extra); err != nil {
+		st, err := job.Reducer.Update(fold(t, job.Reducer, xs), extra)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if err := job.Reducer.Remove(st, extra); err != nil {
@@ -167,10 +146,7 @@ func TestQuantileValidation(t *testing.T) {
 
 func TestMultisetRemoveAbsent(t *testing.T) {
 	red := Median().Reducer
-	st, err := red.Initialize("k", []float64{1, 2, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := fold(t, red, []float64{1, 2, 2})
 	if err := red.Remove(st, []float64{5}); err == nil {
 		t.Fatal("removing absent value should error")
 	}
@@ -188,8 +164,8 @@ func TestMultisetQuantileMatchesSorted(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		st, err := newMultiset(xs)
-		if err != nil {
+		st := &multisetState{}
+		if err := st.ms.AddBatch(xs); err != nil {
 			return false
 		}
 		for _, q := range []float64{0.1, 0.25, 0.5, 0.9} {
@@ -213,18 +189,19 @@ func TestMultisetQuantileMatchesSorted(t *testing.T) {
 }
 
 func TestMultisetEmptyQuantile(t *testing.T) {
-	st, err := newMultiset(nil)
+	red := Median().Reducer
+	st, err := red.Initialize("k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.ms.Quantile(0.5); err == nil {
+	if _, err := red.Finalize(st); err == nil {
 		t.Fatal("empty quantile should error")
 	}
 }
 
 func TestReducersRejectWrongStates(t *testing.T) {
 	for _, job := range []Numeric{Mean(), Median()} {
-		st, _ := job.Reducer.Initialize("k", nil)
+		st, _ := job.Reducer.Initialize("k")
 		_, errUpdate := job.Reducer.Update("bogus", []float64{1})
 		_, errMerge := job.Reducer.Merge(st, "bogus")
 		_, errFinalize := job.Reducer.Finalize("bogus")

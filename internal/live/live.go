@@ -30,9 +30,9 @@
 //
 // Queries whose run fell back to the exact path (tiny data, or SSABE's
 // B×n ≥ N) retain no sink and are maintained exactly instead: the user
-// jobs' incremental reduce states are grown with every appended record
-// (Initialize, then Update), which is still delta-proportional work
-// (exact.go).
+// jobs' incremental reduce states start empty when the watch opens
+// (Initialize) and are grown with every appended record (Update), which
+// is still delta-proportional work (exact.go).
 package live
 
 import (
@@ -145,11 +145,7 @@ func (w *Watch) rebuild(run *core.Env) error {
 		// Exact fall-back: Execute skipped the exact job, because one scan
 		// here produces the same answers and leaves a maintainable state
 		// behind; every refresh after reads only appended splits.
-		splits, err := run.View().Splits(w.pq.Spec.Path, 0)
-		if err != nil {
-			return err
-		}
-		return w.foldExact(run, splits)
+		return w.openExact(run)
 	}
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/live"
+	"repro/internal/plan"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -288,6 +289,58 @@ func TestWatchExactFallbackMaintained(t *testing.T) {
 	// Only the appended records were read.
 	if cost.RecordsRead != int64(len(delta)) {
 		t.Fatalf("exact refresh read %d records, want %d", cost.RecordsRead, len(delta))
+	}
+}
+
+// TestExactWatchOpensOverNoSurvivor: a plan watch whose filter keeps no
+// record of the opening file takes the exact path with nothing to fold,
+// and reports 0 over 0 records; after an append with survivors it
+// reports, bit for bit, each reducer's fold of exactly those — for a
+// moment statistic and an order statistic alike.
+func TestExactWatchOpensOverNoSurvivor(t *testing.T) {
+	env := newEnv(t, 81)
+	if err := env.FS.WriteFile("/w", workload.EncodeLinesFixed(genValues(t, 300, 82))); err != nil {
+		t.Fatal(err)
+	}
+	pq, err := core.PreparePlan(plan.Spec{Path: "/w", Stats: []string{"mean", "median"}, Filter: "v > 1000"},
+		core.Options{Sigma: 0.05, Seed: 83})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := live.Open(env, pq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for _, rep := range w.Result().Reports {
+		if !rep.UsedFull || rep.Estimate != 0 || rep.SampleSize != 0 {
+			t.Fatalf("%s opened over no survivor: %+v, want an exact 0 over 0 records", rep.Job, rep)
+		}
+	}
+	survivors := []float64{1500.25, 2000.5, 1200.125}
+	if err := env.FS.Append("/w", workload.EncodeLinesFixed(append([]float64{50}, survivors...))); err != nil {
+		t.Fatal(err)
+	}
+	res, err := w.Refresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, job := range pq.Jobs {
+		st, err := job.Reducer.Initialize(job.Name)
+		if err == nil {
+			st, err = job.Reducer.Update(st, survivors)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := job.Reducer.Finalize(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := res.Reports[i]
+		if math.Float64bits(rep.Estimate) != math.Float64bits(want) || rep.SampleSize != len(survivors) {
+			t.Fatalf("%s after the append: %v over %d records, want %v over %d", job.Name, rep.Estimate, rep.SampleSize, want, len(survivors))
+		}
 	}
 }
 

@@ -17,26 +17,29 @@ type State any
 // (delta maintenance), and (c) rescale results computed from a fraction
 // p of the data:
 //
-//	initialize: <k,v1>,...,<k,vk> → state
+//	initialize: k → empty state
 //	update:     state × values → state   (and remove, its inverse)
 //	finalize:   state → (result, error estimate input)
 //	correct:    result × p → corrected result
 //
-// Merge folds one state into another. Every method that takes a batch
-// takes it as a []float64 and does not retain it: callers (the
-// delta-maintenance hot path in particular) hand in reused scratch
-// buffers. A state of the wrong concrete type is ErrBadState.
+// The paper's initialize over <k,v1>,...,<k,vk> is Initialize then
+// Update: a state starts empty, and every value reaches it through
+// Update (or its lane and counted twins). Merge folds one state into
+// another. Every method that takes a batch takes it as a []float64 and
+// does not retain it: callers (the delta-maintenance hot path in
+// particular) hand in reused scratch buffers. A state of the wrong
+// concrete type is ErrBadState.
 type IncrementalReducer interface {
-	// Initialize reduces a batch of raw values into a fresh state.
-	Initialize(key string, values []float64) (State, error)
+	// Initialize returns a fresh, empty state for key.
+	Initialize(key string) (State, error)
 	// Update folds a batch of raw values into state, in slice order,
 	// returning the new state, which may alias the argument. A reducer
 	// that also implements LaneUpdater extends the same clause across
 	// states: however many it steps side by side, each state sees
 	// exactly this fold. A reducer that is also a MultisetReducer
 	// promises more — any permutation of a batch leaves its state
-	// bit-identical, here and in Initialize — and in return may be
-	// handed a batch sorted and counted instead of in draw order.
+	// bit-identical — and in return may be handed a batch sorted and
+	// counted instead of in draw order.
 	Update(state State, values []float64) (State, error)
 	// Remove deletes from state one previously folded copy of every
 	// value of the batch — the primitive §4.1's resize needs when it
@@ -70,10 +73,6 @@ var ErrBadState = errors.New("mr: state has wrong type for this reducer")
 // batches[k]) would — same slice order, same arithmetic, bit for bit —
 // for any number of states, batches of unequal length and empty ones;
 // only the interleaving across states is the implementation's to choose.
-// The capability also promises that Initialize(key, values) leaves the
-// state Initialize(key, nil) followed by Update(values) does, so a
-// caller building several fresh states (SSABE's phase 1) can fold them
-// abreast too.
 type LaneUpdater interface {
 	UpdateLanes(states []State, batches [][]float64) error
 }
@@ -103,28 +102,26 @@ func UpdateLanes(r IncrementalReducer, states []State, batches [][]float64) erro
 }
 
 // MultisetReducer is implemented by reducers whose state depends only on
-// the multiset of a batch: Initialize over any permutation of values,
-// and Update with any permutation of a []float64 batch, leave a state
-// bit-identical — every later Finalize, Remove and Update included. An
-// order-statistic multiset qualifies; a floating-point accumulator does
-// not (its rounding follows the fold order), so the moment reducers must
-// not implement it. The engine may then present a batch sorted and
-// counted — strictly ascending distinct values, counts[i] copies of
-// distinct[i], zero counts allowed — instead of in the order it was
-// drawn, and the counted methods must leave exactly the state Initialize
-// and Update would leave given the same multiset as a slice. Neither
+// the multiset of a batch: Update with any permutation of a []float64
+// batch leaves a state bit-identical — every later Finalize, Remove and
+// Update included. An order-statistic multiset qualifies; a
+// floating-point accumulator does not (its rounding follows the fold
+// order), so the moment reducers must not implement it. The engine may
+// then present a batch sorted and counted — strictly ascending distinct
+// values, counts[i] copies of distinct[i], zero counts allowed — instead
+// of in the order it was drawn, and UpdateCounted must leave exactly the
+// state Update would leave given the same multiset as a slice. Neither
 // argument is retained or modified. The promise covers the batches Rank
 // agrees to sort: no NaN, and not +0 beside −0.
 //
 // FinalizeCounted is the result of a counted batch with no state built:
-// bit for bit — error included — Finalize(InitializeCounted(key,
-// distinct, counts)) for any key, where n is the sum of the counts. A
-// caller whose resamples are all drawn from one ranked source — SSABE's
-// pilot — keeps each resample as its counts over the source's distinct
-// values and finalizes from them, so a draw, a delete and an add are
-// each one counter step.
+// bit for bit — error included — Finalize of an empty state after
+// UpdateCounted(state, distinct, counts), where n is the sum of the
+// counts. A caller whose resamples are all drawn from one ranked source
+// — SSABE's pilot — keeps each resample as its counts over the source's
+// distinct values and finalizes from them, so a draw, a delete and an
+// add are each one counter step.
 type MultisetReducer interface {
-	InitializeCounted(key string, distinct []float64, counts []uint32) (State, error)
 	UpdateCounted(state State, distinct []float64, counts []uint32) (State, error)
 	FinalizeCounted(distinct []float64, counts []uint32, n int64) (float64, error)
 }

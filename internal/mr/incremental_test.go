@@ -14,9 +14,7 @@ type meanState struct {
 
 type meanReducer struct{}
 
-func (meanReducer) Initialize(key string, values []float64) (State, error) {
-	return meanReducer{}.Update(&meanState{}, values)
-}
+func (meanReducer) Initialize(string) (State, error) { return &meanState{}, nil }
 
 func (meanReducer) Update(state State, values []float64) (State, error) {
 	st, ok := state.(*meanState)
@@ -68,16 +66,21 @@ func (meanReducer) Correct(result, p float64) float64 { return IdentityCorrect(r
 
 func TestIncrementalReducerContract(t *testing.T) {
 	r := meanReducer{}
-	st, err := r.Initialize("k", []float64{1, 2, 3})
+	st, err := r.Initialize("k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Update with a batch of raw values.
-	if st, err = r.Update(st, []float64{6, 7}); err != nil {
-		t.Fatal(err)
+	// Update with batches of raw values.
+	for _, batch := range [][]float64{{1, 2, 3}, {6, 7}} {
+		if st, err = r.Update(st, batch); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Merge another state (the shared-block path), which stays as it was.
-	other, _ := r.Initialize("k", []float64{8, 10})
+	other, _ := r.Initialize("k")
+	if other, err = r.Update(other, []float64{8, 10}); err != nil {
+		t.Fatal(err)
+	}
 	if st, err = r.Merge(st, other); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +103,7 @@ func TestIncrementalReducerContract(t *testing.T) {
 func TestUpdateAll(t *testing.T) {
 	// One Update call folds a whole batch into an empty state.
 	r := meanReducer{}
-	st, _ := r.Initialize("k", nil)
+	st, _ := r.Initialize("k")
 	st, err := r.Update(st, []float64{2, 4, 6})
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +119,7 @@ func TestUpdateRejectsWrongTypes(t *testing.T) {
 	if _, err := r.Update("not-a-state", []float64{1}); !errors.Is(err, ErrBadState) {
 		t.Fatalf("err = %v, want ErrBadState", err)
 	}
-	st, _ := r.Initialize("k", nil)
+	st, _ := r.Initialize("k")
 	if _, err := r.Merge(st, "not-a-state"); !errors.Is(err, ErrBadState) {
 		t.Fatalf("err = %v, want ErrBadState", err)
 	}

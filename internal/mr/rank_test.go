@@ -12,10 +12,6 @@ import (
 // agrees to rank for it; the counted methods are never called here.
 type countedReducer struct{ meanReducer }
 
-func (countedReducer) InitializeCounted(string, []float64, []uint32) (State, error) {
-	return nil, nil
-}
-
 func (countedReducer) UpdateCounted(State, []float64, []uint32) (State, error) {
 	return nil, nil
 }

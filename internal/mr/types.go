@@ -12,7 +12,9 @@
 //   - the finer-grained incremental reduce API of §2.1 —
 //     initialize/update/finalize/correct, plus §4.1's remove and a
 //     state merge, every batch a []float64 — used by EARL to keep per-
-//     resample states instead of raw data.
+//     resample states instead of raw data. A state starts empty
+//     (Initialize takes only the key), and values reach it only
+//     through Update and its lane and counted twins.
 //
 // The round loop itself — mappers that stay alive across rounds,
 // reducers that fold before the mappers finish — is core's engine.

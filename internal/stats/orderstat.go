@@ -8,11 +8,11 @@ import (
 
 // OrderStat is a counted multiset of float64 values indexed for order
 // statistics: a sorted dictionary of distinct values with a Fenwick tree
-// over their multiplicities. Add/Remove of a value already in the
+// over their multiplicities. Adding or removing a value already in the
 // dictionary and Kth/Quantile are O(log k) in the number of distinct
-// values and allocation-free; new distinct values are admitted in
-// batches (AddBatch, or AddCounted for a batch already sorted and
-// counted) with one O(k + m log m) merge + rebuild per batch rather than
+// values and allocation-free; values are added in batches (AddBatch, or
+// AddCounted for a batch already sorted and counted), new distinct
+// values with one O(k + m log m) merge + rebuild per batch rather than
 // one O(k) insertion per value.
 //
 // This is the state representation behind EARL's quantile/median
@@ -25,8 +25,8 @@ import (
 // weight, so order statistics ignore them) and compacted away on the
 // next rebuild once they outnumber live slots.
 //
-// The zero value is an empty multiset. NaN values are rejected by Add
-// and AddBatch before any mutation: a NaN admitted into the sorted
+// The zero value is an empty multiset. NaN values are rejected by
+// AddBatch before any mutation: a NaN admitted into the sorted
 // dictionary would break the binary searches for *finite* values too
 // (NaN compares false both ways), silently corrupting quantiles — and
 // NaN records are remotely reachable (strconv.ParseFloat accepts
@@ -69,22 +69,6 @@ func (o *OrderStat) bump(slot int, d int64) {
 
 // ErrNaN is returned when a NaN value is offered to the multiset.
 var ErrNaN = errors.New("stats: NaN value in order-statistic multiset")
-
-// Add inserts one copy of v. Inserting a value not yet in the dictionary
-// costs O(k); batch insertion via AddBatch amortises that.
-//
-//earl:hotpath
-func (o *OrderStat) Add(v float64) error {
-	if v != v {
-		return ErrNaN
-	}
-	if slot, ok := o.find(v); ok {
-		o.bump(slot, 1)
-		return nil
-	}
-	o.mergeRebuild([]float64{v}, []uint32{1}, 1)
-	return nil
-}
 
 // AddBatch inserts every value of vs (with multiplicity). vs is not
 // retained or modified: it is sorted in an internal scratch buffer

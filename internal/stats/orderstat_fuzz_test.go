@@ -26,9 +26,9 @@ func (r *fuzzRef) remove(i int) {
 // FuzzOrderStat drives an op sequence decoded from the fuzz input
 // against both OrderStat (Fenwick-indexed dictionary) and the sorted
 // slice reference, and requires every order statistic and quantile to
-// agree. The counted add shares the alphabet with Add, Remove and
-// AddBatch, so tombstones, revived slots and compaction are crossed
-// with it.
+// agree. The counted add shares the alphabet with one-value and longer
+// AddBatch calls and Remove, so tombstones, revived slots and compaction
+// are crossed with it.
 func FuzzOrderStat(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17})
 	f.Add([]byte("\x00AAAAAAAA\x00BBBBBBBB\x01CCCCCCCC\x02DDDDDDDD"))
@@ -43,15 +43,15 @@ func FuzzOrderStat(f *testing.F) {
 			data = data[9:]
 			v := math.Float64frombits(bits)
 			switch op % 6 {
-			case 0, 1: // weight Add double
+			case 0, 1: // weight one-value adds double
 				if math.IsNaN(v) {
-					if err := ms.Add(v); !errors.Is(err, ErrNaN) {
-						t.Fatalf("Add(NaN) err = %v, want ErrNaN", err)
+					if err := ms.AddBatch([]float64{v}); !errors.Is(err, ErrNaN) {
+						t.Fatalf("AddBatch of a lone NaN: err = %v, want ErrNaN", err)
 					}
 					continue
 				}
-				if err := ms.Add(v); err != nil {
-					t.Fatalf("Add(%v): %v", v, err)
+				if err := ms.AddBatch([]float64{v}); err != nil {
+					t.Fatalf("AddBatch of a lone %v: %v", v, err)
 				}
 				ref.add(v)
 			case 2: // remove an element currently in the multiset

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"math"
 	"math/rand/v2"
 	"sort"
@@ -94,7 +95,7 @@ func TestOrderStatEquivalence(t *testing.T) {
 			switch op := rng.IntN(5); {
 			case op == 0: // single add
 				v := randomValue(rng, spread)
-				if err := os.Add(v); err != nil {
+				if err := os.AddBatch([]float64{v}); err != nil {
 					t.Fatal(err)
 				}
 				ref.add(v)
@@ -143,7 +144,7 @@ func TestOrderStatEquivalence(t *testing.T) {
 				k := rng.IntN(20)
 				for j := 0; j < k; j++ {
 					v := randomValue(rng, spread)
-					if err := other.Add(v); err != nil {
+					if err := other.AddBatch([]float64{v}); err != nil {
 						t.Fatal(err)
 					}
 					ref.add(v)
@@ -237,7 +238,7 @@ func TestOrderStatQuantileGuards(t *testing.T) {
 	if _, err := os.Quantile(0.5); err == nil {
 		t.Fatal("empty quantile should error")
 	}
-	if err := os.Add(1); err != nil {
+	if err := os.AddBatch([]float64{1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Kth(-1); err == nil {
@@ -252,8 +253,8 @@ func TestOrderStatQuantileGuards(t *testing.T) {
 }
 
 // TestOrderStatRejectsNaN: a NaN admitted into the sorted dictionary
-// would break binary searches for finite values too, so Add/AddBatch
-// refuse it atomically — the state is untouched on rejection. NaN
+// would break binary searches for finite values too, so AddBatch
+// refuses it atomically — the state is untouched on rejection. NaN
 // records are remotely reachable (ParseFloat accepts "NaN" and earld
 // feeds parsed records straight into maintained quantile states).
 func TestOrderStatRejectsNaN(t *testing.T) {
@@ -261,8 +262,8 @@ func TestOrderStatRejectsNaN(t *testing.T) {
 	if err := os.AddBatch([]float64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Add(math.NaN()); err == nil {
-		t.Fatal("Add(NaN) should error")
+	if err := os.AddBatch([]float64{math.NaN()}); !errors.Is(err, ErrNaN) {
+		t.Fatalf("AddBatch of a lone NaN: err = %v, want ErrNaN", err)
 	}
 	if err := os.AddBatch([]float64{4, math.NaN(), 5}); err == nil {
 		t.Fatal("AddBatch with NaN should error")
