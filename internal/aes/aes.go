@@ -356,49 +356,10 @@ func foldLanes(c *chooser, bufs [][]float64) error {
 	return mr.UpdateLanes(c.cfg.Reducer, c.states, bufs)
 }
 
-// EstimateB runs phase 1 on the pilot sample: resamples are added one at
-// a time (each new candidate B reuses all previous resamples, the
-// incremental-processing observation of §4), and the loop stops once the
-// error measure has moved less than τ for stableSteps consecutive steps.
-// It returns the chosen B and the cv trace indexed by B−2.
-func EstimateB(pilot []float64, cfg Config) (int, []float64, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return 0, nil, err
-	}
-	c := estimateB(pilot, mr.Rank(cfg.Reducer, pilot), []Config{cfg})[0]
-	if c.err != nil {
-		return 0, nil, c.err
-	}
-	return c.b, c.trace, nil
-}
-
 // CurvePoint is one (subsample size, error) observation from phase 2.
 type CurvePoint struct {
 	N  int
 	CV float64
-}
-
-// EstimateN runs phase 2: the pilot is split into L = subsamples
-// geometrically growing prefixes n_i = len(pilot)/2^(L−i); the error is measured on
-// each with B resamples using a delta.Maintainer (so each step reuses the
-// previous step's resamples), the curve cv(n) = a + b/√n is fitted and
-// solved for σ. ok=false means the fitted curve never reaches σ — the
-// caller should fall back to the full data set. Each curve point is
-// averaged over replicates (3) independent maintained runs to tame the
-// B-value noise of a single cv measurement before the fit; each prefix
-// step is ranked once for all of them.
-func EstimateN(pilot []float64, b int, cfg Config) (n int, ok bool, curve stats.CVCurve, points []CurvePoint, err error) {
-	cfg, err = cfg.withDefaults()
-	if err != nil {
-		return 0, false, stats.CVCurve{}, nil, err
-	}
-	fits, err := estimateN(pilot, segments(pilot, cfg.Reducer), []int{b}, []Config{cfg})
-	if err != nil {
-		return 0, false, stats.CVCurve{}, nil, err
-	}
-	f := fits[0]
-	return f.n, f.ok, f.curve, f.points, nil
 }
 
 // fit is one statistic's phase-2 outcome: its curve points, the curve

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/jobs"
+	"repro/internal/mr"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -24,21 +25,43 @@ func baseConfig() Config {
 	}
 }
 
+// phase runs one SSABE phase for the one statistic cfg, as PlanAll runs
+// it for each of its statistics after defaulting their configs: phase 1
+// when b is 0, choosing B and returning it with its cv trace, else
+// phase 2 at b resamples.
+func phase(pilot []float64, b int, cfg Config) (chosen int, trace []float64, f fit, err error) {
+	if cfg, err = cfg.withDefaults(); err != nil {
+		return 0, nil, fit{}, err
+	}
+	if b > 0 {
+		fits, err := estimateN(pilot, segments(pilot, cfg.Reducer), []int{b}, []Config{cfg})
+		if err != nil {
+			return 0, nil, fit{}, err
+		}
+		return 0, nil, fits[0], nil
+	}
+	c := estimateB(pilot, mr.Rank(cfg.Reducer, pilot), []Config{cfg})[0]
+	if c.err != nil {
+		return 0, nil, fit{}, c.err
+	}
+	return c.b, c.trace, fit{}, nil
+}
+
 func TestConfigValidation(t *testing.T) {
-	if _, _, err := EstimateB(pilotData(100, 1), Config{Sigma: 0.05}); err == nil {
+	if _, _, _, err := phase(pilotData(100, 1), 0, Config{Sigma: 0.05}); err == nil {
 		t.Fatal("missing reducer should error")
 	}
 	bad := baseConfig()
 	bad.Sigma = 0
-	if _, _, err := EstimateB(pilotData(100, 1), bad); err == nil {
+	if _, _, _, err := phase(pilotData(100, 1), 0, bad); err == nil {
 		t.Fatal("sigma=0 should error")
 	}
 	bad = baseConfig()
 	bad.Tau = -1
-	if _, _, err := EstimateB(pilotData(100, 1), bad); err == nil {
+	if _, _, _, err := phase(pilotData(100, 1), 0, bad); err == nil {
 		t.Fatal("negative tau should error")
 	}
-	if _, _, err := EstimateB([]float64{1}, baseConfig()); err == nil {
+	if _, _, _, err := phase([]float64{1}, 0, baseConfig()); err == nil {
 		t.Fatal("tiny pilot should error")
 	}
 }
@@ -47,7 +70,7 @@ func TestEstimateBReasonableRange(t *testing.T) {
 	// The paper: "Normally roughly 30 bootstraps are required to provide
 	// a confident estimate of the error" (§3.1), far below the
 	// theoretical 1/(2ε₀²). Accept a broad band around that.
-	b, trace, err := EstimateB(pilotData(500, 3), baseConfig())
+	b, trace, _, err := phase(pilotData(500, 3), 0, baseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +87,11 @@ func TestEstimateBReasonableRange(t *testing.T) {
 }
 
 func TestEstimateBDeterministic(t *testing.T) {
-	b1, _, err := EstimateB(pilotData(300, 4), baseConfig())
+	b1, _, _, err := phase(pilotData(300, 4), 0, baseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, _, err := EstimateB(pilotData(300, 4), baseConfig())
+	b2, _, _, err := phase(pilotData(300, 4), 0, baseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +104,7 @@ func TestEstimateBRespectsMaxB(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Tau = 1e-9 // unreachable stability
 	cfg.MaxB = 20
-	b, _, err := EstimateB(pilotData(200, 5), cfg)
+	b, _, _, err := phase(pilotData(200, 5), 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,22 +116,22 @@ func TestEstimateBRespectsMaxB(t *testing.T) {
 func TestEstimateNFindsTarget(t *testing.T) {
 	cfg := baseConfig()
 	pilot := pilotData(4000, 6)
-	n, ok, curve, points, err := EstimateN(pilot, 30, cfg)
+	_, _, f, err := phase(pilot, 30, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
-		t.Fatalf("no n found; curve %+v points %+v", curve, points)
+	if !f.ok {
+		t.Fatalf("no n found; curve %+v points %+v", f.curve, f.points)
 	}
-	if len(points) != 5 {
-		t.Fatalf("got %d curve points, want L=5", len(points))
+	if len(f.points) != 5 {
+		t.Fatalf("got %d curve points, want L=5", len(f.points))
 	}
 	// Gaussian(50,15): popCV = 0.3, so n ≈ (0.3/0.05)² = 36 for σ=0.05.
-	if n < 10 || n > 400 {
-		t.Fatalf("n = %d, want near the theoretical ≈36", n)
+	if f.n < 10 || f.n > 400 {
+		t.Fatalf("n = %d, want near the theoretical ≈36", f.n)
 	}
 	// Verify empirically: a sample of size n should deliver cv ≤ ~σ.
-	val := curve.Eval(n)
+	val := f.curve.Eval(f.n)
 	if val > cfg.Sigma+1e-9 {
 		t.Fatalf("curve at solved n: %v > σ", val)
 	}
@@ -116,10 +139,10 @@ func TestEstimateNFindsTarget(t *testing.T) {
 
 func TestEstimateNValidation(t *testing.T) {
 	cfg := baseConfig()
-	if _, _, _, _, err := EstimateN(pilotData(10, 1), 30, cfg); err == nil {
+	if _, _, _, err := phase(pilotData(10, 1), 30, cfg); err == nil {
 		t.Fatal("pilot too small should error")
 	}
-	if _, _, _, _, err := EstimateN(pilotData(4000, 1), 1, cfg); err == nil {
+	if _, _, _, err := phase(pilotData(4000, 1), 1, cfg); err == nil {
 		t.Fatal("B=1 should error")
 	}
 }

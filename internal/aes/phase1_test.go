@@ -125,7 +125,7 @@ func TestEstimateBMatchesOneAtATime(t *testing.T) {
 						cfg := Config{Reducer: red, Sigma: 0.05, Tau: tau, MaxB: maxB, Seed: seed, Key: "k"}
 						where := fmt.Sprintf("%s/%s tau=%g maxB=%d seed=%d", name, pname, tau, maxB, seed)
 						inits = 0
-						gb, gtrace, gerr := EstimateB(pilot, cfg)
+						gb, gtrace, _, gerr := phase(pilot, 0, cfg)
 						built := inits
 						wb, wtrace, werr := estimateBOneAtATime(pilot, cfg)
 						if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
@@ -188,7 +188,7 @@ func TestEstimateBClipsLastGroupToMaxB(t *testing.T) {
 			inits := 0
 			red := clippedReducer{mean, mean.(mr.LaneUpdater), &inits}
 			// τ this small never holds for three steps: phase 1 runs to the cap.
-			b, _, err := EstimateB(pilotData(400, 5), Config{Reducer: red, Sigma: 0.05, Tau: 1e-12, MaxB: maxB, Seed: 2, Parallelism: par})
+			b, _, _, err := phase(pilotData(400, 5), 0, Config{Reducer: red, Sigma: 0.05, Tau: 1e-12, MaxB: maxB, Seed: 2, Parallelism: par})
 			if err != nil {
 				t.Fatal(err)
 			}

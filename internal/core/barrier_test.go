@@ -106,7 +106,7 @@ func TestModelledCostRepeats(t *testing.T) {
 // gateSink holds its partition's first fold open until released, so a
 // test can act after round 1's draws and before its ruling.
 type gateSink struct {
-	Sink
+	sink
 	once    sync.Once
 	entered chan struct{}
 	release chan struct{}
@@ -117,7 +117,7 @@ func (g *gateSink) Fold(cols *colscan.Cols) error {
 		close(g.entered)
 		<-g.release
 	})
-	return g.Sink.Fold(cols)
+	return g.sink.Fold(cols)
 }
 
 // killedRun is what one run that lost machines reports.
@@ -134,9 +134,9 @@ func killBetweenRounds(t *testing.T, sigma float64) killedRun {
 	t.Helper()
 	env, _ := testEnv(t, 200_000, workload.Uniform, 71)
 	opts := Options{Sigma: sigma, Seed: 72}.withDefaults()
-	spec, sink := meanSpec(t, env, opts)
-	gate := &gateSink{Sink: sink, entered: make(chan struct{}), release: make(chan struct{})}
-	spec.Sinks = []Sink{gate}
+	spec, ss := meanSpec(t, env, opts)
+	gate := &gateSink{sink: ss, entered: make(chan struct{}), release: make(chan struct{})}
+	spec.Sinks = []sink{gate}
 	done := make(chan struct{})
 	go func() {
 		select {
@@ -156,13 +156,13 @@ func killBetweenRounds(t *testing.T, sigma float64) killedRun {
 	if err != nil {
 		t.Fatalf("run with node loss should still answer: %v", err)
 	}
-	ReleaseSources(res.Sources)
+	releaseSources(res.Sources)
 	res.Sources = nil
-	results, err := sink.stats[0].maint.Results()
+	results, err := ss.stats[0].maint.Results()
 	if err != nil {
 		t.Fatalf("no result distribution after node loss: %v", err)
 	}
-	return killedRun{res: res, n: sink.stats[0].maint.N(), results: results}
+	return killedRun{res: res, n: ss.stats[0].maint.N(), results: results}
 }
 
 // TestKillNodeWhileMappersParked: machines lost between rounds fail the

@@ -45,14 +45,13 @@
 // ruling, the doubling expansion schedule and the §3.4 finish are
 // written once. Records travel one way through it: the samplers are the
 // only code of a sampled run that ever sees a record as a line, and
-// everything from a RecordSource out handles parsed columns
+// everything from a recordSource out handles parsed columns
 // (colscan.Cols) — decoded by a built-in columnar format or, where the
-// samplers read, by the user's own parser (Decode, source.go); nothing
+// samplers read, by the user's own parser (decode, source.go); nothing
 // downstream can tell which. The engine is parameterized over one small
-// abstraction: a Sink per reduce partition folds each round's records in
+// abstraction: a sink per reduce partition folds each round's records in
 // canonical order, answers the current error estimate and renders the
-// reports (sinks.go) — and is what a maintained query keeps folding into
-// afterwards. A scalar query is the one-key degenerate case (statSink:
+// reports (sinks.go). A scalar query is the one-key degenerate case (statSink:
 // one resample set per statistic, all fed the shared sample); grouped
 // queries route records by their own keys into per-group resample sets
 // (groupSink). A multi-statistic query answers several statistics from
@@ -63,12 +62,24 @@
 //
 // The exact fall-back (exact.go) is not on this engine: it is one
 // column scan of the whole file — resident decoded blocks where env.Scan
-// holds them, a line reader per split under the run's Decode otherwise,
+// holds them, a line reader per split under the run's decode otherwise,
 // σ/π through the plan's kernels — then each statistic over the
 // survivors. It answers what the stock-Hadoop batch job (parse every
 // line, shuffle, one reduce) answers, bit for bit, and charges what
 // that job would. RunExactJob, the figures' stock baseline and the
 // reference the sampled path is tested against, is the same pass.
+//
+// # A run, kept
+//
+// Asked to retain it, Execute hands back the run's state as a Retained
+// (retained.go): the sink the run folded into and the streams it drew
+// from — or, on the exact fall-back, an exactSink that folded the same
+// one scan into an incremental reduce state per statistic. A maintained
+// query (internal/live) keeps it, and Retained.Refresh grows it over
+// what is appended to the file: a sampled run's sink takes the appended
+// splits' delta at the sample's fraction and re-expands while σ is
+// violated; an exact one scans the appended splits whole. How a sample
+// grows — over a run's rounds or a refresh — is decided here alone.
 package core
 
 import (

@@ -101,31 +101,6 @@ type resampler interface {
 	N() int
 }
 
-// Retained is the working state a sampled run leaves behind when asked
-// to: the sink the engine folded into, the per-mapper sampling streams it
-// drew from, and what the run learned about the input. Execute drops it
-// for a one-shot; a maintained query (internal/live) keeps it and goes on
-// folding appended data into the same sink, drawing from the same
-// streams — the run, kept. A run that took the exact path retains no
-// sink and no sources: there is no sample to maintain.
-type Retained struct {
-	Sink        Sink           // nil when the run took the exact path
-	Plans       []aes.Plan     // per-statistic SSABE plans (nil for grouped runs)
-	Sources     []RecordSource // per-mapper samplers (without-replacement across refreshes)
-	EstTotal    int64          // estimated records covered so far
-	SyncedBytes int64          // file bytes covered (the ingest high-water mark)
-	Opts        Options        // with defaults applied
-	Generations int            // engine rounds of the run
-	Folds       int            // folds applied since the run (one per refresh fold, empty delta folds included)
-	SelSE       float64        // relative std. error of the filtered-subpopulation size estimate (0 = exact)
-}
-
-// Result renders the retained sink's current state. refreshes is how
-// many refreshes a maintained query has applied (0 for the run itself).
-func (r *Retained) Result(refreshes int) (*PlanResult, error) {
-	return r.Sink.Result(r, refreshes)
-}
-
 // Execute is the one sampled driver. Every sampled run — one statistic
 // or several over one shared sample, global or per group key, plan or
 // library job — is validated, piloted, planned, run on the generic
@@ -151,10 +126,9 @@ func (r *Retained) Result(refreshes int) (*PlanResult, error) {
 // sampling streams give back their scan-cache blocks before Execute
 // returns (so does the pilot, in either mode). retain=true is a
 // watch's opening run: the Retained state comes back, and on the exact
-// fall-back nothing is computed — the Reports carry only
-// UsedFull/EstTotalN and the state has no sink, because internal/live
-// folds the same scan (ScanExact) into incremental exact states it can
-// maintain instead.
+// fall-back the same one column scan folds into an exactSink instead —
+// one incremental reduce state per statistic — which every refresh
+// grows by the appended splits alone (Retained.Refresh).
 //
 // Handed a run's Env (Env.Open), Execute reads that run's commit and
 // charges its ledger; handed the cluster's, it opens a run charged to
@@ -171,7 +145,7 @@ func Execute(env *Env, pq *PlannedQuery, retain bool) (*PlanResult, *Retained, e
 	if ret != nil {
 		// Retained streams read live after: held, the snapshot would keep
 		// this commit's namespace alive as long as the watch that owns them.
-		RepinSources(ret.Sources, env.FS)
+		repinSources(ret.sources, env.FS)
 	}
 	return res, ret, err
 }
@@ -179,7 +153,7 @@ func Execute(env *Env, pq *PlannedQuery, retain bool) (*PlanResult, *Retained, e
 // planned is what the mode-specific planning step hands the shared tail
 // of execute.
 type planned struct {
-	sinks    []Sink     // one per reduce partition
+	sinks    []sink     // one per reduce partition
 	plans    []aes.Plan // scalar only
 	initialN int64
 	name     string // MR job name
@@ -200,7 +174,7 @@ func execute(env *Env, pq *PlannedQuery, retain bool) (*PlanResult, *Retained, e
 	// The pilot decodes records exactly as the sampled job that follows
 	// will (under a built-in format it shares env.Scan's decoded blocks
 	// with that job, and with every other run over the file).
-	dec, err := pq.Decode()
+	dec, err := pq.decode()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -231,8 +205,7 @@ func execute(env *Env, pq *PlannedQuery, retain bool) (*PlanResult, *Retained, e
 	// whether the pilot got far enough to estimate the input's size.
 	exact := func(plans []aes.Plan, estTotal int64, known bool) (*PlanResult, *Retained, error) {
 		if retain {
-			return &PlanResult{Reports: exactReports(jset, estTotal, known)},
-				&Retained{Plans: plans, EstTotal: estTotal, SyncedBytes: size, Opts: opts}, nil
+			return retainExact(env, jset, &Retained{plans: plans, path: path, dec: dec, prog: prog, opts: opts}, size)
 		}
 		reps, err := runExact(env, jset, path, 0, dec, prog)
 		if known {
@@ -281,19 +254,23 @@ func execute(env *Env, pq *PlannedQuery, retain bool) (*PlanResult, *Retained, e
 		return nil, nil, err
 	}
 	ret := &Retained{
-		Sink:        mergeSinks(pl.sinks),
-		Plans:       pl.plans,
-		Sources:     res.Sources,
-		EstTotal:    estTotal,
-		SyncedBytes: size,
-		Opts:        opts,
-		Generations: res.Generations,
-		SelSE:       pilot.selSE(),
+		sink:        mergeSinks(pl.sinks),
+		plans:       pl.plans,
+		sources:     res.Sources,
+		dry:         make([]bool, len(res.Sources)),
+		path:        path,
+		dec:         dec,
+		prog:        prog,
+		estTotal:    estTotal,
+		syncedBytes: size,
+		opts:        opts,
+		generations: res.Generations,
+		selSE:       pilot.selSE(),
 	}
 	out, err := ret.Result(0)
 	if err != nil || !retain {
 		// Only a watch keeps the streams: a one-shot's end is theirs.
-		ReleaseSources(res.Sources)
+		releaseSources(res.Sources)
 		ret = nil
 	}
 	if err != nil {
@@ -364,8 +341,8 @@ func planScalar(env *Env, jset []jobs.Numeric, opts Options, pilot *pilotSample)
 	if pl.useFull {
 		return pl, false, nil
 	}
-	sink, err := newStatSink(env, jset, pl.plans, opts)
-	pl.sinks, pl.name = []Sink{sink}, "earl-"+jobsetTag(jset)
+	ss, err := newStatSink(env, jset, pl.plans, opts)
+	pl.sinks, pl.name = []sink{ss}, "earl-"+jobsetTag(jset)
 	return pl, false, err
 }
 
@@ -399,7 +376,7 @@ func planGrouped(env *Env, job jobs.Numeric, opts Options, pilot *pilotSample) (
 	if r > len(keys) {
 		r = 1
 	}
-	pl := planned{initialN: int64(initialN), name: "earl-grouped-" + job.Name, sinks: make([]Sink, r)}
+	pl := planned{initialN: int64(initialN), name: "earl-grouped-" + job.Name, sinks: make([]sink, r)}
 	for p := range pl.sinks {
 		pl.sinks[p] = newGroupSink(env, job, b, opts)
 	}
@@ -421,7 +398,7 @@ func jobsetTag(jset []jobs.Numeric) string {
 // the plan into its draws.
 type pilotSample struct {
 	s    *sampling.PreMap
-	src  RecordSource
+	src  recordSource
 	prog *plan.Program // nil without a plan
 	cols colscan.Cols
 }
@@ -456,23 +433,11 @@ func (p *pilotSample) effTotal() int64 {
 
 // selSE is the relative standard error of the pilot's selectivity
 // estimate — the only noisy factor in the effective subpopulation size.
-// FinishReport widens extensive statistics' intervals by it; it is 0 (no
+// finishReport widens extensive statistics' intervals by it; it is 0 (no
 // widening, bit-identical reports) without a filter.
 func (p *pilotSample) selSE() float64 {
 	if !p.filtered() {
 		return 0
 	}
 	return shareSE(int64(p.cols.Len()), int64(p.s.Taken()))
-}
-
-// exactReports renders the deferred-exact placeholder reports.
-func exactReports(jset []jobs.Numeric, estTotal int64, setEst bool) []Report {
-	reps := make([]Report, len(jset))
-	for i, job := range jset {
-		reps[i] = Report{Job: job.Name, UsedFull: true}
-		if setEst {
-			reps[i].EstTotalN = estTotal
-		}
-	}
-	return reps
 }

@@ -24,12 +24,12 @@ import (
 // files are written and nothing polls; what the paper's files would cost
 // is charged to simcost once per round.
 //
-// Records reach the engine already parsed: every RecordSource delivers
+// Records reach the engine already parsed: every recordSource delivers
 // column batches (source.go), whatever decoded them, and the mappers
 // route whole batches — under the run's one synthetic key for scalar
 // runs (the one-key degenerate case), by the records' own keys for
 // grouped runs. The engine is parameterized over one small abstraction,
-// Sink: it folds one round's records into the state it maintains and
+// sink: it folds one round's records into the state it maintains and
 // reports the partition's current error estimate. The scalar sink
 // maintains one resample set per statistic (all fed the same shared
 // sample); the grouped sink maintains one per group key.
@@ -37,25 +37,25 @@ import (
 // Everything upstream (pilot, planning) and downstream (the retained
 // state) is Execute's (driver.go).
 
-// Sink is a run's maintained result: the engine folds each round's
+// sink is a run's maintained result: the engine folds each round's
 // routed records into one sink per reduce partition and asks it for the
-// partition's error; a maintained query (internal/live) keeps the run's
-// sink and folds every refresh's draws into it the same way; both render
-// their reports from it. Nothing of the engine's round state is
-// reachable from a sink, so keeping one keeps only results.
+// partition's error; a kept run (Retained) folds every refresh's draws
+// into its sink the same way; both render their reports from it.
+// Nothing of the engine's round state is reachable from a sink, so
+// keeping one keeps only results.
 //
 // During the run a sink is only ever called by its partition's fold, one
 // round at a time; reads after the run are ordered by its return.
-type Sink interface {
-	// Fold grows the maintained state by one batch in canonical order —
-	// keys sorted, each key's values sorted ascending — which is what
-	// keeps fixed-seed runs bit-identical at any parallelism: the batch's
-	// multiset is fixed by the seeds, its order by how the draws were
-	// split among mappers and batches, and resample updates consume
-	// seeded rng draws. Fold may reorder cols in place; a
-	// scalar sink ignores cols.Keys.
+type sink interface {
+	// Fold grows the maintained state by one batch. A resampling sink
+	// folds in canonical order — keys sorted, each key's values sorted
+	// ascending — which is what keeps fixed-seed runs bit-identical at
+	// any parallelism: the batch's multiset is fixed by the seeds, its
+	// order by how the draws were split among mappers and batches, and
+	// resample updates consume seeded rng draws. Fold may reorder cols in
+	// place; a scalar sink ignores cols.Keys.
 	Fold(cols *colscan.Cols) error
-	// Size returns the records currently held in the maintained sample.
+	// Size returns the records currently held in the maintained state.
 	Size() int64
 	// ErrorEstimate returns the error of the current state; +Inf when it
 	// cannot be trusted yet (no data, degenerate distribution, a group
@@ -70,11 +70,11 @@ type Sink interface {
 // engineSpec parameterizes one run of the generic engine.
 type engineSpec struct {
 	Name     string // MR job name (cosmetic/metrics)
-	Sinks    []Sink // one per reduce partition
+	Sinks    []sink // one per reduce partition
 	InitialN int64  // the planned initial sample target
 	MaxN     int64  // expansion cap (records)
 	// Decode is how the run's sampling sources parse records.
-	Decode Decode
+	Decode decode
 	// Key is the reduce key every record of a scalar run routes to (the
 	// one-key degenerate case).
 	Key string
@@ -94,13 +94,13 @@ type engineSpec struct {
 type engineResult struct {
 	Generations int
 	FailedMaps  int
-	Sources     []RecordSource // per-mapper samplers, the caller's to retain or release
+	Sources     []recordSource // per-mapper samplers, the caller's to retain or release
 }
 
-// DealSplits deals splits round-robin across at most numMappers owners
+// dealSplits deals splits round-robin across at most numMappers owners
 // (at least one): how a run's mappers share the file, and how a
 // maintained query's refresh streams share the region appended since.
-func DealSplits(splits []dfs.Split) [][]dfs.Split {
+func dealSplits(splits []dfs.Split) [][]dfs.Split {
 	m := max(min(numMappers, len(splits)), 1)
 	owned := make([][]dfs.Split, m)
 	for i, sp := range splits {
@@ -138,14 +138,14 @@ func runEngine(env *Env, path string, opts Options, spec engineSpec) (engineResu
 	if err != nil {
 		return engineResult{}, err
 	}
-	owned := DealSplits(splits)
-	sources, err := NewRecordSources(env, path, owned, opts, 0, spec.Decode, spec.Prog)
+	owned := dealSplits(splits)
+	sources, err := newRecordSources(env, path, owned, opts, 0, spec.Decode, spec.Prog)
 	if err != nil {
 		return engineResult{}, err
 	}
 	res, err := runRounds(env, opts, &spec, sources)
 	if err != nil {
-		ReleaseSources(sources)
+		releaseSources(sources)
 		return engineResult{}, err
 	}
 	res.Sources = sources
@@ -154,7 +154,7 @@ func runEngine(env *Env, path string, opts Options, spec engineSpec) (engineResu
 
 // runRounds places the job and runs its rounds over one sampling
 // stream per mapper.
-func runRounds(env *Env, opts Options, spec *engineSpec, sources []RecordSource) (engineResult, error) {
+func runRounds(env *Env, opts Options, spec *engineSpec, sources []recordSource) (engineResult, error) {
 	m, nr := len(sources), len(spec.Sinks)
 	nodes, err := env.Cluster.Place(spec.Name, m, nr, env.Metrics)
 	if err != nil {
@@ -256,7 +256,7 @@ func share(target int64, i, m int) int64 {
 // what it has drawn toward the target, and the round's records routed
 // to each reduce partition.
 type mapper struct {
-	src     RecordSource
+	src     recordSource
 	node    int
 	sent    int64
 	dry     bool  // delivers nothing more: ran out, or failed
@@ -336,10 +336,10 @@ type partition struct {
 
 // fold grows sink by the round's records and returns the partition's
 // error over the run's whole sample of received records.
-func (pt *partition) fold(sink Sink, received int64) (float64, error) {
+func (pt *partition) fold(into sink, received int64) (float64, error) {
 	pt.folds++
 	if pt.gen.Len() > 0 {
-		if err := sink.Fold(&pt.gen); err != nil {
+		if err := into.Fold(&pt.gen); err != nil {
 			return 0, err
 		}
 		pt.foldedEver = true
@@ -351,5 +351,5 @@ func (pt *partition) fold(sink Sink, received int64) (float64, error) {
 		// "has data, needs more" and must keep the expansion going).
 		return math.NaN(), nil
 	}
-	return sink.ErrorEstimate(received), nil
+	return into.ErrorEstimate(received), nil
 }

@@ -18,15 +18,15 @@ import (
 func meanSpec(t *testing.T, env *Env, opts Options) (engineSpec, *statSink) {
 	t.Helper()
 	job := jobs.Mean()
-	sink, err := newStatSink(env, []jobs.Numeric{job}, []aes.Plan{{B: 30, N: 400}}, opts)
+	ss, err := newStatSink(env, []jobs.Numeric{job}, []aes.Plan{{B: 30, N: 400}}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return engineSpec{
-		Name: "earl-test", Sinks: []Sink{sink},
+		Name: "earl-test", Sinks: []sink{ss},
 		InitialN: 400, MaxN: 50_000,
-		Decode: ScalarDecode(job, nil), Key: job.Name,
-	}, sink
+		Decode: scalarDecode(job, nil), Key: job.Name,
+	}, ss
 }
 
 // TestRunWithAllNodesDead: a run on a cluster with no live compute node
@@ -47,7 +47,7 @@ func TestRunWithAllNodesDead(t *testing.T) {
 
 // failSink fails every fold.
 type failSink struct {
-	Sink
+	sink
 	err error
 }
 
@@ -58,9 +58,9 @@ func (f failSink) Fold(*colscan.Cols) error { return f.err }
 func TestReducerErrorPropagates(t *testing.T) {
 	env, _ := testEnv(t, 20_000, workload.Uniform, 83)
 	opts := Options{Seed: 84}.withDefaults()
-	spec, sink := meanSpec(t, env, opts)
+	spec, ss := meanSpec(t, env, opts)
 	cause := errors.New("statistic failed")
-	spec.Sinks = []Sink{failSink{Sink: sink, err: cause}}
+	spec.Sinks = []sink{failSink{sink: ss, err: cause}}
 	if _, err := runEngine(env, "/data", opts, spec); !errors.Is(err, cause) {
 		t.Fatalf("err = %v, want the sink's cause", err)
 	}
@@ -77,11 +77,11 @@ func TestMapperErrorPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sources, err := NewRecordSources(env, "/data", DealSplits(splits), opts, 0, spec.Decode, nil)
+	sources, err := newRecordSources(env, "/data", dealSplits(splits), opts, 0, spec.Decode, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ReleaseSources(sources)
+	defer releaseSources(sources)
 	sources[1].Release()
 	sources[1] = errSource{err: errors.New("no live replica")}
 	res, err := runRounds(env, opts, &spec, sources)

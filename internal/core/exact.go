@@ -11,10 +11,10 @@ import (
 	"repro/internal/simcost"
 )
 
-// ExactReport is the report of a statistic computed exactly over n
+// exactReport is the report of a statistic computed exactly over n
 // records — the "stock Hadoop" answer EARL switches back to when early
 // approximation cannot pay off (§3.1): CV 0, p = 1, nothing to estimate.
-func ExactReport(job string, v float64, n int) Report {
+func exactReport(job string, v float64, n int) Report {
 	return Report{
 		Job:         job,
 		Estimate:    v,
@@ -47,7 +47,7 @@ func RunExactJob(env *Env, job jobs.Numeric, path string, splitSize int64) (floa
 	}
 	env, release := env.openRun()
 	defer release()
-	reps, err := runExact(env, []jobs.Numeric{job}, path, splitSize, ScalarDecode(job, nil), nil)
+	reps, err := runExact(env, []jobs.Numeric{job}, path, splitSize, scalarDecode(job, nil), nil)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -55,14 +55,14 @@ func RunExactJob(env *Env, job jobs.Numeric, path string, splitSize int64) (floa
 }
 
 // runExact is the one-shot exact fall-back (§3.1's "standard workflow"):
-// one column scan of the whole file (ScanExact), then every statistic of
+// one column scan of the whole file (scanExact), then every statistic of
 // the set applied in turn to the one column of survivors in file order,
 // as the stock job's reducer applied them to its collected values. Its
-// modelled cost is that stock job's by construction: ScanExact charges
+// modelled cost is that stock job's by construction: scanExact charges
 // the map tasks' reads, and the task counters are charged here in
 // closed form — one job, one map task per split, one reduce task, and
 // every survivor mapped, shuffled under exactKey and reduced.
-func runExact(env *Env, jset []jobs.Numeric, path string, splitSize int64, dec Decode, prog *plan.Program) ([]Report, error) {
+func runExact(env *Env, jset []jobs.Numeric, path string, splitSize int64, dec decode, prog *plan.Program) ([]Report, error) {
 	for _, job := range jset {
 		if job.Statistic == nil {
 			return nil, fmt.Errorf("core: job %q needs a Statistic for the exact path", job.Name)
@@ -72,7 +72,7 @@ func runExact(env *Env, jset []jobs.Numeric, path string, splitSize int64, dec D
 	if err != nil {
 		return nil, err
 	}
-	vals, err := ScanExact(env, path, splits, dec, prog)
+	vals, err := scanExact(env, path, splits, dec, prog)
 	if err != nil {
 		return nil, err
 	}
@@ -97,16 +97,16 @@ func runExact(env *Env, jset []jobs.Numeric, path string, splitSize int64, dec D
 		if err != nil {
 			return nil, err
 		}
-		reps[i] = ExactReport(job.Name, v, len(vals))
+		reps[i] = exactReport(job.Name, v, len(vals))
 	}
 	return reps, nil
 }
 
-// ScanExact is the exact fall-back's one pass, shared by the one-shot
-// (runExact) and an exact watch's folds: every record of splits — of
-// path, read through env's data view — in file order, through prog's σ/π
-// when prog is non-nil. It returns the survivors' values as a column the
-// caller owns: a statistic may sort it in place.
+// scanExact is the exact fall-back's one pass, shared by the one-shot
+// (runExact) and a kept exact run's folds (exactSink): every record of
+// splits — of path, read through env's data view — in file order,
+// through prog's σ/π when prog is non-nil. It returns the survivors'
+// values as a column the caller owns: a statistic may sort it in place.
 //
 // A split whose decoded block is resident in env.Scan is taken from
 // there: Peek, never a decode or an insert, so the scan leaves the cache
@@ -115,7 +115,7 @@ func runExact(env *Env, jset []jobs.Numeric, path string, splitSize int64, dec D
 // by dec. Either way the reads are charged as a
 // LineReader over the split charges them — a resident one in closed
 // form (dfs.LineScanCost) — and every record to RecordsRead.
-func ScanExact(env *Env, path string, splits []dfs.Split, dec Decode, prog *plan.Program) ([]float64, error) {
+func scanExact(env *Env, path string, splits []dfs.Split, dec decode, prog *plan.Program) ([]float64, error) {
 	view := env.View()
 	size, err := view.Stat(path)
 	if err != nil {
@@ -173,7 +173,7 @@ func ScanExact(env *Env, path string, splits []dfs.Split, dec Decode, prog *plan
 // gets nil when the records are a custom parser's (they never enter the
 // cache), when no block is resident, and when the block holds no
 // record: a split inside one record, whose read its block cannot place.
-func residentBlocks(env *Env, path string, splits []dfs.Split, dec Decode) ([]*colscan.Block, int, error) {
+func residentBlocks(env *Env, path string, splits []dfs.Split, dec decode) ([]*colscan.Block, int, error) {
 	blks := make([]*colscan.Block, len(splits))
 	if env.Scan == nil || dec.Parser != nil {
 		return blks, 0, nil

@@ -150,7 +150,7 @@ func TestExactScanMatchesStockJob(t *testing.T) {
 							}
 							job, prog = pq.Jobs[0], pq.Prog
 						}
-						dec := ScalarDecode(job, prog)
+						dec := scalarDecode(job, prog)
 						format := dec.Format
 						if format == colscan.FormatNone {
 							format = colscan.FormatNumeric // blocks another query left behind
@@ -247,7 +247,7 @@ func BenchmarkExactFallback(b *testing.B) {
 	}
 	makeResident(b, env, "/data", colscan.FormatNumeric, 1)
 	job := jobs.Median()
-	dec := ScalarDecode(job, nil)
+	dec := scalarDecode(job, nil)
 	b.Run("scan", func(b *testing.B) {
 		for range b.N {
 			if _, err := runExact(env, []jobs.Numeric{job}, "/data", 0, dec, nil); err != nil {

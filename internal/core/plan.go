@@ -13,7 +13,7 @@ import (
 // cannot drift between them.
 
 // PlannedQuery is a query ready to execute: what to compute (Jobs), over
-// which records (Spec.Path, decoded as Decode says), through which
+// which records (Spec.Path, decoded as decode says), through which
 // compiled plan (Prog), under which options.
 type PlannedQuery struct {
 	Spec plan.Spec     // normalized (canonical expressions, resolved stats)
@@ -29,14 +29,14 @@ type PlannedQuery struct {
 // Grouped reports whether the query routes per-group (γ present).
 func (pq *PlannedQuery) Grouped() bool { return pq.Spec.GroupBy != "" }
 
-// Decode resolves how the query's samplers parse records — a pure
-// function of the query, so the run, a maintained query's refreshes and
-// a rebuild all derive the same one.
-func (pq *PlannedQuery) Decode() (Decode, error) {
+// decode resolves how the query's samplers parse records — a pure
+// function of the query, so a rebuild derives the one the opening run
+// did (a kept run's refreshes carry the run's).
+func (pq *PlannedQuery) decode() (decode, error) {
 	if pq.Grouped() {
 		return groupedDecode(pq.Route, pq.Prog)
 	}
-	return ScalarDecode(pq.Jobs[0], pq.Prog), nil
+	return scalarDecode(pq.Jobs[0], pq.Prog), nil
 }
 
 // JobQuery carries library statistics (job values, possibly with their

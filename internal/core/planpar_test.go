@@ -45,7 +45,7 @@ func TestPlansSideBySideEqualOneByOne(t *testing.T) {
 			}
 			h := fnv.New64a()
 			for i := range jset {
-				fmt.Fprintf(h, "%+v|%+v|", st.Plans[i], res.Reports[i])
+				fmt.Fprintf(h, "%+v|%+v|", st.plans[i], res.Reports[i])
 			}
 			fmt.Fprintf(h, "%+v", env.Metrics.Snapshot())
 			if got, want := h.Sum64(), sideBySidePins[dist]; got != want {

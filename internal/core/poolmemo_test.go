@@ -29,7 +29,7 @@ const memoFilter = `v > 40 && key != "db"`
 // memoFill returns a fill of one filtered post-map source per mapper
 // over env's /kv, four mappers owning interleaved splits, safe to call
 // from any goroutine.
-func memoFill(t *testing.T, env *Env, filter string) func() ([]RecordSource, error) {
+func memoFill(t *testing.T, env *Env, filter string) func() ([]recordSource, error) {
 	t.Helper()
 	pq, err := PreparePlan(plan.Spec{Path: "/kv", Stats: []string{"mean"}, Filter: filter,
 		Derive: "v * 2 + 1", GroupBy: "key", Sampler: "post-map"}, Options{Seed: 3})
@@ -48,13 +48,13 @@ func memoFill(t *testing.T, env *Env, filter string) func() ([]RecordSource, err
 	for i, sp := range splits {
 		owned[i%4] = append(owned[i%4], sp)
 	}
-	return func() ([]RecordSource, error) {
-		return NewRecordSources(env, "/kv", owned, pq.Opts, 0, dec, pq.Prog)
+	return func() ([]recordSource, error) {
+		return newRecordSources(env, "/kv", owned, pq.Opts, 0, dec, pq.Prog)
 	}
 }
 
 // drawRound draws 40 then 400 records from every source, in order.
-func drawRound(t *testing.T, sources []RecordSource) colscan.Cols {
+func drawRound(t *testing.T, sources []recordSource) colscan.Cols {
 	var out colscan.Cols
 	for _, k := range []int{40, 400} {
 		for _, s := range sources {
@@ -80,11 +80,11 @@ func TestConcurrentPoolsKeepDisplacedMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := [2]colscan.Cols{drawRound(t, alone), drawRound(t, alone)}
-	ReleaseSources(alone)
+	releaseSources(alone)
 
 	env := memoEnv(t)
 	fill, other := memoFill(t, env, memoFilter), memoFill(t, env, `v > 100`)
-	pools := make([][]RecordSource, 2)
+	pools := make([][]recordSource, 2)
 	errs := make([]error, 3)
 	var wg sync.WaitGroup
 	for i := range pools {
@@ -102,12 +102,12 @@ func TestConcurrentPoolsKeepDisplacedMemo(t *testing.T) {
 	}
 	defer func() {
 		for _, p := range pools {
-			ReleaseSources(p)
+			releaseSources(p)
 		}
 	}()
 	before := env.Scan.Stats()
 	got := make([][2]colscan.Cols, len(pools))
-	var displacing []RecordSource
+	var displacing []recordSource
 	wg.Add(len(pools) + 1)
 	go func() {
 		defer wg.Done()
@@ -123,7 +123,7 @@ func TestConcurrentPoolsKeepDisplacedMemo(t *testing.T) {
 	if errs[2] != nil {
 		t.Fatal(errs[2])
 	}
-	defer ReleaseSources(displacing)
+	defer releaseSources(displacing)
 	splits, err := env.FS.Splits("/kv", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -182,11 +182,11 @@ func TestPostMapReleaseKeepsFirstBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sources, err := NewRecordSources(env, "/kv", [][]dfs.Split{splits}, Options{Sampler: PostMapSampling, Seed: 3}, 0, Decode{Format: colscan.FormatKV}, nil)
+	sources, err := newRecordSources(env, "/kv", [][]dfs.Split{splits}, Options{Sampler: PostMapSampling, Seed: 3}, 0, decode{Format: colscan.FormatKV}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ReleaseSources(sources)
+	releaseSources(sources)
 	kept := func(sp dfs.Split) bool {
 		b, ok := env.Scan.Peek(colscan.BlockKey{Path: "/kv", Version: version, Offset: sp.Offset, Length: sp.Length, Format: colscan.FormatKV})
 		b.Release()

@@ -9,7 +9,7 @@ import (
 	"repro/internal/stats"
 )
 
-// The report types, and FinishReport — how one statistic's result
+// The report types, and finishReport — how one statistic's result
 // distribution becomes the user-facing numbers (the sinks render from
 // it, for a run and for every maintained refresh alike).
 
@@ -33,7 +33,7 @@ type GroupedReport struct {
 // confidence is the level of every reported interval.
 const confidence = 0.95
 
-// FinishReport turns a result distribution into the user-facing numbers:
+// finishReport turns a result distribution into the user-facing numbers:
 // the mean estimate, the percentile confidence interval, and the
 // p-corrected versions of all three. The CI bounds pass through the user
 // job's correct() exactly like the estimate — an uncorrected interval
@@ -51,7 +51,7 @@ const confidence = 0.95
 // confidence level) combines with each percentile half-width in
 // quadrature. p-invariant statistics (mean, quantiles) never touch the
 // population estimate and are left exactly as before.
-func FinishReport(job jobs.Numeric, opts Options, vals []float64, cv, p, selSE float64) (Report, error) {
+func finishReport(job jobs.Numeric, opts Options, vals []float64, cv, p, selSE float64) (Report, error) {
 	est, err := stats.Mean(vals)
 	if err != nil {
 		return Report{}, err

@@ -17,9 +17,9 @@ func TestRetainedGroupedSinkHoldsEveryKeyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink, ok := ret.Sink.(*groupSink)
+	sink, ok := ret.sink.(*groupSink)
 	if !ok {
-		t.Fatalf("retained sink is a %T", ret.Sink)
+		t.Fatalf("retained sink is a %T", ret.sink)
 	}
 	if len(sink.maints) != len(truth) {
 		t.Fatalf("retained sink holds %d keys, the data has %d", len(sink.maints), len(truth))

@@ -16,13 +16,14 @@ import (
 	"repro/internal/stats"
 )
 
-// The two Sink implementations of the generic engine: statSink (scalar
-// and multi-statistic runs — one resample set per statistic, all fed the
-// one shared sample) and groupSink (grouped runs — one resample set per
-// group key). A sink is the whole maintained state of a run: the engine
-// folds each round into it, a maintained query (internal/live) goes on
-// folding refresh draws into the very same one, and both render their
-// reports from it.
+// The sink implementations: statSink (scalar and multi-statistic runs —
+// one resample set per statistic, all fed the one shared sample) and
+// groupSink (grouped runs — one resample set per group key) on the
+// generic engine, and exactSink (a kept run on the exact fall-back — one
+// incremental reduce state per statistic over every record). A sink is
+// the whole maintained state of a run: the run folds into it, every
+// refresh of the kept run (Retained.Refresh) goes on folding into the
+// very same one, and both render their reports from it.
 
 // statRun is one statistic's maintained state inside a statSink.
 type statRun struct {
@@ -43,9 +44,9 @@ type statRun struct {
 // planned n is smaller simply converge early and ride along. Capping
 // would save their resampling CPU, but it would leave the statistics
 // holding samples at different fractions of the data — and a later
-// maintained refresh (internal/live) draws each appended delta once, at
-// one fraction, so unequal per-statistic fractions could not stay
-// uniform over old ∪ new. Extra resampling CPU is the price of keeping
+// refresh of the kept run (Retained.Refresh) draws each appended delta
+// once, at one fraction, so unequal per-statistic fractions could not
+// stay uniform over old ∪ new. Extra resampling CPU is the price of keeping
 // every statistic's sample exchangeable with the shared stream.
 type statSink struct {
 	opts  Options
@@ -79,7 +80,7 @@ func newResampler(env *Env, opts Options, red mr.IncrementalReducer, b int, seed
 	return delta.New(cfg)
 }
 
-// Fold implements Sink: the shared delta, sorted where it lies, feeds
+// Fold implements sink: the shared delta, sorted where it lies, feeds
 // every statistic's resample set (the maintainers batch-apply the slice
 // without retaining it).
 //
@@ -94,10 +95,10 @@ func (s *statSink) Fold(cols *colscan.Cols) error {
 	return nil
 }
 
-// Size implements Sink: the shared sample every statistic holds.
+// Size implements sink: the shared sample every statistic holds.
 func (s *statSink) Size() int64 { return int64(s.stats[0].maint.N()) }
 
-// ErrorEstimate implements Sink: the worst cv across the statistics
+// ErrorEstimate implements sink: the worst cv across the statistics
 // (+Inf on any degenerate distribution, so the loop keeps growing
 // rather than mis-terminating).
 func (s *statSink) ErrorEstimate(int64) float64 {
@@ -117,7 +118,7 @@ func (s *statSink) ErrorEstimate(int64) float64 {
 	return worst
 }
 
-// Result implements Sink: one Report per statistic, in job order. A
+// Result implements sink: one Report per statistic, in job order. A
 // report's CV is the error at the last fold; its Iterations counts the
 // run's rounds plus every fold since.
 func (s *statSink) Result(r *Retained, _ int) (*PlanResult, error) {
@@ -127,16 +128,16 @@ func (s *statSink) Result(r *Retained, _ int) (*PlanResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: no results (sample never arrived): %w", err)
 		}
-		p := float64(st.maint.N()) / float64(r.EstTotal)
-		rep, err := FinishReport(st.job, s.opts, vals, st.lastCV, p, r.SelSE)
+		p := float64(st.maint.N()) / float64(r.estTotal)
+		rep, err := finishReport(st.job, s.opts, vals, st.lastCV, p, r.selSE)
 		if err != nil {
 			return nil, err
 		}
-		rep.B = r.Plans[i].B
+		rep.B = r.plans[i].B
 		rep.SampleSize = st.maint.N()
-		rep.PlannedN = r.Plans[i].N
-		rep.Iterations = r.Generations + r.Folds
-		rep.EstTotalN = r.EstTotal
+		rep.PlannedN = r.plans[i].N
+		rep.Iterations = r.generations + r.folds
+		rep.EstTotalN = r.estTotal
 		reps[i] = rep
 	}
 	return &PlanResult{Reports: reps}, nil
@@ -187,7 +188,7 @@ func newGroupSink(env *Env, job jobs.Numeric, b int, opts Options) *groupSink {
 		maints: map[string]resampler{}, groups: map[string][]float64{}}
 }
 
-// Fold implements Sink: the batch is routed by key and folded into
+// Fold implements sink: the batch is routed by key and folded into
 // per-group resample sets in canonical order (sorted keys, sorted
 // deltas), with brand-new keys opened under their key-derived seeds.
 //
@@ -228,7 +229,7 @@ func (g *groupSink) Fold(cols *colscan.Cols) error {
 	return nil
 }
 
-// Size implements Sink: the records held across every group's sample.
+// Size implements sink: the records held across every group's sample.
 func (g *groupSink) Size() int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -257,7 +258,7 @@ func (g *groupSink) groupError(vals []float64, share float64) float64 {
 	return cv
 }
 
-// ErrorEstimate implements Sink; n is the whole run's sample, of which
+// ErrorEstimate implements sink; n is the whole run's sample, of which
 // a partition's sink holds its own keys' part.
 func (g *groupSink) ErrorEstimate(n int64) float64 {
 	g.mu.Lock()
@@ -279,8 +280,8 @@ func (g *groupSink) ErrorEstimate(n int64) float64 {
 	return worst
 }
 
-// Result implements Sink: each group rendered like a statistic of a
-// scalar run (FinishReport), at the fraction p the whole sample is of
+// Result implements sink: each group rendered like a statistic of a
+// scalar run (finishReport), at the fraction p the whole sample is of
 // the data. Iterations counts the run's rounds plus the refreshes
 // applied since.
 func (g *groupSink) Result(r *Retained, refreshes int) (*PlanResult, error) {
@@ -289,21 +290,21 @@ func (g *groupSink) Result(r *Retained, refreshes int) (*PlanResult, error) {
 	rep := GroupedReport{
 		Job:        g.job.Name,
 		Groups:     map[string]GroupResult{},
-		Iterations: r.Generations + refreshes,
+		Iterations: r.generations + refreshes,
 		Converged:  true,
 	}
 	for _, mt := range g.maints {
 		rep.SampleSize += mt.N()
 	}
 	n := int64(rep.SampleSize)
-	p := float64(n) / float64(r.EstTotal)
+	p := float64(n) / float64(r.estTotal)
 	for key, mt := range g.maints {
 		vals, err := mt.Results()
 		if err != nil {
 			return nil, err
 		}
 		share := shareSE(int64(mt.N()), n)
-		fr, err := FinishReport(g.job, g.opts, vals, g.groupError(vals, share), p, math.Hypot(r.SelSE, share))
+		fr, err := finishReport(g.job, g.opts, vals, g.groupError(vals, share), p, math.Hypot(r.selSE, share))
 		if err != nil {
 			return nil, err
 		}
@@ -320,7 +321,7 @@ func (g *groupSink) Result(r *Retained, refreshes int) (*PlanResult, error) {
 // the run retains. Partitions own disjoint keys (the shuffle routes by
 // key), so a grouped run's sinks merge into one keyspace; a scalar run
 // has one partition and keeps its sink.
-func mergeSinks(parts []Sink) Sink {
+func mergeSinks(parts []sink) sink {
 	first, ok := parts[0].(*groupSink)
 	if !ok {
 		return parts[0]
@@ -331,4 +332,59 @@ func mergeSinks(parts []Sink) Sink {
 		}
 	}
 	return first
+}
+
+// exactSink is a kept run's exact state: one incremental reduce state per
+// statistic, made empty (Initialize) and grown by every record of the
+// file (Update), in file order — the scan's order, so nothing needs
+// sorting. It holds no sample, so its Size is the record count and its
+// error is 0.
+type exactSink struct {
+	jobs   []jobs.Numeric
+	states []mr.State
+	n      int64
+}
+
+func newExactSink(jset []jobs.Numeric) (*exactSink, error) {
+	s := &exactSink{jobs: jset, states: make([]mr.State, len(jset))}
+	for i, job := range jset {
+		var err error
+		if s.states[i], err = job.Reducer.Initialize(job.Name); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// Fold implements sink: every statistic's state grows by cols' values.
+func (s *exactSink) Fold(cols *colscan.Cols) error {
+	for i, job := range s.jobs {
+		var err error
+		if s.states[i], err = job.Reducer.Update(s.states[i], cols.Vals); err != nil {
+			return err
+		}
+	}
+	s.n += int64(cols.Len())
+	return nil
+}
+
+// Size implements sink: the records folded.
+func (s *exactSink) Size() int64 { return s.n }
+
+// ErrorEstimate implements sink: an exact answer has no error.
+func (s *exactSink) ErrorEstimate(int64) float64 { return 0 }
+
+// Result implements sink: one exact Report per statistic, in job order.
+// A statistic with no value over no record (a quantile) reads 0.
+func (s *exactSink) Result(*Retained, int) (*PlanResult, error) {
+	reps := make([]Report, len(s.jobs))
+	for i, job := range s.jobs {
+		var est float64
+		if v, err := job.Reducer.Finalize(s.states[i]); err == nil {
+			est = v
+		}
+		reps[i] = exactReport(job.Name, est, int(s.n))
+		reps[i].EstTotalN = s.n
+	}
+	return &PlanResult{Reports: reps}, nil
 }

@@ -14,19 +14,19 @@ import (
 	"repro/internal/simcost"
 )
 
-// RecordSource is one mapper's retained sampling stream over its owned
+// recordSource is one mapper's retained sampling stream over its owned
 // splits. DrawCols extends the without-replacement sample by up to k
 // records, appended to out as parsed columns (it reports how many, plus
 // sampling.ErrExhausted once the owned region is dry), and Weight is
 // proportional to the number of records the source covers, so a uniform
 // draw across several sources can be apportioned by weight. Sources
-// outlive the job that created them: a maintained query (internal/live)
-// keeps drawing from them across ingest batches, which is what preserves
+// outlive the job that created them: a kept run (Retained) keeps
+// drawing from them across ingest batches, which is what preserves
 // the without-replacement guarantee between the initial answer and later
 // refreshes. Release ends a source: it gives back the decoded blocks the
 // source holds from env.Scan, and nothing may be drawn after it. Whoever
 // drops a source releases it.
-type RecordSource interface {
+type recordSource interface {
 	DrawCols(k int, out *colscan.Cols) (int, error)
 	Weight() int64
 	Release()
@@ -68,12 +68,12 @@ type Route struct {
 // built-in columnar decoder.
 func TabRoute() Route { return Route{Format: colscan.FormatKV} }
 
-// Decode is how a run's samplers turn record lines into columns — a
+// decode is how a run's samplers turn record lines into columns — a
 // sum, exactly one side set: a built-in Format (decoded by colscan,
 // shared through env.Scan) or a custom Parser (applied by the samplers
 // wherever they read a line). Nothing downstream of the samplers can
 // tell which it was.
-type Decode struct {
+type decode struct {
 	Format colscan.Format
 	Parser *sampling.Parser
 }
@@ -82,41 +82,39 @@ type Decode struct {
 // plan) decodes records: the plan's input format when there is a plan,
 // else the route's one set field. A route that sets both fields or
 // neither is rejected.
-func groupedDecode(route Route, prog *plan.Program) (Decode, error) {
+func groupedDecode(route Route, prog *plan.Program) (decode, error) {
 	if prog != nil {
-		return Decode{Format: prog.InputFormat()}, nil
+		return decode{Format: prog.InputFormat()}, nil
 	}
 	if (route.Parse != nil) == (route.Format != colscan.FormatNone) {
-		return Decode{}, errors.New("core: Route needs exactly one of Parse (a custom parser) or Format (a built-in format)")
+		return decode{}, errors.New("core: Route needs exactly one of Parse (a custom parser) or Format (a built-in format)")
 	}
 	if route.Parse != nil {
-		return Decode{Parser: &sampling.Parser{Parse: route.Parse, Keyed: true}}, nil
+		return decode{Parser: &sampling.Parser{Parse: route.Parse, Keyed: true}}, nil
 	}
-	return Decode{Format: route.Format}, nil
+	return decode{Format: route.Format}, nil
 }
 
-// ScalarDecode resolves how a scalar run of job (and an optional plan)
+// scalarDecode resolves how a scalar run of job (and an optional plan)
 // decodes records: the plan's input format when there is a plan (the
 // filter may read the key column even though the statistics only see
 // numbers), else the job's ScanFormat, or — for a job without one — its
-// own Parse, adapted as a custom parser. It is a pure function of its
-// arguments, so a maintained query re-derives it rather than carrying a
-// copy out of the run.
-func ScalarDecode(job jobs.Numeric, prog *plan.Program) Decode {
+// own Parse, adapted as a custom parser.
+func scalarDecode(job jobs.Numeric, prog *plan.Program) decode {
 	if prog != nil {
-		return Decode{Format: prog.InputFormat()}
+		return decode{Format: prog.InputFormat()}
 	}
 	if job.ScanFormat != colscan.FormatNone {
-		return Decode{Format: job.ScanFormat}
+		return decode{Format: job.ScanFormat}
 	}
-	return Decode{Parser: &sampling.Parser{Parse: func(line string) (string, float64, error) {
+	return decode{Parser: &sampling.Parser{Parse: func(line string) (string, float64, error) {
 		v, err := job.Parse(line)
 		return "", v, err
 	}}}
 }
 
 // enable puts a pre-map sampler's SampleCols on this decode.
-func (d Decode) enable(s *sampling.PreMap, cache *colscan.Cache) error {
+func (d decode) enable(s *sampling.PreMap, cache *colscan.Cache) error {
 	if d.Parser != nil {
 		s.EnableParser(d.Parser)
 		return nil
@@ -126,7 +124,7 @@ func (d Decode) enable(s *sampling.PreMap, cache *colscan.Cache) error {
 
 // scanSplit reads every record sp owns through its own LineReader,
 // which charges the read, and decodes each onto out.
-func (d Decode) scanSplit(v dfs.View, sp dfs.Split, out *colscan.Cols) error {
+func (d decode) scanSplit(v dfs.View, sp dfs.Split, out *colscan.Cols) error {
 	rd, err := v.NewLineReader(sp, 0)
 	if err != nil {
 		return err
@@ -181,7 +179,7 @@ func (e errSource) Release()                                 {}
 // already ran at pool-fill time (AddBlockKept), where the rejection
 // loop degenerates to a single transform pass.
 type xformColSource struct {
-	inner       RecordSource
+	inner       recordSource
 	prog        *plan.Program
 	prefiltered bool
 	sc          *plan.Scratch
@@ -220,14 +218,14 @@ func (x *xformColSource) Weight() int64 { return x.inner.Weight() }
 func (x *xformColSource) Release() { x.inner.Release() }
 
 // withPlan pushes prog into inner's draws (inner itself without a plan).
-func withPlan(inner RecordSource, prog *plan.Program, prefiltered bool) RecordSource {
+func withPlan(inner recordSource, prog *plan.Program, prefiltered bool) recordSource {
 	if prog == nil {
 		return inner
 	}
 	return &xformColSource{inner: inner, prog: prog, prefiltered: prefiltered, sc: plan.NewScratch()}
 }
 
-// NewRecordSources builds one retained sampling stream per mapper over
+// newRecordSources builds one retained sampling stream per mapper over
 // the given split ownership, per opts.Sampler. seedSalt decorrelates
 // streams built for different ingest generations of the same maintained
 // run (0 for the initial run); determinism follows the engine-wide
@@ -250,7 +248,7 @@ func withPlan(inner RecordSource, prog *plan.Program, prefiltered bool) RecordSo
 // cached decoded block with the selection memoized on it — the block
 // and the memo are shared, never re-decoded or mutated), and every
 // stream is wrapped so draws deliver transformed post-filter records.
-func NewRecordSources(env *Env, path string, owned [][]dfs.Split, opts Options, seedSalt uint64, dec Decode, prog *plan.Program) ([]RecordSource, error) {
+func newRecordSources(env *Env, path string, owned [][]dfs.Split, opts Options, seedSalt uint64, dec decode, prog *plan.Program) ([]recordSource, error) {
 	view := env.View()
 	var version, size int64
 	if opts.Sampler == PostMapSampling {
@@ -262,7 +260,7 @@ func NewRecordSources(env *Env, path string, owned [][]dfs.Split, opts Options, 
 			return nil, err
 		}
 	}
-	sources := make([]RecordSource, len(owned))
+	sources := make([]recordSource, len(owned))
 	err := pool.ForEach(len(owned), len(owned), func(idx int) error {
 		if opts.Sampler == PostMapSampling {
 			pmap := sampling.NewPostMapCols(opts.Seed + seedSalt + uint64(idx)*7919)
@@ -310,33 +308,33 @@ func NewRecordSources(env *Env, path string, owned [][]dfs.Split, opts Options, 
 		return nil
 	})
 	if err != nil {
-		ReleaseSources(sources)
+		releaseSources(sources)
 		return nil, err
 	}
 	return sources, nil
 }
 
-// Repinner is implemented by sources whose draws read the DFS through a
+// repinner is implemented by sources whose draws read the DFS through a
 // view they hold. Repin re-points them — after a build over a snapshot,
 // back at the live filesystem: a source that kept the snapshot would
 // keep that commit's whole namespace and file states alive (an append
 // clones the block list, so a watch retaining one source set per
 // refresh would hold O(appends²) pointers), and would never see the
 // file grow.
-type Repinner interface {
+type repinner interface {
 	Repin(v dfs.View)
 }
 
 func (p preMapSource) Repin(v dfs.View) { p.s.Repin(v) }
 
 func (x *xformColSource) Repin(v dfs.View) {
-	if r, ok := x.inner.(Repinner); ok {
+	if r, ok := x.inner.(repinner); ok {
 		r.Repin(v)
 	}
 }
 
-// ReleaseSources releases every source built (nil entries are skipped).
-func ReleaseSources(sources []RecordSource) {
+// releaseSources releases every source built (nil entries are skipped).
+func releaseSources(sources []recordSource) {
 	for _, s := range sources {
 		if s != nil {
 			s.Release()
@@ -344,11 +342,11 @@ func ReleaseSources(sources []RecordSource) {
 	}
 }
 
-// RepinSources re-points every view-pinned source (post-map pools hold
+// repinSources re-points every view-pinned source (post-map pools hold
 // their records in memory and need none).
-func RepinSources(sources []RecordSource, v dfs.View) {
+func repinSources(sources []recordSource, v dfs.View) {
 	for _, s := range sources {
-		if r, ok := s.(Repinner); ok {
+		if r, ok := s.(repinner); ok {
 			r.Repin(v)
 		}
 	}

@@ -16,10 +16,10 @@ import (
 
 // customDecode is a scalar job's decode with its ScanFormat stripped:
 // the job's own Parse, applied by the samplers.
-func customDecode() Decode {
+func customDecode() decode {
 	job := jobs.Mean()
 	job.ScanFormat = colscan.FormatNone
-	return ScalarDecode(job, nil)
+	return scalarDecode(job, nil)
 }
 
 // TestNewRecordSourcesDraws covers both sampler kinds over a healthy
@@ -33,7 +33,7 @@ func TestNewRecordSourcesDraws(t *testing.T) {
 	}
 	owned := [][]dfs.Split{splits[:len(splits)/2], splits[len(splits)/2:]}
 	for _, sampler := range []SamplerKind{PreMapSampling, PostMapSampling} {
-		sources, err := NewRecordSources(env, "/data", owned, Options{Sampler: sampler, Seed: 7}, 0, customDecode(), nil)
+		sources, err := newRecordSources(env, "/data", owned, Options{Sampler: sampler, Seed: 7}, 0, customDecode(), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", sampler, err)
 		}
@@ -89,7 +89,7 @@ func TestPostMapFillTakesOnePool(t *testing.T) {
 		t.Fatal(err)
 	}
 	fill := func() int64 {
-		sources, err := NewRecordSources(env, "/fill", [][]dfs.Split{splits}, pq.Opts, 0, dec, pq.Prog)
+		sources, err := newRecordSources(env, "/fill", [][]dfs.Split{splits}, pq.Opts, 0, dec, pq.Prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestNewRecordSourcesToleratesDeadScan(t *testing.T) {
 	for i, sp := range splits {
 		owned[i] = []dfs.Split{sp}
 	}
-	sources, err := NewRecordSources(env, "/data", owned, Options{Sampler: PostMapSampling, Seed: 8}, 0, customDecode(), nil)
+	sources, err := newRecordSources(env, "/data", owned, Options{Sampler: PostMapSampling, Seed: 8}, 0, customDecode(), nil)
 	if err != nil {
 		t.Fatalf("construction must tolerate dead blocks, got %v", err)
 	}

@@ -18,7 +18,7 @@ import (
 // refresh → close → ErrClosed — once per shape of retained state: one
 // statistic, several sharing a sample, a plan with σ/π, a grouped query
 // by record key, and a file small enough that the run falls back to the
-// exact path. The watch is written against core.Sink alone, so every row
+// exact path. The watch is written against core.Retained alone, so every row
 // must pass the same checks.
 func TestWatchLifecycle(t *testing.T) {
 	values := func(n int, seed uint64) []byte { return workload.EncodeLinesFixed(genValues(t, n, seed)) }

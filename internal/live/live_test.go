@@ -756,3 +756,62 @@ func TestExactWatchRewrittenLargeThenRefreshed(t *testing.T) {
 		}
 	}
 }
+
+// TestSampledWatchRewrittenTinyThenRefreshed: a sampled watch whose file
+// is rewritten to fewer than 256 records rebuilds on the tiny-file exact
+// path and is maintained there — after two appends that keep the file
+// under 256 records it reports, to the bit, what a fresh watch opened
+// over the final bytes in a new cluster reports.
+func TestSampledWatchRewrittenTinyThenRefreshed(t *testing.T) {
+	jset := []jobs.Numeric{jobs.Mean(), jobs.Median()}
+	opts := core.Options{Sigma: 0.03, Seed: 104}
+	env := newEnv(t, 101)
+	if err := env.FS.WriteFile("/data", workload.EncodeLinesFixed(genValues(t, 80_000, 102))); err != nil {
+		t.Fatal(err)
+	}
+	q, err := live.WatchMulti(env, jset, "/data", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	if q.Report().UsedFull {
+		t.Fatalf("want a sampled watch over 80 000 records, got %+v", q.Report())
+	}
+	final := workload.EncodeLinesFixed(genValues(t, 120, 103))
+	if err := env.FS.WriteFile("/data", final); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, err := q.RefreshAll()
+	if err != nil {
+		t.Fatalf("refresh after rewrite: %v", err)
+	}
+	if !rebuilt[0].UsedFull {
+		t.Fatalf("a 120-record file should rebuild exact: %+v", rebuilt[0])
+	}
+	for i, n := range []int{70, 50} {
+		delta := workload.EncodeLinesFixed(genValues(t, n, 105+uint64(i)))
+		if err := env.FS.Append("/data", delta); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := q.RefreshAll(); err != nil {
+			t.Fatalf("refresh after append %d: %v", i+1, err)
+		}
+		final = append(final, delta...)
+	}
+
+	fresh := newEnv(t, 101)
+	if err := fresh.FS.WriteFile("/data", final); err != nil {
+		t.Fatal(err)
+	}
+	want, err := live.WatchMulti(fresh, jset, "/data", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer want.Close()
+	if got, exp := fmt.Sprintf("%+v", q.Reports()), fmt.Sprintf("%+v", want.Reports()); got != exp {
+		t.Fatalf("maintained after rewrite and appends:\n%s\nfresh watch over the same bytes:\n%s", got, exp)
+	}
+	if q.SampleSize() != want.SampleSize() || q.SampleSize() != 240 {
+		t.Fatalf("maintained over %d records, fresh over %d, the file holds 240", q.SampleSize(), want.SampleSize())
+	}
+}
