@@ -11,7 +11,7 @@ import (
 
 // Build encodes a complete sidecar for a data file's current contents.
 // segments is the file's append-segment start offsets (ascending, first
-// 0 — what dfs.Segments returns) and chunkSize the split size the
+// 0: the write, then one per Append) and chunkSize the split size the
 // reader's geometry will use (the dfs block size): each segment is
 // tiled independently, exactly like dfs.Splits, so pre-append chunks
 // stay byte-stable when the sidecar is later extended. The returned

@@ -114,8 +114,7 @@ type Env struct {
 	Metrics *simcost.Metrics
 	// Scan is the shared decoded-block cache of the vectorized scan
 	// path: K concurrent watches (or repeated runs) over one file
-	// re-decode nothing. Nil is tolerated everywhere — colscan then
-	// decodes per caller without sharing.
+	// re-decode nothing. Never nil: NewEnv, RecoverEnv and Open set it.
 	Scan *colscan.Cache
 	// snap is the commit a run's every data read goes through, nil
 	// outside a run. Mutations always use the live FS.

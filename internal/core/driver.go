@@ -178,7 +178,7 @@ func execute(env *Env, pq *PlannedQuery, retain bool) (*PlanResult, *Retained, e
 	if err != nil {
 		return nil, nil, err
 	}
-	size, err := env.View().Stat(path)
+	st, err := env.View().State(path)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -205,7 +205,7 @@ func execute(env *Env, pq *PlannedQuery, retain bool) (*PlanResult, *Retained, e
 	// whether the pilot got far enough to estimate the input's size.
 	exact := func(plans []aes.Plan, estTotal int64, known bool) (*PlanResult, *Retained, error) {
 		if retain {
-			return retainExact(env, jset, &Retained{plans: plans, path: path, dec: dec, prog: prog, opts: opts}, size)
+			return retainExact(env, jset, &Retained{plans: plans, path: path, dec: dec, prog: prog, opts: opts}, st)
 		}
 		reps, err := runExact(env, jset, path, 0, dec, prog)
 		if known {
@@ -262,7 +262,7 @@ func execute(env *Env, pq *PlannedQuery, retain bool) (*PlanResult, *Retained, e
 		dec:         dec,
 		prog:        prog,
 		estTotal:    estTotal,
-		syncedBytes: size,
+		synced:      st,
 		opts:        opts,
 		generations: res.Generations,
 		selSE:       pilot.selSE(),

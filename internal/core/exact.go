@@ -175,7 +175,7 @@ func scanExact(env *Env, path string, splits []dfs.Split, dec decode, prog *plan
 // record: a split inside one record, whose read its block cannot place.
 func residentBlocks(env *Env, path string, splits []dfs.Split, dec decode) ([]*colscan.Block, int, error) {
 	blks := make([]*colscan.Block, len(splits))
-	if env.Scan == nil || dec.Parser != nil {
+	if dec.Parser != nil {
 		return blks, 0, nil
 	}
 	version, err := env.View().Version(path)

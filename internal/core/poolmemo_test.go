@@ -139,29 +139,6 @@ func TestConcurrentPoolsKeepDisplacedMemo(t *testing.T) {
 	}
 }
 
-// TestUncachedFilteredPostMapMatchesCached: with no scan cache a block
-// memoizes nothing, and KeepBlock hands the fill its scratch buffer,
-// which the next block's KeepBlock reuses — the fill must copy it. The
-// uncached run answers bit for bit as the cached one does.
-func TestUncachedFilteredPostMapMatchesCached(t *testing.T) {
-	run := func(cached bool) *PlanResult {
-		env := memoEnv(t)
-		if !cached {
-			env.Scan = nil
-		}
-		res, err := RunPlan(env, plan.Spec{Path: "/kv", Stats: []string{"mean"}, Filter: memoFilter,
-			GroupBy: "key", Sampler: "post-map"}, Options{Seed: 3, Sigma: 0.02})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	cached, uncached := run(true), run(false)
-	if !reflect.DeepEqual(cached, uncached) {
-		t.Fatalf("uncached run diverged from cached:\n%+v\n%+v", uncached.Groups, cached.Groups)
-	}
-}
-
 // TestPostMapReleaseKeepsFirstBlocks: a pool over more blocks than the
 // scan cache keeps releases them last first, so what the cache keeps
 // is the pool's first blocks — the ones the next fill over the same

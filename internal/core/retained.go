@@ -20,11 +20,13 @@ import (
 
 // Retained is the working state a run leaves behind when asked to: the
 // sink the run folded into, the per-mapper sampling streams it drew
-// from, and what the run learned about the input. Execute drops it for
-// a one-shot; a maintained query (internal/live) keeps it and grows it
-// with Refresh — the run, kept. A run that took the exact fall-back
-// keeps an exactSink and no streams: it has no sample, only every
-// record's fold.
+// from, what the run learned about the input, and the one file state
+// (dfs.FileState) the run or its last refresh covered — the sync point
+// every later question about the file's bytes is asked against.
+// Execute drops it for a one-shot; a maintained query (internal/live)
+// keeps it and grows it with Refresh — the run, kept. A run that took
+// the exact fall-back keeps an exactSink and no streams: it has no
+// sample, only every record's fold.
 type Retained struct {
 	sink    sink           // never nil
 	plans   []aes.Plan     // per-statistic SSABE plans (nil for grouped runs and tiny files)
@@ -35,11 +37,11 @@ type Retained struct {
 	prog    *plan.Program // nil without a plan
 	opts    Options       // with defaults applied
 
-	estTotal    int64   // estimated records covered so far
-	syncedBytes int64   // file bytes covered (the ingest high-water mark)
-	generations int     // engine rounds of the run
-	folds       int     // folds applied since the run (one per refresh fold, empty delta folds included)
-	selSE       float64 // relative std. error of the filtered-subpopulation size estimate (0 = exact)
+	estTotal    int64         // estimated records covered so far
+	synced      dfs.FileState // the file state covered: the sync point
+	generations int           // engine rounds of the run
+	folds       int           // folds applied since the run (one per refresh fold, empty delta folds included)
+	selSE       float64       // relative std. error of the filtered-subpopulation size estimate (0 = exact)
 }
 
 // refreshSalt spaces the seed ranges of sampler streams created for
@@ -47,17 +49,17 @@ type Retained struct {
 // a stream with the initial run's or an earlier refresh's.
 const refreshSalt = 0x51_7cc1b7_2722_0a95
 
-// retainExact keeps r, a run on the exact fall-back, over the file's
-// size bytes: the one column scan of the whole file (scanExact) folds
+// retainExact keeps r, a run on the exact fall-back, over the file in
+// state st: the one column scan of the whole file (scanExact) folds
 // into an exactSink — one empty incremental reduce state per statistic,
 // grown by every record — rather than being handed to each statistic,
 // so every refresh after reads only the appended splits.
-func retainExact(env *Env, jset []jobs.Numeric, r *Retained, size int64) (*PlanResult, *Retained, error) {
+func retainExact(env *Env, jset []jobs.Numeric, r *Retained, st dfs.FileState) (*PlanResult, *Retained, error) {
 	var err error
 	if r.sink, err = newExactSink(jset); err != nil {
 		return nil, nil, err
 	}
-	res, err := r.Refresh(env, size, 0)
+	res, err := r.Refresh(env, st, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -74,8 +76,9 @@ func (r *Retained) Result(refreshes int) (*PlanResult, error) {
 // every group, for a grouped run), or every record on the exact path.
 func (r *Retained) Size() int64 { return r.sink.Size() }
 
-// SyncedBytes returns the file bytes the retained state covers.
-func (r *Retained) SyncedBytes() int64 { return r.syncedBytes }
+// State returns the file state the retained state covers: the run's,
+// or its last refresh's.
+func (r *Retained) State() dfs.FileState { return r.synced }
 
 // Release gives back the retained sampling streams; the sink stays
 // readable, and nothing may be refreshed after.
@@ -86,10 +89,12 @@ func (r *Retained) Release() {
 
 // Refresh grows the retained state over the file as run reads it — a
 // run's Env: one pinned commit, the maintained query's ledger — from the
-// sync point up to size bytes, and renders the result; refreshes counts
-// the refreshes applied, this one included, and salts the seeds of the
-// new streams. On the exact path the appended splits are scanned whole
-// into the exactSink. Otherwise:
+// sync point to the file's state in that commit, to: a later state of
+// the same write generation (a rewrite is a new run, not a refresh; the
+// caller classifies), which becomes the sync point. It renders the
+// result; refreshes counts the refreshes applied, this one included,
+// and salts the seeds of the new streams. On the exact path the
+// appended splits are scanned whole into the exactSink. Otherwise:
 //
 //  1. the appended splits are sampled at the sample's current fraction
 //     p, so the sample stays (approximately) uniform over old ∪ new;
@@ -103,12 +108,12 @@ func (r *Retained) Release() {
 // for the refresh, so it reads one commit even while ingest lands
 // concurrently, and back onto the live filesystem after (a retained
 // source must not keep a commit alive).
-func (r *Retained) Refresh(run *Env, size int64, refreshes int) (*PlanResult, error) {
+func (r *Retained) Refresh(run *Env, to dfs.FileState, refreshes int) (*PlanResult, error) {
 	var err error
 	if _, exact := r.sink.(*exactSink); exact {
-		err = r.refreshExact(run, size)
+		err = r.refreshExact(run, to)
 	} else {
-		err = r.refreshSampled(run, size, refreshes)
+		err = r.refreshSampled(run, to, refreshes)
 	}
 	if err != nil {
 		return nil, err
@@ -118,8 +123,8 @@ func (r *Retained) Refresh(run *Env, size int64, refreshes int) (*PlanResult, er
 
 // refreshExact scans the splits beyond the sync point into the
 // exactSink.
-func (r *Retained) refreshExact(run *Env, size int64) error {
-	splits, err := splitsSince(run.View(), r.path, r.syncedBytes)
+func (r *Retained) refreshExact(run *Env, to dfs.FileState) error {
+	splits, err := splitsSince(run.View(), r.path, r.synced.Size)
 	if err != nil {
 		return err
 	}
@@ -130,17 +135,17 @@ func (r *Retained) refreshExact(run *Env, size int64) error {
 	if err := r.sink.Fold(&colscan.Cols{Vals: vals}); err != nil {
 		return err
 	}
-	r.estTotal, r.syncedBytes = r.sink.Size(), size
+	r.estTotal, r.synced = r.sink.Size(), to
 	return nil
 }
 
 // refreshSampled is Refresh's steps 1–3.
-func (r *Retained) refreshSampled(run *Env, size int64, refreshes int) error {
+func (r *Retained) refreshSampled(run *Env, to dfs.FileState, refreshes int) error {
 	r.compactSources()
 	repinSources(r.sources, run.View())
 	defer func() { repinSources(r.sources, run.FS) }()
-	if size > r.syncedBytes {
-		newSources, estNew, err := r.refreshSources(run, size, refreshes)
+	if to.Size > r.synced.Size {
+		newSources, estNew, err := r.refreshSources(run, to.Size, refreshes)
 		if err != nil {
 			return err
 		}
@@ -152,7 +157,7 @@ func (r *Retained) refreshSampled(run *Env, size int64, refreshes int) error {
 		r.sources = append(r.sources, newSources...)
 		r.dry = append(r.dry, make([]bool, len(newSources))...)
 		r.estTotal += estNew
-		r.syncedBytes = size
+		r.synced = to
 		if nDelta > 0 {
 			if _, err := r.drawAndFold(from, len(r.sources), int(nDelta), true); err != nil {
 				return err
@@ -332,7 +337,7 @@ func splitsSince(v dfs.View, path string, synced int64) ([]dfs.Split, error) {
 // bytes-per-EFFECTIVE-record (estTotal is effective under a plan),
 // embedding the selectivity without an extra correction.
 func (r *Retained) refreshSources(run *Env, size int64, refreshes int) ([]recordSource, int64, error) {
-	splits, err := splitsSince(run.View(), r.path, r.syncedBytes)
+	splits, err := splitsSince(run.View(), r.path, r.synced.Size)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -345,9 +350,9 @@ func (r *Retained) refreshSources(run *Env, size int64, refreshes int) ([]record
 		for _, s := range sources {
 			estNew += s.Weight() // post-map weight is the exact record count
 		}
-	} else if r.estTotal > 0 && r.syncedBytes > 0 {
-		avg := float64(r.syncedBytes) / float64(r.estTotal)
-		estNew = int64(float64(size-r.syncedBytes)/avg + 0.5)
+	} else if r.estTotal > 0 && r.synced.Size > 0 {
+		avg := float64(r.synced.Size) / float64(r.estTotal)
+		estNew = int64(float64(size-r.synced.Size)/avg + 0.5)
 	}
 	return sources, estNew, nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/colscan"
 	"repro/internal/dfs"
@@ -250,13 +249,10 @@ func withPlan(inner recordSource, prog *plan.Program, prefiltered bool) recordSo
 // stream is wrapped so draws deliver transformed post-filter records.
 func newRecordSources(env *Env, path string, owned [][]dfs.Split, opts Options, seedSalt uint64, dec decode, prog *plan.Program) ([]recordSource, error) {
 	view := env.View()
-	var version, size int64
+	var st dfs.FileState
 	if opts.Sampler == PostMapSampling {
 		var err error
-		if version, err = view.Version(path); err != nil {
-			return nil, err
-		}
-		if size, err = view.Stat(path); err != nil {
+		if st, err = view.State(path); err != nil {
 			return nil, err
 		}
 	}
@@ -274,7 +270,7 @@ func newRecordSources(env *Env, path string, owned [][]dfs.Split, opts Options, 
 				if dec.Parser != nil {
 					blk, err = dec.Parser.ParseSplit(view, sp)
 				} else {
-					blk, err = colscan.LoadSplit(env.Scan, view, path, version, size, sp.Offset, sp.Length, dec.Format)
+					blk, err = colscan.LoadSplit(env.Scan, view, path, st.Version, st.Size, sp.Offset, sp.Length, dec.Format)
 				}
 				if err != nil {
 					pmap.Release()
@@ -285,11 +281,10 @@ func newRecordSources(env *Env, path string, owned [][]dfs.Split, opts Options, 
 				// split to this mapper.
 				env.Metrics.Charge(simcost.Snapshot{RecordsRead: int64(blk.NumRecords())})
 				if keepSc != nil {
-					kept := prog.KeepBlock(keepSc, blk, nil)
-					if dec.Parser != nil || env.Scan == nil {
-						kept = slices.Clone(kept) // keepSc's buffer: no memo
-					}
-					pmap.AddBlockKept(blk, kept)
+					// A plan's records are a built-in format's, so blk
+					// came through env.Scan: KeepBlock hands back the
+					// selection memoized on it, never keepSc's buffer.
+					pmap.AddBlockKept(blk, prog.KeepBlock(keepSc, blk, nil))
 				} else {
 					pmap.AddBlock(blk)
 				}

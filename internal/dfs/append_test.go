@@ -52,7 +52,7 @@ func TestAppendCreatesMissingFile(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("append-created file does not round trip")
 	}
-	segs, err := fs.Segments("/new")
+	segs, err := segments(fs, "/new")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestAppendKeepsExistingSplitsStable(t *testing.T) {
 		}
 	}
 	// New splits cover exactly the appended region.
-	segs, err := fs.Segments("/f")
+	segs, err := segments(fs, "/f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,15 +218,53 @@ func TestAppendEmptyDataIsNoop(t *testing.T) {
 	if err := fs.Append("/f", nil); err != nil {
 		t.Fatal(err)
 	}
-	segs, _ := fs.Segments("/f")
+	segs, _ := segments(fs, "/f")
 	if len(segs) != 1 {
 		t.Fatalf("empty append created a segment: %v", segs)
 	}
 }
 
-func TestSegmentsMissingFile(t *testing.T) {
-	fs := New(Config{DataNodes: 3})
-	if _, err := fs.Segments("/missing"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("got %v, want ErrNotFound", err)
+// TestFileStateMovesForward: State reads Version and size from one
+// commit, an Append and a rewrite each move it to a state After the
+// last, a Snapshot keeps the state of its commit, and a missing path
+// has none.
+func TestFileStateMovesForward(t *testing.T) {
+	fs := newTestFS(t, 8)
+	if _, err := fs.State("/f"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("State of a missing file: %v, want ErrNotFound", err)
+	}
+	var states []FileState
+	for _, write := range []func() error{
+		func() error { return fs.WriteFile("/f", lineDoc("a", 3)) },
+		func() error { return fs.Append("/f", lineDoc("b", 2)) },
+		func() error { return fs.WriteFile("/f", lineDoc("c", 1)) },
+	} {
+		if err := write(); err != nil {
+			t.Fatal(err)
+		}
+		st, err := fs.State("/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, _ := fs.Stat("/f")
+		version, _ := fs.Version("/f")
+		if st != (FileState{Version: version, Size: size}) {
+			t.Fatalf("State %+v beside Version %d and Stat %d", st, version, size)
+		}
+		if n := len(states); n > 0 && (!st.After(states[n-1]) || states[n-1].After(st)) {
+			t.Fatalf("state %+v does not follow %+v", st, states[n-1])
+		}
+		states = append(states, st)
+	}
+	if states[1].Version != states[0].Version || states[2].Version == states[1].Version {
+		t.Fatalf("an append kept the version and a rewrite changed it: %+v", states)
+	}
+	snap := fs.Snapshot()
+	defer snap.Release()
+	if err := fs.Append("/f", lineDoc("d", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := snap.State("/f"); st != states[2] {
+		t.Fatalf("snapshot State %+v after a later append, want its commit's %+v", st, states[2])
 	}
 }

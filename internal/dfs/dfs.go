@@ -27,8 +27,8 @@
 //
 // Each commit publishes one immutable namespace — the commit's sequence
 // number and every path's file state, itself immutable — and a Snapshot
-// is that value, held: it serves every read — ReadAt, Splits, Segments,
-// Version, sidecar reads, line readers — from that one consistent world
+// is that value, held: it serves every read — ReadAt, Splits, State,
+// sidecar reads, line readers — from that one consistent world
 // whatever rewrites, appends and deletes land afterwards, for as long as
 // anything holds it. There is no version chain to walk and nothing to
 // unpin: a superseded state lives exactly as long as something can still
@@ -90,7 +90,6 @@ const DefaultBlockSize = 64 << 20
 // Errors returned by the filesystem.
 var (
 	ErrNotFound = errors.New("dfs: file not found")
-	ErrExists   = errors.New("dfs: file already exists")
 	// ErrUnavailable is the transient per-attempt read failure: the
 	// replica chosen for one attempt was dead, missing the block, or hit
 	// an injected fault. The read path retries with backoff across
@@ -474,8 +473,7 @@ func (fs *FileSystem) applyPublish(seq int64, path string, meta *fileMeta) {
 
 // Version returns the file's write generation: fresh per WriteFile,
 // stable across Append. (path, Version, offset) uniquely identifies
-// immutable content, which is what the colscan block cache keys on and
-// how maintained queries detect a rewrite under their path.
+// immutable content, which is what the colscan block cache keys on.
 func (s state) Version(path string) (int64, error) {
 	meta, err := s.file(path)
 	if err != nil {
@@ -485,20 +483,6 @@ func (s state) Version(path string) (int64, error) {
 }
 
 func (fs *FileSystem) Version(path string) (int64, error) { return fs.live().Version(path) }
-
-// Segments returns the start offset of every segment of path — offset 0
-// for the initial write plus one offset per Append since. Splits never
-// straddle a segment boundary, so a caller that remembers the file size
-// it has processed can identify the splits covering appended data exactly.
-func (s state) Segments(path string) ([]int64, error) {
-	meta, err := s.file(path)
-	if err != nil {
-		return nil, err
-	}
-	return append([]int64(nil), meta.segments...), nil
-}
-
-func (fs *FileSystem) Segments(path string) ([]int64, error) { return fs.live().Segments(path) }
 
 // Stat returns the size of the file at path.
 func (s state) Stat(path string) (size int64, err error) {
@@ -511,13 +495,29 @@ func (s state) Stat(path string) (size int64, err error) {
 
 func (fs *FileSystem) Stat(path string) (int64, error) { return fs.live().Stat(path) }
 
-// Exists reports whether path exists.
-func (s state) Exists(path string) bool {
-	_, ok := s.ns.files[path]
-	return ok
+// FileState names a file's bytes as of one commit: its write generation
+// and its size. WriteFile gives a file a fresh, larger Version, and
+// within a version only an Append changes the state, by growing Size —
+// so two equal states are the same bytes, and a file's state only moves
+// forward (After).
+type FileState struct{ Version, Size int64 }
+
+// After reports whether st is a later state of the file than o.
+func (st FileState) After(o FileState) bool {
+	return st.Version > o.Version || st.Version == o.Version && st.Size > o.Size
 }
 
-func (fs *FileSystem) Exists(path string) bool { return fs.live().Exists(path) }
+// State returns path's Version and size, both from the one commit the
+// state holds.
+func (s state) State(path string) (FileState, error) {
+	meta, err := s.file(path)
+	if err != nil {
+		return FileState{}, err
+	}
+	return FileState{Version: meta.version, Size: meta.size}, nil
+}
+
+func (fs *FileSystem) State(path string) (FileState, error) { return fs.live().State(path) }
 
 // List returns all paths with the given prefix, sorted.
 func (s state) List(prefix string) []string {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -14,6 +15,49 @@ import (
 func newTestFS(t *testing.T, blockSize int64) *FileSystem {
 	t.Helper()
 	return New(Config{BlockSize: blockSize, Replication: 2, DataNodes: 4, Seed: 42})
+}
+
+// The tests read a file in ways no View reader does — whole, listed, by
+// segment, counted in lines, probed for existence — through the state
+// a View holds.
+
+// held returns the state v reads: a Snapshot's commit, or the
+// filesystem's last.
+func held(v View) state {
+	if fs, ok := v.(*FileSystem); ok {
+		return fs.live()
+	}
+	return v.(*Snapshot).state
+}
+
+// exists reports whether path is in v.
+func exists(v View, path string) bool {
+	_, ok := held(v).ns.files[path]
+	return ok
+}
+
+// segments returns the start offset of every segment of path in v:
+// offset 0 for the write, and one per Append since.
+func segments(v View, path string) ([]int64, error) {
+	meta, err := held(v).file(path)
+	if err != nil {
+		return nil, err
+	}
+	return slices.Clone(meta.segments), nil
+}
+
+// countLines returns the records of path in v, a last line without its
+// newline included.
+func countLines(v View, path string) (int64, error) {
+	data, err := held(v).ReadFile(path)
+	if err != nil || len(data) == 0 {
+		return 0, err
+	}
+	n := int64(bytes.Count(data, []byte{'\n'}))
+	if data[len(data)-1] != '\n' {
+		n++
+	}
+	return n, nil
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -88,7 +132,7 @@ func TestDelete(t *testing.T) {
 	if err := fs.Delete("/f"); err != nil {
 		t.Fatal(err)
 	}
-	if fs.Exists("/f") {
+	if exists(fs, "/f") {
 		t.Fatal("file still exists after delete")
 	}
 }

@@ -16,14 +16,14 @@ import (
 func fsState(t *testing.T, v View) map[string]string {
 	t.Helper()
 	out := map[string]string{}
-	for _, p := range v.List("") {
-		data, err := v.ReadFile(p)
+	for _, p := range held(v).List("") {
+		data, err := held(v).ReadFile(p)
 		if err != nil {
 			t.Fatalf("ReadFile(%s): %v", p, err)
 		}
-		segs, err := v.Segments(p)
+		segs, err := segments(v, p)
 		if err != nil {
-			t.Fatalf("Segments(%s): %v", p, err)
+			t.Fatalf("segments(%s): %v", p, err)
 		}
 		ver, err := v.Version(p)
 		if err != nil {
@@ -33,7 +33,7 @@ func fsState(t *testing.T, v View) map[string]string {
 		var sc []byte
 		if scLen > 0 {
 			sc = make([]byte, scLen)
-			if _, err := v.ReadSidecarAt(p, 0, sc); err != nil {
+			if _, err := held(v).ReadSidecarAt(p, 0, sc); err != nil {
 				t.Fatalf("ReadSidecarAt(%s): %v", p, err)
 			}
 		}
@@ -222,7 +222,7 @@ func TestFaultCrashAtCommit(t *testing.T) {
 		if err != nil || string(data) != "1\n2\n" {
 			t.Fatalf("torn=%v: /a = %q, %v", torn, data, err)
 		}
-		if rec.Exists("/b") {
+		if exists(rec, "/b") {
 			t.Fatalf("torn=%v: /b must not survive the crash", torn)
 		}
 	}
@@ -274,10 +274,10 @@ func TestSnapshotIsolation(t *testing.T) {
 	if sp, _ := snap.Splits("/d", 0); len(sp) != len(wantSplits) {
 		t.Fatalf("snap splits = %d, want %d", len(sp), len(wantSplits))
 	}
-	if snap.Exists("/new") {
+	if exists(snap, "/new") {
 		t.Fatal("snapshot sees a file created after the pin")
 	}
-	if !snap.Exists("/gone") {
+	if !exists(snap, "/gone") {
 		t.Fatal("snapshot lost a file deleted after the pin")
 	}
 	// Line readers through the snapshot see old bytes.
@@ -303,7 +303,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	if got, _ := fs.ReadFile("/d"); string(got) != "tiny\n" {
 		t.Fatalf("live /d = %q", got)
 	}
-	if fs.Exists("/gone") {
+	if exists(fs, "/gone") {
 		t.Fatal("live view resurrects a deleted file")
 	}
 

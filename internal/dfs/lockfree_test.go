@@ -124,7 +124,7 @@ func readEveryMethod(v View, path string, rng *rand.Rand, whole bool) (viewRead,
 	var r viewRead
 	gone := func(err error) bool { return !whole && errors.Is(err, ErrNotFound) }
 	var err error
-	if r.data, err = v.ReadFile(path); err != nil {
+	if r.data, err = held(v).ReadFile(path); err != nil {
 		if gone(err) {
 			return r, nil
 		}
@@ -139,22 +139,29 @@ func readEveryMethod(v View, path string, rng *rand.Rand, whole bool) (viewRead,
 	if r.version, err = v.Version(path); err != nil && !gone(err) {
 		return r, fmt.Errorf("Version: %w", err)
 	}
-	if r.segments, err = v.Segments(path); err != nil && !gone(err) {
-		return r, fmt.Errorf("Segments: %w", err)
+	st, err := v.State(path)
+	if err != nil && !gone(err) {
+		return r, fmt.Errorf("State: %w", err)
 	}
-	if r.lines, err = v.CountLines(path); err != nil && !gone(err) {
-		return r, fmt.Errorf("CountLines: %w", err)
+	if whole && st != (FileState{Version: r.version, Size: r.size}) {
+		return r, fmt.Errorf("State %+v beside Version %d and Stat %d", st, r.version, r.size)
+	}
+	if r.segments, err = segments(v, path); err != nil && !gone(err) {
+		return r, fmt.Errorf("segments: %w", err)
+	}
+	if r.lines, err = countLines(v, path); err != nil && !gone(err) {
+		return r, fmt.Errorf("countLines: %w", err)
 	}
 	if whole {
-		if !v.Exists(path) || !slices.Contains(v.List("/r/"), path) {
-			return r, errors.New("Exists/List: a readable path is not listed")
+		if !exists(v, path) || !slices.Contains(held(v).List("/r/"), path) {
+			return r, errors.New("exists/List: a readable path is not listed")
 		}
 		if r.size != int64(len(r.data)) || r.lines != r.size/raceLineWidth {
-			return r, fmt.Errorf("Stat %d, CountLines %d for a file of %d bytes", r.size, r.lines, len(r.data))
+			return r, fmt.Errorf("Stat %d, countLines %d for a file of %d bytes", r.size, r.lines, len(r.data))
 		}
 	} else {
-		v.Exists(path)
-		v.List("/r/")
+		exists(v, path)
+		held(v).List("/r/")
 	}
 
 	// Positioned reads.
@@ -257,7 +264,7 @@ func readEveryMethod(v View, path string, rng *rand.Rand, whole bool) (viewRead,
 			return r, fmt.Errorf("ViewSidecarAt: %w", err)
 		}
 		p := make([]byte, size/2)
-		n, err := v.ReadSidecarAt(path, size/3, p)
+		n, err := held(v).ReadSidecarAt(path, size/3, p)
 		if err != nil && !errors.Is(err, ErrNotFound) {
 			return r, fmt.Errorf("ReadSidecarAt: %w", err)
 		}

@@ -54,14 +54,14 @@ func fixedScript(t *testing.T) []string {
 	// Every kind of read, on the live view.
 	var reads strings.Builder
 	view := func(v View) {
-		for _, p := range v.List("/data/") {
-			data, err := v.ReadFile(p)
+		for _, p := range held(v).List("/data/") {
+			data, err := held(v).ReadFile(p)
 			must(err)
-			n, err := v.CountLines(p)
+			n, err := countLines(v, p)
 			must(err)
 			size, _ := v.Stat(p)
 			ver, _ := v.Version(p)
-			segs, _ := v.Segments(p)
+			segs, _ := segments(v, p)
 			fmt.Fprintf(&reads, "%s %d %016x lines %d v%d %v;", p, size, fnv64(data), n, ver, segs)
 			splits, err := v.Splits(p, 3000)
 			must(err)
@@ -87,7 +87,7 @@ func fixedScript(t *testing.T) []string {
 				b, err := v.ViewSidecarAt(p, scLen/3, scLen/2)
 				must(err)
 				buf := make([]byte, scLen)
-				k, err := v.ReadSidecarAt(p, 0, buf)
+				k, err := held(v).ReadSidecarAt(p, 0, buf)
 				must(err)
 				fmt.Fprintf(&reads, " sc %d %016x %016x", scLen, fnv64(b), fnv64(buf[:k]))
 			}

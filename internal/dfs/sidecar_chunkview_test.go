@@ -88,7 +88,7 @@ func TestViewSidecarAtMatchesRead(t *testing.T) {
 			p := make([]byte, size)
 			var n int
 			var rerr error
-			rSeeks, rBytes := charge(func() { n, rerr = tc.v.ReadSidecarAt(tc.path, pos, p) })
+			rSeeks, rBytes := charge(func() { n, rerr = held(tc.v).ReadSidecarAt(tc.path, pos, p) })
 			if verr != nil || rerr != nil || int64(n) != size || !bytes.Equal(view, p) || !bytes.Equal(view, whole[pos:pos+size]) {
 				t.Fatalf("%s chunk %d: view (%d bytes, %v) differs from read (%d bytes, %v)", tc.name, i, len(view), verr, n, rerr)
 			}

@@ -28,7 +28,7 @@ func buildWhole(t *testing.T, fs *FileSystem, path string, format colscan.Format
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs, err := fs.Segments(path)
+	segs, err := segments(fs, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func sidecarOf(v View, path string) ([]byte, error) {
 		return nil, fmt.Errorf("no sidecar for %s", path)
 	}
 	buf := make([]byte, size)
-	if n, err := v.ReadSidecarAt(path, 0, buf); err != nil || int64(n) != size {
+	if n, err := held(v).ReadSidecarAt(path, 0, buf); err != nil || int64(n) != size {
 		return nil, fmt.Errorf("read sidecar %s: %d of %d bytes, %v", path, n, size, err)
 	}
 	return buf, nil

@@ -74,7 +74,7 @@ func TestReleasedSnapshotStillReads(t *testing.T) {
 			t.Errorf("%s: the released snapshot's sidecar view changed", p)
 		}
 	}
-	if live, _ := fs.Stat(paths[2]); live <= held[paths[2]].size || fs.Exists(paths[1]) {
+	if live, _ := fs.Stat(paths[2]); live <= held[paths[2]].size || exists(fs, paths[1]) {
 		t.Fatal("the live filesystem did not move on")
 	}
 }
@@ -100,19 +100,19 @@ func TestSnapshotsRaceCommits(t *testing.T) {
 				path := paths[(w+i)%len(paths)]
 				data, err := snap.ReadFile(path)
 				size, _ := snap.Stat(path)
-				exists := snap.Exists(path)
+				present := exists(snap, path)
 				snap.Release()
 				if seq := snap.Seq(); seq > 0 && seq < commits {
 					beside.Add(1)
 				}
-				if !exists && err != nil {
+				if !present && err != nil {
 					continue // deleted as of this commit
 				}
 				if err == nil {
 					err = checkRaceWhole(data)
 				}
-				if err == nil && (size != int64(len(data)) || !exists) {
-					err = fmt.Errorf("Stat %d, Exists %v beside %d bytes read", size, exists, len(data))
+				if err == nil && (size != int64(len(data)) || !present) {
+					err = fmt.Errorf("Stat %d, exists %v beside %d bytes read", size, present, len(data))
 				}
 				if err != nil {
 					fail <- fmt.Errorf("%v %s: %w", snap, path, err)

@@ -452,27 +452,3 @@ func (s state) lineInWindow(meta *fileMeta, pos, back, fwd int64, tally *simcost
 	}
 	return win[start:end:end], lo + start, growNone, nil
 }
-
-// CountLines returns the number of records in the file (used by tests and
-// by exact baselines that need the true N).
-func (s state) CountLines(path string) (int64, error) {
-	data, err := s.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	if len(data) == 0 {
-		return 0, nil
-	}
-	var n int64
-	for _, b := range data {
-		if b == '\n' {
-			n++
-		}
-	}
-	if data[len(data)-1] != '\n' {
-		n++
-	}
-	return n, nil
-}
-
-func (fs *FileSystem) CountLines(path string) (int64, error) { return fs.live().CountLines(path) }

@@ -106,9 +106,9 @@ func FuzzAppendSplits(f *testing.F) {
 				t.Fatalf("record %d = %q, want %q", i, gotLines[i], wantLines[i])
 			}
 		}
-		n, err := fs.CountLines(path)
+		n, err := countLines(fs, path)
 		if err != nil || n != int64(len(wantLines)) {
-			t.Fatalf("CountLines = %d, %v; want %d", n, err, len(wantLines))
+			t.Fatalf("countLines = %d, %v; want %d", n, err, len(wantLines))
 		}
 	})
 }

@@ -253,16 +253,3 @@ func TestReadLineAtEveryPositionOwnsOneLine(t *testing.T) {
 		}
 	}
 }
-
-func TestCountLines(t *testing.T) {
-	fs := newTestFS(t, 8)
-	fs.WriteFile("/a", []byte("x\ny\nz\n"))
-	fs.WriteFile("/b", []byte("x\ny\nz")) // no trailing newline
-	fs.WriteFile("/c", nil)
-	for path, want := range map[string]int64{"/a": 3, "/b": 3, "/c": 0} {
-		n, err := fs.CountLines(path)
-		if err != nil || n != want {
-			t.Fatalf("CountLines(%s) = %d, %v; want %d", path, n, err, want)
-		}
-	}
-}

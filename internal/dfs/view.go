@@ -7,27 +7,27 @@ import (
 	"repro/internal/simcost"
 )
 
-// View is the read surface of the filesystem: everything a scan, a
-// sampler or a maintained query needs, with no mutation entry points.
-// Both *FileSystem (always the live state) and *Snapshot (one held
-// commit) implement it, so any reader can be pointed at "now" or at a
-// consistent frozen world with the same code.
+// View is the read contract: what a scan, a sampler or a maintained
+// query reads of the filesystem, with no mutation entry points, and
+// what every implementation must carry. Both *FileSystem (always the
+// live state) and *Snapshot (one held commit) implement it, so any
+// reader can be pointed at "now" or at a consistent frozen world with
+// the same code. A whole-file read (ReadFile), a listing (List) and a
+// copying sidecar read (ReadSidecarAt) are on both but outside the
+// contract: no reader of a View makes them.
 type View interface {
 	ReadAt(path string, off int64, p []byte) (int, error)
-	ReadFile(path string) ([]byte, error)
 	Stat(path string) (int64, error)
-	Exists(path string) bool
-	List(prefix string) []string
 	Version(path string) (int64, error)
-	Segments(path string) ([]int64, error)
+	// State is Version and Stat from one commit: what a maintained
+	// query or a cached result records as the bytes it covered.
+	State(path string) (FileState, error)
 	Splits(path string, splitSize int64) ([]Split, error)
 	NewLineReader(split Split, chunkSize int) (*LineReader, error)
 	ReadLineAt(path string, pos int64, chunkSize int) (line string, lineStart int64, err error)
 	ReadLinesAt(path string, positions []int64, chunkSize int, fn func(i int, line []byte, lineStart int64, err error) (more bool, fail error)) error
-	CountLines(path string) (int64, error)
 	SidecarStat(path string) (int64, bool)
 	ViewSidecarAt(path string, off, size int64) ([]byte, error)
-	ReadSidecarAt(path string, off int64, p []byte) (int, error)
 }
 
 // Compile-time checks: both implementations satisfy the full surface.

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"strconv"
-	"strings"
 
 	"repro/internal/dfs"
 	"repro/internal/pool"
@@ -397,22 +396,6 @@ func CentroidError(got, truth []workload.Point) (float64, error) {
 		return meanDist, nil
 	}
 	return meanDist / (scale / float64(pairs)), nil
-}
-
-// ParsePoints decodes a slice of point lines.
-func ParsePoints(lines []string) ([]workload.Point, error) {
-	pts := make([]workload.Point, 0, len(lines))
-	for _, l := range lines {
-		if strings.TrimSpace(l) == "" {
-			continue
-		}
-		p, err := workload.DecodePoint(l)
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, p)
-	}
-	return pts, nil
 }
 
 // WCSSOf evaluates the within-cluster sum of squares of centers over pts

@@ -141,16 +141,3 @@ func TestWCSSOfDecreasesWithBetterCenters(t *testing.T) {
 		t.Fatal("true centers should have lower WCSS than arbitrary ones")
 	}
 }
-
-func TestParsePoints(t *testing.T) {
-	pts, err := ParsePoints([]string{"1,2", " 3 , 4 ", ""})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 || pts[1][0] != 3 || pts[1][1] != 4 {
-		t.Fatalf("pts = %v", pts)
-	}
-	if _, err := ParsePoints([]string{"x,y"}); err == nil {
-		t.Fatal("bad points should error")
-	}
-}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/live"
 	"repro/internal/plan"
+	"repro/internal/simcost"
 	"repro/internal/workload"
 )
 
@@ -162,6 +163,62 @@ func TestWatchLifecycle(t *testing.T) {
 			}
 			if pins := env.FS.JournalStats().Pins; pins != 0 {
 				t.Fatalf("%d snapshot pins left behind", pins)
+			}
+		})
+	}
+}
+
+// TestWatchStale walks one watch through open → append → refresh →
+// rewrite → refresh → close, sampled and on the exact fall-back: Stale
+// reads false, true, false, true, false at those steps — the live file
+// against the one state the watch last synced to — and never charges a
+// counter.
+func TestWatchStale(t *testing.T) {
+	values := func(n int, seed uint64) []byte { return workload.EncodeLinesFixed(genValues(t, n, seed)) }
+	for _, n := range []int{40_000, 300} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			env := newEnv(t, 21)
+			if err := env.FS.WriteFile("/s", values(n, 22)); err != nil {
+				t.Fatal(err)
+			}
+			w, err := live.Open(env, core.JobQuery([]jobs.Numeric{jobs.Mean()}, "/s", core.Options{Sigma: 0.05, Seed: 23}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			stale := func(step string, want bool) {
+				t.Helper()
+				before := env.Metrics.Snapshot()
+				got, err := w.Stale()
+				if err != nil || got != want {
+					t.Fatalf("%s: Stale() = %v, %v; want %v", step, got, err, want)
+				}
+				if cost := env.Metrics.Snapshot().Sub(before); cost != (simcost.Snapshot{}) {
+					t.Fatalf("%s: Stale charged %+v", step, cost)
+				}
+			}
+			refresh := func() {
+				t.Helper()
+				if _, err := w.Refresh(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			stale("open", false)
+			if err := env.FS.Append("/s", values(n/4, 24)); err != nil {
+				t.Fatal(err)
+			}
+			stale("append", true)
+			refresh()
+			stale("refresh", false)
+			if err := env.FS.WriteFile("/s", values(n, 25)); err != nil {
+				t.Fatal(err)
+			}
+			stale("rewrite", true)
+			refresh()
+			stale("refresh after rewrite", false)
+			w.Close()
+			stale("close", false)
+			if w.Refreshes() != 2 {
+				t.Fatalf("%d refreshes, want 2", w.Refreshes())
 			}
 		})
 	}

@@ -26,10 +26,16 @@
 // B×n ≥ N) are maintained through the same retained sink: it holds one
 // incremental reduce state per statistic, made empty when the watch
 // opens (Initialize) and grown with every appended record (Update), which
-// is still delta-proportional work. The watch itself is the handle: its
-// lock, its cost ledger, the query, the classification of a sync point
-// as appended to or rewritten, the rebuild after a rewrite, and the
-// latest result.
+// is still delta-proportional work.
+//
+// The sync point — which bytes of the file the watch has seen — is kept
+// once: the dfs.FileState its run or last refresh covered, held by the
+// core.Retained. Against that one state the watch answers whether the
+// live file has moved on (Stale, which earld asks before it spends an
+// admission slot on a refresh) and classifies a change as an append
+// (grow) or a rewrite (rebuild). The watch itself is the handle: its
+// lock, its cost ledger, the query, that classification, the rebuild
+// after a rewrite, and the latest result.
 package live
 
 import (
@@ -65,10 +71,9 @@ type Watch struct {
 	pq *core.PlannedQuery
 
 	// ret is the opening run's retained state — sink, sources, estimated
-	// total, ingest high-water mark — grown in place by every refresh and
-	// replaced wholesale by a rebuild.
-	ret     *core.Retained
-	version int64 // watched file's write generation at the last sync
+	// total, the file state it covers — grown in place by every refresh
+	// and replaced wholesale by a rebuild.
+	ret *core.Retained
 
 	refreshGen int
 	closed     bool
@@ -97,22 +102,18 @@ func Open(env *core.Env, pq *core.PlannedQuery) (*Watch, error) {
 // wholesale — the opening run, and again after a rewrite of the watched
 // path, when the retained sample describes bytes that no longer exist.
 // Both run the same query with the same options, so a rebuilt watch
-// reports what a fresh one over the rewritten file would. The recorded
-// write generation is what later refreshes compare against to detect
-// rewrites.
+// reports what a fresh one over the rewritten file would. The run's
+// retained state records the file state it read, the sync point later
+// refreshes are classified against.
 func (w *Watch) rebuild(run *core.Env) error {
 	res, ret, err := core.Execute(run, w.pq, true)
-	if err != nil {
-		return err
-	}
-	ver, err := run.View().Version(w.pq.Spec.Path)
 	if err != nil {
 		return err
 	}
 	if w.ret != nil {
 		w.ret.Release() // the rewritten file's sample is dead
 	}
-	w.ret, w.version, w.last = ret, ver, res
+	w.ret, w.last = ret, res
 	return nil
 }
 
@@ -166,6 +167,20 @@ func (w *Watch) Close() {
 	w.ret.Release()
 }
 
+// Stale reports whether the live file has left the state the watch last
+// synced to — appended to or rewritten since — so that a Refresh now
+// would do work. It reads one commit and charges nothing; it does not
+// look at whether the watch is closed (Refresh does).
+func (w *Watch) Stale() (bool, error) {
+	st, err := w.env.FS.State(w.pq.Spec.Path)
+	if err != nil {
+		return false, err
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return st != w.ret.State(), nil
+}
+
 // Refresh brings the maintained answer up to date with the watched
 // file, processing only data appended since the last sync (or Open):
 // the retained state grows over the appended region
@@ -188,14 +203,14 @@ func (w *Watch) Refresh() (*core.PlanResult, error) {
 	defer w.mu.Unlock()
 	run, release := w.env.Open(w.ledger)
 	defer release()
-	size, appended, rewritten, err := w.beginRefresh(run.View())
+	st, appended, rewritten, err := w.beginRefresh(run.View())
 	switch {
 	case err != nil:
 	case rewritten:
 		err = w.rebuild(run)
 	case appended:
 		var res *core.PlanResult
-		if res, err = w.ret.Refresh(run, size, w.refreshGen); err == nil {
+		if res, err = w.ret.Refresh(run, st, w.refreshGen); err == nil {
 			w.last = res
 		}
 	}
@@ -205,9 +220,9 @@ func (w *Watch) Refresh() (*core.PlanResult, error) {
 	return clone(w.last), nil
 }
 
-// beginRefresh classifies the watched file against the sync point, all
-// through one pinned view so the verdict and the refresh that follows
-// describe the same commit:
+// beginRefresh classifies the watched file's state in v against the
+// sync point, through one pinned view so the verdict and the refresh
+// that follows describe the same commit:
 //
 //   - rewritten=true: the file's write generation changed (WriteFile
 //     replaced it under the watch) — the retained sample and sync point
@@ -218,32 +233,27 @@ func (w *Watch) Refresh() (*core.PlanResult, error) {
 //     place must not silently re-read the file);
 //   - otherwise data was appended: the refresh is counted and the
 //     refresh generation advances.
-func (w *Watch) beginRefresh(v dfs.View) (size int64, appended, rewritten bool, err error) {
+func (w *Watch) beginRefresh(v dfs.View) (st dfs.FileState, appended, rewritten bool, err error) {
 	if w.closed {
-		return 0, false, false, ErrClosed
+		return st, false, false, ErrClosed
 	}
 	path := w.pq.Spec.Path
-	ver, err := v.Version(path)
-	if err != nil {
-		return 0, false, false, err
+	if st, err = v.State(path); err != nil {
+		return st, false, false, err
 	}
-	if ver != w.version {
+	synced := w.ret.State()
+	switch {
+	case st.Version != synced.Version:
 		w.refreshGen++
-		return 0, false, true, nil
-	}
-	size, err = v.Stat(path)
-	if err != nil {
-		return 0, false, false, err
-	}
-	if size < w.ret.SyncedBytes() {
+		return st, false, true, nil
+	case st.Size < synced.Size:
 		// Unreachable while versions are per-WriteFile (a same-version
 		// file only grows), kept as a tripwire.
-		return 0, false, false, fmt.Errorf("%w: %s", ErrTruncated, path)
-	}
-	if size == w.ret.SyncedBytes() {
-		return size, false, false, nil
+		return st, false, false, fmt.Errorf("%w: %s", ErrTruncated, path)
+	case st == synced:
+		return st, false, false, nil
 	}
 	w.ledger.Charge(simcost.Snapshot{Refreshes: 1})
 	w.refreshGen++
-	return size, true, false, nil
+	return st, true, false, nil
 }

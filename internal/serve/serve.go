@@ -28,14 +28,17 @@
 //     refresh per append, o(K·N) records, instead of K.
 //
 //   - A result cache for one-shot queries, keyed on what decides a
-//     report's bits: the spec, and the dfs state (Version, size) of the
-//     file in the commit the run read. A cached Report is returned only
-//     while the live file is still in that state.
+//     report's bits: the spec, and the dfs.FileState (Version, size) of
+//     the file in the commit the run read. A cached Report is returned
+//     only while the live file is still in that state.
 //
-// Freshness is the file's dfs state alone, so any write — through
-// Append and Rewrite, or straight to Env().FS — invalidates: neither a
-// cache hit nor a watch report answers for bytes the file no longer
-// holds.
+// Freshness is the file's dfs.FileState alone, and the server keeps no
+// copy of it for a watch: the watch knows the state its run or last
+// refresh covered and answers whether the live file has left it
+// (live.Watch.Stale), so a report spends an admission slot only on a
+// refresh that does work. Any write — through Append and Rewrite, or
+// straight to Env().FS — invalidates: neither a cache hit nor a watch
+// report answers for bytes the file no longer holds.
 //
 // Every execution owns its cost: a one-shot runs on its own ledger and a
 // watch keeps one for its creation and its refreshes (core.Env.Open), so
@@ -267,7 +270,6 @@ type watchEntry struct {
 	// decisions: unlike a sync.Mutex, a subscriber waiting behind a slow
 	// refresh can still honour its context's deadline/cancellation.
 	refreshMu chan struct{}
-	synced    fileState           // file state read before the last refresh or the creation; guarded by refreshMu
 	subIDs    map[string]struct{} // live subscription tokens, guarded by Server.mu
 	lastTouch atomic.Int64        // unix nanos of the last open/poll; idle-eviction clock
 }
@@ -277,37 +279,10 @@ func (e *watchEntry) touch() { e.lastTouch.Store(time.Now().UnixNano()) }
 
 // cacheEntry is a one-shot result, valid while its file is in state.
 type cacheEntry struct {
-	state   fileState
+	state   dfs.FileState
 	report  core.Report
 	reports []core.Report // multi-statistic results
 	grouped *core.GroupedReport
-}
-
-// fileState names a file's bytes: dfs gives a file a fresh, larger
-// Version on every WriteFile, and within a version only an Append
-// changes it, by growing it.
-type fileState struct{ version, size int64 }
-
-// stateOf reads path's state in v.
-func stateOf(v dfs.View, path string) (fileState, error) {
-	ver, err := v.Version(path)
-	if err != nil {
-		return fileState{}, err
-	}
-	size, err := v.Stat(path)
-	return fileState{ver, size}, err
-}
-
-// after reports whether st is a later state of the file than o.
-func (st fileState) after(o fileState) bool {
-	return st.version > o.version || st.version == o.version && st.size > o.size
-}
-
-// liveState reads path's state from one commit of the live filesystem.
-func (s *Server) liveState(path string) (fileState, error) {
-	snap := s.env.FS.Snapshot()
-	defer snap.Release()
-	return stateOf(snap, path)
 }
 
 // Bounds on the per-key maps, so a long-lived server fed ever-varying
@@ -404,7 +379,7 @@ func (s *Server) Query(ctx context.Context, spec QuerySpec) (QueryResult, error)
 	defer cancel()
 	key := spec.key()
 
-	if live, err := s.liveState(spec.Path); err == nil {
+	if live, err := s.env.FS.State(spec.Path); err == nil {
 		s.mu.Lock()
 		ce, ok := s.cache[key]
 		s.mu.Unlock()
@@ -429,7 +404,7 @@ func (s *Server) Query(ctx context.Context, spec QuerySpec) (QueryResult, error)
 	// its own, which is its cost.
 	run, unpin := s.env.Open(s.env.Metrics.Child())
 	defer unpin()
-	state, err := stateOf(run.View(), spec.Path)
+	state, err := run.View().State(spec.Path)
 	if err != nil {
 		return QueryResult{}, err
 	}
@@ -452,7 +427,7 @@ func (s *Server) Query(ctx context.Context, spec QuerySpec) (QueryResult, error)
 	// post-append result) would otherwise evict it and force the next
 	// caller into a full run.
 	s.mu.Lock()
-	if ce, ok := s.cache[key]; !ok || !ce.state.after(state) {
+	if ce, ok := s.cache[key]; !ok || !ce.state.After(state) {
 		if !ok && len(s.cache) >= maxCacheEntries {
 			for evict := range s.cache { // arbitrary eviction at the cap
 				delete(s.cache, evict)
@@ -547,13 +522,6 @@ func (s *Server) OpenWatch(ctx context.Context, spec QuerySpec) (WatchInfo, bool
 		s.dropEntry(e)
 		return WatchInfo{}, false, err
 	}
-	// The creation run pins the file as it stands after this read, so a
-	// write racing the creation makes the first report pay one refresh —
-	// which no-ops if the run already saw those bytes, and rebuilds if
-	// the run's snapshot predated a rewrite. A failed read leaves the
-	// zero state, which no file is in: the creation fails on the same
-	// missing file, or the first report pays that one refresh.
-	e.synced, _ = s.liveState(spec.Path)
 	h, err := s.createWatch(spec)
 	release()
 	e.q, e.err = h, err
@@ -689,10 +657,11 @@ func (s *Server) CloseWatch(id, sub string) error {
 }
 
 // WatchReport returns the watch's current report, paying the one delta
-// refresh if the file has been written since the last subscriber asked.
+// refresh if the file has left the state the watch last synced to.
 // Refreshes are serialised per watch: concurrent subscribers after one
 // append perform exactly one underlying refresh, and all of them read
-// the same (bit-identical) report.
+// the same (bit-identical) report. A report on a watch that is not
+// stale takes no admission slot.
 func (s *Server) WatchReport(ctx context.Context, id string) (WatchInfo, error) {
 	ctx, cancel := s.withDeadline(ctx)
 	defer cancel()
@@ -717,33 +686,28 @@ func (s *Server) WatchReport(ctx context.Context, id string) (WatchInfo, error) 
 		return WatchInfo{}, ctx.Err()
 	}
 	defer func() { <-e.refreshMu }()
-	state, err := s.liveState(e.spec.Path)
+	stale, err := e.q.Stale()
 	if err != nil {
 		return WatchInfo{}, err
 	}
-	if state != e.synced {
+	if stale {
 		release, err := s.acquire(ctx)
 		if err != nil {
 			return WatchInfo{}, err
 		}
 		// refreshMu makes this the only run charging the watch's ledger,
-		// so the refresh's cost is the ledger's delta.
-		beforeN, before := e.q.Refreshes(), e.q.Cost()
+		// so the refresh's cost is the ledger's delta. A stale watch's
+		// file has moved past its sync point, and a file's state only
+		// moves forward, so this refresh does work: it is served.
+		before := e.q.Cost()
 		_, err = e.q.Refresh()
 		cost := e.q.Cost().Sub(before)
 		release()
 		if err != nil {
 			return WatchInfo{}, err
 		}
-		e.synced = state
-		// A Refresh that found nothing new (the creation run already read
-		// these bytes — synced lags the file) is a no-op inside live and
-		// must stay uncounted here too, or RefreshesServed and the
-		// per-query costs drift from the true simcost.Refreshes.
-		if e.q.Refreshes() > beforeN {
-			s.refreshesServed.Add(1)
-			s.chargeQuery(e.key, cost)
-		}
+		s.refreshesServed.Add(1)
+		s.chargeQuery(e.key, cost)
 	}
 	return s.infoOf(e), nil
 }
@@ -771,11 +735,9 @@ func (s *Server) Rewrite(path string, data []byte) (int64, error) {
 	if err := s.env.FS.WriteFile(path, data); err != nil {
 		return 0, err
 	}
-	if s.env.Scan != nil {
-		// Version keying already protects correctness; dropping the old
-		// contents' decoded blocks just frees the bytes promptly.
-		s.env.Scan.InvalidatePath(path)
-	}
+	// Version keying already protects correctness; dropping the old
+	// contents' decoded blocks just frees the bytes promptly.
+	s.env.Scan.InvalidatePath(path)
 	return s.env.FS.Stat(path)
 }
 
@@ -805,15 +767,13 @@ func (s *Server) Metrics() MetricsReport {
 		Journal:  s.env.FS.JournalStats(),
 		PerQuery: map[string]QueryCost{},
 	}
-	if s.env.Scan != nil {
-		cs := s.env.Scan.Stats()
-		rep.Scan = ScanCacheStats{
-			Hits: cs.Hits, Misses: cs.Misses,
-			Bytes: cs.Bytes, MaxBytes: cs.MaxBytes, Blocks: cs.Blocks,
-			SidecarReads: cs.SidecarReads, SidecarErrors: cs.SidecarErrors,
-			Held: cs.Held, HeldBytes: cs.HeldBytes, Recycled: cs.Recycled,
-			Selections: cs.Selections, SelectionHits: cs.SelectionHits,
-		}
+	cs := s.env.Scan.Stats()
+	rep.Scan = ScanCacheStats{
+		Hits: cs.Hits, Misses: cs.Misses,
+		Bytes: cs.Bytes, MaxBytes: cs.MaxBytes, Blocks: cs.Blocks,
+		SidecarReads: cs.SidecarReads, SidecarErrors: cs.SidecarErrors,
+		Held: cs.Held, HeldBytes: cs.HeldBytes, Recycled: cs.Recycled,
+		Selections: cs.Selections, SelectionHits: cs.SelectionHits,
 	}
 	s.mu.Lock()
 	for k, v := range s.perQuery {

@@ -366,6 +366,56 @@ func TestQueryCacheInvalidatedByAppend(t *testing.T) {
 	}
 }
 
+// TestWatchReportAsksTheWatch: the watch decides its own staleness. With
+// every admission slot held, a report on an unchanged watch answers at
+// once — it takes no slot. Once the slots are free, an append straight
+// to env.FS costs the next report exactly one served refresh, and the
+// report after that none.
+func TestWatchReportAsksTheWatch(t *testing.T) {
+	s, env := newTestServer(t, Config{MaxInFlight: 2}, "/t/stale", 40_000)
+	ctx := context.Background()
+	info, _, err := s.OpenWatch(ctx, QuerySpec{Spec: plan.Spec{Path: "/t/stale", Stats: []string{"mean"}, Sigma: 0.05, Seed: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var releases []func()
+	for range s.cfg.MaxInFlight {
+		release, err := s.acquire(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		releases = append(releases, release)
+	}
+	held, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if _, err := s.WatchReport(held, info.ID); err != nil {
+		t.Fatalf("report on an unchanged watch with every slot held: %v", err)
+	}
+	if st := s.Stats(); st.Queued != 0 || st.Expired != 0 || st.RefreshesServed != 0 {
+		t.Fatalf("report on an unchanged watch waited for a slot: %+v", st)
+	}
+	for _, release := range releases {
+		release()
+	}
+
+	delta, err := workload.NumericSpec{Dist: workload.Gaussian, N: 5_000, Seed: 5}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := env.FS.Append("/t/stale", workload.EncodeLinesFixed(delta)); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int64{1, 0} {
+		before := s.Stats().RefreshesServed
+		if _, err := s.WatchReport(ctx, info.ID); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Stats().RefreshesServed - before; got != want {
+			t.Fatalf("report %d after an out-of-band append served %d refreshes, want %d", i+1, got, want)
+		}
+	}
+}
+
 // TestConcurrentOutOfBandWriter: one goroutine appends straight to
 // env.FS, unseen by the server, while K clients poll Query and
 // WatchReport on one spec. At a σ no sample of this small file can meet

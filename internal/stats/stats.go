@@ -191,23 +191,6 @@ func QuantileCounted(distinct []float64, counts []uint32, n int64, q float64) (f
 	})
 }
 
-// MinMax returns the smallest and largest values in xs.
-func MinMax(xs []float64) (min, max float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max, nil
-}
-
 // Welford is a streaming accumulator for count, mean and variance using
 // Welford's online algorithm. It is the state representation used by the
 // incremental reduce API for moment-based statistics: two Welford states

@@ -133,16 +133,6 @@ func TestQuantileInterpolation(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	min, max, err := MinMax([]float64{3, -1, 7, 0})
-	if err != nil || min != -1 || max != 7 {
-		t.Fatalf("MinMax = %v,%v,%v", min, max, err)
-	}
-	if _, _, err := MinMax(nil); !errors.Is(err, ErrEmpty) {
-		t.Fatal("MinMax(nil) should return ErrEmpty")
-	}
-}
-
 func TestWelfordMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	xs := make([]float64, 500)
