@@ -75,10 +75,10 @@ func TestCoverageMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != string(want) {
-		t.Errorf("coverage table moved from %s (re-record with -update if on purpose):\n%s", file, got)
-	}
 	t.Logf("\n%s", got)
+	if got != string(want) {
+		t.Errorf("coverage table moved from %s (re-record with -update if on purpose)", file)
+	}
 }
 
 // coverageRuns runs job once per seed 100, 101, … on a few goroutines

@@ -22,7 +22,10 @@
 // resample updates are sharded across (0 means runtime.GOMAXPROCS, 1
 // forces the sequential path; SSABE's phase 1 stays sequential — it
 // adds one resample at a time and early-stops on stability — and is
-// run once for all of a query's statistics). The
+// run once for all of a query's statistics). A statistic that declares
+// a plug-in error — Mean, Sum and Proportion — plans its sample size
+// in closed form, n = (s/|x̄|)²/σ² over the pilot, and runs no phase 2;
+// SSABE fits its error curve for every other statistic. The
 // engine's reproducible-seeding contract: every shard of work owns an
 // rng stream derived only from the run's Seed and the shard index —
 // never from worker identity or scheduling — so a run with a fixed Seed

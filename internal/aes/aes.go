@@ -24,7 +24,15 @@
 // A query asking for several statistics is planned by one SSABE
 // (PlanAll): both phases draw each resample once and fold it into every
 // statistic that reads it, and each statistic still stops phase 1 at
-// its own B and gets the plan an SSABE of its own would give it.
+// its own B and gets the plan an SSABE of its own would give it — save
+// one whose reducer declares a plug-in error (mr.PlugInReducer: the
+// mean, and the sum, which only rescales it). SSABE exists for
+// arbitrary statistics (§3.2); for those the curve is known in closed
+// form, cv(n) = cv₁/√n through the pilot's s/|x̄| (Efron's plug-in
+// standard error), so PlanAll takes their n from it, keeps phase 1's B
+// and the B×n ≥ N cutoff, and folds phase 2's replicates for the other
+// statistics only: a mean-only query runs none. SSABE itself stays the
+// paper's two phases for every reducer.
 //
 // Every resample of either phase is drawn from the one pilot, which is
 // ranked once (mr.Rank). Over a ranked pilot a quantile is planned from
@@ -548,6 +556,17 @@ func estimateNReplicate(segs []segment, bs []int, cfgs []Config, r, par int) ([]
 	return points, nil
 }
 
+// plugIn plans a statistic that declares its plug-in error with no
+// phase 2: its curve is cv(n) = cv₁/√n through the pilot's cv₁, which
+// solves to stats.TheoreticalSampleSize(cv₁, σ), the normal-theory n
+// Fig. 8 sets beside SSABE's. A cv₁ no n brings to σ is no plan, as an
+// unreachable fitted curve is.
+func plugIn(r mr.PlugInReducer, pilot []float64, sigma float64) fit {
+	curve := stats.CVCurve{B: r.PlugInCV(pilot)}
+	n, ok := curve.SolveN(sigma)
+	return fit{n: n, ok: ok, curve: curve}
+}
+
 // Plan is SSABE's output: either run the user job with B bootstraps over
 // a sample of size N, or run it exactly over the whole data set.
 type Plan struct {
@@ -561,9 +580,11 @@ type Plan struct {
 
 // SSABE runs both phases over the pilot sample and applies the
 // B×n ≥ N cutoff (§3.1) against totalN, the full data-set size. It is
-// PlanAll of one statistic.
+// the paper's SSABE for any reducer: a statistic with a plug-in error
+// is fitted a curve by phase 2 too, as Figs. 2, 5 and 8 and the
+// ablations study it.
 func SSABE(pilot []float64, totalN int64, cfg Config) (Plan, error) {
-	plans, err := PlanAll(pilot, totalN, []Config{cfg})
+	plans, err := planAll(pilot, totalN, []Config{cfg}, false)
 	if err != nil {
 		return Plan{}, err
 	}
@@ -571,15 +592,24 @@ func SSABE(pilot []float64, totalN int64, cfg Config) (Plan, error) {
 }
 
 // PlanAll plans every statistic of a query over one pilot with one
-// SSABE: plans[s] is SSABE(pilot, totalN, cfgs[s]), bit for bit, but
-// each resample of either phase is drawn once for all the statistics
-// instead of once per statistic (§4's premise — work the resamples
-// share is done once — applied across statistics). The cfgs differ in
+// SSABE, each resample of either phase drawn once for all the
+// statistics instead of once per statistic (§4's premise — work the
+// resamples share is done once — applied across statistics). Every
+// statistic stops phase 1 at the B its SSABE would. One that declares
+// its plug-in error (mr.PlugInReducer) then takes its N in closed form
+// (plugIn) and no phase-2 resample; for every other, plans[s] is
+// SSABE(pilot, totalN, cfgs[s]), bit for bit. The cfgs differ in
 // Reducer and Key only: they must agree on Sigma, Tau, MaxB, Seed,
-// Metrics and Parallelism. Metrics is charged what the SSABEs one by
-// one would be. When statistics fail, the error is the first one's in
-// statistic order, as one by one.
+// Metrics and Parallelism. Metrics is charged what the SSABEs of the
+// statistics that run phase 2 would be one by one. When statistics
+// fail, the error is the first one's in statistic order.
 func PlanAll(pilot []float64, totalN int64, cfgs []Config) ([]Plan, error) {
+	return planAll(pilot, totalN, cfgs, true)
+}
+
+// planAll is PlanAll, with statistics that declare a plug-in error
+// planned in closed form only when plugIns is set.
+func planAll(pilot []float64, totalN int64, cfgs []Config, plugIns bool) ([]Plan, error) {
 	cfgs = append([]Config(nil), cfgs...)
 	// The statistics before live have not failed; firstErr is the one at
 	// live. Those after it no longer matter and are not planned on.
@@ -613,20 +643,37 @@ func PlanAll(pilot []float64, totalN int64, cfgs []Config) ([]Plan, error) {
 		}
 		bs[s] = c.b
 	}
-	// A statistic failing phase 2 leaves the ones before it to be
-	// planned again without it: a failed grow leaves no maintainer to go
-	// on with.
-	var fits []fit
-	for live > 0 {
-		var err error
-		if fits, err = estimateN(pilot, cut(pilot, red, rk), bs[:live], cfgs[:live]); err == nil {
+	// A statistic that declares its plug-in error is planned in closed
+	// form; phase 2 fits the others, mc. One failing phase 2 leaves the
+	// ones before it to be planned again without it: a failed grow leaves
+	// no maintainer to go on with.
+	fits := make([]fit, live)
+	var mc []int
+	for s, cfg := range cfgs[:live] {
+		if r, ok := cfg.Reducer.(mr.PlugInReducer); ok && plugIns {
+			fits[s] = plugIn(r, pilot, cfg.Sigma)
+		} else {
+			mc = append(mc, s)
+		}
+	}
+	for len(mc) > 0 {
+		mcBs, mcCfgs := make([]int, len(mc)), make([]Config, len(mc))
+		for j, s := range mc {
+			mcBs[j], mcCfgs[j] = bs[s], cfgs[s]
+		}
+		mcFits, err := estimateN(pilot, cut(pilot, red, rk), mcBs, mcCfgs)
+		if err == nil {
+			for j, s := range mc {
+				fits[s] = mcFits[j]
+			}
 			break
 		}
-		s := 0
+		j := 0
 		if se := (*delta.StatError)(nil); errors.As(err, &se) {
-			s = se.Stat
+			j = se.Stat
 		}
-		fail(s, fmt.Errorf("aes: phase 2: %w", err))
+		fail(mc[j], fmt.Errorf("aes: phase 2: %w", err))
+		mc = mc[:j]
 	}
 	if firstErr != nil {
 		return nil, firstErr

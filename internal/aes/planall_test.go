@@ -11,6 +11,7 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/mr"
 	"repro/internal/simcost"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -38,13 +39,16 @@ func (r countingPlain) Remove(state mr.State, values []float64) error {
 }
 
 // TestPlanAllEqualsSSABEOneByOne: planning a query's statistics with one
-// SSABE gives each the plan its own SSABE gives — B, N, UseFull, the
-// curve, the phase-1 trace and every phase-2 point, floats by bits —
-// and charges the modelled cost the SSABEs one by one add up to, at
-// every Parallelism: for statistics that stop phase 1 at different B,
-// for quantiles sharing one ranking (and, in phase 2, one count vector
-// per resample), for the moment reducers, and beside a reducer that has
-// no lanes and no ranking, whose calls are counted. The pilots are Zipf; Gaussian, whose values are
+// SSABE gives each statistic that does not declare a plug-in error the
+// plan its own SSABE gives — B, N, UseFull, the curve, the phase-1 trace
+// and every phase-2 point, floats by bits — and charges the modelled
+// cost those SSABEs one by one add up to, at every Parallelism: for
+// statistics that stop phase 1 at different B, for quantiles sharing
+// one ranking (and, in phase 2, one count vector per resample), for the
+// moment reducers, and beside a reducer that has no lanes and no
+// ranking, whose calls are counted. A mean or a sum, which declare
+// theirs, keep their SSABE's phase-1 B and trace and take the closed
+// form's N (checkPlugIn). The pilots are Zipf; Gaussian, whose values are
 // all distinct; one holding −0 but no +0, which is ranked; and one
 // holding both, which is not, so its segments are ranked on their own.
 func TestPlanAllEqualsSSABEOneByOne(t *testing.T) {
@@ -116,7 +120,9 @@ func TestPlanAllEqualsSSABEOneByOne(t *testing.T) {
 						if want[i], err = SSABE(pilot, 10_000_000, cfg); err != nil {
 							t.Fatalf("%s: %s alone: %v", where, set[i], err)
 						}
-						wantCost = wantCost.Add(metrics.Snapshot())
+						if _, plugIn := cfg.Reducer.(mr.PlugInReducer); !plugIn {
+							wantCost = wantCost.Add(metrics.Snapshot())
+						}
 					}
 					wantCalls := calls.Swap(0)
 
@@ -133,7 +139,9 @@ func TestPlanAllEqualsSSABEOneByOne(t *testing.T) {
 					bs := map[int]bool{}
 					for i := range got {
 						bs[want[i].B] = true
-						if planFingerprint(got[i]) != planFingerprint(want[i]) {
+						if _, plugIn := cfgs[i].Reducer.(mr.PlugInReducer); plugIn {
+							checkPlugIn(t, where+": "+set[i], got[i], want[i], pilot, 0.02, 10_000_000)
+						} else if planFingerprint(got[i]) != planFingerprint(want[i]) {
 							t.Errorf("%s: %s planned B=%d N=%d full=%v together, B=%d N=%d full=%v alone",
 								where, set[i], got[i].B, got[i].N, got[i].UseFull, want[i].B, want[i].N, want[i].UseFull)
 						}
@@ -148,6 +156,98 @@ func TestPlanAllEqualsSSABEOneByOne(t *testing.T) {
 						t.Errorf("%s: every statistic stopped phase 1 at the same B", where)
 					}
 				}
+			}
+		}
+	}
+}
+
+// checkPlugIn checks the plan PlanAll gave a statistic that declares
+// its plug-in error against the SSABE of its own, alone: the same
+// phase-1 B and trace, N = stats.TheoreticalSampleSize(stats.CV(pilot),
+// σ) on the curve cv₁/√n, no phase-2 point, and the B×N ≥ N cutoff.
+func checkPlugIn(t *testing.T, where string, got, alone Plan, pilot []float64, sigma float64, totalN int64) {
+	t.Helper()
+	cv, err := stats.CV(pilot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := stats.TheoreticalSampleSize(cv, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.B != alone.B || fmt.Sprint(got.BTrace) != fmt.Sprint(alone.BTrace) {
+		t.Errorf("%s: B=%d trace %v, its SSABE's phase 1 B=%d trace %v", where, got.B, got.BTrace, alone.B, alone.BTrace)
+	}
+	if got.N != n || got.Curve != (stats.CVCurve{B: cv}) || got.Points != nil {
+		t.Errorf("%s: N=%d curve %+v points %v, want the plug-in N=%d on cv₁ %v and no phase-2 point", where, got.N, got.Curve, got.Points, n, cv)
+	}
+	if got.UseFull != (int64(got.B)*int64(got.N) >= totalN) {
+		t.Errorf("%s: UseFull=%v at B=%d N=%d of %d", where, got.UseFull, got.B, got.N, totalN)
+	}
+}
+
+// countingPlugIn is the mean reducer, plug-in error declared, counting
+// every call that builds, grows or shrinks a state. It has no lanes, so
+// phase 1 folds each resample it reads with one Initialize and one
+// Update: 2B calls in all.
+type countingPlugIn struct{ countingPlain }
+
+func (r countingPlugIn) PlugInCV(pilot []float64) float64 {
+	return r.IncrementalReducer.(mr.PlugInReducer).PlugInCV(pilot)
+}
+
+func (r countingPlugIn) Merge(state, other mr.State) (mr.State, error) {
+	r.calls.Add(1)
+	return r.IncrementalReducer.Merge(state, other)
+}
+
+// TestPlanAllRunsNoPhase2ForAPlugIn: a statistic that declares its
+// plug-in error is folded by phase 1 only — its reducer serves exactly
+// the 2B calls of the B resamples phase 1 reads, at every Parallelism,
+// alone and beside a quantile and a count, which still run phase 2 —
+// while its SSABE alone folds phase 2's resamples too.
+func TestPlanAllRunsNoPhase2ForAPlugIn(t *testing.T) {
+	zipf, err := workload.NumericSpec{Dist: workload.Zipf, N: 4000, Seed: 78}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	mean := countingPlugIn{countingPlain{jobs.Mean().Reducer, &calls}}
+	for _, c := range []struct {
+		name  string
+		pilot []float64
+	}{{"gaussian", pilotData(4000, 79)}, {"zipf", zipf}} {
+		for _, set := range [][]string{{"mean"}, {"mean", "p50", "count"}} {
+			for _, par := range []int{1, 3} {
+				where := fmt.Sprintf("%s pilot: %s parallelism %d", c.name, strings.Join(set, "+"), par)
+				cfgs := make([]Config, len(set))
+				for i, name := range set {
+					red := mr.IncrementalReducer(mean)
+					if name != "mean" {
+						job, err := jobs.ByName(name)
+						if err != nil {
+							t.Fatal(err)
+						}
+						red = job.Reducer
+					}
+					cfgs[i] = Config{Reducer: red, Key: name, Sigma: 0.05, Seed: 6, Parallelism: par}
+				}
+				calls.Store(0)
+				plans, err := PlanAll(c.pilot, 10_000_000, cfgs)
+				if err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				if n := calls.Swap(0); n != 2*int64(plans[0].B) {
+					t.Errorf("%s: the mean served %d calls, want phase 1's 2×%d", where, n, plans[0].B)
+				}
+				alone, err := SSABE(c.pilot, 10_000_000, cfgs[0])
+				if err != nil {
+					t.Fatalf("%s: alone: %v", where, err)
+				}
+				if n := calls.Swap(0); n <= 2*int64(alone.B) {
+					t.Errorf("%s: the mean served %d calls to its SSABE alone, want phase 2's beyond phase 1's 2×%d", where, n, alone.B)
+				}
+				checkPlugIn(t, where, plans[0], alone, c.pilot, 0.05, 10_000_000)
 			}
 		}
 	}

@@ -69,6 +69,8 @@ func TestGroupedPlanStopDecisionRepeats(t *testing.T) {
 // TestModelledCostRepeats: with the feedback exchange charged once per
 // round instead of once per poll, a fixed-seed run's modelled cost is a
 // function of the run, not of how often its mappers happened to wake.
+// The plan is forced small, so the run takes several rounds: the mean's
+// plug-in plan would converge in its first.
 func TestModelledCostRepeats(t *testing.T) {
 	xs, err := workload.NumericSpec{Dist: workload.Gaussian, N: 400_000, Seed: 61}.Generate()
 	if err != nil {
@@ -86,7 +88,7 @@ func TestModelledCostRepeats(t *testing.T) {
 				t.Fatal(err)
 			}
 			env.Metrics.Reset()
-			rep, err := Run(env, jobs.Mean(), "/data", Options{Sigma: 0.004, Seed: 63, Sampler: sampler})
+			rep, err := Run(env, jobs.Mean(), "/data", Options{Sigma: 0.004, Seed: 63, Sampler: sampler, ForceB: 20, ForceN: 1000})
 			if err != nil {
 				t.Fatal(err)
 			}

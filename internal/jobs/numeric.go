@@ -17,6 +17,7 @@ package jobs
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bootstrap"
 	"repro/internal/colscan"
@@ -154,16 +155,19 @@ func Proportion() Numeric {
 // welfordState is shared by mean/sum/count/variance/stddev reducers.
 type welfordState struct{ w stats.Welford }
 
-type meanReducer struct{}
+// moments is every moment reducer's fold of a welfordState: all of
+// mr.IncrementalReducer but Finalize, which each reducer reads its own
+// moment with.
+type moments struct{}
 
 // Initialize implements mr.IncrementalReducer: an empty accumulator.
-func (meanReducer) Initialize(string) (mr.State, error) { return &welfordState{}, nil }
+func (moments) Initialize(string) (mr.State, error) { return &welfordState{}, nil }
 
 // Update implements mr.IncrementalReducer for every moment reducer:
 // the batch is folded in slice order.
 //
 //earl:hotpath
-func (meanReducer) Update(state mr.State, values []float64) (mr.State, error) {
+func (moments) Update(state mr.State, values []float64) (mr.State, error) {
 	st, ok := state.(*welfordState)
 	if !ok {
 		return nil, mr.ErrBadState
@@ -177,7 +181,7 @@ func (meanReducer) Update(state mr.State, values []float64) (mr.State, error) {
 // Remove implements mr.IncrementalReducer, in slice order.
 //
 //earl:hotpath
-func (meanReducer) Remove(state mr.State, values []float64) error {
+func (moments) Remove(state mr.State, values []float64) error {
 	st, ok := state.(*welfordState)
 	if !ok {
 		return mr.ErrBadState
@@ -189,7 +193,7 @@ func (meanReducer) Remove(state mr.State, values []float64) error {
 }
 
 // Merge implements mr.IncrementalReducer.
-func (meanReducer) Merge(state, other mr.State) (mr.State, error) {
+func (moments) Merge(state, other mr.State) (mr.State, error) {
 	st, ok := state.(*welfordState)
 	o, ok2 := other.(*welfordState)
 	if !ok || !ok2 {
@@ -200,11 +204,11 @@ func (meanReducer) Merge(state, other mr.State) (mr.State, error) {
 }
 
 // UpdateLanes implements mr.LaneUpdater for every moment reducer (they
-// all embed meanReducer): the states' Welford accumulators go through
+// all embed moments): the states' Welford accumulators go through
 // the stats lane kernel stats.WelfordLanes at a time.
 //
 //earl:hotpath
-func (meanReducer) UpdateLanes(states []mr.State, batches [][]float64) error {
+func (moments) UpdateLanes(states []mr.State, batches [][]float64) error {
 	var ws [stats.WelfordLanes]*stats.Welford
 	for lo := 0; lo < len(states); lo += len(ws) {
 		hi := min(lo+len(ws), len(states))
@@ -220,6 +224,14 @@ func (meanReducer) UpdateLanes(states []mr.State, batches [][]float64) error {
 	return nil
 }
 
+// Correct implements mr.IncrementalReducer: a mean, a variance and a
+// standard deviation are p-invariant.
+func (moments) Correct(result, p float64) float64 { return mr.IdentityCorrect(result, p) }
+
+// meanReducer is the mean, and the one moment reducer (with sumReducer,
+// which embeds it) whose bootstrap error has a plug-in form.
+type meanReducer struct{ moments }
+
 // Finalize implements mr.IncrementalReducer.
 func (meanReducer) Finalize(state mr.State) (float64, error) {
 	st, ok := state.(*welfordState)
@@ -229,8 +241,16 @@ func (meanReducer) Finalize(state mr.State) (float64, error) {
 	return st.w.Mean(), nil
 }
 
-// Correct implements mr.IncrementalReducer: the mean is p-invariant.
-func (meanReducer) Correct(result, p float64) float64 { return mr.IdentityCorrect(result, p) }
+// PlugInCV implements mr.PlugInReducer: one record's cv, s/|x̄|, the
+// mean's bootstrap cv over a sample of one. A sum's is the same, since
+// its Correct only rescales.
+func (meanReducer) PlugInCV(pilot []float64) float64 {
+	cv, err := stats.CV(pilot)
+	if err != nil || math.IsNaN(cv) {
+		return math.Inf(1)
+	}
+	return cv
+}
 
 type sumReducer struct{ meanReducer }
 
@@ -246,7 +266,7 @@ func (sumReducer) Finalize(state mr.State) (float64, error) {
 // Correct implements mr.IncrementalReducer: SUM scales by 1/p.
 func (sumReducer) Correct(result, p float64) float64 { return mr.ScaleCorrect(result, p) }
 
-type countReducer struct{ meanReducer }
+type countReducer struct{ moments }
 
 // Finalize implements mr.IncrementalReducer.
 func (countReducer) Finalize(state mr.State) (float64, error) {
@@ -260,7 +280,7 @@ func (countReducer) Finalize(state mr.State) (float64, error) {
 // Correct implements mr.IncrementalReducer: COUNT scales by 1/p.
 func (countReducer) Correct(result, p float64) float64 { return mr.ScaleCorrect(result, p) }
 
-type varianceReducer struct{ meanReducer }
+type varianceReducer struct{ moments }
 
 // Finalize implements mr.IncrementalReducer.
 func (varianceReducer) Finalize(state mr.State) (float64, error) {
@@ -271,7 +291,7 @@ func (varianceReducer) Finalize(state mr.State) (float64, error) {
 	return st.w.Variance(), nil
 }
 
-type stddevReducer struct{ meanReducer }
+type stddevReducer struct{ moments }
 
 // Finalize implements mr.IncrementalReducer.
 func (stddevReducer) Finalize(state mr.State) (float64, error) {

@@ -136,6 +136,30 @@ func TestCorrections(t *testing.T) {
 	}
 }
 
+// TestPlugInDeclaredByMeanAndSumOnly: the mean, the sum and the
+// proportion declare a plug-in error, the pilot's s/|x̄|, and the
+// reducers that embed the moments' fold without being a mean do not.
+func TestPlugInDeclaredByMeanAndSumOnly(t *testing.T) {
+	pilot := []float64{2, 4, 4, 4, 5, 5, 7, 9}
+	want, err := stats.CV(pilot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, job := range []Numeric{Mean(), Sum(), Proportion(), Count(), Variance(), StdDev(), Median()} {
+		r, ok := job.Reducer.(mr.PlugInReducer)
+		if declares := job.Name == "mean" || job.Name == "sum" || job.Name == "proportion"; ok != declares {
+			t.Errorf("%s: declares a plug-in error %v, want %v", job.Name, ok, declares)
+			continue
+		}
+		if ok && r.PlugInCV(pilot) != want {
+			t.Errorf("%s: plug-in cv %v, want %v", job.Name, r.PlugInCV(pilot), want)
+		}
+	}
+	if cv := Mean().Reducer.(mr.PlugInReducer).PlugInCV([]float64{-1, 1}); !math.IsInf(cv, 1) {
+		t.Errorf("a zero-mean pilot's plug-in cv is %v, want +Inf", cv)
+	}
+}
+
 func TestQuantileValidation(t *testing.T) {
 	for _, q := range []float64{0, 1, -0.5, 2} {
 		if _, err := Quantile(q); err == nil {

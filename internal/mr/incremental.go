@@ -126,6 +126,18 @@ type MultisetReducer interface {
 	FinalizeCounted(distinct []float64, counts []uint32, n int64) (float64, error)
 }
 
+// PlugInReducer is implemented by reducers whose bootstrap error has a
+// closed form, Efron's plug-in standard error: over n records drawn
+// like the pilot, the statistic's bootstrap cv is PlugInCV(pilot)/√n.
+// SSABE then solves for n without fitting a curve (aes.PlanAll). A mean
+// qualifies, and so does a sum, whose Correct only rescales; a count,
+// a variance or a quantile does not, so a reducer that embeds a mean's
+// methods must not inherit this one. A cv that is not finite (a pilot
+// whose mean is 0) says that no sample size reaches σ.
+type PlugInReducer interface {
+	PlugInCV(pilot []float64) float64
+}
+
 // Ranking is a batch source — a Δs, SSABE's pilot — sorted once, so that
 // each bootstrap resample drawn from it by position reaches a
 // MultisetReducer for one counter increment per draw (counts[Of[p]]++)

@@ -301,12 +301,15 @@ func TestIngestLyingContentLength(t *testing.T) {
 // handler. What the handler allocates beyond storing the decoded request
 // is measured for a 1-value and a 4096-value body: the larger body may
 // add only its own bytes and 8 per value (the body buffer and the
-// values), and no allocation.
+// values), and no allocation. Each measurement holds GOMAXPROCS at 1, as
+// testing.AllocsPerRun does, so goroutines other tests left behind do
+// not run beside it and add their allocations to its count.
 func TestIngestAllocs(t *testing.T) {
 	s, _ := newTestServer(t, Config{}, "/bench/stream", 2_000)
 	h := s.Handler()
 	measure := func(run func()) (allocs, bytes float64) {
 		const runs = 20
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		run() // warm: the mux and the file's tail block are set up
 		var m0, m1 runtime.MemStats
 		runtime.GC()
