@@ -648,19 +648,16 @@ func planAll(pilot []float64, totalN int64, cfgs []Config, plugIns bool) ([]Plan
 	// ones before it to be planned again without it: a failed grow leaves
 	// no maintainer to go on with.
 	fits := make([]fit, live)
-	var mc []int
+	var mc, mcBs []int
+	var mcCfgs []Config
 	for s, cfg := range cfgs[:live] {
 		if r, ok := cfg.Reducer.(mr.PlugInReducer); ok && plugIns {
 			fits[s] = plugIn(r, pilot, cfg.Sigma)
 		} else {
-			mc = append(mc, s)
+			mc, mcBs, mcCfgs = append(mc, s), append(mcBs, bs[s]), append(mcCfgs, cfg)
 		}
 	}
 	for len(mc) > 0 {
-		mcBs, mcCfgs := make([]int, len(mc)), make([]Config, len(mc))
-		for j, s := range mc {
-			mcBs[j], mcCfgs[j] = bs[s], cfgs[s]
-		}
 		mcFits, err := estimateN(pilot, cut(pilot, red, rk), mcBs, mcCfgs)
 		if err == nil {
 			for j, s := range mc {
@@ -673,7 +670,7 @@ func planAll(pilot []float64, totalN int64, cfgs []Config, plugIns bool) ([]Plan
 			j = se.Stat
 		}
 		fail(mc[j], fmt.Errorf("aes: phase 2: %w", err))
-		mc = mc[:j]
+		mc, mcBs, mcCfgs = mc[:j], mcBs[:j], mcCfgs[:j]
 	}
 	if firstErr != nil {
 		return nil, firstErr

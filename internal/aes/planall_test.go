@@ -187,18 +187,13 @@ func checkPlugIn(t *testing.T, where string, got, alone Plan, pilot []float64, s
 }
 
 // countingPlugIn is the mean reducer, plug-in error declared, counting
-// every call that builds, grows or shrinks a state. It has no lanes, so
+// the Initialize, Update and Remove calls it serves. It has no lanes, so
 // phase 1 folds each resample it reads with one Initialize and one
 // Update: 2B calls in all.
 type countingPlugIn struct{ countingPlain }
 
 func (r countingPlugIn) PlugInCV(pilot []float64) float64 {
 	return r.IncrementalReducer.(mr.PlugInReducer).PlugInCV(pilot)
-}
-
-func (r countingPlugIn) Merge(state, other mr.State) (mr.State, error) {
-	r.calls.Add(1)
-	return r.IncrementalReducer.Merge(state, other)
 }
 
 // TestPlanAllRunsNoPhase2ForAPlugIn: a statistic that declares its
