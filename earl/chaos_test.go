@@ -95,7 +95,7 @@ func TestChaosReportsBitIdentical(t *testing.T) {
 		// the ingest (torn final write), the journal image is replayed,
 		// and the recovered cluster must answer exactly as the original.
 		crashed := chaosCluster(t, base, tail)
-		crashed.SetFaultPlan(&earl.FaultPlan{CrashAtCommit: crashed.Env().FS.CommitSeq() + 1, TornTail: true})
+		crashed.SetFaultPlan(&earl.FaultPlan{CrashAtCommit: crashed.Env().FS.JournalStats().Commits + 1, TornTail: true})
 		if err := crashed.AppendValues("/data", []float64{1, 2, 3}); !errors.Is(err, dfs.ErrCrashed) {
 			t.Fatalf("par %d: crash-at-commit append returned %v, want ErrCrashed", par, err)
 		}

@@ -21,10 +21,14 @@ var fullCoverage = flag.Bool("coverage.full", false, "run the coverage matrix at
 
 // TestCoverageMatrix measures how often EARL's reported interval holds
 // the exact answer: per cell, the same query at σ 0.05 under many seeds
-// over one of the same-bits matrix's 40 k datasets, against the truth
-// from one exact column pass.
+// over one dataset, against the truth from one exact column pass.
 //
 //	{pre-map, post-map} × {gaussian, zipf} × {mean, sum, median, p95}
+//
+// The Gaussian dataset is the same-bits matrix's 40 k records. The Zipf
+// one has 1 M: a Zipf mean plans n ≈ 10⁶, so over 40 k records its
+// mean and sum cells fall back to the exact answer on every seed and
+// measure no coverage.
 //
 // A row records the sampled runs' coverage with its 95 % Wilson
 // interval, their mean interval width over |truth|, mean planned n,
@@ -41,16 +45,24 @@ func TestCoverageMatrix(t *testing.T) {
 		seeds, file, flags = 400, "testdata/coverage_full.txt", "-update -coverage.full"
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "# σ 0.05, 40 k records, %d seeds a cell; re-record with go test ./earl -run TestCoverageMatrix %s\n", seeds, flags)
+	fmt.Fprintf(&b, "# σ 0.05, 40 k gaussian and 1 M zipf records, %d seeds a cell; re-record with go test ./earl -run TestCoverageMatrix %s\n", seeds, flags)
 	fmt.Fprintf(&b, "# %-8s %-8s %-6s %-22s %-9s %-10s %-10s %-5s %s\n", "sampler", "dist", "stat", "coverage [wilson 95%]", "width/|x|", "planned n", "sample n", "B", "fall-back")
-	for _, dist := range []workload.Dist{workload.Gaussian, workload.Zipf} {
-		data := matrixData(t, dist, 40_000)
+	for _, set := range []struct {
+		dist workload.Dist
+		n    int
+	}{{workload.Gaussian, 40_000}, {workload.Zipf, 1_000_000}} {
+		dist := set.dist
+		xs, err := workload.NumericSpec{Dist: dist, N: set.n, Seed: 1}.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := workload.EncodeLinesFixed(xs) // matrixData's base
 		for _, sampler := range []earl.SamplerKind{earl.PreMapSampling, earl.PostMapSampling} {
 			c, err := earl.NewCluster(earl.ClusterConfig{BlockSize: 1 << 16, Seed: 7})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := c.WriteFile("/data", data.base); err != nil {
+			if err := c.WriteFile("/data", data); err != nil {
 				t.Fatal(err)
 			}
 			for _, stat := range []string{"mean", "sum", "median", "p95"} {

@@ -94,7 +94,7 @@ func TestQueriesNeverTouchTheJournal(t *testing.T) {
 	if want.UsedFull {
 		t.Fatalf("want the sampled engine, got the exact fall-back: %+v", want)
 	}
-	cluster.SetFaultPlan(&earl.FaultPlan{CrashAtCommit: cluster.Env().FS.CommitSeq() + 1})
+	cluster.SetFaultPlan(&earl.FaultPlan{CrashAtCommit: cluster.Env().FS.JournalStats().Commits + 1})
 	if err := cluster.AppendValues("/data", []float64{1, 2, 3}); !errors.Is(err, dfs.ErrCrashed) {
 		t.Fatalf("append at the crash point returned %v, want ErrCrashed", err)
 	}

@@ -13,7 +13,6 @@ import (
 
 	"repro/earl"
 	"repro/internal/colscan"
-	"repro/internal/core"
 	"repro/internal/workload"
 )
 
@@ -154,7 +153,7 @@ func matrixCell(t *testing.T, d matrixDataset, opts earl.Options, custom bool) m
 			jset[i].ScanFormat = colscan.FormatNone
 		}
 		median.ScanFormat = colscan.FormatNone
-		route = earl.Route{Parse: core.TabKV}
+		route = earl.Route{Parse: colscan.ParseKVString}
 	}
 	rows := map[string]string{}
 	// row hashes what fn reports beside the modelled cost fn added.

@@ -26,13 +26,14 @@
 // statistic that reads it, and each statistic still stops phase 1 at
 // its own B and gets the plan an SSABE of its own would give it — save
 // one whose reducer declares a plug-in error (mr.PlugInReducer: the
-// mean, and the sum, which only rescales it). SSABE exists for
-// arbitrary statistics (§3.2); for those the curve is known in closed
-// form, cv(n) = cv₁/√n through the pilot's s/|x̄| (Efron's plug-in
-// standard error), so PlanAll takes their n from it, keeps phase 1's B
-// and the B×n ≥ N cutoff, and folds phase 2's replicates for the other
-// statistics only: a mean-only query runs none. SSABE itself stays the
-// paper's two phases for every reducer.
+// mean, the proportion, which is the mean of 0/1 data, and the sum,
+// which only rescales it). SSABE exists for arbitrary statistics
+// (§3.2); for those the curve is known in closed form, cv(n) = cv₁/√n
+// through the pilot's s/|x̄| (Efron's plug-in standard error), so
+// PlanAll takes their n from it, keeps phase 1's B and the B×n ≥ N
+// cutoff, and folds phase 2's replicates for the other statistics only:
+// a mean-only query runs none. SSABE itself stays the paper's two
+// phases for every reducer.
 //
 // Every resample of either phase is drawn from the one pilot, which is
 // ranked once (mr.Rank). Over a ranked pilot a quantile is planned from
@@ -468,18 +469,13 @@ type segment struct {
 	view  bool
 }
 
-// segments cuts the pilot into the schedule's L geometrically growing
-// prefixes n_i = len(pilot)/2^(L−i) and ranks each step once for red,
-// for every replicate to read.
-func segments(pilot []float64, red mr.IncrementalReducer) []segment {
-	return cut(pilot, red, mr.Rank(red, pilot))
-}
-
-// cut is segments given rk, the pilot's ranking for red: each step's
-// ranking is a view of it — the pilot's distinct values, and the step's
-// stretch of rk.Of — so it costs nothing. A pilot that is not ranked as
-// a whole — a NaN, or +0 beside −0 — may still have steps that are, and
-// they are ranked on their own.
+// cut cuts the pilot into the schedule's L geometrically growing
+// prefixes n_i = len(pilot)/2^(L−i), each step ranked once for red, for
+// every replicate to read. rk is the pilot's ranking for red: each
+// step's ranking is a view of it — the pilot's distinct values, and the
+// step's stretch of rk.Of — so it costs nothing. A pilot that is not
+// ranked as a whole — a NaN, or +0 beside −0 — may still have steps
+// that are, and they are ranked on their own.
 func cut(pilot []float64, red mr.IncrementalReducer, rk *mr.Ranking) []segment {
 	var segs []segment
 	prevEnd := 0

@@ -1,6 +1,7 @@
 package aes
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/jobs"
@@ -23,6 +24,11 @@ func baseConfig() Config {
 		Sigma:   0.05,
 		Seed:    7,
 	}
+}
+
+// segments is cut with the pilot ranked here.
+func segments(pilot []float64, red mr.IncrementalReducer) []segment {
+	return cut(pilot, red, mr.Rank(red, pilot))
 }
 
 // phase runs one SSABE phase for the one statistic cfg, as PlanAll runs
@@ -131,7 +137,7 @@ func TestEstimateNFindsTarget(t *testing.T) {
 		t.Fatalf("n = %d, want near the theoretical ≈36", f.n)
 	}
 	// Verify empirically: a sample of size n should deliver cv ≤ ~σ.
-	val := f.curve.Eval(f.n)
+	val := f.curve.A + f.curve.B/math.Sqrt(float64(f.n))
 	if val > cfg.Sigma+1e-9 {
 		t.Fatalf("curve at solved n: %v > σ", val)
 	}

@@ -52,7 +52,7 @@ func checkFixture(t *testing.T, l *Loader, dir string) *Package {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := l.CheckFiles("fixture/"+filepath.Base(dir), abs, fixtureFiles(t, dir))
+	pkg, err := l.check("fixture/"+filepath.Base(dir), abs, fixtureFiles(t, dir), nil)
 	if err != nil {
 		t.Fatalf("type-checking fixture %s: %v", dir, err)
 	}

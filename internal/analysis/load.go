@@ -30,18 +30,15 @@ type Package struct {
 
 // listPkg is the subset of `go list -json` output the loader needs.
 type listPkg struct {
-	ImportPath    string
-	Name          string
-	Dir           string
-	Standard      bool
-	DepOnly       bool
-	GoFiles       []string
-	TestGoFiles   []string
-	XTestGoFiles  []string
-	Imports       []string
-	TestImports   []string
-	XTestImports  []string
-	InvalidReason string `json:"Error,omitempty"` // unused; presence tolerated
+	ImportPath   string
+	Dir          string
+	Standard     bool
+	DepOnly      bool
+	GoFiles      []string
+	TestGoFiles  []string
+	XTestGoFiles []string
+	Imports      []string
+	XTestImports []string
 }
 
 // Loader loads and type-checks the module's packages without any
@@ -99,8 +96,7 @@ func (l *Loader) Load(patterns []string, tests bool) ([]*Package, error) {
 		// builds it.
 		var augmented map[string]*types.Package
 		if len(lp.TestGoFiles) > 0 {
-			tp, err := l.check(path, lp.Name, lp.Dir,
-				append(append([]string{}, lp.GoFiles...), lp.TestGoFiles...), nil)
+			tp, err := l.check(path, lp.Dir, append(append([]string{}, lp.GoFiles...), lp.TestGoFiles...), nil)
 			if err != nil {
 				return nil, err
 			}
@@ -114,7 +110,7 @@ func (l *Loader) Load(patterns []string, tests bool) ([]*Package, error) {
 					return nil, err
 				}
 			}
-			xp, err := l.check(path+"_test", lp.Name+"_test", lp.Dir, lp.XTestGoFiles, augmented)
+			xp, err := l.check(path+"_test", lp.Dir, lp.XTestGoFiles, augmented)
 			if err != nil {
 				return nil, err
 			}
@@ -149,7 +145,7 @@ func (l *Loader) testVariants(path string, variants map[string]*types.Package, i
 		if !reaches[p] {
 			return false, nil
 		}
-		vp, err := l.check(p, lp.Name, lp.Dir, lp.GoFiles, variants)
+		vp, err := l.check(p, lp.Dir, lp.GoFiles, variants)
 		if err != nil {
 			return false, err
 		}
@@ -211,7 +207,7 @@ func (l *Loader) pkg(path string) (*Package, error) {
 	}
 	l.loading[path] = true
 	defer delete(l.loading, path)
-	p, err := l.check(path, lp.Name, lp.Dir, lp.GoFiles, nil)
+	p, err := l.check(path, lp.Dir, lp.GoFiles, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -219,10 +215,12 @@ func (l *Loader) pkg(path string) (*Package, error) {
 	return p, nil
 }
 
-// check parses and type-checks one package unit. overrides, when
-// non-nil, redirects specific import paths to already-built packages
-// (used by the fixture harness).
-func (l *Loader) check(path, name, dir string, files []string, overrides map[string]*types.Package) (*Package, error) {
+// check parses and type-checks one package unit. Imports of module
+// packages resolve against the loader's module, everything else goes to
+// the standard-library importer; overrides, when non-nil, redirects
+// specific import paths to already-built packages (an external test's
+// augmented variants).
+func (l *Loader) check(path, dir string, files []string, overrides map[string]*types.Package) (*Package, error) {
 	pkg := &Package{Path: path, Fset: l.Fset}
 	for _, f := range files {
 		fn := filepath.Join(dir, f)
@@ -243,7 +241,6 @@ func (l *Loader) check(path, name, dir string, files []string, overrides map[str
 	}
 	pkg.Info = info
 	var firstErr error
-	_ = name
 	conf := types.Config{
 		Importer: &unitImporter{l: l, overrides: overrides},
 		Error: func(err error) {
@@ -261,14 +258,6 @@ func (l *Loader) check(path, name, dir string, files []string, overrides map[str
 	}
 	pkg.Types = tp
 	return pkg, nil
-}
-
-// CheckFiles type-checks an ad-hoc set of files as one package unit
-// under the given import path — the fixture harness's entry point.
-// Imports of module packages resolve against the loader's module;
-// everything else goes to the standard-library importer.
-func (l *Loader) CheckFiles(path, dir string, files []string) (*Package, error) {
-	return l.check(path, "", dir, files, nil)
 }
 
 // unitImporter resolves one unit's imports: overrides first, then

@@ -148,7 +148,8 @@ func TestExactMeanKnownFormula(t *testing.T) {
 		t.Fatal(err)
 	}
 	sm, _ := stats.Mean(s)
-	pv, _ := stats.PopVariance(s)
+	sv, _ := stats.Variance(s)
+	pv := sv * float64(len(s)-1) / float64(len(s)) // the population variance
 	if math.Abs(m-sm) > 1e-9 {
 		t.Fatalf("exact mean %v, want %v", m, sm)
 	}

@@ -120,17 +120,6 @@ func (b *Block) NumRecords() int { return len(b.offs) }
 // Start returns the absolute file offset of record i.
 func (b *Block) Start(i int) int64 { return b.base + int64(b.offs[i]) }
 
-// Value returns record i's parsed value.
-func (b *Block) Value(i int) float64 { return b.vals[i] }
-
-// Key returns record i's group key ("" under FormatNumeric).
-func (b *Block) Key(i int) string {
-	if b.format != FormatKV {
-		return ""
-	}
-	return b.dict[b.keys[i]]
-}
-
 // RecLen returns the content length (excluding the newline) of record i
 // — what the sampler's bytes-per-record estimate charges.
 func (b *Block) RecLen(i int) int {

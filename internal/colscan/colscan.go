@@ -33,7 +33,7 @@ const (
 	FormatNone Format = iota
 	// FormatNumeric is one float64 per line (workload.DecodeLine).
 	FormatNumeric
-	// FormatKV is "key\tvalue" per line (core.TabKV).
+	// FormatKV is "key\tvalue" per line (ParseKVString).
 	FormatKV
 )
 

@@ -134,7 +134,7 @@ func TestDecodeSplitSemantics(t *testing.T) {
 			}
 			for i := 0; i < blk.NumRecords(); i++ {
 				got = append(got, blk.Start(i))
-				vals = append(vals, blk.Value(i))
+				vals = append(vals, blk.vals[i])
 			}
 		}
 		if len(got) != len(lines) {
@@ -149,7 +149,7 @@ func TestDecodeSplitSemantics(t *testing.T) {
 	}
 	// Unterminated final record is still a record.
 	blk := decodeWhole(t, "1\n2", FormatNumeric)
-	if blk.NumRecords() != 2 || blk.Value(1) != 2 {
+	if blk.NumRecords() != 2 || blk.vals[1] != 2 {
 		t.Fatalf("unterminated tail: %+v", blk)
 	}
 	if blk.RecLen(1) != 1 {
@@ -167,8 +167,8 @@ func TestDecodeKVInternsKeys(t *testing.T) {
 	if len(blk.dict) != 2 {
 		t.Fatalf("dict = %v", blk.dict)
 	}
-	if blk.Key(0) != "a" || blk.Key(1) != "b" || blk.Key(2) != "a" {
-		t.Fatalf("keys = %q %q %q", blk.Key(0), blk.Key(1), blk.Key(2))
+	if k := func(i int) string { return blk.dict[blk.keys[i]] }; k(0) != "a" || k(1) != "b" || k(2) != "a" {
+		t.Fatalf("keys = %q %q %q", k(0), k(1), k(2))
 	}
 	var cols Cols
 	blk.AppendAll(&cols)
@@ -268,7 +268,7 @@ func TestCacheSharesDecodes(t *testing.T) {
 	}
 	fixed := &memFile{data: []byte("7\n")}
 	blk, err := c.Load(fixed, 2, badKey)
-	if err != nil || blk.Value(0) != 7 {
+	if err != nil || blk.vals[0] != 7 {
 		t.Fatalf("retry after failure: %v %v", blk, err)
 	}
 }
@@ -349,7 +349,7 @@ func TestCachedBlockReplaysAfterAppend(t *testing.T) {
 	}
 	for i := 0; i < fresh.NumRecords(); i++ {
 		if fresh.Start(i) != before.Start(i) ||
-			math.Float64bits(fresh.Value(i)) != math.Float64bits(before.Value(i)) {
+			math.Float64bits(fresh.vals[i]) != math.Float64bits(before.vals[i]) {
 			t.Fatalf("record %d drifted after append", i)
 		}
 	}

@@ -64,6 +64,14 @@ func chunkGeom(segments []int64, size, chunkSize int64) [][2]int64 {
 	return out
 }
 
+// keyOf is record i's group key, "" in a block decoded without keys.
+func keyOf(b *colscan.Block, i int) string {
+	if ids := b.KeyIDs(); ids != nil {
+		return b.Dict()[ids[i]]
+	}
+	return ""
+}
+
 // diffBlocks compares two decoded blocks record by record, values bit
 // for bit; "" means identical.
 func diffBlocks(got, want *colscan.Block) string {
@@ -74,12 +82,11 @@ func diffBlocks(got, want *colscan.Block) string {
 		if got.Start(i) != want.Start(i) {
 			return fmt.Sprintf("record %d: start %d, want %d", i, got.Start(i), want.Start(i))
 		}
-		if math.Float64bits(got.Value(i)) != math.Float64bits(want.Value(i)) {
-			return fmt.Sprintf("record %d: value bits %x, want %x", i,
-				math.Float64bits(got.Value(i)), math.Float64bits(want.Value(i)))
+		if g, w := math.Float64bits(got.Values()[i]), math.Float64bits(want.Values()[i]); g != w {
+			return fmt.Sprintf("record %d: value bits %x, want %x", i, g, w)
 		}
-		if got.Key(i) != want.Key(i) {
-			return fmt.Sprintf("record %d: key %q, want %q", i, got.Key(i), want.Key(i))
+		if g, w := keyOf(got, i), keyOf(want, i); g != w {
+			return fmt.Sprintf("record %d: key %q, want %q", i, g, w)
 		}
 		if got.RecLen(i) != want.RecLen(i) {
 			return fmt.Sprintf("record %d: reclen %d, want %d", i, got.RecLen(i), want.RecLen(i))

@@ -153,7 +153,7 @@ func sameRecords(a, b *colscan.Block) bool {
 		return false
 	}
 	for i := range a.NumRecords() {
-		if a.Start(i) != b.Start(i) || a.RecLen(i) != b.RecLen(i) || math.Float64bits(a.Value(i)) != math.Float64bits(b.Value(i)) || a.Key(i) != b.Key(i) {
+		if a.Start(i) != b.Start(i) || a.RecLen(i) != b.RecLen(i) || math.Float64bits(a.Values()[i]) != math.Float64bits(b.Values()[i]) {
 			return false
 		}
 	}

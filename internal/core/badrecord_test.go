@@ -222,7 +222,7 @@ func TestGroupedCustomParserMatchesBuiltinFormat(t *testing.T) {
 				return rep
 			}
 			builtin := run(TabRoute())
-			custom := run(Route{Parse: TabKV})
+			custom := run(Route{Parse: colscan.ParseKVString})
 			if !reflect.DeepEqual(builtin, custom) {
 				t.Fatalf("%s par=%d: custom-parser grouped report diverged:\n%+v\n%+v", sampler, par, builtin, custom)
 			}

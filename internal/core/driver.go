@@ -107,8 +107,9 @@ type resampler interface {
 // engine (engine.go) and assembled here; the only mode-specific step is
 // planning: one SSABE (§3.2) planning every statistic for scalar
 // queries, a distinct-key sizing for grouped ones. A statistic that
-// declares a plug-in error (mr.PlugInReducer: mean, sum) takes only
-// SSABE's phase-1 B and plans its n in closed form.
+// declares a plug-in error (mr.PlugInReducer: mean, sum, and proportion,
+// the mean of 0/1 data) takes only SSABE's phase-1 B and plans its n in
+// closed form.
 //
 // A scalar query over several statistics is ONE shared-pass run: one
 // pilot, one SSABE giving a plan per statistic from resamples drawn once
@@ -289,8 +290,8 @@ func execute(env *Env, pq *PlannedQuery, retain bool) (*PlanResult, *Retained, e
 
 // planScalar is scalar planning: extend the 256-record probe to the full
 // pilot, then one SSABE for all the statistics (aes.PlanAll), a plan
-// each, in closed form for those that declare a plug-in error. tiny reports a file the probe alone ran dry — too small to plan
-// over.
+// each, in closed form for those that declare a plug-in error. tiny
+// reports a file the probe alone ran dry: too small to plan over.
 func planScalar(env *Env, jset []jobs.Numeric, opts Options, pilot *pilotSample) (pl planned, tiny bool, err error) {
 	if tiny, err = pilot.extend(256); tiny || err != nil {
 		return pl, tiny, err

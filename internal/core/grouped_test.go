@@ -114,25 +114,12 @@ func TestRunGroupedValidation(t *testing.T) {
 	}
 	// Route is a sum: neither field set and both set are rejected alike.
 	_, neither := RunGrouped(env, jobs.Mean(), Route{}, "/kv", Options{})
-	_, both := RunGrouped(env, jobs.Mean(), Route{Parse: TabKV, Format: colscan.FormatKV}, "/kv", Options{})
+	_, both := RunGrouped(env, jobs.Mean(), Route{Parse: colscan.ParseKVString, Format: colscan.FormatKV}, "/kv", Options{})
 	if neither == nil || both == nil || neither.Error() != both.Error() {
 		t.Fatalf("Route with neither field (%v) and with both (%v) should fail with one message", neither, both)
 	}
 	if _, err := RunGrouped(env, jobs.Mean(), TabRoute(), "/missing", Options{}); err == nil {
 		t.Fatal("missing path should error")
-	}
-}
-
-func TestTabKV(t *testing.T) {
-	k, v, err := TabKV("host-1\t3.5")
-	if err != nil || k != "host-1" || v != 3.5 {
-		t.Fatalf("TabKV = %q %v %v", k, v, err)
-	}
-	if _, _, err := TabKV("no-tab-here"); err == nil {
-		t.Fatal("missing tab should error")
-	}
-	if _, _, err := TabKV("k\tnot-a-number"); err == nil {
-		t.Fatal("bad value should error")
 	}
 }
 

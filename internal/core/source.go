@@ -43,18 +43,6 @@ type ParseKV func(line string) (key string, value float64, err error)
 // record fails with it instead of corrupting the estimate.
 var ErrBadRecord = colscan.ErrBadRecord
 
-// TabKV parses the "key\tvalue" records produced by workload.KVSpec.
-// NaN/±Inf values and tab-less lines are rejected wrapping ErrBadRecord
-// (with bounded quoting — a malformed multi-MB line must not balloon
-// the run's error).
-func TabKV(line string) (string, float64, error) {
-	k, v, err := colscan.ParseKVString(line)
-	if err != nil {
-		return "", 0, fmt.Errorf("core: %w", err)
-	}
-	return k, v, nil
-}
-
 // Route says how a grouped run decodes its records — a sum, exactly one
 // field set: Format for records a built-in columnar format describes
 // (TabRoute), or Parse for anything else.

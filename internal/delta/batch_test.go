@@ -155,7 +155,7 @@ func TestMaintainerQuantileBatchedGrowDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, sz := range m.ResampleSizes() {
+		for _, sz := range resampleSizes(m) {
 			if sz != m.N() {
 				t.Fatalf("resample size %d, want %d", sz, m.N())
 			}

@@ -309,9 +309,6 @@ func New(cfg Config, more ...Stat) (*Maintainer, error) {
 	return m, nil
 }
 
-// B returns the number of maintained resamples: the largest statistic's.
-func (m *Maintainer) B() int { return m.b }
-
 // N returns the current sample size.
 func (m *Maintainer) N() int { return m.n }
 
@@ -770,18 +767,4 @@ func (m *Maintainer) ResultsOf(s int) ([]float64, error) {
 		out[i] = v
 	}
 	return out, nil
-}
-
-// ResampleSizes returns each resample's current item count (each should
-// equal N), its pending draws included; exposed for invariant tests.
-func (m *Maintainer) ResampleSizes() []int {
-	out := make([]int, len(m.resamples))
-	for i, r := range m.resamples {
-		n := len(r.drawn)
-		for _, p := range r.parts {
-			n += p.Size()
-		}
-		out[i] = n
-	}
-	return out
 }

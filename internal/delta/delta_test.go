@@ -190,7 +190,7 @@ func TestMaintainerFirstGrow(t *testing.T) {
 	if m.N() != 500 {
 		t.Fatalf("n=%d", m.N())
 	}
-	for _, sz := range m.ResampleSizes() {
+	for _, sz := range resampleSizes(m) {
 		if sz != 500 {
 			t.Fatalf("resample size %d, want 500", sz)
 		}
@@ -219,12 +219,26 @@ func TestMaintainerGrowKeepsSizesExact(t *testing.T) {
 		if m.N() != total {
 			t.Fatalf("after gen %d: N=%d want %d", gi+1, m.N(), total)
 		}
-		for ri, rs := range m.ResampleSizes() {
+		for ri, rs := range resampleSizes(m) {
 			if rs != total {
 				t.Fatalf("gen %d resample %d size %d, want %d", gi+1, ri, rs, total)
 			}
 		}
 	}
+}
+
+// resampleSizes returns each of m's resamples' current item count (each
+// should equal N), its pending draws included.
+func resampleSizes(m *Maintainer) []int {
+	out := make([]int, len(m.resamples))
+	for i, r := range m.resamples {
+		n := len(r.drawn)
+		for _, p := range r.parts {
+			n += p.Size()
+		}
+		out[i] = n
+	}
+	return out
 }
 
 func TestMaintainerStateMatchesItems(t *testing.T) {
@@ -245,9 +259,16 @@ func TestMaintainerStateMatchesItems(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range m.resamples {
+		// Drain the parts: the maintainer is not used after this.
 		all := slices.Clone(r.drawn)
 		for _, p := range r.parts {
-			all = append(all, p.Items()...)
+			for p.Size() > 0 {
+				v, err := p.DeleteRandom()
+				if err != nil {
+					t.Fatal(err)
+				}
+				all = append(all, v)
+			}
 		}
 		want, _ := stats.Mean(all)
 		if math.Abs(vals[i]-want) > 1e-8 {

@@ -89,7 +89,7 @@ func TestMaintainerParallelInvariants(t *testing.T) {
 		}
 		total += sz
 	}
-	for ri, rs := range m.ResampleSizes() {
+	for ri, rs := range resampleSizes(m) {
 		if rs != total {
 			t.Fatalf("resample %d size %d, want %d", ri, rs, total)
 		}

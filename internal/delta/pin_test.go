@@ -14,7 +14,7 @@ import (
 // growPins are fixed-seed fingerprints of a five-generation Grow
 // schedule, recorded at the commit before Grow handled resamples in
 // groups: FNV-64a over, after every generation, each Results() value's
-// math.Float64bits, Updates() and every ResampleSizes() entry. However
+// math.Float64bits, Updates() and every resampleSizes entry. However
 // Grow schedules its resamples, these must not move — a resample's rng
 // stream, its state arithmetic and its charged work are its own.
 var growPins = map[string]uint64{
@@ -60,7 +60,7 @@ func growFingerprint(t *testing.T, cfg Config) uint64 {
 			put(math.Float64bits(v))
 		}
 		put(uint64(m.Updates()))
-		for _, sz := range m.ResampleSizes() {
+		for _, sz := range resampleSizes(m) {
 			put(uint64(sz))
 		}
 	}
@@ -211,8 +211,8 @@ func TestSharedMaintainerEqualsOneEach(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if m.B() != 12 {
-			t.Fatalf("parallelism %d: %d resamples held, want the largest B, 12", par, m.B())
+		if m.b != 12 {
+			t.Fatalf("parallelism %d: %d resamples held, want the largest B, 12", par, m.b)
 		}
 		for s, st := range stats {
 			got, err := m.ResultsOf(s)

@@ -85,7 +85,7 @@ func rankedDelta(data string, gen, n int) []float64 {
 }
 
 // rankedFingerprint is FNV-64a over, after each generation, every
-// Results() value's bits, Updates(), ResampleSizes() and the simcost
+// Results() value's bits, Updates(), resampleSizes and the simcost
 // snapshot; a Grow error ends the schedule and its text is hashed.
 func rankedFingerprint(t *testing.T, cfg Config, data string) uint64 {
 	t.Helper()
@@ -119,7 +119,7 @@ func rankedFingerprint(t *testing.T, cfg Config, data string) uint64 {
 			put(math.Float64bits(v))
 		}
 		put(uint64(m.Updates()))
-		for _, sz := range m.ResampleSizes() {
+		for _, sz := range resampleSizes(m) {
 			put(uint64(sz))
 		}
 		fmt.Fprintf(h, "%+v", metrics.Snapshot())

@@ -259,7 +259,7 @@ func TestFileStateMovesForward(t *testing.T) {
 	if states[1].Version != states[0].Version || states[2].Version == states[1].Version {
 		t.Fatalf("an append kept the version and a rewrite changed it: %+v", states)
 	}
-	snap := fs.Snapshot()
+	snap := fs.Pin(fs.metrics)
 	defer snap.Release()
 	if err := fs.Append("/f", lineDoc("d", 1)); err != nil {
 		t.Fatal(err)

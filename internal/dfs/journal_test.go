@@ -116,6 +116,16 @@ func TestRecoverCrashAtEveryCommitPoint(t *testing.T) {
 	}
 	nops := 7
 	image := full.JournalBytes()
+	// The image truncated to k commits is the first k ops' own journal.
+	prefix := func(k int) []byte {
+		exp := New(cfg)
+		journalOpsPrefix(exp, k)
+		p := exp.JournalBytes()
+		if !bytes.HasPrefix(image, p) {
+			t.Fatalf("the first %d ops' journal is not a prefix of the full one", k)
+		}
+		return p
+	}
 
 	for k := 0; k <= nops; k++ {
 		// Expected state: run the first k ops on a fresh filesystem.
@@ -127,7 +137,7 @@ func TestRecoverCrashAtEveryCommitPoint(t *testing.T) {
 		}
 		want := fsState(t, exp)
 
-		clean := journal.PrefixRecords(image, int64(k))
+		clean := prefix(k)
 		rec, st, err := Recover(cfg, clean)
 		if err != nil {
 			t.Fatalf("k=%d clean: %v", k, err)
@@ -141,7 +151,7 @@ func TestRecoverCrashAtEveryCommitPoint(t *testing.T) {
 
 		if k < nops {
 			// Torn tail: the clean k-prefix plus half of record k+1.
-			next := journal.PrefixRecords(image, int64(k+1))
+			next := prefix(k + 1)
 			torn := append([]byte(nil), next[:len(clean)+(len(next)-len(clean))/2]...)
 			rec, st, err := Recover(cfg, torn)
 			if err != nil {
@@ -241,7 +251,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	if err := fs.WriteFile("/gone", []byte("bye\n")); err != nil {
 		t.Fatal(err)
 	}
-	snap := fs.Snapshot()
+	snap := fs.Pin(fs.metrics)
 	defer snap.Release()
 	wantVer, _ := fs.Version("/d")
 	wantSplits, _ := fs.Splits("/d", 0)

@@ -180,7 +180,7 @@ func readEveryMethod(v View, path string, rng *rand.Rand, whole bool) (viewRead,
 			return r, fmt.Errorf("ReadAt(%d) differs from ReadFile", off)
 		}
 		pos := off + rng.Int64N(raceLineWidth)
-		line, start, err := v.ReadLineAt(path, pos, 8)
+		line, start, err := held(v).ReadLineAt(path, pos, 8)
 		if err != nil {
 			if gone(err) {
 				continue
@@ -284,7 +284,7 @@ func TestViewNeverTakesTheCommitLock(t *testing.T) {
 	if err := fs.WriteFile("/r/a", raceDoc(1, 0, raceBaseLines(1))); err != nil {
 		t.Fatal(err)
 	}
-	snap := fs.Snapshot()
+	snap := fs.Pin(fs.metrics)
 	defer snap.Release()
 	for j := 0; j < 4; j++ {
 		from := raceBaseLines(1)
@@ -309,10 +309,10 @@ func TestViewNeverTakesTheCommitLock(t *testing.T) {
 		}()
 	}
 	go func() {
-		held := fs.Snapshot()
+		held := fs.Pin(fs.metrics)
 		r, err := readEveryMethod(held, "/r/a", rand.New(rand.NewPCG(1, 2)), true)
 		held.Release()
-		if err == nil && (held.Seq() != 5 || len(r.segments) != 5) {
+		if err == nil && (held.ns.seq != 5 || len(r.segments) != 5) {
 			err = fmt.Errorf("%v taken under the lock reads %d segments, want commit 5's 5", held, len(r.segments))
 		}
 		done <- err
@@ -331,8 +331,8 @@ func TestViewNeverTakesTheCommitLock(t *testing.T) {
 	if pins := fs.pins.Load(); pins != 1 {
 		t.Fatalf("%d pins under the lock, want the one snapshot still held", pins)
 	}
-	if fs.CommitSeq() != 5 || len(fs.LiveDataNodes()) != 4 {
-		t.Fatalf("CommitSeq %d, %d live nodes under the lock", fs.CommitSeq(), len(fs.LiveDataNodes()))
+	if fs.ns.Load().seq != 5 || len(fs.LiveDataNodes()) != 4 {
+		t.Fatalf("commit %d, %d live nodes under the lock", fs.ns.Load().seq, len(fs.LiveDataNodes()))
 	}
 }
 
@@ -393,7 +393,7 @@ func TestReadersRaceCommits(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewPCG(uint64(w), 99))
 			for !stop.Load() {
-				snap := fs.Snapshot()
+				snap := fs.Pin(fs.metrics)
 				listed := snap.List("/r/")
 				captured := map[string]viewRead{}
 				for _, p := range listed {
@@ -552,7 +552,7 @@ func TestPayloadIsTheJournalFrame(t *testing.T) {
 	}
 
 	// A torn-tail crash cuts a frame no block was cut from.
-	fs.SetFaultPlan(&FaultPlan{CrashAtCommit: fs.CommitSeq() + 1, TornTail: true})
+	fs.SetFaultPlan(&FaultPlan{CrashAtCommit: fs.ns.Load().seq + 1, TornTail: true})
 	if err := fs.Append("/f", lineDoc("c", 100)); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("crash commit: %v", err)
 	}

@@ -130,7 +130,7 @@ func (tw *readLineTwin) compare(t *testing.T, label, path string, chunks []int, 
 	for _, chunk := range chunks {
 		for pos := int64(-1); pos <= size; pos++ {
 			wl, ws, werr := copyingReadLineAt(refV, path, pos, chunk)
-			gl, gs, gerr := gotV.ReadLineAt(path, pos, chunk)
+			gl, gs, gerr := held(gotV).ReadLineAt(path, pos, chunk)
 			where := fmt.Sprintf("%s chunk=%d pos=%d", label, chunk, pos)
 			if fmt.Sprint(gerr) != fmt.Sprint(werr) {
 				t.Fatalf("%s: err %v, reference %v", where, gerr, werr)
@@ -244,7 +244,7 @@ func TestReadLineAtMatchesCopyingLoop(t *testing.T) {
 
 			// A snapshot keeps reading the appended file while the path
 			// is rewritten behind it.
-			snaps := map[*FileSystem]*Snapshot{tw.ref: tw.ref.Snapshot(), tw.got: tw.got.Snapshot()}
+			snaps := map[*FileSystem]*Snapshot{tw.ref: tw.ref.Pin(tw.ref.metrics), tw.got: tw.got.Pin(tw.got.metrics)}
 			defer snaps[tw.ref].Release()
 			defer snaps[tw.got].Release()
 			tw.each(t, func(fs *FileSystem) error { return fs.WriteFile("/f", []byte("7\n8\n9")) })
@@ -313,7 +313,7 @@ func TestReadLineAtAllocatesOnlyTheRecord(t *testing.T) {
 	}); allocs > 1 {
 		t.Fatalf("ReadLineAt made %.1f allocs/op, want ≤ 1 (the returned record)", allocs)
 	}
-	snap := fs.Snapshot()
+	snap := fs.Pin(fs.metrics)
 	defer snap.Release()
 	buf := make([]byte, 512)
 	for _, v := range []struct {

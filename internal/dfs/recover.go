@@ -106,6 +106,3 @@ func (fs *FileSystem) JournalStats() JournalStats {
 	}
 	return st
 }
-
-// CommitSeq returns the sequence number of the last applied commit.
-func (fs *FileSystem) CommitSeq() int64 { return fs.ns.Load().seq }

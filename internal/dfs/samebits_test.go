@@ -76,7 +76,7 @@ func fixedScript(t *testing.T) []string {
 				fmt.Fprintf(&reads, " %d", k)
 			}
 			for pos := int64(0); pos < size; pos += size/7 + 1 {
-				line, start, err := v.ReadLineAt(p, pos, 4)
+				line, start, err := held(v).ReadLineAt(p, pos, 4)
 				must(err)
 				buf := make([]byte, 100)
 				k, err := v.ReadAt(p, pos, buf)
@@ -98,7 +98,7 @@ func fixedScript(t *testing.T) []string {
 
 	// A pinned rewrite: the snapshot keeps the old bytes, the pin shows
 	// in the journal counters, and the release prunes.
-	snap := fs.Snapshot()
+	snap := fs.Pin(fs.metrics)
 	must(fs.WriteFile("/data/big", bytes.Repeat([]byte("8\n"), 3000)))
 	must(fs.Append("/data/a", []byte("6\n")))
 	stage("pinned rewrite")
@@ -117,7 +117,7 @@ func fixedScript(t *testing.T) []string {
 	stage("kill, revive, rebalance")
 
 	// The torn-tail crash: commit 11 loses power half-way through its frame.
-	fs.SetFaultPlan(&FaultPlan{CrashAtCommit: fs.CommitSeq() + 1, TornTail: true})
+	fs.SetFaultPlan(&FaultPlan{CrashAtCommit: fs.ns.Load().seq + 1, TornTail: true})
 	if err := fs.Append("/data/a", []byte("7\n")); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("crash commit: got %v, want ErrCrashed", err)
 	}

@@ -52,7 +52,7 @@ func TestViewSidecarAtMatchesRead(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 20 {
-			snap = fs.Snapshot()
+			snap = fs.Pin(fs.metrics)
 			defer snap.Release()
 		}
 	}

@@ -191,7 +191,7 @@ func TestSidecarSnapshotKeepsItsVersion(t *testing.T) {
 		next += 8000
 	}
 	grow() // the pinned view's last run is now a prefix of an extent
-	snap := fs.Snapshot()
+	snap := fs.Pin(fs.metrics)
 	defer snap.Release()
 	pinnedSize, _ := snap.Stat(path)
 	pinned := viewBytes(t, snap, path)
@@ -216,7 +216,7 @@ func TestSidecarSnapshotKeepsItsVersion(t *testing.T) {
 					t.Errorf("a pinned snapshot's sidecar changed under appends (err %v)", err)
 					return
 				}
-				cur := fs.Snapshot()
+				cur := fs.Pin(fs.metrics)
 				size, _ := cur.Stat(path)
 				got, err := sidecarOf(cur, path)
 				cur.Release()
@@ -314,7 +314,7 @@ func TestSidecarForksNeverTouchSharedBytes(t *testing.T) {
 			var snaps []*Snapshot
 			var pinned [][]byte
 			pin := func() {
-				s := fs.Snapshot()
+				s := fs.Pin(fs.metrics)
 				snaps = append(snaps, s)
 				pinned = append(pinned, viewBytes(t, s, path))
 			}
@@ -376,7 +376,7 @@ func TestSidecarForksNeverTouchSharedBytes(t *testing.T) {
 		if !bytes.Equal(readSidecar(t, rec, path), before) {
 			t.Fatal("replay rebuilt a different sidecar")
 		}
-		snap := rec.Snapshot()
+		snap := rec.Pin(rec.metrics)
 		defer snap.Release()
 		more := numericLines(8000, 50000)
 		for _, f := range []*FileSystem{fs, rec} {

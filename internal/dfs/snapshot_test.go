@@ -24,7 +24,7 @@ func TestReleasedSnapshotStillReads(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewPCG(3, 4))
-	snap := fs.Snapshot()
+	snap := fs.Pin(fs.metrics)
 	held, sidecars := map[string]viewRead{}, map[string][]byte{}
 	for _, p := range paths {
 		r, err := readEveryMethod(snap, p, rng, true)
@@ -96,13 +96,13 @@ func TestSnapshotsRaceCommits(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				snap := fs.Snapshot()
+				snap := fs.Pin(fs.metrics)
 				path := paths[(w+i)%len(paths)]
 				data, err := snap.ReadFile(path)
 				size, _ := snap.Stat(path)
 				present := exists(snap, path)
 				snap.Release()
-				if seq := snap.Seq(); seq > 0 && seq < commits {
+				if seq := snap.ns.seq; seq > 0 && seq < commits {
 					beside.Add(1)
 				}
 				if !present && err != nil {
@@ -128,7 +128,7 @@ func TestSnapshotsRaceCommits(t *testing.T) {
 	var held *Snapshot
 	for i := 0; i < commits; i++ {
 		if i%3 == 0 {
-			held = fs.Snapshot()
+			held = fs.Pin(fs.metrics)
 		}
 		path, step, tag := paths[i%2], i/2%4, 1+i/8
 		var err error
@@ -185,7 +185,7 @@ func TestSnapshotAllocatesOnlyItself(t *testing.T) {
 		}
 	}
 	n := testing.AllocsPerRun(1000, func() {
-		heldSnapshot = fs.Snapshot()
+		heldSnapshot = fs.Pin(fs.metrics)
 		heldSnapshot.Release()
 	})
 	if n != 1 {

@@ -12,9 +12,10 @@ import (
 // what every implementation must carry. Both *FileSystem (always the
 // live state) and *Snapshot (one held commit) implement it, so any
 // reader can be pointed at "now" or at a consistent frozen world with
-// the same code. A whole-file read (ReadFile), a listing (List) and a
-// copying sidecar read (ReadSidecarAt) are on both but outside the
-// contract: no reader of a View makes them.
+// the same code. A single-record read (ReadLineAt), a whole-file read
+// (ReadFile), a listing (List) and a copying sidecar read
+// (ReadSidecarAt) are on both but outside the contract: no reader of a
+// View makes them.
 type View interface {
 	ReadAt(path string, off int64, p []byte) (int, error)
 	Stat(path string) (int64, error)
@@ -24,7 +25,6 @@ type View interface {
 	State(path string) (FileState, error)
 	Splits(path string, splitSize int64) ([]Split, error)
 	NewLineReader(split Split, chunkSize int) (*LineReader, error)
-	ReadLineAt(path string, pos int64, chunkSize int) (line string, lineStart int64, err error)
 	ReadLinesAt(path string, positions []int64, chunkSize int, fn func(i int, line []byte, lineStart int64, err error) (more bool, fail error)) error
 	SidecarStat(path string) (int64, bool)
 	ViewSidecarAt(path string, off, size int64) ([]byte, error)
@@ -49,22 +49,15 @@ type Snapshot struct {
 	released atomic.Bool
 }
 
-// Snapshot returns a View of the current commit, its reads charged to
-// the filesystem's own metrics, and counts it in JournalStats.Pins until
-// it is released.
-func (fs *FileSystem) Snapshot() *Snapshot { return fs.Pin(fs.metrics) }
-
-// Pin is Snapshot with every read through the snapshot charged to
-// ledger instead: one run's, a child of the filesystem's metrics, so the
-// run's ledger holds its own reads and the filesystem's still sees them
-// all.
+// Pin returns a View of the current commit, every read through it
+// charged to ledger: one run's, a child of the filesystem's metrics, so
+// the run's ledger holds its own reads and the filesystem's still sees
+// them all. The snapshot counts in JournalStats.Pins until it is
+// released.
 func (fs *FileSystem) Pin(ledger *simcost.Metrics) *Snapshot {
 	fs.pins.Add(1)
 	return &Snapshot{state: state{fs: fs, ns: fs.ns.Load(), ledger: ledger}}
 }
-
-// Seq returns the commit sequence this snapshot holds.
-func (s *Snapshot) Seq() int64 { return s.ns.seq }
 
 // Release takes the snapshot out of the Pins count — the caller's
 // statement that it is done, which the leak checks and /metrics read.

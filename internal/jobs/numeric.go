@@ -228,8 +228,9 @@ func (moments) UpdateLanes(states []mr.State, batches [][]float64) error {
 // standard deviation are p-invariant.
 func (moments) Correct(result, p float64) float64 { return mr.IdentityCorrect(result, p) }
 
-// meanReducer is the mean, and the one moment reducer (with sumReducer,
-// which embeds it) whose bootstrap error has a plug-in form.
+// meanReducer is the mean (and the proportion, the mean of 0/1 data),
+// and the one moment reducer (with sumReducer, which embeds it) whose
+// bootstrap error has a plug-in form.
 type meanReducer struct{ moments }
 
 // Finalize implements mr.IncrementalReducer.

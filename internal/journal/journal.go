@@ -268,32 +268,3 @@ func resyncs(buf []byte, from, seq int64) bool {
 	}
 	return false
 }
-
-// PrefixRecords returns a copy of the journal image truncated to its
-// first k committed records — the crash image "power failed right after
-// commit k was durable". It does not validate CRCs; a malformed frame
-// ends the walk early.
-func PrefixRecords(buf []byte, k int64) []byte {
-	pos := int64(headerSize)
-	if pos > int64(len(buf)) {
-		pos = int64(len(buf))
-	}
-	for i := int64(0); i < k; i++ {
-		next, _, err := parseRecord(buf, pos)
-		if err != nil {
-			break
-		}
-		pos = next
-	}
-	return append([]byte(nil), buf[:pos]...)
-}
-
-// CountRecords returns the number of well-formed committed records in a
-// journal image (torn tails excluded), or 0 on a bad header.
-func CountRecords(buf []byte) int64 {
-	recs, _, err := Replay(buf)
-	if err != nil {
-		return 0
-	}
-	return int64(len(recs))
-}

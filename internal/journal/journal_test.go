@@ -73,10 +73,10 @@ func TestEmptyJournal(t *testing.T) {
 func TestTornTailEveryTruncation(t *testing.T) {
 	l := writeN(5)
 	img := l.Bytes()
-	// Locate every frame boundary by replaying prefixes.
+	// Frame k ends where a log of the first k records does.
 	boundaries := []int64{headerSize}
-	for k := int64(1); k <= 5; k++ {
-		boundaries = append(boundaries, int64(len(PrefixRecords(img, k))))
+	for k := 1; k <= 5; k++ {
+		boundaries = append(boundaries, writeN(k).Size())
 	}
 	for cut := int64(headerSize); cut <= int64(len(img)); cut++ {
 		recs, st, err := Replay(img[:cut])
@@ -108,7 +108,7 @@ func TestTornTailEveryTruncation(t *testing.T) {
 func TestCorruptionVsTornTail(t *testing.T) {
 	l := writeN(4)
 	img := l.Bytes()
-	lastStart := int64(len(PrefixRecords(img, 3)))
+	lastStart := writeN(3).Size()
 
 	tail := append([]byte(nil), img...)
 	tail[lastStart+frameFixed] ^= 0xFF // a path byte of the final record
@@ -118,8 +118,7 @@ func TestCorruptionVsTornTail(t *testing.T) {
 	}
 
 	mid := append([]byte(nil), img...)
-	firstStart := int64(len(PrefixRecords(img, 0)))
-	mid[firstStart+frameFixed] ^= 0xFF
+	mid[headerSize+frameFixed] ^= 0xFF
 	if _, _, err := Replay(mid); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("interior flip should be ErrCorrupt, got %v", err)
 	}
@@ -143,21 +142,6 @@ func TestTear(t *testing.T) {
 	}
 	if New().Tear(1) {
 		t.Fatal("tearing an empty journal must be refused")
-	}
-}
-
-func TestPrefixRecords(t *testing.T) {
-	l := writeN(6)
-	img := l.Bytes()
-	for k := int64(0); k <= 7; k++ {
-		p := PrefixRecords(img, k)
-		want := k
-		if want > 6 {
-			want = 6
-		}
-		if got := CountRecords(p); got != want {
-			t.Fatalf("PrefixRecords(%d): %d records, want %d", k, got, want)
-		}
 	}
 }
 
@@ -223,7 +207,7 @@ func FuzzJournalReplay(f *testing.F) {
 func tearEveryDrop(t *testing.T, n int) uint64 {
 	t.Helper()
 	full := writeN(n).Bytes()
-	lastFrame := int64(len(full)) - int64(len(PrefixRecords(full, int64(n-1))))
+	lastFrame := int64(len(full)) - writeN(n-1).Size()
 	h := fnv.New64a()
 	for drop := int64(-1); drop <= lastFrame+1; drop++ {
 		l := writeN(n)

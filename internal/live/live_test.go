@@ -625,7 +625,7 @@ func TestWatchMultiRefreshSharedSample(t *testing.T) {
 // TestCustomParserWatchMatchesBuiltinFormat pins the maintained side of
 // "nothing behind the samplers can tell how a record was decoded": a
 // watch opened through a custom parser (a job with its ScanFormat
-// stripped; Route{Parse: TabKV}), then appended to and refreshed, reports
+// stripped; Route{Parse: colscan.ParseKVString}), then appended to and refreshed, reports
 // exactly what the built-in format's watch does — initial answer and
 // refreshed answer, scalar/multi and grouped, under both samplers, at
 // any Parallelism.
@@ -658,7 +658,7 @@ func TestCustomParserWatchMatchesBuiltinFormat(t *testing.T) {
 					for i := range jset {
 						jset[i].ScanFormat = colscan.FormatNone
 					}
-					route = core.Route{Parse: core.TabKV}
+					route = core.Route{Parse: colscan.ParseKVString}
 				}
 				opts := core.Options{Sigma: 0.03, Seed: 84, Sampler: sampler, Parallelism: par}
 				q, err := live.WatchMulti(env, jset, "/data", opts)

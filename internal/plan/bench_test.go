@@ -74,10 +74,15 @@ func BenchmarkKeepBlock(b *testing.B) {
 func BenchmarkEvalRecordLoop(b *testing.B) {
 	benchFilters(b, func(b *testing.B, p *Program, blk *colscan.Block) {
 		var keep []int32
+		vals, ids, dict := blk.Values(), blk.KeyIDs(), blk.Dict()
 		for i := 0; i < b.N; i++ {
 			keep = keep[:0]
 			for r := 0; r < blk.NumRecords(); r++ {
-				ok, _, _, err := p.EvalRecord(blk.Key(r), blk.Value(r))
+				key := ""
+				if ids != nil {
+					key = dict[ids[r]]
+				}
+				ok, _, _, err := p.EvalRecord(key, vals[r])
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -218,10 +218,6 @@ func (s Spec) Compile() (*Program, error) {
 // key column).
 func (p *Program) InputFormat() colscan.Format { return p.format }
 
-// Keyed reports whether transformed batches carry group keys (the run
-// routes on the grouped path).
-func (p *Program) Keyed() bool { return p.groupKey || p.group != nil }
-
 // HasFilter reports whether the plan filters records (σ present).
 func (p *Program) HasFilter() bool { return p.filter != nil }
 

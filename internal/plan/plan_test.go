@@ -135,9 +135,9 @@ func TestProgramFormatsAndKeyed(t *testing.T) {
 		if p == nil {
 			t.Fatalf("spec %+v compiled to nil", c.spec)
 		}
-		if p.InputFormat() != c.format || p.Keyed() != c.keyed {
+		if keyed := p.groupKey || p.group != nil; p.InputFormat() != c.format || keyed != c.keyed {
 			t.Errorf("spec %+v: format=%v keyed=%v, want %v/%v",
-				c.spec, p.InputFormat(), p.Keyed(), c.format, c.keyed)
+				c.spec, p.InputFormat(), keyed, c.format, c.keyed)
 		}
 	}
 }

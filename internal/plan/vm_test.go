@@ -89,7 +89,7 @@ func checkAgainstReference(tb testing.TB, p *Program, vals []float64, keys []str
 			wantErr = err
 		}
 		want.Vals = append(want.Vals, x)
-		if p.Keyed() {
+		if p.groupKey || p.group != nil {
 			want.Keys = append(want.Keys, k)
 		}
 	}

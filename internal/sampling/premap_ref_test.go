@@ -22,7 +22,7 @@ import (
 // splits. TestSampleLoopMatchesPerDrawReference holds PreMap to it
 // record for record, counter for counter.
 type perDrawPreMap struct {
-	fs     dfs.View
+	fs     *dfs.FileSystem
 	path   string
 	splits []dfs.Split
 	size   int64
@@ -41,7 +41,7 @@ type perDrawPreMap struct {
 	parser    *Parser
 }
 
-func newPerDrawPreMap(t testing.TB, fsys dfs.View, path string, splits []dfs.Split, seed uint64) *perDrawPreMap {
+func newPerDrawPreMap(t testing.TB, fsys *dfs.FileSystem, path string, splits []dfs.Split, seed uint64) *perDrawPreMap {
 	t.Helper()
 	size, err := fsys.Stat(path)
 	if err != nil {

@@ -313,11 +313,6 @@ func New(env *core.Env, cfg Config) (*Server, error) {
 	}, nil
 }
 
-// Env exposes the underlying environment. A write straight to its FS
-// invalidates cached results and stales watches exactly as Append and
-// Rewrite do: both key on the file's dfs state.
-func (s *Server) Env() *core.Env { return s.env }
-
 // withDeadline applies the configured default timeout when ctx carries
 // no deadline of its own.
 func (s *Server) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {

@@ -709,7 +709,7 @@ func TestSpecValidation(t *testing.T) {
 	for i := 0; i < 11; i++ {
 		kv = append(kv, kv...) // 4·2^11 records
 	}
-	if err := s.Env().FS.WriteFile("/t/kv", kv); err != nil {
+	if err := s.env.FS.WriteFile("/t/kv", kv); err != nil {
 		t.Fatal(err)
 	}
 	res, err := s.Query(ctx, QuerySpec{Spec: plan.Spec{Path: "/t/kv", Stats: []string{"mean"}, GroupBy: "key", Sigma: 0.2, Seed: 9}})

@@ -202,20 +202,6 @@ func Hadoop2012() CostModel {
 	}
 }
 
-// Validate reports whether the model's constants are usable.
-func (c CostModel) Validate() error {
-	if c.ClusterNodes <= 0 {
-		return fmt.Errorf("simcost: ClusterNodes must be positive, got %d", c.ClusterNodes)
-	}
-	if c.DiskMBps <= 0 || c.NetMBps <= 0 {
-		return fmt.Errorf("simcost: throughputs must be positive")
-	}
-	if c.PipelineDiscount < 0 || c.PipelineDiscount > 1 {
-		return fmt.Errorf("simcost: PipelineDiscount must be in [0,1]")
-	}
-	return nil
-}
-
 // Duration returns the modeled wall-clock time for the counters in s,
 // assuming batch (non-pipelined) execution.
 func (c CostModel) Duration(s Snapshot) time.Duration {

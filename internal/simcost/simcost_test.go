@@ -102,22 +102,13 @@ func TestRefreshesCounter(t *testing.T) {
 	}
 }
 
+// TestHadoop2012Valid: the model every figure prices runs on has usable
+// constants: nodes and throughputs positive, the pipelining discount a
+// share.
 func TestHadoop2012Valid(t *testing.T) {
-	if err := Hadoop2012().Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestValidateRejectsBadModels(t *testing.T) {
-	bad := []CostModel{
-		{ClusterNodes: 0, DiskMBps: 1, NetMBps: 1},
-		{ClusterNodes: 1, DiskMBps: 0, NetMBps: 1},
-		{ClusterNodes: 1, DiskMBps: 1, NetMBps: 1, PipelineDiscount: 2},
-	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("case %d should be invalid", i)
-		}
+	c := Hadoop2012()
+	if c.ClusterNodes <= 0 || c.DiskMBps <= 0 || c.NetMBps <= 0 || c.PipelineDiscount < 0 || c.PipelineDiscount > 1 {
+		t.Fatalf("unusable model: %+v", c)
 	}
 }
 

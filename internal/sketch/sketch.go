@@ -53,7 +53,6 @@ type Part struct {
 	c         float64
 	rng       *stats.PCG
 	metrics   *simcost.Metrics
-	refreshes int
 }
 
 // NewPart builds a partition over items and takes ownership of them:
@@ -94,10 +93,6 @@ func (p *Part) shuffleSketch() {
 // Size returns the number of items currently in the partition.
 func (p *Part) Size() int { return len(p.items) }
 
-// Refreshes returns how many disk-layer refreshes have occurred — the
-// quantity the sketch exists to minimise.
-func (p *Part) Refreshes() int { return p.refreshes }
-
 // DeleteRandom removes and returns one uniformly random item. The draw
 // is served from the sketch region; when the sketch is exhausted the
 // change set is committed and a new sketch is resampled from "disk",
@@ -131,7 +126,6 @@ func (p *Part) Add(v float64) {
 // refresh commits outstanding changes and draws a fresh sketch from the
 // disk layer (§4.1's "commit the changes … resample a new sketch").
 func (p *Part) refresh() {
-	p.refreshes++
 	p.shuffleSketch()
 	p.metrics.Charge(simcost.Snapshot{DiskSeeks: 1, BytesRead: int64(p.sketchEnd) * bytesPerItem, BytesWritten: int64(p.sketchEnd) * bytesPerItem})
 }
@@ -145,13 +139,6 @@ func (p *Part) EndIteration() {
 	p.shuffleSketch()
 }
 
-// Items returns a copy of the current multiset (test hook; conceptually
-// a full disk read, so it charges accordingly).
-func (p *Part) Items() []float64 {
-	p.metrics.Charge(simcost.Snapshot{DiskSeeks: 1, BytesRead: int64(len(p.items)) * bytesPerItem})
-	return append([]float64(nil), p.items...)
-}
-
 // Cache serves with-replacement random draws from a backing data set
 // (a delta sample Δs_k) through a prefetched sketch: sketch(Δs_k) in the
 // paper. Draw cost is memory-only until the prefetched batch is used up;
@@ -163,7 +150,6 @@ type Cache struct {
 	c       float64
 	rng     *stats.PCG
 	metrics *simcost.Metrics
-	refills int
 }
 
 // NewCache builds a cache over backing (not copied; treated as
@@ -204,13 +190,9 @@ func (c *Cache) fill(charge bool) {
 // Next returns one with-replacement random draw from the backing set.
 func (c *Cache) Next() float64 {
 	if c.pos >= len(c.buf) {
-		c.refills++
 		c.fill(true)
 	}
 	v := c.buf[c.pos]
 	c.pos++
 	return v
 }
-
-// Refills returns how many disk-layer refills have occurred.
-func (c *Cache) Refills() int { return c.refills }

@@ -91,19 +91,6 @@ func Binomial(rng *rand.Rand, n int, p float64) int {
 	return k
 }
 
-// BinomialExact draws one variate from Binomial(n, p) by Bernoulli
-// summation regardless of n. It exists so tests can compare the
-// approximation used by Binomial against ground truth.
-func BinomialExact(rng *rand.Rand, n int, p float64) int {
-	k := 0
-	for i := 0; i < n; i++ {
-		if rng.Float64() < p {
-			k++
-		}
-	}
-	return k
-}
-
 // ProportionInterval returns the normal-approximation (Wald) confidence
 // interval for a binomial proportion: the estimate successes/n and its
 // half-width at the given confidence level. This is the z-test machinery

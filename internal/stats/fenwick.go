@@ -15,9 +15,6 @@ type Fenwick struct {
 	total int64
 }
 
-// Len returns the number of slots.
-func (f *Fenwick) Len() int { return len(f.tree) }
-
 // Total returns the sum of all weights.
 func (f *Fenwick) Total() int64 { return f.total }
 

@@ -68,8 +68,8 @@ func TestFenwickRebuild(t *testing.T) {
 	f.Append(7) // pre-existing state must be replaced wholesale
 	weights := []int64{3, 0, 5, 1, 0, 2}
 	f.Rebuild(weights)
-	if f.Len() != len(weights) || f.Total() != 11 {
-		t.Fatalf("len/total = %d/%d", f.Len(), f.Total())
+	if len(f.tree) != len(weights) || f.Total() != 11 {
+		t.Fatalf("len/total = %d/%d", len(f.tree), f.Total())
 	}
 	for x := int64(0); x < 11; x++ {
 		if got, want := f.Pick(x), refPick(weights, x); got != want {
@@ -77,8 +77,8 @@ func TestFenwickRebuild(t *testing.T) {
 		}
 	}
 	f.Reset()
-	if f.Len() != 0 || f.Total() != 0 {
-		t.Fatalf("reset left len=%d total=%d", f.Len(), f.Total())
+	if len(f.tree) != 0 || f.Total() != 0 {
+		t.Fatalf("reset left len=%d total=%d", len(f.tree), f.Total())
 	}
 }
 

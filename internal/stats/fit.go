@@ -74,11 +74,6 @@ func FitCVCurve(ns []int, cvs []float64) (CVCurve, error) {
 	return CVCurve{A: lf.Intercept, B: lf.Slope, R2: lf.R2}, nil
 }
 
-// Eval returns the modeled cv at sample size n.
-func (c CVCurve) Eval(n int) float64 {
-	return c.A + c.B/math.Sqrt(float64(n))
-}
-
 // SolveN returns the smallest sample size n whose modeled cv is at or
 // below the target error sigma, i.e. it inverts the fitted curve — the step
 // SSABE uses to choose the final sample size. ok is false when the fitted

@@ -58,13 +58,15 @@ func TestFitCVCurveRecoversParameters(t *testing.T) {
 	if !ok {
 		t.Fatal("SolveN failed")
 	}
-	if got := c.Eval(n); got > 0.05+1e-9 {
-		t.Fatalf("Eval(SolveN) = %v > sigma", got)
+	// The modeled cv at n is A + B/√n.
+	eval := func(n int) float64 { return c.A + c.B/math.Sqrt(float64(n)) }
+	if got := eval(n); got > 0.05+1e-9 {
+		t.Fatalf("cv(SolveN) = %v > sigma", got)
 	}
 	// And n-1 should be above sigma (minimality), allowing rounding slack.
 	if n > 2 {
-		if got := c.Eval(n - 2); got < 0.05-1e-6 {
-			t.Fatalf("SolveN not minimal: Eval(%d) = %v", n-2, got)
+		if got := eval(n - 2); got < 0.05-1e-6 {
+			t.Fatalf("SolveN not minimal: cv(%d) = %v", n-2, got)
 		}
 	}
 }

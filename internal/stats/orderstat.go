@@ -9,7 +9,7 @@ import (
 // OrderStat is a counted multiset of float64 values indexed for order
 // statistics: a sorted dictionary of distinct values with a Fenwick tree
 // over their multiplicities. Adding or removing a value already in the
-// dictionary and Kth/Quantile are O(log k) in the number of distinct
+// dictionary and Quantile are O(log k) in the number of distinct
 // values and allocation-free; values are added in batches (AddBatch, or
 // AddCounted for a batch already sorted and counted), new distinct
 // values with one O(k + m log m) merge + rebuild per batch rather than
@@ -19,7 +19,7 @@ import (
 // resample maintenance (§4.1): a maintained resample performs ~√n
 // removals and ~|Δs| additions per growth iteration, and the previous
 // map[float64]int64 + re-sort-on-mutation representation made every
-// Finalize an O(k log k) sort and every Kth an O(k) scan.
+// Finalize an O(k log k) sort and every order statistic an O(k) scan.
 //
 // Slots whose count drops to zero are kept as tombstones (they carry no
 // weight, so order statistics ignore them) and compacted away on the
@@ -43,13 +43,6 @@ type OrderStat struct {
 	scratch []float64
 	runs    []uint32
 }
-
-// Len returns the total number of items (with multiplicity).
-func (o *OrderStat) Len() int64 { return o.n }
-
-// Distinct returns the number of live dictionary slots (excluding
-// zero-count tombstones); exposed for tests.
-func (o *OrderStat) Distinct() int { return len(o.vals) - o.zeros }
 
 // find returns the slot of v and whether it is present in the dictionary.
 func (o *OrderStat) find(v float64) (int, bool) {
@@ -321,16 +314,6 @@ func (o *OrderStat) Merge(other *OrderStat) {
 	o.zeros = 0
 	o.n += other.n
 	o.tree.Rebuild(o.counts)
-}
-
-// Kth returns the k-th (0-based) order statistic in O(log k).
-//
-//earl:hotpath
-func (o *OrderStat) Kth(k int64) (float64, error) {
-	if k < 0 || k >= o.n {
-		return 0, fmt.Errorf("stats: order statistic %d out of range [0,%d)", k, o.n)
-	}
-	return o.vals[o.tree.Pick(k)], nil
 }
 
 // Quantile computes the type-7 quantile (the R/NumPy default, matching

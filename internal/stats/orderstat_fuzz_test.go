@@ -23,6 +23,10 @@ func (r *fuzzRef) remove(i int) {
 	r.vs = append(r.vs[:i], r.vs[i+1:]...)
 }
 
+// kth is o's k-th (0-based) order statistic, k in [0, o.n): the Fenwick
+// descent Quantile reads its order statistics through.
+func kth(o *OrderStat, k int64) float64 { return o.vals[o.tree.Pick(k)] }
+
 // FuzzOrderStat drives an op sequence decoded from the fuzz input
 // against both OrderStat (Fenwick-indexed dictionary) and the sorted
 // slice reference, and requires every order statistic and quantile to
@@ -119,27 +123,19 @@ func FuzzOrderStat(f *testing.F) {
 					continue
 				}
 				k := int64(bits % uint64(len(ref.vs)))
-				got, err := ms.Kth(k)
-				if err != nil {
-					t.Fatalf("Kth(%d): %v", k, err)
-				}
-				if got != ref.vs[k] {
-					t.Fatalf("Kth(%d) = %v, reference %v", k, got, ref.vs[k])
+				if got := kth(&ms, k); got != ref.vs[k] {
+					t.Fatalf("kth(%d) = %v, reference %v", k, got, ref.vs[k])
 				}
 			}
-			if ms.Len() != int64(len(ref.vs)) {
-				t.Fatalf("Len = %d, reference %d", ms.Len(), len(ref.vs))
+			if ms.n != int64(len(ref.vs)) {
+				t.Fatalf("n = %d, reference %d", ms.n, len(ref.vs))
 			}
 		}
 		// Full final cross-check: every order statistic and a quantile
 		// sweep must agree with the sorted reference.
 		for k := range ref.vs {
-			got, err := ms.Kth(int64(k))
-			if err != nil {
-				t.Fatalf("final Kth(%d): %v", k, err)
-			}
-			if got != ref.vs[k] {
-				t.Fatalf("final Kth(%d) = %v, reference %v", k, got, ref.vs[k])
+			if got := kth(&ms, int64(k)); got != ref.vs[k] {
+				t.Fatalf("final kth(%d) = %v, reference %v", k, got, ref.vs[k])
 			}
 		}
 		if len(ref.vs) > 0 {

@@ -68,8 +68,8 @@ func TestOrderStatEquivalence(t *testing.T) {
 		live := make([]float64, 0, 256) // values currently present
 		check := func(step int) {
 			t.Helper()
-			if os.Len() != ref.n {
-				t.Fatalf("trial %d step %d: len %d, want %d", trial, step, os.Len(), ref.n)
+			if os.n != ref.n {
+				t.Fatalf("trial %d step %d: len %d, want %d", trial, step, os.n, ref.n)
 			}
 			if ref.n == 0 {
 				if _, err := os.Quantile(0.5); err == nil {
@@ -190,18 +190,14 @@ func TestOrderStatTombstoneReviveAndCompact(t *testing.T) {
 	if err := os.AddBatch([]float64{2, 2, 9}); err != nil {
 		t.Fatal(err)
 	}
-	if os.Len() != 5 {
-		t.Fatalf("len %d, want 5", os.Len())
+	if os.n != 5 {
+		t.Fatalf("len %d, want 5", os.n)
 	}
-	if got := os.Distinct(); got != 4 { // {2, 7, 8, 9}
+	if got := len(os.vals) - os.zeros; got != 4 { // {2, 7, 8, 9}
 		t.Fatalf("distinct %d, want 4", got)
 	}
 	for k, want := range []float64{2, 2, 7, 8, 9} {
-		got, err := os.Kth(int64(k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
+		if got := kth(&os, int64(k)); got != want {
 			t.Fatalf("kth(%d) = %v, want %v", k, got, want)
 		}
 	}
@@ -241,12 +237,6 @@ func TestOrderStatQuantileGuards(t *testing.T) {
 	if err := os.AddBatch([]float64{1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Kth(-1); err == nil {
-		t.Fatal("negative k should error")
-	}
-	if _, err := os.Kth(1); err == nil {
-		t.Fatal("k ≥ n should error")
-	}
 	if v, err := os.Quantile(math.NaN() * 0); err == nil && math.IsNaN(v) {
 		t.Fatal("NaN quantile must not silently propagate")
 	}
@@ -268,8 +258,8 @@ func TestOrderStatRejectsNaN(t *testing.T) {
 	if err := os.AddBatch([]float64{4, math.NaN(), 5}); err == nil {
 		t.Fatal("AddBatch with NaN should error")
 	}
-	if os.Len() != 3 {
-		t.Fatalf("rejected batch mutated the multiset: len %d, want 3", os.Len())
+	if os.n != 3 {
+		t.Fatalf("rejected batch mutated the multiset: len %d, want 3", os.n)
 	}
 	// Finite values must remain fully operational after the rejections.
 	if err := os.Remove(2); err != nil {
@@ -342,7 +332,7 @@ func TestOrderStatAddCountedEqualsAddBatch(t *testing.T) {
 			}
 		}
 	}
-	if viaBatch.zeros == 0 && viaBatch.Distinct() == len(viaBatch.vals) && viaBatch.n == 0 {
+	if viaBatch.zeros == 0 && viaBatch.n == 0 {
 		t.Fatal("schedule never left the trivial state")
 	}
 }

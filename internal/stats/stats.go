@@ -59,22 +59,6 @@ func Variance(xs []float64) (float64, error) {
 	return ss / float64(len(xs)-1), nil
 }
 
-// PopVariance returns the population (n denominator) variance of xs.
-func PopVariance(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if len(xs) == 1 {
-		return 0, nil
-	}
-	v, err := Variance(xs)
-	if err != nil {
-		return 0, err
-	}
-	n := float64(len(xs))
-	return v * (n - 1) / n, nil
-}
-
 // StdDev returns the unbiased sample standard deviation of xs.
 func StdDev(xs []float64) (float64, error) {
 	v, err := Variance(xs)
@@ -348,12 +332,3 @@ func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
 // Sum returns n*mean, the reconstructed total.
 func (w *Welford) Sum() float64 { return float64(w.n) * w.mean }
-
-// CV returns the coefficient of variation of the accumulated stream,
-// or 0 when the mean is zero.
-func (w *Welford) CV() float64 {
-	if w.mean == 0 {
-		return 0
-	}
-	return w.StdDev() / math.Abs(w.mean)
-}

@@ -63,19 +63,6 @@ func TestVarianceShort(t *testing.T) {
 	}
 }
 
-func TestPopVariance(t *testing.T) {
-	v, err := PopVariance([]float64{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(v, 1.25, 1e-12) {
-		t.Fatalf("PopVariance = %v, want 1.25", v)
-	}
-	if v1, _ := PopVariance([]float64{42}); v1 != 0 {
-		t.Fatalf("PopVariance singleton = %v, want 0", v1)
-	}
-}
-
 func TestCV(t *testing.T) {
 	cv, err := CV([]float64{10, 10, 10, 10})
 	if err != nil {
